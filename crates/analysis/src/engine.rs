@@ -43,6 +43,7 @@ pub const FLOAT_ACCUM_EXEMPT: &[&str] = &["crates/sparse/src/vecops.rs"];
 /// `panic-in-service-path` lint.
 pub const SERVICE_PATHS: &[&str] = &[
     "crates/runtime/src/worker.rs",
+    "crates/runtime/src/pipeline.rs",
     "crates/runtime/src/client.rs",
     "crates/runtime/src/sequence.rs",
     "crates/runtime/src/node.rs",

@@ -57,7 +57,7 @@ use crate::format::{max_offset_for_bits, ReFloatConfig};
 use crate::locality::{exponent_locality, LocalityReport};
 use crate::matrix::ReFloatMatrix;
 use refloat_solvers::eigs::{self, EigenConfidence, EigenEstimate};
-use refloat_solvers::{LinearOperator, SolverConfig, SolverKind};
+use refloat_solvers::{SolverConfig, SolverKind};
 use refloat_sparse::stats::exponent_of;
 use refloat_sparse::{BlockedMatrix, CsrMatrix};
 
@@ -386,29 +386,6 @@ pub fn predicted_cg_iterations(kappa: f64, tolerance: f64) -> u64 {
     }
 }
 
-/// A shared-reference adapter so the eigen estimation (which takes `&mut impl
-/// LinearOperator` for operators with scratch state) can run over a borrowed CSR
-/// matrix without cloning its arrays.
-struct CsrRef<'a>(&'a CsrMatrix);
-
-impl LinearOperator for CsrRef<'_> {
-    fn nrows(&self) -> usize {
-        self.0.nrows()
-    }
-
-    fn ncols(&self) -> usize {
-        self.0.ncols()
-    }
-
-    fn apply(&mut self, x: &[f64], y: &mut [f64]) {
-        self.0.spmv_into(x, y);
-    }
-
-    fn name(&self) -> String {
-        "fp64 (exact)".to_string()
-    }
-}
-
 /// Runs one verification solve of `candidate` on `a` (all-ones right-hand side, the
 /// plan's solver kind) and returns `(true relative residual, iterations)`.
 fn verification_solve(
@@ -444,7 +421,9 @@ pub fn plan_format(a: &CsrMatrix, cfg: &AutotuneConfig) -> FormatPlan {
     let hist = required_offset_histogram(&blocked);
     let num_blocks = blocked.num_blocks() as u64;
 
-    let eigen = eigs::estimate_extremes(&mut CsrRef(a), cfg.eigen_seed);
+    // A shared `&CsrMatrix` is itself an operator: no clone of the CSR arrays.
+    let mut exact = a;
+    let eigen = eigs::estimate_extremes(&mut exact, cfg.eigen_seed);
     let kappa = eigen.condition_number();
     let trusted = eigen.confidence == EigenConfidence::Converged && kappa.is_finite();
     let kappa_bound_iterations = predicted_cg_iterations(kappa, cfg.tolerance);

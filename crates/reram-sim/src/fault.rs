@@ -225,7 +225,8 @@ impl ChipFaultState {
 }
 
 /// A point-in-time health summary of one chip, as exposed by [`DeviceHealth`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The default is a pristine chip: every counter zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct HealthSummary {
     /// The chip id.
     pub chip: usize,

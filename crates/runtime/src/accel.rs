@@ -1,6 +1,17 @@
-//! The per-worker simulated accelerator: translates each completed solve into the
-//! chip-time it would have cost on the Table IV ReFloat accelerator, and accounts
-//! crossbar re-programming when a worker switches to a different matrix.
+//! The per-worker simulated accelerator — stage 5 of the worker's execution pipeline.
+//!
+//! The functional solve runs on the CPU; this model translates *what ran* into the
+//! chip time it would have cost on the Table IV ReFloat accelerator.  There is one
+//! entry point, [`SimulatedAccelerator::charge`], taking a [`Charge`]: the ordered
+//! list of [`Phase`]s a job executed.  A phase is either a pass on the chip — some
+//! solver iterations per right-hand side against a [`Residency`] (one chip holding
+//! the whole matrix, or a pool holding a shard set) — or fp64 work on the host.
+//!
+//! The paper's dataflow is written once here: a chip pass first checks what the
+//! crossbars hold and pays a cluster write only when the resident matrix changes
+//! (a full write, or the touched fraction for an incremental sequence step), ages
+//! the fault model by the blocks it wrote, and then prices every iteration.  Plain,
+//! batched, sharded, refined and retried jobs differ only in the phases they list.
 
 use std::sync::Arc;
 
@@ -13,8 +24,9 @@ use reram_sim::{
 
 use crate::cache::CacheKey;
 
-/// What one job cost on the simulated chip (or chip pool).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// What one job cost on the simulated chip (or chip pool).  The default is a run that
+/// cost nothing — the identity of [`absorb`](Self::absorb).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SimulatedRun {
     /// Crossbar pipeline cycles across the whole solve (Eq. 3 cycles × rounds × SpMVs;
     /// for sharded jobs, the makespan chip's cycles).
@@ -28,9 +40,9 @@ pub struct SimulatedRun {
     /// Seconds gathering per-chip output bands to the host (sharded jobs only; the
     /// fixed-order inter-chip reduction of each SpMV).
     pub reduction_s: f64,
-    /// Seconds of host-side fp64 work (the GPU model): the outer-loop residual
-    /// evaluations and any fp64-fallback inner solves of a refined job.  Zero for
-    /// plain jobs.
+    /// Seconds of host-side fp64 work (the GPU model): warm-start guards,
+    /// true-residual checks, and the outer-loop residual evaluations and
+    /// fp64-fallback inner solves of a refined job.
     pub host_fp64_s: f64,
     /// Total simulated seconds for the job (compute + writes + programming + gather +
     /// host fp64 + the per-iteration digital overhead folded into the solver-time
@@ -41,23 +53,9 @@ pub struct SimulatedRun {
 }
 
 impl SimulatedRun {
-    /// A run that cost nothing (the identity of [`absorb`](Self::absorb)).
-    pub fn zero() -> Self {
-        SimulatedRun {
-            cycles: 0,
-            compute_s: 0.0,
-            stream_write_s: 0.0,
-            program_s: 0.0,
-            reduction_s: 0.0,
-            host_fp64_s: 0.0,
-            total_s: 0.0,
-            remapped: false,
-        }
-    }
-
-    /// Folds another run's cost into this one (used when one job spans several
-    /// execution phases, e.g. an auto-format job whose plain attempt stalled and fell
-    /// back to a refined solve on the same chip).
+    /// Folds another run's cost into this one (used when one job is charged more
+    /// than once: a fault retry's probes, or an auto-format job whose plain attempt
+    /// stalled and fell back to a refined solve on the same chip).
     pub fn absorb(&mut self, other: &SimulatedRun) {
         self.cycles += other.cycles;
         self.compute_s += other.compute_s;
@@ -94,38 +92,100 @@ impl SimulatedRun {
     }
 }
 
-/// One inner pass of a refined job, as the accelerator model accounts it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RefinedPassCost {
-    /// A correction solve on the simulated chip in some quantized format.
-    Quantized {
-        /// Cache key of the encoded matrix this pass programmed.
-        key: CacheKey,
-        /// The rung's format (determines cycles and crossbars per cluster).
-        format: ReFloatConfig,
-        /// Non-empty blocks of the encoded matrix (= clusters per SpMV).
-        num_blocks: u64,
-        /// Inner solver iterations of the pass.
-        iterations: u64,
-    },
-    /// A fall-back correction solve in fp64 on the host (the GPU model).
-    HostFp64 {
-        /// Inner solver iterations of the pass.
-        iterations: u64,
-    },
+/// What a chip pass runs against: the encodings resident on one chip (one key — the
+/// whole matrix) or on a pool of chips working in parallel (one key per shard of a
+/// block-row partition).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Residency {
+    /// Cache key of each chip's encoding, in shard order.
+    pub keys: Vec<CacheKey>,
+    /// Non-empty blocks per chip (= the clusters it must hold).
+    pub shard_blocks: Vec<u64>,
+    /// Output rows per chip (the band it ships to the host per SpMV).
+    pub shard_rows: Vec<u64>,
 }
 
-/// Lifetime counters for one simulated accelerator.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct AcceleratorUsage {
-    /// Jobs executed.
-    pub jobs: u64,
-    /// Total simulated pipeline cycles.
-    pub cycles: u64,
-    /// Total simulated busy seconds (sum of [`SimulatedRun::total_s`]).
-    pub busy_s: f64,
-    /// Times the chip was re-programmed for a different matrix.
-    pub remaps: u64,
+impl Residency {
+    /// The key the residency check compares: a shard set is a pure function of its
+    /// first shard's key.
+    pub fn first_key(&self) -> CacheKey {
+        self.keys[0]
+    }
+
+    /// Blocks written when the chip (or the whole pool) is programmed from scratch.
+    pub fn blocks(&self) -> u64 {
+        self.shard_blocks.iter().sum()
+    }
+}
+
+/// An incremental sequence step's claim on the programming phase: its encoding was
+/// diffed against `predecessor`, so if the chip still holds that operator only the
+/// touched crossbar ranges need rewriting.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DeltaProgramming {
+    /// Cache key of the predecessor encoding the diff was taken against.
+    pub predecessor: CacheKey,
+    /// Fraction of the cluster write the touched ranges cost (clamped to `[0, 1]`).
+    pub reprogram_fraction: f64,
+    /// Blocks actually rewritten — only these age the fault model.
+    pub touched_blocks: u64,
+}
+
+/// fp64 work on the host (the GPU model), priced on the job's exact matrix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HostWork {
+    /// Iterations of the job's solver in fp64 (a refined job's fp64 rung).
+    SolverIterations(u64),
+    /// Exact SpMVs (warm-start guards, true-residual checks, outer-loop residuals).
+    Spmvs(u64),
+}
+
+/// One step of what a job ran, in execution order.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Phase<'a> {
+    /// Solver iterations on the chip (or pool) against `on`.
+    Chip {
+        /// The encodings the pass ran against.
+        on: &'a Residency,
+        /// Solver iterations per right-hand side; every RHS shares one programming.
+        iterations: Vec<u64>,
+        /// Set when the encoding was an incremental re-encode (sequence steps).
+        delta: Option<DeltaProgramming>,
+    },
+    /// fp64 work on the host.
+    Host(HostWork),
+}
+
+/// The description of what ran that [`SimulatedAccelerator::charge`] prices.
+#[derive(Debug, Clone, Copy)]
+pub struct Charge<'a> {
+    /// What ran, in execution order.
+    pub phases: &'a [Phase<'a>],
+    /// The Krylov solver every phase ran (SpMVs per iteration, host solve cost).
+    pub solver: SolverKind,
+    /// Non-zeros of the exact fp64 matrix host phases are priced on.
+    pub nnz: u64,
+    /// Rows of that matrix.
+    pub nrows: u64,
+    /// How programming and host time enter [`SimulatedRun::total_s`]: as they occur
+    /// (`false`, a chip-resident solve) or summed on their own and added after the
+    /// chip time (`true`, a refinement loop the host drives).  The two orders differ
+    /// only in floating-point association; both are kept because simulated seconds
+    /// are part of the digest contract, bit for bit.
+    pub host_driven: bool,
+}
+
+/// What one SpMV of a chip pass costs.  The single-chip and pool models stay
+/// separate formulas — a pool's makespan already contains its chips' streaming
+/// writes, and only a pool pays the gather — but both reduce to this price list, so
+/// the per-iteration accounting in [`SimulatedAccelerator::charge`] is written once.
+struct SpmvPrice {
+    /// Streaming rounds (of the makespan chip, for a pool).
+    rounds: u64,
+    compute_s: f64,
+    stream_write_s: f64,
+    reduction_s: f64,
+    total_s: f64,
 }
 
 /// One simulated chip, owned by one worker thread.
@@ -138,8 +198,7 @@ pub struct AcceleratorUsage {
 pub struct SimulatedAccelerator {
     worker_id: usize,
     programmed: Option<CacheKey>,
-    usage: AcceleratorUsage,
-    /// The host platform that prices fp64 offload work of refined jobs.
+    /// The host platform that prices fp64 work (the Table IV V100).
     host: GpuModel,
     /// Override of each chip's crossbar pool size (None = the Table IV 2^18).  Smaller
     /// chips force oversized matrices into streaming rounds — the regime where
@@ -163,7 +222,6 @@ impl SimulatedAccelerator {
         SimulatedAccelerator {
             worker_id,
             programmed: None,
-            usage: AcceleratorUsage::default(),
             host: GpuModel::v100(),
             chip_crossbars: None,
             hook: None,
@@ -181,44 +239,34 @@ impl SimulatedAccelerator {
         self
     }
 
-    /// The chip's persistent fault state, if a fault model is attached.
-    pub fn fault_state(&self) -> Option<&ChipFaultState> {
-        self.fault.as_ref()
-    }
-
-    /// Forgets what the crossbars hold, forcing the next execution to re-program the
-    /// chip (and wear it).  This is how a detected-corruption retry charges its
-    /// re-encode onto spare resources.
-    pub fn force_remap(&mut self) {
-        self.programmed = None;
-    }
-
-    /// Builder: price host-side fp64 work (refined jobs) on a different GPU model.
-    pub fn with_host_gpu(mut self, host: GpuModel) -> Self {
-        self.host = host;
-        self
-    }
-
-    /// Builder: observe every run's per-phase cycle attribution through a
+    /// Builder: observe every charge's per-phase cycle attribution through a
     /// [`CycleHook`].
     pub fn with_cycle_hook(mut self, hook: Arc<dyn CycleHook>) -> Self {
         self.hook = Some(hook);
         self
     }
 
-    /// Fires the run's phase attributions at the hook, if one is installed.
-    fn notify(&self, run: &SimulatedRun) {
-        if let Some(hook) = &self.hook {
-            for event in run.cycle_events() {
-                hook.on_event(&event);
-            }
-        }
-    }
-
     /// Builder: simulate chips with a smaller (or larger) crossbar pool than Table IV.
     pub fn with_chip_crossbars(mut self, crossbars: Option<u64>) -> Self {
         self.chip_crossbars = crossbars;
         self
+    }
+
+    /// The owning worker's id.
+    pub fn worker_id(&self) -> usize {
+        self.worker_id
+    }
+
+    /// The chip's persistent fault state, if a fault model is attached.
+    pub fn fault_state(&self) -> Option<&ChipFaultState> {
+        self.fault.as_ref()
+    }
+
+    /// Forgets what the crossbars hold, forcing the next chip pass to re-program the
+    /// chip (and wear it).  This is how a detected-corruption retry charges its
+    /// re-encode onto spare resources.
+    pub fn force_remap(&mut self) {
+        self.programmed = None;
     }
 
     /// The per-chip hardware model for a format, with the crossbar-pool override
@@ -234,252 +282,125 @@ impl SimulatedAccelerator {
         hw
     }
 
-    /// The owning worker's id.
-    pub fn worker_id(&self) -> usize {
-        self.worker_id
-    }
-
-    /// Seconds one exact fp64 SpMV costs on the host GPU — prices the true-residual
-    /// check an auto-format job performs before deciding whether to fall back.
-    pub fn host_spmv_time_s(&self, nnz: u64, nrows: u64) -> f64 {
-        self.host.spmv_time_s(nnz, nrows)
-    }
-
-    /// Lifetime usage counters.
-    pub fn usage(&self) -> AcceleratorUsage {
-        self.usage
-    }
-
-    /// Accounts one completed solve (`iterations` iterations of `solver` over a matrix
-    /// with `num_blocks` non-empty blocks, encoded as `format`) and returns its
-    /// simulated cost.
-    pub fn execute(
-        &mut self,
-        key: CacheKey,
-        format: &ReFloatConfig,
-        num_blocks: u64,
-        iterations: u64,
-        solver: SolverKind,
-    ) -> SimulatedRun {
-        self.execute_batch(key, format, num_blocks, &[iterations], solver)
-    }
-
-    /// Accounts one completed *batched* solve: one solve per right-hand side
-    /// (`iterations[k]` iterations for RHS `k`), all against the same programmed
-    /// operator, so the chip is programmed at most once for the whole batch.
-    pub fn execute_batch(
-        &mut self,
-        key: CacheKey,
-        format: &ReFloatConfig,
-        num_blocks: u64,
-        iterations: &[u64],
-        solver: SolverKind,
-    ) -> SimulatedRun {
-        assert!(!iterations.is_empty(), "a batch needs at least one RHS");
-        let hw = self.chip(format);
-        let remapped = self.programmed != Some(key);
-        if remapped {
-            if let Some(fault) = &mut self.fault {
-                fault.record_programming(num_blocks);
-            }
-        }
-        let program_s = if remapped {
-            hw.cluster_write_time_s()
-        } else {
-            0.0
-        };
-        let mut run = SimulatedRun {
-            program_s,
-            remapped,
-            total_s: program_s,
-            ..SimulatedRun::zero()
-        };
-        for &iters in iterations {
-            let breakdown = hw.solver_time(num_blocks, iters, solver);
-            let spmv_count = iters * solver.spmv_per_iteration();
-            run.cycles += spmv_count * breakdown.rounds_per_spmv * hw.cycles_per_block_mvm;
-            run.compute_s += spmv_count as f64 * breakdown.spmv_compute_s;
-            run.stream_write_s += spmv_count as f64 * breakdown.spmv_write_s;
-            run.total_s += breakdown.solver_total_s;
-        }
-        self.programmed = Some(key);
-        self.usage.jobs += 1;
-        self.usage.cycles += run.cycles;
-        self.usage.busy_s += run.total_s;
-        self.usage.remaps += u64::from(remapped);
-        self.notify(&run);
-        run
-    }
-
-    /// Like [`execute_batch`](Self::execute_batch), but for a sequence step whose
-    /// encoding came from an incremental re-encode against the operator the chip
-    /// currently holds (`predecessor`): instead of a full cluster rewrite, only the
-    /// touched fraction of the crossbar ranges is reprogrammed — charged as
-    /// `reprogram_fraction` of the cluster write time — and only the `touched_blocks`
-    /// re-encoded blocks age the fault model.  When the chip holds anything else the
-    /// delta does not apply and this falls back to the full [`execute_batch`](Self::execute_batch) charge.
-    #[allow(clippy::too_many_arguments)]
-    pub fn execute_batch_delta(
-        &mut self,
-        key: CacheKey,
-        predecessor: CacheKey,
-        reprogram_fraction: f64,
-        touched_blocks: u64,
-        format: &ReFloatConfig,
-        num_blocks: u64,
-        iterations: &[u64],
-        solver: SolverKind,
-    ) -> SimulatedRun {
-        if self.programmed != Some(predecessor) {
-            return self.execute_batch(key, format, num_blocks, iterations, solver);
-        }
-        assert!(!iterations.is_empty(), "a batch needs at least one RHS");
-        let hw = self.chip(format);
-        let fraction = reprogram_fraction.clamp(0.0, 1.0);
-        let remapped = touched_blocks > 0;
-        if remapped {
-            if let Some(fault) = &mut self.fault {
-                fault.record_programming(touched_blocks);
-            }
-        }
-        let program_s = hw.cluster_write_time_s() * fraction;
-        let mut run = SimulatedRun {
-            program_s,
-            remapped,
-            total_s: program_s,
-            ..SimulatedRun::zero()
-        };
-        for &iters in iterations {
-            let breakdown = hw.solver_time(num_blocks, iters, solver);
-            let spmv_count = iters * solver.spmv_per_iteration();
-            run.cycles += spmv_count * breakdown.rounds_per_spmv * hw.cycles_per_block_mvm;
-            run.compute_s += spmv_count as f64 * breakdown.spmv_compute_s;
-            run.stream_write_s += spmv_count as f64 * breakdown.spmv_write_s;
-            run.total_s += breakdown.solver_total_s;
-        }
-        self.programmed = Some(key);
-        self.usage.jobs += 1;
-        self.usage.cycles += run.cycles;
-        self.usage.busy_s += run.total_s;
-        self.usage.remaps += u64::from(remapped);
-        self.notify(&run);
-        run
-    }
-
-    /// Accounts one completed *sharded* solve on a pool of `keys.len()` chips: shards
-    /// execute in parallel (each SpMV costs the slowest shard, the makespan), every
-    /// SpMV pays the fixed-order inter-chip gather, and the whole pool is programmed
-    /// at most once — also across all right-hand sides of a batched job.
+    /// Accounts what a job ran and returns its simulated cost.
     ///
-    /// `keys[i]` / `shard_blocks[i]` / `shard_rows[i]` describe chip `i`'s shard; the
-    /// pool is considered programmed when it holds the first shard's key (the shard
-    /// set is a pure function of that key).
+    /// Phases are priced in order.  A chip pass re-programs the chip only when it
+    /// holds a different encoding, so a multi-RHS batch pays one programming, a
+    /// refined job pays one per rung switch, and consecutive jobs on one matrix pay
+    /// none.  Host phases are priced by the [`GpuModel`] — the offload split of the
+    /// mixed-precision in-memory-computing model.
     ///
     /// # Panics
-    /// Panics if the per-shard slices disagree or `iterations` is empty.
-    pub fn execute_sharded(
-        &mut self,
-        keys: &[CacheKey],
-        format: &ReFloatConfig,
-        shard_blocks: &[u64],
-        shard_rows: &[u64],
-        iterations: &[u64],
-        solver: SolverKind,
-    ) -> SimulatedRun {
-        assert_eq!(keys.len(), shard_blocks.len(), "one key per shard");
-        assert!(!keys.is_empty(), "a sharded job needs at least one shard");
-        assert!(!iterations.is_empty(), "a batch needs at least one RHS");
-        let pool =
-            MultiChipAccelerator::new(MultiChipConfig::homogeneous(keys.len(), self.chip(format)));
-        let chip = &pool.config().chip;
-        let remapped = self.programmed != Some(keys[0]);
-        if remapped {
-            if let Some(fault) = &mut self.fault {
-                fault.record_programming(shard_blocks.iter().sum());
+    /// Panics if a chip pass lists no right-hand side.
+    pub fn charge(&mut self, charge: &Charge<'_>) -> SimulatedRun {
+        let mut run = SimulatedRun::default();
+        for phase in charge.phases {
+            match phase {
+                Phase::Chip {
+                    on,
+                    iterations,
+                    delta,
+                } => {
+                    assert!(!iterations.is_empty(), "a chip pass needs at least one RHS");
+                    let hw = self.chip(&on.first_key().format);
+                    let program_s = self.program(on, *delta, &hw, &mut run);
+                    let price = Self::spmv_price(on, &hw);
+                    run.program_s += program_s;
+                    if !charge.host_driven {
+                        run.total_s += program_s;
+                    }
+                    for &iters in iterations {
+                        let spmvs = iters * charge.solver.spmv_per_iteration();
+                        run.cycles += spmvs * price.rounds * hw.cycles_per_block_mvm;
+                        run.compute_s += spmvs as f64 * price.compute_s;
+                        run.stream_write_s += spmvs as f64 * price.stream_write_s;
+                        run.reduction_s += spmvs as f64 * price.reduction_s;
+                        run.total_s += spmvs as f64 * price.total_s
+                            + iters as f64 * hw.iteration_overhead_ns * 1e-9;
+                    }
+                }
+                Phase::Host(work) => {
+                    let (nnz, nrows) = (charge.nnz, charge.nrows);
+                    let host_s = match *work {
+                        HostWork::SolverIterations(iterations) => {
+                            self.host
+                                .solver_time_s(nnz, nrows, iterations, charge.solver)
+                        }
+                        HostWork::Spmvs(count) => count as f64 * self.host.spmv_time_s(nnz, nrows),
+                    };
+                    run.host_fp64_s += host_s;
+                    if !charge.host_driven {
+                        run.total_s += host_s;
+                    }
+                }
             }
         }
-        let program_s = if remapped { pool.program_time_s() } else { 0.0 };
-        let spmv = pool.spmv_time(shard_blocks, shard_rows);
-        let mut run = SimulatedRun {
-            program_s,
-            remapped,
-            total_s: program_s,
-            ..SimulatedRun::zero()
-        };
-        for &iters in iterations {
-            let spmv_count = iters * solver.spmv_per_iteration();
-            // The makespan chip's pipeline cycles: its streaming rounds × Eq. 3 cycles.
-            run.cycles += spmv_count * spmv.max_rounds * chip.cycles_per_block_mvm;
-            run.compute_s += spmv_count as f64 * spmv.makespan_s;
-            run.reduction_s += spmv_count as f64 * spmv.reduction_s;
-            run.total_s += spmv_count as f64 * spmv.spmv_total_s
-                + iters as f64 * chip.iteration_overhead_ns * 1e-9;
+        if charge.host_driven {
+            run.total_s += run.program_s + run.host_fp64_s;
         }
-        self.programmed = Some(keys[0]);
-        self.usage.jobs += 1;
-        self.usage.cycles += run.cycles;
-        self.usage.busy_s += run.total_s;
-        self.usage.remaps += u64::from(remapped);
-        self.notify(&run);
+        if let Some(hook) = &self.hook {
+            for event in run.cycle_events() {
+                hook.on_event(&event);
+            }
+        }
         run
     }
 
-    /// Accounts one completed *refined* solve: a sequence of inner correction passes
-    /// (each on its own format, possibly the fp64 host fallback), plus
-    /// `fp64_residual_spmvs` exact residual evaluations on the host.
-    ///
-    /// Every switch to a differently-keyed quantized rung re-programs the chip (the
-    /// per-pass re-encode the refinement loop pays in hardware), exactly like
-    /// consecutive plain jobs on different matrices would; host-side fp64 work is
-    /// charged through the [`GpuModel`] — the offload split of the mixed-precision
-    /// in-memory-computing model.
-    pub fn execute_refined(
+    /// The residency check of one chip pass: decides whether (and how much of) the
+    /// chip is rewritten, ages the fault model by the blocks written, records the new
+    /// resident key, and returns the programming seconds.  The chips of a pool are
+    /// written in parallel, so a pool pays one cluster write like a single chip.
+    fn program(
         &mut self,
-        passes: &[RefinedPassCost],
-        fp64_residual_spmvs: u64,
-        nnz: u64,
-        nrows: u64,
-        solver: SolverKind,
-    ) -> SimulatedRun {
-        let host = self.host.clone();
-        let mut run = SimulatedRun::zero();
-        for pass in passes {
-            match *pass {
-                RefinedPassCost::Quantized {
-                    key,
-                    format,
-                    num_blocks,
-                    iterations,
-                } => {
-                    let hw = self.chip(&format);
-                    if self.programmed != Some(key) {
-                        run.program_s += hw.cluster_write_time_s();
-                        run.remapped = true;
-                        self.usage.remaps += 1;
-                        self.programmed = Some(key);
-                        if let Some(fault) = &mut self.fault {
-                            fault.record_programming(num_blocks);
-                        }
-                    }
-                    let breakdown = hw.solver_time(num_blocks, iterations, solver);
-                    let spmv_count = iterations * solver.spmv_per_iteration();
-                    run.cycles += spmv_count * breakdown.rounds_per_spmv * hw.cycles_per_block_mvm;
-                    run.compute_s += spmv_count as f64 * breakdown.spmv_compute_s;
-                    run.stream_write_s += spmv_count as f64 * breakdown.spmv_write_s;
-                    run.total_s += breakdown.solver_total_s;
-                }
-                RefinedPassCost::HostFp64 { iterations } => {
-                    run.host_fp64_s += host.solver_time_s(nnz, nrows, iterations, solver);
-                }
+        on: &Residency,
+        delta: Option<DeltaProgramming>,
+        hw: &AcceleratorConfig,
+        run: &mut SimulatedRun,
+    ) -> f64 {
+        let full_write_s = hw.cluster_write_time_s();
+        let (rewritten, written_blocks, program_s) = match delta {
+            // The chip still holds the operator the diff was taken against: rewrite
+            // only the touched ranges.  Holding anything else voids the delta.
+            Some(delta) if self.programmed == Some(delta.predecessor) => (
+                delta.touched_blocks > 0,
+                delta.touched_blocks,
+                full_write_s * delta.reprogram_fraction.clamp(0.0, 1.0),
+            ),
+            _ if self.programmed != Some(on.first_key()) => (true, on.blocks(), full_write_s),
+            _ => (false, 0, 0.0),
+        };
+        if rewritten {
+            run.remapped = true;
+            if let Some(fault) = &mut self.fault {
+                fault.record_programming(written_blocks);
             }
         }
-        run.host_fp64_s += fp64_residual_spmvs as f64 * host.spmv_time_s(nnz, nrows);
-        run.total_s += run.program_s + run.host_fp64_s;
-        self.usage.jobs += 1;
-        self.usage.cycles += run.cycles;
-        self.usage.busy_s += run.total_s;
-        self.notify(&run);
-        run
+        self.programmed = Some(on.first_key());
+        program_s
+    }
+
+    /// Prices one SpMV against `on`: Eq. 3 rounds on one chip, or the makespan (the
+    /// slowest shard) and fixed-order inter-chip gather of a pool.
+    fn spmv_price(on: &Residency, hw: &AcceleratorConfig) -> SpmvPrice {
+        if let [blocks] = on.shard_blocks[..] {
+            let (compute_s, stream_write_s) = hw.spmv_time_s(blocks);
+            return SpmvPrice {
+                rounds: hw.rounds_per_spmv(blocks),
+                compute_s,
+                stream_write_s,
+                reduction_s: 0.0,
+                total_s: compute_s + stream_write_s,
+            };
+        }
+        let pool = MultiChipConfig::homogeneous(on.keys.len(), hw.clone());
+        let spmv = MultiChipAccelerator::new(pool).spmv_time(&on.shard_blocks, &on.shard_rows);
+        SpmvPrice {
+            rounds: spmv.max_rounds,
+            compute_s: spmv.makespan_s,
+            stream_write_s: 0.0,
+            reduction_s: spmv.reduction_s,
+            total_s: spmv.spmv_total_s,
+        }
     }
 }
 
@@ -491,12 +412,7 @@ impl DeviceHealth for SimulatedAccelerator {
             Some(fault) => fault.health(),
             None => HealthSummary {
                 chip: self.worker_id,
-                programmings: 0,
-                wear_writes: 0,
-                stuck_low: 0,
-                stuck_high: 0,
-                drift_sigma_effective: 0.0,
-                degradation: 0.0,
+                ..HealthSummary::default()
             },
         }
     }
@@ -506,73 +422,98 @@ impl DeviceHealth for SimulatedAccelerator {
 mod tests {
     use super::*;
 
-    fn key(tag: u64) -> CacheKey {
-        CacheKey::whole(tag, ReFloatConfig::paper_default())
+    fn whole(tag: u64, blocks: u64) -> Residency {
+        rung(tag, ReFloatConfig::paper_default(), blocks)
+    }
+
+    fn rung(tag: u64, format: ReFloatConfig, blocks: u64) -> Residency {
+        Residency {
+            keys: vec![CacheKey::whole(tag, format)],
+            shard_blocks: vec![blocks],
+            shard_rows: vec![5_000],
+        }
+    }
+
+    fn pass<'a>(on: &'a Residency, iterations: &[u64]) -> Phase<'a> {
+        Phase::Chip {
+            on,
+            iterations: iterations.to_vec(),
+            delta: None,
+        }
+    }
+
+    /// Charges a chip-resident job made of `phases` (host phases priced on a
+    /// 50k-nnz, 5k-row matrix).
+    fn charge(
+        chip: &mut SimulatedAccelerator,
+        phases: &[Phase<'_>],
+        solver: SolverKind,
+    ) -> SimulatedRun {
+        chip.charge(&Charge {
+            phases,
+            solver,
+            nnz: 50_000,
+            nrows: 5_000,
+            host_driven: false,
+        })
+    }
+
+    /// One single-RHS CG solve of `iterations` iterations against `on`.
+    fn solve(chip: &mut SimulatedAccelerator, on: &Residency, iterations: u64) -> SimulatedRun {
+        charge(chip, &[pass(on, &[iterations])], SolverKind::Cg)
     }
 
     #[test]
     fn repeat_jobs_on_one_matrix_skip_reprogramming() {
-        let format = ReFloatConfig::paper_default();
         let mut chip = SimulatedAccelerator::new(0);
-        let first = chip.execute(key(1), &format, 2_000, 100, SolverKind::Cg);
+        let first = solve(&mut chip, &whole(1, 2_000), 100);
         assert!(first.remapped);
         assert!(first.program_s > 0.0);
-        let second = chip.execute(key(1), &format, 2_000, 100, SolverKind::Cg);
+        let second = solve(&mut chip, &whole(1, 2_000), 100);
         assert!(!second.remapped);
         assert_eq!(second.program_s, 0.0);
-        let third = chip.execute(key(2), &format, 2_000, 100, SolverKind::Cg);
+        let third = solve(&mut chip, &whole(2, 2_000), 100);
         assert!(third.remapped);
-        assert_eq!(chip.usage().remaps, 2);
-        assert_eq!(chip.usage().jobs, 3);
     }
 
     #[test]
     fn cycles_follow_the_eq3_model() {
         // paper_default: 28 cycles per block MVM; a fitting matrix is 1 round per SpMV,
         // CG is 1 SpMV per iteration.
-        let format = ReFloatConfig::paper_default();
         let mut chip = SimulatedAccelerator::new(0);
-        let run = chip.execute(key(1), &format, 2_000, 100, SolverKind::Cg);
+        let on = whole(1, 2_000);
+        let run = solve(&mut chip, &on, 100);
         assert_eq!(run.cycles, 100 * 28);
         assert_eq!(run.stream_write_s, 0.0);
-        let bicg = chip.execute(key(1), &format, 2_000, 100, SolverKind::BiCgStab);
+        let bicg = charge(&mut chip, &[pass(&on, &[100])], SolverKind::BiCgStab);
         assert_eq!(bicg.cycles, 2 * 100 * 28);
     }
 
     #[test]
-    fn refined_runs_charge_reprogramming_per_format_switch_and_host_fp64() {
+    fn host_driven_jobs_charge_reprogramming_per_format_switch_and_host_fp64() {
         let base = ReFloatConfig::new(7, 3, 3, 3, 8);
         let wide = ReFloatConfig::new(7, 4, 11, 4, 16);
-        let fp = 42u64;
+        let (base_rung, wide_rung) = (rung(42, base, 2_000), rung(42, wide, 2_000));
         let mut chip = SimulatedAccelerator::new(0);
-        let passes = [
+        let phases = [
             // Two passes on the base rung: one remap, then the chip is warm.
-            RefinedPassCost::Quantized {
-                key: CacheKey::whole(fp, base),
-                format: base,
-                num_blocks: 2_000,
-                iterations: 50,
-            },
-            RefinedPassCost::Quantized {
-                key: CacheKey::whole(fp, base),
-                format: base,
-                num_blocks: 2_000,
-                iterations: 50,
-            },
+            pass(&base_rung, &[50]),
+            pass(&base_rung, &[50]),
             // Escalation to the widened rung: a second remap (the per-pass re-encode
             // charged in hardware).
-            RefinedPassCost::Quantized {
-                key: CacheKey::whole(fp, wide),
-                format: wide,
-                num_blocks: 2_000,
-                iterations: 30,
-            },
-            // fp64 fallback pass runs on the host.
-            RefinedPassCost::HostFp64 { iterations: 10 },
+            pass(&wide_rung, &[30]),
+            // The fp64 fallback pass and the outer-loop residuals run on the host.
+            Phase::Host(HostWork::SolverIterations(10)),
+            Phase::Host(HostWork::Spmvs(4)),
         ];
-        let run = chip.execute_refined(&passes, 4, 50_000, 5_000, SolverKind::Cg);
+        let run = chip.charge(&Charge {
+            phases: &phases,
+            solver: SolverKind::Cg,
+            nnz: 50_000,
+            nrows: 5_000,
+            host_driven: true,
+        });
         assert!(run.remapped);
-        assert_eq!(chip.usage().remaps, 2);
         let one_remap = AcceleratorConfig::refloat(&base).cluster_write_time_s();
         assert!((run.program_s - 2.0 * one_remap).abs() < 1e-15);
         // Cycles follow Eq. 3 per rung: base is 28 cycles/MVM, wide is
@@ -586,17 +527,83 @@ mod tests {
         assert!(run.total_s >= run.compute_s + run.program_s + run.host_fp64_s - 1e-15);
 
         // A follow-up plain job on the widened rung finds the chip already programmed.
-        let follow = chip.execute(CacheKey::whole(fp, wide), &wide, 2_000, 10, SolverKind::Cg);
-        assert!(!follow.remapped);
+        assert!(!solve(&mut chip, &wide_rung, 10).remapped);
     }
 
     #[test]
-    fn refined_run_with_no_passes_costs_only_the_residual_checks() {
+    fn a_charge_with_no_phases_costs_nothing() {
         let mut chip = SimulatedAccelerator::new(1);
-        let run = chip.execute_refined(&[], 0, 1_000, 100, SolverKind::Cg);
-        assert_eq!(run.cycles, 0);
-        assert_eq!(run.total_s, 0.0);
-        assert!(!run.remapped);
+        let run = charge(&mut chip, &[], SolverKind::Cg);
+        assert_eq!(run, SimulatedRun::default());
+    }
+
+    #[test]
+    fn host_phases_of_a_chip_resident_job_add_to_the_total_in_order() {
+        // A warm-start guard and a true-residual check: two exact SpMVs on the host.
+        let mut chip = SimulatedAccelerator::new(0);
+        let on = whole(1, 2_000);
+        let bare = solve(&mut SimulatedAccelerator::new(1), &on, 100);
+        let spmvs = Phase::Host(HostWork::Spmvs(1));
+        let run = charge(
+            &mut chip,
+            &[pass(&on, &[100]), spmvs.clone(), spmvs],
+            SolverKind::Cg,
+        );
+        let one_spmv = GpuModel::v100().spmv_time_s(50_000, 5_000);
+        assert_eq!(run.host_fp64_s, one_spmv + one_spmv);
+        assert_eq!(run.total_s, bare.total_s + one_spmv + one_spmv);
+        assert_eq!(run.cycles, bare.cycles);
+    }
+
+    #[test]
+    fn delta_programming_rewrites_only_the_touched_fraction_of_the_predecessor() {
+        let format = ReFloatConfig::paper_default();
+        let model = FaultModelConfig::realistic(5);
+        let full = AcceleratorConfig::refloat(&format).cluster_write_time_s();
+        let step = |chip: &mut SimulatedAccelerator, tag: u64, predecessor: u64| {
+            let on = whole(tag, 2_000);
+            let delta = DeltaProgramming {
+                predecessor: CacheKey::whole(predecessor, format),
+                reprogram_fraction: 0.25,
+                touched_blocks: 500,
+            };
+            let phases = [Phase::Chip {
+                on: &on,
+                iterations: vec![10],
+                delta: Some(delta),
+            }];
+            charge(chip, &phases, SolverKind::Cg)
+        };
+        let mut chip =
+            SimulatedAccelerator::new(0).with_fault_model(model, format.block_size(), false);
+        solve(&mut chip, &whole(1, 2_000), 10);
+        // The chip holds step 1: step 2 rewrites a quarter of it and wears 500 blocks.
+        let warm = step(&mut chip, 2, 1);
+        assert!(warm.remapped);
+        assert_eq!(warm.program_s, full * 0.25);
+        assert_eq!(chip.health().wear_writes, 2_500);
+        // The chip holds step 2, not the claimed predecessor: the delta is void and
+        // the whole cluster is rewritten.
+        let cold = step(&mut chip, 4, 3);
+        assert!(cold.remapped);
+        assert_eq!(cold.program_s, full);
+        assert_eq!(chip.health().wear_writes, 4_500);
+        // An untouched step on the held predecessor programs nothing.
+        let on = whole(5, 2_000);
+        let untouched = DeltaProgramming {
+            predecessor: CacheKey::whole(4, format),
+            reprogram_fraction: 0.0,
+            touched_blocks: 0,
+        };
+        let phases = [Phase::Chip {
+            on: &on,
+            iterations: vec![10],
+            delta: Some(untouched),
+        }];
+        let idle = charge(&mut chip, &phases, SolverKind::Cg);
+        assert!(!idle.remapped);
+        assert_eq!(idle.program_s, 0.0);
+        assert_eq!(chip.health().programmings, 3);
     }
 
     #[test]
@@ -619,16 +626,15 @@ mod tests {
         );
         assert_eq!(events[1].cycles, 2800);
         assert_eq!(events[1].seconds, 1e-5);
-        assert!(SimulatedRun::zero().cycle_events().is_empty());
+        assert!(SimulatedRun::default().cycle_events().is_empty());
     }
 
     #[test]
-    fn cycle_hook_sees_each_run_once() {
+    fn cycle_hook_sees_each_charge_once() {
         let hook = Arc::new(reram_sim::CollectingHook::new());
-        let format = ReFloatConfig::paper_default();
         let mut chip =
             SimulatedAccelerator::new(0).with_cycle_hook(Arc::clone(&hook) as Arc<dyn CycleHook>);
-        let run = chip.execute(key(1), &format, 2_000, 100, SolverKind::Cg);
+        let run = solve(&mut chip, &whole(1, 2_000), 100);
         let events = hook.snapshot();
         assert!(!events.is_empty());
         assert_eq!(hook.seconds_in(ChipPhase::Compute), run.compute_s);
@@ -646,8 +652,8 @@ mod tests {
             format.block_size(),
             true,
         );
-        let base = plain.execute(key(1), &format, 2_000, 100, SolverKind::Cg);
-        let abft = checked.execute(key(1), &format, 2_000, 100, SolverKind::Cg);
+        let base = solve(&mut plain, &whole(1, 2_000), 100);
+        let abft = solve(&mut checked, &whole(1, 2_000), 100);
         // paper_default is 28 cycles per block-MVM; ABFT makes it 29.
         assert_eq!(base.cycles, 100 * 28);
         assert_eq!(abft.cycles, 100 * 29);
@@ -667,25 +673,24 @@ mod tests {
             format.block_size(),
             false,
         );
-        chip.execute(key(1), &format, 2_000, 10, SolverKind::Cg);
-        chip.execute(key(2), &format, 3_000, 10, SolverKind::Cg);
+        solve(&mut chip, &whole(1, 2_000), 10);
+        solve(&mut chip, &whole(2, 3_000), 10);
         // Warm repeat: no programming, no extra wear.
-        chip.execute(key(2), &format, 3_000, 10, SolverKind::Cg);
+        solve(&mut chip, &whole(2, 3_000), 10);
         let health = chip.health();
         assert_eq!(health.programmings, 2);
         assert_eq!(health.wear_writes, 5_000);
         // A forced remap (the retry re-encode path) wears the chip again.
         chip.force_remap();
-        chip.execute(key(2), &format, 3_000, 10, SolverKind::Cg);
+        solve(&mut chip, &whole(2, 3_000), 10);
         assert_eq!(chip.health().programmings, 3);
     }
 
     #[test]
     fn oversized_matrices_pay_streaming_writes() {
-        let format = ReFloatConfig::paper_default();
         let mut chip = SimulatedAccelerator::new(0);
         // 21845 clusters fit; ask for 10x that.
-        let run = chip.execute(key(1), &format, 218_450, 10, SolverKind::Cg);
+        let run = solve(&mut chip, &whole(1, 218_450), 10);
         assert!(run.stream_write_s > 0.0);
         assert!(run.total_s > run.compute_s);
     }
@@ -694,22 +699,24 @@ mod tests {
     fn batched_rhs_amortize_programming_across_the_batch() {
         let format = ReFloatConfig::paper_default();
         let mut batched_chip = SimulatedAccelerator::new(0);
-        let batched =
-            batched_chip.execute_batch(key(1), &format, 2_000, &[100, 100, 100], SolverKind::Cg);
+        let on = whole(1, 2_000);
+        let batched = charge(
+            &mut batched_chip,
+            &[pass(&on, &[100, 100, 100])],
+            SolverKind::Cg,
+        );
         // Three separate single-RHS jobs on a *cold* chip each pay programming.
         let mut serial_chip = SimulatedAccelerator::new(1);
         let mut serial_total = 0.0;
         for _ in 0..3 {
-            serial_total += serial_chip
-                .execute(key(2), &format, 2_000, 100, SolverKind::Cg)
-                .total_s;
-            serial_chip.programmed = None; // force a cold chip per job
+            serial_total += solve(&mut serial_chip, &whole(2, 2_000), 100).total_s;
+            serial_chip.force_remap();
         }
         assert!(batched.remapped);
         assert_eq!(batched.cycles, 3 * 100 * 28);
         let one_program = AcceleratorConfig::refloat(&format).cluster_write_time_s();
+        assert_eq!(batched.program_s, one_program);
         assert!((serial_total - batched.total_s - 2.0 * one_program).abs() < 1e-12);
-        assert_eq!(batched_chip.usage().remaps, 1);
     }
 
     #[test]
@@ -717,26 +724,28 @@ mod tests {
         let format = ReFloatConfig::paper_default();
         // Small chips: 2^10 crossbars -> 1024/12 = 85 clusters per chip.
         let mut chip = SimulatedAccelerator::new(0).with_chip_crossbars(Some(1 << 10));
-        let keys: Vec<CacheKey> = (0..4)
-            .map(|i| CacheKey::sharded(9, crate::cache::ShardId::of(i, 4), format))
-            .collect();
         // 170 blocks per shard = 2 streaming rounds per chip per SpMV.
-        let run =
-            chip.execute_sharded(&keys, &format, &[170; 4], &[2048; 4], &[50], SolverKind::Cg);
+        let pool = Residency {
+            keys: (0..4)
+                .map(|i| CacheKey::sharded(9, crate::cache::ShardId::of(i, 4), format))
+                .collect(),
+            shard_blocks: vec![170; 4],
+            shard_rows: vec![2048; 4],
+        };
+        let run = solve(&mut chip, &pool, 50);
         assert!(run.remapped);
         assert!(run.reduction_s > 0.0);
         assert_eq!(run.cycles, 50 * 2 * 28);
         assert!(run.total_s >= run.compute_s + run.reduction_s + run.program_s - 1e-15);
 
         // Same shard set again: the pool stays programmed.
-        let again =
-            chip.execute_sharded(&keys, &format, &[170; 4], &[2048; 4], &[50], SolverKind::Cg);
+        let again = solve(&mut chip, &pool, 50);
         assert!(!again.remapped);
         assert_eq!(again.program_s, 0.0);
 
         // The sharded pool beats one equally-small chip streaming all 680 blocks.
         let mut single = SimulatedAccelerator::new(1).with_chip_crossbars(Some(1 << 10));
-        let whole = single.execute(key(9), &format, 680, 50, SolverKind::Cg);
+        let whole = solve(&mut single, &whole(9, 680), 50);
         assert!(
             whole.total_s > 1.5 * run.total_s,
             "sharding should win: single {:.3e}s vs sharded {:.3e}s",

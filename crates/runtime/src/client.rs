@@ -154,7 +154,9 @@ pub enum TicketOutcome {
     /// The job could not complete cleanly under the fault policy — its chip was
     /// killed with nowhere to re-route, or ABFT detections survived every
     /// re-encode retry.  The payload says which and carries any best-effort
-    /// result; like cancelled/failed jobs, degraded jobs have no telemetry row.
+    /// result.  A degraded solve that ran leaves a telemetry row marked
+    /// [`JobOutcomeKind::Degraded`](crate::JobOutcomeKind); a job stranded on a
+    /// dead chip never ran and leaves none.
     Degraded(Box<DegradedJob>),
 }
 
@@ -595,11 +597,6 @@ impl SolveClient {
                 let core = node.core();
                 let completed = sync::lock(&core.completed);
                 let sched = core.sched.stats();
-                // The live counters include the adds from degraded jobs, which
-                // carry no telemetry row; only that rowless share goes into the
-                // context, or the aggregate replay would double-count.
-                let row_faults: u64 = completed.iter().map(|j| j.faults_detected).sum();
-                let row_retries: u64 = completed.iter().map(|j| j.fault_retries).sum();
                 RuntimeReport::aggregate(
                     &completed,
                     AggregateContext {
@@ -615,16 +612,6 @@ impl SolveClient {
                         degraded_jobs: core.metrics.counter(metric_names::JOBS_DEGRADED).get(),
                         rerouted_jobs: core.metrics.counter(metric_names::JOBS_REROUTED).get(),
                         chips_killed: core.metrics.counter(metric_names::CHIPS_KILLED).get(),
-                        degraded_faults_detected: core
-                            .metrics
-                            .counter(metric_names::FAULTS_DETECTED)
-                            .get()
-                            .saturating_sub(row_faults),
-                        degraded_fault_retries: core
-                            .metrics
-                            .counter(metric_names::FAULT_RETRIES)
-                            .get()
-                            .saturating_sub(row_retries),
                     },
                 )
             }

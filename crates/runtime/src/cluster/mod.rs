@@ -373,11 +373,6 @@ impl ClusterBackend {
         }
         completed.sort_by_key(|t| t.job_id);
         let workers: usize = self.nodes.iter().map(|n| n.core().workers).sum();
-        // Degraded jobs add to the shared fault counters without a telemetry
-        // row; subtract the row-attributed share so the replay never
-        // double-counts (see the single-node report for the same split).
-        let row_faults: u64 = completed.iter().map(|j| j.faults_detected).sum();
-        let row_retries: u64 = completed.iter().map(|j| j.fault_retries).sum();
         RuntimeReport::aggregate(
             &completed,
             AggregateContext {
@@ -394,16 +389,6 @@ impl ClusterBackend {
                 degraded_jobs: self.metrics.counter(metric_names::JOBS_DEGRADED).get(),
                 rerouted_jobs: self.metrics.counter(metric_names::JOBS_REROUTED).get(),
                 chips_killed: self.metrics.counter(metric_names::CHIPS_KILLED).get(),
-                degraded_faults_detected: self
-                    .metrics
-                    .counter(metric_names::FAULTS_DETECTED)
-                    .get()
-                    .saturating_sub(row_faults),
-                degraded_fault_retries: self
-                    .metrics
-                    .counter(metric_names::FAULT_RETRIES)
-                    .get()
-                    .saturating_sub(row_retries),
             },
         )
     }

@@ -23,8 +23,9 @@
 //! scheduler to a surviving worker (counted in `jobs_rerouted`) or — when no live
 //! worker remains on the node — resolves the ticket with the typed
 //! [`TicketOutcome::Degraded`](crate::TicketOutcome) outcome (counted in
-//! `jobs_degraded`).  Degraded jobs carry no telemetry row, exactly like
-//! cancelled jobs: the report's `jobs` field counts clean completions only.
+//! `jobs_degraded`).  Such a job never ran, so — exactly like a cancelled job — it
+//! leaves no telemetry row; the report's `jobs` field counts clean completions
+//! only.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;

@@ -22,6 +22,7 @@ pub struct MatrixHandle {
     name: Arc<str>,
     csr: Arc<CsrMatrix>,
     fingerprint: u64,
+    finite: bool,
 }
 
 impl MatrixHandle {
@@ -30,13 +31,16 @@ impl MatrixHandle {
         Self::from_arc(name, Arc::new(csr))
     }
 
-    /// Wraps an already-shared matrix.
+    /// Wraps an already-shared matrix.  The fingerprint and the finiteness of the
+    /// stored values are computed here, once, so plans never rescan the matrix.
     pub fn from_arc(name: impl Into<String>, csr: Arc<CsrMatrix>) -> Self {
         let fingerprint = fingerprint_csr(&csr);
+        let finite = csr.values().iter().all(|v| v.is_finite());
         MatrixHandle {
             name: name.into().into(),
             csr,
             fingerprint,
+            finite,
         }
     }
 
@@ -53,6 +57,13 @@ impl MatrixHandle {
     /// The content fingerprint.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
+    }
+
+    /// Whether every stored value is finite.  A plan over a matrix holding NaN or
+    /// ±Inf is rejected with
+    /// [`PlanViolation::NonFiniteMatrix`](crate::PlanViolation::NonFiniteMatrix).
+    pub fn is_finite(&self) -> bool {
+        self.finite
     }
 
     /// The shared matrix itself (sequence steps keep it as the next step's
@@ -219,12 +230,6 @@ pub(crate) struct SolveJob {
 }
 
 impl SolveJob {
-    /// The cache key of this job's unsharded encoding (sharded jobs derive one key per
-    /// shard from the same fingerprint + format, see the worker).
-    pub fn cache_key(&self) -> crate::cache::CacheKey {
-        crate::cache::CacheKey::whole(self.matrix.fingerprint(), self.format)
-    }
-
     /// Number of right-hand sides this job solves (primary + extras).
     pub fn rhs_count(&self) -> usize {
         1 + self.extra_rhs.len()
@@ -285,11 +290,11 @@ mod tests {
         let j2 = SolvePlan::new("t", handle, ReFloatConfig::new(4, 3, 8, 3, 8))
             .build()
             .unwrap();
-        assert_ne!(j1.job.cache_key(), j2.job.cache_key());
-        assert_eq!(
-            j1.job.cache_key().fingerprint,
-            j2.job.cache_key().fingerprint
-        );
+        let key = |plan: &SolvePlan| {
+            crate::cache::CacheKey::whole(plan.matrix().fingerprint(), plan.format())
+        };
+        assert_ne!(key(&j1), key(&j2));
+        assert_eq!(key(&j1).fingerprint, key(&j2).fingerprint);
     }
 
     #[test]

@@ -31,9 +31,18 @@
 //!   [`ReFloatMatrix`](refloat_core::ReFloatMatrix) operators keyed by
 //!   (matrix fingerprint, shard, format), with in-flight deduplication so concurrent
 //!   jobs on the same matrix encode it once;
-//! * [`SimulatedAccelerator`] (`accel`) — the per-worker chip model accounting
-//!   simulated cycles/seconds (Eq. 2/3 via `reram-sim`) next to wall-clock time,
-//!   including crossbar re-programming when a worker switches matrices;
+//! * the execution pipeline (`pipeline`, private) — the one path every job takes
+//!   inside a worker, as five stages with one implementation each: a per-job
+//!   context, *resolve encoding* (cache ∘ incremental re-encode, for the whole
+//!   matrix, each shard and each refinement rung alike), *program operator* (adopt
+//!   the worker's held operator or clone the cached encodings; optionally wrapped
+//!   in the fault model), *solve strategy* (plain batch / warm-started first RHS /
+//!   refinement ladder) and *charge*;
+//! * [`SimulatedAccelerator`] (`accel`) — the per-worker chip model behind that last
+//!   stage: one [`charge`](SimulatedAccelerator::charge) method prices a
+//!   description of what ran (chip passes and host-fp64 phases) into simulated
+//!   cycles/seconds (Eq. 2/3 via `reram-sim`), including crossbar re-programming
+//!   when the resident matrix changes;
 //! * [`JobTelemetry`] / [`RuntimeReport`] (`telemetry`) — per-job measurements (queue
 //!   wait, encode time, solve time, iterations, simulated cycles, cache outcome,
 //!   priority class) and their aggregation (throughput, p50/p99 latency, p50/p99
@@ -178,6 +187,7 @@ pub mod fingerprint;
 pub mod health;
 pub mod job;
 pub mod node;
+mod pipeline;
 pub mod plan;
 pub mod queue;
 pub mod sched;
@@ -186,7 +196,7 @@ pub mod telemetry;
 mod trace_job;
 mod worker;
 
-pub use accel::{AcceleratorUsage, RefinedPassCost, SimulatedAccelerator, SimulatedRun};
+pub use accel::{SimulatedAccelerator, SimulatedRun};
 pub use cache::{CacheKey, CacheOutcome, CacheStats, EncodedMatrixCache, ShardId};
 pub use client::{
     DegradedJob, DegradedReason, SolveClient, SolveTicket, SubmitError, TicketOutcome,
@@ -205,7 +215,8 @@ pub use sched::{JobScheduler, Popped, Priority, SchedulerPolicy, SchedulerStats,
 pub use sequence::SolveSequence;
 pub use telemetry::{
     metric_names, AggregateContext, AutotuneTelemetry, CacheOutcomeKind, JobMetricHandles,
-    JobTelemetry, PriorityLane, RefinementTelemetry, RuntimeReport, SequenceTelemetry,
+    JobOutcomeKind, JobTelemetry, PriorityLane, RefinementTelemetry, RuntimeReport,
+    SequenceTelemetry,
 };
 // Re-export the observability vocabulary so service users need only this crate.
 pub use refloat_telemetry::{
@@ -239,10 +250,11 @@ pub struct RuntimeConfig {
     /// deterministic-clock contract in `refloat-telemetry`).
     pub trace: Option<Arc<TraceSink>>,
     /// Optional device fault injection ([`FaultPolicy`]): every worker chip gets a
-    /// persistent stuck-cell/drift/wear model, plain unsharded solves run through
-    /// the faulty operator with spare remapping and (optionally) ABFT detection
-    /// plus re-encode retries.  `None` — the default — leaves every execution
-    /// path bit-identical to the fault-free runtime.
+    /// persistent stuck-cell/drift/wear model, and plain unsharded solves run the
+    /// pipeline's program / solve / charge stages inside the probe → re-encode →
+    /// degrade retry loop, on the faulty operator with spare remapping and
+    /// (optionally) ABFT detection.  `None` — the default — leaves every job
+    /// bit-identical to the fault-free runtime.
     pub fault: Option<FaultPolicy>,
 }
 

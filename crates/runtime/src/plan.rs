@@ -65,6 +65,14 @@ pub enum PlanViolation {
         /// The offending tolerance.
         tolerance: f64,
     },
+    /// A right-hand side holding NaN or ±Inf: no solver can return a meaningful
+    /// answer for it, so it never reaches a worker.
+    NonFiniteRhs {
+        /// Index of the offending RHS within the batch (0 for a single RHS).
+        index: usize,
+    },
+    /// A matrix holding NaN or ±Inf among its stored values.
+    NonFiniteMatrix,
 }
 
 impl std::fmt::Display for PlanViolation {
@@ -101,6 +109,12 @@ impl std::fmt::Display for PlanViolation {
                 f,
                 "auto-format tolerance must be positive and finite, got {tolerance}"
             ),
+            PlanViolation::NonFiniteRhs { index } => {
+                write!(f, "rhs {index} holds a NaN or infinite value")
+            }
+            PlanViolation::NonFiniteMatrix => {
+                write!(f, "the matrix holds a NaN or infinite value")
+            }
         }
     }
 }
@@ -334,27 +348,28 @@ impl SolvePlanBuilder {
         if self.rhs.is_some() && self.rhs_batch.is_some() {
             violations.push(PlanViolation::RhsConflict);
         }
-        if let Some(batch) = &self.rhs_batch {
-            if batch.is_empty() {
-                violations.push(PlanViolation::EmptyRhsBatch);
-            }
-            for (index, rhs) in batch.iter().enumerate() {
-                if rhs.len() != n {
-                    violations.push(PlanViolation::RhsLengthMismatch {
-                        index,
-                        expected: n,
-                        got: rhs.len(),
-                    });
-                }
-            }
+        if self
+            .rhs_batch
+            .as_ref()
+            .is_some_and(|batch| batch.is_empty())
+        {
+            violations.push(PlanViolation::EmptyRhsBatch);
         }
-        if let Some(rhs) = &self.rhs {
+        // Hostile values get a typed error here, not a NaN-poisoned solve on a worker.
+        if !self.matrix.is_finite() {
+            violations.push(PlanViolation::NonFiniteMatrix);
+        }
+        let batch = self.rhs_batch.iter().flatten().enumerate();
+        for (index, rhs) in batch.chain(self.rhs.iter().map(|rhs| (0, rhs))) {
             if rhs.len() != n {
                 violations.push(PlanViolation::RhsLengthMismatch {
-                    index: 0,
+                    index,
                     expected: n,
                     got: rhs.len(),
                 });
+            }
+            if !rhs.iter().all(|v| v.is_finite()) {
+                violations.push(PlanViolation::NonFiniteRhs { index });
             }
         }
         let rhs_count = self.rhs_batch.as_ref().map(Vec::len).unwrap_or(1);
@@ -524,6 +539,45 @@ mod tests {
                 "tolerance {bad}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn non_finite_values_are_violations_and_never_reach_a_worker() {
+        let h = handle(4);
+        let n = h.csr().nrows();
+        let poisoned = |bad: f64| {
+            let mut rhs = vec![1.0; n];
+            rhs[n / 2] = bad;
+            Arc::new(rhs)
+        };
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = SolvePlan::new("t", h.clone(), fmt())
+                .rhs(poisoned(bad))
+                .build()
+                .unwrap_err();
+            assert_eq!(
+                err.violations,
+                vec![PlanViolation::NonFiniteRhs { index: 0 }]
+            );
+            // The offending batch member is named by its index.
+            let err = SolvePlan::new("t", h.clone(), fmt())
+                .rhs_batch(vec![Arc::new(vec![1.0; n]), poisoned(bad)])
+                .build()
+                .unwrap_err();
+            assert_eq!(
+                err.violations,
+                vec![PlanViolation::NonFiniteRhs { index: 1 }]
+            );
+            // A poisoned matrix value: checked once on the handle, reported per plan.
+            let mut a = h.csr().clone();
+            a.values_mut()[3] = bad;
+            let hostile = MatrixHandle::new("hostile", a);
+            assert!(!hostile.is_finite());
+            let err = SolvePlan::new("t", hostile, fmt()).build().unwrap_err();
+            assert_eq!(err.violations, vec![PlanViolation::NonFiniteMatrix]);
+            assert!(err.to_string().contains("NaN or infinite"));
+        }
+        assert!(h.is_finite());
     }
 
     #[test]

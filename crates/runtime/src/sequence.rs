@@ -12,10 +12,11 @@
 //!   predecessor's cached encoding block-by-block
 //!   ([`refloat_core::incremental`]) and re-quantizes only the blocks whose
 //!   values actually changed; crossbar reprogramming is charged only for the
-//!   touched fraction of the chip ([`SimulatedAccelerator::execute_batch_delta`](
-//!   crate::accel::SimulatedAccelerator::execute_batch_delta)).  The incremental
-//!   encoding is **bitwise identical** to encoding from scratch, so sequence
-//!   numerics never drift from the non-sequence path;
+//!   touched fraction of the chip (the chip pass carries a
+//!   [`DeltaProgramming`](crate::accel::DeltaProgramming), honoured while the chip
+//!   still holds the predecessor).  The incremental encoding is **bitwise
+//!   identical** to encoding from scratch, so sequence numerics never drift from
+//!   the non-sequence path;
 //! * **warm start** — the previous solution seeds the next solve in residual-
 //!   guarded correction form (`refloat_solvers::warm`): a useful guess saves
 //!   Krylov iterations, a stale one costs exactly one SpMV and falls back to the

@@ -224,8 +224,17 @@ impl JobMetricHandles {
         }
     }
 
-    /// Streams one completed job into the metrics (atomic operations only).
+    /// Streams one executed job's row into the metrics (atomic operations only).
+    ///
+    /// Fault counters sum over every row; everything else — completions, latency,
+    /// cycles, cache outcomes — counts [`JobOutcomeKind::Completed`] rows only, so a
+    /// best-effort `Degraded` solve never inflates the clean-completion numbers.
     pub fn record(&self, job: &JobTelemetry) {
+        self.faults_detected.add(job.faults_detected);
+        self.fault_retries.add(job.fault_retries);
+        if job.outcome == JobOutcomeKind::Degraded {
+            return;
+        }
         self.jobs.inc();
         if job.converged {
             self.converged.inc();
@@ -272,8 +281,6 @@ impl JobMetricHandles {
         if job.simulated.host_fp64_s > 0.0 {
             self.host_fp64_s.observe(job.simulated.host_fp64_s);
         }
-        self.faults_detected.add(job.faults_detected);
-        self.fault_retries.add(job.fault_retries);
         if let Some(seq) = &job.sequence {
             self.seq_steps.inc();
             if seq.warm_start_used {
@@ -374,8 +381,9 @@ pub struct AutotuneTelemetry {
 }
 
 /// What the sequence machinery did for a job (absent unless the job was submitted
-/// through a [`SolveSequence`](crate::SolveSequence) step).
-#[derive(Debug, Clone)]
+/// through a [`SolveSequence`](crate::SolveSequence) step).  The default is a step
+/// that reused nothing.
+#[derive(Debug, Clone, Default)]
 pub struct SequenceTelemetry {
     /// `true` when the warm-start guess passed the residual guard (the solve ran in
     /// correction form, or the guess already met the criterion).
@@ -395,11 +403,25 @@ pub struct SequenceTelemetry {
     pub decision_cache_hit: bool,
 }
 
+/// How an executed job's ticket resolved.  Every job a worker *ran* leaves a
+/// telemetry row; jobs that never ran (cancelled, shed, stranded on a dead node,
+/// panicked) do not.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JobOutcomeKind {
+    /// The ticket resolved `Completed`.
+    Completed,
+    /// The solve ran, but ABFT kept detecting corruption after the retry budget:
+    /// the ticket resolved `Degraded` around a best-effort result.
+    Degraded,
+}
+
 /// Everything measured about one job.
 #[derive(Debug, Clone)]
 pub struct JobTelemetry {
     /// Submission-order id.
     pub job_id: u64,
+    /// How the job's ticket resolved.
+    pub outcome: JobOutcomeKind,
     /// Submitting tenant.
     pub tenant: String,
     /// Matrix name (from the handle).
@@ -473,18 +495,13 @@ pub struct AggregateContext {
     pub shed_overloaded: u64,
     /// Submissions shed because a tenant's fair-share quota was full.
     pub shed_quota: u64,
-    /// Jobs that resolved with a typed `Degraded` outcome (no telemetry row: the
-    /// solve did not complete cleanly).
+    /// Jobs that resolved with a typed `Degraded` outcome, whether the solve ran
+    /// (a `Degraded` telemetry row) or the chip died first (no row).
     pub degraded_jobs: u64,
     /// Queued jobs re-routed off a killed chip onto a surviving worker.
     pub rerouted_jobs: u64,
     /// Chips administratively killed during the batch.
     pub chips_killed: u64,
-    /// ABFT detections recorded by jobs that resolved `Degraded` — those carry
-    /// no telemetry row, so the replay alone would undercount the fleet total.
-    pub degraded_faults_detected: u64,
-    /// Re-encode retries recorded by jobs that resolved `Degraded`.
-    pub degraded_fault_retries: u64,
 }
 
 impl Default for AggregateContext {
@@ -502,8 +519,6 @@ impl Default for AggregateContext {
             degraded_jobs: 0,
             rerouted_jobs: 0,
             chips_killed: 0,
-            degraded_faults_detected: 0,
-            degraded_fault_retries: 0,
         }
     }
 }
@@ -654,8 +669,10 @@ pub fn percentile(samples: &[f64], q: f64) -> f64 {
 }
 
 impl RuntimeReport {
-    /// Aggregates the telemetry of a finished batch (or of everything a
-    /// [`SolveClient`](crate::SolveClient) has completed so far).
+    /// Aggregates the telemetry rows of a finished batch (or of everything a
+    /// [`SolveClient`](crate::SolveClient) has executed so far).  `jobs`, latency,
+    /// throughput and attribution cover [`JobOutcomeKind::Completed`] rows; the
+    /// fault counters sum over every row.
     pub fn aggregate(jobs: &[JobTelemetry], ctx: AggregateContext) -> Self {
         let AggregateContext {
             wall_s,
@@ -670,8 +687,6 @@ impl RuntimeReport {
             degraded_jobs,
             rerouted_jobs,
             chips_killed,
-            degraded_faults_detected,
-            degraded_fault_retries,
         } = ctx;
         // Replay every row through the same recording path live workers use, so the
         // report's totals are *derived from* the metrics registry rather than being
@@ -681,6 +696,11 @@ impl RuntimeReport {
         for job in jobs {
             handles.record(job);
         }
+        // Latency, throughput and attribution describe clean completions only.
+        let jobs: Vec<&JobTelemetry> = jobs
+            .iter()
+            .filter(|j| j.outcome == JobOutcomeKind::Completed)
+            .collect();
         registry
             .counter(metric_names::JOBS_CANCELLED)
             .add(cancelled_jobs as u64);
@@ -700,12 +720,6 @@ impl RuntimeReport {
             .counter(metric_names::CHIPS_KILLED)
             .add(chips_killed);
         registry
-            .counter(metric_names::FAULTS_DETECTED)
-            .add(degraded_faults_detected);
-        registry
-            .counter(metric_names::FAULT_RETRIES)
-            .add(degraded_fault_retries);
-        registry
             .gauge(metric_names::QUEUE_DEPTH_PEAK)
             .set(queue_depth_peak as f64);
         registry.gauge(metric_names::WORKERS).set(workers as f64);
@@ -716,7 +730,7 @@ impl RuntimeReport {
         let mut per_worker_jobs = vec![0u64; workers];
         let mut per_node_jobs = vec![0u64; nodes.max(1)];
         let mut unattributed_jobs = 0u64;
-        for job in jobs {
+        for job in &jobs {
             match per_worker_jobs.get_mut(job.worker) {
                 Some(slot) => *slot += 1,
                 None => {
@@ -1231,6 +1245,7 @@ mod tests {
         });
         JobTelemetry {
             job_id,
+            outcome: JobOutcomeKind::Completed,
             tenant: "t".to_string(),
             matrix: "m".to_string(),
             worker,
@@ -1323,6 +1338,42 @@ mod tests {
         assert_eq!(report.escalations, 1);
         assert!((report.host_fp64_total_s - 2e-6).abs() < 1e-18);
         assert!(report.render().contains("1 refined jobs"));
+    }
+
+    #[test]
+    fn degraded_rows_feed_the_fault_counters_but_not_the_completion_numbers() {
+        let mut clean = telemetry(0, 0, false);
+        clean.faults_detected = 2;
+        clean.fault_retries = 1;
+        let mut degraded = telemetry(1, 0, false);
+        degraded.outcome = JobOutcomeKind::Degraded;
+        degraded.faults_detected = 40;
+        degraded.fault_retries = 2;
+        degraded.latency_s = 99.0;
+        let ctx = || AggregateContext {
+            wall_s: 0.5,
+            degraded_jobs: 1,
+            ..Default::default()
+        };
+        let with_row = RuntimeReport::aggregate(&[clean.clone(), degraded], ctx());
+        let without = RuntimeReport::aggregate(&[clean], ctx());
+        // Fault counters sum over every row ...
+        assert_eq!(with_row.faults_detected, 42);
+        assert_eq!(with_row.fault_retries, 3);
+        assert_eq!(with_row.degraded_jobs, 1);
+        // ... everything else is exactly what the completed rows alone report.
+        assert_eq!(with_row.jobs, 1);
+        assert_eq!(with_row.per_worker_jobs, without.per_worker_jobs);
+        assert_eq!(with_row.latency_max_s, without.latency_max_s);
+        assert_eq!(
+            with_row.throughput_jobs_per_s,
+            without.throughput_jobs_per_s
+        );
+        assert_eq!(with_row.simulated_cycles, without.simulated_cycles);
+        assert_eq!(
+            with_row.metrics.counter(metric_names::JOBS_DEGRADED),
+            Some(1)
+        );
     }
 
     #[test]
