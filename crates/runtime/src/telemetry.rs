@@ -1427,6 +1427,198 @@ mod tests {
         assert!(rendered.contains("unattributed    0 jobs"));
     }
 
+    /// A report whose rows exercise every optional section: refined, autotuned,
+    /// sharded, multi-RHS, sequence and degraded.
+    fn report_with_every_section() -> RuntimeReport {
+        let refined = telemetry(0, 0, true);
+        let mut autotuned = telemetry(1, 1, false);
+        autotuned.cache = CacheOutcomeKind::Miss;
+        autotuned.encode_s = 4e-3;
+        autotuned.autotune = Some(AutotuneTelemetry {
+            chosen_format: ReFloatConfig::new(4, 3, 8, 3, 8),
+            tolerance: 1e-8,
+            decision_cached: false,
+            analysis_s: 7e-3,
+            kappa: 50.0,
+            degraded_confidence: false,
+            predicted_convergent: true,
+            predicted_iterations: 20,
+            predicted_cycles_per_spmv: 40,
+            achieved_iterations: 22,
+            achieved_relative_residual: 1e-9,
+            fell_back: true,
+        });
+        let mut sharded = telemetry(2, 0, false);
+        sharded.cache = CacheOutcomeKind::Coalesced;
+        sharded.shards = 2;
+        sharded.rhs_count = 3;
+        sharded.simulated.reduction_s = 5e-7;
+        sharded.simulated.remapped = true;
+        sharded.priority = Priority::Interactive;
+        let mut step = telemetry(3, 1, false);
+        step.autotune = autotuned.autotune.clone().map(|tune| AutotuneTelemetry {
+            decision_cached: true,
+            analysis_s: 0.0,
+            fell_back: false,
+            ..tune
+        });
+        step.sequence = Some(SequenceTelemetry {
+            warm_start_used: true,
+            initial_residual: Some(1e-3),
+            incremental: true,
+            blocks_reencoded: 6,
+            blocks_reused: 30,
+            decision_cache_hit: true,
+        });
+        let mut degraded = telemetry(4, 0, false);
+        degraded.outcome = JobOutcomeKind::Degraded;
+        degraded.faults_detected = 9;
+        degraded.fault_retries = 2;
+        RuntimeReport::aggregate(
+            &[refined, autotuned, sharded, step, degraded],
+            AggregateContext {
+                wall_s: 0.25,
+                cache: CacheStats {
+                    hits: 5,
+                    misses: 2,
+                    coalesced: 1,
+                    evictions: 3,
+                },
+                decisions: DecisionStats {
+                    hits: 1,
+                    misses: 1,
+                    coalesced: 0,
+                    evictions: 0,
+                },
+                workers: 2,
+                nodes: 1,
+                queue_depth_peak: 4,
+                cancelled_jobs: 2,
+                shed_overloaded: 3,
+                shed_quota: 1,
+                degraded_jobs: 1,
+                rerouted_jobs: 2,
+                chips_killed: 1,
+            },
+        )
+    }
+
+    fn sorted_keys(value: &Value) -> Vec<&str> {
+        let Value::Object(fields) = value else {
+            panic!("expected an object, got {}", value.kind());
+        };
+        let mut keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    #[test]
+    fn serialized_report_keeps_its_key_set_and_every_number_equals_its_field() {
+        let r = report_with_every_section();
+        let value = r.to_value();
+        // Every scalar field, by wire key, with the value the struct holds.
+        let numbers = [
+            ("analysis_total_s", r.analysis_total_s),
+            ("autotune_decision_hits", r.autotune_decision_hits as f64),
+            ("autotune_fallbacks", r.autotune_fallbacks as f64),
+            ("autotuned_jobs", r.autotuned_jobs as f64),
+            ("blocks_reencoded", r.blocks_reencoded as f64),
+            ("blocks_reused", r.blocks_reused as f64),
+            ("cancelled_jobs", r.cancelled_jobs as f64),
+            ("chips_killed", r.chips_killed as f64),
+            ("converged", r.converged as f64),
+            ("degraded_jobs", r.degraded_jobs as f64),
+            ("encode_total_s", r.encode_total_s),
+            ("escalations", r.escalations as f64),
+            ("fault_retries", r.fault_retries as f64),
+            ("faults_detected", r.faults_detected as f64),
+            ("host_fp64_total_s", r.host_fp64_total_s),
+            ("jobs", r.jobs as f64),
+            ("latency_max_s", r.latency_max_s),
+            ("latency_mean_s", r.latency_mean_s),
+            ("latency_p50_s", r.latency_p50_s),
+            ("latency_p99_s", r.latency_p99_s),
+            ("nodes", r.nodes as f64),
+            ("queue_depth_peak", r.queue_depth_peak as f64),
+            ("queue_wait_p50_s", r.queue_wait_p50_s),
+            ("queue_wait_p99_s", r.queue_wait_p99_s),
+            ("reduction_total_s", r.reduction_total_s),
+            ("refined_jobs", r.refined_jobs as f64),
+            ("remaps", r.remaps as f64),
+            ("rerouted_jobs", r.rerouted_jobs as f64),
+            ("rhs_total", r.rhs_total as f64),
+            ("seq_decision_cache_hits", r.seq_decision_cache_hits as f64),
+            ("seq_steps", r.seq_steps as f64),
+            ("sharded_jobs", r.sharded_jobs as f64),
+            ("shed_overloaded", r.shed_overloaded as f64),
+            ("shed_quota", r.shed_quota as f64),
+            ("simulated_cycles", r.simulated_cycles as f64),
+            ("simulated_total_s", r.simulated_total_s),
+            ("solve_total_s", r.solve_total_s),
+            ("throughput_jobs_per_s", r.throughput_jobs_per_s),
+            ("unattributed_jobs", r.unattributed_jobs as f64),
+            ("wall_s", r.wall_s),
+            ("warm_start_hits", r.warm_start_hits as f64),
+            ("workers", r.workers as f64),
+        ];
+        // The rows above reach every optional section, so no pinned number is a
+        // vacuous zero-equals-zero.
+        for (key, field) in numbers {
+            assert!(
+                field > 0.0 || key == "unattributed_jobs",
+                "{key} not exercised"
+            );
+            assert_eq!(value.field(key).unwrap(), &Value::Num(field), "{key}");
+        }
+        // (a) The key sets: the scalars plus the six structured fields.
+        let mut expected: Vec<&str> = numbers.iter().map(|(k, _)| *k).collect();
+        expected.extend([
+            "cache",
+            "decisions",
+            "metrics",
+            "per_node_jobs",
+            "per_priority",
+            "per_worker_jobs",
+        ]);
+        expected.sort_unstable();
+        assert_eq!(sorted_keys(&value), expected);
+        // (b) ... and nothing numeric hides outside the pinned list.
+        let Value::Object(fields) = &value else {
+            unreachable!("sorted_keys checked the shape");
+        };
+        let numeric = fields.iter().filter(|(_, v)| matches!(v, Value::Num(_)));
+        assert_eq!(numeric.count(), numbers.len());
+
+        let stats_keys = ["coalesced", "evictions", "hits", "misses"];
+        assert_eq!(sorted_keys(value.field("cache").unwrap()), stats_keys);
+        assert_eq!(sorted_keys(value.field("decisions").unwrap()), stats_keys);
+        assert_eq!(
+            value.field("cache").unwrap().field("evictions").unwrap(),
+            &Value::Num(3.0)
+        );
+        let Value::Array(lanes) = value.field("per_priority").unwrap() else {
+            panic!("per_priority serialises as an array");
+        };
+        assert_eq!(lanes.len(), 3);
+        assert_eq!(
+            sorted_keys(&lanes[0]),
+            ["jobs", "priority", "queue_wait_p50_s", "queue_wait_p99_s"]
+        );
+        assert_eq!(
+            lanes[0].field("priority").unwrap(),
+            &Value::Str("interactive".to_string())
+        );
+        assert_eq!(lanes[0].field("jobs").unwrap(), &Value::Num(1.0));
+        assert_eq!(
+            value.field("per_worker_jobs").unwrap(),
+            &Value::Array(vec![Value::Num(2.0), Value::Num(2.0)])
+        );
+        assert_eq!(
+            sorted_keys(value.field("metrics").unwrap()),
+            ["counters", "gauges", "histograms"]
+        );
+    }
+
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "attributed to worker")]
