@@ -55,6 +55,8 @@ pub const SERVICE_PATHS: &[&str] = &[
     "crates/runtime/src/sched.rs",
     "crates/runtime/src/cache.rs",
     "crates/runtime/src/decision.rs",
+    "crates/runtime/src/single_flight.rs",
+    "crates/runtime/src/telemetry.rs",
     "crates/runtime/src/queue.rs",
     "crates/telemetry/src/trace.rs",
     "crates/telemetry/src/metrics.rs",

@@ -54,8 +54,8 @@ use refloat_matgen::traffic::{generate, ArrivalProcess, TrafficSpec};
 use refloat_runtime::cluster::{AdmissionConfig, ClusterConfig, ClusterRuntime};
 use refloat_runtime::fingerprint::fnv1a_u64;
 use refloat_runtime::{
-    CacheOutcomeKind, JobOutcome, MatrixHandle, RuntimeConfig, SolveClient, SolvePlan,
-    SolveRuntime, SubmitError, TicketOutcome,
+    JobOutcome, MatrixHandle, RuntimeConfig, SolveClient, SolvePlan, SolveRuntime, SubmitError,
+    TicketOutcome,
 };
 use refloat_solvers::SolverConfig;
 use refloat_telemetry::{BenchReport, TraceSink};
@@ -582,11 +582,7 @@ fn run(args: &[String], options: &Options) {
                     SolverKind::Cg => "CG".to_string(),
                     SolverKind::BiCgStab => "BiCGSTAB".to_string(),
                 },
-                cache: match job.telemetry.cache {
-                    CacheOutcomeKind::Hit => "hit".to_string(),
-                    CacheOutcomeKind::Miss => "miss".to_string(),
-                    CacheOutcomeKind::Coalesced => "coalesced".to_string(),
-                },
+                cache: job.telemetry.cache.label().to_string(),
                 node: job.telemetry.node as u64,
                 iterations: job.telemetry.iterations as u64,
                 converged: job.telemetry.converged,

@@ -1,20 +1,20 @@
-//! The encoded-matrix cache: an LRU of quantized [`ReFloatMatrix`] operators keyed by
-//! (matrix fingerprint, shard, format), with in-flight deduplication.
+//! The encoded-matrix cache: quantized [`ReFloatMatrix`] operators keyed by
+//! (matrix fingerprint, shard, format).
 //!
 //! Quantizing a matrix (`ReFloatMatrix::from_csr`) walks every non-zero through
 //! exponent-base selection and fraction encoding — by far the most expensive step of a
-//! cached job.  Repeated jobs on a popular matrix therefore share one encode:
-//!
-//! * a lookup that finds the entry is a **hit** (zero encode cost);
-//! * the first lookup of a missing key is a **miss** — it encodes outside the lock;
-//! * lookups racing with an in-progress encode **coalesce**: they block until the
-//!   encoder publishes the entry instead of duplicating the work.
+//! cached job.  Repeated jobs on a popular matrix therefore share one encode: the
+//! cache is a [`SingleFlightLru`] (LRU eviction, hit / miss / coalesced lookups, one
+//! encode per key however many jobs race on it — see [`crate::single_flight`]).  This
+//! module owns only what is specific to encodings: the key shape.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 
 use refloat_core::{ReFloatConfig, ReFloatMatrix};
-use refloat_telemetry::{sync, Clock};
+use refloat_telemetry::Clock;
+
+pub use crate::single_flight::CacheStats;
+use crate::single_flight::{CacheOutcomeKind, SingleFlightLru};
 
 /// Which slice of a matrix an encoding covers: shard `index` of a `count`-way
 /// block-row partition.  The unsharded operator is shard 0 of 1.
@@ -77,247 +77,20 @@ impl CacheKey {
     }
 }
 
-/// How one lookup was satisfied.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CacheOutcome {
-    /// The encoded matrix was already cached.
-    Hit,
-    /// This lookup performed the encode (seconds spent encoding).
-    Miss {
-        /// Wall-clock seconds this caller spent in `ReFloatMatrix::from_csr`.
-        encode_seconds: f64,
-    },
-    /// Another worker was already encoding this key; this lookup waited for it.
-    Coalesced,
-}
-
-impl CacheOutcome {
-    /// `true` unless this lookup paid for the encode itself.
-    pub fn skipped_encode(&self) -> bool {
-        !matches!(self, CacheOutcome::Miss { .. })
-    }
-}
-
-/// Monotonic cache counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups satisfied from the cache.
-    pub hits: u64,
-    /// Lookups that performed an encode.
-    pub misses: u64,
-    /// Lookups that waited for a concurrent encode of the same key.
-    pub coalesced: u64,
-    /// Entries dropped by the LRU policy.
-    pub evictions: u64,
-}
-
-impl CacheStats {
-    /// Total lookups.
-    pub fn lookups(&self) -> u64 {
-        self.hits + self.misses + self.coalesced
-    }
-
-    /// Fraction of lookups that skipped the encode (hits + coalesced).
-    pub fn hit_rate(&self) -> f64 {
-        let lookups = self.lookups();
-        if lookups == 0 {
-            return 0.0;
-        }
-        (self.hits + self.coalesced) as f64 / lookups as f64
-    }
-
-    /// Counter increments since an earlier snapshot of the same cache.
-    pub fn delta_since(&self, earlier: &CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            coalesced: self.coalesced - earlier.coalesced,
-            evictions: self.evictions - earlier.evictions,
-        }
-    }
-}
-
-struct CacheEntry {
-    matrix: Arc<ReFloatMatrix>,
-    last_used: u64,
-}
-
-struct CacheInner {
-    /// Ordered map so iteration (the LRU victim scan) visits keys deterministically.
-    map: BTreeMap<CacheKey, CacheEntry>,
-    /// Keys currently being encoded by some caller.
-    pending: BTreeSet<CacheKey>,
-    /// Logical clock for LRU recency.
-    tick: u64,
-    stats: CacheStats,
-}
-
-/// A thread-safe LRU cache of encoded matrices.  See the module docs.
-pub struct EncodedMatrixCache {
-    inner: Mutex<CacheInner>,
-    ready: Condvar,
-    capacity: usize,
-}
+/// A thread-safe LRU cache of encoded matrices, shared by `Arc` so a hit copies
+/// nothing.  See the module docs.
+pub type EncodedMatrixCache = SingleFlightLru<CacheKey, Arc<ReFloatMatrix>>;
 
 impl EncodedMatrixCache {
-    /// Creates a cache holding at most `capacity` encoded matrices.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity >= 1, "cache capacity must be at least 1");
-        EncodedMatrixCache {
-            inner: Mutex::new(CacheInner {
-                map: BTreeMap::new(),
-                pending: BTreeSet::new(),
-                tick: 0,
-                stats: CacheStats::default(),
-            }),
-            ready: Condvar::new(),
-            capacity,
-        }
-    }
-
-    /// Maximum number of cached entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Entries currently cached.
-    pub fn len(&self) -> usize {
-        sync::lock(&self.inner).map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// A snapshot of the counters.
-    pub fn stats(&self) -> CacheStats {
-        sync::lock(&self.inner).stats
-    }
-
-    /// Whether a key is currently cached (does not touch recency).
-    pub fn contains(&self, key: &CacheKey) -> bool {
-        sync::lock(&self.inner).map.contains_key(key)
-    }
-
-    /// Non-counting lookup: the cached encoding for `key` if present.  Refreshes LRU
-    /// recency but records neither hit nor miss — sequence steps use it to probe for
-    /// a predecessor's encoding without skewing the hit-rate statistics.
-    pub fn peek(&self, key: &CacheKey) -> Option<Arc<ReFloatMatrix>> {
-        let mut inner = sync::lock(&self.inner);
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.map.get_mut(key).map(|entry| {
-            entry.last_used = tick;
-            Arc::clone(&entry.matrix)
-        })
-    }
-
-    /// Returns the encoded matrix for `key`, calling `encode` (outside the lock) only
-    /// if no other caller has cached or is currently encoding it.  Encode timing is
-    /// read from `clock` so a `ManualClock` run reports exactly-zero encode seconds.
-    pub fn get_or_encode<F>(
+    /// [`get_or_compute`](SingleFlightLru::get_or_compute) for encodings: `encode`
+    /// returns the bare matrix, which the cache wraps so every hit shares it.
+    pub fn get_or_encode(
         &self,
         key: CacheKey,
         clock: &dyn Clock,
-        encode: F,
-    ) -> (Arc<ReFloatMatrix>, CacheOutcome)
-    where
-        F: FnOnce() -> ReFloatMatrix,
-    {
-        let mut inner = sync::lock(&self.inner);
-        let mut waited = false;
-        loop {
-            if inner.map.contains_key(&key) {
-                inner.tick += 1;
-                let tick = inner.tick;
-                // refloat-analysis: allow(panic-in-service-path) — key presence was
-                // checked two lines above under the same guard.
-                let entry = inner.map.get_mut(&key).expect("entry just found");
-                entry.last_used = tick;
-                let matrix = Arc::clone(&entry.matrix);
-                let outcome = if waited {
-                    inner.stats.coalesced += 1;
-                    CacheOutcome::Coalesced
-                } else {
-                    inner.stats.hits += 1;
-                    CacheOutcome::Hit
-                };
-                return (matrix, outcome);
-            }
-            if inner.pending.contains(&key) {
-                waited = true;
-                inner = sync::wait(&self.ready, inner);
-                continue;
-            }
-            inner.pending.insert(key);
-            break;
-        }
-        drop(inner);
-
-        // Encode outside the lock; the guard unblocks waiters if `encode` panics (they
-        // will then race to encode themselves).  On the success path the guard is
-        // disarmed and the pending marker is cleared in the *same* critical section
-        // that publishes the entry — clearing it first would let a waiter wake, find
-        // neither entry nor marker, and start a redundant second encode.
-        let mut guard = PendingGuard {
-            cache: self,
-            key,
-            armed: true,
-        };
-        let started_s = clock.now_s();
-        let matrix = Arc::new(encode());
-        let encode_seconds = (clock.now_s() - started_s).max(0.0);
-
-        let mut inner = sync::lock(&self.inner);
-        guard.armed = false;
-        inner.pending.remove(&key);
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.map.insert(
-            key,
-            CacheEntry {
-                matrix: Arc::clone(&matrix),
-                last_used: tick,
-            },
-        );
-        inner.stats.misses += 1;
-        while inner.map.len() > self.capacity {
-            let victim = inner
-                .map
-                .iter()
-                .filter(|(k, _)| **k != key)
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k);
-            match victim {
-                Some(k) => {
-                    inner.map.remove(&k);
-                    inner.stats.evictions += 1;
-                }
-                None => break,
-            }
-        }
-        drop(inner);
-        self.ready.notify_all();
-        (matrix, CacheOutcome::Miss { encode_seconds })
-    }
-}
-
-/// Removes the pending mark (and wakes waiters) if the encode unwinds; disarmed on the
-/// success path, where the marker is cleared together with the entry insert.
-struct PendingGuard<'a> {
-    cache: &'a EncodedMatrixCache,
-    key: CacheKey,
-    armed: bool,
-}
-
-impl Drop for PendingGuard<'_> {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        sync::lock(&self.cache.inner).pending.remove(&self.key);
-        self.cache.ready.notify_all();
+        encode: impl FnOnce() -> ReFloatMatrix,
+    ) -> (Arc<ReFloatMatrix>, CacheOutcomeKind, f64) {
+        self.get_or_compute(key, clock, || Arc::new(encode()))
     }
 }
 
@@ -325,77 +98,11 @@ impl Drop for PendingGuard<'_> {
 mod tests {
     use super::*;
     use refloat_matgen::generators;
-    use refloat_sparse::CsrMatrix;
     use refloat_telemetry::WallClock;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    fn matrix(n: usize) -> CsrMatrix {
-        generators::laplacian_2d(n, n, 0.2).to_csr()
-    }
-
-    fn key(tag: u64) -> CacheKey {
-        CacheKey::whole(tag, ReFloatConfig::new(3, 3, 8, 3, 8))
-    }
 
     fn encoded(n: usize) -> ReFloatMatrix {
-        ReFloatMatrix::from_csr(&matrix(n), ReFloatConfig::new(3, 3, 8, 3, 8))
-    }
-
-    #[test]
-    fn second_lookup_is_a_hit_and_skips_the_encoder() {
-        let cache = EncodedMatrixCache::new(4);
-        let encodes = AtomicU64::new(0);
-        let clock = WallClock::new();
-        let run = |cache: &EncodedMatrixCache| {
-            cache.get_or_encode(key(1), &clock, || {
-                encodes.fetch_add(1, Ordering::SeqCst);
-                encoded(4)
-            })
-        };
-        let (_, first) = run(&cache);
-        assert!(matches!(first, CacheOutcome::Miss { .. }));
-        let (_, second) = run(&cache);
-        assert_eq!(second, CacheOutcome::Hit);
-        assert_eq!(encodes.load(Ordering::SeqCst), 1);
-        assert_eq!(cache.stats().hits, 1);
-        assert_eq!(cache.stats().misses, 1);
-    }
-
-    #[test]
-    fn lru_evicts_the_least_recently_used_entry() {
-        let cache = EncodedMatrixCache::new(2);
-        let clock = WallClock::new();
-        cache.get_or_encode(key(1), &clock, || encoded(4));
-        cache.get_or_encode(key(2), &clock, || encoded(4));
-        cache.get_or_encode(key(1), &clock, || encoded(4)); // touch 1; 2 becomes LRU
-        cache.get_or_encode(key(3), &clock, || encoded(4)); // evicts 2
-        assert!(cache.contains(&key(1)));
-        assert!(!cache.contains(&key(2)));
-        assert!(cache.contains(&key(3)));
-        assert_eq!(cache.stats().evictions, 1);
-    }
-
-    #[test]
-    fn concurrent_lookups_of_one_key_encode_exactly_once() {
-        let cache = EncodedMatrixCache::new(4);
-        let clock = WallClock::new();
-        let encodes = AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                scope.spawn(|| {
-                    cache.get_or_encode(key(7), &clock, || {
-                        encodes.fetch_add(1, Ordering::SeqCst);
-                        // A non-trivial encode so the other threads actually race it.
-                        encoded(24)
-                    });
-                });
-            }
-        });
-        assert_eq!(encodes.load(Ordering::SeqCst), 1);
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits + stats.coalesced, 7);
-        assert_eq!(stats.hit_rate(), 7.0 / 8.0);
+        let csr = generators::laplacian_2d(n, n, 0.2).to_csr();
+        ReFloatMatrix::from_csr(&csr, ReFloatConfig::new(3, 3, 8, 3, 8))
     }
 
     #[test]
@@ -434,13 +141,15 @@ mod tests {
             &clock,
             || encoded(4),
         );
-        // The same shard again is a hit.
-        let (_, outcome) = cache.get_or_encode(
+        // The same shard again is a hit, shared by `Arc` with the first lookup.
+        let (again, outcome, seconds) = cache.get_or_encode(
             CacheKey::sharded(fp, ShardId::of(1, 2), format),
             &clock,
-            || encoded(4),
+            || unreachable!("entry is cached"),
         );
-        assert_eq!(outcome, CacheOutcome::Hit);
+        assert_eq!((outcome, seconds), (CacheOutcomeKind::Hit, 0.0));
+        let peeked = cache.peek(&CacheKey::sharded(fp, ShardId::of(1, 2), format));
+        assert!(peeked.is_some_and(|p| Arc::ptr_eq(&p, &again)));
         assert_eq!(cache.len(), 3);
         assert!(ShardId::WHOLE.is_whole() && !ShardId::of(1, 2).is_whole());
     }

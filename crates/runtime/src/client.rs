@@ -313,7 +313,6 @@ impl SolveTicket {
     pub fn cancel(&self) -> bool {
         match self.node.sched.cancel(self.id) {
             Some(queued) => {
-                self.node.cancelled.fetch_add(1, Ordering::Relaxed);
                 self.node
                     .metrics
                     .counter(metric_names::JOBS_CANCELLED)
@@ -437,9 +436,14 @@ impl SolveClient {
 
     /// Jobs cancelled before a worker started them.
     pub fn cancelled(&self) -> u64 {
+        self.registry().counter(metric_names::JOBS_CANCELLED).get()
+    }
+
+    /// The live metrics registry (one per client; a cluster's nodes share it).
+    fn registry(&self) -> &MetricsRegistry {
         match &self.backend {
-            Backend::Single { node, .. } => node.core().cancelled.load(Ordering::Relaxed),
-            Backend::Cluster(cluster) => cluster.cancelled(),
+            Backend::Single { node, .. } => &node.core().metrics,
+            Backend::Cluster(cluster) => &cluster.metrics,
         }
     }
 
@@ -534,11 +538,7 @@ impl SolveClient {
     pub fn kill_chip(&self, worker: usize) -> bool {
         let newly = self.health().kill_chip(worker);
         if newly {
-            let metrics = match &self.backend {
-                Backend::Single { node, .. } => &node.core().metrics,
-                Backend::Cluster(cluster) => &cluster.metrics,
-            };
-            metrics.counter(metric_names::CHIPS_KILLED).inc();
+            self.registry().counter(metric_names::CHIPS_KILLED).inc();
         }
         newly
     }
@@ -585,9 +585,12 @@ impl SolveClient {
     }
 
     /// A report over everything completed so far (cache/decision counters are
-    /// deltas since this client started; a cluster sums them over its nodes and
-    /// carries the shed counts).
+    /// deltas since this client started; a cluster sums them over its nodes).  The
+    /// pool shape, the queue-depth peak and every count that leaves no telemetry row
+    /// (cancelled, shed, degraded, ...) come from the same live registry
+    /// [`metrics_snapshot`](Self::metrics_snapshot) serves.
     pub fn report(&self) -> RuntimeReport {
+        let service = self.metrics_snapshot();
         match &self.backend {
             Backend::Single {
                 node,
@@ -596,26 +599,17 @@ impl SolveClient {
             } => {
                 let core = node.core();
                 let completed = sync::lock(&core.completed);
-                let sched = core.sched.stats();
                 RuntimeReport::aggregate(
                     &completed,
                     AggregateContext {
                         wall_s: (core.clock.now_s() - self.started_s).max(0.0),
                         cache: core.cache.stats().delta_since(cache_baseline),
                         decisions: core.decisions.stats().delta_since(decision_baseline),
-                        workers: core.workers,
-                        nodes: 1,
-                        queue_depth_peak: sched.peak_depth,
-                        cancelled_jobs: core.cancelled.load(Ordering::Relaxed) as usize,
-                        shed_overloaded: 0,
-                        shed_quota: 0,
-                        degraded_jobs: core.metrics.counter(metric_names::JOBS_DEGRADED).get(),
-                        rerouted_jobs: core.metrics.counter(metric_names::JOBS_REROUTED).get(),
-                        chips_killed: core.metrics.counter(metric_names::CHIPS_KILLED).get(),
+                        service,
                     },
                 )
             }
-            Backend::Cluster(cluster) => cluster.report(self.started_s),
+            Backend::Cluster(cluster) => cluster.report(self.started_s, service),
         }
     }
 }

@@ -256,7 +256,7 @@ mod tests {
     #[test]
     fn the_active_tenants_gauge_tracks_distinct_occupants() {
         let registry = refloat_telemetry::MetricsRegistry::new();
-        let gauge = registry.gauge("tenants_active");
+        let gauge = registry.gauge(crate::metric_names::TENANTS_ACTIVE);
         let ledger = Arc::new(TenantLedger::new(Some(gauge.clone())));
         let config = AdmissionConfig::default();
         let a = ledger.try_admit(&tenant("a"), &config).expect("a");

@@ -31,12 +31,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use refloat_telemetry::{
-    sync, Clock, Counter, MetricsRegistry, SpanKind, TraceEvent, TraceSink, WallClock,
+    sync, Clock, Counter, MetricsRegistry, MetricsSnapshot, SpanKind, TraceEvent, TraceSink,
+    WallClock,
 };
 
 use crate::cache::{CacheStats, EncodedMatrixCache};
 use crate::client::{QueuedTicket, SolveClient, SolveTicket, SubmitError, TicketShared};
-use crate::decision::{DecisionStats, FormatDecisionCache};
+use crate::decision::FormatDecisionCache;
 use crate::health::{HealthTracker, NodeHealthSignal};
 use crate::node::Node;
 use crate::plan::SolvePlan;
@@ -157,8 +158,8 @@ impl ClusterBackend {
             node_config.queue_capacity = node_config.queue_capacity.max(max);
         }
         let metrics = Arc::new(MetricsRegistry::new());
-        // Register the cluster vocabulary up front so a pre-traffic snapshot
-        // already carries every counter (mirrors the per-job vocabulary contract).
+        // Pre-fetched so the submit path is atomic increments only.  (Registration
+        // of the whole vocabulary happens when the nodes spawn.)
         let jobs_routed = metrics.counter(metric_names::JOBS_ROUTED);
         let affinity_hits = metrics.counter(metric_names::ROUTE_AFFINITY_HITS);
         let spills = metrics.counter(metric_names::ROUTE_SPILLS);
@@ -339,56 +340,28 @@ impl ClusterBackend {
         self.next_id.load(Ordering::Relaxed)
     }
 
-    pub(crate) fn cancelled(&self) -> u64 {
-        self.nodes
-            .iter()
-            .map(|n| n.core().cancelled.load(Ordering::Relaxed))
-            .sum()
-    }
-
     /// The cluster half of [`SolveClient::report`]: every node's completions,
     /// merged by job id, with cache/decision counters summed over the fleet (node
     /// caches are created with their node, so their raw stats *are* the deltas).
-    pub(crate) fn report(&self, started_s: f64) -> RuntimeReport {
+    /// `service` is the fleet's live snapshot (nodes share one registry).
+    pub(crate) fn report(&self, started_s: f64, service: MetricsSnapshot) -> RuntimeReport {
         let mut completed: Vec<JobTelemetry> = Vec::new();
         let mut cache = CacheStats::default();
-        let mut decisions = DecisionStats::default();
-        let mut queue_depth_peak = 0usize;
-        let mut cancelled = 0u64;
+        let mut decisions = CacheStats::default();
         for node in &self.nodes {
             let core = node.core();
             completed.extend(sync::lock(&core.completed).iter().cloned());
-            let c = core.cache.stats();
-            cache.hits += c.hits;
-            cache.misses += c.misses;
-            cache.coalesced += c.coalesced;
-            cache.evictions += c.evictions;
-            let d = core.decisions.stats();
-            decisions.hits += d.hits;
-            decisions.misses += d.misses;
-            decisions.coalesced += d.coalesced;
-            decisions.evictions += d.evictions;
-            queue_depth_peak = queue_depth_peak.max(core.sched.stats().peak_depth);
-            cancelled += core.cancelled.load(Ordering::Relaxed);
+            cache.merge(&core.cache.stats());
+            decisions.merge(&core.decisions.stats());
         }
         completed.sort_by_key(|t| t.job_id);
-        let workers: usize = self.nodes.iter().map(|n| n.core().workers).sum();
         RuntimeReport::aggregate(
             &completed,
             AggregateContext {
                 wall_s: (self.clock.now_s() - started_s).max(0.0),
                 cache,
                 decisions,
-                workers,
-                nodes: self.nodes.len(),
-                queue_depth_peak,
-                cancelled_jobs: cancelled as usize,
-                shed_overloaded: self.shed_overload.get(),
-                shed_quota: self.shed_quota.get(),
-                // Nodes share one registry, so these are read once for the fleet.
-                degraded_jobs: self.metrics.counter(metric_names::JOBS_DEGRADED).get(),
-                rerouted_jobs: self.metrics.counter(metric_names::JOBS_REROUTED).get(),
-                chips_killed: self.metrics.counter(metric_names::CHIPS_KILLED).get(),
+                service,
             },
         )
     }

@@ -1,18 +1,18 @@
 //! The format-decision cache: memoized auto-tuning verdicts keyed by
-//! (matrix fingerprint, blocking, tolerance, chip capacity).
+//! (matrix fingerprint, blocking, tolerance, chip capacity, solver).
 //!
 //! A `plan_format` analysis costs an eigen estimation plus verification solves — far
-//! more than an encode — so repeat tenants must not pay it twice.  The cache mirrors
-//! the [`EncodedMatrixCache`](crate::cache::EncodedMatrixCache) design: LRU eviction
-//! plus in-flight deduplication, so concurrent first-touch jobs on the same matrix
-//! run exactly one analysis and the rest coalesce onto its result.
-
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Condvar, Mutex};
+//! more than an encode — so repeat tenants must not pay it twice.  The cache is the
+//! same [`SingleFlightLru`] the encoded-matrix cache uses (see
+//! [`crate::single_flight`]): LRU eviction plus in-flight deduplication, so concurrent
+//! first-touch jobs on the same matrix run exactly one analysis and the rest coalesce
+//! onto its result.  This module owns only the key shape.
 
 use refloat_core::autotune::FormatDecision;
 use refloat_solvers::SolverKind;
-use refloat_telemetry::{sync, Clock};
+use refloat_telemetry::Clock;
+
+use crate::single_flight::{CacheOutcomeKind, CacheStats, SingleFlightLru};
 
 /// What pins an auto-tuning decision: the matrix content, the blocking (candidates
 /// share the job format's `b`), the requested tolerance, the crossbar capacity the
@@ -52,229 +52,22 @@ impl DecisionKey {
     }
 }
 
-/// How one decision lookup was satisfied.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DecisionOutcome {
-    /// The decision was already cached.
-    Hit,
-    /// This lookup ran the analysis (seconds spent planning).
-    Miss {
-        /// Wall-clock seconds this caller spent in `plan_format`.
-        analysis_seconds: f64,
-    },
-    /// Another worker was already analysing this key; this lookup waited for it.
-    Coalesced,
-}
-
-impl DecisionOutcome {
-    /// `true` unless this lookup paid for the analysis itself.
-    pub fn skipped_analysis(&self) -> bool {
-        !matches!(self, DecisionOutcome::Miss { .. })
-    }
-}
-
-/// Monotonic decision-cache counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DecisionStats {
-    /// Lookups satisfied from the cache.
-    pub hits: u64,
-    /// Lookups that ran an analysis.
-    pub misses: u64,
-    /// Lookups that waited for a concurrent analysis of the same key.
-    pub coalesced: u64,
-    /// Entries dropped by the LRU policy.
-    pub evictions: u64,
-}
-
-impl DecisionStats {
-    /// Counter increments since an earlier snapshot of the same cache.
-    pub fn delta_since(&self, earlier: &DecisionStats) -> DecisionStats {
-        DecisionStats {
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            coalesced: self.coalesced - earlier.coalesced,
-            evictions: self.evictions - earlier.evictions,
-        }
-    }
-}
-
-struct DecisionEntry {
-    decision: FormatDecision,
-    last_used: u64,
-}
-
-struct DecisionInner {
-    /// Ordered map so iteration (the LRU victim scan) visits keys deterministically.
-    map: BTreeMap<DecisionKey, DecisionEntry>,
-    pending: BTreeSet<DecisionKey>,
-    tick: u64,
-    stats: DecisionStats,
-}
+/// Monotonic decision-cache counters: the same [`CacheStats`] every cache reports.
+pub type DecisionStats = CacheStats;
 
 /// A thread-safe LRU cache of [`FormatDecision`]s.  See the module docs.
-pub struct FormatDecisionCache {
-    inner: Mutex<DecisionInner>,
-    ready: Condvar,
-    capacity: usize,
-}
+pub type FormatDecisionCache = SingleFlightLru<DecisionKey, FormatDecision>;
 
 impl FormatDecisionCache {
-    /// Creates a cache holding at most `capacity` decisions.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity >= 1, "decision cache capacity must be at least 1");
-        FormatDecisionCache {
-            inner: Mutex::new(DecisionInner {
-                map: BTreeMap::new(),
-                pending: BTreeSet::new(),
-                tick: 0,
-                stats: DecisionStats::default(),
-            }),
-            ready: Condvar::new(),
-            capacity,
-        }
-    }
-
-    /// Maximum number of cached decisions.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Decisions currently cached.
-    pub fn len(&self) -> usize {
-        sync::lock(&self.inner).map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// A snapshot of the counters.
-    pub fn stats(&self) -> DecisionStats {
-        sync::lock(&self.inner).stats
-    }
-
-    /// Whether a key is currently cached (does not touch recency).
-    pub fn contains(&self, key: &DecisionKey) -> bool {
-        sync::lock(&self.inner).map.contains_key(key)
-    }
-
-    /// Non-counting lookup: the cached decision for `key` if present.  Refreshes LRU
-    /// recency but records neither hit nor miss — sequence steps use it to probe for
-    /// a predecessor's decision without skewing the hit-rate statistics.
-    pub fn peek(&self, key: &DecisionKey) -> Option<FormatDecision> {
-        let mut inner = sync::lock(&self.inner);
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.map.get_mut(key).map(|entry| {
-            entry.last_used = tick;
-            entry.decision
-        })
-    }
-
-    /// Returns the decision for `key`, calling `analyse` (outside the lock) only if no
-    /// other caller has cached or is currently computing it.  Analysis timing is read
-    /// from `clock` so a `ManualClock` run reports exactly-zero analysis seconds.
-    pub fn get_or_analyse<F>(
+    /// [`get_or_compute`](SingleFlightLru::get_or_compute) under the name the
+    /// pipeline's autotune stage calls it by.
+    pub fn get_or_analyse(
         &self,
         key: DecisionKey,
         clock: &dyn Clock,
-        analyse: F,
-    ) -> (FormatDecision, DecisionOutcome)
-    where
-        F: FnOnce() -> FormatDecision,
-    {
-        let mut inner = sync::lock(&self.inner);
-        let mut waited = false;
-        loop {
-            if inner.map.contains_key(&key) {
-                inner.tick += 1;
-                let tick = inner.tick;
-                // refloat-analysis: allow(panic-in-service-path) — key presence was
-                // checked two lines above under the same guard.
-                let entry = inner.map.get_mut(&key).expect("entry just found");
-                entry.last_used = tick;
-                let decision = entry.decision;
-                let outcome = if waited {
-                    inner.stats.coalesced += 1;
-                    DecisionOutcome::Coalesced
-                } else {
-                    inner.stats.hits += 1;
-                    DecisionOutcome::Hit
-                };
-                return (decision, outcome);
-            }
-            if inner.pending.contains(&key) {
-                waited = true;
-                inner = sync::wait(&self.ready, inner);
-                continue;
-            }
-            inner.pending.insert(key);
-            break;
-        }
-        drop(inner);
-
-        // Analyse outside the lock; the guard unblocks waiters if `analyse` panics
-        // (they then race to analyse themselves).  On success the pending marker is
-        // cleared in the same critical section that publishes the entry.
-        let mut guard = PendingGuard {
-            cache: self,
-            key,
-            armed: true,
-        };
-        let started_s = clock.now_s();
-        let decision = analyse();
-        let analysis_seconds = (clock.now_s() - started_s).max(0.0);
-
-        let mut inner = sync::lock(&self.inner);
-        guard.armed = false;
-        inner.pending.remove(&key);
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.map.insert(
-            key,
-            DecisionEntry {
-                decision,
-                last_used: tick,
-            },
-        );
-        inner.stats.misses += 1;
-        while inner.map.len() > self.capacity {
-            let victim = inner
-                .map
-                .iter()
-                .filter(|(k, _)| **k != key)
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k);
-            match victim {
-                Some(k) => {
-                    inner.map.remove(&k);
-                    inner.stats.evictions += 1;
-                }
-                None => break,
-            }
-        }
-        drop(inner);
-        self.ready.notify_all();
-        (decision, DecisionOutcome::Miss { analysis_seconds })
-    }
-}
-
-/// Removes the pending mark (and wakes waiters) if the analysis unwinds; disarmed on
-/// the success path, where the marker is cleared together with the entry insert.
-struct PendingGuard<'a> {
-    cache: &'a FormatDecisionCache,
-    key: DecisionKey,
-    armed: bool,
-}
-
-impl Drop for PendingGuard<'_> {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        sync::lock(&self.cache.inner).pending.remove(&self.key);
-        self.cache.ready.notify_all();
+        analyse: impl FnOnce() -> FormatDecision,
+    ) -> (FormatDecision, CacheOutcomeKind, f64) {
+        self.get_or_compute(key, clock, analyse)
     }
 }
 
@@ -282,9 +75,7 @@ impl Drop for PendingGuard<'_> {
 mod tests {
     use super::*;
     use refloat_core::ReFloatConfig;
-    use refloat_solvers::SolverKind;
     use refloat_telemetry::WallClock;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn decision(e: u32) -> FormatDecision {
         FormatDecision {
@@ -298,88 +89,27 @@ mod tests {
     }
 
     #[test]
-    fn second_lookup_is_a_hit_and_skips_the_analysis() {
-        let cache = FormatDecisionCache::new(4);
-        let key = DecisionKey::new(7, 4, 1e-6, 1 << 18, SolverKind::Cg);
-        let analyses = AtomicU64::new(0);
-        let clock = WallClock::new();
-        let run = || {
-            cache.get_or_analyse(key, &clock, || {
-                analyses.fetch_add(1, Ordering::SeqCst);
-                decision(3)
-            })
-        };
-        let (first_decision, first) = run();
-        assert!(matches!(first, DecisionOutcome::Miss { .. }));
-        assert!(!first.skipped_analysis());
-        let (second_decision, second) = run();
-        assert_eq!(second, DecisionOutcome::Hit);
-        assert_eq!(first_decision, second_decision);
-        assert_eq!(analyses.load(Ordering::SeqCst), 1);
-        assert_eq!(cache.stats().hits, 1);
-        assert_eq!(cache.stats().misses, 1);
-    }
-
-    #[test]
-    fn distinct_tolerances_and_chips_are_distinct_decisions() {
+    fn distinct_tolerances_chips_and_solvers_are_distinct_decisions() {
         let cache = FormatDecisionCache::new(8);
         let clock = WallClock::new();
-        cache.get_or_analyse(
-            DecisionKey::new(7, 4, 1e-6, 1 << 18, SolverKind::Cg),
-            &clock,
-            || decision(3),
-        );
-        cache.get_or_analyse(
+        let base = DecisionKey::new(7, 4, 1e-6, 1 << 18, SolverKind::Cg);
+        let keys = [
+            base,
             DecisionKey::new(7, 4, 1e-8, 1 << 18, SolverKind::Cg),
-            &clock,
-            || decision(4),
-        );
-        cache.get_or_analyse(
             DecisionKey::new(7, 4, 1e-6, 1 << 12, SolverKind::Cg),
-            &clock,
-            || decision(5),
-        );
-        assert_eq!(cache.len(), 3);
-        assert_eq!(cache.stats().misses, 3);
-        assert!(cache.contains(&DecisionKey::new(7, 4, 1e-8, 1 << 18, SolverKind::Cg)));
-    }
-
-    #[test]
-    fn lru_evicts_the_least_recently_used_decision() {
-        let cache = FormatDecisionCache::new(2);
-        let clock = WallClock::new();
-        let key = |tag: u64| DecisionKey::new(tag, 4, 1e-6, 1 << 18, SolverKind::Cg);
-        cache.get_or_analyse(key(1), &clock, || decision(2));
-        cache.get_or_analyse(key(2), &clock, || decision(3));
-        cache.get_or_analyse(key(1), &clock, || decision(2)); // touch 1; 2 becomes LRU
-        cache.get_or_analyse(key(3), &clock, || decision(4)); // evicts 2
-        assert!(cache.contains(&key(1)));
-        assert!(!cache.contains(&key(2)));
-        assert!(cache.contains(&key(3)));
-        assert_eq!(cache.stats().evictions, 1);
-    }
-
-    #[test]
-    fn concurrent_lookups_of_one_key_analyse_exactly_once() {
-        let cache = FormatDecisionCache::new(4);
-        let key = DecisionKey::new(42, 4, 1e-6, 1 << 18, SolverKind::Cg);
-        let analyses = AtomicU64::new(0);
-        let clock = WallClock::new();
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                scope.spawn(|| {
-                    cache.get_or_analyse(key, &clock, || {
-                        analyses.fetch_add(1, Ordering::SeqCst);
-                        // Give the other threads a chance to actually race it.
-                        std::thread::sleep(std::time::Duration::from_millis(10));
-                        decision(3)
-                    });
-                });
-            }
-        });
-        assert_eq!(analyses.load(Ordering::SeqCst), 1);
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits + stats.coalesced, 7);
+            DecisionKey::new(7, 4, 1e-6, 1 << 18, SolverKind::BiCgStab),
+        ];
+        for (e, key) in (2..).zip(keys) {
+            let (_, outcome, _) = cache.get_or_analyse(key, &clock, || decision(e));
+            assert_eq!(outcome, CacheOutcomeKind::Miss);
+        }
+        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.stats().misses, 4);
+        // Each key remembers its own verdict.
+        let (again, outcome, seconds) =
+            cache.get_or_analyse(base, &clock, || unreachable!("decision is cached"));
+        assert_eq!((outcome, seconds), (CacheOutcomeKind::Hit, 0.0));
+        assert_eq!(again, decision(2));
+        assert_eq!(cache.peek(&keys[3]), Some(decision(5)));
     }
 }

@@ -30,7 +30,8 @@
 //! * [`EncodedMatrixCache`] (`cache`) — an LRU cache of encoded
 //!   [`ReFloatMatrix`](refloat_core::ReFloatMatrix) operators keyed by
 //!   (matrix fingerprint, shard, format), with in-flight deduplication so concurrent
-//!   jobs on the same matrix encode it once;
+//!   jobs on the same matrix encode it once — an instantiation of
+//!   [`SingleFlightLru`] (`single_flight`), like the format-decision cache beside it;
 //! * the execution pipeline (`pipeline`, private) — the one path every job takes
 //!   inside a worker, as five stages with one implementation each: a per-job
 //!   context, *resolve encoding* (cache ∘ incremental re-encode, for the whole
@@ -50,7 +51,8 @@
 //!   by a `refloat-telemetry` [`MetricsRegistry`]: workers stream every completion
 //!   into shared counters/histograms, so
 //!   [`SolveClient::metrics_snapshot`] observes a *live* (undrained) service and
-//!   [`RuntimeReport::aggregate`] derives its totals from the same recording path;
+//!   [`RuntimeReport::aggregate`] derives its totals from the same recording path.
+//!   Every metric is one row of [`METRIC_TABLE`];
 //! * span tracing — set [`RuntimeConfig::trace`] to a shared
 //!   [`TraceSink`] and every job emits queue-wait / dequeue / cache-lookup / encode /
 //!   execute / per-shard / refinement-pass / autotune-analysis / host-fp64 /
@@ -192,19 +194,20 @@ pub mod plan;
 pub mod queue;
 pub mod sched;
 pub mod sequence;
+pub mod single_flight;
 pub mod telemetry;
 mod trace_job;
 mod worker;
 
 pub use accel::{SimulatedAccelerator, SimulatedRun};
-pub use cache::{CacheKey, CacheOutcome, CacheStats, EncodedMatrixCache, ShardId};
+pub use cache::{CacheKey, CacheStats, EncodedMatrixCache, ShardId};
 pub use client::{
     DegradedJob, DegradedReason, SolveClient, SolveTicket, SubmitError, TicketOutcome,
 };
 pub use cluster::{
     AdmissionConfig, ClusterConfig, ClusterRuntime, Placement, RouteKind, Router, RouterPolicy,
 };
-pub use decision::{DecisionKey, DecisionOutcome, DecisionStats, FormatDecisionCache};
+pub use decision::{DecisionKey, DecisionStats, FormatDecisionCache};
 pub use fingerprint::fingerprint_csr;
 pub use health::{ChipHealthRecord, FaultPolicy, HealthTracker, NodeHealthSignal};
 pub use job::{AutoFormatSpec, JobOutcome, MatrixHandle, RefinementSpec};
@@ -213,10 +216,11 @@ pub use plan::{PlanError, PlanViolation, SolvePlan, SolvePlanBuilder};
 pub use queue::BoundedQueue;
 pub use sched::{JobScheduler, Popped, Priority, SchedulerPolicy, SchedulerStats, SchedulingMode};
 pub use sequence::SolveSequence;
+pub use single_flight::SingleFlightLru;
 pub use telemetry::{
     metric_names, AggregateContext, AutotuneTelemetry, CacheOutcomeKind, JobMetricHandles,
-    JobOutcomeKind, JobTelemetry, PriorityLane, RefinementTelemetry, RuntimeReport,
-    SequenceTelemetry,
+    JobOutcomeKind, JobTelemetry, MetricSource, PriorityLane, RefinementTelemetry, RowScope,
+    RuntimeReport, SequenceTelemetry, METRIC_TABLE,
 };
 // Re-export the observability vocabulary so service users need only this crate.
 pub use refloat_telemetry::{

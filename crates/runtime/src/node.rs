@@ -45,7 +45,6 @@ pub(crate) struct NodeCore {
     pub next_id: AtomicU64,
     /// Telemetry of every completed job, in completion order (the report source).
     pub completed: Mutex<Vec<JobTelemetry>>,
-    pub cancelled: AtomicU64,
     /// The live metrics registry: workers stream job completions into it, so it is
     /// pollable mid-traffic without draining.  A cluster's nodes all share one
     /// registry (per-node dimensions are separate counter names).
@@ -93,8 +92,8 @@ impl Node {
             config.queue_capacity >= 1,
             "queue capacity must be at least 1"
         );
-        // Registering up front creates the full metric vocabulary, so a snapshot
-        // taken before the first job completes already carries every (zero) counter.
+        // Registering up front creates the whole metric table, so a snapshot taken
+        // before the first job completes already carries every (zero) metric.
         let _ = JobMetricHandles::register(&metrics);
         let node_jobs = metrics.counter(&metric_names::node_jobs_completed(node_id));
         let clock: Arc<dyn Clock> = match &config.trace {
@@ -111,7 +110,6 @@ impl Node {
             workers: config.workers,
             next_id: AtomicU64::new(0),
             completed: Mutex::new(Vec::new()),
-            cancelled: AtomicU64::new(0),
             metrics,
             node_jobs,
             trace: config.trace.clone(),

@@ -39,8 +39,8 @@ use reram_sim::FaultyReFloatOperator;
 use crate::accel::{
     Charge, DeltaProgramming, HostWork, Phase, Residency, SimulatedAccelerator, SimulatedRun,
 };
-use crate::cache::{CacheKey, CacheOutcome, ShardId};
-use crate::decision::{DecisionKey, DecisionOutcome};
+use crate::cache::{CacheKey, ShardId};
+use crate::decision::DecisionKey;
 use crate::health::FaultPolicy;
 use crate::job::{JobOutcome, QueuedJob, RefinementSpec, SequencePredecessor, SolveJob};
 use crate::node::NodeCore;
@@ -351,7 +351,7 @@ impl JobContext<'_> {
             .and_then(|p| self.core.decisions.peek(&key_for(p.fingerprint)));
         let mut decision_reused = false;
         let analysis_anchor = self.trace.now_s();
-        let (decision, outcome) = self.core.decisions.get_or_analyse(
+        let (decision, outcome, analysis_s) = self.core.decisions.get_or_analyse(
             key_for(job.matrix.fingerprint()),
             self.core.clock.as_ref(),
             || match predecessor_decision {
@@ -368,17 +368,10 @@ impl JobContext<'_> {
                 .decision(),
             },
         );
-        let analysis_s = match outcome {
-            DecisionOutcome::Miss { analysis_seconds } => analysis_seconds,
-            DecisionOutcome::Hit | DecisionOutcome::Coalesced => 0.0,
-        };
+        let decision_cached = outcome != CacheOutcomeKind::Miss;
         self.trace
             .span(SpanKind::AutotuneAnalysis, analysis_anchor, || {
-                format!(
-                    "cached={} format={}",
-                    outcome.skipped_analysis(),
-                    decision.format
-                )
+                format!("cached={decision_cached} format={}", decision.format)
             });
         job.format = decision.format;
         // Re-couple the solver criterion to the auto-format tolerance: a
@@ -399,7 +392,7 @@ impl JobContext<'_> {
         let telemetry = AutotuneTelemetry {
             chosen_format: decision.format,
             tolerance: spec.tolerance,
-            decision_cached: outcome.skipped_analysis(),
+            decision_cached,
             analysis_s,
             kappa: decision.kappa,
             degraded_confidence: decision.degraded_confidence,
@@ -429,7 +422,7 @@ impl JobContext<'_> {
         // The closure runs outside the cache lock, so the nested peek cannot
         // deadlock.  A hit on `key` itself still wins outright — the closure never
         // runs and the step pays nothing.
-        let (encoded, outcome) = cache.get_or_encode(key, clock, || {
+        let (encoded, outcome, encode_s) = cache.get_or_encode(key, clock, || {
             let csr = source();
             let previous = predecessor.and_then(|pred| {
                 let key = CacheKey {
@@ -449,11 +442,8 @@ impl JobContext<'_> {
         });
         Resolved {
             encoded,
-            cache: outcome.into(),
-            encode_s: match outcome {
-                CacheOutcome::Miss { encode_seconds } => encode_seconds,
-                CacheOutcome::Hit | CacheOutcome::Coalesced => 0.0,
-            },
+            cache: outcome,
+            encode_s,
             incremental,
         }
     }

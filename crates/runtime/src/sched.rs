@@ -100,6 +100,13 @@ impl Priority {
     }
 }
 
+/// A class serialises as its [`label`](Priority::label).
+impl serde::Serialize for Priority {
+    fn to_value(&self) -> serde::Value {
+        self.label().to_value()
+    }
+}
+
 impl std::fmt::Display for Priority {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())

@@ -245,22 +245,18 @@ mod tests {
 
     #[test]
     fn live_metrics_snapshot_serves_the_sequence_vocabulary_undrained() {
-        // Satellite guarantee: the five sequence counters are registered at client
-        // spawn and observable on a *live* (undrained) client — present-and-zero
-        // before any sequence traffic, correct mid-service afterwards.
+        // The sequence counters are observable on a *live* (undrained) client —
+        // present-and-zero before any sequence traffic like every other row of the
+        // metric table, correct mid-service afterwards.
         let client = SolveRuntime::start(RuntimeConfig {
             workers: 1,
             ..Default::default()
         });
         let before = client.metrics_snapshot();
-        for name in [
-            metric_names::SEQ_STEPS,
-            metric_names::WARM_START_HITS,
-            metric_names::BLOCKS_REENCODED,
-            metric_names::BLOCKS_REUSED,
-            metric_names::SEQ_DECISION_CACHE_HITS,
-        ] {
-            assert_eq!(before.counter(name), Some(0), "{name} registered at spawn");
+        for (name, source) in crate::METRIC_TABLE {
+            if matches!(source, crate::MetricSource::RowCounter(..)) {
+                assert_eq!(before.counter(name), Some(0), "{name}");
+            }
         }
 
         let mut seq = client.sequence();

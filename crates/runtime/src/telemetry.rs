@@ -1,10 +1,16 @@
-//! Per-job telemetry and batch-level aggregation.
+//! Per-job telemetry, the runtime's metric table, and batch-level aggregation.
 //!
-//! Aggregation is *backed by the metrics registry*: the counters and histograms a
-//! live worker streams into ([`JobMetricHandles::record`]) are the same recording
-//! path [`RuntimeReport::aggregate`] replays over a batch's telemetry rows, so a
-//! live [`metrics_snapshot`](crate::SolveClient::metrics_snapshot) and a post-drain
-//! report can never disagree about what a completed job counts as.
+//! Every metric is declared **once**, as a row of [`METRIC_TABLE`]: constant in
+//! [`metric_names`], wire name, doc and [`MetricSource`].  Spawn-time registration
+//! of the whole vocabulary, [`JobMetricHandles::record`] on the worker hot path and
+//! the replay inside [`RuntimeReport::aggregate`] are loops over that table, so
+//! adding a metric is adding a row (plus a report field, if it should have one).
+//!
+//! Aggregation is *backed by the metrics registry*: the recording path live workers
+//! stream into is the one [`RuntimeReport::aggregate`] replays over a batch's
+//! telemetry rows, so a live
+//! [`metrics_snapshot`](crate::SolveClient::metrics_snapshot) and a post-drain report
+//! can never disagree about what a completed job counts as.
 //!
 //! # Which clock is which
 //!
@@ -18,311 +24,248 @@ use std::sync::Arc;
 use refloat_core::ReFloatConfig;
 use refloat_telemetry::{Counter, Histogram, MetricsRegistry, MetricsSnapshot};
 use reram_sim::SolverKind;
-use serde::{Serialize, Value};
+use serde::Serialize;
 
 use crate::accel::SimulatedRun;
-use crate::cache::{CacheOutcome, CacheStats};
 use crate::decision::DecisionStats;
 use crate::sched::Priority;
+pub use crate::single_flight::CacheOutcomeKind;
+use crate::single_flight::CacheStats;
 
-/// The metric names under which the runtime records job completions — the stable
-/// vocabulary shared by live snapshots, report aggregation, and dashboards.
-pub mod metric_names {
+/// Which telemetry rows feed a per-row metric.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RowScope {
+    /// [`JobOutcomeKind::Completed`] rows only, so a best-effort `Degraded` solve
+    /// never inflates the clean-completion numbers (latency, cycles, cache outcomes).
+    Completed,
+    /// Every executed row, whatever its outcome (the fault counters).
+    EveryRow,
+}
+
+/// A per-row counter's extractor: what one telemetry row adds to it.
+pub type RowCount = fn(&JobTelemetry) -> u64;
+/// A per-row histogram's extractor: the sample one telemetry row observes, if any.
+pub type RowSample = fn(&JobTelemetry) -> Option<f64>;
+
+/// Where a metric's value comes from, which also fixes its kind.
+#[derive(Debug, Clone, Copy)]
+pub enum MetricSource {
+    /// A counter fed by telemetry rows: each row in scope adds the extractor's value.
+    RowCounter(RowScope, RowCount),
+    /// A seconds histogram fed by telemetry rows: each row in scope observes the
+    /// extractor's sample, when it yields one.
+    RowSeconds(RowScope, RowSample),
+    /// A counter the service increments where a ticket resolves or the router places
+    /// a job — events that leave no telemetry row.
+    ServiceCounter,
+    /// A gauge the service sets (pool shape, queue depth, occupancy).
+    ServiceGauge,
+}
+
+/// Declares every runtime metric once — `/// doc`, `CONSTANT = "wire_name" => source;`
+/// — and expands to the [`metric_names`] constants and [`METRIC_TABLE`].
+macro_rules! metric_table {
+    ($($(#[$doc:meta])* $konst:ident = $name:literal => $source:expr;)*) => {
+        /// The metric names under which the runtime records job completions — the
+        /// stable vocabulary shared by live snapshots, report aggregation, and
+        /// dashboards.
+        pub mod metric_names {
+            $($(#[$doc])* pub const $konst: &str = $name;)*
+
+            /// The per-node completion counter's name (`node<i>_jobs_completed`), one
+            /// per node, registered when the node's workers spawn.
+            pub fn node_jobs_completed(node: usize) -> String {
+                format!("node{node}_jobs_completed")
+            }
+        }
+
+        /// The runtime's whole metric vocabulary: one `(wire name, source)` row per
+        /// metric.  Every name is registered when a node spawns, single-node runtime
+        /// and cluster alike, so a snapshot taken before the first job already carries
+        /// it at zero and dashboards never key-error on missing fields.
+        pub static METRIC_TABLE: &[(&str, MetricSource)] = {
+            use CacheOutcomeKind::{Coalesced, Hit, Miss};
+            use MetricSource::{RowCounter, RowSeconds, ServiceCounter, ServiceGauge};
+            use RowScope::{Completed, EveryRow};
+            &[$(($name, $source)),*]
+        };
+    };
+}
+
+metric_table! {
     /// Counter: jobs completed (cancelled jobs never reach it).
-    pub const JOBS_COMPLETED: &str = "jobs_completed";
+    JOBS_COMPLETED = "jobs_completed" => RowCounter(Completed, |_| 1);
     /// Counter: completed jobs whose solve met its residual criterion.
-    pub const JOBS_CONVERGED: &str = "jobs_converged";
+    JOBS_CONVERGED = "jobs_converged" => RowCounter(Completed, |j| j.converged as u64);
     /// Counter: jobs cancelled before any worker started them.
-    pub const JOBS_CANCELLED: &str = "jobs_cancelled";
+    JOBS_CANCELLED = "jobs_cancelled" => ServiceCounter;
     /// Counter: jobs whose encoded matrix was a cache hit.
-    pub const CACHE_HITS: &str = "cache_hits";
+    CACHE_HITS = "cache_hits" => RowCounter(Completed, |j| (j.cache == Hit) as u64);
     /// Counter: jobs that encoded their matrix (cache miss).
-    pub const CACHE_MISSES: &str = "cache_misses";
+    CACHE_MISSES = "cache_misses" => RowCounter(Completed, |j| (j.cache == Miss) as u64);
     /// Counter: jobs that waited on a concurrent encode of the same key.
-    pub const CACHE_COALESCED: &str = "cache_coalesced";
+    CACHE_COALESCED = "cache_coalesced" =>
+        RowCounter(Completed, |j| (j.cache == Coalesced) as u64);
     /// Counter: total simulated accelerator cycles.
-    pub const SIMULATED_CYCLES: &str = "simulated_cycles";
+    SIMULATED_CYCLES = "simulated_cycles" => RowCounter(Completed, |j| j.simulated.cycles);
     /// Counter: jobs that re-programmed their chip.
-    pub const REMAPS: &str = "remaps";
+    REMAPS = "remaps" => RowCounter(Completed, |j| j.simulated.remapped as u64);
     /// Counter: jobs spanning more than one chip.
-    pub const SHARDED_JOBS: &str = "sharded_jobs";
+    SHARDED_JOBS = "sharded_jobs" => RowCounter(Completed, |j| (j.shards > 1) as u64);
     /// Counter: right-hand sides solved (≥ jobs; batched jobs contribute several).
-    pub const RHS_TOTAL: &str = "rhs_total";
+    RHS_TOTAL = "rhs_total" => RowCounter(Completed, |j| j.rhs_count as u64);
     /// Counter: jobs that ran in mixed-precision refinement mode.
-    pub const REFINED_JOBS: &str = "refined_jobs";
+    REFINED_JOBS = "refined_jobs" => RowCounter(Completed, |j| j.refinement.is_some() as u64);
     /// Counter: format escalations across refined jobs.
-    pub const ESCALATIONS: &str = "escalations";
+    ESCALATIONS = "escalations" =>
+        RowCounter(Completed, |j| j.refinement.as_ref().map_or(0, |r| r.escalations as u64));
     /// Counter: jobs that ran in auto-format mode.
-    pub const AUTOTUNED_JOBS: &str = "autotuned_jobs";
+    AUTOTUNED_JOBS = "autotuned_jobs" => RowCounter(Completed, |j| j.autotune.is_some() as u64);
     /// Counter: auto-format jobs served from the decision cache.
-    pub const AUTOTUNE_DECISION_HITS: &str = "autotune_decision_hits";
+    AUTOTUNE_DECISION_HITS = "autotune_decision_hits" =>
+        RowCounter(Completed, |j| j.autotune.as_ref().is_some_and(|a| a.decision_cached) as u64);
     /// Counter: auto-format jobs that fell back to the refinement ladder.
-    pub const AUTOTUNE_FALLBACKS: &str = "autotune_fallbacks";
+    AUTOTUNE_FALLBACKS = "autotune_fallbacks" =>
+        RowCounter(Completed, |j| j.autotune.as_ref().is_some_and(|a| a.fell_back) as u64);
     /// Histogram (wall seconds): submission → dequeue.
-    pub const QUEUE_WAIT_S: &str = "queue_wait_s";
+    QUEUE_WAIT_S = "queue_wait_s" => RowSeconds(Completed, |j| Some(j.queue_wait_s));
     /// Histogram (wall seconds): submission → completion.
-    pub const LATENCY_S: &str = "latency_s";
+    LATENCY_S = "latency_s" => RowSeconds(Completed, |j| Some(j.latency_s));
     /// Histogram (wall seconds): time inside the solver.
-    pub const SOLVE_S: &str = "solve_s";
+    SOLVE_S = "solve_s" => RowSeconds(Completed, |j| Some(j.solve_s));
     /// Histogram (wall seconds): encode time, observed only for jobs that paid any
-    /// encoding (whole-matrix misses, shard misses, refinement-rung misses).
-    pub const ENCODE_S: &str = "encode_s";
+    /// encoding (whole-matrix misses, shard misses, refinement-rung misses).  A
+    /// refined job can pay rung encodes even when its *base* rung was a hit, so the
+    /// row keys on the time actually spent, not on the job-level cache outcome.
+    ENCODE_S = "encode_s" =>
+        RowSeconds(Completed, |j| (j.encode_s > 0.0).then_some(j.encode_s));
     /// Histogram (simulated seconds): per-job simulated chip time.
-    pub const SIMULATED_S: &str = "simulated_s";
+    SIMULATED_S = "simulated_s" => RowSeconds(Completed, |j| Some(j.simulated.total_s));
     /// Histogram (simulated seconds): inter-chip gather time of sharded jobs.
-    pub const REDUCTION_S: &str = "reduction_s";
-    /// Histogram (simulated seconds): host-side fp64 work.
-    pub const HOST_FP64_S: &str = "host_fp64_s";
+    REDUCTION_S = "reduction_s" =>
+        RowSeconds(Completed, |j| (j.shards > 1).then_some(j.simulated.reduction_s));
+    /// Histogram (simulated seconds): host-side fp64 work, observed for jobs that
+    /// did any.
+    HOST_FP64_S = "host_fp64_s" => RowSeconds(Completed, |j| {
+        (j.simulated.host_fp64_s > 0.0).then_some(j.simulated.host_fp64_s)
+    });
     /// Histogram (wall seconds): autotune analysis time, observed on decision-cache
     /// misses only.
-    pub const ANALYSIS_S: &str = "analysis_s";
+    ANALYSIS_S = "analysis_s" => RowSeconds(Completed, |j| {
+        j.autotune.as_ref().map(|a| a.analysis_s).filter(|s| *s > 0.0)
+    });
     /// Gauge: scheduler queue-depth high-water mark.
-    pub const QUEUE_DEPTH_PEAK: &str = "queue_depth_peak";
+    QUEUE_DEPTH_PEAK = "queue_depth_peak" => ServiceGauge;
     /// Gauge: worker threads serving the client.
-    pub const WORKERS: &str = "workers";
+    WORKERS = "workers" => ServiceGauge;
     /// Counter: jobs the cluster router placed on a node (single-node runtimes
     /// never touch it).
-    pub const JOBS_ROUTED: &str = "jobs_routed";
+    JOBS_ROUTED = "jobs_routed" => ServiceCounter;
     /// Counter: routed jobs placed on the node already holding their encodings
     /// (the fingerprint-affinity placement key won).
-    pub const ROUTE_AFFINITY_HITS: &str = "route_affinity_hits";
+    ROUTE_AFFINITY_HITS = "route_affinity_hits" => ServiceCounter;
     /// Counter: routed jobs whose affinity node was too loaded, spilling to the
     /// least-loaded node instead (the sticky mapping moves with them).
-    pub const ROUTE_SPILLS: &str = "route_spills";
+    ROUTE_SPILLS = "route_spills" => ServiceCounter;
     /// Counter: submissions shed by admission control because the cluster-wide
     /// in-system bound was reached ([`SubmitError::Overloaded`](crate::SubmitError)).
-    pub const JOBS_SHED_OVERLOAD: &str = "jobs_shed_overload";
+    JOBS_SHED_OVERLOAD = "jobs_shed_overload" => ServiceCounter;
     /// Counter: submissions shed because the tenant's fair-share quota was full
     /// ([`SubmitError::QuotaExceeded`](crate::SubmitError)).
-    pub const JOBS_SHED_QUOTA: &str = "jobs_shed_quota";
+    JOBS_SHED_QUOTA = "jobs_shed_quota" => ServiceCounter;
     /// Gauge: nodes serving the cluster (1 for a single-node runtime).
-    pub const NODES: &str = "nodes";
+    NODES = "nodes" => ServiceGauge;
     /// Gauge: tenants currently holding at least one admitted, unfinished job.
-    pub const TENANTS_ACTIVE: &str = "tenants_active";
+    TENANTS_ACTIVE = "tenants_active" => ServiceGauge;
     /// Counter: ABFT checksum failures detected across all solves (0 unless a fault
     /// model with ABFT is configured).
-    pub const FAULTS_DETECTED: &str = "faults_detected";
+    FAULTS_DETECTED = "faults_detected" => RowCounter(EveryRow, |j| j.faults_detected);
     /// Counter: detected-corruption retries that re-encoded a job onto spare
     /// resources.
-    pub const FAULT_RETRIES: &str = "fault_retries";
+    FAULT_RETRIES = "fault_retries" => RowCounter(EveryRow, |j| j.fault_retries);
     /// Counter: jobs that resolved with a typed `Degraded` outcome instead of a
     /// clean completion (corruption unresolved after retries, or a chip killed with
     /// no live worker left to take the job).
-    pub const JOBS_DEGRADED: &str = "jobs_degraded";
+    JOBS_DEGRADED = "jobs_degraded" => ServiceCounter;
     /// Counter: queued jobs re-routed off a killed chip onto a surviving worker.
-    pub const JOBS_REROUTED: &str = "jobs_rerouted";
+    JOBS_REROUTED = "jobs_rerouted" => ServiceCounter;
     /// Counter: chips administratively killed mid-trace.
-    pub const CHIPS_KILLED: &str = "chips_killed";
+    CHIPS_KILLED = "chips_killed" => ServiceCounter;
     /// Counter: cluster placements steered away from the health-blind choice
     /// because a node looked degraded (dead workers or detection-heavy chips).
-    pub const ROUTE_HEALTH_STEERS: &str = "route_health_steers";
+    ROUTE_HEALTH_STEERS = "route_health_steers" => ServiceCounter;
     /// Counter: jobs submitted through a [`SolveSequence`](crate::SolveSequence)
     /// step (they carry predecessor context the worker can exploit).
-    pub const SEQ_STEPS: &str = "seq_steps";
+    SEQ_STEPS = "seq_steps" => RowCounter(Completed, |j| j.sequence.is_some() as u64);
     /// Counter: sequence steps whose warm-start guess passed the residual guard
     /// (zero-iteration short-circuit or correction solve; rejected guesses fall
     /// back to the plain zero-start solve).
-    pub const WARM_START_HITS: &str = "warm_start_hits";
+    WARM_START_HITS = "warm_start_hits" =>
+        RowCounter(Completed, |j| j.sequence.as_ref().is_some_and(|s| s.warm_start_used) as u64);
     /// Counter: blocks re-quantized by incremental sequence re-encodes (partial or
     /// full crossbar rewrites).
-    pub const BLOCKS_REENCODED: &str = "blocks_reencoded";
+    BLOCKS_REENCODED = "blocks_reencoded" =>
+        RowCounter(Completed, |j| j.sequence.as_ref().map_or(0, |s| s.blocks_reencoded));
     /// Counter: blocks reused verbatim from the predecessor's encoding by
     /// incremental sequence re-encodes (no quantization, no device writes).
-    pub const BLOCKS_REUSED: &str = "blocks_reused";
+    BLOCKS_REUSED = "blocks_reused" =>
+        RowCounter(Completed, |j| j.sequence.as_ref().map_or(0, |s| s.blocks_reused));
     /// Counter: sequence steps that reused the predecessor's format decision
     /// instead of re-running the auto-format analysis.
-    pub const SEQ_DECISION_CACHE_HITS: &str = "seq_decision_cache_hits";
-
-    /// The per-node completion counter's name (`node<i>_jobs_completed`), one per
-    /// node, registered when the node's workers spawn.
-    pub fn node_jobs_completed(node: usize) -> String {
-        format!("node{node}_jobs_completed")
-    }
+    SEQ_DECISION_CACHE_HITS = "seq_decision_cache_hits" => RowCounter(Completed, |j| {
+        j.sequence.as_ref().is_some_and(|s| s.decision_cache_hit) as u64
+    });
 }
 
-/// Pre-fetched handles on every job-completion metric.
+/// Pre-fetched handles on every per-row metric, paired with the table's extractors.
 ///
 /// Workers create one set at startup and record through it, so the per-job hot path
 /// is atomic increments only — the registry's name-lookup locks are never touched
-/// after registration.  Registration also *creates* every metric, so a snapshot
-/// taken before the first job still carries the full (all-zero) vocabulary and
-/// dashboards never key-error on missing fields.
-#[derive(Debug)]
+/// after registration.  Registration also *creates* every metric of the table,
+/// service-level ones included.
+#[derive(Debug, Default)]
 pub struct JobMetricHandles {
-    jobs: Arc<Counter>,
-    converged: Arc<Counter>,
-    cache_hits: Arc<Counter>,
-    cache_misses: Arc<Counter>,
-    cache_coalesced: Arc<Counter>,
-    simulated_cycles: Arc<Counter>,
-    remaps: Arc<Counter>,
-    sharded_jobs: Arc<Counter>,
-    rhs_total: Arc<Counter>,
-    refined_jobs: Arc<Counter>,
-    escalations: Arc<Counter>,
-    autotuned_jobs: Arc<Counter>,
-    autotune_decision_hits: Arc<Counter>,
-    autotune_fallbacks: Arc<Counter>,
-    queue_wait_s: Arc<Histogram>,
-    latency_s: Arc<Histogram>,
-    solve_s: Arc<Histogram>,
-    encode_s: Arc<Histogram>,
-    simulated_s: Arc<Histogram>,
-    reduction_s: Arc<Histogram>,
-    host_fp64_s: Arc<Histogram>,
-    analysis_s: Arc<Histogram>,
-    faults_detected: Arc<Counter>,
-    fault_retries: Arc<Counter>,
-    seq_steps: Arc<Counter>,
-    warm_start_hits: Arc<Counter>,
-    blocks_reencoded: Arc<Counter>,
-    blocks_reused: Arc<Counter>,
-    seq_decision_cache_hits: Arc<Counter>,
+    counters: Vec<(RowScope, Arc<Counter>, RowCount)>,
+    seconds: Vec<(RowScope, Arc<Histogram>, RowSample)>,
 }
 
 impl JobMetricHandles {
-    /// Fetches (creating if needed) every job-completion metric of `registry`.
+    /// Fetches (creating if needed) every metric of [`METRIC_TABLE`] in `registry`.
     pub fn register(registry: &MetricsRegistry) -> Self {
-        use metric_names as m;
-        // Ensure the counters incremented outside the per-completed-job path exist
-        // too (cancellation by the client; degraded/rerouted/killed by the worker
-        // loop and kill path), so a live snapshot carries the full vocabulary.
-        let _ = registry.counter(m::JOBS_CANCELLED);
-        let _ = registry.counter(m::JOBS_DEGRADED);
-        let _ = registry.counter(m::JOBS_REROUTED);
-        let _ = registry.counter(m::CHIPS_KILLED);
-        JobMetricHandles {
-            jobs: registry.counter(m::JOBS_COMPLETED),
-            converged: registry.counter(m::JOBS_CONVERGED),
-            cache_hits: registry.counter(m::CACHE_HITS),
-            cache_misses: registry.counter(m::CACHE_MISSES),
-            cache_coalesced: registry.counter(m::CACHE_COALESCED),
-            simulated_cycles: registry.counter(m::SIMULATED_CYCLES),
-            remaps: registry.counter(m::REMAPS),
-            sharded_jobs: registry.counter(m::SHARDED_JOBS),
-            rhs_total: registry.counter(m::RHS_TOTAL),
-            refined_jobs: registry.counter(m::REFINED_JOBS),
-            escalations: registry.counter(m::ESCALATIONS),
-            autotuned_jobs: registry.counter(m::AUTOTUNED_JOBS),
-            autotune_decision_hits: registry.counter(m::AUTOTUNE_DECISION_HITS),
-            autotune_fallbacks: registry.counter(m::AUTOTUNE_FALLBACKS),
-            queue_wait_s: registry.histogram_seconds(m::QUEUE_WAIT_S),
-            latency_s: registry.histogram_seconds(m::LATENCY_S),
-            solve_s: registry.histogram_seconds(m::SOLVE_S),
-            encode_s: registry.histogram_seconds(m::ENCODE_S),
-            simulated_s: registry.histogram_seconds(m::SIMULATED_S),
-            reduction_s: registry.histogram_seconds(m::REDUCTION_S),
-            host_fp64_s: registry.histogram_seconds(m::HOST_FP64_S),
-            analysis_s: registry.histogram_seconds(m::ANALYSIS_S),
-            faults_detected: registry.counter(m::FAULTS_DETECTED),
-            fault_retries: registry.counter(m::FAULT_RETRIES),
-            seq_steps: registry.counter(m::SEQ_STEPS),
-            warm_start_hits: registry.counter(m::WARM_START_HITS),
-            blocks_reencoded: registry.counter(m::BLOCKS_REENCODED),
-            blocks_reused: registry.counter(m::BLOCKS_REUSED),
-            seq_decision_cache_hits: registry.counter(m::SEQ_DECISION_CACHE_HITS),
+        let mut handles = JobMetricHandles::default();
+        for &(name, source) in METRIC_TABLE {
+            match source {
+                MetricSource::RowCounter(scope, extract) => {
+                    handles
+                        .counters
+                        .push((scope, registry.counter(name), extract))
+                }
+                MetricSource::RowSeconds(scope, extract) => {
+                    let histogram = registry.histogram_seconds(name);
+                    handles.seconds.push((scope, histogram, extract))
+                }
+                MetricSource::ServiceCounter => drop(registry.counter(name)),
+                MetricSource::ServiceGauge => drop(registry.gauge(name)),
+            }
         }
+        handles
     }
 
-    /// Streams one executed job's row into the metrics (atomic operations only).
-    ///
-    /// Fault counters sum over every row; everything else — completions, latency,
-    /// cycles, cache outcomes — counts [`JobOutcomeKind::Completed`] rows only, so a
-    /// best-effort `Degraded` solve never inflates the clean-completion numbers.
+    /// Streams one executed job's row into the metrics (atomic operations only):
+    /// every per-row metric whose [`RowScope`] covers the row's outcome.
     pub fn record(&self, job: &JobTelemetry) {
-        self.faults_detected.add(job.faults_detected);
-        self.fault_retries.add(job.fault_retries);
-        if job.outcome == JobOutcomeKind::Degraded {
-            return;
-        }
-        self.jobs.inc();
-        if job.converged {
-            self.converged.inc();
-        }
-        match job.cache {
-            CacheOutcomeKind::Hit => self.cache_hits.inc(),
-            CacheOutcomeKind::Miss => self.cache_misses.inc(),
-            CacheOutcomeKind::Coalesced => self.cache_coalesced.inc(),
-        }
-        self.simulated_cycles.add(job.simulated.cycles);
-        if job.simulated.remapped {
-            self.remaps.inc();
-        }
-        if job.shards > 1 {
-            self.sharded_jobs.inc();
-            self.reduction_s.observe(job.simulated.reduction_s);
-        }
-        self.rhs_total.add(job.rhs_count as u64);
-        if let Some(refinement) = &job.refinement {
-            self.refined_jobs.inc();
-            self.escalations.add(refinement.escalations as u64);
-        }
-        if let Some(autotune) = &job.autotune {
-            self.autotuned_jobs.inc();
-            if autotune.decision_cached {
-                self.autotune_decision_hits.inc();
-            }
-            if autotune.fell_back {
-                self.autotune_fallbacks.inc();
-            }
-            if autotune.analysis_s > 0.0 {
-                self.analysis_s.observe(autotune.analysis_s);
+        let covers = |scope: &RowScope| {
+            *scope == RowScope::EveryRow || job.outcome == JobOutcomeKind::Completed
+        };
+        for (scope, counter, extract) in &self.counters {
+            if covers(scope) {
+                counter.add(extract(job));
             }
         }
-        self.queue_wait_s.observe(job.queue_wait_s);
-        self.latency_s.observe(job.latency_s);
-        self.solve_s.observe(job.solve_s);
-        // A refined job can pay rung encodes even when its *base* rung was a hit, so
-        // key on the time actually spent, not on the job-level cache outcome.
-        if job.encode_s > 0.0 {
-            self.encode_s.observe(job.encode_s);
-        }
-        self.simulated_s.observe(job.simulated.total_s);
-        if job.simulated.host_fp64_s > 0.0 {
-            self.host_fp64_s.observe(job.simulated.host_fp64_s);
-        }
-        if let Some(seq) = &job.sequence {
-            self.seq_steps.inc();
-            if seq.warm_start_used {
-                self.warm_start_hits.inc();
+        for (scope, histogram, extract) in &self.seconds {
+            if let Some(sample) = extract(job).filter(|_| covers(scope)) {
+                histogram.observe(sample);
             }
-            self.blocks_reencoded.add(seq.blocks_reencoded);
-            self.blocks_reused.add(seq.blocks_reused);
-            if seq.decision_cache_hit {
-                self.seq_decision_cache_hits.inc();
-            }
-        }
-    }
-}
-
-/// The cache outcome without the embedded timing (telemetry keeps timing separately).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheOutcomeKind {
-    /// Encoded matrix found in the cache.
-    Hit,
-    /// This job encoded the matrix.
-    Miss,
-    /// This job waited for a concurrent encode of the same key.
-    Coalesced,
-}
-
-impl CacheOutcomeKind {
-    /// A stable lowercase label for trace details and exports.
-    pub fn label(self) -> &'static str {
-        match self {
-            CacheOutcomeKind::Hit => "hit",
-            CacheOutcomeKind::Miss => "miss",
-            CacheOutcomeKind::Coalesced => "coalesced",
-        }
-    }
-}
-
-impl From<CacheOutcome> for CacheOutcomeKind {
-    fn from(outcome: CacheOutcome) -> Self {
-        match outcome {
-            CacheOutcome::Hit => CacheOutcomeKind::Hit,
-            CacheOutcome::Miss { .. } => CacheOutcomeKind::Miss,
-            CacheOutcome::Coalesced => CacheOutcomeKind::Coalesced,
         }
     }
 }
@@ -471,11 +414,8 @@ pub struct JobTelemetry {
     pub sequence: Option<SequenceTelemetry>,
 }
 
-/// Everything [`RuntimeReport::aggregate`] needs besides the telemetry rows: the
-/// batch wall time, the cache/decision counter deltas, the pool shape, and the
-/// cluster-level counts the rows themselves cannot carry (cancelled and shed jobs
-/// never produce telemetry).
-#[derive(Debug, Clone)]
+/// Everything [`RuntimeReport::aggregate`] needs besides the telemetry rows.
+#[derive(Debug, Clone, Default)]
 pub struct AggregateContext {
     /// Batch wall-clock seconds (first submission to last completion).
     pub wall_s: f64,
@@ -483,48 +423,16 @@ pub struct AggregateContext {
     pub cache: CacheStats,
     /// Decision-cache counter increments during the batch.
     pub decisions: DecisionStats,
-    /// Worker threads that served the batch (cluster: total across nodes).
-    pub workers: usize,
-    /// Nodes that served the batch (1 for the single-node runtime).
-    pub nodes: usize,
-    /// Scheduler queue-depth high-water mark (cluster: the worst node).
-    pub queue_depth_peak: usize,
-    /// Jobs cancelled before a worker started them.
-    pub cancelled_jobs: usize,
-    /// Submissions shed because the cluster-wide in-system bound was reached.
-    pub shed_overloaded: u64,
-    /// Submissions shed because a tenant's fair-share quota was full.
-    pub shed_quota: u64,
-    /// Jobs that resolved with a typed `Degraded` outcome, whether the solve ran
-    /// (a `Degraded` telemetry row) or the chip died first (no row).
-    pub degraded_jobs: u64,
-    /// Queued jobs re-routed off a killed chip onto a surviving worker.
-    pub rerouted_jobs: u64,
-    /// Chips administratively killed during the batch.
-    pub chips_killed: u64,
-}
-
-impl Default for AggregateContext {
-    fn default() -> Self {
-        AggregateContext {
-            wall_s: 0.0,
-            cache: CacheStats::default(),
-            decisions: DecisionStats::default(),
-            workers: 1,
-            nodes: 1,
-            queue_depth_peak: 0,
-            cancelled_jobs: 0,
-            shed_overloaded: 0,
-            shed_quota: 0,
-            degraded_jobs: 0,
-            rerouted_jobs: 0,
-            chips_killed: 0,
-        }
-    }
+    /// A snapshot of the live registry, read for its service-level rows only: the
+    /// counts telemetry rows cannot carry (cancelled, shed, failed and stranded jobs
+    /// never produce one), the pool shape (`workers`, `nodes`; absent means one worker
+    /// on one node) and the queue-depth peak.  Per-row metrics in it are ignored —
+    /// the report replays those from the rows.
+    pub service: MetricsSnapshot,
 }
 
 /// Aggregated statistics for one batch.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RuntimeReport {
     /// Jobs completed.
     pub jobs: usize,
@@ -634,7 +542,7 @@ pub struct RuntimeReport {
 }
 
 /// Queue-wait statistics of one priority class.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PriorityLane {
     /// The class.
     pub priority: Priority,
@@ -674,20 +582,9 @@ impl RuntimeReport {
     /// throughput and attribution cover [`JobOutcomeKind::Completed`] rows; the
     /// fault counters sum over every row.
     pub fn aggregate(jobs: &[JobTelemetry], ctx: AggregateContext) -> Self {
-        let AggregateContext {
-            wall_s,
-            cache,
-            decisions,
-            workers,
-            nodes,
-            queue_depth_peak,
-            cancelled_jobs,
-            shed_overloaded,
-            shed_quota,
-            degraded_jobs,
-            rerouted_jobs,
-            chips_killed,
-        } = ctx;
+        let gauge = |name: &str| ctx.service.gauge(name).unwrap_or(0.0) as usize;
+        let workers = gauge(metric_names::WORKERS).max(1);
+        let nodes = gauge(metric_names::NODES).max(1);
         // Replay every row through the same recording path live workers use, so the
         // report's totals are *derived from* the metrics registry rather than being
         // a second, independently maintained accumulation that could drift from it.
@@ -701,34 +598,23 @@ impl RuntimeReport {
             .iter()
             .filter(|j| j.outcome == JobOutcomeKind::Completed)
             .collect();
-        registry
-            .counter(metric_names::JOBS_CANCELLED)
-            .add(cancelled_jobs as u64);
-        registry
-            .counter(metric_names::JOBS_SHED_OVERLOAD)
-            .add(shed_overloaded);
-        registry
-            .counter(metric_names::JOBS_SHED_QUOTA)
-            .add(shed_quota);
-        registry
-            .counter(metric_names::JOBS_DEGRADED)
-            .add(degraded_jobs);
-        registry
-            .counter(metric_names::JOBS_REROUTED)
-            .add(rerouted_jobs);
-        registry
-            .counter(metric_names::CHIPS_KILLED)
-            .add(chips_killed);
-        registry
-            .gauge(metric_names::QUEUE_DEPTH_PEAK)
-            .set(queue_depth_peak as f64);
-        registry.gauge(metric_names::WORKERS).set(workers as f64);
-        registry.gauge(metric_names::NODES).set(nodes as f64);
+        // Service-level metrics have no rows to replay: carry the live values over.
+        for &(name, source) in METRIC_TABLE {
+            match source {
+                MetricSource::ServiceCounter => registry
+                    .counter(name)
+                    .add(ctx.service.counter(name).unwrap_or(0)),
+                MetricSource::ServiceGauge => registry
+                    .gauge(name)
+                    .set(ctx.service.gauge(name).unwrap_or(0.0)),
+                MetricSource::RowCounter(..) | MetricSource::RowSeconds(..) => {}
+            }
+        }
 
         let latencies: Vec<f64> = jobs.iter().map(|j| j.latency_s).collect();
         let queue_waits: Vec<f64> = jobs.iter().map(|j| j.queue_wait_s).collect();
         let mut per_worker_jobs = vec![0u64; workers];
-        let mut per_node_jobs = vec![0u64; nodes.max(1)];
+        let mut per_node_jobs = vec![0u64; nodes];
         let mut unattributed_jobs = 0u64;
         for job in &jobs {
             match per_worker_jobs.get_mut(job.worker) {
@@ -786,10 +672,10 @@ impl RuntimeReport {
             jobs: counter(metric_names::JOBS_COMPLETED) as usize,
             converged: counter(metric_names::JOBS_CONVERGED) as usize,
             workers,
-            nodes: nodes.max(1),
-            wall_s,
-            throughput_jobs_per_s: if wall_s > 0.0 {
-                jobs.len() as f64 / wall_s
+            nodes,
+            wall_s: ctx.wall_s,
+            throughput_jobs_per_s: if ctx.wall_s > 0.0 {
+                jobs.len() as f64 / ctx.wall_s
             } else {
                 0.0
             },
@@ -805,10 +691,10 @@ impl RuntimeReport {
             latency_max_s: latencies.iter().cloned().fold(0.0, f64::max),
             queue_wait_p50_s: percentile(&queue_waits, 0.50),
             queue_wait_p99_s: percentile(&queue_waits, 0.99),
-            queue_depth_peak,
-            cancelled_jobs,
+            queue_depth_peak: gauge(metric_names::QUEUE_DEPTH_PEAK),
+            cancelled_jobs: counter(metric_names::JOBS_CANCELLED) as usize,
             per_priority,
-            cache,
+            cache: ctx.cache,
             encode_total_s: hist_sum(metric_names::ENCODE_S),
             solve_total_s: hist_sum(metric_names::SOLVE_S),
             simulated_cycles: counter(metric_names::SIMULATED_CYCLES),
@@ -819,8 +705,8 @@ impl RuntimeReport {
             reduction_total_s: hist_sum(metric_names::REDUCTION_S),
             per_worker_jobs,
             per_node_jobs,
-            shed_overloaded,
-            shed_quota,
+            shed_overloaded: counter(metric_names::JOBS_SHED_OVERLOAD),
+            shed_quota: counter(metric_names::JOBS_SHED_QUOTA),
             unattributed_jobs,
             refined_jobs: counter(metric_names::REFINED_JOBS) as usize,
             escalations: counter(metric_names::ESCALATIONS),
@@ -831,15 +717,15 @@ impl RuntimeReport {
             analysis_total_s: hist_sum(metric_names::ANALYSIS_S),
             faults_detected: counter(metric_names::FAULTS_DETECTED),
             fault_retries: counter(metric_names::FAULT_RETRIES),
-            degraded_jobs,
-            rerouted_jobs,
-            chips_killed,
+            degraded_jobs: counter(metric_names::JOBS_DEGRADED),
+            rerouted_jobs: counter(metric_names::JOBS_REROUTED),
+            chips_killed: counter(metric_names::CHIPS_KILLED),
             seq_steps: counter(metric_names::SEQ_STEPS) as usize,
             warm_start_hits: counter(metric_names::WARM_START_HITS),
             blocks_reencoded: counter(metric_names::BLOCKS_REENCODED),
             blocks_reused: counter(metric_names::BLOCKS_REUSED),
             seq_decision_cache_hits: counter(metric_names::SEQ_DECISION_CACHE_HITS),
-            decisions,
+            decisions: ctx.decisions,
             metrics,
         }
     }
@@ -973,214 +859,25 @@ impl RuntimeReport {
     }
 }
 
-impl Serialize for PriorityLane {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            (
-                "priority".to_string(),
-                Value::Str(self.priority.label().to_string()),
-            ),
-            ("jobs".to_string(), Value::Num(self.jobs as f64)),
-            (
-                "queue_wait_p50_s".to_string(),
-                Value::Num(self.queue_wait_p50_s),
-            ),
-            (
-                "queue_wait_p99_s".to_string(),
-                Value::Num(self.queue_wait_p99_s),
-            ),
-        ])
-    }
-}
-
-impl Serialize for RuntimeReport {
-    fn to_value(&self) -> Value {
-        let cache_stats = |hits: u64, misses: u64, coalesced: u64, evictions: u64| {
-            Value::Object(vec![
-                ("hits".to_string(), Value::Num(hits as f64)),
-                ("misses".to_string(), Value::Num(misses as f64)),
-                ("coalesced".to_string(), Value::Num(coalesced as f64)),
-                ("evictions".to_string(), Value::Num(evictions as f64)),
-            ])
-        };
-        Value::Object(vec![
-            ("jobs".to_string(), Value::Num(self.jobs as f64)),
-            ("converged".to_string(), Value::Num(self.converged as f64)),
-            ("workers".to_string(), Value::Num(self.workers as f64)),
-            ("nodes".to_string(), Value::Num(self.nodes as f64)),
-            ("wall_s".to_string(), Value::Num(self.wall_s)),
-            (
-                "throughput_jobs_per_s".to_string(),
-                Value::Num(self.throughput_jobs_per_s),
-            ),
-            ("latency_p50_s".to_string(), Value::Num(self.latency_p50_s)),
-            ("latency_p99_s".to_string(), Value::Num(self.latency_p99_s)),
-            (
-                "latency_mean_s".to_string(),
-                Value::Num(self.latency_mean_s),
-            ),
-            ("latency_max_s".to_string(), Value::Num(self.latency_max_s)),
-            (
-                "queue_wait_p50_s".to_string(),
-                Value::Num(self.queue_wait_p50_s),
-            ),
-            (
-                "queue_wait_p99_s".to_string(),
-                Value::Num(self.queue_wait_p99_s),
-            ),
-            (
-                "queue_depth_peak".to_string(),
-                Value::Num(self.queue_depth_peak as f64),
-            ),
-            (
-                "cancelled_jobs".to_string(),
-                Value::Num(self.cancelled_jobs as f64),
-            ),
-            (
-                "unattributed_jobs".to_string(),
-                Value::Num(self.unattributed_jobs as f64),
-            ),
-            (
-                "per_priority".to_string(),
-                Value::Array(self.per_priority.iter().map(|l| l.to_value()).collect()),
-            ),
-            (
-                "cache".to_string(),
-                cache_stats(
-                    self.cache.hits,
-                    self.cache.misses,
-                    self.cache.coalesced,
-                    self.cache.evictions,
-                ),
-            ),
-            (
-                "decisions".to_string(),
-                cache_stats(
-                    self.decisions.hits,
-                    self.decisions.misses,
-                    self.decisions.coalesced,
-                    self.decisions.evictions,
-                ),
-            ),
-            (
-                "encode_total_s".to_string(),
-                Value::Num(self.encode_total_s),
-            ),
-            ("solve_total_s".to_string(), Value::Num(self.solve_total_s)),
-            (
-                "simulated_cycles".to_string(),
-                Value::Num(self.simulated_cycles as f64),
-            ),
-            (
-                "simulated_total_s".to_string(),
-                Value::Num(self.simulated_total_s),
-            ),
-            ("remaps".to_string(), Value::Num(self.remaps as f64)),
-            (
-                "sharded_jobs".to_string(),
-                Value::Num(self.sharded_jobs as f64),
-            ),
-            ("rhs_total".to_string(), Value::Num(self.rhs_total as f64)),
-            (
-                "reduction_total_s".to_string(),
-                Value::Num(self.reduction_total_s),
-            ),
-            (
-                "per_worker_jobs".to_string(),
-                Value::Array(
-                    self.per_worker_jobs
-                        .iter()
-                        .map(|&n| Value::Num(n as f64))
-                        .collect(),
-                ),
-            ),
-            (
-                "per_node_jobs".to_string(),
-                Value::Array(
-                    self.per_node_jobs
-                        .iter()
-                        .map(|&n| Value::Num(n as f64))
-                        .collect(),
-                ),
-            ),
-            (
-                "shed_overloaded".to_string(),
-                Value::Num(self.shed_overloaded as f64),
-            ),
-            ("shed_quota".to_string(), Value::Num(self.shed_quota as f64)),
-            (
-                "refined_jobs".to_string(),
-                Value::Num(self.refined_jobs as f64),
-            ),
-            (
-                "escalations".to_string(),
-                Value::Num(self.escalations as f64),
-            ),
-            (
-                "host_fp64_total_s".to_string(),
-                Value::Num(self.host_fp64_total_s),
-            ),
-            (
-                "autotuned_jobs".to_string(),
-                Value::Num(self.autotuned_jobs as f64),
-            ),
-            (
-                "autotune_decision_hits".to_string(),
-                Value::Num(self.autotune_decision_hits as f64),
-            ),
-            (
-                "autotune_fallbacks".to_string(),
-                Value::Num(self.autotune_fallbacks as f64),
-            ),
-            (
-                "analysis_total_s".to_string(),
-                Value::Num(self.analysis_total_s),
-            ),
-            (
-                "faults_detected".to_string(),
-                Value::Num(self.faults_detected as f64),
-            ),
-            (
-                "fault_retries".to_string(),
-                Value::Num(self.fault_retries as f64),
-            ),
-            (
-                "degraded_jobs".to_string(),
-                Value::Num(self.degraded_jobs as f64),
-            ),
-            (
-                "rerouted_jobs".to_string(),
-                Value::Num(self.rerouted_jobs as f64),
-            ),
-            (
-                "chips_killed".to_string(),
-                Value::Num(self.chips_killed as f64),
-            ),
-            ("seq_steps".to_string(), Value::Num(self.seq_steps as f64)),
-            (
-                "warm_start_hits".to_string(),
-                Value::Num(self.warm_start_hits as f64),
-            ),
-            (
-                "blocks_reencoded".to_string(),
-                Value::Num(self.blocks_reencoded as f64),
-            ),
-            (
-                "blocks_reused".to_string(),
-                Value::Num(self.blocks_reused as f64),
-            ),
-            (
-                "seq_decision_cache_hits".to_string(),
-                Value::Num(self.seq_decision_cache_hits as f64),
-            ),
-            ("metrics".to_string(), self.metrics.to_value()),
-        ])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
+
+    /// A live-registry snapshot of a one-node pool of `workers` whose queue peaked
+    /// at `peak`, carrying the given service-level counts.
+    fn service(workers: usize, peak: usize, counts: &[(&str, u64)]) -> MetricsSnapshot {
+        let registry = MetricsRegistry::new();
+        registry.gauge(metric_names::WORKERS).set(workers as f64);
+        registry.gauge(metric_names::NODES).set(1.0);
+        registry
+            .gauge(metric_names::QUEUE_DEPTH_PEAK)
+            .set(peak as f64);
+        for (name, count) in counts {
+            registry.counter(name).add(*count);
+        }
+        registry.snapshot()
+    }
 
     #[test]
     fn percentile_uses_nearest_rank() {
@@ -1294,9 +991,15 @@ mod tests {
             &[faulty_job],
             AggregateContext {
                 wall_s: 0.1,
-                degraded_jobs: 1,
-                rerouted_jobs: 3,
-                chips_killed: 1,
+                service: service(
+                    1,
+                    0,
+                    &[
+                        (metric_names::JOBS_DEGRADED, 1),
+                        (metric_names::JOBS_REROUTED, 3),
+                        (metric_names::CHIPS_KILLED, 1),
+                    ],
+                ),
                 ..Default::default()
             },
         );
@@ -1326,8 +1029,7 @@ mod tests {
             &jobs,
             AggregateContext {
                 wall_s: 0.1,
-                workers: 2,
-                queue_depth_peak: 3,
+                service: service(2, 3, &[]),
                 ..Default::default()
             },
         );
@@ -1352,7 +1054,7 @@ mod tests {
         degraded.latency_s = 99.0;
         let ctx = || AggregateContext {
             wall_s: 0.5,
-            degraded_jobs: 1,
+            service: service(1, 0, &[(metric_names::JOBS_DEGRADED, 1)]),
             ..Default::default()
         };
         let with_row = RuntimeReport::aggregate(&[clean.clone(), degraded], ctx());
@@ -1385,9 +1087,7 @@ mod tests {
             &jobs,
             AggregateContext {
                 wall_s: 0.1,
-                workers: 1,
-                queue_depth_peak: 7,
-                cancelled_jobs: 2,
+                service: service(1, 7, &[(metric_names::JOBS_CANCELLED, 2)]),
                 ..Default::default()
             },
         );
@@ -1490,15 +1190,18 @@ mod tests {
                     coalesced: 0,
                     evictions: 0,
                 },
-                workers: 2,
-                nodes: 1,
-                queue_depth_peak: 4,
-                cancelled_jobs: 2,
-                shed_overloaded: 3,
-                shed_quota: 1,
-                degraded_jobs: 1,
-                rerouted_jobs: 2,
-                chips_killed: 1,
+                service: service(
+                    2,
+                    4,
+                    &[
+                        (metric_names::JOBS_CANCELLED, 2),
+                        (metric_names::JOBS_SHED_OVERLOAD, 3),
+                        (metric_names::JOBS_SHED_QUOTA, 1),
+                        (metric_names::JOBS_DEGRADED, 1),
+                        (metric_names::JOBS_REROUTED, 2),
+                        (metric_names::CHIPS_KILLED, 1),
+                    ],
+                ),
             },
         )
     }
@@ -1628,8 +1331,7 @@ mod tests {
             &jobs,
             AggregateContext {
                 wall_s: 0.1,
-                workers: 2,
-                queue_depth_peak: 1,
+                service: service(2, 1, &[]),
                 ..Default::default()
             },
         );
@@ -1643,8 +1345,7 @@ mod tests {
             &jobs,
             AggregateContext {
                 wall_s: 0.1,
-                workers: 2,
-                queue_depth_peak: 2,
+                service: service(2, 2, &[]),
                 ..Default::default()
             },
         );

@@ -5,7 +5,10 @@
 use std::sync::Arc;
 
 use refloat::prelude::*;
-use refloat::runtime::{metric_names, parse_jsonl, ManualClock, SpanKind, TraceSink};
+use refloat::runtime::{
+    metric_names, parse_jsonl, ManualClock, MetricSource, MetricsSnapshot, RuntimeReport, SpanKind,
+    TraceSink, METRIC_TABLE,
+};
 
 /// A small deterministic mixed trace (two matrices, skewed 2:1).
 fn plans(count: usize) -> Vec<SolvePlan> {
@@ -33,6 +36,42 @@ fn plans(count: usize) -> Vec<SolvePlan> {
         .collect()
 }
 
+/// Every row of the metric table exists in an idle snapshot: counters at zero,
+/// histograms empty, gauges present — so dashboards keyed on a metric name never
+/// key-error, single node or cluster.
+fn assert_idle_vocabulary(idle: &MetricsSnapshot) {
+    assert!(!idle.is_empty());
+    for &(name, source) in METRIC_TABLE {
+        match source {
+            MetricSource::RowCounter(..) | MetricSource::ServiceCounter => {
+                assert_eq!(idle.counter(name), Some(0), "{name} registered at spawn")
+            }
+            MetricSource::RowSeconds(..) => assert_eq!(
+                idle.histogram(name).map(|h| h.count),
+                Some(0),
+                "{name} registered at spawn"
+            ),
+            MetricSource::ServiceGauge => {
+                assert!(idle.gauge(name).is_some(), "{name} registered at spawn")
+            }
+        }
+    }
+}
+
+/// After shutdown, every table counter in `report.metrics` equals what the last
+/// live poll read: per-row counters replayed from the telemetry rows, service-level
+/// ones carried over.
+fn assert_report_counters_match_live(report: &RuntimeReport, live: &MetricsSnapshot) {
+    for &(name, source) in METRIC_TABLE {
+        if matches!(
+            source,
+            MetricSource::RowCounter(..) | MetricSource::ServiceCounter
+        ) {
+            assert_eq!(report.metrics.counter(name), live.counter(name), "{name}");
+        }
+    }
+}
+
 #[test]
 fn live_metrics_snapshot_is_populated_before_drain() {
     let client = SolveRuntime::start(RuntimeConfig {
@@ -44,15 +83,9 @@ fn live_metrics_snapshot_is_populated_before_drain() {
     // Poll the registry before any traffic: the full vocabulary exists at zero, so
     // dashboards keyed on a metric name never key-error.
     let idle = client.metrics_snapshot();
-    assert!(!idle.is_empty());
-    assert_eq!(idle.counter(metric_names::JOBS_COMPLETED), Some(0));
+    assert_idle_vocabulary(&idle);
     assert_eq!(idle.gauge(metric_names::WORKERS), Some(2.0));
-    // The reliability vocabulary is registered at spawn even with faults off.
-    assert_eq!(idle.counter(metric_names::FAULTS_DETECTED), Some(0));
-    assert_eq!(idle.counter(metric_names::FAULT_RETRIES), Some(0));
-    assert_eq!(idle.counter(metric_names::JOBS_DEGRADED), Some(0));
-    assert_eq!(idle.counter(metric_names::JOBS_REROUTED), Some(0));
-    assert_eq!(idle.counter(metric_names::CHIPS_KILLED), Some(0));
+    assert_eq!(idle.gauge(metric_names::NODES), Some(1.0));
 
     // Submit traffic and wait for completion — but do NOT shut down: the runtime is
     // live and undrained when the snapshot is taken.
@@ -81,10 +114,7 @@ fn live_metrics_snapshot_is_populated_before_drain() {
         report.metrics.counter(metric_names::JOBS_COMPLETED),
         Some(9)
     );
-    assert_eq!(
-        report.metrics.counter(metric_names::SIMULATED_CYCLES),
-        live.counter(metric_names::SIMULATED_CYCLES)
-    );
+    assert_report_counters_match_live(&report, &live);
 }
 
 #[test]
@@ -100,18 +130,10 @@ fn a_live_undrained_cluster_reports_node_and_tenant_dimensions() {
     // The cluster vocabulary is registered at spawn, before any traffic, so a
     // dashboard keyed on node/tenant metric names never key-errors.
     let idle = client.metrics_snapshot();
+    assert_idle_vocabulary(&idle);
     assert_eq!(idle.gauge(metric_names::NODES), Some(2.0));
     assert_eq!(idle.gauge(metric_names::WORKERS), Some(4.0));
     assert_eq!(idle.gauge(metric_names::TENANTS_ACTIVE), Some(0.0));
-    assert_eq!(idle.counter(metric_names::JOBS_ROUTED), Some(0));
-    assert_eq!(idle.counter(metric_names::ROUTE_AFFINITY_HITS), Some(0));
-    assert_eq!(idle.counter(metric_names::ROUTE_SPILLS), Some(0));
-    assert_eq!(idle.counter(metric_names::JOBS_SHED_OVERLOAD), Some(0));
-    assert_eq!(idle.counter(metric_names::JOBS_SHED_QUOTA), Some(0));
-    assert_eq!(idle.counter(metric_names::ROUTE_HEALTH_STEERS), Some(0));
-    assert_eq!(idle.counter(metric_names::JOBS_DEGRADED), Some(0));
-    assert_eq!(idle.counter(metric_names::JOBS_REROUTED), Some(0));
-    assert_eq!(idle.counter(metric_names::CHIPS_KILLED), Some(0));
     for node in 0..2 {
         assert_eq!(
             idle.counter(&metric_names::node_jobs_completed(node)),
@@ -147,6 +169,9 @@ fn a_live_undrained_cluster_reports_node_and_tenant_dimensions() {
     assert_eq!(report.jobs, 12);
     assert_eq!(report.nodes, 2);
     assert_eq!(report.per_node_jobs.iter().sum::<u64>(), 12);
+    // ... routing counters included, which the report used to drop.
+    assert_eq!(report.metrics.counter(metric_names::JOBS_ROUTED), Some(12));
+    assert_report_counters_match_live(&report, &live);
 }
 
 /// Runs the same batch through a runtime wired to a [`ManualClock`] sink under the
