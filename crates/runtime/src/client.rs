@@ -149,7 +149,8 @@ pub enum TicketOutcome {
     Cancelled,
     /// The job panicked inside the worker.  The panic is contained so the service
     /// stays alive (the worker keeps serving, drain/shutdown still complete);
-    /// failed jobs carry no telemetry row.  The payload is the panic message.
+    /// failed jobs carry no telemetry row but count in `jobs_failed` /
+    /// [`RuntimeReport::failed_jobs`].  The payload is the panic message.
     Failed(String),
     /// The job could not complete cleanly under the fault policy — its chip was
     /// killed with nowhere to re-route, or ABFT detections survived every
@@ -639,6 +640,9 @@ mod tests {
             workers: 1,
             ..Default::default()
         });
+        let failed =
+            |client: &SolveClient| client.metrics_snapshot().counter(metric_names::JOBS_FAILED);
+        assert_eq!(failed(&client), Some(0), "registered at spawn");
         let bad = client.submit(poisoned).unwrap();
         match bad.wait() {
             TicketOutcome::Failed(message) => {
@@ -649,7 +653,9 @@ mod tests {
             }
             other => panic!("poisoned job must fail its ticket, got {other:?}"),
         }
-        // The worker survived the panic and keeps serving.
+        // The failure is visible live, on the undrained client ...
+        assert_eq!(failed(&client), Some(1));
+        // ... and the worker survived the panic and keeps serving.
         let good = client
             .submit(SolvePlan::new("good", handle, format).build().unwrap())
             .unwrap();
@@ -658,5 +664,7 @@ mod tests {
         let report = client.shutdown();
         assert_eq!(report.jobs, 1, "failed jobs carry no telemetry row");
         assert_eq!(report.converged, 1);
+        assert_eq!(report.failed_jobs, 1);
+        assert!(report.render().contains("0 chips killed, 1 failed"));
     }
 }

@@ -187,6 +187,9 @@ metric_table! {
     /// clean completion (corruption unresolved after retries, or a chip killed with
     /// no live worker left to take the job).
     JOBS_DEGRADED = "jobs_degraded" => ServiceCounter;
+    /// Counter: jobs that panicked inside a worker and resolved `Failed` (the panic
+    /// is contained; they leave no telemetry row).
+    JOBS_FAILED = "jobs_failed" => ServiceCounter;
     /// Counter: queued jobs re-routed off a killed chip onto a surviving worker.
     JOBS_REROUTED = "jobs_rerouted" => ServiceCounter;
     /// Counter: chips administratively killed mid-trace.
@@ -523,6 +526,8 @@ pub struct RuntimeReport {
     pub rerouted_jobs: u64,
     /// Chips administratively killed during the batch.
     pub chips_killed: u64,
+    /// Jobs that panicked inside a worker and resolved `Failed`.
+    pub failed_jobs: u64,
     /// Jobs submitted through a [`SolveSequence`](crate::SolveSequence) step.
     pub seq_steps: usize,
     /// Sequence steps whose warm-start guess passed the residual guard.
@@ -720,6 +725,7 @@ impl RuntimeReport {
             degraded_jobs: counter(metric_names::JOBS_DEGRADED),
             rerouted_jobs: counter(metric_names::JOBS_REROUTED),
             chips_killed: counter(metric_names::CHIPS_KILLED),
+            failed_jobs: counter(metric_names::JOBS_FAILED),
             seq_steps: counter(metric_names::SEQ_STEPS) as usize,
             warm_start_hits: counter(metric_names::WARM_START_HITS),
             blocks_reencoded: counter(metric_names::BLOCKS_REENCODED),
@@ -796,12 +802,13 @@ impl RuntimeReport {
         // Always printed, zero-fault runs included: report snapshots stay
         // schema-stable whether or not a fault model is configured.
         out.push_str(&format!(
-            "reliability     {} faults detected, {} retries, {} degraded, {} rerouted, {} chips killed\n",
+            "reliability     {} faults detected, {} retries, {} degraded, {} rerouted, {} chips killed, {} failed\n",
             self.faults_detected,
             self.fault_retries,
             self.degraded_jobs,
             self.rerouted_jobs,
             self.chips_killed,
+            self.failed_jobs,
         ));
         if self.refined_jobs > 0 {
             out.push_str(&format!(
@@ -980,7 +987,7 @@ mod tests {
             },
         );
         assert!(clean.render().contains(
-            "reliability     0 faults detected, 0 retries, 0 degraded, 0 rerouted, 0 chips killed"
+            "reliability     0 faults detected, 0 retries, 0 degraded, 0 rerouted, 0 chips killed, 0 failed"
         ));
 
         // Faulty run: the same line carries the counts.
@@ -998,6 +1005,7 @@ mod tests {
                         (metric_names::JOBS_DEGRADED, 1),
                         (metric_names::JOBS_REROUTED, 3),
                         (metric_names::CHIPS_KILLED, 1),
+                        (metric_names::JOBS_FAILED, 4),
                     ],
                 ),
                 ..Default::default()
@@ -1005,7 +1013,7 @@ mod tests {
         );
         let rendered = faulty.render();
         assert!(rendered.contains(
-            "reliability     12 faults detected, 2 retries, 1 degraded, 3 rerouted, 1 chips killed"
+            "reliability     12 faults detected, 2 retries, 1 degraded, 3 rerouted, 1 chips killed, 4 failed"
         ));
         assert_eq!(faulty.faults_detected, 12);
         assert_eq!(faulty.fault_retries, 2);
@@ -1200,6 +1208,7 @@ mod tests {
                         (metric_names::JOBS_DEGRADED, 1),
                         (metric_names::JOBS_REROUTED, 2),
                         (metric_names::CHIPS_KILLED, 1),
+                        (metric_names::JOBS_FAILED, 2),
                     ],
                 ),
             },
@@ -1233,6 +1242,7 @@ mod tests {
             ("degraded_jobs", r.degraded_jobs as f64),
             ("encode_total_s", r.encode_total_s),
             ("escalations", r.escalations as f64),
+            ("failed_jobs", r.failed_jobs as f64),
             ("fault_retries", r.fault_retries as f64),
             ("faults_detected", r.faults_detected as f64),
             ("host_fp64_total_s", r.host_fp64_total_s),

@@ -119,6 +119,7 @@ pub(crate) fn worker_loop(worker_id: usize, core: &NodeCore) {
                 // rebuild both so subsequent jobs see a consistent (cold) chip.
                 accelerator = build_accelerator();
                 programmed = None;
+                core.metrics.counter(metric_names::JOBS_FAILED).inc();
                 ticket.complete(TicketOutcome::Failed(panic_message(payload.as_ref())));
             }
         }
