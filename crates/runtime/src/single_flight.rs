@@ -191,13 +191,12 @@ impl<K: Ord + Copy, V: Clone> SingleFlightLru<K, V> {
                 };
                 return (value, outcome, 0.0);
             }
-            if inner.pending.contains(&key) {
-                waited = true;
-                inner = sync::wait(&self.ready, inner);
-                continue;
+            // Claim the key, or wait for whoever holds the claim to publish (or unwind).
+            if inner.pending.insert(key) {
+                break;
             }
-            inner.pending.insert(key);
-            break;
+            waited = true;
+            inner = sync::wait(&self.ready, inner);
         }
         drop(inner);
 
@@ -347,7 +346,7 @@ mod tests {
     }
 
     /// A key that records which threads compared it.  A lookup that finds the key
-    /// pending compares it (inside `pending.contains`) under the cache lock and keeps
+    /// pending compares it (inside `pending.insert`) under the cache lock and keeps
     /// that lock until `Condvar::wait` releases it — so once a thread is recorded
     /// here, taking the lock proves that thread is parked on the condvar.
     #[derive(Clone, Copy)]

@@ -27,7 +27,6 @@ use reram_sim::SolverKind;
 use serde::Serialize;
 
 use crate::accel::SimulatedRun;
-use crate::decision::DecisionStats;
 use crate::sched::Priority;
 pub use crate::single_flight::CacheOutcomeKind;
 use crate::single_flight::CacheStats;
@@ -104,8 +103,7 @@ metric_table! {
     /// Counter: jobs that encoded their matrix (cache miss).
     CACHE_MISSES = "cache_misses" => RowCounter(Completed, |j| (j.cache == Miss) as u64);
     /// Counter: jobs that waited on a concurrent encode of the same key.
-    CACHE_COALESCED = "cache_coalesced" =>
-        RowCounter(Completed, |j| (j.cache == Coalesced) as u64);
+    CACHE_COALESCED = "cache_coalesced" => RowCounter(Completed, |j| (j.cache == Coalesced) as u64);
     /// Counter: total simulated accelerator cycles.
     SIMULATED_CYCLES = "simulated_cycles" => RowCounter(Completed, |j| j.simulated.cycles);
     /// Counter: jobs that re-programmed their chip.
@@ -137,8 +135,7 @@ metric_table! {
     /// encoding (whole-matrix misses, shard misses, refinement-rung misses).  A
     /// refined job can pay rung encodes even when its *base* rung was a hit, so the
     /// row keys on the time actually spent, not on the job-level cache outcome.
-    ENCODE_S = "encode_s" =>
-        RowSeconds(Completed, |j| (j.encode_s > 0.0).then_some(j.encode_s));
+    ENCODE_S = "encode_s" => RowSeconds(Completed, |j| (j.encode_s > 0.0).then_some(j.encode_s));
     /// Histogram (simulated seconds): per-job simulated chip time.
     SIMULATED_S = "simulated_s" => RowSeconds(Completed, |j| Some(j.simulated.total_s));
     /// Histogram (simulated seconds): inter-chip gather time of sharded jobs.
@@ -425,7 +422,7 @@ pub struct AggregateContext {
     /// Encode-cache counter increments during the batch.
     pub cache: CacheStats,
     /// Decision-cache counter increments during the batch.
-    pub decisions: DecisionStats,
+    pub decisions: CacheStats,
     /// A snapshot of the live registry, read for its service-level rows only: the
     /// counts telemetry rows cannot carry (cancelled, shed, failed and stranded jobs
     /// never produce one), the pool shape (`workers`, `nodes`; absent means one worker
@@ -539,7 +536,7 @@ pub struct RuntimeReport {
     /// Sequence steps that reused the predecessor's format decision.
     pub seq_decision_cache_hits: u64,
     /// Decision-cache counter increments during the batch.
-    pub decisions: DecisionStats,
+    pub decisions: CacheStats,
     /// The full metrics snapshot the aggregation was derived from (the same
     /// vocabulary [`SolveClient::metrics_snapshot`](crate::SolveClient::metrics_snapshot)
     /// serves live).
@@ -1192,7 +1189,7 @@ mod tests {
                     coalesced: 1,
                     evictions: 3,
                 },
-                decisions: DecisionStats {
+                decisions: CacheStats {
                     hits: 1,
                     misses: 1,
                     coalesced: 0,
