@@ -11,6 +11,8 @@
 //! (verified against [`ReFloatMatrix::apply`] by the crossbar simulator in `reram-sim`),
 //! and the final scaling by `2^{eb+ebv}` is a pure exponent addition.
 
+use std::sync::Arc;
+
 use crate::block::ReFloatBlock;
 use crate::format::ReFloatConfig;
 use crate::vector::VectorConverter;
@@ -18,12 +20,16 @@ use refloat_solvers::LinearOperator;
 use refloat_sparse::{BlockedMatrix, CsrMatrix};
 
 /// A sparse matrix encoded block-by-block in ReFloat format, usable as a solver operator.
+///
+/// The encoding is programmed once and only read afterwards, so the blocks sit behind
+/// an [`Arc`]: a clone shares them and owns only its `O(ncols)` conversion scratch,
+/// which is all that `apply(&mut self)` mutates.
 #[derive(Debug, Clone)]
 pub struct ReFloatMatrix {
     nrows: usize,
     ncols: usize,
     config: ReFloatConfig,
-    blocks: Vec<ReFloatBlock>,
+    blocks: Arc<[ReFloatBlock]>,
     converter: VectorConverter,
     /// Scratch buffer holding the quantized input vector (reused across applies).
     quantized_input: Vec<f64>,
@@ -42,20 +48,12 @@ impl ReFloatMatrix {
             blocked.b(),
             config.b
         );
-        let blocks: Vec<ReFloatBlock> = blocked
+        let blocks = blocked
             .blocks()
             .iter()
             .map(|blk| ReFloatBlock::encode(blk, &config))
             .collect();
-        ReFloatMatrix {
-            nrows: blocked.nrows(),
-            ncols: blocked.ncols(),
-            config,
-            blocks,
-            converter: VectorConverter::new(config),
-            quantized_input: vec![0.0; blocked.ncols()],
-            quantize_vectors: true,
-        }
+        Self::from_parts(blocked.nrows(), blocked.ncols(), config, blocks)
     }
 
     /// Assembles a matrix from already-encoded blocks (block-row-major order), used by
@@ -70,7 +68,7 @@ impl ReFloatMatrix {
             nrows,
             ncols,
             config,
-            blocks,
+            blocks: blocks.into(),
             converter: VectorConverter::new(config),
             quantized_input: vec![0.0; ncols],
             quantize_vectors: true,
@@ -121,7 +119,7 @@ impl ReFloatMatrix {
     pub fn to_quantized_csr(&self) -> CsrMatrix {
         let mut coo = refloat_sparse::CooMatrix::with_capacity(self.nrows, self.ncols, self.nnz());
         let bs = self.config.block_size();
-        for blk in &self.blocks {
+        for blk in self.blocks.iter() {
             let row0 = blk.block_row * bs;
             let col0 = blk.block_col * bs;
             for (ii, jj, v) in blk.iter_decoded() {
@@ -141,18 +139,45 @@ impl ReFloatMatrix {
             .sum()
     }
 
-    /// The blocked SpMV of Eq. 8–9 on the already-quantized input held in
-    /// `self.quantized_input`.
-    fn blocked_spmv(&self, x: &[f64], y: &mut [f64]) {
-        for yi in y.iter_mut() {
-            *yi = 0.0;
+    /// The quantize step of an SpMV: re-encodes `x` with per-segment bases (the vector
+    /// converter; `x` passes through when vector quantization is off).  The one borrow
+    /// lends the quantized input together with the matrix, now shared, so the caller
+    /// can [`accumulate`](Self::accumulate) or walk [`blocks`](Self::blocks) its own way.
+    ///
+    /// # Panics
+    /// Panics if `x.len() != ncols`.
+    pub fn quantize_input<'a>(&'a mut self, x: &'a [f64]) -> (&'a [f64], &'a Self) {
+        assert_eq!(
+            x.len(),
+            self.ncols,
+            "ReFloatMatrix apply: x length mismatch"
+        );
+        if !self.quantize_vectors {
+            return (x, self);
         }
+        self.converter.convert_into(x, &mut self.quantized_input);
+        let this = &*self;
+        (&this.quantized_input, this)
+    }
+
+    /// The accumulate step of an SpMV (Eq. 8–9) over an already-quantized input:
+    /// `y = Ã · xq`, block by block in storage order.
+    ///
+    /// # Panics
+    /// Panics if `y.len() != nrows`.
+    pub fn accumulate(&self, xq: &[f64], y: &mut [f64]) {
+        assert_eq!(
+            y.len(),
+            self.nrows,
+            "ReFloatMatrix apply: y length mismatch"
+        );
+        y.fill(0.0);
         let bs = self.config.block_size();
-        for blk in &self.blocks {
+        for blk in self.blocks.iter() {
             let row0 = blk.block_row * bs;
             let col0 = blk.block_col * bs;
             for (ii, jj, v) in blk.iter_decoded() {
-                y[row0 + ii as usize] += v * x[col0 + jj as usize];
+                y[row0 + ii as usize] += v * xq[col0 + jj as usize];
             }
         }
     }
@@ -168,26 +193,8 @@ impl LinearOperator for ReFloatMatrix {
     }
 
     fn apply(&mut self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(
-            x.len(),
-            self.ncols,
-            "ReFloatMatrix apply: x length mismatch"
-        );
-        assert_eq!(
-            y.len(),
-            self.nrows,
-            "ReFloatMatrix apply: y length mismatch"
-        );
-        if self.quantize_vectors {
-            // Re-encode the input vector with per-segment bases (the vector converter),
-            // then multiply by the quantized blocks.
-            let mut buf = std::mem::take(&mut self.quantized_input);
-            self.converter.convert_into(x, &mut buf);
-            self.blocked_spmv(&buf, y);
-            self.quantized_input = buf;
-        } else {
-            self.blocked_spmv(x, y);
-        }
+        let (xq, this) = self.quantize_input(x);
+        this.accumulate(xq, y);
     }
 
     fn name(&self) -> String {
@@ -316,6 +323,54 @@ mod tests {
         with_vq.apply(&x, &mut y1);
         without_vq.apply(&x, &mut y2);
         assert!(vecops::rel_err(&y2, &exact) < vecops::rel_err(&y1, &exact));
+    }
+
+    #[test]
+    fn a_clone_shares_the_block_storage() {
+        let a = generators::laplacian_2d(12, 12, 0.3).to_csr();
+        let original = ReFloatMatrix::from_csr(&a, test_config(4));
+        let clone = original.clone();
+        assert!(std::ptr::eq(
+            original.blocks().as_ptr(),
+            clone.blocks().as_ptr()
+        ));
+    }
+
+    #[test]
+    fn clones_applied_from_two_threads_match_a_serial_apply_bitwise() {
+        let a = generators::laplacian_2d(20, 20, 0.3).to_csr();
+        let original = ReFloatMatrix::from_csr(&a, test_config(4));
+        let inputs: Vec<Vec<f64>> = (0..2)
+            .map(|t| {
+                (0..a.ncols())
+                    .map(|i| ((i * (13 + t) % 29) as f64) / 29.0 - 0.4)
+                    .collect()
+            })
+            .collect();
+        let serial: Vec<Vec<f64>> = inputs
+            .iter()
+            .map(|x| {
+                let mut y = vec![0.0; a.nrows()];
+                original.clone().apply(x, &mut y);
+                y
+            })
+            .collect();
+        // Both threads pass the barrier before either applies, so the shared blocks
+        // are read while the other clone's scratch is being written.
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for (x, want) in inputs.iter().zip(&serial) {
+                let (mut op, start) = (original.clone(), &start);
+                scope.spawn(move || {
+                    let mut y = vec![0.0; want.len()];
+                    start.wait();
+                    for _ in 0..50 {
+                        op.apply(x, &mut y);
+                        assert!(y.iter().zip(want).all(|(u, v)| u.to_bits() == v.to_bits()));
+                    }
+                });
+            }
+        });
     }
 
     #[test]

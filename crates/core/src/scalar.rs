@@ -49,8 +49,8 @@ pub fn pow2(e: i32) -> f64 {
 /// Quantizes a normalized fraction in `[1, 2)` to `f` explicit fraction bits.
 ///
 /// Truncation keeps the leading bits (the paper's rule); round-to-nearest may round up
-/// to exactly 2.0, in which case the caller is responsible for renormalizing (the block
-/// encoder folds that case into the exponent offset).
+/// to exactly 2.0, in which case the caller is responsible for renormalizing
+/// ([`quantize`] folds that case into the exponent offset).
 pub fn quantize_fraction(fraction: f64, f_bits: u32, mode: RoundingMode) -> f64 {
     debug_assert!(
         (1.0..2.0).contains(&fraction),
@@ -63,11 +63,101 @@ pub fn quantize_fraction(fraction: f64, f_bits: u32, mode: RoundingMode) -> f64 
     }
 }
 
+/// Where a value's exponent offset landed relative to the representable window.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Window {
+    /// The offset fits; only the fraction loses bits.
+    InRange,
+    /// The offset was clamped to the top or (under `Saturate`) the bottom of the window.
+    Saturated,
+    /// The offset fell below the window under `FlushToZero`: the value is stored as zero.
+    Flushed,
+}
+
+/// The stored parts of one value encoded against an exponent base (Fig. 4b / Fig. 5).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Quantized {
+    /// Sign bit (`true` = negative), kept even when the value flushes to zero.
+    pub negative: bool,
+    /// Stored exponent offset, in `[−max_offset, max_offset]`.
+    pub offset: i32,
+    /// Quantized significand in `[1, 2)`: `1 + code / 2^f`.
+    pub fraction: f64,
+    /// Whether the offset fit the window.
+    pub window: Window,
+}
+
+impl Quantized {
+    /// The retained `f` fraction bits as an integer in `[0, 2^f)`.
+    pub fn fraction_code(&self, f_bits: u32) -> u32 {
+        ((self.fraction - 1.0) * (1u64 << f_bits) as f64).round() as u32
+    }
+
+    /// The decoded (lossy) value `(−1)^s · fraction · 2^(eb + offset)`.
+    pub fn value(&self, eb: i32) -> f64 {
+        if self.window == Window::Flushed {
+            return 0.0;
+        }
+        let magnitude = self.fraction * pow2(eb + self.offset);
+        if self.negative {
+            -magnitude
+        } else {
+            magnitude
+        }
+    }
+}
+
+/// The scalar kernel of the ReFloat conversion (Eq. 4–7), defined once for matrix
+/// blocks and vector segments alike: re-expresses `d`'s exponent as a saturating
+/// offset from `eb` within `±max_offset` and keeps `f_bits` of fraction.
+#[inline]
+pub fn quantize(
+    d: Decomposed,
+    eb: i32,
+    max_offset: i32,
+    f_bits: u32,
+    rounding: RoundingMode,
+    underflow: UnderflowMode,
+) -> Quantized {
+    let raw = d.exponent - eb;
+    let (mut offset, window) = if raw > max_offset {
+        (max_offset, Window::Saturated)
+    } else if raw >= -max_offset {
+        (raw, Window::InRange)
+    } else if underflow == UnderflowMode::Saturate {
+        (-max_offset, Window::Saturated)
+    } else {
+        (0, Window::Flushed)
+    };
+    let mut fraction = match window {
+        Window::Flushed => 1.0,
+        _ => quantize_fraction(d.fraction, f_bits, rounding),
+    };
+    if fraction >= 2.0 {
+        // Round-to-nearest carried into the exponent.
+        if window == Window::InRange && offset < max_offset {
+            fraction = 1.0;
+            offset += 1;
+        } else {
+            // The offset is pinned (at either end of the window), so the carry cannot
+            // be absorbed: clamp to the largest representable fraction, `2 − 2^(−f)`.
+            // At the top, halving the fraction without incrementing the exponent
+            // would return ~half the true magnitude; at the bottom, renormalizing
+            // *upward* would overshoot a value already below the saturation floor.
+            fraction = 2.0 - pow2(-(f_bits as i32));
+        }
+    }
+    Quantized {
+        negative: d.negative,
+        offset,
+        fraction,
+        window,
+    }
+}
+
 /// Re-encodes a single value against an exponent base `eb` with `e_bits` of saturating
-/// signed offset and `f_bits` of fraction, returning the decoded (lossy) f64.
-///
-/// This is the scalar kernel of the ReFloat conversion (Eq. 4–7): the result equals
-/// `(−1)^s · q(fraction) · 2^(eb + clamp(exponent − eb))`.
+/// signed offset and `f_bits` of fraction, returning the decoded (lossy) f64:
+/// [`quantize`] followed by [`Quantized::value`].
 pub fn requantize(
     v: f64,
     eb: i32,
@@ -76,44 +166,17 @@ pub fn requantize(
     rounding: RoundingMode,
     underflow: UnderflowMode,
 ) -> f64 {
-    let Some(d) = decompose(v) else {
-        return 0.0;
-    };
-    let max_off = max_offset_for_bits(e_bits);
-    let offset = d.exponent - eb;
-    let clamped = if offset > max_off {
-        max_off
-    } else if offset < -max_off {
-        match underflow {
-            UnderflowMode::Saturate => -max_off,
-            UnderflowMode::FlushToZero => return 0.0,
-        }
-    } else {
-        offset
-    };
-    let mut frac = quantize_fraction(d.fraction, f_bits, rounding);
-    let mut exp = eb + clamped;
-    if frac >= 2.0 {
-        // Round-to-nearest can carry into the exponent; renormalize (and re-clamp).
-        if offset == clamped && clamped < max_off {
-            frac /= 2.0;
-            exp += 1;
-        } else {
-            // The exponent offset is saturated (at either end of the window), so the
-            // carry cannot be absorbed: clamp to the largest representable fraction
-            // at the pinned offset, `2 − 2^(−f)`.  At the top, halving the fraction
-            // without incrementing the exponent would silently return ~half the true
-            // magnitude; at the bottom, renormalizing *upward* would overshoot a
-            // value that is already below the saturation floor.
-            frac = 2.0 - pow2(-(f_bits as i32));
-        }
-    }
-    let magnitude = frac * pow2(exp);
-    if d.negative {
-        -magnitude
-    } else {
-        magnitude
-    }
+    decompose(v).map_or(0.0, |d| {
+        quantize(
+            d,
+            eb,
+            max_offset_for_bits(e_bits),
+            f_bits,
+            rounding,
+            underflow,
+        )
+        .value(eb)
+    })
 }
 
 /// The worst-case relative error of an `f`-bit truncated fraction: `2^(−f)`.

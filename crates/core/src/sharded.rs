@@ -13,9 +13,10 @@
 //!
 //! * shard cuts sit on `2^b` block-row boundaries, so each band re-blocks into exactly
 //!   the blocks the unsharded matrix produces (same entries, same block-column order);
-//! * each shard's vector converter re-encodes the *full* input vector with the same
-//!   per-segment bases the unsharded converter chooses (conversion is a pure function
-//!   of `x` and the format);
+//! * the input vector is re-encoded **once** per apply, by the operator's own vector
+//!   converter, and every band accumulates from that shared quantized vector — the
+//!   same per-segment bases the unsharded converter chooses (conversion is a pure
+//!   function of `x` and the format);
 //! * every output row is accumulated only by its own shard, in the unsharded block
 //!   order — the inter-shard "reduction" is a gather of disjoint bands, which reorders
 //!   nothing.
@@ -26,6 +27,7 @@ use std::ops::Range;
 
 use crate::format::ReFloatConfig;
 use crate::matrix::ReFloatMatrix;
+use crate::vector::VectorConverter;
 use refloat_solvers::LinearOperator;
 use refloat_sparse::{block_row_shards, extract_row_range, CsrMatrix};
 
@@ -45,6 +47,9 @@ pub struct ShardedReFloatMatrix {
     ncols: usize,
     config: ReFloatConfig,
     shards: Vec<OperatorShard>,
+    converter: VectorConverter,
+    /// Scratch buffer holding the quantized input vector all shards read.
+    quantized_input: Vec<f64>,
 }
 
 impl ShardedReFloatMatrix {
@@ -63,12 +68,7 @@ impl ShardedReFloatMatrix {
                 rows: part.rows,
             })
             .collect();
-        ShardedReFloatMatrix {
-            nrows: a.nrows(),
-            ncols: a.ncols(),
-            config,
-            shards,
-        }
+        Self::from_parts(a.nrows(), a.ncols(), shards)
     }
 
     /// Assembles a sharded operator from pre-encoded bands (e.g. resolved through the
@@ -117,6 +117,8 @@ impl ShardedReFloatMatrix {
             ncols,
             config,
             shards: parts,
+            converter: VectorConverter::new(config),
+            quantized_input: vec![0.0; ncols],
         }
     }
 
@@ -158,31 +160,6 @@ impl ShardedReFloatMatrix {
     pub fn nnz(&self) -> usize {
         self.shards.iter().map(|s| s.op.nnz()).sum()
     }
-
-    /// Applies all shards, each writing its disjoint output band; shards run on scoped
-    /// threads (the last on the calling thread), mirroring chips working in parallel.
-    fn apply_sharded(&mut self, x: &[f64], y: &mut [f64]) {
-        // Slice y into per-shard bands.
-        let mut bands: Vec<&mut [f64]> = Vec::with_capacity(self.shards.len());
-        let mut rest = y;
-        let mut offset = 0;
-        for shard in &self.shards {
-            let (band, tail) = rest.split_at_mut(shard.rows.end - offset);
-            bands.push(band);
-            rest = tail;
-            offset = shard.rows.end;
-        }
-        std::thread::scope(|scope| {
-            let mut work = self.shards.iter_mut().zip(bands);
-            let last = work.next_back();
-            for (shard, band) in work {
-                scope.spawn(move || shard.op.apply(x, band));
-            }
-            if let Some((shard, band)) = last {
-                shard.op.apply(x, band);
-            }
-        });
-    }
 }
 
 impl LinearOperator for ShardedReFloatMatrix {
@@ -194,19 +171,34 @@ impl LinearOperator for ShardedReFloatMatrix {
         self.ncols
     }
 
+    /// Converts `x` once, then every shard accumulates its disjoint output band from
+    /// the shared quantized vector; shards run on scoped threads (the last on the
+    /// calling thread), mirroring chips working in parallel.
     fn apply(&mut self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.ncols, "sharded apply: x length mismatch");
         assert_eq!(y.len(), self.nrows, "sharded apply: y length mismatch");
-        self.apply_sharded(x, y);
-    }
-
-    fn apply_batch(&mut self, xs: &[Vec<f64>], ys: &mut [Vec<f64>]) {
-        assert_eq!(xs.len(), ys.len(), "apply_batch: X/Y column count mismatch");
-        // One pass per column; the shard threads are re-spawned per column but the
-        // encodings (the expensive state) are shared across the whole batch.
-        for (x, y) in xs.iter().zip(ys.iter_mut()) {
-            self.apply(x, y);
+        self.converter.convert_into(x, &mut self.quantized_input);
+        let xq = self.quantized_input.as_slice();
+        // Slice y into per-shard bands.
+        let mut bands: Vec<&mut [f64]> = Vec::with_capacity(self.shards.len());
+        let mut rest = y;
+        let mut offset = 0;
+        for shard in &self.shards {
+            let (band, tail) = rest.split_at_mut(shard.rows.end - offset);
+            bands.push(band);
+            rest = tail;
+            offset = shard.rows.end;
         }
+        std::thread::scope(|scope| {
+            let mut work = self.shards.iter().zip(bands);
+            let last = work.next_back();
+            for (shard, band) in work {
+                scope.spawn(move || shard.op.accumulate(xq, band));
+            }
+            if let Some((shard, band)) = last {
+                shard.op.accumulate(xq, band);
+            }
+        });
     }
 
     fn name(&self) -> String {

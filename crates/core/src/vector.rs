@@ -9,7 +9,7 @@
 
 use crate::block::optimal_exponent_base;
 use crate::format::ReFloatConfig;
-use crate::scalar::{decompose, pow2, quantize_fraction};
+use crate::scalar::{decompose, quantize, Window};
 
 /// Statistics of one vector conversion, useful for instrumentation and tests.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -71,58 +71,28 @@ impl VectorConverter {
             "vector converter: output length mismatch"
         );
         let seg = self.config.block_size();
-        let nseg = x.len().div_ceil(seg);
         self.last_bases.clear();
-        self.last_bases.reserve(nseg);
+        self.last_bases.reserve(x.len().div_ceil(seg));
         let mut stats = ConversionStats::default();
 
-        let max_off = self.config.max_offset_vector();
-        let frac_bits = self.config.fv;
-        let rounding = self.config.rounding;
-        let underflow = self.config.underflow;
+        let max_offset = self.config.max_offset_vector();
+        let (fv, rounding, underflow) =
+            (self.config.fv, self.config.rounding, self.config.underflow);
 
-        for s in 0..nseg {
-            let lo = s * seg;
-            let hi = (lo + seg).min(x.len());
-            let segment = &x[lo..hi];
+        for (segment, out) in x.chunks(seg).zip(out.chunks_mut(seg)) {
             let ebv = optimal_exponent_base(segment.iter());
             self.last_bases.push(ebv);
-            for (xi, oi) in segment.iter().zip(out[lo..hi].iter_mut()) {
-                match decompose(*xi) {
-                    None => *oi = 0.0,
-                    Some(d) => {
-                        stats.nonzero += 1;
-                        let offset = d.exponent - ebv;
-                        let clamped = if offset > max_off {
-                            stats.saturated += 1;
-                            max_off
-                        } else if offset < -max_off {
-                            match underflow {
-                                crate::format::UnderflowMode::Saturate => {
-                                    stats.saturated += 1;
-                                    -max_off
-                                }
-                                crate::format::UnderflowMode::FlushToZero => {
-                                    stats.flushed += 1;
-                                    *oi = 0.0;
-                                    continue;
-                                }
-                            }
-                        } else {
-                            offset
-                        };
-                        let mut frac = quantize_fraction(d.fraction, frac_bits, rounding);
-                        let mut exp = ebv + clamped;
-                        if frac >= 2.0 {
-                            frac /= 2.0;
-                            if clamped < max_off {
-                                exp += 1;
-                            }
-                        }
-                        let mag = frac * pow2(exp);
-                        *oi = if d.negative { -mag } else { mag };
+            for (xi, oi) in segment.iter().zip(out) {
+                *oi = decompose(*xi).map_or(0.0, |d| {
+                    let q = quantize(d, ebv, max_offset, fv, rounding, underflow);
+                    stats.nonzero += 1;
+                    match q.window {
+                        Window::InRange => {}
+                        Window::Saturated => stats.saturated += 1,
+                        Window::Flushed => stats.flushed += 1,
                     }
-                }
+                    q.value(ebv)
+                });
             }
         }
         self.last_stats = stats;

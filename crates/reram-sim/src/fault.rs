@@ -30,7 +30,6 @@ use std::collections::BTreeSet;
 
 use crate::noise::irwin_hall_unit;
 use refloat_core::resilience::{AbftChecksum, RemapPlan, SpareBudget, StuckCell};
-use refloat_core::vector::VectorConverter;
 use refloat_core::ReFloatMatrix;
 use refloat_solvers::LinearOperator;
 use refloat_sparse::vecops;
@@ -305,8 +304,6 @@ struct Corruption {
 /// test and bumps [`detections`](Self::detections) on failure.
 pub struct FaultyReFloatOperator {
     inner: ReFloatMatrix,
-    converter: VectorConverter,
-    scratch: Vec<f64>,
     /// Per-block common-mode drift factor.
     drift: Vec<f64>,
     /// Per-block residual corruption (uncovered stuck cells only).
@@ -405,8 +402,6 @@ impl FaultyReFloatOperator {
         let checksum = abft_threshold.map(|_| AbftChecksum::from_matrix(&inner));
         FaultyReFloatOperator {
             inner,
-            converter: VectorConverter::new(config),
-            scratch: vec![0.0; ncols],
             drift,
             corruptions,
             checksum,
@@ -448,38 +443,28 @@ impl LinearOperator for FaultyReFloatOperator {
     }
 
     fn apply(&mut self, x: &[f64], y: &mut [f64]) {
-        let mut buf = std::mem::take(&mut self.scratch);
-        self.converter.convert_into(x, &mut buf);
-        for yi in y.iter_mut() {
-            *yi = 0.0;
-        }
+        y.fill(0.0);
         let bs = self.inner.config().block_size();
-        for (b, blk) in self.inner.blocks().iter().enumerate() {
+        let (xq, inner) = self.inner.quantize_input(x);
+        for (b, blk) in inner.blocks().iter().enumerate() {
             let row0 = blk.block_row * bs;
             let col0 = blk.block_col * bs;
+            // A drift of exactly 1.0 multiplies away bit for bit, so fault-free
+            // configs reproduce the clean operator's digests.
             let d = self.drift[b];
-            if d == 1.0 {
-                // Bitwise-identical to the clean operator when this crossbar has no
-                // drift — fault-free configs therefore reproduce clean digests.
-                for (ii, jj, v) in blk.iter_decoded() {
-                    y[row0 + ii as usize] += v * buf[col0 + jj as usize];
-                }
-            } else {
-                for (ii, jj, v) in blk.iter_decoded() {
-                    y[row0 + ii as usize] += v * d * buf[col0 + jj as usize];
-                }
+            for (ii, jj, v) in blk.iter_decoded() {
+                y[row0 + ii as usize] += v * d * xq[col0 + jj as usize];
             }
             for c in &self.corruptions[b] {
-                y[row0 + c.row as usize] += c.delta * d * buf[col0 + c.col as usize];
+                y[row0 + c.row as usize] += c.delta * d * xq[col0 + c.col as usize];
             }
         }
         if let Some(checksum) = &self.checksum {
-            let residual = checksum.residual(&buf, &self.drift, vecops::sum(y));
+            let residual = checksum.residual(xq, &self.drift, vecops::sum(y));
             if residual > self.abft_threshold {
                 self.detections += 1;
             }
         }
-        self.scratch = buf;
     }
 
     fn name(&self) -> String {

@@ -10,7 +10,6 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use refloat_core::vector::VectorConverter;
 use refloat_core::ReFloatMatrix;
 use refloat_solvers::LinearOperator;
 
@@ -18,24 +17,18 @@ use refloat_solvers::LinearOperator;
 /// every application.
 pub struct NoisyReFloatOperator {
     inner: ReFloatMatrix,
-    converter: VectorConverter,
     sigma: f64,
     rng: ChaCha8Rng,
-    scratch: Vec<f64>,
 }
 
 impl NoisyReFloatOperator {
     /// Wraps a ReFloat matrix with RTN of relative deviation `sigma` (e.g. 0.01 = 1%).
     pub fn new(inner: ReFloatMatrix, sigma: f64, seed: u64) -> Self {
         assert!(sigma >= 0.0, "noise deviation must be non-negative");
-        let converter = VectorConverter::new(*inner.config());
-        let ncols = LinearOperator::ncols(&inner);
         NoisyReFloatOperator {
             inner,
-            converter,
             sigma,
             rng: ChaCha8Rng::seed_from_u64(seed),
-            scratch: vec![0.0; ncols],
         }
     }
 
@@ -76,31 +69,24 @@ impl LinearOperator for NoisyReFloatOperator {
     }
 
     fn apply(&mut self, x: &[f64], y: &mut [f64]) {
-        // Quantize the input exactly as the noiseless operator would...
-        let mut buf = std::mem::take(&mut self.scratch);
-        self.converter.convert_into(x, &mut buf);
-        for yi in y.iter_mut() {
-            *yi = 0.0;
-        }
-        // ...then accumulate block products with per-read perturbed matrix values.
+        y.fill(0.0);
         let bs = self.inner.config().block_size();
         let sigma = self.sigma;
-        // Pull the RNG out to avoid borrowing `self` twice inside the loop.
-        let mut rng = self.rng.clone();
-        for blk in self.inner.blocks() {
+        // Quantize the input exactly as the noiseless operator would, then accumulate
+        // block products with per-read perturbed matrix values.
+        let (xq, inner) = self.inner.quantize_input(x);
+        for blk in inner.blocks() {
             let row0 = blk.block_row * bs;
             let col0 = blk.block_col * bs;
             for (ii, jj, v) in blk.iter_decoded() {
                 let noise: f64 = if sigma == 0.0 {
                     0.0
                 } else {
-                    sigma * irwin_hall_unit(&mut rng)
+                    sigma * irwin_hall_unit(&mut self.rng)
                 };
-                y[row0 + ii as usize] += v * (1.0 + noise) * buf[col0 + jj as usize];
+                y[row0 + ii as usize] += v * (1.0 + noise) * xq[col0 + jj as usize];
             }
         }
-        self.rng = rng;
-        self.scratch = buf;
     }
 
     fn name(&self) -> String {

@@ -35,9 +35,9 @@
 //! * the execution pipeline (`pipeline`, private) — the one path every job takes
 //!   inside a worker, as five stages with one implementation each: a per-job
 //!   context, *resolve encoding* (cache ∘ incremental re-encode, for the whole
-//!   matrix, each shard and each refinement rung alike), *program operator* (adopt
-//!   the worker's held operator or clone the cached encodings; optionally wrapped
-//!   in the fault model), *solve strategy* (plain batch / warm-started first RHS /
+//!   matrix, each shard and each refinement rung alike), *program operator* (a
+//!   per-job operator sharing the cached, immutable encodings — no copy; optionally
+//!   wrapped in the fault model), *solve strategy* (plain batch / warm-started first RHS /
 //!   refinement ladder) and *charge*;
 //! * [`SimulatedAccelerator`] (`accel`) — the per-worker chip model behind that last
 //!   stage: one [`charge`](SimulatedAccelerator::charge) method prices a
@@ -137,16 +137,16 @@
 //! # Determinism
 //!
 //! Every job is a pure function of its matrix, right-hand side(s) and configuration:
-//! the encoded operator a worker solves with is (a clone of) the same `ReFloatMatrix`
-//! the serial path would build, so **numeric results are bit-identical to serial
+//! the encoded operator a worker solves with shares the blocks of the same
+//! `ReFloatMatrix` the serial path would build, so **numeric results are bit-identical to serial
 //! execution regardless of worker count, scheduling policy, or cache state**.  Only
 //! wall-clock telemetry varies between runs.  The QoS scheduler reorders *when* jobs
 //! run, never *what* they compute; equal-priority traffic additionally keeps the
 //! submission-id dequeue order of the old FIFO path (see [`sched`]).
 //!
 //! The contract extends across **shard counts**: a sharded solve is bitwise identical
-//! to the unsharded solve for every `c`, because shard cuts never split a block, each
-//! shard's vector converter re-encodes the full input identically, every output row is
+//! to the unsharded solve for every `c`, because shard cuts never split a block, the
+//! input vector is re-encoded once and shared by every shard, every output row is
 //! accumulated by exactly one shard in the unsharded block order, and the inter-shard
 //! "reduction" is a gather of disjoint bands — no floating-point operation is
 //! reordered.  (The level-1 kernels underneath — `vecops::dot`/`norm2` — use pairwise

@@ -11,9 +11,10 @@
 //! 2. **resolve encoding** — `resolve_encoding` owns the encode-cache lookup and the
 //!    incremental re-encode against a sequence predecessor.  The whole matrix, every
 //!    shard and every refinement rung go through it.
-//! 3. **program operator** — `program_operator` adopts the worker's held operator
-//!    when it is exactly the requested one and otherwise clones the cached
-//!    encodings: a whole matrix, a shard set, or the whole matrix on faulty hardware.
+//! 3. **program operator** — `program_operator` builds this job's operator over the
+//!    cached encodings, which it shares rather than copies: a whole matrix, a shard
+//!    set, or the whole matrix on faulty hardware.  What the chip holds between jobs
+//!    is recorded in one place, the [`SimulatedAccelerator`]'s resident key.
 //! 4. **solve strategy** — a plain batch with an optionally warm-started first
 //!    right-hand side, or the refinement ladder (whose rung fetch is stages 2 + 3).
 //! 5. **charge** — one [`SimulatedAccelerator::charge`] call describing what ran.
@@ -51,24 +52,12 @@ use crate::telemetry::{
 use crate::trace_job::JobTrace;
 
 /// Stage 1: everything one job's stages borrow — the node's shared state (caches,
-/// clock, fault policy, health ledger), this worker's own (accelerator,
-/// programmed-operator slot), and the job's trace.
+/// clock, fault policy, health ledger), this worker's accelerator, and the job's
+/// trace.
 pub(crate) struct JobContext<'a> {
     pub core: &'a NodeCore,
     pub accelerator: &'a mut SimulatedAccelerator,
-    /// The worker's programmed-operator slot (see [`Programmed`]).
-    pub programmed: &'a mut Option<Programmed>,
     pub trace: JobTrace<'a>,
-}
-
-/// What the worker holds "programmed" between jobs, mirroring the simulated chip
-/// state: reused across consecutive jobs on the same (matrix, format[, shard set]) so
-/// hot traffic skips even the O(nnz) clone of the cached encoding.  Only an
-/// exactly-matching follow-up job may adopt it — the encode is a pure function of the
-/// keys, so the content is guaranteed identical.
-pub(crate) struct Programmed {
-    resident: Residency,
-    op: ChipOperator,
 }
 
 /// The operator a job solves on.
@@ -76,8 +65,8 @@ enum ChipOperator {
     Whole(ReFloatMatrix),
     Sharded(ShardedReFloatMatrix),
     /// The whole matrix behind the worker chip's persistent fault state (spare
-    /// remapping, residual corruption, drift, optional ABFT).  Never held between
-    /// jobs: every faulty job samples the fault map afresh.
+    /// remapping, residual corruption, drift, optional ABFT): every faulty job
+    /// samples the fault map afresh.
     Faulty(Box<FaultyReFloatOperator>),
 }
 
@@ -513,52 +502,46 @@ impl JobContext<'_> {
         }
     }
 
-    /// Stage 3: the operator to solve on, against the worker's programmed slot.
+    /// Stage 3: the operator to solve on.
     ///
-    /// The worker needs a mutable operator (applying it mutates the converter
-    /// scratch), while the cache entries are shared and immutable.  The held operator
-    /// is adopted when it is exactly the target — stage 2's lookups still recorded
-    /// their hits — and otherwise dropped and replaced by clones of the cached
-    /// encodings (memcpy cost, not re-encode cost).  Either way the numerics are
-    /// bit-identical to the serial path: same `ReFloatMatrix`, same block order.
+    /// The worker needs a mutable operator (applying it mutates the conversion
+    /// scratch), while the cache entries are shared and immutable — so each band is a
+    /// `ReFloatMatrix::clone` of the cached entry: a reference to the same blocks plus
+    /// a fresh `O(ncols)` scratch.  The numerics are bit-identical to the serial
+    /// path: same blocks, same block order.
     ///
     /// With `fault = (policy, attempt)` the whole-matrix operator is wrapped in a
     /// [`FaultyReFloatOperator`] whose block *i* sits on crossbar
     /// `i + attempt·blocks`: a fresh draw of the chip's persistent fault map (defects
     /// are monotone per crossbar, so retrying in place could never clear them).
     fn program_operator(
-        &mut self,
+        &self,
         job: &SolveJob,
         target: &Target,
         fault: Option<(&FaultPolicy, u32)>,
-    ) -> Programmed {
-        let clean = match self.programmed.take() {
-            Some(held) if held.resident == target.resident => held.op,
-            _ => {
-                let mut shards: Vec<OperatorShard> = target
-                    .bands
-                    .iter()
-                    .map(|(rows, encoded)| OperatorShard {
-                        rows: rows.clone(),
-                        op: ReFloatMatrix::clone(encoded),
-                    })
-                    .collect();
-                // One band is the whole matrix on one chip.
-                match shards.pop() {
-                    Some(whole) if shards.is_empty() => ChipOperator::Whole(whole.op),
-                    last => {
-                        shards.extend(last);
-                        let csr = job.matrix.csr();
-                        ChipOperator::Sharded(ShardedReFloatMatrix::from_parts(
-                            csr.nrows(),
-                            csr.ncols(),
-                            shards,
-                        ))
-                    }
-                }
+    ) -> ChipOperator {
+        let mut shards: Vec<OperatorShard> = target
+            .bands
+            .iter()
+            .map(|(rows, encoded)| OperatorShard {
+                rows: rows.clone(),
+                op: ReFloatMatrix::clone(encoded),
+            })
+            .collect();
+        // One band is the whole matrix on one chip.
+        let clean = match shards.pop() {
+            Some(whole) if shards.is_empty() => ChipOperator::Whole(whole.op),
+            last => {
+                shards.extend(last);
+                let csr = job.matrix.csr();
+                ChipOperator::Sharded(ShardedReFloatMatrix::from_parts(
+                    csr.nrows(),
+                    csr.ncols(),
+                    shards,
+                ))
             }
         };
-        let op = match (fault, clean) {
+        match (fault, clean) {
             (Some((policy, attempt)), ChipOperator::Whole(matrix)) => {
                 let state = self.accelerator.fault_state();
                 // refloat-analysis: allow(panic-in-service-path) — the worker attached
@@ -575,10 +558,6 @@ impl JobContext<'_> {
                 )))
             }
             (_, clean) => clean,
-        };
-        Programmed {
-            resident: target.resident.clone(),
-            op,
         }
     }
 
@@ -632,11 +611,11 @@ impl JobContext<'_> {
         let mut attempt: u32 = 0;
         loop {
             let fault = policy.map(|policy| (policy, attempt));
-            let mut programmed = self.program_operator(job, &target, fault);
+            let mut op = self.program_operator(job, &target, fault);
             if policy.is_some_and(|policy| policy.abft) {
                 let mut probe = vec![0.0; csr.nrows()];
-                programmed.op.as_operator().apply(rhss[0], &mut probe);
-                let detections = programmed.op.detections();
+                op.as_operator().apply(rhss[0], &mut probe);
+                let detections = op.detections();
                 if detections > 0 {
                     solved.faults_detected += detections;
                     self.core.health.record_detections(worker, detections);
@@ -645,7 +624,7 @@ impl JobContext<'_> {
                     });
                     // The probe still cost one SpMV's worth of chip time.
                     let probe = Phase::Chip {
-                        on: &programmed.resident,
+                        on: &target.resident,
                         iterations: vec![1],
                         delta: None,
                     };
@@ -677,10 +656,10 @@ impl JobContext<'_> {
             // ahead.  The guard falls back to the plain zero-start solve (bit for
             // bit) when the guess does not help — and without a guess this *is* the
             // plain zero-start solve.
-            let counted = programmed.op.detections();
+            let counted = op.detections();
             let solve_anchor = self.trace.now_s();
             let solve_started_s = self.core.clock.now_s();
-            let operator = programmed.op.as_operator();
+            let operator = op.as_operator();
             let (mut exact, config) = (csr, &job.solver_config);
             let first = solve_warm_split(job.solver, operator, &mut exact, rhss[0], guess, config);
             solved.sequence.warm_start_used = first.path.used();
@@ -692,7 +671,7 @@ impl JobContext<'_> {
             // Mid-solve detections (corruption is input-dependent, so a clean probe
             // does not guarantee a clean iteration history) are recorded but not
             // retried — the solve already committed.
-            let late = programmed.op.detections() - counted;
+            let late = op.detections() - counted;
             solved.faults_detected += late;
             self.core.health.record_detections(worker, late);
             let iterations: Vec<u64> = solved.results.iter().map(|r| r.iterations as u64).collect();
@@ -705,7 +684,7 @@ impl JobContext<'_> {
                 }
             });
             if sharded {
-                let resident = &programmed.resident;
+                let resident = &target.resident;
                 let shards = resident.shard_blocks.iter().zip(&resident.shard_rows);
                 for (index, (blocks, rows)) in shards.enumerate() {
                     self.trace.instant(SpanKind::ShardExecute, || {
@@ -717,7 +696,7 @@ impl JobContext<'_> {
             // Stage 5.  The warm-start guard and an auto-format job's true-residual
             // check are exact SpMVs on the host's fp64 matrix, not chip work.
             let mut phases = vec![Phase::Chip {
-                on: &programmed.resident,
+                on: &target.resident,
                 iterations,
                 delta: target.delta,
             }];
@@ -726,14 +705,11 @@ impl JobContext<'_> {
             solved.simulated.absorb(&self.charge(job, &phases, false));
             drop(phases);
             if policy.is_some() {
-                // The chip holds a faulty operator now, which no clean follow-up job
-                // may adopt, and the accelerator's own programmed key must drop too:
-                // every faulty job writes a fresh (re-sampled) encoding into the
-                // crossbars, so the next one re-programs and ages the chip rather
-                // than riding a phantom clean residency.
+                // The chip holds a faulty operator now, so the accelerator's resident
+                // key must drop: every faulty job writes a fresh (re-sampled) encoding
+                // into the crossbars, and the next one re-programs and ages the chip
+                // rather than riding a phantom clean residency.
                 self.accelerator.force_remap();
-            } else {
-                *self.programmed = Some(programmed);
             }
             return solved;
         }
@@ -767,13 +743,13 @@ impl JobContext<'_> {
         let mut exact = csr;
         let refined = refine_warm(&mut exact, rhs, guess, &mut ladder, &config);
         let CachedLadder {
-            mut rungs,
+            rungs,
             mut solved,
             fetch_s,
             ..
         } = ladder;
-        // Rung fetches (encode / coalesced wait / clone) interleave with the solve;
-        // keep solver time clean of them.
+        // Rung fetches (encode / coalesced wait) interleave with the solve; keep
+        // solver time clean of them.
         solved.solve_s = (self.core.clock.now_s() - solve_started_s - fetch_s).max(0.0);
         self.trace.span(SpanKind::Execute, solve_anchor, || {
             format!(
@@ -795,8 +771,8 @@ impl JobContext<'_> {
         let passes = refined.passes.iter().map(|pass| {
             let iterations = pass.inner_iterations as u64;
             match rungs.get(pass.level).and_then(Option::as_ref) {
-                Some(rung) => Phase::Chip {
-                    on: &rung.resident,
+                Some((resident, _)) => Phase::Chip {
+                    on: resident,
                     iterations: vec![iterations],
                     delta: None,
                 },
@@ -807,11 +783,6 @@ impl JobContext<'_> {
         let phases: Vec<Phase<'_>> = passes.chain([residuals]).collect();
         solved.simulated = self.charge(job, &phases, true);
         drop(phases);
-        // Hand the base-rung operator (the one identical follow-up jobs will ask for
-        // first) back to the worker's slot.
-        if let Some(base) = rungs.first_mut().and_then(Option::take) {
-            *self.programmed = Some(base);
-        }
 
         solved.shards = 1;
         solved.refinement = Some(RefinementTelemetry {
@@ -839,9 +810,8 @@ fn level_name(formats: &[ReFloatConfig], level: usize) -> String {
 }
 
 /// The runtime's [`PrecisionLadder`]: quantized rungs fetched lazily through stages
-/// 2 and 3 (so escalation re-uses encodings across jobs and tenants, concurrent
-/// first touches coalesce, and a rung the worker already holds is adopted without a
-/// clone), with the exact CSR matrix as the optional final fp64 rung.
+/// 2 and 3 (so escalation re-uses encodings across jobs and tenants and concurrent
+/// first touches coalesce), with the exact CSR matrix as the optional final fp64 rung.
 struct CachedLadder<'l, 'c> {
     ctx: &'l mut JobContext<'c>,
     job: &'l SolveJob,
@@ -849,12 +819,13 @@ struct CachedLadder<'l, 'c> {
     fp64_fallback: bool,
     /// The sequence predecessor rung misses diff against (sequence steps only).
     predecessor: Option<&'l SequencePredecessor>,
-    /// Programmed operators per quantized rung, fetched on first use.
-    rungs: Vec<Option<Programmed>>,
+    /// What the chip holds and the operator solved on, per quantized rung, fetched
+    /// on first use.
+    rungs: Vec<Option<(Residency, ChipOperator)>>,
     /// The job's record; rung fetches fold their lookups into it.
     solved: Solved,
-    /// Seconds spent obtaining rung operators in total: encoding, waiting on a
-    /// concurrent encode, and cloning the cached entry.
+    /// Seconds spent obtaining rung operators in total: encoding or waiting on a
+    /// concurrent encode.
     fetch_s: f64,
 }
 
@@ -872,7 +843,7 @@ impl PrecisionLadder for CachedLadder<'_, '_> {
             let mut exact = self.job.matrix.csr();
             return self.job.solver.solve(&mut exact, rhs, config);
         };
-        let rung = match &mut self.rungs[level] {
+        let (_, op) = match &mut self.rungs[level] {
             Some(rung) => rung,
             unfetched => {
                 let fetch_started_s = self.ctx.core.clock.now_s();
@@ -881,11 +852,11 @@ impl PrecisionLadder for CachedLadder<'_, '_> {
                 let target = self
                     .ctx
                     .resolve_target(self.job, format, 1, self.predecessor, fold);
-                let rung = self.ctx.program_operator(self.job, &target, None);
+                let op = self.ctx.program_operator(self.job, &target, None);
                 self.fetch_s += (self.ctx.core.clock.now_s() - fetch_started_s).max(0.0);
-                unfetched.insert(rung)
+                unfetched.insert((target.resident, op))
             }
         };
-        self.job.solver.solve(rung.op.as_operator(), rhs, config)
+        self.job.solver.solve(op.as_operator(), rhs, config)
     }
 }

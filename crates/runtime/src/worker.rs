@@ -11,7 +11,7 @@ use crate::client::{DegradedJob, DegradedReason, QueuedTicket, TicketOutcome};
 use crate::health::CROSSBAR_GRID;
 use crate::job::QueuedJob;
 use crate::node::NodeCore;
-use crate::pipeline::{JobContext, Programmed};
+use crate::pipeline::JobContext;
 use crate::sched::Popped;
 use crate::telemetry::{metric_names, JobMetricHandles, JobOutcomeKind};
 use crate::trace_job::JobTrace;
@@ -36,8 +36,6 @@ pub(crate) fn worker_loop(worker_id: usize, core: &NodeCore) {
         }
     };
     let mut accelerator = build_accelerator();
-    // The operator this worker holds between jobs, mirroring the simulated chip state.
-    let mut programmed: Option<Programmed> = None;
     // Handles on the client's live metrics registry: per-job recording below is
     // atomic increments only, pollable mid-traffic via metrics_snapshot().
     let metric_handles = JobMetricHandles::register(&core.metrics);
@@ -78,7 +76,6 @@ pub(crate) fn worker_loop(worker_id: usize, core: &NodeCore) {
             let context = JobContext {
                 core,
                 accelerator: &mut accelerator,
-                programmed: &mut programmed,
                 trace: JobTrace::new(core.trace.as_deref(), queued.id, worker_id, trace_seq_base),
             };
             context.execute(queued)
@@ -115,10 +112,9 @@ pub(crate) fn worker_loop(worker_id: usize, core: &NodeCore) {
                 }
             }
             Err(payload) => {
-                // The accelerator and programmed-operator mirror may be mid-update;
-                // rebuild both so subsequent jobs see a consistent (cold) chip.
+                // The accelerator may be mid-update; rebuild it so subsequent jobs
+                // see a consistent (cold) chip.
                 accelerator = build_accelerator();
-                programmed = None;
                 core.metrics.counter(metric_names::JOBS_FAILED).inc();
                 ticket.complete(TicketOutcome::Failed(panic_message(payload.as_ref())));
             }

@@ -4,9 +4,10 @@ use refloat_sparse::{BlockedMatrix, CsrMatrix};
 
 /// A square (or rectangular) linear operator `y = A·x`.
 ///
-/// `apply` takes `&mut self` so that operators with internal state — iteration-dependent
-/// vector quantization (ReFloat's vector converter), analog noise generators, or
-/// instrumentation counters — do not need interior mutability.
+/// `apply` takes `&mut self` so that operators with per-operator state — the scratch
+/// of ReFloat's vector converter (the encoding itself is immutable and shared between
+/// clones), analog noise generators, or instrumentation counters — do not need
+/// interior mutability.
 pub trait LinearOperator {
     /// Number of rows of the operator (length of the output vector).
     fn nrows(&self) -> usize;
@@ -24,8 +25,8 @@ pub trait LinearOperator {
     ///
     /// The default loops [`apply`](Self::apply), so every operator gets the batched
     /// entry point for free and each column is bitwise identical to a standalone
-    /// apply; operators with expensive per-apply setup (chip programming, sharded
-    /// thread pools) override it to amortize that setup across the batch.
+    /// apply; an operator with expensive per-apply setup may override it to amortize
+    /// that setup across the batch.
     ///
     /// # Panics
     /// Panics if `xs` and `ys` have different lengths.

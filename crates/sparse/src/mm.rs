@@ -151,6 +151,8 @@ pub fn read_coo_from_reader<R: Read>(reader: BufReader<R>) -> Result<CooMatrix> 
         .map(|t| t.parse::<usize>().map_err(|_| bad_num(t)))
         .collect::<Result<_>>()?;
 
+    // Largest pre-allocation a declared size may ask for.
+    const CAPACITY_CAP: usize = 1 << 22;
     if coordinate {
         if dims.len() != 3 {
             return Err(SparseError::MatrixMarket(format!(
@@ -164,7 +166,6 @@ pub fn read_coo_from_reader<R: Read>(reader: BufReader<R>) -> Result<CooMatrix> 
         // cannot abort the process with a huge allocation — real entries beyond the
         // cap just grow the vectors amortized, and the entry-count check at the end
         // rejects the lie.
-        const CAPACITY_CAP: usize = 1 << 22;
         let mut coo =
             CooMatrix::with_capacity(nrows, ncols, nnz.saturating_mul(2).min(CAPACITY_CAP));
         let mut read_entries = 0usize;
@@ -231,7 +232,40 @@ pub fn read_coo_from_reader<R: Read>(reader: BufReader<R>) -> Result<CooMatrix> 
             )));
         }
         let (nrows, ncols) = (dims[0], dims[1]);
-        let mut values = Vec::with_capacity(nrows * ncols);
+        // The size line is untrusted here too: the value count is checked
+        // arithmetic (a typed error, not an overflow panic) and only a capped
+        // capacity hint — the count check below rejects a file that lied.
+        let expected = match symmetry {
+            Symmetry::General => nrows.checked_mul(ncols),
+            // Lower triangle including the diagonal.
+            Symmetry::Symmetric => {
+                if nrows != ncols {
+                    return Err(SparseError::MatrixMarket(
+                        "symmetric array matrix must be square".into(),
+                    ));
+                }
+                nrows
+                    .checked_add(1)
+                    .and_then(|n1| nrows.checked_mul(n1))
+                    .map(|twice| twice / 2)
+            }
+            // Strictly-lower triangle: the diagonal of a skew-symmetric matrix is
+            // structurally zero and is not stored.
+            Symmetry::SkewSymmetric => {
+                if nrows != ncols {
+                    return Err(SparseError::MatrixMarket(
+                        "skew-symmetric array matrix must be square".into(),
+                    ));
+                }
+                nrows
+                    .checked_mul(nrows.saturating_sub(1))
+                    .map(|twice| twice / 2)
+            }
+        }
+        .ok_or_else(|| {
+            SparseError::MatrixMarket(format!("array size {nrows}x{ncols} overflows"))
+        })?;
+        let mut values = Vec::with_capacity(expected.min(CAPACITY_CAP));
         for line in lines {
             let line = line?;
             let t = line.trim();
@@ -242,28 +276,6 @@ pub fn read_coo_from_reader<R: Read>(reader: BufReader<R>) -> Result<CooMatrix> 
                 values.push(tok.parse::<f64>().map_err(|_| bad_num(tok))?);
             }
         }
-        let expected = match symmetry {
-            Symmetry::General => nrows * ncols,
-            // Lower triangle including the diagonal.
-            Symmetry::Symmetric => {
-                if nrows != ncols {
-                    return Err(SparseError::MatrixMarket(
-                        "symmetric array matrix must be square".into(),
-                    ));
-                }
-                nrows * (nrows + 1) / 2
-            }
-            // Strictly-lower triangle: the diagonal of a skew-symmetric matrix is
-            // structurally zero and is not stored.
-            Symmetry::SkewSymmetric => {
-                if nrows != ncols {
-                    return Err(SparseError::MatrixMarket(
-                        "skew-symmetric array matrix must be square".into(),
-                    ));
-                }
-                nrows * nrows.saturating_sub(1) / 2
-            }
-        };
         if values.len() != expected {
             return Err(SparseError::MatrixMarket(format!(
                 "expected {expected} array values, found {}",
@@ -509,6 +521,24 @@ mod tests {
                     1 1 3.0\n";
         let err = read_coo_from_str(text).unwrap_err();
         assert!(err.to_string().contains("expected"), "{err}");
+    }
+
+    #[test]
+    fn absurd_array_size_lines_are_typed_errors_without_huge_preallocation() {
+        // nrows·ncols (and n·(n+1)/2) overflow usize: a typed error, not a panic.
+        for symmetry in ["general", "symmetric", "skew-symmetric"] {
+            let text = format!(
+                "%%MatrixMarket matrix array real {symmetry}\n\
+                 99999999999 99999999999\n1.0\n"
+            );
+            let err = read_coo_from_str(&text).unwrap_err();
+            assert!(err.to_string().contains("overflows"), "{symmetry}: {err}");
+        }
+        // Representable but absurd (9e9 values): the capacity hint is capped and the
+        // value-count check rejects the lie.
+        let text = "%%MatrixMarket matrix array real general\n3000000000 3\n1.0\n";
+        let err = read_coo_from_str(text).unwrap_err();
+        assert!(err.to_string().contains("expected 9000000000"), "{err}");
     }
 
     #[test]

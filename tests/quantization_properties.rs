@@ -2,9 +2,12 @@
 //! solvers that must hold for *any* well-scaled SPD input, not just the paper workloads.
 
 use proptest::prelude::*;
+use refloat::core::block::ReFloatBlock;
 use refloat::core::format::max_offset_for_bits;
 use refloat::core::scalar::{fraction_truncation_error_bound, pow2, requantize};
+use refloat::core::vector::VectorConverter;
 use refloat::prelude::*;
+use refloat::sparse::blocked::Block;
 use refloat::sparse::vecops;
 
 fn modes(selector: usize) -> (RoundingMode, UnderflowMode) {
@@ -19,6 +22,69 @@ fn modes(selector: usize) -> (RoundingMode, UnderflowMode) {
         UnderflowMode::FlushToZero
     };
     (rounding, underflow)
+}
+
+/// Asserts that the block encoder (against `base`) and the vector converter (against
+/// the base it picks for the one segment `vals` fills) produce exactly
+/// `requantize`'s value for every element, and that the block's stored
+/// `(sign, offset, fraction_code)` — what `reram-sim`'s bit-level engine multiplies
+/// by — reconstruct the decoded value.
+fn assert_encoders_match_requantize(vals: &[f64], config: ReFloatConfig, base: i32) {
+    assert_eq!(vals.len(), config.block_size());
+    let (rounding, underflow) = (config.rounding, config.underflow);
+    let block = Block {
+        block_row: 0,
+        block_col: 0,
+        rows: (0..vals.len() as u16).collect(),
+        cols: (0..vals.len() as u16).collect(),
+        vals: vals.to_vec(),
+    };
+    let enc = ReFloatBlock::encode_with_base(&block, &config, base);
+    let mut converter = VectorConverter::new(config);
+    let converted = converter.convert(vals);
+    let ebv = converter.last_bases()[0];
+    for (k, &v) in vals.iter().enumerate() {
+        let want = requantize(v, base, config.e, config.f, rounding, underflow);
+        let got = enc.decoded[k];
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "block: {v} -> {got}, not {want}"
+        );
+        let fraction = 1.0 + enc.fraction_codes[k] as f64 / (1u64 << config.f) as f64;
+        let magnitude = fraction * pow2(base + enc.offsets[k] as i32);
+        let stored = if enc.signs[k] { -magnitude } else { magnitude };
+        assert!(
+            got == 0.0 || got == stored,
+            "block: code of {v} decodes to {stored}, not {got}"
+        );
+        assert!(enc.offsets[k].unsigned_abs() as i32 <= config.max_offset());
+
+        let want = requantize(v, ebv, config.ev, config.fv, rounding, underflow);
+        let got = converted[k];
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "vector: {v} -> {got}, not {want}"
+        );
+    }
+}
+
+#[test]
+fn a_round_nearest_carry_at_a_saturated_offset_is_one_rule_in_every_encoder() {
+    // ReFloat(3,2,2)(2,2) has offsets in [-1, 1].  Against base 0, 15.9 saturates from
+    // above and 3.4 sits at the top of the window; both fractions round up to 2.0,
+    // the carry cannot go into the pinned offset, and both must clamp to 1.75·2 = 3.5
+    // (the hand-copied encoders used to halve the saturated one to 2.0).
+    let config = ReFloatConfig::new(3, 2, 2, 2, 2).with_rounding(RoundingMode::RoundNearest);
+    let vals = [15.9, 3.4, 1.0, -1.0, 0.5, -0.3, 0.0, 1.9];
+    assert_encoders_match_requantize(&vals, config, 0);
+    for v in [15.9, 3.4] {
+        assert_eq!(
+            requantize(v, 0, 2, 2, config.rounding, config.underflow),
+            3.5
+        );
+    }
 }
 
 /// Builds a random SPD matrix: a banded diagonally-dominant matrix with the given
@@ -120,6 +186,32 @@ proptest! {
             "monotonicity violated: {lo} -> {q_lo} but {hi} -> {q_hi} \
              (f = {f_bits}, {rounding:?}, {underflow:?})"
         );
+    }
+
+    #[test]
+    fn block_encoder_and_vector_converter_equal_requantize_bit_for_bit(
+        fracs in proptest::collection::vec(1.0f64..2.0, 8),
+        exps in proptest::collection::vec(-6i32..7, 8),
+        negative in proptest::collection::vec(proptest::bool::ANY, 8),
+        zero_at in 0usize..16,
+        e_bits in 0u32..3,
+        f_bits in 0u32..5,
+        base in -2i32..3,
+        mode_sel in 0usize..4,
+    ) {
+        // Narrow offset windows (e, ev ≤ 2 against exponents spanning 13 binades) make
+        // saturation, flushing and the carry at a pinned offset common.
+        let (rounding, underflow) = modes(mode_sel);
+        let config = ReFloatConfig::new(3, e_bits, f_bits, e_bits, f_bits)
+            .with_rounding(rounding)
+            .with_underflow(underflow);
+        let mut vals: Vec<f64> = (0..8)
+            .map(|k| if negative[k] { -fracs[k] } else { fracs[k] } * pow2(exps[k]))
+            .collect();
+        if let Some(v) = vals.get_mut(zero_at) {
+            *v = 0.0;
+        }
+        assert_encoders_match_requantize(&vals, config, base);
     }
 
     #[test]
