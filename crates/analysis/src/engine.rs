@@ -57,7 +57,10 @@ pub const SERVICE_PATHS: &[&str] = &[
     "crates/runtime/src/decision.rs",
     "crates/runtime/src/single_flight.rs",
     "crates/runtime/src/telemetry.rs",
-    "crates/runtime/src/queue.rs",
+    "crates/runtime/src/accel.rs",
+    "crates/runtime/src/plan.rs",
+    "crates/runtime/src/job.rs",
+    "crates/runtime/src/trace_job.rs",
     "crates/telemetry/src/trace.rs",
     "crates/telemetry/src/metrics.rs",
 ];

@@ -1,5 +1,5 @@
 //! Overhead of the runtime's serving layer itself: encoded-matrix cache lookups
-//! (hit path), bounded-queue transfer, matrix fingerprinting, and the full per-job
+//! (hit path), matrix fingerprinting, and the full per-job
 //! overhead of a batch whose solves are trivial (1-iteration cap on a hot cached
 //! matrix) — everything except the solver is runtime tax.
 
@@ -7,8 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use refloat_core::ReFloatConfig;
 use refloat_matgen::generators;
 use refloat_runtime::{
-    fingerprint_csr, BoundedQueue, EncodedMatrixCache, MatrixHandle, RuntimeConfig, SolvePlan,
-    SolveRuntime,
+    fingerprint_csr, EncodedMatrixCache, MatrixHandle, RuntimeConfig, SolvePlan, SolveRuntime,
 };
 use refloat_solvers::SolverConfig;
 
@@ -28,15 +27,6 @@ fn bench_runtime_overhead(c: &mut Criterion) {
     });
     group.bench_function("cache_hit_lookup", |b| {
         b.iter(|| cache.get_or_encode(key, &clock, || unreachable!("entry is cached")))
-    });
-
-    // Queue transfer (uncontended single-thread push + pop).
-    let queue: BoundedQueue<u64> = BoundedQueue::new(64);
-    group.bench_function("queue_push_pop", |b| {
-        b.iter(|| {
-            queue.push(1).unwrap();
-            queue.pop()
-        })
     });
 
     // Content fingerprinting, the per-handle one-time cost.

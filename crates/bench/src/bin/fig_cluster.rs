@@ -161,18 +161,13 @@ fn calibrate(catalog: &[CatalogItem], quick: bool) -> Vec<f64> {
         workers: 1,
         ..RuntimeConfig::default()
     });
-    let outcome = runtime.run_with(|submitter| {
-        for item in catalog {
-            let plan = SolvePlan::new("calibration", item.handle.clone(), item.format)
-                .solver(item.solver)
-                .solver_config(solver_config.clone())
-                .build()
-                .expect("valid calibration plan");
-            submitter
-                .submit(plan)
-                .expect("the batch client admits until the producer returns");
-        }
-    });
+    let outcome = runtime.run_batch(catalog.iter().map(|item| {
+        SolvePlan::new("calibration", item.handle.clone(), item.format)
+            .solver(item.solver)
+            .solver_config(solver_config.clone())
+            .build()
+            .expect("valid calibration plan")
+    }));
     assert_eq!(
         outcome.jobs.len(),
         catalog.len(),

@@ -17,7 +17,8 @@
 //! ```
 //!
 //! * `--nodes N` serves the trace through an N-node [`ClusterRuntime`] (affinity
-//!   router, per-node caches) instead of a single pool; `--max-in-system` /
+//!   router, per-node caches); without it the client comes from
+//!   [`SolveRuntime::start`], which is the same thing at N = 1.  `--max-in-system` /
 //!   `--quota` add admission bounds (they require `--nodes`).
 //! * `--arrivals` switches from the closed-loop replay to **open-loop** traffic:
 //!   arrival times come from a seeded Poisson/bursty process
@@ -54,8 +55,8 @@ use refloat_matgen::traffic::{generate, ArrivalProcess, TrafficSpec};
 use refloat_runtime::cluster::{AdmissionConfig, ClusterConfig, ClusterRuntime};
 use refloat_runtime::fingerprint::fnv1a_u64;
 use refloat_runtime::{
-    JobOutcome, MatrixHandle, RuntimeConfig, SolveClient, SolvePlan, SolveRuntime, SubmitError,
-    TicketOutcome,
+    JobOutcome, MatrixHandle, RuntimeConfig, RuntimeReport, SolveClient, SolvePlan, SolveRuntime,
+    SolveTicket, SubmitError, TicketOutcome,
 };
 use refloat_solvers::SolverConfig;
 use refloat_telemetry::{BenchReport, TraceSink};
@@ -272,34 +273,15 @@ fn build_plan(tenant: String, entry: &CatalogEntry, solver_config: &SolverConfig
 /// What a serving pass hands back to the shared reporting tail.
 struct ServeResult {
     jobs: Vec<JobOutcome>,
-    report: refloat_runtime::RuntimeReport,
+    report: RuntimeReport,
     shed: u64,
     /// Closed-loop runs compute the determinism digest; open-loop runs don't (the
     /// completed set depends on real-time shedding).
     digest: Option<u64>,
 }
 
-/// Closed-loop replay through an already-running client (single-node semantics
-/// come from `SolveRuntime::run_with`; this path serves the `--nodes` cluster).
-fn serve_closed_loop_cluster(
-    client: SolveClient,
-    picks: &[usize],
-    catalog: &[CatalogEntry],
-    solver_config: &SolverConfig,
-) -> ServeResult {
-    let tickets: Vec<_> = picks
-        .iter()
-        .enumerate()
-        .map(|(i, &which)| {
-            client
-                .submit(build_plan(
-                    format!("tenant-{}", i % 16),
-                    &catalog[which],
-                    solver_config,
-                ))
-                .expect("an unbounded cluster admits the whole closed-loop trace")
-        })
-        .collect();
+/// Waits for every ticket, in submission order, and shuts the client down.
+fn collect(client: SolveClient, tickets: Vec<SolveTicket>) -> (Vec<JobOutcome>, RuntimeReport) {
     let jobs: Vec<JobOutcome> = tickets
         .into_iter()
         .filter_map(|t| match t.wait() {
@@ -315,6 +297,32 @@ fn serve_closed_loop_cluster(
         })
         .collect();
     let report = client.shutdown();
+    (jobs, report)
+}
+
+/// Closed-loop replay: the whole trace is submitted from this thread, which blocks
+/// while the chosen node's queue is full (backpressure).  Its digest is the
+/// cross-PR determinism anchor.
+fn serve_closed_loop(
+    client: SolveClient,
+    picks: &[usize],
+    catalog: &[CatalogEntry],
+    solver_config: &SolverConfig,
+) -> ServeResult {
+    let tickets: Vec<SolveTicket> = picks
+        .iter()
+        .enumerate()
+        .map(|(i, &which)| {
+            client
+                .submit(build_plan(
+                    format!("tenant-{}", i % 16),
+                    &catalog[which],
+                    solver_config,
+                ))
+                .expect("a closed-loop run has no admission bounds to shed on")
+        })
+        .collect();
+    let (jobs, report) = collect(client, tickets);
     ServeResult {
         digest: Some(digest_of(&jobs)),
         jobs,
@@ -375,21 +383,7 @@ fn serve_open_loop(
             Err(SubmitError::Closed(_)) => panic!("client closed mid-trace"),
         }
     }
-    let jobs: Vec<JobOutcome> = tickets
-        .into_iter()
-        .filter_map(|t| match t.wait() {
-            TicketOutcome::Completed(outcome) => Some(*outcome),
-            TicketOutcome::Cancelled => None,
-            TicketOutcome::Failed(message) => panic!("trace job panicked: {message}"),
-            // No fault policy and no kills in this binary: a degraded job would
-            // mean the clean path regressed, and it must never leave the digest.
-            TicketOutcome::Degraded(job) => panic!(
-                "trace job {} degraded ({:?}) on a fault-free run",
-                job.job_id, job.reason
-            ),
-        })
-        .collect();
-    let report = client.shutdown();
+    let (jobs, report) = collect(client, tickets);
     ServeResult {
         jobs,
         report,
@@ -468,45 +462,21 @@ fn run(args: &[String], options: &Options) {
         trace: trace_sink.clone(),
         ..RuntimeConfig::default()
     };
-    let outcome = match (nodes, &options.open_loop) {
-        (None, None) => {
-            // The original closed-loop single-pool replay, untouched: this path's
-            // digest is the cross-PR determinism anchor.
-            let runtime = SolveRuntime::new(node_config);
-            let result = runtime.run_with(|submitter| {
-                for (i, &which) in picks.iter().enumerate() {
-                    submitter
-                        .submit(build_plan(
-                            format!("tenant-{}", i % 16),
-                            &catalog[which],
-                            &solver_config,
-                        ))
-                        .expect("the batch client admits until the producer returns");
-                }
-            });
-            ServeResult {
-                digest: Some(digest_of(&result.jobs)),
-                jobs: result.jobs,
-                report: result.report,
-                shed: 0,
-            }
-        }
-        (maybe_nodes, open_loop) => {
-            let client = match maybe_nodes {
-                Some(n) => ClusterRuntime::start(ClusterConfig {
-                    nodes: n,
-                    node: node_config,
-                    chips_per_node: Vec::new(),
-                    admission: options.admission,
-                    router: Default::default(),
-                }),
-                None => SolveRuntime::start(node_config),
-            };
-            match open_loop {
-                Some(open) => serve_open_loop(client, open, options, &catalog, &solver_config),
-                None => serve_closed_loop_cluster(client, &picks, &catalog, &solver_config),
-            }
-        }
+    // Two spellings of one front door: the CI smoke checks that `--nodes 1` and no
+    // `--nodes` print the same digest and the same trace-event count.
+    let client = match nodes {
+        Some(n) => ClusterRuntime::start(ClusterConfig {
+            nodes: n,
+            node: node_config,
+            chips_per_node: Vec::new(),
+            admission: options.admission,
+            router: Default::default(),
+        }),
+        None => SolveRuntime::start(node_config),
+    };
+    let outcome = match &options.open_loop {
+        Some(open) => serve_open_loop(client, open, options, &catalog, &solver_config),
+        None => serve_closed_loop(client, &picks, &catalog, &solver_config),
     };
 
     // Per-matrix traffic summary (closed-loop replays only; open-loop prints its

@@ -109,6 +109,10 @@ impl Residency {
     /// The key the residency check compares: a shard set is a pure function of its
     /// first shard's key.
     pub fn first_key(&self) -> CacheKey {
+        // refloat-analysis: allow(panic-in-service-path) — a residency names at
+        // least one chip: the pipeline's `resolve_target` builds one key per band of
+        // a shard plan, and a plan has >= 1 band.  An empty one is a pipeline bug,
+        // which the worker contains as `TicketOutcome::Failed`, never a wrong charge.
         self.keys[0]
     }
 
@@ -301,6 +305,10 @@ impl SimulatedAccelerator {
                     iterations,
                     delta,
                 } => {
+                    // An empty batch is a typed `PlanViolation::EmptyRhsBatch` at
+                    // build time, so this guards a pipeline bug only — and as a panic
+                    // the worker contains it as `TicketOutcome::Failed`, where a
+                    // silent programming-only charge would be a wrong number.
                     assert!(!iterations.is_empty(), "a chip pass needs at least one RHS");
                     let hw = self.chip(&on.first_key().format);
                     let program_s = self.program(on, *delta, &hw, &mut run);

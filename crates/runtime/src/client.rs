@@ -2,13 +2,13 @@
 //! [`submit`](SolveClient::submit) returns a [`SolveTicket`], plus graceful
 //! [`drain`](SolveClient::drain)/[`shutdown`](SolveClient::shutdown).
 //!
-//! A client fronts either a single [`crate::node::Node`] (the worker pool,
-//! QoS scheduler, and caches of [`crate::node`]) or a whole
-//! [`ClusterRuntime`](crate::cluster::ClusterRuntime) of them — the ticket surface
-//! (`wait`/`try_get`/`wait_timeout`/`cancel`) and the lifecycle
-//! (`drain`/`shutdown`) are identical either way.  Submission applies
-//! backpressure when a single node's pending set is at capacity; a cluster
-//! instead *sheds* over-capacity traffic with the typed
+//! Every client fronts a fleet of [`crate::node::Node`]s — one for
+//! [`SolveRuntime::start`](crate::SolveRuntime::start), N for
+//! [`ClusterRuntime::start`](crate::cluster::ClusterRuntime::start) — and every
+//! submission takes the same path through it: id, admission, router, the chosen
+//! node's scheduler (see [`SolveClient::submit`]).  Without admission bounds (the
+//! default) a submission blocks while that node's pending set is at capacity
+//! (backpressure); with them, over-capacity traffic is *shed* with the typed
 //! [`SubmitError::Overloaded`]/[`SubmitError::QuotaExceeded`] (see
 //! [`crate::cluster::admission`]).
 //!
@@ -16,26 +16,29 @@
 //! from its node's scheduler and its ticket resolves to
 //! [`TicketOutcome::Cancelled`] without ever touching a chip (no simulated
 //! cycles, no cache traffic); a job already in flight runs to completion and
-//! `cancel` reports `false`.  On a cluster the cancel refund crosses the router
-//! boundary exactly like the in-node path: the scheduler hands the queued payload
-//! back and dropping it releases the tenant's admission permit.
+//! `cancel` reports `false`.  The ticket remembers its node, so the refund is one
+//! path: the scheduler hands the queued payload back and dropping it releases the
+//! tenant's admission permit.
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use refloat_telemetry::{sync, MetricsRegistry, MetricsSnapshot, TraceSink};
+use refloat_telemetry::{
+    sync, Clock, Counter, MetricsRegistry, MetricsSnapshot, SpanKind, TraceEvent, TraceSink,
+    WallClock,
+};
 
 use crate::cache::{CacheStats, EncodedMatrixCache};
-use crate::cluster::admission::AdmissionPermit;
-use crate::cluster::ClusterBackend;
+use crate::cluster::admission::{AdmissionPermit, AdmissionReject, TenantLedger};
+use crate::cluster::router::{RouteKind, Router};
+use crate::cluster::{AdmissionConfig, ClusterConfig, DEFAULT_NODE_CHIPS};
 use crate::decision::{DecisionStats, FormatDecisionCache};
-use crate::health::HealthTracker;
+use crate::health::{HealthTracker, NodeHealthSignal};
 use crate::job::JobOutcome;
 use crate::node::{Node, NodeCore};
 use crate::plan::SolvePlan;
-use crate::telemetry::{metric_names, AggregateContext, RuntimeReport};
-use crate::RuntimeConfig;
+use crate::telemetry::{metric_names, AggregateContext, JobTelemetry, RuntimeReport};
 
 /// Why a submission was not admitted.  Every variant hands the plan back intact —
 /// nothing is ever silently dropped.
@@ -43,7 +46,7 @@ use crate::RuntimeConfig;
 pub enum SubmitError {
     /// The client is draining or shut down.
     Closed(Box<SolvePlan>),
-    /// Cluster admission control shed the job: the cluster-wide in-system bound
+    /// Admission control shed the job: the fleet-wide in-system bound
     /// was already full.  Shedding is deliberate — a typed rejection the caller
     /// can retry against, instead of an unbounded queue collapsing every
     /// tenant's latency at once.
@@ -55,7 +58,7 @@ pub enum SubmitError {
         /// The configured cluster-wide bound.
         capacity: usize,
     },
-    /// Cluster admission control shed the job: this tenant's fair-share quota of
+    /// Admission control shed the job: this tenant's fair-share quota of
     /// in-system jobs was already full (other tenants are unaffected).
     QuotaExceeded {
         /// The rejected plan, handed back intact.
@@ -227,12 +230,12 @@ pub(crate) struct QueuedTicket {
     /// Submission time in the runtime clock's seconds (see `telemetry::clock`).
     pub submitted_at_s: f64,
     pub ticket: Arc<TicketShared>,
-    /// The tenant's admission permit when the job was routed by a cluster
-    /// (`None` on the single-node path).  Dropping the payload — on completion,
+    /// The tenant's admission permit.  Dropping the payload — on completion,
     /// cancellation, or a panicked worker — refunds the quota exactly once.
-    pub permit: Option<AdmissionPermit>,
-    /// First trace `seq` the worker may use for this job (a cluster reserves the
-    /// leading slots for its admit/route events; 0 on the single-node path).
+    pub permit: AdmissionPermit,
+    /// First trace `seq` the next worker may use for this job: past the submit
+    /// side's admit/route events, and past one reroute event per killed chip
+    /// that handed the job on.
     pub trace_seq_base: u32,
 }
 
@@ -243,8 +246,7 @@ pub(crate) struct QueuedTicket {
 pub struct SolveTicket {
     id: u64,
     shared: Arc<TicketShared>,
-    /// The node the job was placed on — cancel goes straight to its scheduler,
-    /// so the refund path is identical for single-node and routed submissions.
+    /// The node the job was placed on — cancel goes straight to its scheduler.
     node: Arc<NodeCore>,
 }
 
@@ -308,8 +310,8 @@ impl SolveTicket {
     /// Returns `true` when the job was still pending: it is removed from its
     /// node's scheduler, the ticket resolves to [`TicketOutcome::Cancelled`], and
     /// the job is refunded entirely — no simulated cycles, no cache traffic, no
-    /// telemetry row, and (on a cluster) the tenant's admission quota slot is
-    /// released.  Returns `false` when a worker already picked the job up (it
+    /// telemetry row, and the tenant's admission quota slot is released.
+    /// Returns `false` when a worker already picked the job up (it
     /// will run to completion) or it already resolved.
     pub fn cancel(&self) -> bool {
         match self.node.sched.cancel(self.id) {
@@ -319,8 +321,7 @@ impl SolveTicket {
                     .counter(metric_names::JOBS_CANCELLED)
                     .inc();
                 queued.ticket.complete(TicketOutcome::Cancelled);
-                // Dropping the payload here releases the admission permit of a
-                // routed job — the cross-router refund mirrors the in-node one.
+                // Dropping the payload releases the tenant's admission permit.
                 drop(queued);
                 true
             }
@@ -335,125 +336,272 @@ impl std::fmt::Debug for SolveTicket {
     }
 }
 
-/// What a client fronts: one node, or a routed cluster of them.
-enum Backend {
-    Single {
-        node: Node,
-        cache_baseline: CacheStats,
-        decision_baseline: DecisionStats,
-    },
-    Cluster(ClusterBackend),
-}
+/// Leading trace slots of every job, taken by the submit-side [`SpanKind::Admit`]
+/// and [`SpanKind::Route`] instants; the worker's own events start after them.
+const SUBMIT_SPANS: u32 = 2;
 
-/// A long-lived handle on a running solve service: one worker pool (plus shared
-/// caches and the QoS scheduler in front of it), or a whole routed cluster —
-/// same submit/wait/cancel/drain/shutdown surface either way.
+/// A long-lived handle on a running solve service: a fleet of one or more
+/// [`Node`]s (each a worker pool with its QoS scheduler and caches) behind one
+/// admission ledger and one router.
 ///
 /// Created by [`SolveRuntime::start`](crate::SolveRuntime::start) (one node),
 /// [`SolveRuntime::client`](crate::SolveRuntime::client) (one node, sharing the
 /// runtime's caches) or [`ClusterRuntime::start`](crate::cluster::ClusterRuntime::start)
-/// (N nodes behind the router).  Dropping the client shuts it down gracefully:
-/// admission closes, accepted jobs finish, workers join.
+/// (N nodes) — one node is the N = 1 fleet, not a second kind of client.  Dropping
+/// the client shuts it down gracefully: admission closes, accepted jobs finish,
+/// workers join.
 pub struct SolveClient {
-    backend: Backend,
-    /// Start time in the runtime clock's seconds (for report wall-time deltas).
+    nodes: Vec<Node>,
+    chips_per_node: Vec<usize>,
+    router: Router,
+    admission: AdmissionConfig,
+    ledger: Arc<TenantLedger>,
+    /// The fleet's one id allocator: ids are unique and equal to submission order
+    /// across every node.
+    next_id: AtomicU64,
+    /// The fleet's one metrics registry (per-node dimensions are separate names).
+    metrics: Arc<MetricsRegistry>,
+    trace: Option<Arc<TraceSink>>,
+    clock: Arc<dyn Clock>,
+    /// One fleet-wide health ledger (workers feed it, the router reads per-node
+    /// signals out of it, `kill_chip` writes to it).
+    health: Arc<HealthTracker>,
+    // Pre-fetched so the submit path is atomic increments only.
+    jobs_routed: Arc<Counter>,
+    affinity_hits: Arc<Counter>,
+    spills: Arc<Counter>,
+    shed_overload: Arc<Counter>,
+    shed_quota: Arc<Counter>,
+    route_health_steers: Arc<Counter>,
+    /// Start time in the fleet clock's seconds (for report wall-time deltas).
     started_s: f64,
 }
 
 impl SolveClient {
-    pub(crate) fn spawn(
-        config: &RuntimeConfig,
-        cache: Arc<EncodedMatrixCache>,
-        decisions: Arc<FormatDecisionCache>,
+    /// Spawns every node's worker pool.  `shared_caches` go to node 0 (a
+    /// [`SolveRuntime`](crate::SolveRuntime) keeps its one node's caches alive
+    /// across clients); every other node creates its own — affinity routing keeps
+    /// repeat traffic on the node whose caches are already warm.
+    pub(crate) fn start(
+        config: ClusterConfig,
+        mut shared_caches: Option<(Arc<EncodedMatrixCache>, Arc<FormatDecisionCache>)>,
     ) -> Self {
-        let cache_baseline = cache.stats();
-        let decision_baseline = decisions.stats();
+        assert!(config.nodes >= 1, "a cluster needs at least one node");
+        let chips_per_node = if config.chips_per_node.is_empty() {
+            vec![DEFAULT_NODE_CHIPS; config.nodes]
+        } else {
+            assert_eq!(
+                config.chips_per_node.len(),
+                config.nodes,
+                "chips_per_node must have one entry per node"
+            );
+            config.chips_per_node
+        };
+        let mut node_config = config.node;
+        // The router decides placement; a node's queue must never block the
+        // router's push (that would re-create the collapse shedding exists to
+        // avoid), so when an in-system bound exists the per-node queue is sized to
+        // hold every admitted job in the worst all-on-one-node case.  Without one,
+        // a full queue blocks the submitter: backpressure.
+        if let Some(max) = config.admission.max_in_system {
+            node_config.queue_capacity = node_config.queue_capacity.max(max);
+        }
         let metrics = Arc::new(MetricsRegistry::new());
         metrics
             .gauge(metric_names::WORKERS)
-            .set(config.workers as f64);
-        metrics.gauge(metric_names::NODES).set(1.0);
+            .set((config.nodes * node_config.workers) as f64);
+        metrics.gauge(metric_names::NODES).set(config.nodes as f64);
+        let ledger = Arc::new(TenantLedger::new(Some(
+            metrics.gauge(metric_names::TENANTS_ACTIVE),
+        )));
+        // Sourced from the trace sink when tracing is configured, so a
+        // `ManualClock` sink pins *all* host-time fields, not just trace timestamps.
+        let clock: Arc<dyn Clock> = match &node_config.trace {
+            Some(sink) => sink.clock(),
+            None => Arc::new(WallClock::new()),
+        };
         let health = Arc::new(HealthTracker::new());
-        let node = Node::spawn(0, 0, config, cache, decisions, metrics, health);
-        let started_s = node.core().clock.now_s();
+        let nodes: Vec<Node> = (0..config.nodes)
+            .map(|node_id| {
+                let (cache, decisions) = shared_caches.take().unwrap_or_else(|| {
+                    (
+                        Arc::new(EncodedMatrixCache::new(node_config.cache_capacity)),
+                        Arc::new(FormatDecisionCache::new(node_config.cache_capacity)),
+                    )
+                });
+                Node::spawn(
+                    node_id,
+                    &node_config,
+                    cache,
+                    decisions,
+                    Arc::clone(&metrics),
+                    Arc::clone(&health),
+                    Arc::clone(&clock),
+                )
+            })
+            .collect();
         SolveClient {
-            backend: Backend::Single {
-                node,
-                cache_baseline,
-                decision_baseline,
-            },
-            started_s,
+            nodes,
+            chips_per_node,
+            router: Router::new(config.router),
+            admission: config.admission,
+            ledger,
+            next_id: AtomicU64::new(0),
+            jobs_routed: metrics.counter(metric_names::JOBS_ROUTED),
+            affinity_hits: metrics.counter(metric_names::ROUTE_AFFINITY_HITS),
+            spills: metrics.counter(metric_names::ROUTE_SPILLS),
+            shed_overload: metrics.counter(metric_names::JOBS_SHED_OVERLOAD),
+            shed_quota: metrics.counter(metric_names::JOBS_SHED_QUOTA),
+            route_health_steers: metrics.counter(metric_names::ROUTE_HEALTH_STEERS),
+            metrics,
+            trace: node_config.trace,
+            started_s: clock.now_s(),
+            clock,
+            health,
         }
     }
 
-    pub(crate) fn from_cluster(cluster: ClusterBackend) -> Self {
-        let started_s = cluster.clock.now_s();
-        SolveClient {
-            backend: Backend::Cluster(cluster),
-            started_s,
-        }
-    }
-
-    /// Submits a plan without blocking on its execution.  On a single node,
-    /// submission blocks only while the pending set is at capacity
-    /// (backpressure); a cluster never queues past its admission bound and
-    /// instead sheds with [`SubmitError::Overloaded`] /
-    /// [`SubmitError::QuotaExceeded`].  Returns the job's ticket, or
-    /// [`SubmitError::Closed`] with the plan handed back when the client is
-    /// draining or shut down.
+    /// Admits, routes, and enqueues one plan without blocking on its execution —
+    /// the one path every submission takes, whatever the fleet size:
+    ///
+    /// ```text
+    /// id ──► admission (tenant ledger, typed shed) ──► router (fit / health /
+    /// affinity / load) ──► node scheduler (QoS) ──► worker ──► ticket resolves
+    /// ```
+    ///
+    /// Past a configured admission bound the submission is *shed* with
+    /// [`SubmitError::Overloaded`] / [`SubmitError::QuotaExceeded`]; without one
+    /// (the default) it blocks only while the chosen node's pending set is at
+    /// capacity (backpressure).  Returns the job's ticket, or
+    /// [`SubmitError::Closed`] when the client is draining or shut down.  Every
+    /// error hands the plan back.
     pub fn submit(&self, plan: SolvePlan) -> Result<SolveTicket, SubmitError> {
-        match &self.backend {
-            Backend::Single { node, .. } => {
-                let core = node.core();
-                let id = core.next_id.fetch_add(1, Ordering::Relaxed);
-                let priority = plan.priority;
-                let submitted_at_s = core.clock.now_s();
-                let deadline = plan.deadline.map(|d| submitted_at_s + d.as_secs_f64());
-                let shared = Arc::new(TicketShared::new());
-                let queued = QueuedTicket {
-                    plan,
-                    submitted_at_s,
-                    ticket: Arc::clone(&shared),
-                    permit: None,
-                    trace_seq_base: 0,
+        // The id is allocated before admission so shed submissions still get a real
+        // job id in traces, and `submitted()` counts every attempt.
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let tenant = Arc::clone(&plan.job.tenant);
+        let permit = match self.ledger.try_admit(&tenant, &self.admission) {
+            Ok(permit) => permit,
+            Err(reject) => {
+                let plan = Box::new(plan);
+                let (reason, counter, error) = match reject {
+                    AdmissionReject::Overloaded {
+                        in_system,
+                        capacity,
+                    } => (
+                        "overloaded",
+                        &self.shed_overload,
+                        SubmitError::Overloaded {
+                            plan,
+                            in_system,
+                            capacity,
+                        },
+                    ),
+                    AdmissionReject::QuotaExceeded { in_system, quota } => (
+                        "quota",
+                        &self.shed_quota,
+                        SubmitError::QuotaExceeded {
+                            plan,
+                            in_system,
+                            quota,
+                        },
+                    ),
                 };
-                match core.sched.push(id, priority, deadline, queued) {
-                    Ok(()) => Ok(SolveTicket::new(id, shared, Arc::clone(core))),
-                    Err(queued) => Err(SubmitError::Closed(Box::new(queued.plan))),
+                counter.inc();
+                if let Some(sink) = &self.trace {
+                    let now = sink.now_s();
+                    sink.record(TraceEvent {
+                        job_id: id,
+                        seq: 0,
+                        worker: None,
+                        kind: SpanKind::Shed,
+                        start_s: now,
+                        end_s: now,
+                        detail: format!("reason={reason} tenant={tenant}"),
+                    });
                 }
+                return Err(error);
             }
-            Backend::Cluster(cluster) => cluster.submit(plan),
+        };
+        let loads: Vec<usize> = self.nodes.iter().map(Node::load).collect();
+        // Health signals are read strictly *before* the router takes its
+        // `placement` lock ("health" precedes "placement" in the declared lock
+        // order).
+        let signals: Vec<NodeHealthSignal> = self
+            .nodes
+            .iter()
+            .map(|node| {
+                let core = node.core();
+                self.health.node_signal(core.worker_id_base, core.workers)
+            })
+            .collect();
+        let (placement, steered) = self.router.place_with_health(
+            plan.job.matrix.fingerprint(),
+            plan.shards(),
+            &loads,
+            &self.chips_per_node,
+            &signals,
+        );
+        self.jobs_routed.inc();
+        if steered {
+            self.route_health_steers.inc();
+        }
+        match placement.kind {
+            RouteKind::Affinity => self.affinity_hits.inc(),
+            RouteKind::Spill => self.spills.inc(),
+            RouteKind::LeastLoaded | RouteKind::Overflow => {}
+        }
+        let core = self.nodes[placement.node].core();
+        let submitted_at_s = self.clock.now_s();
+        if let Some(sink) = &self.trace {
+            let instant = |seq, kind, detail| TraceEvent {
+                job_id: id,
+                seq,
+                worker: None,
+                kind,
+                start_s: submitted_at_s,
+                end_s: submitted_at_s,
+                detail,
+            };
+            sink.record_batch(vec![
+                instant(0, SpanKind::Admit, format!("tenant={tenant}")),
+                instant(
+                    1,
+                    SpanKind::Route,
+                    format!("node={} key={}", placement.node, placement.kind.label()),
+                ),
+            ]);
+        }
+        let priority = plan.priority;
+        let deadline = plan.deadline.map(|d| submitted_at_s + d.as_secs_f64());
+        let shared = Arc::new(TicketShared::new());
+        let queued = QueuedTicket {
+            plan,
+            submitted_at_s,
+            ticket: Arc::clone(&shared),
+            permit,
+            trace_seq_base: SUBMIT_SPANS,
+        };
+        match core.sched.push(id, priority, deadline, queued) {
+            Ok(()) => Ok(SolveTicket::new(id, shared, Arc::clone(core))),
+            Err(queued) => Err(SubmitError::Closed(Box::new(queued.plan))),
         }
     }
 
     /// Jobs submitted so far (admitted or not — shed and closed submissions
     /// consume an id too).
     pub fn submitted(&self) -> u64 {
-        match &self.backend {
-            Backend::Single { node, .. } => node.core().next_id.load(Ordering::Relaxed),
-            Backend::Cluster(cluster) => cluster.submitted(),
-        }
+        self.next_id.load(Ordering::Relaxed)
     }
 
     /// Jobs cancelled before a worker started them.
     pub fn cancelled(&self) -> u64 {
-        self.registry().counter(metric_names::JOBS_CANCELLED).get()
+        self.metrics.counter(metric_names::JOBS_CANCELLED).get()
     }
 
-    /// The live metrics registry (one per client; a cluster's nodes share it).
-    fn registry(&self) -> &MetricsRegistry {
-        match &self.backend {
-            Backend::Single { node, .. } => &node.core().metrics,
-            Backend::Cluster(cluster) => &cluster.metrics,
-        }
-    }
-
-    /// Nodes serving this client (1 unless it fronts a cluster).
+    /// Nodes serving this client.
     pub fn nodes(&self) -> usize {
-        match &self.backend {
-            Backend::Single { .. } => 1,
-            Backend::Cluster(cluster) => cluster.nodes.len(),
-        }
+        self.nodes.len()
     }
 
     /// A point-in-time view of the live metrics registry.
@@ -461,10 +609,9 @@ impl SolveClient {
     /// Unlike [`report`](Self::report) this does not lock the telemetry log —
     /// workers stream completions into the registry with atomic operations, so the
     /// snapshot is cheap and safe to poll **mid-traffic** on an undrained client.
-    /// The vocabulary (see [`metric_names`]) is registered at
-    /// startup, so every counter is present (zero-valued) from the first call; a
-    /// cluster client additionally carries the routing/shedding counters and
-    /// per-node completion counters.
+    /// The vocabulary (see [`metric_names`]) is registered at startup, so every
+    /// counter — the routing/shedding counters and the per-node completion counters
+    /// included — is present (zero-valued) from the first call.
     ///
     /// ```
     /// use refloat_runtime::{metric_names, RuntimeConfig, SolvePlan, SolveRuntime};
@@ -482,52 +629,35 @@ impl SolveClient {
     /// // The client is still live (no drain/shutdown) and already serves counters.
     /// let snapshot = client.metrics_snapshot();
     /// assert_eq!(snapshot.counter(metric_names::JOBS_COMPLETED), Some(1));
+    /// assert_eq!(snapshot.counter(metric_names::JOBS_ROUTED), Some(1));
     /// assert_eq!(snapshot.counter(metric_names::JOBS_CANCELLED), Some(0));
     /// assert!(snapshot.histogram(metric_names::LATENCY_S).unwrap().count >= 1);
     /// client.shutdown();
     /// ```
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        // The queue-depth high-water mark lives in the scheduler(s); refresh the
-        // gauge so polls see the current peak (a cluster reports its worst node).
-        match &self.backend {
-            Backend::Single { node, .. } => {
-                let core = node.core();
-                core.metrics
-                    .gauge(metric_names::QUEUE_DEPTH_PEAK)
-                    .set(core.sched.stats().peak_depth as f64);
-                core.metrics.snapshot()
-            }
-            Backend::Cluster(cluster) => {
-                let peak = cluster
-                    .nodes
-                    .iter()
-                    .map(|n| n.core().sched.stats().peak_depth)
-                    .max()
-                    .unwrap_or(0);
-                cluster
-                    .metrics
-                    .gauge(metric_names::QUEUE_DEPTH_PEAK)
-                    .set(peak as f64);
-                cluster.metrics.snapshot()
-            }
-        }
+        // The queue-depth high-water mark lives in the schedulers; refresh the
+        // gauge so polls see the current peak (the fleet reports its worst node).
+        let peak = self
+            .nodes
+            .iter()
+            .map(|n| n.core().sched.stats().peak_depth)
+            .max()
+            .unwrap_or(0);
+        self.metrics
+            .gauge(metric_names::QUEUE_DEPTH_PEAK)
+            .set(peak as f64);
+        self.metrics.snapshot()
     }
 
     /// The trace sink this client records spans into, when tracing is enabled.
     pub fn trace(&self) -> Option<&Arc<TraceSink>> {
-        match &self.backend {
-            Backend::Single { node, .. } => node.core().trace.as_ref(),
-            Backend::Cluster(cluster) => cluster.trace.as_ref(),
-        }
+        self.trace.as_ref()
     }
 
-    /// The fleet health ledger (shared across every node on a cluster).  Always
-    /// present; without a fault policy it simply stays pristine.
+    /// The fleet health ledger (shared by every node).  Always present; without a
+    /// fault policy it simply stays pristine.
     pub fn health(&self) -> &Arc<HealthTracker> {
-        match &self.backend {
-            Backend::Single { node, .. } => &node.core().health,
-            Backend::Cluster(cluster) => &cluster.health,
-        }
+        &self.health
     }
 
     /// Administratively kills one worker's chip (pool-global worker id).
@@ -537,9 +667,9 @@ impl SolveClient {
     /// workers, or resolves with the typed [`TicketOutcome::Degraded`] when the
     /// whole node is dead (see [`crate::health`]).
     pub fn kill_chip(&self, worker: usize) -> bool {
-        let newly = self.health().kill_chip(worker);
+        let newly = self.health.kill_chip(worker);
         if newly {
-            self.registry().counter(metric_names::CHIPS_KILLED).inc();
+            self.metrics.counter(metric_names::CHIPS_KILLED).inc();
         }
         newly
     }
@@ -553,65 +683,51 @@ impl SolveClient {
     /// lifecycle step is [`shutdown`](Self::shutdown) (or `Drop`), which joins the
     /// worker threads.
     pub fn drain(&self) {
-        match &self.backend {
-            Backend::Single { node, .. } => {
-                node.close();
-                node.wait_idle();
-            }
-            Backend::Cluster(cluster) => {
-                // Close every node first so the whole fleet stops admitting at
-                // once, then wait for each backlog to empty.
-                for node in &cluster.nodes {
-                    node.close();
-                }
-                for node in &cluster.nodes {
-                    node.wait_idle();
-                }
-            }
+        // Close every node first so the whole fleet stops admitting at once, then
+        // wait for each backlog to empty.
+        for node in &self.nodes {
+            node.close();
+        }
+        for node in &self.nodes {
+            node.wait_idle();
         }
     }
 
-    /// Drains and joins the worker pool(s), returning the final report.
+    /// Drains and joins the worker pools, returning the final report.
     pub fn shutdown(mut self) -> RuntimeReport {
         self.drain();
-        match &mut self.backend {
-            Backend::Single { node, .. } => node.join_workers(),
-            Backend::Cluster(cluster) => {
-                for node in &mut cluster.nodes {
-                    node.join_workers();
-                }
-            }
+        for node in &mut self.nodes {
+            node.join_workers();
         }
         self.report()
     }
 
-    /// A report over everything completed so far (cache/decision counters are
-    /// deltas since this client started; a cluster sums them over its nodes).  The
-    /// pool shape, the queue-depth peak and every count that leaves no telemetry row
-    /// (cancelled, shed, degraded, ...) come from the same live registry
-    /// [`metrics_snapshot`](Self::metrics_snapshot) serves.
+    /// A report over everything completed so far: every node's completions merged
+    /// by job id, with cache/decision counters summed over the fleet as deltas since
+    /// each node spawned.  The pool shape, the queue-depth peak and every count that
+    /// leaves no telemetry row (cancelled, shed, degraded, ...) come from the same
+    /// live registry [`metrics_snapshot`](Self::metrics_snapshot) serves.
     pub fn report(&self) -> RuntimeReport {
         let service = self.metrics_snapshot();
-        match &self.backend {
-            Backend::Single {
-                node,
-                cache_baseline,
-                decision_baseline,
-            } => {
-                let core = node.core();
-                let completed = sync::lock(&core.completed);
-                RuntimeReport::aggregate(
-                    &completed,
-                    AggregateContext {
-                        wall_s: (core.clock.now_s() - self.started_s).max(0.0),
-                        cache: core.cache.stats().delta_since(cache_baseline),
-                        decisions: core.decisions.stats().delta_since(decision_baseline),
-                        service,
-                    },
-                )
-            }
-            Backend::Cluster(cluster) => cluster.report(self.started_s, service),
+        let mut completed: Vec<JobTelemetry> = Vec::new();
+        let mut cache = CacheStats::default();
+        let mut decisions = DecisionStats::default();
+        for node in &self.nodes {
+            let core = node.core();
+            completed.extend(sync::lock(&core.completed).iter().cloned());
+            cache.merge(&core.cache.stats().delta_since(&core.cache_baseline));
+            decisions.merge(&core.decisions.stats().delta_since(&core.decision_baseline));
         }
+        completed.sort_by_key(|t| t.job_id);
+        RuntimeReport::aggregate(
+            &completed,
+            AggregateContext {
+                wall_s: (self.clock.now_s() - self.started_s).max(0.0),
+                cache,
+                decisions,
+                service,
+            },
+        )
     }
 }
 

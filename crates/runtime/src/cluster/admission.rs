@@ -36,7 +36,8 @@ pub struct AdmissionConfig {
 }
 
 /// Why a submission was not admitted (converted to the public
-/// [`SubmitError`](crate::SubmitError) by the cluster backend, which owns the plan).
+/// [`SubmitError`](crate::SubmitError) by
+/// [`SolveClient::submit`](crate::SolveClient::submit), which owns the plan).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionReject {
     /// The cluster-wide bound was full: `in_system` of `capacity` slots taken.

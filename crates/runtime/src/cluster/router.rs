@@ -15,7 +15,9 @@
 //!    the least-loaded eligible node by more than
 //!    [`spill_margin`](RouterPolicy::spill_margin) — then the job **spills** to the
 //!    least-loaded node and the stickiness moves with it (future repeats follow the
-//!    spill, warming the new node once instead of ping-ponging).
+//!    spill, warming the new node once instead of ping-ponging).  The map is
+//!    bounded: past a fixed number of fingerprints the least recently placed ones
+//!    are forgotten (their next placement is a first touch again).
 //! 3. **Least load** — everything else goes to the eligible node with the lowest
 //!    queued-plus-running count *per chip*: a node with three times the chips
 //!    drains its backlog three times as fast, so heterogeneous `chips_per_node`
@@ -91,13 +93,43 @@ pub struct Placement {
     pub kind: RouteKind,
 }
 
+/// Most fingerprints the stickiness map remembers.  Two orders of magnitude more
+/// than a node's encoded-matrix cache holds by default, and an affinity for an
+/// encoding its node has long evicted is worth nothing — so the bound costs no warm
+/// placement, while a long-lived client (every step of a solve sequence is a fresh
+/// fingerprint) no longer grows the map forever.
+const MAX_TRACKED_FINGERPRINTS: usize = 4096;
+
+/// The fingerprint→node stickiness map, bounded by least-recently-placed eviction.
+#[derive(Debug, Default)]
+struct Stickiness {
+    /// fingerprint → (its sticky node, the tick of its last placement).
+    nodes: BTreeMap<u64, (usize, u64)>,
+    tick: u64,
+}
+
+impl Stickiness {
+    /// Records that `fingerprint` was just placed on `node`.  Past the bound, the
+    /// least recently placed half is forgotten in one pass, so a placement costs
+    /// one map write and the sweep amortises to O(1) per new fingerprint.
+    fn placed(&mut self, fingerprint: u64, node: usize) {
+        self.tick += 1;
+        self.nodes.insert(fingerprint, (node, self.tick));
+        if self.nodes.len() > MAX_TRACKED_FINGERPRINTS {
+            let mut ticks: Vec<u64> = self.nodes.values().map(|&(_, tick)| tick).collect();
+            let (_, &mut oldest_kept, _) = ticks.select_nth_unstable(MAX_TRACKED_FINGERPRINTS / 2);
+            self.nodes.retain(|_, &mut (_, tick)| tick >= oldest_kept);
+        }
+    }
+}
+
 /// The placement engine.  Holds only the fingerprint→node stickiness map; load and
 /// chip capacities are passed per call so the router never reaches into the nodes.
 #[derive(Debug)]
 pub struct Router {
     policy: RouterPolicy,
     /// Lock-order leaf "placement": nothing else is ever locked while holding it.
-    placement: Mutex<BTreeMap<u64, usize>>,
+    placement: Mutex<Stickiness>,
 }
 
 impl Router {
@@ -105,7 +137,7 @@ impl Router {
     pub fn new(policy: RouterPolicy) -> Self {
         Router {
             policy,
-            placement: Mutex::new(BTreeMap::new()),
+            placement: Mutex::new(Stickiness::default()),
         }
     }
 
@@ -209,41 +241,28 @@ impl Router {
                 kind: RouteKind::LeastLoaded,
             };
         }
-        let mut placement = sync::lock(&self.placement);
-        match placement.get(&fingerprint).copied() {
-            Some(sticky) if eligible.contains(&sticky) => {
-                if loads[sticky] <= loads[least].saturating_add(self.policy.spill_margin) {
-                    Placement {
-                        node: sticky,
-                        kind: RouteKind::Affinity,
-                    }
+        let mut sticky = sync::lock(&self.placement);
+        let (node, kind) = match sticky.nodes.get(&fingerprint) {
+            Some(&(node, _)) if eligible.contains(&node) => {
+                if loads[node] <= loads[least].saturating_add(self.policy.spill_margin) {
+                    (node, RouteKind::Affinity)
                 } else {
-                    // Spill: move the stickiness with the job so future repeats
+                    // Spill: the stickiness moves with the job so future repeats
                     // warm the new node once instead of ping-ponging.
-                    if commit {
-                        placement.insert(fingerprint, least);
-                    }
-                    Placement {
-                        node: least,
-                        kind: RouteKind::Spill,
-                    }
+                    (least, RouteKind::Spill)
                 }
             }
-            _ => {
-                if commit {
-                    placement.insert(fingerprint, least);
-                }
-                Placement {
-                    node: least,
-                    kind: RouteKind::LeastLoaded,
-                }
-            }
+            _ => (least, RouteKind::LeastLoaded),
+        };
+        if commit {
+            sticky.placed(fingerprint, node);
         }
+        Placement { node, kind }
     }
 
     /// Distinct fingerprints with a sticky node (observability/testing).
     pub fn tracked_fingerprints(&self) -> usize {
-        sync::lock(&self.placement).len()
+        sync::lock(&self.placement).nodes.len()
     }
 }
 
@@ -385,6 +404,29 @@ mod tests {
         // dead node resolves it as Degraded instead of losing it).
         let (placed, _) = r.place_with_health(4, 1, &[1, 0], &chips, &[dead, dead]);
         assert_eq!(placed.node, 1);
+    }
+
+    #[test]
+    fn the_stickiness_map_is_bounded_and_keeps_what_is_hot() {
+        let r = router();
+        let (loads, chips) = ([0, 0], [8, 8]);
+        let hot = u64::MAX;
+        assert_eq!(r.place(hot, 1, &loads, &chips).kind, RouteKind::LeastLoaded);
+        // Ten times the bound of one-shot fingerprints (what a long solve sequence
+        // submits), the hot one coming back now and then.
+        for cold in 0..10 * MAX_TRACKED_FINGERPRINTS as u64 {
+            r.place(cold, 1, &loads, &chips);
+            if cold % 1000 == 0 {
+                assert_eq!(r.place(hot, 1, &loads, &chips).kind, RouteKind::Affinity);
+            }
+        }
+        assert!(r.tracked_fingerprints() <= MAX_TRACKED_FINGERPRINTS);
+        assert!(r.tracked_fingerprints() > MAX_TRACKED_FINGERPRINTS / 2);
+        assert_eq!(r.place(hot, 1, &loads, &chips).kind, RouteKind::Affinity);
+        // The oldest one-shots were forgotten; the newest are still sticky.
+        assert_eq!(r.place(0, 1, &loads, &chips).kind, RouteKind::LeastLoaded);
+        let newest = 10 * MAX_TRACKED_FINGERPRINTS as u64 - 1;
+        assert_eq!(r.place(newest, 1, &loads, &chips).kind, RouteKind::Affinity);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!
 //! The [`HealthTracker`] is the fleet-wide ledger those workers feed: ABFT
 //! detections, re-encode retries, per-chip degradation scores, and administrative
-//! chip kills.  A single-node client owns one; a cluster shares one across all
+//! chip kills.  A client owns one and shares it across all its
 //! nodes so the router can fold [`NodeHealthSignal`]s into placement
 //! ([`Router::place_with_health`](crate::cluster::Router::place_with_health)) and
 //! steer shards away from degraded or dead nodes.

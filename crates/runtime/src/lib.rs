@@ -17,16 +17,15 @@
 //!   [`SolvePlanBuilder::build`] into either an immutable plan or a typed
 //!   [`PlanError`] listing **every** conflicting selection (no panicking builder
 //!   paths);
-//! * [`SolveClient`] / [`SolveTicket`] (`client`) — the service handle:
-//!   [`SolveClient::submit`] is non-blocking (modulo capacity backpressure) and
-//!   returns a ticket with `wait`/`try_get`/`wait_timeout`/`cancel`; `drain` and
-//!   `shutdown` finish gracefully;
+//! * [`SolveClient`] / [`SolveTicket`] (`client`) — the service handle, always in
+//!   front of a fleet of ≥ 1 [`Node`]s: [`SolveClient::submit`] is the one path every
+//!   job enters by (id → admission → router → the chosen node's scheduler),
+//!   non-blocking modulo capacity backpressure, and returns a ticket with
+//!   `wait`/`try_get`/`wait_timeout`/`cancel`; `drain` and `shutdown` finish
+//!   gracefully;
 //! * [`sched`] — the QoS scheduler: priority classes, earliest-deadline-first within
 //!   a class, age-based anti-starvation promotion, deterministic tie-breaking by
 //!   submission id (see the module docs for the determinism contract);
-//! * [`BoundedQueue`] (`queue`) — the original blocking bounded MPMC queue, kept as
-//!   a standalone primitive (the service path now schedules by priority instead of
-//!   consuming FIFO);
 //! * [`EncodedMatrixCache`] (`cache`) — an LRU cache of encoded
 //!   [`ReFloatMatrix`](refloat_core::ReFloatMatrix) operators keyed by
 //!   (matrix fingerprint, shard, format), with in-flight deduplication so concurrent
@@ -66,19 +65,20 @@
 //!   touched crossbar fraction), solution (residual-guarded warm start) and format
 //!   decision, while jobs submitted outside a sequence stay bit-identical to the
 //!   pre-sequence runtime;
-//! * [`SolveRuntime`] (here) — the factory owning the caches; [`SolveRuntime::start`]
-//!   (or [`SolveRuntime::client`]) spawns the worker pool and returns the client,
-//!   while [`run_batch`](SolveRuntime::run_batch)/[`run_with`](SolveRuntime::run_with)
-//!   survive as thin deterministic wrappers over it;
-//! * [`Node`] (`node`) — the reusable serving unit everything above runs on: one
-//!   worker pool plus its QoS scheduler, caches, and telemetry log.  A single-node
-//!   client wraps exactly one; a cluster wraps several;
-//! * [`ClusterRuntime`] / [`ClusterConfig`] (`cluster`) — N nodes behind an
-//!   affinity-aware router with typed admission control: repeat fingerprints land
-//!   on the node already holding their encodings, sharded jobs go where they fit,
-//!   and under overload the cluster *sheds* with
-//!   [`SubmitError::Overloaded`]/[`SubmitError::QuotaExceeded`] instead of
-//!   queueing toward collapse — same client/ticket surface, same numerics.
+//! * [`SolveRuntime`] (here) — the one-node factory: [`SolveRuntime::start`] is
+//!   `ClusterRuntime::start(ClusterConfig::uniform(1, cfg))`; a [`SolveRuntime`]
+//!   value additionally owns caches that outlive its clients
+//!   ([`SolveRuntime::client`]), and [`run_batch`](SolveRuntime::run_batch) survives
+//!   as a thin deterministic wrapper over one such client;
+//! * [`Node`] (`node`) — the serving unit everything above runs on: one worker pool
+//!   plus its QoS scheduler, caches, and telemetry log.  Every client wraps ≥ 1;
+//! * [`ClusterRuntime`] / [`ClusterConfig`] (`cluster`) — the fleet's shape and the
+//!   two policies in front of it, an affinity-aware router and typed admission
+//!   control: repeat fingerprints land on the node already holding their encodings,
+//!   sharded jobs go where they fit, and past a configured bound the client *sheds*
+//!   with [`SubmitError::Overloaded`]/[`SubmitError::QuotaExceeded`] instead of
+//!   queueing toward collapse — one client/ticket surface, one submit path, same
+//!   numerics at every fleet size.
 //!
 //! # Service mode
 //!
@@ -153,7 +153,7 @@
 //! summation whose split points depend only on vector length, so residual tests and
 //! stopping decisions are also independent of sharding and stable at large `n`.)
 //!
-//! # Batch wrappers
+//! # Batch wrapper
 //!
 //! ```
 //! use refloat_core::ReFloatConfig;
@@ -191,7 +191,6 @@ pub mod job;
 pub mod node;
 mod pipeline;
 pub mod plan;
-pub mod queue;
 pub mod sched;
 pub mod sequence;
 pub mod single_flight;
@@ -213,7 +212,6 @@ pub use health::{ChipHealthRecord, FaultPolicy, HealthTracker, NodeHealthSignal}
 pub use job::{AutoFormatSpec, JobOutcome, MatrixHandle, RefinementSpec};
 pub use node::Node;
 pub use plan::{PlanError, PlanViolation, SolvePlan, SolvePlanBuilder};
-pub use queue::BoundedQueue;
 pub use sched::{JobScheduler, Popped, Priority, SchedulerPolicy, SchedulerStats, SchedulingMode};
 pub use sequence::SolveSequence;
 pub use single_flight::SingleFlightLru;
@@ -228,7 +226,6 @@ pub use refloat_telemetry::{
     TraceSink, WallClock,
 };
 
-use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Sizing and scheduling knobs for a [`SolveRuntime`] / [`SolveClient`].
@@ -286,32 +283,6 @@ pub struct RuntimeOutcome {
     pub report: RuntimeReport,
 }
 
-/// Handed to the producer closure of [`SolveRuntime::run_with`]; submits plans into
-/// the service (blocking while the pending set is at capacity) and keeps their
-/// tickets so the wrapper can collect results in submission order.
-pub struct JobSubmitter<'a> {
-    client: &'a SolveClient,
-    tickets: RefCell<Vec<SolveTicket>>,
-}
-
-impl JobSubmitter<'_> {
-    /// Enqueues a plan, blocking while the pending set is at capacity.  Returns the
-    /// job id (its position in submission order), or the typed
-    /// [`SubmitError::Closed`] — with the plan handed back — if the service stopped
-    /// admitting (it never silently drops a job).
-    pub fn submit(&self, plan: SolvePlan) -> Result<u64, SubmitError> {
-        let ticket = self.client.submit(plan)?;
-        let id = ticket.id();
-        self.tickets.borrow_mut().push(ticket);
-        Ok(id)
-    }
-
-    /// Jobs submitted so far.
-    pub fn submitted(&self) -> u64 {
-        self.client.submitted()
-    }
-}
-
 /// The multi-tenant solve service factory.
 ///
 /// Owns the encoded-matrix and format-decision caches, which persist across every
@@ -343,23 +314,24 @@ impl SolveRuntime {
         }
     }
 
-    /// Starts a self-contained service: spawns the worker pool and returns the
-    /// long-lived [`SolveClient`] handle (the one-call entry point for service
-    /// mode).  The caches live as long as the client.
+    /// Starts a self-contained one-node service and returns its long-lived
+    /// [`SolveClient`] handle (the one-call entry point for service mode): exactly
+    /// `ClusterRuntime::start(ClusterConfig::uniform(1, config))`.  The caches live
+    /// as long as the client.
     pub fn start(config: RuntimeConfig) -> SolveClient {
-        SolveRuntime::new(config).client()
+        ClusterRuntime::start(ClusterConfig::uniform(1, config))
     }
 
-    /// Spawns a worker pool sharing this runtime's caches and returns its client.
+    /// Spawns a one-node fleet whose node uses this runtime's caches and returns
+    /// its client.
     ///
     /// Several sequential clients of one runtime share encoded matrices and format
     /// decisions; each client's report covers its own jobs (cache counters are
-    /// deltas since the client started).
+    /// deltas since the client's node spawned).
     pub fn client(&self) -> SolveClient {
-        SolveClient::spawn(
-            &self.config,
-            Arc::clone(&self.cache),
-            Arc::clone(&self.decisions),
+        SolveClient::start(
+            ClusterConfig::uniform(1, self.config.clone()),
+            Some((Arc::clone(&self.cache), Arc::clone(&self.decisions))),
         )
     }
 
@@ -378,39 +350,25 @@ impl SolveRuntime {
         &self.decisions
     }
 
-    /// Convenience: submit a pre-built batch and wait for all results.
+    /// Convenience: submit a batch and wait for all results.
     ///
-    /// A thin deterministic wrapper over [`client`](Self::client): outcomes come
-    /// back in submission order whatever the scheduler did.
-    pub fn run_batch(&self, plans: Vec<SolvePlan>) -> RuntimeOutcome {
-        self.run_with(|submitter| {
-            for plan in plans {
-                submitter
-                    .submit(plan)
-                    .expect("the batch client admits until the producer returns");
-            }
-        })
-    }
-
-    /// Runs a streaming batch: spawns a worker pool, calls `produce` with a
-    /// [`JobSubmitter`] (on the calling thread, so submission observes queue
-    /// backpressure), and returns once every submitted job has completed — a thin
-    /// deterministic wrapper over the service client.
-    pub fn run_with<F>(&self, produce: F) -> RuntimeOutcome
-    where
-        F: FnOnce(&JobSubmitter<'_>),
-    {
+    /// A thin deterministic wrapper over [`client`](Self::client): plans are drawn
+    /// from the iterator and submitted on the calling thread (so a lazy iterator
+    /// observes queue backpressure), and outcomes come back in submission order
+    /// whatever the scheduler did.
+    pub fn run_batch(&self, plans: impl IntoIterator<Item = SolvePlan>) -> RuntimeOutcome {
         let client = self.client();
-        let submitter = JobSubmitter {
-            client: &client,
-            tickets: RefCell::new(Vec::new()),
-        };
-        produce(&submitter);
-        let tickets = submitter.tickets.into_inner();
-        // Tickets are waited in submission order; nothing can cancel them (the
-        // submitter never exposes them), so every one completes or failed.  A
-        // failed (panicked) job re-panics here, preserving the propagate-to-caller
-        // semantics of the old scoped-thread batch pool.
+        let tickets: Vec<SolveTicket> = plans
+            .into_iter()
+            .map(|plan| {
+                client
+                    .submit(plan)
+                    .expect("the batch client admits until the batch is in")
+            })
+            .collect();
+        // Nothing can cancel these tickets (they never leave this function), so
+        // every one completes or failed.  A failed (panicked) job re-panics here:
+        // a batch caller gets the panic, a service client gets the typed ticket.
         let jobs: Vec<JobOutcome> = tickets
             .into_iter()
             .filter_map(|t| match t.wait() {
@@ -421,7 +379,7 @@ impl SolveRuntime {
                 }
                 TicketOutcome::Degraded(degraded) => {
                     panic!(
-                        "runtime job {} degraded ({:?}); batch wrappers expect clean \
+                        "runtime job {} degraded ({:?}); the batch wrapper expects clean \
                          completions — use the service client to receive typed \
                          Degraded outcomes",
                         degraded.job_id, degraded.reason
@@ -483,10 +441,16 @@ mod tests {
         let first = runtime.run_batch(vec![plan("a", &handle, format)]);
         assert_eq!(first.report.cache.misses, 1);
 
+        // The second client's node took its baseline from the shared cache's history
+        // (one miss) when it spawned, so its report is its own traffic only.
         let second = runtime.run_batch(vec![plan("b", &handle, format)]);
         assert_eq!(second.report.cache.misses, 0);
         assert_eq!(second.report.cache.hits, 1);
         assert_eq!(second.jobs[0].telemetry.encode_s, 0.0);
+        let history = runtime.cache().stats();
+        assert_eq!((history.misses, history.hits), (1, 1));
+        let idle = runtime.client().shutdown();
+        assert_eq!((idle.cache.misses, idle.cache.hits), (0, 0));
     }
 
     #[test]
@@ -499,14 +463,7 @@ mod tests {
             cache_capacity: 4,
             ..Default::default()
         });
-        let outcome = runtime.run_with(|submitter| {
-            for i in 0..24 {
-                submitter
-                    .submit(plan(&format!("t{i}"), &handle, format))
-                    .expect("open during produce");
-            }
-            assert_eq!(submitter.submitted(), 24);
-        });
+        let outcome = runtime.run_batch((0..24).map(|i| plan(&format!("t{i}"), &handle, format)));
         assert_eq!(outcome.jobs.len(), 24);
         assert!(outcome.report.throughput_jobs_per_s > 0.0);
         assert!(outcome.report.queue_depth_peak >= 1);

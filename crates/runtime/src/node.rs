@@ -1,27 +1,25 @@
-//! The reusable serving unit a cluster is built from.
+//! The serving unit every fleet is built from.
 //!
-//! Everything that used to *be* "the runtime" — the QoS scheduler, the worker pool
-//! of simulated accelerators, the LRU encoded-matrix cache, the format-decision
-//! cache, and the per-pool telemetry log — lives in one [`Node`].  A single-node
-//! [`SolveClient`](crate::SolveClient) wraps exactly one of them (bitwise-identical
-//! to the pre-cluster runtime), and a
-//! [`ClusterRuntime`](crate::cluster::ClusterRuntime) fans submissions out over
-//! several through the affinity-aware router of [`crate::cluster`].
+//! The QoS scheduler, the worker pool of simulated accelerators, the LRU
+//! encoded-matrix cache, the format-decision cache, and the per-pool telemetry log
+//! live in one [`Node`].  Every [`SolveClient`](crate::SolveClient) fronts a fleet of
+//! one or more of them behind the router of [`crate::cluster`]:
+//! [`SolveRuntime::start`](crate::SolveRuntime::start) is the one-node fleet,
+//! [`ClusterRuntime::start`](crate::cluster::ClusterRuntime::start) the N-node one.
 //!
-//! A node's caches are deliberately **not** shared across the cluster: cache
+//! A node's caches are deliberately **not** shared across the fleet: cache
 //! affinity only pays off because each node keeps its own working set hot, and the
 //! router's fingerprint stickiness is what keeps repeat traffic landing on the node
 //! that already holds its encodings.
 
-use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use refloat_telemetry::{Clock, Counter, MetricsRegistry, TraceSink, WallClock};
+use refloat_telemetry::{Clock, Counter, MetricsRegistry, TraceSink};
 
-use crate::cache::EncodedMatrixCache;
+use crate::cache::{CacheStats, EncodedMatrixCache};
 use crate::client::QueuedTicket;
-use crate::decision::FormatDecisionCache;
+use crate::decision::{DecisionStats, FormatDecisionCache};
 use crate::health::{FaultPolicy, HealthTracker};
 use crate::sched::JobScheduler;
 use crate::telemetry::{metric_names, JobMetricHandles, JobTelemetry};
@@ -31,7 +29,7 @@ use crate::RuntimeConfig;
 /// State shared between a node's handle, its worker threads, and every ticket it
 /// issued (tickets keep the core alive so `cancel` works after the handle moves).
 pub(crate) struct NodeCore {
-    /// This node's index in its cluster (0 for a single-node runtime).
+    /// This node's index in its fleet.
     pub node_id: usize,
     /// Global id of this node's first worker: worker `w` of node `n` executes as
     /// fleet-wide worker `worker_id_base + w`, so per-worker report attribution
@@ -40,13 +38,18 @@ pub(crate) struct NodeCore {
     pub sched: JobScheduler<QueuedTicket>,
     pub cache: Arc<EncodedMatrixCache>,
     pub decisions: Arc<FormatDecisionCache>,
+    /// The caches' counters when this node spawned: all zero for caches created
+    /// with the node, the history so far for the caches a
+    /// [`SolveRuntime`](crate::SolveRuntime) hands to one client after another.
+    /// A report counts this node's cache traffic as the delta since them.
+    pub cache_baseline: CacheStats,
+    pub decision_baseline: DecisionStats,
     pub chip_crossbars: Option<u64>,
     pub workers: usize,
-    pub next_id: AtomicU64,
     /// Telemetry of every completed job, in completion order (the report source).
     pub completed: Mutex<Vec<JobTelemetry>>,
     /// The live metrics registry: workers stream job completions into it, so it is
-    /// pollable mid-traffic without draining.  A cluster's nodes all share one
+    /// pollable mid-traffic without draining.  A fleet's nodes all share one
     /// registry (per-node dimensions are separate counter names).
     pub metrics: Arc<MetricsRegistry>,
     /// This node's completion counter (`node<i>_jobs_completed`), pre-fetched so
@@ -56,36 +59,35 @@ pub(crate) struct NodeCore {
     pub trace: Option<Arc<TraceSink>>,
     /// The fault-injection policy, when the runtime was configured with one.
     pub fault: Option<FaultPolicy>,
-    /// The fleet health ledger (shared across every node of a cluster).
+    /// The fleet health ledger (shared across every node).
     pub health: Arc<HealthTracker>,
-    /// The clock every wall-time telemetry field is read from.  Sourced from the
-    /// trace sink when tracing is configured (so a `ManualClock` sink pins *all*
-    /// host-time fields, not just trace timestamps), else a fresh [`WallClock`].
+    /// The fleet's one clock: every wall-time telemetry field, submit side and
+    /// worker side, is read from it.
     pub clock: Arc<dyn Clock>,
 }
 
 /// One serving unit: a worker pool over its own scheduler, caches, and telemetry.
 ///
-/// Constructed by [`SolveClient`](crate::SolveClient) (one node) or
-/// [`ClusterRuntime`](crate::cluster::ClusterRuntime) (several).  Dropping a node
-/// closes its scheduler and joins its workers.
+/// Constructed by its [`SolveClient`](crate::SolveClient), which wraps one or
+/// more.  Dropping a node closes its scheduler and joins its workers.
 pub struct Node {
     core: Arc<NodeCore>,
     handles: Vec<JoinHandle<()>>,
 }
 
 impl Node {
-    /// Spawns the node's worker pool.  `metrics` is shared (a cluster passes one
-    /// registry to every node); the caller is responsible for the pool-level
-    /// gauges (`workers`, `nodes`) since only it knows the fleet shape.
+    /// Spawns the node's worker pool.  `metrics`, `health` and `clock` are the
+    /// fleet's (one of each, passed to every node); the caller is responsible for
+    /// the pool-level gauges (`workers`, `nodes`) since only it knows the fleet
+    /// shape.
     pub(crate) fn spawn(
         node_id: usize,
-        worker_id_base: usize,
         config: &RuntimeConfig,
         cache: Arc<EncodedMatrixCache>,
         decisions: Arc<FormatDecisionCache>,
         metrics: Arc<MetricsRegistry>,
         health: Arc<HealthTracker>,
+        clock: Arc<dyn Clock>,
     ) -> Self {
         assert!(config.workers >= 1, "a node needs at least one worker");
         assert!(
@@ -96,19 +98,16 @@ impl Node {
         // before the first job completes already carries every (zero) metric.
         let _ = JobMetricHandles::register(&metrics);
         let node_jobs = metrics.counter(&metric_names::node_jobs_completed(node_id));
-        let clock: Arc<dyn Clock> = match &config.trace {
-            Some(sink) => sink.clock(),
-            None => Arc::new(WallClock::new()),
-        };
         let core = Arc::new(NodeCore {
             node_id,
-            worker_id_base,
+            worker_id_base: node_id * config.workers,
             sched: JobScheduler::new(config.queue_capacity, config.scheduler),
+            cache_baseline: cache.stats(),
+            decision_baseline: decisions.stats(),
             cache,
             decisions,
             chip_crossbars: config.chip_crossbars,
             workers: config.workers,
-            next_id: AtomicU64::new(0),
             completed: Mutex::new(Vec::new()),
             metrics,
             node_jobs,
@@ -119,7 +118,7 @@ impl Node {
         });
         let handles = (0..config.workers)
             .map(|local| {
-                let worker_id = worker_id_base + local;
+                let worker_id = core.worker_id_base + local;
                 let core = Arc::clone(&core);
                 std::thread::Builder::new()
                     .name(format!("refloat-worker-{worker_id}"))
@@ -138,13 +137,13 @@ impl Node {
         &self.core
     }
 
-    /// This node's index in its cluster (0 for a single-node runtime).
+    /// This node's index in its fleet.
     pub fn id(&self) -> usize {
         self.core.node_id
     }
 
     /// Jobs currently queued on or running inside this node — the load signal the
-    /// cluster router balances on.
+    /// router balances on.
     pub fn load(&self) -> usize {
         self.core.sched.load()
     }

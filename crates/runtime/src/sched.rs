@@ -1,10 +1,9 @@
 //! The QoS-aware job scheduler: priority classes, soft deadlines, age-based
 //! anti-starvation promotion, and deterministic tie-breaking.
 //!
-//! This replaces the FIFO consumption path of [`BoundedQueue`](crate::BoundedQueue)
-//! for the service: submission still blocks when the pending set is at capacity
-//! (backpressure is unchanged), but workers no longer dequeue in arrival order —
-//! they dequeue the *most urgent* admissible job.
+//! One scheduler sits in front of each node's worker pool, behind the client's
+//! router: a push blocks while the pending set is at capacity (backpressure), and
+//! workers dequeue not in arrival order but the *most urgent* admissible job.
 //!
 //! # Scheduling order
 //!
@@ -50,9 +49,9 @@
 //!   wall-clock telemetry only (see the crate-level *Determinism* section).
 //! * **Equal-priority traffic keeps today's FIFO order.**  Ties inside one
 //!   effective class (no deadlines) break by submission id, so a trace submitted at
-//!   a single priority dequeues in exactly the order the old `BoundedQueue` path
-//!   used — byte-for-byte the same telemetry attribution and the same
-//!   bitwise-deterministic result digest.
+//!   a single priority dequeues in exactly arrival order — byte-for-byte the
+//!   telemetry attribution and the bitwise-deterministic result digest of a plain
+//!   FIFO queue.
 //! * **The dequeue order itself is deterministic** given the interleaving of
 //!   submissions and dequeues, because promotion ages in dequeue counts: no
 //!   wall-clock reading participates in the ordering unless soft deadlines are

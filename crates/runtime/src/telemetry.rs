@@ -155,8 +155,8 @@ metric_table! {
     QUEUE_DEPTH_PEAK = "queue_depth_peak" => ServiceGauge;
     /// Gauge: worker threads serving the client.
     WORKERS = "workers" => ServiceGauge;
-    /// Counter: jobs the cluster router placed on a node (single-node runtimes
-    /// never touch it).
+    /// Counter: jobs the router placed on a node — every admitted submission, at
+    /// every fleet size.
     JOBS_ROUTED = "jobs_routed" => ServiceCounter;
     /// Counter: routed jobs placed on the node already holding their encodings
     /// (the fingerprint-affinity placement key won).
@@ -170,7 +170,7 @@ metric_table! {
     /// Counter: submissions shed because the tenant's fair-share quota was full
     /// ([`SubmitError::QuotaExceeded`](crate::SubmitError)).
     JOBS_SHED_QUOTA = "jobs_shed_quota" => ServiceCounter;
-    /// Gauge: nodes serving the cluster (1 for a single-node runtime).
+    /// Gauge: nodes in the client's fleet (1 for a single-node runtime).
     NODES = "nodes" => ServiceGauge;
     /// Gauge: tenants currently holding at least one admitted, unfinished job.
     TENANTS_ACTIVE = "tenants_active" => ServiceGauge;

@@ -17,10 +17,10 @@ pub(crate) struct JobTrace<'a> {
 }
 
 impl<'a> JobTrace<'a> {
-    /// `seq_base` is the first sequence number this builder may use: a cluster
-    /// reserves the leading slots of a job's timeline for its submit-side
-    /// admit/route events, so worker events must start after them to keep
-    /// `(job_id, seq)` unique.  0 on the single-node path.
+    /// `seq_base` is the first sequence number this builder may use: the leading
+    /// slots of a job's timeline belong to the submit-side admit/route events (and
+    /// to one reroute event per killed chip that handed the job on), so worker
+    /// events must start after them to keep `(job_id, seq)` unique.
     pub(crate) fn new(
         sink: Option<&'a TraceSink>,
         job_id: u64,

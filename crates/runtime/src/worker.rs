@@ -80,7 +80,7 @@ pub(crate) fn worker_loop(worker_id: usize, core: &NodeCore) {
             };
             context.execute(queued)
         }));
-        // Refund the tenant's admission quota (cluster path) only after the job's
+        // Refund the tenant's admission quota only after the job's
         // full lifetime — completed, failed, or contained-panic — so the in-system
         // bound counts running work, not just queued work; but *before* resolving
         // the ticket, so a tenant that observed `wait()` return is guaranteed its

@@ -1,9 +1,14 @@
 //! Workspace-level tests of the multi-node cluster runtime: node attribution,
 //! numeric invariance across node/worker counts, typed admission shedding, quota
-//! refunds across the router boundary, and open-loop trace reproducibility.
+//! refunds across the router boundary, open-loop trace reproducibility, and the
+//! equivalence of the two spellings of a one-node fleet.
+
+use std::sync::Arc;
 
 use refloat::prelude::*;
-use refloat::runtime::SubmitError;
+use refloat::runtime::fingerprint::{fnv1a_u64, FNV_OFFSET};
+use refloat::runtime::{DegradedReason, JobOutcome, ManualClock, SubmitError, TraceSink};
+use serde::Serialize;
 
 /// A small mixed catalog: repeat fingerprints (affinity traffic) plus a
 /// BiCGSTAB lane.
@@ -274,4 +279,154 @@ fn an_open_loop_trace_replays_to_the_same_digest_on_any_cluster_shape() {
     let reference = serve_trace(1, 2);
     assert_eq!(serve_trace(2, 1), reference);
     assert_eq!(serve_trace(3, 2), reference);
+}
+
+/// Everything one pass of [`every_kind_of_job`] leaves behind.
+#[derive(Debug, PartialEq)]
+struct Footprint {
+    /// One digest per resolved ticket, in submission order.
+    outcomes: Vec<u64>,
+    /// The live registry's counters once every ticket has resolved.
+    counters: Vec<(String, u64)>,
+    report: serde::Value,
+    trace_jsonl: String,
+}
+
+/// How a ticket resolved, everything but host time: the outcome kind, the job id
+/// and, when the job ran, its solutions bit for bit and its simulated cycles.
+fn outcome_digest(outcome: &TicketOutcome) -> u64 {
+    let job = |mut digest: u64, job: &JobOutcome| {
+        digest = fnv1a_u64(digest, job.job_id);
+        for result in std::iter::once(&job.result).chain(&job.extra_results) {
+            digest = fnv1a_u64(digest, result.iterations as u64);
+            for value in &result.x {
+                digest = fnv1a_u64(digest, value.to_bits());
+            }
+        }
+        fnv1a_u64(digest, job.telemetry.simulated.cycles)
+    };
+    match outcome {
+        TicketOutcome::Completed(outcome) => job(fnv1a_u64(FNV_OFFSET, 0), outcome),
+        TicketOutcome::Cancelled => fnv1a_u64(FNV_OFFSET, 1),
+        TicketOutcome::Failed(message) => fnv1a_u64(FNV_OFFSET, 2 + message.len() as u64),
+        TicketOutcome::Degraded(degraded) => {
+            assert_eq!(degraded.reason, DegradedReason::ChipKilled);
+            assert!(degraded.outcome.is_none(), "a dead chip ran nothing");
+            fnv1a_u64(fnv1a_u64(FNV_OFFSET, 3), degraded.job_id)
+        }
+    }
+}
+
+/// One job of every kind — plain, multi-RHS, sharded, refined, a 4-step sequence, a
+/// cancel-before-start and, last, a job stranded on a fleet whose every chip is
+/// dead — through the client `start` returns, under the deterministic contract
+/// (`ManualClock`, one worker, FIFO).  A one-slot queue makes the queue-depth peak
+/// reproducible too: the submission behind the long solve returns only once the
+/// worker has taken the long solve off the queue.
+fn every_kind_of_job(start: impl FnOnce(RuntimeConfig) -> SolveClient) -> Footprint {
+    let sink = Arc::new(TraceSink::new(Arc::new(ManualClock::new())));
+    let client = start(RuntimeConfig {
+        workers: 1,
+        queue_capacity: 1,
+        scheduler: SchedulerPolicy::fifo(),
+        trace: Some(Arc::clone(&sink)),
+        ..RuntimeConfig::default()
+    });
+    let poisson = |n: usize| {
+        MatrixHandle::new(
+            format!("poisson-{n}"),
+            refloat::matgen::generators::laplacian_2d(n, n, 0.3).to_csr(),
+        )
+    };
+    let (p16, p20, p48) = (poisson(16), poisson(20), poisson(48));
+    let wide = ReFloatConfig::new(4, 3, 8, 3, 8);
+    let rhs = |scale: f64| Arc::new(vec![scale; p16.csr().nrows()]);
+    let shapes = [
+        SolvePlan::new("t", p16.clone(), wide),
+        SolvePlan::new("t", p16.clone(), wide).rhs_batch(vec![rhs(1.0), rhs(0.5), rhs(2.0)]),
+        SolvePlan::new("t", p20, wide).sharding(4),
+        SolvePlan::new("t", p16, ReFloatConfig::new(4, 3, 3, 3, 8))
+            .refinement(RefinementSpec::to_target(1e-10)),
+    ];
+    let mut outcomes = Vec::new();
+    for plan in shapes {
+        let outcome = client.submit(plan.build().unwrap()).unwrap().wait();
+        assert!(
+            matches!(outcome, TicketOutcome::Completed(_)),
+            "{outcome:?}"
+        );
+        outcomes.push(outcome_digest(&outcome));
+    }
+    let mut sequence = client.sequence();
+    let chain = TransientChain::new(
+        refloat::matgen::fem::poisson_2d(10, 9, 0.2, 13),
+        TransientSpec::default().with_steps(4).with_seed(29),
+    );
+    for step in chain {
+        let handle = MatrixHandle::new(format!("step-{}", step.index), step.matrix);
+        let plan = SolvePlan::new("sim", handle, wide).rhs(Arc::new(step.rhs));
+        let outcome = sequence.step(plan.build().unwrap()).unwrap();
+        assert!(
+            matches!(outcome, TicketOutcome::Completed(_)),
+            "{outcome:?}"
+        );
+        outcomes.push(outcome_digest(&outcome));
+    }
+    assert_eq!(sequence.steps(), 4);
+
+    let long = SolvePlan::new("t", p48.clone(), wide).build().unwrap();
+    let running = client.submit(long).unwrap();
+    let queued = client
+        .submit(SolvePlan::new("recalled", p48, wide).build().unwrap())
+        .unwrap();
+    assert!(queued.cancel(), "the one worker is still on the long solve");
+    for ticket in [running, queued] {
+        outcomes.push(outcome_digest(&ticket.wait()));
+    }
+
+    assert!(client.kill_chip(0));
+    let stranded = SolvePlan::new("t", poisson(8), wide).build().unwrap();
+    let outcome = client.submit(stranded).unwrap().wait();
+    assert!(outcome.is_degraded(), "{outcome:?}");
+    outcomes.push(outcome_digest(&outcome));
+
+    let counters = client.metrics_snapshot().counters;
+    let report = client.shutdown();
+    assert_eq!((report.jobs, report.cancelled_jobs), (9, 1));
+    assert_eq!((report.degraded_jobs, report.nodes), (1, 1));
+    Footprint {
+        outcomes,
+        counters,
+        report: report.to_value(),
+        trace_jsonl: sink.export_jsonl(),
+    }
+}
+
+#[test]
+fn a_single_node_runtime_is_the_one_node_cluster() {
+    let runtime = every_kind_of_job(SolveRuntime::start);
+    let cluster =
+        every_kind_of_job(|config| ClusterRuntime::start(ClusterConfig::uniform(1, config)));
+    // Byte-identical JSONL trace, equal report, equal outcomes, equal counters.
+    assert_eq!(runtime, cluster);
+    assert_eq!(runtime.outcomes.len(), 11);
+    let routed = runtime
+        .counters
+        .iter()
+        .find(|(name, _)| name == "jobs_routed");
+    assert_eq!(
+        routed.map(|(_, n)| *n),
+        Some(11),
+        "every submission is routed"
+    );
+    let spans = |kind: &str| {
+        let needle = format!("\"kind\":\"{kind}\"");
+        runtime.trace_jsonl.matches(&needle).count()
+    };
+    assert_eq!((spans("admit"), spans("route")), (11, 11));
+    assert_eq!(
+        spans("dequeue"),
+        9,
+        "the recalled and the stranded job never ran"
+    );
 }

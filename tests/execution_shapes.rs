@@ -142,21 +142,30 @@ impl Harness {
     /// span kinds into `total`, appending one human-readable line per job to `log`.
     /// The submit-side `Admit`/`Route` instants are left out of the hash: they say
     /// how a job reached its node, not how the worker executed it, so the constant
-    /// is the same whether or not the front door records them.
+    /// predates them.  Their place is pinned instead: every job's trace begins with
+    /// exactly `[admit, route]`, and neither kind appears again.
     fn finish(self, total: &mut Digest, log: &mut Vec<String>) {
         self.client.shutdown();
         let events = self.sink.snapshot();
         for (job_id, (label, digest)) in self.jobs.iter().enumerate() {
-            let kinds: Vec<SpanKind> = events
+            let traced: Vec<SpanKind> = events
                 .iter()
                 .filter(|e| e.job_id == job_id as u64)
                 .map(|e| e.kind)
-                .filter(|kind| !matches!(kind, SpanKind::Admit | SpanKind::Route))
                 .collect();
+            assert!(
+                traced.starts_with(&[SpanKind::Admit, SpanKind::Route]),
+                "{label}: job {job_id} must enter by the front door, got {traced:?}"
+            );
+            let kinds = &traced[2..];
+            assert!(
+                !kinds.contains(&SpanKind::Admit) && !kinds.contains(&SpanKind::Route),
+                "{label}: job {job_id} was admitted or routed twice, got {traced:?}"
+            );
             assert!(!kinds.is_empty(), "{label}: job {job_id} left no trace");
             total.word(*digest);
             total.word(kinds.len() as u64);
-            for kind in &kinds {
+            for kind in kinds {
                 total.text(kind.label());
             }
             let spans: Vec<&str> = kinds.iter().map(|k| k.label()).collect();
@@ -690,12 +699,22 @@ fn encode_spans_keep_their_place_under_a_wall_clock() {
     };
     assert_eq!(
         kinds(0),
-        [QueueWait, Dequeue, CacheLookup, Encode, Execute],
+        [
+            Admit,
+            Route,
+            QueueWait,
+            Dequeue,
+            CacheLookup,
+            Encode,
+            Execute
+        ],
         "plain miss"
     );
     assert_eq!(
         kinds(1),
         [
+            Admit,
+            Route,
             QueueWait,
             Dequeue,
             CacheLookup,
@@ -708,9 +727,17 @@ fn encode_spans_keep_their_place_under_a_wall_clock() {
     );
     let refined = kinds(2);
     assert_eq!(
-        refined[..5],
-        [QueueWait, Dequeue, Execute, CacheLookup, Encode],
+        refined[..7],
+        [
+            Admit,
+            Route,
+            QueueWait,
+            Dequeue,
+            Execute,
+            CacheLookup,
+            Encode
+        ],
         "refined miss"
     );
-    assert!(refined[5..].iter().all(|k| *k == RefinementPass));
+    assert!(refined[7..].iter().all(|k| *k == RefinementPass));
 }

@@ -227,7 +227,7 @@ fn multi_worker_traces_order_deterministically_per_job() {
 
     // However workers interleaved their flushes, the canonical snapshot is sorted
     // by (job_id, seq), each job's seq is contiguous from 0, and each job's
-    // timeline starts queue_wait → dequeue.
+    // timeline starts admit → route (submit side) → queue_wait → dequeue (worker).
     let events = sink.snapshot();
     let mut expected_seq = std::collections::HashMap::new();
     for window in events.windows(2) {
@@ -237,11 +237,19 @@ fn multi_worker_traces_order_deterministically_per_job() {
         let next = expected_seq.entry(event.job_id).or_insert(0u32);
         assert_eq!(event.seq, *next, "job {} has a seq gap", event.job_id);
         *next += 1;
-        if event.seq == 0 {
-            assert_eq!(event.kind, SpanKind::QueueWait);
-        }
-        if event.seq == 1 {
-            assert_eq!(event.kind, SpanKind::Dequeue);
+        let opening = [
+            SpanKind::Admit,
+            SpanKind::Route,
+            SpanKind::QueueWait,
+            SpanKind::Dequeue,
+        ];
+        if let Some(kind) = opening.get(event.seq as usize) {
+            assert_eq!(event.kind, *kind, "job {} seq {}", event.job_id, event.seq);
+            assert_eq!(
+                event.worker.is_some(),
+                event.seq >= 2,
+                "worker spans start at 2"
+            );
         }
     }
     assert_eq!(expected_seq.len(), outcome.jobs.len());

@@ -399,17 +399,12 @@ fn sharded_solves_are_bitwise_identical_across_chip_counts() {
         chip_crossbars: Some(1 << 9),
         ..Default::default()
     });
-    let outcome = runtime.run_batch(
-        [1usize, 2, 4, 8]
-            .into_iter()
-            .map(|chips| {
-                SolvePlan::new(format!("chips-{chips}"), handle.clone(), format)
-                    .sharding(chips)
-                    .build()
-                    .unwrap()
-            })
-            .collect(),
-    );
+    let outcome = runtime.run_batch([1usize, 2, 4, 8].into_iter().map(|chips| {
+        SolvePlan::new(format!("chips-{chips}"), handle.clone(), format)
+            .sharding(chips)
+            .build()
+            .unwrap()
+    }));
 
     let reference: Vec<u64> = outcome.jobs[0]
         .result
@@ -866,7 +861,7 @@ fn submit_after_drain_returns_the_plan_instead_of_dropping_it() {
             assert_eq!(plan.priority(), Priority::Interactive);
         }
         Ok(_) => panic!("a drained client must not admit new plans"),
-        Err(other) => panic!("a single-node client never sheds, got {other}"),
+        Err(other) => panic!("a client without admission bounds never sheds, got {other}"),
     }
     let report = client.shutdown();
     assert_eq!(report.jobs, 1, "the late plan was refused, not lost");
