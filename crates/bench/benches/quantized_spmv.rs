@@ -4,14 +4,14 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use refloat_core::feinberg::FeinbergOperator;
 use refloat_core::{ReFloatConfig, ReFloatMatrix};
-use refloat_matgen::generators;
+use refloat_matgen::{generators, rhs};
 use refloat_solvers::LinearOperator;
 
 fn bench_quantized_spmv(c: &mut Criterion) {
     let a = generators::laplacian_2d(256, 256, 0.2).to_csr();
-    let x: Vec<f64> = (0..a.ncols())
-        .map(|i| (i as f64 * 0.001).cos() + 1.5)
-        .collect();
+    // A solver-like input (mixed sign, many binades): a smooth positive one hides the
+    // vector converter's data-dependent cost.
+    let x = rhs::krylov_like(a.ncols(), 17);
     let mut y = vec![0.0; a.nrows()];
 
     let mut csr = a.clone();

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use refloat_core::vector::VectorConverter;
 use refloat_core::{ReFloatConfig, ReFloatMatrix};
-use refloat_matgen::generators;
+use refloat_matgen::{generators, rhs};
 use refloat_sparse::BlockedMatrix;
 
 fn bench_convert(c: &mut Criterion) {
@@ -19,9 +19,9 @@ fn bench_convert(c: &mut Criterion) {
     });
     group.finish();
 
-    let x: Vec<f64> = (0..a.ncols())
-        .map(|i| ((i % 97) as f64 - 48.0) * 1e-3 + 1.0)
-        .collect();
+    // What the converter is fed inside a solve — mixed sign, many binades — not a
+    // smooth positive profile, which a branch predictor learns.
+    let x = rhs::krylov_like(a.ncols(), 17);
     let mut converter = VectorConverter::new(config);
     let mut out = vec![0.0; x.len()];
     let mut group = c.benchmark_group("vector_converter");

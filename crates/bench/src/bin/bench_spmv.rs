@@ -17,7 +17,7 @@ use std::time::Instant;
 use refloat_bench::bench_emit::{default_bench_dir, emit};
 use refloat_bench::json::has_flag;
 use refloat_core::{ReFloatConfig, ReFloatMatrix};
-use refloat_matgen::generators;
+use refloat_matgen::{generators, rhs};
 use refloat_solvers::LinearOperator;
 use refloat_telemetry::BenchReport;
 use reram_sim::AcceleratorConfig;
@@ -57,9 +57,9 @@ fn main() {
     let format = ReFloatConfig::paper_default();
 
     let a = generators::laplacian_2d(scale, scale, 0.2).to_csr();
-    let x: Vec<f64> = (0..a.ncols())
-        .map(|i| (i as f64 * 0.001).cos() + 1.5)
-        .collect();
+    // A solver-like input (mixed sign, many binades): a smooth positive one hides the
+    // vector converter's data-dependent cost.
+    let x = rhs::krylov_like(a.ncols(), 17);
     let mut y = vec![0.0; a.nrows()];
     println!(
         "bench_spmv: {} rows, {} nnz, {} reps, format {}",

@@ -1,7 +1,16 @@
 //! Per-block encoding: exponent-base selection (Eq. 4–5) and block conversion.
+//!
+//! Two consumers encode blocks.  [`crate::matrix::ReFloatMatrix`] keeps only what an
+//! SpMV reads — local indices and decoded values, appended to its arena (the layout is
+//! described in [`crate::matrix`]).  [`ReFloatBlock`] is the single-block **bit-level
+//! record**: it owns the per-element sign, exponent offset and fraction code of
+//! Fig. 4(b)/Fig. 5, and is encoded on demand by whoever needs the stored bits (the
+//! crossbar engine in `reram-sim`, the format ablation, the property tests).  Both run
+//! every element through the one scalar kernel, [`crate::scalar::quantize`].
 
 use crate::format::ReFloatConfig;
-use crate::scalar::{decompose, quantize};
+use crate::memory::storage_bits;
+use crate::scalar::{decompose, quantize, Quantized};
 use refloat_sparse::blocked::Block;
 
 /// Chooses the exponent base `eb` for a set of values.
@@ -47,12 +56,30 @@ where
         .sum()
 }
 
-/// One matrix block encoded in ReFloat format.
+/// Quantizes block values against the base `eb` in the matrix format `(e, f)`.  A zero
+/// has no exponent and yields `None`: it is stored as an all-zero code.
+fn quantize_values<'a>(
+    vals: &'a [f64],
+    config: &ReFloatConfig,
+    eb: i32,
+) -> impl Iterator<Item = Option<Quantized>> + 'a {
+    let (max_offset, f) = (config.max_offset(), config.f);
+    let (rounding, underflow) = (config.rounding, config.underflow);
+    vals.iter()
+        .map(move |&v| decompose(v).map(|d| quantize(d, eb, max_offset, f, rounding, underflow)))
+}
+
+/// Appends the decoded values `2^eb · (−1)^s · 1.frac · 2^offset` of `vals` encoded
+/// against `eb` — what the crossbars effectively compute with — to `out`.
+pub(crate) fn decode_into(vals: &[f64], config: &ReFloatConfig, eb: i32, out: &mut Vec<f64>) {
+    out.extend(quantize_values(vals, config, eb).map(|q| q.map_or(0.0, |q| q.value(eb))));
+}
+
+/// One matrix block encoded in ReFloat format, down to the stored bits.
 ///
 /// The encoded fields mirror Fig. 4(b)/Fig. 5: per-element sign, saturating `e`-bit
-/// exponent offset and `f`-bit fraction code, plus the per-block base `eb`.  The decoded
-/// f64 values (`2^eb · (−1)^s · 1.frac · 2^offset`) are cached because the functional
-/// simulator applies blocks many times per solve.
+/// exponent offset and `f`-bit fraction code, plus the per-block base `eb`, beside the
+/// decoded f64 values (`2^eb · (−1)^s · 1.frac · 2^offset`) they stand for.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReFloatBlock {
     /// Block-row index of the block.
@@ -71,7 +98,7 @@ pub struct ReFloatBlock {
     pub offsets: Vec<i8>,
     /// Fraction code per element: the retained `f` bits as an integer in `[0, 2^f)`.
     pub fraction_codes: Vec<u32>,
-    /// Cached decoded values (what the crossbars effectively compute with).
+    /// Decoded values (what the crossbars effectively compute with).
     pub decoded: Vec<f64>,
 }
 
@@ -86,22 +113,14 @@ impl ReFloatBlock {
     /// that compares the Eq. 5 optimum against naive base choices).
     pub fn encode_with_base(block: &Block, config: &ReFloatConfig, eb: i32) -> Self {
         let n = block.vals.len();
-        // Indices first, values last — the allocation order of `Clone`, hence the
-        // per-block memory layout workers applied while they still deep-copied cached
-        // encodings; allocating the indices last measured ~5% slower SpMV-bound solves.
-        let (rows, cols) = (block.rows.clone(), block.cols.clone());
         let mut signs = Vec::with_capacity(n);
         let mut offsets = Vec::with_capacity(n);
         let mut fraction_codes = Vec::with_capacity(n);
         let mut decoded = Vec::with_capacity(n);
-        let (max_offset, f) = (config.max_offset(), config.f);
-        let (rounding, underflow) = (config.rounding, config.underflow);
-        for &v in &block.vals {
-            // A zero has no exponent: it is stored as an all-zero code.
-            let q = decompose(v).map(|d| quantize(d, eb, max_offset, f, rounding, underflow));
+        for q in quantize_values(&block.vals, config, eb) {
             signs.push(q.is_some_and(|q| q.negative));
             offsets.push(q.map_or(0, |q| q.offset as i8));
-            fraction_codes.push(q.map_or(0, |q| q.fraction_code(f)));
+            fraction_codes.push(q.map_or(0, |q| q.fraction_code(config.f)));
             decoded.push(q.map_or(0.0, |q| q.value(eb)));
         }
 
@@ -109,8 +128,8 @@ impl ReFloatBlock {
             block_row: block.block_row,
             block_col: block.block_col,
             eb,
-            rows,
-            cols,
+            rows: block.rows.clone(),
+            cols: block.cols.clone(),
             signs,
             offsets,
             fraction_codes,
@@ -154,12 +173,10 @@ impl ReFloatBlock {
             .fold(0.0, f64::max)
     }
 
-    /// Number of storage bits for this block under the Fig. 4 accounting:
-    /// per element `2b` local-index bits plus `1 + e + f` value bits, plus the per-block
-    /// metadata (two `(32 − b)`-bit block coordinates and the 11-bit `eb`).
+    /// Number of storage bits for this block under the Fig. 4 accounting
+    /// ([`crate::memory::storage_bits`]).
     pub fn storage_bits(&self, config: &ReFloatConfig) -> u64 {
-        let per_element = (config.local_index_bits() + config.matrix_value_bits()) as u64;
-        per_element * self.nnz() as u64 + config.block_metadata_bits() as u64
+        storage_bits(self.nnz(), 1, config)
     }
 }
 

@@ -15,14 +15,14 @@
 //! * blocks whose base moved — or that are new — shift every element's offset/code,
 //!   so the whole cluster is rewritten.
 //!
-//! Because [`ReFloatBlock::encode`] is a pure function of the block's values and the
-//! format, reusing a clean block's encoding is *bitwise identical* to re-encoding it;
+//! Because encoding a block is a pure function of its values and the format, reusing a
+//! clean block's encoding — one range copy out of the previous matrix's arena — is
+//! *bitwise identical* to re-encoding it;
 //! the incremental result therefore equals a from-scratch encode of the new matrix,
 //! block for block, bit for bit.  Tests enforce this across perturbation magnitudes
 //! up to the all-blocks-dirty worst case.
 
-use crate::block::ReFloatBlock;
-use crate::matrix::ReFloatMatrix;
+use crate::matrix::{BlockArena, ReFloatMatrix};
 use refloat_sparse::{blocked::Block, BlockedMatrix, CsrMatrix};
 
 /// What the delta re-encode touched, in blocks and crossbar cells.
@@ -157,10 +157,9 @@ pub fn reencode_incremental(
         .expect("valid block exponent from a validated ReFloatConfig");
     let next_blocked = BlockedMatrix::from_csr(a, config.b)
         .expect("valid block exponent from a validated ReFloatConfig");
-    let prev_encoded = previous.blocks();
     assert_eq!(
         prev_blocked.num_blocks(),
-        prev_encoded.len(),
+        previous.num_blocks(),
         "reencode_incremental: previous_source is not the source of the previous encoding"
     );
 
@@ -170,7 +169,7 @@ pub fn reencode_incremental(
         blocks_total: next_blocks.len(),
         ..IncrementalStats::default()
     };
-    let mut encoded = Vec::with_capacity(next_blocks.len());
+    let mut encoded = BlockArena::with_capacity(next_blocks.len(), next_blocked.nnz());
 
     // Both block lists are sorted by (block_row, block_col): merge-walk them.
     let mut p = 0;
@@ -186,35 +185,31 @@ pub fn reencode_incremental(
         let prev_match = (p < prev_blocks.len()
             && (prev_blocks[p].block_row, prev_blocks[p].block_col) == key)
             .then(|| {
-                let m = (&prev_blocks[p], &prev_encoded[p]);
+                let index = p;
                 p += 1;
-                m
+                (&prev_blocks[index], index)
             });
         match prev_match {
-            Some((prev_raw, prev_enc)) if blocks_bitwise_equal(prev_raw, next) => {
+            Some((prev_raw, prev_index)) if blocks_bitwise_equal(prev_raw, next) => {
                 // Clean: the encoding is a pure function of (values, config), so the
                 // previous block *is* the from-scratch encoding of this block.
                 stats.blocks_reused += 1;
-                encoded.push(prev_enc.clone());
+                encoded.push_copy(previous.arena(), prev_index);
             }
-            Some((prev_raw, prev_enc)) => {
-                let fresh = ReFloatBlock::encode(next, &config);
-                if fresh.eb == prev_enc.eb {
-                    // Values moved but stayed inside the block's offset window: only
-                    // the changed cells need new device writes.
-                    stats.blocks_partial += 1;
-                    stats.cells_reprogrammed += changed_cells(prev_raw, next);
-                } else {
-                    stats.blocks_full += 1;
-                    stats.cells_reprogrammed += fresh.nnz() as u64;
+            dirty_or_new => {
+                let eb = encoded.push_encoded(next, &config);
+                match dirty_or_new {
+                    Some((prev_raw, prev_index)) if eb == previous.block(prev_index).eb => {
+                        // Values moved but stayed inside the block's offset window:
+                        // only the changed cells need new device writes.
+                        stats.blocks_partial += 1;
+                        stats.cells_reprogrammed += changed_cells(prev_raw, next);
+                    }
+                    _ => {
+                        stats.blocks_full += 1;
+                        stats.cells_reprogrammed += next.nnz() as u64;
+                    }
                 }
-                encoded.push(fresh);
-            }
-            None => {
-                let fresh = ReFloatBlock::encode(next, &config);
-                stats.blocks_full += 1;
-                stats.cells_reprogrammed += fresh.nnz() as u64;
-                encoded.push(fresh);
             }
         }
     }
@@ -225,7 +220,7 @@ pub fn reencode_incremental(
     }
 
     IncrementalEncode {
-        matrix: ReFloatMatrix::from_parts(a.nrows(), a.ncols(), config, encoded),
+        matrix: ReFloatMatrix::from_arena(a.nrows(), a.ncols(), config, encoded),
         stats,
     }
 }
@@ -242,7 +237,7 @@ pub fn assert_bitwise_identical(incremental: &ReFloatMatrix, scratch: &ReFloatMa
         scratch.num_blocks(),
         "encodings disagree on block count"
     );
-    for (inc, full) in incremental.blocks().iter().zip(scratch.blocks().iter()) {
+    for (inc, full) in incremental.blocks().zip(scratch.blocks()) {
         assert_eq!(
             (inc.block_row, inc.block_col),
             (full.block_row, full.block_col),
@@ -251,15 +246,8 @@ pub fn assert_bitwise_identical(incremental: &ReFloatMatrix, scratch: &ReFloatMa
         let same = inc.eb == full.eb
             && inc.rows == full.rows
             && inc.cols == full.cols
-            && inc.signs == full.signs
-            && inc.offsets == full.offsets
-            && inc.fraction_codes == full.fraction_codes
             && inc.decoded.len() == full.decoded.len()
-            && inc
-                .decoded
-                .iter()
-                .zip(full.decoded.iter())
-                .all(|(a, b)| a.to_bits() == b.to_bits());
+            && (inc.decoded.iter().zip(full.decoded)).all(|(a, b)| a.to_bits() == b.to_bits());
         assert!(
             same,
             "block ({}, {}) differs between incremental and from-scratch encode",

@@ -21,10 +21,18 @@
 //!
 //! # What lives where
 //!
-//! * [`scalar`] — bit-exact decomposition/encoding of a single f64 value,
-//! * [`block`] — per-block base selection and encoding ([`ReFloatBlock`]),
+//! * [`scalar`] — the one scalar quantiser, in integer bit arithmetic: the exponent read
+//!   from the bit pattern, fraction bits dropped by a mask, the value assembled with
+//!   `from_bits`; the block encoder and the vector converter both call it,
+//! * [`block`] — per-block base selection (Eq. 5) and [`ReFloatBlock`], the bit-level
+//!   record of *one* block (sign, offset and fraction code per element), encoded on
+//!   demand by the crossbar engine, the format ablation and the property tests,
 //! * [`vector`] — the vector converter ([`vector::VectorConverter`]),
-//! * [`matrix`] — [`ReFloatMatrix`], the quantized operator that plugs into the solvers,
+//! * [`matrix`] — [`ReFloatMatrix`], the quantized operator that plugs into the solvers.
+//!   It stores one shared arena per matrix — contiguous local-row, local-column and
+//!   decoded-value arrays, blocks back to back, plus a block table of
+//!   `(block_row, block_col, eb, start)` — and lends blocks out as
+//!   [`matrix::BlockView`]s; it keeps no bit-level fields,
 //! * [`sharded`] — [`ShardedReFloatMatrix`], the operator partitioned into block-row
 //!   shards (one per chip of a multi-chip accelerator), bitwise identical to the
 //!   unsharded operator for every shard count,

@@ -10,29 +10,165 @@
 //! crossbars compute the fixed-point products of the encoded fractions exactly
 //! (verified against [`ReFloatMatrix::apply`] by the crossbar simulator in `reram-sim`),
 //! and the final scaling by `2^{eb+ebv}` is a pure exponent addition.
+//!
+//! # Storage
+//!
+//! The encoding is the block-major layout of Fig. 7 taken literally: one arena of three
+//! contiguous arrays — local row index, local column index and decoded value per
+//! non-zero, blocks back to back in block-row-major order — plus a block table with one
+//! `(block_row, block_col, eb, start)` entry per non-empty block, `start` being where
+//! the block's run begins in the three arrays.  An SpMV streams the arena front to
+//! back; [`ReFloatMatrix::blocks`] lends each block out as a [`BlockView`].  The arena
+//! holds what the SpMV multiplies by and nothing else: the per-element sign, offset and
+//! fraction code belong to [`crate::block::ReFloatBlock`], which encodes a single block
+//! down to its bits on demand.
 
 use std::sync::Arc;
 
-use crate::block::ReFloatBlock;
+use crate::block::{decode_into, optimal_exponent_base};
 use crate::format::ReFloatConfig;
-use crate::vector::VectorConverter;
+use crate::memory::storage_bits;
+use crate::vector::{Scratch, VectorConverter};
 use refloat_solvers::LinearOperator;
-use refloat_sparse::{BlockedMatrix, CsrMatrix};
+use refloat_sparse::{blocked::Block, BlockedMatrix, CsrMatrix};
+
+/// One row of the block table.
+#[derive(Debug, Clone, Copy)]
+struct BlockEntry {
+    block_row: u32,
+    block_col: u32,
+    eb: i32,
+    /// Index of the block's first non-zero in the arena arrays; the block runs to the
+    /// next entry's `start` (the last block: to the end of the arrays).
+    start: u32,
+}
+
+/// The encoded blocks of one matrix: three parallel arrays and the block table.
+#[derive(Debug)]
+pub(crate) struct BlockArena {
+    table: Vec<BlockEntry>,
+    rows: Vec<u16>,
+    cols: Vec<u16>,
+    decoded: Vec<f64>,
+}
+
+impl BlockArena {
+    /// An empty arena with room for `blocks` blocks holding `nnz` non-zeros in all.
+    pub(crate) fn with_capacity(blocks: usize, nnz: usize) -> Self {
+        BlockArena {
+            table: Vec::with_capacity(blocks),
+            rows: Vec::with_capacity(nnz),
+            cols: Vec::with_capacity(nnz),
+            decoded: Vec::with_capacity(nnz),
+        }
+    }
+
+    /// Opens the next block at the current end of the arrays.
+    ///
+    /// # Panics
+    /// Panics if a block coordinate (a `(32 − b)`-bit integer in the format, Fig. 4)
+    /// or the count of non-zeros so far does not fit the table's 32-bit fields.
+    fn push_entry(&mut self, block_row: usize, block_col: usize, eb: i32) {
+        let narrow = |v: usize| u32::try_from(v).expect("ReFloatMatrix: block table is 32-bit");
+        self.table.push(BlockEntry {
+            block_row: narrow(block_row),
+            block_col: narrow(block_col),
+            eb,
+            start: narrow(self.decoded.len()),
+        });
+    }
+
+    /// Encodes `block` against its Eq. 5 base and appends it; returns the base.
+    pub(crate) fn push_encoded(&mut self, block: &Block, config: &ReFloatConfig) -> i32 {
+        let eb = optimal_exponent_base(block.vals.iter());
+        self.push_entry(block.block_row, block.block_col, eb);
+        self.rows.extend_from_slice(&block.rows);
+        self.cols.extend_from_slice(&block.cols);
+        decode_into(&block.vals, config, eb, &mut self.decoded);
+        eb
+    }
+
+    /// Appends block `index` of `other` as it stands: one range copy per array.
+    pub(crate) fn push_copy(&mut self, other: &BlockArena, index: usize) {
+        let blk = other.block(index);
+        self.push_entry(blk.block_row, blk.block_col, blk.eb);
+        self.rows.extend_from_slice(blk.rows);
+        self.cols.extend_from_slice(blk.cols);
+        self.decoded.extend_from_slice(blk.decoded);
+    }
+
+    /// The block of `entry`, which runs up to `end` — its successor's start.
+    fn view(&self, entry: &BlockEntry, end: usize) -> BlockView<'_> {
+        let range = entry.start as usize..end;
+        BlockView {
+            block_row: entry.block_row as usize,
+            block_col: entry.block_col as usize,
+            eb: entry.eb,
+            rows: &self.rows[range.clone()],
+            cols: &self.cols[range.clone()],
+            decoded: &self.decoded[range],
+        }
+    }
+
+    fn block(&self, index: usize) -> BlockView<'_> {
+        let next = self.table.get(index + 1);
+        let end = next.map_or(self.decoded.len(), |next| next.start as usize);
+        self.view(&self.table[index], end)
+    }
+
+    /// Every block in storage order — a walk of the table, each entry paired with its
+    /// successor's start.
+    fn blocks(&self) -> impl Iterator<Item = BlockView<'_>> + Clone {
+        let ends = self.table.iter().skip(1).map(|next| next.start as usize);
+        let entries = self.table.iter().zip(ends.chain([self.decoded.len()]));
+        entries.map(|(entry, end)| self.view(entry, end))
+    }
+}
+
+/// One encoded block, borrowed from a [`ReFloatMatrix`].
+#[derive(Debug, Clone, Copy)]
+pub struct BlockView<'a> {
+    /// Block-row index of the block.
+    pub block_row: usize,
+    /// Block-column index of the block.
+    pub block_col: usize,
+    /// The exponent base `eb` shared by every element of the block.
+    pub eb: i32,
+    /// Local row index (`ii`) per element.
+    pub rows: &'a [u16],
+    /// Local column index (`jj`) per element.
+    pub cols: &'a [u16],
+    /// Decoded value per element (what the crossbars effectively compute with).
+    pub decoded: &'a [f64],
+}
+
+impl<'a> BlockView<'a> {
+    /// Number of encoded elements.
+    pub fn nnz(&self) -> usize {
+        self.decoded.len()
+    }
+
+    /// Iterates over `(ii, jj, decoded_value)` in storage order.
+    pub fn iter_decoded(&self) -> impl Iterator<Item = (u16, u16, f64)> + 'a {
+        let entries = self.rows.iter().zip(self.cols).zip(self.decoded);
+        entries.map(|((&r, &c), &v)| (r, c, v))
+    }
+}
 
 /// A sparse matrix encoded block-by-block in ReFloat format, usable as a solver operator.
 ///
-/// The encoding is programmed once and only read afterwards, so the blocks sit behind
-/// an [`Arc`]: a clone shares them and owns only its `O(ncols)` conversion scratch,
-/// which is all that `apply(&mut self)` mutates.
+/// The encoding is programmed once and only read afterwards, so the arena sits behind
+/// an [`Arc`]: a clone shares it and starts with an empty conversion scratch, which is
+/// all that `apply(&mut self)` mutates.
 #[derive(Debug, Clone)]
 pub struct ReFloatMatrix {
     nrows: usize,
     ncols: usize,
     config: ReFloatConfig,
-    blocks: Arc<[ReFloatBlock]>,
+    arena: Arc<BlockArena>,
     converter: VectorConverter,
-    /// Scratch buffer holding the quantized input vector (reused across applies).
-    quantized_input: Vec<f64>,
+    /// The quantized input vector of the latest apply.
+    quantized_input: Scratch,
     /// Whether the input vector is re-encoded through the vector converter on every
     /// apply (the full ReFloat pipeline) or passed through exactly (ablation).
     quantize_vectors: bool,
@@ -48,29 +184,28 @@ impl ReFloatMatrix {
             blocked.b(),
             config.b
         );
-        let blocks = blocked
-            .blocks()
-            .iter()
-            .map(|blk| ReFloatBlock::encode(blk, &config))
-            .collect();
-        Self::from_parts(blocked.nrows(), blocked.ncols(), config, blocks)
+        let mut arena = BlockArena::with_capacity(blocked.num_blocks(), blocked.nnz());
+        for block in blocked.blocks() {
+            arena.push_encoded(block, &config);
+        }
+        Self::from_arena(blocked.nrows(), blocked.ncols(), config, arena)
     }
 
-    /// Assembles a matrix from already-encoded blocks (block-row-major order), used by
+    /// Wraps an assembled arena (blocks in block-row-major order); used by
     /// [`crate::incremental`] to stitch reused and re-encoded blocks together.
-    pub(crate) fn from_parts(
+    pub(crate) fn from_arena(
         nrows: usize,
         ncols: usize,
         config: ReFloatConfig,
-        blocks: Vec<ReFloatBlock>,
+        arena: BlockArena,
     ) -> Self {
         ReFloatMatrix {
             nrows,
             ncols,
             config,
-            blocks: blocks.into(),
+            arena: Arc::new(arena),
             converter: VectorConverter::new(config),
-            quantized_input: vec![0.0; ncols],
+            quantized_input: Scratch::default(),
             quantize_vectors: true,
         }
     }
@@ -87,19 +222,31 @@ impl ReFloatMatrix {
         &self.config
     }
 
-    /// The encoded blocks.
-    pub fn blocks(&self) -> &[ReFloatBlock] {
-        &self.blocks
+    pub(crate) fn arena(&self) -> &BlockArena {
+        &self.arena
+    }
+
+    /// The encoded blocks, in storage (block-row-major) order.
+    pub fn blocks(&self) -> impl Iterator<Item = BlockView<'_>> + Clone {
+        self.arena.blocks()
+    }
+
+    /// Block `index` of [`blocks`](Self::blocks).
+    ///
+    /// # Panics
+    /// Panics if `index >= num_blocks()`.
+    pub fn block(&self, index: usize) -> BlockView<'_> {
+        self.arena.block(index)
     }
 
     /// Number of non-empty blocks (= crossbar clusters required per SpMV).
     pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
+        self.arena.table.len()
     }
 
     /// Total number of encoded non-zeros.
     pub fn nnz(&self) -> usize {
-        self.blocks.iter().map(ReFloatBlock::nnz).sum()
+        self.arena.decoded.len()
     }
 
     /// Disables (or re-enables) the per-iteration vector re-encoding.  With vector
@@ -119,7 +266,7 @@ impl ReFloatMatrix {
     pub fn to_quantized_csr(&self) -> CsrMatrix {
         let mut coo = refloat_sparse::CooMatrix::with_capacity(self.nrows, self.ncols, self.nnz());
         let bs = self.config.block_size();
-        for blk in self.blocks.iter() {
+        for blk in self.blocks() {
             let row0 = blk.block_row * bs;
             let col0 = blk.block_col * bs;
             for (ii, jj, v) in blk.iter_decoded() {
@@ -133,10 +280,7 @@ impl ReFloatMatrix {
 
     /// Total storage bits of the encoded matrix under the Fig. 4 accounting.
     pub fn storage_bits(&self) -> u64 {
-        self.blocks
-            .iter()
-            .map(|b| b.storage_bits(&self.config))
-            .sum()
+        storage_bits(self.nnz(), self.num_blocks(), &self.config)
     }
 
     /// The quantize step of an SpMV: re-encodes `x` with per-segment bases (the vector
@@ -155,13 +299,15 @@ impl ReFloatMatrix {
         if !self.quantize_vectors {
             return (x, self);
         }
-        self.converter.convert_into(x, &mut self.quantized_input);
+        self.quantized_input.convert(&mut self.converter, x);
         let this = &*self;
-        (&this.quantized_input, this)
+        (this.quantized_input.as_slice(), this)
     }
 
     /// The accumulate step of an SpMV (Eq. 8–9) over an already-quantized input:
-    /// `y = Ã · xq`, block by block in storage order.
+    /// `y = Ã · xq`, block by block in storage order.  Within a block, a run of
+    /// elements of one row is summed in a register, starting from and stored back to
+    /// `y` — the additions, and so the bits, of an element-by-element `y[i] += …`.
     ///
     /// # Panics
     /// Panics if `y.len() != nrows`.
@@ -173,12 +319,22 @@ impl ReFloatMatrix {
         );
         y.fill(0.0);
         let bs = self.config.block_size();
-        for blk in self.blocks.iter() {
-            let row0 = blk.block_row * bs;
-            let col0 = blk.block_col * bs;
+        for blk in self.blocks() {
+            let y = &mut y[blk.block_row * bs..];
+            let xq = &xq[blk.block_col * bs..];
+            let Some(&first) = blk.rows.first() else {
+                continue;
+            };
+            let (mut row, mut sum) = (first as usize, y[first as usize]);
             for (ii, jj, v) in blk.iter_decoded() {
-                y[row0 + ii as usize] += v * xq[col0 + jj as usize];
+                if ii as usize != row {
+                    y[row] = sum;
+                    row = ii as usize;
+                    sum = y[row];
+                }
+                sum += v * xq[jj as usize];
             }
+            y[row] = sum;
         }
     }
 }
@@ -326,14 +482,58 @@ mod tests {
     }
 
     #[test]
-    fn a_clone_shares_the_block_storage() {
+    fn a_clone_shares_the_arena_and_starts_with_an_empty_scratch() {
         let a = generators::laplacian_2d(12, 12, 0.3).to_csr();
-        let original = ReFloatMatrix::from_csr(&a, test_config(4));
+        let mut original = ReFloatMatrix::from_csr(&a, test_config(4));
+        assert!(original.quantized_input.as_slice().is_empty());
+        let mut y = vec![0.0; a.nrows()];
+        original.apply(&vec![1.0; a.ncols()], &mut y);
+        assert_eq!(original.quantized_input.as_slice().len(), a.ncols());
         let clone = original.clone();
-        assert!(std::ptr::eq(
-            original.blocks().as_ptr(),
-            clone.blocks().as_ptr()
-        ));
+        assert!(Arc::ptr_eq(&original.arena, &clone.arena));
+        assert!(clone.quantized_input.as_slice().is_empty());
+    }
+
+    /// `y = Ã · xq` one element at a time over the block views: the definition
+    /// `accumulate` must reproduce bit for bit.
+    fn naive_accumulate(m: &ReFloatMatrix, xq: &[f64]) -> Vec<f64> {
+        let bs = m.config().block_size();
+        let mut y = vec![0.0; m.nrows];
+        for blk in m.blocks() {
+            for (ii, jj, v) in blk.iter_decoded() {
+                y[blk.block_row * bs + ii as usize] += v * xq[blk.block_col * bs + jj as usize];
+            }
+        }
+        y
+    }
+
+    #[test]
+    fn accumulate_equals_the_per_element_loop_over_block_views_bitwise() {
+        let dense_blocks = generators::mass_matrix_3d(9, 9, 9, 1e-12, 0.8, 5).to_csr();
+        let scattered = generators::random_spd_graph(1500, 6, 1.4, 1.0, 7).to_csr();
+        // 23 · 23 = 529 rows: the last block row and column are partial tiles.
+        let ragged = generators::laplacian_2d(23, 23, 0.3).to_csr();
+        // Every stored value of block (1, 0) is an explicit zero.
+        let mut zero_block = generators::laplacian_2d(16, 4, 0.3).to_csr();
+        let (row_ptr, col_idx) = (zero_block.row_ptr().to_vec(), zero_block.col_idx().to_vec());
+        let in_block = (row_ptr[16]..row_ptr[32]).filter(|&k| col_idx[k] < 16);
+        assert!(in_block.clone().count() > 0);
+        in_block.for_each(|k| zero_block.values_mut()[k] = 0.0);
+        for (a, b) in [
+            (dense_blocks, 5),
+            (scattered, 7),
+            (ragged, 4),
+            (zero_block, 4),
+        ] {
+            let m = ReFloatMatrix::from_csr(&a, test_config(b));
+            assert_eq!(m.nnz(), a.nnz());
+            assert_eq!(m.nnz(), m.blocks().map(|blk| blk.nnz()).sum::<usize>());
+            let x = refloat_matgen::rhs::krylov_like(a.ncols(), 3);
+            let mut y = vec![f64::NAN; a.nrows()];
+            m.accumulate(&x, &mut y);
+            let want = naive_accumulate(&m, &x);
+            assert!(y.iter().zip(&want).all(|(u, v)| u.to_bits() == v.to_bits()));
+        }
     }
 
     #[test]

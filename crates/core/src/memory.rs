@@ -12,17 +12,17 @@ pub fn double_storage_bits(nnz: usize) -> u64 {
     nnz as u64 * DOUBLE_BITS_PER_NONZERO
 }
 
-/// Total bits of the ReFloat block storage for a blocked matrix under the Fig. 4
-/// accounting: per element `2b` local-index bits plus `1 + e + f` value bits, plus per
-/// block two `(32 − b)`-bit block coordinates and an 11-bit exponent base.
-pub fn refloat_storage_bits(blocked: &BlockedMatrix, config: &ReFloatConfig) -> u64 {
+/// Bits of `nnz` encoded non-zeros spread over `blocks` non-empty blocks under the
+/// Fig. 4 accounting: per element `2b` local-index bits plus `1 + e + f` value bits,
+/// plus per block two `(32 − b)`-bit block coordinates and an 11-bit exponent base.
+pub fn storage_bits(nnz: usize, blocks: usize, config: &ReFloatConfig) -> u64 {
     let per_element = (config.local_index_bits() + config.matrix_value_bits()) as u64;
-    let per_block = config.block_metadata_bits() as u64;
-    blocked
-        .blocks()
-        .iter()
-        .map(|blk| per_element * blk.nnz() as u64 + per_block)
-        .sum()
+    per_element * nnz as u64 + config.block_metadata_bits() as u64 * blocks as u64
+}
+
+/// Total bits of the ReFloat block storage for a blocked matrix ([`storage_bits`]).
+pub fn refloat_storage_bits(blocked: &BlockedMatrix, config: &ReFloatConfig) -> u64 {
+    storage_bits(blocked.nnz(), blocked.num_blocks(), config)
 }
 
 /// The Table VIII metric: ReFloat matrix storage normalized to the double-precision

@@ -178,7 +178,6 @@ impl AbftChecksum {
         let block_size = matrix.config().block_size();
         let blocks = matrix
             .blocks()
-            .iter()
             .map(|blk| {
                 let mut sums: BTreeMap<u16, (f64, f64)> = BTreeMap::new();
                 for (_, jj, v) in blk.iter_decoded() {
@@ -315,7 +314,7 @@ mod tests {
             .map(|b| 1.0 + 0.02 * ((b % 5) as f64 - 2.0))
             .collect();
         let mut y = vec![0.0; n];
-        for (b, blk) in m.blocks().iter().enumerate() {
+        for (b, blk) in m.blocks().enumerate() {
             let row0 = blk.block_row * bs;
             let col0 = blk.block_col * bs;
             for (ii, jj, v) in blk.iter_decoded() {

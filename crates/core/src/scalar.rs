@@ -5,8 +5,26 @@
 //! base `eb`, and keeps only the leading `f` fraction bits (Fig. 5b).  This module
 //! implements that per-scalar arithmetic; block-level base selection lives in
 //! [`crate::block`].
+//!
+//! The hardware converter is shift-and-mask logic, and so is this model: the exponent is
+//! read from the bit pattern, dropping fraction bits is a mask (rounding: an add, then
+//! the mask) on the 52-bit fraction field, and the decoded value is assembled with
+//! `f64::from_bits`.  Floating-point arithmetic appears only where the re-based exponent
+//! `eb + offset` leaves the normal range, so that the result rounds (to a subnormal) or
+//! overflows exactly as a multiplication would.
 
 use crate::format::{max_offset_for_bits, RoundingMode, UnderflowMode};
+
+/// Width of the IEEE-754 double fraction field.
+const FRACTION_BITS: u32 = 52;
+/// The fraction field of a double's bit pattern.
+const FRACTION_MASK: u64 = (1 << FRACTION_BITS) - 1;
+/// Exponent bias of a double.
+const BIAS: i32 = 1023;
+/// The biased exponent field of NaN and the infinities.
+const NON_FINITE: u64 = 0x7ff;
+/// The bit pattern of 1.0: a zero fraction field under the exponent of `[1, 2)`.
+const ONE: u64 = 1.0f64.to_bits();
 
 /// The sign / exponent / fraction decomposition of a finite nonzero f64.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -21,29 +39,56 @@ pub struct Decomposed {
 
 /// Decomposes a finite value into sign, unbiased exponent and normalized fraction.
 /// Returns `None` for zero (which has no exponent) and for NaN/infinities.
+#[inline]
 pub fn decompose(v: f64) -> Option<Decomposed> {
-    if v == 0.0 || !v.is_finite() {
+    let bits = v.to_bits();
+    let magnitude = bits & (u64::MAX >> 1);
+    let biased = magnitude >> FRACTION_BITS;
+    // One test separates the normals from everything rare.
+    let (exponent, field) = if biased.wrapping_sub(1) < NON_FINITE - 1 {
+        (biased as i32 - BIAS, magnitude & FRACTION_MASK)
+    } else if magnitude == 0 || biased == NON_FINITE {
         return None;
-    }
-    let exponent = refloat_sparse::stats::exponent_of(v);
-    let fraction = v.abs() / pow2(exponent);
+    } else {
+        // Subnormal: |v| = magnitude · 2^−1074 with no implicit one.  Shift the leading
+        // one up to the implicit position; every place shifted is one binade lower.
+        let shift = magnitude.leading_zeros() - (63 - FRACTION_BITS);
+        (
+            1 - BIAS - shift as i32,
+            (magnitude << shift) & FRACTION_MASK,
+        )
+    };
     Some(Decomposed {
-        negative: v < 0.0,
+        negative: bits >> 63 != 0,
         exponent,
-        fraction,
+        fraction: f64::from_bits(ONE | field),
     })
 }
 
 /// `2^e` as an f64, valid for the full double-precision exponent range (including
-/// results that are subnormal or overflow to infinity).
+/// results that are subnormal, underflow to zero or overflow to infinity).
+#[inline]
 pub fn pow2(e: i32) -> f64 {
-    // f64::powi is exact for powers of two within range; use ldexp-style construction
-    // for the normal range to avoid any libm dependence on rounding mode.
-    if (-1022..=1023).contains(&e) {
-        f64::from_bits(((e + 1023) as u64) << 52)
-    } else {
-        2.0f64.powi(e)
+    match e {
+        -1022..=1023 => f64::from_bits(((e + BIAS) as u64) << FRACTION_BITS),
+        -1074..=-1023 => f64::from_bits(1 << (e + 1074)),
+        ..=-1075 => 0.0,
+        1024.. => f64::INFINITY,
     }
+}
+
+/// Keeps the leading `f_bits` of a 52-bit fraction field.  The result is the field of
+/// the quantized fraction, or `2^52` when round-to-nearest carried out of the field
+/// (the fraction became 2.0).
+#[inline]
+fn quantize_field(field: u64, f_bits: u32, mode: RoundingMode) -> u64 {
+    let dropped = (1u64 << (FRACTION_BITS - f_bits)) - 1;
+    let half = match mode {
+        RoundingMode::Truncate => 0,
+        // Half of the last kept place; ties round up, away from zero.
+        RoundingMode::RoundNearest => (dropped + 1) >> 1,
+    };
+    (field + half) & !dropped
 }
 
 /// Quantizes a normalized fraction in `[1, 2)` to `f` explicit fraction bits.
@@ -56,11 +101,9 @@ pub fn quantize_fraction(fraction: f64, f_bits: u32, mode: RoundingMode) -> f64 
         (1.0..2.0).contains(&fraction),
         "fraction {fraction} must be in [1, 2)"
     );
-    let scale = (1u64 << f_bits) as f64;
-    match mode {
-        RoundingMode::Truncate => ((fraction - 1.0) * scale).floor() / scale + 1.0,
-        RoundingMode::RoundNearest => ((fraction - 1.0) * scale).round() / scale + 1.0,
-    }
+    // A carry out of the field lands in the exponent field: 1.0's pattern plus 2^52 is 2.0's.
+    let field = quantize_field(fraction.to_bits() & FRACTION_MASK, f_bits, mode);
+    f64::from_bits(ONE + field)
 }
 
 /// Where a value's exponent offset landed relative to the representable window.
@@ -75,41 +118,56 @@ pub enum Window {
 }
 
 /// The stored parts of one value encoded against an exponent base (Fig. 4b / Fig. 5).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Quantized {
     /// Sign bit (`true` = negative), kept even when the value flushes to zero.
     pub negative: bool,
     /// Stored exponent offset, in `[−max_offset, max_offset]`.
     pub offset: i32,
-    /// Quantized significand in `[1, 2)`: `1 + code / 2^f`.
-    pub fraction: f64,
+    /// The quantized significand `1 + code / 2^f` as the fraction field of a double:
+    /// the retained `f` bits in the field's leading places, zeros below.
+    pub field: u64,
     /// Whether the offset fit the window.
     pub window: Window,
 }
 
 impl Quantized {
-    /// The retained `f` fraction bits as an integer in `[0, 2^f)`.
+    /// Quantized significand in `[1, 2)`: `1 + code / 2^f`.
+    pub fn fraction(&self) -> f64 {
+        f64::from_bits(ONE | self.field)
+    }
+
+    /// The retained `f` fraction bits as an integer in `[0, 2^f)`; a code wider than
+    /// the 32 bits of the return type saturates.
     pub fn fraction_code(&self, f_bits: u32) -> u32 {
-        ((self.fraction - 1.0) * (1u64 << f_bits) as f64).round() as u32
+        u32::try_from(self.field >> (FRACTION_BITS - f_bits)).unwrap_or(u32::MAX)
     }
 
     /// The decoded (lossy) value `(−1)^s · fraction · 2^(eb + offset)`.
+    #[inline]
     pub fn value(&self, eb: i32) -> f64 {
-        if self.window == Window::Flushed {
-            return 0.0;
-        }
-        let magnitude = self.fraction * pow2(eb + self.offset);
-        if self.negative {
-            -magnitude
+        let exponent = eb + self.offset;
+        let magnitude = if (1 - BIAS..=BIAS).contains(&exponent) {
+            ((exponent + BIAS) as u64) << FRACTION_BITS | self.field
         } else {
-            magnitude
-        }
+            (self.fraction() * pow2(exponent)).to_bits()
+        };
+        let bits = (self.negative as u64) << 63 | magnitude;
+        // A flushed value decodes to +0.0 whatever its stored sign.
+        f64::from_bits(if self.window == Window::Flushed {
+            0
+        } else {
+            bits
+        })
     }
 }
 
 /// The scalar kernel of the ReFloat conversion (Eq. 4–7), defined once for matrix
 /// blocks and vector segments alike: re-expresses `d`'s exponent as a saturating
 /// offset from `eb` within `±max_offset` and keeps `f_bits` of fraction.
+///
+/// Every case is selected arithmetically, so a loop over it runs without branches on
+/// the data's sign or position in the window.
 #[inline]
 pub fn quantize(
     d: Decomposed,
@@ -120,39 +178,45 @@ pub fn quantize(
     underflow: UnderflowMode,
 ) -> Quantized {
     let raw = d.exponent - eb;
-    let (mut offset, window) = if raw > max_offset {
-        (max_offset, Window::Saturated)
-    } else if raw >= -max_offset {
-        (raw, Window::InRange)
-    } else if underflow == UnderflowMode::Saturate {
-        (-max_offset, Window::Saturated)
-    } else {
-        (0, Window::Flushed)
-    };
-    let mut fraction = match window {
-        Window::Flushed => 1.0,
-        _ => quantize_fraction(d.fraction, f_bits, rounding),
-    };
-    if fraction >= 2.0 {
-        // Round-to-nearest carried into the exponent.
-        if window == Window::InRange && offset < max_offset {
-            fraction = 1.0;
-            offset += 1;
-        } else {
-            // The offset is pinned (at either end of the window), so the carry cannot
-            // be absorbed: clamp to the largest representable fraction, `2 − 2^(−f)`.
-            // At the top, halving the fraction without incrementing the exponent
-            // would return ~half the true magnitude; at the bottom, renormalizing
-            // *upward* would overshoot a value already below the saturation floor.
-            fraction = 2.0 - pow2(-(f_bits as i32));
-        }
-    }
+    let clamped = raw.max(-max_offset).min(max_offset);
+    let pinned = clamped != raw;
+    let flushed = raw < -max_offset && underflow == UnderflowMode::FlushToZero;
+
+    let rounded = quantize_field(d.fraction.to_bits() & FRACTION_MASK, f_bits, rounding);
+    // Round-to-nearest carried out of the field (its low 52 bits are then zero, the
+    // fraction 1.0).  The carry goes into the exponent when the offset has room above
+    // it; a pinned offset (at either end of the window) cannot absorb it, so the
+    // fraction clamps to the largest representable one, `2 − 2^(−f)`: at the top,
+    // halving the fraction without incrementing the exponent would return ~half the
+    // true magnitude; at the bottom, renormalizing *upward* would overshoot a value
+    // already below the saturation floor.
+    let carried = rounded >> FRACTION_BITS != 0;
+    let absorbed = carried && !pinned && clamped < max_offset;
+    let largest = FRACTION_MASK & !(FRACTION_MASK >> f_bits);
+    let field = (rounded & FRACTION_MASK) | select(carried && !absorbed, largest);
+
     Quantized {
         negative: d.negative,
-        offset,
-        fraction,
-        window,
+        offset: if flushed {
+            0
+        } else {
+            clamped + absorbed as i32
+        },
+        field: select(!flushed, field),
+        window: if flushed {
+            Window::Flushed
+        } else if pinned {
+            Window::Saturated
+        } else {
+            Window::InRange
+        },
     }
+}
+
+/// `value` when `keep`, else 0 — as a mask, not a branch.
+#[inline]
+fn select(keep: bool, value: u64) -> u64 {
+    value & (keep as u64).wrapping_neg()
 }
 
 /// Re-encodes a single value against an exponent base `eb` with `e_bits` of saturating
@@ -186,6 +250,94 @@ pub fn fraction_truncation_error_bound(f_bits: u32) -> f64 {
     pow2(-(f_bits as i32))
 }
 
+/// The floating-point definition of the conversion, as the format was first written
+/// down: divide out the exponent, scale, `floor`/`round`, branch on the window.  The
+/// integer kernel above must agree with it bit for bit.
+#[cfg(test)]
+mod reference {
+    use super::{pow2, RoundingMode, UnderflowMode, Window};
+
+    pub struct Quantized {
+        pub negative: bool,
+        pub offset: i32,
+        pub fraction: f64,
+        pub window: Window,
+    }
+
+    pub fn decompose(v: f64) -> Option<(bool, i32, f64)> {
+        if v == 0.0 || !v.is_finite() {
+            return None;
+        }
+        let exponent = refloat_sparse::stats::exponent_of(v);
+        Some((v < 0.0, exponent, v.abs() / pow2(exponent)))
+    }
+
+    pub fn quantize_fraction(fraction: f64, f_bits: u32, mode: RoundingMode) -> f64 {
+        assert!((1.0..2.0).contains(&fraction));
+        let scale = (1u64 << f_bits) as f64;
+        match mode {
+            RoundingMode::Truncate => ((fraction - 1.0) * scale).floor() / scale + 1.0,
+            RoundingMode::RoundNearest => ((fraction - 1.0) * scale).round() / scale + 1.0,
+        }
+    }
+
+    pub fn quantize(
+        (negative, exponent, fraction): (bool, i32, f64),
+        eb: i32,
+        max_offset: i32,
+        f_bits: u32,
+        rounding: RoundingMode,
+        underflow: UnderflowMode,
+    ) -> Quantized {
+        let raw = exponent - eb;
+        let (mut offset, window) = if raw > max_offset {
+            (max_offset, Window::Saturated)
+        } else if raw >= -max_offset {
+            (raw, Window::InRange)
+        } else if underflow == UnderflowMode::Saturate {
+            (-max_offset, Window::Saturated)
+        } else {
+            (0, Window::Flushed)
+        };
+        let mut fraction = match window {
+            Window::Flushed => 1.0,
+            _ => quantize_fraction(fraction, f_bits, rounding),
+        };
+        if fraction >= 2.0 {
+            if window == Window::InRange && offset < max_offset {
+                fraction = 1.0;
+                offset += 1;
+            } else {
+                fraction = 2.0 - pow2(-(f_bits as i32));
+            }
+        }
+        Quantized {
+            negative,
+            offset,
+            fraction,
+            window,
+        }
+    }
+
+    impl Quantized {
+        pub fn fraction_code(&self, f_bits: u32) -> u32 {
+            ((self.fraction - 1.0) * (1u64 << f_bits) as f64).round() as u32
+        }
+
+        pub fn value(&self, eb: i32) -> f64 {
+            if self.window == Window::Flushed {
+                return 0.0;
+            }
+            let magnitude = self.fraction * pow2(eb + self.offset);
+            if self.negative {
+                -magnitude
+            } else {
+                magnitude
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,17 +355,145 @@ mod tests {
         assert_eq!(d.exponent, -1);
         assert!((d.fraction - 1.5).abs() < 1e-15);
 
+        // The smallest subnormal is 1.0 · 2^−1074.
+        let d = decompose(-f64::from_bits(1)).unwrap();
+        assert_eq!((d.negative, d.exponent, d.fraction), (true, -1074, 1.0));
+
         assert_eq!(decompose(0.0), None);
+        assert_eq!(decompose(-0.0), None);
         assert_eq!(decompose(f64::NAN), None);
         assert_eq!(decompose(f64::INFINITY), None);
+        assert_eq!(decompose(f64::NEG_INFINITY), None);
     }
 
     #[test]
-    fn pow2_matches_powi_in_normal_range() {
+    fn pow2_is_exact_over_the_whole_exponent_range() {
         for e in [-1022, -300, -1, 0, 1, 52, 1023] {
             assert_eq!(pow2(e), 2.0f64.powi(e), "e = {e}");
         }
-        assert_eq!(pow2(-1074), 2.0f64.powi(-1074));
+        // Below the normal range `powi` underflows to zero; the subnormal powers of two
+        // are still exact.
+        assert_eq!(pow2(-1023), f64::MIN_POSITIVE / 2.0);
+        assert_eq!(pow2(-1074), f64::from_bits(1));
+        assert_eq!(pow2(-1075), 0.0);
+        assert_eq!(pow2(1024), f64::INFINITY);
+    }
+
+    const MODES: [(RoundingMode, UnderflowMode); 4] = [
+        (RoundingMode::Truncate, UnderflowMode::Saturate),
+        (RoundingMode::Truncate, UnderflowMode::FlushToZero),
+        (RoundingMode::RoundNearest, UnderflowMode::Saturate),
+        (RoundingMode::RoundNearest, UnderflowMode::FlushToZero),
+    ];
+
+    /// Asserts that the integer kernel and the float reference agree on `v` against
+    /// `eb`, in all four mode pairs: same decomposition, offset, fraction code and
+    /// window, and the same decoded value bit for bit.
+    fn assert_matches_reference(v: f64, eb: i32, e_bits: u32, f_bits: u32) {
+        let max_offset = max_offset_for_bits(e_bits);
+        let (Some(d), Some(r)) = (decompose(v), reference::decompose(v)) else {
+            assert!(decompose(v).is_none() && reference::decompose(v).is_none());
+            return;
+        };
+        assert_eq!((d.negative, d.exponent), (r.0, r.1), "decompose({v:e})");
+        assert_eq!(d.fraction.to_bits(), r.2.to_bits(), "decompose({v:e})");
+        for (rounding, underflow) in MODES {
+            let context = format!(
+                "{v:e} ({:#018x}) against eb {eb}, e {e_bits}, f {f_bits}, {rounding:?}, {underflow:?}",
+                v.to_bits()
+            );
+            let got = quantize(d, eb, max_offset, f_bits, rounding, underflow);
+            let want = reference::quantize(r, eb, max_offset, f_bits, rounding, underflow);
+            assert_eq!(got.negative, want.negative, "{context}");
+            assert_eq!(got.offset, want.offset, "{context}");
+            assert_eq!(got.window, want.window, "{context}");
+            assert_eq!(
+                got.fraction().to_bits(),
+                want.fraction.to_bits(),
+                "{context}"
+            );
+            assert_eq!(
+                got.fraction_code(f_bits),
+                want.fraction_code(f_bits),
+                "{context}"
+            );
+            assert_eq!(
+                got.value(eb).to_bits(),
+                want.value(eb).to_bits(),
+                "{context}"
+            );
+            assert_eq!(
+                requantize(v, eb, e_bits, f_bits, rounding, underflow).to_bits(),
+                want.value(eb).to_bits(),
+                "{context}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_integer_quantiser_equals_the_float_reference_on_the_pinned_cases() {
+        // The RoundNearest carry at a pinned offset: 15.9 saturates from above, 3.4 sits
+        // at the top of the window, both clamp to 1.75 · 2.
+        for v in [15.9, 3.4] {
+            assert_matches_reference(v, 0, 2, 2);
+            assert_eq!(
+                requantize(
+                    v,
+                    0,
+                    2,
+                    2,
+                    RoundingMode::RoundNearest,
+                    UnderflowMode::Saturate
+                ),
+                3.5
+            );
+        }
+        for v in [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_matches_reference(v, 0, 3, 8);
+            for (rounding, underflow) in MODES {
+                let q = requantize(v, 0, 3, 8, rounding, underflow);
+                assert_eq!(q.to_bits(), 0, "{v} must requantize to +0.0");
+            }
+        }
+        // A carry absorbed at the top binade overflows; a subnormal result rounds once.
+        assert_matches_reference(f64::MAX, 1020, 3, 4);
+        assert_matches_reference(f64::MIN_POSITIVE * 1.75, -1019, 3, 1);
+        assert_matches_reference(f64::from_bits(0b1011), -1071, 3, 2);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn the_integer_quantiser_equals_the_float_reference_bit_for_bit(
+            bits in prop_oneof![
+                // Any pattern: normals of every binade, now and then NaN or ±Inf.
+                0u64..=u64::MAX,
+                // Subnormals of every magnitude.
+                (0u64..=u64::MAX, 12u32..=63)
+                    .prop_map(|(bits, shift)| bits & 1 << 63 | (bits & u64::MAX >> 1) >> shift),
+                // The first and last binades, where `eb + offset` leaves the normal range.
+                (0u64..=u64::MAX, 0usize..6).prop_map(|(bits, pick)| {
+                    let biased = [1u64, 2, 3, 2044, 2045, 2046][pick];
+                    bits & !(0x7ff << 52) | biased << 52
+                }),
+                // Leading fraction bits all ones: round-to-nearest carries.
+                (0u64..=u64::MAX, 0u32..=52)
+                    .prop_map(|(bits, ones)| bits | FRACTION_MASK & !(FRACTION_MASK >> ones)),
+            ],
+            e_bits in 0u32..=11,
+            f_bits in 0u32..=52,
+            edge in 0usize..3,
+            spread in -3i32..=3,
+        ) {
+            // Aim the raw offset at the bottom, the middle or the top of the window,
+            // give or take a few binades.
+            let v = f64::from_bits(bits);
+            let max_offset = max_offset_for_bits(e_bits);
+            let target = [-max_offset, 0, max_offset][edge] + spread;
+            let eb = reference::decompose(v).map_or(0, |(_, exponent, _)| exponent - target);
+            assert_matches_reference(v, eb, e_bits, f_bits);
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ use std::ops::Range;
 
 use crate::format::ReFloatConfig;
 use crate::matrix::ReFloatMatrix;
-use crate::vector::VectorConverter;
+use crate::vector::{Scratch, VectorConverter};
 use refloat_solvers::LinearOperator;
 use refloat_sparse::{block_row_shards, extract_row_range, CsrMatrix};
 
@@ -48,8 +48,9 @@ pub struct ShardedReFloatMatrix {
     config: ReFloatConfig,
     shards: Vec<OperatorShard>,
     converter: VectorConverter,
-    /// Scratch buffer holding the quantized input vector all shards read.
-    quantized_input: Vec<f64>,
+    /// The quantized input vector all shards read.  Only this one is ever filled: a
+    /// shard's own `op` accumulates and never converts.
+    quantized_input: Scratch,
 }
 
 impl ShardedReFloatMatrix {
@@ -118,7 +119,7 @@ impl ShardedReFloatMatrix {
             config,
             shards: parts,
             converter: VectorConverter::new(config),
-            quantized_input: vec![0.0; ncols],
+            quantized_input: Scratch::default(),
         }
     }
 
@@ -177,7 +178,7 @@ impl LinearOperator for ShardedReFloatMatrix {
     fn apply(&mut self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.ncols, "sharded apply: x length mismatch");
         assert_eq!(y.len(), self.nrows, "sharded apply: y length mismatch");
-        self.converter.convert_into(x, &mut self.quantized_input);
+        self.quantized_input.convert(&mut self.converter, x);
         let xq = self.quantized_input.as_slice();
         // Slice y into per-shard bands.
         let mut bands: Vec<&mut [f64]> = Vec::with_capacity(self.shards.len());

@@ -82,18 +82,24 @@ impl VectorConverter {
         for (segment, out) in x.chunks(seg).zip(out.chunks_mut(seg)) {
             let ebv = optimal_exponent_base(segment.iter());
             self.last_bases.push(ebv);
+            // Counted per segment, in registers, by adding comparison results.
+            let (mut skipped, mut saturated, mut flushed) = (0, 0, 0);
             for (xi, oi) in segment.iter().zip(out) {
-                *oi = decompose(*xi).map_or(0.0, |d| {
-                    let q = quantize(d, ebv, max_offset, fv, rounding, underflow);
-                    stats.nonzero += 1;
-                    match q.window {
-                        Window::InRange => {}
-                        Window::Saturated => stats.saturated += 1,
-                        Window::Flushed => stats.flushed += 1,
-                    }
-                    q.value(ebv)
-                });
+                // Zeros — and NaN/±Inf, which have no exponent either — convert to +0.0
+                // and are not counted.
+                let Some(d) = decompose(*xi) else {
+                    skipped += 1;
+                    *oi = 0.0;
+                    continue;
+                };
+                let q = quantize(d, ebv, max_offset, fv, rounding, underflow);
+                saturated += (q.window == Window::Saturated) as usize;
+                flushed += (q.window == Window::Flushed) as usize;
+                *oi = q.value(ebv);
             }
+            stats.nonzero += segment.len() - skipped;
+            stats.saturated += saturated;
+            stats.flushed += flushed;
         }
         self.last_stats = stats;
     }
@@ -103,6 +109,31 @@ impl VectorConverter {
         let mut out = vec![0.0; x.len()];
         self.convert_into(x, &mut out);
         out
+    }
+}
+
+/// The quantized copy of an operator's input vector.  It is scratch, not state: sized
+/// on the first conversion, and a clone starts empty instead of copying `O(ncols)`
+/// values its owner may never read.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch(Vec<f64>);
+
+impl Clone for Scratch {
+    fn clone(&self) -> Self {
+        Scratch::default()
+    }
+}
+
+impl Scratch {
+    /// Converts `x` into the scratch.
+    pub(crate) fn convert(&mut self, converter: &mut VectorConverter, x: &[f64]) {
+        self.0.resize(x.len(), 0.0);
+        converter.convert_into(x, &mut self.0);
+    }
+
+    /// The latest conversion.
+    pub(crate) fn as_slice(&self) -> &[f64] {
+        &self.0
     }
 }
 
@@ -153,6 +184,35 @@ mod tests {
         assert_eq!(q, x);
         assert_eq!(conv.last_bases().len(), 2);
         assert_eq!(conv.last_stats().nonzero, 0);
+    }
+
+    #[test]
+    fn zeros_nans_and_infinities_convert_to_positive_zero_and_are_not_counted() {
+        // Nothing without an exponent takes part: not in the output, not in the
+        // statistics, not in the segment's base.
+        let mut conv = VectorConverter::new(ReFloatConfig::new(2, 3, 8, 3, 8));
+        let x = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1.5,
+            -3.0,
+            0.0,
+        ];
+        let q = conv.convert(&x);
+        for k in [0, 1, 2, 3, 4, 7] {
+            assert_eq!(q[k].to_bits(), 0, "element {k} ({}) -> {}", x[k], q[k]);
+        }
+        assert_eq!((q[5], q[6]), (1.5, -3.0));
+        let counted = ConversionStats {
+            nonzero: 2,
+            ..ConversionStats::default()
+        };
+        assert_eq!(conv.last_stats(), &counted);
+        // An empty segment's base is 0; exponents 0 and 1 average to 0.5, rounded to 1.
+        assert_eq!(conv.last_bases(), [0, 1]);
     }
 
     #[test]

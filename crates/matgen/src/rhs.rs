@@ -30,6 +30,17 @@ pub fn smooth(n: usize) -> Vec<f64> {
         .collect()
 }
 
+/// A deterministic vector with the statistics of a Krylov iterate part-way through a
+/// solve: mixed sign, magnitudes spread log-uniformly over a dozen binades.  This is
+/// what the vector converter sees inside a solver, and it costs a branchy converter
+/// several times what a smooth positive profile does — benchmark conversion on this.
+pub fn krylov_like(n: usize, seed: u64) -> Vec<f64> {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| rng.gen_range(-1.0..=1.0) * rng.gen_range(-6.0..=6.0f64).exp2())
+        .collect()
+}
+
 /// Builds `b = A·x⋆` for a known solution `x⋆`, returning `(b, x⋆)`.
 ///
 /// Solving with this right-hand side lets experiments report both the residual norm and
@@ -54,6 +65,18 @@ pub fn default_rhs(a: &CsrMatrix) -> (Vec<f64>, Vec<f64>) {
 mod tests {
     use super::*;
     use crate::generators;
+
+    #[test]
+    fn krylov_like_is_seeded_mixed_sign_and_spans_many_binades() {
+        let x = krylov_like(4096, 9);
+        assert_eq!(x, krylov_like(4096, 9));
+        assert_ne!(x, krylov_like(4096, 10));
+        let negative = x.iter().filter(|v| **v < 0.0).count();
+        assert!((1500..2600).contains(&negative), "{negative} negative");
+        let magnitudes = x.iter().map(|v| v.abs()).filter(|m| *m > 0.0);
+        let (lo, hi) = magnitudes.fold((f64::MAX, 0.0f64), |(lo, hi), m| (lo.min(m), hi.max(m)));
+        assert!(hi / lo > 1024.0, "spans only {lo:e}..{hi:e}");
+    }
 
     #[test]
     fn ones_and_smooth_have_requested_length() {

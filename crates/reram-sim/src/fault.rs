@@ -351,7 +351,7 @@ impl FaultyReFloatOperator {
 
         // Sample every block's crossbar and plan remapping across all of them.
         let mut cells: Vec<StuckCell> = Vec::new();
-        for (b, _) in inner.blocks().iter().enumerate() {
+        for b in 0..inner.num_blocks() {
             for s in chip.map().stuck_cells(b + crossbar_offset, bs, age) {
                 cells.push(StuckCell {
                     block: b,
@@ -366,7 +366,7 @@ impl FaultyReFloatOperator {
         let (nrows, ncols) = (LinearOperator::nrows(&inner), LinearOperator::ncols(&inner));
         let mut corruptions: Vec<Vec<Corruption>> = vec![Vec::new(); inner.num_blocks()];
         for cell in plan.uncovered() {
-            let blk = &inner.blocks()[cell.block];
+            let blk = inner.block(cell.block);
             // Edge blocks cover a partial tile; a defect outside the logical matrix
             // maps to no element and cannot corrupt anything.
             if blk.block_row * bs + cell.row as usize >= nrows
@@ -446,7 +446,7 @@ impl LinearOperator for FaultyReFloatOperator {
         y.fill(0.0);
         let bs = self.inner.config().block_size();
         let (xq, inner) = self.inner.quantize_input(x);
-        for (b, blk) in inner.blocks().iter().enumerate() {
+        for (b, blk) in inner.blocks().enumerate() {
             let row0 = blk.block_row * bs;
             let col0 = blk.block_col * bs;
             // A drift of exactly 1.0 multiplies away bit for bit, so fault-free

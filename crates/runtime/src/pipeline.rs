@@ -507,8 +507,8 @@ impl JobContext<'_> {
     /// The worker needs a mutable operator (applying it mutates the conversion
     /// scratch), while the cache entries are shared and immutable — so each band is a
     /// `ReFloatMatrix::clone` of the cached entry: a reference to the same blocks plus
-    /// a fresh `O(ncols)` scratch.  The numerics are bit-identical to the serial
-    /// path: same blocks, same block order.
+    /// an empty scratch, sized on the first apply.  The numerics are bit-identical to
+    /// the serial path: same blocks, same block order.
     ///
     /// With `fault = (policy, attempt)` the whole-matrix operator is wrapped in a
     /// [`FaultyReFloatOperator`] whose block *i* sits on crossbar
