@@ -25,14 +25,17 @@ fn bench_crossbar(c: &mut Criterion) {
 
     // Processing-engine block MVM with the paper's default bits on a 32x32 block.
     let config = ReFloatConfig::new(5, 3, 3, 3, 8);
+    let rows: Vec<u16> = (0..32).flat_map(|r| std::iter::repeat_n(r, 8)).collect();
+    let cols: Vec<u16> = (0..32).flat_map(|_| (0..8).map(|k| k * 4)).collect();
+    let vals: Vec<f64> = (0..256)
+        .map(|i| ((i % 17) as f64 - 8.0) * 1e-3 + 0.5)
+        .collect();
     let block = Block {
         block_row: 0,
         block_col: 0,
-        rows: (0..32u16).flat_map(|r| std::iter::repeat_n(r, 8)).collect(),
-        cols: (0..32u16).flat_map(|_| (0..8u16).map(|k| k * 4)).collect(),
-        vals: (0..256)
-            .map(|i| ((i % 17) as f64 - 8.0) * 1e-3 + 0.5)
-            .collect(),
+        rows: &rows,
+        cols: &cols,
+        vals: &vals,
     };
     let encoded = ReFloatBlock::encode(&block, &config);
     let pe = ProcessingEngine::new(config);

@@ -25,9 +25,6 @@ fn bench_spmv(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("blocked_serial", a.nnz()), |b| {
         b.iter(|| blocked.spmv_into(&x, &mut y));
     });
-    group.bench_function(BenchmarkId::new("blocked_parallel_4t", a.nnz()), |b| {
-        b.iter(|| blocked.par_spmv_into(&x, &mut y, 4));
-    });
     group.finish();
 }
 

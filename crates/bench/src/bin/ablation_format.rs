@@ -34,8 +34,8 @@ fn with_base_policy(
         refloat_sparse::CooMatrix::with_capacity(blocked.nrows(), blocked.ncols(), blocked.nnz());
     let bs = blocked.block_size();
     for block in blocked.blocks() {
-        let base = policy(&block.vals);
-        let encoded = ReFloatBlock::encode_with_base(block, &config, base);
+        let base = policy(block.vals);
+        let encoded = ReFloatBlock::encode_with_base(&block, &config, base);
         let row0 = block.block_row * bs;
         let col0 = block.block_col * bs;
         for (ii, jj, v) in encoded.iter_decoded() {

@@ -306,7 +306,7 @@ pub fn required_offset_histogram(blocked: &BlockedMatrix) -> Vec<usize> {
         let mut lo = i32::MAX;
         let mut hi = i32::MIN;
         let mut any = false;
-        for &v in &blk.vals {
+        for &v in blk.vals {
             if v == 0.0 {
                 continue;
             }
@@ -318,7 +318,7 @@ pub fn required_offset_histogram(blocked: &BlockedMatrix) -> Vec<usize> {
         if !any {
             continue; // block of explicit zeros
         }
-        let eb = optimal_exponent_base(blk.vals.iter());
+        let eb = optimal_exponent_base(blk.vals);
         let required = (hi - eb).max(eb - lo).max(0) as usize;
         if hist.len() <= required {
             hist.resize(required + 1, 0);

@@ -1,12 +1,13 @@
 //! Per-block encoding: exponent-base selection (Eq. 4–5) and block conversion.
 //!
-//! Two consumers encode blocks.  [`crate::matrix::ReFloatMatrix`] keeps only what an
-//! SpMV reads — local indices and decoded values, appended to its arena (the layout is
-//! described in [`crate::matrix`]).  [`ReFloatBlock`] is the single-block **bit-level
-//! record**: it owns the per-element sign, exponent offset and fraction code of
-//! Fig. 4(b)/Fig. 5, and is encoded on demand by whoever needs the stored bits (the
-//! crossbar engine in `reram-sim`, the format ablation, the property tests).  Both run
-//! every element through the one scalar kernel, [`crate::scalar::quantize`].
+//! Two consumers encode blocks.  [`crate::matrix::ReFloatMatrix`] keeps only what this
+//! crate adds to the block-major layout `refloat-sparse` owns — one exponent base per
+//! block and one decoded value per non-zero.  [`ReFloatBlock`] is the single-block
+//! **bit-level record**: it owns the per-element sign, exponent offset and fraction
+//! code of Fig. 4(b)/Fig. 5, wide enough for every format [`ReFloatConfig::new`]
+//! accepts, and is encoded on demand by whoever needs the stored bits (the crossbar
+//! engine in `reram-sim`, the format ablation, the property tests).  Both run every
+//! element through the one scalar kernel, [`crate::scalar::quantize`].
 
 use crate::format::ReFloatConfig;
 use crate::memory::storage_bits;
@@ -69,10 +70,13 @@ fn quantize_values<'a>(
         .map(move |&v| decompose(v).map(|d| quantize(d, eb, max_offset, f, rounding, underflow)))
 }
 
-/// Appends the decoded values `2^eb · (−1)^s · 1.frac · 2^offset` of `vals` encoded
-/// against `eb` — what the crossbars effectively compute with — to `out`.
-pub(crate) fn decode_into(vals: &[f64], config: &ReFloatConfig, eb: i32, out: &mut Vec<f64>) {
+/// Encodes one block's values against their Eq. 5 base `eb`: appends the decoded values
+/// `2^eb · (−1)^s · 1.frac · 2^offset` — what the crossbars effectively compute with —
+/// to `out` and returns `eb`.
+pub(crate) fn encode_into(vals: &[f64], config: &ReFloatConfig, out: &mut Vec<f64>) -> i32 {
+    let eb = optimal_exponent_base(vals);
     out.extend(quantize_values(vals, config, eb).map(|q| q.map_or(0.0, |q| q.value(eb))));
+    eb
 }
 
 /// One matrix block encoded in ReFloat format, down to the stored bits.
@@ -94,10 +98,12 @@ pub struct ReFloatBlock {
     pub cols: Vec<u16>,
     /// Sign bit per element (`true` = negative).
     pub signs: Vec<bool>,
-    /// Saturated exponent offset per element (fits in `e` bits by construction).
-    pub offsets: Vec<i8>,
-    /// Fraction code per element: the retained `f` bits as an integer in `[0, 2^f)`.
-    pub fraction_codes: Vec<u32>,
+    /// Saturated exponent offset per element (fits in `e` bits by construction; `e` may
+    /// be 11, so offsets reach ±1023).
+    pub offsets: Vec<i16>,
+    /// Fraction code per element: the retained `f` bits (up to 52) as an integer in
+    /// `[0, 2^f)`.
+    pub fraction_codes: Vec<u64>,
     /// Decoded values (what the crossbars effectively compute with).
     pub decoded: Vec<f64>,
 }
@@ -105,7 +111,7 @@ pub struct ReFloatBlock {
 impl ReFloatBlock {
     /// Encodes a [`Block`] of f64 values into ReFloat format.
     pub fn encode(block: &Block, config: &ReFloatConfig) -> Self {
-        let eb = optimal_exponent_base(block.vals.iter());
+        let eb = optimal_exponent_base(block.vals);
         Self::encode_with_base(block, config, eb)
     }
 
@@ -117,9 +123,9 @@ impl ReFloatBlock {
         let mut offsets = Vec::with_capacity(n);
         let mut fraction_codes = Vec::with_capacity(n);
         let mut decoded = Vec::with_capacity(n);
-        for q in quantize_values(&block.vals, config, eb) {
+        for q in quantize_values(block.vals, config, eb) {
             signs.push(q.is_some_and(|q| q.negative));
-            offsets.push(q.map_or(0, |q| q.offset as i8));
+            offsets.push(q.map_or(0, |q| q.offset as i16));
             fraction_codes.push(q.map_or(0, |q| q.fraction_code(config.f)));
             decoded.push(q.map_or(0.0, |q| q.value(eb)));
         }
@@ -128,8 +134,8 @@ impl ReFloatBlock {
             block_row: block.block_row,
             block_col: block.block_col,
             eb,
-            rows: block.rows.clone(),
-            cols: block.cols.clone(),
+            rows: block.rows.to_vec(),
+            cols: block.cols.to_vec(),
             signs,
             offsets,
             fraction_codes,
@@ -149,17 +155,6 @@ impl ReFloatBlock {
             .zip(self.cols.iter())
             .zip(self.decoded.iter())
             .map(|((&r, &c), &v)| (r, c, v))
-    }
-
-    /// Reconstructs the block as plain f64 values (the quantized matrix block `Ã_c`).
-    pub fn to_block(&self) -> Block {
-        Block {
-            block_row: self.block_row,
-            block_col: self.block_col,
-            rows: self.rows.clone(),
-            cols: self.cols.clone(),
-            vals: self.decoded.clone(),
-        }
     }
 
     /// Worst-case relative element error of this encoding against the original block.
@@ -187,13 +182,20 @@ mod tests {
     use crate::scalar::pow2;
     use proptest::prelude::*;
 
-    fn block_from_values(vals: &[f64]) -> Block {
+    /// Local `(rows, cols)` for a block of `n` entries; a [`Block`] only borrows.
+    fn local_indices(n: usize) -> (Vec<u16>, Vec<u16>) {
+        let rows = (0..n).map(|i| i as u16).collect();
+        let cols = (0..n).map(|i| (i * 2 % 4) as u16).collect();
+        (rows, cols)
+    }
+
+    fn block_over<'a>(indices: &'a (Vec<u16>, Vec<u16>), vals: &'a [f64]) -> Block<'a> {
         Block {
             block_row: 3,
             block_col: 5,
-            rows: (0..vals.len()).map(|i| i as u16).collect(),
-            cols: (0..vals.len()).map(|i| (i * 2 % 4) as u16).collect(),
-            vals: vals.to_vec(),
+            rows: &indices.0,
+            cols: &indices.1,
+            vals,
         }
     }
 
@@ -223,7 +225,8 @@ mod tests {
 
     #[test]
     fn encode_matches_paper_eq7() {
-        let block = block_from_values(&[-248.0, 336.0, -512.0, 136.0]);
+        let indices = local_indices(4);
+        let block = block_over(&indices, &[-248.0, 336.0, -512.0, 136.0]);
         let config = ReFloatConfig::new(2, 2, 2, 2, 2);
         let enc = ReFloatBlock::encode(&block, &config);
         assert_eq!(enc.eb, 8);
@@ -235,7 +238,8 @@ mod tests {
 
     #[test]
     fn zeros_are_preserved_exactly() {
-        let block = block_from_values(&[0.0, 3.0, 0.0]);
+        let indices = local_indices(3);
+        let block = block_over(&indices, &[0.0, 3.0, 0.0]);
         let enc = ReFloatBlock::encode(&block, &ReFloatConfig::paper_default());
         assert_eq!(enc.decoded[0], 0.0);
         assert_eq!(enc.decoded[2], 0.0);
@@ -246,7 +250,8 @@ mod tests {
     fn saturation_and_flush_modes_differ_for_wide_blocks() {
         // One element 2^20 below the rest.
         let vals = [1.0, 1.5, 1.25, 1.5e-6];
-        let block = block_from_values(&vals);
+        let indices = local_indices(vals.len());
+        let block = block_over(&indices, &vals);
         let sat_cfg = ReFloatConfig::new(2, 3, 8, 3, 8);
         let ftz_cfg = sat_cfg.with_underflow(UnderflowMode::FlushToZero);
         let sat = ReFloatBlock::encode(&block, &sat_cfg);
@@ -263,22 +268,11 @@ mod tests {
     fn storage_bits_match_fig4() {
         // Fig. 4: 8 values in ReFloat(2,2,3) -> 151 bits.
         let vals = [8.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0];
-        let block = block_from_values(&vals);
+        let indices = local_indices(vals.len());
+        let block = block_over(&indices, &vals);
         let config = ReFloatConfig::new(2, 2, 3, 2, 3);
         let enc = ReFloatBlock::encode(&block, &config);
         assert_eq!(enc.storage_bits(&config), 151);
-    }
-
-    #[test]
-    fn to_block_round_trips_decoded_values() {
-        let vals = [3.0, -1.5, 0.0, 2.25];
-        let block = block_from_values(&vals);
-        let config = ReFloatConfig::new(2, 3, 10, 3, 10);
-        let enc = ReFloatBlock::encode(&block, &config);
-        let back = enc.to_block();
-        assert_eq!(back.rows, block.rows);
-        assert_eq!(back.cols, block.cols);
-        assert_eq!(back.vals, enc.decoded);
     }
 
     proptest! {
@@ -295,7 +289,8 @@ mod tests {
             let vals: Vec<f64> = exps.iter().zip(fracs.iter())
                 .map(|(&e, &m)| m * pow2(e))
                 .collect();
-            let block = block_from_values(&vals);
+            let indices = local_indices(vals.len());
+            let block = block_over(&indices, &vals);
             let config = ReFloatConfig::new(6, 3, f_bits, 3, f_bits);
             let enc = ReFloatBlock::encode(&block, &config);
             let err = enc.max_relative_error(&block);
@@ -314,7 +309,8 @@ mod tests {
             ),
             e_bits in 1u32..6,
         ) {
-            let block = block_from_values(&vals);
+            let indices = local_indices(vals.len());
+            let block = block_over(&indices, &vals);
             let config = ReFloatConfig::new(7, e_bits, 4, e_bits, 4);
             let enc = ReFloatBlock::encode(&block, &config);
             let max_off = config.max_offset();

@@ -16,13 +16,20 @@
 //!   so the whole cluster is rewritten.
 //!
 //! Because encoding a block is a pure function of its values and the format, reusing a
-//! clean block's encoding — one range copy out of the previous matrix's arena — is
-//! *bitwise identical* to re-encoding it;
-//! the incremental result therefore equals a from-scratch encode of the new matrix,
-//! block for block, bit for bit.  Tests enforce this across perturbation magnitudes
-//! up to the all-blocks-dirty worst case.
+//! clean block's encoding — its `eb` and one range copy of its decoded values out of
+//! the previous matrix — is *bitwise identical* to re-encoding it; the incremental
+//! result therefore equals a from-scratch encode of the new matrix, block for block,
+//! bit for bit.  Tests enforce this across perturbation magnitudes up to the
+//! all-blocks-dirty worst case.
+//!
+//! The result adopts the block-major layout of the *new* step's blocking (the layout
+//! is `refloat-sparse`'s; see [`crate::matrix`]) — no index is copied, only `eb` and
+//! decoded values are filled in, block by block.
 
-use crate::matrix::{BlockArena, ReFloatMatrix};
+use std::sync::Arc;
+
+use crate::block::encode_into;
+use crate::matrix::ReFloatMatrix;
 use refloat_sparse::{blocked::Block, BlockedMatrix, CsrMatrix};
 
 /// What the delta re-encode touched, in blocks and crossbar cells.
@@ -163,47 +170,41 @@ pub fn reencode_incremental(
         "reencode_incremental: previous_source is not the source of the previous encoding"
     );
 
-    let prev_blocks = prev_blocked.blocks();
-    let next_blocks = next_blocked.blocks();
     let mut stats = IncrementalStats {
-        blocks_total: next_blocks.len(),
+        blocks_total: next_blocked.num_blocks(),
         ..IncrementalStats::default()
     };
-    let mut encoded = BlockArena::with_capacity(next_blocks.len(), next_blocked.nnz());
+    let mut eb = Vec::with_capacity(next_blocked.num_blocks());
+    let mut decoded = Vec::with_capacity(next_blocked.nnz());
 
-    // Both block lists are sorted by (block_row, block_col): merge-walk them.
-    let mut p = 0;
-    for next in next_blocks {
-        let key = (next.block_row, next.block_col);
-        while p < prev_blocks.len() && (prev_blocks[p].block_row, prev_blocks[p].block_col) < key {
-            // A block that existed last step has no entries any more: clear its cells.
+    // Both block lists are sorted by (block_row, block_col): merge-walk them, the
+    // previous step's raw blocks paired with their encodings.
+    let key = |blk: &Block| (blk.block_row, blk.block_col);
+    let mut prev_blocks = prev_blocked.blocks().zip(previous.blocks()).peekable();
+    for next in next_blocked.blocks() {
+        // A block that existed last step has no entries any more: clear its cells.
+        while let Some((gone, _)) = prev_blocks.next_if(|(prev, _)| key(prev) < key(&next)) {
             stats.blocks_vanished += 1;
-            stats.cells_reprogrammed += prev_blocks[p].nnz() as u64;
-            p += 1;
+            stats.cells_reprogrammed += gone.nnz() as u64;
         }
         stats.cells_total += next.nnz() as u64;
-        let prev_match = (p < prev_blocks.len()
-            && (prev_blocks[p].block_row, prev_blocks[p].block_col) == key)
-            .then(|| {
-                let index = p;
-                p += 1;
-                (&prev_blocks[index], index)
-            });
-        match prev_match {
-            Some((prev_raw, prev_index)) if blocks_bitwise_equal(prev_raw, next) => {
+        match prev_blocks.next_if(|(prev, _)| key(prev) == key(&next)) {
+            Some((prev_raw, prev_enc)) if blocks_bitwise_equal(&prev_raw, &next) => {
                 // Clean: the encoding is a pure function of (values, config), so the
                 // previous block *is* the from-scratch encoding of this block.
                 stats.blocks_reused += 1;
-                encoded.push_copy(previous.arena(), prev_index);
+                eb.push(prev_enc.eb);
+                decoded.extend_from_slice(prev_enc.decoded);
             }
             dirty_or_new => {
-                let eb = encoded.push_encoded(next, &config);
+                let base = encode_into(next.vals, &config, &mut decoded);
+                eb.push(base);
                 match dirty_or_new {
-                    Some((prev_raw, prev_index)) if eb == previous.block(prev_index).eb => {
+                    Some((prev_raw, prev_enc)) if base == prev_enc.eb => {
                         // Values moved but stayed inside the block's offset window:
                         // only the changed cells need new device writes.
                         stats.blocks_partial += 1;
-                        stats.cells_reprogrammed += changed_cells(prev_raw, next);
+                        stats.cells_reprogrammed += changed_cells(&prev_raw, &next);
                     }
                     _ => {
                         stats.blocks_full += 1;
@@ -213,14 +214,14 @@ pub fn reencode_incremental(
             }
         }
     }
-    while p < prev_blocks.len() {
+    for (gone, _) in prev_blocks {
         stats.blocks_vanished += 1;
-        stats.cells_reprogrammed += prev_blocks[p].nnz() as u64;
-        p += 1;
+        stats.cells_reprogrammed += gone.nnz() as u64;
     }
 
+    let layout = Arc::clone(next_blocked.layout());
     IncrementalEncode {
-        matrix: ReFloatMatrix::from_arena(a.nrows(), a.ncols(), config, encoded),
+        matrix: ReFloatMatrix::from_parts(layout, config, eb, decoded),
         stats,
     }
 }
@@ -305,6 +306,31 @@ mod tests {
             assert_eq!(inc.stats.cells_total, scratch.nnz() as u64);
             assert!(inc.stats.cells_reprogrammed <= inc.stats.cells_total);
         }
+    }
+
+    #[test]
+    fn a_changed_structure_yields_the_new_steps_layout_not_the_predecessors() {
+        // Block (0, 1) and its mirror lose every entry; blocks (0, 14) and (14, 0),
+        // empty before, gain one each; everything else is bitwise unchanged.
+        let base = poisson_2d(12, 10, 0.2, 3).to_csr();
+        let n = base.nrows();
+        let mut next = refloat_sparse::CooMatrix::new(n, n);
+        for (r, c, v) in base.iter() {
+            if !matches!((r >> 3, c >> 3), (0, 1) | (1, 0)) {
+                next.push(r, c, v);
+            }
+        }
+        next.push_sym(0, n - 1, -0.125);
+        let next = next.to_csr();
+
+        let previous = ReFloatMatrix::from_csr(&base, config());
+        let inc = reencode_incremental(&previous, &base, &next);
+        assert_bitwise_identical(&inc.matrix, &ReFloatMatrix::from_csr(&next, config()));
+        let next_blocked = BlockedMatrix::from_csr(&next, config().b).unwrap();
+        assert_eq!(inc.matrix.layout(), next_blocked.layout());
+        assert!(!Arc::ptr_eq(inc.matrix.layout(), previous.layout()));
+        assert_eq!((inc.stats.blocks_vanished, inc.stats.blocks_full), (2, 2));
+        assert_eq!(inc.stats.blocks_reused, inc.stats.blocks_total - 2);
     }
 
     #[test]

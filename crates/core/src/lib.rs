@@ -25,14 +25,19 @@
 //!   from the bit pattern, fraction bits dropped by a mask, the value assembled with
 //!   `from_bits`; the block encoder and the vector converter both call it,
 //! * [`block`] — per-block base selection (Eq. 5) and [`ReFloatBlock`], the bit-level
-//!   record of *one* block (sign, offset and fraction code per element), encoded on
-//!   demand by the crossbar engine, the format ablation and the property tests,
+//!   record of *one* block (sign, offset and fraction code per element, wide enough for
+//!   every accepted `e ≤ 11`, `f ≤ 52`), encoded on demand by the crossbar engine, the
+//!   format ablation and the property tests,
 //! * [`vector`] — the vector converter ([`vector::VectorConverter`]),
 //! * [`matrix`] — [`ReFloatMatrix`], the quantized operator that plugs into the solvers.
-//!   It stores one shared arena per matrix — contiguous local-row, local-column and
-//!   decoded-value arrays, blocks back to back, plus a block table of
-//!   `(block_row, block_col, eb, start)` — and lends blocks out as
-//!   [`matrix::BlockView`]s; it keeps no bit-level fields,
+//!   The block-major layout (block table, local row and column indices) is
+//!   `refloat-sparse`'s `BlockLayout`, defined there once and *shared* with the
+//!   `BlockedMatrix` the encoding came from; this crate owns only what the encoder
+//!   adds — one exponent base `eb` per block and one decoded value per non-zero — and
+//!   lends blocks out as [`matrix::BlockView`]s; it keeps no bit-level fields,
+//! * [`incremental`] — [`reencode_incremental`]: a sequence step adopts its own
+//!   blocking's layout and fills `eb`/decoded block by block, copying clean blocks out
+//!   of the predecessor,
 //! * [`sharded`] — [`ShardedReFloatMatrix`], the operator partitioned into block-row
 //!   shards (one per chip of a multi-chip accelerator), bitwise identical to the
 //!   unsharded operator for every shard count,

@@ -45,7 +45,7 @@ pub fn exponent_locality(blocked: &BlockedMatrix) -> LocalityReport {
     for blk in blocked.blocks() {
         let mut lo = i32::MAX;
         let mut hi = i32::MIN;
-        for &v in &blk.vals {
+        for &v in blk.vals {
             if v == 0.0 {
                 continue;
             }

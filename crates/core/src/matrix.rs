@@ -13,116 +13,33 @@
 //!
 //! # Storage
 //!
-//! The encoding is the block-major layout of Fig. 7 taken literally: one arena of three
-//! contiguous arrays — local row index, local column index and decoded value per
-//! non-zero, blocks back to back in block-row-major order — plus a block table with one
-//! `(block_row, block_col, eb, start)` entry per non-empty block, `start` being where
-//! the block's run begins in the three arrays.  An SpMV streams the arena front to
-//! back; [`ReFloatMatrix::blocks`] lends each block out as a [`BlockView`].  The arena
-//! holds what the SpMV multiplies by and nothing else: the per-element sign, offset and
-//! fraction code belong to [`crate::block::ReFloatBlock`], which encodes a single block
-//! down to its bits on demand.
+//! The block-major layout of Fig. 7 — the block table and the local row and column
+//! index of every non-zero — is defined once, by `refloat-sparse`'s [`BlockLayout`],
+//! and a [`ReFloatMatrix`] *shares* the layout of the [`BlockedMatrix`] it was encoded
+//! from.  What this crate adds is the two things only the encoder knows: the exponent
+//! base `eb` of every block and the decoded value of every non-zero, in the layout's
+//! order.  An SpMV is [`BlockLayout::accumulate`] over the decoded values;
+//! [`ReFloatMatrix::blocks`] lends each block out as a [`BlockView`].  The per-element
+//! sign, offset and fraction code belong to [`crate::block::ReFloatBlock`], which
+//! encodes a single block down to its bits on demand.
 
 use std::sync::Arc;
 
-use crate::block::{decode_into, optimal_exponent_base};
+use crate::block::encode_into;
 use crate::format::ReFloatConfig;
 use crate::memory::storage_bits;
 use crate::vector::{Scratch, VectorConverter};
 use refloat_solvers::LinearOperator;
-use refloat_sparse::{blocked::Block, BlockedMatrix, CsrMatrix};
+use refloat_sparse::blocked::{Block, BlockLayout};
+use refloat_sparse::{BlockedMatrix, CsrMatrix};
 
-/// One row of the block table.
-#[derive(Debug, Clone, Copy)]
-struct BlockEntry {
-    block_row: u32,
-    block_col: u32,
-    eb: i32,
-    /// Index of the block's first non-zero in the arena arrays; the block runs to the
-    /// next entry's `start` (the last block: to the end of the arrays).
-    start: u32,
-}
-
-/// The encoded blocks of one matrix: three parallel arrays and the block table.
+/// What encoding adds to a [`BlockLayout`].
 #[derive(Debug)]
-pub(crate) struct BlockArena {
-    table: Vec<BlockEntry>,
-    rows: Vec<u16>,
-    cols: Vec<u16>,
+struct Encoded {
+    /// Exponent base per block, in the layout's block order.
+    eb: Vec<i32>,
+    /// Decoded value per non-zero, in the layout's order.
     decoded: Vec<f64>,
-}
-
-impl BlockArena {
-    /// An empty arena with room for `blocks` blocks holding `nnz` non-zeros in all.
-    pub(crate) fn with_capacity(blocks: usize, nnz: usize) -> Self {
-        BlockArena {
-            table: Vec::with_capacity(blocks),
-            rows: Vec::with_capacity(nnz),
-            cols: Vec::with_capacity(nnz),
-            decoded: Vec::with_capacity(nnz),
-        }
-    }
-
-    /// Opens the next block at the current end of the arrays.
-    ///
-    /// # Panics
-    /// Panics if a block coordinate (a `(32 − b)`-bit integer in the format, Fig. 4)
-    /// or the count of non-zeros so far does not fit the table's 32-bit fields.
-    fn push_entry(&mut self, block_row: usize, block_col: usize, eb: i32) {
-        let narrow = |v: usize| u32::try_from(v).expect("ReFloatMatrix: block table is 32-bit");
-        self.table.push(BlockEntry {
-            block_row: narrow(block_row),
-            block_col: narrow(block_col),
-            eb,
-            start: narrow(self.decoded.len()),
-        });
-    }
-
-    /// Encodes `block` against its Eq. 5 base and appends it; returns the base.
-    pub(crate) fn push_encoded(&mut self, block: &Block, config: &ReFloatConfig) -> i32 {
-        let eb = optimal_exponent_base(block.vals.iter());
-        self.push_entry(block.block_row, block.block_col, eb);
-        self.rows.extend_from_slice(&block.rows);
-        self.cols.extend_from_slice(&block.cols);
-        decode_into(&block.vals, config, eb, &mut self.decoded);
-        eb
-    }
-
-    /// Appends block `index` of `other` as it stands: one range copy per array.
-    pub(crate) fn push_copy(&mut self, other: &BlockArena, index: usize) {
-        let blk = other.block(index);
-        self.push_entry(blk.block_row, blk.block_col, blk.eb);
-        self.rows.extend_from_slice(blk.rows);
-        self.cols.extend_from_slice(blk.cols);
-        self.decoded.extend_from_slice(blk.decoded);
-    }
-
-    /// The block of `entry`, which runs up to `end` — its successor's start.
-    fn view(&self, entry: &BlockEntry, end: usize) -> BlockView<'_> {
-        let range = entry.start as usize..end;
-        BlockView {
-            block_row: entry.block_row as usize,
-            block_col: entry.block_col as usize,
-            eb: entry.eb,
-            rows: &self.rows[range.clone()],
-            cols: &self.cols[range.clone()],
-            decoded: &self.decoded[range],
-        }
-    }
-
-    fn block(&self, index: usize) -> BlockView<'_> {
-        let next = self.table.get(index + 1);
-        let end = next.map_or(self.decoded.len(), |next| next.start as usize);
-        self.view(&self.table[index], end)
-    }
-
-    /// Every block in storage order — a walk of the table, each entry paired with its
-    /// successor's start.
-    fn blocks(&self) -> impl Iterator<Item = BlockView<'_>> + Clone {
-        let ends = self.table.iter().skip(1).map(|next| next.start as usize);
-        let entries = self.table.iter().zip(ends.chain([self.decoded.len()]));
-        entries.map(|(entry, end)| self.view(entry, end))
-    }
 }
 
 /// One encoded block, borrowed from a [`ReFloatMatrix`].
@@ -143,6 +60,18 @@ pub struct BlockView<'a> {
 }
 
 impl<'a> BlockView<'a> {
+    /// `block` of the layout over the decoded values, with its exponent base.
+    fn new(block: Block<'a>, eb: i32) -> Self {
+        BlockView {
+            block_row: block.block_row,
+            block_col: block.block_col,
+            eb,
+            rows: block.rows,
+            cols: block.cols,
+            decoded: block.vals,
+        }
+    }
+
     /// Number of encoded elements.
     pub fn nnz(&self) -> usize {
         self.decoded.len()
@@ -157,15 +86,16 @@ impl<'a> BlockView<'a> {
 
 /// A sparse matrix encoded block-by-block in ReFloat format, usable as a solver operator.
 ///
-/// The encoding is programmed once and only read afterwards, so the arena sits behind
-/// an [`Arc`]: a clone shares it and starts with an empty conversion scratch, which is
-/// all that `apply(&mut self)` mutates.
+/// The encoding is programmed once and only read afterwards, so the layout and the
+/// encoded values each sit behind an [`Arc`]: a clone shares both and starts with an
+/// empty conversion scratch, which is all that `apply(&mut self)` mutates.
 #[derive(Debug, Clone)]
 pub struct ReFloatMatrix {
     nrows: usize,
     ncols: usize,
     config: ReFloatConfig,
-    arena: Arc<BlockArena>,
+    layout: Arc<BlockLayout>,
+    encoded: Arc<Encoded>,
     converter: VectorConverter,
     /// The quantized input vector of the latest apply.
     quantized_input: Scratch,
@@ -175,7 +105,8 @@ pub struct ReFloatMatrix {
 }
 
 impl ReFloatMatrix {
-    /// Encodes a blocked matrix into ReFloat format.
+    /// Encodes a blocked matrix into ReFloat format: its layout is shared, not copied,
+    /// and one pass quantizes the values block by block.
     pub fn from_blocked(blocked: &BlockedMatrix, config: ReFloatConfig) -> Self {
         assert_eq!(
             blocked.b(),
@@ -184,26 +115,31 @@ impl ReFloatMatrix {
             blocked.b(),
             config.b
         );
-        let mut arena = BlockArena::with_capacity(blocked.num_blocks(), blocked.nnz());
+        let mut eb = Vec::with_capacity(blocked.num_blocks());
+        let mut decoded = Vec::with_capacity(blocked.nnz());
         for block in blocked.blocks() {
-            arena.push_encoded(block, &config);
+            eb.push(encode_into(block.vals, &config, &mut decoded));
         }
-        Self::from_arena(blocked.nrows(), blocked.ncols(), config, arena)
+        Self::from_parts(Arc::clone(blocked.layout()), config, eb, decoded)
     }
 
-    /// Wraps an assembled arena (blocks in block-row-major order); used by
-    /// [`crate::incremental`] to stitch reused and re-encoded blocks together.
-    pub(crate) fn from_arena(
-        nrows: usize,
-        ncols: usize,
+    /// Wraps a layout with one `eb` per block and one decoded value per non-zero of
+    /// it; used by [`crate::incremental`] to stitch reused and re-encoded blocks
+    /// together.
+    pub(crate) fn from_parts(
+        layout: Arc<BlockLayout>,
         config: ReFloatConfig,
-        arena: BlockArena,
+        eb: Vec<i32>,
+        decoded: Vec<f64>,
     ) -> Self {
+        assert_eq!(eb.len(), layout.num_blocks(), "one eb per block");
+        assert_eq!(decoded.len(), layout.nnz(), "one decoded value per nnz");
         ReFloatMatrix {
-            nrows,
-            ncols,
+            nrows: layout.nrows(),
+            ncols: layout.ncols(),
             config,
-            arena: Arc::new(arena),
+            layout,
+            encoded: Arc::new(Encoded { eb, decoded }),
             converter: VectorConverter::new(config),
             quantized_input: Scratch::default(),
             quantize_vectors: true,
@@ -222,13 +158,16 @@ impl ReFloatMatrix {
         &self.config
     }
 
-    pub(crate) fn arena(&self) -> &BlockArena {
-        &self.arena
+    /// The block-major structure this encoding shares with its blocking.
+    #[cfg(test)]
+    pub(crate) fn layout(&self) -> &Arc<BlockLayout> {
+        &self.layout
     }
 
     /// The encoded blocks, in storage (block-row-major) order.
     pub fn blocks(&self) -> impl Iterator<Item = BlockView<'_>> + Clone {
-        self.arena.blocks()
+        let blocks = self.layout.blocks(&self.encoded.decoded);
+        (blocks.zip(&self.encoded.eb)).map(|(block, &eb)| BlockView::new(block, eb))
     }
 
     /// Block `index` of [`blocks`](Self::blocks).
@@ -236,17 +175,18 @@ impl ReFloatMatrix {
     /// # Panics
     /// Panics if `index >= num_blocks()`.
     pub fn block(&self, index: usize) -> BlockView<'_> {
-        self.arena.block(index)
+        let block = self.layout.block(index, &self.encoded.decoded);
+        BlockView::new(block, self.encoded.eb[index])
     }
 
     /// Number of non-empty blocks (= crossbar clusters required per SpMV).
     pub fn num_blocks(&self) -> usize {
-        self.arena.table.len()
+        self.encoded.eb.len()
     }
 
     /// Total number of encoded non-zeros.
     pub fn nnz(&self) -> usize {
-        self.arena.decoded.len()
+        self.encoded.decoded.len()
     }
 
     /// Disables (or re-enables) the per-iteration vector re-encoding.  With vector
@@ -305,37 +245,12 @@ impl ReFloatMatrix {
     }
 
     /// The accumulate step of an SpMV (Eq. 8–9) over an already-quantized input:
-    /// `y = Ã · xq`, block by block in storage order.  Within a block, a run of
-    /// elements of one row is summed in a register, starting from and stored back to
-    /// `y` — the additions, and so the bits, of an element-by-element `y[i] += …`.
+    /// `y = Ã · xq`, which is [`BlockLayout::accumulate`] over the decoded values.
     ///
     /// # Panics
-    /// Panics if `y.len() != nrows`.
+    /// Panics if `xq.len() != ncols` or `y.len() != nrows`.
     pub fn accumulate(&self, xq: &[f64], y: &mut [f64]) {
-        assert_eq!(
-            y.len(),
-            self.nrows,
-            "ReFloatMatrix apply: y length mismatch"
-        );
-        y.fill(0.0);
-        let bs = self.config.block_size();
-        for blk in self.blocks() {
-            let y = &mut y[blk.block_row * bs..];
-            let xq = &xq[blk.block_col * bs..];
-            let Some(&first) = blk.rows.first() else {
-                continue;
-            };
-            let (mut row, mut sum) = (first as usize, y[first as usize]);
-            for (ii, jj, v) in blk.iter_decoded() {
-                if ii as usize != row {
-                    y[row] = sum;
-                    row = ii as usize;
-                    sum = y[row];
-                }
-                sum += v * xq[jj as usize];
-            }
-            y[row] = sum;
-        }
+        self.layout.accumulate(&self.encoded.decoded, xq, y);
     }
 }
 
@@ -482,7 +397,7 @@ mod tests {
     }
 
     #[test]
-    fn a_clone_shares_the_arena_and_starts_with_an_empty_scratch() {
+    fn a_clone_shares_layout_and_encoded_values_and_starts_with_an_empty_scratch() {
         let a = generators::laplacian_2d(12, 12, 0.3).to_csr();
         let mut original = ReFloatMatrix::from_csr(&a, test_config(4));
         assert!(original.quantized_input.as_slice().is_empty());
@@ -490,7 +405,8 @@ mod tests {
         original.apply(&vec![1.0; a.ncols()], &mut y);
         assert_eq!(original.quantized_input.as_slice().len(), a.ncols());
         let clone = original.clone();
-        assert!(Arc::ptr_eq(&original.arena, &clone.arena));
+        assert!(Arc::ptr_eq(&original.layout, &clone.layout));
+        assert!(Arc::ptr_eq(&original.encoded, &clone.encoded));
         assert!(clone.quantized_input.as_slice().is_empty());
     }
 
@@ -578,6 +494,8 @@ mod tests {
         let a = generators::laplacian_2d(30, 30, 0.1).to_csr();
         let blocked = refloat_sparse::BlockedMatrix::from_csr(&a, 4).unwrap();
         let rf = ReFloatMatrix::from_blocked(&blocked, test_config(4));
+        // The encoding shares the blocking's layout; it does not copy the index arrays.
+        assert!(Arc::ptr_eq(&rf.layout, blocked.layout()));
         assert_eq!(rf.num_blocks(), blocked.num_blocks());
         assert_eq!(rf.nnz(), blocked.nnz());
         assert!(rf.storage_bits() > 0);

@@ -137,10 +137,9 @@ impl Quantized {
         f64::from_bits(ONE | self.field)
     }
 
-    /// The retained `f` fraction bits as an integer in `[0, 2^f)`; a code wider than
-    /// the 32 bits of the return type saturates.
-    pub fn fraction_code(&self, f_bits: u32) -> u32 {
-        u32::try_from(self.field >> (FRACTION_BITS - f_bits)).unwrap_or(u32::MAX)
+    /// The retained `f` fraction bits as an integer in `[0, 2^f)` (`f ≤ 52`).
+    pub fn fraction_code(&self, f_bits: u32) -> u64 {
+        self.field >> (FRACTION_BITS - f_bits)
     }
 
     /// The decoded (lossy) value `(−1)^s · fraction · 2^(eb + offset)`.
@@ -320,8 +319,8 @@ mod reference {
     }
 
     impl Quantized {
-        pub fn fraction_code(&self, f_bits: u32) -> u32 {
-            ((self.fraction - 1.0) * (1u64 << f_bits) as f64).round() as u32
+        pub fn fraction_code(&self, f_bits: u32) -> u64 {
+            ((self.fraction - 1.0) * (1u64 << f_bits) as f64).round() as u64
         }
 
         pub fn value(&self, eb: i32) -> f64 {

@@ -80,7 +80,7 @@ impl ProcessingEngine {
             if block.decoded[k] == 0.0 {
                 continue;
             }
-            let mantissa = (1u64 << self.config.f) + block.fraction_codes[k] as u64;
+            let mantissa = (1u64 << self.config.f) + block.fraction_codes[k];
             let shift = (block.offsets[k] as i32 + max_off_m) as u32;
             let int = mantissa << shift;
             let idx = ii as usize * bs + jj as usize;
@@ -162,12 +162,15 @@ mod tests {
     use refloat_sparse::blocked::Block;
 
     fn encode_block(vals: &[(u16, u16, f64)], config: &ReFloatConfig) -> ReFloatBlock {
+        let rows: Vec<u16> = vals.iter().map(|v| v.0).collect();
+        let cols: Vec<u16> = vals.iter().map(|v| v.1).collect();
+        let vals: Vec<f64> = vals.iter().map(|v| v.2).collect();
         let block = Block {
             block_row: 0,
             block_col: 0,
-            rows: vals.iter().map(|v| v.0).collect(),
-            cols: vals.iter().map(|v| v.1).collect(),
-            vals: vals.iter().map(|v| v.2).collect(),
+            rows: &rows,
+            cols: &cols,
+            vals: &vals,
         };
         ReFloatBlock::encode(&block, config)
     }

@@ -1,154 +1,87 @@
 //! Square-block partitioning and the block-major layout of Fig. 7.
 //!
 //! ReRAM crossbars compute MVM at the granularity of a `2^b × 2^b` matrix block
-//! (`b = 7`, i.e. 128×128, for the crossbars in Table IV of the paper).  A
-//! [`BlockedMatrix`] stores only the *non-empty* blocks of a sparse matrix; each block
-//! records its block coordinates `(i, j)` (the leading index bits of Fig. 5a) and its
-//! entries with *local* `(ii, jj)` coordinates inside the block (the trailing `b` bits).
+//! (`b = 7`, i.e. 128×128, for the crossbars in Table IV of the paper).  Only the
+//! *non-empty* blocks of a sparse matrix are stored: each has block coordinates `(i, j)`
+//! (the leading index bits of Fig. 5a) and entries with *local* `(ii, jj)` coordinates
+//! inside the block (the trailing `b` bits).
 //!
-//! Blocks are kept in block-row-major order, which is exactly the *block-major layout*
-//! the paper introduces in §V.C / Fig. 7 so that all non-zeros of a block — and all
-//! blocks that are scheduled together — are read sequentially from memory.
+//! This module is the one definition of the *block-major layout* the paper introduces
+//! in §V.C / Fig. 7 so that all non-zeros of a block — and all blocks that are
+//! scheduled together — are read sequentially from memory.  A [`BlockLayout`] is the
+//! structure alone: contiguous local row and column indices, blocks back to back in
+//! block-row-major order and each block's entries in CSR order (sorted by `(ii, jj)`),
+//! plus a block table of `(block_row, block_col, start)`.  Anything with one value per
+//! non-zero rides on it: a [`BlockedMatrix`] is the layout plus the `f64` values, and
+//! `refloat-core`'s `ReFloatMatrix` shares the same layout (it sits behind an [`Arc`])
+//! and adds the decoded values and per-block exponent bases that only it knows.
+//! [`BlockLayout::accumulate`] is the one SpMV loop over the layout, whichever values
+//! it is handed.
+
+use std::sync::Arc;
 
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
-use crate::parallel;
 use crate::Result;
 
-/// One non-empty `2^b × 2^b` block of a sparse matrix.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Block {
+/// One row of the block table.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct TableEntry {
+    block_row: u32,
+    block_col: u32,
+    /// Index of the block's first non-zero in the per-non-zero arrays; the block runs
+    /// to the next entry's `start`.
+    start: u32,
+}
+
+/// The block-major structure of a sparse matrix: where every non-zero sits, without
+/// the values.
+#[derive(Debug, PartialEq)]
+pub struct BlockLayout {
+    nrows: usize,
+    ncols: usize,
+    /// log2 of the block edge length (the paper's `b`).
+    b: u32,
+    /// One entry per non-empty block, strictly sorted by `(block_row, block_col)`,
+    /// closed by a sentinel whose `start` is the non-zero count.
+    table: Vec<TableEntry>,
+    /// Local row index `ii` (`< 2^b`) per non-zero.
+    rows: Vec<u16>,
+    /// Local column index `jj` (`< 2^b`) per non-zero.
+    cols: Vec<u16>,
+}
+
+/// One non-empty `2^b × 2^b` block, borrowed from a [`BlockLayout`] and an array of
+/// per-non-zero values laid out by it.
+#[derive(Debug, Clone, Copy)]
+pub struct Block<'a> {
     /// Block-row index `i` (row `r` of the full matrix lives in block-row `r >> b`).
     pub block_row: usize,
     /// Block-column index `j`.
     pub block_col: usize,
     /// Local row indices `ii` (`< 2^b`), one per entry.
-    pub rows: Vec<u16>,
+    pub rows: &'a [u16],
     /// Local column indices `jj` (`< 2^b`), one per entry.
-    pub cols: Vec<u16>,
+    pub cols: &'a [u16],
     /// Entry values, one per entry, in the same order as `rows`/`cols`.
-    pub vals: Vec<f64>,
+    pub vals: &'a [f64],
 }
 
-impl Block {
+impl<'a> Block<'a> {
     /// Number of non-zero entries stored in the block.
     pub fn nnz(&self) -> usize {
         self.vals.len()
     }
 
-    /// Iterates over `(ii, jj, value)` entries of the block.
-    pub fn iter(&self) -> impl Iterator<Item = (u16, u16, f64)> + '_ {
-        self.rows
-            .iter()
-            .zip(self.cols.iter())
-            .zip(self.vals.iter())
-            .map(|((&r, &c), &v)| (r, c, v))
-    }
-
-    /// Materializes the block as a dense row-major `2^b × 2^b` matrix (zero filled).
-    ///
-    /// Used by the crossbar simulator, which maps a whole block onto a crossbar.
-    pub fn to_dense(&self, block_size: usize) -> Vec<f64> {
-        let mut dense = vec![0.0; block_size * block_size];
-        for (r, c, v) in self.iter() {
-            dense[r as usize * block_size + c as usize] = v;
-        }
-        dense
-    }
-
-    /// Largest absolute value in the block (0.0 for an empty block).
-    pub fn max_abs(&self) -> f64 {
-        self.vals.iter().fold(0.0f64, |m, &v| m.max(v.abs()))
+    /// Iterates over `(ii, jj, value)` entries of the block, in storage order.
+    pub fn iter(&self) -> impl Iterator<Item = (u16, u16, f64)> + 'a {
+        let entries = self.rows.iter().zip(self.cols).zip(self.vals);
+        entries.map(|((&r, &c), &v)| (r, c, v))
     }
 }
 
-/// A sparse matrix partitioned into square `2^b × 2^b` blocks, stored block-row-major.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BlockedMatrix {
-    nrows: usize,
-    ncols: usize,
-    /// log2 of the block edge length (the paper's `b`).
-    b: u32,
-    /// Non-empty blocks in block-row-major order (sorted by `(block_row, block_col)`).
-    blocks: Vec<Block>,
-    /// Start offsets into `blocks` for each block-row (`num_block_rows + 1` entries).
-    block_row_ptr: Vec<usize>,
-}
-
-impl BlockedMatrix {
-    /// Partitions a CSR matrix into `2^b × 2^b` blocks.
-    ///
-    /// Returns an error if `b == 0` would make blocks degenerate (`b` must be ≥ 1) or if
-    /// `b` is large enough that local indices no longer fit in `u16` (`b ≤ 15`).
-    pub fn from_csr(a: &CsrMatrix, b: u32) -> Result<Self> {
-        if b == 0 || b > 15 {
-            return Err(SparseError::InvalidParameter(format!(
-                "block size exponent b must be in 1..=15, got {b}"
-            )));
-        }
-        let bs = 1usize << b;
-        let nrows = a.nrows();
-        let ncols = a.ncols();
-        let num_block_rows = nrows.div_ceil(bs);
-        let num_block_cols = ncols.div_ceil(bs);
-
-        let mut blocks: Vec<Block> = Vec::new();
-        let mut block_row_ptr = Vec::with_capacity(num_block_rows + 1);
-        block_row_ptr.push(0);
-
-        // Scratch: for the current block-row, map block-col -> position in `current`.
-        let mut col_to_slot: Vec<usize> = vec![usize::MAX; num_block_cols];
-        for brow in 0..num_block_rows {
-            let mut current: Vec<Block> = Vec::new();
-            let row_lo = brow * bs;
-            let row_hi = (row_lo + bs).min(nrows);
-            for r in row_lo..row_hi {
-                let (cols, vals) = a.row(r);
-                for (&c, &v) in cols.iter().zip(vals.iter()) {
-                    let bcol = c >> b;
-                    let slot = col_to_slot[bcol];
-                    let blk = if slot == usize::MAX {
-                        col_to_slot[bcol] = current.len();
-                        current.push(Block {
-                            block_row: brow,
-                            block_col: bcol,
-                            rows: Vec::new(),
-                            cols: Vec::new(),
-                            vals: Vec::new(),
-                        });
-                        current.last_mut().expect("just pushed")
-                    } else {
-                        &mut current[slot]
-                    };
-                    blk.rows.push((r - row_lo) as u16);
-                    blk.cols.push((c & (bs - 1)) as u16);
-                    blk.vals.push(v);
-                }
-            }
-            // Reset scratch and emit the block-row sorted by block column.
-            for blk in &current {
-                col_to_slot[blk.block_col] = usize::MAX;
-            }
-            current.sort_unstable_by_key(|blk| blk.block_col);
-            blocks.extend(current);
-            block_row_ptr.push(blocks.len());
-        }
-
-        Ok(BlockedMatrix {
-            nrows,
-            ncols,
-            b,
-            blocks,
-            block_row_ptr,
-        })
-    }
-
-    /// Partitions a COO matrix (duplicates are summed via CSR first).
-    pub fn from_coo(a: &CooMatrix, b: u32) -> Result<Self> {
-        Self::from_csr(&a.to_csr(), b)
-    }
-
+impl BlockLayout {
     /// Number of rows of the underlying matrix.
     pub fn nrows(&self) -> usize {
         self.nrows
@@ -159,24 +92,222 @@ impl BlockedMatrix {
         self.ncols
     }
 
+    /// Block edge length `2^b`.
+    fn block_size(&self) -> usize {
+        1 << self.b
+    }
+
+    /// Number of *non-empty* blocks.
+    pub fn num_blocks(&self) -> usize {
+        self.table.len() - 1
+    }
+
+    /// Total number of stored non-zeros.
+    pub fn nnz(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// The block of `entry`, which runs up to `end` — its successor's start.
+    fn view<'a>(&'a self, entry: &TableEntry, end: u32, vals: &'a [f64]) -> Block<'a> {
+        let range = entry.start as usize..end as usize;
+        Block {
+            block_row: entry.block_row as usize,
+            block_col: entry.block_col as usize,
+            rows: &self.rows[range.clone()],
+            cols: &self.cols[range.clone()],
+            vals: &vals[range],
+        }
+    }
+
+    /// Block `index` in storage order, over `vals` (one value per non-zero).
+    ///
+    /// # Panics
+    /// Panics if `index >= num_blocks()` or `vals` is shorter than the block's run.
+    pub fn block<'a>(&'a self, index: usize, vals: &'a [f64]) -> Block<'a> {
+        self.view(&self.table[index], self.table[index + 1].start, vals)
+    }
+
+    /// Every block in storage (block-row-major) order, over `vals`.
+    ///
+    /// # Panics
+    /// Panics if `vals` does not hold one value per non-zero.
+    pub fn blocks<'a>(
+        &'a self,
+        vals: &'a [f64],
+    ) -> impl ExactSizeIterator<Item = Block<'a>> + Clone {
+        assert_eq!(vals.len(), self.nnz(), "block layout: one value per nnz");
+        let entries = self.table.windows(2);
+        entries.map(move |pair| self.view(&pair[0], pair[1].start, vals))
+    }
+
+    /// `y = A x` for the matrix whose values are `vals` (Eq. 8–9: `y_c(p) = Σ_i A_c(p,
+    /// i) x_c(i)` over non-empty blocks), block by block in storage order.  Within a
+    /// block, a run of elements of one row is summed in a register, starting from and
+    /// stored back to `y` — the additions, and so the bits, of an element-by-element
+    /// `y[i] += v · x[j]`.
+    ///
+    /// # Panics
+    /// Panics if `x.len() != ncols`, `y.len() != nrows` or `vals.len() != nnz`.
+    pub fn accumulate(&self, vals: &[f64], x: &[f64], y: &mut [f64]) {
+        assert_eq!(x.len(), self.ncols, "blocked spmv: x length mismatch");
+        assert_eq!(y.len(), self.nrows, "blocked spmv: y length mismatch");
+        y.fill(0.0);
+        let bs = self.block_size();
+        for blk in self.blocks(vals) {
+            let y = &mut y[blk.block_row * bs..];
+            let x = &x[blk.block_col * bs..];
+            let Some(&first) = blk.rows.first() else {
+                continue;
+            };
+            let (mut row, mut sum) = (first as usize, y[first as usize]);
+            for (ii, jj, v) in blk.iter() {
+                if ii as usize != row {
+                    y[row] = sum;
+                    row = ii as usize;
+                    sum = y[row];
+                }
+                sum += v * x[jj as usize];
+            }
+            y[row] = sum;
+        }
+    }
+}
+
+/// A sparse matrix partitioned into square `2^b × 2^b` blocks, stored block-row-major:
+/// a shared [`BlockLayout`] and the one `f64` value per non-zero it arranges.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BlockedMatrix {
+    layout: Arc<BlockLayout>,
+    vals: Vec<f64>,
+}
+
+impl BlockedMatrix {
+    /// Partitions a CSR matrix into `2^b × 2^b` blocks, one block-row band at a time
+    /// and in two passes over the band: count the entries per block column, turn the
+    /// counts into block starts, then place every entry in CSR order.  The arrays are
+    /// allocated once at their final size; nothing is allocated per block.
+    ///
+    /// Returns an error if `b == 0` would make blocks degenerate (`b` must be ≥ 1), if
+    /// `b` is large enough that local indices no longer fit in `u16` (`b ≤ 15`), or if
+    /// a block coordinate (a `(32 − b)`-bit integer in the format, Fig. 4) or the
+    /// non-zero count does not fit the block table's 32-bit fields.
+    pub fn from_csr(a: &CsrMatrix, b: u32) -> Result<Self> {
+        if b == 0 || b > 15 {
+            return Err(SparseError::InvalidParameter(format!(
+                "block size exponent b must be in 1..=15, got {b}"
+            )));
+        }
+        let bs = 1usize << b;
+        let (nrows, ncols, nnz) = (a.nrows(), a.ncols(), a.nnz());
+        let num_block_cols = ncols.div_ceil(bs);
+        // Checked once here; the `as u32` below narrow values bounded by these three.
+        if [nrows.div_ceil(bs), num_block_cols, nnz]
+            .iter()
+            .any(|&v| u32::try_from(v).is_err())
+        {
+            return Err(SparseError::InvalidParameter(format!(
+                "{nrows}x{ncols} matrix with {nnz} non-zeros at b = {b}: the block table is 32-bit"
+            )));
+        }
+
+        let mut table = Vec::new();
+        let (mut rows, mut cols) = (vec![0u16; nnz], vec![0u16; nnz]);
+        let mut vals = vec![0.0; nnz];
+        // Per block column of the current band: its entry count in the first pass, the
+        // index its next entry goes to in the second; all zero between bands.
+        let mut cursor = vec![0u32; num_block_cols];
+        let mut touched: Vec<usize> = Vec::new();
+        let row_ptr = a.row_ptr();
+        for (brow, row_lo) in (0..nrows).step_by(bs).enumerate() {
+            let row_hi = (row_lo + bs).min(nrows);
+            // Pass 1: count the band's entries per block column.
+            for &c in &a.col_idx()[row_ptr[row_lo]..row_ptr[row_hi]] {
+                if cursor[c >> b] == 0 {
+                    touched.push(c >> b);
+                }
+                cursor[c >> b] += 1;
+            }
+            // The band's blocks in block-column order, each starting where the one
+            // before it ends; the counts become write cursors.
+            touched.sort_unstable();
+            let mut start = row_ptr[row_lo] as u32;
+            for &bcol in &touched {
+                table.push(TableEntry {
+                    block_row: brow as u32,
+                    block_col: bcol as u32,
+                    start,
+                });
+                start += std::mem::replace(&mut cursor[bcol], start);
+            }
+            // Pass 2: place every entry; CSR order within a block is `(ii, jj)` order.
+            for r in row_lo..row_hi {
+                let (row_cols, row_vals) = a.row(r);
+                for (&c, &v) in row_cols.iter().zip(row_vals) {
+                    let at = cursor[c >> b] as usize;
+                    cursor[c >> b] += 1;
+                    rows[at] = (r - row_lo) as u16;
+                    cols[at] = (c & (bs - 1)) as u16;
+                    vals[at] = v;
+                }
+            }
+            for bcol in touched.drain(..) {
+                cursor[bcol] = 0;
+            }
+        }
+        table.push(TableEntry {
+            block_row: u32::MAX,
+            block_col: u32::MAX,
+            start: nnz as u32,
+        });
+
+        let layout = BlockLayout {
+            nrows,
+            ncols,
+            b,
+            table,
+            rows,
+            cols,
+        };
+        Ok(BlockedMatrix {
+            layout: Arc::new(layout),
+            vals,
+        })
+    }
+
+    /// The block-major structure, shareable with anything that stores one value per
+    /// non-zero of this matrix.
+    pub fn layout(&self) -> &Arc<BlockLayout> {
+        &self.layout
+    }
+
+    /// Number of rows of the underlying matrix.
+    pub fn nrows(&self) -> usize {
+        self.layout.nrows
+    }
+
+    /// Number of columns of the underlying matrix.
+    pub fn ncols(&self) -> usize {
+        self.layout.ncols
+    }
+
     /// The block-size exponent `b` (blocks are `2^b × 2^b`).
     pub fn b(&self) -> u32 {
-        self.b
+        self.layout.b
     }
 
     /// Block edge length `2^b`.
     pub fn block_size(&self) -> usize {
-        1 << self.b
+        self.layout.block_size()
     }
 
     /// Number of block rows (`⌈nrows / 2^b⌉`).
     pub fn num_block_rows(&self) -> usize {
-        self.nrows.div_ceil(self.block_size())
+        self.nrows().div_ceil(self.block_size())
     }
 
     /// Number of block columns (`⌈ncols / 2^b⌉`).
     pub fn num_block_cols(&self) -> usize {
-        self.ncols.div_ceil(self.block_size())
+        self.ncols().div_ceil(self.block_size())
     }
 
     /// Number of *non-empty* blocks.
@@ -184,102 +315,41 @@ impl BlockedMatrix {
     /// This is the number of crossbar clusters one full SpMV requires on the
     /// accelerator (§VI.B of the paper), so it drives the timing model.
     pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
+        self.layout.num_blocks()
     }
 
     /// Total number of stored non-zeros.
     pub fn nnz(&self) -> usize {
-        self.blocks.iter().map(Block::nnz).sum()
+        self.vals.len()
     }
 
     /// All non-empty blocks in block-row-major order (the block-major layout).
-    pub fn blocks(&self) -> &[Block] {
-        &self.blocks
-    }
-
-    /// The non-empty blocks of block-row `brow`.
-    pub fn block_row(&self, brow: usize) -> &[Block] {
-        let (lo, hi) = (self.block_row_ptr[brow], self.block_row_ptr[brow + 1]);
-        &self.blocks[lo..hi]
+    pub fn blocks(&self) -> impl ExactSizeIterator<Item = Block<'_>> + Clone {
+        self.layout.blocks(&self.vals)
     }
 
     /// Average number of non-zeros per non-empty block.
     pub fn avg_nnz_per_block(&self) -> f64 {
-        if self.blocks.is_empty() {
+        if self.num_blocks() == 0 {
             0.0
         } else {
-            self.nnz() as f64 / self.blocks.len() as f64
+            self.nnz() as f64 / self.num_blocks() as f64
         }
     }
 
-    /// Serial blocked SpMV: `y ← A x`, accumulating block partial products exactly as
-    /// Eq. 8 of the paper (`y_c(p) = Σ_i A_c(p, i) x_c(i)` over non-empty blocks).
+    /// Serial blocked SpMV: `y ← A x` ([`BlockLayout::accumulate`] over the values).
     ///
     /// # Panics
     /// Panics if `x.len() != ncols` or `y.len() != nrows`.
     pub fn spmv_into(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols, "blocked spmv: x length mismatch");
-        assert_eq!(y.len(), self.nrows, "blocked spmv: y length mismatch");
-        for yi in y.iter_mut() {
-            *yi = 0.0;
-        }
-        let bs = self.block_size();
-        for blk in &self.blocks {
-            let row0 = blk.block_row * bs;
-            let col0 = blk.block_col * bs;
-            for (ii, jj, v) in blk.iter() {
-                y[row0 + ii as usize] += v * x[col0 + jj as usize];
-            }
-        }
-    }
-
-    /// Parallel blocked SpMV over block-rows (block-rows write disjoint output ranges).
-    ///
-    /// # Panics
-    /// Panics if `x.len() != ncols` or `y.len() != nrows`.
-    pub fn par_spmv_into(&self, x: &[f64], y: &mut [f64], num_threads: usize) {
-        assert_eq!(x.len(), self.ncols, "blocked par_spmv: x length mismatch");
-        assert_eq!(y.len(), self.nrows, "blocked par_spmv: y length mismatch");
-        let threads = num_threads.max(1);
-        if threads == 1 || self.num_block_rows() < 2 {
-            self.spmv_into(x, y);
-            return;
-        }
-        let bs = self.block_size();
-        // Weight block-rows by their nonzero count to balance the chunks.
-        let mut prefix = vec![0usize; self.num_block_rows() + 1];
-        for brow in 0..self.num_block_rows() {
-            let w: usize = self.block_row(brow).iter().map(Block::nnz).sum();
-            prefix[brow + 1] = prefix[brow] + w;
-        }
-        let brow_chunks = parallel::balance_by_weight(&prefix, threads);
-        // Convert block-row chunks into row ranges over y.
-        let row_bounds: Vec<std::ops::Range<usize>> = brow_chunks
-            .iter()
-            .map(|r| (r.start * bs)..((r.end * bs).min(self.nrows)))
-            .collect();
-        parallel::scoped_chunks(y, &row_bounds, |chunk_idx, rows, out| {
-            for yi in out.iter_mut() {
-                *yi = 0.0;
-            }
-            let brows = brow_chunks[chunk_idx].clone();
-            for brow in brows {
-                for blk in self.block_row(brow) {
-                    let row0 = blk.block_row * bs - rows.start;
-                    let col0 = blk.block_col * bs;
-                    for (ii, jj, v) in blk.iter() {
-                        out[row0 + ii as usize] += v * x[col0 + jj as usize];
-                    }
-                }
-            }
-        });
+        self.layout.accumulate(&self.vals, x, y);
     }
 
     /// Reconstructs the matrix as CSR (for round-trip testing and interoperability).
     pub fn to_csr(&self) -> CsrMatrix {
-        let mut coo = CooMatrix::with_capacity(self.nrows, self.ncols, self.nnz());
+        let mut coo = CooMatrix::with_capacity(self.nrows(), self.ncols(), self.nnz());
         let bs = self.block_size();
-        for blk in &self.blocks {
+        for blk in self.blocks() {
             let row0 = blk.block_row * bs;
             let col0 = blk.block_col * bs;
             for (ii, jj, v) in blk.iter() {
@@ -287,37 +357,6 @@ impl BlockedMatrix {
             }
         }
         coo.to_csr()
-    }
-
-    /// The streaming order of blocks under the block-major layout with parallelism `P`
-    /// (Fig. 7): within each block-row, blocks are issued in groups of `P`; groups of the
-    /// same block-row are completed before moving to the next block-row.
-    ///
-    /// Returns indices into [`blocks`](Self::blocks), grouped into scheduling rounds.
-    pub fn stream_schedule(&self, p: usize) -> Vec<Vec<usize>> {
-        let p = p.max(1);
-        let mut rounds = Vec::new();
-        for brow in 0..self.num_block_rows() {
-            let (lo, hi) = (self.block_row_ptr[brow], self.block_row_ptr[brow + 1]);
-            let mut start = lo;
-            while start < hi {
-                let end = (start + p).min(hi);
-                rounds.push((start..end).collect());
-                start = end;
-            }
-        }
-        rounds
-    }
-
-    /// Histogram of non-zeros per non-empty block; index `k` counts blocks with `k`
-    /// entries, capped at `max_bin` (last bin is "≥ max_bin").
-    pub fn nnz_per_block_histogram(&self, max_bin: usize) -> Vec<usize> {
-        let mut hist = vec![0usize; max_bin + 1];
-        for blk in &self.blocks {
-            let k = blk.nnz().min(max_bin);
-            hist[k] += 1;
-        }
-        hist
     }
 }
 
@@ -360,12 +399,20 @@ mod tests {
     }
 
     #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_block_coordinate_beyond_32_bits_is_an_error_not_an_allocation() {
+        // 2^39 block columns at b = 1: the per-band cursor alone would be 2 TiB.
+        let wide = CsrMatrix::from_raw(1, 1 << 40, vec![0, 0], vec![], vec![]).unwrap();
+        let err = BlockedMatrix::from_csr(&wide, 1).unwrap_err();
+        assert!(matches!(err, SparseError::InvalidParameter(_)), "{err}");
+    }
+
+    #[test]
     fn blocks_are_sorted_block_row_major() {
         let a = banded(200);
         let blocked = BlockedMatrix::from_csr(&a, 5).unwrap();
         let keys: Vec<(usize, usize)> = blocked
             .blocks()
-            .iter()
             .map(|b| (b.block_row, b.block_col))
             .collect();
         let mut sorted = keys.clone();
@@ -400,20 +447,6 @@ mod tests {
     }
 
     #[test]
-    fn par_spmv_matches_serial() {
-        let a = banded(777);
-        let blocked = BlockedMatrix::from_csr(&a, 6).unwrap();
-        let x: Vec<f64> = (0..777).map(|i| (i as f64 * 0.01).cos()).collect();
-        let mut y1 = vec![0.0; 777];
-        let mut y2 = vec![0.0; 777];
-        blocked.spmv_into(&x, &mut y1);
-        blocked.par_spmv_into(&x, &mut y2, 5);
-        for (u, v) in y1.iter().zip(y2.iter()) {
-            assert!((u - v).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn csr_roundtrip_preserves_matrix() {
         let a = banded(120);
         let blocked = BlockedMatrix::from_csr(&a, 4).unwrap();
@@ -422,52 +455,12 @@ mod tests {
     }
 
     #[test]
-    fn block_to_dense_places_entries() {
-        let mut coo = CooMatrix::new(4, 4);
-        coo.push(0, 1, 2.0);
-        coo.push(3, 2, -1.0);
-        let blocked = BlockedMatrix::from_coo(&coo, 2).unwrap();
-        assert_eq!(blocked.num_blocks(), 1);
-        let dense = blocked.blocks()[0].to_dense(4);
-        assert_eq!(dense[1], 2.0);
-        assert_eq!(dense[3 * 4 + 2], -1.0);
-        assert_eq!(dense.iter().filter(|v| **v != 0.0).count(), 2);
-    }
-
-    #[test]
-    fn stream_schedule_groups_within_block_rows() {
-        let a = banded(200);
-        let blocked = BlockedMatrix::from_csr(&a, 4).unwrap();
-        let rounds = blocked.stream_schedule(2);
-        // Every round only touches a single block-row and at most 2 blocks.
-        for round in &rounds {
-            assert!(round.len() <= 2 && !round.is_empty());
-            let brow = blocked.blocks()[round[0]].block_row;
-            for &idx in round {
-                assert_eq!(blocked.blocks()[idx].block_row, brow);
-            }
-        }
-        // All blocks scheduled exactly once.
-        let mut seen: Vec<usize> = rounds.into_iter().flatten().collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..blocked.num_blocks()).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn histogram_counts_blocks() {
-        let a = banded(64);
-        let blocked = BlockedMatrix::from_csr(&a, 3).unwrap();
-        let hist = blocked.nnz_per_block_histogram(64);
-        assert_eq!(hist.iter().sum::<usize>(), blocked.num_blocks());
-    }
-
-    #[test]
     fn non_square_matrix_is_supported() {
         let mut coo = CooMatrix::new(10, 37);
         coo.push(0, 36, 1.0);
         coo.push(9, 0, 2.0);
         coo.push(5, 20, 3.0);
-        let blocked = BlockedMatrix::from_coo(&coo, 3).unwrap();
+        let blocked = BlockedMatrix::from_csr(&coo.to_csr(), 3).unwrap();
         assert_eq!(blocked.num_block_rows(), 2);
         assert_eq!(blocked.num_block_cols(), 5);
         assert_eq!(blocked.nnz(), 3);

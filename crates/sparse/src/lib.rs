@@ -10,7 +10,11 @@
 //!   sparse-matrix/dense-vector products (SpMV), the reference FP64 operator,
 //! * [`BlockedMatrix`] — the matrix partitioned into square `2^b × 2^b` blocks stored in
 //!   the *block-major* layout of Fig. 7 of the paper, which is the granularity at which
-//!   ReFloat quantizes values and at which the accelerator maps work onto crossbars,
+//!   ReFloat quantizes values and at which the accelerator maps work onto crossbars.
+//!   This crate owns that layout: [`BlockLayout`] (block table plus contiguous local
+//!   indices, behind an `Arc`) is its one definition and carries the one SpMV loop over
+//!   it; a `BlockedMatrix` adds the `f64` values, `refloat-core`'s `ReFloatMatrix`
+//!   shares the same layout and adds the exponent bases and decoded values,
 //! * [`mm`] — a Matrix Market (`.mtx`) reader/writer so the real SuiteSparse inputs can
 //!   be used when available,
 //! * [`vecops`] — the dense vector kernels (dot, axpy, norms, …) used by the Krylov
@@ -36,7 +40,7 @@ pub mod shard;
 pub mod stats;
 pub mod vecops;
 
-pub use blocked::{Block, BlockedMatrix};
+pub use blocked::{Block, BlockLayout, BlockedMatrix};
 pub use coo::CooMatrix;
 pub use csr::CsrMatrix;
 pub use error::SparseError;

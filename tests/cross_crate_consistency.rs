@@ -21,8 +21,8 @@ fn hardware_pipeline_and_functional_operator_agree_on_real_workload_blocks() {
     let bs = format.block_size();
 
     let mut checked = 0;
-    for block in blocked.blocks().iter().take(20) {
-        let encoded = refloat::core::block::ReFloatBlock::encode(block, &format);
+    for block in blocked.blocks().take(20) {
+        let encoded = refloat::core::block::ReFloatBlock::encode(&block, &format);
         let seg_lo = block.block_col * bs;
         let seg_hi = (seg_lo + bs).min(x.len());
         let hw = engine.block_mvm(&encoded, &x[seg_lo..seg_hi]);

@@ -32,12 +32,13 @@ fn modes(selector: usize) -> (RoundingMode, UnderflowMode) {
 fn assert_encoders_match_requantize(vals: &[f64], config: ReFloatConfig, base: i32) {
     assert_eq!(vals.len(), config.block_size());
     let (rounding, underflow) = (config.rounding, config.underflow);
+    let indices: Vec<u16> = (0..vals.len() as u16).collect();
     let block = Block {
         block_row: 0,
         block_col: 0,
-        rows: (0..vals.len() as u16).collect(),
-        cols: (0..vals.len() as u16).collect(),
-        vals: vals.to_vec(),
+        rows: &indices,
+        cols: &indices,
+        vals,
     };
     let enc = ReFloatBlock::encode_with_base(&block, &config, base);
     let mut converter = VectorConverter::new(config);
@@ -84,6 +85,36 @@ fn a_round_nearest_carry_at_a_saturated_offset_is_one_rule_in_every_encoder() {
             requantize(v, 0, 2, 2, config.rounding, config.underflow),
             3.5
         );
+    }
+}
+
+#[test]
+fn the_stored_code_reconstructs_the_decoded_value_in_every_accepted_format() {
+    // `ReFloatConfig::new` accepts e ≤ 11 (offsets to ±1023) and f ≤ 52 (codes to
+    // 2^52 − 1): offsets beyond ±127 and codes beyond 32 bits must survive storage.
+    // Against base 0 these sit up to 250 (e = 9) or 1000 (e = 11) binades away, with
+    // fractions that fill all 52 bits.
+    let third = 1.0 + 1.0 / 3.0;
+    for (e_bits, reach) in [(9u32, 250i32), (11, 1000)] {
+        let vals = [
+            third * pow2(reach),
+            -third * pow2(-reach),
+            (2.0 - f64::EPSILON) * pow2(128),
+            -1.7 * pow2(-129),
+            third * pow2(reach + 20), // saturates from above
+            1.9 * pow2(-reach - 20),  // saturates or flushes from below
+            0.0,
+            1.0,
+        ];
+        for f_bits in [33u32, 52] {
+            for mode_sel in 0..4 {
+                let (rounding, underflow) = modes(mode_sel);
+                let config = ReFloatConfig::new(3, e_bits, f_bits, e_bits, f_bits)
+                    .with_rounding(rounding)
+                    .with_underflow(underflow);
+                assert_encoders_match_requantize(&vals, config, 0);
+            }
+        }
     }
 }
 

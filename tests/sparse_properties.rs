@@ -27,11 +27,95 @@ fn build(n: usize, entries: &[(usize, usize, f64)]) -> CsrMatrix {
     coo.to_csr()
 }
 
+/// The invariants of the block-major layout that its readers rely on: the block table
+/// strictly sorted by `(block_row, block_col)`, no empty block, every block's entries
+/// strictly sorted by `(ii, jj)` (what the incremental re-encode's cell diff merges
+/// on) and inside both the tile and the matrix, and the blocks' runs back to back in
+/// the three arrays, covering exactly `nnz` entries.  Holds for any CSR with sorted,
+/// unique column indices per row.
+fn assert_layout_invariants(blocked: &BlockedMatrix) {
+    let bs = blocked.block_size();
+    let blocks: Vec<_> = blocked.blocks().collect();
+    assert_eq!(blocks.len(), blocked.num_blocks());
+    assert_eq!(blocks.iter().map(|b| b.nnz()).sum::<usize>(), blocked.nnz());
+    for pair in blocks.windows(2) {
+        let (prev, next) = (&pair[0], &pair[1]);
+        assert!((prev.block_row, prev.block_col) < (next.block_row, next.block_col));
+        assert_eq!(prev.rows.as_ptr_range().end, next.rows.as_ptr_range().start);
+        assert_eq!(prev.cols.as_ptr_range().end, next.cols.as_ptr_range().start);
+        assert_eq!(prev.vals.as_ptr_range().end, next.vals.as_ptr_range().start);
+    }
+    for blk in &blocks {
+        assert!(blk.nnz() > 0, "empty block stored");
+        assert_eq!((blk.rows.len(), blk.cols.len()), (blk.nnz(), blk.nnz()));
+        let cells: Vec<(u16, u16)> = blk.iter().map(|(ii, jj, _)| (ii, jj)).collect();
+        assert!(cells.windows(2).all(|w| w[0] < w[1]), "entries not sorted");
+        for (ii, jj) in cells {
+            assert!((ii as usize) < bs && (jj as usize) < bs);
+            assert!(blk.block_row * bs + (ii as usize) < blocked.nrows());
+            assert!(blk.block_col * bs + (jj as usize) < blocked.ncols());
+        }
+    }
+}
+
+/// Blocks `csr` at every `b` in `1..=7` and checks the layout invariants, the exact
+/// round trip and the SpMV against CSR.
+fn assert_blocks_faithfully(csr: &CsrMatrix) {
+    let x: Vec<f64> = (0..csr.ncols()).map(|i| 0.5 + (i % 5) as f64).collect();
+    for bexp in 1..=7 {
+        let blocked = BlockedMatrix::from_csr(csr, bexp).unwrap();
+        assert_layout_invariants(&blocked);
+        assert_eq!(blocked.nnz(), csr.nnz());
+        assert_eq!(&blocked.to_csr(), csr);
+        let mut y = vec![f64::NAN; csr.nrows()];
+        blocked.spmv_into(&x, &mut y);
+        assert_eq!(y, csr.spmv(&x));
+    }
+}
+
+#[test]
+fn blocking_edge_cases_keep_the_layout_invariants() {
+    // Rectangular, both edges partial tiles at every b, entries in all four corners.
+    let mut rect = CooMatrix::new(10, 37);
+    for (r, c) in [(0, 0), (0, 36), (9, 0), (9, 36), (5, 20), (5, 21), (4, 21)] {
+        rect.push(r, c, 1.0 + (r * 37 + c) as f64);
+    }
+    assert_blocks_faithfully(&rect.to_csr());
+
+    // Whole bands of empty rows between, before and after the occupied ones.
+    let mut gaps = CooMatrix::new(300, 300);
+    for (r, c) in [(2, 299), (2, 0), (130, 131), (131, 130), (257, 3)] {
+        gaps.push(r, c, -(r as f64) - 0.25);
+    }
+    assert_blocks_faithfully(&gaps.to_csr());
+
+    // No non-zero at all: no block, and `y = 0`.
+    let empty = CooMatrix::new(5, 7).to_csr();
+    assert_eq!(BlockedMatrix::from_csr(&empty, 2).unwrap().num_blocks(), 0);
+    assert_blocks_faithfully(&empty);
+
+    // 1×1: one partial tile.
+    let mut one = CooMatrix::new(1, 1);
+    one.push(0, 0, -3.5);
+    assert_blocks_faithfully(&one.to_csr());
+
+    // Explicit stored zeros are entries like any other (a block of nothing else is
+    // still a block); only the way back drops them, `CooMatrix::push` does.
+    let kept = build(12, &[(0, 0, 1.0), (7, 7, 3.0)]);
+    let mut zeros = build(12, &[(0, 0, 1.0), (0, 9, 2.0), (7, 7, 3.0), (11, 2, 4.0)]);
+    zeros.values_mut()[1] = 0.0;
+    zeros.values_mut()[3] = 0.0;
+    let blocked = BlockedMatrix::from_csr(&zeros, 2).unwrap();
+    assert_layout_invariants(&blocked);
+    assert_eq!((blocked.nnz(), blocked.num_blocks()), (4, 4));
+    assert_eq!(blocked.to_csr(), kept);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn csr_coo_and_blocked_spmv_agree((n, entries) in arb_matrix(), bexp in 1u32..5) {
+    fn csr_coo_and_blocked_spmv_agree((n, entries) in arb_matrix(), bexp in 1u32..=7) {
         let csr = build(n, &entries);
         let coo = csr.to_coo();
         let blocked = BlockedMatrix::from_csr(&csr, bexp).unwrap();
@@ -42,6 +126,16 @@ proptest! {
         csr.spmv_into(&x, &mut y_csr);
         coo.spmv_into(&x, &mut y_coo);
         blocked.spmv_into(&x, &mut y_blk);
+        assert_layout_invariants(&blocked);
+        // Bit for bit the per-element loop over the block views, in storage order.
+        let bs = blocked.block_size();
+        let mut y_naive = vec![0.0; n];
+        for blk in blocked.blocks() {
+            for (ii, jj, v) in blk.iter() {
+                y_naive[blk.block_row * bs + ii as usize] += v * x[blk.block_col * bs + jj as usize];
+            }
+        }
+        prop_assert!(y_blk.iter().zip(&y_naive).all(|(u, v)| u.to_bits() == v.to_bits()));
         for i in 0..n {
             prop_assert!((y_csr[i] - y_coo[i]).abs() <= 1e-9 * y_csr[i].abs().max(1e-12));
             prop_assert!((y_csr[i] - y_blk[i]).abs() <= 1e-9 * y_csr[i].abs().max(1e-12));
@@ -49,9 +143,10 @@ proptest! {
     }
 
     #[test]
-    fn blocking_round_trips_exactly((n, entries) in arb_matrix(), bexp in 1u32..6) {
+    fn blocking_round_trips_exactly((n, entries) in arb_matrix(), bexp in 1u32..=7) {
         let csr = build(n, &entries);
         let blocked = BlockedMatrix::from_csr(&csr, bexp).unwrap();
+        assert_layout_invariants(&blocked);
         prop_assert_eq!(blocked.nnz(), csr.nnz());
         prop_assert_eq!(blocked.to_csr(), csr);
     }
