@@ -1,14 +1,11 @@
-//! SpMV throughput: CSR (serial and parallel) versus the blocked layout, on a
-//! Table V-sized workload.  These numbers back the "functional simulation cost" notes in
-//! EXPERIMENTS.md.
+//! SpMV throughput: CSR, serial and parallel, on a Table V-sized workload.  These
+//! numbers back the "functional simulation cost" notes in EXPERIMENTS.md.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use refloat_matgen::generators;
-use refloat_sparse::BlockedMatrix;
 
 fn bench_spmv(c: &mut Criterion) {
     let a = generators::wathen(40, 40, 7).to_csr();
-    let blocked = BlockedMatrix::from_csr(&a, 7).unwrap();
     let x: Vec<f64> = (0..a.ncols())
         .map(|i| (i as f64 * 0.013).sin() + 1.0)
         .collect();
@@ -21,9 +18,6 @@ fn bench_spmv(c: &mut Criterion) {
     });
     group.bench_function(BenchmarkId::new("csr_parallel_4t", a.nnz()), |b| {
         b.iter(|| a.par_spmv_into(&x, &mut y, 4));
-    });
-    group.bench_function(BenchmarkId::new("blocked_serial", a.nnz()), |b| {
-        b.iter(|| blocked.spmv_into(&x, &mut y));
     });
     group.finish();
 }

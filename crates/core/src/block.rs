@@ -1,13 +1,14 @@
 //! Per-block encoding: exponent-base selection (Eq. 4–5) and block conversion.
 //!
 //! Two consumers encode blocks.  [`crate::matrix::ReFloatMatrix`] keeps only what this
-//! crate adds to the block-major layout `refloat-sparse` owns — one exponent base per
-//! block and one decoded value per non-zero.  [`ReFloatBlock`] is the single-block
-//! **bit-level record**: it owns the per-element sign, exponent offset and fraction
-//! code of Fig. 4(b)/Fig. 5, wide enough for every format [`ReFloatConfig::new`]
-//! accepts, and is encoded on demand by whoever needs the stored bits (the crossbar
-//! engine in `reram-sim`, the format ablation, the property tests).  Both run every
-//! element through the one scalar kernel, [`crate::scalar::quantize`].
+//! crate adds to the layout `refloat-sparse` owns — one exponent base per block, chosen
+//! by [`optimal_exponent_base`], and one decoded value per non-zero, in row order.
+//! [`ReFloatBlock`] is the single-block **bit-level record**: it owns the per-element
+//! sign, exponent offset and fraction code of Fig. 4(b)/Fig. 5, wide enough for every
+//! format [`ReFloatConfig::new`] accepts, and is encoded on demand by whoever needs the
+//! stored bits (the crossbar engine in `reram-sim`, the format ablation, the property
+//! tests).  Both run every element through the one scalar kernel,
+//! [`crate::scalar::quantize`].
 
 use crate::format::ReFloatConfig;
 use crate::memory::storage_bits;
@@ -68,15 +69,6 @@ fn quantize_values<'a>(
     let (rounding, underflow) = (config.rounding, config.underflow);
     vals.iter()
         .map(move |&v| decompose(v).map(|d| quantize(d, eb, max_offset, f, rounding, underflow)))
-}
-
-/// Encodes one block's values against their Eq. 5 base `eb`: appends the decoded values
-/// `2^eb · (−1)^s · 1.frac · 2^offset` — what the crossbars effectively compute with —
-/// to `out` and returns `eb`.
-pub(crate) fn encode_into(vals: &[f64], config: &ReFloatConfig, out: &mut Vec<f64>) -> i32 {
-    let eb = optimal_exponent_base(vals);
-    out.extend(quantize_values(vals, config, eb).map(|q| q.map_or(0.0, |q| q.value(eb))));
-    eb
 }
 
 /// One matrix block encoded in ReFloat format, down to the stored bits.

@@ -15,20 +15,18 @@
 //! * blocks whose base moved — or that are new — shift every element's offset/code,
 //!   so the whole cluster is rewritten.
 //!
-//! Because encoding a block is a pure function of its values and the format, reusing a
-//! clean block's encoding — its `eb` and one range copy of its decoded values out of
-//! the previous matrix — is *bitwise identical* to re-encoding it; the incremental
-//! result therefore equals a from-scratch encode of the new matrix, block for block,
-//! bit for bit.  Tests enforce this across perturbation magnitudes up to the
-//! all-blocks-dirty worst case.
+//! The merge-walk over the two steps' blocks classifies blocks and charges cells; what
+//! it carries over is only a clean block's exponent base, which is a pure function of
+//! its (bitwise-unchanged) values and the format.  The values are then quantized by the
+//! same row-order pass a from-scratch encode runs (`ReFloatMatrix::with_bases`), so the
+//! incremental result equals a from-scratch encode of the new matrix bit for bit by
+//! construction and copies no predecessor values.  Tests enforce this across
+//! perturbation magnitudes up to the all-blocks-dirty worst case.
 //!
-//! The result adopts the block-major layout of the *new* step's blocking (the layout
-//! is `refloat-sparse`'s; see [`crate::matrix`]) — no index is copied, only `eb` and
-//! decoded values are filled in, block by block.
+//! The result adopts the layout of the *new* step's blocking (the layout is
+//! `refloat-sparse`'s; see [`crate::matrix`]) — no index is copied.
 
-use std::sync::Arc;
-
-use crate::block::encode_into;
+use crate::block::optimal_exponent_base;
 use crate::matrix::ReFloatMatrix;
 use refloat_sparse::{blocked::Block, BlockedMatrix, CsrMatrix};
 
@@ -42,7 +40,7 @@ use refloat_sparse::{blocked::Block, BlockedMatrix, CsrMatrix};
 pub struct IncrementalStats {
     /// Non-empty blocks in the new matrix.
     pub blocks_total: usize,
-    /// Blocks bitwise-unchanged from the previous step (encoding cloned, no write).
+    /// Blocks bitwise-unchanged from the previous step (base carried over, no write).
     pub blocks_reused: usize,
     /// Dirty blocks whose exponent base survived: only changed cells rewritten.
     pub blocks_partial: usize,
@@ -175,12 +173,11 @@ pub fn reencode_incremental(
         ..IncrementalStats::default()
     };
     let mut eb = Vec::with_capacity(next_blocked.num_blocks());
-    let mut decoded = Vec::with_capacity(next_blocked.nnz());
 
     // Both block lists are sorted by (block_row, block_col): merge-walk them, the
-    // previous step's raw blocks paired with their encodings.
+    // previous step's raw blocks paired with their bases.
     let key = |blk: &Block| (blk.block_row, blk.block_col);
-    let mut prev_blocks = prev_blocked.blocks().zip(previous.blocks()).peekable();
+    let mut prev_blocks = prev_blocked.blocks().zip(previous.bases()).peekable();
     for next in next_blocked.blocks() {
         // A block that existed last step has no entries any more: clear its cells.
         while let Some((gone, _)) = prev_blocks.next_if(|(prev, _)| key(prev) < key(&next)) {
@@ -189,18 +186,17 @@ pub fn reencode_incremental(
         }
         stats.cells_total += next.nnz() as u64;
         match prev_blocks.next_if(|(prev, _)| key(prev) == key(&next)) {
-            Some((prev_raw, prev_enc)) if blocks_bitwise_equal(&prev_raw, &next) => {
-                // Clean: the encoding is a pure function of (values, config), so the
-                // previous block *is* the from-scratch encoding of this block.
+            Some((prev_raw, &prev_eb)) if blocks_bitwise_equal(&prev_raw, &next) => {
+                // Clean: the base is a pure function of the values, so the previous
+                // block's is this block's from-scratch base.
                 stats.blocks_reused += 1;
-                eb.push(prev_enc.eb);
-                decoded.extend_from_slice(prev_enc.decoded);
+                eb.push(prev_eb);
             }
             dirty_or_new => {
-                let base = encode_into(next.vals, &config, &mut decoded);
+                let base = optimal_exponent_base(next.vals);
                 eb.push(base);
                 match dirty_or_new {
-                    Some((prev_raw, prev_enc)) if base == prev_enc.eb => {
+                    Some((prev_raw, &prev_eb)) if base == prev_eb => {
                         // Values moved but stayed inside the block's offset window:
                         // only the changed cells need new device writes.
                         stats.blocks_partial += 1;
@@ -219,9 +215,8 @@ pub fn reencode_incremental(
         stats.cells_reprogrammed += gone.nnz() as u64;
     }
 
-    let layout = Arc::clone(next_blocked.layout());
     IncrementalEncode {
-        matrix: ReFloatMatrix::from_parts(layout, config, eb, decoded),
+        matrix: ReFloatMatrix::with_bases(&next_blocked, config, eb),
         stats,
     }
 }
@@ -238,7 +233,14 @@ pub fn assert_bitwise_identical(incremental: &ReFloatMatrix, scratch: &ReFloatMa
         scratch.num_blocks(),
         "encodings disagree on block count"
     );
-    for (inc, full) in incremental.blocks().zip(scratch.blocks()) {
+    let (inc_decoded, full_decoded) = (
+        incremental.decoded_in_block_order(),
+        scratch.decoded_in_block_order(),
+    );
+    for (inc, full) in incremental
+        .blocks(&inc_decoded)
+        .zip(scratch.blocks(&full_decoded))
+    {
         assert_eq!(
             (inc.block_row, inc.block_col),
             (full.block_row, full.block_col),
@@ -263,6 +265,7 @@ mod tests {
     use crate::format::ReFloatConfig;
     use refloat_matgen::fem::poisson_2d;
     use refloat_matgen::transient::{perturb_symmetric_pairs, TransientChain, TransientSpec};
+    use std::sync::Arc;
 
     fn config() -> ReFloatConfig {
         // Small blocks so the test matrices span many blocks; a wide fraction keeps

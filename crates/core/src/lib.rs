@@ -30,14 +30,17 @@
 //!   format ablation and the property tests,
 //! * [`vector`] — the vector converter ([`vector::VectorConverter`]),
 //! * [`matrix`] — [`ReFloatMatrix`], the quantized operator that plugs into the solvers.
-//!   The block-major layout (block table, local row and column indices) is
-//!   `refloat-sparse`'s `BlockLayout`, defined there once and *shared* with the
-//!   `BlockedMatrix` the encoding came from; this crate owns only what the encoder
-//!   adds — one exponent base `eb` per block and one decoded value per non-zero — and
-//!   lends blocks out as [`matrix::BlockView`]s; it keeps no bit-level fields,
+//!   The layout (block table, local row and column indices, and the source CSR's row
+//!   order beside them) is `refloat-sparse`'s `BlockLayout`, defined there once and
+//!   *shared* with the `BlockedMatrix` the encoding came from, and so is the walk that
+//!   maps row order to block order.  This crate owns only what the encoder adds — one
+//!   exponent base `eb` per block, in block order, and one decoded value per non-zero,
+//!   stored once, in row order, where the SpMV reads it with the CSR loop.  Block
+//!   readers take an explicit block-order copy and walk [`matrix::BlockView`]s over it;
+//!   no matrix keeps bit-level fields,
 //! * [`incremental`] — [`reencode_incremental`]: a sequence step adopts its own
-//!   blocking's layout and fills `eb`/decoded block by block, copying clean blocks out
-//!   of the predecessor,
+//!   blocking's layout and carries clean blocks' bases over from the predecessor; its
+//!   values go through the same row-order quantise pass as a from-scratch encode,
 //! * [`sharded`] — [`ShardedReFloatMatrix`], the operator partitioned into block-row
 //!   shards (one per chip of a multi-chip accelerator), bitwise identical to the
 //!   unsharded operator for every shard count,

@@ -14,20 +14,30 @@
 //! # Storage
 //!
 //! The block-major layout of Fig. 7 — the block table and the local row and column
-//! index of every non-zero — is defined once, by `refloat-sparse`'s [`BlockLayout`],
-//! and a [`ReFloatMatrix`] *shares* the layout of the [`BlockedMatrix`] it was encoded
-//! from.  What this crate adds is the two things only the encoder knows: the exponent
-//! base `eb` of every block and the decoded value of every non-zero, in the layout's
-//! order.  An SpMV is [`BlockLayout::accumulate`] over the decoded values;
-//! [`ReFloatMatrix::blocks`] lends each block out as a [`BlockView`].  The per-element
-//! sign, offset and fraction code belong to [`crate::block::ReFloatBlock`], which
-//! encodes a single block down to its bits on demand.
+//! index of every non-zero — and the source CSR's row order beside it are defined
+//! once, by `refloat-sparse`'s [`BlockLayout`], and a [`ReFloatMatrix`] *shares* the
+//! layout of the [`BlockedMatrix`] it was encoded from.  What this crate adds is the
+//! two things only the encoder knows: the exponent base `eb` of every block, in block
+//! order, and the decoded value of every non-zero, stored once, in **row order**.
+//!
+//! Row order is what the SpMV wants.  Eq. 8–9 sum every block's partial product into
+//! its output rows; with a CSR source (columns sorted within a row) that fixes each
+//! row's sum as its terms in ascending column order — the order, hence the bits, of
+//! `CsrMatrix::spmv_into` — so [`ReFloatMatrix::accumulate`] sums each row in that
+//! order over the decoded values.  Block order is what the cold readers want (ABFT
+//! checksums, fault and noise injection, bitwise comparisons): they take an explicit
+//! copy from [`ReFloatMatrix::decoded_in_block_order`] and walk
+//! [`ReFloatMatrix::blocks`] over it as [`BlockView`]s.  The row↔block correspondence
+//! is [`BlockLayout::walk_row_order`]'s, in `refloat-sparse`.  The per-element sign,
+//! offset and fraction code belong to [`crate::block::ReFloatBlock`], which encodes a
+//! single block down to its bits on demand.
 
 use std::sync::Arc;
 
-use crate::block::encode_into;
+use crate::block::optimal_exponent_base;
 use crate::format::ReFloatConfig;
 use crate::memory::storage_bits;
+use crate::scalar::{decompose, quantize};
 use crate::vector::{Scratch, VectorConverter};
 use refloat_solvers::LinearOperator;
 use refloat_sparse::blocked::{Block, BlockLayout};
@@ -38,11 +48,12 @@ use refloat_sparse::{BlockedMatrix, CsrMatrix};
 struct Encoded {
     /// Exponent base per block, in the layout's block order.
     eb: Vec<i32>,
-    /// Decoded value per non-zero, in the layout's order.
+    /// Decoded value per non-zero, in the layout's row order.
     decoded: Vec<f64>,
 }
 
-/// One encoded block, borrowed from a [`ReFloatMatrix`].
+/// One encoded block, borrowed from a [`ReFloatMatrix`] and the block-order copy of its
+/// decoded values.
 #[derive(Debug, Clone, Copy)]
 pub struct BlockView<'a> {
     /// Block-row index of the block.
@@ -106,8 +117,19 @@ pub struct ReFloatMatrix {
 
 impl ReFloatMatrix {
     /// Encodes a blocked matrix into ReFloat format: its layout is shared, not copied,
-    /// and one pass quantizes the values block by block.
+    /// each block's base comes from one pass over its values, and one row-order pass
+    /// quantizes the values.
     pub fn from_blocked(blocked: &BlockedMatrix, config: ReFloatConfig) -> Self {
+        let eb = blocked.blocks().map(|b| optimal_exponent_base(b.vals));
+        Self::with_bases(blocked, config, eb.collect())
+    }
+
+    /// Encodes `blocked` against the given base per block: quantizes every value
+    /// against its block's base in the layout's row order, through its row↔block walk.
+    /// Used with the Eq. 5 bases by [`from_blocked`](Self::from_blocked), and by
+    /// [`crate::incremental`] with bases partly carried over from the previous step —
+    /// the same pass either way.
+    pub(crate) fn with_bases(blocked: &BlockedMatrix, config: ReFloatConfig, eb: Vec<i32>) -> Self {
         assert_eq!(
             blocked.b(),
             config.b,
@@ -115,30 +137,23 @@ impl ReFloatMatrix {
             blocked.b(),
             config.b
         );
-        let mut eb = Vec::with_capacity(blocked.num_blocks());
-        let mut decoded = Vec::with_capacity(blocked.nnz());
-        for block in blocked.blocks() {
-            eb.push(encode_into(block.vals, &config, &mut decoded));
-        }
-        Self::from_parts(Arc::clone(blocked.layout()), config, eb, decoded)
-    }
-
-    /// Wraps a layout with one `eb` per block and one decoded value per non-zero of
-    /// it; used by [`crate::incremental`] to stitch reused and re-encoded blocks
-    /// together.
-    pub(crate) fn from_parts(
-        layout: Arc<BlockLayout>,
-        config: ReFloatConfig,
-        eb: Vec<i32>,
-        decoded: Vec<f64>,
-    ) -> Self {
-        assert_eq!(eb.len(), layout.num_blocks(), "one eb per block");
-        assert_eq!(decoded.len(), layout.nnz(), "one decoded value per nnz");
+        assert_eq!(eb.len(), blocked.num_blocks(), "one eb per block");
+        let (max_offset, f) = (config.max_offset(), config.f);
+        let (rounding, underflow) = (config.rounding, config.underflow);
+        let (layout, vals) = (blocked.layout(), blocked.values());
+        let mut decoded = vec![0.0; vals.len()];
+        layout.walk_row_order(|run, block, positions| {
+            let base = eb[block];
+            for (out, &v) in decoded[run].iter_mut().zip(&vals[positions]) {
+                let q = decompose(v).map(|d| quantize(d, base, max_offset, f, rounding, underflow));
+                *out = q.map_or(0.0, |q| q.value(base));
+            }
+        });
         ReFloatMatrix {
             nrows: layout.nrows(),
             ncols: layout.ncols(),
             config,
-            layout,
+            layout: Arc::clone(layout),
             encoded: Arc::new(Encoded { eb, decoded }),
             converter: VectorConverter::new(config),
             quantized_input: Scratch::default(),
@@ -164,18 +179,39 @@ impl ReFloatMatrix {
         &self.layout
     }
 
-    /// The encoded blocks, in storage (block-row-major) order.
-    pub fn blocks(&self) -> impl Iterator<Item = BlockView<'_>> + Clone {
-        let blocks = self.layout.blocks(&self.encoded.decoded);
+    /// The exponent base of every block, in block order.
+    pub(crate) fn bases(&self) -> &[i32] {
+        &self.encoded.eb
+    }
+
+    /// A copy of the decoded values in the layout's block order — the one way the block
+    /// readers (ABFT checksums, fault and noise injection, bitwise comparisons) get at
+    /// them, to walk with [`blocks`](Self::blocks).  Applies never need it.
+    pub fn decoded_in_block_order(&self) -> Vec<f64> {
+        let decoded = &self.encoded.decoded;
+        let mut copy = vec![0.0; decoded.len()];
+        self.layout.walk_row_order(|run, _, positions| {
+            copy[positions].copy_from_slice(&decoded[run]);
+        });
+        copy
+    }
+
+    /// The encoded blocks, in storage (block-row-major) order, over `decoded` — the
+    /// copy from [`decoded_in_block_order`](Self::decoded_in_block_order).
+    ///
+    /// # Panics
+    /// Panics if `decoded` does not hold one value per non-zero.
+    pub fn blocks<'a>(&'a self, decoded: &'a [f64]) -> impl Iterator<Item = BlockView<'a>> + Clone {
+        let blocks = self.layout.blocks(decoded);
         (blocks.zip(&self.encoded.eb)).map(|(block, &eb)| BlockView::new(block, eb))
     }
 
-    /// Block `index` of [`blocks`](Self::blocks).
+    /// Block `index` of [`blocks`](Self::blocks), over `decoded`.
     ///
     /// # Panics
-    /// Panics if `index >= num_blocks()`.
-    pub fn block(&self, index: usize) -> BlockView<'_> {
-        let block = self.layout.block(index, &self.encoded.decoded);
+    /// Panics if `index >= num_blocks()` or `decoded` is shorter than the block's run.
+    pub fn block<'a>(&'a self, index: usize, decoded: &'a [f64]) -> BlockView<'a> {
+        let block = self.layout.block(index, decoded);
         BlockView::new(block, self.encoded.eb[index])
     }
 
@@ -205,13 +241,12 @@ impl ReFloatMatrix {
     /// effectively multiplies by); useful for analysis and tests.
     pub fn to_quantized_csr(&self) -> CsrMatrix {
         let mut coo = refloat_sparse::CooMatrix::with_capacity(self.nrows, self.ncols, self.nnz());
-        let bs = self.config.block_size();
-        for blk in self.blocks() {
-            let row0 = blk.block_row * bs;
-            let col0 = blk.block_col * bs;
-            for (ii, jj, v) in blk.iter_decoded() {
+        let (row_ptr, col_idx) = (self.layout.row_ptr(), self.layout.col_idx());
+        for (r, bounds) in row_ptr.windows(2).enumerate() {
+            let row = bounds[0] as usize..bounds[1] as usize;
+            for (&c, &v) in col_idx[row.clone()].iter().zip(&self.encoded.decoded[row]) {
                 if v != 0.0 {
-                    coo.push(row0 + ii as usize, col0 + jj as usize, v);
+                    coo.push(r, c as usize, v);
                 }
             }
         }
@@ -245,12 +280,39 @@ impl ReFloatMatrix {
     }
 
     /// The accumulate step of an SpMV (Eq. 8–9) over an already-quantized input:
-    /// `y = Ã · xq`, which is [`BlockLayout::accumulate`] over the decoded values.
+    /// `y = Ã · xq`, row by row over the decoded values in row order — the order of
+    /// additions and so the bits of `CsrMatrix::spmv_into`, which are also the bits of
+    /// summing the block products into `y` block by block.
     ///
     /// # Panics
     /// Panics if `xq.len() != ncols` or `y.len() != nrows`.
     pub fn accumulate(&self, xq: &[f64], y: &mut [f64]) {
-        self.layout.accumulate(&self.encoded.decoded, xq, y);
+        assert_eq!(
+            xq.len(),
+            self.ncols,
+            "ReFloatMatrix spmv: x length mismatch"
+        );
+        assert_eq!(y.len(), self.nrows, "ReFloatMatrix spmv: y length mismatch");
+        let (row_ptr, col_idx) = (self.layout.row_ptr(), self.layout.col_idx());
+        let decoded = &self.encoded.decoded;
+        for (yr, bounds) in y.iter_mut().zip(row_ptr.windows(2)) {
+            let row = bounds[0] as usize..bounds[1] as usize;
+            let mut vals = decoded[row.clone()].chunks_exact(2);
+            let mut cols = col_idx[row].chunks_exact(2);
+            let mut acc = 0.0;
+            // Two terms per trip, added one after the other: the sum and its bits stay
+            // the CSR loop's, while the speed stops following where the build places the
+            // loop (a one-term loop read 32 % apart across placements, this one 4–7 %).
+            for (v, c) in (&mut vals).zip(&mut cols) {
+                let (p0, p1) = (v[0] * xq[c[0] as usize], v[1] * xq[c[1] as usize]);
+                acc += p0;
+                acc += p1;
+            }
+            if let ([v], [c]) = (vals.remainder(), cols.remainder()) {
+                acc += v * xq[*c as usize];
+            }
+            *yr = acc;
+        }
     }
 }
 
@@ -415,7 +477,8 @@ mod tests {
     fn naive_accumulate(m: &ReFloatMatrix, xq: &[f64]) -> Vec<f64> {
         let bs = m.config().block_size();
         let mut y = vec![0.0; m.nrows];
-        for blk in m.blocks() {
+        let decoded = m.decoded_in_block_order();
+        for blk in m.blocks(&decoded) {
             for (ii, jj, v) in blk.iter_decoded() {
                 y[blk.block_row * bs + ii as usize] += v * xq[blk.block_col * bs + jj as usize];
             }
@@ -443,12 +506,32 @@ mod tests {
         ] {
             let m = ReFloatMatrix::from_csr(&a, test_config(b));
             assert_eq!(m.nnz(), a.nnz());
-            assert_eq!(m.nnz(), m.blocks().map(|blk| blk.nnz()).sum::<usize>());
+            let decoded = m.decoded_in_block_order();
+            assert_eq!(
+                m.nnz(),
+                m.blocks(&decoded).map(|blk| blk.nnz()).sum::<usize>()
+            );
             let x = refloat_matgen::rhs::krylov_like(a.ncols(), 3);
             let mut y = vec![f64::NAN; a.nrows()];
             m.accumulate(&x, &mut y);
             let want = naive_accumulate(&m, &x);
             assert!(y.iter().zip(&want).all(|(u, v)| u.to_bits() == v.to_bits()));
+        }
+    }
+
+    #[test]
+    fn the_row_order_encode_is_the_per_block_encode_bitwise() {
+        // Stored in row order, copied back out in block order: every block holds what
+        // `ReFloatBlock::encode` makes of it, base and decoded values bit for bit.
+        let a = generators::random_spd_graph(700, 5, 1.4, 1.0, 3).to_csr();
+        let blocked = BlockedMatrix::from_csr(&a, 4).unwrap();
+        let m = ReFloatMatrix::from_blocked(&blocked, test_config(4));
+        let decoded = m.decoded_in_block_order();
+        for (raw, enc) in blocked.blocks().zip(m.blocks(&decoded)) {
+            let want = crate::block::ReFloatBlock::encode(&raw, m.config());
+            assert_eq!((enc.eb, enc.nnz()), (want.eb, want.nnz()));
+            let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(enc.decoded), bits(&want.decoded));
         }
     }
 

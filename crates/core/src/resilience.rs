@@ -173,11 +173,13 @@ pub struct AbftChecksum {
 }
 
 impl AbftChecksum {
-    /// Computes checksum rows for every block of an encoded matrix.
-    pub fn from_matrix(matrix: &ReFloatMatrix) -> Self {
+    /// Computes checksum rows for every block of an encoded matrix, reading its
+    /// decoded values through their block-order copy `decoded`
+    /// ([`ReFloatMatrix::decoded_in_block_order`]).
+    pub fn from_matrix(matrix: &ReFloatMatrix, decoded: &[f64]) -> Self {
         let block_size = matrix.config().block_size();
         let blocks = matrix
-            .blocks()
+            .blocks(decoded)
             .map(|blk| {
                 let mut sums: BTreeMap<u16, (f64, f64)> = BTreeMap::new();
                 for (_, jj, v) in blk.iter_decoded() {
@@ -280,7 +282,7 @@ mod tests {
     fn clean_spmv_passes_the_checksum_and_corruption_fails_it() {
         let a = generators::laplacian_2d(12, 12, 0.3).to_csr();
         let mut m = ReFloatMatrix::from_csr(&a, ReFloatConfig::new(4, 3, 8, 3, 8));
-        let checksum = AbftChecksum::from_matrix(&m);
+        let checksum = AbftChecksum::from_matrix(&m, &m.decoded_in_block_order());
         let n = a.nrows();
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).sin() + 0.5).collect();
         let mut y = vec![0.0; n];
@@ -303,7 +305,8 @@ mod tests {
     fn common_mode_drift_does_not_trip_the_checksum() {
         let a = generators::laplacian_2d(10, 10, 0.3).to_csr();
         let m = ReFloatMatrix::from_csr(&a, ReFloatConfig::new(4, 3, 8, 3, 8));
-        let checksum = AbftChecksum::from_matrix(&m);
+        let decoded = m.decoded_in_block_order();
+        let checksum = AbftChecksum::from_matrix(&m, &decoded);
         let n = a.nrows();
         let x: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64 * 0.25).collect();
         let mut xq = vec![0.0; n];
@@ -314,7 +317,7 @@ mod tests {
             .map(|b| 1.0 + 0.02 * ((b % 5) as f64 - 2.0))
             .collect();
         let mut y = vec![0.0; n];
-        for (b, blk) in m.blocks().enumerate() {
+        for (b, blk) in m.blocks(&decoded).enumerate() {
             let row0 = blk.block_row * bs;
             let col0 = blk.block_col * bs;
             for (ii, jj, v) in blk.iter_decoded() {

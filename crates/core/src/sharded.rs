@@ -17,9 +17,9 @@
 //!   converter, and every band accumulates from that shared quantized vector — the
 //!   same per-segment bases the unsharded converter chooses (conversion is a pure
 //!   function of `x` and the format);
-//! * every output row is accumulated only by its own shard, in the unsharded block
-//!   order — the inter-shard "reduction" is a gather of disjoint bands, which reorders
-//!   nothing.
+//! * every output row is accumulated only by its own shard, over the same terms in the
+//!   same (row) order as unsharded — the inter-shard "reduction" is a gather of
+//!   disjoint bands, which reorders nothing.
 //!
 //! The tests below enforce the contract for 1/2/4/8 shards, down to solver iterates.
 

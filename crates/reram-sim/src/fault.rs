@@ -304,6 +304,9 @@ struct Corruption {
 /// test and bumps [`detections`](Self::detections) on failure.
 pub struct FaultyReFloatOperator {
     inner: ReFloatMatrix,
+    /// The decoded values in block order, copied once at construction: each block is
+    /// read with its own drift and corruptions.
+    decoded: Vec<f64>,
     /// Per-block common-mode drift factor.
     drift: Vec<f64>,
     /// Per-block residual corruption (uncovered stuck cells only).
@@ -363,10 +366,11 @@ impl FaultyReFloatOperator {
         }
         let plan = RemapPlan::plan(&cells, &spares);
 
+        let decoded = inner.decoded_in_block_order();
         let (nrows, ncols) = (LinearOperator::nrows(&inner), LinearOperator::ncols(&inner));
         let mut corruptions: Vec<Vec<Corruption>> = vec![Vec::new(); inner.num_blocks()];
         for cell in plan.uncovered() {
-            let blk = inner.block(cell.block);
+            let blk = inner.block(cell.block, &decoded);
             // Edge blocks cover a partial tile; a defect outside the logical matrix
             // maps to no element and cannot corrupt anything.
             if blk.block_row * bs + cell.row as usize >= nrows
@@ -399,9 +403,10 @@ impl FaultyReFloatOperator {
         let drift: Vec<f64> = (0..inner.num_blocks())
             .map(|b| chip.map().drift_factor(b + crossbar_offset, age))
             .collect();
-        let checksum = abft_threshold.map(|_| AbftChecksum::from_matrix(&inner));
+        let checksum = abft_threshold.map(|_| AbftChecksum::from_matrix(&inner, &decoded));
         FaultyReFloatOperator {
             inner,
+            decoded,
             drift,
             corruptions,
             checksum,
@@ -446,7 +451,7 @@ impl LinearOperator for FaultyReFloatOperator {
         y.fill(0.0);
         let bs = self.inner.config().block_size();
         let (xq, inner) = self.inner.quantize_input(x);
-        for (b, blk) in inner.blocks().enumerate() {
+        for (b, blk) in inner.blocks(&self.decoded).enumerate() {
             let row0 = blk.block_row * bs;
             let col0 = blk.block_col * bs;
             // A drift of exactly 1.0 multiplies away bit for bit, so fault-free

@@ -17,6 +17,9 @@ use refloat_solvers::LinearOperator;
 /// every application.
 pub struct NoisyReFloatOperator {
     inner: ReFloatMatrix,
+    /// The decoded values in block order, copied once at construction: the noise is
+    /// drawn per stored value, crossbar by crossbar.
+    decoded: Vec<f64>,
     sigma: f64,
     rng: ChaCha8Rng,
 }
@@ -26,6 +29,7 @@ impl NoisyReFloatOperator {
     pub fn new(inner: ReFloatMatrix, sigma: f64, seed: u64) -> Self {
         assert!(sigma >= 0.0, "noise deviation must be non-negative");
         NoisyReFloatOperator {
+            decoded: inner.decoded_in_block_order(),
             inner,
             sigma,
             rng: ChaCha8Rng::seed_from_u64(seed),
@@ -75,7 +79,7 @@ impl LinearOperator for NoisyReFloatOperator {
         // Quantize the input exactly as the noiseless operator would, then accumulate
         // block products with per-read perturbed matrix values.
         let (xq, inner) = self.inner.quantize_input(x);
-        for blk in inner.blocks() {
+        for blk in inner.blocks(&self.decoded) {
             let row0 = blk.block_row * bs;
             let col0 = blk.block_col * bs;
             for (ii, jj, v) in blk.iter_decoded() {

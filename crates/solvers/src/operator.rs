@@ -1,6 +1,6 @@
 //! The operator abstraction the solvers are written against.
 
-use refloat_sparse::{BlockedMatrix, CsrMatrix};
+use refloat_sparse::CsrMatrix;
 
 /// A square (or rectangular) linear operator `y = A·x`.
 ///
@@ -88,28 +88,6 @@ impl LinearOperator for &CsrMatrix {
             CsrMatrix::nrows(self),
             CsrMatrix::ncols(self),
             self.nnz()
-        )
-    }
-}
-
-impl LinearOperator for BlockedMatrix {
-    fn nrows(&self) -> usize {
-        BlockedMatrix::nrows(self)
-    }
-
-    fn ncols(&self) -> usize {
-        BlockedMatrix::ncols(self)
-    }
-
-    fn apply(&mut self, x: &[f64], y: &mut [f64]) {
-        self.spmv_into(x, y);
-    }
-
-    fn name(&self) -> String {
-        format!(
-            "blocked-fp64 (b = {}, {} blocks)",
-            self.b(),
-            self.num_blocks()
         )
     }
 }
@@ -221,18 +199,6 @@ mod tests {
         LinearOperator::apply(&mut a, &[1.0, 1.0, 1.0], &mut y);
         assert_eq!(y, vec![3.0, 3.0, 4.0]);
         assert!(a.name().contains("csr-fp64"));
-    }
-
-    #[test]
-    fn blocked_operator_matches_csr() {
-        let csr = small_csr();
-        let mut blocked = BlockedMatrix::from_csr(&csr, 1).unwrap();
-        let mut y1 = vec![0.0; 3];
-        let mut y2 = vec![0.0; 3];
-        let mut csr_mut = csr.clone();
-        LinearOperator::apply(&mut csr_mut, &[1.0, 2.0, 3.0], &mut y1);
-        LinearOperator::apply(&mut blocked, &[1.0, 2.0, 3.0], &mut y2);
-        assert_eq!(y1, y2);
     }
 
     #[test]

@@ -11,13 +11,18 @@
 //! scheduled together — are read sequentially from memory.  A [`BlockLayout`] is the
 //! structure alone: contiguous local row and column indices, blocks back to back in
 //! block-row-major order and each block's entries in CSR order (sorted by `(ii, jj)`),
-//! plus a block table of `(block_row, block_col, start)`.  Anything with one value per
-//! non-zero rides on it: a [`BlockedMatrix`] is the layout plus the `f64` values, and
-//! `refloat-core`'s `ReFloatMatrix` shares the same layout (it sits behind an [`Arc`])
-//! and adds the decoded values and per-block exponent bases that only it knows.
-//! [`BlockLayout::accumulate`] is the one SpMV loop over the layout, whichever values
-//! it is handed.
+//! plus a block table of `(block_row, block_col, start)`.  Beside it the layout keeps
+//! the source CSR's *row order* — `u32` row pointers and global column indices — and
+//! this module alone defines how the two orders correspond:
+//! [`BlockLayout::walk_row_order`] pairs every row-order index with its block and its
+//! block-order position, a run of them at a time.  Anything with one value per
+//! non-zero rides on the layout, in whichever order suits it: a [`BlockedMatrix`] is
+//! the layout plus the `f64` values in block order, and `refloat-core`'s
+//! `ReFloatMatrix` shares the same layout (it sits behind an [`Arc`]) and adds the
+//! per-block exponent bases and the decoded values in row order, which its SpMV reads
+//! with the CSR loop.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::coo::CooMatrix;
@@ -50,6 +55,11 @@ pub struct BlockLayout {
     rows: Vec<u16>,
     /// Local column index `jj` (`< 2^b`) per non-zero.
     cols: Vec<u16>,
+    /// Row order, the source CSR's: where each row's non-zeros start (`nrows + 1`
+    /// entries, the last one `nnz`).
+    row_ptr: Vec<u32>,
+    /// Global column index per non-zero, in row order.
+    col_idx: Vec<u32>,
 }
 
 /// One non-empty `2^b × 2^b` block, borrowed from a [`BlockLayout`] and an array of
@@ -140,35 +150,49 @@ impl BlockLayout {
         entries.map(move |pair| self.view(&pair[0], pair[1].start, vals))
     }
 
-    /// `y = A x` for the matrix whose values are `vals` (Eq. 8–9: `y_c(p) = Σ_i A_c(p,
-    /// i) x_c(i)` over non-empty blocks), block by block in storage order.  Within a
-    /// block, a run of elements of one row is summed in a register, starting from and
-    /// stored back to `y` — the additions, and so the bits, of an element-by-element
-    /// `y[i] += v · x[j]`.
-    ///
-    /// # Panics
-    /// Panics if `x.len() != ncols`, `y.len() != nrows` or `vals.len() != nnz`.
-    pub fn accumulate(&self, vals: &[f64], x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols, "blocked spmv: x length mismatch");
-        assert_eq!(y.len(), self.nrows, "blocked spmv: y length mismatch");
-        y.fill(0.0);
+    /// Row pointers of the row order: row `r`'s non-zeros are the row-order indices
+    /// `row_ptr[r]..row_ptr[r + 1]` — the source CSR's `row_ptr`.
+    pub fn row_ptr(&self) -> &[u32] {
+        &self.row_ptr
+    }
+
+    /// Global column index of every non-zero in row order — the source CSR's `col_idx`.
+    pub fn col_idx(&self) -> &[u32] {
+        &self.col_idx
+    }
+
+    /// Walks the non-zeros in row order, run by run: `visit(row_order, block,
+    /// block_order)` says the row-order indices `row_order` all belong to block `block`
+    /// and sit, in the same order, at the block-order positions `block_order`.  A run is
+    /// a maximal stretch of one band's row order in one block column — consecutive
+    /// there because [`BlockedMatrix::from_csr`] places a band's entries in CSR order.
+    /// This is the one definition of how the two orders correspond; every row-order
+    /// index is visited once, in order, and the positions form a permutation.
+    pub fn walk_row_order(&self, mut visit: impl FnMut(Range<usize>, usize, Range<usize>)) {
         let bs = self.block_size();
-        for blk in self.blocks(vals) {
-            let y = &mut y[blk.block_row * bs..];
-            let x = &x[blk.block_col * bs..];
-            let Some(&first) = blk.rows.first() else {
-                continue;
-            };
-            let (mut row, mut sum) = (first as usize, y[first as usize]);
-            for (ii, jj, v) in blk.iter() {
-                if ii as usize != row {
-                    y[row] = sum;
-                    row = ii as usize;
-                    sum = y[row];
-                }
-                sum += v * x[jj as usize];
+        // Per block column of the current band: its block's index and the block-order
+        // position of its next entry.  Only the band's own block columns are read.
+        let mut cursor = vec![(0u32, 0u32); self.ncols.div_ceil(bs)];
+        let mut blocks = self.table[..self.num_blocks()]
+            .iter()
+            .enumerate()
+            .peekable();
+        for (brow, row_lo) in (0..self.nrows).step_by(bs).enumerate() {
+            while let Some((index, entry)) =
+                blocks.next_if(|(_, entry)| entry.block_row as usize == brow)
+            {
+                cursor[entry.block_col as usize] = (index as u32, entry.start);
             }
-            y[row] = sum;
+            let row_hi = (row_lo + bs).min(self.nrows);
+            let mut k = self.row_ptr[row_lo] as usize;
+            let band = &self.col_idx[k..self.row_ptr[row_hi] as usize];
+            for run in band.chunk_by(|&c, &d| c >> self.b == d >> self.b) {
+                let (block, start) = &mut cursor[(run[0] >> self.b) as usize];
+                let at = *start as usize;
+                visit(k..k + run.len(), *block as usize, at..at + run.len());
+                *start += run.len() as u32;
+                k += run.len();
+            }
         }
     }
 }
@@ -187,10 +211,12 @@ impl BlockedMatrix {
     /// counts into block starts, then place every entry in CSR order.  The arrays are
     /// allocated once at their final size; nothing is allocated per block.
     ///
+    /// The row order is the CSR's own structure, narrowed to `u32`.
+    ///
     /// Returns an error if `b == 0` would make blocks degenerate (`b` must be ≥ 1), if
     /// `b` is large enough that local indices no longer fit in `u16` (`b ≤ 15`), or if
-    /// a block coordinate (a `(32 − b)`-bit integer in the format, Fig. 4) or the
-    /// non-zero count does not fit the block table's 32-bit fields.
+    /// a block row (a `(32 − b)`-bit integer in the format, Fig. 4), a column index or
+    /// the non-zero count does not fit the layout's 32-bit fields.
     pub fn from_csr(a: &CsrMatrix, b: u32) -> Result<Self> {
         if b == 0 || b > 15 {
             return Err(SparseError::InvalidParameter(format!(
@@ -199,14 +225,14 @@ impl BlockedMatrix {
         }
         let bs = 1usize << b;
         let (nrows, ncols, nnz) = (a.nrows(), a.ncols(), a.nnz());
-        let num_block_cols = ncols.div_ceil(bs);
-        // Checked once here; the `as u32` below narrow values bounded by these three.
-        if [nrows.div_ceil(bs), num_block_cols, nnz]
+        // Checked once here; the `as u32` below narrow values bounded by these three
+        // (a block column by the column count).
+        if [nrows.div_ceil(bs), ncols, nnz]
             .iter()
             .any(|&v| u32::try_from(v).is_err())
         {
             return Err(SparseError::InvalidParameter(format!(
-                "{nrows}x{ncols} matrix with {nnz} non-zeros at b = {b}: the block table is 32-bit"
+                "{nrows}x{ncols} matrix with {nnz} non-zeros at b = {b}: the layout is 32-bit"
             )));
         }
 
@@ -215,7 +241,7 @@ impl BlockedMatrix {
         let mut vals = vec![0.0; nnz];
         // Per block column of the current band: its entry count in the first pass, the
         // index its next entry goes to in the second; all zero between bands.
-        let mut cursor = vec![0u32; num_block_cols];
+        let mut cursor = vec![0u32; ncols.div_ceil(bs)];
         let mut touched: Vec<usize> = Vec::new();
         let row_ptr = a.row_ptr();
         for (brow, row_lo) in (0..nrows).step_by(bs).enumerate() {
@@ -267,6 +293,8 @@ impl BlockedMatrix {
             table,
             rows,
             cols,
+            row_ptr: row_ptr.iter().map(|&p| p as u32).collect(),
+            col_idx: a.col_idx().iter().map(|&c| c as u32).collect(),
         };
         Ok(BlockedMatrix {
             layout: Arc::new(layout),
@@ -328,6 +356,11 @@ impl BlockedMatrix {
         self.layout.blocks(&self.vals)
     }
 
+    /// The values, one per non-zero, in the layout's block order.
+    pub fn values(&self) -> &[f64] {
+        &self.vals
+    }
+
     /// Average number of non-zeros per non-empty block.
     pub fn avg_nnz_per_block(&self) -> f64 {
         if self.num_blocks() == 0 {
@@ -335,14 +368,6 @@ impl BlockedMatrix {
         } else {
             self.nnz() as f64 / self.num_blocks() as f64
         }
-    }
-
-    /// Serial blocked SpMV: `y ← A x` ([`BlockLayout::accumulate`] over the values).
-    ///
-    /// # Panics
-    /// Panics if `x.len() != ncols` or `y.len() != nrows`.
-    pub fn spmv_into(&self, x: &[f64], y: &mut [f64]) {
-        self.layout.accumulate(&self.vals, x, y);
     }
 
     /// Reconstructs the matrix as CSR (for round-trip testing and interoperability).
@@ -408,6 +433,15 @@ mod tests {
     }
 
     #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_column_count_beyond_32_bits_is_an_error_even_when_the_block_columns_fit() {
+        // 2^18 block columns at b = 15 fit the table; the row order's `u32` columns do not.
+        let wide = CsrMatrix::from_raw(1, 1 << 33, vec![0, 0], vec![], vec![]).unwrap();
+        let err = BlockedMatrix::from_csr(&wide, 15).unwrap_err();
+        assert!(matches!(err, SparseError::InvalidParameter(_)), "{err}");
+    }
+
+    #[test]
     fn blocks_are_sorted_block_row_major() {
         let a = banded(200);
         let blocked = BlockedMatrix::from_csr(&a, 5).unwrap();
@@ -433,20 +467,6 @@ mod tests {
     }
 
     #[test]
-    fn spmv_matches_csr() {
-        let a = banded(150);
-        let blocked = BlockedMatrix::from_csr(&a, 4).unwrap();
-        let x: Vec<f64> = (0..150).map(|i| ((i * 13 % 7) as f64) - 3.0).collect();
-        let mut y_csr = vec![0.0; 150];
-        let mut y_blk = vec![0.0; 150];
-        a.spmv_into(&x, &mut y_csr);
-        blocked.spmv_into(&x, &mut y_blk);
-        for (u, v) in y_csr.iter().zip(y_blk.iter()) {
-            assert!((u - v).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn csr_roundtrip_preserves_matrix() {
         let a = banded(120);
         let blocked = BlockedMatrix::from_csr(&a, 4).unwrap();
@@ -464,11 +484,5 @@ mod tests {
         assert_eq!(blocked.num_block_rows(), 2);
         assert_eq!(blocked.num_block_cols(), 5);
         assert_eq!(blocked.nnz(), 3);
-        let x = vec![1.0; 37];
-        let mut y = vec![0.0; 10];
-        blocked.spmv_into(&x, &mut y);
-        assert_eq!(y[0], 1.0);
-        assert_eq!(y[9], 2.0);
-        assert_eq!(y[5], 3.0);
     }
 }

@@ -12,9 +12,12 @@
 //!   the *block-major* layout of Fig. 7 of the paper, which is the granularity at which
 //!   ReFloat quantizes values and at which the accelerator maps work onto crossbars.
 //!   This crate owns that layout: [`BlockLayout`] (block table plus contiguous local
-//!   indices, behind an `Arc`) is its one definition and carries the one SpMV loop over
-//!   it; a `BlockedMatrix` adds the `f64` values, `refloat-core`'s `ReFloatMatrix`
-//!   shares the same layout and adds the exponent bases and decoded values,
+//!   indices, and beside them the source CSR's row order as `u32` row pointers and
+//!   columns, behind an `Arc`) is its one definition, and its `walk_row_order` the one
+//!   definition of how row order and block order correspond.  A `BlockedMatrix` adds
+//!   the `f64` values in block order; `refloat-core`'s `ReFloatMatrix` shares the same
+//!   layout and adds the exponent bases, in block order, and the decoded values, in row
+//!   order — its SpMV is the CSR loop over them,
 //! * [`mm`] — a Matrix Market (`.mtx`) reader/writer so the real SuiteSparse inputs can
 //!   be used when available,
 //! * [`vecops`] — the dense vector kernels (dot, axpy, norms, …) used by the Krylov

@@ -31,9 +31,11 @@ fn build(n: usize, entries: &[(usize, usize, f64)]) -> CsrMatrix {
 /// strictly sorted by `(block_row, block_col)`, no empty block, every block's entries
 /// strictly sorted by `(ii, jj)` (what the incremental re-encode's cell diff merges
 /// on) and inside both the tile and the matrix, and the blocks' runs back to back in
-/// the three arrays, covering exactly `nnz` entries.  Holds for any CSR with sorted,
-/// unique column indices per row.
-fn assert_layout_invariants(blocked: &BlockedMatrix) {
+/// the three arrays, covering exactly `nnz` entries.  The row order beside it is the
+/// source CSR's structure, and the row↔block walk visits every row-order index once, in
+/// order, and sends it to a block-order position holding its entry — a permutation.
+/// Holds for any CSR with sorted, unique column indices per row.
+fn assert_layout_invariants(blocked: &BlockedMatrix, csr: &CsrMatrix) {
     let bs = blocked.block_size();
     let blocks: Vec<_> = blocked.blocks().collect();
     assert_eq!(blocks.len(), blocked.num_blocks());
@@ -56,20 +58,52 @@ fn assert_layout_invariants(blocked: &BlockedMatrix) {
             assert!(blk.block_col * bs + (jj as usize) < blocked.ncols());
         }
     }
+
+    // The row order is the source CSR's structure.
+    let layout = blocked.layout();
+    let widened = |v: &[u32]| v.iter().map(|&i| i as usize).collect::<Vec<_>>();
+    assert_eq!(widened(layout.row_ptr()), csr.row_ptr());
+    assert_eq!(widened(layout.col_idx()), csr.col_idx());
+    // The walk visits every row-order index once, in order, and sends each to a slot of
+    // its own block that holds its entry; the slots form a permutation.
+    let starts: Vec<usize> = blocks
+        .iter()
+        .scan(0, |next, blk| {
+            Some(std::mem::replace(next, *next + blk.nnz()))
+        })
+        .collect();
+    let mut visited = 0;
+    let mut positions = Vec::with_capacity(csr.nnz());
+    layout.walk_row_order(|run, block, block_order| {
+        assert_eq!(run.start, visited, "row order not walked once, in order");
+        assert_eq!(run.len(), block_order.len());
+        visited = run.end;
+        for (k, position) in run.zip(block_order) {
+            positions.push(position);
+            let (blk, at) = (&blocks[block], position - starts[block]);
+            let r = csr.row_ptr().partition_point(|&p| p <= k) - 1;
+            let row = blk.block_row * bs + blk.rows[at] as usize;
+            let col = blk.block_col * bs + blk.cols[at] as usize;
+            assert_eq!((row, col), (r, csr.col_idx()[k]));
+            assert_eq!(blk.vals[at].to_bits(), csr.values()[k].to_bits());
+        }
+    });
+    assert_eq!(visited, csr.nnz());
+    positions.sort_unstable();
+    assert!(
+        positions.into_iter().eq(0..csr.nnz()),
+        "positions not a permutation"
+    );
 }
 
-/// Blocks `csr` at every `b` in `1..=7` and checks the layout invariants, the exact
-/// round trip and the SpMV against CSR.
+/// Blocks `csr` at every `b` in `1..=7` and checks the layout invariants and the exact
+/// round trip.
 fn assert_blocks_faithfully(csr: &CsrMatrix) {
-    let x: Vec<f64> = (0..csr.ncols()).map(|i| 0.5 + (i % 5) as f64).collect();
     for bexp in 1..=7 {
         let blocked = BlockedMatrix::from_csr(csr, bexp).unwrap();
-        assert_layout_invariants(&blocked);
+        assert_layout_invariants(&blocked, csr);
         assert_eq!(blocked.nnz(), csr.nnz());
         assert_eq!(&blocked.to_csr(), csr);
-        let mut y = vec![f64::NAN; csr.nrows()];
-        blocked.spmv_into(&x, &mut y);
-        assert_eq!(y, csr.spmv(&x));
     }
 }
 
@@ -89,7 +123,7 @@ fn blocking_edge_cases_keep_the_layout_invariants() {
     }
     assert_blocks_faithfully(&gaps.to_csr());
 
-    // No non-zero at all: no block, and `y = 0`.
+    // No non-zero at all: no block.
     let empty = CooMatrix::new(5, 7).to_csr();
     assert_eq!(BlockedMatrix::from_csr(&empty, 2).unwrap().num_blocks(), 0);
     assert_blocks_faithfully(&empty);
@@ -106,7 +140,7 @@ fn blocking_edge_cases_keep_the_layout_invariants() {
     zeros.values_mut()[1] = 0.0;
     zeros.values_mut()[3] = 0.0;
     let blocked = BlockedMatrix::from_csr(&zeros, 2).unwrap();
-    assert_layout_invariants(&blocked);
+    assert_layout_invariants(&blocked, &zeros);
     assert_eq!((blocked.nnz(), blocked.num_blocks()), (4, 4));
     assert_eq!(blocked.to_csr(), kept);
 }
@@ -122,23 +156,22 @@ proptest! {
         let x: Vec<f64> = (0..n).map(|i| ((i * 7 % 13) as f64) / 13.0 - 0.4).collect();
         let mut y_csr = vec![0.0; n];
         let mut y_coo = vec![0.0; n];
-        let mut y_blk = vec![0.0; n];
         csr.spmv_into(&x, &mut y_csr);
         coo.spmv_into(&x, &mut y_coo);
-        blocked.spmv_into(&x, &mut y_blk);
-        assert_layout_invariants(&blocked);
-        // Bit for bit the per-element loop over the block views, in storage order.
+        assert_layout_invariants(&blocked, &csr);
+        // The premise of the row-order quantized SpMV: the per-element loop over the
+        // block views, in storage order, adds each row's terms in ascending column
+        // order — the CSR loop's order, so its bits.
         let bs = blocked.block_size();
-        let mut y_naive = vec![0.0; n];
+        let mut y_blk = vec![0.0; n];
         for blk in blocked.blocks() {
             for (ii, jj, v) in blk.iter() {
-                y_naive[blk.block_row * bs + ii as usize] += v * x[blk.block_col * bs + jj as usize];
+                y_blk[blk.block_row * bs + ii as usize] += v * x[blk.block_col * bs + jj as usize];
             }
         }
-        prop_assert!(y_blk.iter().zip(&y_naive).all(|(u, v)| u.to_bits() == v.to_bits()));
+        prop_assert!(y_csr.iter().zip(&y_blk).all(|(u, v)| u.to_bits() == v.to_bits()));
         for i in 0..n {
             prop_assert!((y_csr[i] - y_coo[i]).abs() <= 1e-9 * y_csr[i].abs().max(1e-12));
-            prop_assert!((y_csr[i] - y_blk[i]).abs() <= 1e-9 * y_csr[i].abs().max(1e-12));
         }
     }
 
@@ -146,7 +179,7 @@ proptest! {
     fn blocking_round_trips_exactly((n, entries) in arb_matrix(), bexp in 1u32..=7) {
         let csr = build(n, &entries);
         let blocked = BlockedMatrix::from_csr(&csr, bexp).unwrap();
-        assert_layout_invariants(&blocked);
+        assert_layout_invariants(&blocked, &csr);
         prop_assert_eq!(blocked.nnz(), csr.nnz());
         prop_assert_eq!(blocked.to_csr(), csr);
     }
