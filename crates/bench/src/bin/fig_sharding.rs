@@ -12,6 +12,9 @@
 //! * a bitwise-identity check of the solution against the single-chip run — the
 //!   determinism contract of the shard → chip → reduction pipeline.
 //!
+//! It also asserts that the four jobs encoded the matrix once: every chip count reads
+//! row bands of the same cached encoding.
+//!
 //! ```text
 //! fig_sharding [--smoke] [--json PATH]
 //! ```
@@ -165,6 +168,14 @@ fn main() {
         "sharding is bitwise-deterministic across 1/2/4/8 chips; 4-chip speedup {:.2}x",
         at_4.speedup_vs_single_chip
     );
+    // A shard is a row range of the matrix's one encoding, so every chip count reads
+    // the same cache entry.
+    let misses = outcome.report.cache.misses;
+    assert_eq!(
+        misses, 1,
+        "one matrix in one format must encode once, not {misses} times"
+    );
+    println!("one encoding served 1/2/4/8 chips ({misses} encode-cache miss)");
 
     // Record the trajectory point only after the acceptance bar held.
     if let Some(dir) = bench_dir_from_args(&args) {

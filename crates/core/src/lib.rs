@@ -41,9 +41,10 @@
 //! * [`incremental`] — [`reencode_incremental`]: a sequence step adopts its own
 //!   blocking's layout and carries clean blocks' bases over from the predecessor; its
 //!   values go through the same row-order quantise pass as a from-scratch encode,
-//! * [`sharded`] — [`ShardedReFloatMatrix`], the operator partitioned into block-row
-//!   shards (one per chip of a multi-chip accelerator), bitwise identical to the
-//!   unsharded operator for every shard count,
+//! * [`sharded`] — [`ShardedReFloatMatrix`], one encoding whose rows are split into
+//!   block-row bands (one per chip of a multi-chip accelerator): the input converted
+//!   once, each band the matrix's own row loop over its rows, so bitwise identical to
+//!   the unsharded operator for every shard count,
 //! * [`resilience`] — fault-aware encoding support: spare row/column remapping around
 //!   stuck cells and per-block ABFT checksum rows for SpMV corruption detection,
 //! * [`feinberg`] — the exponent-truncation baseline of Feinberg et al. [ISCA'18] as
@@ -87,4 +88,4 @@ pub use incremental::{
 };
 pub use matrix::ReFloatMatrix;
 pub use resilience::{AbftChecksum, RemapPlan, SpareBudget, StuckCell};
-pub use sharded::{OperatorShard, ShardedReFloatMatrix};
+pub use sharded::ShardedReFloatMatrix;

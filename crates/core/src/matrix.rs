@@ -32,6 +32,7 @@
 //! offset and fraction code belong to [`crate::block::ReFloatBlock`], which encodes a
 //! single block down to its bits on demand.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::block::optimal_exponent_base;
@@ -174,9 +175,15 @@ impl ReFloatMatrix {
     }
 
     /// The block-major structure this encoding shares with its blocking.
-    #[cfg(test)]
     pub(crate) fn layout(&self) -> &Arc<BlockLayout> {
         &self.layout
+    }
+
+    /// Whether `other` reads the same encoded values — a clone does, a second encode
+    /// of the same matrix does not.
+    #[cfg(test)]
+    pub(crate) fn shares_encoding_with(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.encoded, &other.encoded)
     }
 
     /// The exponent base of every block, in block order.
@@ -280,21 +287,32 @@ impl ReFloatMatrix {
     }
 
     /// The accumulate step of an SpMV (Eq. 8–9) over an already-quantized input:
-    /// `y = Ã · xq`, row by row over the decoded values in row order — the order of
-    /// additions and so the bits of `CsrMatrix::spmv_into`, which are also the bits of
-    /// summing the block products into `y` block by block.
+    /// `y = Ã · xq`, every row of [`accumulate_rows`](Self::accumulate_rows).
     ///
     /// # Panics
     /// Panics if `xq.len() != ncols` or `y.len() != nrows`.
     pub fn accumulate(&self, xq: &[f64], y: &mut [f64]) {
+        self.accumulate_rows(xq, 0..self.nrows, y);
+    }
+
+    /// Rows `rows` of `Ã · xq` into `y`, row by row over the decoded values in row
+    /// order — the order of additions and so the bits of `CsrMatrix::spmv_into`, which
+    /// are also the bits of summing the block products into `y` block by block.  A
+    /// row's sum does not depend on the range it is computed in, so a shard's band is
+    /// bit for bit those rows of the whole product.
+    ///
+    /// # Panics
+    /// Panics if `xq.len() != ncols`, `y.len() != rows.len()` or `rows` ends past
+    /// `nrows`.
+    pub(crate) fn accumulate_rows(&self, xq: &[f64], rows: Range<usize>, y: &mut [f64]) {
         assert_eq!(
             xq.len(),
             self.ncols,
             "ReFloatMatrix spmv: x length mismatch"
         );
-        assert_eq!(y.len(), self.nrows, "ReFloatMatrix spmv: y length mismatch");
-        let (row_ptr, col_idx) = (self.layout.row_ptr(), self.layout.col_idx());
-        let decoded = &self.encoded.decoded;
+        assert_eq!(y.len(), rows.len(), "ReFloatMatrix spmv: y length mismatch");
+        let row_ptr = &self.layout.row_ptr()[rows.start..=rows.end];
+        let (col_idx, decoded) = (self.layout.col_idx(), &self.encoded.decoded);
         for (yr, bounds) in y.iter_mut().zip(row_ptr.windows(2)) {
             let row = bounds[0] as usize..bounds[1] as usize;
             let mut vals = decoded[row.clone()].chunks_exact(2);

@@ -1,214 +1,109 @@
-//! The sharded ReFloat operator: one encoded shard per accelerator chip.
+//! The sharded ReFloat operator: one encoding, its rows spread over accelerator chips.
 //!
-//! [`ShardedReFloatMatrix`] splits a matrix into contiguous block-row bands (the
-//! partitioner of `refloat_sparse::shard`), encodes each band as its own
-//! [`ReFloatMatrix`], and applies the bands concurrently — each shard owns a disjoint
-//! output range, exactly like the chips of a multi-chip accelerator each producing one
-//! band of the result vector for the host to gather.
+//! [`ShardedReFloatMatrix`] is a [`ReFloatMatrix`] plus the cut rows of the block-row
+//! partitioner (`refloat_sparse::shard`).  Each chip of a multi-chip accelerator holds
+//! one contiguous band of block rows of the *one* encoding and produces that band of
+//! the result vector for the host to gather — one logical operator spread over chips,
+//! not one encoding per chip.
 //!
 //! # Determinism contract
 //!
 //! A sharded apply is **bitwise identical** to the unsharded [`ReFloatMatrix::apply`]
-//! for every shard count:
+//! for every shard count, because it is that apply split by rows:
 //!
-//! * shard cuts sit on `2^b` block-row boundaries, so each band re-blocks into exactly
-//!   the blocks the unsharded matrix produces (same entries, same block-column order);
-//! * the input vector is re-encoded **once** per apply, by the operator's own vector
-//!   converter, and every band accumulates from that shared quantized vector — the
-//!   same per-segment bases the unsharded converter chooses (conversion is a pure
-//!   function of `x` and the format);
-//! * every output row is accumulated only by its own shard, over the same terms in the
-//!   same (row) order as unsharded — the inter-shard "reduction" is a gather of
-//!   disjoint bands, which reorders nothing.
+//! * the input vector is converted **once** per apply, by the matrix's own
+//!   [`ReFloatMatrix::quantize_input`], and every band reads that quantized vector;
+//! * every band runs [`ReFloatMatrix::accumulate`]'s row loop over its own rows, and a
+//!   row's sum does not depend on the range it is computed in — the inter-shard
+//!   "reduction" is a gather of disjoint bands, which reorders nothing.
 //!
-//! The tests below enforce the contract for 1/2/4/8 shards, down to solver iterates.
+//! Cuts sit on `2^b` block-row boundaries so that each chip holds whole blocks
+//! ([`ShardedReFloatMatrix::shard_blocks`]).  The tests below enforce the contract for
+//! 1/2/4/8 shards and beyond the block-row count, down to solver iterates.
 
 use std::ops::Range;
 
-use crate::format::ReFloatConfig;
 use crate::matrix::ReFloatMatrix;
-use crate::vector::{Scratch, VectorConverter};
 use refloat_solvers::LinearOperator;
-use refloat_sparse::{block_row_shards, extract_row_range, CsrMatrix};
+use refloat_sparse::block_row_shards;
 
-/// One chip's slice of the operator: a contiguous row band and its encoding.
-#[derive(Debug, Clone)]
-pub struct OperatorShard {
-    /// Global row range this shard produces.
-    pub rows: Range<usize>,
-    /// The shard's encoded operator (`rows.len() × ncols`).
-    pub op: ReFloatMatrix,
-}
-
-/// A ReFloat operator partitioned into block-row shards, one per chip.
+/// A ReFloat operator whose rows are split into block-row bands, one per chip.
 #[derive(Debug, Clone)]
 pub struct ShardedReFloatMatrix {
-    nrows: usize,
-    ncols: usize,
-    config: ReFloatConfig,
-    shards: Vec<OperatorShard>,
-    converter: VectorConverter,
-    /// The quantized input vector all shards read.  Only this one is ever filled: a
-    /// shard's own `op` accumulates and never converts.
-    quantized_input: Scratch,
+    matrix: ReFloatMatrix,
+    /// Each chip's rows, in order; together they tile `0..nrows`.
+    bands: Vec<Range<usize>>,
 }
 
 impl ShardedReFloatMatrix {
-    /// Partitions `a` into at most `shards` nnz-balanced block-row bands and encodes
-    /// each band in `config`'s format.
-    ///
-    /// # Panics
-    /// Panics if the partitioner rejects the arguments (invalid `b`, empty matrix).
-    pub fn from_csr(a: &CsrMatrix, config: ReFloatConfig, shards: usize) -> Self {
-        let parts = block_row_shards(a, config.b, shards)
-            .expect("valid blocking exponent from a validated ReFloatConfig");
-        let shards = parts
-            .into_iter()
-            .map(|part| OperatorShard {
-                op: ReFloatMatrix::from_csr(&extract_row_range(a, part.rows.clone()), config),
-                rows: part.rows,
-            })
-            .collect();
-        Self::from_parts(a.nrows(), a.ncols(), shards)
+    /// Splits `matrix`'s rows into at most `shards` nnz-balanced block-row bands.  The
+    /// encoding is taken as is: pass a clone to share a cached one.
+    pub fn new(matrix: ReFloatMatrix, shards: usize) -> Self {
+        let bands = block_row_shards(matrix.layout(), shards);
+        ShardedReFloatMatrix { matrix, bands }
     }
 
-    /// Assembles a sharded operator from pre-encoded bands (e.g. resolved through the
-    /// runtime's encoded-matrix cache).
-    ///
-    /// # Panics
-    /// Panics if the bands do not tile `0..nrows` in order or a band's encoding has
-    /// the wrong shape or format.
-    pub fn from_parts(nrows: usize, ncols: usize, parts: Vec<OperatorShard>) -> Self {
-        assert!(
-            !parts.is_empty(),
-            "sharded operator needs at least one shard"
-        );
-        assert_eq!(parts[0].rows.start, 0, "shards must start at row 0");
-        assert_eq!(
-            parts.last().expect("non-empty").rows.end,
-            nrows,
-            "shards must cover all rows"
-        );
-        let config = *parts[0].op.config();
-        for w in parts.windows(2) {
-            assert_eq!(
-                w[0].rows.end, w[1].rows.start,
-                "shards must be contiguous in row order"
-            );
-        }
-        for part in &parts {
-            assert_eq!(
-                LinearOperator::nrows(&part.op),
-                part.rows.len(),
-                "shard encoding rows must match its row range"
-            );
-            assert_eq!(
-                LinearOperator::ncols(&part.op),
-                ncols,
-                "shard encodings must span all columns"
-            );
-            assert_eq!(
-                part.op.config(),
-                &config,
-                "all shards must share one format"
-            );
-        }
-        ShardedReFloatMatrix {
-            nrows,
-            ncols,
-            config,
-            shards: parts,
-            converter: VectorConverter::new(config),
-            quantized_input: Scratch::default(),
-        }
-    }
-
-    /// The format configuration.
-    pub fn config(&self) -> &ReFloatConfig {
-        &self.config
+    /// The whole encoding every band reads.
+    pub fn matrix(&self) -> &ReFloatMatrix {
+        &self.matrix
     }
 
     /// Number of shards (chips the operator spans).
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shards, in row order.
-    pub fn shards(&self) -> &[OperatorShard] {
-        &self.shards
+        self.bands.len()
     }
 
     /// Non-empty blocks per shard (= crossbar clusters each chip must hold).
     pub fn shard_blocks(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(|s| s.op.num_blocks() as u64)
-            .collect()
+        let layout = self.matrix.layout();
+        let blocks = |rows: &Range<usize>| layout.blocks_in_rows(rows.clone()) as u64;
+        self.bands.iter().map(blocks).collect()
     }
 
     /// Output rows per shard (= the band each chip ships to the host per SpMV).
     pub fn shard_rows(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.rows.len() as u64).collect()
-    }
-
-    /// Total non-empty blocks across shards (equals the unsharded block count: cuts on
-    /// block-row boundaries never split or merge blocks).
-    pub fn num_blocks(&self) -> usize {
-        self.shards.iter().map(|s| s.op.num_blocks()).sum()
-    }
-
-    /// Total encoded non-zeros.
-    pub fn nnz(&self) -> usize {
-        self.shards.iter().map(|s| s.op.nnz()).sum()
+        self.bands.iter().map(|rows| rows.len() as u64).collect()
     }
 }
 
 impl LinearOperator for ShardedReFloatMatrix {
     fn nrows(&self) -> usize {
-        self.nrows
+        LinearOperator::nrows(&self.matrix)
     }
 
     fn ncols(&self) -> usize {
-        self.ncols
+        LinearOperator::ncols(&self.matrix)
     }
 
-    /// Converts `x` once, then every shard accumulates its disjoint output band from
-    /// the shared quantized vector; shards run on scoped threads (the last on the
-    /// calling thread), mirroring chips working in parallel.
+    /// Converts `x` once, then every shard accumulates its band of `y` from the one
+    /// quantized vector; shards run on scoped threads (the last on the calling
+    /// thread), mirroring chips working in parallel.
     fn apply(&mut self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols, "sharded apply: x length mismatch");
-        assert_eq!(y.len(), self.nrows, "sharded apply: y length mismatch");
-        self.quantized_input.convert(&mut self.converter, x);
-        let xq = self.quantized_input.as_slice();
-        // Slice y into per-shard bands.
-        let mut bands: Vec<&mut [f64]> = Vec::with_capacity(self.shards.len());
+        assert_eq!(y.len(), self.nrows(), "sharded apply: y length mismatch");
+        let (xq, matrix) = self.matrix.quantize_input(x);
+        let mut bands = self.bands.iter();
+        let last = bands.next_back();
         let mut rest = y;
-        let mut offset = 0;
-        for shard in &self.shards {
-            let (band, tail) = rest.split_at_mut(shard.rows.end - offset);
-            bands.push(band);
-            rest = tail;
-            offset = shard.rows.end;
-        }
         std::thread::scope(|scope| {
-            let mut work = self.shards.iter().zip(bands);
-            let last = work.next_back();
-            for (shard, band) in work {
-                scope.spawn(move || shard.op.accumulate(xq, band));
+            for rows in bands {
+                let (band, tail) = rest.split_at_mut(rows.len());
+                rest = tail;
+                scope.spawn(move || matrix.accumulate_rows(xq, rows.clone(), band));
             }
-            if let Some((shard, band)) = last {
-                shard.op.accumulate(xq, band);
+            if let Some(rows) = last {
+                matrix.accumulate_rows(xq, rows.clone(), rest);
             }
         });
     }
 
     fn name(&self) -> String {
+        let matrix = &self.matrix;
         format!(
             "sharded refloat {} ({} shards, {} blocks, {} nnz)",
-            self.config,
+            matrix.config(),
             self.num_shards(),
-            self.num_blocks(),
-            self.nnz()
+            matrix.num_blocks(),
+            matrix.nnz()
         )
     }
 }
@@ -216,8 +111,10 @@ impl LinearOperator for ShardedReFloatMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::ReFloatConfig;
     use refloat_matgen::generators;
     use refloat_solvers::{cg, SolverConfig};
+    use refloat_sparse::CsrMatrix;
 
     fn workload() -> CsrMatrix {
         generators::laplacian_2d(24, 24, 0.4).to_csr()
@@ -227,24 +124,38 @@ mod tests {
         ReFloatConfig::new(4, 3, 8, 3, 8)
     }
 
+    fn sharded(a: &CsrMatrix, shards: usize) -> ShardedReFloatMatrix {
+        ShardedReFloatMatrix::new(ReFloatMatrix::from_csr(a, config()), shards)
+    }
+
     #[test]
     fn sharded_apply_is_bitwise_identical_to_unsharded() {
-        let a = workload();
-        let x: Vec<f64> = (0..a.ncols())
-            .map(|i| ((i * 29 % 23) as f64) / 23.0 - 0.3)
-            .collect();
-        let mut reference = vec![0.0; a.nrows()];
-        ReFloatMatrix::from_csr(&a, config()).apply(&x, &mut reference);
-        for shards in [1usize, 2, 4, 8] {
-            let mut sharded = ShardedReFloatMatrix::from_csr(&a, config(), shards);
-            let mut y = vec![0.0; a.nrows()];
-            sharded.apply(&x, &mut y);
-            for (i, (u, v)) in reference.iter().zip(y.iter()).enumerate() {
-                assert_eq!(
-                    u.to_bits(),
-                    v.to_bits(),
-                    "row {i} differs at {shards} shards: {u} vs {v}"
-                );
+        // 23 · 23 = 529 rows: the last band ends inside a partial block row.
+        let ragged = generators::laplacian_2d(23, 23, 0.3).to_csr();
+        let scattered = generators::random_spd_graph(1500, 6, 1.4, 1.0, 7).to_csr();
+        for (a, b) in [(workload(), 4), (ragged, 4), (scattered, 7)] {
+            let format = ReFloatConfig::new(b, 3, 8, 3, 8);
+            let x: Vec<f64> = (0..a.ncols())
+                .map(|i| ((i * 29 % 23) as f64) / 23.0 - 0.3)
+                .collect();
+            let mut whole = ReFloatMatrix::from_csr(&a, format);
+            let mut reference = vec![0.0; a.nrows()];
+            whole.apply(&x, &mut reference);
+            let block_rows = a.nrows().div_ceil(1 << b);
+            // The last count asks for more shards than there are block rows to cut.
+            for shards in [1usize, 2, 4, 8, block_rows + 3] {
+                let mut op = ShardedReFloatMatrix::new(whole.clone(), shards);
+                assert!(op.matrix().shares_encoding_with(&whole));
+                assert!(op.num_shards() <= shards.min(block_rows));
+                let mut y = vec![f64::NAN; a.nrows()];
+                op.apply(&x, &mut y);
+                for (i, (u, v)) in reference.iter().zip(y.iter()).enumerate() {
+                    assert_eq!(
+                        u.to_bits(),
+                        v.to_bits(),
+                        "row {i} differs at {shards} shards (b = {b}): {u} vs {v}"
+                    );
+                }
             }
         }
     }
@@ -256,8 +167,7 @@ mod tests {
         let cfg = SolverConfig::relative(1e-8);
         let reference = cg(&mut ReFloatMatrix::from_csr(&a, config()), &b, &cfg);
         for shards in [2usize, 4, 8] {
-            let mut op = ShardedReFloatMatrix::from_csr(&a, config(), shards);
-            let r = cg(&mut op, &b, &cfg);
+            let r = cg(&mut sharded(&a, shards), &b, &cfg);
             assert_eq!(r.iterations, reference.iterations);
             for (u, v) in reference.x.iter().zip(r.x.iter()) {
                 assert_eq!(u.to_bits(), v.to_bits());
@@ -269,9 +179,8 @@ mod tests {
     fn shard_block_totals_match_the_unsharded_operator() {
         let a = workload();
         let whole = ReFloatMatrix::from_csr(&a, config());
-        let sharded = ShardedReFloatMatrix::from_csr(&a, config(), 4);
-        assert_eq!(sharded.num_blocks(), whole.num_blocks());
-        assert_eq!(sharded.nnz(), whole.nnz());
+        let sharded = ShardedReFloatMatrix::new(whole.clone(), 4);
+        assert_eq!(sharded.num_shards(), 4);
         assert_eq!(
             sharded.shard_blocks().iter().sum::<u64>(),
             whole.num_blocks() as u64
@@ -291,33 +200,14 @@ mod tests {
             })
             .collect();
         let mut ys = vec![vec![0.0; a.nrows()]; xs.len()];
-        let mut op = ShardedReFloatMatrix::from_csr(&a, config(), 3);
+        let mut op = sharded(&a, 3);
         op.apply_batch(&xs, &mut ys);
         for (x, y) in xs.iter().zip(ys.iter()) {
             let mut single = vec![0.0; a.nrows()];
-            ShardedReFloatMatrix::from_csr(&a, config(), 3).apply(x, &mut single);
+            sharded(&a, 3).apply(x, &mut single);
             for (u, v) in single.iter().zip(y.iter()) {
                 assert_eq!(u.to_bits(), v.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn from_parts_validates_the_tiling() {
-        let a = workload();
-        let sharded = ShardedReFloatMatrix::from_csr(&a, config(), 2);
-        let parts: Vec<OperatorShard> = sharded.shards().to_vec();
-        let rebuilt = ShardedReFloatMatrix::from_parts(a.nrows(), a.ncols(), parts);
-        assert_eq!(rebuilt.num_shards(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "contiguous")]
-    fn from_parts_rejects_gaps() {
-        let a = workload();
-        let sharded = ShardedReFloatMatrix::from_csr(&a, config(), 3);
-        let mut parts: Vec<OperatorShard> = sharded.shards().to_vec();
-        parts.remove(1);
-        let _ = ShardedReFloatMatrix::from_parts(a.nrows(), a.ncols(), parts);
     }
 }

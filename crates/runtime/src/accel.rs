@@ -5,7 +5,8 @@
 //! entry point, [`SimulatedAccelerator::charge`], taking a [`Charge`]: the ordered
 //! list of [`Phase`]s a job executed.  A phase is either a pass on the chip — some
 //! solver iterations per right-hand side against a [`Residency`] (one chip holding
-//! the whole matrix, or a pool holding a shard set) — or fp64 work on the host.
+//! the whole matrix, or a pool holding one row band of it per chip) — or fp64 work on
+//! the host.
 //!
 //! The paper's dataflow is written once here: a chip pass first checks what the
 //! crossbars hold and pays a cluster write only when the resident matrix changes
@@ -92,28 +93,30 @@ impl SimulatedRun {
     }
 }
 
-/// What a chip pass runs against: the encodings resident on one chip (one key — the
-/// whole matrix) or on a pool of chips working in parallel (one key per shard of a
-/// block-row partition).
+/// What a chip pass runs against: one encoding, resident on one chip (the whole
+/// matrix) or split over a pool of chips working in parallel (one block-row band of
+/// it per chip).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Residency {
-    /// Cache key of each chip's encoding, in shard order.
-    pub keys: Vec<CacheKey>,
-    /// Non-empty blocks per chip (= the clusters it must hold).
+    /// Cache key of the encoding.
+    pub key: CacheKey,
+    /// Non-empty blocks per chip (= the clusters it must hold), in band order.
     pub shard_blocks: Vec<u64>,
     /// Output rows per chip (the band it ships to the host per SpMV).
     pub shard_rows: Vec<u64>,
 }
 
 impl Residency {
-    /// The key the residency check compares: a shard set is a pure function of its
-    /// first shard's key.
-    pub fn first_key(&self) -> CacheKey {
-        // refloat-analysis: allow(panic-in-service-path) — a residency names at
-        // least one chip: the pipeline's `resolve_target` builds one key per band of
-        // a shard plan, and a plan has >= 1 band.  An empty one is a pipeline bug,
-        // which the worker contains as `TicketOutcome::Failed`, never a wrong charge.
-        self.keys[0]
+    /// Chips the encoding spans.
+    fn chips(&self) -> usize {
+        self.shard_blocks.len()
+    }
+
+    /// What the residency check compares: the encoding and the chips it spans.  A chip
+    /// holds a band, not the matrix, so the same encoding over another chip count is
+    /// another residency.
+    fn held(&self) -> (CacheKey, usize) {
+        (self.key, self.chips())
     }
 
     /// Blocks written when the chip (or the whole pool) is programmed from scratch.
@@ -201,7 +204,8 @@ struct SpmvPrice {
 #[derive(Debug, Clone)]
 pub struct SimulatedAccelerator {
     worker_id: usize,
-    programmed: Option<CacheKey>,
+    /// The resident encoding and the chips it spans ([`Residency`]'s record).
+    programmed: Option<(CacheKey, usize)>,
     /// The host platform that prices fp64 work (the Table IV V100).
     host: GpuModel,
     /// Override of each chip's crossbar pool size (None = the Table IV 2^18).  Smaller
@@ -310,7 +314,7 @@ impl SimulatedAccelerator {
                     // the worker contains it as `TicketOutcome::Failed`, where a
                     // silent programming-only charge would be a wrong number.
                     assert!(!iterations.is_empty(), "a chip pass needs at least one RHS");
-                    let hw = self.chip(&on.first_key().format);
+                    let hw = self.chip(&on.key.format);
                     let program_s = self.program(on, *delta, &hw, &mut run);
                     let price = Self::spmv_price(on, &hw);
                     run.program_s += program_s;
@@ -369,12 +373,12 @@ impl SimulatedAccelerator {
         let (rewritten, written_blocks, program_s) = match delta {
             // The chip still holds the operator the diff was taken against: rewrite
             // only the touched ranges.  Holding anything else voids the delta.
-            Some(delta) if self.programmed == Some(delta.predecessor) => (
+            Some(delta) if self.programmed == Some((delta.predecessor, on.chips())) => (
                 delta.touched_blocks > 0,
                 delta.touched_blocks,
                 full_write_s * delta.reprogram_fraction.clamp(0.0, 1.0),
             ),
-            _ if self.programmed != Some(on.first_key()) => (true, on.blocks(), full_write_s),
+            _ if self.programmed != Some(on.held()) => (true, on.blocks(), full_write_s),
             _ => (false, 0, 0.0),
         };
         if rewritten {
@@ -383,7 +387,7 @@ impl SimulatedAccelerator {
                 fault.record_programming(written_blocks);
             }
         }
-        self.programmed = Some(on.first_key());
+        self.programmed = Some(on.held());
         program_s
     }
 
@@ -400,7 +404,7 @@ impl SimulatedAccelerator {
                 total_s: compute_s + stream_write_s,
             };
         }
-        let pool = MultiChipConfig::homogeneous(on.keys.len(), hw.clone());
+        let pool = MultiChipConfig::homogeneous(on.chips(), hw.clone());
         let spmv = MultiChipAccelerator::new(pool).spmv_time(&on.shard_blocks, &on.shard_rows);
         SpmvPrice {
             rounds: spmv.max_rounds,
@@ -436,7 +440,7 @@ mod tests {
 
     fn rung(tag: u64, format: ReFloatConfig, blocks: u64) -> Residency {
         Residency {
-            keys: vec![CacheKey::whole(tag, format)],
+            key: CacheKey::whole(tag, format),
             shard_blocks: vec![blocks],
             shard_rows: vec![5_000],
         }
@@ -734,9 +738,7 @@ mod tests {
         let mut chip = SimulatedAccelerator::new(0).with_chip_crossbars(Some(1 << 10));
         // 170 blocks per shard = 2 streaming rounds per chip per SpMV.
         let pool = Residency {
-            keys: (0..4)
-                .map(|i| CacheKey::sharded(9, crate::cache::ShardId::of(i, 4), format))
-                .collect(),
+            key: CacheKey::whole(9, format),
             shard_blocks: vec![170; 4],
             shard_rows: vec![2048; 4],
         };
@@ -751,9 +753,13 @@ mod tests {
         assert!(!again.remapped);
         assert_eq!(again.program_s, 0.0);
 
+        // The same encoding on one chip is a different residency: a chip held a band.
+        let one_chip = whole(9, 680);
+        assert!(solve(&mut chip, &one_chip, 50).remapped);
+
         // The sharded pool beats one equally-small chip streaming all 680 blocks.
         let mut single = SimulatedAccelerator::new(1).with_chip_crossbars(Some(1 << 10));
-        let whole = solve(&mut single, &whole(9, 680), 50);
+        let whole = solve(&mut single, &one_chip, 50);
         assert!(
             whole.total_s > 1.5 * run.total_s,
             "sharding should win: single {:.3e}s vs sharded {:.3e}s",

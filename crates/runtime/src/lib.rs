@@ -28,14 +28,15 @@
 //!   submission id (see the module docs for the determinism contract);
 //! * [`EncodedMatrixCache`] (`cache`) — an LRU cache of encoded
 //!   [`ReFloatMatrix`](refloat_core::ReFloatMatrix) operators keyed by
-//!   (matrix fingerprint, shard, format), with in-flight deduplication so concurrent
-//!   jobs on the same matrix encode it once — an instantiation of
-//!   [`SingleFlightLru`] (`single_flight`), like the format-decision cache beside it;
+//!   (matrix fingerprint, format) — one entry per matrix and format, whatever the chip
+//!   count — with in-flight deduplication so concurrent jobs on the same matrix
+//!   encode it once — an instantiation of [`SingleFlightLru`] (`single_flight`), like
+//!   the format-decision cache beside it;
 //! * the execution pipeline (`pipeline`, private) — the one path every job takes
 //!   inside a worker, as five stages with one implementation each: a per-job
-//!   context, *resolve encoding* (cache ∘ incremental re-encode, for the whole
-//!   matrix, each shard and each refinement rung alike), *program operator* (a
-//!   per-job operator sharing the cached, immutable encodings — no copy; optionally
+//!   context, *resolve encoding* (cache ∘ incremental re-encode, for a matrix on any
+//!   number of chips and each refinement rung alike), *program operator* (a
+//!   per-job operator sharing the cached, immutable encoding — no copy; optionally
 //!   wrapped in the fault model), *solve strategy* (plain batch / warm-started first RHS /
 //!   refinement ladder) and *charge*;
 //! * [`SimulatedAccelerator`] (`accel`) — the per-worker chip model behind that last
@@ -120,13 +121,15 @@
 //! simulated multi-chip accelerator instead of streaming an oversized matrix through
 //! one chip:
 //!
-//! 1. **shard** — the matrix is partitioned into `c` nnz-balanced bands on `2^b`
-//!    block-row boundaries (`refloat_sparse::shard`, reusing `balance_by_weight`), so
-//!    every band re-blocks into exactly the blocks the unsharded matrix produces;
-//! 2. **chip** — each band is encoded through the shared LRU cache under its own
-//!    [`ShardId`] key `(fingerprint, shard, format)` and programmed onto its own chip;
-//!    per SpMV the chips run in parallel, so the simulated cost is the *makespan* (the
-//!    slowest shard), not the sum (`reram_sim::multichip`);
+//! 1. **shard** — the matrix's one encoding, cached under
+//!    [`CacheKey`] `(fingerprint, format)` like an unsharded job's, has its rows cut
+//!    into `c` nnz-balanced bands on `2^b` block-row boundaries
+//!    (`refloat_sparse::shard`, reusing `balance_by_weight`), so every band holds
+//!    whole blocks of it;
+//! 2. **chip** — each band is programmed onto its own chip; per SpMV the chips run
+//!    in parallel, so the simulated cost is the *makespan* (the slowest shard), not
+//!    the sum (`reram_sim::multichip`).  A chip holds a band, not the matrix, so the
+//!    same encoding on another chip count re-programs the chips;
 //! 3. **reduction** — each SpMV ends with a fixed-order gather of the disjoint
 //!    per-chip output bands to the host, charged as link latency + bandwidth.
 //!
@@ -145,9 +148,9 @@
 //! submission-id dequeue order of the old FIFO path (see [`sched`]).
 //!
 //! The contract extends across **shard counts**: a sharded solve is bitwise identical
-//! to the unsharded solve for every `c`, because shard cuts never split a block, the
-//! input vector is re-encoded once and shared by every shard, every output row is
-//! accumulated by exactly one shard in the unsharded block order, and the inter-shard
+//! to the unsharded solve for every `c`, because it reads the same encoding: the
+//! input vector is converted once and shared by every shard, every output row is
+//! accumulated by exactly one shard with the unsharded row loop, and the inter-shard
 //! "reduction" is a gather of disjoint bands — no floating-point operation is
 //! reordered.  (The level-1 kernels underneath — `vecops::dot`/`norm2` — use pairwise
 //! summation whose split points depend only on vector length, so residual tests and
@@ -199,7 +202,7 @@ mod trace_job;
 mod worker;
 
 pub use accel::{SimulatedAccelerator, SimulatedRun};
-pub use cache::{CacheKey, CacheStats, EncodedMatrixCache, ShardId};
+pub use cache::{CacheKey, CacheStats, EncodedMatrixCache};
 pub use client::{
     DegradedJob, DegradedReason, SolveClient, SolveTicket, SubmitError, TicketOutcome,
 };

@@ -9,12 +9,14 @@
 //! 1. **context** — [`JobContext`] borrows everything a job touches; an auto-format
 //!    job first resolves its format through the decision cache.
 //! 2. **resolve encoding** — `resolve_encoding` owns the encode-cache lookup and the
-//!    incremental re-encode against a sequence predecessor.  The whole matrix, every
-//!    shard and every refinement rung go through it.
+//!    incremental re-encode against a sequence predecessor.  A matrix has one
+//!    encoding per format, whatever the chip count, and every refinement rung goes
+//!    through it too.
 //! 3. **program operator** — `program_operator` builds this job's operator over the
-//!    cached encodings, which it shares rather than copies: a whole matrix, a shard
-//!    set, or the whole matrix on faulty hardware.  What the chip holds between jobs
-//!    is recorded in one place, the [`SimulatedAccelerator`]'s resident key.
+//!    cached encoding, which it shares rather than copies: the whole matrix, its row
+//!    bands over several chips, or the whole matrix on faulty hardware.  What the chip
+//!    holds between jobs is recorded in one place, the [`SimulatedAccelerator`]'s
+//!    resident record.
 //! 4. **solve strategy** — a plain batch with an optionally warm-started first
 //!    right-hand side, or the refinement ladder (whose rung fetch is stages 2 + 3).
 //! 5. **charge** — one [`SimulatedAccelerator::charge`] call describing what ran.
@@ -22,25 +24,23 @@
 //! The fault policy's probe → re-encode → degrade loop wraps stages 3–5, and an
 //! auto-format job whose format stalls runs the refined strategy on the same context.
 
-use std::borrow::Cow;
-use std::ops::Range;
 use std::sync::Arc;
 
 use refloat_core::autotune::{self, AutotuneConfig};
 use refloat_core::incremental::{reencode_incremental, IncrementalStats};
-use refloat_core::{OperatorShard, ReFloatConfig, ReFloatMatrix, ShardedReFloatMatrix};
+use refloat_core::{ReFloatConfig, ReFloatMatrix, ShardedReFloatMatrix};
 use refloat_solvers::{
     refine_warm, solve_warm_split, LinearOperator, PrecisionLadder, RefinementStop, SolveResult,
     SolverConfig,
 };
-use refloat_sparse::{block_row_shards, extract_row_range, CsrMatrix};
+use refloat_sparse::CsrMatrix;
 use refloat_telemetry::SpanKind;
 use reram_sim::FaultyReFloatOperator;
 
 use crate::accel::{
     Charge, DeltaProgramming, HostWork, Phase, Residency, SimulatedAccelerator, SimulatedRun,
 };
-use crate::cache::{CacheKey, ShardId};
+use crate::cache::CacheKey;
 use crate::decision::DecisionKey;
 use crate::health::FaultPolicy;
 use crate::job::{JobOutcome, QueuedJob, RefinementSpec, SequencePredecessor, SolveJob};
@@ -101,8 +101,9 @@ struct Resolved {
 /// Stage 2's product for one operator: what stage 3 programs and stage 5 charges.
 struct Target {
     resident: Residency,
-    /// Row band and cached encoding per chip (one entry for a whole matrix).
-    bands: Vec<(Range<usize>, Arc<ReFloatMatrix>)>,
+    /// The cached encoding, split into one row band per chip (one band for a whole
+    /// matrix).
+    bands: ShardedReFloatMatrix,
     /// Set when the encoding was diffed against the sequence predecessor: only the
     /// touched crossbar ranges are rewritten while the chip still holds that operator.
     delta: Option<DeltaProgramming>,
@@ -115,8 +116,8 @@ struct Solved {
     /// One result per right-hand side, primary first.
     results: Vec<SolveResult>,
     simulated: SimulatedRun,
-    /// Worst cache outcome over the job's *primary* encodings — the whole matrix,
-    /// every shard, or a ladder's base rung; escalation rungs do not count.
+    /// Cache outcome of the job's *primary* encoding — the matrix's, or a ladder's
+    /// base rung; escalation rungs do not count.
     cache: Option<CacheOutcomeKind>,
     encode_s: f64,
     /// Seconds inside the solver, net of rung fetches.
@@ -140,14 +141,9 @@ struct Solved {
 impl Solved {
     /// Folds one resolved encoding into the job-level record.
     fn absorb_lookup(&mut self, resolved: &Resolved, primary: bool) {
-        use CacheOutcomeKind::{Coalesced, Hit, Miss};
         self.encode_s += resolved.encode_s;
         if primary {
-            self.cache = Some(match (self.cache.unwrap_or(Hit), resolved.cache) {
-                (Miss, _) | (_, Miss) => Miss,
-                (Coalesced, _) | (_, Coalesced) => Coalesced,
-                (Hit, Hit) => Hit,
-            });
+            self.cache = Some(resolved.cache);
         }
         if let Some(stats) = resolved.incremental {
             self.sequence.incremental = true;
@@ -395,15 +391,14 @@ impl JobContext<'_> {
         (Some(telemetry), decision_reused)
     }
 
-    /// Stage 2: the encoding for `key`, through the shared cache.  `source` yields
-    /// the CSR to encode and only runs on a miss (a shard's row band is never
-    /// materialized on a hit).  With a sequence `predecessor`, a miss first looks for
-    /// the predecessor's encoding of the same shard and format and re-quantizes only
-    /// the blocks that changed — bitwise identical to encoding from scratch.
-    fn resolve_encoding<'c>(
+    /// Stage 2: the encoding of `csr` under `key`, through the shared cache.  With a
+    /// sequence `predecessor`, a miss first looks for the predecessor's encoding in
+    /// the same format and re-quantizes only the blocks that changed — bitwise
+    /// identical to encoding from scratch.
+    fn resolve_encoding(
         &self,
         key: CacheKey,
-        source: impl FnOnce() -> Cow<'c, CsrMatrix>,
+        csr: &CsrMatrix,
         predecessor: Option<&SequencePredecessor>,
     ) -> Resolved {
         let mut incremental = None;
@@ -412,7 +407,6 @@ impl JobContext<'_> {
         // deadlock.  A hit on `key` itself still wins outright — the closure never
         // runs and the step pays nothing.
         let (encoded, outcome, encode_s) = cache.get_or_encode(key, clock, || {
-            let csr = source();
             let previous = predecessor.and_then(|pred| {
                 let key = CacheKey {
                     fingerprint: pred.fingerprint,
@@ -422,11 +416,11 @@ impl JobContext<'_> {
             });
             match previous {
                 Some((previous, pred)) => {
-                    let inc = reencode_incremental(&previous, &pred.csr, &csr);
+                    let inc = reencode_incremental(&previous, &pred.csr, csr);
                     incremental = Some(inc.stats);
                     inc.matrix
                 }
-                None => ReFloatMatrix::from_csr(&csr, key.format),
+                None => ReFloatMatrix::from_csr(csr, key.format),
             }
         });
         Resolved {
@@ -437,9 +431,9 @@ impl JobContext<'_> {
         }
     }
 
-    /// Stage 2 for a whole operator: resolves the matrix in `format` — or, spanning
-    /// `shards > 1` chips, each nnz-balanced block-row band under its own shard key —
-    /// and folds every lookup into `solved` (`primary` marks the encodings the
+    /// Stage 2 for a whole operator: resolves the matrix's one encoding in `format`,
+    /// splits its rows into at most `shards` nnz-balanced block-row bands, one per
+    /// chip, and folds the lookup into `solved` (`primary` marks the encoding the
     /// job-level cache outcome is about).
     fn resolve_target(
         &self,
@@ -449,51 +443,21 @@ impl JobContext<'_> {
         predecessor: Option<&SequencePredecessor>,
         (solved, primary): (&mut Solved, bool),
     ) -> Target {
-        let csr = job.matrix.csr();
-        let sharded = shards > 1;
-        let rows: Vec<Range<usize>> = match sharded {
-            true => block_row_shards(csr, format.b, shards)
-                // refloat-analysis: allow(panic-in-service-path) — `b` comes from a
-                // ReFloatConfig the plan validator already accepted; failure here is
-                // an in-crate construction bug the catch_unwind containment converts
-                // to Failed.
-                .expect("valid blocking exponent from a validated ReFloatConfig")
-                .into_iter()
-                .map(|part| part.rows)
-                .collect(),
-            false => std::iter::once(0..csr.nrows()).collect(),
-        };
-        let count = rows.len() as u32;
-        let mut keys = Vec::with_capacity(rows.len());
-        let mut bands = Vec::with_capacity(rows.len());
-        let mut delta = None;
-        for (index, rows) in rows.into_iter().enumerate() {
-            // Shard 0 of 1 *is* the whole-matrix key.
-            let shard = ShardId::of(index as u32, count);
-            let key = CacheKey::sharded(job.matrix.fingerprint(), shard, format);
-            let source = || match sharded {
-                true => Cow::Owned(extract_row_range(csr, rows.clone())),
-                false => Cow::Borrowed(csr),
-            };
-            let resolved = self.resolve_encoding(key, source, predecessor);
-            solved.absorb_lookup(&resolved, primary);
-            delta = predecessor
-                .zip(resolved.incremental)
-                .map(|(pred, stats)| DeltaProgramming {
-                    predecessor: CacheKey {
-                        fingerprint: pred.fingerprint,
-                        ..key
-                    },
-                    reprogram_fraction: stats.reprogram_fraction(),
-                    touched_blocks: stats.blocks_reencoded() as u64,
-                });
-            keys.push(key);
-            bands.push((rows, resolved.encoded));
-        }
+        let key = CacheKey::whole(job.matrix.fingerprint(), format);
+        let resolved = self.resolve_encoding(key, job.matrix.csr(), predecessor);
+        solved.absorb_lookup(&resolved, primary);
+        let delta = predecessor
+            .zip(resolved.incremental)
+            .map(|(pred, stats)| DeltaProgramming {
+                predecessor: CacheKey::whole(pred.fingerprint, format),
+                reprogram_fraction: stats.reprogram_fraction(),
+                touched_blocks: stats.blocks_reencoded() as u64,
+            });
+        let bands = ShardedReFloatMatrix::new(ReFloatMatrix::clone(&resolved.encoded), shards);
         let resident = Residency {
-            keys,
-            shard_blocks: bands.iter().map(|(_, e)| e.num_blocks() as u64).collect(),
-            shard_rows: bands.iter().map(|(rows, _)| rows.len() as u64).collect(),
+            key,
+            shard_blocks: bands.shard_blocks(),
+            shard_rows: bands.shard_rows(),
         };
         Target {
             resident,
@@ -505,10 +469,10 @@ impl JobContext<'_> {
     /// Stage 3: the operator to solve on.
     ///
     /// The worker needs a mutable operator (applying it mutates the conversion
-    /// scratch), while the cache entries are shared and immutable — so each band is a
-    /// `ReFloatMatrix::clone` of the cached entry: a reference to the same blocks plus
-    /// an empty scratch, sized on the first apply.  The numerics are bit-identical to
-    /// the serial path: same blocks, same block order.
+    /// scratch), while the cache entries are shared and immutable — so the operator
+    /// is a `ReFloatMatrix::clone` of the cached entry: a reference to the same
+    /// encoding plus an empty scratch, sized on the first apply.  The numerics are
+    /// bit-identical to the serial path: same encoding, same row loop.
     ///
     /// With `fault = (policy, attempt)` the whole-matrix operator is wrapped in a
     /// [`FaultyReFloatOperator`] whose block *i* sits on crossbar
@@ -516,30 +480,13 @@ impl JobContext<'_> {
     /// are monotone per crossbar, so retrying in place could never clear them).
     fn program_operator(
         &self,
-        job: &SolveJob,
         target: &Target,
         fault: Option<(&FaultPolicy, u32)>,
     ) -> ChipOperator {
-        let mut shards: Vec<OperatorShard> = target
-            .bands
-            .iter()
-            .map(|(rows, encoded)| OperatorShard {
-                rows: rows.clone(),
-                op: ReFloatMatrix::clone(encoded),
-            })
-            .collect();
         // One band is the whole matrix on one chip.
-        let clean = match shards.pop() {
-            Some(whole) if shards.is_empty() => ChipOperator::Whole(whole.op),
-            last => {
-                shards.extend(last);
-                let csr = job.matrix.csr();
-                ChipOperator::Sharded(ShardedReFloatMatrix::from_parts(
-                    csr.nrows(),
-                    csr.ncols(),
-                    shards,
-                ))
-            }
+        let clean = match target.bands.num_shards() {
+            1 => ChipOperator::Whole(target.bands.matrix().clone()),
+            _ => ChipOperator::Sharded(target.bands.clone()),
         };
         match (fault, clean) {
             (Some((policy, attempt)), ChipOperator::Whole(matrix)) => {
@@ -573,9 +520,9 @@ impl JobContext<'_> {
         })
     }
 
-    /// Stages 2–5 for a job that solves directly on the chip: resolve the whole
-    /// matrix or each block-row shard, program it, solve every right-hand side
-    /// against the same programmed operator, and charge the chip (or pool).
+    /// Stages 2–5 for a job that solves directly on the chip: resolve the matrix and
+    /// its block-row bands, program them, solve every right-hand side against the
+    /// same programmed operator, and charge the chip (or pool).
     ///
     /// Under a fault policy, stages 3–5 run inside the retry loop.  With ABFT on,
     /// each attempt starts with a one-SpMV *probe* against the first RHS:
@@ -601,9 +548,9 @@ impl JobContext<'_> {
         let lookup_anchor = self.trace.now_s();
         let fold = (&mut solved, true);
         let target = self.resolve_target(job, job.format, job.shards, predecessor, fold);
-        solved.shards = target.bands.len();
+        solved.shards = target.bands.num_shards();
         solved.trace_lookup(&mut self.trace, lookup_anchor, &|| match sharded {
-            true => format!("shards={}", target.bands.len()),
+            true => format!("shards={}", target.bands.num_shards()),
             false => format!("blocks={}", target.resident.blocks()),
         });
 
@@ -611,7 +558,7 @@ impl JobContext<'_> {
         let mut attempt: u32 = 0;
         loop {
             let fault = policy.map(|policy| (policy, attempt));
-            let mut op = self.program_operator(job, &target, fault);
+            let mut op = self.program_operator(&target, fault);
             if policy.is_some_and(|policy| policy.abft) {
                 let mut probe = vec![0.0; csr.nrows()];
                 op.as_operator().apply(rhss[0], &mut probe);
@@ -852,7 +799,7 @@ impl PrecisionLadder for CachedLadder<'_, '_> {
                 let target = self
                     .ctx
                     .resolve_target(self.job, format, 1, self.predecessor, fold);
-                let op = self.ctx.program_operator(self.job, &target, None);
+                let op = self.ctx.program_operator(&target, None);
                 self.fetch_s += (self.ctx.core.clock.now_s() - fetch_started_s).max(0.0);
                 unfetched.insert((target.resident, op))
             }

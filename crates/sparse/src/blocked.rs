@@ -103,13 +103,25 @@ impl BlockLayout {
     }
 
     /// Block edge length `2^b`.
-    fn block_size(&self) -> usize {
+    pub(crate) fn block_size(&self) -> usize {
         1 << self.b
     }
 
     /// Number of *non-empty* blocks.
     pub fn num_blocks(&self) -> usize {
         self.table.len() - 1
+    }
+
+    /// Number of non-empty blocks in the block rows that `rows` covers: the clusters a
+    /// chip holding that band of a [`block_row_shards`](crate::block_row_shards)
+    /// partition must program.
+    pub fn blocks_in_rows(&self, rows: Range<usize>) -> usize {
+        // The sentinel's `u32::MAX` block row sorts after every real one.
+        let first = |block_row: usize| {
+            self.table
+                .partition_point(|entry| (entry.block_row as usize) < block_row)
+        };
+        first(rows.end.div_ceil(self.block_size())) - first(rows.start >> self.b)
     }
 
     /// Total number of stored non-zeros.

@@ -24,8 +24,8 @@
 //!   solvers,
 //! * [`parallel`] — a small scoped-thread parallel-for used by the data-parallel kernels,
 //! * [`shard`] — block-row-aligned, nnz-balanced sharding of a matrix across multiple
-//!   accelerator chips (each shard re-blocks identically to the unsharded matrix, which
-//!   is what keeps sharded solves bitwise deterministic).
+//!   accelerator chips: a shard is a row range of the one blocking, holding whole
+//!   blocks.
 //!
 //! All numeric storage is `f64`; reduced-precision behaviour is layered on top by the
 //! `refloat-core` crate, never baked into the substrate.
@@ -47,7 +47,7 @@ pub use blocked::{Block, BlockLayout, BlockedMatrix};
 pub use coo::CooMatrix;
 pub use csr::CsrMatrix;
 pub use error::SparseError;
-pub use shard::{block_row_shards, extract_row_range, ShardRange};
+pub use shard::block_row_shards;
 pub use stats::MatrixStats;
 
 /// Result alias used across the crate.

@@ -7,104 +7,43 @@
 //! operator across chips*: each chip owns a contiguous band of block-rows, every SpMV
 //! runs shard-local, and the host gathers the disjoint output bands.
 //!
-//! The partitioner here cuts on **block-row boundaries** (multiples of `2^b` rows) so
-//! that each shard blocks into exactly the same `2^b × 2^b` blocks the unsharded matrix
-//! would produce — which is what makes sharded solves bitwise identical to unsharded
-//! ones: every output row is accumulated from the same blocks in the same order, and
-//! shards write disjoint row ranges, so no cross-shard reduction reorders floating-
-//! point additions.  Shard loads are balanced by nonzero count via
-//! [`balance_by_weight`](crate::parallel::balance_by_weight).
+//! A shard is a row range of the one blocking, not a second matrix.  The partitioner
+//! cuts on **block-row boundaries** (multiples of `2^b` rows), so no block straddles
+//! two chips and each chip holds whole blocks of the layout
+//! ([`BlockLayout::blocks_in_rows`] counts them).  Shard loads are balanced by nonzero
+//! count via [`balance_by_weight`](crate::parallel::balance_by_weight).
 
 use std::ops::Range;
 
-use crate::csr::CsrMatrix;
-use crate::error::SparseError;
+use crate::blocked::BlockLayout;
 use crate::parallel;
-use crate::Result;
 
-/// A contiguous band of rows assigned to one chip.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardRange {
-    /// Shard index (0-based, dense).
-    pub index: usize,
-    /// Global row range of the shard; aligned to `2^b` block-row boundaries (except
-    /// that the last shard ends at `nrows`).
-    pub rows: Range<usize>,
-    /// Nonzeros of the full matrix that fall in `rows`.
-    pub nnz: usize,
-}
-
-/// Computes block-row-aligned, nnz-balanced shard row ranges for `a`.
+/// Computes block-row-aligned, nnz-balanced shard row ranges of `layout`'s matrix.
 ///
-/// Returns at most `shards` non-empty ranges that tile `0..a.nrows()` in order; fewer
-/// are returned when the matrix has fewer block-rows than requested shards.  Cuts fall
-/// on multiples of `2^b` so each shard re-blocks identically to the unsharded matrix.
-///
-/// Returns an error if `b` is outside `1..=15` (the valid blocking exponents) or the
-/// matrix has no rows.
-pub fn block_row_shards(a: &CsrMatrix, b: u32, shards: usize) -> Result<Vec<ShardRange>> {
-    if b == 0 || b > 15 {
-        return Err(SparseError::InvalidParameter(format!(
-            "block size exponent b must be in 1..=15, got {b}"
-        )));
-    }
-    if a.nrows() == 0 {
-        return Err(SparseError::InvalidParameter(
-            "cannot shard a matrix with no rows".into(),
-        ));
-    }
-    let bs = 1usize << b;
-    let num_block_rows = a.nrows().div_ceil(bs);
-    // Prefix sum of nonzeros per block-row: the balance weights.
-    let row_ptr = a.row_ptr();
-    let mut prefix = Vec::with_capacity(num_block_rows + 1);
-    prefix.push(0usize);
-    for brow in 0..num_block_rows {
-        let row_end = ((brow + 1) * bs).min(a.nrows());
-        prefix.push(row_ptr[row_end]);
-    }
-    let chunks = parallel::balance_by_weight(&prefix, shards.max(1));
-    Ok(chunks
-        .into_iter()
-        .enumerate()
-        .map(|(index, brows)| {
-            let rows = (brows.start * bs)..((brows.end * bs).min(a.nrows()));
-            let nnz = row_ptr[rows.end] - row_ptr[rows.start];
-            ShardRange { index, rows, nnz }
-        })
-        .collect())
-}
-
-/// Extracts the row band `rows` of `a` as a standalone CSR matrix.
-///
-/// The result has `rows.len()` rows and the full column span of `a`; row contents
-/// (column order and values) are copied verbatim, so SpMV over the extracted band is
-/// bitwise identical to the same rows of an SpMV over `a`.
-///
-/// # Panics
-/// Panics if `rows` is out of bounds.
-pub fn extract_row_range(a: &CsrMatrix, rows: Range<usize>) -> CsrMatrix {
-    assert!(
-        rows.start <= rows.end && rows.end <= a.nrows(),
-        "extract_row_range: rows {rows:?} outside 0..{}",
-        a.nrows()
-    );
-    let row_ptr = a.row_ptr();
-    let (lo, hi) = (row_ptr[rows.start], row_ptr[rows.end]);
-    let shard_row_ptr: Vec<usize> = row_ptr[rows.start..=rows.end]
-        .iter()
-        .map(|&p| p - lo)
+/// Returns at most `shards` non-empty ranges that tile `0..nrows` in order; fewer are
+/// returned when the matrix has fewer block-rows than requested shards.  Cuts fall on
+/// multiples of `2^b`.  A matrix with no rows is one empty band, so every matrix has
+/// at least one.
+pub fn block_row_shards(layout: &BlockLayout, shards: usize) -> Vec<Range<usize>> {
+    let (bs, nrows, row_ptr) = (layout.block_size(), layout.nrows(), layout.row_ptr());
+    // Nonzeros before each block-row boundary: the balance weights.  No rows counts as
+    // one empty block row.
+    let num_block_rows = nrows.div_ceil(bs).max(1);
+    let prefix: Vec<usize> = (0..=num_block_rows)
+        .map(|brow| row_ptr[(brow * bs).min(nrows)] as usize)
         .collect();
-    let col_idx = a.col_idx()[lo..hi].to_vec();
-    let vals = a.values()[lo..hi].to_vec();
-    CsrMatrix::from_raw(rows.len(), a.ncols(), shard_row_ptr, col_idx, vals)
-        .expect("a valid CSR row band is itself a valid CSR matrix")
+    parallel::balance_by_weight(&prefix, shards)
+        .into_iter()
+        .map(|brows| brows.start * bs..(brows.end * bs).min(nrows))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blocked::BlockedMatrix;
     use crate::coo::CooMatrix;
+    use crate::csr::CsrMatrix;
 
     fn banded(n: usize) -> CsrMatrix {
         let mut coo = CooMatrix::new(n, n);
@@ -118,64 +57,58 @@ mod tests {
         coo.to_csr()
     }
 
+    fn shards_of(a: &CsrMatrix, b: u32, shards: usize) -> Vec<Range<usize>> {
+        block_row_shards(BlockedMatrix::from_csr(a, b).unwrap().layout(), shards)
+    }
+
+    fn nnz(a: &CsrMatrix, rows: &Range<usize>) -> usize {
+        a.row_ptr()[rows.end] - a.row_ptr()[rows.start]
+    }
+
     #[test]
     fn shards_tile_the_rows_on_block_boundaries() {
         let a = banded(1000);
+        let blocked = BlockedMatrix::from_csr(&a, 4).unwrap();
         for shards in [1usize, 2, 3, 4, 8] {
-            let parts = block_row_shards(&a, 4, shards).unwrap();
+            let parts = block_row_shards(blocked.layout(), shards);
             assert!(!parts.is_empty() && parts.len() <= shards);
-            assert_eq!(parts[0].rows.start, 0);
-            assert_eq!(parts.last().unwrap().rows.end, 1000);
+            assert_eq!(parts[0].start, 0);
+            assert_eq!(parts.last().unwrap().end, 1000);
             for w in parts.windows(2) {
-                assert_eq!(w[0].rows.end, w[1].rows.start);
-                assert_eq!(w[0].rows.end % 16, 0, "cut must sit on a block boundary");
+                assert_eq!(w[0].end, w[1].start);
+                assert_eq!(w[0].end % 16, 0, "cut must sit on a block boundary");
             }
-            assert_eq!(parts.iter().map(|p| p.nnz).sum::<usize>(), a.nnz());
+            let blocks = parts
+                .iter()
+                .map(|rows| blocked.layout().blocks_in_rows(rows.clone()));
+            assert_eq!(blocks.sum::<usize>(), blocked.num_blocks());
         }
     }
 
     #[test]
     fn shard_loads_are_balanced_by_nonzeros() {
         let a = banded(4096);
-        let parts = block_row_shards(&a, 4, 4).unwrap();
+        let parts = shards_of(&a, 4, 4);
         assert_eq!(parts.len(), 4);
-        let max = parts.iter().map(|p| p.nnz).max().unwrap();
-        let min = parts.iter().map(|p| p.nnz).min().unwrap();
+        let max = parts.iter().map(|p| nnz(&a, p)).max().unwrap();
+        let min = parts.iter().map(|p| nnz(&a, p)).min().unwrap();
         assert!(max <= 2 * min, "nnz imbalance: {max} vs {min}");
-    }
-
-    #[test]
-    fn extracted_band_spmv_is_bitwise_identical_to_the_full_rows() {
-        let a = banded(777);
-        let x: Vec<f64> = (0..777).map(|i| (i as f64 * 0.013).cos() + 0.5).collect();
-        let full = a.spmv(&x);
-        let parts = block_row_shards(&a, 5, 3).unwrap();
-        let mut assembled = vec![0.0; 777];
-        for part in &parts {
-            let shard = extract_row_range(&a, part.rows.clone());
-            assert_eq!(shard.nnz(), part.nnz);
-            let y = shard.spmv(&x);
-            assembled[part.rows.clone()].copy_from_slice(&y);
-        }
-        for (u, v) in full.iter().zip(assembled.iter()) {
-            assert_eq!(u.to_bits(), v.to_bits());
-        }
     }
 
     #[test]
     fn more_shards_than_block_rows_degrades_gracefully() {
         let a = banded(20); // b = 4 -> 2 block rows
-        let parts = block_row_shards(&a, 4, 16).unwrap();
+        let parts = shards_of(&a, 4, 16);
         assert!(parts.len() <= 2);
-        assert_eq!(parts.last().unwrap().rows.end, 20);
+        assert_eq!(parts.last().unwrap().end, 20);
     }
 
     #[test]
-    fn invalid_arguments_are_rejected() {
-        let a = banded(10);
-        assert!(block_row_shards(&a, 0, 2).is_err());
-        assert!(block_row_shards(&a, 16, 2).is_err());
+    fn a_matrix_with_no_rows_is_one_empty_band() {
         let empty = CooMatrix::new(0, 0).to_csr();
-        assert!(block_row_shards(&empty, 4, 2).is_err());
+        for shards in [1usize, 2, 8] {
+            let parts = shards_of(&empty, 4, shards);
+            assert_eq!((parts.len(), &parts[0]), (1, &(0..0)));
+        }
     }
 }

@@ -442,43 +442,63 @@ fn sharded_solves_are_bitwise_identical_across_chip_counts() {
 }
 
 #[test]
-fn shard_encodings_flow_through_the_cache_per_shard() {
+fn one_encoding_serves_every_shard_count_through_the_cache() {
     let a = refloat::matgen::generators::laplacian_2d(20, 20, 0.3).to_csr();
     let handle = MatrixHandle::new("poisson-20", a);
     let format = ReFloatConfig::new(4, 3, 8, 3, 8);
-    let sharded = |tenant: &str, shards: usize| {
+    let plan = |tenant: &str, shards: usize| {
         SolvePlan::new(tenant, handle.clone(), format)
             .sharding(shards)
             .build()
             .unwrap()
     };
+    // One worker, so every job runs on the same chip.
     let runtime = SolveRuntime::new(RuntimeConfig {
         workers: 1,
         ..Default::default()
     });
+    let client = runtime.client();
+    let run = |tenant: &str, shards: usize| {
+        let job = client.submit(plan(tenant, shards)).unwrap().wait();
+        let tele = job.completed().expect("completes").telemetry;
+        assert_eq!(tele.shards, shards, "{tenant}");
+        (tele.cache, tele.simulated.remapped)
+    };
+    use CacheOutcomeKind::{Hit, Miss};
 
-    // First 4-chip job: one miss per shard.
-    let first = runtime.run_batch(vec![sharded("a", 4)]);
-    let shard_misses = first.report.cache.misses;
-    assert!(
-        (2..=4).contains(&(shard_misses as usize)),
-        "expected one miss per shard, got {shard_misses}"
-    );
+    // The first 4-chip job encodes the whole matrix, once.
+    assert_eq!(run("a", 4), (Miss, true));
+    // The same job again hits, and its chips still hold their bands.
+    assert_eq!(run("b", 4), (Hit, false));
+    // A whole job reads the same entry, but a chip held a band, not the matrix: the
+    // chip is re-programmed.
+    assert_eq!(run("c", 1), (Hit, true));
+    // So is a 2-chip job's pool.
+    assert_eq!(run("d", 2), (Hit, true));
+    let cache = client.shutdown().cache;
+    assert_eq!((cache.misses, cache.hits), (1, 3));
+    assert_eq!(runtime.cache().len(), 1);
+}
 
-    // Same job again: every shard encoding is already cached.
-    let second = runtime.run_batch(vec![sharded("b", 4)]);
-    assert_eq!(second.report.cache.misses, 0);
-    assert_eq!(second.report.cache.hits, shard_misses);
-    assert_eq!(second.jobs[0].telemetry.encode_s, 0.0);
-
-    // A different shard count is a different key set (plus the whole-matrix key for
-    // an unsharded job): no false sharing.
-    let third = runtime.run_batch(vec![sharded("c", 2)]);
-    assert!(third.report.cache.misses >= 1);
-    let fourth = runtime.run_batch(vec![SolvePlan::new("d", handle.clone(), format)
-        .build()
-        .unwrap()]);
-    assert_eq!(fourth.report.cache.misses, 1);
+#[test]
+fn a_matrix_with_no_rows_shards_into_one_band_and_completes() {
+    let handle = MatrixHandle::new("empty", CooMatrix::new(0, 0).to_csr());
+    let format = ReFloatConfig::new(4, 3, 8, 3, 8);
+    let client = SolveRuntime::start(RuntimeConfig {
+        workers: 1,
+        ..Default::default()
+    });
+    for shards in [1usize, 2] {
+        let plan = SolvePlan::new("t", handle.clone(), format)
+            .sharding(shards)
+            .build()
+            .unwrap();
+        match client.submit(plan).unwrap().wait() {
+            TicketOutcome::Completed(job) => assert_eq!(job.telemetry.shards, 1),
+            other => panic!("{shards} shards of a 0x0 matrix: {other:?}"),
+        }
+    }
+    client.shutdown();
 }
 
 #[test]
