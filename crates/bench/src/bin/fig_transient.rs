@@ -5,18 +5,17 @@
 //!    quantization, full crossbar reprogramming, and a mixed-precision refined
 //!    solve started from zero.
 //! 2. **Incremental + warm start** — the same chain through a
-//!    [`SolveSequence`](refloat_runtime::SolveSequence): each step diffs
-//!    against the predecessor's cached
-//!    encoding (only changed blocks re-quantize, reprogramming charged for the
-//!    touched crossbar fraction) and warm-starts the refinement outer loop from
-//!    the previous solution under an exact-residual guard.
+//!    [`SolveSequence`](refloat_runtime::SolveSequence): each step re-encodes
+//!    over the predecessor's cached layout and diffs against it (reprogramming
+//!    charged for the touched crossbar fraction) and warm-starts the refinement
+//!    outer loop from the previous solution under an exact-residual guard.
 //!
 //! Both arms run mixed-precision iterative refinement to the same *true* fp64
 //! relative-residual target [`TOLERANCE`] — equal convergence is asserted on
 //! the exact residual of every step, not through the quantized operator's eyes
 //! — and the sequence arm must cut the simulated model cycle (programming +
 //! compute + host seconds) by at least [`MODEL_CYCLE_BOUND`]×.  The run also
-//! spot-checks in-tree that an incremental re-encode is bitwise identical to
+//! checks in-tree that every step's incremental re-encode is bitwise identical to
 //! encoding the same step from scratch — the invariant that makes the whole
 //! reuse stack numerically free.
 //!
@@ -163,21 +162,30 @@ fn run(args: &[String], seed: u64) {
         steps.len()
     );
 
-    // In-tree bitwise-identity spot check, through the same core entry points the
-    // worker uses: re-encoding step 1 against step 0's encoding must equal
-    // encoding step 1 from scratch, field for field, bit for bit.
-    let prev = ReFloatMatrix::from_csr(&steps[0].matrix, format());
-    let inc = reencode_incremental(&prev, &steps[0].matrix, &steps[1].matrix);
-    let scratch = ReFloatMatrix::from_csr(&steps[1].matrix, format());
-    assert_bitwise_identical(&inc.matrix, &scratch);
+    // In-tree bitwise-identity check, through the same core entry points the worker
+    // uses: re-encoding every step against its predecessor's incremental encoding
+    // must equal encoding it from scratch, field for field, bit for bit.
+    let mut previous = ReFloatMatrix::from_csr(&steps[0].matrix, format());
+    let (mut reused, mut total) = (0, 0);
+    for pair in steps.windows(2) {
+        let inc = reencode_incremental(&previous, &pair[0].matrix, &pair[1].matrix);
+        assert_bitwise_identical(
+            &inc.matrix,
+            &ReFloatMatrix::from_csr(&pair[1].matrix, format()),
+        );
+        (reused, total) = (
+            reused + inc.stats.blocks_reused,
+            total + inc.stats.blocks_total,
+        );
+        previous = inc.matrix;
+    }
     assert!(
-        inc.stats.blocks_reused > 0,
+        reused > 0,
         "a 2% windowed perturbation must leave blocks untouched"
     );
     println!(
-        "transient: incremental encode is bitwise identical to scratch \
-         ({} of {} blocks reused)",
-        inc.stats.blocks_reused, inc.stats.blocks_total
+        "transient: incremental ≡ from-scratch on all {} steps ({reused} of {total} blocks reused)",
+        steps.len() - 1
     );
 
     let (full_x, full_wall_s, full) = run_arm(&steps, "full", false);

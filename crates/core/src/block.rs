@@ -33,12 +33,18 @@ where
             count += 1;
         }
     }
+    rounded_mean(sum, count)
+}
+
+/// The base of Eq. 5 from the integer sum and count of a set's element exponents: their
+/// mean, rounded half away from zero (the `[·]` nearest integer), or 0 when there is
+/// none.  The sum does not depend on the order of the values, so an encode can gather it
+/// in whatever order it reads them.
+pub(crate) fn rounded_mean(sum: i64, count: i64) -> i32 {
     if count == 0 {
         0
     } else {
-        // Round half away from zero, matching the `[·]` nearest-integer of Eq. 5.
-        let mean = sum as f64 / count as f64;
-        mean.round() as i32
+        (sum as f64 / count as f64).round() as i32
     }
 }
 

@@ -2,33 +2,30 @@
 //!
 //! Transient workloads submit a chain of matrices where step *N* differs from step
 //! *N−1* in a small fraction of entries (time-step drift, coefficient jitter).  A
-//! from-scratch [`ReFloatMatrix::from_csr`] re-quantizes — and, on the accelerator,
-//! re-programs — every crossbar cluster on every step, even though most blocks are
-//! bitwise unchanged.  [`reencode_incremental`] instead diffs the new matrix against
-//! the previous step block by block:
+//! from-scratch [`ReFloatMatrix::from_csr`] would have the accelerator re-program every
+//! crossbar cluster on every step, even though most blocks are bitwise unchanged.
+//! [`reencode_incremental`] is that encode plus a diff against the previous step, which
+//! charges only what changed:
 //!
-//! * **clean** blocks (identical structure and bitwise-identical values) reuse the
-//!   previous encoding outright — zero quantization work, zero reprogramming;
-//! * **dirty** blocks are re-encoded; when the fresh Eq. 5 exponent base equals the
-//!   previous one, the changed values stayed inside the block's offset window and only
-//!   the *changed* crossbar cells need reprogramming (a partial write);
+//! * **clean** blocks (identical structure and bitwise-identical values): no write;
+//! * **dirty** blocks whose fresh Eq. 5 exponent base equals the previous one kept their
+//!   values inside the block's offset window: only the *changed* cells are rewritten;
 //! * blocks whose base moved — or that are new — shift every element's offset/code,
 //!   so the whole cluster is rewritten.
 //!
-//! The merge-walk over the two steps' blocks classifies blocks and charges cells; what
-//! it carries over is only a clean block's exponent base, which is a pure function of
-//! its (bitwise-unchanged) values and the format.  The values are then quantized by the
-//! same row-order pass a from-scratch encode runs (`ReFloatMatrix::with_bases`), so the
-//! incremental result equals a from-scratch encode of the new matrix bit for bit by
-//! construction and copies no predecessor values.  Tests enforce this across
-//! perturbation magnitudes up to the all-blocks-dirty worst case.
-//!
-//! The result adopts the layout of the *new* step's blocking (the layout is
-//! `refloat-sparse`'s; see [`crate::matrix`]) — no index is copied.
+//! Only the layout is carried over, so the result equals a from-scratch encode bit for
+//! bit by construction.  The layout depends only on the sparsity structure: when the
+//! new matrix's row pointers and columns are the previous layout's (every FEM chain's
+//! case), the encode adopts it and never re-blocks, and its row-order pass counts each
+//! block's changed cells as it goes — a zip of the two steps' value runs, since a cell
+//! keeps its row-order index.  Otherwise the new matrix is blocked once and a per-row
+//! merge of the two steps' sorted columns charges each difference to its block.
 
-use crate::block::optimal_exponent_base;
+use crate::block::rounded_mean;
 use crate::matrix::ReFloatMatrix;
-use refloat_sparse::{blocked::Block, BlockedMatrix, CsrMatrix};
+use crate::scalar::decompose;
+use refloat_sparse::blocked::BlockLayout;
+use refloat_sparse::CsrMatrix;
 
 /// What the delta re-encode touched, in blocks and crossbar cells.
 ///
@@ -40,7 +37,7 @@ use refloat_sparse::{blocked::Block, BlockedMatrix, CsrMatrix};
 pub struct IncrementalStats {
     /// Non-empty blocks in the new matrix.
     pub blocks_total: usize,
-    /// Blocks bitwise-unchanged from the previous step (base carried over, no write).
+    /// Blocks bitwise-unchanged from the previous step (same base, no write).
     pub blocks_reused: usize,
     /// Dirty blocks whose exponent base survived: only changed cells rewritten.
     pub blocks_partial: usize,
@@ -56,7 +53,8 @@ pub struct IncrementalStats {
 }
 
 impl IncrementalStats {
-    /// Blocks that went through the quantizer again (partial + full).
+    /// Blocks whose encoding changed, so a chip rewrites some of their cells (partial +
+    /// full).
     pub fn blocks_reencoded(&self) -> usize {
         self.blocks_partial + self.blocks_full
     }
@@ -90,62 +88,18 @@ pub struct IncrementalEncode {
     pub stats: IncrementalStats,
 }
 
-/// `true` when two raw blocks hold the same entries at the same positions with
-/// bitwise-identical values (`f64::to_bits`, so `-0.0 ≠ 0.0` and NaNs never match —
-/// strictly conservative: a mismatch only ever costs a redundant re-encode).
-fn blocks_bitwise_equal(a: &Block, b: &Block) -> bool {
-    a.rows == b.rows
-        && a.cols == b.cols
-        && a.vals.len() == b.vals.len()
-        && a.vals
-            .iter()
-            .zip(b.vals.iter())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
-/// Counts entries that differ between two sorted blocks (changed values, plus entries
-/// present in only one of them).  Both blocks come from `BlockedMatrix::from_csr`, so
-/// their entries are sorted by `(ii, jj)`.
-fn changed_cells(prev: &Block, next: &Block) -> u64 {
-    let mut i = 0;
-    let mut j = 0;
-    let mut changed = 0u64;
-    while i < prev.vals.len() && j < next.vals.len() {
-        let pk = (prev.rows[i], prev.cols[i]);
-        let nk = (next.rows[j], next.cols[j]);
-        match pk.cmp(&nk) {
-            std::cmp::Ordering::Less => {
-                changed += 1; // cleared cell
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                changed += 1; // newly written cell
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                if prev.vals[i].to_bits() != next.vals[j].to_bits() {
-                    changed += 1;
-                }
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    changed + (prev.vals.len() - i) as u64 + (next.vals.len() - j) as u64
-}
-
 /// Re-encodes `a` by diffing against the previous step's encoding.
 ///
 /// `previous` is the encoded matrix of the previous step and `previous_source` the raw
 /// CSR it was encoded from (the encoding stores only quantized values, so the raw
-/// predecessor is needed to detect bitwise-clean blocks).  The result is **bitwise
+/// predecessor is needed to find the changed cells).  The result is **bitwise
 /// identical** to `ReFloatMatrix::from_csr(a, *previous.config())`; the stats report
-/// how little work that took.
+/// how little of it a chip would have to rewrite.
 ///
 /// # Panics
-/// Panics if the three matrices disagree on dimensions, or if `previous_source` does
-/// not re-encode to `previous`'s block set (i.e. it is not actually the predecessor's
-/// source).
+/// Panics if the three matrices disagree on dimensions, or if `previous_source` is not
+/// actually the predecessor's source: its non-zero count differs from `previous`'s (in
+/// debug builds, its structure differs from `previous`'s layout).
 pub fn reencode_incremental(
     previous: &ReFloatMatrix,
     previous_source: &CsrMatrix,
@@ -157,99 +111,125 @@ pub fn reencode_incremental(
         (a.nrows(), a.ncols()),
         "reencode_incremental: matrix dimensions changed between steps"
     );
+    let layout = previous.layout();
+    let not_the_source =
+        "reencode_incremental: previous_source is not the source of the previous encoding";
+    assert_eq!(previous_source.nnz(), previous.nnz(), "{not_the_source}");
+    debug_assert!(same_structure(layout, previous_source), "{not_the_source}");
 
-    let prev_blocked = BlockedMatrix::from_csr(previous_source, config.b)
-        .expect("valid block exponent from a validated ReFloatConfig");
-    let next_blocked = BlockedMatrix::from_csr(a, config.b)
-        .expect("valid block exponent from a validated ReFloatConfig");
-    assert_eq!(
-        prev_blocked.num_blocks(),
-        previous.num_blocks(),
-        "reencode_incremental: previous_source is not the source of the previous encoding"
-    );
-
-    let mut stats = IncrementalStats {
-        blocks_total: next_blocked.num_blocks(),
-        ..IncrementalStats::default()
-    };
-    let mut eb = Vec::with_capacity(next_blocked.num_blocks());
-
-    // Both block lists are sorted by (block_row, block_col): merge-walk them, the
-    // previous step's raw blocks paired with their bases.
-    let key = |blk: &Block| (blk.block_row, blk.block_col);
-    let mut prev_blocks = prev_blocked.blocks().zip(previous.bases()).peekable();
-    for next in next_blocked.blocks() {
-        // A block that existed last step has no entries any more: clear its cells.
-        while let Some((gone, _)) = prev_blocks.next_if(|(prev, _)| key(prev) < key(&next)) {
-            stats.blocks_vanished += 1;
-            stats.cells_reprogrammed += gone.nnz() as u64;
-        }
-        stats.cells_total += next.nnz() as u64;
-        match prev_blocks.next_if(|(prev, _)| key(prev) == key(&next)) {
-            Some((prev_raw, &prev_eb)) if blocks_bitwise_equal(&prev_raw, &next) => {
-                // Clean: the base is a pure function of the values, so the previous
-                // block's is this block's from-scratch base.
-                stats.blocks_reused += 1;
-                eb.push(prev_eb);
-            }
-            dirty_or_new => {
-                let base = optimal_exponent_base(next.vals);
-                eb.push(base);
-                match dirty_or_new {
-                    Some((prev_raw, &prev_eb)) if base == prev_eb => {
-                        // Values moved but stayed inside the block's offset window:
-                        // only the changed cells need new device writes.
-                        stats.blocks_partial += 1;
-                        stats.cells_reprogrammed += changed_cells(&prev_raw, &next);
-                    }
-                    _ => {
-                        stats.blocks_full += 1;
-                        stats.cells_reprogrammed += next.nnz() as u64;
-                    }
+    let (matrix, changed) = if same_structure(layout, a) {
+        // One row-order pass sums each block's exponents (Eq. 5) and counts its changed
+        // cells: a cell keeps its row-order index, so the two steps' value runs zip.
+        let (new, old) = (a.values(), previous_source.values());
+        let mut blocks = vec![(0i64, 0i64, 0u64); layout.num_blocks()];
+        layout.walk_row_order(|run, block, _| {
+            let (sum, count, changed) = &mut blocks[block];
+            for (&x, &y) in new[run.clone()].iter().zip(&old[run]) {
+                if let Some(d) = decompose(x) {
+                    *sum += d.exponent as i64;
+                    *count += 1;
                 }
+                *changed += u64::from(x.to_bits() != y.to_bits());
             }
-        }
-    }
-    for (gone, _) in prev_blocks {
-        stats.blocks_vanished += 1;
-        stats.cells_reprogrammed += gone.nnz() as u64;
-    }
-
-    IncrementalEncode {
-        matrix: ReFloatMatrix::with_bases(&next_blocked, config, eb),
-        stats,
-    }
+        });
+        let eb = blocks.iter().map(|&(sum, n, _)| rounded_mean(sum, n));
+        let matrix = ReFloatMatrix::quantized(layout, config, eb.collect(), |run, _| &new[run]);
+        (matrix, blocks.into_iter().map(|(.., c)| c).collect())
+    } else {
+        let matrix = ReFloatMatrix::from_csr(a, config);
+        let changed = merged_changes(previous_source, a, matrix.layout(), config.b);
+        (matrix, changed)
+    };
+    let stats = classify(previous, &matrix, &changed);
+    IncrementalEncode { matrix, stats }
 }
 
-/// Asserts that two encoded matrices are bitwise identical, block for block — the
-/// incremental-encode guarantee, exposed so benches and integration tests can check it
-/// on live runtime objects.
+/// Whether `a`'s structure — dimensions, row pointers and columns — is `layout`'s row
+/// order, so that `layout` is `a`'s blocking too.
+fn same_structure(layout: &BlockLayout, a: &CsrMatrix) -> bool {
+    let same = |narrow: &[u32], wide: &[usize]| {
+        narrow.iter().map(|&i| i as usize).eq(wide.iter().copied())
+    };
+    (layout.nrows(), layout.ncols()) == (a.nrows(), a.ncols())
+        && same(layout.row_ptr(), a.row_ptr())
+        && same(layout.col_idx(), a.col_idx())
+}
+
+/// Changed cells per block of `layout` (`next`'s blocking at exponent `b`) between two
+/// matrices of different structure: a per-row merge of their sorted columns, each
+/// difference — a changed value, a cleared cell, a new one — charged to its block.
+/// Differences in blocks `next` lacks are dropped: a vanished block is charged whole.
+fn merged_changes(prev: &CsrMatrix, next: &CsrMatrix, layout: &BlockLayout, b: u32) -> Vec<u64> {
+    let keys: Vec<(usize, usize)> = layout.extents().map(|(key, _)| key).collect();
+    let mut changed = vec![0; keys.len()];
+    for r in 0..next.nrows() {
+        let ((prev_cols, prev_vals), (next_cols, next_vals)) = (prev.row(r), next.row(r));
+        let (mut i, mut j) = (0, 0);
+        while i < prev_cols.len() || j < next_cols.len() {
+            // Past a row's end its column reads as `usize::MAX`, after every real one.
+            let p = prev_cols.get(i).copied().unwrap_or(usize::MAX);
+            let n = next_cols.get(j).copied().unwrap_or(usize::MAX);
+            let c = p.min(n);
+            let same = p == n && prev_vals[i].to_bits() == next_vals[j].to_bits();
+            (i, j) = (i + usize::from(p == c), j + usize::from(n == c));
+            if let (false, Ok(block)) = (same, keys.binary_search(&(r >> b, c >> b))) {
+                changed[block] += 1;
+            }
+        }
+    }
+    changed
+}
+
+/// The stats of re-encoding `previous` as `next`, given the changed cells per block of
+/// `next`: the two block tables matched by key, each block classified by its changed
+/// cells and the two bases (see the module docs), a block gone from `next` cleared.
+fn classify(previous: &ReFloatMatrix, next: &ReFloatMatrix, changed: &[u64]) -> IncrementalStats {
+    let mut stats = IncrementalStats {
+        blocks_total: next.num_blocks(),
+        cells_total: next.nnz() as u64,
+        ..IncrementalStats::default()
+    };
+    let mut prev = previous.layout().extents().zip(previous.bases()).peekable();
+    let next_blocks = next.layout().extents().zip(next.bases()).zip(changed);
+    for (((key, cells), &eb), &changed) in next_blocks {
+        while let Some(((_, gone), _)) = prev.next_if(|((prev_key, _), _)| *prev_key < key) {
+            stats.blocks_vanished += 1;
+            stats.cells_reprogrammed += gone.len() as u64;
+        }
+        match prev.next_if(|((prev_key, _), _)| *prev_key == key) {
+            Some(_) if changed == 0 => stats.blocks_reused += 1,
+            Some((_, &prev_eb)) if prev_eb == eb => {
+                stats.blocks_partial += 1;
+                stats.cells_reprogrammed += changed;
+            }
+            _ => {
+                stats.blocks_full += 1;
+                stats.cells_reprogrammed += cells.len() as u64;
+            }
+        }
+    }
+    for ((_, gone), _) in prev {
+        stats.blocks_vanished += 1;
+        stats.cells_reprogrammed += gone.len() as u64;
+    }
+    stats
+}
+
+/// Asserts that two encoded matrices are bitwise identical — the same layout, and
+/// block for block the same base and decoded bits: the incremental-encode guarantee,
+/// exposed so benches and integration tests can check it on live runtime objects.
 ///
 /// # Panics
-/// Panics with a descriptive message on the first differing block.
+/// Panics with a descriptive message on a differing layout or the first differing block.
 pub fn assert_bitwise_identical(incremental: &ReFloatMatrix, scratch: &ReFloatMatrix) {
-    assert_eq!(
-        incremental.num_blocks(),
-        scratch.num_blocks(),
-        "encodings disagree on block count"
-    );
-    let (inc_decoded, full_decoded) = (
+    let same_layout = incremental.layout() == scratch.layout();
+    assert!(same_layout, "encodings disagree on the block layout");
+    let (inc, full) = (
         incremental.decoded_in_block_order(),
         scratch.decoded_in_block_order(),
     );
-    for (inc, full) in incremental
-        .blocks(&inc_decoded)
-        .zip(scratch.blocks(&full_decoded))
-    {
-        assert_eq!(
-            (inc.block_row, inc.block_col),
-            (full.block_row, full.block_col),
-            "encodings disagree on block placement"
-        );
+    for (inc, full) in incremental.blocks(&inc).zip(scratch.blocks(&full)) {
         let same = inc.eb == full.eb
-            && inc.rows == full.rows
-            && inc.cols == full.cols
-            && inc.decoded.len() == full.decoded.len()
             && (inc.decoded.iter().zip(full.decoded)).all(|(a, b)| a.to_bits() == b.to_bits());
         assert!(
             same,
@@ -262,15 +242,176 @@ pub fn assert_bitwise_identical(incremental: &ReFloatMatrix, scratch: &ReFloatMa
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::optimal_exponent_base;
     use crate::format::ReFloatConfig;
+    use proptest::prelude::*;
     use refloat_matgen::fem::poisson_2d;
     use refloat_matgen::transient::{perturb_symmetric_pairs, TransientChain, TransientSpec};
+    use refloat_sparse::{blocked::Block, BlockedMatrix, CooMatrix};
+    use std::collections::HashSet;
     use std::sync::Arc;
 
     fn config() -> ReFloatConfig {
         // Small blocks so the test matrices span many blocks; a wide fraction keeps
         // the quantized operators close to the raw values.
         ReFloatConfig::new(3, 3, 13, 3, 13)
+    }
+
+    /// `true` when two raw blocks hold the same entries at the same positions with
+    /// bitwise-identical values.
+    fn blocks_bitwise_equal(a: &Block, b: &Block) -> bool {
+        a.rows == b.rows
+            && a.cols == b.cols
+            && a.vals.len() == b.vals.len()
+            && (a.vals.iter().zip(b.vals)).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    /// Entries that differ between two blocks sorted by `(ii, jj)`: changed values,
+    /// plus entries present in only one of them.
+    fn changed_cells(prev: &Block, next: &Block) -> u64 {
+        let (mut i, mut j, mut changed) = (0, 0, 0u64);
+        while i < prev.nnz() && j < next.nnz() {
+            let pk = (prev.rows[i], prev.cols[i]);
+            let nk = (next.rows[j], next.cols[j]);
+            match pk.cmp(&nk) {
+                std::cmp::Ordering::Less => {
+                    changed += 1; // cleared cell
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    changed += 1; // newly written cell
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    if prev.vals[i].to_bits() != next.vals[j].to_bits() {
+                        changed += 1;
+                    }
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        changed + (prev.nnz() - i) as u64 + (next.nnz() - j) as u64
+    }
+
+    /// The reference for [`IncrementalStats`]: both steps blocked, the two block lists
+    /// merge-walked by key, and every matched pair compared entry by entry.
+    fn oracle_stats(
+        previous: &ReFloatMatrix,
+        source: &CsrMatrix,
+        a: &CsrMatrix,
+    ) -> IncrementalStats {
+        let b = previous.config().b;
+        let prev_blocked = BlockedMatrix::from_csr(source, b).unwrap();
+        let next_blocked = BlockedMatrix::from_csr(a, b).unwrap();
+        let mut stats = IncrementalStats {
+            blocks_total: next_blocked.num_blocks(),
+            ..IncrementalStats::default()
+        };
+        let key = |blk: &Block| (blk.block_row, blk.block_col);
+        let mut prev_blocks = prev_blocked.blocks().zip(previous.bases()).peekable();
+        for next in next_blocked.blocks() {
+            while let Some((gone, _)) = prev_blocks.next_if(|(prev, _)| key(prev) < key(&next)) {
+                stats.blocks_vanished += 1;
+                stats.cells_reprogrammed += gone.nnz() as u64;
+            }
+            stats.cells_total += next.nnz() as u64;
+            match prev_blocks.next_if(|(prev, _)| key(prev) == key(&next)) {
+                Some((prev, _)) if blocks_bitwise_equal(&prev, &next) => stats.blocks_reused += 1,
+                Some((prev, &eb)) if optimal_exponent_base(next.vals) == eb => {
+                    stats.blocks_partial += 1;
+                    stats.cells_reprogrammed += changed_cells(&prev, &next);
+                }
+                _ => {
+                    stats.blocks_full += 1;
+                    stats.cells_reprogrammed += next.nnz() as u64;
+                }
+            }
+        }
+        for (gone, _) in prev_blocks {
+            stats.blocks_vanished += 1;
+            stats.cells_reprogrammed += gone.nnz() as u64;
+        }
+        stats
+    }
+
+    /// One edit of `base` at `config()`'s 8 × 8 blocks, chosen by `kind`: 0 none; 1
+    /// value drift at magnitude `sigma`; 2 every entry of one block removed, so it
+    /// vanishes; 3 one entry added in a block that was empty; 4 inside one block, a
+    /// cell cleared and an empty one written with its value — the same exponents, so
+    /// the block keeps its base.  `pick` selects the block and cells.
+    fn edit(base: &CsrMatrix, kind: u32, pick: usize, sigma: f64, seed: u64) -> CsrMatrix {
+        let n = base.nrows();
+        let mut entries: Vec<(usize, usize, f64)> = base.iter().collect();
+        let cells: HashSet<(usize, usize)> = entries.iter().map(|&(r, c, _)| (r, c)).collect();
+        let blocked = BlockedMatrix::from_csr(base, config().b).unwrap();
+        let keys: Vec<_> = blocked.layout().extents().map(|(key, _)| key).collect();
+        let key_of = |(r, c): (usize, usize)| (r >> 3, c >> 3);
+        let key = keys[pick % keys.len()];
+        match kind {
+            0 => {}
+            1 => return perturb_symmetric_pairs(base, sigma, 0.3, seed),
+            2 => entries.retain(|&(r, c, _)| key_of((r, c)) != key),
+            3 => {
+                let corners = (0..n)
+                    .step_by(8)
+                    .flat_map(|r| (0..n).step_by(8).map(move |c| (r, c)));
+                let empty: Vec<_> = corners
+                    .filter(|&cell| !keys.contains(&key_of(cell)))
+                    .collect();
+                let (r, c) = empty[pick % empty.len()];
+                entries.push((r, c, -0.375));
+            }
+            _ => {
+                let (rows, cols) = (
+                    key.0 * 8..(key.0 * 8 + 8).min(n),
+                    key.1 * 8..(key.1 * 8 + 8).min(n),
+                );
+                let tile = rows.flat_map(|r| cols.clone().map(move |c| (r, c)));
+                let free: Vec<_> = tile.filter(|cell| !cells.contains(cell)).collect();
+                let held: Vec<usize> = (0..entries.len())
+                    .filter(|&k| key_of((entries[k].0, entries[k].1)) == key)
+                    .collect();
+                let (r, c) = free[pick % free.len()];
+                let cleared = entries.remove(held[pick % held.len()]);
+                entries.push((r, c, cleared.2));
+            }
+        }
+        let mut coo = CooMatrix::new(n, n);
+        entries.into_iter().for_each(|(r, c, v)| coo.push(r, c, v));
+        coo.to_csr()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(60))]
+
+        #[test]
+        fn reencode_stats_equal_the_block_merge_oracle_for_random_edits(
+            (nx, ny) in (8usize..14, 8usize..14),
+            kind in 0u32..5,
+            pick in 0usize..1_000_000,
+            sigma in prop_oneof![Just(1e-6), Just(1e-3), Just(0.1), Just(0.5), Just(4.0)],
+            seed in 0u64..1_000,
+        ) {
+            let base = poisson_2d(nx, ny, 0.2, seed).to_csr();
+            let next = edit(&base, kind, pick, sigma, seed);
+            let previous = ReFloatMatrix::from_csr(&base, config());
+            let inc = reencode_incremental(&previous, &base, &next);
+            let stats = inc.stats;
+            prop_assert_eq!(stats, oracle_stats(&previous, &base, &next));
+            assert_bitwise_identical(&inc.matrix, &ReFloatMatrix::from_csr(&next, config()));
+            let unchanged = (base.row_ptr(), base.col_idx()) == (next.row_ptr(), next.col_idx());
+            prop_assert_eq!(unchanged, kind <= 1);
+            prop_assert_eq!(Arc::ptr_eq(inc.matrix.layout(), previous.layout()), unchanged);
+            let (total, previous_total) = (stats.blocks_total, previous.num_blocks());
+            match kind {
+                0 => prop_assert_eq!(stats.blocks_reused, total),
+                2 => prop_assert_eq!((stats.blocks_vanished, total + 1), (1, previous_total)),
+                3 => prop_assert_eq!((stats.blocks_full, total), (1, previous_total + 1)),
+                4 => prop_assert_eq!((stats.blocks_partial, stats.cells_reprogrammed), (1, 2)),
+                _ => {}
+            }
+        }
     }
 
     #[test]

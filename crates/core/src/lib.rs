@@ -35,12 +35,15 @@
 //!   *shared* with the `BlockedMatrix` the encoding came from, and so is the walk that
 //!   maps row order to block order.  This crate owns only what the encoder adds — one
 //!   exponent base `eb` per block, in block order, and one decoded value per non-zero,
-//!   stored once, in row order, where the SpMV reads it with the CSR loop.  Block
-//!   readers take an explicit block-order copy and walk [`matrix::BlockView`]s over it;
-//!   no matrix keeps bit-level fields,
-//! * [`incremental`] — [`reencode_incremental`]: a sequence step adopts its own
-//!   blocking's layout and carries clean blocks' bases over from the predecessor; its
-//!   values go through the same row-order quantise pass as a from-scratch encode,
+//!   stored once, in row order, where the SpMV reads it with the CSR loop.  One
+//!   quantize loop serves every encode, reading a CSR's values straight from row order
+//!   or a `BlockedMatrix`'s from block order.  Block readers take an explicit
+//!   block-order copy and walk [`matrix::BlockView`]s over it; no matrix keeps
+//!   bit-level fields,
+//! * [`incremental`] — [`reencode_incremental`]: a from-scratch encode plus a diff.  A
+//!   sequence step with the predecessor's sparsity structure adopts its layout and
+//!   never re-blocks; its row-order pass also counts each block's changed cells, which
+//!   with the two steps' bases decide what a chip must rewrite,
 //! * [`sharded`] — [`ShardedReFloatMatrix`], one encoding whose rows are split into
 //!   block-row bands (one per chip of a multi-chip accelerator): the input converted
 //!   once, each band the matrix's own row loop over its rows, so bitwise identical to

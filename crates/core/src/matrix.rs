@@ -16,9 +16,13 @@
 //! The block-major layout of Fig. 7 — the block table and the local row and column
 //! index of every non-zero — and the source CSR's row order beside it are defined
 //! once, by `refloat-sparse`'s [`BlockLayout`], and a [`ReFloatMatrix`] *shares* the
-//! layout of the [`BlockedMatrix`] it was encoded from.  What this crate adds is the
-//! two things only the encoder knows: the exponent base `eb` of every block, in block
-//! order, and the decoded value of every non-zero, stored once, in **row order**.
+//! layout it was encoded over (a re-encode of an unchanged structure shares its
+//! predecessor's).  What this crate adds is the two things only the encoder knows: the
+//! exponent base `eb` of every block, in block order, and the decoded value of every
+//! non-zero, stored once, in **row order**.  An encode takes the bases first (Eq. 5 is
+//! an integer exponent sum per block, so any read order serves), then runs one
+//! quantize loop over the row order, reading a CSR's values in place or a blocking's at
+//! their block-order positions.
 //!
 //! Row order is what the SpMV wants.  Eq. 8–9 sum every block's partial product into
 //! its output rows; with a CSR source (columns sorted within a row) that fixes each
@@ -118,34 +122,41 @@ pub struct ReFloatMatrix {
 
 impl ReFloatMatrix {
     /// Encodes a blocked matrix into ReFloat format: its layout is shared, not copied,
-    /// each block's base comes from one pass over its values, and one row-order pass
-    /// quantizes the values.
+    /// each block's base comes from its contiguous values, and the quantize pass reads
+    /// them at their block-order positions.
     pub fn from_blocked(blocked: &BlockedMatrix, config: ReFloatConfig) -> Self {
+        let must_match = "ReFloatMatrix: the blocking exponent must match the format's b";
+        assert_eq!(blocked.b(), config.b, "{must_match}");
         let eb = blocked.blocks().map(|b| optimal_exponent_base(b.vals));
-        Self::with_bases(blocked, config, eb.collect())
+        let vals = blocked.values();
+        Self::quantized(blocked.layout(), config, eb.collect(), |_, at| &vals[at])
     }
 
-    /// Encodes `blocked` against the given base per block: quantizes every value
-    /// against its block's base in the layout's row order, through its row↔block walk.
-    /// Used with the Eq. 5 bases by [`from_blocked`](Self::from_blocked), and by
-    /// [`crate::incremental`] with bases partly carried over from the previous step —
-    /// the same pass either way.
-    pub(crate) fn with_bases(blocked: &BlockedMatrix, config: ReFloatConfig, eb: Vec<i32>) -> Self {
-        assert_eq!(
-            blocked.b(),
-            config.b,
-            "ReFloatMatrix: the blocking exponent ({}) must match the format's b ({})",
-            blocked.b(),
-            config.b
-        );
-        assert_eq!(eb.len(), blocked.num_blocks(), "one eb per block");
+    /// Blocks a CSR matrix with the configuration's `b` and encodes it like
+    /// [`from_blocked`](Self::from_blocked), the quantize pass reading its row order.
+    pub fn from_csr(a: &CsrMatrix, config: ReFloatConfig) -> Self {
+        let blocked = BlockedMatrix::from_csr(a, config.b)
+            .expect("valid block exponent from a validated ReFloatConfig");
+        let eb = blocked.blocks().map(|b| optimal_exponent_base(b.vals));
+        let vals = a.values();
+        Self::quantized(blocked.layout(), config, eb.collect(), |run, _| &vals[run])
+    }
+
+    /// The quantize pass every encode ends with, given the bases `eb`: each value against
+    /// its block's base, into the decoded array in row order, through the row↔block walk;
+    /// `read(run, positions)` gives a run's values, from a CSR's row order or a blocking's.
+    pub(crate) fn quantized<'v>(
+        layout: &Arc<BlockLayout>,
+        config: ReFloatConfig,
+        eb: Vec<i32>,
+        read: impl Fn(Range<usize>, Range<usize>) -> &'v [f64],
+    ) -> Self {
         let (max_offset, f) = (config.max_offset(), config.f);
         let (rounding, underflow) = (config.rounding, config.underflow);
-        let (layout, vals) = (blocked.layout(), blocked.values());
-        let mut decoded = vec![0.0; vals.len()];
+        let mut decoded = vec![0.0; layout.nnz()];
         layout.walk_row_order(|run, block, positions| {
             let base = eb[block];
-            for (out, &v) in decoded[run].iter_mut().zip(&vals[positions]) {
+            for (out, &v) in decoded[run.clone()].iter_mut().zip(read(run, positions)) {
                 let q = decompose(v).map(|d| quantize(d, base, max_offset, f, rounding, underflow));
                 *out = q.map_or(0.0, |q| q.value(base));
             }
@@ -160,13 +171,6 @@ impl ReFloatMatrix {
             quantized_input: Scratch::default(),
             quantize_vectors: true,
         }
-    }
-
-    /// Convenience: blocks a CSR matrix with the configuration's `b` and encodes it.
-    pub fn from_csr(a: &CsrMatrix, config: ReFloatConfig) -> Self {
-        let blocked = BlockedMatrix::from_csr(a, config.b)
-            .expect("valid block exponent from a validated ReFloatConfig");
-        Self::from_blocked(&blocked, config)
     }
 
     /// The format configuration.
@@ -287,7 +291,7 @@ impl ReFloatMatrix {
     }
 
     /// The accumulate step of an SpMV (Eq. 8–9) over an already-quantized input:
-    /// `y = Ã · xq`, every row of [`accumulate_rows`](Self::accumulate_rows).
+    /// `y = Ã · xq`, every row of `accumulate_rows`.
     ///
     /// # Panics
     /// Panics if `xq.len() != ncols` or `y.len() != nrows`.

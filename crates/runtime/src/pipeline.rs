@@ -393,8 +393,8 @@ impl JobContext<'_> {
 
     /// Stage 2: the encoding of `csr` under `key`, through the shared cache.  With a
     /// sequence `predecessor`, a miss first looks for the predecessor's encoding in
-    /// the same format and re-quantizes only the blocks that changed — bitwise
-    /// identical to encoding from scratch.
+    /// the same format and re-encodes against it, reusing its layout and diffing for
+    /// the delta charge — bitwise identical to encoding from scratch.
     fn resolve_encoding(
         &self,
         key: CacheKey,

@@ -8,11 +8,11 @@
 //! programming, and a cold Krylov solve.  A sequence reuses what the previous
 //! step already paid for:
 //!
-//! * **incremental re-encode** — the worker diffs the step's matrix against the
-//!   predecessor's cached encoding block-by-block
-//!   ([`refloat_core::incremental`]) and re-quantizes only the blocks whose
-//!   values actually changed; crossbar reprogramming is charged only for the
-//!   touched fraction of the chip (the chip pass carries a
+//! * **incremental re-encode** — the worker encodes the step's matrix over the
+//!   predecessor's cached layout when the sparsity structure is unchanged, and
+//!   diffs it against the predecessor block by block
+//!   ([`refloat_core::incremental`]); crossbar reprogramming is charged only for
+//!   the blocks whose values actually changed (the chip pass carries a
 //!   [`DeltaProgramming`](crate::accel::DeltaProgramming), honoured while the chip
 //!   still holds the predecessor).  The incremental encoding is **bitwise
 //!   identical** to encoding from scratch, so sequence numerics never drift from
@@ -123,14 +123,17 @@ impl<'a> SolveSequence<'a> {
     ///
     /// The plan is submitted with a `SequenceSpec` attached: the previous
     /// step's matrix as incremental-re-encode predecessor and its solution as
-    /// the warm-start guess (both absent on the first step, or after
-    /// [`reset`](Self::reset)).  On clean completion the step's matrix and
-    /// solution become the next step's memory.  Admission errors hand the plan
-    /// back intact, exactly like [`SolveClient::submit`].
+    /// the warm-start guess (both absent on the first step, after
+    /// [`reset`](Self::reset), or when the matrix's dimensions differ from the
+    /// previous step's: such a step runs cold).  On clean completion the step's
+    /// matrix and solution become the next step's memory.  Admission errors hand
+    /// the plan back intact, exactly like [`SolveClient::submit`].
     pub fn step(&mut self, mut plan: SolvePlan) -> Result<TicketOutcome, SubmitError> {
         let fingerprint = plan.job.matrix.fingerprint();
         let csr = plan.job.matrix.csr_arc();
-        plan.job.sequence = Some(match &self.memory {
+        let dims = |a: &CsrMatrix| (a.nrows(), a.ncols());
+        let memory = (self.memory.as_ref()).filter(|memory| dims(&memory.csr) == dims(&csr));
+        plan.job.sequence = Some(match memory {
             Some(memory) => SequenceSpec {
                 predecessor: Some(SequencePredecessor {
                     fingerprint: memory.fingerprint,
@@ -456,6 +459,97 @@ mod tests {
         let report = client.shutdown();
         assert_eq!(report.seq_steps, 4);
         assert_eq!(report.warm_start_hits, 3);
+    }
+
+    #[test]
+    fn a_step_whose_matrix_changes_dimension_runs_cold_and_completes() {
+        let client = SolveRuntime::start(RuntimeConfig {
+            workers: 1,
+            ..Default::default()
+        });
+        let mut seq = client.sequence();
+        for (index, grid) in [10, 12].into_iter().enumerate() {
+            let a = poisson_2d(grid, grid, 0.2, 13).to_csr();
+            let rhs = std::sync::Arc::new(vec![1.0; a.nrows()]);
+            let handle = MatrixHandle::new(format!("grid-{grid}"), a);
+            let outcome = seq
+                .step(
+                    SolvePlan::new("t", handle, format())
+                        .rhs(rhs)
+                        .build()
+                        .unwrap(),
+                )
+                .unwrap();
+            let TicketOutcome::Completed(job) = outcome else {
+                panic!("step {index} resolved {outcome:?}");
+            };
+            let tele = job.telemetry.sequence.as_ref().unwrap();
+            assert!(!tele.incremental && !tele.warm_start_used, "step {index}");
+        }
+        assert_eq!(seq.steps(), 2);
+        client.shutdown();
+    }
+
+    #[test]
+    fn a_step_that_empties_one_block_and_fills_another_solves_like_a_cold_client() {
+        // Step 2 drops every entry of block (0, 1) at b = 4 (and its mirror) and adds
+        // a symmetric pair in block (0, 4), empty before: the structure changes, so the
+        // re-encode blocks the new matrix and matches the two block tables by key.
+        let steps: Vec<_> = chain(3).collect();
+        let (n, last) = (steps[2].matrix.nrows(), &steps[2].matrix);
+        let mut edited = refloat_sparse::CooMatrix::new(n, n);
+        for (r, c, v) in last.iter() {
+            if !matches!((r >> 4, c >> 4), (0, 1) | (1, 0)) {
+                edited.push(r, c, v);
+            }
+        }
+        edited.push_sym(0, 64, -0.125);
+        let edited = MatrixHandle::new("s2", edited.to_csr());
+        let plan = |handle: &MatrixHandle, rhs: &[f64]| {
+            let rhs = std::sync::Arc::new(rhs.to_vec());
+            SolvePlan::new("t", handle.clone(), format())
+                .rhs(rhs)
+                .build()
+                .unwrap()
+        };
+
+        let cold_client = SolveRuntime::start(RuntimeConfig {
+            workers: 1,
+            ..Default::default()
+        });
+        let cold = cold_client.submit(plan(&edited, &steps[2].rhs)).unwrap();
+        let cold = cold.wait().completed().unwrap();
+        cold_client.shutdown();
+
+        let client = SolveRuntime::start(RuntimeConfig {
+            workers: 1,
+            ..Default::default()
+        });
+        let mut seq = client.sequence();
+        let handles: Vec<_> = (steps[..2].iter())
+            .map(|step| MatrixHandle::new(format!("s{}", step.index), step.matrix.clone()))
+            .collect();
+        for (handle, step) in handles.iter().zip(&steps) {
+            seq.step(plan(handle, &step.rhs)).unwrap();
+        }
+        // Chain the predecessor but withhold the guess, so the solver runs the cold
+        // iteration: in-crate surgery on the built plan, as in the test above.
+        let mut plan = plan(&edited, &steps[2].rhs);
+        plan.job.sequence = Some(SequenceSpec {
+            predecessor: Some(SequencePredecessor {
+                fingerprint: handles[1].fingerprint(),
+                csr: handles[1].csr_arc(),
+            }),
+            initial_guess: None,
+        });
+        let step = client.submit(plan).unwrap().wait().completed().unwrap();
+        let tele = step.telemetry.sequence.as_ref().unwrap();
+        assert!(tele.incremental, "the predecessor's encoding was in cache");
+        client.shutdown();
+
+        assert_eq!(cold.result.iterations, step.result.iterations);
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&cold.result.x), bits(&step.result.x));
     }
 
     #[test]

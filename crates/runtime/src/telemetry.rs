@@ -202,7 +202,7 @@ metric_table! {
     /// back to the plain zero-start solve).
     WARM_START_HITS = "warm_start_hits" =>
         RowCounter(Completed, |j| j.sequence.as_ref().is_some_and(|s| s.warm_start_used) as u64);
-    /// Counter: blocks re-quantized by incremental sequence re-encodes (partial or
+    /// Counter: blocks whose encoding an incremental sequence re-encode changed (partial or
     /// full crossbar rewrites).
     BLOCKS_REENCODED = "blocks_reencoded" =>
         RowCounter(Completed, |j| j.sequence.as_ref().map_or(0, |s| s.blocks_reencoded));
@@ -336,7 +336,7 @@ pub struct SequenceTelemetry {
     /// `true` when the encoding came from an incremental re-encode against the
     /// predecessor (rather than a from-scratch encode or a plain cache hit).
     pub incremental: bool,
-    /// Blocks re-quantized by the incremental re-encode (0 when `incremental` is
+    /// Blocks whose encoding the incremental re-encode changed (0 when `incremental` is
     /// false).
     pub blocks_reencoded: u64,
     /// Blocks reused verbatim from the predecessor's encoding.
@@ -529,7 +529,7 @@ pub struct RuntimeReport {
     pub seq_steps: usize,
     /// Sequence steps whose warm-start guess passed the residual guard.
     pub warm_start_hits: u64,
-    /// Blocks re-quantized by incremental sequence re-encodes.
+    /// Blocks whose encoding incremental sequence re-encodes changed.
     pub blocks_reencoded: u64,
     /// Blocks reused verbatim from predecessor encodings.
     pub blocks_reused: u64,

@@ -129,6 +129,17 @@ impl BlockLayout {
         self.rows.len()
     }
 
+    /// Every block's coordinates `(block_row, block_col)` and its block-order positions,
+    /// in storage order: the block table, no values needed.
+    pub fn extents(
+        &self,
+    ) -> impl ExactSizeIterator<Item = ((usize, usize), Range<usize>)> + Clone + '_ {
+        self.table.windows(2).map(|pair| {
+            let key = (pair[0].block_row as usize, pair[0].block_col as usize);
+            (key, pair[0].start as usize..pair[1].start as usize)
+        })
+    }
+
     /// The block of `entry`, which runs up to `end` — its successor's start.
     fn view<'a>(&'a self, entry: &TableEntry, end: u32, vals: &'a [f64]) -> Block<'a> {
         let range = entry.start as usize..end as usize;

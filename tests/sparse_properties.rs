@@ -29,9 +29,10 @@ fn build(n: usize, entries: &[(usize, usize, f64)]) -> CsrMatrix {
 
 /// The invariants of the block-major layout that its readers rely on: the block table
 /// strictly sorted by `(block_row, block_col)`, no empty block, every block's entries
-/// strictly sorted by `(ii, jj)` (what the incremental re-encode's cell diff merges
-/// on) and inside both the tile and the matrix, and the blocks' runs back to back in
-/// the three arrays, covering exactly `nnz` entries.  The row order beside it is the
+/// strictly sorted by `(ii, jj)` (CSR order, which keeps each run of the row↔block walk
+/// contiguous in block order) and inside both the tile and the matrix, and the blocks'
+/// runs back to back in the three arrays, covering exactly `nnz` entries.  The row
+/// order beside it is the
 /// source CSR's structure, and the row↔block walk visits every row-order index once, in
 /// order, and sends it to a block-order position holding its entry — a permutation.
 /// Holds for any CSR with sorted, unique column indices per row.
