@@ -20,15 +20,29 @@ fn bench_convert(c: &mut Criterion) {
     group.finish();
 
     // What the converter is fed inside a solve — mixed sign, many binades — not a
-    // smooth positive profile, which a branch predictor learns.
+    // smooth positive profile, which a branch predictor learns.  Three windows over it:
+    // the paper's `(3, 8)`, the repo benchmark's wide `(5, 16)`, and a narrow `ev = 2`
+    // one that saturates in most segments, the kernel's clamping path.
     let x = rhs::krylov_like(a.ncols(), 17);
-    let mut converter = VectorConverter::new(config);
     let mut out = vec![0.0; x.len()];
     let mut group = c.benchmark_group("vector_converter");
     group.throughput(Throughput::Elements(x.len() as u64));
-    group.bench_function("convert_vector", |b| {
-        b.iter(|| converter.convert_into(&x, &mut out));
-    });
+    for (name, config) in [
+        ("convert_vector", config),
+        (
+            "convert_vector_wide_5_16",
+            ReFloatConfig::new(7, 3, 8, 5, 16),
+        ),
+        (
+            "convert_vector_narrow_2_8",
+            ReFloatConfig::new(7, 3, 8, 2, 8),
+        ),
+    ] {
+        let mut converter = VectorConverter::new(config);
+        group.bench_function(name, |b| {
+            b.iter(|| converter.convert_into(&x, &mut out));
+        });
+    }
     group.finish();
 }
 

@@ -1,5 +1,5 @@
-//! SpMV throughput: CSR, serial and parallel, on a Table V-sized workload.  These
-//! numbers back the "functional simulation cost" notes in EXPERIMENTS.md.
+//! SpMV throughput: the serial CSR kernel on a Table V-sized workload.  These numbers
+//! back the "functional simulation cost" notes in EXPERIMENTS.md.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use refloat_matgen::generators;
@@ -15,9 +15,6 @@ fn bench_spmv(c: &mut Criterion) {
     group.throughput(Throughput::Elements(a.nnz() as u64));
     group.bench_function(BenchmarkId::new("csr_serial", a.nnz()), |b| {
         b.iter(|| a.spmv_into(&x, &mut y));
-    });
-    group.bench_function(BenchmarkId::new("csr_parallel_4t", a.nnz()), |b| {
-        b.iter(|| a.par_spmv_into(&x, &mut y, 4));
     });
     group.finish();
 }

@@ -21,14 +21,20 @@
 //!
 //! # What lives where
 //!
-//! * [`scalar`] — the one scalar quantiser, in integer bit arithmetic: the exponent read
-//!   from the bit pattern, fraction bits dropped by a mask, the value assembled with
-//!   `from_bits`; the block encoder and the vector converter both call it,
+//! * [`scalar`] — the one scalar quantiser and the definition of the conversion, in
+//!   integer bit arithmetic: the exponent read from the bit pattern, fraction bits
+//!   dropped by a mask, the value assembled with `from_bits`; the block encoders call it
+//!   per element,
 //! * [`block`] — per-block base selection (Eq. 5) and [`ReFloatBlock`], the bit-level
 //!   record of *one* block (sign, offset and fraction code per element, wide enough for
 //!   every accepted `e ≤ 11`, `f ≤ 52`), encoded on demand by the crossbar engine, the
 //!   format ablation and the property tests,
-//! * [`vector`] — the vector converter ([`vector::VectorConverter`]),
+//! * [`vector`] — the vector converter ([`vector::VectorConverter`]): the segment form of
+//!   the scalar quantiser, two passes per segment over the raw bit patterns (an exponent
+//!   sum for `ebv`, then a branch-free quantize kernel specialised per rounding ×
+//!   underflow mode).  A segment holding a subnormal, or whose window leaves the normal
+//!   exponent range, runs the per-element quantiser instead; a property test holds the
+//!   two equal in outputs, bases and statistics,
 //! * [`matrix`] — [`ReFloatMatrix`], the quantized operator that plugs into the solvers.
 //!   The layout (block table, local row and column indices, and the source CSR's row
 //!   order beside them) is `refloat-sparse`'s `BlockLayout`, defined there once and

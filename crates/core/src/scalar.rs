@@ -3,8 +3,9 @@
 //! A double-precision value is `(−1)^s · (1.b₅₁…b₀) · 2^(E−1023)` (§II.C).  The ReFloat
 //! conversion keeps the sign, re-expresses the exponent as an offset from a per-block
 //! base `eb`, and keeps only the leading `f` fraction bits (Fig. 5b).  This module
-//! implements that per-scalar arithmetic; block-level base selection lives in
-//! [`crate::block`].
+//! implements that per-scalar arithmetic, and [`quantize`] is its definition; block-level
+//! base selection lives in [`crate::block`], and the vector converter's segment form of
+//! [`quantize`] in [`crate::vector`].
 //!
 //! The hardware converter is shift-and-mask logic, and so is this model: the exponent is
 //! read from the bit pattern, dropping fraction bits is a mask (rounding: an add, then
@@ -16,13 +17,13 @@
 use crate::format::{max_offset_for_bits, RoundingMode, UnderflowMode};
 
 /// Width of the IEEE-754 double fraction field.
-const FRACTION_BITS: u32 = 52;
+pub(crate) const FRACTION_BITS: u32 = 52;
 /// The fraction field of a double's bit pattern.
-const FRACTION_MASK: u64 = (1 << FRACTION_BITS) - 1;
+pub(crate) const FRACTION_MASK: u64 = (1 << FRACTION_BITS) - 1;
 /// Exponent bias of a double.
-const BIAS: i32 = 1023;
+pub(crate) const BIAS: i32 = 1023;
 /// The biased exponent field of NaN and the infinities.
-const NON_FINITE: u64 = 0x7ff;
+pub(crate) const NON_FINITE: u64 = 0x7ff;
 /// The bit pattern of 1.0: a zero fraction field under the exponent of `[1, 2)`.
 const ONE: u64 = 1.0f64.to_bits();
 
@@ -161,9 +162,11 @@ impl Quantized {
     }
 }
 
-/// The scalar kernel of the ReFloat conversion (Eq. 4–7), defined once for matrix
-/// blocks and vector segments alike: re-expresses `d`'s exponent as a saturating
-/// offset from `eb` within `±max_offset` and keeps `f_bits` of fraction.
+/// The scalar kernel of the ReFloat conversion (Eq. 4–7), and its definition:
+/// re-expresses `d`'s exponent as a saturating offset from `eb` within `±max_offset`
+/// and keeps `f_bits` of fraction.  The block encoders run it on every element; the
+/// vector converter runs its segment form ([`crate::vector`]), which that module's
+/// oracle property test holds equal to this function applied element by element.
 ///
 /// Every case is selected arithmetically, so a loop over it runs without branches on
 /// the data's sign or position in the window.
@@ -214,7 +217,7 @@ pub fn quantize(
 
 /// `value` when `keep`, else 0 — as a mask, not a branch.
 #[inline]
-fn select(keep: bool, value: u64) -> u64 {
+pub(crate) fn select(keep: bool, value: u64) -> u64 {
     value & (keep as u64).wrapping_neg()
 }
 

@@ -2,12 +2,10 @@
 //!
 //! CSR is the reference FP64 operator in this reproduction: the GPU and "Feinberg-fc"
 //! baselines of the paper behave numerically like plain double-precision SpMV, which is
-//! exactly what [`CsrMatrix::spmv_into`] computes.  A chunked parallel SpMV built on
-//! scoped threads is provided for the larger Table V workloads.
+//! exactly what [`CsrMatrix::spmv_into`] computes.
 
 use crate::coo::CooMatrix;
 use crate::error::SparseError;
-use crate::parallel;
 use crate::Result;
 
 /// A sparse matrix in compressed sparse row format.
@@ -256,36 +254,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Parallel SpMV over row chunks using scoped threads.
-    ///
-    /// Rows are partitioned into contiguous chunks of roughly equal nonzero count, one
-    /// per worker, so no synchronization is needed on the output vector.
-    ///
-    /// # Panics
-    /// Panics if `x.len() != ncols` or `y.len() != nrows`.
-    pub fn par_spmv_into(&self, x: &[f64], y: &mut [f64], num_threads: usize) {
-        assert_eq!(x.len(), self.ncols, "CSR par_spmv: x length mismatch");
-        assert_eq!(y.len(), self.nrows, "CSR par_spmv: y length mismatch");
-        let threads = num_threads.max(1);
-        if threads == 1 || self.nrows < 2 * threads {
-            self.spmv_into(x, y);
-            return;
-        }
-        let bounds = parallel::balance_by_weight(&self.row_ptr, threads);
-        parallel::scoped_chunks(y, &bounds, |chunk_idx, rows, out| {
-            let row0 = rows.start;
-            for (local, r) in (rows.start..rows.end).enumerate() {
-                let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
-                let mut acc = 0.0;
-                for k in lo..hi {
-                    acc += self.vals[k] * x[self.col_idx[k]];
-                }
-                out[local] = acc;
-            }
-            let _ = (chunk_idx, row0);
-        });
-    }
-
     /// Returns the transpose as a new CSR matrix.
     pub fn transpose(&self) -> CsrMatrix {
         let mut counts = vec![0usize; self.ncols + 1];
@@ -423,29 +391,6 @@ mod tests {
         a.spmv_into(&x, &mut y_csr);
         coo.spmv_into(&x, &mut y_coo);
         assert_eq!(y_csr, y_coo);
-    }
-
-    #[test]
-    fn par_spmv_matches_serial() {
-        // Build a bigger banded matrix to exercise chunking.
-        let n = 513;
-        let mut coo = CooMatrix::new(n, n);
-        for i in 0..n {
-            coo.push(i, i, 2.0 + (i as f64) * 0.001);
-            if i + 1 < n {
-                coo.push(i, i + 1, -1.0);
-                coo.push(i + 1, i, -1.0);
-            }
-        }
-        let a = CsrMatrix::from_coo(&coo);
-        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-        let mut y1 = vec![0.0; n];
-        let mut y2 = vec![0.0; n];
-        a.spmv_into(&x, &mut y1);
-        a.par_spmv_into(&x, &mut y2, 4);
-        for (a, b) in y1.iter().zip(y2.iter()) {
-            assert!((a - b).abs() < 1e-14);
-        }
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //!
 //! * [`CooMatrix`] — coordinate (triplet) storage, the natural construction and
 //!   interchange format (also what Matrix Market files decode to),
-//! * [`CsrMatrix`] — compressed sparse row storage with serial and parallel
-//!   sparse-matrix/dense-vector products (SpMV), the reference FP64 operator,
+//! * [`CsrMatrix`] — compressed sparse row storage with the sparse-matrix/dense-vector
+//!   product (SpMV), the reference FP64 operator,
 //! * [`BlockedMatrix`] — the matrix partitioned into square `2^b × 2^b` blocks stored in
 //!   the *block-major* layout of Fig. 7 of the paper, which is the granularity at which
 //!   ReFloat quantizes values and at which the accelerator maps work onto crossbars.
@@ -22,7 +22,8 @@
 //!   be used when available,
 //! * [`vecops`] — the dense vector kernels (dot, axpy, norms, …) used by the Krylov
 //!   solvers,
-//! * [`parallel`] — a small scoped-thread parallel-for used by the data-parallel kernels,
+//! * [`parallel`] — cutting an index space into contiguous, evenly or weight-balanced
+//!   chunks, one per worker or chip,
 //! * [`shard`] — block-row-aligned, nnz-balanced sharding of a matrix across multiple
 //!   accelerator chips: a shard is a row range of the one blocking, holding whole
 //!   blocks.

@@ -1,17 +1,11 @@
-//! Minimal data-parallel helpers built on scoped threads.
+//! Partitioning an index space into contiguous chunks for data-parallel work.
 //!
 //! The HPC guides used in this workspace recommend Rayon-style data parallelism: split
 //! the work into independent contiguous chunks, hand each chunk to a worker, and never
-//! share mutable state between workers.  The kernels here (parallel SpMV, parallel block
-//! quantization in `refloat-core`, parameter sweeps in the bench harness) only need that
-//! pattern, so instead of pulling in a full work-stealing runtime we provide two small
-//! primitives over [`std::thread::scope`]:
-//!
-//! * [`even_ranges`] / [`balance_by_weight`] — partition an index space into contiguous
-//!   chunks, either evenly or proportionally to a prefix-sum weight (e.g. the CSR
-//!   `row_ptr`, so each worker gets roughly the same number of nonzeros), and
-//! * [`scoped_chunks`] — run a closure on disjoint mutable sub-slices of an output
-//!   buffer, one worker per chunk.
+//! share mutable state between workers.  The callers run their workers on
+//! [`std::thread::scope`] themselves; this module only cuts the chunks:
+//! [`even_ranges`] evenly, [`balance_by_weight`] proportionally to a prefix-sum weight
+//! (e.g. the CSR `row_ptr`, so each shard gets roughly the same number of nonzeros).
 
 use std::ops::Range;
 
@@ -87,92 +81,6 @@ pub fn balance_by_weight(prefix: &[usize], chunks: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Runs `f` once per range in `bounds`, each invocation receiving the chunk index, the
-/// range itself, and the disjoint mutable sub-slice `out[range]`.  Chunks run on scoped
-/// threads (the last chunk runs on the calling thread to avoid one spawn).
-///
-/// The ranges must be contiguous, in increasing order, and collectively cover
-/// `0..out.len()`; this is what [`even_ranges`] and [`balance_by_weight`] produce when
-/// the weight array describes `out`.
-///
-/// # Panics
-/// Panics if the ranges do not tile `out`.
-pub fn scoped_chunks<T, F>(out: &mut [T], bounds: &[Range<usize>], f: F)
-where
-    T: Send,
-    F: Fn(usize, Range<usize>, &mut [T]) + Sync,
-{
-    if bounds.is_empty() {
-        assert!(
-            out.is_empty(),
-            "scoped_chunks: no ranges but non-empty output"
-        );
-        return;
-    }
-    assert_eq!(bounds[0].start, 0, "scoped_chunks: ranges must start at 0");
-    assert_eq!(
-        bounds.last().expect("bounds non-empty").end,
-        out.len(),
-        "scoped_chunks: ranges must cover the output"
-    );
-    for w in bounds.windows(2) {
-        assert_eq!(
-            w[0].end, w[1].start,
-            "scoped_chunks: ranges must be contiguous"
-        );
-    }
-
-    // Split `out` into disjoint mutable slices matching `bounds`.
-    let mut slices: Vec<&mut [T]> = Vec::with_capacity(bounds.len());
-    let mut rest = out;
-    let mut offset = 0;
-    for r in bounds {
-        let (head, tail) = rest.split_at_mut(r.end - offset);
-        slices.push(head);
-        rest = tail;
-        offset = r.end;
-    }
-
-    std::thread::scope(|scope| {
-        let f = &f;
-        let mut iter = bounds.iter().cloned().zip(slices).enumerate();
-        // Keep the last chunk for the current thread.
-        let last = iter.next_back();
-        for (idx, (range, slice)) in iter {
-            scope.spawn(move || f(idx, range, slice));
-        }
-        if let Some((idx, (range, slice))) = last {
-            f(idx, range, slice);
-        }
-    });
-}
-
-/// Convenience: a parallel map from chunk ranges to per-chunk results, preserving order.
-///
-/// `f` receives each range of `0..n` (as produced by [`even_ranges`]) and returns a value
-/// for that chunk; the values are collected in chunk order.  Useful for reductions such
-/// as per-chunk partial sums or per-chunk statistics.
-pub fn par_map_ranges<R, F>(n: usize, chunks: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(Range<usize>) -> R + Sync,
-{
-    let ranges = even_ranges(n, chunks);
-    let mut results: Vec<Option<R>> = Vec::new();
-    results.resize_with(ranges.len(), || None);
-    scoped_chunks(
-        &mut results,
-        &even_ranges(ranges.len(), ranges.len()),
-        |idx, _r, out| {
-            out[0] = Some(f(ranges[idx].clone()));
-        },
-    );
-    results
-        .into_iter()
-        .map(|r| r.expect("all chunks produce a result"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,34 +113,6 @@ mod tests {
         let zeros = vec![0usize; 9];
         let r = balance_by_weight(&zeros, 4);
         assert_eq!(r.iter().map(|x| x.len()).sum::<usize>(), 8);
-    }
-
-    #[test]
-    fn scoped_chunks_writes_disjoint_slices() {
-        let mut out = vec![0usize; 100];
-        let bounds = even_ranges(100, 7);
-        scoped_chunks(&mut out, &bounds, |idx, range, slice| {
-            for (k, v) in slice.iter_mut().enumerate() {
-                *v = idx * 1000 + range.start + k;
-            }
-        });
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(v % 1000, i);
-        }
-    }
-
-    #[test]
-    fn par_map_ranges_collects_in_order() {
-        let sums = par_map_ranges(100, 4, |r| r.clone().sum::<usize>());
-        assert_eq!(sums.iter().sum::<usize>(), (0..100).sum::<usize>());
-        assert_eq!(sums.len(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "cover the output")]
-    fn scoped_chunks_rejects_incomplete_tiling() {
-        let mut out = vec![0; 10];
-        scoped_chunks(&mut out, std::slice::from_ref(&(0..5)), |_, _, _| {});
     }
 
     #[test]

@@ -41,25 +41,6 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     pairwise_dot(x, y)
 }
 
-/// Dot product `xᵀ y` with Kahan (compensated) accumulation — the fp64 reference the
-/// accuracy tests compare [`dot`] against, and the right tool when a caller needs the
-/// tightest error bound regardless of cost.
-///
-/// # Panics
-/// Panics if the two slices have different lengths.
-pub fn dot_kahan(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "dot_kahan: length mismatch");
-    let mut sum = 0.0;
-    let mut comp = 0.0;
-    for (a, b) in x.iter().zip(y.iter()) {
-        let term = a * b - comp;
-        let next = sum + term;
-        comp = (next - sum) - term;
-        sum = next;
-    }
-    sum
-}
-
 /// Pairwise (cascade) reduction of `Σ xᵢ` — same tree shape as [`pairwise_dot`].
 fn pairwise_sum(x: &[f64]) -> f64 {
     if x.len() <= PAIRWISE_LEAF {
@@ -242,6 +223,20 @@ mod tests {
     /// pairwise regression below.
     fn naive_dot(x: &[f64], y: &[f64]) -> f64 {
         x.iter().zip(y.iter()).fold(0.0, |acc, (a, b)| acc + a * b)
+    }
+
+    /// Dot product `xᵀ y` with Kahan (compensated) accumulation: the fp64 reference
+    /// the pairwise regression below compares [`dot`] against.
+    fn dot_kahan(x: &[f64], y: &[f64]) -> f64 {
+        let mut sum = 0.0;
+        let mut comp = 0.0;
+        for (a, b) in x.iter().zip(y.iter()) {
+            let term = a * b - comp;
+            let next = sum + term;
+            comp = (next - sum) - term;
+            sum = next;
+        }
+        sum
     }
 
     #[test]
