@@ -45,15 +45,21 @@
 //!   quantize loop serves every encode, reading a CSR's values straight from row order
 //!   or a `BlockedMatrix`'s from block order.  Block readers take an explicit
 //!   block-order copy and walk [`matrix::BlockView`]s over it; no matrix keeps
-//!   bit-level fields,
+//!   bit-level fields.  A matrix applies on the calling thread unless lanes are
+//!   attached ([`ReFloatMatrix::with_lanes`], which the runtime does for a worker with
+//!   spare cores): the apply then converts the input on the caller and splits the row
+//!   loop into nnz-balanced bands, one per lane, provided each lane gets at least
+//!   [`matrix::MIN_NNZ_PER_LANE`] non-zeros.  Each row is still one sum in column
+//!   order, so the bits do not depend on the lanes,
 //! * [`incremental`] — [`reencode_incremental`]: a from-scratch encode plus a diff.  A
 //!   sequence step with the predecessor's sparsity structure adopts its layout and
 //!   never re-blocks; its row-order pass also counts each block's changed cells, which
 //!   with the two steps' bases decide what a chip must rewrite,
 //! * [`sharded`] — [`ShardedReFloatMatrix`], one encoding whose rows are split into
-//!   block-row bands (one per chip of a multi-chip accelerator): the input converted
-//!   once, each band the matrix's own row loop over its rows, so bitwise identical to
-//!   the unsharded operator for every shard count,
+//!   block-row bands (one per chip of a multi-chip accelerator) for the chip model,
+//!   while the host applies the one encoding through the matrix's own apply (on its
+//!   lanes, if any), so bitwise identical to the unsharded operator for every shard
+//!   count,
 //! * [`resilience`] — fault-aware encoding support: spare row/column remapping around
 //!   stuck cells and per-block ABFT checksum rows for SpMV corruption detection,
 //! * [`feinberg`] — the exponent-truncation baseline of Feinberg et al. [ISCA'18] as

@@ -35,6 +35,15 @@
 //! is [`BlockLayout::walk_row_order`]'s, in `refloat-sparse`.  The per-element sign,
 //! offset and fraction code belong to [`crate::block::ReFloatBlock`], which encodes a
 //! single block down to its bits on demand.
+//!
+//! # Lanes
+//!
+//! The accelerator runs one SpMV over many crossbars at once; the host model can run
+//! it over several threads.  [`ReFloatMatrix::with_lanes`] attaches a set of
+//! [`Lanes`], and a whole apply then converts the input on the calling thread and
+//! splits `accumulate`'s row loop into nnz-balanced row bands, one per lane.  A row's
+//! sum is its terms in column order whatever band it falls in, so the output bits do
+//! not depend on the lane count; only host time does.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -46,7 +55,14 @@ use crate::scalar::{decompose, quantize};
 use crate::vector::{Scratch, VectorConverter};
 use refloat_solvers::LinearOperator;
 use refloat_sparse::blocked::{Block, BlockLayout};
-use refloat_sparse::{BlockedMatrix, CsrMatrix};
+use refloat_sparse::parallel::{BandTask, Lanes};
+use refloat_sparse::{block_row_shards, BlockedMatrix, CsrMatrix};
+
+/// The fewest non-zeros per lane for which an apply splits.  Handing a band to a helper
+/// and copying it back costs a few microseconds: on a 2-core x86-64 host a 2-lane
+/// split of a 2-D Laplacian broke even near 4 k non-zeros per lane, was 1.8× slower at
+/// 600 and only gained from about 8 k.  The `apply_lanes` bench measures this.
+pub const MIN_NNZ_PER_LANE: usize = 8192;
 
 /// What encoding adds to a [`BlockLayout`].
 #[derive(Debug)]
@@ -55,6 +71,14 @@ struct Encoded {
     eb: Vec<i32>,
     /// Decoded value per non-zero, in the layout's row order.
     decoded: Vec<f64>,
+}
+
+/// The lanes a split apply runs on, and the row band each accumulates.
+#[derive(Debug, Clone)]
+struct Split {
+    lanes: Arc<Lanes>,
+    /// One nnz-balanced band per lane, tiling the rows; the last runs on the caller.
+    bands: Vec<Range<usize>>,
 }
 
 /// One encoded block, borrowed from a [`ReFloatMatrix`] and the block-order copy of its
@@ -118,6 +142,8 @@ pub struct ReFloatMatrix {
     /// Whether the input vector is re-encoded through the vector converter on every
     /// apply (the full ReFloat pipeline) or passed through exactly (ablation).
     quantize_vectors: bool,
+    /// The lanes an apply splits over; `None` applies on the calling thread alone.
+    split: Option<Split>,
 }
 
 impl ReFloatMatrix {
@@ -170,7 +196,29 @@ impl ReFloatMatrix {
             converter: VectorConverter::new(config),
             quantized_input: Scratch::default(),
             quantize_vectors: true,
+            split: None,
         }
+    }
+
+    /// Splits every later [`apply`](LinearOperator::apply) over `lanes`: the input is
+    /// converted on the calling thread, then each lane accumulates one nnz-balanced
+    /// band of rows (block-row aligned, by `refloat_sparse::block_row_shards`), the
+    /// last band on the calling thread.  The output bits are the serial apply's.  A
+    /// matrix with fewer than [`MIN_NNZ_PER_LANE`] non-zeros per lane stays serial, and
+    /// so does one lane.
+    pub fn with_lanes(self, lanes: &Arc<Lanes>) -> Self {
+        self.split_over(lanes, MIN_NNZ_PER_LANE)
+    }
+
+    /// [`with_lanes`](Self::with_lanes) with the per-lane minimum as a parameter.
+    fn split_over(mut self, lanes: &Arc<Lanes>, min_nnz_per_lane: usize) -> Self {
+        let bands = block_row_shards(&self.layout, lanes.count());
+        let pays = self.nnz() >= min_nnz_per_lane * bands.len();
+        self.split = (bands.len() > 1 && pays).then(|| Split {
+            lanes: Arc::clone(lanes),
+            bands,
+        });
+        self
     }
 
     /// The format configuration.
@@ -296,45 +344,75 @@ impl ReFloatMatrix {
     /// # Panics
     /// Panics if `xq.len() != ncols` or `y.len() != nrows`.
     pub fn accumulate(&self, xq: &[f64], y: &mut [f64]) {
-        self.accumulate_rows(xq, 0..self.nrows, y);
+        accumulate_rows(&self.layout, &self.encoded.decoded, xq, 0..self.nrows, y);
     }
 
-    /// Rows `rows` of `Ã · xq` into `y`, row by row over the decoded values in row
-    /// order — the order of additions and so the bits of `CsrMatrix::spmv_into`, which
-    /// are also the bits of summing the block products into `y` block by block.  A
-    /// row's sum does not depend on the range it is computed in, so a shard's band is
-    /// bit for bit those rows of the whole product.
-    ///
-    /// # Panics
-    /// Panics if `xq.len() != ncols`, `y.len() != rows.len()` or `rows` ends past
-    /// `nrows`.
-    pub(crate) fn accumulate_rows(&self, xq: &[f64], rows: Range<usize>, y: &mut [f64]) {
-        assert_eq!(
-            xq.len(),
-            self.ncols,
-            "ReFloatMatrix spmv: x length mismatch"
+    /// [`accumulate`](Self::accumulate) from the latest quantized input, split into
+    /// `split`'s bands: every band but the last on a helper lane, which holds `Arc`s of
+    /// the layout, the decoded values and the quantized input and fills its own band
+    /// buffer, copied into `y` afterwards; the last band on the calling thread,
+    /// straight into `y`.
+    fn accumulate_split(&self, split: &Split, y: &mut [f64]) {
+        assert_eq!(y.len(), self.nrows, "ReFloatMatrix spmv: y length mismatch");
+        let (last, helped) = split.bands.split_last().expect("a split has two bands");
+        let tasks = helped.iter().map(|rows| {
+            let (layout, encoded) = (Arc::clone(&self.layout), Arc::clone(&self.encoded));
+            let (xq, rows) = (self.quantized_input.shared(), rows.clone());
+            Box::new(move |band: &mut Vec<f64>| {
+                band.resize(rows.len(), 0.0);
+                accumulate_rows(&layout, &encoded.decoded, &xq, rows, band);
+            }) as BandTask
+        });
+        let xq = self.quantized_input.as_slice();
+        let (head, tail) = y.split_at_mut(last.start);
+        split.lanes.run(
+            tasks,
+            || accumulate_rows(&self.layout, &self.encoded.decoded, xq, last.clone(), tail),
+            |lane, band| head[helped[lane].clone()].copy_from_slice(band),
         );
-        assert_eq!(y.len(), rows.len(), "ReFloatMatrix spmv: y length mismatch");
-        let row_ptr = &self.layout.row_ptr()[rows.start..=rows.end];
-        let (col_idx, decoded) = (self.layout.col_idx(), &self.encoded.decoded);
-        for (yr, bounds) in y.iter_mut().zip(row_ptr.windows(2)) {
-            let row = bounds[0] as usize..bounds[1] as usize;
-            let mut vals = decoded[row.clone()].chunks_exact(2);
-            let mut cols = col_idx[row].chunks_exact(2);
-            let mut acc = 0.0;
-            // Two terms per trip, added one after the other: the sum and its bits stay
-            // the CSR loop's, while the speed stops following where the build places the
-            // loop (a one-term loop read 32 % apart across placements, this one 4–7 %).
-            for (v, c) in (&mut vals).zip(&mut cols) {
-                let (p0, p1) = (v[0] * xq[c[0] as usize], v[1] * xq[c[1] as usize]);
-                acc += p0;
-                acc += p1;
-            }
-            if let ([v], [c]) = (vals.remainder(), cols.remainder()) {
-                acc += v * xq[*c as usize];
-            }
-            *yr = acc;
+    }
+}
+
+/// Rows `rows` of `Ã · xq` into `y`, row by row over the decoded values in row order —
+/// the order of additions and so the bits of `CsrMatrix::spmv_into`, which are also
+/// the bits of summing the block products into `y` block by block.  A row's sum does
+/// not depend on the range it is computed in, so a band is bit for bit those rows of
+/// the whole product.
+///
+/// # Panics
+/// Panics if `xq.len() != ncols`, `y.len() != rows.len()` or `rows` ends past `nrows`.
+fn accumulate_rows(
+    layout: &BlockLayout,
+    decoded: &[f64],
+    xq: &[f64],
+    rows: Range<usize>,
+    y: &mut [f64],
+) {
+    assert_eq!(
+        xq.len(),
+        layout.ncols(),
+        "ReFloatMatrix spmv: x length mismatch"
+    );
+    assert_eq!(y.len(), rows.len(), "ReFloatMatrix spmv: y length mismatch");
+    let row_ptr = &layout.row_ptr()[rows.start..=rows.end];
+    let col_idx = layout.col_idx();
+    for (yr, bounds) in y.iter_mut().zip(row_ptr.windows(2)) {
+        let row = bounds[0] as usize..bounds[1] as usize;
+        let mut vals = decoded[row.clone()].chunks_exact(2);
+        let mut cols = col_idx[row].chunks_exact(2);
+        let mut acc = 0.0;
+        // Two terms per trip, added one after the other: the sum and its bits stay the
+        // CSR loop's, while the speed stops following where the build places the loop
+        // (a one-term loop read 32 % apart across placements, this one 4–7 %).
+        for (v, c) in (&mut vals).zip(&mut cols) {
+            let (p0, p1) = (v[0] * xq[c[0] as usize], v[1] * xq[c[1] as usize]);
+            acc += p0;
+            acc += p1;
         }
+        if let ([v], [c]) = (vals.remainder(), cols.remainder()) {
+            acc += v * xq[*c as usize];
+        }
+        *yr = acc;
     }
 }
 
@@ -347,9 +425,16 @@ impl LinearOperator for ReFloatMatrix {
         self.ncols
     }
 
+    /// Converts `x`, then accumulates every row: on the calling thread, or in bands
+    /// over the lanes of [`with_lanes`](ReFloatMatrix::with_lanes) when the vector
+    /// converter is on (with it off, the input is the caller's borrowed `x`, which a
+    /// lane cannot hold).  Either way each row is the same sum, so the same bits.
     fn apply(&mut self, x: &[f64], y: &mut [f64]) {
         let (xq, this) = self.quantize_input(x);
-        this.accumulate(xq, y);
+        match this.split.as_ref().filter(|_| this.quantize_vectors) {
+            Some(split) => this.accumulate_split(split, y),
+            None => this.accumulate(xq, y),
+        }
     }
 
     fn name(&self) -> String {
@@ -365,6 +450,7 @@ impl LinearOperator for ReFloatMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vector::ConversionStats;
     use refloat_matgen::generators;
     use refloat_solvers::{bicgstab, cg, SolverConfig};
     use refloat_sparse::vecops;
@@ -588,6 +674,84 @@ mod tests {
                     for _ in 0..50 {
                         op.apply(x, &mut y);
                         assert!(y.iter().zip(want).all(|(u, v)| u.to_bits() == v.to_bits()));
+                    }
+                });
+            }
+        });
+    }
+
+    /// One apply: output bits, the converter's bases and its statistics.
+    fn applied(m: &mut ReFloatMatrix, x: &[f64]) -> (Vec<u64>, Vec<i32>, ConversionStats) {
+        let mut y = vec![f64::NAN; m.nrows];
+        m.apply(x, &mut y);
+        let bits = y.iter().map(|v| v.to_bits()).collect();
+        let converter = m.converter();
+        let stats = converter.last_stats().clone();
+        (bits, converter.last_bases().to_vec(), stats)
+    }
+
+    #[test]
+    fn a_laned_apply_is_the_serial_apply_bitwise() {
+        // 23 · 23 = 529 rows: the last band ends inside a partial block row.
+        let ragged = generators::laplacian_2d(23, 23, 0.3).to_csr();
+        let scattered = generators::random_spd_graph(1500, 6, 1.4, 1.0, 7).to_csr();
+        // Rows 10..34 hold nothing, so whole bands can be empty.
+        let mut coo = refloat_sparse::CooMatrix::new(40, 40);
+        for i in (0..10).chain(34..40) {
+            coo.push(i, i, 2.0 + i as f64);
+            coo.push(i, (i * 7) % 40, -0.5);
+        }
+        let empty_rows = coo.to_csr();
+        let no_rows = refloat_sparse::CooMatrix::new(0, 0).to_csr();
+        // 3 rows, 2 block rows of b = 1, for up to 4 lanes.
+        let three_rows = generators::laplacian_2d(3, 1, 0.1).to_csr();
+        for (a, b) in [
+            (ragged, 4),
+            (scattered, 5),
+            (empty_rows, 1),
+            (no_rows, 2),
+            (three_rows, 1),
+        ] {
+            let serial = ReFloatMatrix::from_csr(&a, test_config(b));
+            let x = refloat_matgen::rhs::krylov_like(a.ncols(), 5);
+            let want = applied(&mut serial.clone(), &x);
+            for count in 1..=4 {
+                let lanes = Arc::new(Lanes::new(count).unwrap());
+                // No minimum: every matrix here splits when its rows allow.
+                let mut laned = serial.clone().split_over(&lanes, 0);
+                let bands = laned.split.as_ref().map_or(1, |split| split.bands.len());
+                assert_eq!(bands, block_row_shards(&serial.layout, count).len());
+                for _ in 0..2 {
+                    let got = applied(&mut laned, &x);
+                    assert!(got == want, "{count} lanes, {} rows", a.nrows());
+                }
+                // With the minimum, a matrix below it stays serial.
+                let split = serial.clone().with_lanes(&lanes).split.is_some();
+                assert_eq!(split, bands > 1 && a.nnz() >= MIN_NNZ_PER_LANE * bands);
+            }
+        }
+    }
+
+    #[test]
+    fn a_laned_matrix_splits_above_the_minimum_and_its_clones_share_the_lanes() {
+        let a = generators::mass_matrix_3d(12, 12, 12, 1e-12, 0.8, 5).to_csr();
+        assert!(a.nnz() >= 2 * MIN_NNZ_PER_LANE);
+        let serial = ReFloatMatrix::from_csr(&a, test_config(5));
+        let lanes = Arc::new(Lanes::new(2).unwrap());
+        let laned = serial.clone().with_lanes(&lanes);
+        assert_eq!(laned.split.as_ref().map(|split| split.bands.len()), Some(2));
+        let x = refloat_matgen::rhs::krylov_like(a.ncols(), 9);
+        let want = applied(&mut serial.clone(), &x);
+        // Two clones apply at once on one set of lanes: one gets the helper, the
+        // other runs its bands on its own thread.
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                let (mut op, start, want, x) = (laned.clone(), &start, &want, &x);
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..20 {
+                        assert!(applied(&mut op, x) == *want);
                     }
                 });
             }

@@ -9,23 +9,26 @@
 //! # Determinism contract
 //!
 //! A sharded apply is **bitwise identical** to the unsharded [`ReFloatMatrix::apply`]
-//! for every shard count, because it is that apply split by rows:
+//! for every shard count, because it *is* that apply: the chips' bands are what the
+//! chip model prices ([`ShardedReFloatMatrix::shard_blocks`],
+//! [`ShardedReFloatMatrix::shard_rows`]), while the host runs the one encoding's
+//! apply — serially, or split over the matrix's lanes
+//! ([`ShardedReFloatMatrix::with_lanes`]) by the same block-row partitioner.  Either
+//! way the input is converted once and every row is its own sum, which does not depend
+//! on the band it is computed in; the inter-shard "reduction" is a gather of disjoint
+//! bands, which reorders nothing.
 //!
-//! * the input vector is converted **once** per apply, by the matrix's own
-//!   [`ReFloatMatrix::quantize_input`], and every band reads that quantized vector;
-//! * every band runs [`ReFloatMatrix::accumulate`]'s row loop over its own rows, and a
-//!   row's sum does not depend on the range it is computed in — the inter-shard
-//!   "reduction" is a gather of disjoint bands, which reorders nothing.
-//!
-//! Cuts sit on `2^b` block-row boundaries so that each chip holds whole blocks
-//! ([`ShardedReFloatMatrix::shard_blocks`]).  The tests below enforce the contract for
-//! 1/2/4/8 shards and beyond the block-row count, down to solver iterates.
+//! Cuts sit on `2^b` block-row boundaries so that each chip holds whole blocks.  The
+//! tests below enforce the contract for 1/2/4/8 shards and beyond the block-row count,
+//! down to solver iterates.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use crate::matrix::ReFloatMatrix;
 use refloat_solvers::LinearOperator;
 use refloat_sparse::block_row_shards;
+use refloat_sparse::parallel::Lanes;
 
 /// A ReFloat operator whose rows are split into block-row bands, one per chip.
 #[derive(Debug, Clone)]
@@ -41,6 +44,12 @@ impl ShardedReFloatMatrix {
     pub fn new(matrix: ReFloatMatrix, shards: usize) -> Self {
         let bands = block_row_shards(matrix.layout(), shards);
         ShardedReFloatMatrix { matrix, bands }
+    }
+
+    /// Splits the host's apply over `lanes` ([`ReFloatMatrix::with_lanes`]).
+    pub fn with_lanes(mut self, lanes: &Arc<Lanes>) -> Self {
+        self.matrix = self.matrix.with_lanes(lanes);
+        self
     }
 
     /// The whole encoding every band reads.
@@ -75,25 +84,10 @@ impl LinearOperator for ShardedReFloatMatrix {
         LinearOperator::ncols(&self.matrix)
     }
 
-    /// Converts `x` once, then every shard accumulates its band of `y` from the one
-    /// quantized vector; shards run on scoped threads (the last on the calling
-    /// thread), mirroring chips working in parallel.
+    /// The one encoding's apply: `x` converted once, every row accumulated from it, on
+    /// the matrix's lanes when it has them and on the calling thread when it has one.
     fn apply(&mut self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(y.len(), self.nrows(), "sharded apply: y length mismatch");
-        let (xq, matrix) = self.matrix.quantize_input(x);
-        let mut bands = self.bands.iter();
-        let last = bands.next_back();
-        let mut rest = y;
-        std::thread::scope(|scope| {
-            for rows in bands {
-                let (band, tail) = rest.split_at_mut(rows.len());
-                rest = tail;
-                scope.spawn(move || matrix.accumulate_rows(xq, rows.clone(), band));
-            }
-            if let Some(rows) = last {
-                matrix.accumulate_rows(xq, rows.clone(), rest);
-            }
-        });
+        self.matrix.apply(x, y);
     }
 
     fn name(&self) -> String {

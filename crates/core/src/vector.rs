@@ -26,6 +26,8 @@
 //! form, held equal to the per-element loop (outputs, bases and statistics) by a
 //! property test over all four modes.
 
+use std::sync::Arc;
+
 use crate::block::{optimal_exponent_base, rounded_mean};
 use crate::format::{ReFloatConfig, RoundingMode, UnderflowMode};
 use crate::scalar::{
@@ -270,9 +272,11 @@ fn quantize_by_element(
 
 /// The quantized copy of an operator's input vector.  It is scratch, not state: sized
 /// on the first conversion, and a clone starts empty instead of copying `O(ncols)`
-/// values its owner may never read.
+/// values its owner may never read.  It sits behind an `Arc` so that the helper lanes
+/// of a split apply can read it; they let go of it before the apply returns, so the
+/// next conversion writes in place.
 #[derive(Debug, Default)]
-pub(crate) struct Scratch(Vec<f64>);
+pub(crate) struct Scratch(Arc<Vec<f64>>);
 
 impl Clone for Scratch {
     fn clone(&self) -> Self {
@@ -283,13 +287,20 @@ impl Clone for Scratch {
 impl Scratch {
     /// Converts `x` into the scratch.
     pub(crate) fn convert(&mut self, converter: &mut VectorConverter, x: &[f64]) {
-        self.0.resize(x.len(), 0.0);
-        converter.convert_into(x, &mut self.0);
+        // Copies only if a lane still held the vector, which `Lanes::run` rules out.
+        let buffer = Arc::make_mut(&mut self.0);
+        buffer.resize(x.len(), 0.0);
+        converter.convert_into(x, buffer);
     }
 
     /// The latest conversion.
     pub(crate) fn as_slice(&self) -> &[f64] {
         &self.0
+    }
+
+    /// The latest conversion, for a lane to hold while it reads it.
+    pub(crate) fn shared(&self) -> Arc<Vec<f64>> {
+        Arc::clone(&self.0)
     }
 }
 

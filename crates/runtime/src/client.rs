@@ -36,7 +36,7 @@ use crate::cluster::{AdmissionConfig, ClusterConfig, DEFAULT_NODE_CHIPS};
 use crate::decision::{DecisionStats, FormatDecisionCache};
 use crate::health::{HealthTracker, NodeHealthSignal};
 use crate::job::JobOutcome;
-use crate::node::{Node, NodeCore};
+use crate::node::{lanes_per_worker, Node, NodeCore};
 use crate::plan::SolvePlan;
 use crate::telemetry::{metric_names, AggregateContext, JobTelemetry, RuntimeReport};
 
@@ -381,7 +381,9 @@ impl SolveClient {
     /// Spawns every node's worker pool.  `shared_caches` go to node 0 (a
     /// [`SolveRuntime`](crate::SolveRuntime) keeps its one node's caches alive
     /// across clients); every other node creates its own — affinity routing keeps
-    /// repeat traffic on the node whose caches are already warm.
+    /// repeat traffic on the node whose caches are already warm.  Every worker gets
+    /// the lanes [`lanes_per_worker`] gives the machine's cores and the fleet's
+    /// workers.
     pub(crate) fn start(
         config: ClusterConfig,
         mut shared_caches: Option<(Arc<EncodedMatrixCache>, Arc<FormatDecisionCache>)>,
@@ -421,9 +423,11 @@ impl SolveClient {
             None => Arc::new(WallClock::new()),
         };
         let health = Arc::new(HealthTracker::new());
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        let lanes = lanes_per_worker(cores, config.nodes * node_config.workers);
         let nodes: Vec<Node> = (0..config.nodes)
             .map(|node_id| {
-                let (cache, decisions) = shared_caches.take().unwrap_or_else(|| {
+                let caches = shared_caches.take().unwrap_or_else(|| {
                     (
                         Arc::new(EncodedMatrixCache::new(node_config.cache_capacity)),
                         Arc::new(FormatDecisionCache::new(node_config.cache_capacity)),
@@ -432,8 +436,8 @@ impl SolveClient {
                 Node::spawn(
                     node_id,
                     &node_config,
-                    cache,
-                    decisions,
+                    lanes,
+                    caches,
                     Arc::clone(&metrics),
                     Arc::clone(&health),
                     Arc::clone(&clock),

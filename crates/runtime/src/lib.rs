@@ -72,7 +72,14 @@
 //!   ([`SolveRuntime::client`]), and [`run_batch`](SolveRuntime::run_batch) survives
 //!   as a thin deterministic wrapper over one such client;
 //! * [`Node`] (`node`) — the serving unit everything above runs on: one worker pool
-//!   plus its QoS scheduler, caches, and telemetry log.  Every client wraps ≥ 1;
+//!   plus its QoS scheduler, caches, and telemetry log.  Every client wraps ≥ 1.
+//!   Each worker also owns *lanes*: `max(1, cores / (nodes × workers))` threads,
+//!   itself and persistent helpers, fixed once when the client starts from
+//!   `std::thread::available_parallelism`.  The pipeline attaches them to every clean
+//!   operator it programs (ladder rungs included), so a worker with spare cores splits
+//!   each large SpMV into row bands over them (see `refloat_core::matrix`); a fleet
+//!   with a worker per core runs every SpMV on its worker thread, as before.  Helpers
+//!   park when idle, and the numerics do not depend on the lane count;
 //! * [`ClusterRuntime`] / [`ClusterConfig`] (`cluster`) — the fleet's shape and the
 //!   two policies in front of it, an affinity-aware router and typed admission
 //!   control: repeat fingerprints land on the node already holding their encodings,
@@ -142,17 +149,18 @@
 //! Every job is a pure function of its matrix, right-hand side(s) and configuration:
 //! the encoded operator a worker solves with shares the blocks of the same
 //! `ReFloatMatrix` the serial path would build, so **numeric results are bit-identical to serial
-//! execution regardless of worker count, scheduling policy, or cache state**.  Only
+//! execution regardless of worker count, lane count, scheduling policy, or cache
+//! state**.  Only
 //! wall-clock telemetry varies between runs.  The QoS scheduler reorders *when* jobs
 //! run, never *what* they compute; equal-priority traffic additionally keeps the
 //! submission-id dequeue order of the old FIFO path (see [`sched`]).
 //!
 //! The contract extends across **shard counts**: a sharded solve is bitwise identical
-//! to the unsharded solve for every `c`, because it reads the same encoding: the
-//! input vector is converted once and shared by every shard, every output row is
-//! accumulated by exactly one shard with the unsharded row loop, and the inter-shard
-//! "reduction" is a gather of disjoint bands — no floating-point operation is
-//! reordered.  (The level-1 kernels underneath — `vecops::dot`/`norm2` — use pairwise
+//! to the unsharded solve for every `c`, because the host runs the same encoding's
+//! apply: the input vector is converted once, every output row is accumulated whole
+//! by the one row loop (by whichever lane holds its band), and the chips' bands only
+//! price the model — the inter-shard "reduction" they stand for is a gather of
+//! disjoint bands, which reorders no floating-point operation.  (The level-1 kernels underneath — `vecops::dot`/`norm2` — use pairwise
 //! summation whose split points depend only on vector length, so residual tests and
 //! stopping decisions are also independent of sharding and stable at large `n`.)
 //!

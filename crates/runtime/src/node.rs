@@ -46,6 +46,9 @@ pub(crate) struct NodeCore {
     pub decision_baseline: DecisionStats,
     pub chip_crossbars: Option<u64>,
     pub workers: usize,
+    /// Lanes per worker ([`lanes_per_worker`]): each worker splits its SpMVs over this
+    /// many threads, itself and `lanes − 1` persistent helpers.
+    pub lanes: usize,
     /// Telemetry of every completed job, in completion order (the report source).
     pub completed: Mutex<Vec<JobTelemetry>>,
     /// The live metrics registry: workers stream job completions into it, so it is
@@ -76,15 +79,16 @@ pub struct Node {
 }
 
 impl Node {
-    /// Spawns the node's worker pool.  `metrics`, `health` and `clock` are the
-    /// fleet's (one of each, passed to every node); the caller is responsible for
-    /// the pool-level gauges (`workers`, `nodes`) since only it knows the fleet
-    /// shape.
+    /// Spawns the node's worker pool over its encode and format-decision `caches`,
+    /// each worker with `lanes` lanes.  `metrics`, `health` and `clock` are the
+    /// fleet's (one of each, passed to every node); the caller is responsible for the
+    /// pool-level gauges (`workers`, `nodes`) and the lane count since only it knows
+    /// the fleet shape.
     pub(crate) fn spawn(
         node_id: usize,
         config: &RuntimeConfig,
-        cache: Arc<EncodedMatrixCache>,
-        decisions: Arc<FormatDecisionCache>,
+        lanes: usize,
+        (cache, decisions): (Arc<EncodedMatrixCache>, Arc<FormatDecisionCache>),
         metrics: Arc<MetricsRegistry>,
         health: Arc<HealthTracker>,
         clock: Arc<dyn Clock>,
@@ -108,6 +112,7 @@ impl Node {
             decisions,
             chip_crossbars: config.chip_crossbars,
             workers: config.workers,
+            lanes,
             completed: Mutex::new(Vec::new()),
             metrics,
             node_jobs,
@@ -173,6 +178,13 @@ impl Drop for Node {
     }
 }
 
+/// Lanes per worker for a fleet of `workers` workers on `cores` cores: the cores the
+/// fleet leaves spare, shared evenly, and at least one.  A fleet with a worker per core
+/// or more runs every SpMV on its worker thread alone.
+pub(crate) fn lanes_per_worker(cores: usize, workers: usize) -> usize {
+    (cores / workers.max(1)).max(1)
+}
+
 impl std::fmt::Debug for Node {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Node")
@@ -180,5 +192,30 @@ impl std::fmt::Debug for Node {
             .field("workers", &self.core.workers)
             .field("worker_id_base", &self.core.worker_id_base)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::lanes_per_worker;
+
+    #[test]
+    fn spare_cores_are_shared_evenly_and_every_worker_keeps_one_lane() {
+        // (cores, fleet workers) -> lanes per worker.
+        let cases = [
+            ((2, 1), 2),
+            ((2, 2), 1),
+            ((8, 3), 2),
+            ((16, 4), 4),
+            ((4, 7), 1),
+            ((1, 1), 1),
+        ];
+        for ((cores, workers), lanes) in cases {
+            assert_eq!(
+                lanes_per_worker(cores, workers),
+                lanes,
+                "{cores} cores, {workers} workers"
+            );
+        }
     }
 }

@@ -33,6 +33,7 @@ use refloat_solvers::{
     refine_warm, solve_warm_split, LinearOperator, PrecisionLadder, RefinementStop, SolveResult,
     SolverConfig,
 };
+use refloat_sparse::parallel::Lanes;
 use refloat_sparse::CsrMatrix;
 use refloat_telemetry::SpanKind;
 use reram_sim::FaultyReFloatOperator;
@@ -52,11 +53,12 @@ use crate::telemetry::{
 use crate::trace_job::JobTrace;
 
 /// Stage 1: everything one job's stages borrow — the node's shared state (caches,
-/// clock, fault policy, health ledger), this worker's accelerator, and the job's
-/// trace.
+/// clock, fault policy, health ledger), this worker's accelerator and lanes, and the
+/// job's trace.
 pub(crate) struct JobContext<'a> {
     pub core: &'a NodeCore,
     pub accelerator: &'a mut SimulatedAccelerator,
+    pub lanes: &'a Arc<Lanes>,
     pub trace: JobTrace<'a>,
 }
 
@@ -471,8 +473,10 @@ impl JobContext<'_> {
     /// The worker needs a mutable operator (applying it mutates the conversion
     /// scratch), while the cache entries are shared and immutable — so the operator
     /// is a `ReFloatMatrix::clone` of the cached entry: a reference to the same
-    /// encoding plus an empty scratch, sized on the first apply.  The numerics are
-    /// bit-identical to the serial path: same encoding, same row loop.
+    /// encoding plus an empty scratch, sized on the first apply.  The clean operators
+    /// carry the worker's lanes, so with spare cores each apply splits its rows over
+    /// them.  The numerics are bit-identical to the serial path: same encoding, same
+    /// row loop, each row summed whole by one lane.
     ///
     /// With `fault = (policy, attempt)` the whole-matrix operator is wrapped in a
     /// [`FaultyReFloatOperator`] whose block *i* sits on crossbar
@@ -485,8 +489,8 @@ impl JobContext<'_> {
     ) -> ChipOperator {
         // One band is the whole matrix on one chip.
         let clean = match target.bands.num_shards() {
-            1 => ChipOperator::Whole(target.bands.matrix().clone()),
-            _ => ChipOperator::Sharded(target.bands.clone()),
+            1 => ChipOperator::Whole(target.bands.matrix().clone().with_lanes(self.lanes)),
+            _ => ChipOperator::Sharded(target.bands.clone().with_lanes(self.lanes)),
         };
         match (fault, clean) {
             (Some((policy, attempt)), ChipOperator::Whole(matrix)) => {

@@ -3,6 +3,9 @@
 //! the ticket, and keep the killed-chip and panic-containment promises — a job a
 //! worker dequeued is never lost, whatever happens to the worker.
 
+use std::sync::Arc;
+
+use refloat_sparse::parallel::Lanes;
 use refloat_telemetry::{sync, SpanKind, TraceEvent};
 use reram_sim::DeviceHealth;
 
@@ -36,6 +39,10 @@ pub(crate) fn worker_loop(worker_id: usize, core: &NodeCore) {
         }
     };
     let mut accelerator = build_accelerator();
+    // The worker's helper lanes, attached to every operator it programs.  Without
+    // them (the threads could not be spawned) every SpMV runs on this thread, with
+    // the same bits.
+    let lanes = Arc::new(Lanes::new(core.lanes).unwrap_or_default());
     // Handles on the client's live metrics registry: per-job recording below is
     // atomic increments only, pollable mid-traffic via metrics_snapshot().
     let metric_handles = JobMetricHandles::register(&core.metrics);
@@ -76,6 +83,7 @@ pub(crate) fn worker_loop(worker_id: usize, core: &NodeCore) {
             let context = JobContext {
                 core,
                 accelerator: &mut accelerator,
+                lanes: &lanes,
                 trace: JobTrace::new(core.trace.as_deref(), queued.id, worker_id, trace_seq_base),
             };
             context.execute(queued)

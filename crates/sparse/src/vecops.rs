@@ -2,12 +2,14 @@
 //!
 //! The Krylov solvers in `refloat-solvers` (CG, BiCGSTAB — Code 1 of the paper) spend
 //! their non-SpMV time in level-1 BLAS style operations.  These are deliberately written
-//! over plain slices so they impose no container choice on callers, avoid allocation, and
-//! let the compiler auto-vectorize the loops.
+//! over plain slices so they impose no container choice on callers and avoid
+//! allocation.  The element-wise loops (`axpy`, `xpby`, …) auto-vectorize; the
+//! reductions do not: their order of additions is fixed, because it decides the bits,
+//! and a strict-order `f64` sum compiles to scalar multiplies and adds.
 
 /// Leaf size of the pairwise reductions: small enough that the worst-case error of the
 /// naive base-case loop stays negligible, large enough that the recursion overhead
-/// vanishes and the leaf loop still auto-vectorizes.
+/// vanishes.  The leaf loop is a strict left-to-right sum, so it stays scalar.
 const PAIRWISE_LEAF: usize = 64;
 
 /// Pairwise (cascade) reduction of `Σ xᵢ·yᵢ` over equal-length slices.
@@ -68,11 +70,6 @@ pub fn norm2(x: &[f64]) -> f64 {
     dot(x, x).sqrt()
 }
 
-/// Infinity norm `‖x‖_∞` (0 for an empty slice).
-pub fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0_f64, |m, &v| m.max(v.abs()))
-}
-
 /// `y ← a·x + y` (the classic axpy).
 ///
 /// # Panics
@@ -114,14 +111,6 @@ pub fn sub_into(x: &[f64], y: &[f64], z: &mut [f64]) {
     }
 }
 
-/// Copies `x` into `y`.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn copy(x: &[f64], y: &mut [f64]) {
-    y.copy_from_slice(x);
-}
-
 /// Sets every element of `x` to zero.
 pub fn zero(x: &mut [f64]) {
     for xi in x.iter_mut() {
@@ -161,12 +150,6 @@ mod tests {
     #[test]
     fn norm2_of_three_four_is_five() {
         assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn norm_inf_picks_largest_magnitude() {
-        assert_eq!(norm_inf(&[1.0, -7.5, 3.0]), 7.5);
-        assert_eq!(norm_inf(&[]), 0.0);
     }
 
     #[test]

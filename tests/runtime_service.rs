@@ -117,6 +117,40 @@ fn concurrent_results_are_bit_identical_to_serial_execution() {
 }
 
 #[test]
+fn a_one_worker_runtime_splits_its_applies_and_keeps_the_serial_bits() {
+    // One worker takes every spare core as a lane, so on a machine with two or more
+    // cores this solve's SpMVs run in row bands over helper threads.  The matrix is
+    // above the split minimum for up to four lanes.
+    let a = refloat::matgen::generators::mass_matrix_3d(14, 14, 14, 1e-12, 0.8, 3).to_csr();
+    assert!(a.nnz() >= 4 * refloat::core::matrix::MIN_NNZ_PER_LANE);
+    let format = ReFloatConfig::new(5, 3, 8, 5, 16);
+    let config = SolverConfig::relative(1e-8).with_max_iterations(2_000);
+    let rhs = Arc::new(refloat::matgen::rhs::krylov_like(a.nrows(), 21));
+    let serial = cg(&mut ReFloatMatrix::from_csr(&a, format), &rhs, &config);
+    let handle = MatrixHandle::new("mass-14", a);
+    let plan = SolvePlan::new("lanes", handle, format)
+        .rhs(Arc::clone(&rhs))
+        .solver_config(config)
+        .build()
+        .expect("valid plan");
+    let client = SolveRuntime::start(RuntimeConfig {
+        workers: 1,
+        ..RuntimeConfig::default()
+    });
+    let outcome = client
+        .submit(plan)
+        .unwrap()
+        .wait()
+        .completed()
+        .expect("ran");
+    client.shutdown();
+    assert_eq!(outcome.result.iterations, serial.iterations);
+    assert!(serial.iterations > 10);
+    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&outcome.result.x), bits(&serial.x));
+}
+
+#[test]
 fn two_runs_of_the_same_batch_agree_bitwise() {
     let runtime_a = SolveRuntime::new(RuntimeConfig {
         workers: 4,
