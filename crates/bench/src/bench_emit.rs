@@ -1,12 +1,12 @@
 //! The tracked `BENCH_*.json` perf trajectory: which areas exist, which metrics each
 //! area must report, and the emit helper the bench binaries share.
 //!
-//! Three binaries always emit (so every run from the repo root refreshes the tracked
-//! baseline): `serve_traffic` → `BENCH_runtime.json`, `bench_encode` →
-//! `BENCH_encode.json`, `bench_spmv` → `BENCH_spmv.json`.  The figure binaries
-//! (`fig_scheduling`, `fig_sharding`, `fig_cluster` → `BENCH_cluster.json`) emit
-//! only when `--bench-dir` is passed, since their default runs are acceptance
-//! checks rather than measurements.
+//! Every emitting binary writes its file only into the directory `--bench-dir` names,
+//! never by default, so a plain run leaves the committed baselines alone:
+//! `serve_traffic` → `BENCH_runtime.json`, `bench_encode` → `BENCH_encode.json`,
+//! `bench_spmv` → `BENCH_spmv.json`, and the figure binaries (`fig_scheduling`,
+//! `fig_sharding`, `fig_cluster` → `BENCH_cluster.json`, `fig_faults`,
+//! `fig_transient`) their own areas.
 //!
 //! `bench_check` validates every `BENCH_*.json` in a directory against the
 //! [`required_metrics`] vocabulary below and the schema in
@@ -83,13 +83,6 @@ pub fn bench_dir_from_args(args: &[String]) -> Option<PathBuf> {
     flag_value(args, "--bench-dir").map(PathBuf::from)
 }
 
-/// The trajectory directory for binaries that always emit: `--bench-dir` when given,
-/// otherwise the current directory (so runs from the repo root refresh the tracked
-/// files in place).
-pub fn default_bench_dir(args: &[String]) -> PathBuf {
-    bench_dir_from_args(args).unwrap_or_else(|| PathBuf::from("."))
-}
-
 /// Writes the report into `dir` (created if needed) and prints the path, panicking on
 /// I/O errors — a bench run that cannot record its trajectory should fail loudly.
 pub fn emit(report: &BenchReport, dir: &Path) {
@@ -112,12 +105,11 @@ mod tests {
     }
 
     #[test]
-    fn bench_dir_defaults_to_cwd() {
+    fn the_bench_dir_comes_only_from_the_flag() {
         let args: Vec<String> = vec!["--quick".into()];
         assert_eq!(bench_dir_from_args(&args), None);
-        assert_eq!(default_bench_dir(&args), PathBuf::from("."));
         let args: Vec<String> = vec!["--bench-dir".into(), "/tmp/b".into()];
-        assert_eq!(default_bench_dir(&args), PathBuf::from("/tmp/b"));
+        assert_eq!(bench_dir_from_args(&args), Some(PathBuf::from("/tmp/b")));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `bench_encode` — ReFloat block-encoding throughput (the work a cache miss pays).
 //!
 //! Encodes a 2-D Laplacian into ReFloat blocks repeatedly and reports host-side
-//! rows/s and nnz/s, refreshing the tracked `BENCH_encode.json` trajectory file.
+//! rows/s and nnz/s; with `--bench-dir DIR` it writes them to `DIR/BENCH_encode.json`.
 //! Wall-clock numbers are host-dependent (see the clock contract in
 //! `refloat-telemetry`); the trajectory tracks relative movement on CI's fixed
 //! runner class, not absolute speed.
@@ -12,7 +12,7 @@
 
 use std::time::Instant;
 
-use refloat_bench::bench_emit::{default_bench_dir, emit};
+use refloat_bench::bench_emit::{bench_dir_from_args, emit};
 use refloat_bench::json::has_flag;
 use refloat_core::{ReFloatConfig, ReFloatMatrix};
 use refloat_matgen::generators;
@@ -73,5 +73,7 @@ fn main() {
         .metric("rows_per_s", rows_per_s)
         .metric("nnz_per_s", nnz_per_s)
         .metric("encode_s_total", total_s);
-    emit(&bench, &default_bench_dir(&args));
+    if let Some(dir) = bench_dir_from_args(&args) {
+        emit(&bench, &dir);
+    }
 }

@@ -5,8 +5,8 @@
 //! quantized ReFloat operator (the per-iteration cost of functional simulation).
 //! Alongside the wall-clock rates, the Eq. 2/3 cost model reports the *simulated*
 //! cycles one SpMV costs on chip — bitwise reproducible, so trajectory diffs on
-//! `model_cycles_per_spmv` reflect model changes, never host noise.  Refreshes the
-//! tracked `BENCH_spmv.json` file.
+//! `model_cycles_per_spmv` reflect model changes, never host noise.  With
+//! `--bench-dir DIR` it writes them to `DIR/BENCH_spmv.json`.
 //!
 //! ```text
 //! bench_spmv [--scale N] [--reps N] [--quick] [--bench-dir DIR]
@@ -14,7 +14,7 @@
 
 use std::time::Instant;
 
-use refloat_bench::bench_emit::{default_bench_dir, emit};
+use refloat_bench::bench_emit::{bench_dir_from_args, emit};
 use refloat_bench::json::has_flag;
 use refloat_core::{ReFloatConfig, ReFloatMatrix};
 use refloat_matgen::{generators, rhs};
@@ -107,5 +107,7 @@ fn main() {
         .metric("model_cycles_per_spmv", model_cycles_per_spmv as f64)
         .metric("model_spmv_compute_s", compute_s)
         .metric("model_spmv_stream_s", write_s);
-    emit(&bench, &default_bench_dir(&args));
+    if let Some(dir) = bench_dir_from_args(&args) {
+        emit(&bench, &dir);
+    }
 }

@@ -32,9 +32,8 @@
 //! never`) exit with a one-line usage error and status 2 — never a panic.
 //!
 //! `--trace PATH` attaches a span/event [`TraceSink`] to the runtime and writes the
-//! JSONL export to `PATH` after the drain.  Every run also refreshes the tracked
-//! `BENCH_runtime.json` perf-trajectory file (in `--bench-dir`, default the current
-//! directory).
+//! JSONL export to `PATH` after the drain.  `--bench-dir DIR` also writes the run's
+//! `BENCH_runtime.json` perf-trajectory file into `DIR`; without it nothing is written.
 
 use std::sync::Arc;
 
@@ -47,7 +46,7 @@ use refloat_bench::args::{
     parse_nonneg_f64, parse_positive_f64, parse_positive_usize, parse_u64, raw_value, require_with,
     UsageError,
 };
-use refloat_bench::bench_emit::{default_bench_dir, emit};
+use refloat_bench::bench_emit::{bench_dir_from_args, emit};
 use refloat_bench::json::{flag_value, has_flag, json_path_from_args, write_json};
 use refloat_core::ReFloatConfig;
 use refloat_matgen::generators;
@@ -538,7 +537,9 @@ fn run(args: &[String], options: &Options) {
         .metric("model_cycles", report.simulated_cycles as f64)
         .metric("cancelled_jobs", report.cancelled_jobs as f64)
         .metric("unattributed_jobs", report.unattributed_jobs as f64);
-    emit(&bench, &default_bench_dir(args));
+    if let Some(dir) = bench_dir_from_args(args) {
+        emit(&bench, &dir);
+    }
 
     if let Some(path) = json_path_from_args(args) {
         let records: Vec<TraceRecord> = outcome

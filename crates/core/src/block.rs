@@ -1,14 +1,15 @@
 //! Per-block encoding: exponent-base selection (Eq. 4–5) and block conversion.
 //!
 //! Two consumers encode blocks.  [`crate::matrix::ReFloatMatrix`] keeps only what this
-//! crate adds to the layout `refloat-sparse` owns — one exponent base per block, chosen
-//! by [`optimal_exponent_base`], and one decoded value per non-zero, in row order.
-//! [`ReFloatBlock`] is the single-block **bit-level record**: it owns the per-element
-//! sign, exponent offset and fraction code of Fig. 4(b)/Fig. 5, wide enough for every
-//! format [`ReFloatConfig::new`] accepts, and is encoded on demand by whoever needs the
-//! stored bits (the crossbar engine in `reram-sim`, the format ablation, the property
-//! tests).  Both run every element through the one scalar kernel,
-//! [`crate::scalar::quantize`].
+//! crate adds to the layout `refloat-sparse` owns — one exponent base per block, the
+//! [`optimal_exponent_base`] of its values, and one decoded value per non-zero, in row
+//! order; it takes the bases from integer exponent sums (`rounded_mean`) and
+//! quantizes with the scalar kernel's bit form.  [`ReFloatBlock`] is the single-block
+//! **bit-level record**: it owns the per-element sign, exponent offset and fraction
+//! code of Fig. 4(b)/Fig. 5, wide enough for every format [`ReFloatConfig::new`]
+//! accepts, and is encoded on demand by whoever needs the stored bits (the crossbar
+//! engine in `reram-sim`, the format ablation, the property tests) by running every
+//! element through the one scalar kernel, [`crate::scalar::quantize`].
 
 use crate::format::ReFloatConfig;
 use crate::memory::storage_bits;
@@ -40,12 +41,19 @@ where
 /// mean, rounded half away from zero (the `[·]` nearest integer), or 0 when there is
 /// none.  The sum does not depend on the order of the values, so an encode can gather it
 /// in whatever order it reads them.
+///
+/// The mean is a multiple of `1 / count` below 2^11 in magnitude: either a half-integer,
+/// which the division and the addition of ½ below hold exactly, or at least
+/// `1 / (2 · count)` away from one, far more than their rounding error (< 2^−42) for
+/// any count below 2^40.  So adding ½ away from zero and truncating rounds as
+/// `f64::round` does, without the library call baseline x86-64 (no SSE4.1) makes for
+/// it — once per block, where a block can hold a handful of values.
 pub(crate) fn rounded_mean(sum: i64, count: i64) -> i32 {
     if count == 0 {
-        0
-    } else {
-        (sum as f64 / count as f64).round() as i32
+        return 0;
     }
+    let mean = sum as f64 / count as f64;
+    (mean + 0.5f64.copysign(mean)) as i32
 }
 
 /// The squared-error loss `L(eb)` of Eq. 4 for a candidate base — exposed so tests and
@@ -274,6 +282,19 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn the_rounded_mean_rounds_like_f64_round(
+            count in prop_oneof![1i64..=8, 1i64..=1 << 20, Just(1i64 << 30)],
+            mean in -1100i64..=1100,
+            offset in -64i64..=64,
+            half in proptest::bool::ANY,
+        ) {
+            // Sums at, beside and halfway between multiples of the count.
+            let sum = mean * count + offset + if half { count / 2 } else { 0 };
+            let want = (sum as f64 / count as f64).round() as i32;
+            prop_assert_eq!(rounded_mean(sum, count), want, "sum {} count {}", sum, count);
+        }
+
         #[test]
         fn relative_error_is_bounded_when_exponent_locality_holds(
             exps in proptest::collection::vec(-1i32..=2, 1..64),

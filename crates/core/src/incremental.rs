@@ -16,14 +16,12 @@
 //! Only the layout is carried over, so the result equals a from-scratch encode bit for
 //! bit by construction.  The layout depends only on the sparsity structure: when the
 //! new matrix's row pointers and columns are the previous layout's (every FEM chain's
-//! case), the encode adopts it and never re-blocks, and its row-order pass counts each
-//! block's changed cells as it goes — a zip of the two steps' value runs, since a cell
-//! keeps its row-order index.  Otherwise the new matrix is blocked once and a per-row
+//! case), the encode adopts it and never re-blocks, and a row-order walk counts each
+//! block's changed cells — a zip of the two steps' value runs, since a cell keeps its
+//! row-order index.  Otherwise the new matrix is blocked once and a per-row
 //! merge of the two steps' sorted columns charges each difference to its block.
 
-use crate::block::rounded_mean;
 use crate::matrix::ReFloatMatrix;
-use crate::scalar::decompose;
 use refloat_sparse::blocked::BlockLayout;
 use refloat_sparse::CsrMatrix;
 
@@ -118,23 +116,16 @@ pub fn reencode_incremental(
     debug_assert!(same_structure(layout, previous_source), "{not_the_source}");
 
     let (matrix, changed) = if same_structure(layout, a) {
-        // One row-order pass sums each block's exponents (Eq. 5) and counts its changed
-        // cells: a cell keeps its row-order index, so the two steps' value runs zip.
+        // The encode reads the values over the adopted layout; one row-order walk counts
+        // each block's changed cells: a cell keeps its row-order index, so the two
+        // steps' value runs zip.
         let (new, old) = (a.values(), previous_source.values());
-        let mut blocks = vec![(0i64, 0i64, 0u64); layout.num_blocks()];
+        let mut changed = vec![0u64; layout.num_blocks()];
         layout.walk_row_order(|run, block, _| {
-            let (sum, count, changed) = &mut blocks[block];
-            for (&x, &y) in new[run.clone()].iter().zip(&old[run]) {
-                if let Some(d) = decompose(x) {
-                    *sum += d.exponent as i64;
-                    *count += 1;
-                }
-                *changed += u64::from(x.to_bits() != y.to_bits());
-            }
+            let pairs = new[run.clone()].iter().zip(&old[run]);
+            changed[block] += pairs.filter(|(x, y)| x.to_bits() != y.to_bits()).count() as u64;
         });
-        let eb = blocks.iter().map(|&(sum, n, _)| rounded_mean(sum, n));
-        let matrix = ReFloatMatrix::quantized(layout, config, eb.collect(), |run, _| &new[run]);
-        (matrix, blocks.into_iter().map(|(.., c)| c).collect())
+        (ReFloatMatrix::encoded(layout, config, new), changed)
     } else {
         let matrix = ReFloatMatrix::from_csr(a, config);
         let changed = merged_changes(previous_source, a, matrix.layout(), config.b);

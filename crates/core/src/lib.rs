@@ -23,27 +23,32 @@
 //!
 //! * [`scalar`] — the one scalar quantiser and the definition of the conversion, in
 //!   integer bit arithmetic: the exponent read from the bit pattern, fraction bits
-//!   dropped by a mask, the value assembled with `from_bits`; the block encoders call it
-//!   per element,
+//!   dropped by a mask, the value assembled with `from_bits`; beside it its branch-free
+//!   bit body, the one quantize step of the vector converter and the matrix encoder,
+//!   which keep the per-element quantiser for subnormals and windows past the normal
+//!   exponents,
 //! * [`block`] — per-block base selection (Eq. 5) and [`ReFloatBlock`], the bit-level
 //!   record of *one* block (sign, offset and fraction code per element, wide enough for
 //!   every accepted `e ≤ 11`, `f ≤ 52`), encoded on demand by the crossbar engine, the
 //!   format ablation and the property tests,
 //! * [`vector`] — the vector converter ([`vector::VectorConverter`]): the segment form of
 //!   the scalar quantiser, two passes per segment over the raw bit patterns (an exponent
-//!   sum for `ebv`, then a branch-free quantize kernel specialised per rounding ×
+//!   sum for `ebv`, then the branch-free quantize body specialised per rounding ×
 //!   underflow mode).  A segment holding a subnormal, or whose window leaves the normal
 //!   exponent range, runs the per-element quantiser instead; a property test holds the
 //!   two equal in outputs, bases and statistics,
 //! * [`matrix`] — [`ReFloatMatrix`], the quantized operator that plugs into the solvers.
 //!   The layout (block table, local row and column indices, and the source CSR's row
-//!   order beside them) is `refloat-sparse`'s `BlockLayout`, defined there once and
-//!   *shared* with the `BlockedMatrix` the encoding came from, and so is the walk that
-//!   maps row order to block order.  This crate owns only what the encoder adds — one
-//!   exponent base `eb` per block, in block order, and one decoded value per non-zero,
-//!   stored once, in row order, where the SpMV reads it with the CSR loop.  One
-//!   quantize loop serves every encode, reading a CSR's values straight from row order
-//!   or a `BlockedMatrix`'s from block order.  Block readers take an explicit
+//!   order beside them) is `refloat-sparse`'s `BlockLayout`, defined there once, built
+//!   from a CSR's structure without its values, and *shared* with a `BlockedMatrix` the
+//!   encoding came from, and so is the walk that maps row order to block order.  This
+//!   crate owns only what the encoder adds — one exponent base `eb` per block, in block
+//!   order, and one decoded value per non-zero, stored once, in row order, where the
+//!   SpMV reads it with the CSR loop.  One encoder serves every encode: per block-row
+//!   band of the row order, an exponent-sum pass, the band's bases, and a quantize pass
+//!   through the converter's bit body against each value's block-column base; a
+//!   property test holds it equal to the per-block, per-element reference in every
+//!   mode.  Block readers take an explicit
 //!   block-order copy and walk [`matrix::BlockView`]s over it; no matrix keeps
 //!   bit-level fields.  A matrix applies on the calling thread unless lanes are
 //!   attached ([`ReFloatMatrix::with_lanes`], which the runtime does for a worker with
@@ -53,8 +58,8 @@
 //!   order, so the bits do not depend on the lanes,
 //! * [`incremental`] — [`reencode_incremental`]: a from-scratch encode plus a diff.  A
 //!   sequence step with the predecessor's sparsity structure adopts its layout and
-//!   never re-blocks; its row-order pass also counts each block's changed cells, which
-//!   with the two steps' bases decide what a chip must rewrite,
+//!   never re-blocks; a row-order walk counts each block's changed cells, which with
+//!   the two steps' bases decide what a chip must rewrite,
 //! * [`sharded`] — [`ShardedReFloatMatrix`], one encoding whose rows are split into
 //!   block-row bands (one per chip of a multi-chip accelerator) for the chip model,
 //!   while the host applies the one encoding through the matrix's own apply (on its

@@ -19,10 +19,22 @@
 //! layout it was encoded over (a re-encode of an unchanged structure shares its
 //! predecessor's).  What this crate adds is the two things only the encoder knows: the
 //! exponent base `eb` of every block, in block order, and the decoded value of every
-//! non-zero, stored once, in **row order**.  An encode takes the bases first (Eq. 5 is
-//! an integer exponent sum per block, so any read order serves), then runs one
-//! quantize loop over the row order, reading a CSR's values in place or a blocking's at
-//! their block-order positions.
+//! non-zero, stored once, in **row order**.
+//!
+//! There is one encoder, and it reads values in row order only: [`from_csr`]'s lays
+//! the CSR out without its values ([`BlockLayout::from_csr`]) and reads them in place,
+//! the re-encode reads the next step's over an adopted layout, and [`from_blocked`]
+//! puts a blocking's back into row order first.  It runs one block-row band at a time.
+//! Eq. 5 is an integer exponent sum per block, so any read order serves: a pass over
+//! the band sums every value's exact exponent into its block column, and the band's
+//! blocks take their bases from those sums, in table order.  A second pass quantizes
+//! every value against its block column's base with the vector converter's branch-free
+//! bit body (`scalar::quantize_bits`); a block holding a subnormal, or whose window
+//! leaves the normal exponents, runs the per-element [`scalar::quantize`] instead.
+//!
+//! [`from_csr`]: ReFloatMatrix::from_csr
+//! [`from_blocked`]: ReFloatMatrix::from_blocked
+//! [`scalar::quantize`]: crate::scalar::quantize
 //!
 //! Row order is what the SpMV wants.  Eq. 8–9 sum every block's partial product into
 //! its output rows; with a CSR source (columns sorted within a row) that fixes each
@@ -48,10 +60,12 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use crate::block::optimal_exponent_base;
-use crate::format::ReFloatConfig;
+use crate::block::rounded_mean;
+use crate::format::{ReFloatConfig, RoundingMode, UnderflowMode};
 use crate::memory::storage_bits;
-use crate::scalar::{decompose, quantize};
+use crate::scalar::{
+    quantize_bits, requantize, select, Bounds, Fraction, BIAS, FRACTION_BITS, NON_FINITE,
+};
 use crate::vector::{Scratch, VectorConverter};
 use refloat_solvers::LinearOperator;
 use refloat_sparse::blocked::{Block, BlockLayout};
@@ -148,45 +162,38 @@ pub struct ReFloatMatrix {
 
 impl ReFloatMatrix {
     /// Encodes a blocked matrix into ReFloat format: its layout is shared, not copied,
-    /// each block's base comes from its contiguous values, and the quantize pass reads
-    /// them at their block-order positions.
+    /// and its values are put back into row order for the band encoder (see the
+    /// [module docs](self)).
     pub fn from_blocked(blocked: &BlockedMatrix, config: ReFloatConfig) -> Self {
         let must_match = "ReFloatMatrix: the blocking exponent must match the format's b";
         assert_eq!(blocked.b(), config.b, "{must_match}");
-        let eb = blocked.blocks().map(|b| optimal_exponent_base(b.vals));
-        let vals = blocked.values();
-        Self::quantized(blocked.layout(), config, eb.collect(), |_, at| &vals[at])
-    }
-
-    /// Blocks a CSR matrix with the configuration's `b` and encodes it like
-    /// [`from_blocked`](Self::from_blocked), the quantize pass reading its row order.
-    pub fn from_csr(a: &CsrMatrix, config: ReFloatConfig) -> Self {
-        let blocked = BlockedMatrix::from_csr(a, config.b)
-            .expect("valid block exponent from a validated ReFloatConfig");
-        let eb = blocked.blocks().map(|b| optimal_exponent_base(b.vals));
-        let vals = a.values();
-        Self::quantized(blocked.layout(), config, eb.collect(), |run, _| &vals[run])
-    }
-
-    /// The quantize pass every encode ends with, given the bases `eb`: each value against
-    /// its block's base, into the decoded array in row order, through the row↔block walk;
-    /// `read(run, positions)` gives a run's values, from a CSR's row order or a blocking's.
-    pub(crate) fn quantized<'v>(
-        layout: &Arc<BlockLayout>,
-        config: ReFloatConfig,
-        eb: Vec<i32>,
-        read: impl Fn(Range<usize>, Range<usize>) -> &'v [f64],
-    ) -> Self {
-        let (max_offset, f) = (config.max_offset(), config.f);
-        let (rounding, underflow) = (config.rounding, config.underflow);
-        let mut decoded = vec![0.0; layout.nnz()];
-        layout.walk_row_order(|run, block, positions| {
-            let base = eb[block];
-            for (out, &v) in decoded[run.clone()].iter_mut().zip(read(run, positions)) {
-                let q = decompose(v).map(|d| quantize(d, base, max_offset, f, rounding, underflow));
-                *out = q.map_or(0.0, |q| q.value(base));
-            }
+        let (layout, block_order) = (blocked.layout(), blocked.values());
+        let mut vals = vec![0.0; layout.nnz()];
+        layout.walk_row_order(|run, _, positions| {
+            vals[run].copy_from_slice(&block_order[positions]);
         });
+        Self::encoded(layout, config, &vals)
+    }
+
+    /// Lays a CSR matrix out in blocks of the configuration's `b`, without its values,
+    /// and encodes the values from its row order, one block-row band at a time (see the
+    /// [module docs](self)).
+    pub fn from_csr(a: &CsrMatrix, config: ReFloatConfig) -> Self {
+        let layout = BlockLayout::from_csr(a, config.b)
+            .expect("valid block exponent from a validated ReFloatConfig");
+        Self::encoded(&Arc::new(layout), config, a.values())
+    }
+
+    /// The encode: `vals`, one per non-zero in `layout`'s row order, one block-row band
+    /// at a time (see [`encode_bands`]), the rounding and underflow modes chosen once.
+    pub(crate) fn encoded(layout: &Arc<BlockLayout>, config: ReFloatConfig, vals: &[f64]) -> Self {
+        use {RoundingMode::*, UnderflowMode::*};
+        let (eb, decoded) = match (config.rounding, config.underflow) {
+            (Truncate, Saturate) => encode_bands::<false, false>(layout, &config, vals),
+            (Truncate, FlushToZero) => encode_bands::<false, true>(layout, &config, vals),
+            (RoundNearest, Saturate) => encode_bands::<true, false>(layout, &config, vals),
+            (RoundNearest, FlushToZero) => encode_bands::<true, true>(layout, &config, vals),
+        };
         ReFloatMatrix {
             nrows: layout.nrows(),
             ncols: layout.ncols(),
@@ -373,6 +380,84 @@ impl ReFloatMatrix {
     }
 }
 
+/// Encodes `vals`, one per non-zero in `layout`'s row order, for one rounding
+/// (`NEAREST`) × underflow (`FTZ`) mode, and returns the bases in block order and the
+/// decoded values in row order.  Each block-row band of the row order takes three steps,
+/// the first and the last a pass over the band's values and columns:
+///
+/// 1. **Exponent sums.**  Every value adds its exact biased exponent to its block
+///    column's sum (a subnormal's too, so no block-order copy is needed) and counts.
+/// 2. **Bases.**  The band's blocks, in table order, take the rounded mean of their sums
+///    (Eq. 5, [`rounded_mean`]) — the
+///    [`optimal_exponent_base`](crate::block::optimal_exponent_base) of their values —
+///    and their block column's window.
+/// 3. **Quantize.**  Every value runs [`quantize_bits`] against its block column's
+///    window.  An *edge block* — one holding a subnormal, or whose window leaves the
+///    normal exponents — has no window and runs [`requantize`] per element instead.
+fn encode_bands<const NEAREST: bool, const FTZ: bool>(
+    layout: &BlockLayout,
+    config: &ReFloatConfig,
+    vals: &[f64],
+) -> (Vec<i32>, Vec<f64>) {
+    assert_eq!(vals.len(), layout.nnz(), "ReFloatMatrix: one value per nnz");
+    let (b, nrows) = (layout.b(), layout.nrows());
+    let (row_ptr, col_idx) = (layout.row_ptr(), layout.col_idx());
+    let (max_offset, fraction) = (config.max_offset(), Fraction::new(config.f));
+    let (rounding, underflow) = (config.rounding, config.underflow);
+    let block_cols = layout.ncols().div_ceil(1 << b);
+    // Per block column of the current band: the exponent sum, and the count of values
+    // with an exponent plus 2^32 per subnormal (a block holds at most 2^30 values);
+    // zero between bands.
+    let mut sums = vec![(0u64, 0u64); block_cols];
+    // Per block column of the current band: its block's base and window.
+    let mut bases: Vec<(i32, Option<Bounds>)> = vec![(0, None); block_cols];
+    let mut eb = Vec::with_capacity(layout.num_blocks());
+    let mut decoded = vec![0.0; vals.len()];
+    let mut blocks = layout.extents().peekable();
+    for (brow, row_lo) in (0..nrows).step_by(1 << b).enumerate() {
+        let row_hi = (row_lo + (1 << b)).min(nrows);
+        let band = row_ptr[row_lo] as usize..row_ptr[row_hi] as usize;
+        let (cols, band_vals) = (&col_idx[band.clone()], &vals[band.clone()]);
+        for (&c, &v) in cols.iter().zip(band_vals) {
+            let (biased, counted, subnormal) = biased_exponent(v);
+            let (sum, count) = &mut sums[(c >> b) as usize];
+            *sum = sum.wrapping_add(select(counted, biased as u64));
+            *count += counted as u64 | (subnormal as u64) << 32;
+        }
+        while let Some(((_, bcol), _)) = blocks.next_if(|((r, _), _)| *r == brow) {
+            let (sum, count) = std::mem::take(&mut sums[bcol]);
+            let (counted, subnormals) = (count as u32 as i64, count >> 32);
+            let base = rounded_mean(sum as i64 - BIAS as i64 * counted, counted);
+            let bounds = Bounds::around(base, max_offset).filter(|_| subnormals == 0);
+            bases[bcol] = (base, bounds);
+            eb.push(base);
+        }
+        for ((&c, &v), out) in cols.iter().zip(band_vals).zip(&mut decoded[band]) {
+            *out = match &bases[(c >> b) as usize] {
+                (_, Some(bounds)) => quantize_bits::<NEAREST, FTZ>(v, bounds, &fraction).0,
+                (base, None) => requantize(v, *base, config.e, config.f, rounding, underflow),
+            };
+        }
+    }
+    (eb, decoded)
+}
+
+/// `v`'s exact exponent, biased — `12 − leading_zeros` for a subnormal, whose leading
+/// one sits that many places below the normal range — and whether it has one (it is
+/// finite and not zero) and whether it is subnormal, without a branch.
+#[inline(always)]
+fn biased_exponent(v: f64) -> (i64, bool, bool) {
+    let magnitude = v.to_bits() & (u64::MAX >> 1);
+    let field = magnitude >> FRACTION_BITS;
+    let counted = magnitude.wrapping_sub(1) < (NON_FINITE << FRACTION_BITS) - 1;
+    let subnormal = counted & (field == 0);
+    let shift = select(
+        subnormal,
+        12u64.wrapping_sub(magnitude.leading_zeros() as u64),
+    );
+    (field.wrapping_add(shift) as i64, counted, subnormal)
+}
+
 /// Rows `rows` of `Ã · xq` into `y`, row by row over the decoded values in row order —
 /// the order of additions and so the bits of `CsrMatrix::spmv_into`, which are also
 /// the bits of summing the block products into `y` block by block.  A row's sum does
@@ -450,10 +535,14 @@ impl LinearOperator for ReFloatMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scalar::{decompose, quantize};
+    use crate::vector::tests::{pattern, MODES};
     use crate::vector::ConversionStats;
+    use proptest::prelude::*;
     use refloat_matgen::generators;
     use refloat_solvers::{bicgstab, cg, SolverConfig};
     use refloat_sparse::vecops;
+    use std::collections::BTreeMap;
 
     fn test_config(b: u32) -> ReFloatConfig {
         ReFloatConfig::new(b, 3, 8, 3, 8)
@@ -640,6 +729,130 @@ mod tests {
             assert_eq!((enc.eb, enc.nnz()), (want.eb, want.nnz()));
             let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(enc.decoded), bits(&want.decoded));
+        }
+    }
+
+    /// A CSR matrix holding `cells`, keyed and so sorted by `(row, column)`.
+    fn csr(nrows: usize, ncols: usize, cells: &BTreeMap<(usize, usize), f64>) -> CsrMatrix {
+        let mut row_ptr = vec![0; nrows + 1];
+        for &(r, _) in cells.keys() {
+            row_ptr[r + 1] += 1;
+        }
+        for r in 0..nrows {
+            row_ptr[r + 1] += row_ptr[r];
+        }
+        let col_idx = cells.keys().map(|&(_, c)| c).collect();
+        CsrMatrix::from_raw(
+            nrows,
+            ncols,
+            row_ptr,
+            col_idx,
+            cells.values().copied().collect(),
+        )
+        .unwrap()
+    }
+
+    /// Asserts that `a`'s encode equals the per-element reference in all four modes at
+    /// `(b, e, f)`: the blocking's layout, and per block [`optimal_exponent_base`] over
+    /// its block-order values and every value through [`quantize`] and `value`.
+    fn assert_encodes_like_the_reference(a: &CsrMatrix, (b, e, f): (u32, u32, u32)) {
+        use crate::block::optimal_exponent_base;
+        let blocked = BlockedMatrix::from_csr(a, b).unwrap();
+        for (rounding, underflow) in MODES {
+            let config = ReFloatConfig::new(b, e, f, 3, 8)
+                .with_rounding(rounding)
+                .with_underflow(underflow);
+            let (mut bases, mut bits) = (Vec::new(), Vec::new());
+            for block in blocked.blocks() {
+                let eb = optimal_exponent_base(block.vals);
+                bases.push(eb);
+                bits.extend(block.vals.iter().map(|&v| {
+                    let q = decompose(v).map(|d| {
+                        quantize(d, eb, config.max_offset(), f, rounding, underflow).value(eb)
+                    });
+                    q.unwrap_or(0.0).to_bits()
+                }));
+            }
+            let context = format!(
+                "{}x{}, {config} {rounding:?} {underflow:?}",
+                a.nrows(),
+                a.ncols()
+            );
+            for m in [
+                ReFloatMatrix::from_csr(a, config),
+                ReFloatMatrix::from_blocked(&blocked, config),
+            ] {
+                assert_eq!(**m.layout(), **blocked.layout(), "{context}");
+                assert_eq!(m.bases(), bases, "{context}");
+                let got: Vec<u64> = m
+                    .decoded_in_block_order()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                assert_eq!(got, bits, "{context}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_band_encoder_handles_every_shape() {
+        let value = |r: usize, c: usize| (r as f64 + 1.5) * 0.75f64.powi(c as i32 % 9) - 2.0;
+        let cells = |nrows: usize, ncols: usize, keep: &dyn Fn(usize, usize) -> bool| {
+            let grid = (0..nrows).flat_map(|r| (0..ncols).map(move |c| (r, c)));
+            let kept = grid.filter(|&(r, c)| keep(r, c));
+            kept.map(|(r, c)| ((r, c), value(r, c)))
+                .collect::<BTreeMap<_, _>>()
+        };
+        // 0×0; rows 3..9 empty; 5 × 37 non-square; 21 rows, a ragged last band at every
+        // b here; row 2 spanning every block column of 70.
+        let shapes = [
+            csr(0, 0, &BTreeMap::new()),
+            csr(
+                12,
+                12,
+                &cells(12, 12, &|r, c| !(3..9).contains(&r) && (r + c) % 3 == 0),
+            ),
+            csr(5, 37, &cells(5, 37, &|r, c| (r * 7 + c) % 4 == 0)),
+            csr(21, 21, &cells(21, 21, &|r, c| r.abs_diff(c) <= 2)),
+            csr(9, 70, &cells(9, 70, &|r, c| r == 2 || (r + c) % 11 == 0)),
+        ];
+        for a in &shapes {
+            for format in [(1, 3, 8), (2, 2, 4), (3, 11, 52), (5, 0, 0), (7, 3, 3)] {
+                assert_encodes_like_the_reference(a, format);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn the_band_encoder_equals_the_per_element_reference(
+            (nrows, ncols) in (0usize..=40, 0usize..=70),
+            cells in proptest::collection::vec(
+                (0usize..40, 0usize..70, (0u64..=u64::MAX, 0usize..12, 0u32..64, -6i64..=6)),
+                0..160,
+            ),
+            span in proptest::bool::ANY,
+            (centre, plain) in (1i64..=2046, proptest::bool::ANY),
+            b in 1u32..=7,
+            e in 0u32..=11,
+            f in 0u32..=52,
+        ) {
+            let draw = |d| f64::from_bits(pattern(d, centre, plain));
+            let mut kept = BTreeMap::new();
+            if nrows > 0 && ncols > 0 {
+                for &(r, c, d) in &cells {
+                    kept.insert((r % nrows, c % ncols), draw(d));
+                }
+                // One row with an entry in every block column.
+                if let (true, Some(&(.., d))) = (span, cells.first()) {
+                    for c in (0..ncols).step_by(1 << b) {
+                        kept.insert((nrows / 2, c), draw(d));
+                    }
+                }
+            }
+            assert_encodes_like_the_reference(&csr(nrows, ncols, &kept), (b, e, f));
         }
     }
 

@@ -4,8 +4,10 @@
 //! conversion keeps the sign, re-expresses the exponent as an offset from a per-block
 //! base `eb`, and keeps only the leading `f` fraction bits (Fig. 5b).  This module
 //! implements that per-scalar arithmetic, and [`quantize`] is its definition; block-level
-//! base selection lives in [`crate::block`], and the vector converter's segment form of
-//! [`quantize`] in [`crate::vector`].
+//! base selection lives in [`crate::block`].  Beside the definition sits its
+//! branch-free bit form, the one quantize step of the vector converter
+//! ([`crate::vector`]) and of the matrix encoder ([`crate::matrix`]), which their oracle
+//! property tests hold equal to [`quantize`] applied element by element.
 //!
 //! The hardware converter is shift-and-mask logic, and so is this model: the exponent is
 //! read from the bit pattern, dropping fraction bits is a mask (rounding: an add, then
@@ -164,9 +166,10 @@ impl Quantized {
 
 /// The scalar kernel of the ReFloat conversion (Eq. 4–7), and its definition:
 /// re-expresses `d`'s exponent as a saturating offset from `eb` within `±max_offset`
-/// and keeps `f_bits` of fraction.  The block encoders run it on every element; the
-/// vector converter runs its segment form ([`crate::vector`]), which that module's
-/// oracle property test holds equal to this function applied element by element.
+/// and keeps `f_bits` of fraction.  [`crate::block::ReFloatBlock`] runs it on every
+/// element; the vector converter and the matrix encoder run `quantize_bits`, its bit
+/// form, which their oracle property tests hold equal to this function applied element
+/// by element, and keep this function for the values that form cannot assemble.
 ///
 /// Every case is selected arithmetically, so a loop over it runs without branches on
 /// the data's sign or position in the window.
@@ -219,6 +222,106 @@ pub fn quantize(
 #[inline]
 pub(crate) fn select(keep: bool, value: u64) -> u64 {
     value & (keep as u64).wrapping_neg()
+}
+
+/// The window `[lo, hi]` of biased exponents that a base `eb` allows, `eb ± max_offset`,
+/// for [`quantize_bits`]: as exponent fields, and as the smallest magnitudes with
+/// biased exponents `lo`, `hi` and `hi + 1` (+Inf past 2046).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Bounds {
+    lo: u64,
+    hi: u64,
+    floor: f64,
+    top: f64,
+    ceiling: f64,
+}
+
+impl Bounds {
+    /// The window around `eb`, or `None` when it leaves the normal exponents `[1, 2046]`,
+    /// where a decoded value needs [`Quantized::value`]'s floating-point path.
+    #[inline]
+    pub(crate) fn around(eb: i32, max_offset: i32) -> Option<Self> {
+        let (lo, hi) = (eb - max_offset + BIAS, eb + max_offset + BIAS);
+        if lo < 1 || hi >= NON_FINITE as i32 {
+            return None;
+        }
+        let (lo, hi) = (lo as u64, hi as u64);
+        let power = |biased: u64| f64::from_bits(biased << FRACTION_BITS);
+        Some(Bounds {
+            lo,
+            hi,
+            floor: power(lo),
+            top: power(hi),
+            ceiling: power(hi + 1),
+        })
+    }
+}
+
+/// What keeping `f` fraction bits drops, rounds by and clamps to, for [`quantize_bits`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fraction {
+    dropped: u64,
+    half: u64,
+    largest: u64,
+}
+
+impl Fraction {
+    /// The masks of an `f_bits`-bit fraction.
+    pub(crate) fn new(f_bits: u32) -> Self {
+        let dropped = (1u64 << (FRACTION_BITS - f_bits)) - 1;
+        Fraction {
+            dropped,
+            half: (dropped + 1) >> 1,
+            largest: FRACTION_MASK & !(FRACTION_MASK >> f_bits),
+        }
+    }
+}
+
+/// The branch-free bit form of [`quantize`] followed by [`Quantized::value`], with the
+/// rounding (`NEAREST`) and underflow (`FTZ`) modes as compile-time parameters: `x`
+/// against the window `bounds` of its base, keeping `fraction`'s bits.  Returns the
+/// decoded value and whether it saturated and whether it was flushed.  The vector
+/// converter runs it over a segment, the matrix encoder over a band with a per-block
+/// window; both keep it off values whose decoding the bits cannot assemble — a
+/// subnormal, or a window [`Bounds::around`] refuses — and run [`quantize`] there.
+///
+/// Every case is a `bool` combined with `&`, `|` and [`select`], never a branch, so a
+/// loop over it runs at one speed whatever share of its values saturates.  The tests on
+/// the exponent field are made on the magnitude: for `|x|` as a double, `e < lo` is
+/// `|x| < 2^(lo − BIAS)`, and baseline x86-64 (SSE2) compares doubles two at a time but
+/// has no 64-bit integer compare.
+#[inline(always)]
+pub(crate) fn quantize_bits<const NEAREST: bool, const FTZ: bool>(
+    x: f64,
+    bounds: &Bounds,
+    fraction: &Fraction,
+) -> (f64, bool, bool) {
+    let (bits, a) = (x.to_bits(), x.abs());
+    let e = (bits >> FRACTION_BITS) & NON_FINITE;
+    // Zeros, NaN and ±Inf have no exponent: they convert to +0.0, uncounted.
+    let live = (f64::MIN_POSITIVE..=f64::MAX).contains(&a);
+    let (below, above) = (a < bounds.floor, a >= bounds.ceiling);
+    let pinned = below | above;
+    let c = select(!pinned, e) | select(below, bounds.lo) | select(above, bounds.hi);
+    let flush = FTZ & below;
+    let (exponent, field) = if NEAREST {
+        // A carry out of the field goes into the exponent when it has room above it; a
+        // pinned exponent cannot absorb it, and the fraction clamps to the largest one
+        // (see `quantize`).  Unpinned, `c < hi` is `e < hi`.
+        let rounded = ((bits & FRACTION_MASK) + fraction.half) & !fraction.dropped;
+        let carried = rounded > FRACTION_MASK;
+        let absorbed = carried & !pinned & (a < bounds.top);
+        let field = rounded & FRACTION_MASK | select(carried & !absorbed, fraction.largest);
+        (c + absorbed as u64, field)
+    } else {
+        (c, bits & FRACTION_MASK & !fraction.dropped)
+    };
+    let keep = live & !flush;
+    let decoded = f64::from_bits(select(
+        keep,
+        bits & 1 << 63 | exponent << FRACTION_BITS | field,
+    ));
+    (decoded, pinned & keep, flush & live)
 }
 
 /// Re-encodes a single value against an exponent base `eb` with `e_bits` of saturating

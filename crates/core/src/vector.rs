@@ -17,7 +17,8 @@
 //! 2. **Quantize.**  Clamp each biased exponent into the window `ebv ± max_offset`, keep
 //!    (or round) the leading `fv` bits of the fraction field with a mask, and put the
 //!    sign back, with no branch on the data.  The rounding and underflow modes are
-//!    compile-time parameters of one generic body, chosen once per call.
+//!    compile-time parameters of one generic body, chosen once per call: `scalar`'s
+//!    `quantize_bits`, which the matrix encoder runs too.
 //!
 //! An *edge segment* — one holding a subnormal, or whose window leaves the normal
 //! exponent range, where decoding needs the floating-point path — runs the
@@ -31,7 +32,7 @@ use std::sync::Arc;
 use crate::block::{optimal_exponent_base, rounded_mean};
 use crate::format::{ReFloatConfig, RoundingMode, UnderflowMode};
 use crate::scalar::{
-    decompose, quantize, select, Window, BIAS, FRACTION_BITS, FRACTION_MASK, NON_FINITE,
+    decompose, quantize, quantize_bits, Bounds, Fraction, Window, BIAS, FRACTION_BITS, NON_FINITE,
 };
 
 /// Statistics of one vector conversion, useful for instrumentation and tests.
@@ -119,25 +120,21 @@ impl VectorConverter {
         out: &mut [f64],
     ) -> ConversionStats {
         let (seg, max_offset) = (self.config.block_size(), self.config.max_offset_vector());
+        let fraction = Fraction::new(self.config.fv);
         let mut stats = ConversionStats::default();
         for (segment, out) in x.chunks(seg).zip(out.chunks_mut(seg)) {
             let (sum, count, subnormals) = exponent_sum(segment);
             let ebv = rounded_mean(sum - BIAS as i64 * count, count);
-            let (lo, hi) = (ebv - max_offset + BIAS, ebv + max_offset + BIAS);
-            if subnormals != 0 || lo < 1 || hi >= NON_FINITE as i32 {
+            let bounds = Bounds::around(ebv, max_offset).filter(|_| subnormals == 0);
+            let Some(bounds) = bounds else {
                 let ebv = optimal_exponent_base(segment);
                 self.last_bases.push(ebv);
                 quantize_by_element(segment, out, ebv, &self.config, &mut stats);
                 continue;
-            }
+            };
             self.last_bases.push(ebv);
-            let (saturated, flushed) = quantize_segment::<NEAREST, FTZ>(
-                segment,
-                out,
-                lo as u64,
-                hi as u64,
-                self.config.fv,
-            );
+            let (saturated, flushed) =
+                quantize_segment::<NEAREST, FTZ>(segment, out, &bounds, &fraction);
             stats.nonzero += count as usize;
             stats.saturated += saturated;
             stats.flushed += flushed;
@@ -180,58 +177,22 @@ fn exponent_sum(segment: &[f64]) -> (i64, i64, u64) {
     )
 }
 
-/// The segment form of [`quantize`] followed by [`Quantized::value`](crate::scalar::Quantized::value),
-/// for a segment with no subnormal whose window `[lo, hi]` of biased exponents lies in
-/// the normal range, so every output is assembled from its fields.  Returns the numbers
-/// of saturated and flushed elements.
-///
-/// Every case is a `bool` combined with `&`, `|` and [`select`], never a branch, so the
-/// loop runs at one speed whatever share of the segment saturates.  The tests on the
-/// exponent field are made on the magnitude, for the reason [`exponent_sum`] gives: for
-/// `|x|` as a double, `e < lo` is `|x| < 2^(lo − BIAS)`.
+/// [`quantize_bits`] over a segment with no subnormal whose window `bounds` lies in the
+/// normal range, so every output is assembled from its fields.  Returns the numbers of
+/// saturated and flushed elements.
 #[inline(always)]
 fn quantize_segment<const NEAREST: bool, const FTZ: bool>(
     segment: &[f64],
     out: &mut [f64],
-    lo: u64,
-    hi: u64,
-    fv: u32,
+    bounds: &Bounds,
+    fraction: &Fraction,
 ) -> (usize, usize) {
-    let dropped = (1u64 << (FRACTION_BITS - fv)) - 1;
-    let half = (dropped + 1) >> 1;
-    let largest = FRACTION_MASK & !(FRACTION_MASK >> fv);
-    // The smallest magnitudes with biased exponents lo, hi and hi + 1 (+Inf past 2046).
-    let power = |biased: u64| f64::from_bits(biased << FRACTION_BITS);
-    let (floor, top, ceiling) = (power(lo), power(hi), power(hi + 1));
     let (mut saturated, mut flushed) = (0, 0);
     for (x, o) in segment.iter().zip(out) {
-        let (bits, a) = (x.to_bits(), x.abs());
-        let e = (bits >> FRACTION_BITS) & NON_FINITE;
-        // Zeros, NaN and ±Inf have no exponent: they convert to +0.0, uncounted.
-        let live = (f64::MIN_POSITIVE..=f64::MAX).contains(&a);
-        let (below, above) = (a < floor, a >= ceiling);
-        let pinned = below | above;
-        let c = select(!pinned, e) | select(below, lo) | select(above, hi);
-        let flush = FTZ & below;
-        let (exponent, field) = if NEAREST {
-            // A carry out of the field goes into the exponent when it has room above
-            // it; a pinned exponent cannot absorb it, and the fraction clamps to the
-            // largest one (see `quantize`).  Unpinned, `c < hi` is `e < hi`.
-            let rounded = ((bits & FRACTION_MASK) + half) & !dropped;
-            let carried = rounded > FRACTION_MASK;
-            let absorbed = carried & !pinned & (a < top);
-            let field = rounded & FRACTION_MASK | select(carried & !absorbed, largest);
-            (c + absorbed as u64, field)
-        } else {
-            (c, bits & FRACTION_MASK & !dropped)
-        };
-        let keep = live & !flush;
-        *o = f64::from_bits(select(
-            keep,
-            bits & 1 << 63 | exponent << FRACTION_BITS | field,
-        ));
-        saturated += (pinned & keep) as usize;
-        flushed += (flush & live) as usize;
+        let (decoded, pinned, flush) = quantize_bits::<NEAREST, FTZ>(*x, bounds, fraction);
+        *o = decoded;
+        saturated += pinned as usize;
+        flushed += flush as usize;
     }
     (saturated, flushed)
 }
@@ -305,13 +266,14 @@ impl Scratch {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::scalar::pow2;
+    use crate::scalar::{pow2, select, FRACTION_MASK};
     use proptest::prelude::*;
     use refloat_sparse::vecops;
 
-    const MODES: [(RoundingMode, UnderflowMode); 4] = [
+    /// The four rounding × underflow modes.
+    pub(crate) const MODES: [(RoundingMode, UnderflowMode); 4] = [
         (RoundingMode::Truncate, UnderflowMode::Saturate),
         (RoundingMode::Truncate, UnderflowMode::FlushToZero),
         (RoundingMode::RoundNearest, UnderflowMode::Saturate),
@@ -499,8 +461,9 @@ mod tests {
     /// their windows; kind 3 sets the leading `param` fraction bits, so that
     /// round-to-nearest carries.  A `plain` vector draws no subnormal and no extreme
     /// binade — kind 1 is a signed zero, kind 2 NaN or ±Inf, kind 0 clustered — so that
-    /// its long segments are not edge segments.
-    fn pattern(
+    /// its long segments are not edge segments.  The matrix encoder's oracle draws its
+    /// values the same way.
+    pub(crate) fn pattern(
         (bits, kind, param, delta): (u64, usize, u32, i64),
         centre: i64,
         plain: bool,

@@ -1,19 +1,18 @@
-//! Structured-mesh finite-element assembly: 2D/3D Poisson and 2D linear
-//! elasticity with Q1 (bi/trilinear) elements.
+//! Structured-mesh finite-element assembly: 2D Poisson with Q1 (bilinear)
+//! elements.
 //!
-//! Each operator is assembled the classical way — a per-element stiffness
+//! The operator is assembled the classical way — a per-element stiffness
 //! matrix from a tensorized 2-point Gauss quadrature over the reference
 //! element, scattered into the global matrix — with a *seeded lognormal
-//! coefficient field* (conductivity for Poisson, Young's modulus for
-//! elasticity) so the exponent spread inside ReFloat blocks is realistic
-//! rather than uniform.  Dirichlet boundaries are imposed by symmetric
-//! elimination (boundary nodes are simply not unknowns), which keeps every
-//! assembled operator symmetric positive definite.
+//! conductivity field* so the exponent spread inside ReFloat blocks is
+//! realistic rather than uniform.  Dirichlet boundaries are imposed by
+//! symmetric elimination (boundary nodes are simply not unknowns), which keeps
+//! the assembled operator symmetric positive definite.
 //!
-//! These are the base operators of the transient chains in
-//! [`crate::transient`]: a time-stepping run perturbs one of these matrices a
-//! little per step, which is exactly the traffic shape incremental
-//! re-encoding and warm-started sequences in the runtime exploit.
+//! It is the base operator of the transient chains in [`crate::transient`]: a
+//! time-stepping run perturbs the matrix a little per step, which is exactly
+//! the traffic shape incremental re-encoding and warm-started sequences in the
+//! runtime exploit.
 
 use rand::Rng;
 use rand::SeedableRng;
@@ -63,89 +62,6 @@ fn quad_laplace_element(hx: f64, hy: f64) -> [[f64; 4]; 4] {
         }
     }
     k
-}
-
-/// The 8×8 Q1 hex Laplace element stiffness on an `hx × hy × hz` element, by
-/// 2×2×2 Gauss quadrature.
-fn hex_laplace_element(hx: f64, hy: f64, hz: f64) -> [[f64; 8]; 8] {
-    // Local node order follows the (di, dj, dk) offsets of `poisson_3d`.
-    let xi_n = [-1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0];
-    let eta_n = [-1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0];
-    let zeta_n = [-1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0, 1.0];
-    let det_j = hx * hy * hz / 8.0;
-    let mut k = [[0.0; 8]; 8];
-    for &xi in &GAUSS_1D {
-        for &eta in &GAUSS_1D {
-            for &zeta in &GAUSS_1D {
-                let mut g = [[0.0; 3]; 8];
-                for a in 0..8 {
-                    let dn_dxi =
-                        0.125 * xi_n[a] * (1.0 + eta_n[a] * eta) * (1.0 + zeta_n[a] * zeta);
-                    let dn_deta =
-                        0.125 * eta_n[a] * (1.0 + xi_n[a] * xi) * (1.0 + zeta_n[a] * zeta);
-                    let dn_dzeta =
-                        0.125 * zeta_n[a] * (1.0 + xi_n[a] * xi) * (1.0 + eta_n[a] * eta);
-                    g[a] = [dn_dxi * 2.0 / hx, dn_deta * 2.0 / hy, dn_dzeta * 2.0 / hz];
-                }
-                for a in 0..8 {
-                    for b in 0..8 {
-                        k[a][b] +=
-                            det_j * (g[a][0] * g[b][0] + g[a][1] * g[b][1] + g[a][2] * g[b][2]);
-                    }
-                }
-            }
-        }
-    }
-    k
-}
-
-/// The 8×8 plane-strain Q1 quad elasticity element stiffness `∫ Bᵀ D B` for a
-/// unit Young's modulus and Poisson ratio `nu`, by 2×2 Gauss quadrature; DOFs
-/// are interleaved `(uₓ, u_y)` per local node.  The `Bᵀ D B` triple product is
-/// not commutation-symmetric in floating point, so the element matrix is
-/// symmetrized explicitly (`(K + Kᵀ)/2`).
-fn quad_elasticity_element(hx: f64, hy: f64, nu: f64) -> [[f64; 8]; 8] {
-    let xi_n = [-1.0, 1.0, 1.0, -1.0];
-    let eta_n = [-1.0, -1.0, 1.0, 1.0];
-    let c = 1.0 / ((1.0 + nu) * (1.0 - 2.0 * nu));
-    let d = [
-        [c * (1.0 - nu), c * nu, 0.0],
-        [c * nu, c * (1.0 - nu), 0.0],
-        [0.0, 0.0, c * (1.0 - 2.0 * nu) / 2.0],
-    ];
-    let det_j = hx * hy / 4.0;
-    let mut k = [[0.0; 8]; 8];
-    for &xi in &GAUSS_1D {
-        for &eta in &GAUSS_1D {
-            let mut b = [[0.0; 8]; 3];
-            for a in 0..4 {
-                let dn_dx = 0.25 * xi_n[a] * (1.0 + eta_n[a] * eta) * 2.0 / hx;
-                let dn_dy = 0.25 * eta_n[a] * (1.0 + xi_n[a] * xi) * 2.0 / hy;
-                b[0][2 * a] = dn_dx;
-                b[1][2 * a + 1] = dn_dy;
-                b[2][2 * a] = dn_dy;
-                b[2][2 * a + 1] = dn_dx;
-            }
-            for i in 0..8 {
-                for j in 0..8 {
-                    let mut acc = 0.0;
-                    for row in 0..3 {
-                        for col in 0..3 {
-                            acc += b[row][i] * d[row][col] * b[col][j];
-                        }
-                    }
-                    k[i][j] += det_j * acc;
-                }
-            }
-        }
-    }
-    let mut sym = [[0.0; 8]; 8];
-    for i in 0..8 {
-        for j in 0..8 {
-            sym[i][j] = 0.5 * (k[i][j] + k[j][i]);
-        }
-    }
-    sym
 }
 
 /// Compresses an upper-triangle (`r ≤ c`) assembly and mirrors it across the
@@ -205,106 +121,6 @@ pub fn poisson_2d(nx: usize, ny: usize, sigma_log2: f64, seed: u64) -> CooMatrix
     mirror_upper(a)
 }
 
-/// Assembles the 3D Poisson operator on an `nx × ny × nz` Q1 hex mesh over
-/// the unit cube: the 3D analogue of [`poisson_2d`], with the same seeded
-/// lognormal conductivity field and eliminated Dirichlet boundaries
-/// (`(nx−1)(ny−1)(nz−1)` unknowns).
-///
-/// # Panics
-/// Panics when any axis has fewer than 2 elements.
-pub fn poisson_3d(nx: usize, ny: usize, nz: usize, sigma_log2: f64, seed: u64) -> CooMatrix {
-    assert!(
-        nx >= 2 && ny >= 2 && nz >= 2,
-        "need at least 2 elements per axis"
-    );
-    let ke = hex_laplace_element(1.0 / nx as f64, 1.0 / ny as f64, 1.0 / nz as f64);
-    let kappa = coefficient_field(nx * ny * nz, sigma_log2, seed);
-    let n = (nx - 1) * (ny - 1) * (nz - 1);
-    let mut a = CooMatrix::with_capacity(n, n, 64 * nx * ny * nz);
-    let node = |i: usize, j: usize, k: usize| -> Option<usize> {
-        (i >= 1 && i < nx && j >= 1 && j < ny && k >= 1 && k < nz)
-            .then(|| ((i - 1) * (ny - 1) + (j - 1)) * (nz - 1) + (k - 1))
-    };
-    // (di, dj, dk) offsets in the local node order of `hex_laplace_element`.
-    const OFFSETS: [(usize, usize, usize); 8] = [
-        (0, 0, 0),
-        (1, 0, 0),
-        (1, 1, 0),
-        (0, 1, 0),
-        (0, 0, 1),
-        (1, 0, 1),
-        (1, 1, 1),
-        (0, 1, 1),
-    ];
-    for ei in 0..nx {
-        for ej in 0..ny {
-            for ek in 0..nz {
-                let coeff = kappa[(ei * ny + ej) * nz + ek];
-                let nodes = OFFSETS.map(|(di, dj, dk)| node(ei + di, ej + dj, ek + dk));
-                for (la, row) in nodes.iter().enumerate() {
-                    let Some(r) = *row else { continue };
-                    for (lb, col) in nodes.iter().enumerate() {
-                        let Some(c) = *col else { continue };
-                        if r <= c {
-                            a.push(r, c, coeff * ke[la][lb]);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    mirror_upper(a)
-}
-
-/// Assembles the 2D plane-strain linear-elasticity operator on an `nx × ny`
-/// Q1 quad mesh with Poisson ratio `nu`, a seeded lognormal per-element
-/// Young's modulus `E_e = 2^(σ·u)`, and fully clamped (eliminated Dirichlet)
-/// boundaries.  Two interleaved `(uₓ, u_y)` DOFs per interior node:
-/// `2(nx−1)(ny−1)` unknowns.  SPD (but *not* diagonally dominant — the shear
-/// coupling is strong), which makes it the harder conditioning regime of the
-/// two assemblies.
-///
-/// # Panics
-/// Panics when either axis has fewer than 2 elements or `nu` is outside
-/// `(0, 0.5)` (plane strain needs `1 − 2ν > 0`).
-pub fn elasticity_2d(nx: usize, ny: usize, nu: f64, sigma_log2: f64, seed: u64) -> CooMatrix {
-    assert!(nx >= 2 && ny >= 2, "need at least 2 elements per axis");
-    assert!(nu > 0.0 && nu < 0.5, "plane strain needs 0 < nu < 0.5");
-    let ke = quad_elasticity_element(1.0 / nx as f64, 1.0 / ny as f64, nu);
-    let young = coefficient_field(nx * ny, sigma_log2, seed);
-    let n = 2 * (nx - 1) * (ny - 1);
-    let mut a = CooMatrix::with_capacity(n, n, 64 * nx * ny);
-    let node = |i: usize, j: usize| -> Option<usize> {
-        (i >= 1 && i < nx && j >= 1 && j < ny).then(|| (i - 1) * (ny - 1) + (j - 1))
-    };
-    for ei in 0..nx {
-        for ej in 0..ny {
-            let coeff = young[ei * ny + ej];
-            let nodes = [
-                node(ei, ej),
-                node(ei + 1, ej),
-                node(ei + 1, ej + 1),
-                node(ei, ej + 1),
-            ];
-            for (la, row) in nodes.iter().enumerate() {
-                let Some(rn) = *row else { continue };
-                for (lb, col) in nodes.iter().enumerate() {
-                    let Some(cn) = *col else { continue };
-                    for dr in 0..2 {
-                        for dc in 0..2 {
-                            let (r, c) = (2 * rn + dr, 2 * cn + dc);
-                            if r <= c {
-                                a.push(r, c, coeff * ke[2 * la + dr][2 * lb + dc]);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    mirror_upper(a)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,18 +139,6 @@ mod tests {
                 }
             }
             diag > 0.0 && diag >= off - 1e-12 * diag.abs()
-        })
-    }
-
-    fn is_positive_definite_by_sampling(a: &CsrMatrix, seed: u64) -> bool {
-        use rand::Rng;
-        use rand::SeedableRng;
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        (0..5).all(|_| {
-            let x: Vec<f64> = (0..a.nrows()).map(|_| rng.gen::<f64>() - 0.5).collect();
-            let ax = a.spmv(&x);
-            let quad: f64 = x.iter().zip(ax.iter()).map(|(xi, yi)| xi * yi).sum();
-            quad > 0.0
         })
     }
 
@@ -363,25 +167,6 @@ mod tests {
                 assert!(y[r].abs() < 1e-12, "row {r} sums to {}", y[r]);
             }
         }
-    }
-
-    #[test]
-    fn poisson_3d_is_symmetric_spd() {
-        // Anisotropic trilinear hexes are not diagonally dominant (face
-        // couplings change sign), so certify positive definiteness by
-        // sampling instead of Gershgorin.
-        let a = poisson_3d(5, 4, 6, 0.2, 11).to_csr();
-        assert_eq!(a.nrows(), 4 * 3 * 5);
-        assert!(a.is_symmetric(0.0));
-        assert!(is_positive_definite_by_sampling(&a, 17));
-    }
-
-    #[test]
-    fn elasticity_2d_is_symmetric_and_positive_definite() {
-        let a = elasticity_2d(8, 8, 0.3, 0.25, 3).to_csr();
-        assert_eq!(a.nrows(), 2 * 7 * 7);
-        assert!(a.is_symmetric(0.0));
-        assert!(is_positive_definite_by_sampling(&a, 42));
     }
 
     #[test]

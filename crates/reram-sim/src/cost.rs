@@ -37,57 +37,6 @@ pub fn crossbars_per_cluster(e: u32, f: u32) -> u32 {
     (1u32 << e) + f + 1
 }
 
-/// The sweep ranges plotted in Fig. 3(a)–(c): cycle count as a function of the vector
-/// and matrix exponent bits (a), of the fraction bits (b), and crossbar count as a
-/// function of matrix exponent/fraction bits (c).  Returned as `(x, y, value)` triples
-/// for the bench harness to print.
-pub fn fig3_cycle_surface_exponents(
-    fixed_f_m: u32,
-    fixed_f_v: u32,
-    max_e: u32,
-) -> Vec<(u32, u32, u64)> {
-    let mut out = Vec::new();
-    for e_v in 0..=max_e {
-        for e_m in 0..=max_e {
-            out.push((e_v, e_m, cycle_count_eq3(e_m, fixed_f_m, e_v, fixed_f_v)));
-        }
-    }
-    out
-}
-
-/// Fig. 3(b): cycle count versus fraction bit counts at fixed exponent bits.
-pub fn fig3_cycle_surface_fractions(
-    fixed_e_m: u32,
-    fixed_e_v: u32,
-    max_f: u32,
-    step: u32,
-) -> Vec<(u32, u32, u64)> {
-    let mut out = Vec::new();
-    let mut f_v = 0;
-    while f_v <= max_f {
-        let mut f_m = 0;
-        while f_m <= max_f {
-            out.push((f_v, f_m, cycle_count_eq3(fixed_e_m, f_m, fixed_e_v, f_v)));
-            f_m += step;
-        }
-        f_v += step;
-    }
-    out
-}
-
-/// Fig. 3(c): crossbar count versus matrix exponent and fraction bits.
-pub fn fig3_crossbar_surface(max_e: u32, max_f: u32, f_step: u32) -> Vec<(u32, u32, u64)> {
-    let mut out = Vec::new();
-    for e_m in 0..=max_e {
-        let mut f_m = 0;
-        while f_m <= max_f {
-            out.push((e_m, f_m, crossbar_count_eq2(e_m, f_m)));
-            f_m += f_step;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,18 +82,5 @@ mod tests {
     #[test]
     fn cycle_count_is_symmetric_in_matrix_and_vector_roles() {
         assert_eq!(cycle_count_eq3(3, 8, 5, 2), cycle_count_eq3(5, 2, 3, 8));
-    }
-
-    #[test]
-    fn fig3_surfaces_have_expected_sizes_and_monotonicity() {
-        let a = fig3_cycle_surface_exponents(52, 52, 10);
-        assert_eq!(a.len(), 11 * 11);
-        let b = fig3_cycle_surface_fractions(6, 6, 60, 10);
-        assert_eq!(b.len(), 7 * 7);
-        let c = fig3_crossbar_surface(10, 60, 10);
-        assert_eq!(c.len(), 11 * 7);
-        // Monotone: more bits never cost fewer cycles/crossbars.
-        assert!(a.windows(2).all(|w| w[0].0 != w[1].0 || w[0].2 <= w[1].2));
-        assert!(c.windows(2).all(|w| w[0].0 != w[1].0 || w[0].2 <= w[1].2));
     }
 }

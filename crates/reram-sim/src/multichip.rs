@@ -48,13 +48,6 @@ impl MultiChipConfig {
             link_bytes_per_s: 16e9,
         }
     }
-
-    /// Builder: override the host-link parameters.
-    pub fn with_link(mut self, latency_s: f64, bytes_per_s: f64) -> Self {
-        self.link_latency_s = latency_s;
-        self.link_bytes_per_s = bytes_per_s;
-        self
-    }
 }
 
 /// How one sharded SpMV breaks down on the pool.

@@ -15,12 +15,19 @@
 //! the source CSR's *row order* — `u32` row pointers and global column indices — and
 //! this module alone defines how the two orders correspond:
 //! [`BlockLayout::walk_row_order`] pairs every row-order index with its block and its
-//! block-order position, a run of them at a time.  Anything with one value per
-//! non-zero rides on the layout, in whichever order suits it: a [`BlockedMatrix`] is
-//! the layout plus the `f64` values in block order, and `refloat-core`'s
-//! `ReFloatMatrix` shares the same layout (it sits behind an [`Arc`]) and adds the
-//! per-block exponent bases and the decoded values in row order, which its SpMV reads
-//! with the CSR loop.
+//! block-order position, a run of them at a time.
+//!
+//! The layout is built from a CSR's row pointers and columns without its values
+//! ([`BlockLayout::from_csr`]): one block-row band at a time, a pass counts each block
+//! column's entries, the band's touched block columns are ordered (through a bitmap,
+//! linear in their number, unless they are few and far apart) into its blocks, and a
+//! second pass places every entry.  Anything with one value per non-zero rides on the
+//! layout, in whichever order suits it: a [`BlockedMatrix`] is the layout plus the
+//! `f64` values in block order, which the same blocking gathers as it places each
+//! entry, and `refloat-core`'s `ReFloatMatrix` shares the same layout (it sits behind
+//! an [`Arc`]) and adds the per-block exponent bases and the decoded values in row
+//! order, which it encodes from the CSR's row order and its SpMV reads with the CSR
+//! loop.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -92,6 +99,111 @@ impl<'a> Block<'a> {
 }
 
 impl BlockLayout {
+    /// The block-major structure of a CSR matrix at `2^b × 2^b` blocks, built from its
+    /// row pointers and columns alone, one block-row band at a time and in two passes
+    /// over the band: count the entries per block column, order the band's block
+    /// columns and turn the counts into block starts, then place every entry's local
+    /// indices in CSR order.  The arrays are allocated once at their final size; nothing
+    /// is allocated per block.
+    ///
+    /// The row order is the CSR's own structure, narrowed to `u32`.
+    ///
+    /// Returns an error if `b == 0` would make blocks degenerate (`b` must be ≥ 1), if
+    /// `b` is large enough that local indices no longer fit in `u16` (`b ≤ 15`), or if
+    /// a block row (a `(32 − b)`-bit integer in the format, Fig. 4), a column index or
+    /// the non-zero count does not fit the layout's 32-bit fields.
+    pub fn from_csr(a: &CsrMatrix, b: u32) -> Result<Self> {
+        Self::blocking(a, b, |_, _| {})
+    }
+
+    /// [`from_csr`](Self::from_csr), calling `place(k, at)` as it places the entry at
+    /// row-order index `k` at block-order position `at`.
+    fn blocking(a: &CsrMatrix, b: u32, mut place: impl FnMut(usize, usize)) -> Result<Self> {
+        if b == 0 || b > 15 {
+            return Err(SparseError::InvalidParameter(format!(
+                "block size exponent b must be in 1..=15, got {b}"
+            )));
+        }
+        let bs = 1usize << b;
+        let (nrows, ncols, nnz) = (a.nrows(), a.ncols(), a.nnz());
+        // Checked once here; the `as u32` below narrow values bounded by these three
+        // (a block column by the column count).
+        if [nrows.div_ceil(bs), ncols, nnz]
+            .iter()
+            .any(|&v| u32::try_from(v).is_err())
+        {
+            return Err(SparseError::InvalidParameter(format!(
+                "{nrows}x{ncols} matrix with {nnz} non-zeros at b = {b}: the layout is 32-bit"
+            )));
+        }
+
+        let mut table = Vec::new();
+        let (mut rows, mut cols) = (vec![0u16; nnz], vec![0u16; nnz]);
+        let block_cols = ncols.div_ceil(bs);
+        // Per block column of the current band: its entry count in the first pass, the
+        // index its next entry goes to in the second; all zero between bands.
+        let mut cursor = vec![0u32; block_cols];
+        let mut seen = vec![0u64; block_cols.div_ceil(64)];
+        // The band's distinct block columns, in the order of their first entries: each
+        // entry writes its own at the end, and only a first one moves the end — no
+        // branch, which a scattered band's first entries would mispredict.
+        let mut touched = vec![0usize; block_cols + 1];
+        let (row_ptr, col_idx) = (a.row_ptr(), a.col_idx());
+        for (brow, row_lo) in (0..nrows).step_by(bs).enumerate() {
+            let row_hi = (row_lo + bs).min(nrows);
+            // Pass 1: count the band's entries per block column.
+            let mut distinct = 0;
+            for &c in &col_idx[row_ptr[row_lo]..row_ptr[row_hi]] {
+                touched[distinct] = c >> b;
+                distinct += (cursor[c >> b] == 0) as usize;
+                cursor[c >> b] += 1;
+            }
+            let touched = &mut touched[..distinct];
+            // The band's blocks in block-column order, each starting where the one
+            // before it ends; the counts become write cursors.
+            sort_distinct(touched, &mut seen);
+            let mut start = row_ptr[row_lo] as u32;
+            for &bcol in touched.iter() {
+                table.push(TableEntry {
+                    block_row: brow as u32,
+                    block_col: bcol as u32,
+                    start,
+                });
+                start += std::mem::replace(&mut cursor[bcol], start);
+            }
+            // Pass 2: place every entry; CSR order within a block is `(ii, jj)` order.
+            for r in row_lo..row_hi {
+                let row = row_ptr[r]..row_ptr[r + 1];
+                for (k, &c) in row.clone().zip(&col_idx[row]) {
+                    let at = cursor[c >> b] as usize;
+                    cursor[c >> b] += 1;
+                    rows[at] = (r - row_lo) as u16;
+                    cols[at] = (c & (bs - 1)) as u16;
+                    place(k, at);
+                }
+            }
+            for &bcol in touched.iter() {
+                cursor[bcol] = 0;
+            }
+        }
+        table.push(TableEntry {
+            block_row: u32::MAX,
+            block_col: u32::MAX,
+            start: nnz as u32,
+        });
+
+        Ok(BlockLayout {
+            nrows,
+            ncols,
+            b,
+            table,
+            rows,
+            cols,
+            row_ptr: row_ptr.iter().map(|&p| p as u32).collect(),
+            col_idx: col_idx.iter().map(|&c| c as u32).collect(),
+        })
+    }
+
     /// Number of rows of the underlying matrix.
     pub fn nrows(&self) -> usize {
         self.nrows
@@ -100,6 +212,11 @@ impl BlockLayout {
     /// Number of columns of the underlying matrix.
     pub fn ncols(&self) -> usize {
         self.ncols
+    }
+
+    /// The block-size exponent `b` (blocks are `2^b × 2^b`).
+    pub fn b(&self) -> u32 {
+        self.b
     }
 
     /// Block edge length `2^b`.
@@ -188,7 +305,7 @@ impl BlockLayout {
     /// block_order)` says the row-order indices `row_order` all belong to block `block`
     /// and sit, in the same order, at the block-order positions `block_order`.  A run is
     /// a maximal stretch of one band's row order in one block column — consecutive
-    /// there because [`BlockedMatrix::from_csr`] places a band's entries in CSR order.
+    /// there because [`BlockLayout::from_csr`] places a band's entries in CSR order.
     /// This is the one definition of how the two orders correspond; every row-order
     /// index is visited once, in order, and the positions form a permutation.
     pub fn walk_row_order(&self, mut visit: impl FnMut(Range<usize>, usize, Range<usize>)) {
@@ -220,6 +337,33 @@ impl BlockLayout {
     }
 }
 
+/// Sorts `touched`, a band's distinct block columns, ascending.  When they cover at
+/// least one in 64 of the columns between the least and the greatest, they are marked
+/// in the bitmap `seen` and read back word by word, which is linear in their number; a
+/// sparser band is sorted by comparison.  `seen` is all zero before and after.
+fn sort_distinct(touched: &mut [usize], seen: &mut [u64]) {
+    let (Some(&lo), Some(&hi)) = (touched.iter().min(), touched.iter().max()) else {
+        return;
+    };
+    let words = lo / 64..hi / 64 + 1;
+    if words.len() > touched.len() {
+        touched.sort_unstable();
+        return;
+    }
+    for &c in touched.iter() {
+        seen[c / 64] |= 1 << (c % 64);
+    }
+    let mut next = 0;
+    for w in words {
+        let mut bits = std::mem::take(&mut seen[w]);
+        while bits != 0 {
+            touched[next] = w * 64 + bits.trailing_zeros() as usize;
+            next += 1;
+            bits &= bits - 1;
+        }
+    }
+}
+
 /// A sparse matrix partitioned into square `2^b × 2^b` blocks, stored block-row-major:
 /// a shared [`BlockLayout`] and the one `f64` value per non-zero it arranges.
 #[derive(Debug, Clone, PartialEq)]
@@ -229,96 +373,12 @@ pub struct BlockedMatrix {
 }
 
 impl BlockedMatrix {
-    /// Partitions a CSR matrix into `2^b × 2^b` blocks, one block-row band at a time
-    /// and in two passes over the band: count the entries per block column, turn the
-    /// counts into block starts, then place every entry in CSR order.  The arrays are
-    /// allocated once at their final size; nothing is allocated per block.
-    ///
-    /// The row order is the CSR's own structure, narrowed to `u32`.
-    ///
-    /// Returns an error if `b == 0` would make blocks degenerate (`b` must be ≥ 1), if
-    /// `b` is large enough that local indices no longer fit in `u16` (`b ≤ 15`), or if
-    /// a block row (a `(32 − b)`-bit integer in the format, Fig. 4), a column index or
-    /// the non-zero count does not fit the layout's 32-bit fields.
+    /// Partitions a CSR matrix into `2^b × 2^b` blocks: the [`BlockLayout::from_csr`]
+    /// structure, its blocking gathering the values into block order as it places each
+    /// entry.  Errors as [`BlockLayout::from_csr`] does.
     pub fn from_csr(a: &CsrMatrix, b: u32) -> Result<Self> {
-        if b == 0 || b > 15 {
-            return Err(SparseError::InvalidParameter(format!(
-                "block size exponent b must be in 1..=15, got {b}"
-            )));
-        }
-        let bs = 1usize << b;
-        let (nrows, ncols, nnz) = (a.nrows(), a.ncols(), a.nnz());
-        // Checked once here; the `as u32` below narrow values bounded by these three
-        // (a block column by the column count).
-        if [nrows.div_ceil(bs), ncols, nnz]
-            .iter()
-            .any(|&v| u32::try_from(v).is_err())
-        {
-            return Err(SparseError::InvalidParameter(format!(
-                "{nrows}x{ncols} matrix with {nnz} non-zeros at b = {b}: the layout is 32-bit"
-            )));
-        }
-
-        let mut table = Vec::new();
-        let (mut rows, mut cols) = (vec![0u16; nnz], vec![0u16; nnz]);
-        let mut vals = vec![0.0; nnz];
-        // Per block column of the current band: its entry count in the first pass, the
-        // index its next entry goes to in the second; all zero between bands.
-        let mut cursor = vec![0u32; ncols.div_ceil(bs)];
-        let mut touched: Vec<usize> = Vec::new();
-        let row_ptr = a.row_ptr();
-        for (brow, row_lo) in (0..nrows).step_by(bs).enumerate() {
-            let row_hi = (row_lo + bs).min(nrows);
-            // Pass 1: count the band's entries per block column.
-            for &c in &a.col_idx()[row_ptr[row_lo]..row_ptr[row_hi]] {
-                if cursor[c >> b] == 0 {
-                    touched.push(c >> b);
-                }
-                cursor[c >> b] += 1;
-            }
-            // The band's blocks in block-column order, each starting where the one
-            // before it ends; the counts become write cursors.
-            touched.sort_unstable();
-            let mut start = row_ptr[row_lo] as u32;
-            for &bcol in &touched {
-                table.push(TableEntry {
-                    block_row: brow as u32,
-                    block_col: bcol as u32,
-                    start,
-                });
-                start += std::mem::replace(&mut cursor[bcol], start);
-            }
-            // Pass 2: place every entry; CSR order within a block is `(ii, jj)` order.
-            for r in row_lo..row_hi {
-                let (row_cols, row_vals) = a.row(r);
-                for (&c, &v) in row_cols.iter().zip(row_vals) {
-                    let at = cursor[c >> b] as usize;
-                    cursor[c >> b] += 1;
-                    rows[at] = (r - row_lo) as u16;
-                    cols[at] = (c & (bs - 1)) as u16;
-                    vals[at] = v;
-                }
-            }
-            for bcol in touched.drain(..) {
-                cursor[bcol] = 0;
-            }
-        }
-        table.push(TableEntry {
-            block_row: u32::MAX,
-            block_col: u32::MAX,
-            start: nnz as u32,
-        });
-
-        let layout = BlockLayout {
-            nrows,
-            ncols,
-            b,
-            table,
-            rows,
-            cols,
-            row_ptr: row_ptr.iter().map(|&p| p as u32).collect(),
-            col_idx: a.col_idx().iter().map(|&c| c as u32).collect(),
-        };
+        let mut vals = vec![0.0; a.nnz()];
+        let layout = BlockLayout::blocking(a, b, |k, at| vals[at] = a.values()[k])?;
         Ok(BlockedMatrix {
             layout: Arc::new(layout),
             vals,
@@ -343,7 +403,7 @@ impl BlockedMatrix {
 
     /// The block-size exponent `b` (blocks are `2^b × 2^b`).
     pub fn b(&self) -> u32 {
-        self.layout.b
+        self.layout.b()
     }
 
     /// Block edge length `2^b`.
@@ -495,6 +555,72 @@ mod tests {
         let blocked = BlockedMatrix::from_csr(&a, 4).unwrap();
         let back = blocked.to_csr();
         assert_eq!(a, back);
+    }
+
+    /// The layout of `a` by definition: its entries sorted by block, then by `(ii, jj)`,
+    /// the table read off the sorted order, and the values in it.
+    fn reference(a: &CsrMatrix, b: u32) -> (BlockLayout, Vec<f64>) {
+        let mut entries: Vec<(usize, usize, f64)> = a.iter().collect();
+        entries.sort_by_key(|&(r, c, _)| (r >> b, c >> b, r, c));
+        let mut table: Vec<TableEntry> = Vec::new();
+        for (k, &(r, c, _)) in entries.iter().enumerate() {
+            let (block_row, block_col) = ((r >> b) as u32, (c >> b) as u32);
+            if table.last().map(|t| (t.block_row, t.block_col)) != Some((block_row, block_col)) {
+                table.push(TableEntry {
+                    block_row,
+                    block_col,
+                    start: k as u32,
+                });
+            }
+        }
+        table.push(TableEntry {
+            block_row: u32::MAX,
+            block_col: u32::MAX,
+            start: entries.len() as u32,
+        });
+        let local = |i: usize| (i & ((1 << b) - 1)) as u16;
+        let layout = BlockLayout {
+            nrows: a.nrows(),
+            ncols: a.ncols(),
+            b,
+            table,
+            rows: entries.iter().map(|&(r, ..)| local(r)).collect(),
+            cols: entries.iter().map(|&(_, c, _)| local(c)).collect(),
+            row_ptr: a.row_ptr().iter().map(|&p| p as u32).collect(),
+            col_idx: a.col_idx().iter().map(|&c| c as u32).collect(),
+        };
+        (layout, entries.iter().map(|&(.., v)| v).collect())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn the_layout_and_the_blocking_are_the_sorted_entries(
+            (nrows, ncols) in (0usize..=48, 0usize..=600),
+            cells in proptest::collection::vec((0usize..48, 0usize..600), 0..200),
+            span in 0usize..3,
+            b in 1u32..=7,
+        ) {
+            // Few entries over many block columns take the comparison sort; a row with an
+            // entry in every block column, or in every other one, takes the bitmap.
+            let mut coo = CooMatrix::new(nrows, ncols);
+            if nrows > 0 && ncols > 0 {
+                for (k, &(r, c)) in cells.iter().enumerate() {
+                    coo.push(r % nrows, c % ncols, k as f64 + 1.0);
+                }
+                for c in (0..ncols).step_by(span.max(1) << b).filter(|_| span > 0) {
+                    coo.push(nrows - 1, c, -(c as f64));
+                }
+            }
+            let a = coo.to_csr();
+            let (want, values) = reference(&a, b);
+            let layout = BlockLayout::from_csr(&a, b).unwrap();
+            proptest::prop_assert_eq!(&layout, &want);
+            let blocked = BlockedMatrix::from_csr(&a, b).unwrap();
+            proptest::prop_assert_eq!(&**blocked.layout(), &want);
+            proptest::prop_assert_eq!(blocked.values(), &values[..]);
+        }
     }
 
     #[test]
