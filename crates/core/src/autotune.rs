@@ -64,6 +64,13 @@ use refloat_sparse::{BlockedMatrix, CsrMatrix};
 /// The Table IV chip: `2^18` compute crossbars.
 pub const TABLE_IV_CROSSBARS: u64 = 1 << 18;
 
+/// Multiplier on the predicted error floor before comparing against the tolerance
+/// (the floor is a worst-case bound; the margin also guards the κ estimate).
+const SAFETY: f64 = 2.0;
+
+/// Seed of the deterministic eigen estimation.
+const EIGEN_SEED: u64 = 2023;
+
 /// What the auto-tuner is asked to optimize for.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutotuneConfig {
@@ -77,11 +84,6 @@ pub struct AutotuneConfig {
     /// Crossbars per chip; candidates needing more clusters than fit pay streaming
     /// rounds per SpMV (§VI.B).
     pub chip_crossbars: u64,
-    /// Multiplier on the predicted error floor before comparing against `tolerance`
-    /// (the floor is a worst-case bound; the margin also guards the κ estimate).
-    pub safety: f64,
-    /// Seed of the deterministic eigen estimation.
-    pub eigen_seed: u64,
     /// Verification solves attempted (cheapest predicted-convergent candidates first)
     /// before giving up and falling back.  0 disables trials: the plan then trusts the
     /// model alone and `chosen` carries no measurement.
@@ -94,7 +96,7 @@ pub struct AutotuneConfig {
 
 impl AutotuneConfig {
     /// A plan request for the given tolerance and blocking, on the Table IV chip with
-    /// the default safety margin of 2 and up to 4 verification trials.
+    /// up to 4 verification trials.
     pub fn new(tolerance: f64, b: u32) -> Self {
         assert!(
             tolerance > 0.0 && tolerance.is_finite(),
@@ -108,8 +110,6 @@ impl AutotuneConfig {
             tolerance,
             b,
             chip_crossbars: TABLE_IV_CROSSBARS,
-            safety: 2.0,
-            eigen_seed: 2023,
             max_trials: 4,
             solver: SolverKind::Cg,
         }
@@ -119,19 +119,6 @@ impl AutotuneConfig {
     pub fn with_chip_crossbars(mut self, crossbars: u64) -> Self {
         assert!(crossbars >= 1, "autotune: chip needs at least one crossbar");
         self.chip_crossbars = crossbars;
-        self
-    }
-
-    /// Builder: override the safety margin on the predicted error floor.
-    pub fn with_safety(mut self, safety: f64) -> Self {
-        assert!(safety >= 1.0, "autotune: safety margin must be ≥ 1");
-        self.safety = safety;
-        self
-    }
-
-    /// Builder: override the eigen-estimation seed.
-    pub fn with_eigen_seed(mut self, seed: u64) -> Self {
-        self.eigen_seed = seed;
         self
     }
 
@@ -155,7 +142,8 @@ pub struct FormatCandidate {
     pub config: ReFloatConfig,
     /// Predicted element-wise relative quantization error (matrix + vector side).
     pub predicted_error: f64,
-    /// Predicted achievable true relative residual: `safety · κ · predicted_error`.
+    /// Predicted achievable true relative residual: `2 · κ · predicted_error` (a
+    /// safety margin of 2).
     pub predicted_floor: f64,
     /// Whether the floor is predicted to undercut the requested tolerance (always
     /// `false` when the eigen estimate is degraded — an untrusted κ must not
@@ -423,7 +411,7 @@ pub fn plan_format(a: &CsrMatrix, cfg: &AutotuneConfig) -> FormatPlan {
 
     // A shared `&CsrMatrix` is itself an operator: no clone of the CSR arrays.
     let mut exact = a;
-    let eigen = eigs::estimate_extremes(&mut exact, cfg.eigen_seed);
+    let eigen = eigs::estimate_extremes(&mut exact, EIGEN_SEED);
     let kappa = eigen.condition_number();
     let trusted = eigen.confidence == EigenConfidence::Converged && kappa.is_finite();
     let kappa_bound_iterations = predicted_cg_iterations(kappa, cfg.tolerance);
@@ -435,7 +423,7 @@ pub fn plan_format(a: &CsrMatrix, cfg: &AutotuneConfig) -> FormatPlan {
             let err_v =
                 (2.0f64.powi(-(config.fv as i32)) + vector_window_penalty(config.ev)).min(1.0);
             let predicted_error = err_m + err_v;
-            let predicted_floor = cfg.safety * kappa * predicted_error;
+            let predicted_floor = SAFETY * kappa * predicted_error;
             let predicted_convergent = trusted && predicted_floor <= cfg.tolerance;
             let crossbars = crossbars_per_cluster(config.e, config.f);
             let cycles = cycles_per_block_mvm(config.e, config.f, config.ev, config.fv);

@@ -9,10 +9,9 @@
 //! index window that advances with the step, like a moving front in the
 //! domain — so most ReFloat blocks of step `k` are bitwise identical to step
 //! `k−1`'s.  That locality is exactly what the runtime's incremental
-//! re-encoding and encoded-cache keying exploit; an optional *mesh-region
-//! refresh* (a stronger, seeded whole-window re-draw every few steps) and a
-//! nonzero mass drift (which touches every diagonal entry) provide the
-//! dirtier regimes for worst-case testing.
+//! re-encoding and encoded-cache keying exploit; a nonzero mass drift (which
+//! touches every diagonal entry) provides the dirtier regime for worst-case
+//! testing.
 //!
 //! Reproducibility contract: a chain is a pure function of its base matrix
 //! and [`TransientSpec`] — re-running the iterator yields bitwise-identical
@@ -39,12 +38,6 @@ pub struct TransientSpec {
     pub jitter_sigma_log2: f64,
     /// Fraction of the index range the per-step drift window covers.
     pub drift_window: f64,
-    /// Every `refresh_every` steps, the drift window is re-drawn entirely
-    /// with [`refresh_sigma_log2`](Self::refresh_sigma_log2) (a mesh-region
-    /// refresh); `None` disables it.
-    pub refresh_every: Option<usize>,
-    /// Jitter width of the mesh-region refresh.
-    pub refresh_sigma_log2: f64,
     /// Phase the right-hand side's source term advances per step.  Scales with
     /// the implicit time step: large values (the 0.1 default) model coarse
     /// stepping where consecutive solutions differ visibly, small values the
@@ -62,8 +55,6 @@ impl Default for TransientSpec {
             drift_amplitude: 0.0,
             jitter_sigma_log2: 0.02,
             drift_window: 0.2,
-            refresh_every: None,
-            refresh_sigma_log2: 0.2,
             rhs_phase_step: 0.1,
             seed: 2023,
         }
@@ -97,13 +88,6 @@ impl TransientSpec {
         self
     }
 
-    /// Builder: enable the mesh-region refresh every `every` steps.
-    pub fn with_refresh(mut self, every: usize, sigma_log2: f64) -> Self {
-        self.refresh_every = Some(every);
-        self.refresh_sigma_log2 = sigma_log2;
-        self
-    }
-
     /// Builder: right-hand-side phase advance per step (the effective time-step
     /// size of the source term).
     pub fn with_rhs_phase(mut self, phase_step: f64) -> Self {
@@ -127,7 +111,7 @@ pub struct SolveStep {
 }
 
 /// SplitMix64: the per-step sub-seed derivation (and the symmetric pair hash
-/// of the region refresh).
+/// of [`perturb_symmetric_pairs`]).
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -227,16 +211,6 @@ impl Iterator for TransientChain {
         let step = self.step;
         if step > 0 {
             self.drift(step, self.spec.jitter_sigma_log2);
-            if let Some(every) = self.spec.refresh_every {
-                if every > 0 && step.is_multiple_of(every) {
-                    // Mesh-region refresh: a stronger re-draw of the same
-                    // window, on a decorrelated sub-seed stream.
-                    self.drift(
-                        splitmix64(step as u64) as usize % self.spec.steps.max(1),
-                        self.spec.refresh_sigma_log2,
-                    );
-                }
-            }
         }
         let n = self.stiffness.nrows();
         let phase = (0.3 * step as f64).sin();
@@ -346,7 +320,7 @@ mod tests {
     }
 
     #[test]
-    fn mass_drift_moves_the_diagonal_and_refresh_redraws_harder() {
+    fn mass_drift_moves_the_diagonal() {
         let drifting = TransientSpec::default()
             .with_steps(4)
             .with_mass(0.5, 0.2)
@@ -355,19 +329,6 @@ mod tests {
         let d0 = steps[0].matrix.diagonal();
         let d1 = steps[1].matrix.diagonal();
         assert!(d0.iter().zip(d1.iter()).any(|(a, b)| a != b));
-
-        let refreshed = spec().with_refresh(2, 0.5);
-        let with_refresh: Vec<SolveStep> = TransientChain::new(base(), refreshed).collect();
-        let without: Vec<SolveStep> = TransientChain::new(base(), spec()).collect();
-        // The refresh kicks in at step 2; some entry must differ from the
-        // refresh-free chain from then on.
-        let differs = with_refresh[2]
-            .matrix
-            .values()
-            .iter()
-            .zip(without[2].matrix.values())
-            .any(|(a, b)| a != b);
-        assert!(differs, "the mesh-region refresh must change step 2");
     }
 
     #[test]

@@ -8,6 +8,14 @@
 //! round paying a cell-write phase (re-programming the crossbars) on top of the compute
 //! phase — exactly the effect the paper describes for `thermomech_TC`, `Dubcova2` and
 //! `thermomech_dM`.
+//!
+//! A pool of chips is priced by the same model (the distributed in-memory-computing
+//! recipe of Vo et al.): each chip holds one block-row shard of the matrix and the
+//! chips run in parallel, so one SpMV costs the slowest shard's SpMV, plus a
+//! fixed-order gather of the disjoint output bands over the host link when there is
+//! more than one shard.  One chip holding the whole matrix is the pool of one.  The
+//! bands are disjoint, so the gather is a copy, not a floating-point reduction: the
+//! functional results stay bitwise identical to one chip (`refloat_core::sharded`).
 
 use refloat_core::format::ReFloatConfig;
 
@@ -16,6 +24,13 @@ use crate::cost;
 // `SolverKind` moved down into `refloat-solvers` (the refinement ladder dispatches on
 // it); re-exported here so `reram_sim::accelerator::SolverKind` keeps working.
 pub use refloat_solvers::SolverKind;
+
+/// Seconds per chip→host transfer of the per-SpMV gather (a PCIe-class hop).
+const LINK_LATENCY_S: f64 = 1e-6;
+
+/// Host link bandwidth in bytes/second (PCIe 4 class); the gather of every output
+/// band is serialized over it.
+const LINK_BYTES_PER_S: f64 = 16e9;
 
 /// An accelerator configuration (one column of Table IV plus derived quantities).
 #[derive(Debug, Clone, PartialEq)]
@@ -58,6 +73,28 @@ pub struct SolverTimeBreakdown {
     pub solver_total_s: f64,
     /// Iterations the solve took.
     pub iterations: u64,
+}
+
+/// What one SpMV costs on a pool of chips, one block-row shard per chip.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SpmvPrice {
+    /// Streaming rounds of the largest shard (1 when every shard fits its chip).
+    pub rounds: u64,
+    /// Seconds the largest shard computes.
+    pub compute_s: f64,
+    /// Seconds the largest shard re-writes cells between rounds (0 when it fits).
+    pub stream_write_s: f64,
+    /// Seconds gathering the output bands to the host (0 for one shard: the result
+    /// is already where a single-chip SpMV leaves it).
+    pub gather_s: f64,
+}
+
+impl SpmvPrice {
+    /// The wall time of one SpMV: the slowest chip's compute and writes, then the
+    /// gather.
+    pub fn total_s(&self) -> f64 {
+        self.compute_s + self.stream_write_s + self.gather_s
+    }
 }
 
 impl AcceleratorConfig {
@@ -133,6 +170,47 @@ impl AcceleratorConfig {
         (compute, write)
     }
 
+    /// One SpMV on a pool of these chips, chip `i` holding a shard of
+    /// `shard_blocks[i]` non-empty blocks and `shard_rows[i]` output rows.
+    ///
+    /// The chips run in parallel, so the SpMV costs the slowest chip's.  A chip's
+    /// compute and streaming writes depend only on its rounds, and neither shrinks as
+    /// the rounds grow, so the slowest chip is the one with the most blocks.  More than
+    /// one shard adds a gather of every output band (8 bytes per row) over the host
+    /// link.  A whole matrix is `&[blocks]`.
+    ///
+    /// # Panics
+    /// Panics if there is no shard or the two slices disagree.
+    pub fn spmv_price(&self, shard_blocks: &[u64], shard_rows: &[u64]) -> SpmvPrice {
+        assert_eq!(
+            shard_blocks.len(),
+            shard_rows.len(),
+            "per-shard blocks and rows must align"
+        );
+        let largest = *shard_blocks.iter().max().expect("at least one shard");
+        let (compute_s, stream_write_s) = self.spmv_time_s(largest);
+        let gather_s = match shard_blocks.len() {
+            1 => 0.0,
+            chips => {
+                let bytes: u64 = shard_rows.iter().map(|&rows| rows * 8).sum();
+                chips as f64 * LINK_LATENCY_S + bytes as f64 / LINK_BYTES_PER_S
+            }
+        };
+        SpmvPrice {
+            rounds: self.rounds_per_spmv(largest),
+            compute_s,
+            stream_write_s,
+            gather_s,
+        }
+    }
+
+    /// Seconds for `iterations` iterations of `solver` at `spmv_s` per SpMV, plus the
+    /// per-iteration digital overhead.
+    pub fn iterations_time_s(&self, spmv_s: f64, iterations: u64, solver: SolverKind) -> f64 {
+        let spmvs = iterations * solver.spmv_per_iteration();
+        spmvs as f64 * spmv_s + iterations as f64 * self.iteration_overhead_ns * 1e-9
+    }
+
     /// Full solver-time breakdown for a matrix with `num_blocks` non-empty blocks and a
     /// solve that took `iterations` iterations of `solver`.
     pub fn solver_time(
@@ -143,9 +221,7 @@ impl AcceleratorConfig {
     ) -> SolverTimeBreakdown {
         let (compute, write) = self.spmv_time_s(num_blocks);
         let spmv_total = compute + write;
-        let spmv_count = iterations * solver.spmv_per_iteration();
-        let solver_total =
-            spmv_count as f64 * spmv_total + iterations as f64 * self.iteration_overhead_ns * 1e-9;
+        let solver_total = self.iterations_time_s(spmv_total, iterations, solver);
         SolverTimeBreakdown {
             clusters_required: num_blocks,
             clusters_available: self.clusters_available(),
@@ -249,5 +325,73 @@ mod tests {
                 "ReFloat ({tr:.3e}s) should beat Feinberg ({tf:.3e}s) at {blocks} blocks"
             );
         }
+    }
+
+    /// A deliberately small chip (1024 crossbars) so modest block counts overflow it.
+    fn small_chip() -> AcceleratorConfig {
+        let mut chip = AcceleratorConfig::refloat(&ReFloatConfig::paper_default());
+        chip.total_crossbars = 1 << 10;
+        chip
+    }
+
+    #[test]
+    fn a_pool_of_one_is_the_single_chip_model_bit_for_bit() {
+        let chip = small_chip();
+        for blocks in [1, 85, 5_000] {
+            let price = chip.spmv_price(&[blocks], &[4_096]);
+            let solve = chip.solver_time(blocks, 100, SolverKind::BiCgStab);
+            assert_eq!(price.gather_s, 0.0);
+            assert_eq!(price.rounds, solve.rounds_per_spmv);
+            assert_eq!(price.total_s().to_bits(), solve.spmv_total_s.to_bits());
+            let iterations_s = chip.iterations_time_s(price.total_s(), 100, SolverKind::BiCgStab);
+            assert_eq!(iterations_s.to_bits(), solve.solver_total_s.to_bits());
+        }
+    }
+
+    #[test]
+    fn makespan_is_the_slowest_shard() {
+        let chip = small_chip();
+        let price = chip.spmv_price(&[100, 5_000, 100, 100], &[256; 4]);
+        let (compute, write) = chip.spmv_time_s(5_000);
+        assert_eq!((price.compute_s, price.stream_write_s), (compute, write));
+        assert_eq!(price.rounds, chip.rounds_per_spmv(5_000));
+        assert!(price.gather_s > 0.0);
+        assert!(price.total_s() > compute + write);
+    }
+
+    #[test]
+    fn gather_cost_grows_with_chips_and_rows() {
+        let chip = small_chip();
+        let g2 = chip.spmv_price(&[10; 2], &[1 << 20; 2]).gather_s;
+        let g8 = chip.spmv_price(&[10; 8], &[1 << 20; 8]).gather_s;
+        assert!(g8 > g2);
+        // Bandwidth term dominates at 2^20 rows: 8 MiB over 16 GB/s >> hop latency.
+        assert!(g2 > (2u64 << 20) as f64 * 8.0 / 16e9 * 0.9);
+    }
+
+    #[test]
+    fn sharding_an_oversized_matrix_beats_streaming_through_one_chip() {
+        // 8x one small chip's cluster budget: one chip streams in 8 rounds; 4 chips
+        // hold 2 rounds each and win despite the gather overhead.
+        let chip = small_chip();
+        let total_blocks = 8 * chip.clusters_available();
+        let solve = |shard_blocks: &[u64]| {
+            let rows = vec![1024; shard_blocks.len()];
+            let spmv_s = chip.spmv_price(shard_blocks, &rows).total_s();
+            chip.iterations_time_s(spmv_s, 100, SolverKind::Cg)
+        };
+        let t1 = solve(&[total_blocks]);
+        let t4 = solve(&[total_blocks / 4; 4]);
+        let speedup = t1 / t4;
+        assert!(
+            speedup > 1.5,
+            "4-chip speedup should exceed 1.5x, got {speedup:.2}x ({t1:.3e}s vs {t4:.3e}s)"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "align")]
+    fn more_shards_than_row_bands_is_rejected() {
+        let _ = small_chip().spmv_price(&[1, 1, 1], &[1, 1]);
     }
 }

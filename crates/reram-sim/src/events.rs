@@ -1,13 +1,10 @@
-//! Cycle-event hooks: a small observer API that lets a host (the runtime's worker
-//! pool, a bench harness, a test) see how the simulator attributed cycles and
-//! simulated seconds to chip phases, without the simulator depending on any
-//! particular telemetry backend.
+//! Cycle events: the per-phase attribution of simulated cycles and seconds (program /
+//! compute / stream-write / reduction / host-fp64) that a host exports, without the
+//! simulator depending on any particular telemetry backend.
 //!
 //! Seconds here are **simulated** seconds from the Eq. 3 cycle model — bitwise
 //! reproducible, never wall clock (see the deterministic-clock contract in
 //! `refloat-telemetry`).
-
-use std::sync::Mutex;
 
 /// A phase of chip activity that consumes simulated time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,51 +55,6 @@ pub struct CycleEvent {
     pub seconds: f64,
 }
 
-/// Observer of [`CycleEvent`]s.  Implementations must be thread-safe: the runtime
-/// fires events from every worker.  (`Debug` is a supertrait so hosts can hold a
-/// `dyn CycleHook` inside `#[derive(Debug)]` structures.)
-pub trait CycleHook: Send + Sync + std::fmt::Debug {
-    /// Called once per phase attribution.
-    fn on_event(&self, event: &CycleEvent);
-}
-
-/// A [`CycleHook`] that appends every event to a vector, for tests and ad-hoc
-/// inspection.
-#[derive(Debug, Default)]
-pub struct CollectingHook {
-    events: Mutex<Vec<CycleEvent>>,
-}
-
-impl CollectingHook {
-    /// Creates an empty collector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A copy of the events collected so far.
-    pub fn snapshot(&self) -> Vec<CycleEvent> {
-        self.events.lock().expect("cycle hook poisoned").clone()
-    }
-
-    /// Total simulated seconds attributed to the given phase.
-    pub fn seconds_in(&self, phase: ChipPhase) -> f64 {
-        self.snapshot()
-            .iter()
-            .filter(|e| e.phase == phase)
-            .map(|e| e.seconds)
-            .sum()
-    }
-}
-
-impl CycleHook for CollectingHook {
-    fn on_event(&self, event: &CycleEvent) {
-        self.events
-            .lock()
-            .expect("cycle hook poisoned")
-            .push(*event);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,28 +67,5 @@ mod tests {
         dedup.dedup();
         assert_eq!(dedup.len(), labels.len());
         assert_eq!(ChipPhase::Compute.label(), "compute");
-    }
-
-    #[test]
-    fn collecting_hook_accumulates_per_phase() {
-        let hook = CollectingHook::new();
-        hook.on_event(&CycleEvent {
-            phase: ChipPhase::Compute,
-            cycles: 100,
-            seconds: 1.0,
-        });
-        hook.on_event(&CycleEvent {
-            phase: ChipPhase::Compute,
-            cycles: 50,
-            seconds: 0.5,
-        });
-        hook.on_event(&CycleEvent {
-            phase: ChipPhase::Reduction,
-            cycles: 0,
-            seconds: 0.25,
-        });
-        assert_eq!(hook.snapshot().len(), 3);
-        assert_eq!(hook.seconds_in(ChipPhase::Compute), 1.5);
-        assert_eq!(hook.seconds_in(ChipPhase::Program), 0.0);
     }
 }

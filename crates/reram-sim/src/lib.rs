@@ -10,15 +10,13 @@
 //! * [`cost`] — the closed-form crossbar-count (Eq. 2) and cycle-count (Eq. 3) models,
 //! * [`accelerator`] — the chip-level organization (banks / clusters / crossbars of
 //!   Table IV), the cluster-requirement arithmetic of §VI.B and the SpMV / solver-time
-//!   model used to regenerate Fig. 8,
-//! * [`multichip`] — a pool of chips executing block-row shards in parallel
-//!   (makespan = slowest shard) with a fixed-order host gather per SpMV — the
-//!   scale-out path for matrices exceeding one chip's crossbar budget,
+//!   model used to regenerate Fig. 8; one SpMV price ([`AcceleratorConfig::spmv_price`])
+//!   covers a pool of chips executing block-row shards in parallel (makespan = slowest
+//!   shard, plus a fixed-order host gather), and one chip is the pool of one,
 //! * [`gpu`] — a roofline + kernel-launch latency model standing in for the V100 +
 //!   cuSPARSE baseline (see DESIGN.md §3 for the substitution argument),
-//! * [`events`] — cycle-event hooks ([`CycleHook`]) through which a host observes the
-//!   per-phase attribution of simulated cycles (program / compute / stream-write /
-//!   reduction / host-fp64) without the simulator depending on a telemetry backend,
+//! * [`events`] — the [`CycleEvent`] record: simulated cycles and seconds attributed
+//!   to one chip phase (program / compute / stream-write / reduction / host-fp64),
 //! * [`noise`] — the random-telegraph-noise model of the Fig. 10 robustness study,
 //! * [`fault`] — persistent device faults: seeded per-crossbar stuck-at maps, lognormal
 //!   drift-with-age, wear accumulation, the [`DeviceHealth`] summary trait, and the
@@ -33,18 +31,14 @@ pub mod engine;
 pub mod events;
 pub mod fault;
 pub mod gpu;
-pub mod multichip;
 pub mod noise;
 pub mod xbar;
 
 pub use accelerator::{AcceleratorConfig, SolverKind, SolverTimeBreakdown};
 pub use cost::{crossbar_count_eq2, crossbars_per_cluster, cycle_count_eq3};
-pub use events::{ChipPhase, CollectingHook, CycleEvent, CycleHook};
+pub use events::{ChipPhase, CycleEvent};
 pub use fault::{
     ChipFaultState, DeviceHealth, FaultMap, FaultModelConfig, FaultyReFloatOperator, HealthSummary,
 };
 pub use gpu::GpuModel;
-pub use multichip::{
-    MultiChipAccelerator, MultiChipConfig, MultiChipSolveBreakdown, ShardedSpmvBreakdown,
-};
 pub use noise::NoisyReFloatOperator;

@@ -4,23 +4,24 @@
 //! chip time it would have cost on the Table IV ReFloat accelerator.  There is one
 //! entry point, [`SimulatedAccelerator::charge`], taking a [`Charge`]: the ordered
 //! list of [`Phase`]s a job executed.  A phase is either a pass on the chip — some
-//! solver iterations per right-hand side against a [`Residency`] (one chip holding
-//! the whole matrix, or a pool holding one row band of it per chip) — or fp64 work on
-//! the host.
+//! solver iterations per right-hand side against a [`Residency`] (a pool of chips
+//! holding one row band of the matrix each; a whole matrix is the pool of one) — or
+//! fp64 work on the host.
 //!
 //! The paper's dataflow is written once here: a chip pass first checks what the
 //! crossbars hold and pays a cluster write only when the resident matrix changes
 //! (a full write, or the touched fraction for an incremental sequence step), ages
-//! the fault model by the blocks it wrote, and then prices every iteration.  Plain,
-//! batched, sharded, refined and retried jobs differ only in the phases they list.
-
-use std::sync::Arc;
+//! the fault model by the blocks it wrote, and then prices every iteration with
+//! [`AcceleratorConfig::spmv_price`], the one pool model.  Every phase's seconds join
+//! [`SimulatedRun::total_s`] as they occur, so a run is its phases' costs summed in
+//! execution order.  Plain, batched, sharded, refined and retried jobs differ only in
+//! the phases they list.
 
 use refloat_core::ReFloatConfig;
 use reram_sim::cost::ABFT_CHECK_CYCLES_PER_BLOCK;
 use reram_sim::{
-    AcceleratorConfig, ChipFaultState, ChipPhase, CycleEvent, CycleHook, DeviceHealth,
-    FaultModelConfig, GpuModel, HealthSummary, MultiChipAccelerator, MultiChipConfig, SolverKind,
+    AcceleratorConfig, ChipFaultState, ChipPhase, CycleEvent, DeviceHealth, FaultModelConfig,
+    GpuModel, HealthSummary, SolverKind,
 };
 
 use crate::cache::CacheKey;
@@ -32,9 +33,10 @@ pub struct SimulatedRun {
     /// Crossbar pipeline cycles across the whole solve (Eq. 3 cycles × rounds × SpMVs;
     /// for sharded jobs, the makespan chip's cycles).
     pub cycles: u64,
-    /// Seconds of crossbar compute.
+    /// Seconds of crossbar compute (for sharded jobs, the makespan chip's).
     pub compute_s: f64,
-    /// Seconds of mid-solve cell re-writes (streaming rounds of oversized matrices).
+    /// Seconds of mid-solve cell re-writes (streaming rounds of oversized matrices;
+    /// for sharded jobs, the makespan chip's).
     pub stream_write_s: f64,
     /// Seconds re-programming the chip because it held a different matrix (or nothing).
     pub program_s: f64,
@@ -93,9 +95,8 @@ impl SimulatedRun {
     }
 }
 
-/// What a chip pass runs against: one encoding, resident on one chip (the whole
-/// matrix) or split over a pool of chips working in parallel (one block-row band of
-/// it per chip).
+/// What a chip pass runs against: one encoding, split over a pool of chips working in
+/// parallel, one block-row band per chip (one band, the whole matrix, on one chip).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Residency {
     /// Cache key of the encoding.
@@ -163,7 +164,10 @@ pub enum Phase<'a> {
     Host(HostWork),
 }
 
-/// The description of what ran that [`SimulatedAccelerator::charge`] prices.
+/// The description of what ran that [`SimulatedAccelerator::charge`] prices: the
+/// phases in execution order, and what prices them.  Each phase's programming, chip
+/// and host seconds are added to [`SimulatedRun::total_s`] in that order, whether the
+/// chip drove the job or a refinement loop on the host did.
 #[derive(Debug, Clone, Copy)]
 pub struct Charge<'a> {
     /// What ran, in execution order.
@@ -174,25 +178,6 @@ pub struct Charge<'a> {
     pub nnz: u64,
     /// Rows of that matrix.
     pub nrows: u64,
-    /// How programming and host time enter [`SimulatedRun::total_s`]: as they occur
-    /// (`false`, a chip-resident solve) or summed on their own and added after the
-    /// chip time (`true`, a refinement loop the host drives).  The two orders differ
-    /// only in floating-point association; both are kept because simulated seconds
-    /// are part of the digest contract, bit for bit.
-    pub host_driven: bool,
-}
-
-/// What one SpMV of a chip pass costs.  The single-chip and pool models stay
-/// separate formulas — a pool's makespan already contains its chips' streaming
-/// writes, and only a pool pays the gather — but both reduce to this price list, so
-/// the per-iteration accounting in [`SimulatedAccelerator::charge`] is written once.
-struct SpmvPrice {
-    /// Streaming rounds (of the makespan chip, for a pool).
-    rounds: u64,
-    compute_s: f64,
-    stream_write_s: f64,
-    reduction_s: f64,
-    total_s: f64,
 }
 
 /// One simulated chip, owned by one worker thread.
@@ -212,9 +197,6 @@ pub struct SimulatedAccelerator {
     /// chips force oversized matrices into streaming rounds — the regime where
     /// sharding across a pool pays off.
     chip_crossbars: Option<u64>,
-    /// Optional observer of per-run phase attributions (None = no observation cost
-    /// beyond an `is_some` check per run).
-    hook: Option<Arc<dyn CycleHook>>,
     /// Persistent fault state of this chip (None = pristine hardware, the default —
     /// execution and digests are unchanged).
     fault: Option<ChipFaultState>,
@@ -232,7 +214,6 @@ impl SimulatedAccelerator {
             programmed: None,
             host: GpuModel::v100(),
             chip_crossbars: None,
-            hook: None,
             fault: None,
             abft: false,
         }
@@ -244,13 +225,6 @@ impl SimulatedAccelerator {
     pub fn with_fault_model(mut self, model: FaultModelConfig, grid: usize, abft: bool) -> Self {
         self.fault = Some(ChipFaultState::new(model, self.worker_id, grid));
         self.abft = abft;
-        self
-    }
-
-    /// Builder: observe every charge's per-phase cycle attribution through a
-    /// [`CycleHook`].
-    pub fn with_cycle_hook(mut self, hook: Arc<dyn CycleHook>) -> Self {
-        self.hook = Some(hook);
         self
     }
 
@@ -316,19 +290,16 @@ impl SimulatedAccelerator {
                     assert!(!iterations.is_empty(), "a chip pass needs at least one RHS");
                     let hw = self.chip(&on.key.format);
                     let program_s = self.program(on, *delta, &hw, &mut run);
-                    let price = Self::spmv_price(on, &hw);
                     run.program_s += program_s;
-                    if !charge.host_driven {
-                        run.total_s += program_s;
-                    }
+                    run.total_s += program_s;
+                    let price = hw.spmv_price(&on.shard_blocks, &on.shard_rows);
                     for &iters in iterations {
                         let spmvs = iters * charge.solver.spmv_per_iteration();
                         run.cycles += spmvs * price.rounds * hw.cycles_per_block_mvm;
                         run.compute_s += spmvs as f64 * price.compute_s;
                         run.stream_write_s += spmvs as f64 * price.stream_write_s;
-                        run.reduction_s += spmvs as f64 * price.reduction_s;
-                        run.total_s += spmvs as f64 * price.total_s
-                            + iters as f64 * hw.iteration_overhead_ns * 1e-9;
+                        run.reduction_s += spmvs as f64 * price.gather_s;
+                        run.total_s += hw.iterations_time_s(price.total_s(), iters, charge.solver);
                     }
                 }
                 Phase::Host(work) => {
@@ -341,18 +312,8 @@ impl SimulatedAccelerator {
                         HostWork::Spmvs(count) => count as f64 * self.host.spmv_time_s(nnz, nrows),
                     };
                     run.host_fp64_s += host_s;
-                    if !charge.host_driven {
-                        run.total_s += host_s;
-                    }
+                    run.total_s += host_s;
                 }
-            }
-        }
-        if charge.host_driven {
-            run.total_s += run.program_s + run.host_fp64_s;
-        }
-        if let Some(hook) = &self.hook {
-            for event in run.cycle_events() {
-                hook.on_event(&event);
             }
         }
         run
@@ -389,30 +350,6 @@ impl SimulatedAccelerator {
         }
         self.programmed = Some(on.held());
         program_s
-    }
-
-    /// Prices one SpMV against `on`: Eq. 3 rounds on one chip, or the makespan (the
-    /// slowest shard) and fixed-order inter-chip gather of a pool.
-    fn spmv_price(on: &Residency, hw: &AcceleratorConfig) -> SpmvPrice {
-        if let [blocks] = on.shard_blocks[..] {
-            let (compute_s, stream_write_s) = hw.spmv_time_s(blocks);
-            return SpmvPrice {
-                rounds: hw.rounds_per_spmv(blocks),
-                compute_s,
-                stream_write_s,
-                reduction_s: 0.0,
-                total_s: compute_s + stream_write_s,
-            };
-        }
-        let pool = MultiChipConfig::homogeneous(on.chips(), hw.clone());
-        let spmv = MultiChipAccelerator::new(pool).spmv_time(&on.shard_blocks, &on.shard_rows);
-        SpmvPrice {
-            rounds: spmv.max_rounds,
-            compute_s: spmv.makespan_s,
-            stream_write_s: 0.0,
-            reduction_s: spmv.reduction_s,
-            total_s: spmv.spmv_total_s,
-        }
     }
 }
 
@@ -454,8 +391,8 @@ mod tests {
         }
     }
 
-    /// Charges a chip-resident job made of `phases` (host phases priced on a
-    /// 50k-nnz, 5k-row matrix).
+    /// Charges a job made of `phases` (host phases priced on a 50k-nnz, 5k-row
+    /// matrix).
     fn charge(
         chip: &mut SimulatedAccelerator,
         phases: &[Phase<'_>],
@@ -466,7 +403,6 @@ mod tests {
             solver,
             nnz: 50_000,
             nrows: 5_000,
-            host_driven: false,
         })
     }
 
@@ -502,7 +438,7 @@ mod tests {
     }
 
     #[test]
-    fn host_driven_jobs_charge_reprogramming_per_format_switch_and_host_fp64() {
+    fn refined_jobs_charge_reprogramming_per_format_switch_and_host_fp64_in_order() {
         let base = ReFloatConfig::new(7, 3, 3, 3, 8);
         let wide = ReFloatConfig::new(7, 4, 11, 4, 16);
         let (base_rung, wide_rung) = (rung(42, base, 2_000), rung(42, wide, 2_000));
@@ -518,25 +454,40 @@ mod tests {
             Phase::Host(HostWork::SolverIterations(10)),
             Phase::Host(HostWork::Spmvs(4)),
         ];
-        let run = chip.charge(&Charge {
-            phases: &phases,
-            solver: SolverKind::Cg,
-            nnz: 50_000,
-            nrows: 5_000,
-            host_driven: true,
-        });
+        let run = charge(&mut chip, &phases, SolverKind::Cg);
         assert!(run.remapped);
-        let one_remap = AcceleratorConfig::refloat(&base).cluster_write_time_s();
-        assert!((run.program_s - 2.0 * one_remap).abs() < 1e-15);
+        let (base_hw, wide_hw) = (
+            AcceleratorConfig::refloat(&base),
+            AcceleratorConfig::refloat(&wide),
+        );
+        let one_remap = base_hw.cluster_write_time_s();
+        assert_eq!(run.program_s, one_remap + one_remap);
         // Cycles follow Eq. 3 per rung: base is 28 cycles/MVM, wide is
         // (2^4+16+1) + (2^4+11+1) − 1 = 60.
         assert_eq!(run.cycles, 100 * 28 + 30 * 60);
         // Host fp64 work: 10 fallback CG iterations + 4 residual SpMVs.
         let host = GpuModel::v100();
-        let expected_host = host.solver_time_s(50_000, 5_000, 10, SolverKind::Cg)
-            + 4.0 * host.spmv_time_s(50_000, 5_000);
-        assert!((run.host_fp64_s - expected_host).abs() < 1e-12);
-        assert!(run.total_s >= run.compute_s + run.program_s + run.host_fp64_s - 1e-15);
+        let fallback_s = host.solver_time_s(50_000, 5_000, 10, SolverKind::Cg);
+        let residuals_s = 4.0 * host.spmv_time_s(50_000, 5_000);
+        assert_eq!(run.host_fp64_s, fallback_s + residuals_s);
+        // The total is every phase's seconds folded in execution order.
+        let pass_s = |hw: &AcceleratorConfig, iterations| {
+            let spmv_s = hw.spmv_price(&[2_000], &[5_000]).total_s();
+            hw.iterations_time_s(spmv_s, iterations, SolverKind::Cg)
+        };
+        let mut total_s = 0.0;
+        for phase_s in [
+            one_remap,
+            pass_s(&base_hw, 50),
+            pass_s(&base_hw, 50),
+            one_remap,
+            pass_s(&wide_hw, 30),
+            fallback_s,
+            residuals_s,
+        ] {
+            total_s += phase_s;
+        }
+        assert_eq!(run.total_s, total_s);
 
         // A follow-up plain job on the widened rung finds the chip already programmed.
         assert!(!solve(&mut chip, &wide_rung, 10).remapped);
@@ -642,20 +593,6 @@ mod tests {
     }
 
     #[test]
-    fn cycle_hook_sees_each_charge_once() {
-        let hook = Arc::new(reram_sim::CollectingHook::new());
-        let mut chip =
-            SimulatedAccelerator::new(0).with_cycle_hook(Arc::clone(&hook) as Arc<dyn CycleHook>);
-        let run = solve(&mut chip, &whole(1, 2_000), 100);
-        let events = hook.snapshot();
-        assert!(!events.is_empty());
-        assert_eq!(hook.seconds_in(ChipPhase::Compute), run.compute_s);
-        assert_eq!(hook.seconds_in(ChipPhase::Program), run.program_s);
-        let total_cycles: u64 = events.iter().map(|e| e.cycles).sum();
-        assert_eq!(total_cycles, run.cycles);
-    }
-
-    #[test]
     fn abft_charges_one_extra_cycle_per_block_mvm() {
         let format = ReFloatConfig::paper_default();
         let mut plain = SimulatedAccelerator::new(0);
@@ -732,7 +669,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_jobs_charge_makespan_and_reduction() {
+    fn sharded_jobs_charge_the_makespan_chip_and_the_gather() {
         let format = ReFloatConfig::paper_default();
         // Small chips: 2^10 crossbars -> 1024/12 = 85 clusters per chip.
         let mut chip = SimulatedAccelerator::new(0).with_chip_crossbars(Some(1 << 10));
@@ -744,9 +681,21 @@ mod tests {
         };
         let run = solve(&mut chip, &pool, 50);
         assert!(run.remapped);
-        assert!(run.reduction_s > 0.0);
         assert_eq!(run.cycles, 50 * 2 * 28);
-        assert!(run.total_s >= run.compute_s + run.reduction_s + run.program_s - 1e-15);
+        // The makespan chip's rounds split into compute and stream writes, as on one
+        // chip; the total adds the gather per SpMV to their sum.
+        let mut hw = AcceleratorConfig::refloat(&format);
+        hw.total_crossbars = 1 << 10;
+        let (compute_s, write_s) = (2.0 * hw.block_mvm_time_s(), 2.0 * hw.cluster_write_time_s());
+        assert!(run.stream_write_s > 0.0);
+        assert_eq!(run.compute_s, 50.0 * compute_s);
+        assert_eq!(run.stream_write_s, 50.0 * write_s);
+        let gather_s = 4.0 * 1e-6 + (4 * 2048 * 8) as f64 / 16e9;
+        assert_eq!(run.reduction_s, 50.0 * gather_s);
+        let spmvs_s = 50.0 * ((compute_s + write_s) + gather_s);
+        let total_s =
+            hw.cluster_write_time_s() + (spmvs_s + 50.0 * hw.iteration_overhead_ns * 1e-9);
+        assert_eq!(run.total_s, total_s);
 
         // Same shard set again: the pool stays programmed.
         let again = solve(&mut chip, &pool, 50);

@@ -18,7 +18,8 @@ use crate::single_flight::{CacheOutcomeKind, CacheStats, SingleFlightLru};
 /// share the job format's `b`), the requested tolerance, the crossbar capacity the
 /// cost model ranked against, and the Krylov solver the verification trials ran
 /// (CG and BiCGSTAB converge differently on the same quantized operator, so their
-/// decisions must not be shared).
+/// decisions must not be shared).  The analysis's safety margin and eigen seed are
+/// constants of `refloat_core::autotune`, so they need no place in the key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DecisionKey {
     /// Content hash of the matrix (structure + values).

@@ -135,7 +135,8 @@
 //!    whole blocks of it;
 //! 2. **chip** — each band is programmed onto its own chip; per SpMV the chips run
 //!    in parallel, so the simulated cost is the *makespan* (the slowest shard), not
-//!    the sum (`reram_sim::multichip`).  A chip holds a band, not the matrix, so the
+//!    the sum (`reram_sim::AcceleratorConfig::spmv_price`, where one chip is the pool
+//!    of one).  A chip holds a band, not the matrix, so the
 //!    same encoding on another chip count re-programs the chips;
 //! 3. **reduction** — each SpMV ends with a fixed-order gather of the disjoint
 //!    per-chip output bands to the host, charged as link latency + bandwidth.

@@ -513,14 +513,13 @@ impl JobContext<'_> {
     }
 
     /// Stage 5: prices `phases` on the worker's chip.
-    fn charge(&mut self, job: &SolveJob, phases: &[Phase<'_>], host_driven: bool) -> SimulatedRun {
+    fn charge(&mut self, job: &SolveJob, phases: &[Phase<'_>]) -> SimulatedRun {
         let csr = job.matrix.csr();
         self.accelerator.charge(&Charge {
             phases,
             solver: job.solver,
             nnz: csr.nnz() as u64,
             nrows: csr.nrows() as u64,
-            host_driven,
         })
     }
 
@@ -579,7 +578,7 @@ impl JobContext<'_> {
                         iterations: vec![1],
                         delta: None,
                     };
-                    solved.simulated.absorb(&self.charge(job, &[probe], false));
+                    solved.simulated.absorb(&self.charge(job, &[probe]));
                     if policy.is_some_and(|policy| attempt < policy.max_retries) {
                         solved.fault_retries += 1;
                         self.core.health.record_re_encode(worker);
@@ -653,7 +652,7 @@ impl JobContext<'_> {
             }];
             let host_spmvs = usize::from(first.initial_residual.is_some()) + usize::from(auto);
             phases.extend((0..host_spmvs).map(|_| Phase::Host(HostWork::Spmvs(1))));
-            solved.simulated.absorb(&self.charge(job, &phases, false));
+            solved.simulated.absorb(&self.charge(job, &phases));
             drop(phases);
             if policy.is_some() {
                 // The chip holds a faulty operator now, so the accelerator's resident
@@ -732,7 +731,7 @@ impl JobContext<'_> {
         });
         let residuals = Phase::Host(HostWork::Spmvs(refined.fp64_spmvs as u64));
         let phases: Vec<Phase<'_>> = passes.chain([residuals]).collect();
-        solved.simulated = self.charge(job, &phases, true);
+        solved.simulated = self.charge(job, &phases);
         drop(phases);
 
         solved.shards = 1;

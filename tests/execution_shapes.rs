@@ -24,8 +24,12 @@ use refloat::sim::FaultModelConfig;
 /// The digest of the whole job list (captured on the pre-pipeline worker).  Re-baselined
 /// once, when a sharded job stopped encoding its bands under their own keys and read
 /// the whole matrix's cache entry instead: only `seq-sharded-0/1` moved, and only in
-/// their cache outcome (Miss → Hit, their matrices being `seq-plain-0/1`'s).
-const EXPECTED_DIGEST: u64 = 0x19d8_a289_496d_57e7;
+/// their cache outcome (Miss → Hit, their matrices being `seq-plain-0/1`'s).  And once
+/// more when every charge came to fold its phases' seconds into `total_s` in execution
+/// order: only `clean/refined-escalating` and `pristine/refined` moved, and only in
+/// `total_s`, by one ulp each (a refined job used to add its programming and host
+/// seconds after its chip passes).
+const EXPECTED_DIGEST: u64 = 0xacdf_4dff_7fb6_9814;
 
 /// FNV-1a accumulator over 64-bit words.
 struct Digest(u64);
