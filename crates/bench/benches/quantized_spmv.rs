@@ -1,6 +1,6 @@
 //! Per-application cost of the quantized operators relative to plain FP64 CSR SpMV —
 //! the functional-simulation overhead of the ReFloat and Feinberg models — and of the
-//! ReFloat apply split over lanes.
+//! ReFloat apply and CG iteration split over lanes.
 
 use std::sync::Arc;
 
@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use refloat_core::feinberg::FeinbergOperator;
 use refloat_core::{ReFloatConfig, ReFloatMatrix};
 use refloat_matgen::{generators, rhs};
-use refloat_solvers::LinearOperator;
+use refloat_solvers::{cg, LinearOperator, SolverConfig};
 use refloat_sparse::parallel::Lanes;
 
 fn bench_quantized_spmv(c: &mut Criterion) {
@@ -69,9 +69,48 @@ fn bench_apply_lanes(c: &mut Criterion) {
     group.finish();
 }
 
+/// CG iterations on one lane against two, on the `solve_refined` matrices and the
+/// `transient_chain` one, in their format: on two lanes the vectors stay on the lanes
+/// and an iteration is three lane phases.  Each sample is a solve capped at
+/// `ITERATIONS` iterations, so the per-iteration cost is the time over `ITERATIONS`.
+fn bench_cg_iteration_lanes(c: &mut Criterion) {
+    const ITERATIONS: usize = 16;
+    let format = ReFloatConfig::new(7, 3, 8, 5, 16);
+    let matrices = [
+        (
+            "mass_29",
+            generators::mass_matrix_3d(29, 29, 29, 1e-12, 0.8, 2023 ^ 0x355),
+        ),
+        (
+            "graph_20000",
+            generators::random_spd_graph(20_000, 6, 1.35, 1.0, 2023 ^ 0x2257),
+        ),
+        ("poisson_96", generators::laplacian_2d(96, 96, 0.2)),
+    ];
+    let two = Arc::new(Lanes::new(2).expect("spawn a helper lane"));
+    let config = SolverConfig::relative(0.0)
+        .with_max_iterations(ITERATIONS)
+        .with_trace(false);
+    let mut group = c.benchmark_group("cg_iteration_lanes");
+    for (name, coo) in matrices {
+        let a = coo.to_csr();
+        let b = rhs::krylov_like(a.nrows(), 17);
+        let mut one = ReFloatMatrix::from_csr(&a, format);
+        let mut split = one.clone().with_lanes(&two);
+        group.throughput(Throughput::Elements((ITERATIONS * a.nnz()) as u64));
+        group.bench_function(format!("{name}_1_lane"), |bench| {
+            bench.iter(|| cg(&mut one, &b, &config))
+        });
+        group.bench_function(format!("{name}_2_lanes"), |bench| {
+            bench.iter(|| cg(&mut split, &b, &config))
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_quantized_spmv, bench_apply_lanes
+    targets = bench_quantized_spmv, bench_apply_lanes, bench_cg_iteration_lanes
 }
 criterion_main!(benches);

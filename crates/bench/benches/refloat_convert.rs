@@ -1,11 +1,18 @@
 //! Conversion throughput: encoding a matrix into ReFloat format (the one-time cost paid
 //! before a solve) and re-encoding a solver vector (paid every iteration).
 
+use std::sync::Arc;
+
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use refloat_core::incremental::{reencode_incremental, reencode_incremental_on};
 use refloat_core::vector::VectorConverter;
 use refloat_core::{ReFloatConfig, ReFloatMatrix};
+use refloat_matgen::transient::perturb_symmetric_pairs;
 use refloat_matgen::{generators, rhs};
+use refloat_solvers::LinearOperator;
 use refloat_sparse::blocked::BlockLayout;
+use refloat_sparse::parallel::Lanes;
+use refloat_sparse::vecops::LanedVectors;
 use refloat_sparse::BlockedMatrix;
 
 fn bench_convert(c: &mut Criterion) {
@@ -66,9 +73,72 @@ fn bench_convert(c: &mut Criterion) {
     group.finish();
 }
 
+/// The vector converter of a laned solve's apply on one lane against two: the apply of
+/// an identity matrix, whose row loop is next to nothing, so the converter is most of
+/// it.  One lane is the plain apply; two lanes is the banded apply over two resident
+/// bands, each lane converting its own.
+fn bench_convert_lanes(c: &mut Criterion) {
+    let format = ReFloatConfig::new(7, 3, 8, 5, 16);
+    let two = Arc::new(Lanes::new(2).expect("spawn a helper lane"));
+    let mut group = c.benchmark_group("convert_lanes");
+    for (name, n) in [("n_24389", 24_389), ("n_20000", 20_000), ("n_9216", 9216)] {
+        let identity = generators::logspace_diagonal(n, 1.0, 1.0).to_csr();
+        let x = rhs::krylov_like(n, 17);
+        let mut y = vec![0.0; n];
+        let mut one = ReFloatMatrix::from_csr(&identity, format);
+        let mut split = one.clone().with_lanes(&two);
+        let mut bands = LanedVectors::new(&two, &x);
+        group.throughput(Throughput::Elements(n as u64));
+        group.bench_function(format!("{name}_1_lane"), |b| {
+            b.iter(|| one.apply(&x, &mut y))
+        });
+        group.bench_function(format!("{name}_2_lanes"), |b| {
+            b.iter(|| split.apply_bands(&mut bands, None))
+        });
+    }
+    group.finish();
+}
+
+/// `from_csr` and the same-structure re-encode on one lane against two, on the
+/// `serve_cold` shapes and the `transient_chain` matrix, in the benchmark's format.
+fn bench_encode_lanes(c: &mut Criterion) {
+    let format = ReFloatConfig::new(7, 3, 8, 5, 16);
+    let two = Lanes::new(2).expect("spawn a helper lane");
+    let mut group = c.benchmark_group("encode_lanes");
+    for (name, a) in [
+        (
+            "mass_24",
+            generators::mass_matrix_3d(24, 24, 24, 1e-12, 0.8, 3),
+        ),
+        (
+            "graph_27648",
+            generators::random_spd_graph(27_648, 6, 1.35, 1.0, 5),
+        ),
+        ("poisson_96", generators::laplacian_2d(96, 96, 0.2)),
+    ] {
+        let a = Arc::new(a.to_csr());
+        let next = Arc::new(perturb_symmetric_pairs(&a, 0.05, 0.2, 11));
+        let previous = ReFloatMatrix::from_csr(&a, format);
+        group.throughput(Throughput::Elements(a.nnz() as u64));
+        group.bench_function(format!("from_csr_{name}_1_lane"), |b| {
+            b.iter(|| ReFloatMatrix::from_csr(&a, format))
+        });
+        group.bench_function(format!("from_csr_{name}_2_lanes"), |b| {
+            b.iter(|| ReFloatMatrix::from_csr_on(&a, format, &two))
+        });
+        group.bench_function(format!("reencode_{name}_1_lane"), |b| {
+            b.iter(|| reencode_incremental(&previous, &a, &next))
+        });
+        group.bench_function(format!("reencode_{name}_2_lanes"), |b| {
+            b.iter(|| reencode_incremental_on(&previous, &a, &next, &two))
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_convert
+    targets = bench_convert, bench_convert_lanes, bench_encode_lanes
 }
 criterion_main!(benches);

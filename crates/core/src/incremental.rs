@@ -21,8 +21,11 @@
 //! row-order index.  Otherwise the new matrix is blocked once and a per-row
 //! merge of the two steps' sorted columns charges each difference to its block.
 
+use std::sync::Arc;
+
 use crate::matrix::ReFloatMatrix;
 use refloat_sparse::blocked::BlockLayout;
+use refloat_sparse::parallel::Lanes;
 use refloat_sparse::CsrMatrix;
 
 /// What the delta re-encode touched, in blocks and crossbar cells.
@@ -104,6 +107,36 @@ pub fn reencode_incremental(
     a: &CsrMatrix,
 ) -> IncrementalEncode {
     let config = *previous.config();
+    reencode(previous, previous_source, a, |adopted| match adopted {
+        Some(layout) => ReFloatMatrix::encoded(layout, config, a.values()),
+        None => ReFloatMatrix::from_csr(a, config),
+    })
+}
+
+/// [`reencode_incremental`] with the encode split over `lanes`, as
+/// [`ReFloatMatrix::from_csr_on`] splits it: the same matrix and stats, bit for bit.
+pub fn reencode_incremental_on(
+    previous: &ReFloatMatrix,
+    previous_source: &CsrMatrix,
+    a: &Arc<CsrMatrix>,
+    lanes: &Lanes,
+) -> IncrementalEncode {
+    let config = *previous.config();
+    reencode(previous, previous_source, a, |adopted| match adopted {
+        Some(layout) => ReFloatMatrix::encoded_on(layout, config, a, lanes),
+        None => ReFloatMatrix::from_csr_on(a, config, lanes),
+    })
+}
+
+/// The re-encode of `a` against `previous`, with `encode` making the new matrix: over
+/// the adopted layout when `a`'s structure is the predecessor's, else from scratch.
+fn reencode(
+    previous: &ReFloatMatrix,
+    previous_source: &CsrMatrix,
+    a: &CsrMatrix,
+    encode: impl FnOnce(Option<&Arc<BlockLayout>>) -> ReFloatMatrix,
+) -> IncrementalEncode {
+    let config = *previous.config();
     assert_eq!(
         (previous_source.nrows(), previous_source.ncols()),
         (a.nrows(), a.ncols()),
@@ -125,9 +158,9 @@ pub fn reencode_incremental(
             let pairs = new[run.clone()].iter().zip(&old[run]);
             changed[block] += pairs.filter(|(x, y)| x.to_bits() != y.to_bits()).count() as u64;
         });
-        (ReFloatMatrix::encoded(layout, config, new), changed)
+        (encode(Some(layout)), changed)
     } else {
-        let matrix = ReFloatMatrix::from_csr(a, config);
+        let matrix = encode(None);
         let changed = merged_changes(previous_source, a, matrix.layout(), config.b);
         (matrix, changed)
     };
@@ -240,7 +273,6 @@ mod tests {
     use refloat_matgen::transient::{perturb_symmetric_pairs, TransientChain, TransientSpec};
     use refloat_sparse::{blocked::Block, BlockedMatrix, CooMatrix};
     use std::collections::HashSet;
-    use std::sync::Arc;
 
     fn config() -> ReFloatConfig {
         // Small blocks so the test matrices span many blocks; a wide fraction keeps

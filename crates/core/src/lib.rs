@@ -54,9 +54,12 @@
 //!   attached ([`ReFloatMatrix::with_lanes`], which the runtime does for a worker with
 //!   spare cores): the apply then converts the input on the caller and splits the row
 //!   loop into nnz-balanced bands, one per lane, provided each lane gets at least
-//!   [`matrix::MIN_NNZ_PER_LANE`] non-zeros.  Each row is still one sum in column
-//!   order, so the bits do not depend on the lanes,
-//! * [`incremental`] — [`reencode_incremental`]: a from-scratch encode plus a diff.  A
+//!   [`matrix::MIN_NNZ_PER_LANE`] non-zeros, and a CG solve keeps its vectors on the
+//!   lanes, converting and accumulating band by band.  [`ReFloatMatrix::from_csr_on`]
+//!   splits the encode the same way.  Each row is still one sum in column order and
+//!   each reduction one pairwise tree, so the bits do not depend on the lanes,
+//! * [`incremental`] — [`reencode_incremental`] (and its laned form): a from-scratch
+//!   encode plus a diff.  A
 //!   sequence step with the predecessor's sparsity structure adopts its layout and
 //!   never re-blocks; a row-order walk counts each block's changed cells, which with
 //!   the two steps' bases decide what a chip must rewrite,

@@ -50,12 +50,26 @@
 //!
 //! # Lanes
 //!
-//! The accelerator runs one SpMV over many crossbars at once; the host model can run
-//! it over several threads.  [`ReFloatMatrix::with_lanes`] attaches a set of
-//! [`Lanes`], and a whole apply then converts the input on the calling thread and
-//! splits `accumulate`'s row loop into nnz-balanced row bands, one per lane.  A row's
-//! sum is its terms in column order whatever band it falls in, so the output bits do
-//! not depend on the lane count; only host time does.
+//! The accelerator runs one SpMV over many crossbars at once, with the vector converter
+//! and the level-1 vector work beside it; the host model can run all three over several
+//! threads.  [`ReFloatMatrix::with_lanes`] attaches a set of [`Lanes`], used three ways:
+//!
+//! * **A laned solve.**  A CG solve keeps its vectors on the lanes, cut into the
+//!   pairwise tree's top-level subtrees ([`LanedVectors`]), and the apply works on those
+//!   bands in place ([`apply_bands`](LinearOperator::apply_bands)): each lane converts
+//!   the whole `2^b` segments of its band of `p`, the caller copies the helpers' into
+//!   the one quantized input and converts the segments that straddle a band edge, then
+//!   each lane accumulates its band's rows into its band of `A·p` and returns its part
+//!   of `pᵀAp`.  The converter's bases and statistics are the one-thread converter's.
+//! * **A standalone apply** (BiCGSTAB, the fault wrapper) converts the input on the
+//!   calling thread and splits `accumulate`'s row loop into nnz-balanced row bands.
+//! * **An encode** ([`from_csr_on`](ReFloatMatrix::from_csr_on), and the re-encode of
+//!   [`crate::incremental`]) runs `encode_bands` per nnz-balanced band of block rows,
+//!   each helper reading the values through its own handle on the CSR matrix.
+//!
+//! A row's sum is its terms in column order whatever band it falls in, a segment's or
+//! a block's base depends on its own values alone, and a band's reduction is its
+//! subtree's, so no output bit depends on the lane count; only host time does.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -66,10 +80,12 @@ use crate::memory::storage_bits;
 use crate::scalar::{
     quantize_bits, requantize, select, Bounds, Fraction, BIAS, FRACTION_BITS, NON_FINITE,
 };
-use crate::vector::{Scratch, VectorConverter};
+use crate::vector::{convert_part, whole_segments, ConversionStats, Scratch, VectorConverter};
+use refloat_solvers::operator::apply_gathered;
 use refloat_solvers::LinearOperator;
 use refloat_sparse::blocked::{Block, BlockLayout};
 use refloat_sparse::parallel::{BandTask, Lanes};
+use refloat_sparse::vecops::{self, Band, LanedVectors, MIN_LEN_PER_LANE};
 use refloat_sparse::{block_row_shards, BlockedMatrix, CsrMatrix};
 
 /// The fewest non-zeros per lane for which an apply splits.  Handing a band to a helper
@@ -158,6 +174,8 @@ pub struct ReFloatMatrix {
     quantize_vectors: bool,
     /// The lanes an apply splits over; `None` applies on the calling thread alone.
     split: Option<Split>,
+    /// The lanes a CG solve keeps its vectors on; `None` solves on the calling thread.
+    solve_lanes: Option<Arc<Lanes>>,
 }
 
 impl ReFloatMatrix {
@@ -179,21 +197,111 @@ impl ReFloatMatrix {
     /// and encodes the values from its row order, one block-row band at a time (see the
     /// [module docs](self)).
     pub fn from_csr(a: &CsrMatrix, config: ReFloatConfig) -> Self {
-        let layout = BlockLayout::from_csr(a, config.b)
-            .expect("valid block exponent from a validated ReFloatConfig");
-        Self::encoded(&Arc::new(layout), config, a.values())
+        Self::encoded(&Arc::new(Self::layout_of(a, config)), config, a.values())
+    }
+
+    /// [`from_csr`](Self::from_csr) with the encode split over `lanes`: each lane
+    /// encodes one nnz-balanced band of block rows (`refloat_sparse::block_row_shards`),
+    /// the helpers reading the values from their own handle on `a`.  The result is
+    /// [`from_csr`](Self::from_csr)'s, bit for bit.  A matrix with fewer than
+    /// [`MIN_NNZ_PER_LANE`] non-zeros per lane encodes on the calling thread.
+    pub fn from_csr_on(a: &Arc<CsrMatrix>, config: ReFloatConfig, lanes: &Lanes) -> Self {
+        Self::encoded_on(&Arc::new(Self::layout_of(a, config)), config, a, lanes)
+    }
+
+    /// `a`'s layout in blocks of the configuration's `b`.
+    fn layout_of(a: &CsrMatrix, config: ReFloatConfig) -> BlockLayout {
+        BlockLayout::from_csr(a, config.b)
+            .expect("valid block exponent from a validated ReFloatConfig")
     }
 
     /// The encode: `vals`, one per non-zero in `layout`'s row order, one block-row band
-    /// at a time (see [`encode_bands`]), the rounding and underflow modes chosen once.
+    /// at a time (see [`encode_bands`]).
     pub(crate) fn encoded(layout: &Arc<BlockLayout>, config: ReFloatConfig, vals: &[f64]) -> Self {
-        use {RoundingMode::*, UnderflowMode::*};
-        let (eb, decoded) = match (config.rounding, config.underflow) {
-            (Truncate, Saturate) => encode_bands::<false, false>(layout, &config, vals),
-            (Truncate, FlushToZero) => encode_bands::<false, true>(layout, &config, vals),
-            (RoundNearest, Saturate) => encode_bands::<true, false>(layout, &config, vals),
-            (RoundNearest, FlushToZero) => encode_bands::<true, true>(layout, &config, vals),
-        };
+        assert_eq!(vals.len(), layout.nnz(), "ReFloatMatrix: one value per nnz");
+        let mut eb = Vec::with_capacity(layout.num_blocks());
+        let mut decoded = vec![0.0; vals.len()];
+        encode_rows(
+            layout,
+            &config,
+            vals,
+            0..layout.nrows(),
+            &mut eb,
+            &mut decoded,
+        );
+        Self::from_parts(layout, config, eb, decoded)
+    }
+
+    /// [`encoded`](Self::encoded) from `a`'s values, over `lanes`: every nnz-balanced
+    /// band of block rows but the last on a helper, which writes its decoded values and
+    /// then its bases into its output band; the caller copies the values back and
+    /// gathers the bases in table order, then appends its own band's.
+    pub(crate) fn encoded_on(
+        layout: &Arc<BlockLayout>,
+        config: ReFloatConfig,
+        a: &Arc<CsrMatrix>,
+        lanes: &Lanes,
+    ) -> Self {
+        let bands = block_row_shards(layout, lanes.count());
+        if bands.len() < 2 || layout.nnz() < MIN_NNZ_PER_LANE * bands.len() {
+            return Self::encoded(layout, config, a.values());
+        }
+        assert_eq!(a.nnz(), layout.nnz(), "ReFloatMatrix: one value per nnz");
+        let row_ptr = layout.row_ptr();
+        let span = |rows: &Range<usize>| row_ptr[rows.start] as usize..row_ptr[rows.end] as usize;
+        let (last, helped) = bands.split_last().expect("a split has two bands");
+        let tasks = helped.iter().map(|rows| {
+            let (layout, a, rows, len) = (
+                Arc::clone(layout),
+                Arc::clone(a),
+                rows.clone(),
+                span(rows).len(),
+            );
+            // The band's output, allocated here at its exact size so that the caller's
+            // allocator, which frees it once it is copied back, can reuse it.
+            let blocks = layout.blocks_in_rows(rows.clone());
+            let mut out = Vec::with_capacity(len + blocks);
+            Box::new(move |band: &mut Vec<f64>| {
+                let mut eb = Vec::with_capacity(blocks);
+                out.resize(len, 0.0);
+                encode_rows(&layout, &config, a.values(), rows, &mut eb, &mut out);
+                out.extend(eb.iter().map(|&base| f64::from(base)));
+                *band = out;
+            }) as BandTask
+        });
+        let (mut eb, mut last_eb) = (Vec::with_capacity(layout.num_blocks()), Vec::new());
+        let mut decoded = vec![0.0; layout.nnz()];
+        let (head, tail) = decoded.split_at_mut(span(last).start);
+        lanes.run(
+            tasks,
+            || {
+                encode_rows(
+                    layout,
+                    &config,
+                    a.values(),
+                    last.clone(),
+                    &mut last_eb,
+                    tail,
+                )
+            },
+            |lane, band| {
+                let values = span(&helped[lane]);
+                let (vals, bases) = band.split_at(values.len());
+                head[values].copy_from_slice(vals);
+                eb.extend(bases.iter().map(|&base| base as i32));
+            },
+        );
+        eb.extend(last_eb);
+        Self::from_parts(layout, config, eb, decoded)
+    }
+
+    /// The matrix holding an encode's bases and decoded values over `layout`.
+    fn from_parts(
+        layout: &Arc<BlockLayout>,
+        config: ReFloatConfig,
+        eb: Vec<i32>,
+        decoded: Vec<f64>,
+    ) -> Self {
         ReFloatMatrix {
             nrows: layout.nrows(),
             ncols: layout.ncols(),
@@ -204,27 +312,36 @@ impl ReFloatMatrix {
             quantized_input: Scratch::default(),
             quantize_vectors: true,
             split: None,
+            solve_lanes: None,
         }
     }
 
-    /// Splits every later [`apply`](LinearOperator::apply) over `lanes`: the input is
-    /// converted on the calling thread, then each lane accumulates one nnz-balanced
-    /// band of rows (block-row aligned, by `refloat_sparse::block_row_shards`), the
-    /// last band on the calling thread.  The output bits are the serial apply's.  A
-    /// matrix with fewer than [`MIN_NNZ_PER_LANE`] non-zeros per lane stays serial, and
-    /// so does one lane.
+    /// Puts the matrix on `lanes` (see the [module docs](self#lanes)).
+    ///
+    /// Every later [`apply`](LinearOperator::apply) converts the input on the calling
+    /// thread, then each lane accumulates one nnz-balanced band of rows (block-row
+    /// aligned, by `refloat_sparse::block_row_shards`), the last band on the calling
+    /// thread; a matrix with fewer than [`MIN_NNZ_PER_LANE`] non-zeros per lane applies
+    /// on the calling thread.  A square matrix of at least
+    /// [`MIN_LEN_PER_LANE`] rows per lane also offers the lanes to a CG solve
+    /// ([`lanes`](LinearOperator::lanes)).  Every output bit is the one-lane
+    /// matrix's, and one lane changes nothing.
     pub fn with_lanes(self, lanes: &Arc<Lanes>) -> Self {
-        self.split_over(lanes, MIN_NNZ_PER_LANE)
+        self.split_over(lanes, (MIN_NNZ_PER_LANE, MIN_LEN_PER_LANE))
     }
 
-    /// [`with_lanes`](Self::with_lanes) with the per-lane minimum as a parameter.
-    fn split_over(mut self, lanes: &Arc<Lanes>, min_nnz_per_lane: usize) -> Self {
+    /// [`with_lanes`](Self::with_lanes) with the per-lane minimums — non-zeros for an
+    /// apply, rows for a solve — as a parameter.
+    fn split_over(mut self, lanes: &Arc<Lanes>, (min_nnz, min_len): (usize, usize)) -> Self {
         let bands = block_row_shards(&self.layout, lanes.count());
-        let pays = self.nnz() >= min_nnz_per_lane * bands.len();
+        let pays = self.nnz() >= min_nnz * bands.len();
         self.split = (bands.len() > 1 && pays).then(|| Split {
             lanes: Arc::clone(lanes),
             bands,
         });
+        let parts = vecops::tree_bands(self.nrows, lanes.count()).len();
+        let solves = parts > 1 && self.nrows == self.ncols && self.nrows >= min_len * parts;
+        self.solve_lanes = solves.then(|| Arc::clone(lanes));
         self
     }
 
@@ -378,6 +495,92 @@ impl ReFloatMatrix {
             |lane, band| head[helped[lane].clone()].copy_from_slice(band),
         );
     }
+
+    /// The convert phase of a laned solve's apply, after `p ← r + βp` on every band:
+    /// each lane converts the whole segments inside its band of `p` — a helper into its
+    /// output band, followed by their bases and its statistics, the caller straight into
+    /// the quantized input — and the caller copies the helpers' bands in, then converts
+    /// the segments that straddle a band edge.  The bases and statistics are the
+    /// one-thread converter's.
+    fn convert_bands(&mut self, vectors: &mut LanedVectors, beta: Option<f64>) {
+        let (config, n, seg) = (self.config, self.ncols, self.config.block_size());
+        let ranges = vectors.ranges().to_vec();
+        let wholes: Vec<_> = ranges
+            .iter()
+            .map(|band| whole_segments(band, n, seg).0)
+            .collect();
+        let xq = self.quantized_input.buffer(n);
+        let (bases, stats) = self.converter.start_parts(n);
+        let (last, last_whole) = (&ranges[ranges.len() - 1], &wholes[wholes.len() - 1]);
+        let (head, tail) = xq.split_at_mut(last.start);
+        let (bases_head, bases_tail) = bases.split_at_mut(last_whole.start);
+        let mut local_stats = ConversionStats::default();
+        vectors.run(
+            move |band, out| {
+                band.direction(beta);
+                let segments = whole_segments(&band.range, n, seg).0.len();
+                out.clear();
+                out.resize(band.range.len(), 0.0);
+                let mut bases = vec![0; segments];
+                let stats = convert_band(&config, n, band, out, &mut bases);
+                out.extend(bases.iter().map(|&base| f64::from(base)));
+                out.extend([stats.saturated, stats.flushed, stats.nonzero].map(|c| c as f64));
+            },
+            |band| {
+                band.direction(beta);
+                local_stats = convert_band(&config, n, band, tail, bases_tail);
+            },
+            |lane, out| {
+                let (band, whole) = (ranges[lane].clone(), wholes[lane].clone());
+                let (values, rest) = out.split_at(band.len());
+                let (band_bases, counts) = rest.split_at(whole.len());
+                head[band].copy_from_slice(values);
+                for (base, &got) in bases_head[whole].iter_mut().zip(band_bases) {
+                    *base = got as i32;
+                }
+                stats.add(&ConversionStats {
+                    saturated: counts[0] as usize,
+                    flushed: counts[1] as usize,
+                    nonzero: counts[2] as usize,
+                });
+            },
+        );
+        stats.add(&local_stats);
+        // The straddling segments: between one band's whole segments and the next's.  The
+        // last band ends the vector, so its whole segments end the segments.
+        let mut next = 0;
+        for whole in &wholes {
+            for s in next..whole.start {
+                let segment = s * seg..((s + 1) * seg).min(n);
+                let raw = xq[segment.clone()].to_vec();
+                stats.add(&convert_part(
+                    &config,
+                    &raw,
+                    &mut xq[segment],
+                    &mut bases[s..=s],
+                ));
+            }
+            next = next.max(whole.end);
+        }
+    }
+}
+
+/// Converts the whole segments inside `band`'s range of an `n`-vector from its `p`
+/// into `out` (the band's length), their bases into `bases`, and copies the rest of
+/// `p` — the pieces of segments that straddle its edges — into `out` raw.
+fn convert_band(
+    config: &ReFloatConfig,
+    n: usize,
+    band: &Band,
+    out: &mut [f64],
+    bases: &mut [i32],
+) -> ConversionStats {
+    let start = band.range.start;
+    let (_, whole) = whole_segments(&band.range, n, config.block_size());
+    let inner = whole.start - start..whole.end - start;
+    out[..inner.start].copy_from_slice(&band.p[..inner.start]);
+    out[inner.end..].copy_from_slice(&band.p[inner.end..]);
+    convert_part(config, &band.p[inner.clone()], &mut out[inner], bases)
 }
 
 /// Encodes `vals`, one per non-zero in `layout`'s row order, for one rounding
@@ -394,12 +597,17 @@ impl ReFloatMatrix {
 /// 3. **Quantize.**  Every value runs [`quantize_bits`] against its block column's
 ///    window.  An *edge block* — one holding a subnormal, or whose window leaves the
 ///    normal exponents — has no window and runs [`requantize`] per element instead.
+///
+/// It runs over the block rows that `rows` (block-row aligned) covers: their bases go to
+/// `eb`, their decoded values to `decoded`, which starts at the rows' first non-zero.
 fn encode_bands<const NEAREST: bool, const FTZ: bool>(
     layout: &BlockLayout,
     config: &ReFloatConfig,
     vals: &[f64],
-) -> (Vec<i32>, Vec<f64>) {
-    assert_eq!(vals.len(), layout.nnz(), "ReFloatMatrix: one value per nnz");
+    rows: Range<usize>,
+    eb: &mut Vec<i32>,
+    decoded: &mut [f64],
+) {
     let (b, nrows) = (layout.b(), layout.nrows());
     let (row_ptr, col_idx) = (layout.row_ptr(), layout.col_idx());
     let (max_offset, fraction) = (config.max_offset(), Fraction::new(config.f));
@@ -411,11 +619,10 @@ fn encode_bands<const NEAREST: bool, const FTZ: bool>(
     let mut sums = vec![(0u64, 0u64); block_cols];
     // Per block column of the current band: its block's base and window.
     let mut bases: Vec<(i32, Option<Bounds>)> = vec![(0, None); block_cols];
-    let mut eb = Vec::with_capacity(layout.num_blocks());
-    let mut decoded = vec![0.0; vals.len()];
-    let mut blocks = layout.extents().peekable();
-    for (brow, row_lo) in (0..nrows).step_by(1 << b).enumerate() {
-        let row_hi = (row_lo + (1 << b)).min(nrows);
+    let offset = row_ptr[rows.start] as usize;
+    let mut blocks = layout.extents_in(rows.clone()).peekable();
+    for row_lo in rows.step_by(1 << b) {
+        let (brow, row_hi) = (row_lo >> b, (row_lo + (1 << b)).min(nrows));
         let band = row_ptr[row_lo] as usize..row_ptr[row_hi] as usize;
         let (cols, band_vals) = (&col_idx[band.clone()], &vals[band.clone()]);
         for (&c, &v) in cols.iter().zip(band_vals) {
@@ -432,14 +639,34 @@ fn encode_bands<const NEAREST: bool, const FTZ: bool>(
             bases[bcol] = (base, bounds);
             eb.push(base);
         }
-        for ((&c, &v), out) in cols.iter().zip(band_vals).zip(&mut decoded[band]) {
+        let out = &mut decoded[band.start - offset..band.end - offset];
+        for ((&c, &v), out) in cols.iter().zip(band_vals).zip(out) {
             *out = match &bases[(c >> b) as usize] {
                 (_, Some(bounds)) => quantize_bits::<NEAREST, FTZ>(v, bounds, &fraction).0,
                 (base, None) => requantize(v, *base, config.e, config.f, rounding, underflow),
             };
         }
     }
-    (eb, decoded)
+}
+
+/// [`encode_bands`] over the block rows `rows` covers, the rounding and underflow
+/// modes chosen once.
+fn encode_rows(
+    layout: &BlockLayout,
+    config: &ReFloatConfig,
+    vals: &[f64],
+    rows: Range<usize>,
+    eb: &mut Vec<i32>,
+    decoded: &mut [f64],
+) {
+    use {RoundingMode::*, UnderflowMode::*};
+    let encode = match (config.rounding, config.underflow) {
+        (Truncate, Saturate) => encode_bands::<false, false>,
+        (Truncate, FlushToZero) => encode_bands::<false, true>,
+        (RoundNearest, Saturate) => encode_bands::<true, false>,
+        (RoundNearest, FlushToZero) => encode_bands::<true, true>,
+    };
+    encode(layout, config, vals, rows, eb, decoded);
 }
 
 /// `v`'s exact exponent, biased — `12 − leading_zeros` for a subnormal, whose leading
@@ -522,6 +749,43 @@ impl LinearOperator for ReFloatMatrix {
         }
     }
 
+    /// The lanes of [`with_lanes`](ReFloatMatrix::with_lanes), when a solve pays and
+    /// the vector converter is on.
+    fn lanes(&self) -> Option<&Arc<Lanes>> {
+        self.solve_lanes.as_ref().filter(|_| self.quantize_vectors)
+    }
+
+    /// Two lane phases over the solve's bands: `p ← r + βp` and the convert
+    /// (`convert_bands`), then each lane accumulates its band's rows from the one
+    /// quantized input straight into its `ap` band and returns its partial `pᵀAp`.
+    fn apply_bands(&mut self, vectors: &mut LanedVectors, beta: Option<f64>) -> f64 {
+        if !self.quantize_vectors {
+            return apply_gathered(self, vectors, beta);
+        }
+        assert_eq!(
+            vectors.len(),
+            self.ncols,
+            "ReFloatMatrix apply: x length mismatch"
+        );
+        assert_eq!(
+            self.nrows, self.ncols,
+            "ReFloatMatrix: a laned solve is square"
+        );
+        self.convert_bands(vectors, beta);
+        let (layout, encoded) = (Arc::clone(&self.layout), Arc::clone(&self.encoded));
+        let xq = self.quantized_input.shared();
+        vectors.reduce(move |band| {
+            accumulate_rows(
+                &layout,
+                &encoded.decoded,
+                &xq,
+                band.range.clone(),
+                &mut band.ap,
+            );
+            vecops::dot(&band.p, &band.ap)
+        })
+    }
+
     fn name(&self) -> String {
         format!(
             "refloat {} ({} blocks, {} nnz)",
@@ -540,7 +804,7 @@ mod tests {
     use crate::vector::ConversionStats;
     use proptest::prelude::*;
     use refloat_matgen::generators;
-    use refloat_solvers::{bicgstab, cg, SolverConfig};
+    use refloat_solvers::{bicgstab, cg, SolverConfig, StopReason};
     use refloat_sparse::vecops;
     use std::collections::BTreeMap;
 
@@ -931,7 +1195,7 @@ mod tests {
             for count in 1..=4 {
                 let lanes = Arc::new(Lanes::new(count).unwrap());
                 // No minimum: every matrix here splits when its rows allow.
-                let mut laned = serial.clone().split_over(&lanes, 0);
+                let mut laned = serial.clone().split_over(&lanes, (0, 0));
                 let bands = laned.split.as_ref().map_or(1, |split| split.bands.len());
                 assert_eq!(bands, block_row_shards(&serial.layout, count).len());
                 for _ in 0..2 {
@@ -969,6 +1233,200 @@ mod tests {
                 });
             }
         });
+    }
+
+    /// One set of lanes per count from 1 to 4, shared by the tests.
+    fn lanes(count: usize) -> &'static Arc<Lanes> {
+        static LANES: std::sync::OnceLock<Vec<Arc<Lanes>>> = std::sync::OnceLock::new();
+        let sets =
+            LANES.get_or_init(|| (1..=4).map(|c| Arc::new(Lanes::new(c).unwrap())).collect());
+        &sets[count - 1]
+    }
+
+    /// A tridiagonal matrix of order `n` with diagonal entries over a few binades,
+    /// symmetric positive definite, or negative definite when `sign` is −1.
+    fn tridiagonal(n: usize, sign: f64) -> CsrMatrix {
+        let mut coo = refloat_sparse::CooMatrix::new(n, n);
+        for i in 0..n {
+            coo.push(i, i, sign * (2.5 + (i % 5) as f64 * 0.75));
+            if i + 1 < n {
+                coo.push(i, i + 1, -sign);
+                coo.push(i + 1, i, -sign);
+            }
+        }
+        coo.to_csr()
+    }
+
+    /// A CG solve's bits: the iterate, the trace, the iterations and the stop, then the
+    /// converter's bases and statistics after the last apply.
+    type Solved = (
+        Vec<u64>,
+        Vec<u64>,
+        usize,
+        StopReason,
+        Vec<i32>,
+        ConversionStats,
+    );
+
+    fn solved(op: &mut ReFloatMatrix, b: &[f64], config: &SolverConfig) -> Solved {
+        let r = cg(op, b, config);
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let converter = op.converter();
+        let (bases, stats) = (
+            converter.last_bases().to_vec(),
+            converter.last_stats().clone(),
+        );
+        (
+            bits(&r.x),
+            bits(&r.trace),
+            r.iterations,
+            r.stop,
+            bases,
+            stats,
+        )
+    }
+
+    #[test]
+    fn a_laned_solve_is_the_serial_solve_bitwise() {
+        // At b = 4 the halves and quarters of 1000 rows are not whole 16-row segments.
+        let mut stops = Vec::new();
+        for n in [0, 1, 63, 64, 65, 129, 1000] {
+            let mut b = refloat_matgen::rhs::krylov_like(n, 3);
+            // A subnormal makes its segment an edge segment.
+            if let Some(v) = b.get_mut(n / 2) {
+                *v = 3e-310;
+            }
+            let converged = SolverConfig::relative(1e-6).with_max_iterations(300);
+            let capped = SolverConfig::relative(1e-14).with_max_iterations(3);
+            for (sign, config) in [(1.0, &converged), (1.0, &capped), (-1.0, &converged)] {
+                let a = tridiagonal(n, sign);
+                for (rounding, underflow) in MODES {
+                    let format = test_config(4)
+                        .with_rounding(rounding)
+                        .with_underflow(underflow);
+                    let serial = ReFloatMatrix::from_csr(&a, format);
+                    let want = solved(&mut serial.clone(), &b, config);
+                    for count in 1..=4 {
+                        let mut laned = serial.clone().split_over(lanes(count), (0, 0));
+                        let parts = vecops::tree_bands(n, count).len();
+                        assert_eq!(laned.lanes().is_some(), parts > 1);
+                        let got = solved(&mut laned, &b, config);
+                        let context = format!("n {n}, sign {sign}, {rounding:?} {underflow:?}");
+                        assert!(got == want, "{count} lanes, {context}");
+                    }
+                    stops.push(std::mem::discriminant(&want.3));
+                }
+            }
+        }
+        // Every stop was exercised.
+        let kinds = [
+            StopReason::Converged,
+            StopReason::MaxIterations,
+            StopReason::Breakdown(String::new()),
+        ];
+        assert!(kinds
+            .iter()
+            .all(|kind| stops.contains(&std::mem::discriminant(kind))));
+        // A matrix below the per-lane row minimum solves on the calling thread.
+        let small = ReFloatMatrix::from_csr(&tridiagonal(1000, 1.0), test_config(4));
+        assert!(small.with_lanes(lanes(2)).lanes().is_none());
+        let large = tridiagonal(2 * MIN_LEN_PER_LANE, 1.0);
+        let large = ReFloatMatrix::from_csr(&large, test_config(4));
+        assert!(large.clone().with_lanes(lanes(2)).lanes().is_some());
+        assert!(large.with_lanes(lanes(1)).lanes().is_none());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn a_banded_apply_is_the_serial_apply_bitwise(
+            draws in proptest::collection::vec(
+                (0u64..=u64::MAX, 0usize..12, 0u32..64, -6i64..=6),
+                0..300,
+            ),
+            (centre, plain) in (1i64..=2046, proptest::bool::ANY),
+            (b, ev, fv) in (1u32..=4, 0u32..=11, 0u32..=52),
+            (mode, count) in (0usize..4, 2usize..=4),
+            (direction, beta) in (proptest::bool::ANY, -2.0f64..2.0),
+        ) {
+            let beta = direction.then_some(beta);
+            let x: Vec<f64> = draws
+                .iter()
+                .map(|&draw| f64::from_bits(pattern(draw, centre, plain)))
+                .collect();
+            let (rounding, underflow) = MODES[mode];
+            let config = ReFloatConfig::new(b, 3, 8, ev, fv)
+                .with_rounding(rounding)
+                .with_underflow(underflow);
+            let a = tridiagonal(x.len(), 1.0);
+            // The laned vectors start with r = p = x, so the direction is x + βx.
+            let mut p = x.clone();
+            if let Some(beta) = beta {
+                vecops::xpby(&x, beta, &mut p);
+            }
+            let mut serial = ReFloatMatrix::from_csr(&a, config);
+            let want = applied(&mut serial, &p);
+            let mut banded = serial.clone();
+            let mut vectors = LanedVectors::new(lanes(count), &x);
+            let p_ap = banded.apply_bands(&mut vectors, beta);
+            let quantized = |m: &ReFloatMatrix| {
+                m.quantized_input.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            };
+            prop_assert_eq!(quantized(&banded), quantized(&serial));
+            let converter = banded.converter();
+            prop_assert_eq!(converter.last_bases(), &want.1[..]);
+            prop_assert_eq!(converter.last_stats(), &want.2);
+            let y: Vec<f64> = want.0.iter().map(|&bits| f64::from_bits(bits)).collect();
+            prop_assert_eq!(p_ap.to_bits(), vecops::dot(&p, &y).to_bits());
+        }
+    }
+
+    #[test]
+    fn a_laned_encode_and_reencode_are_the_serial_ones_bitwise() {
+        let mass = generators::mass_matrix_3d(13, 13, 13, 1e-12, 0.8, 5).to_csr();
+        let graph = generators::random_spd_graph(6000, 6, 1.4, 1.0, 7).to_csr();
+        for mut a in [mass, graph] {
+            assert!(a.nnz() >= 4 * MIN_NNZ_PER_LANE);
+            // Subnormals make edge blocks, and huge values windows past the normal range.
+            let nnz = a.nnz();
+            for k in (0..nnz).step_by(997) {
+                a.values_mut()[k] = 3e-310;
+            }
+            for k in (5..nnz).step_by(1499) {
+                a.values_mut()[k] = -1e300;
+            }
+            let same = refloat_matgen::transient::perturb_symmetric_pairs(&a, 0.1, 0.3, 17);
+            let mut changed = refloat_sparse::CooMatrix::new(a.nrows(), a.ncols());
+            a.iter()
+                .filter(|&(r, c, _)| (r + c) % 101 != 0)
+                .for_each(|(r, c, v)| changed.push(r, c, v));
+            let nexts = [Arc::new(same), Arc::new(changed.to_csr())];
+            let shared = Arc::new(a.clone());
+            for (rounding, underflow) in MODES {
+                let config = ReFloatConfig::new(5, 3, 8, 3, 8)
+                    .with_rounding(rounding)
+                    .with_underflow(underflow);
+                let serial = ReFloatMatrix::from_csr(&a, config);
+                for count in 2..=4 {
+                    let laned = ReFloatMatrix::from_csr_on(&shared, config, lanes(count));
+                    assert_eq!(laned.bases(), serial.bases());
+                    crate::incremental::assert_bitwise_identical(&laned, &serial);
+                    for next in &nexts {
+                        let want = crate::incremental::reencode_incremental(&serial, &a, next);
+                        let got = crate::incremental::reencode_incremental_on(
+                            &serial,
+                            &a,
+                            next,
+                            lanes(count),
+                        );
+                        assert_eq!(got.stats, want.stats);
+                        assert_eq!(got.matrix.bases(), want.matrix.bases());
+                        crate::incremental::assert_bitwise_identical(&got.matrix, &want.matrix);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

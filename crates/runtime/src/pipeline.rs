@@ -27,7 +27,7 @@
 use std::sync::Arc;
 
 use refloat_core::autotune::{self, AutotuneConfig};
-use refloat_core::incremental::{reencode_incremental, IncrementalStats};
+use refloat_core::incremental::{reencode_incremental_on, IncrementalStats};
 use refloat_core::{ReFloatConfig, ReFloatMatrix, ShardedReFloatMatrix};
 use refloat_solvers::{
     refine_warm, solve_warm_split, LinearOperator, PrecisionLadder, RefinementStop, SolveResult,
@@ -396,11 +396,12 @@ impl JobContext<'_> {
     /// Stage 2: the encoding of `csr` under `key`, through the shared cache.  With a
     /// sequence `predecessor`, a miss first looks for the predecessor's encoding in
     /// the same format and re-encodes against it, reusing its layout and diffing for
-    /// the delta charge — bitwise identical to encoding from scratch.
+    /// the delta charge — bitwise identical to encoding from scratch.  Either encode
+    /// runs on the worker's lanes, idle between solves, in block-row bands.
     fn resolve_encoding(
         &self,
         key: CacheKey,
-        csr: &CsrMatrix,
+        csr: &Arc<CsrMatrix>,
         predecessor: Option<&SequencePredecessor>,
     ) -> Resolved {
         let mut incremental = None;
@@ -418,11 +419,11 @@ impl JobContext<'_> {
             });
             match previous {
                 Some((previous, pred)) => {
-                    let inc = reencode_incremental(&previous, &pred.csr, csr);
+                    let inc = reencode_incremental_on(&previous, &pred.csr, csr, self.lanes);
                     incremental = Some(inc.stats);
                     inc.matrix
                 }
-                None => ReFloatMatrix::from_csr(csr, key.format),
+                None => ReFloatMatrix::from_csr_on(csr, key.format, self.lanes),
             }
         });
         Resolved {
@@ -446,7 +447,7 @@ impl JobContext<'_> {
         (solved, primary): (&mut Solved, bool),
     ) -> Target {
         let key = CacheKey::whole(job.matrix.fingerprint(), format);
-        let resolved = self.resolve_encoding(key, job.matrix.csr(), predecessor);
+        let resolved = self.resolve_encoding(key, &job.matrix.csr_arc(), predecessor);
         solved.absorb_lookup(&resolved, primary);
         let delta = predecessor
             .zip(resolved.incremental)

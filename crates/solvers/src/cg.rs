@@ -4,10 +4,17 @@
 //! CG performs exactly one operator application per iteration (plus one for the initial
 //! residual), which is the `1 SpMV / iteration` count the paper's performance model uses
 //! for the CG rows of Fig. 8.
+//!
+//! An operator with [`lanes`](LinearOperator::lanes) gets a laned solve: the vectors
+//! live on the lanes in [`LanedVectors`] bands for the whole solve, and an iteration is
+//! three lane phases — `p ← r + βp` and the operator's apply up to `pᵀAp`
+//! ([`apply_bands`](LinearOperator::apply_bands)), then `x += αp; r −= α·Ap; rᵀr`.  Its
+//! reductions add the bands' partials in the pairwise tree's order, so every iterate,
+//! residual and stop is the one-thread solve's, bit for bit.
 
 use crate::operator::LinearOperator;
 use crate::result::{SolveResult, SolverConfig, StopReason};
-use refloat_sparse::vecops;
+use refloat_sparse::vecops::{self, LanedVectors};
 
 /// Solves `A x = b` with plain (unpreconditioned) CG starting from `x₀ = 0`.
 ///
@@ -21,6 +28,9 @@ pub fn cg<A: LinearOperator + ?Sized>(a: &mut A, b: &[f64], config: &SolverConfi
 
 /// Solves `A x = b` with CG, optionally applying a diagonal (Jacobi) preconditioner
 /// given as the vector of inverse diagonal entries `m⁻¹` (see [`crate::jacobi`]).
+///
+/// Without a preconditioner, on an operator with [`lanes`](LinearOperator::lanes), the
+/// vectors stay on the lanes (see the [module docs](self)); the result is the same.
 ///
 /// # Panics
 /// Panics if dimensions of `a`, `b` and the preconditioner disagree.
@@ -40,19 +50,13 @@ pub fn pcg<A: LinearOperator + ?Sized>(
     let threshold = config.threshold(vecops::norm2(b));
     let mut trace = Vec::new();
 
-    let mut x = vec![0.0; n];
-    // x0 = 0, so r0 = b.  Without a preconditioner z = r: CG reads `r` where it would
-    // read `z`, which is never filled, and rᵀz is the rᵀr the residual norm was taken
-    // from — the same bits, one copy and one dot fewer per iteration.
-    let mut r = b.to_vec();
-    let mut z = vec![0.0; inv_diag.map_or(0, |_| n)];
-    let rr = vecops::dot(&r, &r);
-    let mut rz_old = precondition(inv_diag, &r, &mut z, rr);
-    let mut p = match inv_diag {
-        Some(_) => z.clone(),
-        None => r.clone(),
+    // x0 = 0, so r0 = b.
+    let mut vectors = match a.lanes().filter(|_| inv_diag.is_none()) {
+        Some(lanes) => Vectors::Laned(LanedVectors::new(lanes, b)),
+        None => Vectors::Serial(Serial::new(b, inv_diag)),
     };
-    let mut ap = vec![0.0; n];
+    let rr = vecops::dot(b, b);
+    let mut rz_old = vectors.precondition(rr);
     let mut spmv_count = 0usize;
 
     let mut res_norm = rr.sqrt();
@@ -60,109 +64,164 @@ pub fn pcg<A: LinearOperator + ?Sized>(
         trace.push(res_norm);
     }
     if res_norm < threshold {
-        return SolveResult {
-            x,
-            iterations: 0,
-            spmv_count,
-            final_residual: res_norm,
-            trace,
-            stop: StopReason::Converged,
-        };
+        return vectors.result(0, spmv_count, res_norm, trace, StopReason::Converged);
     }
 
+    // The first direction is z0; every later one is z + βp.
+    let mut beta = None;
     for k in 1..=config.max_iterations {
-        a.apply(&p, &mut ap);
+        let p_ap = vectors.apply(a, beta);
         spmv_count += 1;
 
-        let p_ap = vecops::dot(&p, &ap);
         if !p_ap.is_finite() || p_ap <= 0.0 {
-            return SolveResult {
-                x,
-                iterations: k,
-                spmv_count,
-                final_residual: res_norm,
-                trace,
-                stop: StopReason::Breakdown(format!("pᵀAp = {p_ap} is not positive")),
-            };
+            let stop = StopReason::Breakdown(format!("pᵀAp = {p_ap} is not positive"));
+            return vectors.result(k, spmv_count, res_norm, trace, stop);
         }
         let alpha = rz_old / p_ap;
-        vecops::axpy(alpha, &p, &mut x);
-        vecops::axpy(-alpha, &ap, &mut r);
-
-        let rr = vecops::dot(&r, &r);
+        let rr = vectors.step(alpha);
         res_norm = rr.sqrt();
         if config.record_trace {
             trace.push(res_norm);
         }
         if !res_norm.is_finite() {
-            return SolveResult {
-                x,
-                iterations: k,
-                spmv_count,
-                final_residual: res_norm,
-                trace,
-                stop: StopReason::Breakdown("residual norm is not finite".into()),
-            };
+            let stop = StopReason::Breakdown("residual norm is not finite".into());
+            return vectors.result(k, spmv_count, res_norm, trace, stop);
         }
         if res_norm < threshold {
-            return SolveResult {
-                x,
-                iterations: k,
-                spmv_count,
-                final_residual: res_norm,
-                trace,
-                stop: StopReason::Converged,
-            };
+            return vectors.result(k, spmv_count, res_norm, trace, StopReason::Converged);
         }
 
-        let rz_new = precondition(inv_diag, &r, &mut z, rr);
+        let rz_new = vectors.precondition(rr);
         if rz_new == 0.0 || !rz_new.is_finite() {
-            return SolveResult {
-                x,
-                iterations: k,
-                spmv_count,
-                final_residual: res_norm,
-                trace,
-                stop: StopReason::Breakdown(format!("rᵀz = {rz_new}")),
-            };
+            let stop = StopReason::Breakdown(format!("rᵀz = {rz_new}"));
+            return vectors.result(k, spmv_count, res_norm, trace, stop);
         }
-        let beta = rz_new / rz_old;
-        let z = match inv_diag {
-            Some(_) => &z,
-            None => &r,
-        };
-        vecops::xpby(z, beta, &mut p);
+        beta = Some(rz_new / rz_old);
         rz_old = rz_new;
     }
 
-    SolveResult {
-        x,
-        iterations: config.max_iterations,
-        spmv_count,
-        final_residual: res_norm,
-        trace,
-        stop: StopReason::MaxIterations,
+    let max = config.max_iterations;
+    vectors.result(max, spmv_count, res_norm, trace, StopReason::MaxIterations)
+}
+
+/// A CG solve's vectors: on the calling thread, or on the operator's lanes.
+enum Vectors<'m> {
+    Serial(Serial<'m>),
+    Laned(LanedVectors),
+}
+
+/// The vectors of a solve on the calling thread.  Without a preconditioner `z = r`: CG
+/// reads `r` where it would read `z`, which is never filled, and `rᵀz` is the `rᵀr` the
+/// residual norm was taken from — the same bits, one copy and one dot fewer per
+/// iteration.
+struct Serial<'m> {
+    x: Vec<f64>,
+    r: Vec<f64>,
+    z: Vec<f64>,
+    p: Vec<f64>,
+    ap: Vec<f64>,
+    inv_diag: Option<&'m [f64]>,
+}
+
+impl<'m> Serial<'m> {
+    fn new(b: &[f64], inv_diag: Option<&'m [f64]>) -> Self {
+        let n = b.len();
+        Serial {
+            x: vec![0.0; n],
+            r: b.to_vec(),
+            z: vec![0.0; inv_diag.map_or(0, |_| n)],
+            p: Vec::new(),
+            ap: vec![0.0; n],
+            inv_diag,
+        }
     }
 }
 
-/// `rᵀz` for the preconditioned residual `z = M⁻¹ r`, written into `z`.  Without a
-/// preconditioner it is `rr`, the caller's `rᵀr`, and `z` is left alone.
-fn precondition(inv_diag: Option<&[f64]>, r: &[f64], z: &mut [f64], rr: f64) -> f64 {
-    let Some(m) = inv_diag else {
-        return rr;
-    };
-    for ((zi, ri), mi) in z.iter_mut().zip(r.iter()).zip(m.iter()) {
-        *zi = ri * mi;
+impl Vectors<'_> {
+    /// `p ← z + β·p` (`p ← z` without `beta`), then `A·p`; returns `pᵀ·A·p`.
+    fn apply<A: LinearOperator + ?Sized>(&mut self, a: &mut A, beta: Option<f64>) -> f64 {
+        let v = match self {
+            Vectors::Laned(vectors) => return a.apply_bands(vectors, beta),
+            Vectors::Serial(v) => v,
+        };
+        let z = match v.inv_diag {
+            Some(_) => &v.z,
+            None => &v.r,
+        };
+        match beta {
+            Some(beta) => vecops::xpby(z, beta, &mut v.p),
+            None => v.p.clone_from(z),
+        }
+        a.apply(&v.p, &mut v.ap);
+        vecops::dot(&v.p, &v.ap)
     }
-    vecops::dot(r, z)
+
+    /// `x += α·p`, `r −= α·A·p`; returns `rᵀr`.
+    fn step(&mut self, alpha: f64) -> f64 {
+        match self {
+            Vectors::Serial(v) => {
+                vecops::axpy(alpha, &v.p, &mut v.x);
+                vecops::axpy(-alpha, &v.ap, &mut v.r);
+                vecops::dot(&v.r, &v.r)
+            }
+            Vectors::Laned(vectors) => vectors.reduce(move |band| {
+                vecops::axpy(alpha, &band.p, &mut band.x);
+                vecops::axpy(-alpha, &band.ap, &mut band.r);
+                vecops::dot(&band.r, &band.r)
+            }),
+        }
+    }
+
+    /// `rᵀz` for the preconditioned residual `z = M⁻¹ r`, written into `z`.  Without a
+    /// preconditioner it is `rr`, the caller's `rᵀr`, and `z` is left alone.
+    fn precondition(&mut self, rr: f64) -> f64 {
+        let Vectors::Serial(Serial {
+            r,
+            z,
+            inv_diag: Some(m),
+            ..
+        }) = self
+        else {
+            return rr;
+        };
+        for ((zi, ri), mi) in z.iter_mut().zip(r.iter()).zip(m.iter()) {
+            *zi = ri * mi;
+        }
+        vecops::dot(r, z)
+    }
+
+    /// The solve's result, with the iterate gathered.
+    fn result(
+        self,
+        iterations: usize,
+        spmv_count: usize,
+        final_residual: f64,
+        trace: Vec<f64>,
+        stop: StopReason,
+    ) -> SolveResult {
+        let x = match self {
+            Vectors::Serial(v) => v.x,
+            Vectors::Laned(vectors) => vectors.into_x(),
+        };
+        SolveResult {
+            x,
+            iterations,
+            spmv_count,
+            final_residual,
+            trace,
+            stop,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operator::DiagonalOperator;
+    use crate::operator::{DiagonalOperator, OperatorStats};
     use refloat_matgen::generators;
+    use refloat_sparse::parallel::Lanes;
     use refloat_sparse::CsrMatrix;
+    use std::sync::Arc;
 
     fn solve_reference(a: &CsrMatrix, b: &[f64], config: &SolverConfig) -> SolveResult {
         let mut op = a.clone();
@@ -270,6 +329,99 @@ mod tests {
         let b = vec![1.0; 10];
         let r = cg(&mut a, &b, &SolverConfig::default());
         assert!(matches!(r.stop, StopReason::Breakdown(_)));
+    }
+
+    /// `inner` with lanes, applied over them by the default `apply_bands`.
+    struct Laned<A> {
+        inner: A,
+        lanes: Arc<Lanes>,
+    }
+
+    impl<A: LinearOperator> LinearOperator for Laned<A> {
+        fn nrows(&self) -> usize {
+            self.inner.nrows()
+        }
+
+        fn ncols(&self) -> usize {
+            self.inner.ncols()
+        }
+
+        fn apply(&mut self, x: &[f64], y: &mut [f64]) {
+            self.inner.apply(x, y);
+        }
+
+        fn lanes(&self) -> Option<&Arc<Lanes>> {
+            Some(&self.lanes)
+        }
+    }
+
+    /// A shifted 1-D Laplacian of order `n`, scaled by `sign`.
+    fn tridiagonal(n: usize, sign: f64) -> CsrMatrix {
+        let mut coo = refloat_sparse::CooMatrix::new(n, n);
+        for i in 0..n {
+            coo.push(i, i, sign * (2.0 + 0.01 * (i % 7) as f64));
+            if i + 1 < n {
+                coo.push(i, i + 1, -sign);
+                coo.push(i + 1, i, -sign);
+            }
+        }
+        coo.to_csr()
+    }
+
+    #[test]
+    fn a_laned_solve_is_the_serial_solve_bitwise() {
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for n in [0, 1, 63, 64, 65, 129, 300] {
+            let b: Vec<f64> = (0..n).map(|i| ((i * 37 % 11) as f64 - 4.5) / 3.0).collect();
+            let converged = SolverConfig::relative(1e-10);
+            let capped = SolverConfig::relative(1e-14).with_max_iterations(3);
+            let cases = [(1.0, &converged), (1.0, &capped), (-1.0, &converged)];
+            for (sign, config) in cases {
+                let a = tridiagonal(n, sign);
+                let want = cg(&mut a.clone(), &b, config);
+                for count in 1..=4 {
+                    let lanes = Arc::new(Lanes::new(count).unwrap());
+                    let mut op = OperatorStats::new(Laned {
+                        inner: a.clone(),
+                        lanes,
+                    });
+                    let got = cg(&mut op, &b, config);
+                    let context = format!("n {n}, sign {sign}, {count} lanes");
+                    assert_eq!(bits(&got.x), bits(&want.x), "{context}");
+                    assert_eq!(bits(&got.trace), bits(&want.trace), "{context}");
+                    assert_eq!(got.iterations, want.iterations, "{context}");
+                    assert_eq!(got.stop, want.stop, "{context}");
+                    assert_eq!(op.applies(), want.spmv_count, "{context}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tree_bands_and_their_sum_are_the_pairwise_dot() {
+        for n in [0, 1, 64, 65, 129, 1000, 4097] {
+            let x: Vec<f64> = (0..n).map(|i| 1.0 / (1.0 + i as f64)).collect();
+            for lanes in 1..=9 {
+                let bands = vecops::tree_bands(n, lanes);
+                assert_eq!(bands.first().map(|band| band.start), Some(0));
+                assert_eq!(bands.last().map(|band| band.end), Some(n));
+                assert!(bands.windows(2).all(|pair| pair[0].end == pair[1].start));
+                let partials: Vec<f64> = bands
+                    .iter()
+                    .map(|band| vecops::dot(&x[band.clone()], &x[band.clone()]))
+                    .collect();
+                let sum = vecops::tree_sum(n, lanes, &partials);
+                assert_eq!(sum.to_bits(), vecops::dot(&x, &x).to_bits(), "n {n}");
+            }
+        }
+        // Two lanes cut at n/2, four at the quarters, and a leaf is not cut.
+        assert_eq!(vecops::tree_bands(1000, 2), [0..500, 500..1000]);
+        assert_eq!(vecops::tree_bands(1000, 3), [0..500, 500..1000]);
+        assert_eq!(
+            vecops::tree_bands(1001, 4),
+            [0..250, 250..500, 500..750, 750..1001]
+        );
+        assert_eq!(vecops::tree_bands(129, 4), [0..64, 64..96, 96..129]);
     }
 
     #[test]

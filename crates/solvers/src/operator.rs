@@ -1,5 +1,9 @@
 //! The operator abstraction the solvers are written against.
 
+use std::sync::Arc;
+
+use refloat_sparse::parallel::Lanes;
+use refloat_sparse::vecops::LanedVectors;
 use refloat_sparse::CsrMatrix;
 
 /// A square (or rectangular) linear operator `y = A·x`.
@@ -20,27 +24,41 @@ pub trait LinearOperator {
     /// Implementations must not assume anything about the prior contents of `y`.
     fn apply(&mut self, x: &[f64], y: &mut [f64]);
 
-    /// Batched multi-RHS SpMV: `Y ← A·X` column by column (`X` given as `k` vectors of
-    /// length `ncols`).
+    /// The lanes a CG solve on this operator keeps its vectors on ([`LanedVectors`]),
+    /// applying through [`apply_bands`](Self::apply_bands); none by default, and then the
+    /// solve runs on the calling thread alone.
+    fn lanes(&self) -> Option<&Arc<Lanes>> {
+        None
+    }
+
+    /// One apply of a laned solve: `p ← r + β·p` on every band when `beta` is given, then
+    /// `A·p` into the bands' `ap`; returns `pᵀ·A·p`, its band partials added in the
+    /// pairwise tree's order.  Every bit is that of [`apply`](Self::apply) on the whole
+    /// `p` followed by [`vecops::dot`](refloat_sparse::vecops::dot).
     ///
-    /// The default loops [`apply`](Self::apply), so every operator gets the batched
-    /// entry point for free and each column is bitwise identical to a standalone
-    /// apply; an operator with expensive per-apply setup may override it to amortize
-    /// that setup across the batch.
-    ///
-    /// # Panics
-    /// Panics if `xs` and `ys` have different lengths.
-    fn apply_batch(&mut self, xs: &[Vec<f64>], ys: &mut [Vec<f64>]) {
-        assert_eq!(xs.len(), ys.len(), "apply_batch: X/Y column count mismatch");
-        for (x, y) in xs.iter().zip(ys.iter_mut()) {
-            self.apply(x, y);
-        }
+    /// The default gathers `p`, applies, and stores `A·p` back in the bands; an operator
+    /// offering [`lanes`](Self::lanes) overrides it to work on the bands in place.
+    fn apply_bands(&mut self, vectors: &mut LanedVectors, beta: Option<f64>) -> f64 {
+        apply_gathered(self, vectors, beta)
     }
 
     /// A short human-readable description used in experiment logs.
     fn name(&self) -> String {
         "operator".to_string()
     }
+}
+
+/// [`LinearOperator::apply_bands`] through the whole vectors: `p` gathered from the
+/// bands, applied by `a`, and `A·p` stored back in them.
+pub fn apply_gathered<A: LinearOperator + ?Sized>(
+    a: &mut A,
+    vectors: &mut LanedVectors,
+    beta: Option<f64>,
+) -> f64 {
+    let p = vectors.direction(beta);
+    let mut ap = vec![0.0; a.nrows()];
+    a.apply(&p, &mut ap);
+    vectors.set_ap(ap)
 }
 
 impl LinearOperator for CsrMatrix {
@@ -133,6 +151,15 @@ impl<A: LinearOperator> LinearOperator for OperatorStats<A> {
     fn apply(&mut self, x: &[f64], y: &mut [f64]) {
         self.applies += 1;
         self.inner.apply(x, y);
+    }
+
+    fn lanes(&self) -> Option<&Arc<Lanes>> {
+        self.inner.lanes()
+    }
+
+    fn apply_bands(&mut self, vectors: &mut LanedVectors, beta: Option<f64>) -> f64 {
+        self.applies += 1;
+        self.inner.apply_bands(vectors, beta)
     }
 
     fn name(&self) -> String {

@@ -233,12 +233,17 @@ impl BlockLayout {
     /// chip holding that band of a [`block_row_shards`](crate::block_row_shards)
     /// partition must program.
     pub fn blocks_in_rows(&self, rows: Range<usize>) -> usize {
+        self.block_span(rows).len()
+    }
+
+    /// The indices of the blocks in the block rows that `rows` covers.
+    fn block_span(&self, rows: Range<usize>) -> Range<usize> {
         // The sentinel's `u32::MAX` block row sorts after every real one.
         let first = |block_row: usize| {
             self.table
                 .partition_point(|entry| (entry.block_row as usize) < block_row)
         };
-        first(rows.end.div_ceil(self.block_size())) - first(rows.start >> self.b)
+        first(rows.start >> self.b)..first(rows.end.div_ceil(self.block_size()))
     }
 
     /// Total number of stored non-zeros.
@@ -251,7 +256,17 @@ impl BlockLayout {
     pub fn extents(
         &self,
     ) -> impl ExactSizeIterator<Item = ((usize, usize), Range<usize>)> + Clone + '_ {
-        self.table.windows(2).map(|pair| {
+        self.extents_in(0..self.nrows)
+    }
+
+    /// [`extents`](Self::extents) of the blocks in the block rows that `rows` covers.
+    pub fn extents_in(
+        &self,
+        rows: Range<usize>,
+    ) -> impl ExactSizeIterator<Item = ((usize, usize), Range<usize>)> + Clone + '_ {
+        let span = self.block_span(rows);
+        // Up to the first block past the span, whose start ends the span's last block.
+        self.table[span.start..=span.end].windows(2).map(|pair| {
             let key = (pair[0].block_row as usize, pair[0].block_col as usize);
             (key, pair[0].start as usize..pair[1].start as usize)
         })

@@ -160,6 +160,13 @@ pub fn read_coo_from_reader<R: Read>(reader: BufReader<R>) -> Result<CooMatrix> 
             )));
         }
         let (nrows, ncols, nnz) = (dims[0], dims[1], dims[2]);
+        // A mirrored entry must land inside the matrix.
+        if symmetry != Symmetry::General && nrows != ncols {
+            return Err(SparseError::MatrixMarket(format!(
+                "{} coordinate matrix must be square, got {nrows}x{ncols}",
+                symmetry.keyword()
+            )));
+        }
         // Symmetric entries mirror into two triplets.  The size line is untrusted
         // input, and capacity is only an optimization: saturate the doubling (no
         // arithmetic overflow) and cap the pre-allocation so an absurd declared nnz
@@ -282,15 +289,14 @@ pub fn read_coo_from_reader<R: Read>(reader: BufReader<R>) -> Result<CooMatrix> 
                 values.len()
             )));
         }
+        // The general walk goes over the values, not the declared dimensions: a `0 × N`
+        // array holds none, whatever `N` says.  A symmetric one's order is bounded by
+        // its value count, checked above.
         let mut coo = CooMatrix::with_capacity(nrows, ncols, values.len());
         match symmetry {
             Symmetry::General => {
-                let mut k = 0;
-                for c in 0..ncols {
-                    for r in 0..nrows {
-                        coo.push(r, c, values[k]);
-                        k += 1;
-                    }
+                for (k, &v) in values.iter().enumerate() {
+                    coo.push(k % nrows, k / nrows, v);
                 }
             }
             Symmetry::Symmetric => {
@@ -542,6 +548,25 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_array_with_a_huge_declared_width_returns_at_once() {
+        // Zero rows hold no values: the reader must not walk the declared columns.
+        let text = "%%MatrixMarket matrix array real general\n0 18446744073709551615\n";
+        let a = read_coo_from_str(text).unwrap();
+        assert_eq!((a.nrows(), a.ncols(), a.nnz()), (0, usize::MAX, 0));
+    }
+
+    #[test]
+    fn a_non_square_symmetric_coordinate_file_is_an_error_not_a_panic() {
+        // (5, 1) would mirror to (1, 5), outside a 5 × 2 matrix.
+        for symmetry in ["symmetric", "skew-symmetric"] {
+            let text =
+                format!("%%MatrixMarket matrix coordinate real {symmetry}\n5 2 1\n5 1 1.0\n");
+            let err = read_coo_from_str(&text).unwrap_err();
+            assert!(err.to_string().contains("square"), "{symmetry}: {err}");
+        }
+    }
+
+    #[test]
     fn rejects_explicit_skew_symmetric_diagonal() {
         // Illegal per the format; accepting it silently used to corrupt A ≠ −Aᵀ.
         let text = "%%MatrixMarket matrix coordinate real skew-symmetric\n\
@@ -611,6 +636,98 @@ mod tests {
         let rect = CooMatrix::new(2, 3);
         let mut buf = Vec::new();
         assert!(write_coo_as(&mut buf, &rect, Field::Real, Symmetry::Symmetric, "").is_err());
+    }
+
+    mod hostile {
+        use super::super::*;
+        use proptest::prelude::*;
+        use std::time::{Duration, Instant};
+
+        /// Reads `bytes` both ways — as a stream, and lossily decoded as text — and
+        /// asserts that each returns, `Ok` or `Err`, without a panic and quickly.
+        fn reads_without_panic(bytes: &[u8]) {
+            // refloat-analysis: allow(wall-clock-in-deterministic-path) — a time limit
+            // on a parse, which decides no result.
+            let started = Instant::now();
+            let _ = read_coo_from_reader(BufReader::new(bytes));
+            let _ = read_coo_from_str(&String::from_utf8_lossy(bytes));
+            let took = started.elapsed();
+            assert!(
+                took < Duration::from_secs(2),
+                "{took:?} on {:?}",
+                String::from_utf8_lossy(bytes)
+            );
+        }
+
+        const FORMATS: [&str; 3] = ["coordinate", "array", "dense"];
+        const FIELDS: [&str; 5] = ["real", "integer", "pattern", "double", "complex"];
+        const SYMMETRIES: [&str; 4] = ["general", "symmetric", "skew-symmetric", "hermitian"];
+        /// Size-line and index tokens: small, boundary, huge, negative and malformed.
+        const NUMBERS: [&str; 12] = [
+            "0",
+            "1",
+            "2",
+            "3",
+            "7",
+            "4294967296",
+            "99999999999",
+            "18446744073709551615",
+            "18446744073709551616",
+            "-1",
+            "x",
+            "1e3",
+        ];
+        const VALUES: [&str; 7] = ["1.5", "-2", "nan", "inf", "1e308", "0x1", ""];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn arbitrary_bytes_are_read_without_panic(
+                bytes in proptest::collection::vec(0u8..=255, 0..300),
+                with_header in proptest::bool::ANY,
+            ) {
+                let mut data = Vec::new();
+                if with_header {
+                    data.extend_from_slice(b"%%MatrixMarket matrix coordinate real general\n");
+                }
+                data.extend(bytes);
+                reads_without_panic(&data);
+            }
+
+            #[test]
+            fn mutated_files_are_read_without_panic(
+                (format, field, symmetry) in (0usize..3, 0usize..5, 0usize..4),
+                (drop_header_token, banner) in (0usize..8, proptest::bool::ANY),
+                size in proptest::collection::vec(0usize..12, 0..5),
+                entries in proptest::collection::vec((0usize..12, 0usize..12, 0usize..7), 0..12),
+                (arity, comments) in (0usize..5, proptest::bool::ANY),
+            ) {
+                let mut header = vec![
+                    if banner { "%%MatrixMarket" } else { "%MatrixMarket" },
+                    "matrix",
+                    FORMATS[format],
+                    FIELDS[field],
+                    SYMMETRIES[symmetry],
+                ];
+                if drop_header_token < header.len() {
+                    header.remove(drop_header_token);
+                }
+                let mut text = header.join(" ") + "\n";
+                if comments {
+                    text += "% a comment\n\n";
+                }
+                text += &size.iter().map(|&k| NUMBERS[k]).collect::<Vec<_>>().join(" ");
+                text += "\n";
+                // Entries with the tokens a coordinate line has, or fewer, or more.
+                let arity = [3, 3, 2, 1, 4][arity];
+                for &(r, c, v) in &entries {
+                    text += &[NUMBERS[r], NUMBERS[c], VALUES[v], "9"][..arity].join(" ");
+                    text += "\n";
+                }
+                reads_without_panic(text.as_bytes());
+            }
+        }
     }
 
     #[test]

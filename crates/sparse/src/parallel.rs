@@ -12,7 +12,15 @@
 //! about 30 µs per call on a 2-core x86-64 host, as much as splitting a 50 k-nonzero
 //! SpMV saves; handing a task to a helper that is still spinning costs well under a
 //! microsecond.  A helper spins for half a millisecond after each task, then parks on a
-//! condition variable, so an idle owner burns no core.
+//! condition variable, so an idle owner burns no core.  Both sides yield the core as
+//! they spin: the scheduler wakes a parked helper on its caller's core, and a spin
+//! that kept the core there stalled the pair for the whole half millisecond.
+//!
+//! State can stay on the lanes too.  A [`Resident`] keeps one value per helper, behind
+//! a lock that only that helper's tasks take, and one for the caller, from one
+//! [`run`](Resident::run) to the next: a laned Krylov solve keeps each lane's bands of
+//! its vectors there for the whole solve, so a phase moves only its few partial sums
+//! between cores, never a vector.
 
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -102,6 +110,11 @@ const SPIN: Duration = Duration::from_micros(500);
 /// what it writes.  It runs on another thread, so it owns (or shares through `Arc`s)
 /// everything it reads.
 pub type BandTask = Box<dyn FnOnce(&mut Vec<f64>) + Send>;
+
+/// The largest output band, in elements, a helper keeps for its next task.  A larger
+/// one — a banded encode's — is freed once its caller has read it, so a one-off task
+/// does not pin its buffer on the helper for the life of the lanes.
+const BAND_KEEP: usize = 1 << 17;
 
 /// The calling thread plus `count() − 1` persistent helper threads.
 ///
@@ -327,18 +340,127 @@ impl Helper {
             mailbox.caller_waiting = false;
         };
         self.finished.store(false, Ordering::Relaxed);
-        outcome.map(|()| read(&mailbox.band))
+        let outcome = outcome.map(|()| read(&mailbox.band));
+        if mailbox.band.capacity() > BAND_KEEP {
+            mailbox.band = Vec::new();
+        }
+        outcome
     }
 }
 
-/// Spins until `ready` or for [`SPIN`], whichever comes first.
+/// State kept on the lanes across [`run`](Self::run)s: one `T` per helper lane, behind
+/// a lock that only that helper's tasks take, and the caller's own.
+///
+/// A task that finds the lanes busy runs on the calling thread (see [`Lanes::run`]); it
+/// still takes its helper's state, so the results are the same.
+pub struct Resident<T> {
+    lanes: Arc<Lanes>,
+    helpers: Vec<Arc<Mutex<T>>>,
+    local: T,
+}
+
+impl<T: Send + 'static> Resident<T> {
+    /// Places `states` on `lanes`: every one but the last on a helper, in order, the last
+    /// on the caller.
+    ///
+    /// # Panics
+    /// Panics if `states` is empty or holds more states than there are lanes.
+    pub fn new(lanes: &Arc<Lanes>, mut states: Vec<T>) -> Self {
+        let local = states.pop().expect("a resident state for the caller");
+        assert!(
+            states.len() < lanes.count(),
+            "more resident states than lanes"
+        );
+        Resident {
+            lanes: Arc::clone(lanes),
+            helpers: states
+                .into_iter()
+                .map(|s| Arc::new(Mutex::new(s)))
+                .collect(),
+            local,
+        }
+    }
+
+    /// The number of states, the caller's included.
+    pub fn count(&self) -> usize {
+        self.helpers.len() + 1
+    }
+
+    /// Runs `task` on every helper's state, on its lane, and `local` on the caller's,
+    /// then calls `gather(i, band)` with helper `i`'s output band, in order.
+    ///
+    /// # Panics
+    /// Resumes the first panic of a task, `local` or `gather` (see [`Lanes::run`]).
+    pub fn run<F>(&mut self, task: F, local: impl FnOnce(&mut T), gather: impl FnMut(usize, &[f64]))
+    where
+        F: Fn(&mut T, &mut Vec<f64>) + Clone + Send + 'static,
+    {
+        let tasks = self.helpers.iter().map(|band| {
+            let (band, task) = (Arc::clone(band), task.clone());
+            Box::new(move |out: &mut Vec<f64>| task(&mut lock(&band), out)) as BandTask
+        });
+        let state = &mut self.local;
+        self.lanes.run(tasks, || local(state), gather);
+    }
+
+    /// `partial` of every state, computed on its lane, in order: the helpers' first, the
+    /// caller's last.
+    pub fn partials<F>(&mut self, partial: F) -> Vec<f64>
+    where
+        F: Fn(&mut T) -> f64 + Clone + Send + 'static,
+    {
+        let mut partials = vec![0.0; self.count()];
+        let (helped, last) = partials.split_at_mut(self.helpers.len());
+        let local = partial.clone();
+        self.run(
+            move |state, out| {
+                out.clear();
+                out.push(partial(state));
+            },
+            |state| last[0] = local(state),
+            |lane, out| helped[lane] = out[0],
+        );
+        partials
+    }
+
+    /// Every state, the helpers' first, the caller's last.
+    pub fn into_states(self) -> Vec<T>
+    where
+        T: Default,
+    {
+        let helpers = self
+            .helpers
+            .iter()
+            .map(|band| std::mem::take(&mut *lock(band)));
+        helpers.chain([self.local]).collect()
+    }
+}
+
+impl<T> std::fmt::Debug for Resident<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Resident")
+            .field("count", &(self.helpers.len() + 1))
+            .finish()
+    }
+}
+
+/// A helper's resident state.  A task that panicked holding it poisons it, and the
+/// panic resumes on the caller, so a poisoned state is never read again as if whole.
+fn lock<T>(band: &Mutex<T>) -> MutexGuard<'_, T> {
+    band.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Spins until `ready` or for [`SPIN`], whichever comes first, yielding the core on
+/// every turn: the scheduler may have put the thread it waits for on the same core (it
+/// wakes a parked helper on its caller's), and a spin that keeps the core stalls that
+/// thread for the whole [`SPIN`].  With the core to itself a yield returns at once.
 fn spin_until(ready: impl Fn() -> bool) {
     // refloat-analysis: allow(wall-clock-in-deterministic-path) — how long a lane
     // spins before it blocks is host time by nature, and it decides no result.
     let now = Instant::now;
     let deadline = now() + SPIN;
     while !ready() && now() < deadline {
-        std::hint::spin_loop();
+        std::thread::yield_now();
     }
 }
 

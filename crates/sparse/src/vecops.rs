@@ -6,6 +6,28 @@
 //! allocation.  The element-wise loops (`axpy`, `xpby`, …) auto-vectorize; the
 //! reductions do not: their order of additions is fixed, because it decides the bits,
 //! and a strict-order `f64` sum compiles to scalar multiplies and adds.
+//!
+//! # Tree-aligned bands
+//!
+//! The reductions are pairwise trees whose split points depend only on the length, so a
+//! reduction splits over lanes without moving a bit: [`tree_bands`] cuts the index space
+//! into the tree's top-level subtrees (halves for two lanes, quarters for four), each
+//! lane reduces its own subtree with the same kernel, and [`tree_sum`] adds the
+//! partials in the tree's order.  A laned Krylov solve keeps its vectors cut that way,
+//! one [`Band`] per lane, for the whole solve ([`LanedVectors`]): the element-wise
+//! updates run on the bands in place, and a reduction moves one partial per lane.
+
+use std::ops::Range;
+use std::sync::Arc;
+
+use crate::parallel::{Lanes, Resident};
+
+/// The fewest elements per lane for which a solve keeps its vectors on lanes.  A laned
+/// CG iteration pays three round trips to the helpers, about 6 µs in all on a 2-core
+/// x86-64 host: on 2-D Laplacians a laned iteration broke even with the one-thread one
+/// near 1 k elements per lane, was 2× slower at 300 and gained from about 2 k.  The
+/// `cg_iteration_lanes` bench measures a whole iteration.
+pub const MIN_LEN_PER_LANE: usize = 2048;
 
 /// Leaf size of the pairwise reductions: small enough that the worst-case error of the
 /// naive base-case loop stays negligible, large enough that the recursion overhead
@@ -115,6 +137,177 @@ pub fn sub_into(x: &[f64], y: &[f64], z: &mut [f64]) {
 pub fn zero(x: &mut [f64]) {
     for xi in x.iter_mut() {
         *xi = 0.0;
+    }
+}
+
+/// The bands of a reduction over `0..n` split over `lanes` lanes: the subtrees of the
+/// pairwise tree `k` levels below its root, for the largest power of two `2^k` not above
+/// `lanes`; a subtree the tree does not split (a leaf) stays whole.  Each band's pairwise
+/// reduction is its subtree's, bit for bit, so [`tree_sum`] of their partials is the
+/// whole reduction's.  An empty space is one empty band.
+pub fn tree_bands(n: usize, lanes: usize) -> Vec<Range<usize>> {
+    fn cut(range: Range<usize>, depth: u32, bands: &mut Vec<Range<usize>>) {
+        if depth == 0 || range.len() <= PAIRWISE_LEAF {
+            bands.push(range);
+            return;
+        }
+        let mid = range.start + range.len() / 2;
+        cut(range.start..mid, depth - 1, bands);
+        cut(mid..range.end, depth - 1, bands);
+    }
+    let mut bands = Vec::new();
+    cut(0..n, lanes.max(1).ilog2(), &mut bands);
+    bands
+}
+
+/// Adds `partials`, one per band of [`tree_bands`]`(n, lanes)` in order, as the pairwise
+/// tree adds its subtrees.
+///
+/// # Panics
+/// Panics if there is not exactly one partial per band.
+pub fn tree_sum(n: usize, lanes: usize, partials: &[f64]) -> f64 {
+    fn add(len: usize, depth: u32, partials: &mut std::slice::Iter<'_, f64>) -> f64 {
+        if depth == 0 || len <= PAIRWISE_LEAF {
+            return *partials.next().expect("tree_sum: one partial per band");
+        }
+        let left = add(len / 2, depth - 1, partials);
+        left + add(len - len / 2, depth - 1, partials)
+    }
+    let mut rest = partials.iter();
+    let sum = add(n, lanes.max(1).ilog2(), &mut rest);
+    assert!(rest.next().is_none(), "tree_sum: one partial per band");
+    sum
+}
+
+/// One lane's share of a laned Krylov solve: its range of the index space, and the
+/// solve's vectors over that range.
+#[derive(Debug, Default)]
+pub struct Band {
+    /// Where the band sits in the whole vectors.
+    pub range: Range<usize>,
+    /// The iterate.
+    pub x: Vec<f64>,
+    /// The residual.
+    pub r: Vec<f64>,
+    /// The search direction.
+    pub p: Vec<f64>,
+    /// The operator applied to the search direction.
+    pub ap: Vec<f64>,
+}
+
+impl Band {
+    /// CG's direction update `p ← r + β·p`, when `beta` is given.
+    pub fn direction(&mut self, beta: Option<f64>) {
+        if let Some(beta) = beta {
+            xpby(&self.r, beta, &mut self.p);
+        }
+    }
+}
+
+/// A Krylov solve's vectors kept on lanes: cut into the [`tree_bands`] of their length,
+/// each band in its lane's [`Resident`] state for the whole solve, the last on the
+/// caller.  Phases run on the bands in place; a reduction returns one partial per band
+/// and adds them in the tree's order, so it is bit for bit the whole vectors' reduction.
+#[derive(Debug)]
+pub struct LanedVectors {
+    lanes: usize,
+    ranges: Vec<Range<usize>>,
+    bands: Resident<Band>,
+}
+
+impl LanedVectors {
+    /// A solve of `A·x = b` from `x = 0`, on `lanes`: `r = p = b` and `x = A·p = 0`.
+    pub fn new(lanes: &Arc<Lanes>, b: &[f64]) -> Self {
+        let ranges = tree_bands(b.len(), lanes.count());
+        let bands = ranges.iter().map(|range| Band {
+            range: range.clone(),
+            x: vec![0.0; range.len()],
+            r: b[range.clone()].to_vec(),
+            p: b[range.clone()].to_vec(),
+            ap: vec![0.0; range.len()],
+        });
+        LanedVectors {
+            lanes: lanes.count(),
+            bands: Resident::new(lanes, bands.collect()),
+            ranges,
+        }
+    }
+
+    /// The vectors' length.
+    pub fn len(&self) -> usize {
+        self.ranges.last().map_or(0, |band| band.end)
+    }
+
+    /// Whether the vectors are empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Every band's range, in order; the last is the caller's.
+    pub fn ranges(&self) -> &[Range<usize>] {
+        &self.ranges
+    }
+
+    /// Runs `task` on every helper's band, on its lane, and `local` on the caller's, then
+    /// passes helper `i`'s output to `gather(i, output)` (see [`Resident::run`]).
+    pub fn run<F>(
+        &mut self,
+        task: F,
+        local: impl FnOnce(&mut Band),
+        gather: impl FnMut(usize, &[f64]),
+    ) where
+        F: Fn(&mut Band, &mut Vec<f64>) + Clone + Send + 'static,
+    {
+        self.bands.run(task, local, gather);
+    }
+
+    /// `partial` of every band, each on its lane, added in the pairwise tree's order:
+    /// when `partial` is a [`dot`] or [`sum`] over its band, the result is that reduction
+    /// over the whole vectors, bit for bit.
+    pub fn reduce<F>(&mut self, partial: F) -> f64
+    where
+        F: Fn(&mut Band) -> f64 + Clone + Send + 'static,
+    {
+        tree_sum(self.len(), self.lanes, &self.bands.partials(partial))
+    }
+
+    /// `p ← r + β·p` on every band when `beta` is given, and the whole `p`.
+    pub fn direction(&mut self, beta: Option<f64>) -> Vec<f64> {
+        let mut p = vec![0.0; self.len()];
+        let (head, tail) = p.split_at_mut(self.ranges[self.ranges.len() - 1].start);
+        let ranges = &self.ranges;
+        self.bands.run(
+            move |band, out| {
+                band.direction(beta);
+                out.clear();
+                out.extend_from_slice(&band.p);
+            },
+            |band| {
+                band.direction(beta);
+                tail.copy_from_slice(&band.p);
+            },
+            |lane, out| head[ranges[lane].clone()].copy_from_slice(out),
+        );
+        p
+    }
+
+    /// Stores `ap`, the operator applied to the whole `p`, in the bands, and returns
+    /// `pᵀ·ap`.
+    pub fn set_ap(&mut self, ap: Vec<f64>) -> f64 {
+        let ap = Arc::new(ap);
+        self.reduce(move |band| {
+            band.ap.copy_from_slice(&ap[band.range.clone()]);
+            dot(&band.p, &band.ap)
+        })
+    }
+
+    /// The iterate `x`, gathered from the bands.
+    pub fn into_x(self) -> Vec<f64> {
+        let mut x = Vec::with_capacity(self.len());
+        for band in self.bands.into_states() {
+            x.extend_from_slice(&band.x);
+        }
+        x
     }
 }
 

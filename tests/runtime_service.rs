@@ -143,11 +143,56 @@ fn a_one_worker_runtime_splits_its_applies_and_keeps_the_serial_bits() {
         .wait()
         .completed()
         .expect("ran");
-    client.shutdown();
     assert_eq!(outcome.result.iterations, serial.iterations);
     assert!(serial.iterations > 10);
     let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&outcome.result.x), bits(&serial.x));
+
+    // A sequence of refined steps: each step re-encodes against its predecessor and
+    // every rung's CG keeps its vectors on the lanes.  The serial reference is the same
+    // ladder by hand, warm-started from the previous step's solution.
+    let base = refloat::matgen::fem::poisson_2d(96, 96, 0.2, 11);
+    let steps = TransientChain::new(base, TransientSpec::default().with_steps(3).with_seed(5));
+    let spec = RefinementSpec::to_target(1e-10);
+    let format = ReFloatConfig::new(7, 3, 8, 5, 16);
+    let (mut sequence, mut guess) = (client.sequence(), None::<Vec<f64>>);
+    for step in steps {
+        let mut ladder = refloat::solvers::OperatorLadder::new(SolverKind::Cg);
+        for rung in spec.escalation.ladder(format) {
+            ladder.push(Box::new(ReFloatMatrix::from_csr(&step.matrix, rung)));
+        }
+        if spec.escalation.fp64_fallback {
+            ladder.push(Box::new(step.matrix.clone()));
+        }
+        let config = spec.refinement_config();
+        let mut exact = &step.matrix;
+        let guessed = guess.as_deref();
+        let serial =
+            refloat::solvers::refine_warm(&mut exact, &step.rhs, guessed, &mut ladder, &config);
+        let serial = serial.into_solve_result();
+        let handle = MatrixHandle::new(format!("heat-{}", step.index), step.matrix.clone());
+        let plan = SolvePlan::new("lanes", handle, format)
+            .rhs(Arc::new(step.rhs.clone()))
+            .refinement(spec.clone())
+            .build()
+            .expect("valid plan");
+        let outcome = sequence.step(plan).unwrap().completed().expect("ran");
+        assert!(outcome.result.converged(), "step {}", step.index);
+        assert_eq!(
+            outcome.result.iterations, serial.iterations,
+            "step {}",
+            step.index
+        );
+        assert_eq!(
+            bits(&outcome.result.x),
+            bits(&serial.x),
+            "step {}",
+            step.index
+        );
+        guess = Some(serial.x);
+    }
+    assert_eq!(sequence.steps(), 3);
+    client.shutdown();
 }
 
 #[test]
