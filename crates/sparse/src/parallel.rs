@@ -382,7 +382,7 @@ impl<T: Send + 'static> Resident<T> {
     }
 
     /// The number of states, the caller's included.
-    pub fn count(&self) -> usize {
+    fn count(&self) -> usize {
         self.helpers.len() + 1
     }
 
