@@ -14,7 +14,9 @@
 //! microsecond.  A helper spins for half a millisecond after each task, then parks on a
 //! condition variable, so an idle owner burns no core.  Both sides yield the core as
 //! they spin: the scheduler wakes a parked helper on its caller's core, and a spin
-//! that kept the core there stalled the pair for the whole half millisecond.
+//! that kept the core there stalled the pair for the whole half millisecond.  And a
+//! caller done with its own part takes back a task its helper has not started: on a
+//! host that lends the helper's core elsewhere, waiting for it doubled a split's time.
 //!
 //! State can stay on the lanes too.  A [`Resident`] keeps one value per helper, behind
 //! a lock that only that helper's tasks take, and one for the caller, from one
@@ -120,7 +122,9 @@ const BAND_KEEP: usize = 1 << 17;
 ///
 /// [`run`](Self::run) hands one [`BandTask`] to each helper it needs, runs its own part
 /// on the calling thread, then waits for every helper and passes each one's output band
-/// to the caller in order.  A panic in any part resumes on the caller once every helper
+/// to the caller in order.  A task its helper has not started by then — the helper's
+/// core is taken, say by another tenant of the host — goes back to the caller, which
+/// runs it itself.  A panic in any part resumes on the caller once every helper
 /// is done, as the panic of a serial loop would.  Dropping the lanes joins the helpers.
 ///
 /// One `run` at a time uses the helpers: a `run` that finds them busy — another thread
@@ -234,14 +238,25 @@ impl Lanes {
         }
         let mut failure = catch_unwind(AssertUnwindSafe(local)).err();
         for (index, helper) in self.helpers[..posted].iter().enumerate() {
-            let copied = catch_unwind(AssertUnwindSafe(|| {
-                helper.finish(|band| {
-                    if failure.is_none() {
-                        gather(index, band);
-                    }
-                })
-            }));
-            failure = failure.or(copied.and_then(|outcome| outcome).err());
+            // A helper that has not taken its task yet — its core is busy elsewhere —
+            // hands it back, and the caller runs it rather than wait for that core.
+            let copied = match helper.retract() {
+                Some(task) if failure.is_none() => catch_unwind(AssertUnwindSafe(|| {
+                    let mut band = Vec::new();
+                    task(&mut band);
+                    gather(index, &band);
+                })),
+                Some(_) => Ok(()),
+                None => catch_unwind(AssertUnwindSafe(|| {
+                    helper.finish(|band| {
+                        if failure.is_none() {
+                            gather(index, band);
+                        }
+                    })
+                }))
+                .and_then(|outcome| outcome),
+            };
+            failure = failure.or(copied.err());
         }
         self.busy.store(false, Ordering::Release);
         if let Some(payload) = failure {
@@ -325,6 +340,13 @@ impl Helper {
         if mailbox.parked {
             self.signal.notify_one();
         }
+    }
+
+    /// Takes the posted task back if the helper has not started it.
+    fn retract(&self) -> Option<BandTask> {
+        let task = self.lock().task.take()?;
+        self.posted.store(false, Ordering::Relaxed);
+        Some(task)
     }
 
     /// Waits for the posted task; on success passes its band to `read`.
@@ -585,6 +607,32 @@ mod tests {
             |i, band| assert_eq!((i, band), (0, &[5.0][..])),
         );
         assert_eq!(inner, vec![(0, vec![7.0; 3])]);
+    }
+
+    #[test]
+    fn a_task_its_helper_has_not_started_runs_on_the_caller() {
+        // A helper whose thread never comes: every task it is handed comes back.
+        let stalled = Arc::new(Helper {
+            mailbox: Mutex::default(),
+            signal: Condvar::new(),
+            posted: AtomicBool::new(false),
+            finished: AtomicBool::new(false),
+        });
+        let lanes = Lanes {
+            helpers: vec![Arc::clone(&stalled)],
+            threads: Vec::new(),
+            busy: AtomicBool::new(false),
+        };
+        for _ in 0..2 {
+            assert_eq!(run_fills(&lanes), vec![(0, vec![0.0])]);
+            assert!(stalled.lock().task.is_none());
+        }
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let boom: BandTask = Box::new(|_| panic!("band task failed"));
+            lanes.run([boom], || {}, |_, _| {});
+        }));
+        assert!(caught.is_err());
+        assert_eq!(run_fills(&lanes), vec![(0, vec![0.0])]);
     }
 
     #[test]
