@@ -34,6 +34,10 @@ fn bench_runtime_overhead(c: &mut Criterion) {
     group.bench_function("fingerprint_poisson_16x16", |b| {
         b.iter(|| fingerprint_csr(&a))
     });
+    // At the size of the repo benchmark's `serve_cold` mass matrices.
+    let mass = generators::mass_matrix_3d(24, 24, 24, 1e-12, 0.8, 1).to_csr();
+    group.throughput(Throughput::Elements(mass.nnz() as u64));
+    group.bench_function("fingerprint_mass_24", |b| b.iter(|| fingerprint_csr(&mass)));
     group.finish();
 
     // Whole-service overhead per job: 16 jobs, hot cache, 1-iteration solves.

@@ -170,7 +170,7 @@ fn reencode(
 
 /// Whether `a`'s structure — dimensions, row pointers and columns — is `layout`'s row
 /// order, so that `layout` is `a`'s blocking too.
-fn same_structure(layout: &BlockLayout, a: &CsrMatrix) -> bool {
+pub(crate) fn same_structure(layout: &BlockLayout, a: &CsrMatrix) -> bool {
     let same = |narrow: &[u32], wide: &[usize]| {
         narrow.iter().map(|&i| i as usize).eq(wide.iter().copied())
     };

@@ -17,9 +17,10 @@
 //! index of every non-zero — and the source CSR's row order beside it are defined
 //! once, by `refloat-sparse`'s [`BlockLayout`], and a [`ReFloatMatrix`] *shares* the
 //! layout it was encoded over (a re-encode of an unchanged structure shares its
-//! predecessor's).  What this crate adds is the two things only the encoder knows: the
-//! exponent base `eb` of every block, in block order, and the decoded value of every
-//! non-zero, stored once, in **row order**.
+//! predecessor's, and an encode over a donor of the same structure,
+//! [`ReFloatMatrix::from_csr_over_on`], the donor's).  What this crate adds is the two
+//! things only the encoder knows: the exponent base `eb` of every block, in block
+//! order, and the decoded value of every non-zero, stored once, in **row order**.
 //!
 //! There is one encoder, and it reads values in row order only: [`from_csr`]'s lays
 //! the CSR out without its values ([`BlockLayout::from_csr`]) and reads them in place,
@@ -76,6 +77,7 @@ use std::sync::Arc;
 
 use crate::block::rounded_mean;
 use crate::format::{ReFloatConfig, RoundingMode, UnderflowMode};
+use crate::incremental::same_structure;
 use crate::memory::storage_bits;
 use crate::scalar::{
     quantize_bits, requantize, select, Bounds, Fraction, BIAS, FRACTION_BITS, NON_FINITE,
@@ -207,6 +209,27 @@ impl ReFloatMatrix {
     /// [`MIN_NNZ_PER_LANE`] non-zeros per lane encodes on the calling thread.
     pub fn from_csr_on(a: &Arc<CsrMatrix>, config: ReFloatConfig, lanes: &Lanes) -> Self {
         Self::encoded_on(&Arc::new(Self::layout_of(a, config)), config, a, lanes)
+    }
+
+    /// [`from_csr_on`](Self::from_csr_on) over `donor`'s layout, when `a` has the
+    /// donor's structure: the same `b`, the same dimensions, and `row_ptr` and
+    /// `col_idx` equal to the donor's row order.  The layout is a function of the
+    /// structure and `b` alone, so the encode skips the blocking and shares the
+    /// donor's layout ([`shares_layout_with`](Self::shares_layout_with)).  Any other
+    /// donor is ignored and `a` is blocked afresh.  Either way the result is
+    /// [`from_csr`](Self::from_csr)'s, bit for bit.
+    pub fn from_csr_over_on(
+        a: &Arc<CsrMatrix>,
+        config: ReFloatConfig,
+        donor: &ReFloatMatrix,
+        lanes: &Lanes,
+    ) -> Self {
+        let layout = donor.layout();
+        if donor.config.b == config.b && same_structure(layout, a) {
+            Self::encoded_on(layout, config, a, lanes)
+        } else {
+            Self::from_csr_on(a, config, lanes)
+        }
     }
 
     /// `a`'s layout in blocks of the configuration's `b`.
@@ -353,6 +376,12 @@ impl ReFloatMatrix {
     /// The block-major structure this encoding shares with its blocking.
     pub(crate) fn layout(&self) -> &Arc<BlockLayout> {
         &self.layout
+    }
+
+    /// Whether `other` shares this encoding's block layout — a clone does, and so does
+    /// an encode over this one ([`from_csr_over_on`](Self::from_csr_over_on)).
+    pub fn shares_layout_with(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.layout, &other.layout)
     }
 
     /// Whether `other` reads the same encoded values — a clone does, a second encode
@@ -1382,6 +1411,59 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn an_encode_over_a_donor_is_from_csr_and_adopts_only_an_equal_structure(
+            (nrows, ncols) in (1usize..=40, 1usize..=70),
+            draws in proptest::collection::vec((0usize..40, 0usize..70, -4.0f64..4.0), 1..160),
+            (b, donor_b) in (1u32..=4, 1u32..=4),
+            kind in 0u32..4,
+            (pick, count) in (0usize..1_000_000, 1usize..=2),
+        ) {
+            let mut cells = BTreeMap::new();
+            for &(r, c, v) in &draws {
+                cells.insert((r % nrows, c % ncols), v);
+            }
+            let a = Arc::new(csr(nrows, ncols, &cells));
+            let scaled: BTreeMap<_, _> =
+                cells.iter().map(|(&k, &v)| (k, v * 1.5 + 0.25)).collect();
+            // 0: same structure, other values; 1: the same with one trailing empty
+            // column; 2: the same row pointers with one entry moved along its row;
+            // 3: an unrelated structure.
+            let donor = match kind {
+                0 => csr(nrows, ncols, &scaled),
+                1 => csr(nrows, ncols + 1, &scaled),
+                2 => {
+                    let (&(r, c), &v) = scaled.iter().nth(pick % scaled.len()).unwrap();
+                    let free = (0..ncols).find(|&c| !scaled.contains_key(&(r, c)));
+                    let mut moved = scaled.clone();
+                    if let Some(to) = free {
+                        moved.remove(&(r, c));
+                        moved.insert((r, to), v);
+                    }
+                    csr(nrows, ncols, &moved)
+                }
+                _ => tridiagonal(nrows, 1.0),
+            };
+            let same = (donor.nrows(), donor.ncols(), donor.row_ptr(), donor.col_idx())
+                == (a.nrows(), a.ncols(), a.row_ptr(), a.col_idx());
+            let config = test_config(b);
+            let donor = ReFloatMatrix::from_csr(&donor, test_config(donor_b));
+            let got = ReFloatMatrix::from_csr_over_on(&a, config, &donor, lanes(count));
+            let want = ReFloatMatrix::from_csr(&a, config);
+            prop_assert_eq!(got.bases(), want.bases());
+            crate::incremental::assert_bitwise_identical(&got, &want);
+            prop_assert_eq!(got.shares_layout_with(&donor), same && b == donor_b);
+            match kind {
+                0 => prop_assert!(same),
+                1 => prop_assert!(!same),
+                _ => {}
+            }
+        }
+    }
+
     #[test]
     fn a_laned_encode_and_reencode_are_the_serial_ones_bitwise() {
         let mass = generators::mass_matrix_3d(13, 13, 13, 1e-12, 0.8, 5).to_csr();
@@ -1423,6 +1505,11 @@ mod tests {
                         assert_eq!(got.stats, want.stats);
                         assert_eq!(got.matrix.bases(), want.matrix.bases());
                         crate::incremental::assert_bitwise_identical(&got.matrix, &want.matrix);
+                        let over =
+                            ReFloatMatrix::from_csr_over_on(next, config, &serial, lanes(count));
+                        crate::incremental::assert_bitwise_identical(&over, &want.matrix);
+                        let adopted = want.matrix.shares_layout_with(&serial);
+                        assert_eq!(over.shares_layout_with(&serial), adopted);
                     }
                 }
             }

@@ -1,19 +1,30 @@
 //! The encoded-matrix cache: quantized [`ReFloatMatrix`] operators keyed by
-//! (matrix fingerprint, format).
+//! (matrix fingerprint, format), and the layout donors a miss encodes over.
 //!
-//! Quantizing a matrix (`ReFloatMatrix::from_csr`) walks every non-zero through
-//! exponent-base selection and fraction encoding — by far the most expensive step of a
-//! cached job.  Repeated jobs on a popular matrix therefore share one encode: the
-//! cache is a [`SingleFlightLru`] (LRU eviction, hit / miss / coalesced lookups, one
-//! encode per key however many jobs race on it — see [`crate::single_flight`]).  An
-//! entry is a whole matrix: a job spanning several chips reads row bands of the same
-//! entry, so one encode serves every chip count.  This module owns only what is
-//! specific to encodings: the key shape.
+//! Encoding a matrix is the most expensive step of a cached job: laying the CSR out
+//! in blocks (`BlockLayout::from_csr`, about half of it) and walking every non-zero
+//! through exponent-base selection and fraction encoding, ~10 ns per non-zero on
+//! `mass_matrix_3d(24³)` together.  Repeated jobs on a popular matrix therefore share
+//! one encode: the cache is a [`SingleFlightLru`] (LRU eviction, hit / miss /
+//! coalesced lookups, one encode per key however many jobs race on it — see
+//! [`crate::single_flight`]).  An entry is a whole matrix: a job spanning several
+//! chips reads row bands of the same entry, so one encode serves every chip count.
+//!
+//! The key is the matrix's *content* (its fingerprint, one pass at ~2.2 ns per non-zero
+//! when the [`MatrixHandle`](crate::MatrixHandle) is made), but the block layout is a
+//! function of its *structure* and `b` alone.  So a node also keeps `LayoutDonors`:
+//! the live encodings by (structure hash, `b`).  A miss that finds a donor encodes
+//! over the donor's layout and skips the blocking — a re-assembled FEM matrix, another
+//! matrix of one mesh, another rung of one matrix's format ladder — once
+//! [`ReFloatMatrix::from_csr_over_on`] has checked that the structures are equal.
+//! Adoption saves host time only: the chip model charges the miss's full programming.
+//! This module owns only what is specific to encodings: the key shape and the donors.
 
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, Weak};
 
 use refloat_core::{ReFloatConfig, ReFloatMatrix};
-use refloat_telemetry::Clock;
+use refloat_telemetry::{sync, Clock};
 
 pub use crate::single_flight::CacheStats;
 use crate::single_flight::{CacheOutcomeKind, SingleFlightLru};
@@ -54,6 +65,39 @@ impl EncodedMatrixCache {
     }
 }
 
+/// A layout donor's key: (the matrix's structure hash, the blocking exponent `b`).
+pub(crate) type DonorKey = (u64, u32);
+
+/// The newest encoding of each (structure hash, `b`) a node made, held weakly: a donor
+/// lives exactly as long as the cache or a running job holds it, and dead entries are
+/// pruned on every registration, so the map never outgrows the live encodings.
+#[derive(Default)]
+pub(crate) struct LayoutDonors {
+    donors: Mutex<BTreeMap<DonorKey, Weak<ReFloatMatrix>>>,
+}
+
+impl LayoutDonors {
+    /// The live encoding registered under `key`, if any.  A hash match only: the
+    /// encode over it checks the structure itself.
+    pub fn find(&self, key: DonorKey) -> Option<Arc<ReFloatMatrix>> {
+        sync::lock(&self.donors).get(&key)?.upgrade()
+    }
+
+    /// Registers a miss's `encoding` under `key`, replacing the entry's older
+    /// encoding: the newest holder of a layout is the one the LRU keeps longest.
+    pub fn register(&self, key: DonorKey, encoding: &Arc<ReFloatMatrix>) {
+        let mut donors = sync::lock(&self.donors);
+        donors.retain(|_, donor| donor.strong_count() > 0);
+        donors.insert(key, Arc::downgrade(encoding));
+    }
+
+    /// Entries in the map, dead or alive.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        sync::lock(&self.donors).len()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,6 +126,27 @@ mod tests {
         );
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().misses, 2);
+    }
+
+    #[test]
+    fn donors_are_held_weakly_and_the_dead_are_pruned_on_register() {
+        let donors = LayoutDonors::default();
+        let first = Arc::new(encoded(4));
+        donors.register((1, 3), &first);
+        assert!(donors.find((1, 3)).is_some_and(|d| Arc::ptr_eq(&d, &first)));
+        assert!(donors.find((1, 4)).is_none(), "another b is another donor");
+        let newer = Arc::new(encoded(4));
+        donors.register((1, 3), &newer);
+        assert!(donors.find((1, 3)).is_some_and(|d| Arc::ptr_eq(&d, &newer)));
+        drop((first, newer));
+        assert!(
+            donors.find((1, 3)).is_none(),
+            "a dropped encoding is no donor"
+        );
+        assert_eq!(donors.len(), 1);
+        let other = Arc::new(encoded(5));
+        donors.register((2, 3), &other);
+        assert_eq!(donors.len(), 1, "registering pruned the dead entry");
     }
 
     #[test]

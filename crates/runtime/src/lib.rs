@@ -469,6 +469,38 @@ mod tests {
     }
 
     #[test]
+    fn a_structure_hash_collision_encodes_afresh_and_keeps_the_bits() {
+        let format = ReFloatConfig::new(3, 3, 8, 3, 8);
+        let gen = refloat_matgen::generators::laplacian_2d;
+        // Both 64 × 64, of different structures; `collider` claims `donor`'s hash.
+        let donor = MatrixHandle::new("8x8", gen(8, 8, 0.3).to_csr());
+        let collider = MatrixHandle::new("4x16", gen(4, 16, 0.3).to_csr());
+        let cold = SolveRuntime::new(RuntimeConfig::default())
+            .run_batch(vec![plan("cold", &collider, format)]);
+        let collider = collider.with_structure_hash(donor.structure_hash());
+        let runtime = SolveRuntime::new(RuntimeConfig {
+            workers: 1,
+            ..Default::default()
+        });
+        let outcome = runtime.run_batch(vec![
+            plan("donor", &donor, format),
+            plan("collider", &collider, format),
+        ]);
+        let cached = |handle: &MatrixHandle| {
+            let key = CacheKey::whole(handle.fingerprint(), format);
+            runtime
+                .cache()
+                .peek(&key)
+                .expect("both encodings are cached")
+        };
+        assert!(!cached(&collider).shares_layout_with(&cached(&donor)));
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (got, want) = (&outcome.jobs[1].result, &cold.jobs[0].result);
+        assert_eq!(bits(&got.x), bits(&want.x));
+        assert_eq!(got.iterations, want.iterations);
+    }
+
+    #[test]
     fn streaming_submission_observes_backpressure_and_completes() {
         let handle = poisson_handle(6, "p6");
         let format = ReFloatConfig::new(3, 3, 8, 3, 8);

@@ -17,7 +17,7 @@ use std::thread::JoinHandle;
 
 use refloat_telemetry::{Clock, Counter, MetricsRegistry, TraceSink};
 
-use crate::cache::{CacheStats, EncodedMatrixCache};
+use crate::cache::{CacheStats, EncodedMatrixCache, LayoutDonors};
 use crate::client::QueuedTicket;
 use crate::decision::{DecisionStats, FormatDecisionCache};
 use crate::health::{FaultPolicy, HealthTracker};
@@ -38,6 +38,9 @@ pub(crate) struct NodeCore {
     pub sched: JobScheduler<QueuedTicket>,
     pub cache: Arc<EncodedMatrixCache>,
     pub decisions: Arc<FormatDecisionCache>,
+    /// The encodings this node's misses made, by structure: a later miss on a matrix
+    /// of the same structure and `b` encodes over one's layout instead of blocking.
+    pub donors: LayoutDonors,
     /// The caches' counters when this node spawned: all zero for caches created
     /// with the node, the history so far for the caches a
     /// [`SolveRuntime`](crate::SolveRuntime) hands to one client after another.
@@ -110,6 +113,7 @@ impl Node {
             decision_baseline: decisions.stats(),
             cache,
             decisions,
+            donors: LayoutDonors::default(),
             chip_crossbars: config.chip_crossbars,
             workers: config.workers,
             lanes,

@@ -34,7 +34,6 @@ use refloat_solvers::{
     SolverConfig,
 };
 use refloat_sparse::parallel::Lanes;
-use refloat_sparse::CsrMatrix;
 use refloat_telemetry::SpanKind;
 use reram_sim::FaultyReFloatOperator;
 
@@ -44,7 +43,9 @@ use crate::accel::{
 use crate::cache::CacheKey;
 use crate::decision::DecisionKey;
 use crate::health::FaultPolicy;
-use crate::job::{JobOutcome, QueuedJob, RefinementSpec, SequencePredecessor, SolveJob};
+use crate::job::{
+    JobOutcome, MatrixHandle, QueuedJob, RefinementSpec, SequencePredecessor, SolveJob,
+};
 use crate::node::NodeCore;
 use crate::telemetry::{
     AutotuneTelemetry, CacheOutcomeKind, JobOutcomeKind, JobTelemetry, RefinementTelemetry,
@@ -393,19 +394,23 @@ impl JobContext<'_> {
         (Some(telemetry), decision_reused)
     }
 
-    /// Stage 2: the encoding of `csr` under `key`, through the shared cache.  With a
-    /// sequence `predecessor`, a miss first looks for the predecessor's encoding in
+    /// Stage 2: the encoding of `matrix` under `key`, through the shared cache.  With
+    /// a sequence `predecessor`, a miss first looks for the predecessor's encoding in
     /// the same format and re-encodes against it, reusing its layout and diffing for
-    /// the delta charge — bitwise identical to encoding from scratch.  Either encode
-    /// runs on the worker's lanes, idle between solves, in block-row bands.
+    /// the delta charge — bitwise identical to encoding from scratch.  Any other miss
+    /// encodes over the layout of a live encoding of the same structure and `b`, when
+    /// the node holds one whose structure really is equal, and registers what it
+    /// encoded as the next miss's donor.  Every encode runs on the worker's lanes, idle
+    /// between solves, in block-row bands.
     fn resolve_encoding(
         &self,
         key: CacheKey,
-        csr: &Arc<CsrMatrix>,
+        matrix: &MatrixHandle,
         predecessor: Option<&SequencePredecessor>,
     ) -> Resolved {
         let mut incremental = None;
         let (cache, clock) = (&self.core.cache, self.core.clock.as_ref());
+        let (csr, donor_key) = (matrix.csr_arc(), (matrix.structure_hash(), key.format.b));
         // The closure runs outside the cache lock, so the nested peek cannot
         // deadlock.  A hit on `key` itself still wins outright — the closure never
         // runs and the step pays nothing.
@@ -417,15 +422,21 @@ impl JobContext<'_> {
                 };
                 Some((cache.peek(&key)?, pred))
             });
-            match previous {
-                Some((previous, pred)) => {
-                    let inc = reencode_incremental_on(&previous, &pred.csr, csr, self.lanes);
-                    incremental = Some(inc.stats);
-                    inc.matrix
+            if let Some((previous, pred)) = previous {
+                let inc = reencode_incremental_on(&previous, &pred.csr, &csr, self.lanes);
+                incremental = Some(inc.stats);
+                return inc.matrix;
+            }
+            match self.core.donors.find(donor_key) {
+                Some(donor) => {
+                    ReFloatMatrix::from_csr_over_on(&csr, key.format, &donor, self.lanes)
                 }
-                None => ReFloatMatrix::from_csr_on(csr, key.format, self.lanes),
+                None => ReFloatMatrix::from_csr_on(&csr, key.format, self.lanes),
             }
         });
+        if outcome == CacheOutcomeKind::Miss {
+            self.core.donors.register(donor_key, &encoded);
+        }
         Resolved {
             encoded,
             cache: outcome,
@@ -447,7 +458,7 @@ impl JobContext<'_> {
         (solved, primary): (&mut Solved, bool),
     ) -> Target {
         let key = CacheKey::whole(job.matrix.fingerprint(), format);
-        let resolved = self.resolve_encoding(key, &job.matrix.csr_arc(), predecessor);
+        let resolved = self.resolve_encoding(key, &job.matrix, predecessor);
         solved.absorb_lookup(&resolved, primary);
         let delta = predecessor
             .zip(resolved.incremental)

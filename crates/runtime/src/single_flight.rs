@@ -224,6 +224,10 @@ impl<K: Ord + Copy, V: Clone> SingleFlightLru<K, V> {
         };
         inner.map.insert(key, entry);
         inner.stats.misses += 1;
+        // The victims are dropped only once the lock is released: an evicted value may
+        // hold the last reference to megabytes of buffers, and freeing them (`munmap`s)
+        // must not stall every other lookup of the cache.
+        let mut evicted = Vec::new();
         while inner.map.len() > self.capacity {
             let victim = inner
                 .map
@@ -231,9 +235,9 @@ impl<K: Ord + Copy, V: Clone> SingleFlightLru<K, V> {
                 .filter(|(k, _)| **k != key)
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| *k);
-            match victim {
-                Some(k) => {
-                    inner.map.remove(&k);
+            match victim.and_then(|k| inner.map.remove(&k)) {
+                Some(entry) => {
+                    evicted.push(entry);
                     inner.stats.evictions += 1;
                 }
                 None => break,
@@ -241,6 +245,7 @@ impl<K: Ord + Copy, V: Clone> SingleFlightLru<K, V> {
         }
         drop(inner);
         self.ready.notify_all();
+        drop(evicted);
         (value, CacheOutcomeKind::Miss, seconds)
     }
 }
@@ -269,7 +274,7 @@ mod tests {
     use refloat_telemetry::WallClock;
     use std::cmp::Ordering as CmpOrdering;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Barrier;
+    use std::sync::{Arc, Barrier};
     use std::thread::ThreadId;
 
     type Cache = SingleFlightLru<u64, u64>;
@@ -315,6 +320,41 @@ mod tests {
         assert_eq!(cache.stats(), before);
         cache.get_or_compute(4, &clock, || 4);
         assert!(cache.contains(&1) && !cache.contains(&3));
+    }
+
+    /// A value that, when its last reference drops, checks that the cache's lock is
+    /// free and counts itself.
+    struct DropProbe;
+
+    type ProbedCache = SingleFlightLru<u64, Arc<DropProbe>>;
+
+    static PROBED: std::sync::OnceLock<ProbedCache> = std::sync::OnceLock::new();
+    static PROBES_DROPPED: AtomicU64 = AtomicU64::new(0);
+
+    impl Drop for DropProbe {
+        fn drop(&mut self) {
+            let cache = PROBED.get().expect("the probed cache exists");
+            assert!(
+                cache.inner.try_lock().is_ok(),
+                "an evicted value was dropped under the cache lock"
+            );
+            PROBES_DROPPED.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn evicted_values_are_dropped_after_the_lock_is_released() {
+        let cache = PROBED.get_or_init(|| ProbedCache::new(2));
+        let clock = WallClock::new();
+        for key in 0..5 {
+            // The caller's clone drops here, so the map holds each value's last
+            // reference when it is evicted.
+            cache.get_or_compute(key, &clock, || Arc::new(DropProbe));
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.evictions, cache.len()), (5, 3, 2));
+        assert_eq!(PROBES_DROPPED.load(Ordering::SeqCst), 3);
+        assert!(cache.contains(&3) && cache.contains(&4));
     }
 
     #[test]

@@ -289,6 +289,51 @@ fn resubmitting_a_matrix_hits_the_cache_and_skips_encoding() {
 }
 
 #[test]
+fn matrices_of_one_structure_share_one_layout_and_keep_their_bits() {
+    // Two mass matrices of one mesh: one structure, other values.
+    let mass = |seed| refloat::matgen::generators::mass_matrix_3d(6, 6, 6, 1e-12, 0.5, seed);
+    let (a, b) = (mass(7).to_csr(), mass(8).to_csr());
+    assert_eq!((a.row_ptr(), a.col_idx()), (b.row_ptr(), b.col_idx()));
+    assert_ne!(a.values(), b.values());
+    let (a, b) = (MatrixHandle::new("a", a), MatrixHandle::new("b", b));
+    let format = ReFloatConfig::new(4, 3, 8, 3, 8);
+    // Another rung of `b`'s ladder (same b) adopts too; another b blocks afresh.
+    let (rung, other_b) = (
+        ReFloatConfig::new(4, 3, 16, 3, 8),
+        ReFloatConfig::new(3, 3, 8, 3, 8),
+    );
+    let jobs = [(&a, format), (&b, format), (&b, rung), (&b, other_b)];
+    let plans = || jobs.map(|(handle, format)| SolvePlan::new("t", handle.clone(), format));
+    let plans = || plans().map(|plan| plan.build().unwrap());
+    let runtime = SolveRuntime::new(RuntimeConfig {
+        workers: 1,
+        ..Default::default()
+    });
+    let outcome = runtime.run_batch(plans());
+    assert!(outcome
+        .jobs
+        .iter()
+        .all(|job| job.telemetry.cache == CacheOutcomeKind::Miss));
+    let cached = |handle: &MatrixHandle, format| {
+        let key = refloat::runtime::CacheKey::whole(handle.fingerprint(), format);
+        runtime
+            .cache()
+            .peek(&key)
+            .expect("every encoding is cached")
+    };
+    let first = cached(&a, format);
+    assert!(cached(&b, format).shares_layout_with(&first));
+    assert!(cached(&b, rung).shares_layout_with(&first));
+    assert!(!cached(&b, other_b).shares_layout_with(&first));
+    // Each job's bits are those of a runtime that encoded its matrix alone.
+    for (job, plan) in outcome.jobs.iter().zip(plans()) {
+        let cold = SolveRuntime::new(RuntimeConfig::default()).run_batch(vec![plan]);
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&job.result.x), bits(&cold.jobs[0].result.x));
+    }
+}
+
+#[test]
 fn skewed_traffic_reaches_a_high_hit_rate_and_sane_report() {
     let runtime = SolveRuntime::new(RuntimeConfig {
         workers: 4,
