@@ -14,7 +14,10 @@
 //!   format-escalation ladder, which must reach `1e−12`.
 //!
 //! Output: per-format stall floor vs refined accuracy, outer/inner iteration counts,
-//! escalations, and the simulated cost split (chip seconds vs host fp64 seconds).
+//! escalations, and the simulated cost split (chip seconds vs host fp64 seconds);
+//! then each refined solve pass by pass (the library driver over the same ladder):
+//! the rung, the relative tolerance its inner solve was asked for, the inner
+//! iterations it took and the true residual before and after.
 //!
 //! ```text
 //! fig_refinement [--quick] [--target T] [--json PATH]
@@ -24,8 +27,9 @@ use serde::Serialize;
 
 use refloat_bench::json::{has_flag, json_path_from_args, write_json};
 use refloat_bench::table::TextTable;
-use refloat_core::ReFloatConfig;
+use refloat_core::{ReFloatConfig, ReFloatMatrix};
 use refloat_runtime::{MatrixHandle, RefinementSpec, RuntimeConfig, SolvePlan, SolveRuntime};
+use refloat_solvers::{refine, OperatorLadder, SolverKind};
 
 #[derive(Serialize)]
 struct RefinementRecord {
@@ -41,6 +45,16 @@ struct RefinementRecord {
     chip_cycles: u64,
     chip_s: f64,
     host_fp64_s: f64,
+    passes: Vec<PassRecord>,
+}
+
+#[derive(Serialize)]
+struct PassRecord {
+    rung: String,
+    inner_tolerance: f64,
+    inner_iterations: usize,
+    residual_before: f64,
+    residual_after: f64,
 }
 
 fn arg_f64(args: &[String], flag: &str) -> Option<f64> {
@@ -81,6 +95,7 @@ fn main() {
         cache_capacity: 32,
         ..RuntimeConfig::default()
     });
+    let spec = RefinementSpec::to_target(target);
     let plans: Vec<SolvePlan> = formats
         .iter()
         .flat_map(|&format| {
@@ -89,7 +104,7 @@ fn main() {
                     .build()
                     .expect("valid plan"),
                 SolvePlan::new("refined", handle.clone(), format)
-                    .refinement(RefinementSpec::to_target(target))
+                    .refinement(spec.clone())
                     .build()
                     .expect("valid plan"),
             ]
@@ -109,6 +124,15 @@ fn main() {
         "chip s",
         "host fp64 s",
     ]);
+    let mut pass_table = TextTable::new([
+        "format",
+        "pass",
+        "rung",
+        "inner ask",
+        "inner iters",
+        "‖r‖/‖b‖ before",
+        "‖r‖/‖b‖ after",
+    ]);
     let mut records = Vec::new();
     for (i, &format) in formats.iter().enumerate() {
         let plain = &outcome.jobs[2 * i];
@@ -120,6 +144,37 @@ fn main() {
             .refinement
             .as_ref()
             .expect("refined job telemetry");
+        // The same refinement through the library driver, for its pass log.
+        let mut ladder = OperatorLadder::new(SolverKind::Cg);
+        let mut rung_names = Vec::new();
+        for rung in spec.escalation.ladder(format) {
+            ladder.push(Box::new(ReFloatMatrix::from_csr(&a, rung)));
+            rung_names.push(rung.to_string());
+        }
+        if spec.escalation.fp64_fallback {
+            ladder.push(Box::new(a.clone()));
+            rung_names.push("fp64 (exact)".to_string());
+        }
+        let passes = refine(&mut a.clone(), &b, &mut ladder, &spec.refinement_config()).passes;
+        assert_eq!(
+            (
+                passes.len(),
+                passes.iter().map(|p| p.inner_iterations).sum()
+            ),
+            (tele.outer_iterations, tele.inner_iterations),
+            "{format}: the library driver must repeat the service's refined solve"
+        );
+        for (k, pass) in passes.iter().enumerate() {
+            pass_table.row([
+                format.to_string(),
+                (k + 1).to_string(),
+                rung_names[pass.level].clone(),
+                format!("{:.2e}", pass.inner_tolerance),
+                pass.inner_iterations.to_string(),
+                format!("{:.2e}", pass.residual_before),
+                format!("{:.2e}", pass.residual_after),
+            ]);
+        }
         table.row([
             format.to_string(),
             plain.result.iterations.to_string(),
@@ -145,9 +200,20 @@ fn main() {
             chip_cycles: refined.telemetry.simulated.cycles,
             chip_s: refined.telemetry.simulated.total_s,
             host_fp64_s: refined.telemetry.simulated.host_fp64_s,
+            passes: passes
+                .iter()
+                .map(|pass| PassRecord {
+                    rung: rung_names[pass.level].clone(),
+                    inner_tolerance: pass.inner_tolerance,
+                    inner_iterations: pass.inner_iterations,
+                    residual_before: pass.residual_before,
+                    residual_after: pass.residual_after,
+                })
+                .collect(),
         });
     }
     println!("{}", table.render());
+    println!("{}", pass_table.render());
     println!("{}", outcome.report.render());
 
     if let Some(path) = json_path_from_args(&args) {

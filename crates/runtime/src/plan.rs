@@ -65,6 +65,16 @@ pub enum PlanViolation {
         /// The offending tolerance.
         tolerance: f64,
     },
+    /// A refinement spec (the plan's, or an auto-format fallback's) whose outer loop
+    /// cannot run: a `target` or `inner.tolerance` that is not positive and finite,
+    /// or a `min_reduction` outside `(0, 1]`.
+    InvalidRefinement {
+        /// The offending field, as a path from the builder call
+        /// (`refinement.config.target`, `auto_format.fallback.config.min_reduction`, ...).
+        field: &'static str,
+        /// The offending value.
+        value: f64,
+    },
     /// A right-hand side holding NaN or ±Inf: no solver can return a meaningful
     /// answer for it, so it never reaches a worker.
     NonFiniteRhs {
@@ -109,6 +119,9 @@ impl std::fmt::Display for PlanViolation {
                 f,
                 "auto-format tolerance must be positive and finite, got {tolerance}"
             ),
+            PlanViolation::InvalidRefinement { field, value } => {
+                write!(f, "{field} is out of range, got {value}")
+            }
             PlanViolation::NonFiniteRhs { index } => {
                 write!(f, "rhs {index} holds a NaN or infinite value")
             }
@@ -394,6 +407,21 @@ impl SolvePlanBuilder {
                 });
             }
         }
+        if let Some(spec) = &self.refinement {
+            violations.extend(refinement_violations(spec, REFINEMENT_FIELDS));
+        }
+        if let Some(spec) = &self.auto_format {
+            // `auto_format(tol)` makes `tol` the fallback's target too; a bad one is
+            // reported once, as `InvalidTolerance`.
+            let restates_tolerance = |v: &PlanViolation| {
+                matches!(v, PlanViolation::InvalidRefinement { field, value }
+                    if *field == FALLBACK_FIELDS[0] && value.to_bits() == spec.tolerance.to_bits())
+            };
+            violations.extend(
+                refinement_violations(&spec.fallback, FALLBACK_FIELDS)
+                    .filter(|v| !restates_tolerance(v)),
+            );
+        }
         if !violations.is_empty() {
             return Err(PlanError { violations });
         }
@@ -433,6 +461,43 @@ impl SolvePlanBuilder {
             deadline: self.deadline,
         })
     }
+}
+
+/// Paths of a plan's refinement knobs: target, inner tolerance, stall threshold.
+const REFINEMENT_FIELDS: [&str; 3] = [
+    "refinement.config.target",
+    "refinement.config.inner.tolerance",
+    "refinement.config.min_reduction",
+];
+
+/// The same knobs of an auto-format plan's refinement fallback.
+const FALLBACK_FIELDS: [&str; 3] = [
+    "auto_format.fallback.config.target",
+    "auto_format.fallback.config.inner.tolerance",
+    "auto_format.fallback.config.min_reduction",
+];
+
+/// Every knob of `spec` the refinement driver cannot run with, under its path in
+/// `fields`: tolerances must be positive and finite, the stall threshold in `(0, 1]`.
+fn refinement_violations(
+    spec: &RefinementSpec,
+    fields: [&'static str; 3],
+) -> impl Iterator<Item = PlanViolation> {
+    let config = &spec.config;
+    let tolerance_ok = |t: f64| t > 0.0 && t.is_finite();
+    let knobs = [
+        (config.target, tolerance_ok(config.target)),
+        (config.inner.tolerance, tolerance_ok(config.inner.tolerance)),
+        (
+            config.min_reduction,
+            config.min_reduction > 0.0 && config.min_reduction <= 1.0,
+        ),
+    ];
+    fields
+        .into_iter()
+        .zip(knobs)
+        .filter(|(_, (_, ok))| !ok)
+        .map(|(field, (value, _))| PlanViolation::InvalidRefinement { field, value })
 }
 
 #[cfg(test)]
@@ -539,6 +604,69 @@ mod tests {
                 "tolerance {bad}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn a_refinement_spec_the_driver_cannot_run_is_a_violation() {
+        let bad_tolerances = [0.0, -1e-8, f64::NAN, f64::INFINITY];
+        let bad_reductions = [0.0, -0.5, 1.5, f64::NAN];
+        let mut cases: Vec<(&str, f64, RefinementSpec)> = Vec::new();
+        for bad in bad_tolerances {
+            cases.push((
+                "refinement.config.target",
+                bad,
+                RefinementSpec::to_target(bad),
+            ));
+            let mut spec = RefinementSpec::to_target(1e-10);
+            spec.config.inner.tolerance = bad;
+            cases.push(("refinement.config.inner.tolerance", bad, spec));
+        }
+        for bad in bad_reductions {
+            let mut spec = RefinementSpec::to_target(1e-10);
+            spec.config.min_reduction = bad;
+            cases.push(("refinement.config.min_reduction", bad, spec));
+        }
+        for (path, bad, spec) in cases {
+            let err = SolvePlan::new("t", handle(4), fmt())
+                .refinement(spec)
+                .build()
+                .unwrap_err();
+            match err.violations.as_slice() {
+                [PlanViolation::InvalidRefinement { field, value }] => {
+                    assert_eq!(*field, path);
+                    assert_eq!(value.to_bits(), bad.to_bits());
+                }
+                other => panic!("{path} = {bad}: {other:?}"),
+            }
+            assert!(err.to_string().contains(path), "{err}");
+        }
+
+        // Every bad knob is reported, and a fallback's under its own path.
+        let mut fallback = AutoFormatSpec::to_target(1e-8);
+        fallback.fallback.config.target = 0.0;
+        fallback.fallback.config.inner.tolerance = f64::NAN;
+        fallback.fallback.config.min_reduction = 2.0;
+        let err = SolvePlan::new("t", handle(4), fmt())
+            .auto_format_spec(fallback)
+            .build()
+            .unwrap_err();
+        let fields: Vec<&str> = err
+            .violations
+            .iter()
+            .map(|v| match v {
+                PlanViolation::InvalidRefinement { field, .. } => *field,
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        assert_eq!(fields, FALLBACK_FIELDS);
+
+        // The boundary values build: min_reduction = 1 accepts any non-growing pass.
+        let mut edge = RefinementSpec::to_target(f64::MIN_POSITIVE);
+        edge.config.min_reduction = 1.0;
+        assert!(SolvePlan::new("t", handle(4), fmt())
+            .refinement(edge)
+            .build()
+            .is_ok());
     }
 
     #[test]

@@ -24,6 +24,16 @@
 //! so every solve either converges to the fp64 target or honestly reports
 //! [`RefinementStop::Stalled`] at the top of the ladder.
 //!
+//! An inner solve only has to reduce its residual by the factor its rung can turn
+//! into true progress: past the rung's quantization floor, extra inner digits are
+//! thrown away by the next fp64 residual.  So the driver sizes each ask from the
+//! contraction `ρ = after / before` the rung just delivered, measured by the fp64
+//! residual it evaluates anyway.  The first pass on a rung asks
+//! [`RefinementConfig::inner`]'s tolerance; after an accepted, non-stalled pass the
+//! next asks `max(inner.tolerance, ρ / 10)`, one digit past what the rung proved it
+//! can deliver; an escalation resets the ask, because a new rung has a new floor.
+//! Since `ρ ≤ min_reduction ≤ 1`, an ask never exceeds 0.1.
+//!
 //! The driver is deliberately generic: it only needs an exact [`LinearOperator`] for
 //! the fp64 residual and a [`PrecisionLadder`] for the inner solves, so the quantized
 //! operators of `refloat-core`, the cache-backed ladders of `refloat-runtime`, and
@@ -107,7 +117,9 @@ pub struct RefinementConfig {
     /// Configuration of each inner correction solve.  Its tolerance is interpreted
     /// relative to the pass residual (the driver forces `relative = true`), so inner
     /// solves need far fewer digits than `target` — that is the entire economy of
-    /// mixed precision.
+    /// mixed precision.  The tolerance is the tightest ask: it is the first pass's,
+    /// and each fresh rung's, ask; later passes ask one digit past the last pass's
+    /// contraction (see the module docs).
     pub inner: SolverConfig,
     /// A pass must shrink the outer residual by at least this factor
     /// (`after < min_reduction · before`), otherwise it counts as a stall and the
@@ -184,6 +196,8 @@ pub struct RefinementPass {
     pub level: usize,
     /// The rung's name.
     pub level_name: String,
+    /// The relative tolerance this pass's inner solve was given.
+    pub inner_tolerance: f64,
     /// Inner solver iterations of this pass.
     pub inner_iterations: usize,
     /// Inner operator applications of this pass.
@@ -269,6 +283,26 @@ impl RefinementResult {
     }
 }
 
+/// How far past its rung's last true contraction `ρ` an inner solve asks: the next
+/// pass's relative tolerance is `max(inner.tolerance, ρ / ASK_PAST_CONTRACTION)`, one
+/// digit past what the rung just delivered.  Asking for `ρ` itself cost the refined
+/// benchmark solves about 1 % of their true digits; one digit more kept them all.
+const ASK_PAST_CONTRACTION: f64 = 10.0;
+
+/// The inner tolerance of the pass after one that asked `ask` and contracted the true
+/// residual by `contraction`.  A fresh rung starts from the `configured` ask again; an
+/// accepted, non-stalled pass moves the ask one digit past its contraction, never
+/// tighter than configured; a stalled pass (a rejected one is stalled) keeps it.
+fn next_ask(configured: f64, ask: f64, contraction: f64, stalled: bool, escalated: bool) -> f64 {
+    if escalated {
+        configured
+    } else if stalled {
+        ask
+    } else {
+        configured.max(contraction / ASK_PAST_CONTRACTION)
+    }
+}
+
 /// Solves `A x = b` to fp64 accuracy by defect correction: exact fp64 residuals
 /// around low-precision correction solves drawn from `ladder`, escalating rungs when
 /// passes stall.  See the module docs for the loop and its guarantees.
@@ -278,7 +312,8 @@ impl RefinementResult {
 ///
 /// # Panics
 /// Panics if the ladder is empty, if dimensions disagree, or if the configuration is
-/// degenerate (`target <= 0`, `min_reduction` outside `(0, 1]`).
+/// degenerate (`target` or `inner.tolerance` not positive and finite,
+/// `min_reduction` outside `(0, 1]`).
 pub fn refine<A, L>(
     a_fp64: &mut A,
     b: &[f64],
@@ -325,6 +360,10 @@ where
     assert!(
         config.target > 0.0 && config.target.is_finite(),
         "refine: target must be a positive finite tolerance"
+    );
+    assert!(
+        config.inner.tolerance > 0.0 && config.inner.tolerance.is_finite(),
+        "refine: inner.tolerance must be a positive finite tolerance"
     );
     assert!(
         config.min_reduction > 0.0 && config.min_reduction <= 1.0,
@@ -384,6 +423,7 @@ where
     } else {
         for _ in 0..config.max_outer {
             outer += 1;
+            let inner_tolerance = inner_config.tolerance;
             let correction = ladder.solve(level, &r, &inner_config);
             inner_iterations += correction.iterations;
             inner_spmvs += correction.spmv_count;
@@ -415,6 +455,7 @@ where
                 passes.push(RefinementPass {
                     level,
                     level_name: ladder.level_name(level),
+                    inner_tolerance,
                     inner_iterations: correction.iterations,
                     inner_spmvs: correction.spmv_count,
                     inner_stop: correction.stop,
@@ -425,6 +466,13 @@ where
                 });
             }
 
+            inner_config.tolerance = next_ask(
+                config.inner.tolerance,
+                inner_tolerance,
+                after / rel,
+                stalled,
+                escalate,
+            );
             rel = after;
             if rel <= config.target {
                 stop = RefinementStop::Converged;
@@ -658,6 +706,207 @@ mod tests {
         // Rolled-back or stalled passes never leave the iterate worse than before.
         for pair in result.passes.windows(2) {
             assert!(pair[1].residual_after <= pair[0].residual_after * (1.0 + 1e-12));
+        }
+    }
+
+    /// Asserts every pass after the first asks what the rule derives from the pass
+    /// before it: `max(τ, ρ / 10)` after progress, τ after an escalation.
+    fn assert_asks_follow_the_rule(result: &RefinementResult, tau: f64) {
+        for pair in result.passes.windows(2) {
+            let (prev, next) = (&pair[0], &pair[1]);
+            let contraction = prev.residual_after / prev.residual_before;
+            let expected = if prev.escalated {
+                tau
+            } else {
+                tau.max(contraction / 10.0)
+            };
+            assert_eq!(
+                next.inner_tolerance.to_bits(),
+                expected.to_bits(),
+                "pass after {prev:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn each_pass_asks_one_digit_past_the_last_contraction() {
+        let a = poisson(16);
+        let b: Vec<f64> = (0..a.nrows()).map(|i| ((i % 7) as f64) - 3.0).collect();
+        let config = RefinementConfig::to_target(1e-12);
+        let tau = config.inner.tolerance;
+        for rel_error in [1e-3, 1e-2, 5e-2] {
+            let result = refine(
+                &mut a.clone(),
+                &b,
+                &mut perturbed_ladder(&a, rel_error),
+                &config,
+            );
+            assert!(result.converged(), "stop = {:?}", result.stop);
+            assert_eq!(result.escalations, 0);
+            assert_eq!(result.passes[0].inner_tolerance, tau);
+            assert_asks_follow_the_rule(&result, tau);
+            // These rungs never contract by more than 1e-5 (ρ > 10·τ), so every
+            // later pass asks for fewer digits than the configured τ.
+            assert!(
+                result.passes[1..].iter().all(|p| p.inner_tolerance > tau),
+                "{rel_error}: {:?}",
+                result.passes
+            );
+            // The ask never exceeds one digit past `min_reduction`.
+            assert!(result
+                .passes
+                .iter()
+                .all(|p| p.inner_tolerance <= config.min_reduction / 10.0));
+        }
+    }
+
+    #[test]
+    fn the_ask_is_never_looser_than_configured_nor_past_a_stall() {
+        // A contraction tighter than 10·τ leaves the configured ask in place.
+        assert_eq!(next_ask(1e-6, 1e-6, 1e-9, false, false), 1e-6);
+        assert_eq!(next_ask(1e-6, 1e-6, 3e-3, false, false), 3e-3 / 10.0);
+        // A rejected (hence stalled) pass keeps the ask it ran with; an escalation
+        // resets it whatever the pass did.
+        assert_eq!(next_ask(1e-6, 3e-4, 1.0, true, false), 3e-4);
+        assert_eq!(next_ask(1e-6, 3e-4, 1.0, true, true), 1e-6);
+        assert_eq!(next_ask(1e-6, 3e-4, 0.7, true, true), 1e-6);
+    }
+
+    /// A ladder whose coarse rung turns hostile after `good_passes` solves: from then
+    /// on it returns the negated correction, which grows the residual and is rolled
+    /// back.  Every other rung, and every earlier solve, is the wrapped ladder's.
+    struct TurningLadder {
+        inner: OperatorLadder,
+        good_passes: usize,
+        coarse_solves: usize,
+    }
+
+    impl PrecisionLadder for TurningLadder {
+        fn levels(&self) -> usize {
+            self.inner.levels()
+        }
+        fn level_name(&self, level: usize) -> String {
+            self.inner.level_name(level)
+        }
+        fn solve(&mut self, level: usize, rhs: &[f64], config: &SolverConfig) -> SolveResult {
+            let mut result = self.inner.solve(level, rhs, config);
+            if level == 0 {
+                self.coarse_solves += 1;
+                if self.coarse_solves > self.good_passes {
+                    result.x.iter_mut().for_each(|v| *v = -*v);
+                }
+            }
+            result
+        }
+    }
+
+    fn turning_ladder(a: &CsrMatrix, good_passes: usize) -> TurningLadder {
+        TurningLadder {
+            inner: perturbed_ladder(a, 1e-2).with_rung(Box::new(a.clone())),
+            good_passes,
+            coarse_solves: 0,
+        }
+    }
+
+    #[test]
+    fn a_rejected_pass_runs_with_the_last_ask_and_the_next_rung_starts_afresh() {
+        let a = poisson(12);
+        let b = vec![1.0; a.nrows()];
+        let config = RefinementConfig::to_target(1e-12);
+        let tau = config.inner.tolerance;
+        let result = refine(&mut a.clone(), &b, &mut turning_ladder(&a, 2), &config);
+        assert!(result.converged(), "stop = {:?}", result.stop);
+        assert_eq!(result.escalations, 1);
+        let passes = &result.passes;
+        assert!(!passes[0].rejected && !passes[1].rejected);
+        // The rejected pass asked what the accepted pass before it earned.
+        let rejected = &passes[2];
+        assert!(rejected.rejected && rejected.escalated && rejected.level == 0);
+        let earned = tau.max(passes[1].residual_after / passes[1].residual_before / 10.0);
+        assert!(earned > tau);
+        assert_eq!(rejected.inner_tolerance, earned);
+        // The fresh rung's first pass asks τ, and its later passes follow the rule.
+        assert_eq!(passes[3].level, 1);
+        assert_eq!(passes[3].inner_tolerance, tau);
+        assert_asks_follow_the_rule(&result, tau);
+    }
+
+    #[test]
+    fn an_escalation_resets_the_ask() {
+        let a = poisson(12);
+        let b = vec![1.0; a.nrows()];
+        let mut ladder = OperatorLadder::new(SolverKind::Cg)
+            .with_rung(Box::new(PerturbedOperator {
+                csr: a.clone(),
+                rel_error: 0.9,
+            }))
+            .with_rung(Box::new(PerturbedOperator {
+                csr: a.clone(),
+                rel_error: 1e-4,
+            }))
+            .with_rung(Box::new(a.clone()));
+        let config = RefinementConfig::to_target(1e-12).with_max_outer(60);
+        let result = refine(&mut a.clone(), &b, &mut ladder, &config);
+        assert!(result.converged(), "stop = {:?}", result.stop);
+        assert!(result.escalations >= 1);
+        for pair in result.passes.windows(2) {
+            if pair[0].escalated {
+                assert_eq!(pair[1].inner_tolerance, config.inner.tolerance);
+                assert_eq!(pair[1].level, pair[0].level + 1);
+            }
+        }
+        assert_asks_follow_the_rule(&result, config.inner.tolerance);
+    }
+
+    #[test]
+    fn a_warm_start_first_asks_the_configured_tolerance() {
+        let a = poisson(14);
+        let b: Vec<f64> = (0..a.nrows()).map(|i| 1.0 + ((i % 5) as f64)).collect();
+        let config = RefinementConfig::to_target(1e-12);
+        let cold = refine(&mut a.clone(), &b, &mut perturbed_ladder(&a, 1e-2), &config);
+        // A guess part-way down: the cold solve's iterate with a visible error.
+        let mut guess = cold.x.clone();
+        for (i, gi) in guess.iter_mut().enumerate() {
+            *gi += 1e-5 * (0.4 * i as f64).sin();
+        }
+        let warm = refine_warm(
+            &mut a.clone(),
+            &b,
+            Some(&guess),
+            &mut perturbed_ladder(&a, 1e-2),
+            &config,
+        );
+        assert_eq!(warm.warm_path, WarmPath::Correction);
+        assert!(warm.converged());
+        assert!(warm.outer_iterations >= 2);
+        assert_eq!(warm.passes[0].inner_tolerance, config.inner.tolerance);
+        assert_asks_follow_the_rule(&warm, config.inner.tolerance);
+    }
+
+    proptest::proptest! {
+        // Over random SPD matrices and coarse rungs from 1e-4 to 1e-1 relative error,
+        // with an exact rung on top, the looser asks never cost the target.
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn looser_asks_still_reach_the_target(
+            n in 8usize..160,
+            degree in 2usize..9,
+            dominance in 1.05f64..3.0,
+            log_scale in -3.0f64..3.0,
+            log_error in -4.0f64..-1.0,
+            seed in 0u64..1_000_000,
+        ) {
+            let a = generators::random_spd_graph(n, degree, dominance, 10f64.powf(log_scale), seed)
+                .to_csr();
+            let b: Vec<f64> = (0..n).map(|i| 1.0 + ((i * 7 % 11) as f64) / 5.0).collect();
+            let mut ladder = perturbed_ladder(&a, 10f64.powf(log_error))
+                .with_rung(Box::new(a.clone()));
+            let config = RefinementConfig::to_target(1e-12);
+            let result = refine(&mut a.clone(), &b, &mut ladder, &config);
+            proptest::prop_assert!(result.converged(), "stop = {:?}", result.stop);
+            proptest::prop_assert!(a.relative_residual(&b, &result.x) <= 1e-12);
+            assert_asks_follow_the_rule(&result, config.inner.tolerance);
         }
     }
 

@@ -28,8 +28,13 @@ use refloat::sim::FaultModelConfig;
 /// more when every charge came to fold its phases' seconds into `total_s` in execution
 /// order: only `clean/refined-escalating` and `pristine/refined` moved, and only in
 /// `total_s`, by one ulp each (a refined job used to add its programming and host
-/// seconds after its chip passes).
-const EXPECTED_DIGEST: u64 = 0xacdf_4dff_7fb6_9814;
+/// seconds after its chip passes).  And once more when a refined solve's inner solves
+/// came to ask one digit past their rung's last contraction instead of a fixed 1e-6:
+/// only the refined jobs moved (`clean/refined-escalating`, `clean/seq-refined-0/1/2`
+/// and `pristine/refined`: fewer inner iterations, hence other solution bits and
+/// chip seconds, with the same passes and spans); `seq-refined-1/2` run one pass each
+/// but start from `seq-refined-0`'s solution.  `clean/auto-falls-back` did not move.
+const EXPECTED_DIGEST: u64 = 0xd27d_a36f_4b06_2eb9;
 
 /// FNV-1a accumulator over 64-bit words.
 struct Digest(u64);

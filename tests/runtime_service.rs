@@ -1172,3 +1172,55 @@ fn invalid_plans_are_typed_errors_not_panics() {
     let rendered = err.to_string();
     assert!(rendered.contains("violation"));
 }
+
+#[test]
+fn a_refinement_spec_the_driver_cannot_run_never_reaches_a_worker() {
+    // Before plan validation checked the spec, a zero or NaN tolerance or an
+    // out-of-range stall threshold reached the refinement driver's asserts and
+    // resolved the ticket `Failed`.  Now the plan never builds, so nothing is
+    // submitted, and the pool serves the next valid refined plan as usual.
+    let (handle, format, _) = catalog().remove(0);
+    let client = SolveRuntime::start(RuntimeConfig {
+        workers: 1,
+        ..Default::default()
+    });
+    let mut nan_inner = RefinementSpec::to_target(1e-10);
+    nan_inner.config.inner.tolerance = f64::NAN;
+    let mut no_reduction = RefinementSpec::to_target(1e-10);
+    no_reduction.config.min_reduction = 0.0;
+    for (field, spec) in [
+        ("refinement.config.target", RefinementSpec::to_target(0.0)),
+        ("refinement.config.inner.tolerance", nan_inner),
+        ("refinement.config.min_reduction", no_reduction),
+    ] {
+        let err = SolvePlan::new("bad", handle.clone(), format)
+            .refinement(spec)
+            .build()
+            .unwrap_err();
+        assert!(
+            matches!(
+                err.violations.as_slice(),
+                [PlanViolation::InvalidRefinement { field: f, .. }] if *f == field
+            ),
+            "{err}"
+        );
+    }
+    assert_eq!(client.submitted(), 0);
+
+    let ticket = client
+        .submit(
+            SolvePlan::new("good", handle.clone(), format)
+                .refinement(RefinementSpec::to_target(1e-10))
+                .build()
+                .unwrap(),
+        )
+        .expect("open client admits");
+    let outcome = ticket
+        .wait()
+        .completed()
+        .expect("a valid refined plan completes");
+    assert!(outcome.result.converged());
+    let report = client.shutdown();
+    assert_eq!(report.jobs, 1);
+    assert_eq!(report.failed_jobs, 0);
+}
