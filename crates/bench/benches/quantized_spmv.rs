@@ -1,6 +1,6 @@
 //! Per-application cost of the quantized operators relative to plain FP64 CSR SpMV —
-//! the functional-simulation overhead of the ReFloat and Feinberg models — and of the
-//! ReFloat apply and CG iteration split over lanes.
+//! the functional-simulation overhead of the ReFloat and Feinberg models — and the cost
+//! of a CG iteration on one lane and on two.
 
 use std::sync::Arc;
 
@@ -32,47 +32,13 @@ fn bench_quantized_spmv(c: &mut Criterion) {
     group.finish();
 }
 
-/// One apply on one lane against two, on the two matrices of the repo benchmark's
-/// `solve_refined` workload (its dense-block and scattered shapes, in its format), on a
-/// smaller one that still splits, and on one below `MIN_NNZ_PER_LANE` that must not
-/// (its two cases should read the same).
-fn bench_apply_lanes(c: &mut Criterion) {
-    let format = ReFloatConfig::new(7, 3, 8, 5, 16);
-    let matrices = [
-        (
-            "mass_29",
-            generators::mass_matrix_3d(29, 29, 29, 1e-12, 0.8, 2023 ^ 0x355),
-        ),
-        (
-            "graph_20000",
-            generators::random_spd_graph(20_000, 6, 1.35, 1.0, 2023 ^ 0x2257),
-        ),
-        ("poisson_96", generators::laplacian_2d(96, 96, 0.2)),
-        ("poisson_16", generators::laplacian_2d(16, 16, 0.2)),
-    ];
-    let two = Arc::new(Lanes::new(2).expect("spawn a helper lane"));
-    let mut group = c.benchmark_group("apply_lanes");
-    for (name, coo) in matrices {
-        let a = coo.to_csr();
-        let x = rhs::krylov_like(a.ncols(), 17);
-        let mut y = vec![0.0; a.nrows()];
-        let mut one = ReFloatMatrix::from_csr(&a, format);
-        let mut split = one.clone().with_lanes(&two);
-        group.throughput(Throughput::Elements(a.nnz() as u64));
-        group.bench_function(format!("{name}_1_lane"), |b| {
-            b.iter(|| one.apply(&x, &mut y))
-        });
-        group.bench_function(format!("{name}_2_lanes"), |b| {
-            b.iter(|| split.apply(&x, &mut y))
-        });
-    }
-    group.finish();
-}
-
 /// CG iterations on one lane against two, on the `solve_refined` matrices and the
 /// `transient_chain` one, in their format: on two lanes the vectors stay on the lanes
-/// and an iteration is three lane phases.  Each sample is a solve capped at
-/// `ITERATIONS` iterations, so the per-iteration cost is the time over `ITERATIONS`.
+/// and an iteration is three lane phases.  On one lane they are a single band on the
+/// calling thread, which the last three cases time alone: the 48 × 48 Laplacian in the
+/// format of `serve_hot`'s busiest entry, and two matrices in fp64 CSR through the
+/// operator's default banded apply.  Each sample is a solve capped at `ITERATIONS`
+/// iterations, so the per-iteration cost is the time over `ITERATIONS`.
 fn bench_cg_iteration_lanes(c: &mut Criterion) {
     const ITERATIONS: usize = 16;
     let format = ReFloatConfig::new(7, 3, 8, 5, 16);
@@ -105,12 +71,27 @@ fn bench_cg_iteration_lanes(c: &mut Criterion) {
             bench.iter(|| cg(&mut split, &b, &config))
         });
     }
+    let laplacian = generators::laplacian_2d(48, 48, 0.1).to_csr();
+    let b = rhs::krylov_like(laplacian.nrows(), 17);
+    let mut one = ReFloatMatrix::from_csr(&laplacian, ReFloatConfig::new(7, 3, 3, 3, 8));
+    group.throughput(Throughput::Elements((ITERATIONS * laplacian.nnz()) as u64));
+    group.bench_function("poisson_48_1_lane", |bench| {
+        bench.iter(|| cg(&mut one, &b, &config))
+    });
+    let graph = generators::random_spd_graph(20_000, 6, 1.35, 1.0, 2023 ^ 0x2257).to_csr();
+    for (name, mut fp64) in [("poisson_48", laplacian), ("graph_20000", graph)] {
+        let b = rhs::krylov_like(fp64.nrows(), 17);
+        group.throughput(Throughput::Elements((ITERATIONS * fp64.nnz()) as u64));
+        group.bench_function(format!("{name}_fp64_1_lane"), |bench| {
+            bench.iter(|| cg(&mut fp64, &b, &config))
+        });
+    }
     group.finish();
 }
 
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_quantized_spmv, bench_apply_lanes, bench_cg_iteration_lanes
+    targets = bench_quantized_spmv, bench_cg_iteration_lanes
 }
 criterion_main!(benches);

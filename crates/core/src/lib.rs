@@ -50,14 +50,14 @@
 //!   property test holds it equal to the per-block, per-element reference in every
 //!   mode.  Block readers take an explicit
 //!   block-order copy and walk [`matrix::BlockView`]s over it; no matrix keeps
-//!   bit-level fields.  A matrix applies on the calling thread unless lanes are
+//!   bit-level fields.  An apply is one row loop on the calling thread.  With lanes
 //!   attached ([`ReFloatMatrix::with_lanes`], which the runtime does for a worker with
-//!   spare cores): the apply then converts the input on the caller and splits the row
-//!   loop into nnz-balanced bands, one per lane, provided each lane gets at least
-//!   [`matrix::MIN_NNZ_PER_LANE`] non-zeros, and a CG solve keeps its vectors on the
-//!   lanes, converting and accumulating band by band.  [`ReFloatMatrix::from_csr_on`]
-//!   splits the encode the same way.  Each row is still one sum in column order and
-//!   each reduction one pairwise tree, so the bits do not depend on the lanes,
+//!   spare cores) a CG solve of at least [`refloat_sparse::vecops::MIN_LEN_PER_LANE`]
+//!   rows per lane keeps its vectors on the lanes, converting and accumulating band by
+//!   band, and [`ReFloatMatrix::from_csr_on`] splits an encode of at least
+//!   [`matrix::MIN_NNZ_PER_LANE`] non-zeros per lane into nnz-balanced bands of block
+//!   rows.  Each row is still one sum in column order and each reduction one pairwise
+//!   tree, so the bits do not depend on the lanes,
 //! * [`incremental`] — [`reencode_incremental`] (and its laned form): a from-scratch
 //!   encode plus a diff.  A
 //!   sequence step with the predecessor's sparsity structure adopts its layout and
@@ -65,9 +65,8 @@
 //!   the two steps' bases decide what a chip must rewrite,
 //! * [`sharded`] — [`ShardedReFloatMatrix`], one encoding whose rows are split into
 //!   block-row bands (one per chip of a multi-chip accelerator) for the chip model,
-//!   while the host applies the one encoding through the matrix's own apply (on its
-//!   lanes, if any), so bitwise identical to the unsharded operator for every shard
-//!   count,
+//!   while the host applies the one encoding through the matrix's own apply, so
+//!   bitwise identical to the unsharded operator for every shard count,
 //! * [`resilience`] — fault-aware encoding support: spare row/column remapping around
 //!   stuck cells and per-block ABFT checksum rows for SpMV corruption detection,
 //! * [`feinberg`] — the exponent-truncation baseline of Feinberg et al. [ISCA'18] as

@@ -53,7 +53,7 @@
 //!
 //! The accelerator runs one SpMV over many crossbars at once, with the vector converter
 //! and the level-1 vector work beside it; the host model can run all three over several
-//! threads.  [`ReFloatMatrix::with_lanes`] attaches a set of [`Lanes`], used three ways:
+//! threads.  [`ReFloatMatrix::with_lanes`] attaches a set of [`Lanes`], used two ways:
 //!
 //! * **A laned solve.**  A CG solve keeps its vectors on the lanes, cut into the
 //!   pairwise tree's top-level subtrees ([`LanedVectors`]), and the apply works on those
@@ -62,15 +62,15 @@
 //!   the one quantized input and converts the segments that straddle a band edge, then
 //!   each lane accumulates its band's rows into its band of `A·p` and returns its part
 //!   of `pᵀAp`.  The converter's bases and statistics are the one-thread converter's.
-//! * **A standalone apply** (BiCGSTAB, the fault wrapper) converts the input on the
-//!   calling thread and splits `accumulate`'s row loop into nnz-balanced row bands.
 //! * **An encode** ([`from_csr_on`](ReFloatMatrix::from_csr_on), and the re-encode of
 //!   [`crate::incremental`]) runs `encode_bands` per nnz-balanced band of block rows,
 //!   each helper reading the values through its own handle on the CSR matrix.
 //!
-//! A row's sum is its terms in column order whatever band it falls in, a segment's or
-//! a block's base depends on its own values alone, and a band's reduction is its
-//! subtree's, so no output bit depends on the lane count; only host time does.
+//! Every other apply — BiCGSTAB's, the fault wrapper's — is the one-thread row loop,
+//! and so is a solve's on one lane.  A row's sum is its terms in column order whatever
+//! band it falls in, a segment's or a block's base depends on its own values alone, and
+//! a band's reduction is its subtree's, so no output bit depends on the lane count;
+//! only host time does.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -90,10 +90,11 @@ use refloat_sparse::parallel::{BandTask, Lanes};
 use refloat_sparse::vecops::{self, Band, LanedVectors, MIN_LEN_PER_LANE};
 use refloat_sparse::{block_row_shards, BlockedMatrix, CsrMatrix};
 
-/// The fewest non-zeros per lane for which an apply splits.  Handing a band to a helper
-/// and copying it back costs a few microseconds: on a 2-core x86-64 host a 2-lane
-/// split of a 2-D Laplacian broke even near 4 k non-zeros per lane, was 1.8× slower at
-/// 600 and only gained from about 8 k.  The `apply_lanes` bench measures this.
+/// The fewest non-zeros per lane for which an encode splits over lanes.  Handing a band
+/// to a helper and copying it back costs a few microseconds: on a 2-core x86-64 host a
+/// 2-lane split of a 2-D Laplacian's SpMV broke even near 4 k non-zeros per lane and
+/// gained from about 8 k, and an encode costs more per non-zero than an SpMV.  The
+/// `encode_lanes` bench measures a split encode.
 pub const MIN_NNZ_PER_LANE: usize = 8192;
 
 /// What encoding adds to a [`BlockLayout`].
@@ -103,14 +104,6 @@ struct Encoded {
     eb: Vec<i32>,
     /// Decoded value per non-zero, in the layout's row order.
     decoded: Vec<f64>,
-}
-
-/// The lanes a split apply runs on, and the row band each accumulates.
-#[derive(Debug, Clone)]
-struct Split {
-    lanes: Arc<Lanes>,
-    /// One nnz-balanced band per lane, tiling the rows; the last runs on the caller.
-    bands: Vec<Range<usize>>,
 }
 
 /// One encoded block, borrowed from a [`ReFloatMatrix`] and the block-order copy of its
@@ -174,10 +167,8 @@ pub struct ReFloatMatrix {
     /// Whether the input vector is re-encoded through the vector converter on every
     /// apply (the full ReFloat pipeline) or passed through exactly (ablation).
     quantize_vectors: bool,
-    /// The lanes an apply splits over; `None` applies on the calling thread alone.
-    split: Option<Split>,
     /// The lanes a CG solve keeps its vectors on; `None` solves on the calling thread.
-    solve_lanes: Option<Arc<Lanes>>,
+    lanes: Option<Arc<Lanes>>,
 }
 
 impl ReFloatMatrix {
@@ -334,37 +325,23 @@ impl ReFloatMatrix {
             converter: VectorConverter::new(config),
             quantized_input: Scratch::default(),
             quantize_vectors: true,
-            split: None,
-            solve_lanes: None,
+            lanes: None,
         }
     }
 
-    /// Puts the matrix on `lanes` (see the [module docs](self#lanes)).
-    ///
-    /// Every later [`apply`](LinearOperator::apply) converts the input on the calling
-    /// thread, then each lane accumulates one nnz-balanced band of rows (block-row
-    /// aligned, by `refloat_sparse::block_row_shards`), the last band on the calling
-    /// thread; a matrix with fewer than [`MIN_NNZ_PER_LANE`] non-zeros per lane applies
-    /// on the calling thread.  A square matrix of at least
-    /// [`MIN_LEN_PER_LANE`] rows per lane also offers the lanes to a CG solve
-    /// ([`lanes`](LinearOperator::lanes)).  Every output bit is the one-lane
-    /// matrix's, and one lane changes nothing.
+    /// Offers `lanes` to a CG solve on the matrix ([`lanes`](LinearOperator::lanes),
+    /// see the [module docs](self#lanes)) when it is square and has at least
+    /// [`MIN_LEN_PER_LANE`] rows per lane.  Every output bit is the one-lane matrix's,
+    /// and one lane changes nothing.
     pub fn with_lanes(self, lanes: &Arc<Lanes>) -> Self {
-        self.split_over(lanes, (MIN_NNZ_PER_LANE, MIN_LEN_PER_LANE))
+        self.split_over(lanes, MIN_LEN_PER_LANE)
     }
 
-    /// [`with_lanes`](Self::with_lanes) with the per-lane minimums — non-zeros for an
-    /// apply, rows for a solve — as a parameter.
-    fn split_over(mut self, lanes: &Arc<Lanes>, (min_nnz, min_len): (usize, usize)) -> Self {
-        let bands = block_row_shards(&self.layout, lanes.count());
-        let pays = self.nnz() >= min_nnz * bands.len();
-        self.split = (bands.len() > 1 && pays).then(|| Split {
-            lanes: Arc::clone(lanes),
-            bands,
-        });
+    /// [`with_lanes`](Self::with_lanes) with the per-lane row minimum as a parameter.
+    fn split_over(mut self, lanes: &Arc<Lanes>, min_len: usize) -> Self {
         let parts = vecops::tree_bands(self.nrows, lanes.count()).len();
         let solves = parts > 1 && self.nrows == self.ncols && self.nrows >= min_len * parts;
-        self.solve_lanes = solves.then(|| Arc::clone(lanes));
+        self.lanes = solves.then(|| Arc::clone(lanes));
         self
     }
 
@@ -498,31 +475,6 @@ impl ReFloatMatrix {
     /// Panics if `xq.len() != ncols` or `y.len() != nrows`.
     pub fn accumulate(&self, xq: &[f64], y: &mut [f64]) {
         accumulate_rows(&self.layout, &self.encoded.decoded, xq, 0..self.nrows, y);
-    }
-
-    /// [`accumulate`](Self::accumulate) from the latest quantized input, split into
-    /// `split`'s bands: every band but the last on a helper lane, which holds `Arc`s of
-    /// the layout, the decoded values and the quantized input and fills its own band
-    /// buffer, copied into `y` afterwards; the last band on the calling thread,
-    /// straight into `y`.
-    fn accumulate_split(&self, split: &Split, y: &mut [f64]) {
-        assert_eq!(y.len(), self.nrows, "ReFloatMatrix spmv: y length mismatch");
-        let (last, helped) = split.bands.split_last().expect("a split has two bands");
-        let tasks = helped.iter().map(|rows| {
-            let (layout, encoded) = (Arc::clone(&self.layout), Arc::clone(&self.encoded));
-            let (xq, rows) = (self.quantized_input.shared(), rows.clone());
-            Box::new(move |band: &mut Vec<f64>| {
-                band.resize(rows.len(), 0.0);
-                accumulate_rows(&layout, &encoded.decoded, &xq, rows, band);
-            }) as BandTask
-        });
-        let xq = self.quantized_input.as_slice();
-        let (head, tail) = y.split_at_mut(last.start);
-        split.lanes.run(
-            tasks,
-            || accumulate_rows(&self.layout, &self.encoded.decoded, xq, last.clone(), tail),
-            |lane, band| head[helped[lane].clone()].copy_from_slice(band),
-        );
     }
 
     /// The convert phase of a laned solve's apply, after `p ← r + βp` on every band:
@@ -766,29 +718,25 @@ impl LinearOperator for ReFloatMatrix {
         self.ncols
     }
 
-    /// Converts `x`, then accumulates every row: on the calling thread, or in bands
-    /// over the lanes of [`with_lanes`](ReFloatMatrix::with_lanes) when the vector
-    /// converter is on (with it off, the input is the caller's borrowed `x`, which a
-    /// lane cannot hold).  Either way each row is the same sum, so the same bits.
+    /// Converts `x`, then accumulates every row, on the calling thread.
     fn apply(&mut self, x: &[f64], y: &mut [f64]) {
         let (xq, this) = self.quantize_input(x);
-        match this.split.as_ref().filter(|_| this.quantize_vectors) {
-            Some(split) => this.accumulate_split(split, y),
-            None => this.accumulate(xq, y),
-        }
+        this.accumulate(xq, y);
     }
 
     /// The lanes of [`with_lanes`](ReFloatMatrix::with_lanes), when a solve pays and
     /// the vector converter is on.
     fn lanes(&self) -> Option<&Arc<Lanes>> {
-        self.solve_lanes.as_ref().filter(|_| self.quantize_vectors)
+        self.lanes.as_ref().filter(|_| self.quantize_vectors)
     }
 
     /// Two lane phases over the solve's bands: `p ← r + βp` and the convert
     /// (`convert_bands`), then each lane accumulates its band's rows from the one
-    /// quantized input straight into its `ap` band and returns its partial `pᵀAp`.
+    /// quantized input straight into its `ap` band and returns its partial `pᵀAp`.  A
+    /// single band, or an input passed through unconverted, is the plain
+    /// [`apply`](LinearOperator::apply) in place ([`apply_gathered`]).
     fn apply_bands(&mut self, vectors: &mut LanedVectors, beta: Option<f64>) -> f64 {
-        if !self.quantize_vectors {
+        if !self.quantize_vectors || vectors.ranges().len() == 1 {
             return apply_gathered(self, vectors, beta);
         }
         assert_eq!(
@@ -1196,74 +1144,6 @@ mod tests {
         (bits, converter.last_bases().to_vec(), stats)
     }
 
-    #[test]
-    fn a_laned_apply_is_the_serial_apply_bitwise() {
-        // 23 · 23 = 529 rows: the last band ends inside a partial block row.
-        let ragged = generators::laplacian_2d(23, 23, 0.3).to_csr();
-        let scattered = generators::random_spd_graph(1500, 6, 1.4, 1.0, 7).to_csr();
-        // Rows 10..34 hold nothing, so whole bands can be empty.
-        let mut coo = refloat_sparse::CooMatrix::new(40, 40);
-        for i in (0..10).chain(34..40) {
-            coo.push(i, i, 2.0 + i as f64);
-            coo.push(i, (i * 7) % 40, -0.5);
-        }
-        let empty_rows = coo.to_csr();
-        let no_rows = refloat_sparse::CooMatrix::new(0, 0).to_csr();
-        // 3 rows, 2 block rows of b = 1, for up to 4 lanes.
-        let three_rows = generators::laplacian_2d(3, 1, 0.1).to_csr();
-        for (a, b) in [
-            (ragged, 4),
-            (scattered, 5),
-            (empty_rows, 1),
-            (no_rows, 2),
-            (three_rows, 1),
-        ] {
-            let serial = ReFloatMatrix::from_csr(&a, test_config(b));
-            let x = refloat_matgen::rhs::krylov_like(a.ncols(), 5);
-            let want = applied(&mut serial.clone(), &x);
-            for count in 1..=4 {
-                let lanes = Arc::new(Lanes::new(count).unwrap());
-                // No minimum: every matrix here splits when its rows allow.
-                let mut laned = serial.clone().split_over(&lanes, (0, 0));
-                let bands = laned.split.as_ref().map_or(1, |split| split.bands.len());
-                assert_eq!(bands, block_row_shards(&serial.layout, count).len());
-                for _ in 0..2 {
-                    let got = applied(&mut laned, &x);
-                    assert!(got == want, "{count} lanes, {} rows", a.nrows());
-                }
-                // With the minimum, a matrix below it stays serial.
-                let split = serial.clone().with_lanes(&lanes).split.is_some();
-                assert_eq!(split, bands > 1 && a.nnz() >= MIN_NNZ_PER_LANE * bands);
-            }
-        }
-    }
-
-    #[test]
-    fn a_laned_matrix_splits_above_the_minimum_and_its_clones_share_the_lanes() {
-        let a = generators::mass_matrix_3d(12, 12, 12, 1e-12, 0.8, 5).to_csr();
-        assert!(a.nnz() >= 2 * MIN_NNZ_PER_LANE);
-        let serial = ReFloatMatrix::from_csr(&a, test_config(5));
-        let lanes = Arc::new(Lanes::new(2).unwrap());
-        let laned = serial.clone().with_lanes(&lanes);
-        assert_eq!(laned.split.as_ref().map(|split| split.bands.len()), Some(2));
-        let x = refloat_matgen::rhs::krylov_like(a.ncols(), 9);
-        let want = applied(&mut serial.clone(), &x);
-        // Two clones apply at once on one set of lanes: one gets the helper, the
-        // other runs its bands on its own thread.
-        let start = std::sync::Barrier::new(2);
-        std::thread::scope(|scope| {
-            for _ in 0..2 {
-                let (mut op, start, want, x) = (laned.clone(), &start, &want, &x);
-                scope.spawn(move || {
-                    start.wait();
-                    for _ in 0..20 {
-                        assert!(applied(&mut op, x) == *want);
-                    }
-                });
-            }
-        });
-    }
-
     /// One set of lanes per count from 1 to 4, shared by the tests.
     fn lanes(count: usize) -> &'static Arc<Lanes> {
         static LANES: std::sync::OnceLock<Vec<Arc<Lanes>>> = std::sync::OnceLock::new();
@@ -1319,14 +1199,14 @@ mod tests {
     fn a_laned_solve_is_the_serial_solve_bitwise() {
         // At b = 4 the halves and quarters of 1000 rows are not whole 16-row segments.
         let mut stops = Vec::new();
+        let converged = SolverConfig::relative(1e-6).with_max_iterations(300);
+        let capped = SolverConfig::relative(1e-14).with_max_iterations(3);
         for n in [0, 1, 63, 64, 65, 129, 1000] {
             let mut b = refloat_matgen::rhs::krylov_like(n, 3);
             // A subnormal makes its segment an edge segment.
             if let Some(v) = b.get_mut(n / 2) {
                 *v = 3e-310;
             }
-            let converged = SolverConfig::relative(1e-6).with_max_iterations(300);
-            let capped = SolverConfig::relative(1e-14).with_max_iterations(3);
             for (sign, config) in [(1.0, &converged), (1.0, &capped), (-1.0, &converged)] {
                 let a = tridiagonal(n, sign);
                 for (rounding, underflow) in MODES {
@@ -1336,7 +1216,7 @@ mod tests {
                     let serial = ReFloatMatrix::from_csr(&a, format);
                     let want = solved(&mut serial.clone(), &b, config);
                     for count in 1..=4 {
-                        let mut laned = serial.clone().split_over(lanes(count), (0, 0));
+                        let mut laned = serial.clone().split_over(lanes(count), 0);
                         let parts = vecops::tree_bands(n, count).len();
                         assert_eq!(laned.lanes().is_some(), parts > 1);
                         let got = solved(&mut laned, &b, config);
@@ -1356,6 +1236,40 @@ mod tests {
         assert!(kinds
             .iter()
             .all(|kind| stops.contains(&std::mem::discriminant(kind))));
+
+        // 23 · 23 = 529 rows: the last band ends inside a partial block row.
+        let ragged = generators::laplacian_2d(23, 23, 0.3).to_csr();
+        let scattered = generators::random_spd_graph(1500, 6, 1.4, 1.0, 7).to_csr();
+        // Rows 10..170 hold nothing, so whole bands can be empty.
+        let mut coo = refloat_sparse::CooMatrix::new(200, 200);
+        for i in (0..10).chain(170..200) {
+            coo.push(i, i, 2.0 + i as f64);
+            coo.push(i, (i * 7) % 200, -0.5);
+        }
+        let empty_rows = coo.to_csr();
+        let no_rows = refloat_sparse::CooMatrix::new(0, 0).to_csr();
+        // 3 rows, 2 block rows of b = 1.
+        let three_rows = generators::laplacian_2d(3, 1, 0.1).to_csr();
+        for (a, b) in [
+            (ragged, 4),
+            (scattered, 5),
+            (empty_rows, 1),
+            (no_rows, 2),
+            (three_rows, 1),
+        ] {
+            let serial = ReFloatMatrix::from_csr(&a, test_config(b));
+            let rhs = refloat_matgen::rhs::krylov_like(a.nrows(), 5);
+            let want = solved(&mut serial.clone(), &rhs, &converged);
+            for count in 1..=4 {
+                let got = solved(
+                    &mut serial.clone().split_over(lanes(count), 0),
+                    &rhs,
+                    &converged,
+                );
+                assert!(got == want, "{count} lanes, {} rows", a.nrows());
+            }
+        }
+
         // A matrix below the per-lane row minimum solves on the calling thread.
         let small = ReFloatMatrix::from_csr(&tridiagonal(1000, 1.0), test_config(4));
         assert!(small.with_lanes(lanes(2)).lanes().is_none());
@@ -1363,6 +1277,33 @@ mod tests {
         let large = ReFloatMatrix::from_csr(&large, test_config(4));
         assert!(large.clone().with_lanes(lanes(2)).lanes().is_some());
         assert!(large.with_lanes(lanes(1)).lanes().is_none());
+    }
+
+    #[test]
+    fn a_laned_matrix_offers_its_lanes_above_the_minimum_and_its_clones_share_them() {
+        let a = tridiagonal(2 * MIN_LEN_PER_LANE, 1.0);
+        let serial = ReFloatMatrix::from_csr(&a, test_config(5));
+        let lanes = Arc::new(Lanes::new(2).unwrap());
+        let laned = serial.clone().with_lanes(&lanes);
+        assert!(laned.lanes().is_some());
+        let b = refloat_matgen::rhs::krylov_like(a.nrows(), 9);
+        let config = SolverConfig::relative(1e-8).with_max_iterations(40);
+        let want = solved(&mut serial.clone(), &b, &config);
+        // Two clones solve at once on one set of lanes: one gets the helper, the other
+        // runs its helper's bands on its own thread.
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                let (mut op, start, want) = (laned.clone(), &start, &want);
+                let (b, config) = (&b, &config);
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..5 {
+                        assert!(solved(&mut op, b, config) == *want);
+                    }
+                });
+            }
+        });
     }
 
     proptest! {
@@ -1376,7 +1317,7 @@ mod tests {
             ),
             (centre, plain) in (1i64..=2046, proptest::bool::ANY),
             (b, ev, fv) in (1u32..=4, 0u32..=11, 0u32..=52),
-            (mode, count) in (0usize..4, 2usize..=4),
+            (mode, count) in (0usize..4, 1usize..=4),
             (direction, beta) in (proptest::bool::ANY, -2.0f64..2.0),
         ) {
             let beta = direction.then_some(beta);

@@ -12,11 +12,10 @@
 //! for every shard count, because it *is* that apply: the chips' bands are what the
 //! chip model prices ([`ShardedReFloatMatrix::shard_blocks`],
 //! [`ShardedReFloatMatrix::shard_rows`]), while the host runs the one encoding's
-//! apply — serially, or split over the matrix's lanes
-//! ([`ShardedReFloatMatrix::with_lanes`]) by the same block-row partitioner.  Either
-//! way the input is converted once and every row is its own sum, which does not depend
-//! on the band it is computed in; the inter-shard "reduction" is a gather of disjoint
-//! bands, which reorders nothing.
+//! apply, and a CG solve the one encoding's banded apply on the matrix's lanes
+//! ([`ShardedReFloatMatrix::with_lanes`]).  Either way the input is converted once and
+//! every row is its own sum, which does not depend on the band it is computed in; the
+//! inter-shard "reduction" is a gather of disjoint bands, which reorders nothing.
 //!
 //! Cuts sit on `2^b` block-row boundaries so that each chip holds whole blocks.  The
 //! tests below enforce the contract for 1/2/4/8 shards and beyond the block-row count,
@@ -47,7 +46,7 @@ impl ShardedReFloatMatrix {
         ShardedReFloatMatrix { matrix, bands }
     }
 
-    /// Splits the host's apply over `lanes` ([`ReFloatMatrix::with_lanes`]).
+    /// Offers `lanes` to a CG solve on the host ([`ReFloatMatrix::with_lanes`]).
     pub fn with_lanes(mut self, lanes: &Arc<Lanes>) -> Self {
         self.matrix = self.matrix.with_lanes(lanes);
         self
@@ -85,8 +84,7 @@ impl LinearOperator for ShardedReFloatMatrix {
         LinearOperator::ncols(&self.matrix)
     }
 
-    /// The one encoding's apply: `x` converted once, every row accumulated from it, on
-    /// the matrix's lanes when it has them and on the calling thread when it has one.
+    /// The one encoding's apply: `x` converted once, every row accumulated from it.
     fn apply(&mut self, x: &[f64], y: &mut [f64]) {
         self.matrix.apply(x, y);
     }

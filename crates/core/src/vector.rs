@@ -293,8 +293,8 @@ fn quantize_by_element(
 /// The quantized copy of an operator's input vector.  It is scratch, not state: sized
 /// on the first conversion, and a clone starts empty instead of copying `O(ncols)`
 /// values its owner may never read.  It sits behind an `Arc` so that the helper lanes
-/// of a split apply can read it; they let go of it before the apply returns, so the
-/// next conversion writes in place.
+/// of a laned solve's apply can read it; they let go of it before the apply returns, so
+/// the next conversion writes in place.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch(Arc<Vec<f64>>);
 

@@ -49,8 +49,8 @@ pub(crate) struct NodeCore {
     pub decision_baseline: DecisionStats,
     pub chip_crossbars: Option<u64>,
     pub workers: usize,
-    /// Lanes per worker ([`lanes_per_worker`]): each worker splits its SpMVs over this
-    /// many threads, itself and `lanes − 1` persistent helpers.
+    /// Lanes per worker ([`lanes_per_worker`]): each worker splits its encodes and CG
+    /// solves over this many threads, itself and `lanes − 1` persistent helpers.
     pub lanes: usize,
     /// Telemetry of every completed job, in completion order (the report source).
     pub completed: Mutex<Vec<JobTelemetry>>,

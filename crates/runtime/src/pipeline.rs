@@ -486,9 +486,9 @@ impl JobContext<'_> {
     /// scratch), while the cache entries are shared and immutable — so the operator
     /// is a `ReFloatMatrix::clone` of the cached entry: a reference to the same
     /// encoding plus an empty scratch, sized on the first apply.  The clean operators
-    /// carry the worker's lanes, so with spare cores each apply splits its rows over
-    /// them.  The numerics are bit-identical to the serial path: same encoding, same
-    /// row loop, each row summed whole by one lane.
+    /// carry the worker's lanes, so with spare cores a large enough CG solve keeps its
+    /// vectors on them.  The numerics are bit-identical to the serial path: same
+    /// encoding, same row loop, each row summed whole by one lane.
     ///
     /// With `fault = (policy, attempt)` the whole-matrix operator is wrapped in a
     /// [`FaultyReFloatOperator`] whose block *i* sits on crossbar

@@ -40,8 +40,8 @@ pub(crate) fn worker_loop(worker_id: usize, core: &NodeCore) {
     };
     let mut accelerator = build_accelerator();
     // The worker's helper lanes, attached to every operator it programs.  Without
-    // them (the threads could not be spawned) every SpMV runs on this thread, with
-    // the same bits.
+    // them (the threads could not be spawned) every encode and solve runs on this
+    // thread, with the same bits.
     let lanes = Arc::new(Lanes::new(core.lanes).unwrap_or_default());
     // Handles on the client's live metrics registry: per-job recording below is
     // atomic increments only, pollable mid-traffic via metrics_snapshot().

@@ -6,7 +6,7 @@
 //! into accelerator time.
 
 use crate::operator::LinearOperator;
-use crate::result::{SolveResult, SolverConfig, StopReason};
+use crate::result::{reached, SolveResult, SolverConfig, StopReason};
 use refloat_sparse::vecops;
 
 /// Residual growth beyond this factor over the best iterate triggers a restart: the
@@ -66,7 +66,7 @@ pub fn bicgstab<A: LinearOperator + ?Sized>(
     if config.record_trace {
         trace.push(res_norm);
     }
-    if res_norm < threshold {
+    if reached(res_norm, threshold) {
         return SolveResult {
             x,
             iterations: 0,
@@ -108,7 +108,7 @@ pub fn bicgstab<A: LinearOperator + ?Sized>(
             if config.record_trace {
                 trace.push(res_norm);
             }
-            if res_norm < threshold {
+            if reached(res_norm, threshold) {
                 return SolveResult {
                     x,
                     iterations: k,
@@ -192,7 +192,7 @@ pub fn bicgstab<A: LinearOperator + ?Sized>(
             s[i] = r[i] - alpha * v[i];
         }
         let s_norm = vecops::norm2(&s);
-        if s_norm < threshold {
+        if reached(s_norm, threshold) {
             vecops::axpy(alpha, &p, &mut x);
             res_norm = s_norm;
             if config.record_trace {
@@ -254,7 +254,7 @@ pub fn bicgstab<A: LinearOperator + ?Sized>(
             restart = true;
             continue;
         }
-        if res_norm < threshold {
+        if reached(res_norm, threshold) {
             return SolveResult {
                 x,
                 iterations: k,
@@ -356,6 +356,19 @@ mod tests {
         assert!(r.converged());
         assert_eq!(r.iterations, 0);
         assert_eq!(r.spmv_count, 0);
+    }
+
+    #[test]
+    fn an_exact_iterate_converges_at_tolerance_zero() {
+        // The exact iterate appears at the `s` step, where `s = 0`.
+        let exact = SolverConfig::relative(0.0);
+        let mut a = crate::operator::DiagonalOperator::new(vec![2.0; 50]);
+        let r = bicgstab(&mut a, &[4.0; 50], &exact);
+        assert_eq!((r.stop, r.iterations), (StopReason::Converged, 1));
+        assert_eq!(r.final_residual, 0.0);
+        assert!(r.x.iter().all(|&v| v == 2.0));
+        let r = bicgstab(&mut a, &[0.0; 50], &exact);
+        assert_eq!((r.stop, r.iterations), (StopReason::Converged, 0));
     }
 
     #[test]

@@ -1,19 +1,20 @@
 //! Conjugate Gradient (CG) — Hestenes & Stiefel, the first Krylov solver evaluated in
 //! the paper.
 //!
-//! CG performs exactly one operator application per iteration (plus one for the initial
-//! residual), which is the `1 SpMV / iteration` count the paper's performance model uses
-//! for the CG rows of Fig. 8.
+//! CG performs exactly one operator application per iteration (from `x₀ = 0` the initial
+//! residual is `b`), which is the `1 SpMV / iteration` count the paper's performance
+//! model uses for the CG rows of Fig. 8.
 //!
-//! An operator with [`lanes`](LinearOperator::lanes) gets a laned solve: the vectors
-//! live on the lanes in [`LanedVectors`] bands for the whole solve, and an iteration is
-//! three lane phases — `p ← r + βp` and the operator's apply up to `pᵀAp`
-//! ([`apply_bands`](LinearOperator::apply_bands)), then `x += αp; r −= α·Ap; rᵀr`.  Its
-//! reductions add the bands' partials in the pairwise tree's order, so every iterate,
-//! residual and stop is the one-thread solve's, bit for bit.
+//! The vectors live in [`LanedVectors`] for the whole solve: on the operator's
+//! [`lanes`](LinearOperator::lanes), or as one band on the calling thread when it offers
+//! none.  An iteration is two phases — the operator's
+//! [`apply_bands`](LinearOperator::apply_bands) (`p ← r + βp`, then `A·p` up to `pᵀAp`),
+//! then `x += αp; r −= α·Ap; rᵀr`.  Its reductions add the bands' partials in the
+//! pairwise tree's order, so every iterate, residual and stop is the same on any number
+//! of lanes, bit for bit.
 
 use crate::operator::LinearOperator;
-use crate::result::{SolveResult, SolverConfig, StopReason};
+use crate::result::{reached, SolveResult, SolverConfig, StopReason};
 use refloat_sparse::vecops::{self, LanedVectors};
 
 /// Solves `A x = b` with plain (unpreconditioned) CG starting from `x₀ = 0`.
@@ -22,195 +23,77 @@ use refloat_sparse::vecops::{self, LanedVectors};
 /// quantized ReFloat operators are slight perturbations of an SPD matrix and CG is run
 /// on them exactly as the paper does, with breakdown detection guarding against loss of
 /// positive definiteness.
-pub fn cg<A: LinearOperator + ?Sized>(a: &mut A, b: &[f64], config: &SolverConfig) -> SolveResult {
-    pcg(a, b, None, config)
-}
-
-/// Solves `A x = b` with CG, optionally applying a diagonal (Jacobi) preconditioner
-/// given as the vector of inverse diagonal entries `m⁻¹` (see [`crate::jacobi`]).
-///
-/// Without a preconditioner, on an operator with [`lanes`](LinearOperator::lanes), the
-/// vectors stay on the lanes (see the [module docs](self)); the result is the same.
 ///
 /// # Panics
-/// Panics if dimensions of `a`, `b` and the preconditioner disagree.
-pub fn pcg<A: LinearOperator + ?Sized>(
-    a: &mut A,
-    b: &[f64],
-    inv_diag: Option<&[f64]>,
-    config: &SolverConfig,
-) -> SolveResult {
+/// Panics if `a` is not square of order `b.len()`.
+pub fn cg<A: LinearOperator + ?Sized>(a: &mut A, b: &[f64], config: &SolverConfig) -> SolveResult {
     let n = b.len();
     assert_eq!(a.nrows(), n, "cg: operator rows must match rhs length");
     assert_eq!(a.ncols(), n, "cg: operator must be square");
-    if let Some(m) = inv_diag {
-        assert_eq!(m.len(), n, "cg: preconditioner length must match rhs");
-    }
 
     let threshold = config.threshold(vecops::norm2(b));
     let mut trace = Vec::new();
 
-    // x0 = 0, so r0 = b.
-    let mut vectors = match a.lanes().filter(|_| inv_diag.is_none()) {
-        Some(lanes) => Vectors::Laned(LanedVectors::new(lanes, b)),
-        None => Vectors::Serial(Serial::new(b, inv_diag)),
-    };
-    let rr = vecops::dot(b, b);
-    let mut rz_old = vectors.precondition(rr);
-    let mut spmv_count = 0usize;
-
+    // x0 = 0, so r0 = b, and the first direction is r0; every later one is r + βp.
+    let lanes = a.lanes().cloned().unwrap_or_default();
+    let mut vectors = LanedVectors::new(&lanes, b);
+    let mut rr = vecops::dot(b, b);
     let mut res_norm = rr.sqrt();
     if config.record_trace {
         trace.push(res_norm);
     }
-    if res_norm < threshold {
-        return vectors.result(0, spmv_count, res_norm, trace, StopReason::Converged);
+    if reached(res_norm, threshold) {
+        return finish(vectors, 0, res_norm, trace, StopReason::Converged);
     }
 
-    // The first direction is z0; every later one is z + βp.
     let mut beta = None;
     for k in 1..=config.max_iterations {
-        let p_ap = vectors.apply(a, beta);
-        spmv_count += 1;
-
+        let p_ap = a.apply_bands(&mut vectors, beta);
         if !p_ap.is_finite() || p_ap <= 0.0 {
             let stop = StopReason::Breakdown(format!("pᵀAp = {p_ap} is not positive"));
-            return vectors.result(k, spmv_count, res_norm, trace, stop);
+            return finish(vectors, k, res_norm, trace, stop);
         }
-        let alpha = rz_old / p_ap;
-        let rr = vectors.step(alpha);
-        res_norm = rr.sqrt();
+        let alpha = rr / p_ap;
+        let rr_new = vectors.reduce(move |band| {
+            vecops::axpy(alpha, &band.p, &mut band.x);
+            vecops::axpy(-alpha, &band.ap, &mut band.r);
+            vecops::dot(&band.r, &band.r)
+        });
+        res_norm = rr_new.sqrt();
         if config.record_trace {
             trace.push(res_norm);
         }
         if !res_norm.is_finite() {
             let stop = StopReason::Breakdown("residual norm is not finite".into());
-            return vectors.result(k, spmv_count, res_norm, trace, stop);
+            return finish(vectors, k, res_norm, trace, stop);
         }
-        if res_norm < threshold {
-            return vectors.result(k, spmv_count, res_norm, trace, StopReason::Converged);
+        if reached(res_norm, threshold) {
+            return finish(vectors, k, res_norm, trace, StopReason::Converged);
         }
-
-        let rz_new = vectors.precondition(rr);
-        if rz_new == 0.0 || !rz_new.is_finite() {
-            let stop = StopReason::Breakdown(format!("rᵀz = {rz_new}"));
-            return vectors.result(k, spmv_count, res_norm, trace, stop);
-        }
-        beta = Some(rz_new / rz_old);
-        rz_old = rz_new;
+        beta = Some(rr_new / rr);
+        rr = rr_new;
     }
 
     let max = config.max_iterations;
-    vectors.result(max, spmv_count, res_norm, trace, StopReason::MaxIterations)
+    finish(vectors, max, res_norm, trace, StopReason::MaxIterations)
 }
 
-/// A CG solve's vectors: on the calling thread, or on the operator's lanes.
-enum Vectors<'m> {
-    Serial(Serial<'m>),
-    Laned(LanedVectors),
-}
-
-/// The vectors of a solve on the calling thread.  Without a preconditioner `z = r`: CG
-/// reads `r` where it would read `z`, which is never filled, and `rᵀz` is the `rᵀr` the
-/// residual norm was taken from — the same bits, one copy and one dot fewer per
-/// iteration.
-struct Serial<'m> {
-    x: Vec<f64>,
-    r: Vec<f64>,
-    z: Vec<f64>,
-    p: Vec<f64>,
-    ap: Vec<f64>,
-    inv_diag: Option<&'m [f64]>,
-}
-
-impl<'m> Serial<'m> {
-    fn new(b: &[f64], inv_diag: Option<&'m [f64]>) -> Self {
-        let n = b.len();
-        Serial {
-            x: vec![0.0; n],
-            r: b.to_vec(),
-            z: vec![0.0; inv_diag.map_or(0, |_| n)],
-            p: Vec::new(),
-            ap: vec![0.0; n],
-            inv_diag,
-        }
-    }
-}
-
-impl Vectors<'_> {
-    /// `p ← z + β·p` (`p ← z` without `beta`), then `A·p`; returns `pᵀ·A·p`.
-    fn apply<A: LinearOperator + ?Sized>(&mut self, a: &mut A, beta: Option<f64>) -> f64 {
-        let v = match self {
-            Vectors::Laned(vectors) => return a.apply_bands(vectors, beta),
-            Vectors::Serial(v) => v,
-        };
-        let z = match v.inv_diag {
-            Some(_) => &v.z,
-            None => &v.r,
-        };
-        match beta {
-            Some(beta) => vecops::xpby(z, beta, &mut v.p),
-            None => v.p.clone_from(z),
-        }
-        a.apply(&v.p, &mut v.ap);
-        vecops::dot(&v.p, &v.ap)
-    }
-
-    /// `x += α·p`, `r −= α·A·p`; returns `rᵀr`.
-    fn step(&mut self, alpha: f64) -> f64 {
-        match self {
-            Vectors::Serial(v) => {
-                vecops::axpy(alpha, &v.p, &mut v.x);
-                vecops::axpy(-alpha, &v.ap, &mut v.r);
-                vecops::dot(&v.r, &v.r)
-            }
-            Vectors::Laned(vectors) => vectors.reduce(move |band| {
-                vecops::axpy(alpha, &band.p, &mut band.x);
-                vecops::axpy(-alpha, &band.ap, &mut band.r);
-                vecops::dot(&band.r, &band.r)
-            }),
-        }
-    }
-
-    /// `rᵀz` for the preconditioned residual `z = M⁻¹ r`, written into `z`.  Without a
-    /// preconditioner it is `rr`, the caller's `rᵀr`, and `z` is left alone.
-    fn precondition(&mut self, rr: f64) -> f64 {
-        let Vectors::Serial(Serial {
-            r,
-            z,
-            inv_diag: Some(m),
-            ..
-        }) = self
-        else {
-            return rr;
-        };
-        for ((zi, ri), mi) in z.iter_mut().zip(r.iter()).zip(m.iter()) {
-            *zi = ri * mi;
-        }
-        vecops::dot(r, z)
-    }
-
-    /// The solve's result, with the iterate gathered.
-    fn result(
-        self,
-        iterations: usize,
-        spmv_count: usize,
-        final_residual: f64,
-        trace: Vec<f64>,
-        stop: StopReason,
-    ) -> SolveResult {
-        let x = match self {
-            Vectors::Serial(v) => v.x,
-            Vectors::Laned(vectors) => vectors.into_x(),
-        };
-        SolveResult {
-            x,
-            iterations,
-            spmv_count,
-            final_residual,
-            trace,
-            stop,
-        }
+/// The solve's result after `iterations` iterations, one apply each, with the iterate
+/// gathered.
+fn finish(
+    vectors: LanedVectors,
+    iterations: usize,
+    final_residual: f64,
+    trace: Vec<f64>,
+    stop: StopReason,
+) -> SolveResult {
+    SolveResult {
+        x: vectors.into_x(),
+        iterations,
+        spmv_count: iterations,
+        final_residual,
+        trace,
+        stop,
     }
 }
 
@@ -274,21 +157,6 @@ mod tests {
             ri.iterations,
             rw.iterations
         );
-    }
-
-    #[test]
-    fn jacobi_preconditioning_helps_badly_scaled_systems() {
-        let a = generators::logspace_diagonal(300, 1e-6, 1.0).to_csr();
-        let b: Vec<f64> = (0..300).map(|i| (i as f64 * 0.1).sin()).collect();
-        let cfg = SolverConfig::relative(1e-10).with_max_iterations(5000);
-        let plain = solve_reference(&a, &b, &cfg);
-        let inv_diag: Vec<f64> = a.diagonal().iter().map(|d| 1.0 / d).collect();
-        let mut op = a.clone();
-        let pre = pcg(&mut op, &b, Some(&inv_diag), &cfg);
-        assert!(pre.converged());
-        // Jacobi makes a diagonal system converge immediately; plain CG needs many more.
-        assert!(pre.iterations <= 2);
-        assert!(plain.iterations > pre.iterations);
     }
 
     #[test]
@@ -368,17 +236,93 @@ mod tests {
         coo.to_csr()
     }
 
+    /// The textbook loop on the calling thread, over whole vectors, with `cg`'s stop
+    /// rules: the reference every solve must equal bit for bit.  It records the trace
+    /// whatever the configuration says.
+    fn textbook_cg<A: LinearOperator>(a: &mut A, b: &[f64], config: &SolverConfig) -> SolveResult {
+        let n = b.len();
+        let threshold = config.threshold(vecops::norm2(b));
+        let (mut x, mut r, mut p, mut ap) = (vec![0.0; n], b.to_vec(), b.to_vec(), vec![0.0; n]);
+        let mut rr = vecops::dot(&r, &r);
+        let mut trace = vec![rr.sqrt()];
+        let (iterations, stop) = 'solve: {
+            if reached(rr.sqrt(), threshold) {
+                break 'solve (0, StopReason::Converged);
+            }
+            let mut beta = 0.0;
+            for k in 1..=config.max_iterations {
+                if k > 1 {
+                    vecops::xpby(&r, beta, &mut p);
+                }
+                a.apply(&p, &mut ap);
+                let p_ap = vecops::dot(&p, &ap);
+                if !p_ap.is_finite() || p_ap <= 0.0 {
+                    let what = format!("pᵀAp = {p_ap} is not positive");
+                    break 'solve (k, StopReason::Breakdown(what));
+                }
+                let alpha = rr / p_ap;
+                vecops::axpy(alpha, &p, &mut x);
+                vecops::axpy(-alpha, &ap, &mut r);
+                let rr_new = vecops::dot(&r, &r);
+                trace.push(rr_new.sqrt());
+                if !rr_new.sqrt().is_finite() {
+                    let what = "residual norm is not finite".into();
+                    break 'solve (k, StopReason::Breakdown(what));
+                }
+                if reached(rr_new.sqrt(), threshold) {
+                    break 'solve (k, StopReason::Converged);
+                }
+                beta = rr_new / rr;
+                rr = rr_new;
+            }
+            (config.max_iterations, StopReason::MaxIterations)
+        };
+        let final_residual = *trace.last().expect("the initial residual");
+        SolveResult {
+            x,
+            iterations,
+            spmv_count: iterations,
+            final_residual,
+            trace,
+            stop,
+        }
+    }
+
+    /// Asserts that `got`, with `applies` operator applications, is `want` bit for bit.
+    fn assert_same_solve(got: &SolveResult, applies: usize, want: &SolveResult, context: &str) {
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.x), bits(&want.x), "{context}");
+        assert_eq!(bits(&got.trace), bits(&want.trace), "{context}");
+        assert_eq!(got.iterations, want.iterations, "{context}");
+        assert_eq!(got.stop, want.stop, "{context}");
+        assert_eq!(applies, want.spmv_count, "{context}");
+    }
+
     #[test]
     fn a_laned_solve_is_the_serial_solve_bitwise() {
-        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for n in [0, 1, 63, 64, 65, 129, 300] {
+        let mut stops = Vec::new();
+        for n in [0, 1, 2, 63, 64, 65, 127, 128, 129, 200, 256, 257, 300] {
             let b: Vec<f64> = (0..n).map(|i| ((i * 37 % 11) as f64 - 4.5) / 3.0).collect();
             let converged = SolverConfig::relative(1e-10);
             let capped = SolverConfig::relative(1e-14).with_max_iterations(3);
             let cases = [(1.0, &converged), (1.0, &capped), (-1.0, &converged)];
             for (sign, config) in cases {
                 let a = tridiagonal(n, sign);
-                let want = cg(&mut a.clone(), &b, config);
+                let context = format!("n {n}, sign {sign}");
+                let want = textbook_cg(&mut a.clone(), &b, config);
+                stops.push(std::mem::discriminant(&want.stop));
+                // One band, through the default `apply_bands`.
+                let got = cg(&mut a.clone(), &b, config);
+                assert_same_solve(&got, got.spmv_count, &want, &format!("csr, {context}"));
+                let mut counted = OperatorStats::new(a.clone());
+                let got = cg(&mut counted, &b, config);
+                assert_same_solve(&got, counted.applies(), &want, &format!("stats, {context}"));
+                let diagonal = DiagonalOperator::new(a.diagonal());
+                let want_diagonal = textbook_cg(&mut diagonal.clone(), &b, config);
+                let got = cg(&mut diagonal.clone(), &b, config);
+                let applies = got.spmv_count;
+                assert_same_solve(&got, applies, &want_diagonal, &format!("diag, {context}"));
+                // One to four lanes, through the default `apply_bands`.
                 for count in 1..=4 {
                     let lanes = Arc::new(Lanes::new(count).unwrap());
                     let mut op = OperatorStats::new(Laned {
@@ -386,15 +330,32 @@ mod tests {
                         lanes,
                     });
                     let got = cg(&mut op, &b, config);
-                    let context = format!("n {n}, sign {sign}, {count} lanes");
-                    assert_eq!(bits(&got.x), bits(&want.x), "{context}");
-                    assert_eq!(bits(&got.trace), bits(&want.trace), "{context}");
-                    assert_eq!(got.iterations, want.iterations, "{context}");
-                    assert_eq!(got.stop, want.stop, "{context}");
-                    assert_eq!(op.applies(), want.spmv_count, "{context}");
+                    let context = format!("{count} lanes, {context}");
+                    assert_same_solve(&got, op.applies(), &want, &context);
                 }
             }
         }
+        let kinds = [
+            StopReason::Converged,
+            StopReason::MaxIterations,
+            StopReason::Breakdown(String::new()),
+        ];
+        assert!(kinds
+            .iter()
+            .all(|kind| stops.contains(&std::mem::discriminant(kind))));
+    }
+
+    #[test]
+    fn an_exact_iterate_converges_at_tolerance_zero() {
+        let exact = SolverConfig::relative(0.0);
+        let mut a = DiagonalOperator::new(vec![2.0; 50]);
+        let r = cg(&mut a, &[4.0; 50], &exact);
+        assert_eq!((r.stop, r.iterations), (StopReason::Converged, 1));
+        assert_eq!(r.final_residual, 0.0);
+        assert!(r.x.iter().all(|&v| v == 2.0));
+        // x₀ = 0 solves a zero right-hand side.
+        let r = cg(&mut a, &[0.0; 50], &exact);
+        assert_eq!((r.stop, r.iterations), (StopReason::Converged, 0));
     }
 
     #[test]

@@ -1,35 +1,14 @@
-//! Jacobi (diagonal) preconditioning and equilibration helpers.
+//! Jacobi (diagonal) equilibration.
 //!
-//! The paper's solvers are unpreconditioned, but a diagonal preconditioner is a natural
-//! extension for badly scaled systems (it is also what the related ReRAM work by
-//! Feinberg et al. later explored as an "analog preconditioner").  The helpers here
-//! extract the inverse diagonal in the form [`crate::cg::pcg`] expects, and
+//! The paper's solvers are unpreconditioned.  For badly scaled systems, the diagonal
+//! is used here to rescale the system instead of preconditioning the solve:
 //! [`Equilibration`] packages the *symmetric diagonal scaling*
 //! `D^{-1/2} A D^{-1/2} y = D^{-1/2} b`, `x = D^{-1/2} y` as one typed unit so the
 //! matrix, right-hand side and solution can never be scaled against different
 //! diagonals (the old free-function API took a raw `diag` slice that was easy to
-//! confuse with the *inverse* diagonal of [`inverse_diagonal`], silently producing a
-//! wrongly scaled system).
+//! confuse with an *inverse* diagonal, silently producing a wrongly scaled system).
 
 use refloat_sparse::CsrMatrix;
-
-/// Returns the inverse diagonal `1 / a_ii` of a matrix, suitable for [`crate::cg::pcg`].
-///
-/// Rows with a zero (or missing) diagonal get a unit weight so the preconditioner stays
-/// well defined; for the SPD workloads in this repository every diagonal entry is
-/// positive.
-pub fn inverse_diagonal(a: &CsrMatrix) -> Vec<f64> {
-    a.diagonal()
-        .iter()
-        .map(|&d| {
-            if d != 0.0 && d.is_finite() {
-                1.0 / d
-            } else {
-                1.0
-            }
-        })
-        .collect()
-}
 
 /// A symmetric Jacobi equilibration `A → D^{-1/2} A D^{-1/2}` captured as one object.
 ///
@@ -44,7 +23,7 @@ pub fn inverse_diagonal(a: &CsrMatrix) -> Vec<f64> {
 /// ```
 ///
 /// so `A x = b` round-trips exactly.  Rows with a non-positive (or missing) diagonal
-/// keep a unit weight, matching [`inverse_diagonal`].
+/// keep a unit weight.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Equilibration {
     /// The per-row weights `d_i^{-1/2}` (1.0 where the diagonal is non-positive).
@@ -161,26 +140,6 @@ mod tests {
     use crate::result::SolverConfig;
     use refloat_matgen::generators;
     use refloat_sparse::vecops;
-
-    #[test]
-    fn inverse_diagonal_inverts_positive_entries() {
-        let a = generators::logspace_diagonal(5, 1.0, 16.0).to_csr();
-        let inv = inverse_diagonal(&a);
-        for (d, i) in a.diagonal().iter().zip(inv.iter()) {
-            assert!((d * i - 1.0).abs() < 1e-14);
-        }
-    }
-
-    #[test]
-    fn inverse_diagonal_handles_missing_diagonal() {
-        let mut coo = refloat_sparse::CooMatrix::new(3, 3);
-        coo.push(0, 0, 2.0);
-        coo.push(1, 2, 1.0); // row 1 has no diagonal entry
-        coo.push(2, 2, 4.0);
-        let inv = inverse_diagonal(&coo.to_csr());
-        assert_eq!(inv[1], 1.0);
-        assert_eq!(inv[0], 0.5);
-    }
 
     #[test]
     fn symmetric_scaling_produces_unit_diagonal() {

@@ -36,7 +36,7 @@ pub mod result;
 pub mod warm;
 
 pub use bicgstab::bicgstab;
-pub use cg::{cg, pcg};
+pub use cg::cg;
 pub use eigs::{EigenConfidence, EigenEstimate};
 pub use jacobi::Equilibration;
 pub use operator::{LinearOperator, OperatorStats};

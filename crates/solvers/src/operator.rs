@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use refloat_sparse::parallel::Lanes;
-use refloat_sparse::vecops::LanedVectors;
+use refloat_sparse::vecops::{self, LanedVectors};
 use refloat_sparse::CsrMatrix;
 
 /// A square (or rectangular) linear operator `y = A·x`.
@@ -24,20 +24,19 @@ pub trait LinearOperator {
     /// Implementations must not assume anything about the prior contents of `y`.
     fn apply(&mut self, x: &[f64], y: &mut [f64]);
 
-    /// The lanes a CG solve on this operator keeps its vectors on ([`LanedVectors`]),
-    /// applying through [`apply_bands`](Self::apply_bands); none by default, and then the
-    /// solve runs on the calling thread alone.
+    /// The lanes a CG solve on this operator keeps its vectors on ([`LanedVectors`]);
+    /// none by default, and then the vectors are one band on the calling thread.
     fn lanes(&self) -> Option<&Arc<Lanes>> {
         None
     }
 
-    /// One apply of a laned solve: `p ← r + β·p` on every band when `beta` is given, then
+    /// One apply of a CG solve: `p ← r + β·p` on every band when `beta` is given, then
     /// `A·p` into the bands' `ap`; returns `pᵀ·A·p`, its band partials added in the
     /// pairwise tree's order.  Every bit is that of [`apply`](Self::apply) on the whole
-    /// `p` followed by [`vecops::dot`](refloat_sparse::vecops::dot).
+    /// `p` followed by [`vecops::dot`].
     ///
-    /// The default gathers `p`, applies, and stores `A·p` back in the bands; an operator
-    /// offering [`lanes`](Self::lanes) overrides it to work on the bands in place.
+    /// The default is [`apply_gathered`]; an operator offering [`lanes`](Self::lanes)
+    /// overrides it to work on the bands in place.
     fn apply_bands(&mut self, vectors: &mut LanedVectors, beta: Option<f64>) -> f64 {
         apply_gathered(self, vectors, beta)
     }
@@ -48,13 +47,19 @@ pub trait LinearOperator {
     }
 }
 
-/// [`LinearOperator::apply_bands`] through the whole vectors: `p` gathered from the
+/// [`LinearOperator::apply_bands`] through [`apply`](LinearOperator::apply): on a
+/// single band, from its `p` into its `ap` in place; over several, `p` gathered from the
 /// bands, applied by `a`, and `A·p` stored back in them.
 pub fn apply_gathered<A: LinearOperator + ?Sized>(
     a: &mut A,
     vectors: &mut LanedVectors,
     beta: Option<f64>,
 ) -> f64 {
+    if let Some(band) = vectors.single() {
+        band.direction(beta);
+        a.apply(&band.p, &mut band.ap);
+        return vecops::dot(&band.p, &band.ap);
+    }
     let p = vectors.direction(beta);
     let mut ap = vec![0.0; a.nrows()];
     a.apply(&p, &mut ap);

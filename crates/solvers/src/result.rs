@@ -83,6 +83,13 @@ impl SolverConfig {
     }
 }
 
+/// The one stop test of every solve: a residual norm `res` meets `threshold` when it is
+/// below it, or exactly zero — an exact iterate has converged, a tolerance of 0
+/// included.  Below any positive threshold a zero residual already is.
+pub(crate) fn reached(res: f64, threshold: f64) -> bool {
+    res < threshold || res == 0.0
+}
+
 /// The outcome of an iterative solve.
 #[derive(Debug, Clone)]
 pub struct SolveResult {

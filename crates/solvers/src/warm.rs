@@ -26,7 +26,7 @@
 //! is small and as smooth as the underlying time step.
 
 use crate::operator::LinearOperator;
-use crate::result::{SolveResult, SolverConfig, StopReason};
+use crate::result::{reached, SolveResult, SolverConfig, StopReason};
 use crate::SolverKind;
 use refloat_sparse::vecops;
 
@@ -199,7 +199,7 @@ fn warm_from_residual<A: LinearOperator + ?Sized>(
         };
     }
 
-    if r0_norm < threshold {
+    if reached(r0_norm, threshold) {
         let trace = if config.record_trace {
             vec![r0_norm]
         } else {
@@ -311,6 +311,21 @@ mod tests {
             .iter()
             .zip(exact.iter())
             .all(|(w, c)| w.to_bits() == c.to_bits()));
+    }
+
+    #[test]
+    fn an_exact_guess_or_a_zero_rhs_converges_at_tolerance_zero() {
+        let exact = SolverConfig::relative(0.0);
+        let mut a = crate::operator::DiagonalOperator::new(vec![2.0; 50]);
+        for kind in [SolverKind::Cg, SolverKind::BiCgStab] {
+            let warm = solve_warm(kind, &mut a, &[4.0; 50], Some(&[2.0; 50]), &exact);
+            assert_eq!(warm.path, WarmPath::AlreadyConverged, "{kind:?}");
+            assert_eq!(warm.result.stop, StopReason::Converged, "{kind:?}");
+            let warm = solve_warm(kind, &mut a, &[0.0; 50], Some(&[0.0; 50]), &exact);
+            assert_eq!(warm.path, WarmPath::GuardRejected, "{kind:?}");
+            assert_eq!(warm.result.stop, StopReason::Converged, "{kind:?}");
+            assert_eq!(warm.result.iterations, 0, "{kind:?}");
+        }
     }
 
     #[test]

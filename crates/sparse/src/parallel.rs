@@ -8,7 +8,8 @@
 //! on [`Lanes`]: the calling thread plus persistent helper threads, each helper filling
 //! its own output band for the caller to copy out.
 //!
-//! The helpers persist because a split SpMV is short.  Spawning scoped threads costs
+//! The helpers persist because a task is short: one phase of a laned CG iteration,
+//! its band of the SpMV among them.  Spawning scoped threads costs
 //! about 30 µs per call on a 2-core x86-64 host, as much as splitting a 50 k-nonzero
 //! SpMV saves; handing a task to a helper that is still spinning costs well under a
 //! microsecond.  A helper spins for half a millisecond after each task, then parks on a
@@ -22,7 +23,8 @@
 //! a lock that only that helper's tasks take, and one for the caller, from one
 //! [`run`](Resident::run) to the next: a laned Krylov solve keeps each lane's bands of
 //! its vectors there for the whole solve, so a phase moves only its few partial sums
-//! between cores, never a vector.
+//! between cores, never a vector.  On one lane it holds only the caller's state, and a
+//! phase is a plain call.
 
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -403,13 +405,9 @@ impl<T: Send + 'static> Resident<T> {
         }
     }
 
-    /// The number of states, the caller's included.
-    fn count(&self) -> usize {
-        self.helpers.len() + 1
-    }
-
     /// Runs `task` on every helper's state, on its lane, and `local` on the caller's,
-    /// then calls `gather(i, band)` with helper `i`'s output band, in order.
+    /// then calls `gather(i, band)` with helper `i`'s output band, in order.  With no
+    /// helpers it is a plain call of `local`.
     ///
     /// # Panics
     /// Resumes the first panic of a task, `local` or `gather` (see [`Lanes::run`]).
@@ -417,6 +415,9 @@ impl<T: Send + 'static> Resident<T> {
     where
         F: Fn(&mut T, &mut Vec<f64>) + Clone + Send + 'static,
     {
+        if self.helpers.is_empty() {
+            return local(&mut self.local);
+        }
         let tasks = self.helpers.iter().map(|band| {
             let (band, task) = (Arc::clone(band), task.clone());
             Box::new(move |out: &mut Vec<f64>| task(&mut lock(&band), out)) as BandTask
@@ -425,24 +426,33 @@ impl<T: Send + 'static> Resident<T> {
         self.lanes.run(tasks, || local(state), gather);
     }
 
-    /// `partial` of every state, computed on its lane, in order: the helpers' first, the
-    /// caller's last.
-    pub fn partials<F>(&mut self, partial: F) -> Vec<f64>
+    /// `partial` of every state, computed on its lane, into `partials` in order: the
+    /// helpers' first, the caller's last.
+    ///
+    /// # Panics
+    /// Panics if `partials` does not hold one value per state.
+    pub fn partials<F>(&mut self, partial: F, partials: &mut [f64])
     where
         F: Fn(&mut T) -> f64 + Clone + Send + 'static,
     {
-        let mut partials = vec![0.0; self.count()];
         let (helped, last) = partials.split_at_mut(self.helpers.len());
+        let [last] = last else {
+            panic!("one partial per resident state");
+        };
         let local = partial.clone();
         self.run(
             move |state, out| {
                 out.clear();
                 out.push(partial(state));
             },
-            |state| last[0] = local(state),
+            |state| *last = local(state),
             |lane, out| helped[lane] = out[0],
         );
-        partials
+    }
+
+    /// The caller's state, when it is the only one.
+    pub(crate) fn alone(&mut self) -> Option<&mut T> {
+        self.helpers.is_empty().then_some(&mut self.local)
     }
 
     /// Every state, the helpers' first, the caller's last.

@@ -13,20 +13,21 @@
 //! reduction splits over lanes without moving a bit: [`tree_bands`] cuts the index space
 //! into the tree's top-level subtrees (halves for two lanes, quarters for four), each
 //! lane reduces its own subtree with the same kernel, and [`tree_sum`] adds the
-//! partials in the tree's order.  A laned Krylov solve keeps its vectors cut that way,
-//! one [`Band`] per lane, for the whole solve ([`LanedVectors`]): the element-wise
-//! updates run on the bands in place, and a reduction moves one partial per lane.
+//! partials in the tree's order.  A CG solve keeps its vectors cut that way, one
+//! [`Band`] per lane, for the whole solve ([`LanedVectors`]): the element-wise updates
+//! run on the bands in place, and a reduction moves one partial per lane.  On one lane
+//! the one band is the whole vectors.
 
 use std::ops::Range;
 use std::sync::Arc;
 
 use crate::parallel::{Lanes, Resident};
 
-/// The fewest elements per lane for which a solve keeps its vectors on lanes.  A laned
-/// CG iteration pays three round trips to the helpers, about 6 µs in all on a 2-core
-/// x86-64 host: on 2-D Laplacians a laned iteration broke even with the one-thread one
-/// near 1 k elements per lane, was 2× slower at 300 and gained from about 2 k.  The
-/// `cg_iteration_lanes` bench measures a whole iteration.
+/// The fewest elements per lane for which a solve spreads its vectors over lanes.  A
+/// laned CG iteration pays three round trips to the helpers, about 6 µs in all on a
+/// 2-core x86-64 host: on 2-D Laplacians a laned iteration broke even with the
+/// one-thread one near 1 k elements per lane, was 2× slower at 300 and gained from
+/// about 2 k.  The `cg_iteration_lanes` bench measures a whole iteration.
 pub const MIN_LEN_PER_LANE: usize = 2048;
 
 /// Leaf size of the pairwise reductions: small enough that the worst-case error of the
@@ -208,11 +209,15 @@ impl Band {
 /// each band in its lane's [`Resident`] state for the whole solve, the last on the
 /// caller.  Phases run on the bands in place; a reduction returns one partial per band
 /// and adds them in the tree's order, so it is bit for bit the whole vectors' reduction.
+/// On one lane the vectors are a single band on the calling thread, and a phase is a
+/// plain call.
 #[derive(Debug)]
 pub struct LanedVectors {
     lanes: usize,
     ranges: Vec<Range<usize>>,
     bands: Resident<Band>,
+    /// One partial per band, the latest reduction's.
+    partials: Vec<f64>,
 }
 
 impl LanedVectors {
@@ -229,6 +234,7 @@ impl LanedVectors {
         LanedVectors {
             lanes: lanes.count(),
             bands: Resident::new(lanes, bands.collect()),
+            partials: vec![0.0; ranges.len()],
             ranges,
         }
     }
@@ -246,6 +252,11 @@ impl LanedVectors {
     /// Every band's range, in order; the last is the caller's.
     pub fn ranges(&self) -> &[Range<usize>] {
         &self.ranges
+    }
+
+    /// The one band, when there is one: the whole vectors, on the calling thread.
+    pub fn single(&mut self) -> Option<&mut Band> {
+        self.bands.alone()
     }
 
     /// Runs `task` on every helper's band, on its lane, and `local` on the caller's, then
@@ -268,7 +279,8 @@ impl LanedVectors {
     where
         F: Fn(&mut Band) -> f64 + Clone + Send + 'static,
     {
-        tree_sum(self.len(), self.lanes, &self.bands.partials(partial))
+        self.bands.partials(partial, &mut self.partials);
+        tree_sum(self.len(), self.lanes, &self.partials)
     }
 
     /// `p ← r + β·p` on every band when `beta` is given, and the whole `p`.
@@ -301,10 +313,11 @@ impl LanedVectors {
         })
     }
 
-    /// The iterate `x`, gathered from the bands.
+    /// The iterate `x`, gathered from the bands; a single band's is moved out.
     pub fn into_x(self) -> Vec<f64> {
-        let mut x = Vec::with_capacity(self.len());
-        for band in self.bands.into_states() {
+        let mut bands = self.bands.into_states().into_iter();
+        let mut x = bands.next().map(|band| band.x).unwrap_or_default();
+        for band in bands {
             x.extend_from_slice(&band.x);
         }
         x

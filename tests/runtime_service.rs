@@ -117,17 +117,19 @@ fn concurrent_results_are_bit_identical_to_serial_execution() {
 }
 
 #[test]
-fn a_one_worker_runtime_splits_its_applies_and_keeps_the_serial_bits() {
+fn a_one_worker_runtime_solves_on_its_lanes_and_keeps_the_serial_bits() {
     // One worker takes every spare core as a lane, so on a machine with two or more
-    // cores this solve's SpMVs run in row bands over helper threads.  The matrix is
-    // above the split minimum for up to four lanes.
-    let a = refloat::matgen::generators::mass_matrix_3d(14, 14, 14, 1e-12, 0.8, 3).to_csr();
+    // cores this matrix's encode runs in block-row bands over helper threads, and its
+    // CG solve keeps its vectors in bands on them.  The matrix is above both minimums
+    // for up to four lanes.
+    let a = refloat::matgen::generators::mass_matrix_3d(21, 21, 21, 1e-12, 0.8, 3).to_csr();
     assert!(a.nnz() >= 4 * refloat::core::matrix::MIN_NNZ_PER_LANE);
+    assert!(a.nrows() >= 4 * refloat::sparse::vecops::MIN_LEN_PER_LANE);
     let format = ReFloatConfig::new(5, 3, 8, 5, 16);
     let config = SolverConfig::relative(1e-8).with_max_iterations(2_000);
     let rhs = Arc::new(refloat::matgen::rhs::krylov_like(a.nrows(), 21));
     let serial = cg(&mut ReFloatMatrix::from_csr(&a, format), &rhs, &config);
-    let handle = MatrixHandle::new("mass-14", a);
+    let handle = MatrixHandle::new("mass-21", a);
     let plan = SolvePlan::new("lanes", handle, format)
         .rhs(Arc::clone(&rhs))
         .solver_config(config)
