@@ -77,7 +77,7 @@ fn bench_convert(c: &mut Criterion) {
 /// an identity matrix, whose row loop is next to nothing, so the converter is most of
 /// it.  One lane is the plain apply; two lanes is the banded apply over two resident
 /// bands, each lane converting its own.
-fn bench_convert_lanes(c: &mut Criterion) {
+fn bench_laned_convert(c: &mut Criterion) {
     let format = ReFloatConfig::new(7, 3, 8, 5, 16);
     let two = Arc::new(Lanes::new(2).expect("spawn a helper lane"));
     let mut group = c.benchmark_group("convert_lanes");
@@ -101,7 +101,7 @@ fn bench_convert_lanes(c: &mut Criterion) {
 
 /// `from_csr` and the same-structure re-encode on one lane against two, on the
 /// `serve_cold` shapes and the `transient_chain` matrix, in the benchmark's format.
-fn bench_encode_lanes(c: &mut Criterion) {
+fn bench_laned_encode(c: &mut Criterion) {
     let format = ReFloatConfig::new(7, 3, 8, 5, 16);
     let two = Lanes::new(2).expect("spawn a helper lane");
     let mut group = c.benchmark_group("encode_lanes");
@@ -139,6 +139,6 @@ fn bench_encode_lanes(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_convert, bench_convert_lanes, bench_encode_lanes
+    targets = bench_convert, bench_laned_convert, bench_laned_encode
 }
 criterion_main!(benches);

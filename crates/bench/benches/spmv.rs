@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use refloat_matgen::generators;
 
-fn bench_spmv(c: &mut Criterion) {
+fn bench_csr_spmv(c: &mut Criterion) {
     let a = generators::wathen(40, 40, 7).to_csr();
     let x: Vec<f64> = (0..a.ncols())
         .map(|i| (i as f64 * 0.013).sin() + 1.0)
@@ -22,6 +22,6 @@ fn bench_spmv(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_spmv
+    targets = bench_csr_spmv
 }
 criterion_main!(benches);

@@ -26,11 +26,10 @@
 //!    it nothing is shed and the queue wait diverges with trace length.
 //!
 //! ```text
-//! fig_cluster [--quick] [--seed S] [--json PATH] [--bench-dir DIR]
+//! fig_cluster [--quick] [--seed S] [--json PATH]
 //! ```
 //!
-//! With `--bench-dir` the run also emits `BENCH_cluster.json` (the `cluster` area
-//! of the tracked perf trajectory; see `bench_check`).
+//! A dangling `--seed` or `--json` exits with a one-line usage error and status 2.
 
 use std::collections::BTreeSet;
 use std::collections::BinaryHeap;
@@ -38,9 +37,8 @@ use std::sync::Arc;
 
 use serde::Serialize;
 
-use refloat_bench::args::parse_u64;
-use refloat_bench::bench_emit::{bench_dir_from_args, emit};
-use refloat_bench::json::{has_flag, json_path_from_args, write_json};
+use refloat_bench::args::{parse_u64, raw_value, UsageError};
+use refloat_bench::json::{has_flag, write_json};
 use refloat_bench::table::TextTable;
 use refloat_core::ReFloatConfig;
 use refloat_matgen::generators;
@@ -52,7 +50,6 @@ use refloat_runtime::{
     SolvePlan, SolveRuntime,
 };
 use refloat_solvers::SolverConfig;
-use refloat_telemetry::BenchReport;
 use reram_sim::SolverKind;
 
 /// Simulated workers per node (matches the default `serve_traffic` pool).
@@ -439,20 +436,36 @@ fn record(experiment: &str, nodes: usize, offered: usize, outcome: &SimOutcome) 
     }
 }
 
+/// Everything the flags resolved to.
+struct Options {
+    quick: bool,
+    seed: u64,
+    /// Where to write the per-run records (JSON), if anywhere.
+    json: Option<String>,
+}
+
+fn parse_options(args: &[String]) -> Result<Options, UsageError> {
+    Ok(Options {
+        quick: has_flag(args, "--quick"),
+        seed: parse_u64(args, "--seed")?.unwrap_or(2023),
+        json: raw_value(args, "--json")?,
+    })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let options = match parse_u64(&args, "--seed") {
-        Ok(seed) => seed.unwrap_or(2023),
+    let options = match parse_options(&args) {
+        Ok(options) => options,
         Err(usage) => {
             eprintln!("fig_cluster: {usage}");
             std::process::exit(2);
         }
     };
-    run(&args, options);
+    run(&options);
 }
 
-fn run(args: &[String], seed: u64) {
-    let quick = has_flag(args, "--quick");
+fn run(options: &Options) {
+    let (quick, seed) = (options.quick, options.seed);
     let jobs = if quick { 1_200 } else { 4_000 };
     println!("fig_cluster: {jobs} offered jobs, seed {seed}");
 
@@ -519,8 +532,8 @@ fn run(args: &[String], seed: u64) {
             scaling_trace.len(),
             "unbounded admission completes the whole trace"
         );
-        throughput_by_nodes.push((nodes, outcome.throughput_jobs_per_s));
-        let speedup = outcome.throughput_jobs_per_s / throughput_by_nodes[0].1;
+        throughput_by_nodes.push(outcome.throughput_jobs_per_s);
+        let speedup = outcome.throughput_jobs_per_s / throughput_by_nodes[0];
         scaling_table.row(vec![
             nodes.to_string(),
             format!("{:.1}", outcome.throughput_jobs_per_s),
@@ -534,7 +547,7 @@ fn run(args: &[String], seed: u64) {
         "\nscaling (near-critical Poisson, {jobs} jobs):\n{}",
         scaling_table.render()
     );
-    let speedup_4 = throughput_by_nodes[2].1 / throughput_by_nodes[0].1;
+    let speedup_4 = throughput_by_nodes[2] / throughput_by_nodes[0];
     assert!(
         speedup_4 >= 3.0,
         "4-node throughput must scale >= 3x over one node, got {speedup_4:.2}x"
@@ -638,29 +651,8 @@ fn run(args: &[String], seed: u64) {
         bounded.interactive_p99_wait_s * 1e3
     );
 
-    if let Some(dir) = bench_dir_from_args(args) {
-        let bench = BenchReport::new("cluster", "fig_cluster")
-            .config_num("jobs", jobs as f64)
-            .config_num("seed", seed as f64)
-            .config_num("workers_per_node", WORKERS_PER_NODE as f64)
-            .config_str("mode", if quick { "quick" } else { "full" })
-            .metric("speedup_4_nodes", speedup_4)
-            .metric("throughput_1_jobs_per_s", throughput_by_nodes[0].1)
-            .metric("throughput_4_jobs_per_s", throughput_by_nodes[2].1)
-            .metric(
-                "shed_rate_overload",
-                total_shed as f64 / overload_trace.len() as f64,
-            )
-            .metric(
-                "interactive_p99_wait_ms_overload",
-                bounded.interactive_p99_wait_s * 1e3,
-            )
-            .metric("affinity_hit_rate", records[2].affinity_rate);
-        emit(&bench, &dir);
-    }
-
-    if let Some(path) = json_path_from_args(args) {
-        write_json(&path, &records).expect("write --json output");
+    if let Some(path) = &options.json {
+        write_json(path, &records).expect("write --json output");
         println!("wrote {path}");
     }
 }

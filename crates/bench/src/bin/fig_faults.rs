@@ -17,14 +17,10 @@
 //!    the health-aware router must steer the post-kill traffic to the live node.
 //!
 //! ```text
-//! fig_faults [--quick] [--seed S] [--bench-dir DIR]
+//! fig_faults [--quick] [--seed S]
 //! ```
-//!
-//! With `--bench-dir` the run also emits `BENCH_faults.json` (the `faults` area of
-//! the tracked perf trajectory; see `bench_check`).
 
 use refloat_bench::args::parse_u64;
-use refloat_bench::bench_emit::{bench_dir_from_args, emit};
 use refloat_bench::json::has_flag;
 use refloat_core::ReFloatConfig;
 use refloat_matgen::generators;
@@ -33,7 +29,6 @@ use refloat_runtime::{
     RuntimeConfig, SolvePlan, SolveRuntime, SolveTicket, TicketOutcome,
 };
 use refloat_solvers::SolverConfig;
-use refloat_telemetry::BenchReport;
 use reram_sim::FaultModelConfig;
 
 /// Jobs surviving ABFT must converge within this multiple of the clean per-job
@@ -263,20 +258,4 @@ fn run(args: &[String], seed: u64) {
          {kill_degraded} degraded + {refused} refused of {jobs}, {} rerouted, {steers} steered",
         kill_report.rerouted_jobs
     );
-
-    if let Some(dir) = bench_dir_from_args(args) {
-        let bench = BenchReport::new("faults", "fig_faults")
-            .config_num("jobs", jobs as f64)
-            .config_num("seed", seed as f64)
-            .config_str("mode", if quick { "quick" } else { "full" })
-            .metric("extra_iteration_ratio", ratio)
-            .metric("detections", report.faults_detected as f64)
-            .metric("re_encodes", report.fault_retries as f64)
-            .metric(
-                "degraded_jobs",
-                (report.degraded_jobs + kill_degraded) as f64,
-            )
-            .metric("rerouted_jobs", kill_report.rerouted_jobs as f64);
-        emit(&bench, &dir);
-    }
 }

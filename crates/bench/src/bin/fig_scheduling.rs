@@ -18,7 +18,6 @@
 
 use serde::Serialize;
 
-use refloat_bench::bench_emit::{bench_dir_from_args, emit};
 use refloat_bench::json::{has_flag, json_path_from_args, write_json};
 use refloat_bench::table::TextTable;
 use refloat_core::ReFloatConfig;
@@ -28,7 +27,6 @@ use refloat_runtime::{
     MatrixHandle, Priority, RuntimeConfig, RuntimeReport, SchedulerPolicy, SolvePlan, SolveRuntime,
 };
 use refloat_solvers::SolverConfig;
-use refloat_telemetry::BenchReport;
 
 struct PolicyRun {
     report: RuntimeReport,
@@ -243,21 +241,4 @@ fn main() {
         throughput_ratio >= 0.5,
         "priority scheduling cost too much throughput: ratio {throughput_ratio:.2}"
     );
-
-    // Record the trajectory point only after the acceptance bar held.
-    if let Some(dir) = bench_dir_from_args(&args) {
-        let bench = BenchReport::new("scheduling", "fig_scheduling")
-            .config_num("batch_jobs", batch_jobs as f64)
-            .config_num("interactive_jobs", interactive_jobs as f64)
-            .config_num("workers", 2.0)
-            .config_str("mode", if quick { "quick" } else { "full" })
-            .metric("interactive_p99_improvement_x", improvement)
-            .metric("throughput_ratio", throughput_ratio)
-            .metric("fifo_interactive_p99_wait_ms", fifo.interactive_p99_s * 1e3)
-            .metric(
-                "priority_interactive_p99_wait_ms",
-                prio.interactive_p99_s * 1e3,
-            );
-        emit(&bench, &dir);
-    }
 }

@@ -24,12 +24,10 @@
 
 use serde::Serialize;
 
-use refloat_bench::bench_emit::{bench_dir_from_args, emit};
 use refloat_bench::json::{has_flag, json_path_from_args, write_json};
 use refloat_bench::table::TextTable;
 use refloat_core::ReFloatConfig;
 use refloat_runtime::{MatrixHandle, RuntimeConfig, SolvePlan, SolveRuntime};
-use refloat_telemetry::BenchReport;
 use reram_sim::AcceleratorConfig;
 
 #[derive(Serialize)]
@@ -176,21 +174,4 @@ fn main() {
         "one matrix in one format must encode once, not {misses} times"
     );
     println!("one encoding served 1/2/4/8 chips ({misses} encode-cache miss)");
-
-    // Record the trajectory point only after the acceptance bar held.
-    if let Some(dir) = bench_dir_from_args(&args) {
-        let at_8 = records
-            .iter()
-            .find(|r| r.chips == 8)
-            .expect("8-chip record");
-        let bench = BenchReport::new("sharding", "fig_sharding")
-            .config_num("rows", handle.csr().nrows() as f64)
-            .config_num("blocks", blocks as f64)
-            .config_num("chip_crossbars", chip_crossbars as f64)
-            .config_str("mode", if smoke { "smoke" } else { "full" })
-            .metric("speedup_4_chips", at_4.speedup_vs_single_chip)
-            .metric("reduction_share_8_chips", at_8.reduction_share)
-            .metric("speedup_8_chips", at_8.speedup_vs_single_chip);
-        emit(&bench, &dir);
-    }
 }

@@ -20,17 +20,13 @@
 //! reuse stack numerically free.
 //!
 //! ```text
-//! fig_transient [--quick] [--seed S] [--bench-dir DIR]
+//! fig_transient [--quick] [--seed S]
 //! ```
-//!
-//! With `--bench-dir` the run also emits `BENCH_transient.json` (the `transient`
-//! area of the tracked perf trajectory; see `bench_check`).
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use refloat_bench::args::parse_u64;
-use refloat_bench::bench_emit::{bench_dir_from_args, emit};
 use refloat_bench::json::has_flag;
 use refloat_core::{assert_bitwise_identical, reencode_incremental, ReFloatConfig, ReFloatMatrix};
 use refloat_matgen::fem::poisson_2d;
@@ -38,7 +34,6 @@ use refloat_matgen::{SolveStep, TransientChain, TransientSpec};
 use refloat_runtime::{
     MatrixHandle, RefinementSpec, RuntimeConfig, RuntimeReport, SolvePlan, SolveRuntime,
 };
-use refloat_telemetry::BenchReport;
 
 /// The sequence arm must cut the per-chain simulated model cycle by at least
 /// this factor (the acceptance bound of the figure).
@@ -241,18 +236,4 @@ fn run(args: &[String], seed: u64) {
         "transient: equal convergence: worst true residual full {full_worst:.2e} / \
          seq {seq_worst:.2e} (solver criterion {TOLERANCE:.0e} relative, both arms)"
     );
-
-    if let Some(dir) = bench_dir_from_args(args) {
-        let bench = BenchReport::new("transient", "fig_transient")
-            .config_num("steps", steps.len() as f64)
-            .config_num("n", n as f64)
-            .config_num("seed", seed as f64)
-            .config_str("mode", if quick { "quick" } else { "full" })
-            .metric("model_cycle_reduction_x", reduction)
-            .metric("jobs_per_s_speedup_x", jobs_per_s_speedup)
-            .metric("blocks_reused_fraction", reused_fraction)
-            .metric("warm_start_hits", seq.warm_start_hits as f64)
-            .metric("steps", seq.seq_steps as f64);
-        emit(&bench, &dir);
-    }
 }

@@ -10,7 +10,7 @@
 //!
 //! ```text
 //! serve_traffic [--jobs N] [--workers N] [--seed S] [--cache N] [--quick]
-//!               [--json PATH] [--trace PATH] [--bench-dir DIR]
+//!               [--json PATH] [--trace PATH]
 //!               [--nodes N] [--max-in-system N] [--quota N]
 //!               [--arrivals poisson|bursty] [--rate JOBS_PER_S]
 //!               [--tenants N] [--skew S]
@@ -32,8 +32,8 @@
 //! never`) exit with a one-line usage error and status 2 — never a panic.
 //!
 //! `--trace PATH` attaches a span/event [`TraceSink`] to the runtime and writes the
-//! JSONL export to `PATH` after the drain.  `--bench-dir DIR` also writes the run's
-//! `BENCH_runtime.json` perf-trajectory file into `DIR`; without it nothing is written.
+//! JSONL export to `PATH` after the drain; `--json PATH` writes one record per
+//! completed job.  Either flag without a path is a usage error, like every other.
 
 use std::sync::Arc;
 
@@ -46,8 +46,7 @@ use refloat_bench::args::{
     parse_nonneg_f64, parse_positive_f64, parse_positive_usize, parse_u64, raw_value, require_with,
     UsageError,
 };
-use refloat_bench::bench_emit::{bench_dir_from_args, emit};
-use refloat_bench::json::{flag_value, has_flag, json_path_from_args, write_json};
+use refloat_bench::json::{has_flag, write_json};
 use refloat_core::ReFloatConfig;
 use refloat_matgen::generators;
 use refloat_matgen::traffic::{generate, ArrivalProcess, TrafficSpec};
@@ -58,7 +57,7 @@ use refloat_runtime::{
     SolveTicket, SubmitError, TicketOutcome,
 };
 use refloat_solvers::SolverConfig;
-use refloat_telemetry::{BenchReport, TraceSink};
+use refloat_telemetry::TraceSink;
 use reram_sim::SolverKind;
 
 /// One entry of the tenant-visible matrix catalog.
@@ -191,6 +190,10 @@ struct Options {
     admission: AdmissionConfig,
     /// `Some` = open-loop traffic instead of the closed-loop replay.
     open_loop: Option<OpenLoopOptions>,
+    /// Where to write the span trace (JSONL), if anywhere.
+    trace: Option<String>,
+    /// Where to write the per-job records (JSON), if anywhere.
+    json: Option<String>,
 }
 
 struct OpenLoopOptions {
@@ -256,6 +259,8 @@ fn parse_options(args: &[String]) -> Result<Options, UsageError> {
         nodes,
         admission,
         open_loop,
+        trace: raw_value(args, "--trace")?,
+        json: raw_value(args, "--json")?,
     })
 }
 
@@ -413,10 +418,10 @@ fn main() {
             std::process::exit(2);
         }
     };
-    run(&args, &options);
+    run(&options);
 }
 
-fn run(args: &[String], options: &Options) {
+fn run(options: &Options) {
     let (quick, jobs, workers) = (options.quick, options.jobs, options.workers);
     let (seed, cache_capacity, nodes) = (options.seed, options.cache_capacity, options.nodes);
     println!("serve_traffic: {jobs} jobs, {workers} workers, seed {seed}, cache {cache_capacity}");
@@ -451,8 +456,7 @@ fn run(args: &[String], options: &Options) {
     // A wall-clock trace sink when asked for; span timestamps are host-dependent but
     // the event *stream* (kinds, details, per-job order) is part of the determinism
     // contract checked below.
-    let trace_path = flag_value(args, "--trace");
-    let trace_sink = trace_path.as_ref().map(|_| Arc::new(TraceSink::wall()));
+    let trace_sink = options.trace.as_ref().map(|_| Arc::new(TraceSink::wall()));
 
     let node_config = RuntimeConfig {
         workers,
@@ -505,43 +509,12 @@ fn run(args: &[String], options: &Options) {
         println!("determinism digest: {digest:016x}");
     }
 
-    if let (Some(path), Some(sink)) = (&trace_path, &trace_sink) {
+    if let (Some(path), Some(sink)) = (&options.trace, &trace_sink) {
         std::fs::write(path, sink.export_jsonl()).expect("write --trace output");
         println!("wrote {path} ({} trace events)", sink.len());
     }
 
-    // Refresh the tracked perf-trajectory point for the runtime area.
-    let report = &outcome.report;
-    let bench = BenchReport::new("runtime", "serve_traffic")
-        .config_num("jobs", jobs as f64)
-        .config_num("workers", workers as f64)
-        .config_num("nodes", nodes.unwrap_or(1) as f64)
-        .config_num("seed", seed as f64)
-        .config_num("cache", cache_capacity as f64)
-        .config_str("mode", if quick { "quick" } else { "full" })
-        .config_str(
-            "loop",
-            if options.open_loop.is_some() {
-                "open"
-            } else {
-                "closed"
-            },
-        )
-        .config_str("traced", if trace_sink.is_some() { "yes" } else { "no" })
-        .metric("jobs_per_s", report.throughput_jobs_per_s)
-        .metric("queue_wait_p50_ms", report.queue_wait_p50_s * 1e3)
-        .metric("queue_wait_p99_ms", report.queue_wait_p99_s * 1e3)
-        .metric("latency_p50_ms", report.latency_p50_s * 1e3)
-        .metric("latency_p99_ms", report.latency_p99_s * 1e3)
-        .metric("cache_hit_rate", report.hit_rate())
-        .metric("model_cycles", report.simulated_cycles as f64)
-        .metric("cancelled_jobs", report.cancelled_jobs as f64)
-        .metric("unattributed_jobs", report.unattributed_jobs as f64);
-    if let Some(dir) = bench_dir_from_args(args) {
-        emit(&bench, &dir);
-    }
-
-    if let Some(path) = json_path_from_args(args) {
+    if let Some(path) = &options.json {
         let records: Vec<TraceRecord> = outcome
             .jobs
             .iter()
@@ -565,7 +538,7 @@ fn run(args: &[String], options: &Options) {
                 simulated_s: job.telemetry.simulated.total_s,
             })
             .collect();
-        write_json(&path, &records).expect("write --json output");
+        write_json(path, &records).expect("write --json output");
         println!("wrote {path}");
     }
 

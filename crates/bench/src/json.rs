@@ -70,18 +70,12 @@ pub fn write_json<T: Serialize, P: AsRef<Path>>(path: P, records: &T) -> std::io
     std::fs::write(path, text)
 }
 
-/// Returns the value following a `--flag value` pair, if present.  (The binaries keep
-/// argument handling deliberately dependency-free.)
-pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 /// Parses `--json <path>` style arguments from a raw argument list; returns the path if
-/// present.
+/// present.  (The binaries keep argument handling deliberately dependency-free.)
 pub fn json_path_from_args(args: &[String]) -> Option<String> {
-    flag_value(args, "--json")
+    args.iter()
+        .position(|a| a == "--json")
+        .and_then(|i| args.get(i + 1).cloned())
 }
 
 /// Returns true when the argument list contains a flag (e.g. `--quick`).

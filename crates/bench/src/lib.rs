@@ -8,8 +8,6 @@
 //! * [`table`] — plain-text table rendering for the binaries' stdout reports,
 //! * [`json`] — serialisable result records so `EXPERIMENTS.md` numbers can be
 //!   regenerated and diffed,
-//! * [`bench_emit`] — the tracked `BENCH_*.json` perf trajectory: where the files go,
-//!   which metrics each area must report, and the emit helper the binaries share,
 //! * [`args`] — typed flag parsing for the service-facing binaries
 //!   (`serve_traffic`, `fig_cluster`): bad input is a printed [`args::UsageError`]
 //!   and exit code 2, never a panic or a silent default.
@@ -21,7 +19,6 @@
 #![forbid(unsafe_code)]
 
 pub mod args;
-pub mod bench_emit;
 pub mod experiment;
 pub mod json;
 pub mod table;

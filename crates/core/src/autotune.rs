@@ -122,12 +122,6 @@ impl AutotuneConfig {
         self
     }
 
-    /// Builder: override the verification-trial budget (0 = model only).
-    pub fn with_max_trials(mut self, max_trials: usize) -> Self {
-        self.max_trials = max_trials;
-        self
-    }
-
     /// Builder: verify with a different Krylov solver (default CG).
     pub fn with_solver(mut self, solver: SolverKind) -> Self {
         self.solver = solver;
@@ -680,9 +674,10 @@ mod tests {
     fn smaller_chips_charge_streaming_rounds_in_the_ranking() {
         let a = generators::laplacian_2d(32, 32, 0.3).to_csr();
         // A chip so small that wide formats need several streaming rounds.
-        let cfg = AutotuneConfig::new(1e-6, 4)
-            .with_chip_crossbars(1 << 12)
-            .with_max_trials(0);
+        let cfg = AutotuneConfig {
+            max_trials: 0,
+            ..AutotuneConfig::new(1e-6, 4).with_chip_crossbars(1 << 12)
+        };
         let plan = plan_format(&a, &cfg);
         let fp64 = plan
             .candidates
@@ -703,7 +698,11 @@ mod tests {
     #[test]
     fn zero_trials_trusts_the_model_and_records_no_measurements() {
         let a = generators::laplacian_2d(16, 16, 0.4).to_csr();
-        let plan = plan_format(&a, &AutotuneConfig::new(1e-4, 4).with_max_trials(0));
+        let cfg = AutotuneConfig {
+            max_trials: 0,
+            ..AutotuneConfig::new(1e-4, 4)
+        };
+        let plan = plan_format(&a, &cfg);
         assert!(!plan.fallback);
         assert_eq!(plan.trials, 0);
         assert!(plan.chosen.measured_residual.is_none());

@@ -1,6 +1,6 @@
 //! Observability for the ReFloat solve service.
 //!
-//! Three independent layers, used together by `refloat-runtime` and the bench harness:
+//! Two independent layers, used together by `refloat-runtime` and the bench harness:
 //!
 //! * [`trace`] — a lightweight span/event tracing API ([`TraceSink`], [`TraceEvent`],
 //!   [`SpanKind`]).  Workers batch the events of one job and flush them with a single
@@ -9,9 +9,6 @@
 //!   fixed-bucket [`Histogram`]s.  All hot-path updates are plain atomics (no lock),
 //!   histograms from different workers merge associatively, and a [`MetricsSnapshot`]
 //!   can be taken from a *live* runtime at any time.
-//! * [`mod@bench`] — the `BENCH_<area>.json` perf-trajectory schema ([`BenchReport`],
-//!   [`validate`]): a stable, schema-versioned record of throughput/latency numbers so
-//!   successive PRs can claim measured speedups against a tracked baseline.
 //!
 //! # Clock contract
 //!
@@ -22,13 +19,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bench;
 pub mod clock;
 pub mod metrics;
 pub mod sync;
 pub mod trace;
 
-pub use bench::{validate, BenchReport, BENCH_SCHEMA_VERSION};
 pub use clock::{Clock, ManualClock, WallClock};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use trace::{parse_jsonl, SpanKind, TraceEvent, TraceSink};
