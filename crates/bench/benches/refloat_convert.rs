@@ -7,8 +7,8 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use refloat_core::incremental::{reencode_incremental, reencode_incremental_on};
 use refloat_core::vector::VectorConverter;
 use refloat_core::{ReFloatConfig, ReFloatMatrix};
-use refloat_matgen::transient::perturb_symmetric_pairs;
-use refloat_matgen::{generators, rhs};
+use refloat_matgen::transient::{perturb_symmetric_pairs, TransientChain, TransientSpec};
+use refloat_matgen::{fem, generators, rhs};
 use refloat_solvers::LinearOperator;
 use refloat_sparse::blocked::BlockLayout;
 use refloat_sparse::parallel::Lanes;
@@ -136,9 +136,33 @@ fn bench_laned_encode(c: &mut Criterion) {
     group.finish();
 }
 
+/// Building the repo benchmark's `transient_chain` chain, the matrices its
+/// re-encodes consume: `poisson_2d(96, 96, 0.2, 11)` under the workload's spec,
+/// 24 of its 240 steps.  Throughput is in steps.
+fn bench_transient_chain(c: &mut Criterion) {
+    const STEPS: usize = 24;
+    let base = fem::poisson_2d(96, 96, 0.2, 11);
+    let spec = TransientSpec::default()
+        .with_steps(STEPS)
+        .with_seed(11)
+        .with_drift(1e-7, 0.25)
+        .with_rhs_phase(1e-6)
+        .with_mass(0.5, 0.0);
+    let mut group = c.benchmark_group("transient_chain");
+    group.throughput(Throughput::Elements(STEPS as u64));
+    group.bench_function("transient_chain_96", |b| {
+        b.iter(|| {
+            TransientChain::new(base.clone(), spec.clone())
+                .map(|step| step.matrix.nnz())
+                .sum::<usize>()
+        })
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_convert, bench_laned_convert, bench_laned_encode
+    targets = bench_convert, bench_laned_convert, bench_laned_encode, bench_transient_chain
 }
 criterion_main!(benches);

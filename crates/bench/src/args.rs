@@ -3,9 +3,10 @@
 //! The original binaries parsed flags with `parse().ok()` — a typo like
 //! `--jobs ten` silently fell back to the default, and an impossible combination
 //! like `--rate` without an open-loop mode was silently ignored.  Service-facing
-//! binaries (`serve_traffic`, `fig_cluster`) instead surface a typed
-//! [`UsageError`]: `main` prints it and exits with status 2, never panicking on
-//! user input.
+//! binaries (`serve_traffic`, `fig_cluster`) type their value flags, and every
+//! binary that takes `--json` reads it through [`raw_value`]; a problem is a
+//! typed [`UsageError`] that `main` hands to [`or_exit`], which prints it and
+//! exits with status 2, never panicking on user input.
 
 use std::fmt;
 
@@ -67,6 +68,15 @@ impl fmt::Display for UsageError {
 }
 
 impl std::error::Error for UsageError {}
+
+/// The parsed value, or — on a usage error — the error printed as `bin: error`
+/// and exit status 2, before the binary does any work.
+pub fn or_exit<T>(bin: &str, parsed: Result<T, UsageError>) -> T {
+    parsed.unwrap_or_else(|usage| {
+        eprintln!("{bin}: {usage}");
+        std::process::exit(2)
+    })
+}
 
 /// The raw string value of `flag`, or a typed error when the flag is present but
 /// dangling.  `Ok(None)` means the flag was not given.

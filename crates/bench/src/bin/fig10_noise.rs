@@ -5,8 +5,9 @@
 //! multiplicative deviation σ on every read.  The figure reports both the iteration
 //! count and the speedup over the GPU as σ grows from 0.1% to 25%.
 
+use refloat_bench::args::{or_exit, raw_value};
 use refloat_bench::experiment::{ExperimentConfig, PreparedWorkload};
-use refloat_bench::json::{has_flag, json_path_from_args, write_json};
+use refloat_bench::json::{has_flag, write_json};
 use refloat_bench::table::{speedup, TextTable};
 use refloat_core::ReFloatMatrix;
 use refloat_matgen::Workload;
@@ -23,6 +24,7 @@ struct NoiseRecord {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let json = or_exit("fig10_noise", raw_value(&args, "--json"));
     let quick = has_flag(&args, "--quick");
     let config = if quick {
         ExperimentConfig::quick()
@@ -96,7 +98,7 @@ fn main() {
          ReFloat still maintains a 6.85x speedup over the GPU."
     );
 
-    if let Some(path) = json_path_from_args(&args) {
+    if let Some(path) = json {
         write_json(&path, &records).expect("write JSON results");
         println!("\nwrote {path}");
     }

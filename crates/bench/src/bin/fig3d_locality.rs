@@ -5,7 +5,8 @@
 //! per-128×128-block locality (maximum and mean), and the e = 3 the ReFloat default
 //! allocates.
 
-use refloat_bench::json::{has_flag, json_path_from_args, write_json};
+use refloat_bench::args::{or_exit, raw_value};
+use refloat_bench::json::{has_flag, write_json};
 use refloat_bench::table::TextTable;
 use refloat_core::locality::exponent_locality;
 use refloat_matgen::Workload;
@@ -25,6 +26,7 @@ struct LocalityRecord {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let json = or_exit("fig3d_locality", raw_value(&args, "--json"));
     let quick = has_flag(&args, "--quick");
     let seed = 2023;
 
@@ -71,7 +73,7 @@ fn main() {
         "paper reference: the FP64 format allocates 11 exponent bits, the per-block locality of\n\
          the 12 matrices is at most 7 bits, and ReFloat allocates 3."
     );
-    if let Some(path) = json_path_from_args(&args) {
+    if let Some(path) = json {
         write_json(&path, &records).expect("write JSON results");
         println!("\nwrote {path}");
     }

@@ -9,16 +9,18 @@
 //! Flags: `--quick` (smaller matrices only, lower iteration caps), `--details`
 //! (per-workload cluster/round breakdown, the §VI.B worked numbers), `--json <path>`.
 
+use refloat_bench::args::{or_exit, raw_value};
 use refloat_bench::experiment::{
     geometric_mean, solve_all_platforms, ExperimentConfig, PerformanceRow, PreparedWorkload,
 };
-use refloat_bench::json::{has_flag, json_path_from_args, write_json, PerformanceRecord};
+use refloat_bench::json::{has_flag, write_json, PerformanceRecord};
 use refloat_bench::table::{speedup, TextTable};
 use refloat_matgen::Workload;
 use reram_sim::{AcceleratorConfig, SolverKind};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let json = or_exit("fig8_performance", raw_value(&args, "--json"));
     let quick = has_flag(&args, "--quick");
     let details = has_flag(&args, "--details");
     let config = if quick {
@@ -104,7 +106,7 @@ fn main() {
          Feinberg does not converge on ids 353, 354, 2261, 355, 2259, 845."
     );
 
-    if let Some(path) = json_path_from_args(&args) {
+    if let Some(path) = json {
         let records: Vec<PerformanceRecord> =
             all_rows.iter().map(PerformanceRecord::from).collect();
         write_json(&path, &records).expect("write JSON results");

@@ -23,7 +23,8 @@
 
 use serde::Serialize;
 
-use refloat_bench::json::{has_flag, json_path_from_args, write_json};
+use refloat_bench::args::{or_exit, raw_value};
+use refloat_bench::json::{has_flag, write_json};
 use refloat_bench::table::TextTable;
 use refloat_core::formats;
 use refloat_core::ReFloatConfig;
@@ -70,6 +71,7 @@ fn arg_f64(args: &[String], flag: &str) -> Option<f64> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let json = or_exit("fig_autotune", raw_value(&args, "--json"));
     let quick = has_flag(&args, "--quick");
     let tolerance = arg_f64(&args, "--tolerance").unwrap_or(1e-6);
     let b = 4u32; // blocking shared by every job (16×16 blocks suit these sizes)
@@ -279,7 +281,7 @@ fn main() {
     }
 
     println!("{}", table.render());
-    if let Some(path) = json_path_from_args(&args) {
+    if let Some(path) = json {
         write_json(&path, &records).expect("write --json output");
         println!("wrote {path}");
     }

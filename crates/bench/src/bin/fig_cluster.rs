@@ -37,7 +37,7 @@ use std::sync::Arc;
 
 use serde::Serialize;
 
-use refloat_bench::args::{parse_u64, raw_value, UsageError};
+use refloat_bench::args::{or_exit, parse_u64, raw_value, UsageError};
 use refloat_bench::json::{has_flag, write_json};
 use refloat_bench::table::TextTable;
 use refloat_core::ReFloatConfig;
@@ -454,13 +454,7 @@ fn parse_options(args: &[String]) -> Result<Options, UsageError> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let options = match parse_options(&args) {
-        Ok(options) => options,
-        Err(usage) => {
-            eprintln!("fig_cluster: {usage}");
-            std::process::exit(2);
-        }
-    };
+    let options = or_exit("fig_cluster", parse_options(&args));
     run(&options);
 }
 

@@ -20,7 +20,7 @@
 //! fig_faults [--quick] [--seed S]
 //! ```
 
-use refloat_bench::args::parse_u64;
+use refloat_bench::args::{or_exit, parse_u64};
 use refloat_bench::json::has_flag;
 use refloat_core::ReFloatConfig;
 use refloat_matgen::generators;
@@ -95,13 +95,7 @@ fn plans(count: usize, handle: &MatrixHandle) -> Vec<SolvePlan> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let seed = match parse_u64(&args, "--seed") {
-        Ok(seed) => seed.unwrap_or(2023),
-        Err(usage) => {
-            eprintln!("fig_faults: {usage}");
-            std::process::exit(2);
-        }
-    };
+    let seed = or_exit("fig_faults", parse_u64(&args, "--seed")).unwrap_or(2023);
     run(&args, seed);
 }
 

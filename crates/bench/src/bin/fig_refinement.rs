@@ -25,7 +25,8 @@
 
 use serde::Serialize;
 
-use refloat_bench::json::{has_flag, json_path_from_args, write_json};
+use refloat_bench::args::{or_exit, raw_value};
+use refloat_bench::json::{has_flag, write_json};
 use refloat_bench::table::TextTable;
 use refloat_core::{ReFloatConfig, ReFloatMatrix};
 use refloat_runtime::{MatrixHandle, RefinementSpec, RuntimeConfig, SolvePlan, SolveRuntime};
@@ -66,6 +67,7 @@ fn arg_f64(args: &[String], flag: &str) -> Option<f64> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let json = or_exit("fig_refinement", raw_value(&args, "--json"));
     let quick = has_flag(&args, "--quick");
     let target = arg_f64(&args, "--target").unwrap_or(1e-12);
     let n = if quick { 16 } else { 48 };
@@ -216,7 +218,7 @@ fn main() {
     println!("{}", pass_table.render());
     println!("{}", outcome.report.render());
 
-    if let Some(path) = json_path_from_args(&args) {
+    if let Some(path) = json {
         write_json(&path, &records).expect("write --json output");
         println!("wrote {path}");
     }

@@ -18,7 +18,8 @@
 
 use serde::Serialize;
 
-use refloat_bench::json::{has_flag, json_path_from_args, write_json};
+use refloat_bench::args::{or_exit, raw_value};
+use refloat_bench::json::{has_flag, write_json};
 use refloat_bench::table::TextTable;
 use refloat_core::ReFloatConfig;
 use refloat_matgen::generators;
@@ -110,6 +111,7 @@ fn replay(
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let json = or_exit("fig_scheduling", raw_value(&args, "--json"));
     let quick = has_flag(&args, "--quick");
     let (batch_jobs, interactive_jobs) = if quick { (32, 8) } else { (64, 16) };
 
@@ -204,7 +206,7 @@ fn main() {
          (throughput ratio {throughput_ratio:.2})"
     );
 
-    if let Some(path) = json_path_from_args(&args) {
+    if let Some(path) = json {
         let records: Vec<SchedulingRecord> = [("fifo", &fifo), ("priority", &prio)]
             .into_iter()
             .map(|(name, run)| SchedulingRecord {

@@ -24,7 +24,8 @@
 
 use serde::Serialize;
 
-use refloat_bench::json::{has_flag, json_path_from_args, write_json};
+use refloat_bench::args::{or_exit, raw_value};
+use refloat_bench::json::{has_flag, write_json};
 use refloat_bench::table::TextTable;
 use refloat_core::ReFloatConfig;
 use refloat_runtime::{MatrixHandle, RuntimeConfig, SolvePlan, SolveRuntime};
@@ -43,6 +44,7 @@ struct ShardingRecord {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let json = or_exit("fig_sharding", raw_value(&args, "--json"));
     let smoke = has_flag(&args, "--smoke") || has_flag(&args, "--quick");
 
     // A Poisson workload blocked at 2^4: block count scales with the grid.
@@ -139,7 +141,7 @@ fn main() {
     println!("{}", table.render());
     println!("{}", outcome.report.render());
 
-    if let Some(path) = json_path_from_args(&args) {
+    if let Some(path) = json {
         write_json(&path, &records).expect("write --json output");
         println!("wrote {path}");
     }

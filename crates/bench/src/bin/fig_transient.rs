@@ -26,7 +26,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use refloat_bench::args::parse_u64;
+use refloat_bench::args::{or_exit, parse_u64};
 use refloat_bench::json::has_flag;
 use refloat_core::{assert_bitwise_identical, reencode_incremental, ReFloatConfig, ReFloatMatrix};
 use refloat_matgen::fem::poisson_2d;
@@ -138,13 +138,7 @@ fn worst_true_residual(steps: &[SolveStep], solutions: &[Vec<f64>]) -> f64 {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let seed = match parse_u64(&args, "--seed") {
-        Ok(seed) => seed.unwrap_or(2023),
-        Err(usage) => {
-            eprintln!("fig_transient: {usage}");
-            std::process::exit(2);
-        }
-    };
+    let seed = or_exit("fig_transient", parse_u64(&args, "--seed")).unwrap_or(2023);
     run(&args, seed);
 }
 

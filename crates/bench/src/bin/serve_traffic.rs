@@ -43,8 +43,8 @@ use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 
 use refloat_bench::args::{
-    parse_nonneg_f64, parse_positive_f64, parse_positive_usize, parse_u64, raw_value, require_with,
-    UsageError,
+    or_exit, parse_nonneg_f64, parse_positive_f64, parse_positive_usize, parse_u64, raw_value,
+    require_with, UsageError,
 };
 use refloat_bench::json::{has_flag, write_json};
 use refloat_core::ReFloatConfig;
@@ -411,13 +411,7 @@ fn digest_of(jobs: &[JobOutcome]) -> u64 {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let options = match parse_options(&args) {
-        Ok(options) => options,
-        Err(usage) => {
-            eprintln!("serve_traffic: {usage}");
-            std::process::exit(2);
-        }
-    };
+    let options = or_exit("serve_traffic", parse_options(&args));
     run(&options);
 }
 

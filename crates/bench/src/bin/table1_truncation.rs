@@ -6,7 +6,8 @@
 //! solver simply stops converging because the fixed window no longer covers the vector
 //! values.  `NC` marks non-convergence within the iteration budget.
 
-use refloat_bench::json::{has_flag, json_path_from_args, write_json};
+use refloat_bench::args::{or_exit, raw_value};
+use refloat_bench::json::{has_flag, write_json};
 use refloat_bench::table::TextTable;
 use refloat_core::truncate::{TruncatedOperator, TruncationConfig};
 use refloat_matgen::{rhs, Workload};
@@ -22,6 +23,7 @@ struct TruncationRecord {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let json = or_exit("table1_truncation", raw_value(&args, "--json"));
     let quick = has_flag(&args, "--quick");
 
     let workload = Workload::Crystm03;
@@ -84,7 +86,7 @@ fn main() {
          truncation is graceful down to ~21 bits; exponent truncation below 7 bits -> NC."
     );
 
-    if let Some(path) = json_path_from_args(&args) {
+    if let Some(path) = json {
         write_json(&path, &records).expect("write JSON results");
         println!("\nwrote {path}");
     }

@@ -4,7 +4,8 @@
 //! values the paper lists for the real SuiteSparse matrices.  With `--cond` it also
 //! estimates the condition number by power / inverse-power iteration (slower).
 
-use refloat_bench::json::{has_flag, json_path_from_args, write_json};
+use refloat_bench::args::{or_exit, raw_value};
+use refloat_bench::json::{has_flag, write_json};
 use refloat_bench::table::TextTable;
 use refloat_matgen::Workload;
 use refloat_solvers::eigs;
@@ -28,6 +29,7 @@ struct WorkloadRecord {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let json = or_exit("table5_matrices", raw_value(&args, "--json"));
     let estimate_cond = has_flag(&args, "--cond");
     let quick = has_flag(&args, "--quick");
     let seed = 2023;
@@ -89,7 +91,7 @@ fn main() {
     println!("{}", t.render());
     println!("(pass --cond to estimate condition numbers; --quick to skip the largest matrices)");
 
-    if let Some(path) = json_path_from_args(&args) {
+    if let Some(path) = json {
         write_json(&path, &records).expect("write JSON results");
         println!("\nwrote {path}");
     }

@@ -2,8 +2,9 @@
 //! `refloat`, for CG and BiCGSTAB on all 12 workloads (plus the Feinberg column that
 //! motivates §VI.B's non-convergence discussion).
 
+use refloat_bench::args::{or_exit, raw_value};
 use refloat_bench::experiment::{solve_all_platforms, ExperimentConfig, PreparedWorkload};
-use refloat_bench::json::{has_flag, json_path_from_args, write_json};
+use refloat_bench::json::{has_flag, write_json};
 use refloat_bench::table::TextTable;
 use refloat_matgen::Workload;
 use reram_sim::SolverKind;
@@ -38,6 +39,7 @@ fn delta(double: Option<usize>, refloat: Option<usize>) -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let json = or_exit("table6_iterations", raw_value(&args, "--json"));
     let quick = has_flag(&args, "--quick");
     let config = if quick {
         ExperimentConfig::quick()
@@ -104,7 +106,7 @@ fn main() {
          for BiCGSTAB), and Feinberg fails to converge on ids 353, 354, 2261, 355, 2259, 845."
     );
 
-    if let Some(path) = json_path_from_args(&args) {
+    if let Some(path) = json {
         write_json(&path, &records).expect("write JSON results");
         println!("\nwrote {path}");
     }

@@ -1,7 +1,8 @@
 //! Experiment E15 — Table VIII: memory footprint of the matrix in `refloat` format
 //! normalized to the `double` (COO, 32+32+64-bit) storage the Feinberg design uses.
 
-use refloat_bench::json::{has_flag, json_path_from_args, write_json};
+use refloat_bench::args::{or_exit, raw_value};
+use refloat_bench::json::{has_flag, write_json};
 use refloat_bench::table::TextTable;
 use refloat_core::memory;
 use refloat_core::ReFloatConfig;
@@ -41,6 +42,7 @@ fn paper_ratio(id: u32) -> f64 {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let json = or_exit("table8_memory", raw_value(&args, "--json"));
     let quick = has_flag(&args, "--quick");
     let seed = 2023;
     let config = ReFloatConfig::paper_default();
@@ -95,7 +97,7 @@ fn main() {
         sum / count.max(1) as f64
     );
 
-    if let Some(path) = json_path_from_args(&args) {
+    if let Some(path) = json {
         write_json(&path, &records).expect("write JSON results");
         println!("\nwrote {path}");
     }

@@ -70,14 +70,6 @@ pub fn write_json<T: Serialize, P: AsRef<Path>>(path: P, records: &T) -> std::io
     std::fs::write(path, text)
 }
 
-/// Parses `--json <path>` style arguments from a raw argument list; returns the path if
-/// present.  (The binaries keep argument handling deliberately dependency-free.)
-pub fn json_path_from_args(args: &[String]) -> Option<String> {
-    args.iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 /// Returns true when the argument list contains a flag (e.g. `--quick`).
 pub fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
@@ -110,15 +102,13 @@ mod tests {
     }
 
     #[test]
-    fn argument_helpers_extract_flags_and_paths() {
+    fn has_flag_finds_only_the_flags_given() {
         let args: Vec<String> = ["--quick", "--json", "/tmp/out.json"]
             .iter()
             .map(|s| s.to_string())
             .collect();
         assert!(has_flag(&args, "--quick"));
         assert!(!has_flag(&args, "--details"));
-        assert_eq!(json_path_from_args(&args).as_deref(), Some("/tmp/out.json"));
-        assert_eq!(json_path_from_args(&args[..1]), None);
     }
 
     #[test]

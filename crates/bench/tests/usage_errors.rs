@@ -47,3 +47,33 @@ fn a_dangling_json_on_fig_cluster_is_a_missing_value() {
     assert_missing_value(bin, &["--quick", "--json"], "--json");
     assert_missing_value(bin, &["--json", "--quick"], "--json");
 }
+
+#[test]
+fn a_dangling_json_on_an_experiment_bin_is_a_missing_value() {
+    assert_missing_value(
+        env!("CARGO_BIN_EXE_fig_sharding"),
+        &["--json", "--smoke"],
+        "--json",
+    );
+    assert_missing_value(
+        env!("CARGO_BIN_EXE_table5_matrices"),
+        &["--quick", "--json"],
+        "--json",
+    );
+    for bin in [
+        env!("CARGO_BIN_EXE_fig_scheduling"),
+        env!("CARGO_BIN_EXE_fig_sharding"),
+        env!("CARGO_BIN_EXE_fig_autotune"),
+        env!("CARGO_BIN_EXE_fig_refinement"),
+        env!("CARGO_BIN_EXE_fig8_performance"),
+        env!("CARGO_BIN_EXE_fig10_noise"),
+        env!("CARGO_BIN_EXE_fig3d_locality"),
+        env!("CARGO_BIN_EXE_table1_truncation"),
+        env!("CARGO_BIN_EXE_table5_matrices"),
+        env!("CARGO_BIN_EXE_table6_iterations"),
+        env!("CARGO_BIN_EXE_table8_memory"),
+    ] {
+        assert_missing_value(bin, &["--quick", "--json"], "--json");
+        assert_missing_value(bin, &["--json", "--quick"], "--json");
+    }
+}

@@ -14,27 +14,24 @@
 //! the traffic shape incremental re-encoding and warm-started sequences in the
 //! runtime exploit.
 
-use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use refloat_sparse::CooMatrix;
+
+use crate::generators::jitter_values;
 
 /// The 1D 2-point Gauss rule on `[-1, 1]`: nodes `±1/√3`, both weights 1.
 /// Tensorized per axis, it integrates Q1 element stiffness entries exactly.
 const GAUSS_1D: [f64; 2] = [-0.577_350_269_189_625_7, 0.577_350_269_189_625_7];
 
-/// A seeded per-element lognormal field `2^(σ·u)` with `u` approximately
-/// standard normal (Irwin–Hall sum of four uniforms), matching the deviate
-/// construction of [`crate::generators::apply_lognormal_jitter`].  `σ = 0`
-/// gives the exactly-unit field.
+/// A seeded per-element lognormal field `2^(σ·u)`: the jitter of
+/// [`crate::generators::apply_lognormal_jitter`] applied to a unit field, so
+/// both draw their deviates through one body.  `σ = 0` gives the exactly-unit
+/// field.
 fn coefficient_field(elements: usize, sigma_log2: f64, seed: u64) -> Vec<f64> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    (0..elements)
-        .map(|_| {
-            let u = rng.gen::<f64>() + rng.gen::<f64>() + rng.gen::<f64>() + rng.gen::<f64>() - 2.0;
-            (sigma_log2 * u).exp2()
-        })
-        .collect()
+    let mut field = vec![1.0; elements];
+    jitter_values(&mut field, sigma_log2, &mut ChaCha8Rng::seed_from_u64(seed));
+    field
 }
 
 /// The 4×4 Q1 quad Laplace element stiffness `∫ ∇Nₐ·∇N_b` on an `hx × hy`

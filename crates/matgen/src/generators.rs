@@ -332,21 +332,24 @@ pub fn logspace_diagonal(n: usize, min: f64, max: f64) -> CooMatrix {
 /// `exp(σ·N(0,1))` — used to widen the exponent spread inside blocks when studying the
 /// exponent-locality assumption.
 pub fn apply_lognormal_jitter(a: &mut CooMatrix, sigma_log2: f64, seed: u64) {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let vals: Vec<f64> = a
-        .values()
-        .iter()
-        .map(|&v| {
-            // Approximately normal deviate from the sum of four uniforms (Irwin–Hall);
-            // chained adds keep the exact left-to-right order of the draws.
-            let u = rng.gen::<f64>() + rng.gen::<f64>() + rng.gen::<f64>() + rng.gen::<f64>() - 2.0;
-            v * (sigma_log2 * u).exp2()
-        })
-        .collect();
+    let mut vals = a.values().to_vec();
+    jitter_values(&mut vals, sigma_log2, &mut ChaCha8Rng::seed_from_u64(seed));
     let rows = a.row_indices().to_vec();
     let cols = a.col_indices().to_vec();
     *a = CooMatrix::from_triplets(a.nrows(), a.ncols(), rows, cols, vals)
         .expect("same structure, still valid");
+}
+
+/// The one lognormal jitter body: multiplies each value, in slice order, by
+/// `2^(σ·u)`, where `u` is an approximately normal Irwin–Hall deviate (the sum of
+/// four uniforms from `rng`, less 2).  A caller that jitters several slices from
+/// one `rng` draws one deviate stream across them.
+pub(crate) fn jitter_values(values: &mut [f64], sigma_log2: f64, rng: &mut ChaCha8Rng) {
+    for v in values {
+        // Chained adds keep the exact left-to-right order of the draws.
+        let u = rng.gen::<f64>() + rng.gen::<f64>() + rng.gen::<f64>() + rng.gen::<f64>() - 2.0;
+        *v *= (sigma_log2 * u).exp2();
+    }
 }
 
 #[cfg(test)]
