@@ -101,6 +101,10 @@ fn bench_laned_convert(c: &mut Criterion) {
 
 /// `from_csr` and the same-structure re-encode on one lane against two, on the
 /// `serve_cold` shapes and the `transient_chain` matrix, in the benchmark's format.
+/// `reencode_poisson_96` perturbs every block row; `reencode_transient_96` re-encodes
+/// one step of the benchmark's chain against its predecessor, whose drift leaves most
+/// block rows clean, so it times the delta: a value diff, the dirty rows quantized and
+/// the clean ones copied.
 fn bench_laned_encode(c: &mut Criterion) {
     let format = ReFloatConfig::new(7, 3, 8, 5, 16);
     let two = Lanes::new(2).expect("spawn a helper lane");
@@ -133,7 +137,29 @@ fn bench_laned_encode(c: &mut Criterion) {
             b.iter(|| reencode_incremental_on(&previous, &a, &next, &two))
         });
     }
+    let mut steps = TransientChain::new(fem::poisson_2d(96, 96, 0.2, 11), benchmark_chain(3))
+        .skip(1)
+        .map(|step| Arc::new(step.matrix));
+    let (a, next) = (steps.next().unwrap(), steps.next().unwrap());
+    let previous = ReFloatMatrix::from_csr(&a, format);
+    group.throughput(Throughput::Elements(a.nnz() as u64));
+    group.bench_function("reencode_transient_96_1_lane", |b| {
+        b.iter(|| reencode_incremental(&previous, &a, &next))
+    });
+    group.bench_function("reencode_transient_96_2_lanes", |b| {
+        b.iter(|| reencode_incremental_on(&previous, &a, &next, &two))
+    });
     group.finish();
+}
+
+/// The repo benchmark's `transient_chain` spec, cut to `steps` of its 240.
+fn benchmark_chain(steps: usize) -> TransientSpec {
+    TransientSpec::default()
+        .with_steps(steps)
+        .with_seed(11)
+        .with_drift(1e-7, 0.25)
+        .with_rhs_phase(1e-6)
+        .with_mass(0.5, 0.0)
 }
 
 /// Building the repo benchmark's `transient_chain` chain, the matrices its
@@ -142,12 +168,7 @@ fn bench_laned_encode(c: &mut Criterion) {
 fn bench_transient_chain(c: &mut Criterion) {
     const STEPS: usize = 24;
     let base = fem::poisson_2d(96, 96, 0.2, 11);
-    let spec = TransientSpec::default()
-        .with_steps(STEPS)
-        .with_seed(11)
-        .with_drift(1e-7, 0.25)
-        .with_rhs_phase(1e-6)
-        .with_mass(0.5, 0.0);
+    let spec = benchmark_chain(STEPS);
     let mut group = c.benchmark_group("transient_chain");
     group.throughput(Throughput::Elements(STEPS as u64));
     group.bench_function("transient_chain_96", |b| {

@@ -23,7 +23,7 @@
 
 use serde::Serialize;
 
-use refloat_bench::args::{or_exit, raw_value};
+use refloat_bench::args::{or_exit, parse_positive_f64, raw_value};
 use refloat_bench::json::{has_flag, write_json};
 use refloat_bench::table::TextTable;
 use refloat_core::formats;
@@ -62,18 +62,12 @@ struct AutotuneRecord {
     fixed: Vec<FixedRecord>,
 }
 
-fn arg_f64(args: &[String], flag: &str) -> Option<f64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json = or_exit("fig_autotune", raw_value(&args, "--json"));
+    let tolerance =
+        or_exit("fig_autotune", parse_positive_f64(&args, "--tolerance")).unwrap_or(1e-6);
     let quick = has_flag(&args, "--quick");
-    let tolerance = arg_f64(&args, "--tolerance").unwrap_or(1e-6);
     let b = 4u32; // blocking shared by every job (16×16 blocks suit these sizes)
 
     // Small synthetic stand-ins for the Table V value-scale classes: unit-scale

@@ -25,7 +25,7 @@
 
 use serde::Serialize;
 
-use refloat_bench::args::{or_exit, raw_value};
+use refloat_bench::args::{or_exit, parse_positive_f64, raw_value};
 use refloat_bench::json::{has_flag, write_json};
 use refloat_bench::table::TextTable;
 use refloat_core::{ReFloatConfig, ReFloatMatrix};
@@ -58,18 +58,11 @@ struct PassRecord {
     residual_after: f64,
 }
 
-fn arg_f64(args: &[String], flag: &str) -> Option<f64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json = or_exit("fig_refinement", raw_value(&args, "--json"));
+    let target = or_exit("fig_refinement", parse_positive_f64(&args, "--target")).unwrap_or(1e-12);
     let quick = has_flag(&args, "--quick");
-    let target = arg_f64(&args, "--target").unwrap_or(1e-12);
     let n = if quick { 16 } else { 48 };
 
     // An SPD Poisson workload: every plain low-precision solve below stalls orders of

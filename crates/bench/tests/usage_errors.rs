@@ -4,7 +4,9 @@
 
 use std::process::Command;
 
-fn assert_missing_value(bin: &str, args: &[&str], flag: &str) {
+/// Runs `bin` with `args` and asserts a usage error: exit status 2, one line on stderr
+/// that contains `names`, and no run started (empty stdout).
+fn assert_usage_error(bin: &str, args: &[&str], names: &str) {
     // A scratch working directory, so a regression that takes the next flag for a
     // path cannot litter the crate with a file named `--quick`.
     let dir = std::env::temp_dir().join(format!("refloat_usage_{}", std::process::id()));
@@ -26,10 +28,14 @@ fn assert_missing_value(bin: &str, args: &[&str], flag: &str) {
         "{args:?} must print one line: {stderr}"
     );
     assert!(
-        stderr.contains(&format!("{flag} requires a value")),
-        "{args:?} must name the dangling {flag}: {stderr}"
+        stderr.contains(names),
+        "{args:?} must say {names:?}: {stderr}"
     );
     assert!(out.stdout.is_empty(), "{args:?} must not start a run");
+}
+
+fn assert_missing_value(bin: &str, args: &[&str], flag: &str) {
+    assert_usage_error(bin, args, &format!("{flag} requires a value"));
 }
 
 #[test]
@@ -76,4 +82,23 @@ fn a_dangling_json_on_an_experiment_bin_is_a_missing_value() {
         assert_missing_value(bin, &["--quick", "--json"], "--json");
         assert_missing_value(bin, &["--json", "--quick"], "--json");
     }
+}
+
+#[test]
+fn a_bad_or_dangling_numeric_flag_on_a_fig_bin_is_a_usage_error() {
+    let (refinement, autotune) = (
+        env!("CARGO_BIN_EXE_fig_refinement"),
+        env!("CARGO_BIN_EXE_fig_autotune"),
+    );
+    assert_usage_error(
+        refinement,
+        &["--quick", "--target", "ten"],
+        "--target \"ten\"",
+    );
+    assert_usage_error(
+        autotune,
+        &["--quick", "--tolerance", "-1"],
+        "--tolerance \"-1\"",
+    );
+    assert_missing_value(refinement, &["--quick", "--target"], "--target");
 }

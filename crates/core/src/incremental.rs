@@ -13,17 +13,27 @@
 //! * blocks whose base moved — or that are new — shift every element's offset/code,
 //!   so the whole cluster is rewritten.
 //!
-//! Only the layout is carried over, so the result equals a from-scratch encode bit for
-//! bit by construction.  The layout depends only on the sparsity structure: when the
-//! new matrix's row pointers and columns are the previous layout's (every FEM chain's
-//! case), the encode adopts it and never re-blocks, and a row-order walk counts each
-//! block's changed cells — a zip of the two steps' value runs, since a cell keeps its
-//! row-order index.  Otherwise the new matrix is blocked once and a per-row
-//! merge of the two steps' sorted columns charges each difference to its block.
+//! The result equals a from-scratch encode bit for bit: a block's base and codes are a
+//! function of its own values, so a block row whose values are bitwise unchanged
+//! encodes to what it encoded to before.  The host pays only for what changed, too.
+//! When the new matrix has the predecessor's structure (every FEM chain's case), a
+//! re-encode costs:
+//!
+//! * **one structure check**: O(1) when the new matrix shares the structure the layout
+//!   was blocked from (a chain's steps do, `BlockLayout::blocked_from`), else one
+//!   compare of the row pointers and columns;
+//! * **one value diff per block row**: an OR of the two steps' value bits over the
+//!   row's span (a cell keeps its row-order index) says whether the row is dirty, and
+//!   only a dirty row walks its non-zeros to count each block's changed cells;
+//! * **quantizing the dirty block rows only**, over the adopted layout, and **one copy**
+//!   of every clean row's bases and decoded values from the predecessor.
+//!
+//! Otherwise the new matrix is blocked and encoded from scratch, and a per-row merge of
+//! the two steps' sorted columns charges each difference to its block.
 
 use std::sync::Arc;
 
-use crate::matrix::ReFloatMatrix;
+use crate::matrix::{ReFloatMatrix, Reuse};
 use refloat_sparse::blocked::BlockLayout;
 use refloat_sparse::parallel::Lanes;
 use refloat_sparse::CsrMatrix;
@@ -107,8 +117,8 @@ pub fn reencode_incremental(
     a: &CsrMatrix,
 ) -> IncrementalEncode {
     let config = *previous.config();
-    reencode(previous, previous_source, a, |adopted| match adopted {
-        Some(layout) => ReFloatMatrix::encoded(layout, config, a.values()),
+    reencode(previous, previous_source, a, |reuse| match reuse {
+        Some(reuse) => ReFloatMatrix::encoded(previous.layout(), config, a.values(), Some(reuse)),
         None => ReFloatMatrix::from_csr(a, config),
     })
 }
@@ -122,19 +132,20 @@ pub fn reencode_incremental_on(
     lanes: &Lanes,
 ) -> IncrementalEncode {
     let config = *previous.config();
-    reencode(previous, previous_source, a, |adopted| match adopted {
-        Some(layout) => ReFloatMatrix::encoded_on(layout, config, a, lanes),
+    reencode(previous, previous_source, a, |reuse| match reuse {
+        Some(reuse) => ReFloatMatrix::encoded_on(previous.layout(), config, a, lanes, Some(reuse)),
         None => ReFloatMatrix::from_csr_on(a, config, lanes),
     })
 }
 
 /// The re-encode of `a` against `previous`, with `encode` making the new matrix: over
-/// the adopted layout when `a`'s structure is the predecessor's, else from scratch.
+/// the predecessor's layout, copying its clean block rows, when `a`'s structure is the
+/// predecessor's, else from scratch.
 fn reencode(
     previous: &ReFloatMatrix,
     previous_source: &CsrMatrix,
     a: &CsrMatrix,
-    encode: impl FnOnce(Option<&Arc<BlockLayout>>) -> ReFloatMatrix,
+    encode: impl FnOnce(Option<Reuse<'_>>) -> ReFloatMatrix,
 ) -> IncrementalEncode {
     let config = *previous.config();
     assert_eq!(
@@ -149,16 +160,9 @@ fn reencode(
     debug_assert!(same_structure(layout, previous_source), "{not_the_source}");
 
     let (matrix, changed) = if same_structure(layout, a) {
-        // The encode reads the values over the adopted layout; one row-order walk counts
-        // each block's changed cells: a cell keeps its row-order index, so the two
-        // steps' value runs zip.
-        let (new, old) = (a.values(), previous_source.values());
-        let mut changed = vec![0u64; layout.num_blocks()];
-        layout.walk_row_order(|run, block, _| {
-            let pairs = new[run.clone()].iter().zip(&old[run]);
-            changed[block] += pairs.filter(|(x, y)| x.to_bits() != y.to_bits()).count() as u64;
-        });
-        (encode(Some(layout)), changed)
+        let (dirty, changed) = value_changes(layout, a.values(), previous_source.values());
+        let dirty = &dirty;
+        (encode(Some(Reuse { previous, dirty })), changed)
     } else {
         let matrix = encode(None);
         let changed = merged_changes(previous_source, a, matrix.layout(), config.b);
@@ -169,14 +173,48 @@ fn reencode(
 }
 
 /// Whether `a`'s structure — dimensions, row pointers and columns — is `layout`'s row
-/// order, so that `layout` is `a`'s blocking too.
+/// order, so that `layout` is `a`'s blocking too: O(1) when `a` shares the structure
+/// the layout was blocked from, else one compare of the arrays, with no early exit.
 pub(crate) fn same_structure(layout: &BlockLayout, a: &CsrMatrix) -> bool {
+    if layout.blocked_from(a) {
+        return true;
+    }
     let same = |narrow: &[u32], wide: &[usize]| {
-        narrow.iter().map(|&i| i as usize).eq(wide.iter().copied())
+        narrow.len() == wide.len()
+            && (narrow.iter().zip(wide)).fold(0, |diff, (&n, &w)| diff | (n as usize ^ w)) == 0
     };
     (layout.nrows(), layout.ncols()) == (a.nrows(), a.ncols())
         && same(layout.row_ptr(), a.row_ptr())
         && same(layout.col_idx(), a.col_idx())
+}
+
+/// The value diff of two matrices over `layout`'s structure, `new` and `old` in its row
+/// order: per block row whether any value's bits differ (an OR of XORs over the row's
+/// span), and per block its changed cells, counted per block column of a dirty row
+/// alone, as the encoder sums exponents.
+fn value_changes(layout: &BlockLayout, new: &[f64], old: &[f64]) -> (Vec<bool>, Vec<u64>) {
+    let (b, col_idx) = (layout.b(), layout.col_idx());
+    let mut dirty = Vec::with_capacity(layout.nrows().div_ceil(1 << b));
+    let mut changed = vec![0; layout.num_blocks()];
+    // Changed cells per block column of the current block row; zero between rows.
+    let mut per_col = vec![0u64; layout.ncols().div_ceil(1 << b)];
+    let mut blocks = layout.extents().enumerate().peekable();
+    for (brow, span) in layout.block_row_spans(0..layout.nrows()) {
+        let pairs = new[span.clone()].iter().zip(&old[span.clone()]);
+        let diff = pairs.fold(0, |diff, (x, y)| diff | (x.to_bits() ^ y.to_bits()));
+        dirty.push(diff != 0);
+        if diff != 0 {
+            let cells = col_idx[span.clone()].iter().zip(&new[span.clone()]);
+            for ((&c, x), y) in cells.zip(&old[span]) {
+                per_col[(c >> b) as usize] += u64::from(x.to_bits() != y.to_bits());
+            }
+        }
+        // A clean row's blocks keep their zero counts.
+        while let Some((block, ((_, bcol), _))) = blocks.next_if(|(_, ((r, _), _))| *r == brow) {
+            changed[block] = std::mem::take(&mut per_col[bcol]);
+        }
+    }
+    (dirty, changed)
 }
 
 /// Changed cells per block of `layout` (`next`'s blocking at exponent `b`) between two
@@ -268,9 +306,12 @@ mod tests {
     use super::*;
     use crate::block::optimal_exponent_base;
     use crate::format::ReFloatConfig;
+    use crate::matrix::tests::lanes;
+    use crate::matrix::MIN_NNZ_PER_LANE;
     use proptest::prelude::*;
     use refloat_matgen::fem::poisson_2d;
     use refloat_matgen::transient::{perturb_symmetric_pairs, TransientChain, TransientSpec};
+    use refloat_sparse::shard::block_row_shards_counting;
     use refloat_sparse::{blocked::Block, BlockedMatrix, CooMatrix};
     use std::collections::HashSet;
 
@@ -433,6 +474,102 @@ mod tests {
                 3 => prop_assert_eq!((stats.blocks_full, total), (1, previous_total + 1)),
                 4 => prop_assert_eq!((stats.blocks_partial, stats.cells_reprogrammed), (1, 2)),
                 _ => {}
+            }
+        }
+    }
+
+    /// `a`'s structure rebuilt through `from_raw`: equal content, not shared.
+    fn deep_copy(a: &CsrMatrix) -> CsrMatrix {
+        let (row_ptr, col_idx) = (a.row_ptr().to_vec(), a.col_idx().to_vec());
+        CsrMatrix::from_raw(a.nrows(), a.ncols(), row_ptr, col_idx, a.values().to_vec()).unwrap()
+    }
+
+    /// Asserts that two encodings are the same layout, bases and decoded bits.
+    fn assert_same_encoding(got: &ReFloatMatrix, want: &ReFloatMatrix) {
+        assert_eq!(got.layout(), want.layout());
+        assert_eq!(got.bases(), want.bases());
+        assert_bitwise_identical(got, want);
+    }
+
+    #[test]
+    fn the_delta_reencode_is_from_csr_bit_for_bit_on_every_lane_count_and_edit() {
+        // 32-row block rows over 11,000 rows: 344 block rows, the last one partial, and
+        // enough non-zeros that alternate dirty rows split over up to four lanes.
+        let config = ReFloatConfig::new(5, 3, 8, 3, 8);
+        let base = poisson_2d(110, 100, 0.2, 5).to_csr();
+        let n = base.nrows();
+        let block_rows = n.div_ceil(32);
+        assert!(!n.is_multiple_of(32), "the last block row is partial");
+        // Every third value of the rows of the chosen block rows, scaled.
+        let edited = |dirty: &dyn Fn(usize) -> bool| {
+            let mut vals = base.values().to_vec();
+            for r in (0..n).filter(|&r| dirty(r / 32)) {
+                let row = base.row_ptr()[r]..base.row_ptr()[r + 1];
+                for v in vals[row].iter_mut().step_by(3) {
+                    *v *= 1.0 + 1.0 / 64.0;
+                }
+            }
+            base.with_values(vals)
+        };
+        // One cell, the last of an interior block row: a row is dirty by any of its values.
+        let mut last_cell = base.values().to_vec();
+        last_cell[base.row_ptr()[(block_rows / 3 + 1) * 32] - 1] *= 1.0 + 1.0 / 64.0;
+        let mut changed = CooMatrix::new(n, n);
+        base.iter()
+            .filter(|&(r, c, _)| (r + c) % 101 != 0)
+            .for_each(|(r, c, v)| changed.push(r, c, v));
+        let edits: Vec<(&str, CsrMatrix)> = vec![
+            ("none", base.with_values(base.values().to_vec())),
+            ("first block row", edited(&|brow| brow == 0)),
+            (
+                "last, partial, block row",
+                edited(&|brow| brow == block_rows - 1),
+            ),
+            (
+                "one interior block row",
+                edited(&|brow| brow == block_rows / 2),
+            ),
+            ("one cell", base.with_values(last_cell)),
+            ("alternate block rows", edited(&|brow| brow % 2 == 1)),
+            ("every row", edited(&|_| true)),
+            ("changed structure", changed.to_csr()),
+        ];
+        let previous = ReFloatMatrix::from_csr(&base, config);
+        for (label, shared) in edits {
+            let structure_kept = shared.shares_structure_with(&base);
+            let copy = deep_copy(&shared);
+            assert!(!copy.shares_structure_with(&base) && copy == shared);
+            // The copy is recognised by the compare, never by identity.
+            assert!(!previous.layout().blocked_from(&copy));
+            assert_eq!(previous.layout().blocked_from(&shared), structure_kept);
+            assert_eq!(same_structure(previous.layout(), &copy), structure_kept);
+
+            let want = ReFloatMatrix::from_csr(&shared, config);
+            let want_stats = oracle_stats(&previous, &base, &shared);
+            if label == "alternate block rows" {
+                // The laned encode really splits, with clean rows on every lane to copy.
+                let (dirty, _) = value_changes(previous.layout(), shared.values(), base.values());
+                for count in 2..=4 {
+                    let (bands, quantized) =
+                        block_row_shards_counting(previous.layout(), count, |brow| dirty[brow]);
+                    assert_eq!(bands.len(), count);
+                    assert!(
+                        quantized >= MIN_NNZ_PER_LANE * count,
+                        "{quantized} on {count}"
+                    );
+                }
+            }
+            for a in [shared, copy] {
+                let a = Arc::new(a);
+                let serial = reencode_incremental(&previous, &base, &a);
+                assert_same_encoding(&serial.matrix, &want);
+                assert_eq!(serial.stats, want_stats, "{label}");
+                assert_eq!(serial.matrix.shares_layout_with(&previous), structure_kept);
+                for count in 1..=4 {
+                    let laned = reencode_incremental_on(&previous, &base, &a, lanes(count));
+                    assert_same_encoding(&laned.matrix, &want);
+                    assert_eq!(laned.stats, want_stats, "{label} on {count} lanes");
+                }
             }
         }
     }

@@ -59,10 +59,11 @@
 //!   rows.  Each row is still one sum in column order and each reduction one pairwise
 //!   tree, so the bits do not depend on the lanes,
 //! * [`incremental`] — [`reencode_incremental`] (and its laned form): a from-scratch
-//!   encode plus a diff.  A
-//!   sequence step with the predecessor's sparsity structure adopts its layout and
-//!   never re-blocks; a row-order walk counts each block's changed cells, which with
-//!   the two steps' bases decide what a chip must rewrite,
+//!   encode's result plus a diff.  A sequence step with the predecessor's sparsity
+//!   structure adopts its layout and never re-blocks; a value diff per block row finds
+//!   the rows that changed, only those are quantized and the rest copied, and the
+//!   changed cells per block, with the two steps' bases, decide what a chip must
+//!   rewrite,
 //! * [`sharded`] — [`ShardedReFloatMatrix`], one encoding whose rows are split into
 //!   block-row bands (one per chip of a multi-chip accelerator) for the chip model,
 //!   while the host applies the one encoding through the matrix's own apply, so

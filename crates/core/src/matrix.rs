@@ -24,8 +24,11 @@
 //!
 //! There is one encoder, and it reads values in row order only: [`from_csr`]'s lays
 //! the CSR out without its values ([`BlockLayout::from_csr`]) and reads them in place,
-//! the re-encode reads the next step's over an adopted layout, and [`from_blocked`]
-//! puts a blocking's back into row order first.  It runs one block-row band at a time.
+//! the re-encode reads the next step's over the predecessor's layout, and
+//! [`from_blocked`] puts a blocking's back into row order first.  It runs one block-row
+//! band at a time.  A re-encode quantizes only the bands whose values changed and
+//! copies every other band's bases and decoded values from the predecessor; a
+//! from-scratch encode is the case where every band changed.
 //! Eq. 5 is an integer exponent sum per block, so any read order serves: a pass over
 //! the band sums every value's exact exponent into its block column, and the band's
 //! blocks take their bases from those sums, in table order.  A second pass quantizes
@@ -63,8 +66,10 @@
 //!   each lane accumulates its band's rows into its band of `A·p` and returns its part
 //!   of `pᵀAp`.  The converter's bases and statistics are the one-thread converter's.
 //! * **An encode** ([`from_csr_on`](ReFloatMatrix::from_csr_on), and the re-encode of
-//!   [`crate::incremental`]) runs `encode_bands` per nnz-balanced band of block rows,
-//!   each helper reading the values through its own handle on the CSR matrix.
+//!   [`crate::incremental`]) runs `encode_bands` per band of block rows, balanced by the
+//!   non-zeros each quantizes, each helper reading the values through its own handle
+//!   on the CSR matrix.  A re-encode's helper returns its changed rows alone; the
+//!   caller copies the unchanged ones from the predecessor.
 //!
 //! Every other apply — BiCGSTAB's, the fault wrapper's — is the one-thread row loop,
 //! and so is a solve's on one lane.  A row's sum is its terms in column order whatever
@@ -87,8 +92,9 @@ use refloat_solvers::operator::apply_gathered;
 use refloat_solvers::LinearOperator;
 use refloat_sparse::blocked::{Block, BlockLayout};
 use refloat_sparse::parallel::{BandTask, Lanes};
+use refloat_sparse::shard::block_row_shards_counting;
 use refloat_sparse::vecops::{self, Band, LanedVectors, MIN_LEN_PER_LANE};
-use refloat_sparse::{block_row_shards, BlockedMatrix, CsrMatrix};
+use refloat_sparse::{BlockedMatrix, CsrMatrix};
 
 /// The fewest non-zeros per lane for which an encode splits over lanes.  Handing a band
 /// to a helper and copying it back costs a few microseconds: on a 2-core x86-64 host a
@@ -104,6 +110,54 @@ struct Encoded {
     eb: Vec<i32>,
     /// Decoded value per non-zero, in the layout's row order.
     decoded: Vec<f64>,
+}
+
+/// An encode's predecessor over the same layout, and per block row whether its values
+/// changed since: a clean block row's bases and decoded values are the predecessor's,
+/// copied, not quantized again (see [`crate::incremental`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Reuse<'a> {
+    /// The encoding of the previous values over the layout.
+    pub(crate) previous: &'a ReFloatMatrix,
+    /// Per block row, whether any of its values changed.
+    pub(crate) dirty: &'a [bool],
+}
+
+impl<'a> Reuse<'a> {
+    /// The encode's view of the predecessor over `layout`, copying clean rows' values.
+    ///
+    /// # Panics
+    /// Panics if the predecessor is not over `layout` or a block row has no flag.
+    fn delta(self, layout: &Arc<BlockLayout>) -> Delta<'a> {
+        let over = Arc::ptr_eq(&self.previous.layout, layout);
+        assert!(
+            over,
+            "ReFloatMatrix: a reuse is over the predecessor's layout"
+        );
+        let block_rows = layout.nrows().div_ceil(1 << layout.b());
+        let flags = "ReFloatMatrix: one dirty flag per block row";
+        assert_eq!(self.dirty.len(), block_rows, "{flags}");
+        Delta {
+            previous: &self.previous.encoded,
+            dirty: self.dirty,
+            copy_values: true,
+        }
+    }
+}
+
+/// What [`encode_bands`] does with a clean block row: it copies the row's bases from
+/// the predecessor, and its decoded values too when `copy_values` is set.  Without
+/// them the output holds the dirty rows' decoded values alone, back to back — a lane
+/// helper's band, whose clean rows the caller copies from the predecessor straight into
+/// the result instead of through the helper.
+#[derive(Debug, Clone, Copy)]
+struct Delta<'a> {
+    /// The predecessor's encoding over the same layout.
+    previous: &'a Encoded,
+    /// Per block row, whether any of its values changed.
+    dirty: &'a [bool],
+    /// Whether a clean row's decoded values go to the output.
+    copy_values: bool,
 }
 
 /// One encoded block, borrowed from a [`ReFloatMatrix`] and the block-order copy of its
@@ -183,14 +237,19 @@ impl ReFloatMatrix {
         layout.walk_row_order(|run, _, positions| {
             vals[run].copy_from_slice(&block_order[positions]);
         });
-        Self::encoded(layout, config, &vals)
+        Self::encoded(layout, config, &vals, None)
     }
 
     /// Lays a CSR matrix out in blocks of the configuration's `b`, without its values,
     /// and encodes the values from its row order, one block-row band at a time (see the
     /// [module docs](self)).
     pub fn from_csr(a: &CsrMatrix, config: ReFloatConfig) -> Self {
-        Self::encoded(&Arc::new(Self::layout_of(a, config)), config, a.values())
+        Self::encoded(
+            &Arc::new(Self::layout_of(a, config)),
+            config,
+            a.values(),
+            None,
+        )
     }
 
     /// [`from_csr`](Self::from_csr) with the encode split over `lanes`: each lane
@@ -199,7 +258,13 @@ impl ReFloatMatrix {
     /// [`from_csr`](Self::from_csr)'s, bit for bit.  A matrix with fewer than
     /// [`MIN_NNZ_PER_LANE`] non-zeros per lane encodes on the calling thread.
     pub fn from_csr_on(a: &Arc<CsrMatrix>, config: ReFloatConfig, lanes: &Lanes) -> Self {
-        Self::encoded_on(&Arc::new(Self::layout_of(a, config)), config, a, lanes)
+        Self::encoded_on(
+            &Arc::new(Self::layout_of(a, config)),
+            config,
+            a,
+            lanes,
+            None,
+        )
     }
 
     /// [`from_csr_on`](Self::from_csr_on) over `donor`'s layout, when `a` has the
@@ -217,7 +282,7 @@ impl ReFloatMatrix {
     ) -> Self {
         let layout = donor.layout();
         if donor.config.b == config.b && same_structure(layout, a) {
-            Self::encoded_on(layout, config, a, lanes)
+            Self::encoded_on(layout, config, a, lanes, None)
         } else {
             Self::from_csr_on(a, config, lanes)
         }
@@ -230,15 +295,24 @@ impl ReFloatMatrix {
     }
 
     /// The encode: `vals`, one per non-zero in `layout`'s row order, one block-row band
-    /// at a time (see [`encode_bands`]).
-    pub(crate) fn encoded(layout: &Arc<BlockLayout>, config: ReFloatConfig, vals: &[f64]) -> Self {
+    /// at a time (see [`encode_bands`]).  With `reuse`, the dirty block rows are
+    /// quantized and every clean one is copied from the predecessor; without, every
+    /// row is dirty.
+    pub(crate) fn encoded(
+        layout: &Arc<BlockLayout>,
+        config: ReFloatConfig,
+        vals: &[f64],
+        reuse: Option<Reuse<'_>>,
+    ) -> Self {
         assert_eq!(vals.len(), layout.nnz(), "ReFloatMatrix: one value per nnz");
+        let delta = reuse.map(|reuse| reuse.delta(layout));
         let mut eb = Vec::with_capacity(layout.num_blocks());
         let mut decoded = vec![0.0; vals.len()];
         encode_rows(
             layout,
             &config,
             vals,
+            delta,
             0..layout.nrows(),
             &mut eb,
             &mut decoded,
@@ -246,30 +320,47 @@ impl ReFloatMatrix {
         Self::from_parts(layout, config, eb, decoded)
     }
 
-    /// [`encoded`](Self::encoded) from `a`'s values, over `lanes`: every nnz-balanced
-    /// band of block rows but the last on a helper, which writes its decoded values and
-    /// then its bases into its output band; the caller copies the values back and
-    /// gathers the bases in table order, then appends its own band's.
+    /// [`encoded`](Self::encoded) from `a`'s values, over `lanes`: every band of block
+    /// rows but the last on a helper, the bands balanced by the non-zeros they quantize
+    /// (the dirty rows').  A helper writes its dirty rows' decoded values and then all
+    /// its bases into its output band; the caller copies those values back, and the
+    /// helpers' clean rows straight from the predecessor, and gathers the bases in table
+    /// order, then appends its own band's.  Fewer than [`MIN_NNZ_PER_LANE`] non-zeros
+    /// to quantize per lane encode on the calling thread.
     pub(crate) fn encoded_on(
         layout: &Arc<BlockLayout>,
         config: ReFloatConfig,
         a: &Arc<CsrMatrix>,
         lanes: &Lanes,
+        reuse: Option<Reuse<'_>>,
     ) -> Self {
-        let bands = block_row_shards(layout, lanes.count());
-        if bands.len() < 2 || layout.nnz() < MIN_NNZ_PER_LANE * bands.len() {
-            return Self::encoded(layout, config, a.values());
+        let dirty = |brow: usize| reuse.is_none_or(|reuse| reuse.dirty[brow]);
+        let (bands, quantized) = block_row_shards_counting(layout, lanes.count(), dirty);
+        if bands.len() < 2 || quantized < MIN_NNZ_PER_LANE * bands.len() {
+            return Self::encoded(layout, config, a.values(), reuse);
         }
         assert_eq!(a.nnz(), layout.nnz(), "ReFloatMatrix: one value per nnz");
-        let row_ptr = layout.row_ptr();
-        let span = |rows: &Range<usize>| row_ptr[rows.start] as usize..row_ptr[rows.end] as usize;
+        let delta = reuse.map(|reuse| reuse.delta(layout));
+        // What a helper reads the predecessor from, shared.
+        let shared = reuse.map(|reuse| {
+            let encoded = Arc::clone(&reuse.previous.encoded);
+            (encoded, Arc::<[bool]>::from(reuse.dirty))
+        });
+        let dirty_len = |rows: &Range<usize>| -> usize {
+            let spans = layout.block_row_spans(rows.clone());
+            spans
+                .filter(|(brow, _)| dirty(*brow))
+                .map(|(_, span)| span.len())
+                .sum()
+        };
         let (last, helped) = bands.split_last().expect("a split has two bands");
         let tasks = helped.iter().map(|rows| {
-            let (layout, a, rows, len) = (
+            let (layout, a, shared, rows, len) = (
                 Arc::clone(layout),
                 Arc::clone(a),
+                shared.clone(),
                 rows.clone(),
-                span(rows).len(),
+                dirty_len(rows),
             );
             // The band's output, allocated here at its exact size so that the caller's
             // allocator, which frees it once it is copied back, can reuse it.
@@ -278,14 +369,19 @@ impl ReFloatMatrix {
             Box::new(move |band: &mut Vec<f64>| {
                 let mut eb = Vec::with_capacity(blocks);
                 out.resize(len, 0.0);
-                encode_rows(&layout, &config, a.values(), rows, &mut eb, &mut out);
+                let delta = shared.as_ref().map(|(previous, dirty)| Delta {
+                    previous,
+                    dirty,
+                    copy_values: false,
+                });
+                encode_rows(&layout, &config, a.values(), delta, rows, &mut eb, &mut out);
                 out.extend(eb.iter().map(|&base| f64::from(base)));
                 *band = out;
             }) as BandTask
         });
         let (mut eb, mut last_eb) = (Vec::with_capacity(layout.num_blocks()), Vec::new());
         let mut decoded = vec![0.0; layout.nnz()];
-        let (head, tail) = decoded.split_at_mut(span(last).start);
+        let (head, tail) = decoded.split_at_mut(layout.row_ptr()[last.start] as usize);
         lanes.run(
             tasks,
             || {
@@ -293,15 +389,21 @@ impl ReFloatMatrix {
                     layout,
                     &config,
                     a.values(),
+                    delta,
                     last.clone(),
                     &mut last_eb,
                     tail,
                 )
             },
             |lane, band| {
-                let values = span(&helped[lane]);
-                let (vals, bases) = band.split_at(values.len());
-                head[values].copy_from_slice(vals);
+                let (mut vals, bases) = band.split_at(dirty_len(&helped[lane]));
+                for (brow, span) in layout.block_row_spans(helped[lane].clone()) {
+                    let from = match delta.filter(|delta| !delta.dirty[brow]) {
+                        Some(delta) => &delta.previous.decoded[span.clone()],
+                        None => vals.split_off(..span.len()).expect("a dirty row's values"),
+                    };
+                    head[span].copy_from_slice(from);
+                }
                 eb.extend(bases.iter().map(|&base| base as i32));
             },
         );
@@ -580,17 +682,20 @@ fn convert_band(
 ///    normal exponents — has no window and runs [`requantize`] per element instead.
 ///
 /// It runs over the block rows that `rows` (block-row aligned) covers: their bases go to
-/// `eb`, their decoded values to `decoded`, which starts at the rows' first non-zero.
+/// `eb`, their decoded values to `decoded`, back to back.  With a `delta`, a clean block
+/// row takes none of the steps: its bases are the predecessor's, and so are its decoded
+/// values, copied or left out as [`Delta`] says.
 fn encode_bands<const NEAREST: bool, const FTZ: bool>(
     layout: &BlockLayout,
     config: &ReFloatConfig,
     vals: &[f64],
+    delta: Option<Delta<'_>>,
     rows: Range<usize>,
     eb: &mut Vec<i32>,
     decoded: &mut [f64],
 ) {
-    let (b, nrows) = (layout.b(), layout.nrows());
-    let (row_ptr, col_idx) = (layout.row_ptr(), layout.col_idx());
+    let b = layout.b();
+    let col_idx = layout.col_idx();
     let (max_offset, fraction) = (config.max_offset(), Fraction::new(config.f));
     let (rounding, underflow) = (config.rounding, config.underflow);
     let block_cols = layout.ncols().div_ceil(1 << b);
@@ -600,11 +705,23 @@ fn encode_bands<const NEAREST: bool, const FTZ: bool>(
     let mut sums = vec![(0u64, 0u64); block_cols];
     // Per block column of the current band: its block's base and window.
     let mut bases: Vec<(i32, Option<Bounds>)> = vec![(0, None); block_cols];
-    let offset = row_ptr[rows.start] as usize;
+    // The index of the next block, and the next position in `decoded`.
+    let (mut block, mut at) = (layout.blocks_in_rows(0..rows.start), 0);
     let mut blocks = layout.extents_in(rows.clone()).peekable();
-    for row_lo in rows.step_by(1 << b) {
-        let (brow, row_hi) = (row_lo >> b, (row_lo + (1 << b)).min(nrows));
-        let band = row_ptr[row_lo] as usize..row_ptr[row_hi] as usize;
+    for (brow, band) in layout.block_row_spans(rows) {
+        if let Some(delta) = delta.filter(|delta| !delta.dirty[brow]) {
+            let first = block;
+            while blocks.next_if(|((r, _), _)| *r == brow).is_some() {
+                block += 1;
+            }
+            eb.extend_from_slice(&delta.previous.eb[first..block]);
+            if delta.copy_values {
+                let out = &mut decoded[at..at + band.len()];
+                out.copy_from_slice(&delta.previous.decoded[band.clone()]);
+                at += band.len();
+            }
+            continue;
+        }
         let (cols, band_vals) = (&col_idx[band.clone()], &vals[band.clone()]);
         for (&c, &v) in cols.iter().zip(band_vals) {
             let (biased, counted, subnormal) = biased_exponent(v);
@@ -619,8 +736,10 @@ fn encode_bands<const NEAREST: bool, const FTZ: bool>(
             let bounds = Bounds::around(base, max_offset).filter(|_| subnormals == 0);
             bases[bcol] = (base, bounds);
             eb.push(base);
+            block += 1;
         }
-        let out = &mut decoded[band.start - offset..band.end - offset];
+        let out = &mut decoded[at..at + band.len()];
+        at += band.len();
         for ((&c, &v), out) in cols.iter().zip(band_vals).zip(out) {
             *out = match &bases[(c >> b) as usize] {
                 (_, Some(bounds)) => quantize_bits::<NEAREST, FTZ>(v, bounds, &fraction).0,
@@ -636,6 +755,7 @@ fn encode_rows(
     layout: &BlockLayout,
     config: &ReFloatConfig,
     vals: &[f64],
+    delta: Option<Delta<'_>>,
     rows: Range<usize>,
     eb: &mut Vec<i32>,
     decoded: &mut [f64],
@@ -647,7 +767,7 @@ fn encode_rows(
         (RoundNearest, Saturate) => encode_bands::<true, false>,
         (RoundNearest, FlushToZero) => encode_bands::<true, true>,
     };
-    encode(layout, config, vals, rows, eb, decoded);
+    encode(layout, config, vals, delta, rows, eb, decoded);
 }
 
 /// `v`'s exact exponent, biased — `12 − leading_zeros` for a subnormal, whose leading
@@ -774,7 +894,7 @@ impl LinearOperator for ReFloatMatrix {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::scalar::{decompose, quantize};
     use crate::vector::tests::{pattern, MODES};
@@ -1145,7 +1265,7 @@ mod tests {
     }
 
     /// One set of lanes per count from 1 to 4, shared by the tests.
-    fn lanes(count: usize) -> &'static Arc<Lanes> {
+    pub(crate) fn lanes(count: usize) -> &'static Arc<Lanes> {
         static LANES: std::sync::OnceLock<Vec<Arc<Lanes>>> = std::sync::OnceLock::new();
         let sets =
             LANES.get_or_init(|| (1..=4).map(|c| Arc::new(Lanes::new(c).unwrap())).collect());

@@ -18,7 +18,10 @@
 //! ([`TransientChain::new`] panics otherwise).  Every step then has the base's
 //! non-zero structure, and a step is a value update over it: the drift touches
 //! only the window's non-zeros, and emitting the step costs one copy of the
-//! matrix arrays plus the diagonal shift — no assembly and no sort.
+//! values plus the diagonal shift — no assembly, no sort, and no index copied:
+//! every step's matrix shares the chain's one structure
+//! ([`CsrMatrix::with_values`]), so a re-encode of the next step recognises its
+//! layout in O(1) and a chain held in memory stores the pattern once.
 //!
 //! Reproducibility contract: a chain is a pure function of its base matrix
 //! and [`TransientSpec`] — re-running the iterator yields bitwise-identical
@@ -137,22 +140,19 @@ fn unit(h: u64) -> f64 {
 
 /// The seeded iterator over a chain's [`SolveStep`]s.
 ///
-/// The chain keeps the stiffness operator as values over one fixed CSR
+/// The chain keeps the stiffness operator as a CSR matrix over one fixed
 /// structure, the base's non-zero pattern, so a step is a value update: the
 /// drift rewrites the window's non-zeros in place, and emitting the step copies
-/// the matrix arrays once and adds the mass shift at the stored diagonal.
+/// the values once, adds the mass shift at the stored diagonal and shares the
+/// structure.
 pub struct TransientChain {
-    /// Row pointers of the fixed structure.
-    row_ptr: Vec<usize>,
-    /// Column indices of the fixed structure, sorted within each row.
-    col_idx: Vec<usize>,
+    /// The evolving stiffness operator, exactly symmetric inside every window a
+    /// drift has touched; its structure is every step's.
+    stiffness: CsrMatrix,
     /// `mirror[k]`: the position of entry `k`'s transpose `(c, r)`.
     mirror: Vec<usize>,
     /// `diagonal[r]`: the position of `(r, r)`.
     diagonal: Vec<usize>,
-    /// The evolving stiffness operator's values over that structure, exactly
-    /// symmetric inside every window a drift has touched.
-    stiffness: Vec<f64>,
     spec: TransientSpec,
     step: usize,
 }
@@ -188,6 +188,9 @@ impl TransientChain {
         for r in 0..n {
             row_ptr[r + 1] += row_ptr[r];
         }
+        let stiffness = CsrMatrix::from_raw(n, n, row_ptr, col_idx, stiffness)
+            .expect("a compressed base is a valid CSR");
+        let (row_ptr, col_idx) = (stiffness.row_ptr(), stiffness.col_idx());
         let find = |r: usize, c: usize| {
             let row = &col_idx[row_ptr[r]..row_ptr[r + 1]];
             row.binary_search(&c).ok().map(|i| row_ptr[r] + i)
@@ -211,11 +214,9 @@ impl TransientChain {
             }
         }
         TransientChain {
-            row_ptr,
-            col_idx,
+            stiffness,
             mirror,
             diagonal,
-            stiffness,
             spec,
             step: 0,
         }
@@ -235,8 +236,8 @@ impl TransientChain {
     /// The positions of row `r`'s entries with a column in `[lo, hi)`: one run,
     /// since a row's columns are sorted.
     fn window_run(&self, r: usize, (lo, hi): (usize, usize)) -> Range<usize> {
-        let start = self.row_ptr[r];
-        let cols = &self.col_idx[start..self.row_ptr[r + 1]];
+        let start = self.stiffness.row_ptr()[r];
+        let (cols, _) = self.stiffness.row(r);
         start + cols.partition_point(|&c| c < lo)..start + cols.partition_point(|&c| c < hi)
     }
 
@@ -250,23 +251,22 @@ impl TransientChain {
             return;
         }
         let span = self.drift_span(step);
+        let runs: Vec<Range<usize>> = (span.0..span.1).map(|r| self.window_run(r, span)).collect();
         let mut rng = ChaCha8Rng::seed_from_u64(splitmix64(self.spec.seed ^ step as u64));
-        for r in span.0..span.1 {
-            let run = self.window_run(r, span);
-            jitter_values(&mut self.stiffness[run], sigma_log2, &mut rng);
+        let values = self.stiffness.values_mut();
+        for run in &runs {
+            jitter_values(&mut values[run.clone()], sigma_log2, &mut rng);
         }
         // Entrywise jitter breaks symmetry inside the window; average each entry
         // with its transpose there.  The window is a symmetric square region, so
         // every mirror lies inside it, and `0.5·w(r,c) + 0.5·w(c,r)` is one
         // two-term sum, the same bits whichever of the pair computes it.
-        for r in span.0..span.1 {
-            for k in self.window_run(r, span) {
-                let m = self.mirror[k];
-                if m >= k {
-                    let mean = 0.5 * self.stiffness[k] + 0.5 * self.stiffness[m];
-                    self.stiffness[k] = mean;
-                    self.stiffness[m] = mean;
-                }
+        for k in runs.into_iter().flatten() {
+            let m = self.mirror[k];
+            if m >= k {
+                let mean = 0.5 * values[k] + 0.5 * values[m];
+                values[k] = mean;
+                values[m] = mean;
             }
         }
     }
@@ -286,12 +286,11 @@ impl Iterator for TransientChain {
         let n = self.diagonal.len();
         let phase = (0.3 * step as f64).sin();
         let mass = self.spec.mass_coefficient * (1.0 + self.spec.drift_amplitude * phase);
-        let mut values = self.stiffness.clone();
+        let mut values = self.stiffness.values().to_vec();
         for &d in &self.diagonal {
             values[d] += mass;
         }
-        let matrix = CsrMatrix::from_raw(n, n, self.row_ptr.clone(), self.col_idx.clone(), values)
-            .expect("the chain's structure is a valid CSR");
+        let matrix = self.stiffness.with_values(values);
         let rhs: Vec<f64> = (0..n)
             .map(|i| {
                 let x = i as f64 / n as f64;
@@ -616,6 +615,16 @@ mod tests {
             base.push(r, c, v);
         }
         let _ = TransientChain::new(base, spec());
+    }
+
+    #[test]
+    fn every_step_shares_the_chains_one_structure() {
+        let steps: Vec<SolveStep> = TransientChain::new(base(), spec()).collect();
+        let first = &steps[0].matrix;
+        assert!(steps
+            .iter()
+            .all(|step| step.matrix.shares_structure_with(first)));
+        assert_eq!(first, &base().to_csr().with_values(first.values().to_vec()));
     }
 
     #[test]

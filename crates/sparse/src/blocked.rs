@@ -28,12 +28,17 @@
 //! an [`Arc`]) and adds the per-block exponent bases and the decoded values in row
 //! order, which it encodes from the CSR's row order and its SpMV reads with the CSR
 //! loop.
+//!
+//! A layout also remembers which CSR structure it was blocked from, without keeping it
+//! alive: [`BlockLayout::blocked_from`] says in O(1) that a matrix sharing that
+//! structure (a clone, or a value update through `CsrMatrix::with_values`) is laid out
+//! by it, so a re-encode of the next step of a chain never compares the arrays.
 
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use crate::coo::CooMatrix;
-use crate::csr::CsrMatrix;
+use crate::csr::{CsrMatrix, Structure};
 use crate::error::SparseError;
 use crate::Result;
 
@@ -48,8 +53,9 @@ struct TableEntry {
 }
 
 /// The block-major structure of a sparse matrix: where every non-zero sits, without
-/// the values.
-#[derive(Debug, PartialEq)]
+/// the values.  Equality is content equality; which structure a layout was blocked
+/// from does not take part.
+#[derive(Debug)]
 pub struct BlockLayout {
     nrows: usize,
     ncols: usize,
@@ -67,6 +73,19 @@ pub struct BlockLayout {
     row_ptr: Vec<u32>,
     /// Global column index per non-zero, in row order.
     col_idx: Vec<u32>,
+    /// The CSR structure the layout was blocked from.  A `Weak` pins the allocation, so
+    /// its address is never reused while the layout lives, and never keeps the arrays
+    /// of a dropped matrix alive.
+    source: Weak<Structure>,
+}
+
+impl PartialEq for BlockLayout {
+    fn eq(&self, other: &Self) -> bool {
+        (self.nrows, self.ncols, self.b) == (other.nrows, other.ncols, other.b)
+            && self.table == other.table
+            && (&self.rows, &self.cols) == (&other.rows, &other.cols)
+            && (&self.row_ptr, &self.col_idx) == (&other.row_ptr, &other.col_idx)
+    }
 }
 
 /// One non-empty `2^b × 2^b` block, borrowed from a [`BlockLayout`] and an array of
@@ -201,7 +220,17 @@ impl BlockLayout {
             cols,
             row_ptr: row_ptr.iter().map(|&p| p as u32).collect(),
             col_idx: col_idx.iter().map(|&c| c as u32).collect(),
+            source: Arc::downgrade(a.structure()),
         })
+    }
+
+    /// Whether the layout was blocked from `a`'s structure itself — `a`, a clone of it,
+    /// or a matrix made from either by `CsrMatrix::with_values` — so that it is `a`'s
+    /// blocking too.  O(1); a matrix with an equal structure built apart is not
+    /// recognised (compare the row order for that).
+    pub fn blocked_from(&self, a: &CsrMatrix) -> bool {
+        std::ptr::eq(self.source.as_ptr(), Arc::as_ptr(a.structure()))
+            && (self.nrows, self.ncols) == (a.nrows(), a.ncols())
     }
 
     /// Number of rows of the underlying matrix.
@@ -305,6 +334,22 @@ impl BlockLayout {
         entries.map(move |pair| self.view(&pair[0], pair[1].start, vals))
     }
 
+    /// The block rows that `rows` (block-row aligned) covers, in order, each with the
+    /// row-order indices of its non-zeros: `(block_row, span)`.
+    pub fn block_row_spans(
+        &self,
+        rows: Range<usize>,
+    ) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
+        let (bs, end) = (self.block_size(), rows.end);
+        rows.step_by(bs).map(move |lo| {
+            let hi = (lo + bs).min(end);
+            (
+                lo >> self.b,
+                self.row_ptr[lo] as usize..self.row_ptr[hi] as usize,
+            )
+        })
+    }
+
     /// Row pointers of the row order: row `r`'s non-zeros are the row-order indices
     /// `row_ptr[r]..row_ptr[r + 1]` — the source CSR's `row_ptr`.
     pub fn row_ptr(&self) -> &[u32] {
@@ -332,16 +377,14 @@ impl BlockLayout {
             .iter()
             .enumerate()
             .peekable();
-        for (brow, row_lo) in (0..self.nrows).step_by(bs).enumerate() {
+        for (brow, band) in self.block_row_spans(0..self.nrows) {
             while let Some((index, entry)) =
                 blocks.next_if(|(_, entry)| entry.block_row as usize == brow)
             {
                 cursor[entry.block_col as usize] = (index as u32, entry.start);
             }
-            let row_hi = (row_lo + bs).min(self.nrows);
-            let mut k = self.row_ptr[row_lo] as usize;
-            let band = &self.col_idx[k..self.row_ptr[row_hi] as usize];
-            for run in band.chunk_by(|&c, &d| c >> self.b == d >> self.b) {
+            let mut k = band.start;
+            for run in self.col_idx[band].chunk_by(|&c, &d| c >> self.b == d >> self.b) {
                 let (block, start) = &mut cursor[(run[0] >> self.b) as usize];
                 let at = *start as usize;
                 visit(k..k + run.len(), *block as usize, at..at + run.len());
@@ -603,6 +646,7 @@ mod tests {
             cols: entries.iter().map(|&(_, c, _)| local(c)).collect(),
             row_ptr: a.row_ptr().iter().map(|&p| p as u32).collect(),
             col_idx: a.col_idx().iter().map(|&c| c as u32).collect(),
+            source: Weak::new(),
         };
         (layout, entries.iter().map(|&(.., v)| v).collect())
     }
@@ -636,6 +680,24 @@ mod tests {
             proptest::prop_assert_eq!(&**blocked.layout(), &want);
             proptest::prop_assert_eq!(blocked.values(), &values[..]);
         }
+    }
+
+    #[test]
+    fn a_layout_knows_the_structure_it_was_blocked_from_and_not_an_equal_one() {
+        let a = banded(100);
+        let layout = BlockLayout::from_csr(&a, 4).unwrap();
+        let sharers = [a.clone(), a.with_values(vec![0.5; a.nnz()])];
+        assert!(layout.blocked_from(&a) && sharers.iter().all(|s| layout.blocked_from(s)));
+        let copy = banded(100);
+        assert!(copy == a && !layout.blocked_from(&copy));
+        // Equal content is an equal layout, whatever it was blocked from.
+        assert_eq!(BlockLayout::from_csr(&copy, 4).unwrap(), layout);
+        // A dropped source is not mistaken for a new matrix: the `Weak` keeps its address.
+        let (lone, expect) = (banded(50), BlockLayout::from_csr(&banded(50), 4).unwrap());
+        let lone_layout = BlockLayout::from_csr(&lone, 4).unwrap();
+        drop(lone);
+        assert_eq!(lone_layout, expect);
+        assert!(!lone_layout.blocked_from(&banded(50)));
     }
 
     #[test]

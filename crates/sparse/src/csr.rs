@@ -3,21 +3,41 @@
 //! CSR is the reference FP64 operator in this reproduction: the GPU and "Feinberg-fc"
 //! baselines of the paper behave numerically like plain double-precision SpMV, which is
 //! exactly what [`CsrMatrix::spmv_into`] computes.
+//!
+//! The structure — row pointers and column indices — sits behind one [`Arc`] and the
+//! values are each matrix's own.  A [`clone`](Clone::clone) or
+//! [`with_values`](CsrMatrix::with_values) shares the structure and owns its values, so
+//! a sequence of matrices over one sparsity pattern (a transient chain's steps) holds
+//! the pattern once, and [`shares_structure_with`](CsrMatrix::shares_structure_with)
+//! tells in O(1) that two of them have it.  Every constructor that builds a structure
+//! ([`from_raw`](CsrMatrix::from_raw), [`from_coo`](CsrMatrix::from_coo),
+//! [`transpose`](CsrMatrix::transpose)) moves it into a fresh `Arc`; equality is
+//! content equality either way.
+
+use std::sync::Arc;
 
 use crate::coo::CooMatrix;
 use crate::error::SparseError;
 use crate::Result;
+
+/// The sparsity structure of a CSR matrix, shared by every matrix over it.
+#[derive(Debug, PartialEq)]
+pub(crate) struct Structure {
+    /// Row pointer array of length `nrows + 1`.
+    row_ptr: Vec<usize>,
+    /// Column indices, length `nnz`, sorted within each row.
+    col_idx: Vec<usize>,
+}
 
 /// A sparse matrix in compressed sparse row format.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     nrows: usize,
     ncols: usize,
-    /// Row pointer array of length `nrows + 1`.
-    row_ptr: Vec<usize>,
-    /// Column indices, length `nnz`, sorted within each row.
-    col_idx: Vec<usize>,
-    /// Nonzero values, length `nnz`.
+    /// Row pointers and column indices, shared with clones and
+    /// [`with_values`](Self::with_values) matrices.
+    structure: Arc<Structure>,
+    /// Nonzero values, length `nnz`: this matrix's own.
     vals: Vec<f64>,
 }
 
@@ -67,13 +87,23 @@ impl CsrMatrix {
                 });
             }
         }
-        Ok(CsrMatrix {
+        Ok(Self::assembled(nrows, ncols, row_ptr, col_idx, vals))
+    }
+
+    /// The matrix over a freshly built structure, the arrays moved into its `Arc`.
+    fn assembled(
+        nrows: usize,
+        ncols: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<usize>,
+        vals: Vec<f64>,
+    ) -> Self {
+        CsrMatrix {
             nrows,
             ncols,
-            row_ptr,
-            col_idx,
+            structure: Arc::new(Structure { row_ptr, col_idx }),
             vals,
-        })
+        }
     }
 
     /// Builds a CSR matrix from a COO matrix, summing duplicate entries.
@@ -136,13 +166,38 @@ impl CsrMatrix {
             row_ptr.push(col_idx.len());
         }
 
+        Self::assembled(nrows, ncols, row_ptr, col_idx, vals)
+    }
+
+    /// A matrix over this one's structure, shared, with `vals` as its values: a value
+    /// update that copies no index.
+    ///
+    /// # Panics
+    /// Panics if `vals` does not hold one value per stored non-zero.
+    pub fn with_values(&self, vals: Vec<f64>) -> CsrMatrix {
+        assert_eq!(
+            vals.len(),
+            self.nnz(),
+            "CsrMatrix::with_values: one value per non-zero"
+        );
         CsrMatrix {
-            nrows,
-            ncols,
-            row_ptr,
-            col_idx,
+            nrows: self.nrows,
+            ncols: self.ncols,
+            structure: Arc::clone(&self.structure),
             vals,
         }
+    }
+
+    /// Whether `other` shares this matrix's structure — a clone or a
+    /// [`with_values`](Self::with_values) matrix does, an equal structure built apart
+    /// does not.  O(1).
+    pub fn shares_structure_with(&self, other: &CsrMatrix) -> bool {
+        Arc::ptr_eq(&self.structure, &other.structure)
+    }
+
+    /// The shared structure, for layouts that remember what they were built from.
+    pub(crate) fn structure(&self) -> &Arc<Structure> {
+        &self.structure
     }
 
     /// Number of rows.
@@ -162,12 +217,12 @@ impl CsrMatrix {
 
     /// Row pointer array (`nrows + 1` entries).
     pub fn row_ptr(&self) -> &[usize] {
-        &self.row_ptr
+        &self.structure.row_ptr
     }
 
     /// Column index array.
     pub fn col_idx(&self) -> &[usize] {
-        &self.col_idx
+        &self.structure.col_idx
     }
 
     /// Value array.
@@ -176,14 +231,16 @@ impl CsrMatrix {
     }
 
     /// Mutable value array (structure is fixed, values may be edited e.g. for scaling).
+    /// The values are this matrix's own: a matrix sharing the structure keeps its own.
     pub fn values_mut(&mut self) -> &mut [f64] {
         &mut self.vals
     }
 
     /// Returns the `(col_idx, values)` slices of row `r`.
     pub fn row(&self, r: usize) -> (&[usize], &[f64]) {
-        let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
-        (&self.col_idx[lo..hi], &self.vals[lo..hi])
+        let row_ptr = self.row_ptr();
+        let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
+        (&self.col_idx()[lo..hi], &self.vals[lo..hi])
     }
 
     /// Iterates over all `(row, col, value)` entries in row-major order.
@@ -217,11 +274,12 @@ impl CsrMatrix {
     pub fn spmv_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.ncols, "CSR spmv: x length mismatch");
         assert_eq!(y.len(), self.nrows, "CSR spmv: y length mismatch");
+        let (row_ptr, col_idx) = (self.row_ptr(), self.col_idx());
         for (r, yr) in y.iter_mut().enumerate() {
-            let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
+            let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
             let mut acc = 0.0;
             for k in lo..hi {
-                acc += self.vals[k] * x[self.col_idx[k]];
+                acc += self.vals[k] * x[col_idx[k]];
             }
             *yr = acc;
         }
@@ -256,8 +314,9 @@ impl CsrMatrix {
 
     /// Returns the transpose as a new CSR matrix.
     pub fn transpose(&self) -> CsrMatrix {
+        let (row_ptr, cols) = (self.row_ptr(), self.col_idx());
         let mut counts = vec![0usize; self.ncols + 1];
-        for &c in &self.col_idx {
+        for &c in cols {
             counts[c + 1] += 1;
         }
         for i in 0..self.ncols {
@@ -267,22 +326,15 @@ impl CsrMatrix {
         let mut vals = vec![0.0f64; self.nnz()];
         let mut cursor = counts.clone();
         for r in 0..self.nrows {
-            let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
-            for k in lo..hi {
-                let c = self.col_idx[k];
+            let row = row_ptr[r]..row_ptr[r + 1];
+            for (&c, &v) in cols[row.clone()].iter().zip(&self.vals[row]) {
                 let dst = cursor[c];
                 col_idx[dst] = r;
-                vals[dst] = self.vals[k];
+                vals[dst] = v;
                 cursor[c] += 1;
             }
         }
-        CsrMatrix {
-            nrows: self.ncols,
-            ncols: self.nrows,
-            row_ptr: counts,
-            col_idx,
-            vals,
-        }
+        Self::assembled(self.ncols, self.nrows, counts, col_idx, vals)
     }
 
     /// Checks numerical symmetry within an absolute tolerance.
@@ -291,7 +343,7 @@ impl CsrMatrix {
             return false;
         }
         let t = self.transpose();
-        if t.row_ptr != self.row_ptr || t.col_idx != self.col_idx {
+        if t.structure != self.structure {
             // Structurally different; fall back to element-wise comparison.
             return self
                 .iter()
@@ -435,6 +487,45 @@ mod tests {
         let a = CsrMatrix::from_coo(&example_coo());
         let b = CsrMatrix::from_coo(&a.to_coo());
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn clones_and_value_updates_share_the_structure_and_own_their_values() {
+        let a = CsrMatrix::from_coo(&example_coo());
+        let mut clone = a.clone();
+        let updated = a.with_values(vec![-1.0; 5]);
+        assert!(clone.shares_structure_with(&a) && updated.shares_structure_with(&a));
+        assert_eq!(
+            (updated.row_ptr(), updated.col_idx()),
+            (a.row_ptr(), a.col_idx())
+        );
+        // Editing one sharer's values leaves the others' alone.
+        clone.values_mut()[0] = 9.0;
+        assert_eq!(a.values(), &[1.0, 2.0, 3.0, 4.0, 5.0]);
+        assert_eq!(updated.values(), &[-1.0; 5]);
+        assert_eq!(clone.get(0, 0), 9.0);
+        // Every constructor that builds a structure builds its own; equality is content.
+        let raw = CsrMatrix::from_raw(
+            3,
+            3,
+            a.row_ptr().to_vec(),
+            a.col_idx().to_vec(),
+            a.values().to_vec(),
+        )
+        .unwrap();
+        let rebuilt = example_coo().to_csr();
+        let transposed = a.transpose().transpose();
+        for other in [&raw, &rebuilt, &transposed] {
+            assert!(!other.shares_structure_with(&a));
+            assert_eq!(*other, a);
+        }
+        assert_ne!(clone, a);
+    }
+
+    #[test]
+    #[should_panic(expected = "one value per non-zero")]
+    fn a_value_update_of_the_wrong_length_is_refused() {
+        let _ = CsrMatrix::from_coo(&example_coo()).with_values(vec![1.0; 4]);
     }
 
     #[test]

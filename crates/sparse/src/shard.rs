@@ -25,17 +25,32 @@ use crate::parallel;
 /// multiples of `2^b`.  A matrix with no rows is one empty band, so every matrix has
 /// at least one.
 pub fn block_row_shards(layout: &BlockLayout, shards: usize) -> Vec<Range<usize>> {
-    let (bs, nrows, row_ptr) = (layout.block_size(), layout.nrows(), layout.row_ptr());
-    // Nonzeros before each block-row boundary: the balance weights.  No rows counts as
-    // one empty block row.
-    let num_block_rows = nrows.div_ceil(bs).max(1);
-    let prefix: Vec<usize> = (0..=num_block_rows)
-        .map(|brow| row_ptr[(brow * bs).min(nrows)] as usize)
-        .collect();
-    parallel::balance_by_weight(&prefix, shards)
+    block_row_shards_counting(layout, shards, |_| true).0
+}
+
+/// [`block_row_shards`] balanced over the non-zeros of the block rows that `counted`
+/// selects (a re-encode's dirty rows): any other block row weighs nothing.  Returns the
+/// bands and the number of non-zeros they weigh.
+pub fn block_row_shards_counting(
+    layout: &BlockLayout,
+    shards: usize,
+    counted: impl Fn(usize) -> bool,
+) -> (Vec<Range<usize>>, usize) {
+    let (bs, nrows) = (layout.block_size(), layout.nrows());
+    // Counted non-zeros before each block-row boundary: the balance weights.  No rows
+    // counts as one empty block row.
+    let mut prefix = vec![0];
+    for (brow, span) in layout.block_row_spans(0..nrows) {
+        prefix.push(prefix[brow] + if counted(brow) { span.len() } else { 0 });
+    }
+    if nrows == 0 {
+        prefix.push(0);
+    }
+    let bands = parallel::balance_by_weight(&prefix, shards)
         .into_iter()
         .map(|brows| brows.start * bs..(brows.end * bs).min(nrows))
-        .collect()
+        .collect();
+    (bands, prefix[prefix.len() - 1])
 }
 
 #[cfg(test)]
