@@ -20,7 +20,7 @@ fn bench_runtime_overhead(c: &mut Criterion) {
 
     // Cache hot path: every lookup after the first is a hit.
     let cache = EncodedMatrixCache::new(8);
-    let key = refloat_runtime::CacheKey::whole(handle.fingerprint(), format);
+    let key = refloat_runtime::CacheKey::new(handle.fingerprint(), format);
     let clock = refloat_telemetry::WallClock::new();
     cache.get_or_encode(key, &clock, || {
         refloat_core::ReFloatMatrix::from_csr(&a, format)

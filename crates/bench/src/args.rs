@@ -3,8 +3,9 @@
 //! The original binaries parsed flags with `parse().ok()` — a typo like
 //! `--jobs ten` silently fell back to the default, and an impossible combination
 //! like `--rate` without an open-loop mode was silently ignored.  Service-facing
-//! binaries (`serve_traffic`, `fig_cluster`) type their value flags, and every
-//! binary that takes `--json` reads it through [`raw_value`]; a problem is a
+//! binaries (`serve_traffic`, `fig_cluster`) type their value flags, every
+//! binary that takes `--json` reads it through [`raw_value`], and a binary that lists
+//! the flags it takes ([`known_flags`]) refuses any other; a problem is a
 //! typed [`UsageError`] that `main` hands to [`or_exit`], which prints it and
 //! exits with status 2, never panicking on user input.
 
@@ -44,6 +45,11 @@ pub enum UsageError {
         /// What it needs.
         requires: &'static str,
     },
+    /// An argument the binary does not take (`--bogus`, or `--smok` for `--smoke`).
+    UnknownFlag {
+        /// The argument as typed.
+        flag: String,
+    },
 }
 
 impl fmt::Display for UsageError {
@@ -63,6 +69,7 @@ impl fmt::Display for UsageError {
             UsageError::ConflictingFlags { flag, requires } => {
                 write!(f, "{flag} only makes sense with {requires}")
             }
+            UsageError::UnknownFlag { flag } => write!(f, "unknown flag {flag}"),
         }
     }
 }
@@ -90,6 +97,26 @@ pub fn raw_value(args: &[String], flag: &str) -> Result<Option<String>, UsageErr
             }),
         },
     }
+}
+
+/// Rejects any argument that is neither one of `switches` nor one of `value_flags`
+/// with its value, so a typo cannot quietly run the default mode.  A value flag
+/// followed by another flag keeps that flag to be checked; [`raw_value`] reports the
+/// missing value.
+pub fn known_flags(
+    args: &[String],
+    switches: &[&str],
+    value_flags: &[&str],
+) -> Result<(), UsageError> {
+    let mut rest = args.iter().peekable();
+    while let Some(arg) = rest.next() {
+        if value_flags.contains(&arg.as_str()) {
+            rest.next_if(|value| !value.starts_with("--"));
+        } else if !switches.contains(&arg.as_str()) {
+            return Err(UsageError::UnknownFlag { flag: arg.clone() });
+        }
+    }
+    Ok(())
 }
 
 /// Parses `--flag N` as a `u64`, with a typed error instead of a silent default.
@@ -249,6 +276,27 @@ mod tests {
         );
         assert!(require_with(&a, "--rate", true, "--arrivals").is_ok());
         assert!(require_with(&a, "--skew", false, "--arrivals").is_ok());
+    }
+
+    #[test]
+    fn only_the_listed_flags_and_their_values_pass() {
+        let known = |list: &[&str]| known_flags(&args(list), &["--smoke"], &["--json"]);
+        assert_eq!(known(&[]), Ok(()));
+        assert_eq!(known(&["--smoke", "--json", "out.json"]), Ok(()));
+        // A dangling value flag is raw_value's error, not this one.
+        assert_eq!(known(&["--json", "--smoke"]), Ok(()));
+        for (list, flag) in [
+            (&["--smok"][..], "--smok"),
+            (&["--smoke", "extra"], "extra"),
+            (&["--json", "--bogus"], "--bogus"),
+        ] {
+            let unknown = UsageError::UnknownFlag {
+                flag: flag.to_string(),
+            };
+            assert_eq!(known(list), Err(unknown), "{list:?}");
+        }
+        let message = known(&["--bogus"]).unwrap_err().to_string();
+        assert_eq!(message, "unknown flag --bogus");
     }
 
     #[test]

@@ -4,10 +4,13 @@
 //! crossbar-count surface over matrix exponent/fraction bits (c), plus the headline
 //! FP64 / Feinberg / ReFloat corner values quoted in §III.B and §VI.B.
 
+use refloat_bench::args::{known_flags, or_exit};
 use refloat_bench::table::TextTable;
 use reram_sim::cost;
 
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    or_exit("fig3_cost_model", known_flags(&args, &[], &[]));
     println!("== Fig. 3(a): cycles vs exponent bit counts (f_M = f_v = 52) ==\n");
     let mut t = TextTable::new(["e_v \\ e_M", "0", "2", "4", "6", "8", "10"]);
     for e_v in [0u32, 2, 4, 6, 8, 10] {

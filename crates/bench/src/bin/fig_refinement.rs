@@ -30,7 +30,7 @@ use refloat_bench::json::{has_flag, write_json};
 use refloat_bench::table::TextTable;
 use refloat_core::{ReFloatConfig, ReFloatMatrix};
 use refloat_runtime::{MatrixHandle, RefinementSpec, RuntimeConfig, SolvePlan, SolveRuntime};
-use refloat_solvers::{refine, OperatorLadder, SolverKind};
+use refloat_solvers::{refine_warm, OperatorLadder, SolverKind};
 
 #[derive(Serialize)]
 struct RefinementRecord {
@@ -150,7 +150,8 @@ fn main() {
             ladder.push(Box::new(a.clone()));
             rung_names.push("fp64 (exact)".to_string());
         }
-        let passes = refine(&mut a.clone(), &b, &mut ladder, &spec.refinement_config()).passes;
+        let config = spec.refinement_config();
+        let passes = refine_warm(&mut a.clone(), &b, None, &mut ladder, &config).passes;
         assert_eq!(
             (
                 passes.len(),

@@ -24,7 +24,7 @@
 
 use serde::Serialize;
 
-use refloat_bench::args::{or_exit, raw_value};
+use refloat_bench::args::{known_flags, or_exit, raw_value};
 use refloat_bench::json::{has_flag, write_json};
 use refloat_bench::table::TextTable;
 use refloat_core::ReFloatConfig;
@@ -44,6 +44,8 @@ struct ShardingRecord {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let known = known_flags(&args, &["--smoke", "--quick"], &["--json"]);
+    or_exit("fig_sharding", known);
     let json = or_exit("fig_sharding", raw_value(&args, "--json"));
     let smoke = has_flag(&args, "--smoke") || has_flag(&args, "--quick");
 

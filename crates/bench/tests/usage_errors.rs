@@ -1,6 +1,7 @@
 //! A path-taking flag with no path is a usage error (status 2, one line naming the
 //! flag), never a run that silently skips the output or writes it to a file named
-//! after the next flag.
+//! after the next flag.  So is a flag the binary does not take, never a run of the
+//! default mode.
 
 use std::process::Command;
 
@@ -101,4 +102,20 @@ fn a_bad_or_dangling_numeric_flag_on_a_fig_bin_is_a_usage_error() {
         "--tolerance \"-1\"",
     );
     assert_missing_value(refinement, &["--quick", "--target"], "--target");
+}
+
+#[test]
+fn a_flag_a_bin_does_not_take_is_an_unknown_flag() {
+    let sharding = env!("CARGO_BIN_EXE_fig_sharding");
+    assert_usage_error(sharding, &["--smok"], "unknown flag --smok");
+    assert_usage_error(sharding, &["--smoke", "--bogus"], "unknown flag --bogus");
+    // The three bins that take no flags at all.
+    for bin in [
+        env!("CARGO_BIN_EXE_fig2_fixed_point"),
+        env!("CARGO_BIN_EXE_fig3_cost_model"),
+        env!("CARGO_BIN_EXE_table3_formats"),
+    ] {
+        assert_usage_error(bin, &["--bogus"], "unknown flag --bogus");
+        assert_usage_error(bin, &["--quick"], "unknown flag --quick");
+    }
 }

@@ -64,10 +64,6 @@
 //!   the rows that changed, only those are quantized and the rest copied, and the
 //!   changed cells per block, with the two steps' bases, decide what a chip must
 //!   rewrite,
-//! * [`sharded`] — [`ShardedReFloatMatrix`], one encoding whose rows are split into
-//!   block-row bands (one per chip of a multi-chip accelerator) for the chip model,
-//!   while the host applies the one encoding through the matrix's own apply, so
-//!   bitwise identical to the unsharded operator for every shard count,
 //! * [`resilience`] — fault-aware encoding support: spare row/column remapping around
 //!   stuck cells and per-block ABFT checksum rows for SpMV corruption detection,
 //! * [`feinberg`] — the exponent-truncation baseline of Feinberg et al. [ISCA'18] as
@@ -98,7 +94,6 @@ pub mod matrix;
 pub mod memory;
 pub mod resilience;
 pub mod scalar;
-pub mod sharded;
 pub mod truncate;
 pub mod vector;
 
@@ -111,4 +106,3 @@ pub use incremental::{
 };
 pub use matrix::ReFloatMatrix;
 pub use resilience::{AbftChecksum, RemapPlan, SpareBudget, StuckCell};
-pub use sharded::ShardedReFloatMatrix;

@@ -452,8 +452,9 @@ impl ReFloatMatrix {
         &self.config
     }
 
-    /// The block-major structure this encoding shares with its blocking.
-    pub(crate) fn layout(&self) -> &Arc<BlockLayout> {
+    /// The block-major structure this encoding shares with its blocking (and from
+    /// which a multi-chip accelerator cuts its per-chip block-row bands).
+    pub fn layout(&self) -> &Arc<BlockLayout> {
         &self.layout
     }
 
@@ -461,13 +462,6 @@ impl ReFloatMatrix {
     /// an encode over this one ([`from_csr_over_on`](Self::from_csr_over_on)).
     pub fn shares_layout_with(&self, other: &Self) -> bool {
         Arc::ptr_eq(&self.layout, &other.layout)
-    }
-
-    /// Whether `other` reads the same encoded values — a clone does, a second encode
-    /// of the same matrix does not.
-    #[cfg(test)]
-    pub(crate) fn shares_encoding_with(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.encoded, &other.encoded)
     }
 
     /// The exponent base of every block, in block order.

@@ -17,7 +17,8 @@
 //! execution order.  Plain, batched, sharded, refined and retried jobs differ only in
 //! the phases they list.
 
-use refloat_core::ReFloatConfig;
+use refloat_core::{ReFloatConfig, ReFloatMatrix};
+use refloat_sparse::block_row_shards;
 use reram_sim::cost::ABFT_CHECK_CYCLES_PER_BLOCK;
 use reram_sim::{
     AcceleratorConfig, ChipFaultState, ChipPhase, CycleEvent, DeviceHealth, FaultModelConfig,
@@ -97,6 +98,10 @@ impl SimulatedRun {
 
 /// What a chip pass runs against: one encoding, split over a pool of chips working in
 /// parallel, one block-row band per chip (one band, the whole matrix, on one chip).
+///
+/// The bands are pricing only.  The host applies the one encoding whatever the chip
+/// count, and every output row is its own sum, so the bits never depend on the cut;
+/// the per-SpMV gather of disjoint bands that the pool pays for reorders nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Residency {
     /// Cache key of the encoding.
@@ -108,8 +113,24 @@ pub struct Residency {
 }
 
 impl Residency {
+    /// `matrix`, cached under `key`, cut into at most `shards` nnz-balanced bands on
+    /// `2^b` block-row boundaries ([`block_row_shards`]), one per chip, so that every
+    /// chip holds whole blocks.  Fewer bands come back when there are fewer block
+    /// rows to cut.
+    pub fn over(key: CacheKey, matrix: &ReFloatMatrix, shards: usize) -> Self {
+        let layout = matrix.layout();
+        let bands = block_row_shards(layout, shards);
+        Residency {
+            key,
+            shard_blocks: (bands.iter())
+                .map(|rows| layout.blocks_in_rows(rows.clone()) as u64)
+                .collect(),
+            shard_rows: bands.iter().map(|rows| rows.len() as u64).collect(),
+        }
+    }
+
     /// Chips the encoding spans.
-    fn chips(&self) -> usize {
+    pub(crate) fn chips(&self) -> usize {
         self.shard_blocks.len()
     }
 
@@ -377,7 +398,7 @@ mod tests {
 
     fn rung(tag: u64, format: ReFloatConfig, blocks: u64) -> Residency {
         Residency {
-            key: CacheKey::whole(tag, format),
+            key: CacheKey::new(tag, format),
             shard_blocks: vec![blocks],
             shard_rows: vec![5_000],
         }
@@ -526,7 +547,7 @@ mod tests {
         let step = |chip: &mut SimulatedAccelerator, tag: u64, predecessor: u64| {
             let on = whole(tag, 2_000);
             let delta = DeltaProgramming {
-                predecessor: CacheKey::whole(predecessor, format),
+                predecessor: CacheKey::new(predecessor, format),
                 reprogram_fraction: 0.25,
                 touched_blocks: 500,
             };
@@ -554,7 +575,7 @@ mod tests {
         // An untouched step on the held predecessor programs nothing.
         let on = whole(5, 2_000);
         let untouched = DeltaProgramming {
-            predecessor: CacheKey::whole(4, format),
+            predecessor: CacheKey::new(4, format),
             reprogram_fraction: 0.0,
             touched_blocks: 0,
         };
@@ -675,7 +696,7 @@ mod tests {
         let mut chip = SimulatedAccelerator::new(0).with_chip_crossbars(Some(1 << 10));
         // 170 blocks per shard = 2 streaming rounds per chip per SpMV.
         let pool = Residency {
-            key: CacheKey::whole(9, format),
+            key: CacheKey::new(9, format),
             shard_blocks: vec![170; 4],
             shard_rows: vec![2048; 4],
         };
@@ -715,5 +736,26 @@ mod tests {
             whole.total_s,
             run.total_s
         );
+    }
+
+    #[test]
+    fn bands_over_an_encoding_tile_its_blocks_and_rows() {
+        let a = refloat_matgen::generators::laplacian_2d(24, 24, 0.4).to_csr();
+        let matrix = ReFloatMatrix::from_csr(&a, ReFloatConfig::new(4, 3, 8, 3, 8));
+        let key = CacheKey::new(1, *matrix.config());
+        let block_rows = a.nrows().div_ceil(1 << 4);
+        // The last count asks for more chips than there are block rows to cut.
+        for shards in [1, 4, block_rows + 3] {
+            let on = Residency::over(key, &matrix, shards);
+            assert_eq!(on.key, key);
+            assert!(on.chips() <= shards.min(block_rows), "{shards} shards");
+            assert_eq!(on.shard_rows.len(), on.chips());
+            if shards <= 4 {
+                assert_eq!(on.chips(), shards);
+            }
+            assert_eq!(on.blocks(), matrix.num_blocks() as u64, "{shards} shards");
+            let rows: u64 = on.shard_rows.iter().sum();
+            assert_eq!(rows, a.nrows() as u64, "{shards} shards");
+        }
     }
 }

@@ -215,7 +215,7 @@ impl AutoFormatSpec {
 ///
 /// Constructed exclusively by
 /// [`SolvePlanBuilder::build`](crate::SolvePlanBuilder::build) — every invariant
-/// the worker relies on (refined jobs are single-RHS and single-chip, auto-format
+/// the worker relies on (refined jobs are single-RHS, auto-format
 /// jobs are single-RHS, RHS lengths match the matrix, `shards >= 1`) is
 /// established there, as typed [`PlanError`](crate::PlanError)s rather than
 /// worker-side panics.
@@ -315,7 +315,7 @@ mod tests {
             .build()
             .unwrap();
         let key = |plan: &SolvePlan| {
-            crate::cache::CacheKey::whole(plan.matrix().fingerprint(), plan.format())
+            crate::cache::CacheKey::new(plan.matrix().fingerprint(), plan.format())
         };
         assert_ne!(key(&j1), key(&j2));
         assert_eq!(key(&j1).fingerprint, key(&j2).fingerprint);

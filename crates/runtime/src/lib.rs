@@ -129,11 +129,13 @@
 //!
 //! A plan built with [`SolvePlanBuilder::sharding`]`(c)` spans `c` chips of a
 //! simulated multi-chip accelerator instead of streaming an oversized matrix through
-//! one chip:
+//! one chip.  A shard is pricing metadata: the job solves on the matrix's one
+//! encoding, cached under [`CacheKey`] `(fingerprint, format)` whatever the chip
+//! count, and the bands live on the [`Residency`](accel::Residency) the chip model
+//! prices:
 //!
-//! 1. **shard** — the matrix's one encoding, cached under
-//!    [`CacheKey`] `(fingerprint, format)` like an unsharded job's, has its rows cut
-//!    into `c` nnz-balanced bands on `2^b` block-row boundaries
+//! 1. **shard** — [`Residency::over`](accel::Residency::over) cuts the encoding's
+//!    rows into `c` nnz-balanced bands on `2^b` block-row boundaries
 //!    (`refloat_sparse::shard`, reusing `balance_by_weight`), so every band holds
 //!    whole blocks of it;
 //! 2. **chip** — each band is programmed onto its own chip; per SpMV the chips run
@@ -143,6 +145,10 @@
 //!    same encoding on another chip count re-programs the chips;
 //! 3. **reduction** — each SpMV ends with a fixed-order gather of the disjoint
 //!    per-chip output bands to the host, charged as link latency + bandwidth.
+//!
+//! A refined job shards the same way: every rung of its ladder keeps the job's `b`,
+//! so every rung shares the layout and the cuts, and each rung is priced over the
+//! job's bands.
 //!
 //! Batched **multi-RHS** plans ([`SolvePlanBuilder::rhs_batch`]) push `k` right-hand
 //! sides through the same pipeline: the chips are programmed once and every column
@@ -487,7 +493,7 @@ mod tests {
             plan("collider", &collider, format),
         ]);
         let cached = |handle: &MatrixHandle| {
-            let key = CacheKey::whole(handle.fingerprint(), format);
+            let key = CacheKey::new(handle.fingerprint(), format);
             runtime
                 .cache()
                 .peek(&key)

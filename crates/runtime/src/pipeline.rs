@@ -13,10 +13,11 @@
 //!    encoding per format, whatever the chip count, and every refinement rung goes
 //!    through it too.
 //! 3. **program operator** — `program_operator` builds this job's operator over the
-//!    cached encoding, which it shares rather than copies: the whole matrix, its row
-//!    bands over several chips, or the whole matrix on faulty hardware.  What the chip
-//!    holds between jobs is recorded in one place, the [`SimulatedAccelerator`]'s
-//!    resident record.
+//!    cached encoding, which it shares rather than copies: the matrix itself, or the
+//!    matrix on faulty hardware.  However many chips a job spans, the host applies the
+//!    one encoding; the chips' row bands are a property of the [`Residency`] the chip
+//!    model prices.  What the chip holds between jobs is recorded in one place, the
+//!    [`SimulatedAccelerator`]'s resident record.
 //! 4. **solve strategy** — a plain batch with an optionally warm-started first
 //!    right-hand side, or the refinement ladder (whose rung fetch is stages 2 + 3).
 //! 5. **charge** — one [`SimulatedAccelerator::charge`] call describing what ran.
@@ -28,7 +29,7 @@ use std::sync::Arc;
 
 use refloat_core::autotune::{self, AutotuneConfig};
 use refloat_core::incremental::{reencode_incremental_on, IncrementalStats};
-use refloat_core::{ReFloatConfig, ReFloatMatrix, ShardedReFloatMatrix};
+use refloat_core::{ReFloatConfig, ReFloatMatrix};
 use refloat_solvers::{
     refine_warm, solve_warm_split, LinearOperator, PrecisionLadder, RefinementStop, SolveResult,
     SolverConfig,
@@ -65,8 +66,8 @@ pub(crate) struct JobContext<'a> {
 
 /// The operator a job solves on.
 enum ChipOperator {
-    Whole(ReFloatMatrix),
-    Sharded(ShardedReFloatMatrix),
+    /// The cached encoding, on one chip or spread over several.
+    Clean(ReFloatMatrix),
     /// The whole matrix behind the worker chip's persistent fault state (spare
     /// remapping, residual corruption, drift, optional ABFT): every faulty job
     /// samples the fault map afresh.
@@ -76,8 +77,7 @@ enum ChipOperator {
 impl ChipOperator {
     fn as_operator(&mut self) -> &mut dyn LinearOperator {
         match self {
-            ChipOperator::Whole(op) => op,
-            ChipOperator::Sharded(op) => op,
+            ChipOperator::Clean(op) => op,
             ChipOperator::Faulty(op) => op.as_mut(),
         }
     }
@@ -103,10 +103,10 @@ struct Resolved {
 
 /// Stage 2's product for one operator: what stage 3 programs and stage 5 charges.
 struct Target {
+    /// The encoding's key and its row bands, one per chip (one band on one chip).
     resident: Residency,
-    /// The cached encoding, split into one row band per chip (one band for a whole
-    /// matrix).
-    bands: ShardedReFloatMatrix,
+    /// The cached encoding every band reads.
+    encoded: Arc<ReFloatMatrix>,
     /// Set when the encoding was diffed against the sequence predecessor: only the
     /// touched crossbar ranges are rewritten while the chip still holds that operator.
     delta: Option<DeltaProgramming>,
@@ -206,9 +206,8 @@ impl JobContext<'_> {
                 // SolvePlanBuilder::build rejects these combinations with a typed
                 // PlanError before submission; this only guards in-crate bugs.
                 debug_assert!(
-                    job.extra_rhs.is_empty() && job.shards == 1,
-                    "refined jobs are single-RHS and single-chip; the plan validator \
-                     must have rejected this"
+                    job.extra_rhs.is_empty(),
+                    "refined jobs are single-RHS; the plan validator must have rejected this"
                 );
                 self.solve_refined(&job, spec, rhs)
             }
@@ -219,7 +218,7 @@ impl JobContext<'_> {
         // Auto-format epilogue: measure the *true* residual (the exact fp64 SpMV was
         // charged to the host by the plain attempt), and when the chosen format
         // stalled above the tolerance, fall back to the refinement ladder on the
-        // same chip (unsharded).
+        // same chips: its rungs are priced over the job's bands too.
         if let (Some(tele), Some(spec)) = (autotune.as_mut(), job.auto_format.as_ref()) {
             tele.achieved_iterations = solved.results[0].iterations as u64;
             let check_anchor = self.trace.now_s();
@@ -445,37 +444,29 @@ impl JobContext<'_> {
         }
     }
 
-    /// Stage 2 for a whole operator: resolves the matrix's one encoding in `format`,
-    /// splits its rows into at most `shards` nnz-balanced block-row bands, one per
-    /// chip, and folds the lookup into `solved` (`primary` marks the encoding the
-    /// job-level cache outcome is about).
+    /// Stage 2 for one operator: resolves the matrix's one encoding in `format`, prices
+    /// it over at most the job's chip count ([`Residency::over`]), and folds the lookup
+    /// into `solved` (`primary` marks the encoding the job-level cache outcome is about).
     fn resolve_target(
         &self,
         job: &SolveJob,
         format: ReFloatConfig,
-        shards: usize,
         predecessor: Option<&SequencePredecessor>,
         (solved, primary): (&mut Solved, bool),
     ) -> Target {
-        let key = CacheKey::whole(job.matrix.fingerprint(), format);
+        let key = CacheKey::new(job.matrix.fingerprint(), format);
         let resolved = self.resolve_encoding(key, &job.matrix, predecessor);
         solved.absorb_lookup(&resolved, primary);
         let delta = predecessor
             .zip(resolved.incremental)
             .map(|(pred, stats)| DeltaProgramming {
-                predecessor: CacheKey::whole(pred.fingerprint, format),
+                predecessor: CacheKey::new(pred.fingerprint, format),
                 reprogram_fraction: stats.reprogram_fraction(),
                 touched_blocks: stats.blocks_reencoded() as u64,
             });
-        let bands = ShardedReFloatMatrix::new(ReFloatMatrix::clone(&resolved.encoded), shards);
-        let resident = Residency {
-            key,
-            shard_blocks: bands.shard_blocks(),
-            shard_rows: bands.shard_rows(),
-        };
         Target {
-            resident,
-            bands,
+            resident: Residency::over(key, &resolved.encoded, job.shards),
+            encoded: resolved.encoded,
             delta,
         }
     }
@@ -485,12 +476,13 @@ impl JobContext<'_> {
     /// The worker needs a mutable operator (applying it mutates the conversion
     /// scratch), while the cache entries are shared and immutable — so the operator
     /// is a `ReFloatMatrix::clone` of the cached entry: a reference to the same
-    /// encoding plus an empty scratch, sized on the first apply.  The clean operators
-    /// carry the worker's lanes, so with spare cores a large enough CG solve keeps its
-    /// vectors on them.  The numerics are bit-identical to the serial path: same
+    /// encoding plus an empty scratch, sized on the first apply.  It is the same
+    /// operator on one chip or many (the target's residency carries the bands), and it
+    /// carries the worker's lanes, so with spare cores a large enough CG solve keeps
+    /// its vectors on them.  The numerics are bit-identical to the serial path: same
     /// encoding, same row loop, each row summed whole by one lane.
     ///
-    /// With `fault = (policy, attempt)` the whole-matrix operator is wrapped in a
+    /// With `fault = (policy, attempt)` the operator is wrapped in a
     /// [`FaultyReFloatOperator`] whose block *i* sits on crossbar
     /// `i + attempt·blocks`: a fresh draw of the chip's persistent fault map (defects
     /// are monotone per crossbar, so retrying in place could never clear them).
@@ -499,13 +491,9 @@ impl JobContext<'_> {
         target: &Target,
         fault: Option<(&FaultPolicy, u32)>,
     ) -> ChipOperator {
-        // One band is the whole matrix on one chip.
-        let clean = match target.bands.num_shards() {
-            1 => ChipOperator::Whole(target.bands.matrix().clone().with_lanes(self.lanes)),
-            _ => ChipOperator::Sharded(target.bands.clone().with_lanes(self.lanes)),
-        };
-        match (fault, clean) {
-            (Some((policy, attempt)), ChipOperator::Whole(matrix)) => {
+        let matrix = ReFloatMatrix::clone(&target.encoded).with_lanes(self.lanes);
+        match fault {
+            Some((policy, attempt)) => {
                 let state = self.accelerator.fault_state();
                 // refloat-analysis: allow(panic-in-service-path) — the worker attached
                 // a fault model to its accelerator whenever a policy is configured;
@@ -520,7 +508,7 @@ impl JobContext<'_> {
                     offset,
                 )))
             }
-            (_, clean) => clean,
+            None => ChipOperator::Clean(matrix),
         }
     }
 
@@ -562,10 +550,10 @@ impl JobContext<'_> {
         let mut solved = Solved::default();
         let lookup_anchor = self.trace.now_s();
         let fold = (&mut solved, true);
-        let target = self.resolve_target(job, job.format, job.shards, predecessor, fold);
-        solved.shards = target.bands.num_shards();
+        let target = self.resolve_target(job, job.format, predecessor, fold);
+        solved.shards = target.resident.chips();
         solved.trace_lookup(&mut self.trace, lookup_anchor, &|| match sharded {
-            true => format!("shards={}", target.bands.num_shards()),
+            true => format!("shards={}", target.resident.chips()),
             false => format!("blocks={}", target.resident.blocks()),
         });
 
@@ -679,7 +667,8 @@ impl JobContext<'_> {
 
     /// Stages 2–5 for a refined job: the outer fp64 defect-correction loop over the
     /// cache-backed ladder, then one charge listing every inner pass (and the
-    /// host-side fp64 work).  Always runs on the whole matrix.
+    /// host-side fp64 work).  Every rung keeps the job's `b`, so every rung shares the
+    /// layout and is priced over the same chips' bands.
     fn solve_refined(&mut self, job: &SolveJob, spec: &RefinementSpec, rhs: &[f64]) -> Solved {
         let csr = job.matrix.csr();
         let seq = job.sequence.as_ref();
@@ -746,7 +735,11 @@ impl JobContext<'_> {
         solved.simulated = self.charge(job, &phases);
         drop(phases);
 
-        solved.shards = 1;
+        // The chips the base rung spanned (one when the warm start left no pass to run).
+        solved.shards = rungs
+            .first()
+            .and_then(Option::as_ref)
+            .map_or(1, |(on, _)| on.chips());
         solved.refinement = Some(RefinementTelemetry {
             outer_iterations: refined.outer_iterations,
             inner_iterations: refined.inner_iterations,
@@ -813,7 +806,7 @@ impl PrecisionLadder for CachedLadder<'_, '_> {
                 let fold = (&mut self.solved, level == 0);
                 let target = self
                     .ctx
-                    .resolve_target(self.job, format, 1, self.predecessor, fold);
+                    .resolve_target(self.job, format, self.predecessor, fold);
                 let op = self.ctx.program_operator(&target, None);
                 self.fetch_s += (self.ctx.core.clock.now_s() - fetch_started_s).max(0.0);
                 unfetched.insert((target.resident, op))

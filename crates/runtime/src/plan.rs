@@ -44,11 +44,6 @@ pub enum PlanViolation {
     /// Refinement and auto-format together: auto-format jobs arm their own
     /// refinement fallback.
     RefinementWithAutoFormat,
-    /// A refined job spanning more than one chip: refined jobs are single-chip.
-    RefinedJobSharded {
-        /// Requested chip span.
-        shards: usize,
-    },
     /// A refined job with a multi-RHS batch: refined jobs are single-RHS.
     RefinedJobBatched {
         /// Requested RHS count.
@@ -101,10 +96,6 @@ impl std::fmt::Display for PlanViolation {
             PlanViolation::RefinementWithAutoFormat => write!(
                 f,
                 "auto-format jobs arm their own refinement fallback; drop refinement or auto_format"
-            ),
-            PlanViolation::RefinedJobSharded { shards } => write!(
-                f,
-                "refined jobs are single-chip; drop refinement or the {shards}-chip sharding"
             ),
             PlanViolation::RefinedJobBatched { rhs_count } => write!(
                 f,
@@ -389,11 +380,6 @@ impl SolvePlanBuilder {
         if self.refinement.is_some() && self.auto_format.is_some() {
             violations.push(PlanViolation::RefinementWithAutoFormat);
         }
-        if self.refinement.is_some() && self.shards > 1 {
-            violations.push(PlanViolation::RefinedJobSharded {
-                shards: self.shards,
-            });
-        }
         if self.refinement.is_some() && rhs_count > 1 {
             violations.push(PlanViolation::RefinedJobBatched { rhs_count });
         }
@@ -536,23 +522,31 @@ mod tests {
 
     #[test]
     fn refinement_conflicts_are_order_independent() {
-        // Old API: with_refinement().with_sharding(2) panicked in with_sharding,
-        // with_sharding(2).with_refinement() panicked in with_refinement — and a
-        // direct struct literal slipped through to the worker.  The plan reports
-        // the same violation for every order.
-        let spec = RefinementSpec::to_target(1e-10);
-        let a = SolvePlan::new("t", handle(4), fmt())
+        // The plan reports the same violation whichever setter comes first.
+        let (h, spec) = (handle(4), RefinementSpec::to_target(1e-10));
+        let n = h.csr().nrows();
+        let batch = || vec![Arc::new(vec![1.0; n]), Arc::new(vec![2.0; n])];
+        let a = SolvePlan::new("t", h.clone(), fmt())
             .refinement(spec.clone())
-            .sharding(2)
+            .rhs_batch(batch())
             .build()
             .unwrap_err();
-        let b = SolvePlan::new("t", handle(4), fmt())
-            .sharding(2)
-            .refinement(spec)
+        let b = SolvePlan::new("t", h.clone(), fmt())
+            .rhs_batch(batch())
+            .refinement(spec.clone())
             .build()
             .unwrap_err();
         assert_eq!(a, b);
-        assert!(a.contains(&PlanViolation::RefinedJobSharded { shards: 2 }));
+        assert!(a.contains(&PlanViolation::RefinedJobBatched { rhs_count: 2 }));
+        // A refined job may span chips: its rungs are priced over the job's bands.
+        for plan in [
+            SolvePlan::new("t", h.clone(), fmt())
+                .refinement(spec.clone())
+                .sharding(2),
+            SolvePlan::new("t", h, fmt()).sharding(2).refinement(spec),
+        ] {
+            assert_eq!(plan.build().expect("refined x sharded builds").shards(), 2);
+        }
     }
 
     #[test]
@@ -734,7 +728,7 @@ mod tests {
         // The auto-format target re-couples the solver criterion.
         assert_eq!(plan.solver_config().tolerance, 1e-6);
         assert!(plan.solver_config().relative);
-        // Refined single-chip single-RHS.
+        // Refined single-RHS.
         let plan = SolvePlan::new("t", h, fmt())
             .refinement(RefinementSpec::to_target(1e-12))
             .build()

@@ -41,11 +41,11 @@ pub use eigs::{EigenConfidence, EigenEstimate};
 pub use jacobi::Equilibration;
 pub use operator::{LinearOperator, OperatorStats};
 pub use refinement::{
-    refine, refine_warm, OperatorLadder, PrecisionLadder, RefinementConfig, RefinementPass,
+    refine_warm, OperatorLadder, PrecisionLadder, RefinementConfig, RefinementPass,
     RefinementResult, RefinementStop,
 };
 pub use result::{SolveResult, SolverConfig, StopReason};
-pub use warm::{solve_warm, solve_warm_split, WarmPath, WarmSolve};
+pub use warm::{solve_warm_split, WarmPath, WarmSolve};
 
 /// Which Krylov solver to run (they differ in SpMVs per iteration).
 ///

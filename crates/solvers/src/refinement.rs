@@ -305,34 +305,19 @@ fn next_ask(configured: f64, ask: f64, contraction: f64, stalled: bool, escalate
 
 /// Solves `A x = b` to fp64 accuracy by defect correction: exact fp64 residuals
 /// around low-precision correction solves drawn from `ladder`, escalating rungs when
-/// passes stall.  See the module docs for the loop and its guarantees.
+/// passes stall, optionally warm-started from an initial guess `x0`.  See the module
+/// docs for the loop and its guarantees.
 ///
 /// `a_fp64` must be the *exact* operator (the fp64 ground truth the quantized rungs
 /// approximate); it is applied once per outer pass.
 ///
-/// # Panics
-/// Panics if the ladder is empty, if dimensions disagree, or if the configuration is
-/// degenerate (`target` or `inner.tolerance` not positive and finite,
-/// `min_reduction` outside `(0, 1]`).
-pub fn refine<A, L>(
-    a_fp64: &mut A,
-    b: &[f64],
-    ladder: &mut L,
-    config: &RefinementConfig,
-) -> RefinementResult
-where
-    A: LinearOperator + ?Sized,
-    L: PrecisionLadder + ?Sized,
-{
-    refine_warm(a_fp64, b, None, ladder, config)
-}
-
-/// [`refine`] warm-started from an initial guess, with the same guard semantics as
-/// [`solve_warm`](crate::solve_warm): one exact fp64 application measures
-/// `r₀ = b − A·x₀`; a finite, strictly-better-than-zero guess becomes the starting
-/// iterate (the outer loop is defect correction already, so no separate correction
-/// system is needed), anything else falls back to the zero start bitwise identically
-/// to never having offered a guess.
+/// With `x0 = None` (or a guess of the wrong length) the loop starts from zero.  A
+/// guess gets the guard semantics of [`solve_warm_split`](crate::solve_warm_split):
+/// one exact fp64 application measures `r₀ = b − A·x₀`; a finite,
+/// strictly-better-than-zero guess becomes the starting iterate (the outer loop is
+/// defect correction already, so no separate correction system is needed), anything
+/// else falls back to the zero start bitwise identically to never having offered a
+/// guess.
 ///
 /// Because the guard residual is *exact*, warm starting composes cleanly with the
 /// quantized ladder: a guess carried over from the previous step of a transient
@@ -341,7 +326,9 @@ where
 /// a statement about the true fp64 residual.
 ///
 /// # Panics
-/// Panics under the same conditions as [`refine`].
+/// Panics if the ladder is empty, if dimensions disagree, or if the configuration is
+/// degenerate (`target` or `inner.tolerance` not positive and finite,
+/// `min_reduction` outside `(0, 1]`).
 pub fn refine_warm<A, L>(
     a_fp64: &mut A,
     b: &[f64],
@@ -555,7 +542,7 @@ mod tests {
                 rel_error: 1e-3,
             }));
         let config = RefinementConfig::to_target(1e-12);
-        let result = refine(&mut a.clone(), &b, &mut ladder, &config);
+        let result = refine_warm(&mut a.clone(), &b, None, &mut ladder, &config);
         assert!(result.converged(), "stop = {:?}", result.stop);
         assert!(result.final_relative_residual <= 1e-12);
         assert!(result.outer_iterations >= 2, "one pass cannot be enough");
@@ -569,19 +556,35 @@ mod tests {
         }))
     }
 
+    /// Refines `a x = b` from `x0` over a one-rung ladder perturbed by `rel_error`.
+    fn refine_perturbed(
+        a: &CsrMatrix,
+        b: &[f64],
+        x0: Option<&[f64]>,
+        rel_error: f64,
+        config: &RefinementConfig,
+    ) -> RefinementResult {
+        refine_warm(
+            &mut a.clone(),
+            b,
+            x0,
+            &mut perturbed_ladder(a, rel_error),
+            config,
+        )
+    }
+
     #[test]
-    fn refine_warm_without_a_guess_is_bitwise_identical_to_refine() {
+    fn no_guess_or_a_wrong_length_guess_is_the_cold_solve_bit_for_bit() {
         let a = poisson(14);
         let b: Vec<f64> = (0..a.nrows()).map(|i| 1.0 + ((i % 5) as f64)).collect();
         let config = RefinementConfig::to_target(1e-11);
-        let cold = refine(&mut a.clone(), &b, &mut perturbed_ladder(&a, 1e-3), &config);
-        let warm = refine_warm(
-            &mut a.clone(),
-            &b,
-            None,
-            &mut perturbed_ladder(&a, 1e-3),
-            &config,
-        );
+        let cold = refine_perturbed(&a, &b, None, 1e-3, &config);
+        assert_eq!(cold.warm_path, WarmPath::Cold);
+        assert_eq!(cold.initial_residual, None);
+        assert_eq!(cold.fp64_spmvs, cold.outer_iterations);
+        // A guess of the wrong length is ignored: no guard SpMV, the same iterates.
+        let short = vec![1.0; a.nrows() - 1];
+        let warm = refine_perturbed(&a, &b, Some(&short), 1e-3, &config);
         assert_eq!(warm.warm_path, WarmPath::Cold);
         assert_eq!(warm.initial_residual, None);
         assert_eq!(warm.fp64_spmvs, cold.fp64_spmvs);
@@ -597,7 +600,7 @@ mod tests {
         let a = poisson(14);
         let b: Vec<f64> = (0..a.nrows()).map(|i| 1.0 + ((i % 5) as f64)).collect();
         let config = RefinementConfig::to_target(1e-11);
-        let cold = refine(&mut a.clone(), &b, &mut perturbed_ladder(&a, 1e-3), &config);
+        let cold = refine_perturbed(&a, &b, None, 1e-3, &config);
         assert!(cold.converged());
         // A slightly perturbed converged solution: decades below ‖b‖ but not at the
         // target, like a transient chain's previous step.
@@ -605,13 +608,7 @@ mod tests {
         for (i, gi) in guess.iter_mut().enumerate() {
             *gi += 1e-7 * (0.4 * i as f64).sin();
         }
-        let warm = refine_warm(
-            &mut a.clone(),
-            &b,
-            Some(&guess),
-            &mut perturbed_ladder(&a, 1e-3),
-            &config,
-        );
+        let warm = refine_perturbed(&a, &b, Some(&guess), 1e-3, &config);
         assert_eq!(warm.warm_path, WarmPath::Correction);
         assert!(warm.converged());
         assert!(
@@ -624,13 +621,7 @@ mod tests {
 
         // The converged solution itself short-circuits: zero passes, and the claim
         // is about the *true* fp64 residual.
-        let short = refine_warm(
-            &mut a.clone(),
-            &b,
-            Some(&cold.x),
-            &mut perturbed_ladder(&a, 1e-3),
-            &config,
-        );
+        let short = refine_perturbed(&a, &b, Some(&cold.x), 1e-3, &config);
         assert_eq!(short.warm_path, WarmPath::AlreadyConverged);
         assert_eq!(short.outer_iterations, 0);
         assert!(short.converged());
@@ -646,15 +637,9 @@ mod tests {
         let a = poisson(12);
         let b = vec![1.0; a.nrows()];
         let config = RefinementConfig::to_target(1e-10);
-        let cold = refine(&mut a.clone(), &b, &mut perturbed_ladder(&a, 1e-3), &config);
+        let cold = refine_perturbed(&a, &b, None, 1e-3, &config);
         let bad = vec![1.0e9; a.nrows()];
-        let warm = refine_warm(
-            &mut a.clone(),
-            &b,
-            Some(&bad),
-            &mut perturbed_ladder(&a, 1e-3),
-            &config,
-        );
+        let warm = refine_perturbed(&a, &b, Some(&bad), 1e-3, &config);
         assert_eq!(warm.warm_path, WarmPath::GuardRejected);
         assert!(warm.initial_residual.unwrap() >= vecops::norm2(&b));
         assert_eq!(warm.fp64_spmvs, cold.fp64_spmvs + 1);
@@ -681,7 +666,7 @@ mod tests {
             }))
             .with_rung(Box::new(a.clone()));
         let config = RefinementConfig::to_target(1e-12).with_max_outer(60);
-        let result = refine(&mut a.clone(), &b, &mut ladder, &config);
+        let result = refine_warm(&mut a.clone(), &b, None, &mut ladder, &config);
         assert!(result.converged(), "stop = {:?}", result.stop);
         assert!(result.escalations >= 1, "coarse rung should stall");
         assert!(result.final_level >= 1);
@@ -700,7 +685,7 @@ mod tests {
                 rel_error: 0.95,
             }));
         let config = RefinementConfig::to_target(1e-14).with_max_outer(50);
-        let result = refine(&mut a.clone(), &b, &mut ladder, &config);
+        let result = refine_warm(&mut a.clone(), &b, None, &mut ladder, &config);
         assert_eq!(result.stop, RefinementStop::Stalled);
         assert!(result.outer_iterations < 50, "stall must short-circuit");
         // Rolled-back or stalled passes never leave the iterate worse than before.
@@ -735,12 +720,7 @@ mod tests {
         let config = RefinementConfig::to_target(1e-12);
         let tau = config.inner.tolerance;
         for rel_error in [1e-3, 1e-2, 5e-2] {
-            let result = refine(
-                &mut a.clone(),
-                &b,
-                &mut perturbed_ladder(&a, rel_error),
-                &config,
-            );
+            let result = refine_perturbed(&a, &b, None, rel_error, &config);
             assert!(result.converged(), "stop = {:?}", result.stop);
             assert_eq!(result.escalations, 0);
             assert_eq!(result.passes[0].inner_tolerance, tau);
@@ -814,7 +794,13 @@ mod tests {
         let b = vec![1.0; a.nrows()];
         let config = RefinementConfig::to_target(1e-12);
         let tau = config.inner.tolerance;
-        let result = refine(&mut a.clone(), &b, &mut turning_ladder(&a, 2), &config);
+        let result = refine_warm(
+            &mut a.clone(),
+            &b,
+            None,
+            &mut turning_ladder(&a, 2),
+            &config,
+        );
         assert!(result.converged(), "stop = {:?}", result.stop);
         assert_eq!(result.escalations, 1);
         let passes = &result.passes;
@@ -846,7 +832,7 @@ mod tests {
             }))
             .with_rung(Box::new(a.clone()));
         let config = RefinementConfig::to_target(1e-12).with_max_outer(60);
-        let result = refine(&mut a.clone(), &b, &mut ladder, &config);
+        let result = refine_warm(&mut a.clone(), &b, None, &mut ladder, &config);
         assert!(result.converged(), "stop = {:?}", result.stop);
         assert!(result.escalations >= 1);
         for pair in result.passes.windows(2) {
@@ -863,19 +849,13 @@ mod tests {
         let a = poisson(14);
         let b: Vec<f64> = (0..a.nrows()).map(|i| 1.0 + ((i % 5) as f64)).collect();
         let config = RefinementConfig::to_target(1e-12);
-        let cold = refine(&mut a.clone(), &b, &mut perturbed_ladder(&a, 1e-2), &config);
+        let cold = refine_perturbed(&a, &b, None, 1e-2, &config);
         // A guess part-way down: the cold solve's iterate with a visible error.
         let mut guess = cold.x.clone();
         for (i, gi) in guess.iter_mut().enumerate() {
             *gi += 1e-5 * (0.4 * i as f64).sin();
         }
-        let warm = refine_warm(
-            &mut a.clone(),
-            &b,
-            Some(&guess),
-            &mut perturbed_ladder(&a, 1e-2),
-            &config,
-        );
+        let warm = refine_perturbed(&a, &b, Some(&guess), 1e-2, &config);
         assert_eq!(warm.warm_path, WarmPath::Correction);
         assert!(warm.converged());
         assert!(warm.outer_iterations >= 2);
@@ -903,7 +883,7 @@ mod tests {
             let mut ladder = perturbed_ladder(&a, 10f64.powf(log_error))
                 .with_rung(Box::new(a.clone()));
             let config = RefinementConfig::to_target(1e-12);
-            let result = refine(&mut a.clone(), &b, &mut ladder, &config);
+            let result = refine_warm(&mut a.clone(), &b, None, &mut ladder, &config);
             proptest::prop_assert!(result.converged(), "stop = {:?}", result.stop);
             proptest::prop_assert!(a.relative_residual(&b, &result.x) <= 1e-12);
             assert_asks_follow_the_rule(&result, config.inner.tolerance);
@@ -914,9 +894,10 @@ mod tests {
     fn zero_rhs_converges_immediately() {
         let a = poisson(6);
         let mut ladder = OperatorLadder::new(SolverKind::Cg).with_rung(Box::new(a.clone()));
-        let result = refine(
+        let result = refine_warm(
             &mut a.clone(),
             &vec![0.0; 36],
+            None,
             &mut ladder,
             &RefinementConfig::default(),
         );
@@ -936,7 +917,7 @@ mod tests {
                 rel_error: 1e-2,
             }));
         let config = RefinementConfig::to_target(1e-12);
-        let result = refine(&mut a.clone(), &b, &mut ladder, &config);
+        let result = refine_warm(&mut a.clone(), &b, None, &mut ladder, &config);
         assert!(result.converged());
         let outer = result.outer_iterations;
         let solve = result.into_solve_result();
@@ -955,9 +936,10 @@ mod tests {
             .with_rung(Box::new(DiagonalOperator::new(coarse)));
         let b = vec![3.0; n];
         let mut exact = DiagonalOperator::new(diag.clone());
-        let result = refine(
+        let result = refine_warm(
             &mut exact,
             &b,
+            None,
             &mut ladder,
             &RefinementConfig::to_target(1e-13),
         );

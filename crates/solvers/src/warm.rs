@@ -17,9 +17,9 @@
 //! `‖b − A·x‖` — is the same one the cold solve uses; warm starting changes the
 //! iteration count, never the convergence target.
 //!
-//! [`solve_warm_split`] is the mixed-precision variant for inexact operators: the
-//! guess residual is measured on a separate high-precision operator (the host's fp64
-//! matrix) while the correction still runs on the inexact one (the quantized chip).
+//! [`solve_warm_split`] is built for inexact operators: the guess residual is
+//! measured on a separate high-precision operator (the host's fp64 matrix) while the
+//! correction still runs on the inexact one (the quantized chip).
 //! Measuring `r₀` through a quantized apply pollutes it at the format's noise floor —
 //! a broad-spectrum perturbation far above the stopping threshold that makes the
 //! correction *slower* than a cold solve — whereas the fp64 residual of a good guess
@@ -50,7 +50,7 @@ impl WarmPath {
     }
 }
 
-/// Outcome of [`solve_warm`]: the solve result plus how the guess fared.
+/// Outcome of [`solve_warm_split`]: the solve result plus how the guess fared.
 #[derive(Debug, Clone)]
 pub struct WarmSolve {
     /// The solve result; `x` is the full solution (guess plus correction on the warm
@@ -59,63 +59,28 @@ pub struct WarmSolve {
     pub result: SolveResult,
     /// Which path the solve took.
     pub path: WarmPath,
-    /// `‖b − A·x₀‖` measured for the guard, when a guess was offered.
+    /// `‖b − R·x₀‖` measured for the guard, when a guess was offered.
     pub initial_residual: Option<f64>,
 }
 
-/// Solves `A x = b`, optionally warm-started from `x0`.
+/// Solves `A x = b`, optionally warm-started from `x0`, with the guess residual
+/// measured on a *separate* operator `R`.
 ///
-/// With `x0 = None` this is exactly [`SolverKind::solve`].  With a guess it measures
-/// `r₀ = b − A·x₀` (one operator application), rejects non-finite or
-/// not-strictly-better guesses (falling back to the zero-start solve), short-circuits
-/// when the guess already satisfies the convergence criterion, and otherwise solves
-/// the correction system `A·d = r₀` to the same absolute threshold the cold solve
-/// would use and returns `x₀ + d`.
+/// With `x0 = None` (or a guess of the wrong length) this is exactly
+/// [`SolverKind::solve`] on `a`.  With a guess it measures `r₀ = b − R·x₀` (one
+/// application of `residual_op`), rejects non-finite or not-strictly-better guesses
+/// (falling back to the zero-start solve on `a`), short-circuits when the guess
+/// already satisfies the convergence criterion, and otherwise solves the correction
+/// system `A·d = r₀` on `a` to the same absolute threshold the cold solve would use
+/// and returns `x₀ + d`.
 ///
-/// # Panics
-/// Panics if operator and right-hand-side dimensions disagree.
-pub fn solve_warm<A: LinearOperator + ?Sized>(
-    kind: SolverKind,
-    a: &mut A,
-    b: &[f64],
-    x0: Option<&[f64]>,
-    config: &SolverConfig,
-) -> WarmSolve {
-    let n = b.len();
-    assert_eq!(
-        a.nrows(),
-        n,
-        "solve_warm: operator rows must match rhs length"
-    );
-    assert_eq!(a.ncols(), n, "solve_warm: operator must be square");
-
-    let guess = match x0 {
-        Some(g) if g.len() == n => g,
-        _ => {
-            return WarmSolve {
-                result: kind.solve(a, b, config),
-                path: WarmPath::Cold,
-                initial_residual: None,
-            }
-        }
-    };
-
-    // One operator application to measure the guess: r0 = b − A·x0.
-    let r0 = guess_residual(a, b, guess);
-    warm_from_residual(kind, a, b, guess, r0, config)
-}
-
-/// Solves `A x = b` warm-started from `x0`, with the guess residual measured on a
-/// *separate* operator.
-///
-/// Identical to [`solve_warm`] except that the guard application `r₀ = b − R·x₀`
-/// runs on `residual_op` — typically the raw fp64 matrix on the host — while the
-/// zero-start fallback and the correction solve run on `a` (the chip operator).
-/// When `a`'s apply is inexact (quantized), measuring the residual through it
-/// drowns a good guess in broad-spectrum quantization noise at the format's floor;
-/// the fp64 residual keeps `r₀` small and smooth, so the correction genuinely
-/// starts decades ahead of a cold solve.  With `residual_op` exact this also makes
-/// [`WarmPath::AlreadyConverged`] a statement about the *true* residual.
+/// `residual_op` is typically the raw fp64 matrix on the host while `a` is the chip
+/// operator.  When `a`'s apply is inexact (quantized), measuring the residual through
+/// it drowns a good guess in broad-spectrum quantization noise at the format's floor;
+/// the fp64 residual keeps `r₀` small and smooth, so the correction genuinely starts
+/// decades ahead of a cold solve.  With `residual_op` exact this also makes
+/// [`WarmPath::AlreadyConverged`] a statement about the *true* residual.  Pass a copy
+/// of `a` as `residual_op` to measure the guess on the operator itself.
 ///
 /// `&CsrMatrix` implements [`LinearOperator`], so a shared borrow of the host
 /// matrix can be passed directly: `solve_warm_split(kind, &mut chip, &mut &csr, …)`.
@@ -159,30 +124,12 @@ pub fn solve_warm_split<A: LinearOperator + ?Sized, R: LinearOperator + ?Sized>(
         }
     };
 
-    let r0 = guess_residual(residual_op, b, guess);
-    warm_from_residual(kind, a, b, guess, r0, config)
-}
-
-/// One operator application measuring the guess: `r₀ = b − A·x₀`.
-fn guess_residual<A: LinearOperator + ?Sized>(a: &mut A, b: &[f64], guess: &[f64]) -> Vec<f64> {
-    let mut r0 = vec![0.0; b.len()];
-    a.apply(guess, &mut r0);
+    // One operator application measuring the guess: r0 = b − R·x0.
+    let mut r0 = vec![0.0; n];
+    residual_op.apply(guess, &mut r0);
     for (ri, bi) in r0.iter_mut().zip(b.iter()) {
         *ri = bi - *ri;
     }
-    r0
-}
-
-/// The guarded warm-start tail shared by [`solve_warm`] and [`solve_warm_split`]:
-/// guard, short-circuit, or correction solve on `a` from the measured `r0`.
-fn warm_from_residual<A: LinearOperator + ?Sized>(
-    kind: SolverKind,
-    a: &mut A,
-    b: &[f64],
-    guess: &[f64],
-    r0: Vec<f64>,
-    config: &SolverConfig,
-) -> WarmSolve {
     let r0_norm = vecops::norm2(&r0);
     let b_norm = vecops::norm2(b);
     let threshold = config.threshold(b_norm);
@@ -257,13 +204,19 @@ mod tests {
         a.to_csr()
     }
 
+    /// A warm CG solve on a copy of `a`, the guess measured on `a` itself.
+    fn cg_on(a: &CsrMatrix, b: &[f64], x0: Option<&[f64]>, config: &SolverConfig) -> WarmSolve {
+        let mut exact = a;
+        solve_warm_split(SolverKind::Cg, &mut a.clone(), &mut exact, b, x0, config)
+    }
+
     #[test]
     fn no_guess_is_bitwise_identical_to_plain_solve() {
         let mut a = laplacian_1d(64);
         let b = vec![1.0; 64];
         let config = SolverConfig::relative(1e-10);
         let cold = SolverKind::Cg.solve(&mut a, &b, &config);
-        let warm = solve_warm(SolverKind::Cg, &mut a, &b, None, &config);
+        let warm = cg_on(&a, &b, None, &config);
         assert_eq!(warm.path, WarmPath::Cold);
         assert_eq!(warm.initial_residual, None);
         assert_eq!(warm.result.iterations, cold.iterations);
@@ -282,7 +235,7 @@ mod tests {
         let config = SolverConfig::relative(1e-10);
         let cold = SolverKind::Cg.solve(&mut a, &b, &config);
         let bad = vec![1.0e6; 64];
-        let warm = solve_warm(SolverKind::Cg, &mut a, &b, Some(&bad), &config);
+        let warm = cg_on(&a, &b, Some(&bad), &config);
         assert_eq!(warm.path, WarmPath::GuardRejected);
         assert!(warm.initial_residual.unwrap() >= vecops::norm2(&b));
         // Fallback is the plain zero-start solve, bit for bit, plus the one guard SpMV.
@@ -301,7 +254,7 @@ mod tests {
         let b = vec![1.0; 48];
         let config = SolverConfig::relative(1e-10);
         let exact = SolverKind::Cg.solve(&mut a, &b, &config).x;
-        let warm = solve_warm(SolverKind::Cg, &mut a, &b, Some(&exact), &config);
+        let warm = cg_on(&a, &b, Some(&exact), &config);
         assert_eq!(warm.path, WarmPath::AlreadyConverged);
         assert_eq!(warm.result.iterations, 0);
         assert!(warm.result.converged());
@@ -317,11 +270,12 @@ mod tests {
     fn an_exact_guess_or_a_zero_rhs_converges_at_tolerance_zero() {
         let exact = SolverConfig::relative(0.0);
         let mut a = crate::operator::DiagonalOperator::new(vec![2.0; 50]);
+        let mut r = a.clone();
         for kind in [SolverKind::Cg, SolverKind::BiCgStab] {
-            let warm = solve_warm(kind, &mut a, &[4.0; 50], Some(&[2.0; 50]), &exact);
+            let warm = solve_warm_split(kind, &mut a, &mut r, &[4.0; 50], Some(&[2.0; 50]), &exact);
             assert_eq!(warm.path, WarmPath::AlreadyConverged, "{kind:?}");
             assert_eq!(warm.result.stop, StopReason::Converged, "{kind:?}");
-            let warm = solve_warm(kind, &mut a, &[0.0; 50], Some(&[0.0; 50]), &exact);
+            let warm = solve_warm_split(kind, &mut a, &mut r, &[0.0; 50], Some(&[0.0; 50]), &exact);
             assert_eq!(warm.path, WarmPath::GuardRejected, "{kind:?}");
             assert_eq!(warm.result.stop, StopReason::Converged, "{kind:?}");
             assert_eq!(warm.result.iterations, 0, "{kind:?}");
@@ -341,7 +295,7 @@ mod tests {
         for (i, gi) in guess.iter_mut().enumerate() {
             *gi += 1e-4 * (0.2 * i as f64).sin();
         }
-        let warm = solve_warm(SolverKind::Cg, &mut a, &b, Some(&guess), &config);
+        let warm = cg_on(&a, &b, Some(&guess), &config);
         assert_eq!(warm.path, WarmPath::Correction);
         assert!(warm.result.converged());
         let mut ax = vec![0.0; 96];
@@ -359,37 +313,43 @@ mod tests {
     }
 
     #[test]
-    fn split_with_the_same_operator_is_bitwise_identical_to_solve_warm() {
-        let mut a = laplacian_1d(64);
+    fn a_warm_solve_is_the_correction_solve_from_the_guess() {
+        let a = laplacian_1d(64);
         let b: Vec<f64> = (0..64).map(|i| 1.0 + 0.02 * i as f64).collect();
         let config = SolverConfig::relative(1e-9);
-        let mut guess = SolverKind::Cg.solve(&mut a, &b, &config).x;
+        let mut guess = SolverKind::Cg.solve(&mut a.clone(), &b, &config).x;
         for (i, gi) in guess.iter_mut().enumerate() {
             *gi += 1e-4 * (0.3 * i as f64).cos();
         }
-        let warm = solve_warm(SolverKind::Cg, &mut a, &b, Some(&guess), &config);
-        let mut chip = laplacian_1d(64);
-        let csr = laplacian_1d(64);
-        let split = solve_warm_split(
-            SolverKind::Cg,
-            &mut chip,
-            &mut &csr,
-            &b,
-            Some(&guess),
-            &config,
-        );
-        assert_eq!(split.path, warm.path);
-        assert_eq!(split.result.iterations, warm.result.iterations);
+        let split = cg_on(&a, &b, Some(&guess), &config);
+        // By hand: r0 = b - A x0, solve A d = r0 to the cold solve's absolute
+        // threshold, x = x0 + d.
+        let mut r0 = vec![0.0; 64];
+        a.spmv_into(&guess, &mut r0);
+        for (ri, bi) in r0.iter_mut().zip(&b) {
+            *ri = bi - *ri;
+        }
+        let absolute = SolverConfig {
+            tolerance: config.threshold(vecops::norm2(&b)),
+            relative: false,
+            ..config.clone()
+        };
+        let d = SolverKind::Cg.solve(&mut a.clone(), &r0, &absolute);
+        assert_eq!(split.path, WarmPath::Correction);
+        assert_eq!(split.initial_residual, Some(vecops::norm2(&r0)));
+        assert_eq!(split.result.iterations, d.iterations);
+        assert_eq!(split.result.spmv_count, d.spmv_count + 1);
         assert!(split
             .result
             .x
             .iter()
-            .zip(warm.result.x.iter())
-            .all(|(s, w)| s.to_bits() == w.to_bits()));
+            .zip(d.x.iter().zip(&guess))
+            .all(|(s, (di, gi))| s.to_bits() == (di + gi).to_bits()));
     }
 
     /// A deterministic stand-in for the quantized chip: exact SpMV plus a smooth
     /// multiplicative output perturbation well above the solver threshold.
+    #[derive(Clone)]
     struct NoisyOperator {
         csr: CsrMatrix,
         relative_noise: f64,
@@ -426,7 +386,14 @@ mod tests {
             csr: laplacian_1d(n),
             relative_noise: 1e-3,
         };
-        let polluted = solve_warm(SolverKind::Cg, &mut noisy, &b, Some(&exact), &config);
+        let polluted = solve_warm_split(
+            SolverKind::Cg,
+            &mut noisy.clone(),
+            &mut noisy,
+            &b,
+            Some(&exact),
+            &config,
+        );
         assert_eq!(polluted.path, WarmPath::Correction);
         let mut noisy = NoisyOperator {
             csr: laplacian_1d(n),
@@ -460,9 +427,10 @@ mod tests {
             let mut cold_op = step.matrix.clone();
             let cold = SolverKind::Cg.solve(&mut cold_op, &step.rhs, &config);
             let mut warm_op = step.matrix.clone();
-            let warm = solve_warm(
+            let warm = solve_warm_split(
                 SolverKind::Cg,
                 &mut warm_op,
+                &mut &step.matrix,
                 &step.rhs,
                 previous.as_deref(),
                 &config,

@@ -60,8 +60,8 @@ pub mod prelude {
         SolveClient, SolvePlan, SolveRuntime, SolveSequence, SolveTicket, TicketOutcome,
     };
     pub use refloat_solvers::{
-        bicgstab, cg, refine, LinearOperator, OperatorLadder, PrecisionLadder, RefinementConfig,
-        RefinementResult, SolveResult, SolverConfig,
+        bicgstab, cg, refine_warm, LinearOperator, OperatorLadder, PrecisionLadder,
+        RefinementConfig, RefinementResult, SolveResult, SolverConfig,
     };
     pub use refloat_sparse::{BlockedMatrix, CooMatrix, CsrMatrix};
     pub use reram_sim::{AcceleratorConfig, GpuModel, SolverKind};

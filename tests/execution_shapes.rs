@@ -1,16 +1,17 @@
 //! The execution-shape safety net: one worker, a `ManualClock`, and a fixed job list
 //! covering every shape a job can take through the worker — plain, batched, sharded,
-//! refined (escalating, reaching the fp64 rung), auto-format (converging, falling
-//! back, sharded), plain / refined / auto-format sequences, and the fault policy's
-//! pristine, retry, degrade and ABFT-off arms.
+//! refined (escalating, reaching the fp64 rung, spanning two chips), auto-format
+//! (converging, falling back, sharded), plain / refined / auto-format sequences (a
+//! refined one on two chips too), and the fault policy's pristine, retry, degrade and
+//! ABFT-off arms.
 //!
 //! Everything a job reports that is not host wall time goes into one digest: the
 //! ticket outcome, the solutions bit for bit, every `SimulatedRun` field, the cache
 //! outcome, the sequence / refinement / autotune telemetry, the fault counters and
-//! the ordered list of trace span kinds.  The constant was captured before the
+//! the ordered list of trace span kinds.  The main constant was captured before the
 //! worker's execution paths were collapsed into one pipeline and must not change:
 //! a refactor of the worker or the accelerator model is behaviour-preserving exactly
-//! when this test still passes.
+//! when this test still passes.  Shapes added since carry digests of their own.
 
 use std::sync::Arc;
 
@@ -35,6 +36,10 @@ use refloat::sim::FaultModelConfig;
 /// chip seconds, with the same passes and spans); `seq-refined-1/2` run one pass each
 /// but start from `seq-refined-0`'s solution.  `clean/auto-falls-back` did not move.
 const EXPECTED_DIGEST: u64 = 0xd27d_a36f_4b06_2eb9;
+
+/// The digest of the refined jobs that span chips (captured when refined jobs began
+/// to shard), kept apart so that `EXPECTED_DIGEST` still pins every older shape.
+const REFINED_SHARDED_DIGEST: u64 = 0x2396_dc2a_1a17_0965;
 
 /// FNV-1a accumulator over 64-bit words.
 struct Digest(u64);
@@ -499,6 +504,41 @@ fn clean_shapes(total: &mut Digest, log: &mut Vec<String>) {
     h.finish(total, log);
 }
 
+/// Refined jobs spread over two chips: an escalating solve, and a refined sequence
+/// whose later steps re-encode incrementally and warm-start like the one-chip chain.
+fn refined_sharded_shapes(total: &mut Digest, log: &mut Vec<String>) {
+    let mut h = Harness::new("clean", None);
+    let escalating = h.completed(
+        "refined-sharded-2",
+        SolvePlan::new("t", poisson(20, 0.3), coarse())
+            .refinement(RefinementSpec::to_target(1e-12))
+            .sharding(2)
+            .build()
+            .unwrap(),
+    );
+    let tele = &escalating.telemetry;
+    assert_eq!(tele.shards, 2);
+    assert!(tele.simulated.reduction_s > 0.0);
+    let refinement = tele.refinement.as_ref().unwrap();
+    assert!(refinement.escalations > 0 && refinement.final_relative_residual <= 1e-12);
+    let steps = chain(3, 1e-7, 1e-6);
+    let chained = run_sequence(&mut h, "seq-refined-sharded", &steps, |m, b| {
+        SolvePlan::new("t", m, wide())
+            .rhs(b)
+            .refinement(RefinementSpec::to_target(1e-8))
+            .sharding(2)
+            .build()
+            .unwrap()
+    });
+    for (index, job) in chained.iter().enumerate() {
+        assert_eq!(job.telemetry.shards, 2, "step {index}");
+        let seq = job.telemetry.sequence.as_ref().expect("sequence row");
+        assert_eq!(seq.warm_start_used, index > 0, "step {index}");
+        assert_eq!(seq.incremental, index > 0, "step {index}");
+    }
+    h.finish(total, log);
+}
+
 /// Stuck rates high enough that the 2+2 spare budget cannot absorb every defect.
 fn heavy_faults(seed: u64) -> FaultModelConfig {
     FaultModelConfig {
@@ -666,6 +706,20 @@ fn every_execution_shape_reproduces_the_captured_digest() {
         total.0,
         EXPECTED_DIGEST,
         "execution-shape digest drifted ({:016x}); per-job digests and spans:\n{}",
+        total.0,
+        log.join("\n")
+    );
+}
+
+#[test]
+fn refined_sharded_shapes_reproduce_their_digest() {
+    let mut total = Digest::new();
+    let mut log = Vec::new();
+    refined_sharded_shapes(&mut total, &mut log);
+    assert_eq!(
+        total.0,
+        REFINED_SHARDED_DIGEST,
+        "refined x sharded digest drifted ({:016x}); per-job digests and spans:\n{}",
         total.0,
         log.join("\n")
     );

@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use refloat::prelude::*;
 use refloat::runtime::{
-    AutoFormatSpec, CacheOutcomeKind, PlanViolation, RefinementSpec, SubmitError,
+    AutoFormatSpec, CacheOutcomeKind, JobOutcome, PlanViolation, RefinementSpec, SubmitError,
 };
 
 /// A mixed-workload, mixed-format catalog of small matrices.
@@ -317,7 +317,7 @@ fn matrices_of_one_structure_share_one_layout_and_keep_their_bits() {
         .iter()
         .all(|job| job.telemetry.cache == CacheOutcomeKind::Miss));
     let cached = |handle: &MatrixHandle, format| {
-        let key = refloat::runtime::CacheKey::whole(handle.fingerprint(), format);
+        let key = refloat::runtime::CacheKey::new(handle.fingerprint(), format);
         runtime
             .cache()
             .peek(&key)
@@ -484,6 +484,56 @@ fn refined_jobs_are_deterministic_and_share_rung_encodings_via_the_cache() {
         rungs
     );
     assert!(a.report.cache.hits + a.report.cache.coalesced > 0);
+}
+
+#[test]
+fn refined_sharded_solves_are_the_refined_whole_solve_bit_for_bit() {
+    // Every rung keeps the job's `b`, so every rung shares the layout and the
+    // block-row cuts: a refined job spread over chips prices each rung over the
+    // job's bands while the host runs the same ladder it runs on one chip.
+    let a = refloat::matgen::generators::laplacian_2d(24, 24, 0.3).to_csr();
+    let handle = MatrixHandle::new("poisson-24", a);
+    // 3 fraction bits: the ladder has to escalate to reach 1e-12.
+    let format = ReFloatConfig::new(4, 3, 3, 3, 8);
+    let runtime = SolveRuntime::new(RuntimeConfig {
+        workers: 1,
+        ..Default::default()
+    });
+    let chips = [1usize, 2, 4];
+    let outcome = runtime.run_batch(chips.iter().map(|&chips| {
+        SolvePlan::new(format!("chips-{chips}"), handle.clone(), format)
+            .refinement(RefinementSpec::to_target(1e-12))
+            .sharding(chips)
+            .build()
+            .unwrap()
+    }));
+    let refined = |job: &JobOutcome| {
+        let bits: Vec<u64> = job.result.x.iter().map(|v| v.to_bits()).collect();
+        let tele = job
+            .telemetry
+            .refinement
+            .as_ref()
+            .expect("refined telemetry");
+        let passes = (
+            tele.outer_iterations,
+            tele.inner_iterations,
+            tele.escalations,
+            tele.final_level.clone(),
+            tele.fp64_spmvs,
+        );
+        let end = (tele.final_relative_residual.to_bits(), tele.stalled);
+        (bits, job.result.iterations, passes, end)
+    };
+    let whole = refined(&outcome.jobs[0]);
+    assert!(whole.2 .2 > 0, "the reference must escalate");
+    for (job, &chips) in outcome.jobs.iter().zip(&chips) {
+        assert_eq!(refined(job), whole, "{chips} chips");
+        let tele = &job.telemetry;
+        assert_eq!(tele.shards, chips);
+        assert_eq!(tele.simulated.reduction_s > 0.0, chips > 1, "{chips} chips");
+    }
+    assert_eq!(outcome.report.refined_jobs, 3);
+    assert_eq!(outcome.report.sharded_jobs, 2);
 }
 
 #[test]
