@@ -1,5 +1,4 @@
-//! SpMV throughput: the serial CSR kernel on a Table V-sized workload.  These numbers
-//! back the "functional simulation cost" notes in EXPERIMENTS.md.
+//! SpMV throughput: the serial CSR kernel on a Table V-sized workload.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use refloat_matgen::generators;

@@ -1,13 +1,14 @@
-//! Typed command-line parsing for the experiment binaries.
+//! One command line for every experiment binary.
 //!
-//! The original binaries parsed flags with `parse().ok()` — a typo like
-//! `--jobs ten` silently fell back to the default, and an impossible combination
-//! like `--rate` without an open-loop mode was silently ignored.  Service-facing
-//! binaries (`serve_traffic`, `fig_cluster`) type their value flags, every
-//! binary that takes `--json` reads it through [`raw_value`], and a binary that lists
-//! the flags it takes ([`known_flags`]) refuses any other; a problem is a
-//! typed [`UsageError`] that `main` hands to [`or_exit`], which prints it and
-//! exits with status 2, never panicking on user input.
+//! Each binary makes one call, [`Args::from_env`], naming the switches and the value
+//! flags it takes.  That call refuses any other argument (`--quik`, `--bogus`) and
+//! any value flag left without its value (`--json` last, or `--out --quick`), so a
+//! typo never runs the default mode and a path flag never swallows the next flag.
+//! A problem is a typed [`UsageError`], printed as `bin: error` with exit status 2
+//! before the binary does any work, never a panic on user input.  Once the call
+//! returns, [`Args::switch`] and [`Args::value`] cannot fail; the typed getters
+//! ([`Args::u64`], [`Args::positive_f64`], ...) and [`Args::require_with`] check a
+//! value's type and a flag's company, and hand their errors to [`Args::or_exit`].
 
 use std::fmt;
 
@@ -76,150 +77,201 @@ impl fmt::Display for UsageError {
 
 impl std::error::Error for UsageError {}
 
-/// The parsed value, or — on a usage error — the error printed as `bin: error`
-/// and exit status 2, before the binary does any work.
-pub fn or_exit<T>(bin: &str, parsed: Result<T, UsageError>) -> T {
-    parsed.unwrap_or_else(|usage| {
-        eprintln!("{bin}: {usage}");
-        std::process::exit(2)
-    })
+/// A command line checked against the flags its binary declared.
+#[derive(Debug, PartialEq)]
+pub struct Args {
+    bin: &'static str,
+    switches: Vec<&'static str>,
+    values: Vec<(&'static str, String)>,
 }
 
-/// The raw string value of `flag`, or a typed error when the flag is present but
-/// dangling.  `Ok(None)` means the flag was not given.
-pub fn raw_value(args: &[String], flag: &str) -> Result<Option<String>, UsageError> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => match args.get(i + 1) {
-            Some(v) if !v.starts_with("--") => Ok(Some(v.clone())),
-            _ => Err(UsageError::MissingValue {
+impl Args {
+    /// Parses this process's arguments, or prints the usage error and exits with
+    /// status 2.
+    pub fn from_env(
+        bin: &'static str,
+        switches: &[&'static str],
+        value_flags: &[&'static str],
+    ) -> Args {
+        let parsed = Args::parse(bin, std::env::args().skip(1), switches, value_flags);
+        parsed.unwrap_or_else(|usage| exit(bin, usage))
+    }
+
+    /// Parses `argv` against the declared flags.  An argument that is neither one of
+    /// `switches` nor one of `value_flags` with its value is [`UsageError::UnknownFlag`];
+    /// a value flag followed by another flag, or by nothing, is
+    /// [`UsageError::MissingValue`], reported only once no argument is unknown.  A
+    /// value flag given twice keeps its first value.
+    pub fn parse(
+        bin: &'static str,
+        argv: impl IntoIterator<Item = String>,
+        switches: &[&'static str],
+        value_flags: &[&'static str],
+    ) -> Result<Args, UsageError> {
+        let mut args = Args {
+            bin,
+            switches: Vec::new(),
+            values: Vec::new(),
+        };
+        let mut dangling = None;
+        let mut rest = argv.into_iter().peekable();
+        while let Some(arg) = rest.next() {
+            if let Some(&flag) = value_flags.iter().find(|&&f| f == arg) {
+                match rest.next_if(|value| !value.starts_with("--")) {
+                    Some(value) => args.values.push((flag, value)),
+                    None => dangling = dangling.or(Some(flag)),
+                }
+            } else if let Some(&flag) = switches.iter().find(|&&f| f == arg) {
+                args.switches.push(flag);
+            } else {
+                return Err(UsageError::UnknownFlag { flag: arg });
+            }
+        }
+        match dangling {
+            Some(flag) => Err(UsageError::MissingValue {
                 flag: flag.to_string(),
             }),
-        },
-    }
-}
-
-/// Rejects any argument that is neither one of `switches` nor one of `value_flags`
-/// with its value, so a typo cannot quietly run the default mode.  A value flag
-/// followed by another flag keeps that flag to be checked; [`raw_value`] reports the
-/// missing value.
-pub fn known_flags(
-    args: &[String],
-    switches: &[&str],
-    value_flags: &[&str],
-) -> Result<(), UsageError> {
-    let mut rest = args.iter().peekable();
-    while let Some(arg) = rest.next() {
-        if value_flags.contains(&arg.as_str()) {
-            rest.next_if(|value| !value.starts_with("--"));
-        } else if !switches.contains(&arg.as_str()) {
-            return Err(UsageError::UnknownFlag { flag: arg.clone() });
+            None => Ok(args),
         }
     }
-    Ok(())
-}
 
-/// Parses `--flag N` as a `u64`, with a typed error instead of a silent default.
-pub fn parse_u64(args: &[String], flag: &str) -> Result<Option<u64>, UsageError> {
-    match raw_value(args, flag)? {
-        None => Ok(None),
-        Some(v) => v.parse().map(Some).map_err(|_| UsageError::InvalidValue {
-            flag: flag.to_string(),
-            value: v,
-            expected: "a non-negative integer",
-        }),
+    /// Whether the switch `flag` was given.
+    pub fn switch(&self, flag: &str) -> bool {
+        self.switches.contains(&flag)
     }
-}
 
-/// Parses `--flag N` as a `usize` that must be at least 1.
-pub fn parse_positive_usize(args: &[String], flag: &str) -> Result<Option<usize>, UsageError> {
-    match parse_u64(args, flag)? {
-        None => Ok(None),
-        Some(0) => Err(UsageError::InvalidValue {
-            flag: flag.to_string(),
-            value: "0".to_string(),
-            expected: "a positive integer",
-        }),
-        Some(v) => Ok(Some(v as usize)),
+    /// The value of `flag`, or `None` when it was not given.
+    pub fn value(&self, flag: &str) -> Option<&str> {
+        self.values
+            .iter()
+            .find(|(f, _)| *f == flag)
+            .map(|(_, value)| value.as_str())
     }
-}
 
-/// Parses `--flag X` as a finite, strictly positive `f64`.
-pub fn parse_positive_f64(args: &[String], flag: &str) -> Result<Option<f64>, UsageError> {
-    match raw_value(args, flag)? {
-        None => Ok(None),
-        Some(v) => match v.parse::<f64>() {
-            Ok(x) if x.is_finite() && x > 0.0 => Ok(Some(x)),
+    /// The parsed value, or — on a usage error — the error printed as `bin: error`
+    /// and exit status 2, before the binary does any work.
+    pub fn or_exit<T>(&self, parsed: Result<T, UsageError>) -> T {
+        parsed.unwrap_or_else(|usage| exit(self.bin, usage))
+    }
+
+    /// The value of `flag` parsed as a `T` that passes `accept`, with a typed error
+    /// naming `expected` instead of a silent default.
+    fn typed<T: std::str::FromStr>(
+        &self,
+        flag: &str,
+        expected: &'static str,
+        accept: impl Fn(&T) -> bool,
+    ) -> Result<Option<T>, UsageError> {
+        let Some(value) = self.value(flag) else {
+            return Ok(None);
+        };
+        match value.parse() {
+            Ok(x) if accept(&x) => Ok(Some(x)),
             _ => Err(UsageError::InvalidValue {
                 flag: flag.to_string(),
-                value: v,
-                expected: "a positive number",
+                value: value.to_string(),
+                expected,
             }),
-        },
+        }
     }
-}
 
-/// Parses `--flag X` as a finite, non-negative `f64` (0 allowed — e.g. a skew).
-pub fn parse_nonneg_f64(args: &[String], flag: &str) -> Result<Option<f64>, UsageError> {
-    match raw_value(args, flag)? {
-        None => Ok(None),
-        Some(v) => match v.parse::<f64>() {
-            Ok(x) if x.is_finite() && x >= 0.0 => Ok(Some(x)),
-            _ => Err(UsageError::InvalidValue {
+    /// `--flag N` as a `u64`.
+    pub fn u64(&self, flag: &str) -> Result<Option<u64>, UsageError> {
+        self.typed(flag, "a non-negative integer", |_| true)
+    }
+
+    /// `--flag N` as a `usize` that must be at least 1.
+    pub fn positive_usize(&self, flag: &str) -> Result<Option<usize>, UsageError> {
+        self.typed(flag, "a positive integer", |&n| n > 0)
+    }
+
+    /// `--flag X` as a finite, strictly positive `f64`.
+    pub fn positive_f64(&self, flag: &str) -> Result<Option<f64>, UsageError> {
+        self.typed(flag, "a positive number", |x: &f64| {
+            x.is_finite() && *x > 0.0
+        })
+    }
+
+    /// `--flag X` as a finite, non-negative `f64` (0 allowed — e.g. a skew).
+    pub fn nonneg_f64(&self, flag: &str) -> Result<Option<f64>, UsageError> {
+        self.typed(flag, "a non-negative number", |x: &f64| {
+            x.is_finite() && *x >= 0.0
+        })
+    }
+
+    /// Errors when `flag` was given but `requirement_met` is false — for flags that
+    /// only mean something in combination with another (`--rate` without
+    /// `--arrivals`).
+    pub fn require_with(
+        &self,
+        flag: &str,
+        requirement_met: bool,
+        requires: &'static str,
+    ) -> Result<(), UsageError> {
+        if !requirement_met && self.value(flag).is_some() {
+            return Err(UsageError::ConflictingFlags {
                 flag: flag.to_string(),
-                value: v,
-                expected: "a non-negative number",
-            }),
-        },
+                requires,
+            });
+        }
+        Ok(())
     }
 }
 
-/// Errors when `flag` is present but `requirement_met` is false — for flags that
-/// only mean something in combination with another (`--rate` without
-/// `--arrivals`).
-pub fn require_with(
-    args: &[String],
-    flag: &str,
-    requirement_met: bool,
-    requires: &'static str,
-) -> Result<(), UsageError> {
-    if !requirement_met && args.iter().any(|a| a == flag) {
-        return Err(UsageError::ConflictingFlags {
-            flag: flag.to_string(),
-            requires,
-        });
-    }
-    Ok(())
+fn exit(bin: &str, usage: UsageError) -> ! {
+    eprintln!("{bin}: {usage}");
+    std::process::exit(2)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
+    /// Parses `list` as a binary taking two switches and the service's value flags.
+    fn parse(list: &[&str]) -> Result<Args, UsageError> {
+        let argv = list.iter().map(|s| s.to_string());
+        let values = [
+            "--jobs",
+            "--workers",
+            "--nodes",
+            "--rate",
+            "--skew",
+            "--json",
+        ];
+        Args::parse("test", argv, &["--smoke", "--quick"], &values)
+    }
+
+    fn args(list: &[&str]) -> Args {
+        parse(list).expect("a valid command line")
     }
 
     #[test]
     fn absent_flags_parse_to_none() {
         let a = args(&["--jobs", "10"]);
-        assert_eq!(parse_u64(&a, "--workers"), Ok(None));
-        assert_eq!(parse_positive_f64(&a, "--rate"), Ok(None));
+        assert_eq!(a.u64("--workers"), Ok(None));
+        assert_eq!(a.positive_f64("--rate"), Ok(None));
+        assert!(!a.switch("--quick"));
+        assert_eq!(a.value("--json"), None);
     }
 
     #[test]
     fn present_flags_parse_their_values() {
-        let a = args(&["--jobs", "240", "--rate", "12.5", "--skew", "0"]);
-        assert_eq!(parse_u64(&a, "--jobs"), Ok(Some(240)));
-        assert_eq!(parse_positive_f64(&a, "--rate"), Ok(Some(12.5)));
-        assert_eq!(parse_nonneg_f64(&a, "--skew"), Ok(Some(0.0)));
+        let a = args(&["--jobs", "240", "--quick", "--rate", "12.5", "--skew", "0"]);
+        assert_eq!(a.u64("--jobs"), Ok(Some(240)));
+        assert_eq!(a.positive_f64("--rate"), Ok(Some(12.5)));
+        assert_eq!(a.nonneg_f64("--skew"), Ok(Some(0.0)));
+        assert!(a.switch("--quick") && !a.switch("--smoke"));
+        assert_eq!(
+            args(&["--json", "a", "--json", "b"]).value("--json"),
+            Some("a")
+        );
     }
 
     #[test]
     fn garbage_values_are_typed_errors_not_silent_defaults() {
         let a = args(&["--jobs", "ten"]);
         assert_eq!(
-            parse_u64(&a, "--jobs"),
+            a.u64("--jobs"),
             Err(UsageError::InvalidValue {
                 flag: "--jobs".to_string(),
                 value: "ten".to_string(),
@@ -230,12 +282,17 @@ mod tests {
 
     #[test]
     fn dangling_flags_are_missing_value_errors() {
-        for tail in [args(&["--jobs"]), args(&["--jobs", "--quick"])] {
+        for tail in [
+            &["--jobs"][..],
+            &["--jobs", "--quick"],
+            &["--quick", "--jobs"],
+        ] {
             assert_eq!(
-                parse_u64(&tail, "--jobs"),
+                parse(tail),
                 Err(UsageError::MissingValue {
                     flag: "--jobs".to_string()
-                })
+                }),
+                "{tail:?}"
             );
         }
     }
@@ -244,7 +301,7 @@ mod tests {
     fn zero_is_rejected_where_a_positive_count_is_required() {
         let a = args(&["--nodes", "0"]);
         assert!(matches!(
-            parse_positive_usize(&a, "--nodes"),
+            a.positive_usize("--nodes"),
             Err(UsageError::InvalidValue { .. })
         ));
     }
@@ -255,7 +312,7 @@ mod tests {
             let a = args(&["--rate", bad]);
             assert!(
                 matches!(
-                    parse_positive_f64(&a, "--rate"),
+                    a.positive_f64("--rate"),
                     Err(UsageError::InvalidValue { .. })
                 ),
                 "--rate {bad} must be rejected"
@@ -266,7 +323,7 @@ mod tests {
     #[test]
     fn dependent_flags_error_when_their_anchor_is_absent() {
         let a = args(&["--rate", "50"]);
-        let err = require_with(&a, "--rate", false, "--arrivals").unwrap_err();
+        let err = a.require_with("--rate", false, "--arrivals").unwrap_err();
         assert_eq!(
             err,
             UsageError::ConflictingFlags {
@@ -274,28 +331,33 @@ mod tests {
                 requires: "--arrivals",
             }
         );
-        assert!(require_with(&a, "--rate", true, "--arrivals").is_ok());
-        assert!(require_with(&a, "--skew", false, "--arrivals").is_ok());
+        assert!(a.require_with("--rate", true, "--arrivals").is_ok());
+        assert!(a.require_with("--skew", false, "--arrivals").is_ok());
     }
 
     #[test]
     fn only_the_listed_flags_and_their_values_pass() {
-        let known = |list: &[&str]| known_flags(&args(list), &["--smoke"], &["--json"]);
-        assert_eq!(known(&[]), Ok(()));
-        assert_eq!(known(&["--smoke", "--json", "out.json"]), Ok(()));
-        // A dangling value flag is raw_value's error, not this one.
-        assert_eq!(known(&["--json", "--smoke"]), Ok(()));
+        assert!(parse(&[]).is_ok());
+        let a = args(&["--smoke", "--json", "out.json"]);
+        assert!(a.switch("--smoke"));
+        assert_eq!(a.value("--json"), Some("out.json"));
+        // A dangling value flag is refused, but only once nothing is unknown.
+        let missing = UsageError::MissingValue {
+            flag: "--json".to_string(),
+        };
+        assert_eq!(parse(&["--json", "--smoke"]), Err(missing));
         for (list, flag) in [
             (&["--smok"][..], "--smok"),
             (&["--smoke", "extra"], "extra"),
             (&["--json", "--bogus"], "--bogus"),
+            (&["--quik"], "--quik"),
         ] {
             let unknown = UsageError::UnknownFlag {
                 flag: flag.to_string(),
             };
-            assert_eq!(known(list), Err(unknown), "{list:?}");
+            assert_eq!(parse(list), Err(unknown), "{list:?}");
         }
-        let message = known(&["--bogus"]).unwrap_err().to_string();
+        let message = parse(&["--bogus"]).unwrap_err().to_string();
         assert_eq!(message, "unknown flag --bogus");
     }
 
@@ -309,5 +371,9 @@ mod tests {
         .to_string();
         assert!(message.contains("--arrivals"));
         assert!(message.contains("poisson"));
+        let message = UsageError::MissingValue {
+            flag: "--out".to_string(),
+        };
+        assert_eq!(message.to_string(), "--out requires a value");
     }
 }

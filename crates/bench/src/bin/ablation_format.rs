@@ -13,7 +13,7 @@
 //!
 //! Run with: `cargo run --release -p refloat-bench --bin ablation_format [--quick]`
 
-use refloat_bench::json::has_flag;
+use refloat_bench::args::Args;
 use refloat_bench::table::TextTable;
 use refloat_core::block::ReFloatBlock;
 use refloat_core::{ReFloatConfig, ReFloatMatrix};
@@ -67,8 +67,7 @@ fn max_exponent_base(vals: &[f64]) -> i32 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = has_flag(&args, "--quick");
+    let quick = Args::from_env("ablation_format", &["--quick"], &[]).switch("--quick");
     let workload = if quick {
         Workload::Crystm01
     } else {

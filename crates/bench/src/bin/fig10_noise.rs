@@ -5,9 +5,9 @@
 //! multiplicative deviation σ on every read.  The figure reports both the iteration
 //! count and the speedup over the GPU as σ grows from 0.1% to 25%.
 
-use refloat_bench::args::{or_exit, raw_value};
+use refloat_bench::args::Args;
 use refloat_bench::experiment::{ExperimentConfig, PreparedWorkload};
-use refloat_bench::json::{has_flag, write_json};
+use refloat_bench::json::write_json;
 use refloat_bench::table::{speedup, TextTable};
 use refloat_core::ReFloatMatrix;
 use refloat_matgen::Workload;
@@ -23,14 +23,9 @@ struct NoiseRecord {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = or_exit("fig10_noise", raw_value(&args, "--json"));
-    let quick = has_flag(&args, "--quick");
-    let config = if quick {
-        ExperimentConfig::quick()
-    } else {
-        ExperimentConfig::default()
-    };
+    let args = Args::from_env("fig10_noise", &["--quick"], &["--json"]);
+    let quick = args.switch("--quick");
+    let config = ExperimentConfig::new(quick);
 
     let workload = Workload::Crystm03;
     let prepared = PreparedWorkload::prepare(workload, &config);
@@ -98,8 +93,8 @@ fn main() {
          ReFloat still maintains a 6.85x speedup over the GPU."
     );
 
-    if let Some(path) = json {
-        write_json(&path, &records).expect("write JSON results");
+    if let Some(path) = args.value("--json") {
+        write_json(path, &records).expect("write JSON results");
         println!("\nwrote {path}");
     }
 }

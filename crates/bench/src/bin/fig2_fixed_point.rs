@@ -7,13 +7,12 @@
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use refloat_bench::args::{known_flags, or_exit};
+use refloat_bench::args::Args;
 use refloat_bench::table::TextTable;
 use reram_sim::xbar::{reference_mvm, FixedPointMvm};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    or_exit("fig2_fixed_point", known_flags(&args, &[], &[]));
+    Args::from_env("fig2_fixed_point", &[], &[]);
     println!("== Fig. 2 / Eq. 1: fixed-point MVM in ReRAM (bit-sliced pipeline) ==\n");
 
     // The logical matrix applied in Eq. 1 is the transpose of the printed one.

@@ -5,11 +5,11 @@
 //! per-128×128-block locality (maximum and mean), and the e = 3 the ReFloat default
 //! allocates.
 
-use refloat_bench::args::{or_exit, raw_value};
-use refloat_bench::json::{has_flag, write_json};
+use refloat_bench::args::Args;
+use refloat_bench::experiment::ExperimentConfig;
+use refloat_bench::json::write_json;
 use refloat_bench::table::TextTable;
 use refloat_core::locality::exponent_locality;
-use refloat_matgen::Workload;
 use refloat_sparse::BlockedMatrix;
 use serde::Serialize;
 
@@ -25,9 +25,8 @@ struct LocalityRecord {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = or_exit("fig3d_locality", raw_value(&args, "--json"));
-    let quick = has_flag(&args, "--quick");
+    let args = Args::from_env("fig3d_locality", &["--quick"], &["--json"]);
+    let quick = args.switch("--quick");
     let seed = 2023;
 
     println!("== Fig. 3(d): exponent locality (whole matrix vs per-block) ==\n");
@@ -41,11 +40,8 @@ fn main() {
         "ReFloat e",
     ]);
     let mut records = Vec::new();
-    for workload in Workload::ALL {
+    for workload in ExperimentConfig::workloads(quick) {
         let spec = workload.spec();
-        if quick && spec.nnz > 600_000 {
-            continue;
-        }
         let csr = workload.generate_csr(seed);
         let blocked = BlockedMatrix::from_csr(&csr, 7).expect("b = 7 is valid");
         let report = exponent_locality(&blocked);
@@ -73,8 +69,8 @@ fn main() {
         "paper reference: the FP64 format allocates 11 exponent bits, the per-block locality of\n\
          the 12 matrices is at most 7 bits, and ReFloat allocates 3."
     );
-    if let Some(path) = json {
-        write_json(&path, &records).expect("write JSON results");
+    if let Some(path) = args.value("--json") {
+        write_json(path, &records).expect("write JSON results");
         println!("\nwrote {path}");
     }
 }

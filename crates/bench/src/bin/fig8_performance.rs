@@ -4,35 +4,24 @@
 //! Iteration counts come from actually running each solver under the corresponding
 //! value representation (FP64 for GPU / Feinberg-fc, the Feinberg fixed-window format
 //! for Feinberg, the ReFloat format for ReFloat); times come from the hardware models
-//! in `reram-sim` (see DESIGN.md §4).  Speedups are normalized to the GPU as in Fig. 8.
+//! in `reram-sim` (`AcceleratorConfig`, `GpuModel`).  Speedups are normalized to the GPU
+//! as in Fig. 8.
 //!
 //! Flags: `--quick` (smaller matrices only, lower iteration caps), `--details`
 //! (per-workload cluster/round breakdown, the §VI.B worked numbers), `--json <path>`.
 
-use refloat_bench::args::{or_exit, raw_value};
+use refloat_bench::args::Args;
 use refloat_bench::experiment::{
     geometric_mean, solve_all_platforms, ExperimentConfig, PerformanceRow, PreparedWorkload,
 };
-use refloat_bench::json::{has_flag, write_json, PerformanceRecord};
+use refloat_bench::json::{write_json, PerformanceRecord};
 use refloat_bench::table::{speedup, TextTable};
-use refloat_matgen::Workload;
 use reram_sim::{AcceleratorConfig, SolverKind};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = or_exit("fig8_performance", raw_value(&args, "--json"));
-    let quick = has_flag(&args, "--quick");
-    let details = has_flag(&args, "--details");
-    let config = if quick {
-        ExperimentConfig::quick()
-    } else {
-        ExperimentConfig::default()
-    };
-
-    let workloads: Vec<Workload> = Workload::ALL
-        .into_iter()
-        .filter(|w| !quick || w.spec().nnz <= 600_000)
-        .collect();
+    let args = Args::from_env("fig8_performance", &["--quick", "--details"], &["--json"]);
+    let (quick, details) = (args.switch("--quick"), args.switch("--details"));
+    let config = ExperimentConfig::new(quick);
 
     let mut all_rows: Vec<PerformanceRow> = Vec::new();
     for solver in [SolverKind::Cg, SolverKind::BiCgStab] {
@@ -54,7 +43,7 @@ fn main() {
         let mut feinberg_fc_speedups = Vec::new();
         let mut refloat_over_fc = Vec::new();
 
-        for &workload in &workloads {
+        for workload in ExperimentConfig::workloads(quick) {
             let prepared = PreparedWorkload::prepare(workload, &config);
             let (double, refloat, feinberg) = solve_all_platforms(&prepared, solver, &config);
             let row =
@@ -106,10 +95,10 @@ fn main() {
          Feinberg does not converge on ids 353, 354, 2261, 355, 2259, 845."
     );
 
-    if let Some(path) = json {
+    if let Some(path) = args.value("--json") {
         let records: Vec<PerformanceRecord> =
             all_rows.iter().map(PerformanceRecord::from).collect();
-        write_json(&path, &records).expect("write JSON results");
+        write_json(path, &records).expect("write JSON results");
         println!("\nwrote {path}");
     }
 }

@@ -1,36 +1,24 @@
 //! Experiment E11 — Fig. 9: convergence traces (residual vs iteration) of the FP64
 //! ("GPU"/Feinberg-fc) and ReFloat solvers.
 //!
-//! The full per-iteration traces are written to CSV files (one per workload × solver)
-//! under the directory given by `--out <dir>` (default `fig9_traces/`); stdout shows a
-//! compact subsampled view.
+//! Stdout shows a compact view (iterations and final residuals); with `--out <dir>`
+//! the full per-iteration traces are also written as CSV files, one per workload ×
+//! solver, under `<dir>`.  Without it nothing is written.
 
+use refloat_bench::args::Args;
 use refloat_bench::experiment::{solve_all_platforms, ExperimentConfig, PreparedWorkload};
-use refloat_bench::json::has_flag;
 use refloat_bench::table::TextTable;
-use refloat_matgen::Workload;
 use reram_sim::SolverKind;
 use std::io::Write;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = has_flag(&args, "--quick");
-    let out_dir = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "fig9_traces".to_string());
-    let config = if quick {
-        ExperimentConfig::quick()
-    } else {
-        ExperimentConfig::default()
-    };
-    std::fs::create_dir_all(&out_dir).expect("create output directory");
-
-    let workloads: Vec<Workload> = Workload::ALL
-        .into_iter()
-        .filter(|w| !quick || w.spec().nnz <= 600_000)
-        .collect();
+    let args = Args::from_env("fig9_traces", &["--quick"], &["--out"]);
+    let quick = args.switch("--quick");
+    let out_dir = args.value("--out");
+    let config = ExperimentConfig::new(quick);
+    if let Some(dir) = out_dir {
+        std::fs::create_dir_all(dir).expect("create output directory");
+    }
 
     for solver in [SolverKind::Cg, SolverKind::BiCgStab] {
         let solver_name = match solver {
@@ -49,28 +37,21 @@ fn main() {
             "double final res",
             "refloat final res",
         ]);
-        for &workload in &workloads {
+        for workload in ExperimentConfig::workloads(quick) {
             let prepared = PreparedWorkload::prepare(workload, &config);
             let (double, refloat, _feinberg) = solve_all_platforms(&prepared, solver, &config);
             let spec = workload.spec();
 
-            // Write the full traces as CSV: iteration, residual_double, residual_refloat.
-            let path = format!("{out_dir}/{}_{}.csv", spec.name, solver_name);
-            let mut file = std::fs::File::create(&path).expect("create trace file");
-            writeln!(file, "iteration,residual_double,residual_refloat").unwrap();
-            let len = double.result.trace.len().max(refloat.result.trace.len());
-            for i in 0..len {
-                let d = double
-                    .result
-                    .trace
-                    .get(i)
-                    .map_or(String::new(), |v| format!("{v:e}"));
-                let r = refloat
-                    .result
-                    .trace
-                    .get(i)
-                    .map_or(String::new(), |v| format!("{v:e}"));
-                writeln!(file, "{i},{d},{r}").unwrap();
+            if let Some(dir) = out_dir {
+                // The full traces as CSV: iteration, residual_double, residual_refloat.
+                let path = format!("{dir}/{}_{}.csv", spec.name, solver_name);
+                let mut file = std::fs::File::create(&path).expect("create trace file");
+                writeln!(file, "iteration,residual_double,residual_refloat").unwrap();
+                let (d, r) = (&double.result.trace[..], &refloat.result.trace[..]);
+                for i in 0..d.len().max(r.len()) {
+                    let cell = |t: &[f64]| t.get(i).map_or(String::new(), |v| format!("{v:e}"));
+                    writeln!(file, "{i},{},{}", cell(d), cell(r)).unwrap();
+                }
             }
 
             t.row([
@@ -84,7 +65,9 @@ fn main() {
         }
         println!("{}", t.render());
     }
-    println!("full traces written to {out_dir}/<matrix>_<solver>.csv");
+    if let Some(dir) = out_dir {
+        println!("full traces written to {dir}/<matrix>_<solver>.csv");
+    }
     println!(
         "paper reference: the refloat traces follow the double traces closely (occasional spikes)\n\
          and all twelve matrices reach the 1e-8 residual threshold under both formats."

@@ -23,8 +23,8 @@
 
 use serde::Serialize;
 
-use refloat_bench::args::{or_exit, parse_positive_f64, raw_value};
-use refloat_bench::json::{has_flag, write_json};
+use refloat_bench::args::Args;
+use refloat_bench::json::write_json;
 use refloat_bench::table::TextTable;
 use refloat_core::formats;
 use refloat_core::ReFloatConfig;
@@ -63,11 +63,11 @@ struct AutotuneRecord {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = or_exit("fig_autotune", raw_value(&args, "--json"));
-    let tolerance =
-        or_exit("fig_autotune", parse_positive_f64(&args, "--tolerance")).unwrap_or(1e-6);
-    let quick = has_flag(&args, "--quick");
+    let args = Args::from_env("fig_autotune", &["--quick"], &["--tolerance", "--json"]);
+    let tolerance = args
+        .or_exit(args.positive_f64("--tolerance"))
+        .unwrap_or(1e-6);
+    let quick = args.switch("--quick");
     let b = 4u32; // blocking shared by every job (16×16 blocks suit these sizes)
 
     // Small synthetic stand-ins for the Table V value-scale classes: unit-scale
@@ -275,8 +275,8 @@ fn main() {
     }
 
     println!("{}", table.render());
-    if let Some(path) = json {
-        write_json(&path, &records).expect("write --json output");
+    if let Some(path) = args.value("--json") {
+        write_json(path, &records).expect("write --json output");
         println!("wrote {path}");
     }
     println!(

@@ -37,8 +37,8 @@ use std::sync::Arc;
 
 use serde::Serialize;
 
-use refloat_bench::args::{or_exit, parse_u64, raw_value, UsageError};
-use refloat_bench::json::{has_flag, write_json};
+use refloat_bench::args::{Args, UsageError};
+use refloat_bench::json::write_json;
 use refloat_bench::table::TextTable;
 use refloat_core::ReFloatConfig;
 use refloat_matgen::generators;
@@ -444,17 +444,17 @@ struct Options {
     json: Option<String>,
 }
 
-fn parse_options(args: &[String]) -> Result<Options, UsageError> {
+fn parse_options(args: &Args) -> Result<Options, UsageError> {
     Ok(Options {
-        quick: has_flag(args, "--quick"),
-        seed: parse_u64(args, "--seed")?.unwrap_or(2023),
-        json: raw_value(args, "--json")?,
+        quick: args.switch("--quick"),
+        seed: args.u64("--seed")?.unwrap_or(2023),
+        json: args.value("--json").map(str::to_string),
     })
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let options = or_exit("fig_cluster", parse_options(&args));
+    let args = Args::from_env("fig_cluster", &["--quick"], &["--seed", "--json"]);
+    let options = args.or_exit(parse_options(&args));
     run(&options);
 }
 

@@ -20,8 +20,7 @@
 //! fig_faults [--quick] [--seed S]
 //! ```
 
-use refloat_bench::args::{or_exit, parse_u64};
-use refloat_bench::json::has_flag;
+use refloat_bench::args::Args;
 use refloat_core::ReFloatConfig;
 use refloat_matgen::generators;
 use refloat_runtime::{
@@ -94,13 +93,9 @@ fn plans(count: usize, handle: &MatrixHandle) -> Vec<SolvePlan> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let seed = or_exit("fig_faults", parse_u64(&args, "--seed")).unwrap_or(2023);
-    run(&args, seed);
-}
-
-fn run(args: &[String], seed: u64) {
-    let quick = has_flag(args, "--quick");
+    let args = Args::from_env("fig_faults", &["--quick"], &["--seed"]);
+    let seed = args.or_exit(args.u64("--seed")).unwrap_or(2023);
+    let quick = args.switch("--quick");
     let jobs = if quick { 12 } else { 24 };
     let handle = workload(quick);
     println!("fig_faults: {jobs} jobs per arm, seed {seed}");

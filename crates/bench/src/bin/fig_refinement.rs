@@ -25,8 +25,8 @@
 
 use serde::Serialize;
 
-use refloat_bench::args::{or_exit, parse_positive_f64, raw_value};
-use refloat_bench::json::{has_flag, write_json};
+use refloat_bench::args::Args;
+use refloat_bench::json::write_json;
 use refloat_bench::table::TextTable;
 use refloat_core::{ReFloatConfig, ReFloatMatrix};
 use refloat_runtime::{MatrixHandle, RefinementSpec, RuntimeConfig, SolvePlan, SolveRuntime};
@@ -59,10 +59,9 @@ struct PassRecord {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = or_exit("fig_refinement", raw_value(&args, "--json"));
-    let target = or_exit("fig_refinement", parse_positive_f64(&args, "--target")).unwrap_or(1e-12);
-    let quick = has_flag(&args, "--quick");
+    let args = Args::from_env("fig_refinement", &["--quick"], &["--target", "--json"]);
+    let target = args.or_exit(args.positive_f64("--target")).unwrap_or(1e-12);
+    let quick = args.switch("--quick");
     let n = if quick { 16 } else { 48 };
 
     // An SPD Poisson workload: every plain low-precision solve below stalls orders of
@@ -212,8 +211,8 @@ fn main() {
     println!("{}", pass_table.render());
     println!("{}", outcome.report.render());
 
-    if let Some(path) = json {
-        write_json(&path, &records).expect("write --json output");
+    if let Some(path) = args.value("--json") {
+        write_json(path, &records).expect("write --json output");
         println!("wrote {path}");
     }
 

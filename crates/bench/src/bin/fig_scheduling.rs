@@ -18,8 +18,8 @@
 
 use serde::Serialize;
 
-use refloat_bench::args::{or_exit, raw_value};
-use refloat_bench::json::{has_flag, write_json};
+use refloat_bench::args::Args;
+use refloat_bench::json::write_json;
 use refloat_bench::table::TextTable;
 use refloat_core::ReFloatConfig;
 use refloat_matgen::generators;
@@ -110,9 +110,8 @@ fn replay(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = or_exit("fig_scheduling", raw_value(&args, "--json"));
-    let quick = has_flag(&args, "--quick");
+    let args = Args::from_env("fig_scheduling", &["--quick"], &["--json"]);
+    let quick = args.switch("--quick");
     let (batch_jobs, interactive_jobs) = if quick { (32, 8) } else { (64, 16) };
 
     // The backlog class: a medium stencil whose solves take real time.
@@ -206,7 +205,7 @@ fn main() {
          (throughput ratio {throughput_ratio:.2})"
     );
 
-    if let Some(path) = json {
+    if let Some(path) = args.value("--json") {
         let records: Vec<SchedulingRecord> = [("fifo", &fifo), ("priority", &prio)]
             .into_iter()
             .map(|(name, run)| SchedulingRecord {
@@ -220,7 +219,7 @@ fn main() {
                 digest: format!("{:016x}", run.digest),
             })
             .collect();
-        write_json(&path, &records).expect("write --json output");
+        write_json(path, &records).expect("write --json output");
         println!("wrote {path}");
     }
 

@@ -24,8 +24,8 @@
 
 use serde::Serialize;
 
-use refloat_bench::args::{known_flags, or_exit, raw_value};
-use refloat_bench::json::{has_flag, write_json};
+use refloat_bench::args::Args;
+use refloat_bench::json::write_json;
 use refloat_bench::table::TextTable;
 use refloat_core::ReFloatConfig;
 use refloat_runtime::{MatrixHandle, RuntimeConfig, SolvePlan, SolveRuntime};
@@ -43,11 +43,8 @@ struct ShardingRecord {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let known = known_flags(&args, &["--smoke", "--quick"], &["--json"]);
-    or_exit("fig_sharding", known);
-    let json = or_exit("fig_sharding", raw_value(&args, "--json"));
-    let smoke = has_flag(&args, "--smoke") || has_flag(&args, "--quick");
+    let args = Args::from_env("fig_sharding", &["--smoke", "--quick"], &["--json"]);
+    let smoke = args.switch("--smoke") || args.switch("--quick");
 
     // A Poisson workload blocked at 2^4: block count scales with the grid.
     let n = if smoke { 48 } else { 96 };
@@ -143,8 +140,8 @@ fn main() {
     println!("{}", table.render());
     println!("{}", outcome.report.render());
 
-    if let Some(path) = json {
-        write_json(&path, &records).expect("write --json output");
+    if let Some(path) = args.value("--json") {
+        write_json(path, &records).expect("write --json output");
         println!("wrote {path}");
     }
 

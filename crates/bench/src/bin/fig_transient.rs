@@ -26,8 +26,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use refloat_bench::args::{or_exit, parse_u64};
-use refloat_bench::json::has_flag;
+use refloat_bench::args::Args;
 use refloat_core::{assert_bitwise_identical, reencode_incremental, ReFloatConfig, ReFloatMatrix};
 use refloat_matgen::fem::poisson_2d;
 use refloat_matgen::{SolveStep, TransientChain, TransientSpec};
@@ -137,13 +136,9 @@ fn worst_true_residual(steps: &[SolveStep], solutions: &[Vec<f64>]) -> f64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let seed = or_exit("fig_transient", parse_u64(&args, "--seed")).unwrap_or(2023);
-    run(&args, seed);
-}
-
-fn run(args: &[String], seed: u64) {
-    let quick = has_flag(args, "--quick");
+    let args = Args::from_env("fig_transient", &["--quick"], &["--seed"]);
+    let seed = args.or_exit(args.u64("--seed")).unwrap_or(2023);
+    let quick = args.switch("--quick");
     let steps = chain(quick, seed);
     let n = steps[0].matrix.nrows();
     println!(

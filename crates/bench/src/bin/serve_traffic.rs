@@ -42,11 +42,8 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 
-use refloat_bench::args::{
-    or_exit, parse_nonneg_f64, parse_positive_f64, parse_positive_usize, parse_u64, raw_value,
-    require_with, UsageError,
-};
-use refloat_bench::json::{has_flag, write_json};
+use refloat_bench::args::{Args, UsageError};
+use refloat_bench::json::write_json;
 use refloat_core::ReFloatConfig;
 use refloat_matgen::generators;
 use refloat_matgen::traffic::{generate, ArrivalProcess, TrafficSpec};
@@ -202,32 +199,49 @@ struct OpenLoopOptions {
     skew: f64,
 }
 
-fn parse_options(args: &[String]) -> Result<Options, UsageError> {
-    let quick = has_flag(args, "--quick");
-    let jobs = parse_u64(args, "--jobs")?.unwrap_or(240) as usize;
-    let workers = parse_positive_usize(args, "--workers")?.unwrap_or(4);
-    let seed = parse_u64(args, "--seed")?.unwrap_or(2023);
-    let cache_capacity = parse_positive_usize(args, "--cache")?.unwrap_or(32);
-    let nodes = parse_positive_usize(args, "--nodes")?;
+/// The value flags `serve_traffic` takes; `--quick` is its one switch.
+const VALUE_FLAGS: &[&str] = &[
+    "--jobs",
+    "--workers",
+    "--seed",
+    "--cache",
+    "--json",
+    "--trace",
+    "--nodes",
+    "--max-in-system",
+    "--quota",
+    "--arrivals",
+    "--rate",
+    "--tenants",
+    "--skew",
+];
+
+fn parse_options(args: &Args) -> Result<Options, UsageError> {
+    let quick = args.switch("--quick");
+    let jobs = args.u64("--jobs")?.unwrap_or(240) as usize;
+    let workers = args.positive_usize("--workers")?.unwrap_or(4);
+    let seed = args.u64("--seed")?.unwrap_or(2023);
+    let cache_capacity = args.positive_usize("--cache")?.unwrap_or(32);
+    let nodes = args.positive_usize("--nodes")?;
 
     // Admission bounds only exist at the cluster layer.
-    require_with(args, "--max-in-system", nodes.is_some(), "--nodes")?;
-    require_with(args, "--quota", nodes.is_some(), "--nodes")?;
+    args.require_with("--max-in-system", nodes.is_some(), "--nodes")?;
+    args.require_with("--quota", nodes.is_some(), "--nodes")?;
     let admission = AdmissionConfig {
-        max_in_system: parse_positive_usize(args, "--max-in-system")?,
-        per_tenant_quota: parse_positive_usize(args, "--quota")?,
+        max_in_system: args.positive_usize("--max-in-system")?,
+        per_tenant_quota: args.positive_usize("--quota")?,
     };
 
     // Traffic-shape flags only exist in open-loop mode.
-    let arrivals_kind = raw_value(args, "--arrivals")?;
+    let arrivals_kind = args.value("--arrivals");
     let open = arrivals_kind.is_some();
-    require_with(args, "--rate", open, "--arrivals")?;
-    require_with(args, "--tenants", open, "--arrivals")?;
-    require_with(args, "--skew", open, "--arrivals")?;
-    let open_loop = match arrivals_kind.as_deref() {
+    args.require_with("--rate", open, "--arrivals")?;
+    args.require_with("--tenants", open, "--arrivals")?;
+    args.require_with("--skew", open, "--arrivals")?;
+    let open_loop = match arrivals_kind {
         None => None,
         Some(kind) => {
-            let rate_per_s = parse_positive_f64(args, "--rate")?.unwrap_or(25.0);
+            let rate_per_s = args.positive_f64("--rate")?.unwrap_or(25.0);
             let arrivals = match kind {
                 "poisson" => ArrivalProcess::Poisson { rate_per_s },
                 "bursty" => ArrivalProcess::Bursty {
@@ -245,8 +259,8 @@ fn parse_options(args: &[String]) -> Result<Options, UsageError> {
             };
             Some(OpenLoopOptions {
                 arrivals,
-                tenants: parse_positive_usize(args, "--tenants")?.unwrap_or(16),
-                skew: parse_nonneg_f64(args, "--skew")?.unwrap_or(1.1),
+                tenants: args.positive_usize("--tenants")?.unwrap_or(16),
+                skew: args.nonneg_f64("--skew")?.unwrap_or(1.1),
             })
         }
     };
@@ -259,8 +273,8 @@ fn parse_options(args: &[String]) -> Result<Options, UsageError> {
         nodes,
         admission,
         open_loop,
-        trace: raw_value(args, "--trace")?,
-        json: raw_value(args, "--json")?,
+        trace: args.value("--trace").map(str::to_string),
+        json: args.value("--json").map(str::to_string),
     })
 }
 
@@ -410,8 +424,8 @@ fn digest_of(jobs: &[JobOutcome]) -> u64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let options = or_exit("serve_traffic", parse_options(&args));
+    let args = Args::from_env("serve_traffic", &["--quick"], VALUE_FLAGS);
+    let options = args.or_exit(parse_options(&args));
     run(&options);
 }
 

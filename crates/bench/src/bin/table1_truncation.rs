@@ -6,8 +6,8 @@
 //! solver simply stops converging because the fixed window no longer covers the vector
 //! values.  `NC` marks non-convergence within the iteration budget.
 
-use refloat_bench::args::{or_exit, raw_value};
-use refloat_bench::json::{has_flag, write_json};
+use refloat_bench::args::Args;
+use refloat_bench::json::write_json;
 use refloat_bench::table::TextTable;
 use refloat_core::truncate::{TruncatedOperator, TruncationConfig};
 use refloat_matgen::{rhs, Workload};
@@ -22,9 +22,8 @@ struct TruncationRecord {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = or_exit("table1_truncation", raw_value(&args, "--json"));
-    let quick = has_flag(&args, "--quick");
+    let args = Args::from_env("table1_truncation", &["--quick"], &["--json"]);
+    let quick = args.switch("--quick");
 
     let workload = Workload::Crystm03;
     let a = workload.generate_csr(2023);
@@ -86,8 +85,8 @@ fn main() {
          truncation is graceful down to ~21 bits; exponent truncation below 7 bits -> NC."
     );
 
-    if let Some(path) = json {
-        write_json(&path, &records).expect("write JSON results");
+    if let Some(path) = args.value("--json") {
+        write_json(path, &records).expect("write JSON results");
         println!("\nwrote {path}");
     }
 }

@@ -1,14 +1,13 @@
 //! Experiment E6 — Table III: classical number formats expressed as ReFloat instances,
 //! together with the hardware cost each would imply on the crossbar model.
 
-use refloat_bench::args::{known_flags, or_exit};
+use refloat_bench::args::Args;
 use refloat_bench::table::TextTable;
 use refloat_core::formats::table_iii;
 use reram_sim::cost;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    or_exit("table3_formats", known_flags(&args, &[], &[]));
+    Args::from_env("table3_formats", &[], &[]);
     println!("== Table III: formats represented by ReFloat(b, e, f) ==\n");
     let mut t = TextTable::new([
         "format",

@@ -4,10 +4,10 @@
 //! values the paper lists for the real SuiteSparse matrices.  With `--cond` it also
 //! estimates the condition number by power / inverse-power iteration (slower).
 
-use refloat_bench::args::{or_exit, raw_value};
-use refloat_bench::json::{has_flag, write_json};
+use refloat_bench::args::Args;
+use refloat_bench::experiment::ExperimentConfig;
+use refloat_bench::json::write_json;
 use refloat_bench::table::TextTable;
-use refloat_matgen::Workload;
 use refloat_solvers::eigs;
 use refloat_sparse::MatrixStats;
 use serde::Serialize;
@@ -28,10 +28,8 @@ struct WorkloadRecord {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = or_exit("table5_matrices", raw_value(&args, "--json"));
-    let estimate_cond = has_flag(&args, "--cond");
-    let quick = has_flag(&args, "--quick");
+    let args = Args::from_env("table5_matrices", &["--quick", "--cond"], &["--json"]);
+    let estimate_cond = args.switch("--cond");
     let seed = 2023;
 
     println!("== Table V: evaluation matrices (paper values vs synthetic analogues) ==\n");
@@ -49,11 +47,8 @@ fn main() {
         "max |a_ij|",
     ]);
     let mut records = Vec::new();
-    for workload in Workload::ALL {
+    for workload in ExperimentConfig::workloads(args.switch("--quick")) {
         let spec = workload.spec();
-        if quick && spec.nnz > 600_000 {
-            continue;
-        }
         let mut csr = workload.generate_csr(seed);
         let stats = MatrixStats::compute(&csr);
         let cond = if estimate_cond {
@@ -91,8 +86,8 @@ fn main() {
     println!("{}", t.render());
     println!("(pass --cond to estimate condition numbers; --quick to skip the largest matrices)");
 
-    if let Some(path) = json {
-        write_json(&path, &records).expect("write JSON results");
+    if let Some(path) = args.value("--json") {
+        write_json(path, &records).expect("write JSON results");
         println!("\nwrote {path}");
     }
 }

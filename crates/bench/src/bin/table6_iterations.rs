@@ -2,11 +2,10 @@
 //! `refloat`, for CG and BiCGSTAB on all 12 workloads (plus the Feinberg column that
 //! motivates §VI.B's non-convergence discussion).
 
-use refloat_bench::args::{or_exit, raw_value};
+use refloat_bench::args::Args;
 use refloat_bench::experiment::{solve_all_platforms, ExperimentConfig, PreparedWorkload};
-use refloat_bench::json::{has_flag, write_json};
+use refloat_bench::json::write_json;
 use refloat_bench::table::TextTable;
-use refloat_matgen::Workload;
 use reram_sim::SolverKind;
 use serde::Serialize;
 
@@ -38,19 +37,9 @@ fn delta(double: Option<usize>, refloat: Option<usize>) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = or_exit("table6_iterations", raw_value(&args, "--json"));
-    let quick = has_flag(&args, "--quick");
-    let config = if quick {
-        ExperimentConfig::quick()
-    } else {
-        ExperimentConfig::default()
-    };
-
-    let workloads: Vec<Workload> = Workload::ALL
-        .into_iter()
-        .filter(|w| !quick || w.spec().nnz <= 600_000)
-        .collect();
+    let args = Args::from_env("table6_iterations", &["--quick"], &["--json"]);
+    let quick = args.switch("--quick");
+    let config = ExperimentConfig::new(quick);
 
     println!("== Table VI: iterations to convergence (measured | paper in brackets) ==\n");
     let mut t = TextTable::new([
@@ -66,7 +55,7 @@ fn main() {
         "BiCG feinberg",
     ]);
     let mut records = Vec::new();
-    for &workload in &workloads {
+    for workload in ExperimentConfig::workloads(quick) {
         let spec = workload.spec();
         let prepared = PreparedWorkload::prepare(workload, &config);
         let (cg_d, cg_r, cg_f) = solve_all_platforms(&prepared, SolverKind::Cg, &config);
@@ -106,8 +95,8 @@ fn main() {
          for BiCGSTAB), and Feinberg fails to converge on ids 353, 354, 2261, 355, 2259, 845."
     );
 
-    if let Some(path) = json {
-        write_json(&path, &records).expect("write JSON results");
+    if let Some(path) = args.value("--json") {
+        write_json(path, &records).expect("write JSON results");
         println!("\nwrote {path}");
     }
 }

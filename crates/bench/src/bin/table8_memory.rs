@@ -1,12 +1,12 @@
 //! Experiment E15 — Table VIII: memory footprint of the matrix in `refloat` format
 //! normalized to the `double` (COO, 32+32+64-bit) storage the Feinberg design uses.
 
-use refloat_bench::args::{or_exit, raw_value};
-use refloat_bench::json::{has_flag, write_json};
+use refloat_bench::args::Args;
+use refloat_bench::experiment::ExperimentConfig;
+use refloat_bench::json::write_json;
 use refloat_bench::table::TextTable;
 use refloat_core::memory;
 use refloat_core::ReFloatConfig;
-use refloat_matgen::Workload;
 use refloat_sparse::BlockedMatrix;
 use serde::Serialize;
 
@@ -41,9 +41,8 @@ fn paper_ratio(id: u32) -> f64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = or_exit("table8_memory", raw_value(&args, "--json"));
-    let quick = has_flag(&args, "--quick");
+    let args = Args::from_env("table8_memory", &["--quick"], &["--json"]);
+    let quick = args.switch("--quick");
     let seed = 2023;
     let config = ReFloatConfig::paper_default();
 
@@ -59,11 +58,8 @@ fn main() {
     let mut records = Vec::new();
     let mut sum = 0.0;
     let mut count = 0usize;
-    for workload in Workload::ALL {
+    for workload in ExperimentConfig::workloads(quick) {
         let spec = workload.spec();
-        if quick && spec.nnz > 600_000 {
-            continue;
-        }
         let csr = workload.generate_csr(seed);
         let blocked = BlockedMatrix::from_csr(&csr, config.b).expect("b = 7 is valid");
         let ratio = memory::memory_overhead_ratio(&blocked, &config);
@@ -97,8 +93,8 @@ fn main() {
         sum / count.max(1) as f64
     );
 
-    if let Some(path) = json {
-        write_json(&path, &records).expect("write JSON results");
+    if let Some(path) = args.value("--json") {
+        write_json(path, &records).expect("write JSON results");
         println!("\nwrote {path}");
     }
 }

@@ -38,13 +38,25 @@ impl Default for ExperimentConfig {
 }
 
 impl ExperimentConfig {
-    /// A reduced-cost configuration for smoke tests and `--quick` runs.
-    pub fn quick() -> Self {
+    /// The default configuration, or under `--quick` (and in smoke tests) a
+    /// reduced-cost one with lower iteration caps.
+    pub fn new(quick: bool) -> Self {
+        if !quick {
+            return Self::default();
+        }
         ExperimentConfig {
             max_iterations: 3_000,
             feinberg_max_iterations: 500,
             ..Self::default()
         }
+    }
+
+    /// The Table V workloads a run covers: all twelve, or under `--quick` only those
+    /// of at most 600,000 non-zeros.
+    pub fn workloads(quick: bool) -> impl Iterator<Item = Workload> {
+        Workload::ALL
+            .into_iter()
+            .filter(move |w| !quick || w.spec().nnz <= 600_000)
     }
 
     /// The solver configuration used for FP64 / ReFloat runs.
@@ -61,7 +73,7 @@ impl ExperimentConfig {
     /// (`e = ev = 3`, `f = 3`, `fv = 8`, with `fv = 16` for `wathen100` and `Dubcova2`),
     /// except that the matrix fraction follows `WorkloadSpec::refloat_f` — the synthetic
     /// mass-matrix analogues need `f = 8` to keep the quantized operator positive
-    /// definite (see EXPERIMENTS.md, E10).
+    /// definite.
     pub fn refloat_config_for(&self, workload: Workload) -> ReFloatConfig {
         let spec = workload.spec();
         ReFloatConfig::new(self.block_exponent, 3, spec.refloat_f, 3, spec.refloat_fv)
@@ -270,7 +282,7 @@ mod tests {
         // crystm01 is the smallest Table V matrix; use a quick config for tests.
         let config = ExperimentConfig {
             block_exponent: 7,
-            ..ExperimentConfig::quick()
+            ..ExperimentConfig::new(true)
         };
         (
             PreparedWorkload::prepare(Workload::Crystm01, &config),

@@ -1,7 +1,7 @@
 //! Serialisable experiment records.
 //!
-//! Every experiment binary can dump its results as JSON (via `--json <path>`), so the
-//! numbers quoted in `EXPERIMENTS.md` can be regenerated and diffed mechanically.
+//! Most experiment binaries can dump their results as JSON (via `--json <path>`) for
+//! scripts to read; their printed tables are diffed against `crates/bench/golden/`.
 
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -70,11 +70,6 @@ pub fn write_json<T: Serialize, P: AsRef<Path>>(path: P, records: &T) -> std::io
     std::fs::write(path, text)
 }
 
-/// Returns true when the argument list contains a flag (e.g. `--quick`).
-pub fn has_flag(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,16 +94,6 @@ mod tests {
         let text = serde_json::to_string(&record).unwrap();
         let back: PerformanceRecord = serde_json::from_str(&text).unwrap();
         assert_eq!(back, record);
-    }
-
-    #[test]
-    fn has_flag_finds_only_the_flags_given() {
-        let args: Vec<String> = ["--quick", "--json", "/tmp/out.json"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(has_flag(&args, "--quick"));
-        assert!(!has_flag(&args, "--details"));
     }
 
     #[test]

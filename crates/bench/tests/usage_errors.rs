@@ -1,9 +1,65 @@
-//! A path-taking flag with no path is a usage error (status 2, one line naming the
-//! flag), never a run that silently skips the output or writes it to a file named
-//! after the next flag.  So is a flag the binary does not take, never a run of the
-//! default mode.
+//! Every binary parses its command line through one declared-flags call, so a flag it
+//! does not take is a usage error (status 2, one line naming the flag), never a run of
+//! the default mode; and a path- or number-taking flag with no value is one too, never
+//! a run that silently skips the output or writes it to a file named after the next
+//! flag.
 
 use std::process::Command;
+
+/// Every binary, with the switches and the value flags it declares.
+const BINS: &[(&str, &str, &str)] = &[
+    (env!("CARGO_BIN_EXE_ablation_format"), "--quick", ""),
+    (env!("CARGO_BIN_EXE_fig10_noise"), "--quick", "--json"),
+    (env!("CARGO_BIN_EXE_fig2_fixed_point"), "", ""),
+    (env!("CARGO_BIN_EXE_fig3_cost_model"), "", ""),
+    (env!("CARGO_BIN_EXE_fig3d_locality"), "--quick", "--json"),
+    (
+        env!("CARGO_BIN_EXE_fig8_performance"),
+        "--quick --details",
+        "--json",
+    ),
+    (env!("CARGO_BIN_EXE_fig9_traces"), "--quick", "--out"),
+    (
+        env!("CARGO_BIN_EXE_fig_autotune"),
+        "--quick",
+        "--tolerance --json",
+    ),
+    (
+        env!("CARGO_BIN_EXE_fig_cluster"),
+        "--quick",
+        "--seed --json",
+    ),
+    (env!("CARGO_BIN_EXE_fig_faults"), "--quick", "--seed"),
+    (
+        env!("CARGO_BIN_EXE_fig_refinement"),
+        "--quick",
+        "--target --json",
+    ),
+    (env!("CARGO_BIN_EXE_fig_scheduling"), "--quick", "--json"),
+    (
+        env!("CARGO_BIN_EXE_fig_sharding"),
+        "--smoke --quick",
+        "--json",
+    ),
+    (env!("CARGO_BIN_EXE_fig_transient"), "--quick", "--seed"),
+    (
+        env!("CARGO_BIN_EXE_serve_traffic"),
+        "--quick",
+        SERVE_TRAFFIC_VALUES,
+    ),
+    (env!("CARGO_BIN_EXE_table1_truncation"), "--quick", "--json"),
+    (env!("CARGO_BIN_EXE_table3_formats"), "", ""),
+    (
+        env!("CARGO_BIN_EXE_table5_matrices"),
+        "--quick --cond",
+        "--json",
+    ),
+    (env!("CARGO_BIN_EXE_table6_iterations"), "--quick", "--json"),
+    (env!("CARGO_BIN_EXE_table8_memory"), "--quick", "--json"),
+];
+
+const SERVE_TRAFFIC_VALUES: &str = "--jobs --workers --seed --cache --json --trace --nodes \
+    --max-in-system --quota --arrivals --rate --tenants --skew";
 
 /// Runs `bin` with `args` and asserts a usage error: exit status 2, one line on stderr
 /// that contains `names`, and no run started (empty stdout).
@@ -21,18 +77,18 @@ fn assert_usage_error(bin: &str, args: &[&str], names: &str) {
     assert_eq!(
         out.status.code(),
         Some(2),
-        "{args:?} must exit 2; stderr: {stderr}"
+        "{bin} {args:?} must exit 2; stderr: {stderr}"
     );
     assert_eq!(
         stderr.trim_end().lines().count(),
         1,
-        "{args:?} must print one line: {stderr}"
+        "{bin} {args:?} must print one line: {stderr}"
     );
     assert!(
         stderr.contains(names),
-        "{args:?} must say {names:?}: {stderr}"
+        "{bin} {args:?} must say {names:?}: {stderr}"
     );
-    assert!(out.stdout.is_empty(), "{args:?} must not start a run");
+    assert!(out.stdout.is_empty(), "{bin} {args:?} must not start a run");
 }
 
 fn assert_missing_value(bin: &str, args: &[&str], flag: &str) {
@@ -40,49 +96,46 @@ fn assert_missing_value(bin: &str, args: &[&str], flag: &str) {
 }
 
 #[test]
-fn a_dangling_trace_or_json_on_serve_traffic_is_a_missing_value() {
-    let bin = env!("CARGO_BIN_EXE_serve_traffic");
-    assert_missing_value(bin, &["--quick", "--trace"], "--trace");
-    assert_missing_value(bin, &["--trace", "--quick"], "--trace");
-    assert_missing_value(bin, &["--quick", "--json"], "--json");
-    assert_missing_value(bin, &["--json", "--quick"], "--json");
-}
-
-#[test]
-fn a_dangling_json_on_fig_cluster_is_a_missing_value() {
-    let bin = env!("CARGO_BIN_EXE_fig_cluster");
-    assert_missing_value(bin, &["--quick", "--json"], "--json");
-    assert_missing_value(bin, &["--json", "--quick"], "--json");
-}
-
-#[test]
-fn a_dangling_json_on_an_experiment_bin_is_a_missing_value() {
-    assert_missing_value(
-        env!("CARGO_BIN_EXE_fig_sharding"),
-        &["--json", "--smoke"],
-        "--json",
-    );
-    assert_missing_value(
-        env!("CARGO_BIN_EXE_table5_matrices"),
-        &["--quick", "--json"],
-        "--json",
-    );
-    for bin in [
-        env!("CARGO_BIN_EXE_fig_scheduling"),
-        env!("CARGO_BIN_EXE_fig_sharding"),
-        env!("CARGO_BIN_EXE_fig_autotune"),
-        env!("CARGO_BIN_EXE_fig_refinement"),
-        env!("CARGO_BIN_EXE_fig8_performance"),
-        env!("CARGO_BIN_EXE_fig10_noise"),
-        env!("CARGO_BIN_EXE_fig3d_locality"),
-        env!("CARGO_BIN_EXE_table1_truncation"),
-        env!("CARGO_BIN_EXE_table5_matrices"),
-        env!("CARGO_BIN_EXE_table6_iterations"),
-        env!("CARGO_BIN_EXE_table8_memory"),
-    ] {
-        assert_missing_value(bin, &["--quick", "--json"], "--json");
-        assert_missing_value(bin, &["--json", "--quick"], "--json");
+fn every_bin_refuses_a_flag_it_does_not_take() {
+    for &(bin, switches, _) in BINS {
+        assert_usage_error(bin, &["--bogus"], "unknown flag --bogus");
+        for switch in switches.split_whitespace() {
+            assert_usage_error(bin, &[switch, "--bogus"], "unknown flag --bogus");
+            assert_usage_error(bin, &["--bogus", switch], "unknown flag --bogus");
+        }
     }
+}
+
+#[test]
+fn every_dangling_value_flag_is_a_missing_value() {
+    for &(bin, switches, value_flags) in BINS {
+        for flag in value_flags.split_whitespace() {
+            assert_missing_value(bin, &[flag], flag);
+            for switch in switches.split_whitespace() {
+                assert_missing_value(bin, &[switch, flag], flag);
+                assert_missing_value(bin, &[flag, switch], flag);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_typo_a_stray_flag_or_a_pathless_out_never_runs() {
+    assert_usage_error(
+        env!("CARGO_BIN_EXE_table5_matrices"),
+        &["--quik"],
+        "unknown flag --quik",
+    );
+    assert_usage_error(
+        env!("CARGO_BIN_EXE_fig_faults"),
+        &["--bogus", "--quick"],
+        "unknown flag --bogus",
+    );
+    assert_missing_value(
+        env!("CARGO_BIN_EXE_fig9_traces"),
+        &["--out", "--quick"],
+        "--out",
+    );
 }
 
 #[test]
@@ -105,17 +158,15 @@ fn a_bad_or_dangling_numeric_flag_on_a_fig_bin_is_a_usage_error() {
 }
 
 #[test]
-fn a_flag_a_bin_does_not_take_is_an_unknown_flag() {
+fn a_misspelt_switch_is_an_unknown_flag() {
     let sharding = env!("CARGO_BIN_EXE_fig_sharding");
     assert_usage_error(sharding, &["--smok"], "unknown flag --smok");
-    assert_usage_error(sharding, &["--smoke", "--bogus"], "unknown flag --bogus");
     // The three bins that take no flags at all.
     for bin in [
         env!("CARGO_BIN_EXE_fig2_fixed_point"),
         env!("CARGO_BIN_EXE_fig3_cost_model"),
         env!("CARGO_BIN_EXE_table3_formats"),
     ] {
-        assert_usage_error(bin, &["--bogus"], "unknown flag --bogus");
         assert_usage_error(bin, &["--quick"], "unknown flag --quick");
     }
 }

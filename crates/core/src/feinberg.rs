@@ -14,7 +14,6 @@
 //! failure); elements below it are too small for the fixed-point grid and flush to zero.
 
 use refloat_solvers::LinearOperator;
-use refloat_sparse::stats::exponent_of;
 use refloat_sparse::CsrMatrix;
 
 use crate::block::optimal_exponent_base;
@@ -171,17 +170,12 @@ impl LinearOperator for FeinbergOperator {
     }
 }
 
-/// Convenience: the exponent of the matrix element with the largest magnitude, used by
-/// experiment reports to show how far a workload's values sit from 1.0.
-pub fn dominant_exponent(a: &CsrMatrix) -> i32 {
-    exponent_of(a.max_abs())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use refloat_matgen::{generators, rhs};
     use refloat_solvers::{cg, SolverConfig, StopReason};
+    use refloat_sparse::stats::exponent_of;
 
     #[test]
     fn window_is_centred_on_the_matrix_exponents() {

@@ -128,11 +128,6 @@ impl ReFloatConfig {
         max_offset_for_bits(self.ev)
     }
 
-    /// The smallest representable *vector* exponent offset.
-    pub fn min_offset_vector(&self) -> i32 {
-        -max_offset_for_bits(self.ev)
-    }
-
     /// Bits per encoded matrix element: sign + exponent offset + fraction.
     pub fn matrix_value_bits(&self) -> u32 {
         1 + self.e + self.f

@@ -3,7 +3,7 @@
 //! Every [`Workload`] knows the paper-reported properties of the SuiteSparse matrix it
 //! stands in for ([`WorkloadSpec`]) and can [`generate`](Workload::generate) a synthetic
 //! matrix reproducing its dimension, sparsity, structure class and value-magnitude
-//! profile.  See `DESIGN.md` §3 for the substitution rationale.
+//! profile.  See the README's *Substitutions* for the rationale.
 
 use crate::generators;
 use refloat_sparse::{CooMatrix, CsrMatrix};
@@ -34,8 +34,7 @@ pub struct WorkloadSpec {
     /// Default fraction bits for the *matrix* blocks in the ReFloat solver runs.  The
     /// paper uses 3 for every matrix; the synthetic mass-matrix analogues (crystm*,
     /// qa8fm) need 8 because their stencil part is worse conditioned than the real FEM
-    /// matrices, so a 2^-3 element perturbation would break positive definiteness (see
-    /// EXPERIMENTS.md, E10).
+    /// matrices, so a 2^-3 element perturbation would break positive definiteness.
     pub refloat_f: u32,
 }
 

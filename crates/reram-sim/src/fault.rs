@@ -431,11 +431,6 @@ impl FaultyReFloatOperator {
     pub fn covered_faults(&self) -> usize {
         self.covered
     }
-
-    /// Whether the ABFT checksum test runs after every apply.
-    pub fn abft_enabled(&self) -> bool {
-        self.checksum.is_some()
-    }
 }
 
 impl LinearOperator for FaultyReFloatOperator {

@@ -2,7 +2,7 @@
 //!
 //! The paper measures wall-clock solver time on a real Tesla V100.  No GPU is available
 //! in this environment, so the baseline is modelled with the two effects that dominate
-//! iterative sparse solvers on GPUs (see DESIGN.md §3):
+//! iterative sparse solvers on GPUs (see the README's *Substitutions*):
 //!
 //! * memory-bound kernels: SpMV and the vector updates stream their operands from HBM,
 //!   so each kernel costs `bytes / bandwidth`, and

@@ -14,7 +14,7 @@
 //!   covers a pool of chips executing block-row shards in parallel (makespan = slowest
 //!   shard, plus a fixed-order host gather), and one chip is the pool of one,
 //! * [`gpu`] — a roofline + kernel-launch latency model standing in for the V100 +
-//!   cuSPARSE baseline (see DESIGN.md §3 for the substitution argument),
+//!   cuSPARSE baseline (see the README's *Substitutions* for the argument),
 //! * [`events`] — the [`CycleEvent`] record: simulated cycles and seconds attributed
 //!   to one chip phase (program / compute / stream-write / reduction / host-fp64),
 //! * [`noise`] — the random-telegraph-noise model of the Fig. 10 robustness study,

@@ -787,4 +787,43 @@ mod tests {
         assert_eq!(report.failed_jobs, 1);
         assert!(report.render().contains("0 chips killed, 1 failed"));
     }
+
+    #[test]
+    fn every_refusal_hands_the_plan_back_intact() {
+        let a = refloat_matgen::generators::laplacian_2d(8, 8, 0.3).to_csr();
+        let handle = MatrixHandle::new("p8", a);
+        let format = ReFloatConfig::new(4, 3, 8, 3, 8);
+        let rhs = std::sync::Arc::new(vec![2.0; 64]);
+        let plan = SolvePlan::new("tenant-7", handle.clone(), format)
+            .rhs(rhs.clone())
+            .sharding(2)
+            .priority(crate::Priority::Interactive)
+            .deadline(std::time::Duration::from_millis(40))
+            .build()
+            .unwrap();
+        let refusals = [
+            SubmitError::Closed(Box::new(plan.clone())),
+            SubmitError::Overloaded {
+                plan: Box::new(plan.clone()),
+                in_system: 9,
+                capacity: 8,
+            },
+            SubmitError::QuotaExceeded {
+                plan: Box::new(plan.clone()),
+                in_system: 3,
+                quota: 3,
+            },
+        ];
+        for refusal in refusals {
+            let label = format!("{refusal:?}");
+            let back = refusal.into_plan();
+            assert_eq!(back.tenant(), "tenant-7", "{label}");
+            assert_eq!(back.matrix().fingerprint(), handle.fingerprint(), "{label}");
+            assert_eq!(back.format(), format, "{label}");
+            assert!(std::sync::Arc::ptr_eq(back.rhs().unwrap(), &rhs), "{label}");
+            assert_eq!(back.shards(), 2, "{label}");
+            assert_eq!(back.priority(), crate::Priority::Interactive, "{label}");
+            assert_eq!(back.deadline(), plan.deadline(), "{label}");
+        }
+    }
 }

@@ -163,12 +163,6 @@ impl RefinementConfig {
         self.inner = inner;
         self
     }
-
-    /// Builder-style setter for the stall threshold.
-    pub fn with_min_reduction(mut self, min_reduction: f64) -> Self {
-        self.min_reduction = min_reduction;
-        self
-    }
 }
 
 /// Why the refinement loop terminated.

@@ -35,8 +35,9 @@
 //! ```
 //!
 //! See `examples/` for runnable end-to-end scenarios and `crates/bench/src/bin/` for the
-//! binaries that regenerate every table and figure of the paper (the index is in
-//! `DESIGN.md`; measured-vs-paper numbers are in `EXPERIMENTS.md`).
+//! binaries that regenerate every table and figure of the paper (the README's
+//! *Experiments and benchmarks* section sorts them; their measured-vs-paper tables are
+//! committed under `crates/bench/golden/`).
 
 #![forbid(unsafe_code)]
 
