@@ -286,17 +286,22 @@ fn classify(previous: &ReFloatMatrix, next: &ReFloatMatrix, changed: &[u64]) -> 
 pub fn assert_bitwise_identical(incremental: &ReFloatMatrix, scratch: &ReFloatMatrix) {
     let same_layout = incremental.layout() == scratch.layout();
     assert!(same_layout, "encodings disagree on the block layout");
-    let (inc, full) = (
-        incremental.decoded_in_block_order(),
-        scratch.decoded_in_block_order(),
-    );
-    for (inc, full) in incremental.blocks(&inc).zip(scratch.blocks(&full)) {
-        let same = inc.eb == full.eb
-            && (inc.decoded.iter().zip(full.decoded)).all(|(a, b)| a.to_bits() == b.to_bits());
-        assert!(
-            same,
-            "block ({}, {}) differs between incremental and from-scratch encode",
-            inc.block_row, inc.block_col
+    let (inc, full) = (incremental.decoded(), scratch.decoded());
+    // Per block: whether its bases agree and, read in row order, its decoded bits.
+    let bases = incremental.bases().iter().zip(scratch.bases());
+    let mut same: Vec<bool> = bases.map(|(a, b)| a == b).collect();
+    incremental.layout().walk_row_order(|run, block, _| {
+        let bits = |v: &f64| v.to_bits();
+        same[block] &= inc[run.clone()]
+            .iter()
+            .map(bits)
+            .eq(full[run].iter().map(bits));
+    });
+    if let Some(block) = same.iter().position(|&same| !same) {
+        let mut extents = incremental.layout().extents();
+        let ((block_row, block_col), _) = extents.nth(block).expect("a layout block");
+        panic!(
+            "block ({block_row}, {block_col}) differs between incremental and from-scratch encode"
         );
     }
 }

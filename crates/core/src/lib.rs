@@ -48,9 +48,12 @@
 //!   band of the row order, an exponent-sum pass, the band's bases, and a quantize pass
 //!   through the converter's bit body against each value's block-column base; a
 //!   property test holds it equal to the per-block, per-element reference in every
-//!   mode.  Block readers take an explicit
-//!   block-order copy and walk [`matrix::BlockView`]s over it; no matrix keeps
-//!   bit-level fields.  An apply is one row loop on the calling thread.  With lanes
+//!   mode.  An apply is one row loop on the calling thread, and so is a
+//!   faulty device's ([`ReFloatMatrix::accumulate_faulty`]): the same loop over the
+//!   same values, each block's terms scaled by its drift and its stuck cells' terms
+//!   added after them.  Only a reader whose contract is block order (the read-noise
+//!   operator) takes an explicit block-order copy and walks [`matrix::BlockView`]s over
+//!   it; no matrix keeps bit-level fields.  With lanes
 //!   attached ([`ReFloatMatrix::with_lanes`], which the runtime does for a worker with
 //!   spare cores) a CG solve of at least [`refloat_sparse::vecops::MIN_LEN_PER_LANE`]
 //!   rows per lane keeps its vectors on the lanes, converting and accumulating band by
@@ -65,7 +68,8 @@
 //!   changed cells per block, with the two steps' bases, decide what a chip must
 //!   rewrite,
 //! * [`resilience`] — fault-aware encoding support: spare row/column remapping around
-//!   stuck cells and per-block ABFT checksum rows for SpMV corruption detection,
+//!   stuck cells, the [`Corruption`] terms of the cells no spare covers, and per-block
+//!   ABFT checksum rows for SpMV corruption detection,
 //! * [`feinberg`] — the exponent-truncation baseline of Feinberg et al. [ISCA'18] as
 //!   described in §III.C of the paper (correct matrix, fixed-window vectors),
 //! * [`truncate`] — the plain fraction/exponent truncation formats of the Table I study,
@@ -105,4 +109,4 @@ pub use incremental::{
     assert_bitwise_identical, reencode_incremental, IncrementalEncode, IncrementalStats,
 };
 pub use matrix::ReFloatMatrix;
-pub use resilience::{AbftChecksum, RemapPlan, SpareBudget, StuckCell};
+pub use resilience::{AbftChecksum, Corruption, RemapPlan, SpareBudget, StuckCell};

@@ -44,11 +44,13 @@
 //! its output rows; with a CSR source (columns sorted within a row) that fixes each
 //! row's sum as its terms in ascending column order — the order, hence the bits, of
 //! `CsrMatrix::spmv_into` — so [`ReFloatMatrix::accumulate`] sums each row in that
-//! order over the decoded values.  Block order is what the cold readers want (ABFT
-//! checksums, fault and noise injection, bitwise comparisons): they take an explicit
-//! copy from [`ReFloatMatrix::decoded_in_block_order`] and walk
-//! [`ReFloatMatrix::blocks`] over it as [`BlockView`]s.  The row↔block correspondence
-//! is [`BlockLayout::walk_row_order`]'s, in `refloat-sparse`.  The per-element sign,
+//! order over the decoded values, and so does a faulty device's product
+//! ([`ReFloatMatrix::accumulate_faulty`]), scaling each block's run by its drift and
+//! adding its stuck cells' terms after it.  Only the read-noise operator, whose draws
+//! are defined in block order, takes a copy from
+//! [`ReFloatMatrix::decoded_in_block_order`] and walks [`ReFloatMatrix::blocks`] over
+//! it as [`BlockView`]s.  The row↔block correspondence is
+//! [`BlockLayout::walk_row_order`]'s, in `refloat-sparse`.  The per-element sign,
 //! offset and fraction code belong to [`crate::block::ReFloatBlock`], which encodes a
 //! single block down to its bits on demand.
 //!
@@ -71,7 +73,7 @@
 //!   on the CSR matrix.  A re-encode's helper returns its changed rows alone; the
 //!   caller copies the unchanged ones from the predecessor.
 //!
-//! Every other apply — BiCGSTAB's, the fault wrapper's — is the one-thread row loop,
+//! Every other apply — BiCGSTAB's, a faulty device's — is a one-thread row loop,
 //! and so is a solve's on one lane.  A row's sum is its terms in column order whatever
 //! band it falls in, a segment's or a block's base depends on its own values alone, and
 //! a band's reduction is its subtree's, so no output bit depends on the lane count;
@@ -84,13 +86,14 @@ use crate::block::rounded_mean;
 use crate::format::{ReFloatConfig, RoundingMode, UnderflowMode};
 use crate::incremental::same_structure;
 use crate::memory::storage_bits;
+use crate::resilience::Corruption;
 use crate::scalar::{
     quantize_bits, requantize, select, Bounds, Fraction, BIAS, FRACTION_BITS, NON_FINITE,
 };
 use crate::vector::{convert_part, whole_segments, ConversionStats, Scratch, VectorConverter};
 use refloat_solvers::operator::apply_gathered;
 use refloat_solvers::LinearOperator;
-use refloat_sparse::blocked::{Block, BlockLayout};
+use refloat_sparse::blocked::BlockLayout;
 use refloat_sparse::parallel::{BandTask, Lanes};
 use refloat_sparse::shard::block_row_shards_counting;
 use refloat_sparse::vecops::{self, Band, LanedVectors, MIN_LEN_PER_LANE};
@@ -179,18 +182,6 @@ pub struct BlockView<'a> {
 }
 
 impl<'a> BlockView<'a> {
-    /// `block` of the layout over the decoded values, with its exponent base.
-    fn new(block: Block<'a>, eb: i32) -> Self {
-        BlockView {
-            block_row: block.block_row,
-            block_col: block.block_col,
-            eb,
-            rows: block.rows,
-            cols: block.cols,
-            decoded: block.vals,
-        }
-    }
-
     /// Number of encoded elements.
     pub fn nnz(&self) -> usize {
         self.decoded.len()
@@ -469,9 +460,14 @@ impl ReFloatMatrix {
         &self.encoded.eb
     }
 
-    /// A copy of the decoded values in the layout's block order — the one way the block
-    /// readers (ABFT checksums, fault and noise injection, bitwise comparisons) get at
-    /// them, to walk with [`blocks`](Self::blocks).  Applies never need it.
+    /// The decoded value of every non-zero, in the layout's row order.
+    pub(crate) fn decoded(&self) -> &[f64] {
+        &self.encoded.decoded
+    }
+
+    /// A copy of the decoded values in the layout's block order, to walk with
+    /// [`blocks`](Self::blocks), for a reader whose contract is block order (the
+    /// read-noise operator's draws).  Applies, faulty ones too, never need it.
     pub fn decoded_in_block_order(&self) -> Vec<f64> {
         let decoded = &self.encoded.decoded;
         let mut copy = vec![0.0; decoded.len()];
@@ -487,17 +483,15 @@ impl ReFloatMatrix {
     /// # Panics
     /// Panics if `decoded` does not hold one value per non-zero.
     pub fn blocks<'a>(&'a self, decoded: &'a [f64]) -> impl Iterator<Item = BlockView<'a>> + Clone {
-        let blocks = self.layout.blocks(decoded);
-        (blocks.zip(&self.encoded.eb)).map(|(block, &eb)| BlockView::new(block, eb))
-    }
-
-    /// Block `index` of [`blocks`](Self::blocks), over `decoded`.
-    ///
-    /// # Panics
-    /// Panics if `index >= num_blocks()` or `decoded` is shorter than the block's run.
-    pub fn block<'a>(&'a self, index: usize, decoded: &'a [f64]) -> BlockView<'a> {
-        let block = self.layout.block(index, decoded);
-        BlockView::new(block, self.encoded.eb[index])
+        let blocks = self.layout.blocks(decoded).zip(&self.encoded.eb);
+        blocks.map(|(block, &eb)| BlockView {
+            block_row: block.block_row,
+            block_col: block.block_col,
+            eb,
+            rows: block.rows,
+            cols: block.cols,
+            decoded: block.vals,
+        })
     }
 
     /// Number of non-empty blocks (= crossbar clusters required per SpMV).
@@ -571,6 +565,20 @@ impl ReFloatMatrix {
     /// Panics if `xq.len() != ncols` or `y.len() != nrows`.
     pub fn accumulate(&self, xq: &[f64], y: &mut [f64]) {
         accumulate_rows(&self.layout, &self.encoded.decoded, xq, 0..self.nrows, y);
+    }
+
+    /// [`accumulate`](Self::accumulate) on a faulty device, every row of
+    /// `accumulate_faulty_rows`: block `k`'s terms scaled by `drift[k]`, and the
+    /// [`RemapPlan::corruptions`](crate::resilience::RemapPlan::corruptions) added.
+    pub fn accumulate_faulty(
+        &self,
+        xq: &[f64],
+        drift: &[f64],
+        corruptions: &[Corruption],
+        y: &mut [f64],
+    ) {
+        let (layout, decoded) = (&self.layout, &self.encoded.decoded);
+        accumulate_faulty_rows(layout, decoded, xq, 0..self.nrows, drift, corruptions, y);
     }
 
     /// The convert phase of a laned solve's apply, after `p ← r + βp` on every band:
@@ -818,6 +826,57 @@ fn accumulate_rows(
         }
         if let ([v], [c]) = (vals.remainder(), cols.remainder()) {
             acc += v * xq[*c as usize];
+        }
+        *yr = acc;
+    }
+}
+
+/// Rows `rows` of a faulty device's `Ã · xq` into `y`: [`accumulate_rows`]' sums, each
+/// block's terms scaled by its `drift` and followed by the row's `corruptions` there
+/// (sorted by row, then block), even where the row stores nothing, as a stuck-high
+/// cell on an empty cell does: the additions, so the bits, of the block-by-block sum.
+///
+/// # Panics
+/// Panics if `xq`, `y` or `drift` is not `ncols`, `rows` or one per block long.
+fn accumulate_faulty_rows(
+    layout: &BlockLayout,
+    decoded: &[f64],
+    xq: &[f64],
+    rows: Range<usize>,
+    drift: &[f64],
+    corruptions: &[Corruption],
+    y: &mut [f64],
+) {
+    let lengths = (xq.len(), y.len(), drift.len());
+    let want = (layout.ncols(), rows.len(), layout.num_blocks());
+    assert_eq!(
+        lengths, want,
+        "ReFloatMatrix spmv: x, y or drift length mismatch"
+    );
+    let (b, row_ptr, col_idx) = (layout.b(), layout.row_ptr(), layout.col_idx());
+    let mut corruptions = &corruptions[corruptions.partition_point(|c| c.row < rows.start)..];
+    for (r, yr) in rows.zip(y) {
+        let row = row_ptr[r] as usize..row_ptr[r + 1] as usize;
+        let (mut cols, mut vals) = (&col_idx[row.clone()], &decoded[row]);
+        // A cursor over the row's block row: each block's index and block column.
+        let band = r >> b << b;
+        let blocks = (layout.blocks_in_rows(0..band)..).zip(layout.extents_in(band..r + 1));
+        let mut acc = 0.0;
+        for (block, ((_, bcol), _)) in blocks {
+            if cols.is_empty() && corruptions.first().is_none_or(|c| c.row != r) {
+                break;
+            }
+            let d = drift[block];
+            let run = cols.partition_point(|&c| (c >> b) as usize == bcol);
+            for (&c, &v) in cols[..run].iter().zip(&vals[..run]) {
+                acc += v * d * xq[c as usize];
+            }
+            (cols, vals) = (&cols[run..], &vals[run..]);
+            let here = |c: &&Corruption| (c.row, c.block) == (r, block);
+            while let Some(c) = corruptions.first().filter(here) {
+                acc += c.delta * d * xq[c.col];
+                corruptions = &corruptions[1..];
+            }
         }
         *yr = acc;
     }
@@ -1418,6 +1477,51 @@ pub(crate) mod tests {
                 });
             }
         });
+    }
+
+    #[test]
+    fn a_faulty_band_is_those_rows_of_the_faulty_product_and_no_fault_is_the_clean_one() {
+        use crate::resilience::{RemapPlan, SpareBudget, StuckCell};
+        // 23 · 23 = 529 rows in blocks of 16: cuts inside a block row too.
+        let a = generators::laplacian_2d(23, 23, 0.3).to_csr();
+        let n = a.nrows();
+        let mut m = ReFloatMatrix::from_csr(&a, test_config(4));
+        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).cos() + 1.1).collect();
+        let (xq, m) = m.quantize_input(&x);
+        let bits = |y: &[f64]| y.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (mut clean, mut faulty) = (vec![0.0; n], vec![0.0; n]);
+        m.accumulate(xq, &mut clean);
+        m.accumulate_faulty(xq, &vec![1.0; m.num_blocks()], &[], &mut faulty);
+        assert_eq!(bits(&faulty), bits(&clean), "no drift and no stuck cell");
+
+        // Three stuck cells per block, two on one local row.
+        let cells: Vec<StuckCell> = (0..m.num_blocks())
+            .flat_map(|block| {
+                let cell = |(row, col, high)| StuckCell {
+                    block,
+                    row,
+                    col,
+                    high,
+                };
+                [(0, 0, true), (7, 9, false), (7, 3, true)].map(cell)
+            })
+            .collect();
+        let corruptions = RemapPlan::plan(&cells, &SpareBudget::none()).corruptions(m);
+        assert!(corruptions.len() > m.num_blocks());
+        let drift: Vec<f64> = (0..m.num_blocks())
+            .map(|k| 1.0 + 0.01 * (k % 7) as f64)
+            .collect();
+        let mut whole = vec![0.0; n];
+        m.accumulate_faulty(xq, &drift, &corruptions, &mut whole);
+        assert_ne!(bits(&whole), bits(&clean));
+        let (layout, decoded) = (&m.layout, &m.encoded.decoded);
+        for cut in [0, 1, 100, 250, 519, n] {
+            let mut banded = vec![0.0; n];
+            let (head, tail) = banded.split_at_mut(cut);
+            accumulate_faulty_rows(layout, decoded, xq, 0..cut, &drift, &corruptions, head);
+            accumulate_faulty_rows(layout, decoded, xq, cut..n, &drift, &corruptions, tail);
+            assert_eq!(bits(&banded), bits(&whole), "cut at row {cut}");
+        }
     }
 
     proptest! {

@@ -121,6 +121,55 @@ impl RemapPlan {
     pub fn spare_cols_used(&self) -> usize {
         self.spare_cols_used
     }
+
+    /// The uncovered cells' terms in `matrix`'s product, by row and then block, one
+    /// (row, block)'s in plan order.  A stuck-at-high cell reads as the top of its
+    /// block's window, `2^{eb + max_offset + 1}`, a stuck-at-low one as zero; a cell
+    /// past the matrix edge (an edge block's partial tile), or reading clean, has none.
+    pub fn corruptions(&self, matrix: &ReFloatMatrix) -> Vec<Corruption> {
+        let (layout, b) = (matrix.layout(), matrix.config().b);
+        let top = 2f64.powi(matrix.config().max_offset() + 1);
+        let blocks: Vec<(usize, usize)> = layout.extents().map(|(key, _)| key).collect();
+        let mut out = Vec::new();
+        for cell in &self.uncovered {
+            let (block_row, block_col) = blocks[cell.block];
+            let row = (block_row << b) + cell.row as usize;
+            let col = (block_col << b) + cell.col as usize;
+            if row >= layout.nrows() || col >= layout.ncols() {
+                continue;
+            }
+            // The clean value, by a binary search in the row's columns.
+            let run = layout.row_ptr()[row] as usize..layout.row_ptr()[row + 1] as usize;
+            let found = layout.col_idx()[run.clone()].binary_search(&(col as u32));
+            let clean = found.map_or(0.0, |k| matrix.decoded()[run.start + k]);
+            let stuck = match cell.high {
+                true => top * 2f64.powi(matrix.bases()[cell.block]),
+                false => 0.0,
+            };
+            let (block, delta) = (cell.block, stuck - clean);
+            if delta != 0.0 {
+                out.push(Corruption {
+                    row,
+                    block,
+                    col,
+                    delta,
+                });
+            }
+        }
+        out.sort_by_key(|c| (c.row, c.block));
+        out
+    }
+}
+
+/// One uncovered stuck cell's term in a faulty product, `(stuck − clean) ·
+/// drift[block] · x̃[col]`, added to row `row` after its terms in `block`
+/// ([`ReFloatMatrix::accumulate_faulty`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Corruption {
+    pub(crate) row: usize,
+    pub(crate) block: usize,
+    pub(crate) col: usize,
+    pub(crate) delta: f64,
 }
 
 /// Picks up to `budget` line indices to retire, ordered by stuck-cell count descending
@@ -139,66 +188,35 @@ fn retire_lines<I: Iterator<Item = u16>>(lines: I, budget: usize) -> Vec<u16> {
     ranked.into_iter().take(budget).map(|(_, l)| l).collect()
 }
 
-/// Per-column sums of one encoded block — the block's ABFT checksum row.
-#[derive(Debug, Clone)]
-pub struct BlockChecksum {
-    /// Block-column index (locates the input-vector segment this block consumes).
-    pub block_col: usize,
-    /// Sorted `(local column, Σ values, Σ |values|)` triples over occupied columns.
-    columns: Vec<(u16, f64, f64)>,
-}
-
-impl BlockChecksum {
-    /// `c_b · x̃_b` and its magnitude bound `|c_b| · |x̃_b|`, reading the quantized
-    /// input segment for this block out of the full vector.
-    pub fn dot(&self, quantized_input: &[f64], block_size: usize) -> (f64, f64) {
-        let col0 = self.block_col * block_size;
-        let mut dot = 0.0;
-        let mut bound = 0.0;
-        for &(jj, sum, abs_sum) in &self.columns {
-            let x = quantized_input[col0 + jj as usize];
-            dot += sum * x;
-            bound += abs_sum * x.abs();
-        }
-        (dot, bound)
-    }
-}
-
 /// One ABFT checksum row per encoded block, computed from the *decoded* (quantized)
 /// values so the check is exact against what the crossbars actually multiply by.
 #[derive(Debug, Clone)]
 pub struct AbftChecksum {
-    block_size: usize,
-    blocks: Vec<BlockChecksum>,
+    /// Per block, its column sums: sorted `(column, Σ values, Σ |values|)` triples over
+    /// its occupied columns.
+    blocks: Vec<Vec<(u32, f64, f64)>>,
 }
 
 impl AbftChecksum {
-    /// Computes checksum rows for every block of an encoded matrix, reading its
-    /// decoded values through their block-order copy `decoded`
-    /// ([`ReFloatMatrix::decoded_in_block_order`]).
-    pub fn from_matrix(matrix: &ReFloatMatrix, decoded: &[f64]) -> Self {
-        let block_size = matrix.config().block_size();
-        let blocks = matrix
-            .blocks(decoded)
-            .map(|blk| {
-                let mut sums: BTreeMap<u16, (f64, f64)> = BTreeMap::new();
-                for (_, jj, v) in blk.iter_decoded() {
-                    let entry = sums.entry(jj).or_insert((0.0, 0.0));
-                    entry.0 += v;
-                    entry.1 += v.abs();
-                }
-                BlockChecksum {
-                    block_col: blk.block_col,
-                    columns: sums.into_iter().map(|(jj, (s, a))| (jj, s, a)).collect(),
-                }
-            })
-            .collect();
-        AbftChecksum { block_size, blocks }
-    }
-
-    /// The per-block checksum rows, in block order.
-    pub fn blocks(&self) -> &[BlockChecksum] {
-        &self.blocks
+    /// Computes checksum rows for every block of an encoded matrix from its row-order
+    /// values: a column's sum adds its rows in ascending order, as a walk of the block
+    /// in `(ii, jj)` order would.
+    pub fn from_matrix(matrix: &ReFloatMatrix) -> Self {
+        let (layout, decoded) = (matrix.layout(), matrix.decoded());
+        let col_idx = layout.col_idx();
+        let mut sums = vec![BTreeMap::<u32, (f64, f64)>::new(); layout.num_blocks()];
+        layout.walk_row_order(|run, block, _| {
+            for (&col, &v) in col_idx[run.clone()].iter().zip(&decoded[run]) {
+                let entry = sums[block].entry(col).or_insert((0.0, 0.0));
+                entry.0 += v;
+                entry.1 += v.abs();
+            }
+        });
+        let columns = |sums: BTreeMap<_, _>| sums.into_iter().map(|(c, (s, a))| (c, s, a));
+        let blocks = sums.into_iter().map(|sums| columns(sums).collect());
+        AbftChecksum {
+            blocks: blocks.collect(),
+        }
     }
 
     /// The checksum residual check.
@@ -212,8 +230,14 @@ impl AbftChecksum {
     pub fn residual(&self, quantized_input: &[f64], drift: &[f64], actual: f64) -> f64 {
         let mut expected = 0.0;
         let mut scale = 1e-300;
-        for (b, blk) in self.blocks.iter().enumerate() {
-            let (dot, bound) = blk.dot(quantized_input, self.block_size);
+        for (b, columns) in self.blocks.iter().enumerate() {
+            // `c_b · x̃_b` and its magnitude bound `|c_b| · |x̃_b|`.
+            let (mut dot, mut bound) = (0.0, 0.0);
+            for &(col, sum, abs_sum) in columns {
+                let x = quantized_input[col as usize];
+                dot += sum * x;
+                bound += abs_sum * x.abs();
+            }
             let d = drift.get(b).copied().unwrap_or(1.0);
             expected += d * dot;
             scale += d.abs() * bound;
@@ -282,7 +306,7 @@ mod tests {
     fn clean_spmv_passes_the_checksum_and_corruption_fails_it() {
         let a = generators::laplacian_2d(12, 12, 0.3).to_csr();
         let mut m = ReFloatMatrix::from_csr(&a, ReFloatConfig::new(4, 3, 8, 3, 8));
-        let checksum = AbftChecksum::from_matrix(&m, &m.decoded_in_block_order());
+        let checksum = AbftChecksum::from_matrix(&m);
         let n = a.nrows();
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).sin() + 0.5).collect();
         let mut y = vec![0.0; n];
@@ -304,28 +328,63 @@ mod tests {
     #[test]
     fn common_mode_drift_does_not_trip_the_checksum() {
         let a = generators::laplacian_2d(10, 10, 0.3).to_csr();
-        let m = ReFloatMatrix::from_csr(&a, ReFloatConfig::new(4, 3, 8, 3, 8));
-        let decoded = m.decoded_in_block_order();
-        let checksum = AbftChecksum::from_matrix(&m, &decoded);
+        let mut m = ReFloatMatrix::from_csr(&a, ReFloatConfig::new(4, 3, 8, 3, 8));
+        let checksum = AbftChecksum::from_matrix(&m);
         let n = a.nrows();
         let x: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64 * 0.25).collect();
-        let mut xq = vec![0.0; n];
-        crate::vector::VectorConverter::new(*m.config()).convert_into(&x, &mut xq);
-        // Apply per-block drift by hand, exactly as the faulty device model does.
-        let bs = m.config().block_size();
         let drift: Vec<f64> = (0..m.num_blocks())
             .map(|b| 1.0 + 0.02 * ((b % 5) as f64 - 2.0))
             .collect();
-        let mut y = vec![0.0; n];
-        for (b, blk) in m.blocks(&decoded).enumerate() {
-            let row0 = blk.block_row * bs;
-            let col0 = blk.block_col * bs;
-            for (ii, jj, v) in blk.iter_decoded() {
-                y[row0 + ii as usize] += v * drift[b] * xq[col0 + jj as usize];
-            }
-        }
-        let res = checksum.residual(&xq, &drift, vecops::sum(&y));
+        // The faulty device's product, drift and no stuck cells, beside the clean one.
+        let (mut y, mut clean) = (vec![0.0; n], vec![0.0; n]);
+        let (xq, m) = m.quantize_input(&x);
+        m.accumulate_faulty(xq, &drift, &[], &mut y);
+        m.accumulate(xq, &mut clean);
+        assert_ne!(y, clean, "the drift must reach the product");
+        let res = checksum.residual(xq, &drift, vecops::sum(&y));
         assert!(res < 1e-12, "drift-only residual {res} must stay quiet");
+    }
+
+    #[test]
+    fn the_row_order_checksum_is_the_block_order_one_bit_for_bit() {
+        let shapes = [
+            (generators::laplacian_2d(13, 13, 0.3).to_csr(), 3),
+            (
+                generators::mass_matrix_3d(6, 6, 6, 1e-12, 0.5, 3).to_csr(),
+                4,
+            ),
+            (
+                generators::mass_matrix_3d(5, 7, 3, 1e-12, 0.8, 9).to_csr(),
+                5,
+            ),
+        ];
+        for (a, b) in shapes {
+            let m = ReFloatMatrix::from_csr(&a, ReFloatConfig::new(b, 3, 8, 3, 8));
+            let decoded = m.decoded_in_block_order();
+            let want: Vec<Vec<(u32, u64, u64)>> = m
+                .blocks(&decoded)
+                .map(|blk| {
+                    let mut sums: BTreeMap<u16, (f64, f64)> = BTreeMap::new();
+                    for (_, jj, v) in blk.iter_decoded() {
+                        let entry = sums.entry(jj).or_insert((0.0, 0.0));
+                        entry.0 += v;
+                        entry.1 += v.abs();
+                    }
+                    let col0 = (blk.block_col << b) as u32;
+                    let bits = |(jj, (s, a)): (u16, (f64, f64))| {
+                        (col0 + jj as u32, f64::to_bits(s), f64::to_bits(a))
+                    };
+                    sums.into_iter().map(bits).collect()
+                })
+                .collect();
+            let got: Vec<Vec<(u32, u64, u64)>> = AbftChecksum::from_matrix(&m)
+                .blocks
+                .iter()
+                .map(|blk| blk.iter().map(|&(c, s, a)| (c, s.to_bits(), a.to_bits())))
+                .map(Iterator::collect)
+                .collect();
+            assert_eq!(got, want, "b = {b}");
+        }
     }
 
     proptest! {

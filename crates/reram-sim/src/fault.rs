@@ -18,9 +18,10 @@
 //!
 //! [`FaultyReFloatOperator`] is the execution path: it wraps an encoded matrix, applies
 //! spare-row/column remapping ([`refloat_core::resilience::RemapPlan`]) around the
-//! sampled stuck cells, corrupts whatever the spares could not absorb, applies
-//! per-crossbar drift, and (optionally) runs the per-block ABFT checksum test after
-//! every SpMV, counting detections for the runtime's `HealthTracker` to consume.
+//! sampled stuck cells, and (optionally) runs the per-block ABFT checksum test after
+//! every SpMV, counting detections for the runtime's `HealthTracker` to consume.  Its
+//! SpMV is the encoding's own row loop with drift and the uncovered cells' terms
+//! folded in ([`ReFloatMatrix::accumulate_faulty`]).
 //! [`DeviceHealth`] is the read-side summary trait the accelerators expose.
 
 use rand::Rng;
@@ -29,7 +30,7 @@ use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeSet;
 
 use crate::noise::irwin_hall_unit;
-use refloat_core::resilience::{AbftChecksum, RemapPlan, SpareBudget, StuckCell};
+use refloat_core::resilience::{AbftChecksum, Corruption, RemapPlan, SpareBudget, StuckCell};
 use refloat_core::ReFloatMatrix;
 use refloat_solvers::LinearOperator;
 use refloat_sparse::vecops;
@@ -119,11 +120,6 @@ impl FaultMap {
         FaultMap { config, chip }
     }
 
-    /// The model configuration.
-    pub fn config(&self) -> &FaultModelConfig {
-        &self.config
-    }
-
     /// The stuck cells of `crossbar` (a `grid × grid` array) at programming age `age`.
     ///
     /// Pure and deterministic: same `(seed, chip, crossbar, grid, age)` ⇒ bitwise-same
@@ -205,11 +201,6 @@ impl ChipFaultState {
         &self.map
     }
 
-    /// The crossbar grid size this chip was built with.
-    pub fn grid(&self) -> usize {
-        self.grid
-    }
-
     /// The programming age (count of whole-matrix programmings).
     pub fn age(&self) -> u64 {
         self.programmings
@@ -284,133 +275,71 @@ impl DeviceHealth for ChipFaultState {
     }
 }
 
-/// One uncovered stuck cell's effect on a block's SpMV contribution.
-#[derive(Debug, Clone, Copy)]
-struct Corruption {
-    row: u16,
-    col: u16,
-    /// `stuck_value − clean_value` at that position; the apply adds
-    /// `delta · drift · x̃[col]` to `y[row]`.
-    delta: f64,
-}
-
 /// A ReFloat operator executing on faulty hardware.
 ///
 /// Construction samples the chip's stuck cells for every block (block *i* maps to
-/// crossbar *i*), plans spare remapping under the given budget, and precomputes the
-/// residual corruption and per-crossbar drift factors at the chip's current age.
-/// Every [`apply`](LinearOperator::apply) then runs the quantized SpMV through that
-/// fixed hardware state; with ABFT enabled, each apply ends with the checksum residual
-/// test and bumps [`detections`](Self::detections) on failure.
+/// crossbar *i* plus an offset), plans spare remapping under the given budget, and
+/// precomputes the uncovered cells' corruption terms and the per-crossbar drift factors
+/// at the chip's current age.  Every [`apply`](LinearOperator::apply) then reads the
+/// shared encoding in place through that fixed hardware state; with ABFT enabled, it
+/// ends with the checksum residual test and bumps [`detections`](Self::detections) on
+/// failure.
 pub struct FaultyReFloatOperator {
     inner: ReFloatMatrix,
-    /// The decoded values in block order, copied once at construction: each block is
-    /// read with its own drift and corruptions.
-    decoded: Vec<f64>,
     /// Per-block common-mode drift factor.
     drift: Vec<f64>,
-    /// Per-block residual corruption (uncovered stuck cells only).
-    corruptions: Vec<Vec<Corruption>>,
-    checksum: Option<AbftChecksum>,
-    abft_threshold: f64,
+    /// The uncovered stuck cells' terms, by row and then block.
+    corruptions: Vec<Corruption>,
+    /// The ABFT checksum and its relative threshold, when the check is on.
+    checksum: Option<(AbftChecksum, f64)>,
     detections: u64,
     uncovered: usize,
     covered: usize,
 }
 
 impl FaultyReFloatOperator {
-    /// Wraps an encoded matrix with the fault state of `chip`, remapping around stuck
-    /// cells under `spares`.  `abft_threshold` = `Some(t)` enables the per-apply
-    /// checksum test at relative threshold `t` (1e-8 is a safe default: clean applies
-    /// sit near machine epsilon).
-    pub fn new(
-        inner: ReFloatMatrix,
-        chip: &ChipFaultState,
-        spares: SpareBudget,
-        abft_threshold: Option<f64>,
-    ) -> Self {
-        Self::remapped(inner, chip, spares, abft_threshold, 0)
-    }
-
-    /// Like [`new`](Self::new), but programs block *i* onto crossbar
-    /// `i + crossbar_offset` instead of crossbar *i*.
+    /// Wraps an encoded matrix with the fault state of `chip`, programming block *i*
+    /// onto crossbar `i + crossbar_offset` and remapping around its stuck cells under
+    /// `spares`.  `abft_threshold` = `Some(t)` enables the per-apply checksum test at
+    /// relative threshold `t` (1e-8 is a safe default: clean applies sit near machine
+    /// epsilon).
     ///
     /// Stuck cells are monotone — re-programming the *same* crossbars can never
     /// heal a defect — so a retry after a detected corruption must move the
     /// encoding onto fresh crossbars to have any chance of succeeding.  The
-    /// runtime's re-encode path passes `attempt × num_blocks` here so each retry
-    /// samples a disjoint crossbar range of the same persistent chip.
-    pub fn remapped(
+    /// runtime's re-encode path passes `attempt × num_blocks` as the offset, so each
+    /// retry samples a disjoint crossbar range of the same persistent chip.
+    pub fn new(
         inner: ReFloatMatrix,
         chip: &ChipFaultState,
         spares: SpareBudget,
         abft_threshold: Option<f64>,
         crossbar_offset: usize,
     ) -> Self {
-        let config = *inner.config();
-        let bs = config.block_size();
-        let age = chip.age();
-        let max_mag = 2f64.powi(config.max_offset() + 1);
-
+        let (bs, age) = (inner.config().block_size(), chip.age());
         // Sample every block's crossbar and plan remapping across all of them.
         let mut cells: Vec<StuckCell> = Vec::new();
-        for b in 0..inner.num_blocks() {
-            for s in chip.map().stuck_cells(b + crossbar_offset, bs, age) {
+        for block in 0..inner.num_blocks() {
+            for s in chip.map().stuck_cells(block + crossbar_offset, bs, age) {
+                let (row, col, high) = (s.row, s.col, s.high);
                 cells.push(StuckCell {
-                    block: b,
-                    row: s.row,
-                    col: s.col,
-                    high: s.high,
+                    block,
+                    row,
+                    col,
+                    high,
                 });
             }
         }
         let plan = RemapPlan::plan(&cells, &spares);
-
-        let decoded = inner.decoded_in_block_order();
-        let (nrows, ncols) = (LinearOperator::nrows(&inner), LinearOperator::ncols(&inner));
-        let mut corruptions: Vec<Vec<Corruption>> = vec![Vec::new(); inner.num_blocks()];
-        for cell in plan.uncovered() {
-            let blk = inner.block(cell.block, &decoded);
-            // Edge blocks cover a partial tile; a defect outside the logical matrix
-            // maps to no element and cannot corrupt anything.
-            if blk.block_row * bs + cell.row as usize >= nrows
-                || blk.block_col * bs + cell.col as usize >= ncols
-            {
-                continue;
-            }
-            let clean = blk
-                .iter_decoded()
-                .find(|&(ii, jj, _)| ii == cell.row && jj == cell.col)
-                .map(|(_, _, v)| v)
-                .unwrap_or(0.0);
-            // Stuck-at-high pins the cell at the top of the block's representable
-            // window (`2^{eb + max_offset + 1}`); stuck-at-low reads as zero.
-            let stuck = if cell.high {
-                max_mag * 2f64.powi(blk.eb)
-            } else {
-                0.0
-            };
-            let delta = stuck - clean;
-            if delta != 0.0 {
-                corruptions[cell.block].push(Corruption {
-                    row: cell.row,
-                    col: cell.col,
-                    delta,
-                });
-            }
-        }
-
         let drift: Vec<f64> = (0..inner.num_blocks())
             .map(|b| chip.map().drift_factor(b + crossbar_offset, age))
             .collect();
-        let checksum = abft_threshold.map(|_| AbftChecksum::from_matrix(&inner, &decoded));
+        let checksum = abft_threshold.map(|t| (AbftChecksum::from_matrix(&inner), t));
         FaultyReFloatOperator {
+            corruptions: plan.corruptions(&inner),
             inner,
-            decoded,
             drift,
-            corruptions,
             checksum,
-            abft_threshold: abft_threshold.unwrap_or(0.0),
             detections: 0,
             uncovered: plan.uncovered().len(),
             covered: plan.covered().len(),
@@ -443,27 +372,13 @@ impl LinearOperator for FaultyReFloatOperator {
     }
 
     fn apply(&mut self, x: &[f64], y: &mut [f64]) {
-        y.fill(0.0);
-        let bs = self.inner.config().block_size();
         let (xq, inner) = self.inner.quantize_input(x);
-        for (b, blk) in inner.blocks(&self.decoded).enumerate() {
-            let row0 = blk.block_row * bs;
-            let col0 = blk.block_col * bs;
-            // A drift of exactly 1.0 multiplies away bit for bit, so fault-free
-            // configs reproduce the clean operator's digests.
-            let d = self.drift[b];
-            for (ii, jj, v) in blk.iter_decoded() {
-                y[row0 + ii as usize] += v * d * xq[col0 + jj as usize];
-            }
-            for c in &self.corruptions[b] {
-                y[row0 + c.row as usize] += c.delta * d * xq[col0 + c.col as usize];
-            }
-        }
-        if let Some(checksum) = &self.checksum {
+        // A drift of exactly 1.0 multiplies away bit for bit, so fault-free configs
+        // reproduce the clean operator's digests.
+        inner.accumulate_faulty(xq, &self.drift, &self.corruptions, y);
+        if let Some((checksum, threshold)) = &self.checksum {
             let residual = checksum.residual(xq, &self.drift, vecops::sum(y));
-            if residual > self.abft_threshold {
-                self.detections += 1;
-            }
+            self.detections += u64::from(residual > *threshold);
         }
     }
 
@@ -509,6 +424,7 @@ mod tests {
             &chip,
             SpareBudget::default_per_crossbar(),
             Some(1e-8),
+            0,
         );
         let x: Vec<f64> = (0..256).map(|i| (i as f64 * 0.01).sin() + 1.0).collect();
         let mut y1 = vec![0.0; 256];
@@ -572,7 +488,7 @@ mod tests {
         // No spares: heavy fault rates guarantee uncovered cells somewhere.
         let chip = ChipFaultState::new(heavy_faults(5), 0, 16);
         let mut faulty =
-            FaultyReFloatOperator::new(small_refloat(), &chip, SpareBudget::none(), Some(1e-8));
+            FaultyReFloatOperator::new(small_refloat(), &chip, SpareBudget::none(), Some(1e-8), 0);
         assert!(faulty.uncovered_faults() > 0, "test needs active faults");
         let x: Vec<f64> = (0..256).map(|i| 1.0 + (i % 5) as f64 * 0.3).collect();
         let mut y = vec![0.0; 256];
@@ -585,6 +501,7 @@ mod tests {
             &chip,
             SpareBudget { rows: 16, cols: 16 },
             Some(1e-8),
+            0,
         );
         assert_eq!(covered.uncovered_faults(), 0);
         assert!(covered.covered_faults() > 0);
@@ -608,7 +525,7 @@ mod tests {
         }
         let mut clean = small_refloat();
         let mut faulty =
-            FaultyReFloatOperator::new(small_refloat(), &chip, SpareBudget::none(), Some(1e-8));
+            FaultyReFloatOperator::new(small_refloat(), &chip, SpareBudget::none(), Some(1e-8), 0);
         let x: Vec<f64> = (0..256).map(|i| (i as f64 * 0.02).cos() + 1.5).collect();
         let mut y1 = vec![0.0; 256];
         let mut y2 = vec![0.0; 256];
@@ -638,6 +555,7 @@ mod tests {
             &chip,
             SpareBudget { rows: 16, cols: 16 },
             Some(1e-8),
+            0,
         );
         let r_remapped = cg(&mut remapped, &b, &cfg);
         assert!(r_remapped.converged());
@@ -651,10 +569,10 @@ mod tests {
         // crossbar offset gives an independent draw of the persistent fault map.
         let chip = ChipFaultState::new(heavy_faults(5), 0, 16);
         let mut base =
-            FaultyReFloatOperator::new(small_refloat(), &chip, SpareBudget::none(), Some(1e-8));
+            FaultyReFloatOperator::new(small_refloat(), &chip, SpareBudget::none(), Some(1e-8), 0);
         assert!(base.uncovered_faults() > 0, "test needs active faults");
         let blocks = small_refloat().num_blocks();
-        let mut retry = FaultyReFloatOperator::remapped(
+        let mut retry = FaultyReFloatOperator::new(
             small_refloat(),
             &chip,
             SpareBudget::none(),
@@ -667,10 +585,6 @@ mod tests {
         base.apply(&x, &mut y1);
         retry.apply(&x, &mut y2);
         assert_ne!(y1, y2, "offset crossbars carry different defects");
-        // Offset 0 through `remapped` is exactly `new`.
-        let same =
-            FaultyReFloatOperator::remapped(small_refloat(), &chip, SpareBudget::none(), None, 0);
-        assert_eq!(same.uncovered_faults(), base.uncovered_faults());
     }
 
     #[test]
@@ -692,7 +606,212 @@ mod tests {
         assert!(last > fresh.degradation);
     }
 
+    /// The block-order apply this operator ran before its faults rode the shared
+    /// row-order encoding, kept as the oracle of the row loop: the decoded values
+    /// copied into block order, and every block's drifted products and then its
+    /// corruption terms scattered into `y`, one block at a time.
+    struct BlockOrderReference {
+        inner: ReFloatMatrix,
+        decoded: Vec<f64>,
+        drift: Vec<f64>,
+        /// Per block, `(local row, local column, stuck − clean)` of its uncovered cells.
+        corruptions: Vec<Vec<(u16, u16, f64)>>,
+        checksum: AbftChecksum,
+        detections: u64,
+    }
+
+    impl BlockOrderReference {
+        fn new(
+            inner: ReFloatMatrix,
+            chip: &ChipFaultState,
+            spares: SpareBudget,
+            crossbar_offset: usize,
+        ) -> Self {
+            let config = *inner.config();
+            let (bs, age) = (config.block_size(), chip.age());
+            let max_mag = 2f64.powi(config.max_offset() + 1);
+            let mut cells = Vec::new();
+            for b in 0..inner.num_blocks() {
+                for s in chip.map().stuck_cells(b + crossbar_offset, bs, age) {
+                    let (row, col, high) = (s.row, s.col, s.high);
+                    cells.push(StuckCell {
+                        block: b,
+                        row,
+                        col,
+                        high,
+                    });
+                }
+            }
+            let plan = RemapPlan::plan(&cells, &spares);
+            let decoded = inner.decoded_in_block_order();
+            let blocks: Vec<_> = inner.blocks(&decoded).collect();
+            let (nrows, ncols) = (LinearOperator::nrows(&inner), LinearOperator::ncols(&inner));
+            let mut corruptions = vec![Vec::new(); inner.num_blocks()];
+            for cell in plan.uncovered() {
+                let blk = &blocks[cell.block];
+                if blk.block_row * bs + cell.row as usize >= nrows
+                    || blk.block_col * bs + cell.col as usize >= ncols
+                {
+                    continue;
+                }
+                let clean = blk
+                    .iter_decoded()
+                    .find(|&(ii, jj, _)| ii == cell.row && jj == cell.col)
+                    .map_or(0.0, |(_, _, v)| v);
+                let stuck = if cell.high {
+                    max_mag * 2f64.powi(blk.eb)
+                } else {
+                    0.0
+                };
+                if stuck - clean != 0.0 {
+                    corruptions[cell.block].push((cell.row, cell.col, stuck - clean));
+                }
+            }
+            let drift = (0..inner.num_blocks())
+                .map(|b| chip.map().drift_factor(b + crossbar_offset, age))
+                .collect();
+            BlockOrderReference {
+                checksum: AbftChecksum::from_matrix(&inner),
+                inner,
+                decoded,
+                drift,
+                corruptions,
+                detections: 0,
+            }
+        }
+
+        fn apply(&mut self, x: &[f64], y: &mut [f64]) {
+            y.fill(0.0);
+            let bs = self.inner.config().block_size();
+            let (xq, inner) = self.inner.quantize_input(x);
+            for (b, blk) in inner.blocks(&self.decoded).enumerate() {
+                let (row0, col0) = (blk.block_row * bs, blk.block_col * bs);
+                let d = self.drift[b];
+                for (ii, jj, v) in blk.iter_decoded() {
+                    y[row0 + ii as usize] += v * d * xq[col0 + jj as usize];
+                }
+                for &(ii, jj, delta) in &self.corruptions[b] {
+                    y[row0 + ii as usize] += delta * d * xq[col0 + jj as usize];
+                }
+            }
+            if self.checksum.residual(xq, &self.drift, vecops::sum(y)) > 1e-8 {
+                self.detections += 1;
+            }
+        }
+
+        /// How many corruption terms share their (row, block) with another, and how
+        /// many sit in a block where their row stores nothing.
+        fn coverage(&self) -> (usize, usize) {
+            let (mut shared, mut off_pattern) = (0, 0);
+            let blocks = self.inner.blocks(&self.decoded);
+            for (blk, corruptions) in blocks.zip(&self.corruptions) {
+                for &(ii, _, _) in corruptions {
+                    shared += usize::from(corruptions.iter().filter(|c| c.0 == ii).count() > 1);
+                    off_pattern += usize::from(!blk.rows.contains(&ii));
+                }
+            }
+            (shared, off_pattern)
+        }
+    }
+
+    /// Applies the operator and its block-order reference, over one chip aged `age`
+    /// programmings and one `n × n` Laplacian at `2^b` blocks (crossbar offset
+    /// `offset` times the block count), to three inputs, and asserts equal output bits
+    /// and detection counts.  Returns the reference's [`coverage`].
+    ///
+    /// [`coverage`]: BlockOrderReference::coverage
+    fn assert_the_row_loop_is_the_block_order_apply(
+        (n, b): (usize, u32),
+        faults: FaultModelConfig,
+        age: u64,
+        spares: SpareBudget,
+        offset: usize,
+    ) -> (usize, usize) {
+        let a = generators::laplacian_2d(n, n, 0.4).to_csr();
+        let inner = ReFloatMatrix::from_csr(&a, ReFloatConfig::new(b, 3, 8, 3, 8));
+        let mut chip = ChipFaultState::new(faults, 0, 1 << b);
+        for _ in 0..age {
+            chip.record_programming(1);
+        }
+        let offset = offset * inner.num_blocks();
+        let mut faulty =
+            FaultyReFloatOperator::new(inner.clone(), &chip, spares, Some(1e-8), offset);
+        let mut reference = BlockOrderReference::new(inner, &chip, spares, offset);
+        let rows = a.nrows();
+        for k in 0..3 {
+            let x: Vec<f64> = (0..rows)
+                .map(|i| ((i * (k + 3)) as f64 * 0.37).sin() + 0.5 * k as f64)
+                .collect();
+            let (mut got, mut want) = (vec![f64::NAN; rows], vec![0.0; rows]);
+            faulty.apply(&x, &mut got);
+            reference.apply(&x, &mut want);
+            let bits = |y: &[f64]| y.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "n = {n}, b = {b}, input {k}");
+        }
+        assert_eq!(
+            faulty.detections(),
+            reference.detections,
+            "n = {n}, b = {b}"
+        );
+        reference.coverage()
+    }
+
+    #[test]
+    fn the_row_loop_is_the_block_order_apply_on_edge_blocks_drift_and_spares() {
+        let (mut shared, mut off_pattern) = (0, 0);
+        for shape in [(16, 4), (37, 3), (50, 4), (29, 5)] {
+            for seed in [1, 2, 3] {
+                for spares in [SpareBudget::none(), SpareBudget::default_per_crossbar()] {
+                    let faults = FaultModelConfig {
+                        seed,
+                        stuck_low_rate: 5e-2,
+                        stuck_high_rate: 2e-2,
+                        drift_sigma: 0.05,
+                        wear_growth: 0.0,
+                    };
+                    for (age, offset) in [(0, 0), (40, 2)] {
+                        let (s, o) = assert_the_row_loop_is_the_block_order_apply(
+                            shape, faults, age, spares, offset,
+                        );
+                        (shared, off_pattern) = (shared + s, off_pattern + o);
+                    }
+                }
+            }
+        }
+        assert!(shared > 0, "no (row, block) held several corruptions");
+        assert!(
+            off_pattern > 0,
+            "no corruption sat where its row stores nothing"
+        );
+    }
+
     proptest! {
+        #[test]
+        fn the_row_loop_is_the_block_order_apply_bit_for_bit(
+            n in 9usize..41,
+            b in 3u32..6,
+            seed in 0u64..1000,
+            low in 0.0f64..5e-2,
+            high in 0.0f64..2e-2,
+            drift_sigma in 0.0f64..0.05,
+            age in 0u64..41,
+            spares in proptest::bool::ANY,
+            offset in 0usize..3,
+        ) {
+            let faults = FaultModelConfig {
+                seed,
+                stuck_low_rate: low,
+                stuck_high_rate: high,
+                drift_sigma,
+                wear_growth: 0.01,
+            };
+            let spares = match spares {
+                true => SpareBudget::default_per_crossbar(),
+                false => SpareBudget::none(),
+            };
+            assert_the_row_loop_is_the_block_order_apply((n, b), faults, age, spares, offset);
+        }
+
         #[test]
         fn sampled_cells_stay_inside_the_grid_and_scale_with_rate(
             seed in 0u64..1000,

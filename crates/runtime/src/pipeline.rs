@@ -500,7 +500,7 @@ impl JobContext<'_> {
                 // absence here is an in-crate construction bug.
                 let state = state.expect("fault policy implies fault state");
                 let offset = attempt as usize * matrix.num_blocks();
-                ChipOperator::Faulty(Box::new(FaultyReFloatOperator::remapped(
+                ChipOperator::Faulty(Box::new(FaultyReFloatOperator::new(
                     matrix,
                     state,
                     policy.spares(),
@@ -633,15 +633,7 @@ impl JobContext<'_> {
                     None => detail,
                 }
             });
-            if sharded {
-                let resident = &target.resident;
-                let shards = resident.shard_blocks.iter().zip(&resident.shard_rows);
-                for (index, (blocks, rows)) in shards.enumerate() {
-                    self.trace.instant(SpanKind::ShardExecute, || {
-                        format!("shard={index} blocks={blocks} rows={rows}")
-                    });
-                }
-            }
+            self.trace_shards(job, &target.resident);
 
             // Stage 5.  The warm-start guard and an auto-format job's true-residual
             // check are exact SpMVs on the host's fp64 matrix, not chip work.
@@ -662,6 +654,19 @@ impl JobContext<'_> {
                 self.accelerator.force_remap();
             }
             return solved;
+        }
+    }
+
+    /// One `shard_execute` instant per chip band of `resident` when `job` spans chips:
+    /// which chip held which band.
+    fn trace_shards(&mut self, job: &SolveJob, resident: &Residency) {
+        if job.shards > 1 {
+            let shards = resident.shard_blocks.iter().zip(&resident.shard_rows);
+            for (index, (blocks, rows)) in shards.enumerate() {
+                self.trace.instant(SpanKind::ShardExecute, || {
+                    format!("shard={index} blocks={blocks} rows={rows}")
+                });
+            }
         }
     }
 
@@ -715,6 +720,10 @@ impl JobContext<'_> {
                 let level = level_name(&formats, pass.level);
                 format!("level={level} inner_iterations={}", pass.inner_iterations)
             });
+        }
+        // Every rung is priced over the base rung's bands.
+        if let Some((resident, _)) = rungs.first().and_then(Option::as_ref) {
+            self.trace_shards(job, resident);
         }
 
         // A pass beyond the quantized rungs ran the fp64 rung on the host; the outer

@@ -301,26 +301,6 @@ impl BlockLayout {
         })
     }
 
-    /// The block of `entry`, which runs up to `end` — its successor's start.
-    fn view<'a>(&'a self, entry: &TableEntry, end: u32, vals: &'a [f64]) -> Block<'a> {
-        let range = entry.start as usize..end as usize;
-        Block {
-            block_row: entry.block_row as usize,
-            block_col: entry.block_col as usize,
-            rows: &self.rows[range.clone()],
-            cols: &self.cols[range.clone()],
-            vals: &vals[range],
-        }
-    }
-
-    /// Block `index` in storage order, over `vals` (one value per non-zero).
-    ///
-    /// # Panics
-    /// Panics if `index >= num_blocks()` or `vals` is shorter than the block's run.
-    pub fn block<'a>(&'a self, index: usize, vals: &'a [f64]) -> Block<'a> {
-        self.view(&self.table[index], self.table[index + 1].start, vals)
-    }
-
     /// Every block in storage (block-row-major) order, over `vals`.
     ///
     /// # Panics
@@ -330,8 +310,16 @@ impl BlockLayout {
         vals: &'a [f64],
     ) -> impl ExactSizeIterator<Item = Block<'a>> + Clone {
         assert_eq!(vals.len(), self.nnz(), "block layout: one value per nnz");
-        let entries = self.table.windows(2);
-        entries.map(move |pair| self.view(&pair[0], pair[1].start, vals))
+        self.table.windows(2).map(move |pair| {
+            let range = pair[0].start as usize..pair[1].start as usize;
+            Block {
+                block_row: pair[0].block_row as usize,
+                block_col: pair[0].block_col as usize,
+                rows: &self.rows[range.clone()],
+                cols: &self.cols[range.clone()],
+                vals: &vals[range],
+            }
+        })
     }
 
     /// The block rows that `rows` (block-row aligned) covers, in order, each with the
