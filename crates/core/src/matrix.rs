@@ -260,10 +260,11 @@ impl ReFloatMatrix {
 
     /// [`from_csr_on`](Self::from_csr_on) over `donor`'s layout, when `a` has the
     /// donor's structure: the same `b`, the same dimensions, and `row_ptr` and
-    /// `col_idx` equal to the donor's row order.  The layout is a function of the
-    /// structure and `b` alone, so the encode skips the blocking and shares the
-    /// donor's layout ([`shares_layout_with`](Self::shares_layout_with)).  Any other
-    /// donor is ignored and `a` is blocked afresh.  Either way the result is
+    /// `col_idx` equal to the donor's row order — known in O(1) when `a` shares the
+    /// structure the donor's layout was blocked from, else compared.  The layout is a
+    /// function of the structure and `b` alone, so the encode skips the blocking and
+    /// shares the donor's layout ([`shares_layout_with`](Self::shares_layout_with)).
+    /// Any other donor is ignored and `a` is blocked afresh.  Either way the result is
     /// [`from_csr`](Self::from_csr)'s, bit for bit.
     pub fn from_csr_over_on(
         a: &Arc<CsrMatrix>,

@@ -17,6 +17,11 @@
 //! over the donor's layout and skips the blocking — a re-assembled FEM matrix, another
 //! matrix of one mesh, another rung of one matrix's format ladder — once
 //! [`ReFloatMatrix::from_csr_over_on`] has checked that the structures are equal.
+//! Handles of one sparsity pattern share one CSR structure (see
+//! [`MatrixHandle`](crate::MatrixHandle)), and a layout knows the structure it was
+//! blocked from, so a same-pattern miss over handle-made matrices adopts its layout in
+//! O(1), with no array compare; only a matrix that shares no structure with the donor's
+//! source is compared array by array.
 //! Adoption saves host time only: the chip model charges the miss's full programming.
 //! This module owns only what is specific to encodings: the key shape and the donors.
 

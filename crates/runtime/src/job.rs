@@ -1,11 +1,13 @@
 //! Shared matrix handles, job specs (the internal execution record behind a
 //! validated [`SolvePlan`](crate::SolvePlan)), and per-job outcomes.
 
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 use refloat_core::{EscalationPolicy, ReFloatConfig};
 use refloat_solvers::{RefinementConfig, SolveResult, SolverConfig};
-use refloat_sparse::CsrMatrix;
+use refloat_sparse::{CsrMatrix, WeakStructure};
+use refloat_telemetry::sync;
 use reram_sim::SolverKind;
 
 use crate::fingerprint::{hash_csr, ContentHash};
@@ -27,6 +29,16 @@ use crate::telemetry::JobTelemetry;
 ///   the structures are equal, never on the hash alone;
 /// * whether every stored value is finite.
 ///
+/// The structure hash also finds the matrix's sparsity pattern in a process-wide
+/// registry of live structures, held weakly: a matrix the handle owns alone adopts
+/// an equal live structure there (one compare of the arrays, then its own index
+/// arrays are dropped) or registers its own.  So every handle of one pattern — the
+/// mass matrices of one mesh, a chain's steps — holds the row pointers and columns
+/// once ([`CsrMatrix::shares_structure_with`]), and a cache miss over one of them
+/// recognises a donor's layout in O(1).  The values, the fingerprint and the
+/// structure hash are the matrix's own either way; once every handle and matrix of
+/// a pattern is dropped, its structure is freed and the next handle registers anew.
+///
 /// The pass folds one 64-bit word per multiply over four lanes: 2.2 ns per non-zero
 /// on `mass_matrix_3d(24³)` on a 2-core x86-64 host, where the byte-wise FNV-1a it
 /// replaced took 23–24 ns.
@@ -40,18 +52,26 @@ pub struct MatrixHandle {
 }
 
 impl MatrixHandle {
-    /// Wraps a matrix, computing its hashes (one pass over the CSR arrays).
+    /// Wraps a matrix, computing its hashes (one pass over the CSR arrays) and
+    /// sharing its structure with the live handles of the same sparsity pattern
+    /// (see the type docs).
     pub fn new(name: impl Into<String>, csr: CsrMatrix) -> Self {
         Self::from_arc(name, Arc::new(csr))
     }
 
     /// Wraps an already-shared matrix.  The fingerprint, the structure hash and the
     /// finiteness of the stored values are computed here, in one pass, so plans never
-    /// rescan the matrix.
-    pub fn from_arc(name: impl Into<String>, csr: Arc<CsrMatrix>) -> Self {
+    /// rescan the matrix.  When `csr` is the only reference to its matrix, the matrix
+    /// shares its structure with the live handles of the same pattern, as
+    /// [`new`](Self::new)'s does; a matrix other owners can see is left as it is.
+    pub fn from_arc(name: impl Into<String>, mut csr: Arc<CsrMatrix>) -> Self {
+        let hash = hash_csr(&csr);
+        if let Some(own) = Arc::get_mut(&mut csr) {
+            STRUCTURES.share(hash.structure, own);
+        }
         MatrixHandle {
             name: name.into().into(),
-            hash: hash_csr(&csr),
+            hash,
             csr,
         }
     }
@@ -95,6 +115,65 @@ impl MatrixHandle {
     pub(crate) fn csr_arc(&self) -> Arc<CsrMatrix> {
         Arc::clone(&self.csr)
     }
+}
+
+/// The live structures every [`MatrixHandle`] of the process shares through.
+static STRUCTURES: StructureRegistry = StructureRegistry::new();
+
+/// Live CSR structures by structure hash, held weakly: an entry keeps no index array
+/// alive, and the dead ones are pruned whenever a structure is registered.  One hash
+/// may hold several structures (a collision); each is compared before it is adopted.
+#[derive(Debug)]
+struct StructureRegistry {
+    structures: Mutex<BTreeMap<u64, Vec<WeakStructure>>>,
+}
+
+impl StructureRegistry {
+    const fn new() -> Self {
+        StructureRegistry {
+            structures: Mutex::new(BTreeMap::new()),
+        }
+    }
+
+    /// Makes `csr` share the live structure registered under `hash` that equals its
+    /// own, or registers its structure when there is none.  The lock is held to read
+    /// and update the entries only, never across an array compare.  A hash with no
+    /// live structure is claimed in the lookup itself, so matrices of one pattern made
+    /// at once share the first one's structure; only two of a pattern whose hash
+    /// collides with another live pattern's, made at once, may each register theirs.
+    fn share(&self, hash: u64, csr: &mut CsrMatrix) {
+        let candidates: Vec<WeakStructure> = {
+            let mut structures = sync::lock(&self.structures);
+            let registered = structures.get(&hash).into_iter().flatten();
+            let live: Vec<_> = registered.filter(|s| s.is_live()).cloned().collect();
+            if live.is_empty() {
+                register(&mut structures, hash, csr);
+                return;
+            }
+            live
+        };
+        if !candidates.iter().any(|s| csr.adopt_structure(s)) {
+            register(&mut sync::lock(&self.structures), hash, csr);
+        }
+    }
+
+    /// Entries in the registry, dead or alive.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        sync::lock(&self.structures).values().map(Vec::len).sum()
+    }
+}
+
+/// Registers `csr`'s structure under `hash`, after pruning the dead entries.
+fn register(structures: &mut BTreeMap<u64, Vec<WeakStructure>>, hash: u64, csr: &CsrMatrix) {
+    structures.retain(|_, entries| {
+        entries.retain(WeakStructure::is_live);
+        !entries.is_empty()
+    });
+    structures
+        .entry(hash)
+        .or_default()
+        .push(csr.downgrade_structure());
 }
 
 /// The previous step of a solve sequence, as seen by the worker: enough to attempt an
@@ -302,6 +381,134 @@ mod tests {
         );
         assert_eq!(ha.fingerprint(), hb.fingerprint());
         assert_ne!(ha.fingerprint(), hc.fingerprint());
+    }
+
+    /// A 2-D Laplacian's handle; tests that watch the process-wide registry each
+    /// use a grid no other test in this crate makes, so none sees another's handles.
+    fn laplacian(name: &str, (nx, ny): (usize, usize), coupling: f64) -> MatrixHandle {
+        let csr = refloat_matgen::generators::laplacian_2d(nx, ny, coupling).to_csr();
+        MatrixHandle::new(name, csr)
+    }
+
+    #[test]
+    fn handles_of_one_pattern_built_apart_share_one_structure_and_keep_their_values() {
+        let (a, b) = (laplacian("a", (7, 5), 0.1), laplacian("b", (7, 5), 0.3));
+        assert!(b.csr().shares_structure_with(a.csr()));
+        assert_ne!(a.csr().values(), b.csr().values());
+        assert_ne!(a.fingerprint(), b.fingerprint());
+        assert_eq!(a.structure_hash(), b.structure_hash());
+        // Each keeps the hashes and values of the matrix it was given.
+        let apart = refloat_matgen::generators::laplacian_2d(7, 5, 0.3).to_csr();
+        assert_eq!((b.csr(), b.hash), (&apart, hash_csr(&apart)));
+        // Another pattern keeps its own structure.
+        let other = laplacian("c", (5, 7), 0.1);
+        assert!(!other.csr().shares_structure_with(a.csr()));
+    }
+
+    #[test]
+    fn a_shared_matrix_keeps_its_structure_and_an_owned_one_adopts() {
+        let first = laplacian("first", (9, 4), 0.2);
+        let shared = Arc::new(refloat_matgen::generators::laplacian_2d(9, 4, 0.2).to_csr());
+        let handle = MatrixHandle::from_arc("shared", Arc::clone(&shared));
+        assert!(!handle.csr().shares_structure_with(first.csr()));
+        assert!(Arc::ptr_eq(&handle.csr_arc(), &shared));
+        drop(shared);
+        // A Laplacian is symmetric: its transpose is the same pattern, built apart.
+        let owned = MatrixHandle::from_arc("owned", Arc::new(first.csr().transpose()));
+        assert!(owned.csr().shares_structure_with(first.csr()));
+    }
+
+    #[test]
+    fn a_forged_structure_hash_collision_is_not_adopted() {
+        let registry = StructureRegistry::new();
+        let gen = refloat_matgen::generators::laplacian_2d;
+        let (mut donor, mut collider) = (gen(8, 8, 0.3).to_csr(), gen(4, 16, 0.3).to_csr());
+        let (donor_copy, collider_copy) = (donor.clone(), collider.clone());
+        registry.share(42, &mut donor);
+        registry.share(42, &mut collider);
+        assert!(!collider.shares_structure_with(&donor));
+        assert!(donor.shares_structure_with(&donor_copy));
+        assert!(collider.shares_structure_with(&collider_copy));
+        assert_eq!(registry.len(), 2);
+        // Both patterns are registered: a matrix of either adopts its own.
+        let (mut late_donor, mut late_collider) =
+            (gen(8, 8, 0.5).to_csr(), gen(4, 16, 0.5).to_csr());
+        registry.share(42, &mut late_collider);
+        registry.share(42, &mut late_donor);
+        assert!(late_collider.shares_structure_with(&collider));
+        assert!(late_donor.shares_structure_with(&donor));
+        assert_eq!(registry.len(), 2);
+    }
+
+    #[test]
+    fn dropping_every_sharer_frees_the_structure_and_the_next_registers_anew() {
+        let registry = StructureRegistry::new();
+        let gen = |coupling| refloat_matgen::generators::laplacian_2d(6, 3, coupling).to_csr();
+        let (mut a, mut b) = (gen(0.1), gen(0.2));
+        registry.share(7, &mut a);
+        registry.share(7, &mut b);
+        assert!(a.shares_structure_with(&b));
+        let weak = a.downgrade_structure();
+        drop((a, b));
+        assert!(!weak.is_live());
+        let mut c = gen(0.3);
+        registry.share(7, &mut c);
+        // The dead entry was pruned as `c` registered its own structure.
+        assert_eq!(registry.len(), 1);
+        let mut d = gen(0.4);
+        registry.share(7, &mut d);
+        assert!(d.shares_structure_with(&c));
+        // Through handles: the last handle's drop frees the pattern, and a new
+        // handle registers its own structure, which the next one adopts.
+        let (first, second) = (laplacian("h0", (3, 11), 0.1), laplacian("h1", (3, 11), 0.2));
+        let weak = first.csr().downgrade_structure();
+        drop((first, second));
+        assert!(!weak.is_live());
+        let (third, fourth) = (laplacian("h2", (3, 11), 0.3), laplacian("h3", (3, 11), 0.4));
+        assert!(fourth.csr().shares_structure_with(third.csr()));
+    }
+
+    #[test]
+    fn handles_made_on_four_threads_at_once_share_one_structure() {
+        let start = std::sync::Barrier::new(4);
+        let handles: Vec<MatrixHandle> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|i| {
+                    let start = &start;
+                    scope.spawn(move || {
+                        let csr =
+                            refloat_matgen::generators::laplacian_2d(13, 6, 0.1 * i as f64 + 0.1)
+                                .to_csr();
+                        start.wait();
+                        MatrixHandle::new(format!("t{i}"), csr)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert!(handles
+            .iter()
+            .all(|h| h.csr().shares_structure_with(handles[0].csr())));
+        let mut fingerprints: Vec<u64> = handles.iter().map(MatrixHandle::fingerprint).collect();
+        fingerprints.sort_unstable();
+        fingerprints.dedup();
+        assert_eq!(fingerprints.len(), 4);
+    }
+
+    #[test]
+    fn the_handles_of_a_transient_chain_share_one_structure() {
+        use refloat_matgen::{fem::poisson_2d, TransientChain, TransientSpec};
+        let chain = TransientChain::new(
+            poisson_2d(8, 7, 0.2, 3),
+            TransientSpec::default().with_steps(240).with_seed(5),
+        );
+        let handles: Vec<MatrixHandle> = chain
+            .map(|step| MatrixHandle::new(format!("step-{}", step.index), step.matrix))
+            .collect();
+        assert_eq!(handles.len(), 240);
+        assert!(handles
+            .iter()
+            .all(|h| h.csr().shares_structure_with(handles[0].csr())));
     }
 
     #[test]

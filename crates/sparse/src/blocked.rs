@@ -31,8 +31,9 @@
 //!
 //! A layout also remembers which CSR structure it was blocked from, without keeping it
 //! alive: [`BlockLayout::blocked_from`] says in O(1) that a matrix sharing that
-//! structure (a clone, or a value update through `CsrMatrix::with_values`) is laid out
-//! by it, so a re-encode of the next step of a chain never compares the arrays.
+//! structure (a clone, a value update through `CsrMatrix::with_values`, or a matrix
+//! built apart that adopted it through `CsrMatrix::adopt_structure`) is laid out by it,
+//! so a re-encode of the next step of a chain never compares the arrays.
 
 use std::ops::Range;
 use std::sync::{Arc, Weak};
@@ -225,9 +226,10 @@ impl BlockLayout {
     }
 
     /// Whether the layout was blocked from `a`'s structure itself — `a`, a clone of it,
-    /// or a matrix made from either by `CsrMatrix::with_values` — so that it is `a`'s
-    /// blocking too.  O(1); a matrix with an equal structure built apart is not
-    /// recognised (compare the row order for that).
+    /// a matrix made from either by `CsrMatrix::with_values`, or one that adopted it
+    /// by `CsrMatrix::adopt_structure` — so that it is `a`'s blocking too.  O(1); a
+    /// matrix with an equal structure of its own is not recognised (compare the row
+    /// order for that).
     pub fn blocked_from(&self, a: &CsrMatrix) -> bool {
         std::ptr::eq(self.source.as_ptr(), Arc::as_ptr(a.structure()))
             && (self.nrows, self.ncols) == (a.nrows(), a.ncols())

@@ -12,9 +12,11 @@
 //! tells in O(1) that two of them have it.  Every constructor that builds a structure
 //! ([`from_raw`](CsrMatrix::from_raw), [`from_coo`](CsrMatrix::from_coo),
 //! [`transpose`](CsrMatrix::transpose)) moves it into a fresh `Arc`; equality is
-//! content equality either way.
+//! content equality either way.  A matrix built apart joins an equal live structure
+//! through [`adopt_structure`](CsrMatrix::adopt_structure), which drops its own index
+//! arrays; a [`WeakStructure`] names the structure to adopt without keeping it alive.
 
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use crate::coo::CooMatrix;
 use crate::error::SparseError;
@@ -27,6 +29,19 @@ pub(crate) struct Structure {
     row_ptr: Vec<usize>,
     /// Column indices, length `nnz`, sorted within each row.
     col_idx: Vec<usize>,
+}
+
+/// A weak reference to a CSR structure ([`CsrMatrix::downgrade_structure`]): it keeps
+/// no index array alive, and while some matrix still holds the structure another
+/// matrix of equal structure can [`adopt`](CsrMatrix::adopt_structure) it.
+#[derive(Debug, Clone)]
+pub struct WeakStructure(Weak<Structure>);
+
+impl WeakStructure {
+    /// Whether some matrix still holds the structure.
+    pub fn is_live(&self) -> bool {
+        self.0.strong_count() > 0
+    }
 }
 
 /// A sparse matrix in compressed sparse row format.
@@ -193,6 +208,32 @@ impl CsrMatrix {
     /// does not.  O(1).
     pub fn shares_structure_with(&self, other: &CsrMatrix) -> bool {
         Arc::ptr_eq(&self.structure, &other.structure)
+    }
+
+    /// A weak reference to this matrix's structure, for
+    /// [`adopt_structure`](Self::adopt_structure) by matrices built apart.
+    pub fn downgrade_structure(&self) -> WeakStructure {
+        WeakStructure(Arc::downgrade(&self.structure))
+    }
+
+    /// Makes this matrix share `other`'s structure when that structure is live and
+    /// equal to its own — the same row pointers and columns — dropping this matrix's
+    /// own index arrays, and says whether it now shares it.  O(1) when it already
+    /// does; otherwise one compare of the arrays.  The values, and so everything a
+    /// content hash or [`PartialEq`] sees, are unchanged; a different structure is
+    /// left as it is.
+    pub fn adopt_structure(&mut self, other: &WeakStructure) -> bool {
+        let Some(structure) = other.0.upgrade() else {
+            return false;
+        };
+        if Arc::ptr_eq(&structure, &self.structure) {
+            return true;
+        }
+        let equal = *structure == *self.structure;
+        if equal {
+            self.structure = structure;
+        }
+        equal
     }
 
     /// The shared structure, for layouts that remember what they were built from.
@@ -520,6 +561,31 @@ mod tests {
             assert_eq!(*other, a);
         }
         assert_ne!(clone, a);
+    }
+
+    #[test]
+    fn a_matrix_built_apart_adopts_an_equal_live_structure_only() {
+        let a = CsrMatrix::from_coo(&example_coo());
+        let mut apart = example_coo().to_csr();
+        apart.values_mut()[0] = 7.0;
+        let weak = a.downgrade_structure();
+        assert!(!apart.shares_structure_with(&a));
+        assert!(apart.adopt_structure(&weak) && apart.shares_structure_with(&a));
+        // Already shared: adopted again, in O(1).
+        assert!(apart.adopt_structure(&weak));
+        assert_eq!(apart.values()[..2], [7.0, 2.0]);
+        assert_eq!(a.values()[0], 1.0);
+        // Another pattern is not adopted.
+        let diagonal = || CsrMatrix::from_raw(3, 3, vec![0, 1, 2, 3], vec![0, 1, 2], vec![1.0; 3]);
+        let mut other = diagonal().unwrap();
+        assert!(!other.adopt_structure(&weak) && !other.shares_structure_with(&a));
+        assert_eq!(other, diagonal().unwrap());
+        // A structure no matrix holds any more is not adopted.
+        drop((a, apart));
+        assert!(!weak.is_live());
+        let mut late = example_coo().to_csr();
+        assert!(!late.adopt_structure(&weak));
+        assert_eq!(late, example_coo().to_csr());
     }
 
     #[test]

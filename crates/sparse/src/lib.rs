@@ -46,7 +46,7 @@ pub mod vecops;
 
 pub use blocked::{Block, BlockLayout, BlockedMatrix};
 pub use coo::CooMatrix;
-pub use csr::CsrMatrix;
+pub use csr::{CsrMatrix, WeakStructure};
 pub use error::SparseError;
 pub use shard::block_row_shards;
 pub use stats::MatrixStats;

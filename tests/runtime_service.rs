@@ -336,6 +336,42 @@ fn matrices_of_one_structure_share_one_layout_and_keep_their_bits() {
 }
 
 #[test]
+fn a_second_same_pattern_miss_adopts_the_first_layout_and_is_from_csr_bit_for_bit() {
+    // Built apart, the two handles share one structure, so the second miss's encode
+    // recognises the donor's layout without comparing the arrays.
+    let mass = |seed| refloat::matgen::generators::mass_matrix_3d(5, 6, 7, 1e-12, 0.5, seed);
+    let (a, b) = (
+        MatrixHandle::new("a", mass(3).to_csr()),
+        MatrixHandle::new("b", mass(4).to_csr()),
+    );
+    assert!(b.csr().shares_structure_with(a.csr()));
+    assert_ne!(a.fingerprint(), b.fingerprint());
+    let format = ReFloatConfig::new(4, 3, 8, 3, 8);
+    let runtime = SolveRuntime::new(RuntimeConfig {
+        workers: 1,
+        ..Default::default()
+    });
+    let plans = [&a, &b].map(|handle| SolvePlan::new("t", handle.clone(), format).build().unwrap());
+    let outcome = runtime.run_batch(plans);
+    assert!(outcome
+        .jobs
+        .iter()
+        .all(|job| job.telemetry.cache == CacheOutcomeKind::Miss));
+    let cached = |handle: &MatrixHandle| {
+        let key = refloat::runtime::CacheKey::new(handle.fingerprint(), format);
+        runtime
+            .cache()
+            .peek(&key)
+            .expect("both encodings are cached")
+    };
+    let (first, second) = (cached(&a), cached(&b));
+    assert!(second.shares_layout_with(&first));
+    assert!(second.layout().blocked_from(b.csr()));
+    let scratch = ReFloatMatrix::from_csr(b.csr(), format);
+    refloat::core::assert_bitwise_identical(&second, &scratch);
+}
+
+#[test]
 fn skewed_traffic_reaches_a_high_hit_rate_and_sane_report() {
     let runtime = SolveRuntime::new(RuntimeConfig {
         workers: 4,
