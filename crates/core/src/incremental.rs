@@ -19,8 +19,8 @@
 //! When the new matrix has the predecessor's structure (every FEM chain's case), a
 //! re-encode costs:
 //!
-//! * **one structure check**: O(1) when the new matrix shares the structure the layout
-//!   was blocked from (a chain's steps do, `BlockLayout::blocked_from`), else one
+//! * **one structure check**, `BlockLayout::lays_out`: O(1) when the new matrix shares
+//!   the structure the layout holds as its row order (a chain's steps do), else one
 //!   compare of the row pointers and columns;
 //! * **one value diff per block row**: an OR of the two steps' value bits over the
 //!   row's span (a cell keeps its row-order index) says whether the row is dirty, and
@@ -157,9 +157,9 @@ fn reencode(
     let not_the_source =
         "reencode_incremental: previous_source is not the source of the previous encoding";
     assert_eq!(previous_source.nnz(), previous.nnz(), "{not_the_source}");
-    debug_assert!(same_structure(layout, previous_source), "{not_the_source}");
+    debug_assert!(layout.lays_out(previous_source), "{not_the_source}");
 
-    let (matrix, changed) = if same_structure(layout, a) {
+    let (matrix, changed) = if layout.lays_out(a) {
         let (dirty, changed) = value_changes(layout, a.values(), previous_source.values());
         let dirty = &dirty;
         (encode(Some(Reuse { previous, dirty })), changed)
@@ -170,22 +170,6 @@ fn reencode(
     };
     let stats = classify(previous, &matrix, &changed);
     IncrementalEncode { matrix, stats }
-}
-
-/// Whether `a`'s structure — dimensions, row pointers and columns — is `layout`'s row
-/// order, so that `layout` is `a`'s blocking too: O(1) when `a` shares the structure
-/// the layout was blocked from, else one compare of the arrays, with no early exit.
-pub(crate) fn same_structure(layout: &BlockLayout, a: &CsrMatrix) -> bool {
-    if layout.blocked_from(a) {
-        return true;
-    }
-    let same = |narrow: &[u32], wide: &[usize]| {
-        narrow.len() == wide.len()
-            && (narrow.iter().zip(wide)).fold(0, |diff, (&n, &w)| diff | (n as usize ^ w)) == 0
-    };
-    (layout.nrows(), layout.ncols()) == (a.nrows(), a.ncols())
-        && same(layout.row_ptr(), a.row_ptr())
-        && same(layout.col_idx(), a.col_idx())
 }
 
 /// The value diff of two matrices over `layout`'s structure, `new` and `old` in its row
@@ -229,8 +213,8 @@ fn merged_changes(prev: &CsrMatrix, next: &CsrMatrix, layout: &BlockLayout, b: u
         let (mut i, mut j) = (0, 0);
         while i < prev_cols.len() || j < next_cols.len() {
             // Past a row's end its column reads as `usize::MAX`, after every real one.
-            let p = prev_cols.get(i).copied().unwrap_or(usize::MAX);
-            let n = next_cols.get(j).copied().unwrap_or(usize::MAX);
+            let p = prev_cols.get(i).map_or(usize::MAX, |&c| c as usize);
+            let n = next_cols.get(j).map_or(usize::MAX, |&c| c as usize);
             let c = p.min(n);
             let same = p == n && prev_vals[i].to_bits() == next_vals[j].to_bits();
             (i, j) = (i + usize::from(p == c), j + usize::from(n == c));
@@ -485,7 +469,8 @@ mod tests {
 
     /// `a`'s structure rebuilt through `from_raw`: equal content, not shared.
     fn deep_copy(a: &CsrMatrix) -> CsrMatrix {
-        let (row_ptr, col_idx) = (a.row_ptr().to_vec(), a.col_idx().to_vec());
+        let wide = |indices: &[u32]| indices.iter().map(|&i| i as usize).collect();
+        let (row_ptr, col_idx) = (wide(a.row_ptr()), wide(a.col_idx()));
         CsrMatrix::from_raw(a.nrows(), a.ncols(), row_ptr, col_idx, a.values().to_vec()).unwrap()
     }
 
@@ -509,7 +494,7 @@ mod tests {
         let edited = |dirty: &dyn Fn(usize) -> bool| {
             let mut vals = base.values().to_vec();
             for r in (0..n).filter(|&r| dirty(r / 32)) {
-                let row = base.row_ptr()[r]..base.row_ptr()[r + 1];
+                let row = base.row_ptr()[r] as usize..base.row_ptr()[r + 1] as usize;
                 for v in vals[row].iter_mut().step_by(3) {
                     *v *= 1.0 + 1.0 / 64.0;
                 }
@@ -518,7 +503,7 @@ mod tests {
         };
         // One cell, the last of an interior block row: a row is dirty by any of its values.
         let mut last_cell = base.values().to_vec();
-        last_cell[base.row_ptr()[(block_rows / 3 + 1) * 32] - 1] *= 1.0 + 1.0 / 64.0;
+        last_cell[base.row_ptr()[(block_rows / 3 + 1) * 32] as usize - 1] *= 1.0 + 1.0 / 64.0;
         let mut changed = CooMatrix::new(n, n);
         base.iter()
             .filter(|&(r, c, _)| (r + c) % 101 != 0)
@@ -547,7 +532,7 @@ mod tests {
             // The copy is recognised by the compare, never by identity.
             assert!(!previous.layout().blocked_from(&copy));
             assert_eq!(previous.layout().blocked_from(&shared), structure_kept);
-            assert_eq!(same_structure(previous.layout(), &copy), structure_kept);
+            assert_eq!(previous.layout().lays_out(&copy), structure_kept);
 
             let want = ReFloatMatrix::from_csr(&shared, config);
             let want_stats = oracle_stats(&previous, &base, &shared);

@@ -14,13 +14,14 @@
 //! # Storage
 //!
 //! The block-major layout of Fig. 7 — the block table and the local row and column
-//! index of every non-zero — and the source CSR's row order beside it are defined
-//! once, by `refloat-sparse`'s [`BlockLayout`], and a [`ReFloatMatrix`] *shares* the
-//! layout it was encoded over (a re-encode of an unchanged structure shares its
-//! predecessor's, and an encode over a donor of the same structure,
-//! [`ReFloatMatrix::from_csr_over_on`], the donor's).  What this crate adds is the two
-//! things only the encoder knows: the exponent base `eb` of every block, in block
-//! order, and the decoded value of every non-zero, stored once, in **row order**.
+//! index of every non-zero — is defined once, by `refloat-sparse`'s [`BlockLayout`],
+//! and its row order is the source CSR's own `u32` structure, held by the layout, not
+//! copied.  A [`ReFloatMatrix`] *shares* the layout it was encoded over (a re-encode
+//! of an unchanged structure shares its predecessor's, and an encode over a donor of
+//! the same structure, [`ReFloatMatrix::from_csr_over_on`], the donor's).  What this
+//! crate adds is the two things only the encoder knows: the exponent base `eb` of
+//! every block, in block order, and the decoded value of every non-zero, stored once,
+//! in **row order**.
 //!
 //! There is one encoder, and it reads values in row order only: [`from_csr`]'s lays
 //! the CSR out without its values ([`BlockLayout::from_csr`]) and reads them in place,
@@ -84,7 +85,6 @@ use std::sync::Arc;
 
 use crate::block::rounded_mean;
 use crate::format::{ReFloatConfig, RoundingMode, UnderflowMode};
-use crate::incremental::same_structure;
 use crate::memory::storage_bits;
 use crate::resilience::Corruption;
 use crate::scalar::{
@@ -259,9 +259,9 @@ impl ReFloatMatrix {
     }
 
     /// [`from_csr_on`](Self::from_csr_on) over `donor`'s layout, when `a` has the
-    /// donor's structure: the same `b`, the same dimensions, and `row_ptr` and
-    /// `col_idx` equal to the donor's row order — known in O(1) when `a` shares the
-    /// structure the donor's layout was blocked from, else compared.  The layout is a
+    /// donor's structure: the same `b`, and a layout that
+    /// [`lays_out`](BlockLayout::lays_out) `a` — known in O(1) when `a` shares the
+    /// structure the donor's layout holds, else compared.  The layout is a
     /// function of the structure and `b` alone, so the encode skips the blocking and
     /// shares the donor's layout ([`shares_layout_with`](Self::shares_layout_with)).
     /// Any other donor is ignored and `a` is blocked afresh.  Either way the result is
@@ -273,7 +273,7 @@ impl ReFloatMatrix {
         lanes: &Lanes,
     ) -> Self {
         let layout = donor.layout();
-        if donor.config.b == config.b && same_structure(layout, a) {
+        if donor.config.b == config.b && layout.lays_out(a) {
             Self::encoded_on(layout, config, a, lanes, None)
         } else {
             Self::from_csr_on(a, config, lanes)
@@ -1107,7 +1107,7 @@ pub(crate) mod tests {
         // Every stored value of block (1, 0) is an explicit zero.
         let mut zero_block = generators::laplacian_2d(16, 4, 0.3).to_csr();
         let (row_ptr, col_idx) = (zero_block.row_ptr().to_vec(), zero_block.col_idx().to_vec());
-        let in_block = (row_ptr[16]..row_ptr[32]).filter(|&k| col_idx[k] < 16);
+        let in_block = (row_ptr[16] as usize..row_ptr[32] as usize).filter(|&k| col_idx[k] < 16);
         assert!(in_block.clone().count() > 0);
         in_block.for_each(|k| zero_block.values_mut()[k] = 0.0);
         for (a, b) in [
@@ -1673,6 +1673,28 @@ pub(crate) mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_layout_that_outlives_every_matrix_of_its_pattern_encodes_and_applies_bit_for_bit() {
+        let make = || generators::random_spd_graph(900, 6, 1.4, 1.0, 7).to_csr();
+        let config = test_config(5);
+        let a = make();
+        let blocked = refloat_sparse::BlockedMatrix::from_csr(&a, config.b).unwrap();
+        let donor = ReFloatMatrix::from_csr(&a, config);
+        drop(a);
+        // The layouts alone hold the pattern now; `fresh` has an equal one of its own.
+        let fresh = Arc::new(make());
+        let mut want = ReFloatMatrix::from_csr(&fresh, config);
+        let over = ReFloatMatrix::from_csr_over_on(&fresh, config, &donor, lanes(2));
+        assert!(over.shares_layout_with(&donor) && !want.shares_layout_with(&donor));
+        let x = refloat_matgen::rhs::krylov_like(fresh.ncols(), 3);
+        let expected = applied(&mut want, &x);
+        for mut got in [donor, ReFloatMatrix::from_blocked(&blocked, config), over] {
+            assert_eq!(got.bases(), want.bases());
+            crate::incremental::assert_bitwise_identical(&got, &want);
+            assert_eq!(applied(&mut got, &x), expected);
         }
     }
 

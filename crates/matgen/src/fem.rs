@@ -129,7 +129,7 @@ mod tests {
             let mut diag = 0.0;
             let mut off = 0.0;
             for (&c, &v) in cols.iter().zip(vals.iter()) {
-                if c == r {
+                if c as usize == r {
                     diag = v;
                 } else {
                     off += v.abs();

@@ -190,10 +190,10 @@ impl TransientChain {
         }
         let stiffness = CsrMatrix::from_raw(n, n, row_ptr, col_idx, stiffness)
             .expect("a compressed base is a valid CSR");
-        let (row_ptr, col_idx) = (stiffness.row_ptr(), stiffness.col_idx());
         let find = |r: usize, c: usize| {
-            let row = &col_idx[row_ptr[r]..row_ptr[r + 1]];
-            row.binary_search(&c).ok().map(|i| row_ptr[r] + i)
+            let (row, _) = stiffness.row(r);
+            let at = row.binary_search(&(c as u32)).ok();
+            at.map(|i| stiffness.row_ptr()[r] as usize + i)
         };
         let diagonal: Vec<usize> = (0..n)
             .map(|r| {
@@ -202,16 +202,14 @@ impl TransientChain {
                 })
             })
             .collect();
-        let mut mirror = Vec::with_capacity(col_idx.len());
-        for r in 0..n {
-            for &c in &col_idx[row_ptr[r]..row_ptr[r + 1]] {
-                mirror.push(find(c, r).unwrap_or_else(|| {
-                    panic!(
-                        "a transient chain's base must be structurally symmetric: \
-                         ({r}, {c}) is stored but ({c}, {r}) is not"
-                    )
-                }));
-            }
+        let mut mirror = Vec::with_capacity(stiffness.nnz());
+        for (r, c, _) in stiffness.iter() {
+            mirror.push(find(c, r).unwrap_or_else(|| {
+                panic!(
+                    "a transient chain's base must be structurally symmetric: \
+                     ({r}, {c}) is stored but ({c}, {r}) is not"
+                )
+            }));
         }
         TransientChain {
             stiffness,
@@ -236,9 +234,10 @@ impl TransientChain {
     /// The positions of row `r`'s entries with a column in `[lo, hi)`: one run,
     /// since a row's columns are sorted.
     fn window_run(&self, r: usize, (lo, hi): (usize, usize)) -> Range<usize> {
-        let start = self.stiffness.row_ptr()[r];
+        let start = self.stiffness.row_ptr()[r] as usize;
         let (cols, _) = self.stiffness.row(r);
-        start + cols.partition_point(|&c| c < lo)..start + cols.partition_point(|&c| c < hi)
+        let at = |bound: usize| start + cols.partition_point(|&c| (c as usize) < bound);
+        at(lo)..at(hi)
     }
 
     /// Applies the per-step coefficient drift: entries with *both* indices in

@@ -170,9 +170,15 @@ mod tests {
         csr(nrows, ncols, &cells.collect())
     }
 
+    /// `a`'s row pointers and columns, widened for `CsrMatrix::from_raw`.
+    fn raw_structure(a: &CsrMatrix) -> (Vec<usize>, Vec<usize>) {
+        let wide = |indices: &[u32]| indices.iter().map(|&i| i as usize).collect();
+        (wide(a.row_ptr()), wide(a.col_idx()))
+    }
+
     /// `a` with its values replaced by `values`.
     fn with_values(a: &CsrMatrix, values: impl IntoIterator<Item = f64>) -> CsrMatrix {
-        let (rows, cols) = (a.row_ptr().to_vec(), a.col_idx().to_vec());
+        let (rows, cols) = raw_structure(a);
         let vals = values.into_iter().collect();
         CsrMatrix::from_raw(a.nrows(), a.ncols(), rows, cols, vals).unwrap()
     }
@@ -248,7 +254,7 @@ mod tests {
                 }
             }
             // A trailing empty row or column over the same arrays.
-            let (rows, cols, vals) = (a.row_ptr().to_vec(), a.col_idx().to_vec(), a.values());
+            let ((rows, cols), vals) = (raw_structure(&a), a.values());
             let wider = CsrMatrix::from_raw(nrows, ncols + 1, rows.clone(), cols.clone(), vals.to_vec());
             let taller = CsrMatrix::from_raw(
                 nrows + 1,

@@ -11,9 +11,9 @@
 //! scheduled together — are read sequentially from memory.  A [`BlockLayout`] is the
 //! structure alone: contiguous local row and column indices, blocks back to back in
 //! block-row-major order and each block's entries in CSR order (sorted by `(ii, jj)`),
-//! plus a block table of `(block_row, block_col, start)`.  Beside it the layout keeps
-//! the source CSR's *row order* — `u32` row pointers and global column indices — and
-//! this module alone defines how the two orders correspond:
+//! plus a block table of `(block_row, block_col, start)`.  Its *row order* is the
+//! source CSR's own shared structure (`u32` row pointers and global columns), not a
+//! copy, and this module alone defines how the two orders correspond:
 //! [`BlockLayout::walk_row_order`] pairs every row-order index with its block and its
 //! block-order position, a run of them at a time.
 //!
@@ -29,14 +29,13 @@
 //! order, which it encodes from the CSR's row order and its SpMV reads with the CSR
 //! loop.
 //!
-//! A layout also remembers which CSR structure it was blocked from, without keeping it
-//! alive: [`BlockLayout::blocked_from`] says in O(1) that a matrix sharing that
-//! structure (a clone, a value update through `CsrMatrix::with_values`, or a matrix
-//! built apart that adopted it through `CsrMatrix::adopt_structure`) is laid out by it,
-//! so a re-encode of the next step of a chain never compares the arrays.
+//! So [`BlockLayout::lays_out`] knows in O(1) that a matrix sharing that structure (a
+//! clone, a value update through `CsrMatrix::with_values`, or a matrix built apart
+//! that adopted it through `CsrMatrix::adopt_structure`) is laid out by it, and
+//! compares the arrays only for a structure built apart.
 
 use std::ops::Range;
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 use crate::coo::CooMatrix;
 use crate::csr::{CsrMatrix, Structure};
@@ -54,9 +53,9 @@ struct TableEntry {
 }
 
 /// The block-major structure of a sparse matrix: where every non-zero sits, without
-/// the values.  Equality is content equality; which structure a layout was blocked
-/// from does not take part.
-#[derive(Debug)]
+/// the values.  Equality is content equality; which structure object a layout holds
+/// does not take part.
+#[derive(Debug, PartialEq)]
 pub struct BlockLayout {
     nrows: usize,
     ncols: usize,
@@ -69,24 +68,9 @@ pub struct BlockLayout {
     rows: Vec<u16>,
     /// Local column index `jj` (`< 2^b`) per non-zero.
     cols: Vec<u16>,
-    /// Row order, the source CSR's: where each row's non-zeros start (`nrows + 1`
-    /// entries, the last one `nnz`).
-    row_ptr: Vec<u32>,
-    /// Global column index per non-zero, in row order.
-    col_idx: Vec<u32>,
-    /// The CSR structure the layout was blocked from.  A `Weak` pins the allocation, so
-    /// its address is never reused while the layout lives, and never keeps the arrays
-    /// of a dropped matrix alive.
-    source: Weak<Structure>,
-}
-
-impl PartialEq for BlockLayout {
-    fn eq(&self, other: &Self) -> bool {
-        (self.nrows, self.ncols, self.b) == (other.nrows, other.ncols, other.b)
-            && self.table == other.table
-            && (&self.rows, &self.cols) == (&other.rows, &other.cols)
-            && (&self.row_ptr, &self.col_idx) == (&other.row_ptr, &other.col_idx)
-    }
+    /// Row order: the CSR structure the layout was blocked from, shared with every
+    /// matrix over it — where each row's non-zeros start, and their global columns.
+    structure: Arc<Structure>,
 }
 
 /// One non-empty `2^b × 2^b` block, borrowed from a [`BlockLayout`] and an array of
@@ -126,12 +110,11 @@ impl BlockLayout {
     /// indices in CSR order.  The arrays are allocated once at their final size; nothing
     /// is allocated per block.
     ///
-    /// The row order is the CSR's own structure, narrowed to `u32`.
+    /// The row order is the CSR's own structure, shared.
     ///
     /// Returns an error if `b == 0` would make blocks degenerate (`b` must be ≥ 1), if
     /// `b` is large enough that local indices no longer fit in `u16` (`b ≤ 15`), or if
-    /// a block row (a `(32 − b)`-bit integer in the format, Fig. 4), a column index or
-    /// the non-zero count does not fit the layout's 32-bit fields.
+    /// the column count does not fit the format's 32-bit column addresses (Fig. 4).
     pub fn from_csr(a: &CsrMatrix, b: u32) -> Result<Self> {
         Self::blocking(a, b, |_, _| {})
     }
@@ -146,14 +129,11 @@ impl BlockLayout {
         }
         let bs = 1usize << b;
         let (nrows, ncols, nnz) = (a.nrows(), a.ncols(), a.nnz());
-        // Checked once here; the `as u32` below narrow values bounded by these three
-        // (a block column by the column count).
-        if [nrows.div_ceil(bs), ncols, nnz]
-            .iter()
-            .any(|&v| u32::try_from(v).is_err())
-        {
+        // The `as u32` below narrow block coordinates, bounded by the row count, which
+        // the structure bounds, and by the column count, checked here.
+        if u32::try_from(ncols).is_err() {
             return Err(SparseError::InvalidParameter(format!(
-                "{nrows}x{ncols} matrix with {nnz} non-zeros at b = {b}: the layout is 32-bit"
+                "{nrows}x{ncols} matrix at b = {b}: the layout is 32-bit"
             )));
         }
 
@@ -173,16 +153,17 @@ impl BlockLayout {
             let row_hi = (row_lo + bs).min(nrows);
             // Pass 1: count the band's entries per block column.
             let mut distinct = 0;
-            for &c in &col_idx[row_ptr[row_lo]..row_ptr[row_hi]] {
-                touched[distinct] = c >> b;
-                distinct += (cursor[c >> b] == 0) as usize;
-                cursor[c >> b] += 1;
+            for &c in &col_idx[row_ptr[row_lo] as usize..row_ptr[row_hi] as usize] {
+                let bcol = (c >> b) as usize;
+                touched[distinct] = bcol;
+                distinct += (cursor[bcol] == 0) as usize;
+                cursor[bcol] += 1;
             }
             let touched = &mut touched[..distinct];
             // The band's blocks in block-column order, each starting where the one
             // before it ends; the counts become write cursors.
             sort_distinct(touched, &mut seen);
-            let mut start = row_ptr[row_lo] as u32;
+            let mut start = row_ptr[row_lo];
             for &bcol in touched.iter() {
                 table.push(TableEntry {
                     block_row: brow as u32,
@@ -193,12 +174,13 @@ impl BlockLayout {
             }
             // Pass 2: place every entry; CSR order within a block is `(ii, jj)` order.
             for r in row_lo..row_hi {
-                let row = row_ptr[r]..row_ptr[r + 1];
+                let row = row_ptr[r] as usize..row_ptr[r + 1] as usize;
                 for (k, &c) in row.clone().zip(&col_idx[row]) {
-                    let at = cursor[c >> b] as usize;
-                    cursor[c >> b] += 1;
+                    let bcol = (c >> b) as usize;
+                    let at = cursor[bcol] as usize;
+                    cursor[bcol] += 1;
                     rows[at] = (r - row_lo) as u16;
-                    cols[at] = (c & (bs - 1)) as u16;
+                    cols[at] = (c & ((1 << b) - 1)) as u16;
                     place(k, at);
                 }
             }
@@ -219,20 +201,28 @@ impl BlockLayout {
             table,
             rows,
             cols,
-            row_ptr: row_ptr.iter().map(|&p| p as u32).collect(),
-            col_idx: col_idx.iter().map(|&c| c as u32).collect(),
-            source: Arc::downgrade(a.structure()),
+            structure: Arc::clone(a.structure()),
         })
     }
 
     /// Whether the layout was blocked from `a`'s structure itself — `a`, a clone of it,
     /// a matrix made from either by `CsrMatrix::with_values`, or one that adopted it
     /// by `CsrMatrix::adopt_structure` — so that it is `a`'s blocking too.  O(1); a
-    /// matrix with an equal structure of its own is not recognised (compare the row
-    /// order for that).
+    /// matrix with an equal structure of its own is not recognised
+    /// ([`lays_out`](Self::lays_out) is).
     pub fn blocked_from(&self, a: &CsrMatrix) -> bool {
-        std::ptr::eq(self.source.as_ptr(), Arc::as_ptr(a.structure()))
+        Arc::ptr_eq(&self.structure, a.structure())
             && (self.nrows, self.ncols) == (a.nrows(), a.ncols())
+    }
+
+    /// Whether the layout is `a`'s blocking: the layout was
+    /// [`blocked_from`](Self::blocked_from) `a`'s structure, known in O(1), or `a` has
+    /// the same dimensions and an equal structure of its own, known by one compare of
+    /// the row pointers and columns.
+    pub fn lays_out(&self, a: &CsrMatrix) -> bool {
+        self.blocked_from(a)
+            || (self.nrows, self.ncols) == (a.nrows(), a.ncols())
+                && *self.structure == **a.structure()
     }
 
     /// Number of rows of the underlying matrix.
@@ -330,25 +320,23 @@ impl BlockLayout {
         &self,
         rows: Range<usize>,
     ) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
-        let (bs, end) = (self.block_size(), rows.end);
+        let (bs, end, row_ptr) = (self.block_size(), rows.end, self.row_ptr());
         rows.step_by(bs).map(move |lo| {
             let hi = (lo + bs).min(end);
-            (
-                lo >> self.b,
-                self.row_ptr[lo] as usize..self.row_ptr[hi] as usize,
-            )
+            (lo >> self.b, row_ptr[lo] as usize..row_ptr[hi] as usize)
         })
     }
 
     /// Row pointers of the row order: row `r`'s non-zeros are the row-order indices
-    /// `row_ptr[r]..row_ptr[r + 1]` — the source CSR's `row_ptr`.
+    /// `row_ptr[r]..row_ptr[r + 1]` — the source CSR's own `row_ptr`.
     pub fn row_ptr(&self) -> &[u32] {
-        &self.row_ptr
+        &self.structure.row_ptr
     }
 
-    /// Global column index of every non-zero in row order — the source CSR's `col_idx`.
+    /// Global column index of every non-zero in row order — the source CSR's own
+    /// `col_idx`.
     pub fn col_idx(&self) -> &[u32] {
-        &self.col_idx
+        &self.structure.col_idx
     }
 
     /// Walks the non-zeros in row order, run by run: `visit(row_order, block,
@@ -374,7 +362,7 @@ impl BlockLayout {
                 cursor[entry.block_col as usize] = (index as u32, entry.start);
             }
             let mut k = band.start;
-            for run in self.col_idx[band].chunk_by(|&c, &d| c >> self.b == d >> self.b) {
+            for run in self.col_idx()[band].chunk_by(|&c, &d| c >> self.b == d >> self.b) {
                 let (block, start) = &mut cursor[(run[0] >> self.b) as usize];
                 let at = *start as usize;
                 visit(k..k + run.len(), *block as usize, at..at + run.len());
@@ -566,7 +554,8 @@ mod tests {
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn a_column_count_beyond_32_bits_is_an_error_even_when_the_block_columns_fit() {
-        // 2^18 block columns at b = 15 fit the table; the row order's `u32` columns do not.
+        // 2^18 block columns at b = 15 fit the table; the format's 32-bit column
+        // addresses do not.
         let wide = CsrMatrix::from_raw(1, 1 << 33, vec![0, 0], vec![], vec![]).unwrap();
         let err = BlockedMatrix::from_csr(&wide, 15).unwrap_err();
         assert!(matches!(err, SparseError::InvalidParameter(_)), "{err}");
@@ -634,9 +623,7 @@ mod tests {
             table,
             rows: entries.iter().map(|&(r, ..)| local(r)).collect(),
             cols: entries.iter().map(|&(_, c, _)| local(c)).collect(),
-            row_ptr: a.row_ptr().iter().map(|&p| p as u32).collect(),
-            col_idx: a.col_idx().iter().map(|&c| c as u32).collect(),
-            source: Weak::new(),
+            structure: Arc::clone(a.structure()),
         };
         (layout, entries.iter().map(|&(.., v)| v).collect())
     }
@@ -682,12 +669,50 @@ mod tests {
         assert!(copy == a && !layout.blocked_from(&copy));
         // Equal content is an equal layout, whatever it was blocked from.
         assert_eq!(BlockLayout::from_csr(&copy, 4).unwrap(), layout);
-        // A dropped source is not mistaken for a new matrix: the `Weak` keeps its address.
+        // A dropped source is not mistaken for a new matrix: the layout holds its structure.
         let (lone, expect) = (banded(50), BlockLayout::from_csr(&banded(50), 4).unwrap());
         let lone_layout = BlockLayout::from_csr(&lone, 4).unwrap();
         drop(lone);
         assert_eq!(lone_layout, expect);
         assert!(!lone_layout.blocked_from(&banded(50)));
+    }
+
+    #[test]
+    fn a_layout_holds_the_matrix_structure_and_no_copy_of_it() {
+        let a = banded(100);
+        let layout = BlockLayout::from_csr(&a, 4).unwrap();
+        assert!(std::ptr::eq(layout.row_ptr(), a.row_ptr()));
+        assert!(std::ptr::eq(layout.col_idx(), a.col_idx()));
+        let blocked = BlockedMatrix::from_csr(&a, 4).unwrap();
+        assert!(std::ptr::eq(blocked.layout().col_idx(), a.col_idx()));
+        // The matrix and the two layouts hold the one structure.
+        assert_eq!(Arc::strong_count(a.structure()), 3);
+        drop(a);
+        assert_eq!(layout, **blocked.layout());
+    }
+
+    #[test]
+    fn a_layout_lays_out_a_matrix_of_equal_structure_and_dimensions_only() {
+        let a = banded(100);
+        let layout = BlockLayout::from_csr(&a, 4).unwrap();
+        let copy = banded(100);
+        assert!(layout.lays_out(&a) && layout.lays_out(&a.with_values(vec![1.0; a.nnz()])));
+        assert!(!layout.blocked_from(&copy) && layout.lays_out(&copy));
+        assert!(!layout.lays_out(&banded(99)));
+        // The same arrays over one more column are another matrix.
+        let wide = CsrMatrix::from_raw(
+            100,
+            101,
+            a.row_ptr().iter().map(|&p| p as usize).collect(),
+            a.col_idx().iter().map(|&c| c as usize).collect(),
+            a.values().to_vec(),
+        )
+        .unwrap();
+        assert!(!layout.lays_out(&wide));
+        // One entry more.
+        let mut coo = banded(100).to_coo();
+        coo.push(0, 50, 1.0);
+        assert!(!layout.lays_out(&coo.to_csr()));
     }
 
     #[test]

@@ -4,17 +4,18 @@
 //! baselines of the paper behave numerically like plain double-precision SpMV, which is
 //! exactly what [`CsrMatrix::spmv_into`] computes.
 //!
-//! The structure — row pointers and column indices — sits behind one [`Arc`] and the
-//! values are each matrix's own.  A [`clone`](Clone::clone) or
-//! [`with_values`](CsrMatrix::with_values) shares the structure and owns its values, so
-//! a sequence of matrices over one sparsity pattern (a transient chain's steps) holds
-//! the pattern once, and [`shares_structure_with`](CsrMatrix::shares_structure_with)
-//! tells in O(1) that two of them have it.  Every constructor that builds a structure
-//! ([`from_raw`](CsrMatrix::from_raw), [`from_coo`](CsrMatrix::from_coo),
-//! [`transpose`](CsrMatrix::transpose)) moves it into a fresh `Arc`; equality is
-//! content equality either way.  A matrix built apart joins an equal live structure
-//! through [`adopt_structure`](CsrMatrix::adopt_structure), which drops its own index
-//! arrays; a [`WeakStructure`] names the structure to adopt without keeping it alive.
+//! The structure — `u32` row pointers and column indices, as ReFloat's format addresses
+//! a matrix in 32 bits (Fig. 4) — sits behind one [`Arc`] and the values are each
+//! matrix's own.  A [`clone`](Clone::clone) or [`with_values`](CsrMatrix::with_values)
+//! shares the structure, so a sequence of matrices over one sparsity pattern (a
+//! transient chain's steps) holds the pattern once, and
+//! [`shares_structure_with`](CsrMatrix::shares_structure_with) tells in O(1) that two
+//! of them have it; so does every block layout of them (`crate::blocked`), which holds
+//! the same `Arc` as its row order.  Each constructor that builds a structure checks
+//! once that it fits 32 bits, then narrows it into a fresh `Arc`; equality is content
+//! equality either way.  A matrix built apart joins an equal live structure through
+//! [`adopt_structure`](CsrMatrix::adopt_structure), which drops its own index arrays; a
+//! [`WeakStructure`] names the structure to adopt without keeping it alive.
 
 use std::sync::{Arc, Weak};
 
@@ -22,13 +23,28 @@ use crate::coo::CooMatrix;
 use crate::error::SparseError;
 use crate::Result;
 
-/// The sparsity structure of a CSR matrix, shared by every matrix over it.
-#[derive(Debug, PartialEq)]
+/// The sparsity structure of a CSR matrix, shared by every matrix over it and by every
+/// block layout of it.
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct Structure {
     /// Row pointer array of length `nrows + 1`.
-    row_ptr: Vec<usize>,
-    /// Column indices, length `nnz`, sorted within each row.
-    col_idx: Vec<usize>,
+    pub(crate) row_ptr: Vec<u32>,
+    /// Column indices, length `nnz`, strictly increasing within each row.
+    pub(crate) col_idx: Vec<u32>,
+}
+
+/// Checks, before any narrowing, that a structure of `nrows` rows and `nnz` non-zeros
+/// whose greatest column index is `max_col` fits its `u32` indices.
+fn fits_32_bits(nrows: usize, nnz: usize, max_col: Option<usize>) -> Result<()> {
+    let max_col = ("column index", max_col.unwrap_or(0));
+    let sizes = [("row count", nrows), ("non-zero count", nnz), max_col];
+    match sizes
+        .into_iter()
+        .find(|&(_, value)| u32::try_from(value).is_err())
+    {
+        Some((what, value)) => Err(SparseError::IndexTooWide { what, value }),
+        None => Ok(()),
+    }
 }
 
 /// A weak reference to a CSR structure ([`CsrMatrix::downgrade_structure`]): it keeps
@@ -38,7 +54,7 @@ pub(crate) struct Structure {
 pub struct WeakStructure(Weak<Structure>);
 
 impl WeakStructure {
-    /// Whether some matrix still holds the structure.
+    /// Whether some matrix or block layout still holds the structure.
     pub fn is_live(&self) -> bool {
         self.0.strong_count() > 0
     }
@@ -57,10 +73,12 @@ pub struct CsrMatrix {
 }
 
 impl CsrMatrix {
-    /// Builds a CSR matrix from raw arrays.
+    /// Builds a CSR matrix from raw arrays, its structure narrowed to `u32`.
     ///
     /// `row_ptr` must have length `nrows + 1`, be non-decreasing, start at 0 and end at
-    /// `col_idx.len()`; every column index must be `< ncols`.
+    /// `col_idx.len()`; a row's columns must be `< ncols` and strictly increasing
+    /// ([`SparseError::IndexOutOfBounds`], [`SparseError::UnsortedRow`]), and the row
+    /// count, non-zero count and columns must fit `u32` ([`SparseError::IndexTooWide`]).
     pub fn from_raw(
         nrows: usize,
         ncols: usize,
@@ -68,40 +86,41 @@ impl CsrMatrix {
         col_idx: Vec<usize>,
         vals: Vec<f64>,
     ) -> Result<Self> {
-        if row_ptr.len() != nrows + 1 {
-            return Err(SparseError::LengthMismatch {
-                what: "CSR row_ptr",
-                expected: nrows + 1,
-                actual: row_ptr.len(),
-            });
+        for (what, expected, actual) in [
+            ("CSR row_ptr", nrows + 1, row_ptr.len()),
+            ("CSR col_idx vs values", vals.len(), col_idx.len()),
+        ] {
+            if actual != expected {
+                return Err(SparseError::LengthMismatch {
+                    what,
+                    expected,
+                    actual,
+                });
+            }
         }
-        if col_idx.len() != vals.len() {
-            return Err(SparseError::LengthMismatch {
-                what: "CSR col_idx vs values",
-                expected: vals.len(),
-                actual: col_idx.len(),
-            });
-        }
-        if row_ptr.first().copied() != Some(0) || row_ptr.last().copied() != Some(vals.len()) {
+        let monotone = row_ptr.windows(2).all(|w| w[0] <= w[1]);
+        if row_ptr[0] != 0 || row_ptr[nrows] != vals.len() || !monotone {
             return Err(SparseError::InvalidParameter(
-                "CSR row_ptr must start at 0 and end at nnz".into(),
+                "CSR row_ptr must run from 0 to nnz and never decrease".into(),
             ));
         }
-        if row_ptr.windows(2).any(|w| w[0] > w[1]) {
-            return Err(SparseError::InvalidParameter(
-                "CSR row_ptr must be non-decreasing".into(),
-            ));
-        }
-        for &c in &col_idx {
-            if c >= ncols {
+        for (row, bounds) in row_ptr.windows(2).enumerate() {
+            let cols = &col_idx[bounds[0]..bounds[1]];
+            if let Some(&col) = cols.iter().find(|&&c| c >= ncols) {
                 return Err(SparseError::IndexOutOfBounds {
-                    row: 0,
-                    col: c,
+                    row,
+                    col,
                     nrows,
                     ncols,
                 });
             }
+            if let Some(pair) = cols.windows(2).find(|pair| pair[0] >= pair[1]) {
+                return Err(SparseError::UnsortedRow { row, col: pair[1] });
+            }
         }
+        fits_32_bits(nrows, vals.len(), col_idx.iter().copied().max())?;
+        let narrow = |wide: Vec<usize>| wide.into_iter().map(|i| i as u32).collect();
+        let (row_ptr, col_idx) = (narrow(row_ptr), narrow(col_idx));
         Ok(Self::assembled(nrows, ncols, row_ptr, col_idx, vals))
     }
 
@@ -109,8 +128,8 @@ impl CsrMatrix {
     fn assembled(
         nrows: usize,
         ncols: usize,
-        row_ptr: Vec<usize>,
-        col_idx: Vec<usize>,
+        row_ptr: Vec<u32>,
+        col_idx: Vec<u32>,
         vals: Vec<f64>,
     ) -> Self {
         CsrMatrix {
@@ -122,66 +141,62 @@ impl CsrMatrix {
     }
 
     /// Builds a CSR matrix from a COO matrix, summing duplicate entries.
+    ///
+    /// # Panics
+    /// Panics where [`try_from_coo`](Self::try_from_coo) returns an error.
     pub fn from_coo(coo: &CooMatrix) -> Self {
-        let nrows = coo.nrows();
-        let ncols = coo.ncols();
-        let nnz_in = coo.nnz();
+        Self::try_from_coo(coo).unwrap_or_else(|err| panic!("CsrMatrix::from_coo: {err}"))
+    }
+
+    /// [`from_coo`](Self::from_coo), or, before allocating anything,
+    /// [`SparseError::IndexTooWide`] when the row count, the entry count or a column
+    /// index does not fit `u32` — the check for a Matrix Market file read into COO.
+    pub fn try_from_coo(coo: &CooMatrix) -> Result<Self> {
+        let (nrows, ncols, nnz_in) = (coo.nrows(), coo.ncols(), coo.nnz());
+        fits_32_bits(nrows, nnz_in, coo.col_indices().iter().copied().max())?;
 
         // Counting sort by row.
-        let mut counts = vec![0usize; nrows + 1];
+        let mut counts = vec![0u32; nrows + 1];
         for &r in coo.row_indices() {
             counts[r + 1] += 1;
         }
         for i in 0..nrows {
             counts[i + 1] += counts[i];
         }
-        let mut order_cols = vec![0usize; nnz_in];
+        let mut order_cols = vec![0u32; nnz_in];
         let mut order_vals = vec![0.0f64; nnz_in];
-        {
-            let mut cursor = counts.clone();
-            for ((&r, &c), &v) in coo
-                .row_indices()
-                .iter()
-                .zip(coo.col_indices().iter())
-                .zip(coo.values().iter())
-            {
-                let k = cursor[r];
-                order_cols[k] = c;
-                order_vals[k] = v;
-                cursor[r] += 1;
-            }
+        let mut cursor = counts.clone();
+        for (r, c, v) in coo.iter() {
+            let k = cursor[r] as usize;
+            order_cols[k] = c as u32;
+            order_vals[k] = v;
+            cursor[r] += 1;
         }
 
-        // Sort within each row by column and merge duplicates.
-        let mut row_ptr = Vec::with_capacity(nrows + 1);
+        // Sort within each row by column and merge duplicates, each run summed in order
+        // into its first entry.
+        let mut row_ptr = vec![0; nrows + 1];
         let mut col_idx = Vec::with_capacity(nnz_in);
         let mut vals = Vec::with_capacity(nnz_in);
-        row_ptr.push(0);
-        let mut scratch: Vec<(usize, f64)> = Vec::new();
+        let mut scratch: Vec<(u32, f64)> = Vec::new();
         for r in 0..nrows {
-            let (lo, hi) = (counts[r], counts[r + 1]);
+            let (lo, hi) = (counts[r] as usize, counts[r + 1] as usize);
             scratch.clear();
-            scratch.extend(
-                order_cols[lo..hi]
-                    .iter()
-                    .copied()
-                    .zip(order_vals[lo..hi].iter().copied()),
-            );
+            scratch.extend((lo..hi).map(|k| (order_cols[k], order_vals[k])));
             scratch.sort_unstable_by_key(|&(c, _)| c);
-            for &(c, v) in &scratch {
-                if let Some(&last_c) = col_idx.last() {
-                    if col_idx.len() > *row_ptr.last().expect("row_ptr nonempty") && last_c == c {
-                        *vals.last_mut().expect("vals matches col_idx") += v;
-                        continue;
-                    }
+            scratch.dedup_by(|next, kept| {
+                let duplicate = next.0 == kept.0;
+                if duplicate {
+                    kept.1 += next.1;
                 }
-                col_idx.push(c);
-                vals.push(v);
-            }
-            row_ptr.push(col_idx.len());
+                duplicate
+            });
+            col_idx.extend(scratch.iter().map(|&(c, _)| c));
+            vals.extend(scratch.iter().map(|&(_, v)| v));
+            row_ptr[r + 1] = col_idx.len() as u32;
         }
 
-        Self::assembled(nrows, ncols, row_ptr, col_idx, vals)
+        Ok(Self::assembled(nrows, ncols, row_ptr, col_idx, vals))
     }
 
     /// A matrix over this one's structure, shared, with `vals` as its values: a value
@@ -236,7 +251,7 @@ impl CsrMatrix {
         equal
     }
 
-    /// The shared structure, for layouts that remember what they were built from.
+    /// The shared structure, which a block layout of this matrix holds as its row order.
     pub(crate) fn structure(&self) -> &Arc<Structure> {
         &self.structure
     }
@@ -257,12 +272,12 @@ impl CsrMatrix {
     }
 
     /// Row pointer array (`nrows + 1` entries).
-    pub fn row_ptr(&self) -> &[usize] {
+    pub fn row_ptr(&self) -> &[u32] {
         &self.structure.row_ptr
     }
 
     /// Column index array.
-    pub fn col_idx(&self) -> &[usize] {
+    pub fn col_idx(&self) -> &[u32] {
         &self.structure.col_idx
     }
 
@@ -278,9 +293,9 @@ impl CsrMatrix {
     }
 
     /// Returns the `(col_idx, values)` slices of row `r`.
-    pub fn row(&self, r: usize) -> (&[usize], &[f64]) {
+    pub fn row(&self, r: usize) -> (&[u32], &[f64]) {
         let row_ptr = self.row_ptr();
-        let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
+        let (lo, hi) = (row_ptr[r] as usize, row_ptr[r + 1] as usize);
         (&self.col_idx()[lo..hi], &self.vals[lo..hi])
     }
 
@@ -288,16 +303,19 @@ impl CsrMatrix {
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
         (0..self.nrows).flat_map(move |r| {
             let (cols, vals) = self.row(r);
-            cols.iter().zip(vals.iter()).map(move |(&c, &v)| (r, c, v))
+            cols.iter()
+                .zip(vals)
+                .map(move |(&c, &v)| (r, c as usize, v))
         })
     }
 
     /// Returns the value at `(row, col)`, or 0.0 if not stored.
     pub fn get(&self, row: usize, col: usize) -> f64 {
         let (cols, vals) = self.row(row);
-        match cols.binary_search(&col) {
-            Ok(k) => vals[k],
-            Err(_) => 0.0,
+        // A column beyond `u32` is stored nowhere.
+        match u32::try_from(col).map(|c| cols.binary_search(&c)) {
+            Ok(Ok(k)) => vals[k],
+            _ => 0.0,
         }
     }
 
@@ -317,10 +335,10 @@ impl CsrMatrix {
         assert_eq!(y.len(), self.nrows, "CSR spmv: y length mismatch");
         let (row_ptr, col_idx) = (self.row_ptr(), self.col_idx());
         for (r, yr) in y.iter_mut().enumerate() {
-            let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
+            let (lo, hi) = (row_ptr[r] as usize, row_ptr[r + 1] as usize);
             let mut acc = 0.0;
             for k in lo..hi {
-                acc += self.vals[k] * x[col_idx[k]];
+                acc += self.vals[k] * x[col_idx[k] as usize];
             }
             *yr = acc;
         }
@@ -354,25 +372,30 @@ impl CsrMatrix {
     }
 
     /// Returns the transpose as a new CSR matrix.
+    ///
+    /// # Panics
+    /// Panics if the column count, the transpose's row count, does not fit `u32`.
     pub fn transpose(&self) -> CsrMatrix {
+        fits_32_bits(self.ncols, self.nnz(), None)
+            .unwrap_or_else(|err| panic!("CsrMatrix::transpose: {err}"));
         let (row_ptr, cols) = (self.row_ptr(), self.col_idx());
-        let mut counts = vec![0usize; self.ncols + 1];
+        let mut counts = vec![0u32; self.ncols + 1];
         for &c in cols {
-            counts[c + 1] += 1;
+            counts[c as usize + 1] += 1;
         }
         for i in 0..self.ncols {
             counts[i + 1] += counts[i];
         }
-        let mut col_idx = vec![0usize; self.nnz()];
+        let mut col_idx = vec![0u32; self.nnz()];
         let mut vals = vec![0.0f64; self.nnz()];
         let mut cursor = counts.clone();
         for r in 0..self.nrows {
-            let row = row_ptr[r]..row_ptr[r + 1];
+            let row = row_ptr[r] as usize..row_ptr[r + 1] as usize;
             for (&c, &v) in cols[row.clone()].iter().zip(&self.vals[row]) {
-                let dst = cursor[c];
-                col_idx[dst] = r;
-                vals[dst] = v;
-                cursor[c] += 1;
+                let dst = &mut cursor[c as usize];
+                col_idx[*dst as usize] = r as u32;
+                vals[*dst as usize] = v;
+                *dst += 1;
             }
         }
         Self::assembled(self.ncols, self.nrows, counts, col_idx, vals)
@@ -475,6 +498,85 @@ mod tests {
     }
 
     #[test]
+    fn from_raw_names_the_row_that_holds_a_column_out_of_bounds() {
+        let err = CsrMatrix::from_raw(3, 3, vec![0, 1, 2, 4], vec![0, 1, 2, 5], vec![1.0; 4]);
+        assert!(
+            matches!(
+                err,
+                Err(SparseError::IndexOutOfBounds {
+                    row: 2,
+                    col: 5,
+                    nrows: 3,
+                    ncols: 3
+                })
+            ),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn from_raw_rejects_a_row_whose_columns_do_not_strictly_increase() {
+        let raw = |cols: Vec<usize>| CsrMatrix::from_raw(2, 3, vec![0, 1, 3], cols, vec![1.0; 3]);
+        assert!(raw(vec![2, 0, 1]).is_ok(), "rows are sorted apart");
+        for (cols, col) in [(vec![0, 2, 1], 1), (vec![0, 1, 1], 1)] {
+            let err = raw(cols);
+            assert!(
+                matches!(err, Err(SparseError::UnsortedRow { row: 1, col: c }) if c == col),
+                "{err:?}"
+            );
+        }
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_column_index_beyond_32_bits_is_an_error_where_the_structure_is_built() {
+        let col = 1usize << 32;
+        let err = CsrMatrix::from_raw(1, col + 1, vec![0, 1], vec![col], vec![1.0]);
+        assert!(
+            matches!(
+                err,
+                Err(SparseError::IndexTooWide {
+                    what: "column index",
+                    value
+                }) if value == col
+            ),
+            "{err:?}"
+        );
+        // The last column a `u32` holds is a column like any other.
+        let last = CsrMatrix::from_raw(1, col, vec![0, 1], vec![col - 1], vec![2.0]).unwrap();
+        assert_eq!(last.get(0, col - 1), 2.0);
+        assert_eq!(last.get(0, col + col - 1), 0.0, "no truncation on lookup");
+        let mut coo = CooMatrix::new(1, col + 1);
+        coo.push(0, col, 1.0);
+        let err = CsrMatrix::try_from_coo(&coo);
+        assert!(
+            matches!(err, Err(SparseError::IndexTooWide { .. })),
+            "{err:?}"
+        );
+        // A row count beyond 32 bits is refused before its row pointers are allocated.
+        let tall = CooMatrix::new(col, 1);
+        let err = CsrMatrix::try_from_coo(&tall);
+        assert!(
+            matches!(
+                err,
+                Err(SparseError::IndexTooWide {
+                    what: "row count",
+                    ..
+                })
+            ),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit the 32-bit CSR structure")]
+    #[cfg(target_pointer_width = "64")]
+    fn the_transpose_of_a_matrix_wider_than_32_bits_is_refused_before_it_allocates() {
+        let wide = CsrMatrix::from_raw(1, 1 << 40, vec![0, 0], vec![], vec![]).unwrap();
+        let _ = wide.transpose();
+    }
+
+    #[test]
     fn spmv_matches_coo_reference() {
         let coo = example_coo();
         let a = CsrMatrix::from_coo(&coo);
@@ -546,11 +648,12 @@ mod tests {
         assert_eq!(updated.values(), &[-1.0; 5]);
         assert_eq!(clone.get(0, 0), 9.0);
         // Every constructor that builds a structure builds its own; equality is content.
+        let wide = |indices: &[u32]| indices.iter().map(|&i| i as usize).collect();
         let raw = CsrMatrix::from_raw(
             3,
             3,
-            a.row_ptr().to_vec(),
-            a.col_idx().to_vec(),
+            wide(a.row_ptr()),
+            wide(a.col_idx()),
             a.values().to_vec(),
         )
         .unwrap();

@@ -16,6 +16,21 @@ pub enum SparseError {
         /// Number of columns in the matrix.
         ncols: usize,
     },
+    /// A row of a CSR matrix whose column indices are not strictly increasing.
+    UnsortedRow {
+        /// The row.
+        row: usize,
+        /// The first column index not greater than the one before it.
+        col: usize,
+    },
+    /// A row count, non-zero count or column index that the 32-bit CSR structure
+    /// cannot hold.
+    IndexTooWide {
+        /// What did not fit.
+        what: &'static str,
+        /// Its value.
+        value: usize,
+    },
     /// Two containers that must agree in length (e.g. triplet arrays) did not.
     LengthMismatch {
         /// Description of what was being compared.
@@ -54,6 +69,13 @@ impl fmt::Display for SparseError {
                 f,
                 "entry ({row}, {col}) is outside the {nrows}x{ncols} matrix"
             ),
+            SparseError::UnsortedRow { row, col } => write!(
+                f,
+                "row {row}: column {col} does not follow the one before it in increasing order"
+            ),
+            SparseError::IndexTooWide { what, value } => {
+                write!(f, "{what} {value} does not fit the 32-bit CSR structure")
+            }
             SparseError::LengthMismatch {
                 what,
                 expected,
@@ -118,6 +140,15 @@ mod tests {
             actual: 9,
         };
         assert!(e.to_string().contains("spmv input"));
+
+        let e = SparseError::UnsortedRow { row: 3, col: 2 };
+        assert!(e.to_string().contains("row 3: column 2"));
+
+        let e = SparseError::IndexTooWide {
+            what: "column index",
+            value: usize::MAX,
+        };
+        assert!(e.to_string().contains("column index") && e.to_string().contains("32-bit"));
 
         let e = SparseError::MatrixMarket("bad header".into());
         assert!(e.to_string().contains("bad header"));

@@ -12,9 +12,9 @@
 //!   the *block-major* layout of Fig. 7 of the paper, which is the granularity at which
 //!   ReFloat quantizes values and at which the accelerator maps work onto crossbars.
 //!   This crate owns that layout: [`BlockLayout`] (block table plus contiguous local
-//!   indices, and beside them the source CSR's row order as `u32` row pointers and
-//!   columns, behind an `Arc`) is its one definition, and its `walk_row_order` the one
-//!   definition of how row order and block order correspond.  A `BlockedMatrix` adds
+//!   indices, and beside them the source CSR's row order — the matrix's own shared
+//!   `u32` structure, not a copy) is its one definition, and its `walk_row_order` the
+//!   one definition of how row order and block order correspond.  A `BlockedMatrix` adds
 //!   the `f64` values in block order; `refloat-core`'s `ReFloatMatrix` shares the same
 //!   layout and adds the exponent bases, in block order, and the decoded values, in row
 //!   order — its SpMV is the CSR loop over them,

@@ -638,19 +638,68 @@ mod tests {
         assert!(write_coo_as(&mut buf, &rect, Field::Real, Symmetry::Symmetric, "").is_err());
     }
 
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn an_index_the_csr_structure_cannot_hold_is_a_typed_error_on_conversion() {
+        let header = "%%MatrixMarket matrix coordinate real general\n1 99999999999 1\n";
+        let too_wide = |entry: &str| {
+            let coo = read_coo_from_str(&format!("{header}{entry}\n")).unwrap();
+            crate::CsrMatrix::try_from_coo(&coo)
+        };
+        let err = too_wide("1 4294967297 2.5");
+        assert!(
+            matches!(
+                err,
+                Err(SparseError::IndexTooWide {
+                    what: "column index",
+                    value: 4294967296
+                })
+            ),
+            "{err:?}"
+        );
+        // Column 2^32 − 1 (1-based 2^32) is the greatest a `u32` holds: it converts, and
+        // the blocking refuses the column count.
+        let last = too_wide("1 4294967296 2.5").unwrap();
+        assert_eq!(last.col_idx(), &[u32::MAX]);
+        assert!(crate::BlockedMatrix::from_csr(&last, 7).is_err());
+        let tall = read_coo_from_str("%%MatrixMarket matrix array real general\n4294967296 0\n");
+        let err = crate::CsrMatrix::try_from_coo(&tall.unwrap());
+        assert!(
+            matches!(
+                err,
+                Err(SparseError::IndexTooWide {
+                    what: "row count",
+                    ..
+                })
+            ),
+            "{err:?}"
+        );
+    }
+
     mod hostile {
         use super::super::*;
         use proptest::prelude::*;
         use std::time::{Duration, Instant};
 
         /// Reads `bytes` both ways — as a stream, and lossily decoded as text — and
-        /// asserts that each returns, `Ok` or `Err`, without a panic and quickly.
+        /// asserts that each returns, `Ok` or `Err`, without a panic and quickly; an `Ok`
+        /// read converts to CSR or is refused with a typed error, and a converted one
+        /// is blocked, or refused, at `b` = 1 and 7.
         fn reads_without_panic(bytes: &[u8]) {
             // refloat-analysis: allow(wall-clock-in-deterministic-path) — a time limit
             // on a parse, which decides no result.
             let started = Instant::now();
-            let _ = read_coo_from_reader(BufReader::new(bytes));
-            let _ = read_coo_from_str(&String::from_utf8_lossy(bytes));
+            let text = String::from_utf8_lossy(bytes);
+            for read in [
+                read_coo_from_reader(BufReader::new(bytes)),
+                read_coo_from_str(&text),
+            ] {
+                if let Ok(csr) = read.and_then(|coo| crate::CsrMatrix::try_from_coo(&coo)) {
+                    for b in [1, 7] {
+                        let _ = crate::BlockedMatrix::from_csr(&csr, b);
+                    }
+                }
+            }
             let took = started.elapsed();
             assert!(
                 took < Duration::from_secs(2),

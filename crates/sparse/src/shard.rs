@@ -77,7 +77,7 @@ mod tests {
     }
 
     fn nnz(a: &CsrMatrix, rows: &Range<usize>) -> usize {
-        a.row_ptr()[rows.end] - a.row_ptr()[rows.start]
+        (a.row_ptr()[rows.end] - a.row_ptr()[rows.start]) as usize
     }
 
     #[test]

@@ -43,7 +43,7 @@ impl MatrixStats {
             let (cols, _) = a.row(r);
             max_row_nnz = max_row_nnz.max(cols.len());
             for &c in cols {
-                bandwidth = bandwidth.max(r.abs_diff(c));
+                bandwidth = bandwidth.max(r.abs_diff(c as usize));
             }
         }
         let max_abs = a.max_abs();

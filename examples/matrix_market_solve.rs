@@ -35,8 +35,8 @@ fn main() {
         _ => (3, 3, 3, 8),
     };
 
-    let a = match mm::read_coo(&path) {
-        Ok(coo) => coo.to_csr(),
+    let a = match mm::read_coo(&path).and_then(|coo| CsrMatrix::try_from_coo(&coo)) {
+        Ok(a) => a,
         Err(err) => {
             eprintln!("could not read {}: {err}", path.display());
             std::process::exit(1);

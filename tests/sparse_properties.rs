@@ -60,11 +60,10 @@ fn assert_layout_invariants(blocked: &BlockedMatrix, csr: &CsrMatrix) {
         }
     }
 
-    // The row order is the source CSR's structure.
+    // The row order is the source CSR's structure itself.
     let layout = blocked.layout();
-    let widened = |v: &[u32]| v.iter().map(|&i| i as usize).collect::<Vec<_>>();
-    assert_eq!(widened(layout.row_ptr()), csr.row_ptr());
-    assert_eq!(widened(layout.col_idx()), csr.col_idx());
+    assert!(std::ptr::eq(layout.row_ptr(), csr.row_ptr()));
+    assert!(std::ptr::eq(layout.col_idx(), csr.col_idx()));
     // The walk visits every row-order index once, in order, and sends each to a slot of
     // its own block that holds its entry; the slots form a permutation.
     let starts: Vec<usize> = blocks
@@ -82,10 +81,10 @@ fn assert_layout_invariants(blocked: &BlockedMatrix, csr: &CsrMatrix) {
         for (k, position) in run.zip(block_order) {
             positions.push(position);
             let (blk, at) = (&blocks[block], position - starts[block]);
-            let r = csr.row_ptr().partition_point(|&p| p <= k) - 1;
+            let r = csr.row_ptr().partition_point(|&p| p as usize <= k) - 1;
             let row = blk.block_row * bs + blk.rows[at] as usize;
             let col = blk.block_col * bs + blk.cols[at] as usize;
-            assert_eq!((row, col), (r, csr.col_idx()[k]));
+            assert_eq!((row, col), (r, csr.col_idx()[k] as usize));
             assert_eq!(blk.vals[at].to_bits(), csr.values()[k].to_bits());
         }
     });
