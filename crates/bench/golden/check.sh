@@ -3,8 +3,9 @@
 # goldens beside this script, and exits nonzero on any difference or failed run.
 # With --bless it rewrites the goldens instead.  Run from the repository root after
 # `cargo build --release`.  The bins run concurrently, each into its own file, and are
-# then diffed in the order below; the set takes as long as its slowest bin,
-# fig10_noise --quick (about 60 s on a 2-core box).
+# then diffed in the order below; the set takes about 21-23 s on a 2-core box, led by
+# its slowest bins, fig9_traces, fig8_performance and table6_iterations --quick
+# (about 11 s each when run alone).
 set -u
 dir=crates/bench/golden
 bins=(fig2_fixed_point fig3_cost_model table3_formats

@@ -62,7 +62,7 @@ fn main() {
     let mut t = TextTable::new(["sigma", "#iterations", "speedup vs GPU"]);
     let mut records = Vec::new();
     for &sigma in &sigmas {
-        let base = ReFloatMatrix::from_blocked(&prepared.blocked, refloat_format);
+        let base = ReFloatMatrix::from_csr(&prepared.csr, refloat_format);
         let result = if sigma == 0.0 {
             let mut clean = base;
             cg(&mut clean, &prepared.b, &solver_cfg)

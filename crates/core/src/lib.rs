@@ -51,9 +51,8 @@
 //!   mode.  An apply is one row loop on the calling thread, and so is a
 //!   faulty device's ([`ReFloatMatrix::accumulate_faulty`]): the same loop over the
 //!   same values, each block's terms scaled by its drift and its stuck cells' terms
-//!   added after them.  Only a reader whose contract is block order (the read-noise
-//!   operator) takes an explicit block-order copy and walks [`matrix::BlockView`]s over
-//!   it; no matrix keeps bit-level fields.  With lanes
+//!   added after them.  No reader of the encoding walks it in block order, and no
+//!   matrix keeps bit-level fields.  With lanes
 //!   attached ([`ReFloatMatrix::with_lanes`], which the runtime does for a worker with
 //!   spare cores) a CG solve of at least [`refloat_sparse::vecops::MIN_LEN_PER_LANE`]
 //!   rows per lane keeps its vectors on the lanes, converting and accumulating band by

@@ -47,10 +47,7 @@
 //! `CsrMatrix::spmv_into` — so [`ReFloatMatrix::accumulate`] sums each row in that
 //! order over the decoded values, and so does a faulty device's product
 //! ([`ReFloatMatrix::accumulate_faulty`]), scaling each block's run by its drift and
-//! adding its stuck cells' terms after it.  Only the read-noise operator, whose draws
-//! are defined in block order, takes a copy from
-//! [`ReFloatMatrix::decoded_in_block_order`] and walks [`ReFloatMatrix::blocks`] over
-//! it as [`BlockView`]s.  The row↔block correspondence is
+//! adding its stuck cells' terms after it.  The row↔block correspondence is
 //! [`BlockLayout::walk_row_order`]'s, in `refloat-sparse`.  The per-element sign,
 //! offset and fraction code belong to [`crate::block::ReFloatBlock`], which encodes a
 //! single block down to its bits on demand.
@@ -161,37 +158,6 @@ struct Delta<'a> {
     dirty: &'a [bool],
     /// Whether a clean row's decoded values go to the output.
     copy_values: bool,
-}
-
-/// One encoded block, borrowed from a [`ReFloatMatrix`] and the block-order copy of its
-/// decoded values.
-#[derive(Debug, Clone, Copy)]
-pub struct BlockView<'a> {
-    /// Block-row index of the block.
-    pub block_row: usize,
-    /// Block-column index of the block.
-    pub block_col: usize,
-    /// The exponent base `eb` shared by every element of the block.
-    pub eb: i32,
-    /// Local row index (`ii`) per element.
-    pub rows: &'a [u16],
-    /// Local column index (`jj`) per element.
-    pub cols: &'a [u16],
-    /// Decoded value per element (what the crossbars effectively compute with).
-    pub decoded: &'a [f64],
-}
-
-impl<'a> BlockView<'a> {
-    /// Number of encoded elements.
-    pub fn nnz(&self) -> usize {
-        self.decoded.len()
-    }
-
-    /// Iterates over `(ii, jj, decoded_value)` in storage order.
-    pub fn iter_decoded(&self) -> impl Iterator<Item = (u16, u16, f64)> + 'a {
-        let entries = self.rows.iter().zip(self.cols).zip(self.decoded);
-        entries.map(|((&r, &c), &v)| (r, c, v))
-    }
 }
 
 /// A sparse matrix encoded block-by-block in ReFloat format, usable as a solver operator.
@@ -461,38 +427,12 @@ impl ReFloatMatrix {
         &self.encoded.eb
     }
 
-    /// The decoded value of every non-zero, in the layout's row order.
-    pub(crate) fn decoded(&self) -> &[f64] {
+    /// The decoded value of every non-zero (what the crossbars effectively compute
+    /// with), in the layout's row order: value `k` sits at column `col_idx()[k]` of the
+    /// row whose `row_ptr()` range holds `k` ([`BlockLayout::row_ptr`],
+    /// [`BlockLayout::col_idx`]).
+    pub fn decoded(&self) -> &[f64] {
         &self.encoded.decoded
-    }
-
-    /// A copy of the decoded values in the layout's block order, to walk with
-    /// [`blocks`](Self::blocks), for a reader whose contract is block order (the
-    /// read-noise operator's draws).  Applies, faulty ones too, never need it.
-    pub fn decoded_in_block_order(&self) -> Vec<f64> {
-        let decoded = &self.encoded.decoded;
-        let mut copy = vec![0.0; decoded.len()];
-        self.layout.walk_row_order(|run, _, positions| {
-            copy[positions].copy_from_slice(&decoded[run]);
-        });
-        copy
-    }
-
-    /// The encoded blocks, in storage (block-row-major) order, over `decoded` — the
-    /// copy from [`decoded_in_block_order`](Self::decoded_in_block_order).
-    ///
-    /// # Panics
-    /// Panics if `decoded` does not hold one value per non-zero.
-    pub fn blocks<'a>(&'a self, decoded: &'a [f64]) -> impl Iterator<Item = BlockView<'a>> + Clone {
-        let blocks = self.layout.blocks(decoded).zip(&self.encoded.eb);
-        blocks.map(|(block, &eb)| BlockView {
-            block_row: block.block_row,
-            block_col: block.block_col,
-            eb,
-            rows: block.rows,
-            cols: block.cols,
-            decoded: block.vals,
-        })
     }
 
     /// Number of non-empty blocks (= crossbar clusters required per SpMV).
@@ -541,7 +481,8 @@ impl ReFloatMatrix {
     /// The quantize step of an SpMV: re-encodes `x` with per-segment bases (the vector
     /// converter; `x` passes through when vector quantization is off).  The one borrow
     /// lends the quantized input together with the matrix, now shared, so the caller
-    /// can [`accumulate`](Self::accumulate) or walk [`blocks`](Self::blocks) its own way.
+    /// can [`accumulate`](Self::accumulate), or sum its own row loop over the
+    /// [`decoded`](Self::decoded) values.
     ///
     /// # Panics
     /// Panics if `x.len() != ncols`.
@@ -1084,14 +1025,25 @@ pub(crate) mod tests {
         assert!(clone.quantized_input.as_slice().is_empty());
     }
 
+    /// A copy of `m`'s decoded values in its layout's block order, to walk with
+    /// [`BlockLayout::blocks`] beside [`ReFloatMatrix::bases`]: the block view the
+    /// tests hold the row-order storage to.
+    pub(crate) fn decoded_in_block_order(m: &ReFloatMatrix) -> Vec<f64> {
+        let mut copy = vec![0.0; m.nnz()];
+        m.layout.walk_row_order(|run, _, positions| {
+            copy[positions].copy_from_slice(&m.decoded()[run]);
+        });
+        copy
+    }
+
     /// `y = Ã · xq` one element at a time over the block views: the definition
     /// `accumulate` must reproduce bit for bit.
     fn naive_accumulate(m: &ReFloatMatrix, xq: &[f64]) -> Vec<f64> {
         let bs = m.config().block_size();
         let mut y = vec![0.0; m.nrows];
-        let decoded = m.decoded_in_block_order();
-        for blk in m.blocks(&decoded) {
-            for (ii, jj, v) in blk.iter_decoded() {
+        let decoded = decoded_in_block_order(m);
+        for blk in m.layout.blocks(&decoded) {
+            for (ii, jj, v) in blk.iter() {
                 y[blk.block_row * bs + ii as usize] += v * xq[blk.block_col * bs + jj as usize];
             }
         }
@@ -1118,10 +1070,13 @@ pub(crate) mod tests {
         ] {
             let m = ReFloatMatrix::from_csr(&a, test_config(b));
             assert_eq!(m.nnz(), a.nnz());
-            let decoded = m.decoded_in_block_order();
+            let decoded = decoded_in_block_order(&m);
             assert_eq!(
                 m.nnz(),
-                m.blocks(&decoded).map(|blk| blk.nnz()).sum::<usize>()
+                m.layout
+                    .blocks(&decoded)
+                    .map(|blk| blk.nnz())
+                    .sum::<usize>()
             );
             let x = refloat_matgen::rhs::krylov_like(a.ncols(), 3);
             let mut y = vec![f64::NAN; a.nrows()];
@@ -1138,12 +1093,13 @@ pub(crate) mod tests {
         let a = generators::random_spd_graph(700, 5, 1.4, 1.0, 3).to_csr();
         let blocked = BlockedMatrix::from_csr(&a, 4).unwrap();
         let m = ReFloatMatrix::from_blocked(&blocked, test_config(4));
-        let decoded = m.decoded_in_block_order();
-        for (raw, enc) in blocked.blocks().zip(m.blocks(&decoded)) {
+        let decoded = decoded_in_block_order(&m);
+        let encoded = m.layout.blocks(&decoded).zip(m.bases());
+        for (raw, (enc, &eb)) in blocked.blocks().zip(encoded) {
             let want = crate::block::ReFloatBlock::encode(&raw, m.config());
-            assert_eq!((enc.eb, enc.nnz()), (want.eb, want.nnz()));
+            assert_eq!((eb, enc.nnz()), (want.eb, want.nnz()));
             let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(enc.decoded), bits(&want.decoded));
+            assert_eq!(bits(enc.vals), bits(&want.decoded));
         }
     }
 
@@ -1199,8 +1155,7 @@ pub(crate) mod tests {
             ] {
                 assert_eq!(**m.layout(), **blocked.layout(), "{context}");
                 assert_eq!(m.bases(), bases, "{context}");
-                let got: Vec<u64> = m
-                    .decoded_in_block_order()
+                let got: Vec<u64> = decoded_in_block_order(&m)
                     .iter()
                     .map(|v| v.to_bits())
                     .collect();

@@ -250,6 +250,7 @@ impl AbftChecksum {
 mod tests {
     use super::*;
     use crate::format::ReFloatConfig;
+    use crate::matrix::tests::decoded_in_block_order;
     use proptest::prelude::*;
     use refloat_matgen::generators;
     use refloat_solvers::LinearOperator;
@@ -360,12 +361,13 @@ mod tests {
         ];
         for (a, b) in shapes {
             let m = ReFloatMatrix::from_csr(&a, ReFloatConfig::new(b, 3, 8, 3, 8));
-            let decoded = m.decoded_in_block_order();
+            let decoded = decoded_in_block_order(&m);
             let want: Vec<Vec<(u32, u64, u64)>> = m
+                .layout()
                 .blocks(&decoded)
                 .map(|blk| {
                     let mut sums: BTreeMap<u16, (f64, f64)> = BTreeMap::new();
-                    for (_, jj, v) in blk.iter_decoded() {
+                    for (_, jj, v) in blk.iter() {
                         let entry = sums.entry(jj).or_insert((0.0, 0.0));
                         entry.0 += v;
                         entry.1 += v.abs();

@@ -29,7 +29,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeSet;
 
-use crate::noise::irwin_hall_unit;
+use crate::noise::irwin_hall;
 use refloat_core::resilience::{AbftChecksum, Corruption, RemapPlan, SpareBudget, StuckCell};
 use refloat_core::ReFloatMatrix;
 use refloat_solvers::LinearOperator;
@@ -79,8 +79,8 @@ impl FaultModelConfig {
 }
 
 /// SplitMix64-style avalanche over a seed and a few key parts — the sub-stream keying
-/// for per-crossbar RNGs.
-fn mix(seed: u64, parts: &[u64]) -> u64 {
+/// for per-crossbar RNGs, and the key of every read-noise draw.
+pub(crate) fn mix(seed: u64, parts: &[u64]) -> u64 {
     let mut h = seed ^ 0x9e37_79b9_7f4a_7c15;
     for &p in parts {
         h ^= p.wrapping_mul(0xff51_afd7_ed55_8ccd).rotate_left(31);
@@ -169,7 +169,7 @@ impl FaultMap {
             self.config.seed,
             &[self.chip as u64, crossbar as u64, 0xD21F_7000 + age],
         ));
-        (sigma_eff * irwin_hall_unit(&mut rng)).exp()
+        (sigma_eff * irwin_hall([rng.gen(), rng.gen(), rng.gen(), rng.gen()])).exp()
     }
 }
 
@@ -396,9 +396,10 @@ impl LinearOperator for FaultyReFloatOperator {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use refloat_core::ReFloatConfig;
+    use refloat_core::{ReFloatBlock, ReFloatConfig};
     use refloat_matgen::{generators, rhs};
     use refloat_solvers::{cg, SolverConfig};
+    use refloat_sparse::{BlockedMatrix, CsrMatrix};
 
     fn small_refloat() -> ReFloatMatrix {
         let a = generators::laplacian_2d(16, 16, 0.4).to_csr();
@@ -612,6 +613,7 @@ mod tests {
     /// corruption terms scattered into `y`, one block at a time.
     struct BlockOrderReference {
         inner: ReFloatMatrix,
+        /// The decoded values in the layout's block order.
         decoded: Vec<f64>,
         drift: Vec<f64>,
         /// Per block, `(local row, local column, stuck − clean)` of its uncovered cells.
@@ -621,8 +623,13 @@ mod tests {
     }
 
     impl BlockOrderReference {
+        /// The reference over `inner`, the encoding of `a`: its block view is the
+        /// layout's blocks over the decoded values walked into block order, and each
+        /// block's base is `ReFloatBlock::encode`'s over `a`'s blocking, which the
+        /// row-order encoder equals bit for bit.
         fn new(
             inner: ReFloatMatrix,
+            a: &CsrMatrix,
             chip: &ChipFaultState,
             spares: SpareBudget,
             crossbar_offset: usize,
@@ -643,8 +650,16 @@ mod tests {
                 }
             }
             let plan = RemapPlan::plan(&cells, &spares);
-            let decoded = inner.decoded_in_block_order();
-            let blocks: Vec<_> = inner.blocks(&decoded).collect();
+            let mut decoded = vec![0.0; inner.nnz()];
+            inner.layout().walk_row_order(|run, _, positions| {
+                decoded[positions].copy_from_slice(&inner.decoded()[run]);
+            });
+            let blocking = BlockedMatrix::from_csr(a, config.b).unwrap();
+            let bases: Vec<i32> = blocking
+                .blocks()
+                .map(|raw| ReFloatBlock::encode(&raw, &config).eb)
+                .collect();
+            let blocks: Vec<_> = inner.layout().blocks(&decoded).collect();
             let (nrows, ncols) = (LinearOperator::nrows(&inner), LinearOperator::ncols(&inner));
             let mut corruptions = vec![Vec::new(); inner.num_blocks()];
             for cell in plan.uncovered() {
@@ -655,11 +670,11 @@ mod tests {
                     continue;
                 }
                 let clean = blk
-                    .iter_decoded()
+                    .iter()
                     .find(|&(ii, jj, _)| ii == cell.row && jj == cell.col)
                     .map_or(0.0, |(_, _, v)| v);
                 let stuck = if cell.high {
-                    max_mag * 2f64.powi(blk.eb)
+                    max_mag * 2f64.powi(bases[cell.block])
                 } else {
                     0.0
                 };
@@ -684,10 +699,10 @@ mod tests {
             y.fill(0.0);
             let bs = self.inner.config().block_size();
             let (xq, inner) = self.inner.quantize_input(x);
-            for (b, blk) in inner.blocks(&self.decoded).enumerate() {
+            for (b, blk) in inner.layout().blocks(&self.decoded).enumerate() {
                 let (row0, col0) = (blk.block_row * bs, blk.block_col * bs);
                 let d = self.drift[b];
-                for (ii, jj, v) in blk.iter_decoded() {
+                for (ii, jj, v) in blk.iter() {
                     y[row0 + ii as usize] += v * d * xq[col0 + jj as usize];
                 }
                 for &(ii, jj, delta) in &self.corruptions[b] {
@@ -703,7 +718,7 @@ mod tests {
         /// many sit in a block where their row stores nothing.
         fn coverage(&self) -> (usize, usize) {
             let (mut shared, mut off_pattern) = (0, 0);
-            let blocks = self.inner.blocks(&self.decoded);
+            let blocks = self.inner.layout().blocks(&self.decoded);
             for (blk, corruptions) in blocks.zip(&self.corruptions) {
                 for &(ii, _, _) in corruptions {
                     shared += usize::from(corruptions.iter().filter(|c| c.0 == ii).count() > 1);
@@ -736,7 +751,7 @@ mod tests {
         let offset = offset * inner.num_blocks();
         let mut faulty =
             FaultyReFloatOperator::new(inner.clone(), &chip, spares, Some(1e-8), offset);
-        let mut reference = BlockOrderReference::new(inner, &chip, spares, offset);
+        let mut reference = BlockOrderReference::new(inner, &a, &chip, spares, offset);
         let rows = a.nrows();
         for k in 0..3 {
             let x: Vec<f64> = (0..rows)

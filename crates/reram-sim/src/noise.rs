@@ -5,11 +5,15 @@
 //! to the stored matrix values on every use, with error correction disabled.
 //! [`NoisyReFloatOperator`] wraps the functional ReFloat operator and perturbs each
 //! stored (quantized) matrix value independently on every SpMV.
+//!
+//! A draw is keyed, not streamed: the deviate of one value on one read is a pure
+//! function of the seed, the read's index and the value's index in the encoding's row
+//! order (one hash, [`crate::fault`]'s sub-stream key), so it does not depend on the
+//! order the values are visited in.  The SpMV is a row loop over that row order, each
+//! row's terms added in ascending column order from zero — the additions of
+//! [`ReFloatMatrix::accumulate`], so at σ = 0 the product is its product, bit for bit.
 
-use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-
+use crate::fault::mix;
 use refloat_core::ReFloatMatrix;
 use refloat_solvers::LinearOperator;
 
@@ -17,11 +21,10 @@ use refloat_solvers::LinearOperator;
 /// every application.
 pub struct NoisyReFloatOperator {
     inner: ReFloatMatrix,
-    /// The decoded values in block order, copied once at construction: the noise is
-    /// drawn per stored value, crossbar by crossbar.
-    decoded: Vec<f64>,
     sigma: f64,
-    rng: ChaCha8Rng,
+    seed: u64,
+    /// The index of the next read: how many applies came before it.
+    reads: u64,
 }
 
 impl NoisyReFloatOperator {
@@ -29,38 +32,27 @@ impl NoisyReFloatOperator {
     pub fn new(inner: ReFloatMatrix, sigma: f64, seed: u64) -> Self {
         assert!(sigma >= 0.0, "noise deviation must be non-negative");
         NoisyReFloatOperator {
-            decoded: inner.decoded_in_block_order(),
             inner,
             sigma,
-            rng: ChaCha8Rng::seed_from_u64(seed),
+            seed,
+            reads: 0,
         }
-    }
-
-    /// The noise deviation σ.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
-    }
-
-    /// A zero-mean, unit-variance deviate — see [`irwin_hall_unit`], which both this
-    /// helper and [`apply`](LinearOperator::apply) share so the two cannot drift.
-    #[cfg_attr(not(test), allow(dead_code))]
-    fn gaussian_like(&mut self) -> f64 {
-        irwin_hall_unit(&mut self.rng)
     }
 }
 
-/// A zero-mean, unit-variance deviate from the sum of four uniforms (Irwin–Hall,
-/// variance 4/12, rescaled by √3) — cheap and close enough to Gaussian for a
-/// multiplicative noise model, with support bounded to ±2√3.
-///
-/// This is the single definition of the deviate: the per-read perturbation in the SpMV
-/// loop and the test-facing [`NoisyReFloatOperator::gaussian_like`] both call it, so
-/// the sampled distribution can never diverge between the two.
-pub(crate) fn irwin_hall_unit(rng: &mut ChaCha8Rng) -> f64 {
-    // Four explicit chained adds: same left-to-right order (and bits) as the old
-    // iterator sum, without the open-ended `.sum::<f64>()` accumulation pattern.
-    let s = rng.gen::<f64>() + rng.gen::<f64>() + rng.gen::<f64>() + rng.gen::<f64>() - 2.0;
-    s * (3.0f64).sqrt()
+/// A zero-mean, unit-variance deviate from the sum of four uniforms on `[0, 1)`
+/// (Irwin–Hall, variance 4/12, rescaled by √3) — cheap and close enough to Gaussian for
+/// a multiplicative noise model, with support bounded to ±2√3.
+pub(crate) fn irwin_hall(u: [f64; 4]) -> f64 {
+    (u[0] + u[1] + u[2] + u[3] - 2.0) * (3.0f64).sqrt()
+}
+
+/// The unit deviate of the stored value at row-order index `k` on read `read`: one
+/// 64-bit key cut into four 16-bit uniforms, each at the centre of its step.
+fn deviate(seed: u64, read: u64, k: usize) -> f64 {
+    let key = mix(seed, &[read, k as u64]);
+    let uniform = |i: u32| (f64::from((key >> (16 * i)) as u16) + 0.5) / 65536.0;
+    irwin_hall([uniform(0), uniform(1), uniform(2), uniform(3)])
 }
 
 impl LinearOperator for NoisyReFloatOperator {
@@ -73,23 +65,21 @@ impl LinearOperator for NoisyReFloatOperator {
     }
 
     fn apply(&mut self, x: &[f64], y: &mut [f64]) {
-        y.fill(0.0);
-        let bs = self.inner.config().block_size();
-        let sigma = self.sigma;
-        // Quantize the input exactly as the noiseless operator would, then accumulate
-        // block products with per-read perturbed matrix values.
+        let (sigma, seed, read) = (self.sigma, self.seed, self.reads);
+        self.reads += 1;
+        // Quantize the input exactly as the noiseless operator would, then sum every
+        // row with per-read perturbed matrix values.
         let (xq, inner) = self.inner.quantize_input(x);
-        for blk in inner.blocks(&self.decoded) {
-            let row0 = blk.block_row * bs;
-            let col0 = blk.block_col * bs;
-            for (ii, jj, v) in blk.iter_decoded() {
-                let noise: f64 = if sigma == 0.0 {
-                    0.0
-                } else {
-                    sigma * irwin_hall_unit(&mut self.rng)
-                };
-                y[row0 + ii as usize] += v * (1.0 + noise) * xq[col0 + jj as usize];
+        let (layout, decoded) = (inner.layout(), inner.decoded());
+        let col_idx = layout.col_idx();
+        assert_eq!(y.len(), layout.nrows(), "noisy spmv: y length mismatch");
+        for (yr, bounds) in y.iter_mut().zip(layout.row_ptr().windows(2)) {
+            let mut acc = 0.0;
+            for k in bounds[0] as usize..bounds[1] as usize {
+                let v = decoded[k] * (1.0 + sigma * deviate(seed, read, k));
+                acc += v * xq[col_idx[k] as usize];
             }
+            *yr = acc;
         }
     }
 
@@ -104,46 +94,142 @@ mod tests {
     use refloat_core::ReFloatConfig;
     use refloat_matgen::{generators, rhs};
     use refloat_solvers::{cg, SolverConfig};
-    use refloat_sparse::vecops;
 
     fn small_refloat() -> ReFloatMatrix {
         let a = generators::laplacian_2d(16, 16, 0.4).to_csr();
         ReFloatMatrix::from_csr(&a, ReFloatConfig::new(4, 3, 8, 3, 8))
     }
 
+    fn bits(y: &[f64]) -> Vec<u64> {
+        y.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Read `read` of a σ, `seed` operator over `m`, walked block by block as the
+    /// operator once did: the decoded values copied into block order, and each block's
+    /// perturbed products scattered into `y`, every value's deviate keyed by its
+    /// row-order index.
+    fn block_order_apply(
+        m: &mut ReFloatMatrix,
+        (sigma, seed, read): (f64, u64, u64),
+        x: &[f64],
+    ) -> Vec<f64> {
+        let bs = m.config().block_size();
+        let (xq, m) = m.quantize_input(x);
+        let layout = m.layout();
+        let (mut vals, mut keys) = (vec![0.0; m.nnz()], vec![0; m.nnz()]);
+        layout.walk_row_order(|run, _, positions| {
+            for (k, at) in run.zip(positions) {
+                (vals[at], keys[at]) = (m.decoded()[k], k);
+            }
+        });
+        let mut y = vec![0.0; layout.nrows()];
+        let mut keys = keys.into_iter();
+        for blk in layout.blocks(&vals) {
+            let (row0, col0) = (blk.block_row * bs, blk.block_col * bs);
+            for (ii, jj, v) in blk.iter() {
+                let k = keys.next().unwrap();
+                let v = v * (1.0 + sigma * deviate(seed, read, k));
+                y[row0 + ii as usize] += v * xq[col0 + jj as usize];
+            }
+        }
+        y
+    }
+
     #[test]
     fn zero_noise_matches_the_noiseless_operator() {
         let mut clean = small_refloat();
         let mut noisy = NoisyReFloatOperator::new(small_refloat(), 0.0, 7);
-        let x: Vec<f64> = (0..256).map(|i| (i as f64 * 0.01).sin() + 1.0).collect();
-        let mut y1 = vec![0.0; 256];
-        let mut y2 = vec![0.0; 256];
-        clean.apply(&x, &mut y1);
-        noisy.apply(&x, &mut y2);
-        assert_eq!(y1, y2);
+        for k in 0..3 {
+            let x: Vec<f64> = (0..256)
+                .map(|i| (i as f64 * 0.01 * k as f64).sin() + 1.0)
+                .collect();
+            let mut y1 = vec![0.0; 256];
+            let mut y2 = vec![f64::NAN; 256];
+            clean.apply(&x, &mut y1);
+            noisy.apply(&x, &mut y2);
+            assert_eq!(bits(&y1), bits(&y2), "read {k}");
+        }
+    }
+
+    #[test]
+    fn the_row_loop_is_the_block_order_walk_of_the_same_draws_bit_for_bit() {
+        // 23 · 23 rows: partial last block row and column at b = 3; a scattered graph.
+        let shapes = [
+            (generators::laplacian_2d(16, 16, 0.4).to_csr(), 4),
+            (generators::laplacian_2d(23, 23, 0.3).to_csr(), 3),
+            (
+                generators::random_spd_graph(300, 5, 1.4, 1.0, 7).to_csr(),
+                5,
+            ),
+        ];
+        for (a, b) in shapes {
+            let m = ReFloatMatrix::from_csr(&a, ReFloatConfig::new(b, 3, 8, 3, 8));
+            let (sigma, seed) = (0.1, 9);
+            let mut noisy = NoisyReFloatOperator::new(m.clone(), sigma, seed);
+            let mut reference = m;
+            for read in 0..3 {
+                let x = rhs::krylov_like(a.ncols(), read);
+                let mut got = vec![f64::NAN; a.nrows()];
+                noisy.apply(&x, &mut got);
+                let want = block_order_apply(&mut reference, (sigma, seed, read), &x);
+                assert_eq!(bits(&got), bits(&want), "b = {b}, read {read}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_seed_gives_the_same_bits_on_every_operator() {
+        let x: Vec<f64> = (0..256).map(|i| (i as f64 * 0.05).cos() + 2.0).collect();
+        let mut first = NoisyReFloatOperator::new(small_refloat(), 0.05, 17);
+        let mut second = NoisyReFloatOperator::new(small_refloat(), 0.05, 17);
+        for read in 0..3 {
+            let (mut y1, mut y2) = (vec![0.0; 256], vec![0.0; 256]);
+            first.apply(&x, &mut y1);
+            second.apply(&x, &mut y2);
+            assert_eq!(bits(&y1), bits(&y2), "read {read}");
+        }
     }
 
     #[test]
     fn noise_magnitude_scales_with_sigma() {
+        // One seed draws the same deviates at every σ, so the perturbation `y − y_clean`
+        // is linear in σ up to rounding, and each row's stays inside the deviate's
+        // support: |y_r − y_clean_r| ≤ 2√3 · σ · Σ |v · xq|.
         let x: Vec<f64> = (0..256).map(|i| (i as f64 * 0.05).cos() + 2.0).collect();
         let mut clean = small_refloat();
         let mut y_clean = vec![0.0; 256];
         clean.apply(&x, &mut y_clean);
-
-        let mut err_small = 0.0;
-        let mut err_large = 0.0;
-        for (sigma, err) in [(0.001, &mut err_small), (0.1, &mut err_large)] {
-            let mut noisy = NoisyReFloatOperator::new(small_refloat(), sigma, 42);
-            let mut y = vec![0.0; 256];
-            noisy.apply(&x, &mut y);
-            *err = vecops::rel_err(&y, &y_clean);
+        let (xq, m) = clean.quantize_input(&x);
+        let (row_ptr, col_idx) = (m.layout().row_ptr(), m.layout().col_idx());
+        let magnitude: Vec<f64> = row_ptr
+            .windows(2)
+            .map(|bounds| {
+                let row = bounds[0] as usize..bounds[1] as usize;
+                let terms = m.decoded()[row.clone()].iter().zip(&col_idx[row]);
+                terms.map(|(v, &c)| (v * xq[c as usize]).abs()).sum()
+            })
+            .collect();
+        for seed in 0..20 {
+            let [small, large] = [0.001, 0.1].map(|sigma| {
+                let mut noisy = NoisyReFloatOperator::new(small_refloat(), sigma, seed);
+                let mut y = vec![0.0; 256];
+                noisy.apply(&x, &mut y);
+                let delta: Vec<f64> = y.iter().zip(&y_clean).map(|(u, v)| u - v).collect();
+                let support = 2.0 * 3.0f64.sqrt() * sigma;
+                for (r, (d, s)) in delta.iter().zip(&magnitude).enumerate() {
+                    assert!(
+                        d.abs() <= (support + 1e-12) * s,
+                        "seed {seed}, σ {sigma}, row {r}"
+                    );
+                }
+                delta
+            });
+            assert!(large.iter().any(|&d| d != 0.0), "seed {seed}: no noise");
+            for (r, ((s, l), m)) in small.iter().zip(&large).zip(&magnitude).enumerate() {
+                let off = (l - 100.0 * s).abs();
+                assert!(off <= 1e-10 * m, "seed {seed}, row {r}: {l} vs 100 · {s}");
+            }
         }
-        assert!(err_small < err_large);
-        assert!(
-            err_small < 0.01,
-            "0.1% noise should barely perturb: {err_small}"
-        );
-        assert!(err_large < 0.5, "10% noise stays bounded: {err_large}");
     }
 
     #[test]
@@ -177,8 +263,8 @@ mod tests {
 
     #[test]
     fn gaussian_like_deviate_is_roughly_centered() {
-        let mut op = NoisyReFloatOperator::new(small_refloat(), 0.1, 5);
-        let samples: Vec<f64> = (0..2000).map(|_| op.gaussian_like()).collect();
+        let keys = (0..2).flat_map(|read| (0..1000).map(move |k| (read, k)));
+        let samples: Vec<f64> = keys.map(|(read, k)| deviate(5, read, k)).collect();
         let mean = samples.iter().sum::<f64>() / samples.len() as f64;
         assert!(mean.abs() < 0.1, "mean {mean}");
         let variance =
