@@ -29,8 +29,12 @@ fn bench_convert(c: &mut Criterion) {
 
     // The two matrix shapes the repo benchmark's cold-cache workload encodes on every
     // job, in its `(7,3,8)(5,16)` format: a block-local mass matrix and a scattered
-    // graph with a handful of non-zeros per block.  `blocking_*` is the layout alone.
+    // graph with a handful of non-zeros per block.  `encode_from_csr_*` finds the
+    // blocks as it encodes, as a miss with nothing to adopt does; `encode_over_donor_*`
+    // reads a live encoding's table instead, as a miss on a structure already encoded
+    // does; `blocking_*` is the layout alone.
     let wide = ReFloatConfig::new(7, 3, 8, 5, 16);
+    let one = Lanes::default();
     for (shape, a) in [
         ("mass_24", a.clone()),
         (
@@ -42,6 +46,10 @@ fn bench_convert(c: &mut Criterion) {
         group.throughput(Throughput::Elements(a.nnz() as u64));
         group.bench_function(format!("encode_from_csr_{shape}"), |b| {
             b.iter(|| ReFloatMatrix::from_csr(&a, wide));
+        });
+        let (donor, a) = (ReFloatMatrix::from_csr(&a, wide), Arc::new(a));
+        group.bench_function(format!("encode_over_donor_{shape}"), |b| {
+            b.iter(|| ReFloatMatrix::from_csr_over_on(&a, wide, &donor, &one));
         });
         group.bench_function(format!("blocking_{shape}"), |b| {
             b.iter(|| BlockLayout::from_csr(&a, wide.b).unwrap());

@@ -540,8 +540,10 @@ mod tests {
                 // The laned encode really splits, with clean rows on every lane to copy.
                 let (dirty, _) = value_changes(previous.layout(), shared.values(), base.values());
                 for count in 2..=4 {
+                    let layout = previous.layout();
+                    let (row_ptr, b) = (layout.row_ptr(), layout.b());
                     let (bands, quantized) =
-                        block_row_shards_counting(previous.layout(), count, |brow| dirty[brow]);
+                        block_row_shards_counting(row_ptr, b, count, |brow| dirty[brow]);
                     assert_eq!(bands.len(), count);
                     assert!(
                         quantized >= MIN_NNZ_PER_LANE * count,

@@ -38,17 +38,18 @@
 //!   exponent range, runs the per-element quantiser instead; a property test holds the
 //!   two equal in outputs, bases and statistics,
 //! * [`matrix`] — [`ReFloatMatrix`], the quantized operator that plugs into the solvers.
-//!   The layout (block table, local row and column indices, and the source CSR's row
-//!   order beside them) is `refloat-sparse`'s `BlockLayout`, defined there once, built
-//!   from a CSR's structure without its values, and *shared* with a `BlockedMatrix` the
-//!   encoding came from, and so is the walk that maps row order to block order.  This
-//!   crate owns only what the encoder adds — one exponent base `eb` per block, in block
-//!   order, and one decoded value per non-zero, stored once, in row order, where the
-//!   SpMV reads it with the CSR loop.  One encoder serves every encode: per block-row
-//!   band of the row order, an exponent-sum pass, the band's bases, and a quantize pass
-//!   through the converter's bit body against each value's block-column base; a
-//!   property test holds it equal to the per-block, per-element reference in every
-//!   mode.  An apply is one row loop on the calling thread, and so is a
+//!   The layout (a block table over the source CSR's row order, nothing per non-zero)
+//!   is `refloat-sparse`'s `BlockLayout`, defined there once, found by its one walk
+//!   (`TableBuilder`), and *shared* with a donor, a predecessor or a `BlockedMatrix`
+//!   the encoding came from, and so is the walk that maps row order to block order.
+//!   This crate owns only what the encoder adds — one exponent base `eb` per block, in
+//!   block order, and one decoded value per non-zero, stored once, in row order, where
+//!   the SpMV reads it with the CSR loop.  One encoder serves every encode: per
+//!   block-row band of the row order, an exponent-sum pass (which, from scratch, is the
+//!   table's walk and finds the band's blocks), the band's bases, and a quantize pass
+//!   through the converter's bit body against each value's block-column base; property
+//!   tests hold it equal to the per-block, per-element reference in every mode, and the
+//!   one-pass encode to the two-pass one (blocking, then encoding over the layout).  An apply is one row loop on the calling thread, and so is a
 //!   faulty device's ([`ReFloatMatrix::accumulate_faulty`]): the same loop over the
 //!   same values, each block's terms scaled by its drift and its stuck cells' terms
 //!   added after them.  No reader of the encoding walks it in block order, and no

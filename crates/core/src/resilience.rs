@@ -250,11 +250,11 @@ impl AbftChecksum {
 mod tests {
     use super::*;
     use crate::format::ReFloatConfig;
-    use crate::matrix::tests::decoded_in_block_order;
     use proptest::prelude::*;
     use refloat_matgen::generators;
     use refloat_solvers::LinearOperator;
     use refloat_sparse::vecops;
+    use refloat_sparse::BlockedMatrix;
 
     fn cell(block: usize, row: u16, col: u16) -> StuckCell {
         StuckCell {
@@ -361,10 +361,8 @@ mod tests {
         ];
         for (a, b) in shapes {
             let m = ReFloatMatrix::from_csr(&a, ReFloatConfig::new(b, 3, 8, 3, 8));
-            let decoded = decoded_in_block_order(&m);
-            let want: Vec<Vec<(u32, u64, u64)>> = m
-                .layout()
-                .blocks(&decoded)
+            let want: Vec<Vec<(u32, u64, u64)>> = BlockedMatrix::over(m.layout(), m.decoded())
+                .blocks()
                 .map(|blk| {
                     let mut sums: BTreeMap<u16, (f64, f64)> = BTreeMap::new();
                     for (_, jj, v) in blk.iter() {

@@ -609,12 +609,12 @@ mod tests {
 
     /// The block-order apply this operator ran before its faults rode the shared
     /// row-order encoding, kept as the oracle of the row loop: the decoded values
-    /// copied into block order, and every block's drifted products and then its
-    /// corruption terms scattered into `y`, one block at a time.
+    /// blocked, and every block's drifted products and then its corruption terms
+    /// scattered into `y`, one block at a time.
     struct BlockOrderReference {
         inner: ReFloatMatrix,
-        /// The decoded values in the layout's block order.
-        decoded: Vec<f64>,
+        /// The decoded values over the layout, in block order.
+        decoded: BlockedMatrix,
         drift: Vec<f64>,
         /// Per block, `(local row, local column, stuck − clean)` of its uncovered cells.
         corruptions: Vec<Vec<(u16, u16, f64)>>,
@@ -624,7 +624,7 @@ mod tests {
 
     impl BlockOrderReference {
         /// The reference over `inner`, the encoding of `a`: its block view is the
-        /// layout's blocks over the decoded values walked into block order, and each
+        /// decoded values blocked over the layout, and each
         /// block's base is `ReFloatBlock::encode`'s over `a`'s blocking, which the
         /// row-order encoder equals bit for bit.
         fn new(
@@ -650,16 +650,13 @@ mod tests {
                 }
             }
             let plan = RemapPlan::plan(&cells, &spares);
-            let mut decoded = vec![0.0; inner.nnz()];
-            inner.layout().walk_row_order(|run, _, positions| {
-                decoded[positions].copy_from_slice(&inner.decoded()[run]);
-            });
+            let decoded = BlockedMatrix::over(inner.layout(), inner.decoded());
             let blocking = BlockedMatrix::from_csr(a, config.b).unwrap();
             let bases: Vec<i32> = blocking
                 .blocks()
                 .map(|raw| ReFloatBlock::encode(&raw, &config).eb)
                 .collect();
-            let blocks: Vec<_> = inner.layout().blocks(&decoded).collect();
+            let blocks: Vec<_> = decoded.blocks().collect();
             let (nrows, ncols) = (LinearOperator::nrows(&inner), LinearOperator::ncols(&inner));
             let mut corruptions = vec![Vec::new(); inner.num_blocks()];
             for cell in plan.uncovered() {
@@ -698,8 +695,8 @@ mod tests {
         fn apply(&mut self, x: &[f64], y: &mut [f64]) {
             y.fill(0.0);
             let bs = self.inner.config().block_size();
-            let (xq, inner) = self.inner.quantize_input(x);
-            for (b, blk) in inner.layout().blocks(&self.decoded).enumerate() {
+            let (xq, _) = self.inner.quantize_input(x);
+            for (b, blk) in self.decoded.blocks().enumerate() {
                 let (row0, col0) = (blk.block_row * bs, blk.block_col * bs);
                 let d = self.drift[b];
                 for (ii, jj, v) in blk.iter() {
@@ -718,7 +715,7 @@ mod tests {
         /// many sit in a block where their row stores nothing.
         fn coverage(&self) -> (usize, usize) {
             let (mut shared, mut off_pattern) = (0, 0);
-            let blocks = self.inner.layout().blocks(&self.decoded);
+            let blocks = self.decoded.blocks();
             for (blk, corruptions) in blocks.zip(&self.corruptions) {
                 for &(ii, _, _) in corruptions {
                     shared += usize::from(corruptions.iter().filter(|c| c.0 == ii).count() > 1);

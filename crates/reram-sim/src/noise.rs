@@ -94,6 +94,7 @@ mod tests {
     use refloat_core::ReFloatConfig;
     use refloat_matgen::{generators, rhs};
     use refloat_solvers::{cg, SolverConfig};
+    use refloat_sparse::BlockedMatrix;
 
     fn small_refloat() -> ReFloatMatrix {
         let a = generators::laplacian_2d(16, 16, 0.4).to_csr();
@@ -105,9 +106,9 @@ mod tests {
     }
 
     /// Read `read` of a σ, `seed` operator over `m`, walked block by block as the
-    /// operator once did: the decoded values copied into block order, and each block's
-    /// perturbed products scattered into `y`, every value's deviate keyed by its
-    /// row-order index.
+    /// operator once did: the decoded values blocked, and each block's perturbed
+    /// products scattered into `y`, every value's deviate keyed by its row-order index
+    /// (blocked beside them).
     fn block_order_apply(
         m: &mut ReFloatMatrix,
         (sigma, seed, read): (f64, u64, u64),
@@ -116,15 +117,11 @@ mod tests {
         let bs = m.config().block_size();
         let (xq, m) = m.quantize_input(x);
         let layout = m.layout();
-        let (mut vals, mut keys) = (vec![0.0; m.nnz()], vec![0; m.nnz()]);
-        layout.walk_row_order(|run, _, positions| {
-            for (k, at) in run.zip(positions) {
-                (vals[at], keys[at]) = (m.decoded()[k], k);
-            }
-        });
+        let row_order: Vec<f64> = (0..m.nnz()).map(|k| k as f64).collect();
+        let keys = BlockedMatrix::over(layout, &row_order);
         let mut y = vec![0.0; layout.nrows()];
-        let mut keys = keys.into_iter();
-        for blk in layout.blocks(&vals) {
+        let mut keys = keys.values().iter().map(|&k| k as usize);
+        for blk in BlockedMatrix::over(layout, m.decoded()).blocks() {
             let (row0, col0) = (blk.block_row * bs, blk.block_col * bs);
             for (ii, jj, v) in blk.iter() {
                 let k = keys.next().unwrap();

@@ -1,10 +1,10 @@
 //! The encoded-matrix cache: quantized [`ReFloatMatrix`] operators keyed by
 //! (matrix fingerprint, format), and the layout donors a miss encodes over.
 //!
-//! Encoding a matrix is the most expensive step of a cached job: laying the CSR out
-//! in blocks (`BlockLayout::from_csr`, about half of it) and walking every non-zero
-//! through exponent-base selection and fraction encoding, ~10 ns per non-zero on
-//! `mass_matrix_3d(24³)` together.  Repeated jobs on a popular matrix therefore share
+//! Encoding a matrix is the most expensive step of a cached job: finding its blocks
+//! and walking every non-zero through exponent-base selection and fraction encoding,
+//! in two passes over the non-zeros, the first of which finds the blocks as it sums
+//! their exponents (~4.3 ns per non-zero on `mass_matrix_3d(24³)`).  Repeated jobs on a popular matrix therefore share
 //! one encode: the cache is a [`SingleFlightLru`] (LRU eviction, hit / miss /
 //! coalesced lookups, one encode per key however many jobs race on it — see
 //! [`crate::single_flight`]).  An entry is a whole matrix: a job spanning several
@@ -14,7 +14,9 @@
 //! when the [`MatrixHandle`](crate::MatrixHandle) is made), but the block layout is a
 //! function of its *structure* and `b` alone.  So a node also keeps `LayoutDonors`:
 //! the live encodings by (structure hash, `b`).  A miss that finds a donor encodes
-//! over the donor's layout and skips the blocking — a re-assembled FEM matrix, another
+//! over the donor's layout and reads its table instead of finding the blocks (and
+//! shares it, where a fresh encode would hold a table of its own) — a re-assembled FEM
+//! matrix, another
 //! matrix of one mesh, another rung of one matrix's format ladder — once
 //! [`ReFloatMatrix::from_csr_over_on`] has checked that the structures are equal.
 //! Handles of one sparsity pattern share one CSR structure (see

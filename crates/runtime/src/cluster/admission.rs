@@ -113,11 +113,8 @@ impl TenantLedger {
         }
         state.total += 1;
         *state.per_tenant.entry(Arc::clone(tenant)).or_insert(0) += 1;
-        let active = state.per_tenant.len();
+        self.publish_active(&state);
         drop(state);
-        if let Some(gauge) = &self.tenants_active {
-            gauge.set(active as f64);
-        }
         Ok(AdmissionPermit {
             ledger: Arc::clone(self),
             tenant: Arc::clone(tenant),
@@ -148,10 +145,15 @@ impl TenantLedger {
                 state.per_tenant.remove(tenant);
             }
         }
-        let active = state.per_tenant.len();
-        drop(state);
+        self.publish_active(&state);
+    }
+
+    /// Sets the active-tenant gauge from `state` while the caller still holds the
+    /// `tenants` lock, so that two admissions or refunds publish in the order they
+    /// changed the ledger (an atomic store; nothing new nests under the lock).
+    fn publish_active(&self, state: &LedgerState) {
         if let Some(gauge) = &self.tenants_active {
-            gauge.set(active as f64);
+            gauge.set(state.per_tenant.len() as f64);
         }
     }
 }
@@ -269,6 +271,31 @@ mod tests {
         drop(b2);
         assert_eq!(gauge.get(), 1.0);
         drop(a);
+        assert_eq!(gauge.get(), 0.0);
+    }
+
+    #[test]
+    fn the_active_tenants_gauge_reads_zero_once_racing_tenants_have_left() {
+        let registry = refloat_telemetry::MetricsRegistry::new();
+        let gauge = registry.gauge(crate::metric_names::TENANTS_ACTIVE);
+        let ledger = Arc::new(TenantLedger::new(Some(gauge.clone())));
+        let config = AdmissionConfig::default();
+        // Each thread admits and refunds its own tenant.  A count published after the
+        // lock is dropped can land after the other thread's later one and leave 1 with
+        // nobody in the system; that needs a preemption between the unlock and the
+        // store, so this guards the order rather than reproducing the race.
+        std::thread::scope(|scope| {
+            for name in ["left", "right"] {
+                let (ledger, config) = (&ledger, &config);
+                scope.spawn(move || {
+                    let tenant = tenant(name);
+                    for _ in 0..20_000 {
+                        drop(ledger.try_admit(&tenant, config).expect("unbounded"));
+                    }
+                });
+            }
+        });
+        assert_eq!(ledger.in_system(), 0);
         assert_eq!(gauge.get(), 0.0);
     }
 }

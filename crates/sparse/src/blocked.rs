@@ -9,25 +9,25 @@
 //! This module is the one definition of the *block-major layout* the paper introduces
 //! in §V.C / Fig. 7 so that all non-zeros of a block — and all blocks that are
 //! scheduled together — are read sequentially from memory.  A [`BlockLayout`] is the
-//! structure alone: contiguous local row and column indices, blocks back to back in
-//! block-row-major order and each block's entries in CSR order (sorted by `(ii, jj)`),
-//! plus a block table of `(block_row, block_col, start)`.  Its *row order* is the
-//! source CSR's own shared structure (`u32` row pointers and global columns), not a
-//! copy, and this module alone defines how the two orders correspond:
+//! structure alone: a block table of `(block_row, block_col, start)`, blocks back to
+//! back in block-row-major order and each block's entries in CSR order (sorted by
+//! `(ii, jj)`), over the source CSR's own shared structure (`u32` row pointers and
+//! global columns) as its *row order*, not a copy.  It holds nothing per non-zero of
+//! its own.  This module alone defines how the two orders correspond:
 //! [`BlockLayout::walk_row_order`] pairs every row-order index with its block and its
 //! block-order position, a run of them at a time.
 //!
-//! The layout is built from a CSR's row pointers and columns without its values
-//! ([`BlockLayout::from_csr`]): one block-row band at a time, a pass counts each block
-//! column's entries, the band's touched block columns are ordered (through a bitmap,
-//! linear in their number, unless they are few and far apart) into its blocks, and a
-//! second pass places every entry.  Anything with one value per non-zero rides on the
-//! layout, in whichever order suits it: a [`BlockedMatrix`] is the layout plus the
-//! `f64` values in block order, which the same blocking gathers as it places each
-//! entry, and `refloat-core`'s `ReFloatMatrix` shares the same layout (it sits behind
-//! an [`Arc`]) and adds the per-block exponent bases and the decoded values in row
-//! order, which it encodes from the CSR's row order and its SpMV reads with the CSR
-//! loop.
+//! One walk finds the blocks ([`TableBuilder`]): one block-row band at a time, a pass
+//! over the band's columns counts each block column's entries, and the band's touched
+//! block columns are ordered (through a bitmap, linear in their number, unless they are
+//! few and far apart) into its table entries.  [`BlockLayout::from_csr`] is that walk
+//! alone; `refloat-core`'s encoder runs it inside its exponent pass, handing each
+//! entry's value along, so a from-scratch encode finds its blocks without a walk of its
+//! own.  Anything with one value per non-zero rides on the layout, in whichever order
+//! suits it: a [`BlockedMatrix`] is the layout plus the local indices and the `f64`
+//! values in block order, and `refloat-core`'s `ReFloatMatrix` shares the same layout
+//! (it sits behind an [`Arc`]) and adds the per-block exponent bases and the decoded
+//! values in row order, which its SpMV reads with the CSR loop.
 //!
 //! So [`BlockLayout::lays_out`] knows in O(1) that a matrix sharing that structure (a
 //! clone, a value update through `CsrMatrix::with_values`, or a matrix built apart
@@ -47,8 +47,8 @@ use crate::Result;
 struct TableEntry {
     block_row: u32,
     block_col: u32,
-    /// Index of the block's first non-zero in the per-non-zero arrays; the block runs
-    /// to the next entry's `start`.
+    /// Block-order position of the block's first non-zero; the block runs to the next
+    /// entry's `start`.
     start: u32,
 }
 
@@ -64,17 +64,12 @@ pub struct BlockLayout {
     /// One entry per non-empty block, strictly sorted by `(block_row, block_col)`,
     /// closed by a sentinel whose `start` is the non-zero count.
     table: Vec<TableEntry>,
-    /// Local row index `ii` (`< 2^b`) per non-zero.
-    rows: Vec<u16>,
-    /// Local column index `jj` (`< 2^b`) per non-zero.
-    cols: Vec<u16>,
     /// Row order: the CSR structure the layout was blocked from, shared with every
     /// matrix over it — where each row's non-zeros start, and their global columns.
     structure: Arc<Structure>,
 }
 
-/// One non-empty `2^b × 2^b` block, borrowed from a [`BlockLayout`] and an array of
-/// per-non-zero values laid out by it.
+/// One non-empty `2^b × 2^b` block of a [`BlockedMatrix`].
 #[derive(Debug, Clone, Copy)]
 pub struct Block<'a> {
     /// Block-row index `i` (row `r` of the full matrix lives in block-row `r >> b`).
@@ -102,107 +97,203 @@ impl<'a> Block<'a> {
     }
 }
 
-impl BlockLayout {
-    /// The block-major structure of a CSR matrix at `2^b × 2^b` blocks, built from its
-    /// row pointers and columns alone, one block-row band at a time and in two passes
-    /// over the band: count the entries per block column, order the band's block
-    /// columns and turn the counts into block starts, then place every entry's local
-    /// indices in CSR order.  The arrays are allocated once at their final size; nothing
-    /// is allocated per block.
-    ///
-    /// The row order is the CSR's own structure, shared.
+/// The row-order indices of the non-zeros of each block row that `rows` (block-row
+/// aligned) covers, in order: `(block_row, span)`, read off the row pointers.
+pub fn block_row_spans(
+    row_ptr: &[u32],
+    b: u32,
+    rows: Range<usize>,
+) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
+    let end = rows.end;
+    rows.step_by(1 << b).map(move |lo| {
+        let hi = (lo + (1 << b)).min(end);
+        (lo >> b, row_ptr[lo] as usize..row_ptr[hi] as usize)
+    })
+}
+
+/// The one walk that finds a matrix's blocks: its block table, built one block-row
+/// band at a time, in order, from the band's columns in row order.
+///
+/// [`band`](Self::band) counts the band's entries per block column, handing each
+/// entry's block column to a visitor as it goes (the encoder sums exponents there),
+/// then orders the band's distinct block columns and appends their table entries.  A
+/// builder can be cut into parts by block row ([`part`](Self::part)), walked apart (on
+/// other threads) and joined back in order ([`append`](Self::append)); a table whose
+/// every block row was walked [`finish`](Self::finish)es into the matrix's
+/// [`BlockLayout`].  Nothing is allocated per block row.
+#[derive(Debug)]
+pub struct TableBuilder {
+    nrows: usize,
+    ncols: usize,
+    b: u32,
+    structure: Arc<Structure>,
+    /// The block rows walked so far.
+    block_rows: Range<usize>,
+    table: Vec<TableEntry>,
+    /// Per block column of the current band: its entry count; all zero between bands.
+    counts: Vec<u32>,
+    /// A bitmap over the block columns for [`sort_distinct`]; all zero between bands.
+    seen: Vec<u64>,
+    /// The band's distinct block columns, in the order of their first entries: each
+    /// entry writes its own at the end, and only a first one moves the end — no branch,
+    /// which a scattered band's first entries would mispredict.
+    touched: Vec<usize>,
+}
+
+impl TableBuilder {
+    /// An empty table of `a` at `2^b × 2^b` blocks, to walk from block row 0.
     ///
     /// Returns an error if `b == 0` would make blocks degenerate (`b` must be ≥ 1), if
     /// `b` is large enough that local indices no longer fit in `u16` (`b ≤ 15`), or if
     /// the column count does not fit the format's 32-bit column addresses (Fig. 4).
-    pub fn from_csr(a: &CsrMatrix, b: u32) -> Result<Self> {
-        Self::blocking(a, b, |_, _| {})
-    }
-
-    /// [`from_csr`](Self::from_csr), calling `place(k, at)` as it places the entry at
-    /// row-order index `k` at block-order position `at`.
-    fn blocking(a: &CsrMatrix, b: u32, mut place: impl FnMut(usize, usize)) -> Result<Self> {
+    pub fn new(a: &CsrMatrix, b: u32) -> Result<Self> {
         if b == 0 || b > 15 {
             return Err(SparseError::InvalidParameter(format!(
                 "block size exponent b must be in 1..=15, got {b}"
             )));
         }
-        let bs = 1usize << b;
-        let (nrows, ncols, nnz) = (a.nrows(), a.ncols(), a.nnz());
-        // The `as u32` below narrow block coordinates, bounded by the row count, which
-        // the structure bounds, and by the column count, checked here.
+        let (nrows, ncols) = (a.nrows(), a.ncols());
+        // The `as u32` of the walk narrow block coordinates, bounded by the row count,
+        // which the structure bounds, and by the column count, checked here.
         if u32::try_from(ncols).is_err() {
             return Err(SparseError::InvalidParameter(format!(
                 "{nrows}x{ncols} matrix at b = {b}: the layout is 32-bit"
             )));
         }
-
-        let mut table = Vec::new();
-        let (mut rows, mut cols) = (vec![0u16; nnz], vec![0u16; nnz]);
-        let block_cols = ncols.div_ceil(bs);
-        // Per block column of the current band: its entry count in the first pass, the
-        // index its next entry goes to in the second; all zero between bands.
-        let mut cursor = vec![0u32; block_cols];
-        let mut seen = vec![0u64; block_cols.div_ceil(64)];
-        // The band's distinct block columns, in the order of their first entries: each
-        // entry writes its own at the end, and only a first one moves the end — no
-        // branch, which a scattered band's first entries would mispredict.
-        let mut touched = vec![0usize; block_cols + 1];
-        let (row_ptr, col_idx) = (a.row_ptr(), a.col_idx());
-        for (brow, row_lo) in (0..nrows).step_by(bs).enumerate() {
-            let row_hi = (row_lo + bs).min(nrows);
-            // Pass 1: count the band's entries per block column.
-            let mut distinct = 0;
-            for &c in &col_idx[row_ptr[row_lo] as usize..row_ptr[row_hi] as usize] {
-                let bcol = (c >> b) as usize;
-                touched[distinct] = bcol;
-                distinct += (cursor[bcol] == 0) as usize;
-                cursor[bcol] += 1;
-            }
-            let touched = &mut touched[..distinct];
-            // The band's blocks in block-column order, each starting where the one
-            // before it ends; the counts become write cursors.
-            sort_distinct(touched, &mut seen);
-            let mut start = row_ptr[row_lo];
-            for &bcol in touched.iter() {
-                table.push(TableEntry {
-                    block_row: brow as u32,
-                    block_col: bcol as u32,
-                    start,
-                });
-                start += std::mem::replace(&mut cursor[bcol], start);
-            }
-            // Pass 2: place every entry; CSR order within a block is `(ii, jj)` order.
-            for r in row_lo..row_hi {
-                let row = row_ptr[r] as usize..row_ptr[r + 1] as usize;
-                for (k, &c) in row.clone().zip(&col_idx[row]) {
-                    let bcol = (c >> b) as usize;
-                    let at = cursor[bcol] as usize;
-                    cursor[bcol] += 1;
-                    rows[at] = (r - row_lo) as u16;
-                    cols[at] = (c & ((1 << b) - 1)) as u16;
-                    place(k, at);
-                }
-            }
-            for &bcol in touched.iter() {
-                cursor[bcol] = 0;
-            }
-        }
-        table.push(TableEntry {
-            block_row: u32::MAX,
-            block_col: u32::MAX,
-            start: nnz as u32,
-        });
-
-        Ok(BlockLayout {
+        Ok(Self::starting(
             nrows,
             ncols,
             b,
-            table,
-            rows,
-            cols,
-            structure: Arc::clone(a.structure()),
-        })
+            Arc::clone(a.structure()),
+            0,
+        ))
+    }
+
+    /// An empty table over `structure` from block row `first`.
+    fn starting(
+        nrows: usize,
+        ncols: usize,
+        b: u32,
+        structure: Arc<Structure>,
+        first: usize,
+    ) -> Self {
+        let block_cols = ncols.div_ceil(1 << b);
+        TableBuilder {
+            nrows,
+            ncols,
+            b,
+            structure,
+            block_rows: first..first,
+            table: Vec::new(),
+            counts: vec![0; block_cols],
+            seen: vec![0; block_cols.div_ceil(64)],
+            touched: vec![0; block_cols + 1],
+        }
+    }
+
+    /// An empty part of the same table, to walk from block row `first` on and then
+    /// [`append`](Self::append) after the block rows before it.
+    pub fn part(&self, first: usize) -> Self {
+        let structure = Arc::clone(&self.structure);
+        Self::starting(self.nrows, self.ncols, self.b, structure, first)
+    }
+
+    /// Walks block row `block_row`, the one after the rows walked so far: counts its
+    /// entries per block column, calling `visit(block_col, item)` for each entry in row
+    /// order with the next of `items` (one per entry of the band), then appends the
+    /// band's blocks in block-column order, each starting where the one before it ends.
+    /// Returns their block columns, in that order.
+    ///
+    /// # Panics
+    /// Panics if `block_row` is not the next block row.
+    pub fn band<T>(
+        &mut self,
+        block_row: usize,
+        items: impl IntoIterator<Item = T>,
+        mut visit: impl FnMut(usize, T),
+    ) -> &[usize] {
+        assert_eq!(
+            block_row, self.block_rows.end,
+            "TableBuilder: block rows are walked in order"
+        );
+        self.block_rows.end += 1;
+        let (row_ptr, b) = (&self.structure.row_ptr, self.b);
+        let (lo, hi) = (block_row << b, ((block_row + 1) << b).min(self.nrows));
+        let span = row_ptr[lo] as usize..row_ptr[hi] as usize;
+        let mut distinct = 0;
+        for (&c, item) in self.structure.col_idx[span.clone()].iter().zip(items) {
+            let bcol = (c >> b) as usize;
+            self.touched[distinct] = bcol;
+            distinct += (self.counts[bcol] == 0) as usize;
+            self.counts[bcol] += 1;
+            visit(bcol, item);
+        }
+        let touched = &mut self.touched[..distinct];
+        sort_distinct(touched, &mut self.seen);
+        let mut start = span.start as u32;
+        for &bcol in touched.iter() {
+            self.table.push(TableEntry {
+                block_row: block_row as u32,
+                block_col: bcol as u32,
+                start,
+            });
+            start += std::mem::take(&mut self.counts[bcol]);
+        }
+        touched
+    }
+
+    /// Appends `part`, walked from the block row after this table's last.
+    ///
+    /// # Panics
+    /// Panics if `part` is not a part of this table or does not start there.
+    pub fn append(&mut self, part: TableBuilder) {
+        let same = Arc::ptr_eq(&self.structure, &part.structure) && self.b == part.b;
+        assert!(same, "TableBuilder: a part of another table");
+        assert_eq!(
+            part.block_rows.start, self.block_rows.end,
+            "TableBuilder: parts are appended in order"
+        );
+        self.block_rows.end = part.block_rows.end;
+        self.table.extend(part.table);
+    }
+
+    /// The layout whose table this is.
+    ///
+    /// # Panics
+    /// Panics unless every block row, from the first, was walked.
+    pub fn finish(mut self) -> BlockLayout {
+        let all = 0..self.nrows.div_ceil(1 << self.b);
+        assert_eq!(
+            self.block_rows, all,
+            "TableBuilder: every block row is walked"
+        );
+        self.table.push(TableEntry {
+            block_row: u32::MAX,
+            block_col: u32::MAX,
+            start: self.structure.col_idx.len() as u32,
+        });
+        BlockLayout {
+            nrows: self.nrows,
+            ncols: self.ncols,
+            b: self.b,
+            table: self.table,
+            structure: self.structure,
+        }
+    }
+}
+
+impl BlockLayout {
+    /// The block-major structure of a CSR matrix at `2^b × 2^b` blocks, built from its
+    /// row pointers and columns alone: the [`TableBuilder`] walk over every block row,
+    /// with nothing to visit.  The row order is the CSR's own structure, shared.
+    ///
+    /// Errors as [`TableBuilder::new`] does.
+    pub fn from_csr(a: &CsrMatrix, b: u32) -> Result<Self> {
+        let mut table = TableBuilder::new(a, b)?;
+        for block_row in 0..a.nrows().div_ceil(1 << b) {
+            table.band(block_row, std::iter::repeat(()), |_, ()| {});
+        }
+        Ok(table.finish())
     }
 
     /// Whether the layout was blocked from `a`'s structure itself — `a`, a clone of it,
@@ -269,7 +360,7 @@ impl BlockLayout {
 
     /// Total number of stored non-zeros.
     pub fn nnz(&self) -> usize {
-        self.rows.len()
+        self.structure.col_idx.len()
     }
 
     /// Every block's coordinates `(block_row, block_col)` and its block-order positions,
@@ -293,38 +384,13 @@ impl BlockLayout {
         })
     }
 
-    /// Every block in storage (block-row-major) order, over `vals`.
-    ///
-    /// # Panics
-    /// Panics if `vals` does not hold one value per non-zero.
-    pub fn blocks<'a>(
-        &'a self,
-        vals: &'a [f64],
-    ) -> impl ExactSizeIterator<Item = Block<'a>> + Clone {
-        assert_eq!(vals.len(), self.nnz(), "block layout: one value per nnz");
-        self.table.windows(2).map(move |pair| {
-            let range = pair[0].start as usize..pair[1].start as usize;
-            Block {
-                block_row: pair[0].block_row as usize,
-                block_col: pair[0].block_col as usize,
-                rows: &self.rows[range.clone()],
-                cols: &self.cols[range.clone()],
-                vals: &vals[range],
-            }
-        })
-    }
-
     /// The block rows that `rows` (block-row aligned) covers, in order, each with the
     /// row-order indices of its non-zeros: `(block_row, span)`.
     pub fn block_row_spans(
         &self,
         rows: Range<usize>,
     ) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
-        let (bs, end, row_ptr) = (self.block_size(), rows.end, self.row_ptr());
-        rows.step_by(bs).map(move |lo| {
-            let hi = (lo + bs).min(end);
-            (lo >> self.b, row_ptr[lo] as usize..row_ptr[hi] as usize)
-        })
+        block_row_spans(self.row_ptr(), self.b, rows)
     }
 
     /// Row pointers of the row order: row `r`'s non-zeros are the row-order indices
@@ -343,24 +409,12 @@ impl BlockLayout {
     /// block_order)` says the row-order indices `row_order` all belong to block `block`
     /// and sit, in the same order, at the block-order positions `block_order`.  A run is
     /// a maximal stretch of one band's row order in one block column — consecutive
-    /// there because [`BlockLayout::from_csr`] places a band's entries in CSR order.
-    /// This is the one definition of how the two orders correspond; every row-order
-    /// index is visited once, in order, and the positions form a permutation.
+    /// there because a block holds its entries in CSR order.  It and
+    /// [`BlockedMatrix::over`] read the one definition of how the two orders correspond,
+    /// `walk_bands`' cursors; every row-order index is visited once, in order, and the
+    /// positions form a permutation.
     pub fn walk_row_order(&self, mut visit: impl FnMut(Range<usize>, usize, Range<usize>)) {
-        let bs = self.block_size();
-        // Per block column of the current band: its block's index and the block-order
-        // position of its next entry.  Only the band's own block columns are read.
-        let mut cursor = vec![(0u32, 0u32); self.ncols.div_ceil(bs)];
-        let mut blocks = self.table[..self.num_blocks()]
-            .iter()
-            .enumerate()
-            .peekable();
-        for (brow, band) in self.block_row_spans(0..self.nrows) {
-            while let Some((index, entry)) =
-                blocks.next_if(|(_, entry)| entry.block_row as usize == brow)
-            {
-                cursor[entry.block_col as usize] = (index as u32, entry.start);
-            }
+        self.walk_bands(|_, band, cursor| {
             let mut k = band.start;
             for run in self.col_idx()[band].chunk_by(|&c, &d| c >> self.b == d >> self.b) {
                 let (block, start) = &mut cursor[(run[0] >> self.b) as usize];
@@ -369,6 +423,32 @@ impl BlockLayout {
                 *start += run.len() as u32;
                 k += run.len();
             }
+        });
+    }
+
+    /// Calls `band(rows, span, cursor)` for every block row in order: `rows` its rows,
+    /// `span` their row-order indices, and `cursor[block_col]`, for each of its blocks,
+    /// the block's index and its first block-order position, which the caller advances
+    /// as it places the block column's entries in row order.  Only the band's own block
+    /// columns are set.
+    fn walk_bands(&self, mut band: impl FnMut(Range<usize>, Range<usize>, &mut [(u32, u32)])) {
+        let mut cursor = vec![(0u32, 0u32); self.ncols.div_ceil(self.block_size())];
+        let mut blocks = self.table[..self.num_blocks()]
+            .iter()
+            .enumerate()
+            .peekable();
+        for (brow, span) in self.block_row_spans(0..self.nrows) {
+            while let Some((index, entry)) =
+                blocks.next_if(|(_, entry)| entry.block_row as usize == brow)
+            {
+                cursor[entry.block_col as usize] = (index as u32, entry.start);
+            }
+            let lo = brow << self.b;
+            band(
+                lo..(lo + self.block_size()).min(self.nrows),
+                span,
+                &mut cursor,
+            );
         }
     }
 }
@@ -401,24 +481,59 @@ fn sort_distinct(touched: &mut [usize], seen: &mut [u64]) {
 }
 
 /// A sparse matrix partitioned into square `2^b × 2^b` blocks, stored block-row-major:
-/// a shared [`BlockLayout`] and the one `f64` value per non-zero it arranges.
+/// a shared [`BlockLayout`] and, in its block order, the local row and column index
+/// and the `f64` value of every non-zero — the one type that stores anything in block
+/// order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockedMatrix {
     layout: Arc<BlockLayout>,
+    /// Local row index `ii` (`< 2^b`) per non-zero.
+    rows: Vec<u16>,
+    /// Local column index `jj` (`< 2^b`) per non-zero.
+    cols: Vec<u16>,
     vals: Vec<f64>,
 }
 
 impl BlockedMatrix {
-    /// Partitions a CSR matrix into `2^b × 2^b` blocks: the [`BlockLayout::from_csr`]
-    /// structure, its blocking gathering the values into block order as it places each
-    /// entry.  Errors as [`BlockLayout::from_csr`] does.
+    /// Partitions a CSR matrix into `2^b × 2^b` blocks: its [`BlockLayout::from_csr`]
+    /// layout, with its values put [`over`](Self::over) it.  Errors as
+    /// [`BlockLayout::from_csr`] does.
     pub fn from_csr(a: &CsrMatrix, b: u32) -> Result<Self> {
-        let mut vals = vec![0.0; a.nnz()];
-        let layout = BlockLayout::blocking(a, b, |k, at| vals[at] = a.values()[k])?;
-        Ok(BlockedMatrix {
-            layout: Arc::new(layout),
+        let layout = BlockLayout::from_csr(a, b)?;
+        Ok(Self::over(&Arc::new(layout), a.values()))
+    }
+
+    /// The blocked matrix over `layout` (shared) whose values, in the layout's row order,
+    /// are `values`: each block row's entries placed at their block-order positions as
+    /// [`walk_row_order`](BlockLayout::walk_row_order) pairs them, row by row, with their
+    /// local indices.
+    ///
+    /// # Panics
+    /// Panics if `values` does not hold one value per non-zero.
+    pub fn over(layout: &Arc<BlockLayout>, values: &[f64]) -> Self {
+        let nnz = layout.nnz();
+        assert_eq!(values.len(), nnz, "BlockedMatrix: one value per nnz");
+        let (mut rows, mut cols, mut vals) = (vec![0u16; nnz], vec![0u16; nnz], vec![0.0; nnz]);
+        let (b, row_ptr, col_idx) = (layout.b, layout.row_ptr(), layout.col_idx());
+        let mask = (1 << b) - 1;
+        layout.walk_bands(|band_rows, _, cursor| {
+            for r in band_rows {
+                let row = row_ptr[r] as usize..row_ptr[r + 1] as usize;
+                for (&c, &v) in col_idx[row.clone()].iter().zip(&values[row]) {
+                    let at = &mut cursor[(c >> b) as usize].1;
+                    let k = *at as usize;
+                    (rows[k], cols[k], vals[k]) =
+                        ((r & mask) as u16, (c as usize & mask) as u16, v);
+                    *at += 1;
+                }
+            }
+        });
+        BlockedMatrix {
+            layout: Arc::clone(layout),
+            rows,
+            cols,
             vals,
-        })
+        }
     }
 
     /// The block-major structure, shareable with anything that stores one value per
@@ -472,7 +587,15 @@ impl BlockedMatrix {
 
     /// All non-empty blocks in block-row-major order (the block-major layout).
     pub fn blocks(&self) -> impl ExactSizeIterator<Item = Block<'_>> + Clone {
-        self.layout.blocks(&self.vals)
+        self.layout
+            .extents()
+            .map(|((block_row, block_col), range)| Block {
+                block_row,
+                block_col,
+                rows: &self.rows[range.clone()],
+                cols: &self.cols[range.clone()],
+                vals: &self.vals[range],
+            })
     }
 
     /// The values, one per non-zero, in the layout's block order.
@@ -594,9 +717,9 @@ mod tests {
         assert_eq!(a, back);
     }
 
-    /// The layout of `a` by definition: its entries sorted by block, then by `(ii, jj)`,
-    /// the table read off the sorted order, and the values in it.
-    fn reference(a: &CsrMatrix, b: u32) -> (BlockLayout, Vec<f64>) {
+    /// The blocking of `a` by definition: its entries sorted by block, then by `(ii, jj)`,
+    /// the table read off the sorted order, and the local indices and values in it.
+    fn reference(a: &CsrMatrix, b: u32) -> BlockedMatrix {
         let mut entries: Vec<(usize, usize, f64)> = a.iter().collect();
         entries.sort_by_key(|&(r, c, _)| (r >> b, c >> b, r, c));
         let mut table: Vec<TableEntry> = Vec::new();
@@ -621,11 +744,14 @@ mod tests {
             ncols: a.ncols(),
             b,
             table,
-            rows: entries.iter().map(|&(r, ..)| local(r)).collect(),
-            cols: entries.iter().map(|&(_, c, _)| local(c)).collect(),
             structure: Arc::clone(a.structure()),
         };
-        (layout, entries.iter().map(|&(.., v)| v).collect())
+        BlockedMatrix {
+            layout: Arc::new(layout),
+            rows: entries.iter().map(|&(r, ..)| local(r)).collect(),
+            cols: entries.iter().map(|&(_, c, _)| local(c)).collect(),
+            vals: entries.iter().map(|&(.., v)| v).collect(),
+        }
     }
 
     proptest::proptest! {
@@ -637,6 +763,7 @@ mod tests {
             cells in proptest::collection::vec((0usize..48, 0usize..600), 0..200),
             span in 0usize..3,
             b in 1u32..=7,
+            cut in 0usize..=48,
         ) {
             // Few entries over many block columns take the comparison sort; a row with an
             // entry in every block column, or in every other one, takes the bitmap.
@@ -650,12 +777,22 @@ mod tests {
                 }
             }
             let a = coo.to_csr();
-            let (want, values) = reference(&a, b);
+            let want = reference(&a, b);
             let layout = BlockLayout::from_csr(&a, b).unwrap();
-            proptest::prop_assert_eq!(&layout, &want);
+            proptest::prop_assert_eq!(&layout, &**want.layout());
             let blocked = BlockedMatrix::from_csr(&a, b).unwrap();
-            proptest::prop_assert_eq!(&**blocked.layout(), &want);
-            proptest::prop_assert_eq!(blocked.values(), &values[..]);
+            proptest::prop_assert_eq!(&blocked, &want);
+            // A table walked in two parts, the second from any block row, is the same.
+            let block_rows = nrows.div_ceil(1 << b);
+            let cut = cut.min(block_rows);
+            let mut head = TableBuilder::new(&a, b).unwrap();
+            let mut tail = head.part(cut);
+            for block_row in 0..block_rows {
+                let part = if block_row < cut { &mut head } else { &mut tail };
+                part.band(block_row, std::iter::repeat(()), |_, ()| {});
+            }
+            head.append(tail);
+            proptest::prop_assert_eq!(&head.finish(), &layout);
         }
     }
 

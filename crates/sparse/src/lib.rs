@@ -11,13 +11,14 @@
 //! * [`BlockedMatrix`] — the matrix partitioned into square `2^b × 2^b` blocks stored in
 //!   the *block-major* layout of Fig. 7 of the paper, which is the granularity at which
 //!   ReFloat quantizes values and at which the accelerator maps work onto crossbars.
-//!   This crate owns that layout: [`BlockLayout`] (block table plus contiguous local
-//!   indices, and beside them the source CSR's row order — the matrix's own shared
-//!   `u32` structure, not a copy) is its one definition, and its `walk_row_order` the
-//!   one definition of how row order and block order correspond.  A `BlockedMatrix` adds
-//!   the `f64` values in block order; `refloat-core`'s `ReFloatMatrix` shares the same
-//!   layout and adds the exponent bases, in block order, and the decoded values, in row
-//!   order — its SpMV is the CSR loop over them,
+//!   This crate owns that layout: [`BlockLayout`] (the block table over the source
+//!   CSR's row order — the matrix's own shared `u32` structure, not a copy — and
+//!   nothing per non-zero) is its one definition, [`TableBuilder`] the one walk that
+//!   finds its blocks, and its `walk_row_order` the one definition of how row order and
+//!   block order correspond.  A `BlockedMatrix` adds the local indices and the `f64`
+//!   values in block order; `refloat-core`'s `ReFloatMatrix` shares the same layout and
+//!   adds the exponent bases, in block order, and the decoded values, in row order —
+//!   its SpMV is the CSR loop over them,
 //! * [`mm`] — a Matrix Market (`.mtx`) reader/writer so the real SuiteSparse inputs can
 //!   be used when available,
 //! * [`vecops`] — the dense vector kernels (dot, axpy, norms, …) used by the Krylov
@@ -44,7 +45,7 @@ pub mod shard;
 pub mod stats;
 pub mod vecops;
 
-pub use blocked::{Block, BlockLayout, BlockedMatrix};
+pub use blocked::{Block, BlockLayout, BlockedMatrix, TableBuilder};
 pub use coo::CooMatrix;
 pub use csr::{CsrMatrix, WeakStructure};
 pub use error::SparseError;

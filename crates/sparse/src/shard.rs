@@ -15,7 +15,7 @@
 
 use std::ops::Range;
 
-use crate::blocked::BlockLayout;
+use crate::blocked::{block_row_spans, BlockLayout};
 use crate::parallel;
 
 /// Computes block-row-aligned, nnz-balanced shard row ranges of `layout`'s matrix.
@@ -25,22 +25,25 @@ use crate::parallel;
 /// multiples of `2^b`.  A matrix with no rows is one empty band, so every matrix has
 /// at least one.
 pub fn block_row_shards(layout: &BlockLayout, shards: usize) -> Vec<Range<usize>> {
-    block_row_shards_counting(layout, shards, |_| true).0
+    block_row_shards_counting(layout.row_ptr(), layout.b(), shards, |_| true).0
 }
 
-/// [`block_row_shards`] balanced over the non-zeros of the block rows that `counted`
-/// selects (a re-encode's dirty rows): any other block row weighs nothing.  Returns the
-/// bands and the number of non-zeros they weigh.
+/// [`block_row_shards`] of the matrix whose row pointers are `row_ptr`, at `2^b`-row
+/// block rows, balanced over the non-zeros of the block rows that `counted` selects (a
+/// re-encode's dirty rows): any other block row weighs nothing.  It reads the row
+/// pointers alone, so a matrix not yet blocked can be cut.  Returns the bands and the
+/// number of non-zeros they weigh.
 pub fn block_row_shards_counting(
-    layout: &BlockLayout,
+    row_ptr: &[u32],
+    b: u32,
     shards: usize,
     counted: impl Fn(usize) -> bool,
 ) -> (Vec<Range<usize>>, usize) {
-    let (bs, nrows) = (layout.block_size(), layout.nrows());
+    let nrows = row_ptr.len() - 1;
     // Counted non-zeros before each block-row boundary: the balance weights.  No rows
     // counts as one empty block row.
     let mut prefix = vec![0];
-    for (brow, span) in layout.block_row_spans(0..nrows) {
+    for (brow, span) in block_row_spans(row_ptr, b, 0..nrows) {
         prefix.push(prefix[brow] + if counted(brow) { span.len() } else { 0 });
     }
     if nrows == 0 {
@@ -48,7 +51,7 @@ pub fn block_row_shards_counting(
     }
     let bands = parallel::balance_by_weight(&prefix, shards)
         .into_iter()
-        .map(|brows| brows.start * bs..(brows.end * bs).min(nrows))
+        .map(|brows| brows.start << b..(brows.end << b).min(nrows))
         .collect();
     (bands, prefix[prefix.len() - 1])
 }
