@@ -8,8 +8,9 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use refloat_core::feinberg::FeinbergOperator;
 use refloat_core::{ReFloatConfig, ReFloatMatrix};
 use refloat_matgen::{generators, rhs};
-use refloat_solvers::{cg, LinearOperator, SolverConfig};
+use refloat_solvers::{cg, LanedCsr, LinearOperator, SolverConfig};
 use refloat_sparse::parallel::Lanes;
+use refloat_sparse::vecops;
 
 fn bench_quantized_spmv(c: &mut Criterion) {
     let a = generators::laplacian_2d(256, 256, 0.2).to_csr();
@@ -35,10 +36,12 @@ fn bench_quantized_spmv(c: &mut Criterion) {
 /// CG iterations on one lane against two, on the `solve_refined` matrices and the
 /// `transient_chain` one, in their format: on two lanes the vectors stay on the lanes
 /// and an iteration is three lane phases.  On one lane they are a single band on the
-/// calling thread, which the last three cases time alone: the 48 × 48 Laplacian in the
-/// format of `serve_hot`'s busiest entry, and two matrices in fp64 CSR through the
-/// operator's default banded apply.  Each sample is a solve capped at `ITERATIONS`
-/// iterations, so the per-iteration cost is the time over `ITERATIONS`.
+/// calling thread, which three cases time alone: the 48 × 48 Laplacian in the format
+/// of `serve_hot`'s busiest entry, and two matrices in fp64 CSR through the operator's
+/// default banded apply.  Each sample is a solve capped at `ITERATIONS` iterations, so
+/// the per-iteration cost is the time over `ITERATIONS`.  The last two cases time one
+/// exact fp64 residual `b − A·x` on the `transient_chain` matrix, as a refined solve
+/// measures each pass's, through `LanedCsr` on one lane and on two.
 fn bench_cg_iteration_lanes(c: &mut Criterion) {
     const ITERATIONS: usize = 16;
     let format = ReFloatConfig::new(7, 3, 8, 5, 16);
@@ -84,6 +87,23 @@ fn bench_cg_iteration_lanes(c: &mut Criterion) {
         group.throughput(Throughput::Elements((ITERATIONS * fp64.nnz()) as u64));
         group.bench_function(format!("{name}_fp64_1_lane"), |bench| {
             bench.iter(|| cg(&mut fp64, &b, &config))
+        });
+    }
+    let chain = Arc::new(generators::laplacian_2d(96, 96, 0.2).to_csr());
+    let (b, x) = (
+        rhs::krylov_like(chain.nrows(), 17),
+        rhs::krylov_like(chain.nrows(), 5),
+    );
+    let (mut ax, mut r) = (vec![0.0; chain.nrows()], vec![0.0; chain.nrows()]);
+    group.throughput(Throughput::Elements(chain.nnz() as u64));
+    let one = Arc::new(Lanes::default());
+    for (lanes, name) in [(&one, "1_lane"), (&two, "2_lanes")] {
+        let mut exact = LanedCsr::new(Arc::clone(&chain), lanes);
+        group.bench_function(format!("poisson_96_exact_residual_{name}"), |bench| {
+            bench.iter(|| {
+                exact.apply(&x, &mut ax);
+                vecops::sub_into(&b, &ax, &mut r);
+            })
         });
     }
     group.finish();

@@ -296,10 +296,10 @@ mod tests {
     use crate::block::optimal_exponent_base;
     use crate::format::ReFloatConfig;
     use crate::matrix::tests::lanes;
-    use crate::matrix::MIN_NNZ_PER_LANE;
     use proptest::prelude::*;
     use refloat_matgen::fem::poisson_2d;
     use refloat_matgen::transient::{perturb_symmetric_pairs, TransientChain, TransientSpec};
+    use refloat_sparse::parallel::MIN_NNZ_PER_LANE;
     use refloat_sparse::shard::block_row_shards_counting;
     use refloat_sparse::{blocked::Block, BlockedMatrix, CooMatrix};
     use std::collections::HashSet;

@@ -56,11 +56,14 @@
 //!   matrix keeps bit-level fields.  With lanes
 //!   attached ([`ReFloatMatrix::with_lanes`], which the runtime does for a worker with
 //!   spare cores) a CG solve of at least [`refloat_sparse::vecops::MIN_LEN_PER_LANE`]
-//!   rows per lane keeps its vectors on the lanes, converting and accumulating band by
-//!   band, and [`ReFloatMatrix::from_csr_on`] splits an encode of at least
-//!   [`matrix::MIN_NNZ_PER_LANE`] non-zeros per lane into nnz-balanced bands of block
-//!   rows.  Each row is still one sum in column order and each reduction one pairwise
-//!   tree, so the bits do not depend on the lanes,
+//!   rows per lane keeps its vectors on the lanes: each lane converts its band into
+//!   its own copy of the quantized input, and the lanes exchange only the halo, the
+//!   runs of converted values another band's rows read, which the block layout
+//!   computes once per band split and keeps.  [`ReFloatMatrix::from_csr_on`] splits an
+//!   encode of at least [`refloat_sparse::parallel::MIN_NNZ_PER_LANE`] non-zeros per
+//!   lane into nnz-balanced bands of block rows.  Every SpMV is `refloat-sparse`'s one
+//!   row loop (`csr::row_sums`), so each row is still one sum in column order, and each
+//!   reduction is one pairwise tree: the bits do not depend on the lanes,
 //! * [`incremental`] — [`reencode_incremental`] (and its laned form): a from-scratch
 //!   encode's result plus a diff.  A sequence step with the predecessor's sparsity
 //!   structure adopts its layout and never re-blocks; a value diff per block row finds

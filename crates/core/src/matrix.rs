@@ -63,11 +63,17 @@
 //!
 //! * **A laned solve.**  A CG solve keeps its vectors on the lanes, cut into the
 //!   pairwise tree's top-level subtrees ([`LanedVectors`]), and the apply works on those
-//!   bands in place ([`apply_bands`](LinearOperator::apply_bands)): each lane converts
-//!   the whole `2^b` segments of its band of `p`, the caller copies the helpers' into
-//!   the one quantized input and converts the segments that straddle a band edge, then
-//!   each lane accumulates its band's rows into its band of `A·p` and returns its part
-//!   of `pᵀAp`.  The converter's bases and statistics are the one-thread converter's.
+//!   bands in place ([`apply_bands`](LinearOperator::apply_bands)).  Each lane keeps
+//!   its own copy of the quantized input and converts the whole `2^b` segments of its
+//!   band of `p` into it; the caller's copy is the shared one.  What the lanes exchange
+//!   is the [`Halo`] the layout keeps for the band split
+//!   ([`BlockLayout::halo`]): a helper sends the caller the raw pieces at its band's
+//!   edges and its *exports*, the runs of its converted values that another band's rows
+//!   read, and the caller converts the segments that straddle a band edge.  Then each
+//!   helper copies its *imports*, the runs outside its band that its rows read, from
+//!   the shared copy into its own, and each lane accumulates its band's rows into its
+//!   band of `A·p` and returns its part of `pᵀAp`.  The converter's bases and
+//!   statistics are the one-thread converter's.
 //! * **An encode** ([`from_csr_on`](ReFloatMatrix::from_csr_on), and the re-encode of
 //!   [`crate::incremental`]) runs `encode_bands` per band of block rows, balanced by the
 //!   non-zeros each quantizes, each helper reading the values through its own handle
@@ -77,10 +83,11 @@
 //!   copies the unchanged ones from the predecessor.
 //!
 //! Every other apply — BiCGSTAB's, a faulty device's — is a one-thread row loop,
-//! and so is a solve's on one lane.  A row's sum is its terms in column order whatever
-//! band it falls in, a segment's or a block's base depends on its own values alone, and
-//! a band's reduction is its subtree's, so no output bit depends on the lane count;
-//! only host time does.
+//! and so is a solve's on one lane; the clean one is `refloat-sparse`'s one row loop
+//! ([`row_sums`]), the exact CSR product's too.  A row's sum is its terms in column
+//! order whatever band it falls in, a segment's or a block's base depends on its own
+//! values alone, and a band's reduction is its subtree's, so no output bit depends on
+//! the lane count; only host time does.
 
 use std::ops::Range;
 use std::sync::{mpsc, Arc};
@@ -96,17 +103,11 @@ use crate::vector::{convert_part, whole_segments, ConversionStats, Scratch, Vect
 use refloat_solvers::operator::apply_gathered;
 use refloat_solvers::LinearOperator;
 use refloat_sparse::blocked::{block_row_spans, BlockLayout, TableBuilder};
-use refloat_sparse::parallel::{BandTask, Lanes};
+use refloat_sparse::csr::row_sums;
+use refloat_sparse::parallel::{BandTask, Lanes, MIN_NNZ_PER_LANE};
 use refloat_sparse::shard::block_row_shards_counting;
-use refloat_sparse::vecops::{self, Band, LanedVectors, MIN_LEN_PER_LANE};
+use refloat_sparse::vecops::{self, Halo, LanedVectors, MIN_LEN_PER_LANE};
 use refloat_sparse::{BlockedMatrix, CsrMatrix};
-
-/// The fewest non-zeros per lane for which an encode splits over lanes.  Handing a band
-/// to a helper and copying it back costs a few microseconds: on a 2-core x86-64 host a
-/// 2-lane split of a 2-D Laplacian's SpMV broke even near 4 k non-zeros per lane and
-/// gained from about 8 k, and an encode costs more per non-zero than an SpMV.  The
-/// `encode_lanes` bench measures a split encode.
-pub const MIN_NNZ_PER_LANE: usize = 8192;
 
 /// What encoding adds to a [`BlockLayout`].
 #[derive(Debug)]
@@ -597,44 +598,64 @@ impl ReFloatMatrix {
     }
 
     /// The convert phase of a laned solve's apply, after `p ← r + βp` on every band:
-    /// each lane converts the whole segments inside its band of `p` — a helper into its
-    /// output band, followed by their bases and its statistics, the caller straight into
-    /// the quantized input — and the caller copies the helpers' bands in, then converts
-    /// the segments that straddle a band edge.  The bases and statistics are the
-    /// one-thread converter's.
-    fn convert_bands(&mut self, vectors: &mut LanedVectors, beta: Option<f64>) {
+    /// each lane converts the whole segments inside its band of `p` into its own copy
+    /// of the quantized input — a helper into its band's, the caller straight into the
+    /// shared one — and a helper sends back only the raw pieces at its band's edges, its
+    /// `halo` exports, their bases and its statistics.  The caller writes those into the
+    /// shared copy, then converts the segments that straddle a band edge.  The bases and
+    /// statistics are the one-thread converter's.
+    fn convert_bands(&mut self, vectors: &mut LanedVectors, beta: Option<f64>, halo: &Arc<Halo>) {
         let (config, n, seg) = (self.config, self.ncols, self.config.block_size());
-        let ranges = vectors.ranges().to_vec();
-        let wholes: Vec<_> = ranges
-            .iter()
-            .map(|band| whole_segments(band, n, seg).0)
-            .collect();
         let xq = self.quantized_input.buffer(n);
         let (bases, stats) = self.converter.start_parts(n);
-        let (last, last_whole) = (&ranges[ranges.len() - 1], &wholes[wholes.len() - 1]);
+        let ranges = halo.bands();
+        let last = &ranges[ranges.len() - 1];
+        let last_whole = whole_segments(last, n, seg).0;
         let (head, tail) = xq.split_at_mut(last.start);
         let (bases_head, bases_tail) = bases.split_at_mut(last_whole.start);
         let mut local_stats = ConversionStats::default();
+        let exports = Arc::clone(halo);
         vectors.run(
             move |band, out| {
                 band.direction(beta);
-                let segments = whole_segments(&band.range, n, seg).0.len();
+                let (range, p) = (&band.range, &band.p);
+                let (whole, own) = whole_segments(range, n, seg);
+                band.input.resize(n, 0.0);
+                let mut bases = vec![0; whole.len()];
+                let stats = convert_band(
+                    &config,
+                    n,
+                    range,
+                    p,
+                    &mut band.input[range.clone()],
+                    &mut bases,
+                );
                 out.clear();
-                out.resize(band.range.len(), 0.0);
-                let mut bases = vec![0; segments];
-                let stats = convert_band(&config, n, band, out, &mut bases);
+                out.extend_from_slice(&band.input[range.start..own.start]);
+                out.extend_from_slice(&band.input[own.end..range.end]);
+                for run in exports.exports(exports.index(range)) {
+                    out.extend_from_slice(&band.input[run.clone()]);
+                }
                 out.extend(bases.iter().map(|&base| f64::from(base)));
                 out.extend([stats.saturated, stats.flushed, stats.nonzero].map(|c| c as f64));
             },
             |band| {
                 band.direction(beta);
-                local_stats = convert_band(&config, n, band, tail, bases_tail);
+                local_stats = convert_band(&config, n, &band.range, &band.p, tail, bases_tail);
             },
             |lane, out| {
-                let (band, whole) = (ranges[lane].clone(), wholes[lane].clone());
-                let (values, rest) = out.split_at(band.len());
+                let band = &ranges[lane];
+                let (whole, own) = whole_segments(band, n, seg);
+                let (low, rest) = out.split_at(own.start - band.start);
+                let (high, mut rest) = rest.split_at(band.end - own.end);
+                head[band.start..own.start].copy_from_slice(low);
+                head[own.end..band.end].copy_from_slice(high);
+                for run in halo.exports(lane) {
+                    let (values, more) = rest.split_at(run.len());
+                    head[run.clone()].copy_from_slice(values);
+                    rest = more;
+                }
                 let (band_bases, counts) = rest.split_at(whole.len());
-                head[band].copy_from_slice(values);
                 for (base, &got) in bases_head[whole].iter_mut().zip(band_bases) {
                     *base = got as i32;
                 }
@@ -649,7 +670,8 @@ impl ReFloatMatrix {
         // The straddling segments: between one band's whole segments and the next's.  The
         // last band ends the vector, so its whole segments end the segments.
         let mut next = 0;
-        for whole in &wholes {
+        for band in ranges {
+            let whole = whole_segments(band, n, seg).0;
             for s in next..whole.start {
                 let segment = s * seg..((s + 1) * seg).min(n);
                 let raw = xq[segment.clone()].to_vec();
@@ -665,22 +687,22 @@ impl ReFloatMatrix {
     }
 }
 
-/// Converts the whole segments inside `band`'s range of an `n`-vector from its `p`
+/// Converts the whole segments inside the band `range` of an `n`-vector from its `p`
 /// into `out` (the band's length), their bases into `bases`, and copies the rest of
 /// `p` — the pieces of segments that straddle its edges — into `out` raw.
 fn convert_band(
     config: &ReFloatConfig,
     n: usize,
-    band: &Band,
+    range: &Range<usize>,
+    p: &[f64],
     out: &mut [f64],
     bases: &mut [i32],
 ) -> ConversionStats {
-    let start = band.range.start;
-    let (_, whole) = whole_segments(&band.range, n, config.block_size());
-    let inner = whole.start - start..whole.end - start;
-    out[..inner.start].copy_from_slice(&band.p[..inner.start]);
-    out[inner.end..].copy_from_slice(&band.p[inner.end..]);
-    convert_part(config, &band.p[inner.clone()], &mut out[inner], bases)
+    let (_, whole) = whole_segments(range, n, config.block_size());
+    let inner = whole.start - range.start..whole.end - range.start;
+    out[..inner.start].copy_from_slice(&p[..inner.start]);
+    out[inner.end..].copy_from_slice(&p[inner.end..]);
+    convert_part(config, &p[inner.clone()], &mut out[inner], bases)
 }
 
 /// Where an encode finds its blocks.
@@ -867,11 +889,11 @@ fn biased_exponent(v: f64) -> (i64, bool, bool) {
     (field.wrapping_add(shift) as i64, counted, subnormal)
 }
 
-/// Rows `rows` of `Ã · xq` into `y`, row by row over the decoded values in row order —
-/// the order of additions and so the bits of `CsrMatrix::spmv_into`, which are also
-/// the bits of summing the block products into `y` block by block.  A row's sum does
-/// not depend on the range it is computed in, so a band is bit for bit those rows of
-/// the whole product.
+/// Rows `rows` of `Ã · xq` into `y`: `refloat_sparse`'s one row loop
+/// ([`row_sums`]) over the decoded values in row order — the order of additions and so
+/// the bits of `CsrMatrix::spmv_into`, which are also the bits of summing the block
+/// products into `y` block by block.  A row's sum does not depend on the range it is
+/// computed in, so a band is bit for bit those rows of the whole product.
 ///
 /// # Panics
 /// Panics if `xq.len() != ncols`, `y.len() != rows.len()` or `rows` ends past `nrows`.
@@ -889,25 +911,7 @@ fn accumulate_rows(
     );
     assert_eq!(y.len(), rows.len(), "ReFloatMatrix spmv: y length mismatch");
     let row_ptr = &layout.row_ptr()[rows.start..=rows.end];
-    let col_idx = layout.col_idx();
-    for (yr, bounds) in y.iter_mut().zip(row_ptr.windows(2)) {
-        let row = bounds[0] as usize..bounds[1] as usize;
-        let mut vals = decoded[row.clone()].chunks_exact(2);
-        let mut cols = col_idx[row].chunks_exact(2);
-        let mut acc = 0.0;
-        // Two terms per trip, added one after the other: the sum and its bits stay the
-        // CSR loop's, while the speed stops following where the build places the loop
-        // (a one-term loop read 32 % apart across placements, this one 4–7 %).
-        for (v, c) in (&mut vals).zip(&mut cols) {
-            let (p0, p1) = (v[0] * xq[c[0] as usize], v[1] * xq[c[1] as usize]);
-            acc += p0;
-            acc += p1;
-        }
-        if let ([v], [c]) = (vals.remainder(), cols.remainder()) {
-            acc += v * xq[*c as usize];
-        }
-        *yr = acc;
-    }
+    row_sums(row_ptr, layout.col_idx(), decoded, xq, y);
 }
 
 /// Rows `rows` of a faulty device's `Ã · xq` into `y`: [`accumulate_rows`]' sums, each
@@ -983,10 +987,12 @@ impl LinearOperator for ReFloatMatrix {
     }
 
     /// Two lane phases over the solve's bands: `p ← r + βp` and the convert
-    /// (`convert_bands`), then each lane accumulates its band's rows from the one
-    /// quantized input straight into its `ap` band and returns its partial `pᵀAp`.  A
-    /// single band, or an input passed through unconverted, is the plain
-    /// [`apply`](LinearOperator::apply) in place ([`apply_gathered`]).
+    /// (`convert_bands`), then each helper copies its halo imports from the shared
+    /// quantized input into its own copy, and each lane accumulates its band's rows
+    /// from its copy straight into its `ap` band and returns its partial `pᵀAp`.  The
+    /// halo is the layout's, computed once per band split.  A single band, or an input
+    /// passed through unconverted, is the plain [`apply`](LinearOperator::apply) in
+    /// place ([`apply_gathered`]).
     fn apply_bands(&mut self, vectors: &mut LanedVectors, beta: Option<f64>) -> f64 {
         if !self.quantize_vectors || vectors.ranges().len() == 1 {
             return apply_gathered(self, vectors, beta);
@@ -1000,19 +1006,32 @@ impl LinearOperator for ReFloatMatrix {
             self.nrows, self.ncols,
             "ReFloatMatrix: a laned solve is square"
         );
-        self.convert_bands(vectors, beta);
+        let (n, seg) = (self.ncols, self.config.block_size());
+        let own: Vec<_> = vectors
+            .ranges()
+            .iter()
+            .map(|band| whole_segments(band, n, seg).1)
+            .collect();
+        let halo = self.layout.halo(vectors.ranges(), &own);
+        self.convert_bands(vectors, beta, &halo);
         let (layout, encoded) = (Arc::clone(&self.layout), Arc::clone(&self.encoded));
         let xq = self.quantized_input.shared();
-        vectors.reduce(move |band| {
-            accumulate_rows(
-                &layout,
-                &encoded.decoded,
-                &xq,
-                band.range.clone(),
-                &mut band.ap,
-            );
-            vecops::dot(&band.p, &band.ap)
-        })
+        let this = &*self;
+        vectors.reduce_apart(
+            move |band| {
+                for run in halo.imports(halo.index(&band.range)) {
+                    band.input[run.clone()].copy_from_slice(&xq[run.clone()]);
+                }
+                let (input, rows) = (&band.input, band.range.clone());
+                accumulate_rows(&layout, &encoded.decoded, input, rows, &mut band.ap);
+                vecops::dot(&band.p, &band.ap)
+            },
+            |band| {
+                let (xq, rows) = (this.quantized_input.as_slice(), band.range.clone());
+                accumulate_rows(&this.layout, &this.encoded.decoded, xq, rows, &mut band.ap);
+                vecops::dot(&band.p, &band.ap)
+            },
+        )
     }
 
     fn name(&self) -> String {
@@ -1542,6 +1561,40 @@ pub(crate) mod tests {
         (bits, converter.last_bases().to_vec(), stats)
     }
 
+    /// Per band of `m`'s latest laned apply over `vectors`, every column that lane
+    /// reads — the columns its rows read, and the columns it converts itself — and the
+    /// value it holds there: a helper in its own copy of the quantized input, the
+    /// caller in the shared one.
+    fn lane_reads(m: &ReFloatMatrix, vectors: &mut LanedVectors) -> Vec<(Vec<usize>, Vec<f64>)> {
+        let (n, seg) = (m.ncols, m.config.block_size());
+        let columns = move |layout: &BlockLayout, rows: &Range<usize>| {
+            let row_ptr = layout.row_ptr();
+            let entries = row_ptr[rows.start] as usize..row_ptr[rows.end] as usize;
+            let read = layout.col_idx()[entries].iter().map(|&c| c as usize);
+            read.chain(whole_segments(rows, n, seg).1)
+                .collect::<Vec<_>>()
+        };
+        let ranges = vectors.ranges().to_vec();
+        let mut reads: Vec<_> = ranges
+            .iter()
+            .map(|rows| (columns(&m.layout, rows), Vec::new()))
+            .collect();
+        let layout = Arc::clone(&m.layout);
+        let last = ranges.len() - 1;
+        let shared = m.quantized_input.as_slice();
+        let (helped, caller) = reads.split_at_mut(last);
+        vectors.run(
+            move |band, out| {
+                out.clear();
+                let read = columns(&layout, &band.range);
+                out.extend(read.iter().map(|&c| band.input[c]));
+            },
+            |_| caller[0].1 = caller[0].0.iter().map(|&c| shared[c]).collect(),
+            |lane, out| helped[lane].1 = out.to_vec(),
+        );
+        reads
+    }
+
     /// One set of lanes per count from 1 to 4, shared by the tests.
     pub(crate) fn lanes(count: usize) -> &'static Arc<Lanes> {
         static LANES: std::sync::OnceLock<Vec<Arc<Lanes>>> = std::sync::OnceLock::new();
@@ -1637,7 +1690,30 @@ pub(crate) mod tests {
 
         // 23 · 23 = 529 rows: the last band ends inside a partial block row.
         let ragged = generators::laplacian_2d(23, 23, 0.3).to_csr();
+        // A scattered graph's halo is about the whole other band.
         let scattered = generators::random_spd_graph(1500, 6, 1.4, 1.0, 7).to_csr();
+        let halves = vecops::tree_bands(scattered.nrows(), 2);
+        let own: Vec<_> = halves
+            .iter()
+            .map(|band| whole_segments(band, scattered.nrows(), 32).1)
+            .collect();
+        let layout = BlockLayout::from_csr(&scattered, 5).unwrap();
+        let imported: usize = layout
+            .halo(&halves, &own)
+            .imports(0)
+            .iter()
+            .map(Range::len)
+            .sum();
+        assert!(
+            imported * 10 > halves[1].len() * 9,
+            "{imported} of {}",
+            halves[1].len()
+        );
+        // A mass matrix's halo is whole planes of its 9 · 9 · 9 mesh.
+        let planes = generators::mass_matrix_3d(9, 9, 9, 1e-12, 0.8, 5).to_csr();
+        // 45 · 45 = 2025 rows: the band edges at 1012 and at 506, 1518 cut 32-row
+        // segments, which the rows beside them read through the halo.
+        let cut = generators::laplacian_2d(45, 45, 0.2).to_csr();
         // Rows 10..170 hold nothing, so whole bands can be empty.
         let mut coo = refloat_sparse::CooMatrix::new(200, 200);
         for i in (0..10).chain(170..200) {
@@ -1651,6 +1727,8 @@ pub(crate) mod tests {
         for (a, b) in [
             (ragged, 4),
             (scattered, 5),
+            (planes, 4),
+            (cut, 5),
             (empty_rows, 1),
             (no_rows, 2),
             (three_rows, 1),
@@ -1749,6 +1827,59 @@ pub(crate) mod tests {
         }
     }
 
+    /// The one-term row loop the shared kernel replaced: each row's terms added one
+    /// per trip, from 0.0, in column order.
+    fn one_term_rows(row_ptr: &[u32], col_idx: &[u32], vals: &[f64], x: &[f64]) -> Vec<f64> {
+        let rows = row_ptr.windows(2).map(|bounds| {
+            let mut acc = 0.0;
+            for k in bounds[0] as usize..bounds[1] as usize {
+                acc += vals[k] * x[col_idx[k] as usize];
+            }
+            acc
+        });
+        rows.collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn the_two_term_row_loop_is_the_one_term_loop_bitwise(
+            rows in proptest::collection::vec(
+                proptest::collection::vec(
+                    ((0u64..=u64::MAX, 0usize..12, 0u32..64, -6i64..=6), 0usize..9),
+                    0..6,
+                ),
+                0..24,
+            ),
+            x in proptest::collection::vec((0u64..=u64::MAX, 0usize..12, 0u32..64, -6i64..=6), 9),
+            (centre, plain) in (1i64..=2046, proptest::bool::ANY),
+        ) {
+            // NaN, ±Inf, −0.0 and subnormals among the values and the input alike.
+            let value = |draw| f64::from_bits(pattern(draw, centre, plain));
+            let x: Vec<f64> = x.into_iter().map(value).collect();
+            let mut row_ptr = vec![0u32];
+            let (mut col_idx, mut vals) = (Vec::new(), Vec::new());
+            for row in &rows {
+                for &(draw, col) in row {
+                    vals.push(value(draw));
+                    col_idx.push(col as u32);
+                }
+                row_ptr.push(col_idx.len() as u32);
+            }
+            let mut y = vec![f64::NAN; rows.len()];
+            row_sums(&row_ptr, &col_idx, &vals, &x, &mut y);
+            // Every bit, but of a NaN only that it is one: Rust leaves a NaN's payload
+            // unspecified, and the compiler may commute an addition of two NaNs.
+            let bits = |y: &[f64]| {
+                let bits = y.iter().map(|v| (!v.is_nan()).then_some(v.to_bits()));
+                bits.collect::<Vec<_>>()
+            };
+            let want = one_term_rows(&row_ptr, &col_idx, &vals, &x);
+            prop_assert_eq!(bits(&y), bits(&want));
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -1783,10 +1914,12 @@ pub(crate) mod tests {
             let mut banded = serial.clone();
             let mut vectors = LanedVectors::new(lanes(count), &x);
             let p_ap = banded.apply_bands(&mut vectors, beta);
-            let quantized = |m: &ReFloatMatrix| {
-                m.quantized_input.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            };
-            prop_assert_eq!(quantized(&banded), quantized(&serial));
+            let want_q = serial.quantized_input.as_slice();
+            for (k, (columns, got)) in lane_reads(&banded, &mut vectors).into_iter().enumerate() {
+                let want: Vec<u64> = columns.iter().map(|&c| want_q[c].to_bits()).collect();
+                let got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(got, want, "band {} of {}", k, count);
+            }
             let converter = banded.converter();
             prop_assert_eq!(converter.last_bases(), &want.1[..]);
             prop_assert_eq!(converter.last_stats(), &want.2);

@@ -466,6 +466,29 @@ mod tests {
         assert!(!weak.is_live());
         let (third, fourth) = (laplacian("h2", (3, 11), 0.3), laplacian("h3", (3, 11), 0.4));
         assert!(fourth.csr().shares_structure_with(third.csr()));
+        // Solved on two lanes: the layout keeps the pattern's halo, and neither it nor
+        // the lanes keep the pattern once its last handle and encoding are gone.
+        use refloat_core::ReFloatMatrix;
+        use refloat_solvers::{cg, LanedCsr, LinearOperator};
+        let lanes = Arc::new(refloat_sparse::parallel::Lanes::new(2).unwrap());
+        let (first, second) = (
+            laplacian("l0", (71, 64), 0.1),
+            laplacian("l1", (71, 64), 0.2),
+        );
+        let weak = first.csr().downgrade_structure();
+        let format = ReFloatConfig::new(5, 3, 8, 5, 16);
+        let encoded = ReFloatMatrix::from_csr_on(&first.csr_arc(), format, &lanes);
+        let mut laned = encoded.with_lanes(&lanes);
+        assert!(laned.lanes().is_some());
+        let b = vec![1.0; first.csr().nrows()];
+        let config = SolverConfig::relative(1e-6).with_max_iterations(20);
+        let solved = cg(&mut laned, &b, &config);
+        let mut exact = LanedCsr::new(second.csr_arc(), &lanes);
+        assert_eq!(exact.bands(), 2);
+        let mut ax = vec![0.0; b.len()];
+        exact.apply(&solved.x, &mut ax);
+        drop((first, second, laned, exact));
+        assert!(!weak.is_live());
     }
 
     #[test]

@@ -31,8 +31,8 @@ use refloat_core::autotune::{self, AutotuneConfig};
 use refloat_core::incremental::{reencode_incremental_on, IncrementalStats};
 use refloat_core::{ReFloatConfig, ReFloatMatrix};
 use refloat_solvers::{
-    refine_warm, solve_warm_split, LinearOperator, PrecisionLadder, RefinementStop, SolveResult,
-    SolverConfig,
+    refine_warm, solve_warm_split, LanedCsr, LinearOperator, PrecisionLadder, RefinementStop,
+    SolveResult, SolverConfig,
 };
 use refloat_sparse::parallel::Lanes;
 use refloat_telemetry::SpanKind;
@@ -512,6 +512,12 @@ impl JobContext<'_> {
         }
     }
 
+    /// The host's exact fp64 operator of `job`'s matrix, its rows split over the
+    /// worker's lanes: a refined solve's residuals and a warm start's guard.
+    fn exact(&self, job: &SolveJob) -> LanedCsr {
+        LanedCsr::new(job.matrix.csr_arc(), self.lanes)
+    }
+
     /// Stage 5: prices `phases` on the worker's chip.
     fn charge(&mut self, job: &SolveJob, phases: &[Phase<'_>]) -> SimulatedRun {
         let csr = job.matrix.csr();
@@ -610,7 +616,7 @@ impl JobContext<'_> {
             let solve_anchor = self.trace.now_s();
             let solve_started_s = self.core.clock.now_s();
             let operator = op.as_operator();
-            let (mut exact, config) = (csr, &job.solver_config);
+            let (mut exact, config) = (self.exact(job), &job.solver_config);
             let first = solve_warm_split(job.solver, operator, &mut exact, rhss[0], guess, config);
             solved.sequence.warm_start_used = first.path.used();
             solved.sequence.initial_residual = first.initial_residual;
@@ -675,7 +681,7 @@ impl JobContext<'_> {
     /// host-side fp64 work).  Every rung keeps the job's `b`, so every rung shares the
     /// layout and is priced over the same chips' bands.
     fn solve_refined(&mut self, job: &SolveJob, spec: &RefinementSpec, rhs: &[f64]) -> Solved {
-        let csr = job.matrix.csr();
+        let mut exact = self.exact(job);
         let seq = job.sequence.as_ref();
         let formats = spec.escalation.ladder(job.format);
         let config = spec.refinement_config();
@@ -696,7 +702,6 @@ impl JobContext<'_> {
         // a carried-over iterate typically starts decades below ‖b‖ and skips most of
         // the cold passes.
         let guess = seq.and_then(|s| s.initial_guess.as_deref().map(Vec::as_slice));
-        let mut exact = csr;
         let refined = refine_warm(&mut exact, rhs, guess, &mut ladder, &config);
         let CachedLadder {
             rungs,

@@ -39,7 +39,7 @@ pub use bicgstab::bicgstab;
 pub use cg::cg;
 pub use eigs::{EigenConfidence, EigenEstimate};
 pub use jacobi::Equilibration;
-pub use operator::{LinearOperator, OperatorStats};
+pub use operator::{LanedCsr, LinearOperator, OperatorStats};
 pub use refinement::{
     refine_warm, OperatorLadder, PrecisionLadder, RefinementConfig, RefinementPass,
     RefinementResult, RefinementStop,

@@ -1,8 +1,9 @@
 //! The operator abstraction the solvers are written against.
 
+use std::ops::Range;
 use std::sync::Arc;
 
-use refloat_sparse::parallel::Lanes;
+use refloat_sparse::parallel::{balance_by_weight, BandTask, Lanes, MIN_NNZ_PER_LANE};
 use refloat_sparse::vecops::{self, LanedVectors};
 use refloat_sparse::CsrMatrix;
 
@@ -112,6 +113,88 @@ impl LinearOperator for &CsrMatrix {
             CsrMatrix::ncols(self),
             self.nnz()
         )
+    }
+}
+
+/// The exact fp64 operator of a shared CSR matrix, its rows split over lanes: the
+/// host's residual `b − A·x` of a refined solve ([`refine_warm`](crate::refine_warm))
+/// and of a warm start's guard ([`solve_warm_split`](crate::solve_warm_split)).  The
+/// rows are cut into one band per lane, balanced by their non-zeros, when every lane
+/// gets at least [`MIN_NNZ_PER_LANE`] of them, as an encode's are; otherwise the apply
+/// is the plain [`CsrMatrix::spmv_into`] on the calling thread.  Each row is one lane's
+/// sum in column order ([`CsrMatrix::spmv_rows_into`]), so every bit is the one-thread
+/// product's.
+#[derive(Debug)]
+pub struct LanedCsr {
+    csr: Arc<CsrMatrix>,
+    lanes: Arc<Lanes>,
+    /// The row bands, the last the caller's; one band applies on the calling thread.
+    bands: Vec<Range<usize>>,
+    /// The input of the latest apply, which the helpers read.
+    x: Arc<Vec<f64>>,
+}
+
+impl LanedCsr {
+    /// `csr`'s exact operator on `lanes`.
+    pub fn new(csr: Arc<CsrMatrix>, lanes: &Arc<Lanes>) -> Self {
+        let count = lanes.count();
+        let bands = if count > 1 && csr.nnz() >= MIN_NNZ_PER_LANE * count {
+            let prefix: Vec<usize> = csr.row_ptr().iter().map(|&p| p as usize).collect();
+            balance_by_weight(&prefix, count)
+        } else {
+            std::iter::once(0..csr.nrows()).collect()
+        };
+        LanedCsr {
+            csr,
+            lanes: Arc::clone(lanes),
+            bands,
+            x: Arc::default(),
+        }
+    }
+
+    /// How many row bands an apply splits into.
+    pub fn bands(&self) -> usize {
+        self.bands.len()
+    }
+}
+
+impl LinearOperator for LanedCsr {
+    fn nrows(&self) -> usize {
+        self.csr.nrows()
+    }
+
+    fn ncols(&self) -> usize {
+        self.csr.ncols()
+    }
+
+    /// Each helper computes its band's rows from a shared copy of `x` into its output
+    /// band, which is copied into `y`; the caller computes the last band in place.
+    fn apply(&mut self, x: &[f64], y: &mut [f64]) {
+        let Some((last, helped)) = self.bands.split_last().filter(|(_, h)| !h.is_empty()) else {
+            return self.csr.spmv_into(x, y);
+        };
+        assert_eq!(x.len(), self.csr.ncols(), "CSR spmv: x length mismatch");
+        assert_eq!(y.len(), self.csr.nrows(), "CSR spmv: y length mismatch");
+        // The helpers let go of `x` before `run` returns, so this copies in place.
+        let shared = Arc::make_mut(&mut self.x);
+        shared.clear();
+        shared.extend_from_slice(x);
+        let tasks = helped.iter().map(|rows| {
+            let (csr, x, rows) = (Arc::clone(&self.csr), Arc::clone(&self.x), rows.clone());
+            Box::new(move |out: &mut Vec<f64>| {
+                out.resize(rows.len(), 0.0);
+                csr.spmv_rows_into(rows, &x, out);
+            }) as BandTask
+        });
+        let (head, tail) = y.split_at_mut(last.start);
+        let local = || self.csr.spmv_rows_into(last.clone(), x, tail);
+        self.lanes.run(tasks, local, |lane, out| {
+            head[helped[lane].clone()].copy_from_slice(out);
+        });
+    }
+
+    fn name(&self) -> String {
+        format!("{} on {} lanes", self.csr.name(), self.bands.len())
     }
 }
 

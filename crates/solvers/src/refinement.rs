@@ -568,6 +568,62 @@ mod tests {
     }
 
     #[test]
+    fn the_laned_exact_operator_refines_and_guards_as_the_csr_matrix_bit_for_bit() {
+        use crate::operator::LanedCsr;
+        use crate::{solve_warm_split, SolverConfig};
+        use refloat_sparse::parallel::{Lanes, MIN_NNZ_PER_LANE};
+        use std::sync::Arc;
+        let a = poisson(96);
+        assert!(a.nnz() >= 4 * MIN_NNZ_PER_LANE);
+        let shared = Arc::new(a.clone());
+        let b: Vec<f64> = (0..a.nrows()).map(|i| 1.0 + ((i % 5) as f64)).collect();
+        let config = RefinementConfig::to_target(1e-10);
+        let solver = SolverConfig::relative(1e-8).with_trace(false);
+        // A guess decades below ‖b‖ but short of the target takes the warm path.
+        let cold = refine_perturbed(&a, &b, None, 1e-3, &config);
+        let guess: Vec<f64> = (cold.x.iter().enumerate())
+            .map(|(i, v)| v * (1.0 + 1e-6 * (i % 3) as f64))
+            .collect();
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let residuals = |r: &RefinementResult| {
+            let pass =
+                |p: &RefinementPass| (p.residual_before.to_bits(), p.residual_after.to_bits());
+            let initial = r.initial_residual.map(f64::to_bits);
+            (initial, r.passes.iter().map(pass).collect::<Vec<_>>())
+        };
+        let lane_sets: Vec<_> = (1..=4)
+            .map(|count| Arc::new(Lanes::new(count).unwrap()))
+            .collect();
+        for x0 in [None, Some(&guess[..])] {
+            let refined = refine_warm(&mut &a, &b, x0, &mut perturbed_ladder(&a, 1e-3), &config);
+            let guarded =
+                solve_warm_split(SolverKind::Cg, &mut a.clone(), &mut &a, &b, x0, &solver);
+            assert_eq!(refined.warm_path == WarmPath::Cold, x0.is_none());
+            for lanes in &lane_sets {
+                let mut laned = LanedCsr::new(Arc::clone(&shared), lanes);
+                assert_eq!(laned.bands(), lanes.count());
+                let mut ladder = perturbed_ladder(&a, 1e-3);
+                let got = refine_warm(&mut laned, &b, x0, &mut ladder, &config);
+                let context = format!("{} lanes, guess {}", lanes.count(), x0.is_some());
+                assert_eq!(bits(&got.x), bits(&refined.x), "{context}");
+                assert_eq!(got.fp64_spmvs, refined.fp64_spmvs, "{context}");
+                assert_eq!(residuals(&got), residuals(&refined), "{context}");
+                assert_eq!(got.warm_path, refined.warm_path, "{context}");
+                let got =
+                    solve_warm_split(SolverKind::Cg, &mut a.clone(), &mut laned, &b, x0, &solver);
+                assert_eq!(bits(&got.result.x), bits(&guarded.result.x), "{context}");
+                assert_eq!(got.path, guarded.path, "{context}");
+                let initial = |w: &crate::WarmSolve| w.initial_residual.map(f64::to_bits);
+                assert_eq!(initial(&got), initial(&guarded), "{context}");
+                assert_eq!(
+                    got.result.spmv_count, guarded.result.spmv_count,
+                    "{context}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn no_guess_or_a_wrong_length_guess_is_the_cold_solve_bit_for_bit() {
         let a = poisson(14);
         let b: Vec<f64> = (0..a.nrows()).map(|i| 1.0 + ((i % 5) as f64)).collect();

@@ -35,11 +35,12 @@
 //! compares the arrays only for a structure built apart.
 
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::coo::CooMatrix;
 use crate::csr::{CsrMatrix, Structure};
 use crate::error::SparseError;
+use crate::vecops::Halo;
 use crate::Result;
 
 /// One row of the block table.
@@ -53,9 +54,9 @@ struct TableEntry {
 }
 
 /// The block-major structure of a sparse matrix: where every non-zero sits, without
-/// the values.  Equality is content equality; which structure object a layout holds
-/// does not take part.
-#[derive(Debug, PartialEq)]
+/// the values.  Equality is content equality; which structure object a layout holds,
+/// and which halos it has kept, do not take part.
+#[derive(Debug)]
 pub struct BlockLayout {
     nrows: usize,
     ncols: usize,
@@ -67,6 +68,17 @@ pub struct BlockLayout {
     /// Row order: the CSR structure the layout was blocked from, shared with every
     /// matrix over it — where each row's non-zeros start, and their global columns.
     structure: Arc<Structure>,
+    /// The halo of every band split a laned apply has asked for ([`halo`](Self::halo)):
+    /// run lists alone, nothing that keeps the structure alive.
+    halos: Mutex<Vec<Arc<Halo>>>,
+}
+
+impl PartialEq for BlockLayout {
+    fn eq(&self, other: &Self) -> bool {
+        (self.nrows, self.ncols, self.b) == (other.nrows, other.ncols, other.b)
+            && self.table == other.table
+            && self.structure == other.structure
+    }
 }
 
 /// One non-empty `2^b × 2^b` block of a [`BlockedMatrix`].
@@ -278,6 +290,7 @@ impl TableBuilder {
             b: self.b,
             table: self.table,
             structure: self.structure,
+            halos: Mutex::default(),
         }
     }
 }
@@ -403,6 +416,25 @@ impl BlockLayout {
     /// `col_idx`.
     pub fn col_idx(&self) -> &[u32] {
         &self.structure.col_idx
+    }
+
+    /// The [`Halo`] of a laned apply over the layout's rows cut into `bands`, band `k`
+    /// converting the input's columns `own[k]` itself.  It is a function of the
+    /// structure and the split alone, so the first call for a split computes it and the
+    /// layout keeps it for every later apply of every matrix over it — a transient
+    /// chain's steps share one.
+    pub fn halo(&self, bands: &[Range<usize>], own: &[Range<usize>]) -> Arc<Halo> {
+        // A panic under the lock, in a bad split's computation, leaves the list as it
+        // was: a poisoned guard still holds whole halos.
+        let mut halos = self.halos.lock().unwrap_or_else(PoisonError::into_inner);
+        let split = |halo: &&Arc<Halo>| (halo.bands(), halo.own()) == (bands, own);
+        if let Some(halo) = halos.iter().find(split) {
+            return Arc::clone(halo);
+        }
+        let (row_ptr, col_idx) = (self.row_ptr(), self.col_idx());
+        let halo = Arc::new(Halo::new(row_ptr, col_idx, self.ncols, bands, own));
+        halos.push(Arc::clone(&halo));
+        halo
     }
 
     /// Walks the non-zeros in row order, run by run: `visit(row_order, block,
@@ -745,6 +777,7 @@ mod tests {
             b,
             table,
             structure: Arc::clone(a.structure()),
+            halos: Mutex::default(),
         };
         BlockedMatrix {
             layout: Arc::new(layout),

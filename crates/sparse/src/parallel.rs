@@ -105,6 +105,14 @@ pub fn balance_by_weight(prefix: &[usize], chunks: usize) -> Vec<Range<usize>> {
     out
 }
 
+/// The fewest non-zeros per lane for which a sparse matrix's work splits over lanes:
+/// an encode's block-row bands, and the exact fp64 SpMV's row bands.  Handing a band
+/// to a helper and copying it back costs a few microseconds: on a 2-core x86-64 host a
+/// 2-lane split of a 2-D Laplacian's SpMV broke even near 4 k non-zeros per lane and
+/// gained from about 8 k, and an encode costs more per non-zero than an SpMV.  The
+/// `encode_lanes` bench measures a split encode, `cg_iteration_lanes` a split SpMV.
+pub const MIN_NNZ_PER_LANE: usize = 8192;
+
 /// How long a helper lane, or a caller waiting for one, spins before it blocks.  It
 /// covers the gap between two SpMVs of a Krylov iteration on the matrices this
 /// workspace solves, so a solve keeps its helpers awake from one apply to the next.
@@ -426,20 +434,23 @@ impl<T: Send + 'static> Resident<T> {
         self.lanes.run(tasks, || local(state), gather);
     }
 
-    /// `partial` of every state, computed on its lane, into `partials` in order: the
-    /// helpers' first, the caller's last.
+    /// `partial` of every helper's state, computed on its lane, and `local` of the
+    /// caller's, into `partials` in order: the helpers' first, the caller's last.
     ///
     /// # Panics
     /// Panics if `partials` does not hold one value per state.
-    pub fn partials<F>(&mut self, partial: F, partials: &mut [f64])
-    where
+    pub fn partials<F>(
+        &mut self,
+        partial: F,
+        local: impl FnOnce(&mut T) -> f64,
+        partials: &mut [f64],
+    ) where
         F: Fn(&mut T) -> f64 + Clone + Send + 'static,
     {
         let (helped, last) = partials.split_at_mut(self.helpers.len());
         let [last] = last else {
             panic!("one partial per resident state");
         };
-        let local = partial.clone();
         self.run(
             move |state, out| {
                 out.clear();

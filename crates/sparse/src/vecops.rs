@@ -24,10 +24,12 @@ use std::sync::Arc;
 use crate::parallel::{Lanes, Resident};
 
 /// The fewest elements per lane for which a solve spreads its vectors over lanes.  A
-/// laned CG iteration pays three round trips to the helpers, about 6 µs in all on a
-/// 2-core x86-64 host: on 2-D Laplacians a laned iteration broke even with the
-/// one-thread one near 1 k elements per lane, was 2× slower at 300 and gained from
-/// about 2 k.  The `cg_iteration_lanes` bench measures a whole iteration.
+/// laned CG iteration pays three round trips to the helpers, the apply's halo exchange
+/// among them, about 5 µs in all on a 2-core x86-64 host: on 2-D Laplacians in the
+/// `(7,3,8)(5,16)` format a 2-lane iteration broke even with the one-thread one near
+/// 1 k elements per lane (9.9 against 10.5 µs), was 2× slower at 300 and 30 % faster
+/// at 2 k (15.0 against 21.4 µs), so the minimum stays at 2 k.  The
+/// `cg_iteration_lanes` bench measures a whole iteration.
 pub const MIN_LEN_PER_LANE: usize = 2048;
 
 /// Leaf size of the pairwise reductions: small enough that the worst-case error of the
@@ -194,6 +196,11 @@ pub struct Band {
     pub p: Vec<f64>,
     /// The operator applied to the search direction.
     pub ap: Vec<f64>,
+    /// The operator's own copy of the input it converts from `p`, the whole vector
+    /// long: its band, converted in place, and the [`Halo`] imports its rows read.
+    /// Empty until an operator that converts its input (ReFloat's) sizes it, and kept
+    /// from one apply to the next.
+    pub input: Vec<f64>,
 }
 
 impl Band {
@@ -230,6 +237,7 @@ impl LanedVectors {
             r: b[range.clone()].to_vec(),
             p: b[range.clone()].to_vec(),
             ap: vec![0.0; range.len()],
+            input: Vec::new(),
         });
         LanedVectors {
             lanes: lanes.count(),
@@ -279,7 +287,16 @@ impl LanedVectors {
     where
         F: Fn(&mut Band) -> f64 + Clone + Send + 'static,
     {
-        self.bands.partials(partial, &mut self.partials);
+        self.reduce_apart(partial.clone(), partial)
+    }
+
+    /// [`reduce`](Self::reduce) with the caller's band through `local` and every
+    /// helper's through `partial`, for a phase whose caller reads what it alone holds.
+    pub fn reduce_apart<F>(&mut self, partial: F, local: impl FnOnce(&mut Band) -> f64) -> f64
+    where
+        F: Fn(&mut Band) -> f64 + Clone + Send + 'static,
+    {
+        self.bands.partials(partial, local, &mut self.partials);
         tree_sum(self.len(), self.lanes, &self.partials)
     }
 
@@ -322,6 +339,120 @@ impl LanedVectors {
         }
         x
     }
+}
+
+/// What the lanes of a laned apply exchange of its input vector.  Band `k` of the
+/// split converts the input's columns `own[k]` itself, into its own copy; its rows read
+/// other columns too.  Its *imports* are the runs of columns outside `own[k]` that its
+/// rows read, and its *exports* the runs of columns inside `own[k]` that another band's
+/// rows read.  One lane, the caller's, holds the shared copy: a helper sends it its
+/// exports, and takes its imports from it.
+///
+/// The runs depend on the matrix's structure and the split alone, so a block layout
+/// keeps them for every matrix over it (`BlockLayout::halo`).  They are found with a
+/// mark per column, one pass over each band's non-zeros and one over the marks.
+#[derive(Debug, PartialEq)]
+pub struct Halo {
+    bands: Vec<Range<usize>>,
+    own: Vec<Range<usize>>,
+    imports: Vec<Vec<Range<usize>>>,
+    exports: Vec<Vec<Range<usize>>>,
+}
+
+impl Halo {
+    /// The halo of the `ncols`-column matrix with row pointers `row_ptr` and columns
+    /// `col_idx`, its rows cut into `bands`, band `k` converting the columns `own[k]`.
+    ///
+    /// # Panics
+    /// Panics if `bands` and `own` differ in length, or a band or a column is out of
+    /// bounds.
+    pub(crate) fn new(
+        row_ptr: &[u32],
+        col_idx: &[u32],
+        ncols: usize,
+        bands: &[Range<usize>],
+        own: &[Range<usize>],
+    ) -> Self {
+        assert_eq!(bands.len(), own.len(), "Halo: one own range per band");
+        // The current band's reads outside its own columns, then every band's.
+        let (mut read, mut wanted) = (vec![false; ncols], vec![false; ncols]);
+        let mut imports = Vec::with_capacity(bands.len());
+        for (rows, own) in bands.iter().zip(own) {
+            let entries = row_ptr[rows.start] as usize..row_ptr[rows.end] as usize;
+            for &c in &col_idx[entries] {
+                let c = c as usize;
+                if !own.contains(&c) {
+                    read[c] = true;
+                }
+            }
+            let runs = marked_runs(&read, 0..ncols);
+            for run in &runs {
+                read[run.clone()].fill(false);
+                wanted[run.clone()].fill(true);
+            }
+            imports.push(runs);
+        }
+        Halo {
+            bands: bands.to_vec(),
+            own: own.to_vec(),
+            imports,
+            // A band's own columns are none of its imports, so what any band imports
+            // there is what another band reads.
+            exports: own
+                .iter()
+                .map(|own| marked_runs(&wanted, own.clone()))
+                .collect(),
+        }
+    }
+
+    /// The row bands, in order.
+    pub fn bands(&self) -> &[Range<usize>] {
+        &self.bands
+    }
+
+    /// The columns each band converts itself, in band order.
+    pub(crate) fn own(&self) -> &[Range<usize>] {
+        &self.own
+    }
+
+    /// The position of the band whose rows are `rows`.
+    ///
+    /// # Panics
+    /// Panics if no band starts at `rows.start`.
+    pub fn index(&self, rows: &Range<usize>) -> usize {
+        let found = self
+            .bands
+            .binary_search_by_key(&rows.start, |band| band.start);
+        found.expect("Halo: a band of the split")
+    }
+
+    /// The runs of columns outside band `k`'s own that its rows read.
+    pub fn imports(&self, k: usize) -> &[Range<usize>] {
+        &self.imports[k]
+    }
+
+    /// The runs of band `k`'s own columns that another band's rows read.
+    pub fn exports(&self, k: usize) -> &[Range<usize>] {
+        &self.exports[k]
+    }
+}
+
+/// The maximal runs of set marks among `marks[within]`, in order.
+fn marked_runs(marks: &[bool], within: Range<usize>) -> Vec<Range<usize>> {
+    let mut runs = Vec::new();
+    let mut start = None;
+    for (i, &marked) in marks[within.clone()].iter().enumerate() {
+        match (marked, start) {
+            (true, None) => start = Some(within.start + i),
+            (false, Some(s)) => {
+                runs.push(s..within.start + i);
+                start = None;
+            }
+            _ => {}
+        }
+    }
+    runs.extend(start.map(|s| s..within.end));
+    runs
 }
 
 /// Relative difference `‖x − y‖₂ / max(‖y‖₂, ε)`, a convenience for tests and
@@ -480,6 +611,91 @@ mod tests {
             ((got - expected) / expected).abs() < 1e-13,
             "norm2 drifted: {got} vs {expected}"
         );
+    }
+
+    /// The `n × n` CSR matrix with a one at every `(row, col)` of `cells`.
+    fn pattern(n: usize, cells: impl IntoIterator<Item = (usize, usize)>) -> crate::CsrMatrix {
+        let mut coo = crate::CooMatrix::new(n, n);
+        for (r, c) in cells {
+            coo.push(r, c, 1.0);
+        }
+        coo.to_csr()
+    }
+
+    /// The columns `runs` cover, in order.
+    fn covered(runs: &[Range<usize>]) -> Vec<usize> {
+        runs.iter().flat_map(Range::clone).collect()
+    }
+
+    #[test]
+    fn a_tridiagonal_halo_is_the_columns_beside_each_band_edge() {
+        let a = pattern(
+            10,
+            (0..10usize).flat_map(|i| [(i, i.saturating_sub(1)), (i, (i + 1).min(9))]),
+        );
+        let bands = [0..5, 5..10];
+        let halo = Halo::new(a.row_ptr(), a.col_idx(), 10, &bands, &bands);
+        // Each band reads its neighbour's edge column and sends its own to it.
+        let runs = |k| (covered(halo.imports(k)), covered(halo.exports(k)));
+        assert_eq!((runs(0), runs(1)), ((vec![5], vec![4]), (vec![4], vec![5])));
+        assert_eq!(
+            (halo.index(&(5..10)), halo.bands(), halo.own()),
+            (1, &bands[..], &bands[..])
+        );
+        // A band that converts none of its own columns imports every column it reads.
+        let halo = Halo::new(a.row_ptr(), a.col_idx(), 10, &bands, &[0..0, 10..10]);
+        assert_eq!(
+            (covered(halo.imports(0)), covered(halo.imports(1))),
+            ((0..6).collect(), (4..10).collect())
+        );
+        assert!(halo.exports(0).is_empty() && halo.exports(1).is_empty());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn the_halo_runs_are_the_columns_other_bands_read(
+            cells in proptest::collection::vec((0usize..60, 0usize..60), 0..300),
+            n in 1usize..60,
+            lanes in 1usize..=4,
+            trims in proptest::collection::vec((0usize..5, 0usize..5), 4),
+        ) {
+            use std::collections::BTreeSet;
+            let a = pattern(n, cells.iter().map(|&(r, c)| (r % n, c % n)));
+            let bands = tree_bands(n, lanes);
+            // Each band converts a sub-range of itself, as whole segments would.
+            let own: Vec<_> = bands
+                .iter()
+                .zip(&trims)
+                .map(|(band, &(lo, hi))| {
+                    let start = (band.start + lo).min(band.end);
+                    start..band.end.saturating_sub(hi).max(start)
+                })
+                .collect();
+            let halo = Halo::new(a.row_ptr(), a.col_idx(), n, &bands, &own);
+            let reads: Vec<BTreeSet<usize>> = bands
+                .iter()
+                .zip(&own)
+                .map(|(rows, own)| {
+                    let read = rows.clone().flat_map(|r| a.row(r).0.iter().map(|&c| c as usize));
+                    read.filter(|c| !own.contains(c)).collect()
+                })
+                .collect();
+            for (k, own) in own.iter().enumerate() {
+                let imports = covered(halo.imports(k));
+                proptest::prop_assert_eq!(&imports, &reads[k].iter().copied().collect::<Vec<_>>());
+                let others: BTreeSet<usize> =
+                    (0..bands.len()).filter(|&j| j != k).flat_map(|j| reads[j].clone()).collect();
+                let exports: Vec<usize> = others.into_iter().filter(|c| own.contains(c)).collect();
+                proptest::prop_assert_eq!(covered(halo.exports(k)), exports);
+                // Runs are maximal: no two touch.
+                for runs in [halo.imports(k), halo.exports(k)] {
+                    proptest::prop_assert!(runs.windows(2).all(|w| w[0].end < w[1].start));
+                    proptest::prop_assert!(runs.iter().all(|run| !run.is_empty()));
+                }
+            }
+        }
     }
 
     #[test]

@@ -123,7 +123,7 @@ fn a_one_worker_runtime_solves_on_its_lanes_and_keeps_the_serial_bits() {
     // CG solve keeps its vectors in bands on them.  The matrix is above both minimums
     // for up to four lanes.
     let a = refloat::matgen::generators::mass_matrix_3d(21, 21, 21, 1e-12, 0.8, 3).to_csr();
-    assert!(a.nnz() >= 4 * refloat::core::matrix::MIN_NNZ_PER_LANE);
+    assert!(a.nnz() >= 4 * refloat::sparse::parallel::MIN_NNZ_PER_LANE);
     assert!(a.nrows() >= 4 * refloat::sparse::vecops::MIN_LEN_PER_LANE);
     let format = ReFloatConfig::new(5, 3, 8, 5, 16);
     let config = SolverConfig::relative(1e-8).with_max_iterations(2_000);
