@@ -35,7 +35,7 @@ use std::sync::Arc;
 
 use crate::matrix::{ReFloatMatrix, Reuse};
 use refloat_sparse::blocked::BlockLayout;
-use refloat_sparse::parallel::Lanes;
+use refloat_sparse::parallel::{Lanes, MIN_NNZ_PER_LANE};
 use refloat_sparse::CsrMatrix;
 
 /// What the delta re-encode touched, in blocks and crossbar cells.
@@ -131,10 +131,21 @@ pub fn reencode_incremental_on(
     a: &Arc<CsrMatrix>,
     lanes: &Lanes,
 ) -> IncrementalEncode {
+    reencode_split(previous, previous_source, a, lanes, MIN_NNZ_PER_LANE)
+}
+
+/// [`reencode_incremental_on`], splitting at `min_nnz` non-zeros to quantize per lane.
+fn reencode_split(
+    previous: &ReFloatMatrix,
+    previous_source: &CsrMatrix,
+    a: &Arc<CsrMatrix>,
+    lanes: &Lanes,
+    min_nnz: usize,
+) -> IncrementalEncode {
     let config = *previous.config();
-    reencode(previous, previous_source, a, |reuse| match reuse {
-        Some(reuse) => ReFloatMatrix::encoded_on(previous.layout(), config, a, lanes, Some(reuse)),
-        None => ReFloatMatrix::from_csr_on(a, config, lanes),
+    reencode(previous, previous_source, a, |reuse| {
+        let layout = reuse.is_some().then(|| previous.layout());
+        ReFloatMatrix::encoded_on(a, config, layout, reuse, lanes, min_nnz)
     })
 }
 
@@ -299,7 +310,6 @@ mod tests {
     use proptest::prelude::*;
     use refloat_matgen::fem::poisson_2d;
     use refloat_matgen::transient::{perturb_symmetric_pairs, TransientChain, TransientSpec};
-    use refloat_sparse::parallel::MIN_NNZ_PER_LANE;
     use refloat_sparse::shard::block_row_shards_counting;
     use refloat_sparse::{blocked::Block, BlockedMatrix, CooMatrix};
     use std::collections::HashSet;
@@ -562,6 +572,36 @@ mod tests {
                     assert_same_encoding(&laned.matrix, &want);
                     assert_eq!(laned.stats, want_stats, "{label} on {count} lanes");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn a_split_reencode_at_any_size_is_the_one_band_reencode() {
+        // 130 rows in 8-row block rows: 17 block rows, the last one partial.
+        let base = poisson_2d(13, 10, 0.2, 3).to_csr();
+        let (n, block_rows) = (base.nrows(), base.nrows().div_ceil(8));
+        let previous = ReFloatMatrix::from_csr(&base, config());
+        let patterns: [(&str, &dyn Fn(usize) -> bool); 4] = [
+            ("all", &|_| true),
+            ("none", &|_| false),
+            ("alternate", &|brow| brow % 2 == 1),
+            ("the last", &|brow| brow == block_rows - 1),
+        ];
+        for (label, dirty) in patterns {
+            let mut vals = base.values().to_vec();
+            for r in (0..n).filter(|&r| dirty(r / 8)) {
+                let row = base.row_ptr()[r] as usize..base.row_ptr()[r + 1] as usize;
+                vals[row].iter_mut().for_each(|v| *v *= 1.0 + 1.0 / 64.0);
+            }
+            let next = Arc::new(base.with_values(vals));
+            let want = reencode_incremental(&previous, &base, &next);
+            let reused = want.stats.blocks_reused;
+            assert_eq!(reused == 0, label == "all", "{label}");
+            for count in 2..=4 {
+                let got = reencode_split(&previous, &base, &next, lanes(count), 0);
+                assert_same_encoding(&got.matrix, &want.matrix);
+                assert_eq!(got.stats, want.stats, "{label} on {count} lanes");
             }
         }
     }

@@ -67,20 +67,23 @@
 //!   its own copy of the quantized input and converts the whole `2^b` segments of its
 //!   band of `p` into it; the caller's copy is the shared one.  What the lanes exchange
 //!   is the [`Halo`] the layout keeps for the band split
-//!   ([`BlockLayout::halo`]): a helper sends the caller the raw pieces at its band's
-//!   edges and its *exports*, the runs of its converted values that another band's rows
-//!   read, and the caller converts the segments that straddle a band edge.  Then each
-//!   helper copies its *imports*, the runs outside its band that its rows read, from
-//!   the shared copy into its own, and each lane accumulates its band's rows into its
-//!   band of `A·p` and returns its part of `pᵀAp`.  The converter's bases and
-//!   statistics are the one-thread converter's.
-//! * **An encode** ([`from_csr_on`](ReFloatMatrix::from_csr_on), and the re-encode of
-//!   [`crate::incremental`]) runs `encode_bands` per band of block rows, balanced by the
-//!   non-zeros each quantizes, each helper reading the values through its own handle
-//!   on the CSR matrix.  A from-scratch encode reads the balance off the row pointers,
-//!   and each helper walks its own part of the block table, which the caller appends
-//!   in band order.  A re-encode's helper returns its changed rows alone; the caller
-//!   copies the unchanged ones from the predecessor.
+//!   ([`BlockLayout::halo`]): a helper returns to the caller the raw pieces at its
+//!   band's edges and its *exports*, the runs of its converted values that another
+//!   band's rows read, with its bases and statistics, and the caller converts the
+//!   segments that straddle a band edge.  Then each helper copies its *imports*, the
+//!   runs outside its band that its rows read, from the shared copy into its own, and
+//!   each lane accumulates its band's rows into its band of `A·p` and returns its part
+//!   of `pᵀAp`.  The converter's bases and statistics are the one-thread converter's.
+//! * **An encode** ([`from_csr_on`](ReFloatMatrix::from_csr_on), an encode over a
+//!   donor's layout, and the re-encode of [`crate::incremental`]) is one function: it runs
+//!   `encode_bands` per band of block rows, balanced by the non-zeros each quantizes,
+//!   each helper reading the values through its own handle on the CSR matrix and
+//!   returning its band's decoded values and bases.  Over a known layout a helper reads
+//!   its table; from scratch it walks its own part of a new block table and returns
+//!   that too, and the caller appends the parts in band order.  A re-encode's helper
+//!   returns its changed rows alone; the caller copies the unchanged ones from the
+//!   predecessor.  On one lane, or below the per-lane minimum, it is the
+//!   one-band encode on the calling thread.
 //!
 //! Every other apply — BiCGSTAB's, a faulty device's — is a one-thread row loop,
 //! and so is a solve's on one lane; the clean one is `refloat-sparse`'s one row loop
@@ -90,7 +93,7 @@
 //! the lane count; only host time does.
 
 use std::ops::Range;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 use crate::block::rounded_mean;
 use crate::format::{ReFloatConfig, RoundingMode, UnderflowMode};
@@ -104,7 +107,7 @@ use refloat_solvers::operator::apply_gathered;
 use refloat_solvers::LinearOperator;
 use refloat_sparse::blocked::{block_row_spans, BlockLayout, TableBuilder};
 use refloat_sparse::csr::row_sums;
-use refloat_sparse::parallel::{BandTask, Lanes, MIN_NNZ_PER_LANE};
+use refloat_sparse::parallel::{Lanes, MIN_NNZ_PER_LANE};
 use refloat_sparse::shard::block_row_shards_counting;
 use refloat_sparse::vecops::{self, Halo, LanedVectors, MIN_LEN_PER_LANE};
 use refloat_sparse::{BlockedMatrix, CsrMatrix};
@@ -208,15 +211,14 @@ impl ReFloatMatrix {
     /// the [module docs](self)).
     pub fn from_csr(a: &CsrMatrix, config: ReFloatConfig) -> Self {
         let mut table = Self::table_of(a, config);
-        let (mut eb, mut decoded) = (Vec::new(), vec![0.0; a.nnz()]);
+        let mut decoded = vec![0.0; a.nnz()];
         let blocks = Blocks::Found(a, &mut table);
-        encode_rows(
+        let eb = encode_rows(
             blocks,
             &config,
             a.values(),
             None,
             0..a.nrows(),
-            &mut eb,
             &mut decoded,
         );
         Self::from_parts(&Arc::new(table.finish()), config, eb, decoded)
@@ -229,7 +231,7 @@ impl ReFloatMatrix {
     /// `a`.  The result is [`from_csr`](Self::from_csr)'s, bit for bit.  A matrix with
     /// fewer than [`MIN_NNZ_PER_LANE`] non-zeros per lane encodes on the calling thread.
     pub fn from_csr_on(a: &Arc<CsrMatrix>, config: ReFloatConfig, lanes: &Lanes) -> Self {
-        Self::found_on(a, config, lanes, MIN_NNZ_PER_LANE)
+        Self::encoded_on(a, config, None, None, lanes, MIN_NNZ_PER_LANE)
     }
 
     /// [`from_csr_on`](Self::from_csr_on) over `donor`'s layout, when `a` has the
@@ -248,85 +250,13 @@ impl ReFloatMatrix {
         lanes: &Lanes,
     ) -> Self {
         let layout = donor.layout();
-        if donor.config.b == config.b && layout.lays_out(a) {
-            Self::encoded_on(layout, config, a, lanes, None)
-        } else {
-            Self::from_csr_on(a, config, lanes)
-        }
+        let adopted = (donor.config.b == config.b && layout.lays_out(a)).then_some(layout);
+        Self::encoded_on(a, config, adopted, None, lanes, MIN_NNZ_PER_LANE)
     }
 
     /// An empty block table of `a` in blocks of the configuration's `b`.
     fn table_of(a: &CsrMatrix, config: ReFloatConfig) -> TableBuilder {
         TableBuilder::new(a, config.b).expect("valid block exponent from a validated ReFloatConfig")
-    }
-
-    /// [`from_csr_on`](Self::from_csr_on), splitting at `min_nnz` non-zeros per lane: a
-    /// helper encodes its band into its own decoded values, bases and part of the table,
-    /// and sends the three back; the caller encodes the last band into the result, then
-    /// copies the helpers' values in, and joins the bases and the table parts in band
-    /// order, its own last.
-    fn found_on(a: &Arc<CsrMatrix>, config: ReFloatConfig, lanes: &Lanes, min_nnz: usize) -> Self {
-        let row_ptr = a.row_ptr();
-        let (bands, nnz) = block_row_shards_counting(row_ptr, config.b, lanes.count(), |_| true);
-        if bands.len() < 2 || nnz < min_nnz * bands.len() {
-            return Self::from_csr(a, config);
-        }
-        let mut table = Self::table_of(a, config);
-        let (last, helped) = bands.split_last().expect("a split has two bands");
-        let span = |rows: &Range<usize>| row_ptr[rows.start] as usize..row_ptr[rows.end] as usize;
-        let (sent, parts) = mpsc::channel();
-        let tasks = helped.iter().enumerate().map(|(lane, rows)| {
-            let (a, rows, sent) = (Arc::clone(a), rows.clone(), sent.clone());
-            let mut part = table.part(rows.start >> config.b);
-            // The band's values, allocated here so that the caller's allocator, which
-            // frees them once they are copied in, can reuse them.
-            let mut decoded = vec![0.0; span(&rows).len()];
-            Box::new(move |_: &mut Vec<f64>| {
-                let mut eb = Vec::new();
-                let blocks = Blocks::Found(&a, &mut part);
-                encode_rows(
-                    blocks,
-                    &config,
-                    a.values(),
-                    None,
-                    rows,
-                    &mut eb,
-                    &mut decoded,
-                );
-                sent.send((lane, decoded, eb, part))
-                    .expect("the caller waits for every band");
-            }) as BandTask
-        });
-        let (mut decoded, mut last_eb) = (vec![0.0; a.nnz()], Vec::new());
-        let mut last_part = table.part(last.start >> config.b);
-        let (head, tail) = decoded.split_at_mut(row_ptr[last.start] as usize);
-        lanes.run(
-            tasks,
-            || {
-                let blocks = Blocks::Found(a, &mut last_part);
-                encode_rows(
-                    blocks,
-                    &config,
-                    a.values(),
-                    None,
-                    last.clone(),
-                    &mut last_eb,
-                    tail,
-                );
-            },
-            |_, _| {},
-        );
-        let mut parts: Vec<_> = parts.try_iter().collect();
-        parts.sort_unstable_by_key(|&(lane, ..)| lane);
-        let mut eb = Vec::new();
-        for (lane, values, bases, part) in parts {
-            head[span(&helped[lane])].copy_from_slice(&values);
-            eb.extend(bases);
-            table.append(part);
-        }
-        eb.extend(last_eb);
-        table.append(last_part);
-        Self::from_parts(&Arc::new(table.finish()), config, eb, decoded)
     }
 
     /// The encode: `vals`, one per non-zero in `layout`'s row order, one block-row band
@@ -341,105 +271,109 @@ impl ReFloatMatrix {
     ) -> Self {
         assert_eq!(vals.len(), layout.nnz(), "ReFloatMatrix: one value per nnz");
         let delta = reuse.map(|reuse| reuse.delta(layout));
-        let mut eb = Vec::with_capacity(layout.num_blocks());
         let mut decoded = vec![0.0; vals.len()];
         let rows = 0..layout.nrows();
-        let blocks = Blocks::Known(layout);
-        encode_rows(blocks, &config, vals, delta, rows, &mut eb, &mut decoded);
+        let eb = encode_rows(
+            Blocks::Known(layout),
+            &config,
+            vals,
+            delta,
+            rows,
+            &mut decoded,
+        );
         Self::from_parts(layout, config, eb, decoded)
     }
 
-    /// [`encoded`](Self::encoded) from `a`'s values, over `lanes`: every band of block
-    /// rows but the last on a helper, the bands balanced by the non-zeros they quantize
-    /// (the dirty rows').  A helper writes its dirty rows' decoded values and then all
-    /// its bases into its output band; the caller copies those values back, and the
-    /// helpers' clean rows straight from the predecessor, and gathers the bases in table
-    /// order, then appends its own band's.  Fewer than [`MIN_NNZ_PER_LANE`] non-zeros
-    /// to quantize per lane encode on the calling thread.
+    /// The encode of `a` split over `lanes`, one band of block rows per lane, balanced by
+    /// the non-zeros each quantizes: over `layout` when it is known (with `reuse`, a
+    /// re-encode: only the dirty rows' non-zeros count), else finding the blocks, each
+    /// band walking its own part of a new table.  A helper returns its band's decoded
+    /// values (a re-encode's dirty rows' alone), its bases and its table part; the
+    /// caller encodes the last band straight into the result, then copies the helpers'
+    /// values in, and a re-encode's clean rows from the predecessor, and joins the bases
+    /// and the table parts in band order, its own last.  With fewer than `min_nnz`
+    /// non-zeros to quantize per lane it is the one-band encode on the calling thread,
+    /// [`encoded`](Self::encoded) or [`from_csr`](Self::from_csr).
     pub(crate) fn encoded_on(
-        layout: &Arc<BlockLayout>,
-        config: ReFloatConfig,
         a: &Arc<CsrMatrix>,
-        lanes: &Lanes,
+        config: ReFloatConfig,
+        layout: Option<&Arc<BlockLayout>>,
         reuse: Option<Reuse<'_>>,
+        lanes: &Lanes,
+        min_nnz: usize,
     ) -> Self {
+        let (row_ptr, b) = (a.row_ptr(), config.b);
         let dirty = |brow: usize| reuse.is_none_or(|reuse| reuse.dirty[brow]);
-        let (row_ptr, b, count) = (layout.row_ptr(), layout.b(), lanes.count());
-        let (bands, quantized) = block_row_shards_counting(row_ptr, b, count, dirty);
-        if bands.len() < 2 || quantized < MIN_NNZ_PER_LANE * bands.len() {
-            return Self::encoded(layout, config, a.values(), reuse);
+        let (bands, quantized) = block_row_shards_counting(row_ptr, b, lanes.count(), dirty);
+        if bands.len() < 2 || quantized < min_nnz * bands.len() {
+            return match layout {
+                Some(layout) => Self::encoded(layout, config, a.values(), reuse),
+                None => Self::from_csr(a, config),
+            };
         }
-        assert_eq!(a.nnz(), layout.nnz(), "ReFloatMatrix: one value per nnz");
-        let delta = reuse.map(|reuse| reuse.delta(layout));
+        let one_each = layout.is_none_or(|layout| layout.nnz() == a.nnz());
+        assert!(one_each, "ReFloatMatrix: one value per nnz");
+        let delta = reuse.map(|reuse| reuse.delta(layout.expect("a reuse is over a layout")));
+        let mut table = layout.is_none().then(|| Self::table_of(a, config));
         // What a helper reads the predecessor from, shared.
         let shared = reuse.map(|reuse| {
             let encoded = Arc::clone(&reuse.previous.encoded);
             (encoded, Arc::<[bool]>::from(reuse.dirty))
         });
-        let dirty_len = |rows: &Range<usize>| -> usize {
-            let spans = layout.block_row_spans(rows.clone());
-            spans
-                .filter(|(brow, _)| dirty(*brow))
-                .map(|(_, span)| span.len())
-                .sum()
-        };
         let (last, helped) = bands.split_last().expect("a split has two bands");
         let tasks = helped.iter().map(|rows| {
-            let (layout, a, shared, rows, len) = (
-                Arc::clone(layout),
-                Arc::clone(a),
-                shared.clone(),
-                rows.clone(),
-                dirty_len(rows),
-            );
-            // The band's output, allocated here at its exact size so that the caller's
-            // allocator, which frees it once it is copied back, can reuse it.
-            let blocks = layout.blocks_in_rows(rows.clone());
-            let mut out = Vec::with_capacity(len + blocks);
-            Box::new(move |band: &mut Vec<f64>| {
-                let mut eb = Vec::with_capacity(blocks);
-                out.resize(len, 0.0);
+            let (a, layout, shared, rows) =
+                (Arc::clone(a), layout.cloned(), shared.clone(), rows.clone());
+            let mut part = table.as_ref().map(|table| table.part(rows.start >> b));
+            // The band's values, allocated here so that the caller's allocator, which
+            // frees them once they are copied in, can reuse them.
+            let spans = block_row_spans(row_ptr, b, rows.clone());
+            let len = spans
+                .filter(|(brow, _)| dirty(*brow))
+                .map(|(_, span)| span.len())
+                .sum();
+            let mut decoded = vec![0.0; len];
+            move || {
                 let delta = shared.as_ref().map(|(previous, dirty)| Delta {
                     previous,
                     dirty,
                     copy_values: false,
                 });
-                let blocks = Blocks::Known(&layout);
-                encode_rows(blocks, &config, a.values(), delta, rows, &mut eb, &mut out);
-                out.extend(eb.iter().map(|&base| f64::from(base)));
-                *band = out;
-            }) as BandTask
+                let blocks = Blocks::of(&a, layout.as_ref(), part.as_mut());
+                let eb = encode_rows(blocks, &config, a.values(), delta, rows, &mut decoded);
+                (decoded, eb, part)
+            }
         });
-        let (mut eb, mut last_eb) = (Vec::with_capacity(layout.num_blocks()), Vec::new());
-        let mut decoded = vec![0.0; layout.nnz()];
-        let (head, tail) = decoded.split_at_mut(layout.row_ptr()[last.start] as usize);
-        lanes.run(
-            tasks,
-            || {
-                let blocks = Blocks::Known(layout);
-                encode_rows(
-                    blocks,
-                    &config,
-                    a.values(),
-                    delta,
-                    last.clone(),
-                    &mut last_eb,
-                    tail,
-                )
-            },
-            |lane, band| {
-                let (mut vals, bases) = band.split_at(dirty_len(&helped[lane]));
-                for (brow, span) in layout.block_row_spans(helped[lane].clone()) {
-                    let from = match delta.filter(|delta| !delta.dirty[brow]) {
-                        Some(delta) => &delta.previous.decoded[span.clone()],
-                        None => vals.split_off(..span.len()).expect("a dirty row's values"),
-                    };
-                    head[span].copy_from_slice(from);
-                }
-                eb.extend(bases.iter().map(|&base| base as i32));
-            },
-        );
+        let mut decoded = vec![0.0; a.nnz()];
+        let (head, tail) = decoded.split_at_mut(row_ptr[last.start] as usize);
+        let mut last_part = table.as_ref().map(|table| table.part(last.start >> b));
+        let (encoded, last_eb) = lanes.run(tasks, || {
+            let blocks = Blocks::of(a, layout, last_part.as_mut());
+            encode_rows(blocks, &config, a.values(), delta, last.clone(), tail)
+        });
+        let mut eb = Vec::with_capacity(layout.map_or(0, |layout| layout.num_blocks()));
+        for (rows, (values, bases, part)) in helped.iter().zip(encoded) {
+            let mut values = &values[..];
+            for (brow, span) in block_row_spans(row_ptr, b, rows.clone()) {
+                let from = match delta.filter(|delta| !delta.dirty[brow]) {
+                    Some(delta) => &delta.previous.decoded[span.clone()],
+                    None => values
+                        .split_off(..span.len())
+                        .expect("a dirty row's values"),
+                };
+                head[span].copy_from_slice(from);
+            }
+            eb.extend(bases);
+            if let Some((table, part)) = table.as_mut().zip(part) {
+                table.append(part);
+            }
+        }
         eb.extend(last_eb);
+        let found = table.zip(last_part).map(|(mut table, part)| {
+            table.append(part);
+            Arc::new(table.finish())
+        });
+        let layout = found.as_ref().or(layout).expect("a layout, known or found");
         Self::from_parts(layout, config, eb, decoded)
     }
 
@@ -600,10 +534,11 @@ impl ReFloatMatrix {
     /// The convert phase of a laned solve's apply, after `p ← r + βp` on every band:
     /// each lane converts the whole segments inside its band of `p` into its own copy
     /// of the quantized input — a helper into its band's, the caller straight into the
-    /// shared one — and a helper sends back only the raw pieces at its band's edges, its
-    /// `halo` exports, their bases and its statistics.  The caller writes those into the
-    /// shared copy, then converts the segments that straddle a band edge.  The bases and
-    /// statistics are the one-thread converter's.
+    /// shared one — and a helper returns only what the shared copy takes from it (the
+    /// raw pieces at its band's edges and its `halo` exports, [`sent_runs`]), its bases
+    /// and its statistics.  The caller writes those into the shared copy, then converts
+    /// the segments that straddle a band edge.  The bases and statistics are the
+    /// one-thread converter's.
     fn convert_bands(&mut self, vectors: &mut LanedVectors, beta: Option<f64>, halo: &Arc<Halo>) {
         let (config, n, seg) = (self.config, self.ncols, self.config.block_size());
         let xq = self.quantized_input.buffer(n);
@@ -613,59 +548,35 @@ impl ReFloatMatrix {
         let last_whole = whole_segments(last, n, seg).0;
         let (head, tail) = xq.split_at_mut(last.start);
         let (bases_head, bases_tail) = bases.split_at_mut(last_whole.start);
-        let mut local_stats = ConversionStats::default();
-        let exports = Arc::clone(halo);
-        vectors.run(
-            move |band, out| {
+        let shared = Arc::clone(halo);
+        let (converted, local_stats) = vectors.run(
+            move |band| {
                 band.direction(beta);
                 let (range, p) = (&band.range, &band.p);
-                let (whole, own) = whole_segments(range, n, seg);
                 band.input.resize(n, 0.0);
-                let mut bases = vec![0; whole.len()];
-                let stats = convert_band(
-                    &config,
-                    n,
-                    range,
-                    p,
-                    &mut band.input[range.clone()],
-                    &mut bases,
-                );
-                out.clear();
-                out.extend_from_slice(&band.input[range.start..own.start]);
-                out.extend_from_slice(&band.input[own.end..range.end]);
-                for run in exports.exports(exports.index(range)) {
-                    out.extend_from_slice(&band.input[run.clone()]);
+                let mut bases = vec![0; whole_segments(range, n, seg).0.len()];
+                let out = &mut band.input[range.clone()];
+                let stats = convert_band(&config, n, range, p, out, &mut bases);
+                let mut sent = Vec::new();
+                for run in sent_runs(&shared, shared.index(range), n, seg) {
+                    sent.extend_from_slice(&band.input[run]);
                 }
-                out.extend(bases.iter().map(|&base| f64::from(base)));
-                out.extend([stats.saturated, stats.flushed, stats.nonzero].map(|c| c as f64));
+                (sent, bases, stats)
             },
             |band| {
                 band.direction(beta);
-                local_stats = convert_band(&config, n, &band.range, &band.p, tail, bases_tail);
-            },
-            |lane, out| {
-                let band = &ranges[lane];
-                let (whole, own) = whole_segments(band, n, seg);
-                let (low, rest) = out.split_at(own.start - band.start);
-                let (high, mut rest) = rest.split_at(band.end - own.end);
-                head[band.start..own.start].copy_from_slice(low);
-                head[own.end..band.end].copy_from_slice(high);
-                for run in halo.exports(lane) {
-                    let (values, more) = rest.split_at(run.len());
-                    head[run.clone()].copy_from_slice(values);
-                    rest = more;
-                }
-                let (band_bases, counts) = rest.split_at(whole.len());
-                for (base, &got) in bases_head[whole].iter_mut().zip(band_bases) {
-                    *base = got as i32;
-                }
-                stats.add(&ConversionStats {
-                    saturated: counts[0] as usize,
-                    flushed: counts[1] as usize,
-                    nonzero: counts[2] as usize,
-                });
+                convert_band(&config, n, &band.range, &band.p, tail, bases_tail)
             },
         );
+        for (lane, (sent, band_bases, band_stats)) in converted.into_iter().enumerate() {
+            let mut rest = &sent[..];
+            for run in sent_runs(halo, lane, n, seg) {
+                let values = rest.split_off(..run.len()).expect("a sent run's values");
+                head[run].copy_from_slice(values);
+            }
+            bases_head[whole_segments(&ranges[lane], n, seg).0].copy_from_slice(&band_bases);
+            stats.add(&band_stats);
+        }
         stats.add(&local_stats);
         // The straddling segments: between one band's whole segments and the next's.  The
         // last band ends the vector, so its whole segments end the segments.
@@ -685,6 +596,22 @@ impl ReFloatMatrix {
             next = next.max(whole.end);
         }
     }
+}
+
+/// The runs of band `k`'s copy of the quantized input of an `n`-vector, cut by `halo`
+/// into `2^b`-long segments of `seg`, that the shared copy takes from it: the raw
+/// pieces of the segments that straddle its edges, then its exports.
+fn sent_runs(
+    halo: &Halo,
+    k: usize,
+    n: usize,
+    seg: usize,
+) -> impl Iterator<Item = Range<usize>> + '_ {
+    let band = &halo.bands()[k];
+    let own = whole_segments(band, n, seg).1;
+    [band.start..own.start, own.end..band.end]
+        .into_iter()
+        .chain(halo.exports(k).iter().cloned())
 }
 
 /// Converts the whole segments inside the band `range` of an `n`-vector from its `p`
@@ -713,6 +640,23 @@ enum Blocks<'a> {
     /// In the exponent pass over the matrix's row order, which walks each band into
     /// the table as it sums.
     Found(&'a CsrMatrix, &'a mut TableBuilder),
+}
+
+impl<'a> Blocks<'a> {
+    /// The known `layout`, or else `a`'s blocks, found into `part`.
+    ///
+    /// # Panics
+    /// Panics if neither is given.
+    fn of(
+        a: &'a CsrMatrix,
+        layout: Option<&'a Arc<BlockLayout>>,
+        part: Option<&'a mut TableBuilder>,
+    ) -> Self {
+        match (layout, part) {
+            (Some(layout), _) => Blocks::Known(layout),
+            (None, part) => Blocks::Found(a, part.expect("a table part to find the blocks in")),
+        }
+    }
 }
 
 /// Encodes `vals`, one per non-zero in the row order, for one rounding (`NEAREST`) ×
@@ -853,16 +797,15 @@ fn block_base(sums: &mut (u64, u64), max_offset: i32, eb: &mut Vec<i32>) -> (i32
 }
 
 /// [`encode_bands`] over the block rows `rows` covers, the rounding and underflow
-/// modes chosen once.
+/// modes chosen once; returns the bases.
 fn encode_rows(
     blocks: Blocks<'_>,
     config: &ReFloatConfig,
     vals: &[f64],
     delta: Option<Delta<'_>>,
     rows: Range<usize>,
-    eb: &mut Vec<i32>,
     decoded: &mut [f64],
-) {
+) -> Vec<i32> {
     use {RoundingMode::*, UnderflowMode::*};
     let encode = match (config.rounding, config.underflow) {
         (Truncate, Saturate) => encode_bands::<false, false>,
@@ -870,7 +813,9 @@ fn encode_rows(
         (RoundNearest, Saturate) => encode_bands::<true, false>,
         (RoundNearest, FlushToZero) => encode_bands::<true, true>,
     };
-    encode(blocks, config, vals, delta, rows, eb, decoded);
+    let mut eb = Vec::new();
+    encode(blocks, config, vals, delta, rows, &mut eb, decoded);
+    eb
 }
 
 /// `v`'s exact exponent, biased — `12 − leading_zeros` for a subnormal, whose leading
@@ -1435,7 +1380,7 @@ pub(crate) mod tests {
             let want = ReFloatMatrix::encoded(&layout, config, a.values(), None);
             let one_pass = [
                 ReFloatMatrix::from_csr(&a, config),
-                ReFloatMatrix::found_on(&a, config, lanes(2), 0),
+                ReFloatMatrix::encoded_on(&a, config, None, None, lanes(2), 0),
             ];
             for (lanes, got) in one_pass.iter().enumerate() {
                 let context = format!(
@@ -1574,24 +1519,21 @@ pub(crate) mod tests {
             read.chain(whole_segments(rows, n, seg).1)
                 .collect::<Vec<_>>()
         };
-        let ranges = vectors.ranges().to_vec();
-        let mut reads: Vec<_> = ranges
-            .iter()
-            .map(|rows| (columns(&m.layout, rows), Vec::new()))
-            .collect();
         let layout = Arc::clone(&m.layout);
-        let last = ranges.len() - 1;
         let shared = m.quantized_input.as_slice();
-        let (helped, caller) = reads.split_at_mut(last);
-        vectors.run(
-            move |band, out| {
-                out.clear();
+        let (mut reads, caller) = vectors.run(
+            move |band| {
                 let read = columns(&layout, &band.range);
-                out.extend(read.iter().map(|&c| band.input[c]));
+                let held = read.iter().map(|&c| band.input[c]).collect();
+                (read, held)
             },
-            |_| caller[0].1 = caller[0].0.iter().map(|&c| shared[c]).collect(),
-            |lane, out| helped[lane].1 = out.to_vec(),
+            |band| {
+                let read = columns(&m.layout, &band.range);
+                let held = read.iter().map(|&c| shared[c]).collect();
+                (read, held)
+            },
         );
+        reads.push(caller);
         reads
     }
 
@@ -1973,6 +1915,14 @@ pub(crate) mod tests {
             prop_assert_eq!(got.bases(), want.bases());
             crate::incremental::assert_bitwise_identical(&got, &want);
             prop_assert_eq!(got.shares_layout_with(&donor), same && b == donor_b);
+            // The split encode at any size, over the donor's layout when it is `a`'s.
+            let known = (same && b == donor_b).then(|| donor.layout());
+            for count in 2..=4 {
+                let split = ReFloatMatrix::encoded_on(&a, config, known, None, lanes(count), 0);
+                prop_assert_eq!(split.bases(), want.bases());
+                crate::incremental::assert_bitwise_identical(&split, &want);
+                prop_assert_eq!(split.shares_layout_with(&donor), known.is_some());
+            }
             match kind {
                 0 => prop_assert!(same),
                 1 => prop_assert!(!same),

@@ -3,7 +3,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use refloat_sparse::parallel::{balance_by_weight, BandTask, Lanes, MIN_NNZ_PER_LANE};
+use refloat_sparse::parallel::{balance_by_weight, Lanes, MIN_NNZ_PER_LANE};
 use refloat_sparse::vecops::{self, LanedVectors};
 use refloat_sparse::CsrMatrix;
 
@@ -167,8 +167,8 @@ impl LinearOperator for LanedCsr {
         self.csr.ncols()
     }
 
-    /// Each helper computes its band's rows from a shared copy of `x` into its output
-    /// band, which is copied into `y`; the caller computes the last band in place.
+    /// Each helper computes its band's rows from a shared copy of `x` and returns them,
+    /// to be copied into `y`; the caller computes the last band in place.
     fn apply(&mut self, x: &[f64], y: &mut [f64]) {
         let Some((last, helped)) = self.bands.split_last().filter(|(_, h)| !h.is_empty()) else {
             return self.csr.spmv_into(x, y);
@@ -181,16 +181,19 @@ impl LinearOperator for LanedCsr {
         shared.extend_from_slice(x);
         let tasks = helped.iter().map(|rows| {
             let (csr, x, rows) = (Arc::clone(&self.csr), Arc::clone(&self.x), rows.clone());
-            Box::new(move |out: &mut Vec<f64>| {
-                out.resize(rows.len(), 0.0);
-                csr.spmv_rows_into(rows, &x, out);
-            }) as BandTask
+            move || {
+                let mut out = vec![0.0; rows.len()];
+                csr.spmv_rows_into(rows, &x, &mut out);
+                out
+            }
         });
         let (head, tail) = y.split_at_mut(last.start);
-        let local = || self.csr.spmv_rows_into(last.clone(), x, tail);
-        self.lanes.run(tasks, local, |lane, out| {
-            head[helped[lane].clone()].copy_from_slice(out);
-        });
+        let (outs, ()) = self
+            .lanes
+            .run(tasks, || self.csr.spmv_rows_into(last.clone(), x, tail));
+        for (rows, out) in helped.iter().zip(outs) {
+            head[rows.clone()].copy_from_slice(&out);
+        }
     }
 
     fn name(&self) -> String {

@@ -151,13 +151,25 @@ impl CsrMatrix {
 
     /// [`from_coo`](Self::from_coo), or, before allocating anything,
     /// [`SparseError::IndexTooWide`] when the row count, the entry count or a column
-    /// index does not fit `u32` — the check for a Matrix Market file read into COO.
+    /// index does not fit `u32` — the check for a Matrix Market file read into COO —
+    /// and [`SparseError::TooManyRows`] when the host refuses the memory of the
+    /// per-row arrays.
     pub fn try_from_coo(coo: &CooMatrix) -> Result<Self> {
         let (nrows, ncols, nnz_in) = (coo.nrows(), coo.ncols(), coo.nnz());
         fits_32_bits(nrows, nnz_in, coo.col_indices().iter().copied().max())?;
+        // A size line may claim billions of rows with no entry under them.
+        let row_array = || -> Result<Vec<u32>> {
+            let mut array = Vec::new();
+            let refused = array.try_reserve_exact(nrows + 1).is_err();
+            if refused {
+                return Err(SparseError::TooManyRows { rows: nrows });
+            }
+            array.resize(nrows + 1, 0);
+            Ok(array)
+        };
 
         // Counting sort by row.
-        let mut counts = vec![0u32; nrows + 1];
+        let mut counts = row_array()?;
         for &r in coo.row_indices() {
             counts[r + 1] += 1;
         }
@@ -166,7 +178,8 @@ impl CsrMatrix {
         }
         let mut order_cols = vec![0u32; nnz_in];
         let mut order_vals = vec![0.0f64; nnz_in];
-        let mut cursor = counts.clone();
+        let mut cursor = row_array()?;
+        cursor.copy_from_slice(&counts);
         for (r, c, v) in coo.iter() {
             let k = cursor[r] as usize;
             order_cols[k] = c as u32;
@@ -176,7 +189,7 @@ impl CsrMatrix {
 
         // Sort within each row by column and merge duplicates, each run summed in order
         // into its first entry.
-        let mut row_ptr = vec![0; nrows + 1];
+        let mut row_ptr = row_array()?;
         let mut col_idx = Vec::with_capacity(nnz_in);
         let mut vals = Vec::with_capacity(nnz_in);
         let mut scratch: Vec<(u32, f64)> = Vec::new();

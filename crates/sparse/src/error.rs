@@ -31,6 +31,11 @@ pub enum SparseError {
         /// Its value.
         value: usize,
     },
+    /// A matrix with more rows than the host would allocate its per-row arrays for.
+    TooManyRows {
+        /// The row count.
+        rows: usize,
+    },
     /// Two containers that must agree in length (e.g. triplet arrays) did not.
     LengthMismatch {
         /// Description of what was being compared.
@@ -75,6 +80,12 @@ impl fmt::Display for SparseError {
             ),
             SparseError::IndexTooWide { what, value } => {
                 write!(f, "{what} {value} does not fit the 32-bit CSR structure")
+            }
+            SparseError::TooManyRows { rows } => {
+                write!(
+                    f,
+                    "the row arrays of a {rows}-row matrix could not be allocated"
+                )
             }
             SparseError::LengthMismatch {
                 what,
@@ -149,6 +160,11 @@ mod tests {
             value: usize::MAX,
         };
         assert!(e.to_string().contains("column index") && e.to_string().contains("32-bit"));
+
+        let e = SparseError::TooManyRows {
+            rows: 4_000_000_000,
+        };
+        assert!(e.to_string().contains("4000000000-row"));
 
         let e = SparseError::MatrixMarket("bad header".into());
         assert!(e.to_string().contains("bad header"));

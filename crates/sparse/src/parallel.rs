@@ -2,11 +2,11 @@
 //!
 //! The HPC guides used in this workspace recommend Rayon-style data parallelism: split
 //! the work into independent contiguous chunks, hand each chunk to a worker, and never
-//! share mutable state between workers.  This module cuts the chunks — [`even_ranges`]
-//! evenly, [`balance_by_weight`] proportionally to a prefix-sum weight (e.g. the CSR
-//! `row_ptr`, so each shard gets roughly the same number of nonzeros) — and runs them
-//! on [`Lanes`]: the calling thread plus persistent helper threads, each helper filling
-//! its own output band for the caller to copy out.
+//! share mutable state between workers.  This module cuts the chunks — evenly, or
+//! [`balance_by_weight`] proportionally to a prefix-sum weight (e.g. the CSR `row_ptr`,
+//! so each shard gets roughly the same number of nonzeros) — and runs them on
+//! [`Lanes`]: the calling thread plus persistent helper threads, each helper's task
+//! returning what it computed to the caller.
 //!
 //! The helpers persist because a task is short: one phase of a laned CG iteration,
 //! its band of the SpMV among them.  Spawning scoped threads costs
@@ -19,13 +19,14 @@
 //! caller done with its own part takes back a task its helper has not started: on a
 //! host that lends the helper's core elsewhere, waiting for it doubled a split's time.
 //!
-//! State can stay on the lanes too.  A [`Resident`] keeps one value per helper, behind
-//! a lock that only that helper's tasks take, and one for the caller, from one
-//! [`run`](Resident::run) to the next: a laned Krylov solve keeps each lane's bands of
-//! its vectors there for the whole solve, so a phase moves only its few partial sums
-//! between cores, never a vector.  On one lane it holds only the caller's state, and a
-//! phase is a plain call.
+//! State can stay on the lanes too: the crate keeps one value per helper, behind a
+//! lock that only that helper's tasks take, and one for the caller, from one run to the
+//! next.  A laned Krylov solve keeps each lane's bands of its vectors there for the
+//! whole solve ([`LanedVectors`](crate::vecops::LanedVectors)), so a phase moves only
+//! its few partial sums between cores, never a vector.  On one lane it holds only the
+//! caller's state, and a phase is a plain call.
 
+use std::any::Any;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -37,7 +38,7 @@ use std::time::{Duration, Instant};
 ///
 /// Fewer ranges are returned when `n < chunks`; empty ranges are never returned
 /// (except that an empty input produces an empty vector).
-pub fn even_ranges(n: usize, chunks: usize) -> Vec<Range<usize>> {
+fn even_ranges(n: usize, chunks: usize) -> Vec<Range<usize>> {
     if n == 0 {
         return Vec::new();
     }
@@ -118,24 +119,18 @@ pub const MIN_NNZ_PER_LANE: usize = 8192;
 /// workspace solves, so a solve keeps its helpers awake from one apply to the next.
 const SPIN: Duration = Duration::from_micros(500);
 
-/// One band of work for a helper lane: it fills the lane's output buffer, resized to
-/// what it writes.  It runs on another thread, so it owns (or shares through `Arc`s)
-/// everything it reads.
-pub type BandTask = Box<dyn FnOnce(&mut Vec<f64>) + Send>;
-
-/// The largest output band, in elements, a helper keeps for its next task.  A larger
-/// one — a banded encode's — is freed once its caller has read it, so a one-off task
-/// does not pin its buffer on the helper for the life of the lanes.
-const BAND_KEEP: usize = 1 << 17;
+/// A helper lane's task, its value boxed as `catch_unwind` boxes a panic, so that one
+/// mailbox slot carries either.
+type Job = Box<dyn FnOnce() -> Box<dyn Any + Send> + Send>;
 
 /// The calling thread plus `count() − 1` persistent helper threads.
 ///
-/// [`run`](Self::run) hands one [`BandTask`] to each helper it needs, runs its own part
-/// on the calling thread, then waits for every helper and passes each one's output band
-/// to the caller in order.  A task its helper has not started by then — the helper's
-/// core is taken, say by another tenant of the host — goes back to the caller, which
-/// runs it itself.  A panic in any part resumes on the caller once every helper
-/// is done, as the panic of a serial loop would.  Dropping the lanes joins the helpers.
+/// [`run`](Self::run) hands one task to each helper it needs, runs its own part on the
+/// calling thread, then waits for every helper and returns what each task computed, in
+/// order.  A task its helper has not started by then — the helper's core is taken, say
+/// by another tenant of the host — goes back to the caller, which runs it itself.  A
+/// panic in any part resumes on the caller once every helper is done, as the panic of a
+/// serial loop would.  Dropping the lanes joins the helpers.
 ///
 /// One `run` at a time uses the helpers: a `run` that finds them busy — another thread
 /// sharing these lanes, or a task that itself calls `run` — executes every task on its
@@ -160,11 +155,9 @@ struct Helper {
 
 #[derive(Default)]
 struct Mailbox {
-    task: Option<BandTask>,
-    /// The outcome of the last task: `Err` holds its panic.
-    done: Option<std::thread::Result<()>>,
-    /// The helper's output band, reused from task to task.
-    band: Vec<f64>,
+    task: Option<Job>,
+    /// The outcome of the last task: its value, or its panic.
+    done: Option<std::thread::Result<Box<dyn Any + Send>>>,
     parked: bool,
     caller_waiting: bool,
     closed: bool,
@@ -217,61 +210,50 @@ impl Lanes {
         self.helpers.iter().all(|helper| helper.lock().parked)
     }
 
-    /// Runs `tasks[i]` on helper `i` and `local` on the calling thread, then calls
-    /// `gather(i, band)` with each helper's output band, in order.
+    /// Runs `tasks[i]` on helper `i` and `local` on the calling thread, and returns the
+    /// tasks' values, in order, and `local`'s.  A task runs on another thread, so it
+    /// owns (or shares through `Arc`s) everything it reads.
     ///
     /// # Panics
     /// Panics if there are more tasks than helpers, and resumes the first panic of
-    /// `local`, a task or `gather` once every helper has finished.
-    pub fn run<I>(&self, tasks: I, local: impl FnOnce(), mut gather: impl FnMut(usize, &[f64]))
+    /// `local` or a task once every helper has finished.
+    pub fn run<I, T, R>(&self, tasks: I, local: impl FnOnce() -> R) -> (Vec<T>, R)
     where
-        I: IntoIterator<Item = BandTask>,
+        I: IntoIterator,
         I::IntoIter: ExactSizeIterator,
+        I::Item: FnOnce() -> T + Send + 'static,
+        T: Send + 'static,
     {
         let tasks = tasks.into_iter();
         let posted = tasks.len();
-        assert!(
-            posted <= self.helpers.len(),
-            "more band tasks than helper lanes"
-        );
+        assert!(posted <= self.helpers.len(), "more tasks than helper lanes");
         if self.busy.swap(true, Ordering::Acquire) {
-            let mut band = Vec::new();
-            local();
-            for (index, task) in tasks.enumerate() {
-                task(&mut band);
-                gather(index, &band);
-            }
-            return;
+            let mine = local();
+            return (tasks.map(|task| task()).collect(), mine);
         }
         for (helper, task) in self.helpers.iter().zip(tasks) {
-            helper.post(task);
+            helper.post(Box::new(move || Box::new(task()) as Box<dyn Any + Send>));
         }
-        let mut failure = catch_unwind(AssertUnwindSafe(local)).err();
-        for (index, helper) in self.helpers[..posted].iter().enumerate() {
+        let mut outcome =
+            catch_unwind(AssertUnwindSafe(local)).map(|mine| (Vec::with_capacity(posted), mine));
+        for helper in &self.helpers[..posted] {
             // A helper that has not taken its task yet — its core is busy elsewhere —
             // hands it back, and the caller runs it rather than wait for that core.
-            let copied = match helper.retract() {
-                Some(task) if failure.is_none() => catch_unwind(AssertUnwindSafe(|| {
-                    let mut band = Vec::new();
-                    task(&mut band);
-                    gather(index, &band);
-                })),
-                Some(_) => Ok(()),
-                None => catch_unwind(AssertUnwindSafe(|| {
-                    helper.finish(|band| {
-                        if failure.is_none() {
-                            gather(index, band);
-                        }
-                    })
-                }))
-                .and_then(|outcome| outcome),
+            let done = match helper.retract() {
+                Some(task) if outcome.is_ok() => catch_unwind(AssertUnwindSafe(task)),
+                Some(_) => continue,
+                None => helper.finish(),
             };
-            failure = failure.or(copied.err());
+            match (&mut outcome, done) {
+                (Ok((values, _)), Ok(value)) => {
+                    values.push(*value.downcast().expect("a task's value is its own type"));
+                }
+                (Ok(_), Err(payload)) => outcome = Err(payload),
+                (Err(_), _) => {}
+            }
         }
         self.busy.store(false, Ordering::Release);
-        if let Some(payload) = failure {
-            resume_unwind(payload);
-        }
+        outcome.unwrap_or_else(|payload| resume_unwind(payload))
     }
 }
 
@@ -310,8 +292,8 @@ impl Helper {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The helper thread: take a task, run it into the band, post the outcome; spin
-    /// for the next task, then park; return once closed.
+    /// The helper thread: take a task, run it, post its outcome; spin for the next
+    /// task, then park; return once closed.
     fn serve(&self) {
         loop {
             spin_until(|| self.posted.load(Ordering::Relaxed));
@@ -328,13 +310,11 @@ impl Helper {
                 mailbox.parked = false;
             };
             self.posted.store(false, Ordering::Relaxed);
-            let mut band = std::mem::take(&mut mailbox.band);
             drop(mailbox);
-            // The task, and every `Arc` it holds, is dropped before the caller hears
-            // that it is done.
-            let outcome = catch_unwind(AssertUnwindSafe(|| task(&mut band)));
+            // The task, and every `Arc` it holds but does not return, is dropped before
+            // the caller hears that it is done.
+            let outcome = catch_unwind(AssertUnwindSafe(task));
             let mut mailbox = self.lock();
-            mailbox.band = band;
             mailbox.done = Some(outcome);
             self.finished.store(true, Ordering::Relaxed);
             if mailbox.caller_waiting {
@@ -343,7 +323,7 @@ impl Helper {
         }
     }
 
-    fn post(&self, task: BandTask) {
+    fn post(&self, task: Job) {
         let mut mailbox = self.lock();
         mailbox.task = Some(task);
         self.posted.store(true, Ordering::Relaxed);
@@ -353,14 +333,14 @@ impl Helper {
     }
 
     /// Takes the posted task back if the helper has not started it.
-    fn retract(&self) -> Option<BandTask> {
+    fn retract(&self) -> Option<Job> {
         let task = self.lock().task.take()?;
         self.posted.store(false, Ordering::Relaxed);
         Some(task)
     }
 
-    /// Waits for the posted task; on success passes its band to `read`.
-    fn finish(&self, read: impl FnOnce(&[f64])) -> std::thread::Result<()> {
+    /// Waits for the posted task and returns its outcome.
+    fn finish(&self) -> std::thread::Result<Box<dyn Any + Send>> {
         spin_until(|| self.finished.load(Ordering::Relaxed));
         let mut mailbox = self.lock();
         let outcome = loop {
@@ -372,10 +352,6 @@ impl Helper {
             mailbox.caller_waiting = false;
         };
         self.finished.store(false, Ordering::Relaxed);
-        let outcome = outcome.map(|()| read(&mailbox.band));
-        if mailbox.band.capacity() > BAND_KEEP {
-            mailbox.band = Vec::new();
-        }
         outcome
     }
 }
@@ -385,7 +361,7 @@ impl Helper {
 ///
 /// A task that finds the lanes busy runs on the calling thread (see [`Lanes::run`]); it
 /// still takes its helper's state, so the results are the same.
-pub struct Resident<T> {
+pub(crate) struct Resident<T> {
     lanes: Arc<Lanes>,
     helpers: Vec<Arc<Mutex<T>>>,
     local: T,
@@ -397,7 +373,7 @@ impl<T: Send + 'static> Resident<T> {
     ///
     /// # Panics
     /// Panics if `states` is empty or holds more states than there are lanes.
-    pub fn new(lanes: &Arc<Lanes>, mut states: Vec<T>) -> Self {
+    pub(crate) fn new(lanes: &Arc<Lanes>, mut states: Vec<T>) -> Self {
         let local = states.pop().expect("a resident state for the caller");
         assert!(
             states.len() < lanes.count(),
@@ -414,51 +390,25 @@ impl<T: Send + 'static> Resident<T> {
     }
 
     /// Runs `task` on every helper's state, on its lane, and `local` on the caller's,
-    /// then calls `gather(i, band)` with helper `i`'s output band, in order.  With no
-    /// helpers it is a plain call of `local`.
+    /// and returns the helpers' values, in order, and the caller's.  With no helpers it
+    /// is a plain call of `local`.
     ///
     /// # Panics
-    /// Resumes the first panic of a task, `local` or `gather` (see [`Lanes::run`]).
-    pub fn run<F>(&mut self, task: F, local: impl FnOnce(&mut T), gather: impl FnMut(usize, &[f64]))
+    /// Resumes the first panic of a task or `local` (see [`Lanes::run`]).
+    pub(crate) fn run<F, V, R>(&mut self, task: F, local: impl FnOnce(&mut T) -> R) -> (Vec<V>, R)
     where
-        F: Fn(&mut T, &mut Vec<f64>) + Clone + Send + 'static,
+        F: Fn(&mut T) -> V + Clone + Send + 'static,
+        V: Send + 'static,
     {
         if self.helpers.is_empty() {
-            return local(&mut self.local);
+            return (Vec::new(), local(&mut self.local));
         }
         let tasks = self.helpers.iter().map(|band| {
             let (band, task) = (Arc::clone(band), task.clone());
-            Box::new(move |out: &mut Vec<f64>| task(&mut lock(&band), out)) as BandTask
+            move || task(&mut lock(&band))
         });
         let state = &mut self.local;
-        self.lanes.run(tasks, || local(state), gather);
-    }
-
-    /// `partial` of every helper's state, computed on its lane, and `local` of the
-    /// caller's, into `partials` in order: the helpers' first, the caller's last.
-    ///
-    /// # Panics
-    /// Panics if `partials` does not hold one value per state.
-    pub fn partials<F>(
-        &mut self,
-        partial: F,
-        local: impl FnOnce(&mut T) -> f64,
-        partials: &mut [f64],
-    ) where
-        F: Fn(&mut T) -> f64 + Clone + Send + 'static,
-    {
-        let (helped, last) = partials.split_at_mut(self.helpers.len());
-        let [last] = last else {
-            panic!("one partial per resident state");
-        };
-        self.run(
-            move |state, out| {
-                out.clear();
-                out.push(partial(state));
-            },
-            |state| *last = local(state),
-            |lane, out| helped[lane] = out[0],
-        );
+        self.lanes.run(tasks, || local(state))
     }
 
     /// The caller's state, when it is the only one.
@@ -467,7 +417,7 @@ impl<T: Send + 'static> Resident<T> {
     }
 
     /// Every state, the helpers' first, the caller's last.
-    pub fn into_states(self) -> Vec<T>
+    pub(crate) fn into_states(self) -> Vec<T>
     where
         T: Default,
     {
@@ -557,82 +507,28 @@ mod tests {
         assert_eq!(weights.iter().sum::<usize>(), 20);
     }
 
-    /// A task writing `len` copies of `value` into its band.
-    fn fill(len: usize, value: f64) -> BandTask {
-        Box::new(move |band: &mut Vec<f64>| {
-            band.clear();
-            band.resize(len, value);
-        })
+    /// A boxed task, so that tasks of different bodies share one run.
+    type Task<T> = Box<dyn FnOnce() -> T + Send>;
+
+    /// A task returning `len` copies of `value`.
+    fn fill(len: usize, value: f64) -> Task<Vec<f64>> {
+        Box::new(move || vec![value; len])
     }
 
-    /// Runs one `fill(i + 1, i)` task per helper and returns what `gather` saw.
-    fn run_fills(lanes: &Lanes) -> Vec<(usize, Vec<f64>)> {
+    /// A task that panics.
+    fn boom<T>() -> Task<T> {
+        Box::new(|| panic!("band task failed"))
+    }
+
+    /// Runs one `fill(i + 1, i)` task per helper and returns their values.
+    fn run_fills(lanes: &Lanes) -> Vec<Vec<f64>> {
         let helpers = lanes.count() - 1;
-        let mut seen = Vec::new();
         let tasks = (0..helpers).map(|i| fill(i + 1, i as f64));
-        lanes.run(tasks, || {}, |i, band| seen.push((i, band.to_vec())));
-        seen
+        lanes.run(tasks, || {}).0
     }
 
-    #[test]
-    fn lanes_run_every_task_and_gather_the_bands_in_order() {
-        for count in 1..=4 {
-            let lanes = Lanes::new(count).unwrap();
-            assert_eq!(lanes.count(), count);
-            for _ in 0..3 {
-                let want: Vec<(usize, Vec<f64>)> =
-                    (0..count - 1).map(|i| (i, vec![i as f64; i + 1])).collect();
-                assert_eq!(run_fills(&lanes), want);
-            }
-            // Fewer tasks than helpers leave the rest idle.
-            let mut local_ran = false;
-            lanes.run(
-                std::iter::empty(),
-                || local_ran = true,
-                |_, _| panic!("no band"),
-            );
-            assert!(local_ran);
-        }
-    }
-
-    #[test]
-    fn a_helper_panic_resumes_on_the_caller_and_the_lanes_keep_working() {
-        let lanes = Lanes::new(3).unwrap();
-        let boom: BandTask = Box::new(|_| panic!("band task failed"));
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            lanes.run([fill(2, 1.0), boom], || {}, |_, _| {});
-        }));
-        let payload = caught.expect_err("the helper's panic reaches the caller");
-        assert_eq!(payload.downcast_ref::<&str>(), Some(&"band task failed"));
-        // A panic of the caller's own part also waits for the helpers first.
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            lanes.run([fill(2, 1.0)], || panic!("local part failed"), |_, _| {});
-        }));
-        assert!(caught.is_err());
-        assert_eq!(run_fills(&lanes), vec![(0, vec![0.0]), (1, vec![1.0; 2])]);
-    }
-
-    #[test]
-    fn a_run_inside_a_run_executes_on_its_own_thread() {
-        let lanes = Lanes::new(2).unwrap();
-        let mut inner = Vec::new();
-        lanes.run(
-            [fill(1, 5.0)],
-            || {
-                lanes.run(
-                    [fill(3, 7.0)],
-                    || {},
-                    |i, band| inner.push((i, band.to_vec())),
-                )
-            },
-            |i, band| assert_eq!((i, band), (0, &[5.0][..])),
-        );
-        assert_eq!(inner, vec![(0, vec![7.0; 3])]);
-    }
-
-    #[test]
-    fn a_task_its_helper_has_not_started_runs_on_the_caller() {
-        // A helper whose thread never comes: every task it is handed comes back.
+    /// One helper whose thread never comes, so every task it is handed comes back.
+    fn stalled() -> (Arc<Helper>, Lanes) {
         let stalled = Arc::new(Helper {
             mailbox: Mutex::default(),
             signal: Condvar::new(),
@@ -644,16 +540,132 @@ mod tests {
             threads: Vec::new(),
             busy: AtomicBool::new(false),
         };
+        (stalled, lanes)
+    }
+
+    #[test]
+    fn lanes_run_every_task_and_return_the_values_in_order() {
+        for count in 1..=4 {
+            let lanes = Lanes::new(count).unwrap();
+            assert_eq!(lanes.count(), count);
+            for _ in 0..3 {
+                let want: Vec<Vec<f64>> = (0..count - 1).map(|i| vec![i as f64; i + 1]).collect();
+                assert_eq!(run_fills(&lanes), want);
+            }
+            // Fewer tasks than helpers leave the rest idle.
+            let (values, local) = lanes.run(std::iter::empty::<Task<f64>>(), || "local ran");
+            assert_eq!((values, local), (vec![], "local ran"));
+        }
+    }
+
+    #[test]
+    fn a_helper_panic_resumes_on_the_caller_and_the_lanes_keep_working() {
+        let lanes = Lanes::new(3).unwrap();
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            lanes.run([fill(2, 1.0), boom()], || {});
+        }));
+        let payload = caught.expect_err("the helper's panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"band task failed"));
+        // A panic of the caller's own part also waits for the helpers first.
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            lanes.run([fill(2, 1.0)], || panic!("local part failed"));
+        }));
+        assert!(caught.is_err());
+        assert_eq!(run_fills(&lanes), vec![vec![0.0], vec![1.0; 2]]);
+    }
+
+    #[test]
+    fn a_run_inside_a_run_executes_on_its_own_thread() {
+        let lanes = Lanes::new(2).unwrap();
+        let (outer, inner) = lanes.run([fill(1, 5.0)], || lanes.run([fill(3, 7.0)], || 9));
+        assert_eq!((outer, inner), (vec![vec![5.0]], (vec![vec![7.0; 3]], 9)));
+    }
+
+    #[test]
+    fn a_task_its_helper_has_not_started_runs_on_the_caller() {
+        let (stalled, lanes) = stalled();
         for _ in 0..2 {
-            assert_eq!(run_fills(&lanes), vec![(0, vec![0.0])]);
+            assert_eq!(run_fills(&lanes), vec![vec![0.0]]);
             assert!(stalled.lock().task.is_none());
         }
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let boom: BandTask = Box::new(|_| panic!("band task failed"));
-            lanes.run([boom], || {}, |_, _| {});
+            lanes.run([boom::<f64>()], || {});
         }));
         assert!(caught.is_err());
-        assert_eq!(run_fills(&lanes), vec![(0, vec![0.0])]);
+        assert_eq!(run_fills(&lanes), vec![vec![0.0]]);
+    }
+
+    /// A task of a value that is no `f64`: its lane, and that many copies of it.
+    fn tagged(lane: usize) -> Task<(usize, Vec<i32>)> {
+        Box::new(move || (lane, vec![lane as i32; lane]))
+    }
+
+    #[test]
+    fn a_task_of_any_type_returns_its_value_in_lane_order_on_every_path() {
+        let want = |tasks: usize| -> Vec<(usize, Vec<i32>)> {
+            (0..tasks)
+                .map(|lane| (lane, vec![lane as i32; lane]))
+                .collect()
+        };
+        // Run by its helper: the caller waits until every helper has started its task,
+        // so none is left to take back.
+        let lanes = Lanes::new(4).unwrap();
+        let started = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let tasks = (0..3).map(|lane| {
+            let (started, task) = (Arc::clone(&started), tagged(lane));
+            move || {
+                started.fetch_add(1, Ordering::SeqCst);
+                task()
+            }
+        });
+        let (values, mine) = lanes.run(tasks, || {
+            while started.load(Ordering::SeqCst) < 3 {
+                std::thread::yield_now();
+            }
+            "caller"
+        });
+        assert_eq!((values, mine), (want(3), "caller"));
+        // Taken back by the caller.
+        let (_, stalled) = stalled();
+        assert_eq!(stalled.run([tagged(0)], || ()).0, want(1));
+        // Run inline by a run inside a run.
+        let (outer, (inner, ())) =
+            lanes.run((0..3).map(tagged), || lanes.run((0..2).map(tagged), || ()));
+        assert_eq!((outer, inner), (want(3), want(2)));
+    }
+
+    #[test]
+    fn a_panic_resumes_only_once_every_helper_has_finished_and_the_lanes_keep_working() {
+        let lanes = Lanes::new(3).unwrap();
+        let (started, finished) = (
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(AtomicBool::new(false)),
+        );
+        let slow: Task<(usize, Vec<i32>)> = {
+            let (started, finished) = (Arc::clone(&started), Arc::clone(&finished));
+            Box::new(move || {
+                started.store(true, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(20));
+                finished.store(true, Ordering::SeqCst);
+                (1, vec![1])
+            })
+        };
+        // The first helper's task panics; the second's is still running when the caller
+        // hears of it.
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            lanes.run([boom(), slow], || {
+                while !started.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+            })
+        }));
+        assert!(caught.is_err());
+        assert!(
+            finished.load(Ordering::SeqCst),
+            "the panic waited for the slow helper"
+        );
+        let (values, ()) = lanes.run((0..2).map(tagged), || ());
+        assert_eq!(values, vec![(0, vec![]), (1, vec![1])]);
     }
 
     #[test]

@@ -213,7 +213,7 @@ impl Band {
 }
 
 /// A Krylov solve's vectors kept on lanes: cut into the [`tree_bands`] of their length,
-/// each band in its lane's [`Resident`] state for the whole solve, the last on the
+/// each band in its lane's resident state for the whole solve, the last on the
 /// caller.  Phases run on the bands in place; a reduction returns one partial per band
 /// and adds them in the tree's order, so it is bit for bit the whole vectors' reduction.
 /// On one lane the vectors are a single band on the calling thread, and a phase is a
@@ -223,7 +223,7 @@ pub struct LanedVectors {
     lanes: usize,
     ranges: Vec<Range<usize>>,
     bands: Resident<Band>,
-    /// One partial per band, the latest reduction's.
+    /// One partial per band, the latest reduction's, kept from one reduction to the next.
     partials: Vec<f64>,
 }
 
@@ -267,17 +267,14 @@ impl LanedVectors {
         self.bands.alone()
     }
 
-    /// Runs `task` on every helper's band, on its lane, and `local` on the caller's, then
-    /// passes helper `i`'s output to `gather(i, output)` (see [`Resident::run`]).
-    pub fn run<F>(
-        &mut self,
-        task: F,
-        local: impl FnOnce(&mut Band),
-        gather: impl FnMut(usize, &[f64]),
-    ) where
-        F: Fn(&mut Band, &mut Vec<f64>) + Clone + Send + 'static,
+    /// Runs `task` on every helper's band, on its lane, and `local` on the caller's, and
+    /// returns the helpers' values, in order, and the caller's.
+    pub fn run<F, V, R>(&mut self, task: F, local: impl FnOnce(&mut Band) -> R) -> (Vec<V>, R)
+    where
+        F: Fn(&mut Band) -> V + Clone + Send + 'static,
+        V: Send + 'static,
     {
-        self.bands.run(task, local, gather);
+        self.bands.run(task, local)
     }
 
     /// `partial` of every band, each on its lane, added in the pairwise tree's order:
@@ -296,28 +293,21 @@ impl LanedVectors {
     where
         F: Fn(&mut Band) -> f64 + Clone + Send + 'static,
     {
-        self.bands.partials(partial, local, &mut self.partials);
+        let (helped, last) = self.bands.run(partial, local);
+        self.partials.clear();
+        self.partials.extend(helped.into_iter().chain([last]));
         tree_sum(self.len(), self.lanes, &self.partials)
     }
 
     /// `p ← r + β·p` on every band when `beta` is given, and the whole `p`.
     pub fn direction(&mut self, beta: Option<f64>) -> Vec<f64> {
-        let mut p = vec![0.0; self.len()];
-        let (head, tail) = p.split_at_mut(self.ranges[self.ranges.len() - 1].start);
-        let ranges = &self.ranges;
-        self.bands.run(
-            move |band, out| {
-                band.direction(beta);
-                out.clear();
-                out.extend_from_slice(&band.p);
-            },
-            |band| {
-                band.direction(beta);
-                tail.copy_from_slice(&band.p);
-            },
-            |lane, out| head[ranges[lane].clone()].copy_from_slice(out),
-        );
-        p
+        let step = move |band: &mut Band| {
+            band.direction(beta);
+            band.p.clone()
+        };
+        let (mut bands, last) = self.bands.run(step, step);
+        bands.push(last);
+        bands.concat()
     }
 
     /// Stores `ap`, the operator applied to the whole `p`, in the bands, and returns
