@@ -12,24 +12,40 @@ use refloat_solvers::{cg, LanedCsr, LinearOperator, SolverConfig};
 use refloat_sparse::parallel::Lanes;
 use refloat_sparse::vecops;
 
+/// The three operators on a banded matrix, whose encoding keeps its values by diagonal,
+/// and on a scattered one of the same non-zero count, whose encoding keeps them in row
+/// order: the two kernels of `refloat_sparse::order`.
 fn bench_quantized_spmv(c: &mut Criterion) {
-    let a = generators::laplacian_2d(256, 256, 0.2).to_csr();
-    // A solver-like input (mixed sign, many binades): a smooth positive one hides the
-    // vector converter's data-dependent cost.
-    let x = rhs::krylov_like(a.ncols(), 17);
-    let mut y = vec![0.0; a.nrows()];
-
-    let mut csr = a.clone();
-    let mut refloat = ReFloatMatrix::from_csr(&a, ReFloatConfig::paper_default());
-    let mut feinberg = FeinbergOperator::new(a.clone());
-
+    let matrices = [
+        ("laplacian_256", generators::laplacian_2d(256, 256, 0.2)),
+        (
+            "graph_65536",
+            generators::random_spd_graph(65_536, 4, 1.4, 1.0, 17),
+        ),
+    ];
     let mut group = c.benchmark_group("quantized_spmv");
-    group.throughput(Throughput::Elements(a.nnz() as u64));
-    group.bench_function("fp64_csr", |b| {
-        b.iter(|| LinearOperator::apply(&mut csr, &x, &mut y))
-    });
-    group.bench_function("refloat", |b| b.iter(|| refloat.apply(&x, &mut y)));
-    group.bench_function("feinberg", |b| b.iter(|| feinberg.apply(&x, &mut y)));
+    for (name, coo) in matrices {
+        let a = coo.to_csr();
+        // A solver-like input (mixed sign, many binades): a smooth positive one hides
+        // the vector converter's data-dependent cost.
+        let x = rhs::krylov_like(a.ncols(), 17);
+        let mut y = vec![0.0; a.nrows()];
+
+        let mut csr = a.clone();
+        let mut refloat = ReFloatMatrix::from_csr(&a, ReFloatConfig::paper_default());
+        let mut feinberg = FeinbergOperator::new(a.clone());
+
+        group.throughput(Throughput::Elements(a.nnz() as u64));
+        group.bench_function(format!("{name}_fp64_csr"), |b| {
+            b.iter(|| LinearOperator::apply(&mut csr, &x, &mut y))
+        });
+        group.bench_function(format!("{name}_refloat"), |b| {
+            b.iter(|| refloat.apply(&x, &mut y))
+        });
+        group.bench_function(format!("{name}_feinberg"), |b| {
+            b.iter(|| feinberg.apply(&x, &mut y))
+        });
+    }
     group.finish();
 }
 

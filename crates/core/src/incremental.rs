@@ -607,6 +607,51 @@ mod tests {
     }
 
     #[test]
+    fn a_diagonal_reencode_is_the_row_order_reencode_bit_for_bit() {
+        use crate::matrix::tests::{by_diagonal, in_row_order};
+        use refloat_solvers::LinearOperator;
+        // 130 rows of a 9-point FEM matrix in 8-row block rows, the last one partial.
+        let base = poisson_2d(13, 10, 0.2, 3).to_csr();
+        let (n, block_rows) = (base.nrows(), base.nrows().div_ceil(8));
+        let previous = [
+            ReFloatMatrix::from_csr(&base, config()),
+            in_row_order(&base, config()),
+        ];
+        assert!(by_diagonal(&previous[0]) && !by_diagonal(&previous[1]));
+        let patterns: [(&str, &dyn Fn(usize) -> bool); 4] = [
+            ("all", &|_| true),
+            ("none", &|_| false),
+            ("alternate", &|brow| brow % 2 == 1),
+            ("the last", &|brow| brow == block_rows - 1),
+        ];
+        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin() + 1.5).collect();
+        for (label, dirty) in patterns {
+            let mut vals = base.values().to_vec();
+            for r in (0..n).filter(|&r| dirty(r / 8)) {
+                let row = base.row_ptr()[r] as usize..base.row_ptr()[r + 1] as usize;
+                vals[row].iter_mut().for_each(|v| *v *= 1.0 + 1.0 / 64.0);
+            }
+            let next = Arc::new(base.with_values(vals));
+            for count in 1..=4 {
+                let [mut diagonal, mut rows] = previous
+                    .each_ref()
+                    .map(|previous| reencode_split(previous, &base, &next, lanes(count), 0));
+                let context = format!("{label} on {count} lanes");
+                // Each keeps its predecessor's order, and they agree on every bit.
+                assert!(by_diagonal(&diagonal.matrix), "{context}");
+                assert!(!by_diagonal(&rows.matrix), "{context}");
+                assert_eq!(diagonal.stats, rows.stats, "{context}");
+                assert_same_encoding(&diagonal.matrix, &rows.matrix);
+                let mut y = [vec![0.0; n], vec![0.0; n]];
+                diagonal.matrix.apply(&x, &mut y[0]);
+                rows.matrix.apply(&x, &mut y[1]);
+                let bits = |y: &[f64]| y.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&y[0]), bits(&y[1]), "{context}");
+            }
+        }
+    }
+
+    #[test]
     fn identical_matrix_reuses_every_block_and_reprograms_nothing() {
         let a = poisson_2d(12, 10, 0.2, 3).to_csr();
         let previous = ReFloatMatrix::from_csr(&a, config());

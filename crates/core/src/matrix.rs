@@ -21,9 +21,16 @@
 //! shares its predecessor's, and an encode over a donor of the same structure,
 //! [`ReFloatMatrix::from_csr_over_on`], the donor's).  What this crate adds is the two
 //! things only the encoder knows: the exponent base `eb` of every block, in block
-//! order, and the decoded value of every non-zero, stored once, in **row order**.
+//! order, and the decoded value of every non-zero, stored once, in the order the
+//! layout names ([`BlockLayout::value_order`], `refloat-sparse`'s `order` module): in
+//! **row order**, or, for a structure whose non-zeros lie on few diagonals (a stencil,
+//! a FEM mesh: `D` diagonals with `D · nrows ≤ 2 · nnz`), **by diagonal** within each
+//! block row, one slot per row and diagonal and `+0.0` where the row stores nothing.
+//! Either way a block row's values are one contiguous span, so everything that splits,
+//! copies or skips values does so by block row, whatever the order.
 //!
-//! There is one encoder, and it reads values in row order only: [`from_csr`]'s reads
+//! There is one encoder, and it reads values in row order only (and writes each to the
+//! slot the order gives it): [`from_csr`]'s reads
 //! the CSR's in place, the re-encode reads the next step's over the predecessor's
 //! layout, and [`from_blocked`] puts a blocking's back into row order first.  It runs
 //! one block-row band at a time.  A re-encode quantizes only the bands whose values
@@ -44,13 +51,18 @@
 //! [`from_blocked`]: ReFloatMatrix::from_blocked
 //! [`scalar::quantize`]: crate::scalar::quantize
 //!
-//! Row order is what the SpMV wants.  Eq. 8–9 sum every block's partial product into
-//! its output rows; with a CSR source (columns sorted within a row) that fixes each
-//! row's sum as its terms in ascending column order — the order, hence the bits, of
-//! `CsrMatrix::spmv_into` — so [`ReFloatMatrix::accumulate`] sums each row in that
-//! order over the decoded values, and so does a faulty device's product
-//! ([`ReFloatMatrix::accumulate_faulty`]), scaling each block's run by its drift and
-//! adding its stuck cells' terms after it.  The row↔block correspondence is
+//! Eq. 8–9 sum every block's partial product into its output rows; with a CSR source
+//! (columns sorted within a row) that fixes each row's sum as its terms in ascending
+//! column order — the order, hence the bits, of `CsrMatrix::spmv_into` — so
+//! [`ReFloatMatrix::accumulate`] sums each row in that order over the decoded values:
+//! the CSR row loop in row order, and in the diagonal order one contiguous pass per
+//! diagonal over a block row's values and the matching run of the input, with no
+//! gather.  A padded slot adds an exact `±0` for a finite input, which the vector
+//! converter always emits, so both give the same bits; an unconverted input holding an
+//! infinity or a NaN takes the row loop.  So does a faulty device's product
+//! ([`ReFloatMatrix::accumulate_faulty`]), reading each row's values in column order
+//! ([`ValueOrder::row`]), scaling each block's run by its drift and adding its stuck
+//! cells' terms after it.  The row↔block correspondence is
 //! [`BlockLayout::walk_row_order`]'s, in `refloat-sparse`.  The per-element sign,
 //! offset and fraction code belong to [`crate::block::ReFloatBlock`], which encodes a
 //! single block down to its bits on demand.
@@ -72,26 +84,29 @@
 //!   band's rows read, with its bases and statistics, and the caller converts the
 //!   segments that straddle a band edge.  Then each helper copies its *imports*, the
 //!   runs outside its band that its rows read, from the shared copy into its own, and
-//!   each lane accumulates its band's rows into its band of `A·p` and returns its part
+//!   each lane accumulates its band's rows into its band of `A·p` (a band's rows need
+//!   not fill whole block rows: the kernels sum any row range) and returns its part
 //!   of `pᵀAp`.  The converter's bases and statistics are the one-thread converter's.
 //! * **An encode** ([`from_csr_on`](ReFloatMatrix::from_csr_on), an encode over a
 //!   donor's layout, and the re-encode of [`crate::incremental`]) is one function: it runs
 //!   `encode_bands` per band of block rows, balanced by the non-zeros each quantizes,
 //!   each helper reading the values through its own handle on the CSR matrix and
-//!   returning its band's decoded values and bases.  Over a known layout a helper reads
+//!   returning its band's decoded values, its block rows' slots, and bases.  Over a known layout a helper reads
 //!   its table; from scratch it walks its own part of a new block table and returns
 //!   that too, and the caller appends the parts in band order.  A re-encode's helper
 //!   returns its changed rows alone; the caller copies the unchanged ones from the
 //!   predecessor.  On one lane, or below the per-lane minimum, it is the
 //!   one-band encode on the calling thread.
 //!
-//! Every other apply — BiCGSTAB's, a faulty device's — is a one-thread row loop,
-//! and so is a solve's on one lane; the clean one is `refloat-sparse`'s one row loop
-//! ([`row_sums`]), the exact CSR product's too.  A row's sum is its terms in column
+//! Every other apply — BiCGSTAB's, a faulty device's — runs on the calling thread, and
+//! so does a solve's on one lane; the clean one is `refloat-sparse`'s kernel of the
+//! encoding's order ([`ValueOrder::sums`]), whose row loop is the exact CSR product's
+//! too.  A row's sum is its terms in column
 //! order whatever band it falls in, a segment's or a block's base depends on its own
 //! values alone, and a band's reduction is its subtree's, so no output bit depends on
 //! the lane count; only host time does.
 
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -105,20 +120,23 @@ use crate::scalar::{
 use crate::vector::{convert_part, whole_segments, ConversionStats, Scratch, VectorConverter};
 use refloat_solvers::operator::apply_gathered;
 use refloat_solvers::LinearOperator;
-use refloat_sparse::blocked::{block_row_spans, BlockLayout, TableBuilder};
-use refloat_sparse::csr::row_sums;
+use refloat_sparse::blocked::{BlockLayout, TableBuilder};
 use refloat_sparse::parallel::{Lanes, MIN_NNZ_PER_LANE};
 use refloat_sparse::shard::block_row_shards_counting;
 use refloat_sparse::vecops::{self, Halo, LanedVectors, MIN_LEN_PER_LANE};
-use refloat_sparse::{BlockedMatrix, CsrMatrix};
+use refloat_sparse::{BlockedMatrix, CsrMatrix, ValueOrder};
 
 /// What encoding adds to a [`BlockLayout`].
 #[derive(Debug)]
 struct Encoded {
     /// Exponent base per block, in the layout's block order.
     eb: Vec<i32>,
-    /// Decoded value per non-zero, in the layout's row order.
-    decoded: Vec<f64>,
+    /// Decoded value per slot of `order`: per non-zero in the layout's row order, or
+    /// per row and diagonal, `+0.0` where the row stores nothing.
+    values: Vec<f64>,
+    /// Where each value sits: the structure's order, except in the tests' row-order
+    /// encodings of diagonal structures.
+    order: ValueOrder,
 }
 
 /// An encode's predecessor over the same layout, and per block row whether its values
@@ -210,18 +228,24 @@ impl ReFloatMatrix {
     /// its `2^b × 2^b` blocks (the configuration's `b`) as it sums their exponents (see
     /// the [module docs](self)).
     pub fn from_csr(a: &CsrMatrix, config: ReFloatConfig) -> Self {
-        let mut table = Self::table_of(a, config);
-        let mut decoded = vec![0.0; a.nnz()];
+        let table = Self::table_of(a, config);
+        let order = table.value_order().clone();
+        Self::found(a, config, table, order)
+    }
+
+    /// [`from_csr`](Self::from_csr)'s encode, finding the blocks into `table`, its
+    /// values laid out in `order`.
+    fn found(
+        a: &CsrMatrix,
+        config: ReFloatConfig,
+        mut table: TableBuilder,
+        order: ValueOrder,
+    ) -> Self {
+        let rows = 0..a.nrows();
+        let mut values = vec![0.0; order.slots(a.row_ptr(), rows.clone()).len()];
         let blocks = Blocks::Found(a, &mut table);
-        let eb = encode_rows(
-            blocks,
-            &config,
-            a.values(),
-            None,
-            0..a.nrows(),
-            &mut decoded,
-        );
-        Self::from_parts(&Arc::new(table.finish()), config, eb, decoded)
+        let eb = encode_rows(blocks, &config, &order, a.values(), None, rows, &mut values);
+        Self::from_parts(&Arc::new(table.finish()), config, eb, (values, order))
     }
 
     /// [`from_csr`](Self::from_csr) with the encode split over `lanes`: each lane
@@ -271,17 +295,12 @@ impl ReFloatMatrix {
     ) -> Self {
         assert_eq!(vals.len(), layout.nnz(), "ReFloatMatrix: one value per nnz");
         let delta = reuse.map(|reuse| reuse.delta(layout));
-        let mut decoded = vec![0.0; vals.len()];
+        let order = delta.map_or(layout.value_order(), |delta| &delta.previous.order);
         let rows = 0..layout.nrows();
-        let eb = encode_rows(
-            Blocks::Known(layout),
-            &config,
-            vals,
-            delta,
-            rows,
-            &mut decoded,
-        );
-        Self::from_parts(layout, config, eb, decoded)
+        let mut values = vec![0.0; order.slots(layout.row_ptr(), rows.clone()).len()];
+        let blocks = Blocks::Known(layout);
+        let eb = encode_rows(blocks, &config, order, vals, delta, rows, &mut values);
+        Self::from_parts(layout, config, eb, (values, order.clone()))
     }
 
     /// The encode of `a` split over `lanes`, one band of block rows per lane, balanced by
@@ -315,6 +334,12 @@ impl ReFloatMatrix {
         assert!(one_each, "ReFloatMatrix: one value per nnz");
         let delta = reuse.map(|reuse| reuse.delta(layout.expect("a reuse is over a layout")));
         let mut table = layout.is_none().then(|| Self::table_of(a, config));
+        let order = match (delta, layout, &table) {
+            (Some(delta), ..) => &delta.previous.order,
+            (None, Some(layout), _) => layout.value_order(),
+            (None, None, table) => table.as_ref().expect("a table to find").value_order(),
+        }
+        .clone();
         // What a helper reads the predecessor from, shared.
         let shared = reuse.map(|reuse| {
             let encoded = Arc::clone(&reuse.previous.encoded);
@@ -327,12 +352,12 @@ impl ReFloatMatrix {
             let mut part = table.as_ref().map(|table| table.part(rows.start >> b));
             // The band's values, allocated here so that the caller's allocator, which
             // frees them once they are copied in, can reuse them.
-            let spans = block_row_spans(row_ptr, b, rows.clone());
+            let spans = order.block_row_slots(row_ptr, b, rows.clone());
             let len = spans
-                .filter(|(brow, _)| dirty(*brow))
-                .map(|(_, span)| span.len())
+                .filter(|(brow, ..)| dirty(*brow))
+                .map(|(.., slots)| slots.len())
                 .sum();
-            let mut decoded = vec![0.0; len];
+            let (mut values, order) = (vec![0.0; len], order.clone());
             move || {
                 let delta = shared.as_ref().map(|(previous, dirty)| Delta {
                     previous,
@@ -340,28 +365,42 @@ impl ReFloatMatrix {
                     copy_values: false,
                 });
                 let blocks = Blocks::of(&a, layout.as_ref(), part.as_mut());
-                let eb = encode_rows(blocks, &config, a.values(), delta, rows, &mut decoded);
-                (decoded, eb, part)
+                let eb = encode_rows(
+                    blocks,
+                    &config,
+                    &order,
+                    a.values(),
+                    delta,
+                    rows,
+                    &mut values,
+                );
+                (values, eb, part)
             }
         });
-        let mut decoded = vec![0.0; a.nnz()];
-        let (head, tail) = decoded.split_at_mut(row_ptr[last.start] as usize);
+        let mut values = vec![0.0; order.slots(row_ptr, 0..a.nrows()).len()];
+        let (head, tail) = values.split_at_mut(order.slots(row_ptr, last.start..a.nrows()).start);
         let mut last_part = table.as_ref().map(|table| table.part(last.start >> b));
         let (encoded, last_eb) = lanes.run(tasks, || {
             let blocks = Blocks::of(a, layout, last_part.as_mut());
-            encode_rows(blocks, &config, a.values(), delta, last.clone(), tail)
+            encode_rows(
+                blocks,
+                &config,
+                &order,
+                a.values(),
+                delta,
+                last.clone(),
+                tail,
+            )
         });
         let mut eb = Vec::with_capacity(layout.map_or(0, |layout| layout.num_blocks()));
-        for (rows, (values, bases, part)) in helped.iter().zip(encoded) {
-            let mut values = &values[..];
-            for (brow, span) in block_row_spans(row_ptr, b, rows.clone()) {
+        for (rows, (band, bases, part)) in helped.iter().zip(encoded) {
+            let mut band = &band[..];
+            for (brow, _, slots) in order.block_row_slots(row_ptr, b, rows.clone()) {
                 let from = match delta.filter(|delta| !delta.dirty[brow]) {
-                    Some(delta) => &delta.previous.decoded[span.clone()],
-                    None => values
-                        .split_off(..span.len())
-                        .expect("a dirty row's values"),
+                    Some(delta) => &delta.previous.values[slots.clone()],
+                    None => band.split_off(..slots.len()).expect("a dirty row's values"),
                 };
-                head[span].copy_from_slice(from);
+                head[slots].copy_from_slice(from);
             }
             eb.extend(bases);
             if let Some((table, part)) = table.as_mut().zip(part) {
@@ -374,22 +413,23 @@ impl ReFloatMatrix {
             Arc::new(table.finish())
         });
         let layout = found.as_ref().or(layout).expect("a layout, known or found");
-        Self::from_parts(layout, config, eb, decoded)
+        Self::from_parts(layout, config, eb, (values, order))
     }
 
-    /// The matrix holding an encode's bases and decoded values over `layout`.
+    /// The matrix holding an encode's bases and decoded values, laid out in their
+    /// order, over `layout`.
     fn from_parts(
         layout: &Arc<BlockLayout>,
         config: ReFloatConfig,
         eb: Vec<i32>,
-        decoded: Vec<f64>,
+        (values, order): (Vec<f64>, ValueOrder),
     ) -> Self {
         ReFloatMatrix {
             nrows: layout.nrows(),
             ncols: layout.ncols(),
             config,
             layout: Arc::clone(layout),
-            encoded: Arc::new(Encoded { eb, decoded }),
+            encoded: Arc::new(Encoded { eb, values, order }),
             converter: VectorConverter::new(config),
             quantized_input: Scratch::default(),
             quantize_vectors: true,
@@ -438,9 +478,29 @@ impl ReFloatMatrix {
     /// The decoded value of every non-zero (what the crossbars effectively compute
     /// with), in the layout's row order: value `k` sits at column `col_idx()[k]` of the
     /// row whose `row_ptr()` range holds `k` ([`BlockLayout::row_ptr`],
-    /// [`BlockLayout::col_idx`]).
-    pub fn decoded(&self) -> &[f64] {
-        &self.encoded.decoded
+    /// [`BlockLayout::col_idx`]).  Borrowed when the encoding stores them in row order,
+    /// gathered from its diagonals otherwise (see the [module docs](self#storage)).
+    pub fn decoded(&self) -> Cow<'_, [f64]> {
+        let Encoded { values, order, .. } = &*self.encoded;
+        order.row_order(&self.layout, values)
+    }
+
+    /// Calls `visit(k, value)` for every non-zero of row `r`, in column order: `k` its
+    /// index in the layout's row order, `value` its decoded value, [`decoded`]`()[k]`,
+    /// read where the encoding keeps it, so a row loop reads no whole copy.
+    ///
+    /// [`decoded`]: Self::decoded
+    #[inline]
+    pub fn visit_decoded_row(&self, r: usize, mut visit: impl FnMut(usize, f64)) {
+        let Encoded { values, order, .. } = &*self.encoded;
+        let (row_ptr, col_idx, b) = (
+            self.layout.row_ptr(),
+            self.layout.col_idx(),
+            self.layout.b(),
+        );
+        order.place(row_ptr, col_idx, b, r..r + 1, |k, slot| {
+            visit(k, values[slot])
+        });
     }
 
     /// Number of non-empty blocks (= crossbar clusters required per SpMV).
@@ -450,7 +510,7 @@ impl ReFloatMatrix {
 
     /// Total number of encoded non-zeros.
     pub fn nnz(&self) -> usize {
-        self.encoded.decoded.len()
+        self.layout.nnz()
     }
 
     /// Disables (or re-enables) the per-iteration vector re-encoding.  With vector
@@ -470,9 +530,10 @@ impl ReFloatMatrix {
     pub fn to_quantized_csr(&self) -> CsrMatrix {
         let mut coo = refloat_sparse::CooMatrix::with_capacity(self.nrows, self.ncols, self.nnz());
         let (row_ptr, col_idx) = (self.layout.row_ptr(), self.layout.col_idx());
+        let decoded = self.decoded();
         for (r, bounds) in row_ptr.windows(2).enumerate() {
             let row = bounds[0] as usize..bounds[1] as usize;
-            for (&c, &v) in col_idx[row.clone()].iter().zip(&self.encoded.decoded[row]) {
+            for (&c, &v) in col_idx[row.clone()].iter().zip(&decoded[row]) {
                 if v != 0.0 {
                     coo.push(r, c as usize, v);
                 }
@@ -509,12 +570,25 @@ impl ReFloatMatrix {
     }
 
     /// The accumulate step of an SpMV (Eq. 8–9) over an already-quantized input:
-    /// `y = Ã · xq`, every row of `accumulate_rows`.
+    /// `y = Ã · xq`, `refloat-sparse`'s kernel of the encoding's order
+    /// ([`ValueOrder::sums`]): each row's terms added in ascending column order from
+    /// `0.0` — the order of additions and so the bits of `CsrMatrix::spmv_into`, which
+    /// are also the bits of summing the block products into `y` block by block.  An
+    /// input passed through unconverted
+    /// ([`set_vector_quantization`](Self::set_vector_quantization)) that holds an
+    /// infinity or a NaN, whose product with a padded diagonal slot would be a NaN, is
+    /// summed by the row loop over the values in row order.
     ///
     /// # Panics
     /// Panics if `xq.len() != ncols` or `y.len() != nrows`.
     pub fn accumulate(&self, xq: &[f64], y: &mut [f64]) {
-        accumulate_rows(&self.layout, &self.encoded.decoded, xq, 0..self.nrows, y);
+        let Encoded { values, order, .. } = &*self.encoded;
+        let rows = 0..self.nrows;
+        if self.quantize_vectors || xq.iter().all(|v| v.is_finite()) {
+            order.sums(&self.layout, values, xq, rows, y);
+        } else {
+            ValueOrder::Rows.sums(&self.layout, &self.decoded(), xq, rows, y);
+        }
     }
 
     /// [`accumulate`](Self::accumulate) on a faulty device, every row of
@@ -527,8 +601,8 @@ impl ReFloatMatrix {
         corruptions: &[Corruption],
         y: &mut [f64],
     ) {
-        let (layout, decoded) = (&self.layout, &self.encoded.decoded);
-        accumulate_faulty_rows(layout, decoded, xq, 0..self.nrows, drift, corruptions, y);
+        let (layout, encoded) = (&self.layout, &*self.encoded);
+        accumulate_faulty_rows(layout, encoded, xq, 0..self.nrows, drift, corruptions, y);
     }
 
     /// The convert phase of a laned solve's apply, after `p ← r + βp` on every band:
@@ -676,21 +750,22 @@ impl<'a> Blocks<'a> {
 ///    window.  An *edge block* — one holding a subnormal, or whose window leaves the
 ///    normal exponents — has no window and runs [`requantize`] per element instead.
 ///
-/// It runs over the block rows that `rows` (block-row aligned) covers: their bases go to
-/// `eb`, their decoded values to `decoded`, back to back.  With a `delta` (over a
-/// [`Blocks::Known`] layout), a clean block row takes none of the steps: its bases are
-/// the predecessor's, and so are its decoded values, copied or left out as [`Delta`]
-/// says.
+/// It runs over the block rows that `rows` (block-row aligned) covers and returns their
+/// bases; their decoded values go to `decoded`, each block row's slots in `order` back
+/// to back, the slots of no non-zero left as they are.  With a `delta` (over a
+/// [`Blocks::Known`] layout, in the predecessor's order), a clean block row takes none
+/// of the steps: its bases are the predecessor's, and so are its decoded values, copied
+/// or left out as [`Delta`] says.
 fn encode_bands<const NEAREST: bool, const FTZ: bool>(
     mut blocks: Blocks<'_>,
     config: &ReFloatConfig,
+    order: &ValueOrder,
     vals: &[f64],
     delta: Option<Delta<'_>>,
     rows: Range<usize>,
-    eb: &mut Vec<i32>,
     decoded: &mut [f64],
-) {
-    let b = config.b;
+) -> Vec<i32> {
+    let (b, mut eb) = (config.b, Vec::new());
     let (ncols, row_ptr, col_idx) = match &blocks {
         Blocks::Known(layout) => (layout.ncols(), layout.row_ptr(), layout.col_idx()),
         Blocks::Found(a, _) => (a.ncols(), a.row_ptr(), a.col_idx()),
@@ -705,60 +780,76 @@ fn encode_bands<const NEAREST: bool, const FTZ: bool>(
     let mut bases: Vec<(i32, Option<Bounds>)> = vec![(0, None); block_cols];
     // The next position in `decoded`.
     let mut at = 0;
-    for (brow, band) in block_row_spans(row_ptr, b, rows) {
+    for (brow, band, slots) in order.block_row_slots(row_ptr, b, rows) {
         let (cols, band_vals) = (&col_idx[band.clone()], &vals[band.clone()]);
+        let lo = brow << b;
+        let band_rows = lo..(lo + (1 << b)).min(row_ptr.len() - 1);
         match &mut blocks {
             Blocks::Known(layout) => {
-                let (lo, nrows) = (brow << b, layout.nrows());
-                let band_rows = lo..(lo + (1 << b)).min(nrows);
                 if let Some(delta) = delta.filter(|delta| !delta.dirty[brow]) {
                     let first = layout.blocks_in_rows(0..lo);
                     let blocks = first..first + layout.blocks_in_rows(band_rows);
                     eb.extend_from_slice(&delta.previous.eb[blocks]);
                     if delta.copy_values {
-                        let out = &mut decoded[at..at + band.len()];
-                        out.copy_from_slice(&delta.previous.decoded[band.clone()]);
-                        at += band.len();
+                        let out = &mut decoded[at..at + slots.len()];
+                        out.copy_from_slice(&delta.previous.values[slots.clone()]);
+                        at += slots.len();
                     }
                     continue;
                 }
                 sum_exponents(b, cols, band_vals, &mut sums);
-                for ((_, bcol), _) in layout.extents_in(band_rows) {
-                    bases[bcol] = block_base(&mut sums[bcol], max_offset, eb);
+                for ((_, bcol), _) in layout.extents_in(band_rows.clone()) {
+                    bases[bcol] = block_base(&mut sums[bcol], max_offset, &mut eb);
                 }
             }
             Blocks::Found(_, table) => {
                 let band_vals = band_vals.iter().copied();
                 let found = table.band(brow, band_vals, |bcol, v| add_exponent(&mut sums[bcol], v));
                 for &bcol in found {
-                    bases[bcol] = block_base(&mut sums[bcol], max_offset, eb);
+                    bases[bcol] = block_base(&mut sums[bcol], max_offset, &mut eb);
                 }
             }
         }
-        let out = &mut decoded[at..at + band.len()];
-        at += band.len();
-        quantize_band::<NEAREST, FTZ>(config, &bases, cols, band_vals, out);
+        let out = &mut decoded[at..at + slots.len()];
+        at += slots.len();
+        let structure = (row_ptr, col_idx);
+        quantize_band::<NEAREST, FTZ>(config, &bases, order, structure, band_rows, vals, out);
     }
+    eb
 }
 
-/// The quantize pass of [`encode_bands`] over one band: every value, at column
-/// `cols[k]`, through [`quantize_bits`] against its block column's window in `bases`,
-/// or [`requantize`] against its base in an edge block, into `out`.
+/// The quantize pass of [`encode_bands`] over the block row `rows`: every value of
+/// `vals` (one per non-zero of the structure `(row_ptr, col_idx)`) in those rows
+/// through [`quantize_bits`] against its block column's window in `bases`, or
+/// [`requantize`] against its base in an edge block, into its slot in `order` in `out`,
+/// the block row's slots.
 fn quantize_band<const NEAREST: bool, const FTZ: bool>(
     config: &ReFloatConfig,
     bases: &[(i32, Option<Bounds>)],
-    cols: &[u32],
+    order: &ValueOrder,
+    (row_ptr, col_idx): (&[u32], &[u32]),
+    rows: Range<usize>,
     vals: &[f64],
     out: &mut [f64],
 ) {
     let (b, fraction) = (config.b, Fraction::new(config.f));
     let (rounding, underflow) = (config.rounding, config.underflow);
-    for ((&c, &v), out) in cols.iter().zip(vals).zip(out) {
-        *out = match &bases[(c >> b) as usize] {
-            (_, Some(bounds)) => quantize_bits::<NEAREST, FTZ>(v, bounds, &fraction).0,
-            (base, None) => requantize(v, *base, config.e, config.f, rounding, underflow),
-        };
+    let quantize = |c: u32, v: f64| match &bases[(c >> b) as usize] {
+        (_, Some(bounds)) => quantize_bits::<NEAREST, FTZ>(v, bounds, &fraction).0,
+        (base, None) => requantize(v, *base, config.e, config.f, rounding, underflow),
+    };
+    let span = order.slots(row_ptr, rows.clone());
+    if *order == ValueOrder::Rows {
+        // The slots are the non-zeros: one pass in step over the three arrays.
+        let (cols, vals) = (&col_idx[span.clone()], &vals[span]);
+        for ((&c, &v), out) in cols.iter().zip(vals).zip(out) {
+            *out = quantize(c, v);
+        }
+        return;
     }
+    order.place(row_ptr, col_idx, b, rows, |k, slot| {
+        out[slot - span.start] = quantize(col_idx[k], vals[k]);
+    });
 }
 
 /// The exponent pass of [`encode_bands`] over a known layout's band: every value of
@@ -801,6 +892,7 @@ fn block_base(sums: &mut (u64, u64), max_offset: i32, eb: &mut Vec<i32>) -> (i32
 fn encode_rows(
     blocks: Blocks<'_>,
     config: &ReFloatConfig,
+    order: &ValueOrder,
     vals: &[f64],
     delta: Option<Delta<'_>>,
     rows: Range<usize>,
@@ -813,9 +905,7 @@ fn encode_rows(
         (RoundNearest, Saturate) => encode_bands::<true, false>,
         (RoundNearest, FlushToZero) => encode_bands::<true, true>,
     };
-    let mut eb = Vec::new();
-    encode(blocks, config, vals, delta, rows, &mut eb, decoded);
-    eb
+    encode(blocks, config, order, vals, delta, rows, decoded)
 }
 
 /// `v`'s exact exponent, biased — `12 − leading_zeros` for a subnormal, whose leading
@@ -834,32 +924,8 @@ fn biased_exponent(v: f64) -> (i64, bool, bool) {
     (field.wrapping_add(shift) as i64, counted, subnormal)
 }
 
-/// Rows `rows` of `Ã · xq` into `y`: `refloat_sparse`'s one row loop
-/// ([`row_sums`]) over the decoded values in row order — the order of additions and so
-/// the bits of `CsrMatrix::spmv_into`, which are also the bits of summing the block
-/// products into `y` block by block.  A row's sum does not depend on the range it is
-/// computed in, so a band is bit for bit those rows of the whole product.
-///
-/// # Panics
-/// Panics if `xq.len() != ncols`, `y.len() != rows.len()` or `rows` ends past `nrows`.
-fn accumulate_rows(
-    layout: &BlockLayout,
-    decoded: &[f64],
-    xq: &[f64],
-    rows: Range<usize>,
-    y: &mut [f64],
-) {
-    assert_eq!(
-        xq.len(),
-        layout.ncols(),
-        "ReFloatMatrix spmv: x length mismatch"
-    );
-    assert_eq!(y.len(), rows.len(), "ReFloatMatrix spmv: y length mismatch");
-    let row_ptr = &layout.row_ptr()[rows.start..=rows.end];
-    row_sums(row_ptr, layout.col_idx(), decoded, xq, y);
-}
-
-/// Rows `rows` of a faulty device's `Ã · xq` into `y`: [`accumulate_rows`]' sums, each
+/// Rows `rows` of a faulty device's `Ã · xq` into `y`: the row loop over the encoding's
+/// decoded values, each row's read in column order ([`ValueOrder::row`]), each
 /// block's terms scaled by its `drift` and followed by the row's `corruptions` there
 /// (sorted by row, then block), even where the row stores nothing, as a stuck-high
 /// cell on an empty cell does: the additions, so the bits, of the block-by-block sum.
@@ -868,7 +934,7 @@ fn accumulate_rows(
 /// Panics if `xq`, `y` or `drift` is not `ncols`, `rows` or one per block long.
 fn accumulate_faulty_rows(
     layout: &BlockLayout,
-    decoded: &[f64],
+    Encoded { values, order, .. }: &Encoded,
     xq: &[f64],
     rows: Range<usize>,
     drift: &[f64],
@@ -883,9 +949,10 @@ fn accumulate_faulty_rows(
     );
     let (b, row_ptr, col_idx) = (layout.b(), layout.row_ptr(), layout.col_idx());
     let mut corruptions = &corruptions[corruptions.partition_point(|c| c.row < rows.start)..];
+    let mut buffer = Vec::new();
     for (r, yr) in rows.zip(y) {
         let row = row_ptr[r] as usize..row_ptr[r + 1] as usize;
-        let (mut cols, mut vals) = (&col_idx[row.clone()], &decoded[row]);
+        let (mut cols, mut vals) = (&col_idx[row], order.row(layout, values, r, &mut buffer));
         // A cursor over the row's block row: each block's index and block column.
         let band = r >> b << b;
         let blocks = (layout.blocks_in_rows(0..band)..).zip(layout.extents_in(band..r + 1));
@@ -964,16 +1031,24 @@ impl LinearOperator for ReFloatMatrix {
         let this = &*self;
         vectors.reduce_apart(
             move |band| {
-                for run in halo.imports(halo.index(&band.range)) {
-                    band.input[run.clone()].copy_from_slice(&xq[run.clone()]);
+                // Its imports, and the pieces at its edges, which it holds raw: a padded
+                // diagonal slot may read one that no stored entry does, and must read it
+                // converted, so finite.
+                let own = whole_segments(&band.range, n, seg).1;
+                let edges = [band.range.start..own.start, own.end..band.range.end];
+                let imports = halo.imports(halo.index(&band.range)).iter().cloned();
+                for run in imports.chain(edges) {
+                    band.input[run.clone()].copy_from_slice(&xq[run]);
                 }
                 let (input, rows) = (&band.input, band.range.clone());
-                accumulate_rows(&layout, &encoded.decoded, input, rows, &mut band.ap);
+                let Encoded { values, order, .. } = &*encoded;
+                order.sums(&layout, values, input, rows, &mut band.ap);
                 vecops::dot(&band.p, &band.ap)
             },
             |band| {
                 let (xq, rows) = (this.quantized_input.as_slice(), band.range.clone());
-                accumulate_rows(&this.layout, &this.encoded.decoded, xq, rows, &mut band.ap);
+                let Encoded { values, order, .. } = &*this.encoded;
+                order.sums(&this.layout, values, xq, rows, &mut band.ap);
                 vecops::dot(&band.p, &band.ap)
             },
         )
@@ -998,6 +1073,7 @@ pub(crate) mod tests {
     use proptest::prelude::*;
     use refloat_matgen::generators;
     use refloat_solvers::{bicgstab, cg, SolverConfig, StopReason};
+    use refloat_sparse::csr::row_sums;
     use refloat_sparse::vecops;
     use std::collections::BTreeMap;
 
@@ -1129,7 +1205,7 @@ pub(crate) mod tests {
     /// `m`'s decoded values over its layout in block order: the block view the tests
     /// hold the row-order storage to, walked beside [`ReFloatMatrix::bases`].
     fn decoded_blocks(m: &ReFloatMatrix) -> BlockedMatrix {
-        BlockedMatrix::over(&m.layout, m.decoded())
+        BlockedMatrix::over(&m.layout, &m.decoded())
     }
 
     /// `y = Ã · xq` one element at a time over the block views: the definition
@@ -1759,12 +1835,12 @@ pub(crate) mod tests {
         let mut whole = vec![0.0; n];
         m.accumulate_faulty(xq, &drift, &corruptions, &mut whole);
         assert_ne!(bits(&whole), bits(&clean));
-        let (layout, decoded) = (&m.layout, &m.encoded.decoded);
+        let (layout, encoded) = (&m.layout, &*m.encoded);
         for cut in [0, 1, 100, 250, 519, n] {
             let mut banded = vec![0.0; n];
             let (head, tail) = banded.split_at_mut(cut);
-            accumulate_faulty_rows(layout, decoded, xq, 0..cut, &drift, &corruptions, head);
-            accumulate_faulty_rows(layout, decoded, xq, cut..n, &drift, &corruptions, tail);
+            accumulate_faulty_rows(layout, encoded, xq, 0..cut, &drift, &corruptions, head);
+            accumulate_faulty_rows(layout, encoded, xq, cut..n, &drift, &corruptions, tail);
             assert_eq!(bits(&banded), bits(&whole), "cut at row {cut}");
         }
     }
@@ -2002,6 +2078,208 @@ pub(crate) mod tests {
             assert_eq!(got.bases(), want.bases());
             crate::incremental::assert_bitwise_identical(&got, &want);
             assert_eq!(applied(&mut got, &x), expected);
+        }
+    }
+
+    /// `a` encoded with its values in row order whatever its structure: the reference
+    /// every diagonal encoding is held to.
+    pub(crate) fn in_row_order(a: &CsrMatrix, config: ReFloatConfig) -> ReFloatMatrix {
+        let table = ReFloatMatrix::table_of(a, config);
+        ReFloatMatrix::found(a, config, table, ValueOrder::Rows)
+    }
+
+    /// Whether `m` keeps its values by diagonal.
+    pub(crate) fn by_diagonal(m: &ReFloatMatrix) -> bool {
+        m.encoded.order.offsets().is_some()
+    }
+
+    /// Banded matrices that take the diagonal order, and whether each is positive
+    /// definite: a 5-point stencil with partial tiles, a 27-point mass matrix, a FEM
+    /// Poisson matrix, a tridiagonal one, and a stencil with explicit zeros and an empty
+    /// row.
+    pub(crate) fn banded_matrices() -> Vec<(&'static str, CsrMatrix, bool)> {
+        let mut holes = BTreeMap::new();
+        for (r, c, v) in generators::laplacian_2d(13, 11, 0.3).to_csr().iter() {
+            let zero = (r * 7 + c) % 5 == 0;
+            if r != 60 {
+                holes.insert((r, c), if zero { 0.0 } else { v });
+            }
+        }
+        vec![
+            (
+                "laplacian_23",
+                generators::laplacian_2d(23, 23, 0.3).to_csr(),
+                true,
+            ),
+            (
+                "mass_7",
+                generators::mass_matrix_3d(7, 7, 7, 1e-12, 0.8, 5).to_csr(),
+                true,
+            ),
+            (
+                "fem_20",
+                refloat_matgen::fem::poisson_2d(20, 20, 0.2, 11).to_csr(),
+                true,
+            ),
+            ("tridiagonal_300", tridiagonal(300, 1.0), true),
+            ("holes_143", csr(143, 143, &holes), false),
+        ]
+    }
+
+    #[test]
+    fn a_diagonal_encoding_is_the_row_order_encoding_bit_for_bit() {
+        use crate::resilience::{AbftChecksum, RemapPlan, SpareBudget, StuckCell};
+        let bits = |y: &[f64]| y.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // Every bit, but of a NaN only that it is one (its payload is unspecified).
+        let classes = |y: &[f64]| {
+            let classes = y.iter().map(|v| (!v.is_nan()).then_some(v.to_bits()));
+            classes.collect::<Vec<_>>()
+        };
+        for (name, a, _) in banded_matrices() {
+            let formats = [2, 4, 7]
+                .into_iter()
+                .flat_map(|b| MODES.map(|mode| (b, mode)));
+            for (b, (rounding, underflow)) in formats {
+                let config = test_config(b)
+                    .with_rounding(rounding)
+                    .with_underflow(underflow);
+                let context = format!("{name}, b {b}, {rounding:?} {underflow:?}");
+                let (mut diagonal, mut rows) = (
+                    ReFloatMatrix::from_csr(&a, config),
+                    in_row_order(&a, config),
+                );
+                assert!(by_diagonal(&diagonal) && !by_diagonal(&rows), "{context}");
+                assert_eq!(diagonal.layout(), rows.layout(), "{context}");
+                assert_eq!(diagonal.bases(), rows.bases(), "{context}");
+                assert_eq!(
+                    bits(&diagonal.decoded()),
+                    bits(&rows.decoded()),
+                    "{context}"
+                );
+                assert_eq!(
+                    (diagonal.nnz(), rows.nnz()),
+                    (a.nnz(), a.nnz()),
+                    "{context}"
+                );
+                assert_eq!(diagonal.storage_bits(), rows.storage_bits(), "{context}");
+                let (dq, rq) = (diagonal.to_quantized_csr(), rows.to_quantized_csr());
+                assert_eq!((dq.row_ptr(), dq.col_idx()), (rq.row_ptr(), rq.col_idx()));
+                assert_eq!(bits(dq.values()), bits(rq.values()), "{context}");
+
+                let x = refloat_matgen::rhs::krylov_like(a.ncols(), 3);
+                assert_eq!(
+                    applied(&mut diagonal, &x),
+                    applied(&mut rows, &x),
+                    "{context}"
+                );
+
+                // Passed through unconverted, with and without a non-finite input.
+                let mut odd = x.clone();
+                for (k, v) in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN]
+                    .into_iter()
+                    .enumerate()
+                {
+                    odd[(k * 37 + 5) % a.ncols()] = v;
+                }
+                for input in [&x, &odd] {
+                    let mut y = [vec![0.0; a.nrows()], vec![0.0; a.nrows()]];
+                    for (m, y) in [&diagonal, &rows].into_iter().zip(&mut y) {
+                        let mut m = m.clone();
+                        m.set_vector_quantization(false);
+                        m.apply(input, y);
+                    }
+                    assert_eq!(classes(&y[0]), classes(&y[1]), "{context}, passed through");
+                }
+
+                // A faulty device: drift, and three stuck cells per block.
+                let cells: Vec<StuckCell> = (0..rows.num_blocks())
+                    .flat_map(|block| {
+                        let cell = |(row, col, high)| StuckCell {
+                            block,
+                            row,
+                            col,
+                            high,
+                        };
+                        [(0, 0, true), (1, 2, false), (1, 0, true)].map(cell)
+                    })
+                    .collect();
+                let plan = RemapPlan::plan(&cells, &SpareBudget::none());
+                let drift: Vec<f64> = (0..rows.num_blocks())
+                    .map(|k| 1.0 + 0.01 * (k % 7) as f64)
+                    .collect();
+                let mut faulty = [vec![0.0; a.nrows()], vec![0.0; a.nrows()]];
+                let mut residuals = Vec::new();
+                for (m, y) in [&mut diagonal, &mut rows].into_iter().zip(&mut faulty) {
+                    let corruptions = plan.corruptions(m);
+                    let checksum = AbftChecksum::from_matrix(m);
+                    let (xq, m) = m.quantize_input(&x);
+                    m.accumulate_faulty(xq, &drift, &corruptions, y);
+                    let total = y.iter().sum();
+                    residuals.push(checksum.residual(xq, &drift, total).to_bits());
+                }
+                assert_eq!(bits(&faulty[0]), bits(&faulty[1]), "{context}, faulty");
+                assert_eq!(residuals[0], residuals[1], "{context}, checksum");
+            }
+        }
+    }
+
+    #[test]
+    fn a_laned_diagonal_solve_is_the_row_order_solve_bit_for_bit() {
+        let config = SolverConfig::relative(1e-10).with_max_iterations(300);
+        for (name, a, definite) in banded_matrices() {
+            if !definite {
+                continue;
+            }
+            let b = refloat_matgen::rhs::krylov_like(a.nrows(), 5);
+            for (rounding, underflow) in MODES {
+                let format = test_config(4)
+                    .with_rounding(rounding)
+                    .with_underflow(underflow);
+                let (diagonal, rows) = (
+                    ReFloatMatrix::from_csr(&a, format),
+                    in_row_order(&a, format),
+                );
+                let want = solved(&mut rows.clone(), &b, &config);
+                for count in 1..=4 {
+                    let mut laned = diagonal.clone().split_over(lanes(count), 0);
+                    let got = solved(&mut laned, &b, &config);
+                    assert!(
+                        got == want,
+                        "{name}, {count} lanes, {rounding:?} {underflow:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stencils_take_the_diagonal_order_and_scattered_matrices_the_row_order() {
+        let order = |a: &CsrMatrix| {
+            BlockLayout::from_csr(a, 7)
+                .unwrap()
+                .value_order()
+                .offsets()
+                .map(<[i64]>::len)
+        };
+        assert_eq!(
+            order(&generators::laplacian_2d(40, 30, 0.2).to_csr()),
+            Some(5)
+        );
+        assert_eq!(
+            order(&refloat_matgen::fem::poisson_2d(40, 30, 0.2, 3).to_csr()),
+            Some(9)
+        );
+        assert_eq!(
+            order(&generators::mass_matrix_3d(9, 8, 7, 1e-12, 0.8, 5).to_csr()),
+            Some(27)
+        );
+        assert_eq!(
+            order(&generators::random_spd_graph(3000, 6, 1.4, 1.0, 7).to_csr()),
+            None
+        );
+        assert_eq!(order(&generators::wathen(12, 12, 5).to_csr()), None);
+        for (_, a, _) in banded_matrices() {
+            assert!(by_diagonal(&ReFloatMatrix::from_csr(&a, test_config(4))));
         }
     }
 

@@ -130,6 +130,7 @@ impl RemapPlan {
         let (layout, b) = (matrix.layout(), matrix.config().b);
         let top = 2f64.powi(matrix.config().max_offset() + 1);
         let blocks: Vec<(usize, usize)> = layout.extents().map(|(key, _)| key).collect();
+        let decoded = matrix.decoded();
         let mut out = Vec::new();
         for cell in &self.uncovered {
             let (block_row, block_col) = blocks[cell.block];
@@ -141,7 +142,7 @@ impl RemapPlan {
             // The clean value, by a binary search in the row's columns.
             let run = layout.row_ptr()[row] as usize..layout.row_ptr()[row + 1] as usize;
             let found = layout.col_idx()[run.clone()].binary_search(&(col as u32));
-            let clean = found.map_or(0.0, |k| matrix.decoded()[run.start + k]);
+            let clean = found.map_or(0.0, |k| decoded[run.start + k]);
             let stuck = match cell.high {
                 true => top * 2f64.powi(matrix.bases()[cell.block]),
                 false => 0.0,
@@ -361,7 +362,7 @@ mod tests {
         ];
         for (a, b) in shapes {
             let m = ReFloatMatrix::from_csr(&a, ReFloatConfig::new(b, 3, 8, 3, 8));
-            let want: Vec<Vec<(u32, u64, u64)>> = BlockedMatrix::over(m.layout(), m.decoded())
+            let want: Vec<Vec<(u32, u64, u64)>> = BlockedMatrix::over(m.layout(), &m.decoded())
                 .blocks()
                 .map(|blk| {
                     let mut sums: BTreeMap<u16, (f64, f64)> = BTreeMap::new();

@@ -650,7 +650,7 @@ mod tests {
                 }
             }
             let plan = RemapPlan::plan(&cells, &spares);
-            let decoded = BlockedMatrix::over(inner.layout(), inner.decoded());
+            let decoded = BlockedMatrix::over(inner.layout(), &inner.decoded());
             let blocking = BlockedMatrix::from_csr(a, config.b).unwrap();
             let bases: Vec<i32> = blocking
                 .blocks()
@@ -741,6 +741,8 @@ mod tests {
     ) -> (usize, usize) {
         let a = generators::laplacian_2d(n, n, 0.4).to_csr();
         let inner = ReFloatMatrix::from_csr(&a, ReFloatConfig::new(b, 3, 8, 3, 8));
+        // A stencil keeps its values by diagonal: the faulty row loop reads them back.
+        assert!(inner.layout().value_order().offsets().is_some());
         let mut chip = ChipFaultState::new(faults, 0, 1 << b);
         for _ in 0..age {
             chip.record_programming(1);

@@ -70,15 +70,15 @@ impl LinearOperator for NoisyReFloatOperator {
         // Quantize the input exactly as the noiseless operator would, then sum every
         // row with per-read perturbed matrix values.
         let (xq, inner) = self.inner.quantize_input(x);
-        let (layout, decoded) = (inner.layout(), inner.decoded());
+        let layout = inner.layout();
         let col_idx = layout.col_idx();
         assert_eq!(y.len(), layout.nrows(), "noisy spmv: y length mismatch");
-        for (yr, bounds) in y.iter_mut().zip(layout.row_ptr().windows(2)) {
+        for (r, yr) in y.iter_mut().enumerate() {
             let mut acc = 0.0;
-            for k in bounds[0] as usize..bounds[1] as usize {
-                let v = decoded[k] * (1.0 + sigma * deviate(seed, read, k));
+            inner.visit_decoded_row(r, |k, decoded| {
+                let v = decoded * (1.0 + sigma * deviate(seed, read, k));
                 acc += v * xq[col_idx[k] as usize];
-            }
+            });
             *yr = acc;
         }
     }
@@ -121,7 +121,7 @@ mod tests {
         let keys = BlockedMatrix::over(layout, &row_order);
         let mut y = vec![0.0; layout.nrows()];
         let mut keys = keys.values().iter().map(|&k| k as usize);
-        for blk in BlockedMatrix::over(layout, m.decoded()).blocks() {
+        for blk in BlockedMatrix::over(layout, &m.decoded()).blocks() {
             let (row0, col0) = (blk.block_row * bs, blk.block_col * bs);
             for (ii, jj, v) in blk.iter() {
                 let k = keys.next().unwrap();
@@ -151,16 +151,19 @@ mod tests {
     #[test]
     fn the_row_loop_is_the_block_order_walk_of_the_same_draws_bit_for_bit() {
         // 23 · 23 rows: partial last block row and column at b = 3; a scattered graph.
+        // The stencils keep their values by diagonal, the graph in row order.
         let shapes = [
-            (generators::laplacian_2d(16, 16, 0.4).to_csr(), 4),
-            (generators::laplacian_2d(23, 23, 0.3).to_csr(), 3),
+            (generators::laplacian_2d(16, 16, 0.4).to_csr(), 4, true),
+            (generators::laplacian_2d(23, 23, 0.3).to_csr(), 3, true),
             (
                 generators::random_spd_graph(300, 5, 1.4, 1.0, 7).to_csr(),
                 5,
+                false,
             ),
         ];
-        for (a, b) in shapes {
+        for (a, b, by_diagonal) in shapes {
             let m = ReFloatMatrix::from_csr(&a, ReFloatConfig::new(b, 3, 8, 3, 8));
+            assert_eq!(m.layout().value_order().offsets().is_some(), by_diagonal);
             let (sigma, seed) = (0.1, 9);
             let mut noisy = NoisyReFloatOperator::new(m.clone(), sigma, seed);
             let mut reference = m;
@@ -197,12 +200,12 @@ mod tests {
         let mut y_clean = vec![0.0; 256];
         clean.apply(&x, &mut y_clean);
         let (xq, m) = clean.quantize_input(&x);
-        let (row_ptr, col_idx) = (m.layout().row_ptr(), m.layout().col_idx());
+        let (row_ptr, col_idx, decoded) = (m.layout().row_ptr(), m.layout().col_idx(), m.decoded());
         let magnitude: Vec<f64> = row_ptr
             .windows(2)
             .map(|bounds| {
                 let row = bounds[0] as usize..bounds[1] as usize;
-                let terms = m.decoded()[row.clone()].iter().zip(&col_idx[row]);
+                let terms = decoded[row.clone()].iter().zip(&col_idx[row]);
                 terms.map(|(v, &c)| (v * xq[c as usize]).abs()).sum()
             })
             .collect();

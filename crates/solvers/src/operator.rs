@@ -132,6 +132,9 @@ pub struct LanedCsr {
     bands: Vec<Range<usize>>,
     /// The input of the latest apply, which the helpers read.
     x: Arc<Vec<f64>>,
+    /// Per helper band, the buffer its rows of the product come back in: moved into
+    /// the band's task and returned with its value, so an apply allocates nothing.
+    outs: Vec<Vec<f64>>,
 }
 
 impl LanedCsr {
@@ -144,11 +147,13 @@ impl LanedCsr {
         } else {
             std::iter::once(0..csr.nrows()).collect()
         };
+        let outs = vec![Vec::new(); bands.len() - 1];
         LanedCsr {
             csr,
             lanes: Arc::clone(lanes),
             bands,
             x: Arc::default(),
+            outs,
         }
     }
 
@@ -167,8 +172,9 @@ impl LinearOperator for LanedCsr {
         self.csr.ncols()
     }
 
-    /// Each helper computes its band's rows from a shared copy of `x` and returns them,
-    /// to be copied into `y`; the caller computes the last band in place.
+    /// Each helper computes its band's rows from a shared copy of `x` into the band's
+    /// buffer and returns it, to be copied into `y` and kept for the next apply; the
+    /// caller computes the last band in place.
     fn apply(&mut self, x: &[f64], y: &mut [f64]) {
         let Some((last, helped)) = self.bands.split_last().filter(|(_, h)| !h.is_empty()) else {
             return self.csr.spmv_into(x, y);
@@ -179,10 +185,12 @@ impl LinearOperator for LanedCsr {
         let shared = Arc::make_mut(&mut self.x);
         shared.clear();
         shared.extend_from_slice(x);
-        let tasks = helped.iter().map(|rows| {
+        let tasks = helped.iter().zip(&mut self.outs).map(|(rows, out)| {
             let (csr, x, rows) = (Arc::clone(&self.csr), Arc::clone(&self.x), rows.clone());
+            // A buffer lost to a panicking apply is grown again here.
+            let mut out = std::mem::take(out);
+            out.resize(rows.len(), 0.0);
             move || {
-                let mut out = vec![0.0; rows.len()];
                 csr.spmv_rows_into(rows, &x, &mut out);
                 out
             }
@@ -191,8 +199,9 @@ impl LinearOperator for LanedCsr {
         let (outs, ()) = self
             .lanes
             .run(tasks, || self.csr.spmv_rows_into(last.clone(), x, tail));
-        for (rows, out) in helped.iter().zip(outs) {
+        for ((rows, out), kept) in helped.iter().zip(outs).zip(&mut self.outs) {
             head[rows.clone()].copy_from_slice(&out);
+            *kept = out;
         }
     }
 

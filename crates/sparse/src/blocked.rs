@@ -27,7 +27,9 @@
 //! suits it: a [`BlockedMatrix`] is the layout plus the local indices and the `f64`
 //! values in block order, and `refloat-core`'s `ReFloatMatrix` shares the same layout
 //! (it sits behind an [`Arc`]) and adds the per-block exponent bases and the decoded
-//! values in row order, which its SpMV reads with the CSR loop.
+//! values, in the order the layout's [`value_order`](BlockLayout::value_order) names:
+//! row order, read by the CSR loop, or, for a structure on few diagonals, by diagonal
+//! within each block row, read by the diagonal loop ([`crate::order`]).
 //!
 //! So [`BlockLayout::lays_out`] knows in O(1) that a matrix sharing that structure (a
 //! clone, a value update through `CsrMatrix::with_values`, or a matrix built apart
@@ -40,6 +42,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use crate::coo::CooMatrix;
 use crate::csr::{CsrMatrix, Structure};
 use crate::error::SparseError;
+use crate::order::ValueOrder;
 use crate::vecops::Halo;
 use crate::Result;
 
@@ -54,8 +57,9 @@ struct TableEntry {
 }
 
 /// The block-major structure of a sparse matrix: where every non-zero sits, without
-/// the values.  Equality is content equality; which structure object a layout holds,
-/// and which halos it has kept, do not take part.
+/// the values, and where an encoding over it keeps them
+/// ([`value_order`](Self::value_order)).  Equality is content equality; which structure
+/// object a layout holds, and which halos it has kept, do not take part.
 #[derive(Debug)]
 pub struct BlockLayout {
     nrows: usize,
@@ -201,6 +205,12 @@ impl TableBuilder {
             seen: vec![0; block_cols.div_ceil(64)],
             touched: vec![0; block_cols + 1],
         }
+    }
+
+    /// The order an encoding of the table's structure keeps its values in, decided once
+    /// per structure ([`crate::order`]).
+    pub fn value_order(&self) -> &ValueOrder {
+        self.structure.value_order()
     }
 
     /// An empty part of the same table, to walk from block row `first` on and then
@@ -416,6 +426,12 @@ impl BlockLayout {
     /// `col_idx`.
     pub fn col_idx(&self) -> &[u32] {
         &self.structure.col_idx
+    }
+
+    /// The order an encoding over the layout keeps its values in, a function of the
+    /// structure alone and decided once per structure ([`crate::order`]).
+    pub fn value_order(&self) -> &ValueOrder {
+        self.structure.value_order()
     }
 
     /// The [`Halo`] of a laned apply over the layout's rows cut into `bands`, band `k`

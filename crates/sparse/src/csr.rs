@@ -18,21 +18,52 @@
 //! [`WeakStructure`] names the structure to adopt without keeping it alive.
 
 use std::ops::Range;
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 
 use crate::coo::CooMatrix;
 use crate::error::SparseError;
+use crate::order::ValueOrder;
 use crate::Result;
 
 /// The sparsity structure of a CSR matrix, shared by every matrix over it and by every
-/// block layout of it.
-#[derive(Debug, PartialEq, Eq)]
+/// block layout of it.  Equality is the arrays'.
+#[derive(Debug)]
 pub(crate) struct Structure {
     /// Row pointer array of length `nrows + 1`.
     pub(crate) row_ptr: Vec<u32>,
     /// Column indices, length `nnz`, strictly increasing within each row.
     pub(crate) col_idx: Vec<u32>,
+    /// The order an encoding of the structure stores its values in, decided on first
+    /// asking ([`value_order`](Self::value_order)).
+    order: OnceLock<ValueOrder>,
 }
+
+impl Structure {
+    /// The structure of these arrays.
+    fn new(row_ptr: Vec<u32>, col_idx: Vec<u32>) -> Self {
+        let order = OnceLock::new();
+        Structure {
+            row_ptr,
+            col_idx,
+            order,
+        }
+    }
+
+    /// The order an encoding over the structure keeps its values in, decided once: see
+    /// [`crate::order`].
+    pub(crate) fn value_order(&self) -> &ValueOrder {
+        self.order
+            .get_or_init(|| ValueOrder::of(&self.row_ptr, &self.col_idx))
+    }
+}
+
+impl PartialEq for Structure {
+    fn eq(&self, other: &Self) -> bool {
+        (&self.row_ptr, &self.col_idx) == (&other.row_ptr, &other.col_idx)
+    }
+}
+
+impl Eq for Structure {}
 
 /// Checks, before any narrowing, that a structure of `nrows` rows and `nnz` non-zeros
 /// whose greatest column index is `max_col` fits its `u32` indices.
@@ -136,7 +167,7 @@ impl CsrMatrix {
         CsrMatrix {
             nrows,
             ncols,
-            structure: Arc::new(Structure { row_ptr, col_idx }),
+            structure: Arc::new(Structure::new(row_ptr, col_idx)),
             vals,
         }
     }
@@ -468,12 +499,14 @@ impl CsrMatrix {
     }
 }
 
-/// The one row loop of every SpMV in the workspace: `y[i]` is row `i`'s terms
-/// `vals[k] · x[col_idx[k]]`, for `k` from `row_ptr[i]` to `row_ptr[i + 1]`, added in
-/// that order from `0.0`.  `row_ptr` holds one more pointer than `y` has rows, and its
-/// pointers index `col_idx` and `vals`, so a band of rows passes its own slice of the
-/// row pointers.  The CSR product reads the matrix's values, `refloat-core`'s
-/// quantized product its decoded values, in the same row order.
+/// The row loop of every SpMV in the workspace over values in row order: `y[i]` is row
+/// `i`'s terms `vals[k] · x[col_idx[k]]`, for `k` from `row_ptr[i]` to
+/// `row_ptr[i + 1]`, added in that order from `0.0`.  `row_ptr` holds one more pointer
+/// than `y` has rows, and its pointers index `col_idx` and `vals`, so a band of rows
+/// passes its own slice of the row pointers.  The CSR product reads the matrix's
+/// values, `refloat-core`'s quantized product its decoded values when it keeps them in
+/// row order; kept by diagonal, they take the diagonal loop of [`crate::order`], which
+/// adds the same terms in the same order.
 ///
 /// Two terms per trip, added one after the other: the sum and its bits are those of a
 /// one-term loop, while the speed stops following where the build places the loop (a

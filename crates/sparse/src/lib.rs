@@ -17,8 +17,12 @@
 //!   finds its blocks, and its `walk_row_order` the one definition of how row order and
 //!   block order correspond.  A `BlockedMatrix` adds the local indices and the `f64`
 //!   values in block order; `refloat-core`'s `ReFloatMatrix` shares the same layout and
-//!   adds the exponent bases, in block order, and the decoded values, in row order —
-//!   its SpMV is the CSR loop over them,
+//!   adds the exponent bases, in block order, and the decoded values, in the order
+//!   [`order`] decides per structure,
+//! * [`order`] — where an encoding keeps its values, in row order or, for a structure
+//!   on few diagonals, by diagonal within each block row, and the two SpMV kernels
+//!   over them: the CSR row loop and the diagonal loop, the same bits for a finite
+//!   input,
 //! * [`mm`] — a Matrix Market (`.mtx`) reader/writer so the real SuiteSparse inputs can
 //!   be used when available,
 //! * [`vecops`] — the dense vector kernels (dot, axpy, norms, …) used by the Krylov
@@ -40,6 +44,7 @@ pub mod coo;
 pub mod csr;
 pub mod error;
 pub mod mm;
+pub mod order;
 pub mod parallel;
 pub mod shard;
 pub mod stats;
@@ -49,6 +54,7 @@ pub use blocked::{Block, BlockLayout, BlockedMatrix, TableBuilder};
 pub use coo::CooMatrix;
 pub use csr::{CsrMatrix, WeakStructure};
 pub use error::SparseError;
+pub use order::{Diagonals, ValueOrder};
 pub use shard::block_row_shards;
 pub use stats::MatrixStats;
 

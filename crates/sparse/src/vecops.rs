@@ -25,11 +25,13 @@ use crate::parallel::{Lanes, Resident};
 
 /// The fewest elements per lane for which a solve spreads its vectors over lanes.  A
 /// laned CG iteration pays three round trips to the helpers, the apply's halo exchange
-/// among them, about 5 µs in all on a 2-core x86-64 host: on 2-D Laplacians in the
-/// `(7,3,8)(5,16)` format a 2-lane iteration broke even with the one-thread one near
-/// 1 k elements per lane (9.9 against 10.5 µs), was 2× slower at 300 and 30 % faster
-/// at 2 k (15.0 against 21.4 µs), so the minimum stays at 2 k.  The
-/// `cg_iteration_lanes` bench measures a whole iteration.
+/// among them, about 5 µs in all on a 2-core x86-64 host.  On 2-D Laplacians in the
+/// `(7,3,8)(5,16)` format, whose encodings keep their values by diagonal, a 2-lane
+/// iteration broke even with the one-thread one near 1 k elements per lane (10.5
+/// against 10.2 µs), was 1.3–1.9× slower at 300 and 25 % faster at 2 k (15.7 against
+/// 20.3 µs).  With the row loop over values in row order it broke even a little lower
+/// (9.9 against 10.5 µs at 1 k, 15.0 against 21.4 µs at 2 k), so the minimum stays at
+/// 2 k.  The `cg_iteration_lanes` bench measures a whole iteration.
 pub const MIN_LEN_PER_LANE: usize = 2048;
 
 /// Leaf size of the pairwise reductions: small enough that the worst-case error of the
